@@ -25,27 +25,6 @@ pub trait Denoiser {
         condition: Option<u32>,
     ) -> Vec<f32>;
 
-    /// Batched [`Denoiser::predict_x0`]: one prediction per noisy
-    /// topology, all at the same step `k` and condition `c`.
-    ///
-    /// The default maps the scalar method over the batch, so every
-    /// implementation is batchable; fused implementations override it
-    /// to amortize per-call setup (schedules, embeddings, scratch
-    /// buffers) across the batch. Overrides must stay **byte-identical
-    /// per sample** to `predict_x0` — the microbatching engine relies
-    /// on fused and serial execution producing the same outputs.
-    fn predict_x0_batch(
-        &self,
-        x_ks: &[&Topology],
-        k: usize,
-        total_steps: usize,
-        condition: Option<u32>,
-    ) -> Vec<Vec<f32>> {
-        x_ks.iter()
-            .map(|x_k| self.predict_x0(x_k, k, total_steps, condition))
-            .collect()
-    }
-
     /// The native training resolution (window size `L`) of the model,
     /// used by the extension algorithms to size their working windows.
     fn native_size(&self) -> usize;
@@ -62,16 +41,6 @@ impl<D: Denoiser + ?Sized> Denoiser for &D {
         (**self).predict_x0(x_k, k, total_steps, condition)
     }
 
-    fn predict_x0_batch(
-        &self,
-        x_ks: &[&Topology],
-        k: usize,
-        total_steps: usize,
-        condition: Option<u32>,
-    ) -> Vec<Vec<f32>> {
-        (**self).predict_x0_batch(x_ks, k, total_steps, condition)
-    }
-
     fn native_size(&self) -> usize {
         (**self).native_size()
     }
@@ -86,16 +55,6 @@ impl<D: Denoiser + ?Sized> Denoiser for Box<D> {
         condition: Option<u32>,
     ) -> Vec<f32> {
         (**self).predict_x0(x_k, k, total_steps, condition)
-    }
-
-    fn predict_x0_batch(
-        &self,
-        x_ks: &[&Topology],
-        k: usize,
-        total_steps: usize,
-        condition: Option<u32>,
-    ) -> Vec<Vec<f32>> {
-        (**self).predict_x0_batch(x_ks, k, total_steps, condition)
     }
 
     fn native_size(&self) -> usize {

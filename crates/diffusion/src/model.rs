@@ -78,8 +78,11 @@ impl<D: Denoiser> DiffusionModel<D> {
     }
 
     /// The categorical draw of one reverse step, given the denoiser
-    /// prediction and the step's posterior table — the body shared by
-    /// `reverse_step` and `sample_batch`.
+    /// prediction and the step's posterior table.
+    // Kept out of line: inlined into `sample`'s step loop, this
+    // per-cell draw measured ~12% slower end to end on a 128×128,
+    // 24-step sample (20.8 ms → 23.7 ms).
+    #[inline(never)]
     fn reverse_from_prediction(
         &self,
         x_k: &Topology,
@@ -129,44 +132,6 @@ impl<D: Denoiser> DiffusionModel<D> {
             x = self.reverse_step(&x, k, condition, rng);
         }
         x
-    }
-
-    /// Fused ancestral sampling: runs `rngs.len()` reverse processes in
-    /// lockstep through one [`Denoiser::predict_x0_batch`] call per
-    /// step, each sample drawing its noise from its own RNG stream.
-    ///
-    /// Per sample this consumes RNG draws in exactly the order
-    /// [`DiffusionModel::sample`] does (initialization first, then one
-    /// draw per cell per step), so output `i` is **byte-identical** to
-    /// `self.sample(rows, cols, condition, &mut rngs[i])` — batching
-    /// changes throughput, never results.
-    #[must_use]
-    pub fn sample_batch<R: Rng>(
-        &self,
-        rows: usize,
-        cols: usize,
-        condition: Option<u32>,
-        rngs: &mut [R],
-    ) -> Vec<Topology> {
-        let mut xs: Vec<Topology> = rngs
-            .iter_mut()
-            .map(|rng| Topology::from_fn(rows, cols, |_, _| rng.gen::<bool>()))
-            .collect();
-        for k in (1..=self.schedule.len()).rev() {
-            let refs: Vec<&Topology> = xs.iter().collect();
-            let p0s = self
-                .denoiser
-                .predict_x0_batch(&refs, k, self.schedule.len(), condition);
-            debug_assert_eq!(p0s.len(), xs.len(), "denoiser batch length mismatch");
-            let post = self.posterior_table(k);
-            xs = xs
-                .iter()
-                .zip(&p0s)
-                .zip(rngs.iter_mut())
-                .map(|((x, p0), rng)| self.reverse_from_prediction(x, p0, &post, rng))
-                .collect();
-        }
-        xs
     }
 }
 
@@ -248,33 +213,6 @@ mod tests {
         let a = model.sample(8, 8, None, &mut ChaCha8Rng::seed_from_u64(3));
         let b = model.sample(8, 8, None, &mut ChaCha8Rng::seed_from_u64(3));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sample_batch_is_byte_identical_to_serial_for_every_batch_size() {
-        let model = DiffusionModel::new(
-            NoiseSchedule::scaled_default(6),
-            ConstantDenoiser {
-                probability: 0.4,
-                size: 8,
-            },
-            8,
-        );
-        for batch in 1..=8usize {
-            let mut rngs: Vec<ChaCha8Rng> = (0..batch)
-                .map(|i| ChaCha8Rng::seed_from_u64(100 + i as u64))
-                .collect();
-            let fused = model.sample_batch(8, 8, None, &mut rngs);
-            assert_eq!(fused.len(), batch);
-            for (i, fused_topology) in fused.iter().enumerate() {
-                let mut rng = ChaCha8Rng::seed_from_u64(100 + i as u64);
-                let serial = model.sample(8, 8, None, &mut rng);
-                assert_eq!(
-                    fused_topology, &serial,
-                    "batch size {batch}, sample {i} diverged from serial"
-                );
-            }
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! [`MrfDenoiser`](crate::MrfDenoiser) (see DESIGN.md).
 
 use crate::{Denoiser, NoiseSchedule};
-use cp_nn::{BatchTensor, Tensor, UNet};
+use cp_nn::{Tensor, UNet};
 use cp_squish::Topology;
 use rand::Rng;
 use std::cell::RefCell;
@@ -189,37 +189,6 @@ impl Denoiser for UNetDenoiser {
             .collect()
     }
 
-    fn predict_x0_batch(
-        &self,
-        x_ks: &[&Topology],
-        k: usize,
-        total_steps: usize,
-        condition: Option<u32>,
-    ) -> Vec<Vec<f32>> {
-        if x_ks.is_empty() {
-            return Vec::new();
-        }
-        let inputs: Vec<Tensor> = x_ks.iter().map(|x_k| topology_to_tensor(x_k)).collect();
-        let t_norm = k as f32 / total_steps.max(1) as f32;
-        let class = self.class_of(condition);
-        // `forward_batch` is inference-only (`&self`, no caches), so a
-        // shared borrow suffices; it shares the time/condition embedding
-        // across the batch and is byte-identical per sample to `forward`.
-        let logits =
-            self.net
-                .borrow()
-                .forward_batch(&BatchTensor::from_samples(&inputs), t_norm, class);
-        (0..logits.batch())
-            .map(|i| {
-                logits
-                    .sample(i)
-                    .iter()
-                    .map(|&l| 1.0 / (1.0 + (-l).exp()))
-                    .collect()
-            })
-            .collect()
-    }
-
     fn native_size(&self) -> usize {
         self.native_size
     }
@@ -277,44 +246,6 @@ mod tests {
         let model = DiffusionModel::new(schedule, denoiser, 16);
         let sample = model.sample(16, 16, Some(0), &mut rng);
         assert_eq!(sample.shape(), (16, 16));
-    }
-
-    #[test]
-    fn unet_batched_prediction_matches_serial_exactly() {
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let denoiser = UNetDenoiser::new(4, vec![0, 1], 16, &mut rng);
-        let noisy: Vec<Topology> = (0..5)
-            .map(|_| Topology::from_fn(16, 16, |_, _| rand::Rng::gen::<bool>(&mut rng)))
-            .collect();
-        let refs: Vec<&Topology> = noisy.iter().collect();
-        let fused = denoiser.predict_x0_batch(&refs, 2, 6, Some(1));
-        assert_eq!(fused.len(), noisy.len());
-        for (i, x_k) in noisy.iter().enumerate() {
-            assert_eq!(
-                fused[i],
-                denoiser.predict_x0(x_k, 2, 6, Some(1)),
-                "sample {i} diverged from serial"
-            );
-        }
-        assert!(denoiser.predict_x0_batch(&[], 2, 6, None).is_empty());
-    }
-
-    #[test]
-    fn unet_sample_batch_matches_serial_for_every_batch_size() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let denoiser = UNetDenoiser::new(3, vec![0], 8, &mut rng);
-        let model = DiffusionModel::new(NoiseSchedule::scaled_default(4), denoiser, 8);
-        for batch in [1usize, 3, 8] {
-            let mut rngs: Vec<ChaCha8Rng> = (0..batch)
-                .map(|i| ChaCha8Rng::seed_from_u64(200 + i as u64))
-                .collect();
-            let fused = model.sample_batch(8, 8, Some(0), &mut rngs);
-            for (i, fused_topology) in fused.iter().enumerate() {
-                let mut serial_rng = ChaCha8Rng::seed_from_u64(200 + i as u64);
-                let serial = model.sample(8, 8, Some(0), &mut serial_rng);
-                assert_eq!(fused_topology, &serial, "batch {batch} sample {i}");
-            }
-        }
     }
 
     #[test]

@@ -159,10 +159,12 @@ impl EventLoopServer {
             next_token: FIRST_CONN_TOKEN,
             accept_paused: false,
         };
+        let handler: Arc<dyn ConnectionHandler> = state.handler.clone();
         let thread = std::thread::spawn(move || state.run());
         Ok(EventLoopHandle {
             addr,
             shared,
+            handler,
             thread: Some(thread),
         })
     }
@@ -173,6 +175,7 @@ impl EventLoopServer {
 pub struct EventLoopHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    handler: Arc<dyn ConnectionHandler>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -183,9 +186,15 @@ impl EventLoopHandle {
         self.addr
     }
 
-    /// Stops the loop (outstanding connection queues are silenced so
-    /// late completion writes become no-ops) and joins the loop thread.
+    /// Waits for the handler to hand over every reply it still owes
+    /// ([`ConnectionHandler::quiesce`]), then stops the loop — which
+    /// gives each connection one last write pass before closing it —
+    /// and joins the loop thread. Connections stay readable during the
+    /// wait, so a peer that keeps sending keeps it waiting.
     pub fn shutdown(mut self) {
+        // The loop keeps serving while the handler quiesces, so the
+        // replies land in live queues, not ones teardown closed.
+        self.handler.quiesce();
         self.shared.stop.store(true, Ordering::Relaxed);
         self.shared.wake.wake();
         if let Some(thread) = self.thread.take() {
@@ -233,6 +242,10 @@ impl<H: ConnectionHandler> LoopState<H> {
                 std::thread::sleep(std::time::Duration::from_millis(10));
             }
             if self.shared.stop.load(Ordering::Relaxed) {
+                // Shutdown quiesced the handler first, so every owed
+                // reply is queued by now: flush what this pass has not
+                // seen yet, with the usual kill/close accounting.
+                self.flush_dirty();
                 break;
             }
             let mut accept_ready = false;
@@ -258,10 +271,7 @@ impl<H: ConnectionHandler> LoopState<H> {
             }
             // Drain the dirty list every pass: completion threads may
             // have queued replies whose wake byte raced this wait.
-            let dirty = std::mem::take(&mut *self.shared.dirty.lock().expect("dirty lock"));
-            for token in dirty {
-                self.flush_token(token);
-            }
+            self.flush_dirty();
             if accept_ready {
                 self.accept_ready();
             }
@@ -269,18 +279,23 @@ impl<H: ConnectionHandler> LoopState<H> {
                 self.resume_accepts();
             }
         }
-        // Teardown: the stop flag is checked before queued events are
-        // processed, so replies completion threads enqueued just
-        // before shutdown may still sit unflushed. Give every
-        // non-killed queue one final write pass — bounded: each stops
-        // at WouldBlock rather than waiting for a slow reader — then
-        // silence the queues so in-flight completion threads drop
-        // their replies instead of accumulating them forever.
+        // Teardown: give every non-killed queue one final write pass
+        // — bounded: each stops at WouldBlock rather than waiting for
+        // a slow reader — then silence the queues so a handler that
+        // does not quiesce drops its late replies instead of
+        // accumulating them forever.
         for slot in self.conns.values_mut() {
             if !slot.conn.outbound().is_killed() {
                 let _ = slot.conn.flush_ready();
             }
             slot.conn.outbound().close();
+        }
+    }
+
+    fn flush_dirty(&mut self) {
+        let dirty = std::mem::take(&mut *self.shared.dirty.lock().expect("dirty lock"));
+        for token in dirty {
+            self.flush_token(token);
         }
     }
 

@@ -92,4 +92,8 @@ impl<S: PatternService + Send + Sync + 'static> ConnectionHandler for EngineHand
             }
         }
     }
+
+    fn quiesce(&self) {
+        self.drain();
+    }
 }

@@ -25,6 +25,13 @@ pub trait ConnectionHandler: Send + Sync + 'static {
     /// write side failing). Per-connection teardown — e.g. flushing
     /// stats — goes here.
     fn on_disconnect(&self, _sink: &Arc<LineSink>) {}
+
+    /// Blocks until every reply the handler still owes for lines it
+    /// already accepted has been handed to its sink. A transport calls
+    /// this before tearing its connections down, so completions in
+    /// flight are not written into closed queues. Handlers that answer
+    /// inside `on_line` owe nothing and keep the no-op default.
+    fn quiesce(&self) {}
 }
 
 /// A bound-but-not-yet-serving TCP server: `bind` first (so callers

@@ -37,10 +37,7 @@ pub mod tensor;
 pub mod unet;
 
 pub use adam::AdamState;
-pub use ops::{
-    avg_pool2, avg_pool2_batch, concat_channels, concat_channels_batch, silu, silu_batch,
-    upsample2, upsample2_batch, Conv2d, Linear,
-};
+pub use ops::{avg_pool2, concat_channels, silu, upsample2, Conv2d, Linear};
 pub use param::Param;
-pub use tensor::{BatchTensor, Tensor};
+pub use tensor::Tensor;
 pub use unet::UNet;

@@ -1,6 +1,6 @@
 //! Differentiable operations: each forward caches what backward needs.
 
-use crate::{BatchTensor, Param, Tensor};
+use crate::{Param, Tensor};
 use rand::Rng;
 
 /// 3×3 convolution with padding 1 (shape-preserving).
@@ -38,12 +38,20 @@ impl Conv2d {
         self.out_ch
     }
 
-    /// One sample's convolution arithmetic over flat CHW slices — the
-    /// body shared by [`Conv2d::forward`] and [`Conv2d::forward_batch`],
-    /// so fused and serial execution are byte-identical per sample.
-    fn forward_slice(&self, x: &[f32], h: usize, w: usize, out: &mut [f32]) {
+    /// Forward pass; caches the input for backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input channel count differs from construction.
+    #[must_use]
+    pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        assert_eq!(x.channels(), self.in_ch, "conv input channels mismatch");
+        let (h, w) = (x.height(), x.width());
+        let mut out = Tensor::zeros(self.out_ch, h, w);
         let wt = self.weight.values();
         let bias = self.bias.values();
+        let xs = x.as_slice();
+        let os = out.as_mut_slice();
         for (oc, &oc_bias) in bias.iter().enumerate() {
             for y in 0..h {
                 for xx in 0..w {
@@ -61,93 +69,15 @@ impl Conv2d {
                                     continue;
                                 }
                                 acc += wt[wbase + ky * 3 + kx]
-                                    * x[(ic * h + sy as usize) * w + sx as usize];
+                                    * xs[(ic * h + sy as usize) * w + sx as usize];
                             }
                         }
                     }
-                    out[(oc * h + y) * w + xx] = acc;
+                    os[(oc * h + y) * w + xx] = acc;
                 }
             }
         }
-    }
-
-    /// Forward pass; caches the input for backward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input channel count differs from construction.
-    #[must_use]
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(x.channels(), self.in_ch, "conv input channels mismatch");
-        let (h, w) = (x.height(), x.width());
-        let mut out = Tensor::zeros(self.out_ch, h, w);
-        self.forward_slice(x.as_slice(), h, w, out.as_mut_slice());
         self.cache_x = Some(x.clone());
-        out
-    }
-
-    /// Inference-only batched forward: N samples through one call,
-    /// writing into a single output allocation. No caching — the batch
-    /// path never trains.
-    ///
-    /// Batch-inner loops: a tap's weight value, boundary check and flat
-    /// offsets depend only on the output position, so they are computed
-    /// once and applied to every sample — the index arithmetic and
-    /// branches that dominate the scalar kernel amortize over the
-    /// batch. Each sample still accumulates bias-then-taps in exactly
-    /// the `(ic, ky, kx)` order of [`Conv2d::forward`], so per-sample
-    /// outputs are byte-identical to N serial forwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input channel count differs from construction.
-    #[must_use]
-    pub fn forward_batch(&self, x: &BatchTensor) -> BatchTensor {
-        assert_eq!(x.channels(), self.in_ch, "conv input channels mismatch");
-        let (n, _, h, w) = x.shape();
-        let mut out = BatchTensor::zeros(n, self.out_ch, h, w);
-        if n == 1 {
-            self.forward_slice(x.sample(0), h, w, out.sample_mut(0));
-            return out;
-        }
-        let wt = self.weight.values();
-        let bias = self.bias.values();
-        let in_len = x.sample_len();
-        let out_len = out.sample_len();
-        let xb = x.as_slice();
-        let ob = out.as_mut_slice();
-        let mut accs = vec![0.0f32; n];
-        for (oc, &oc_bias) in bias.iter().enumerate() {
-            for y in 0..h {
-                for xx in 0..w {
-                    accs.fill(oc_bias);
-                    for ic in 0..self.in_ch {
-                        let wbase = ((oc * self.in_ch) + ic) * 9;
-                        for ky in 0..3usize {
-                            let sy = y as isize + ky as isize - 1;
-                            if sy < 0 || sy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..3usize {
-                                let sx = xx as isize + kx as isize - 1;
-                                if sx < 0 || sx >= w as isize {
-                                    continue;
-                                }
-                                let wv = wt[wbase + ky * 3 + kx];
-                                let off = (ic * h + sy as usize) * w + sx as usize;
-                                for (i, acc) in accs.iter_mut().enumerate() {
-                                    *acc += wv * xb[i * in_len + off];
-                                }
-                            }
-                        }
-                    }
-                    let pix = (oc * h + y) * w + xx;
-                    for (i, &acc) in accs.iter().enumerate() {
-                        ob[i * out_len + pix] = acc;
-                    }
-                }
-            }
-        }
         out
     }
 
@@ -324,29 +254,17 @@ impl Linear {
     /// Panics on input dimension mismatch.
     #[must_use]
     pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
-        let out = self.forward_infer(x);
-        self.cache_x = Some(x.to_vec());
-        out
-    }
-
-    /// Inference-only forward: same arithmetic as [`Linear::forward`]
-    /// without caching the input, so the batched inference path can run
-    /// against a shared `&self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input dimension mismatch.
-    #[must_use]
-    pub fn forward_infer(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.in_dim, "linear input dim mismatch");
         let wt = self.weight.values();
         let bias = self.bias.values();
-        (0..self.out_dim)
+        let out = (0..self.out_dim)
             .map(|o| {
                 let row = &wt[o * self.in_dim..(o + 1) * self.in_dim];
                 bias[o] + row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>()
             })
-            .collect()
+            .collect();
+        self.cache_x = Some(x.to_vec());
+        out
     }
 
     /// Backward pass: accumulates grads, returns input grad.
@@ -403,20 +321,6 @@ pub fn silu(x: &Tensor) -> Tensor {
     Tensor::from_data(c, h, w, data)
 }
 
-/// Batched SiLU: element-wise, so one pass over the whole batch buffer
-/// is byte-identical to per-sample [`silu`].
-#[must_use]
-pub fn silu_batch(x: &BatchTensor) -> BatchTensor {
-    let (n, c, h, w) = x.shape();
-    let mut out = BatchTensor::zeros(n, c, h, w);
-    for i in 0..n {
-        for (o, &v) in out.sample_mut(i).iter_mut().zip(x.sample(i)) {
-            *o = v * sigmoid(v);
-        }
-    }
-    out
-}
-
 /// Gradient of SiLU given the *input* values and upstream gradient.
 #[must_use]
 pub fn silu_backward(x: &Tensor, gout: &Tensor) -> Tensor {
@@ -455,23 +359,6 @@ fn sigmoid(v: f32) -> f32 {
     1.0 / (1.0 + (-v).exp())
 }
 
-/// One sample's 2× average pooling over flat CHW slices, shared by the
-/// serial and batched entry points.
-fn avg_pool2_slice(x: &[f32], c: usize, h: usize, w: usize, out: &mut [f32]) {
-    let (oh, ow) = (h / 2, w / 2);
-    for ch in 0..c {
-        for y in 0..oh {
-            for xx in 0..ow {
-                let s = x[(ch * h + 2 * y) * w + 2 * xx]
-                    + x[(ch * h + 2 * y) * w + 2 * xx + 1]
-                    + x[(ch * h + 2 * y + 1) * w + 2 * xx]
-                    + x[(ch * h + 2 * y + 1) * w + 2 * xx + 1];
-                out[(ch * oh + y) * ow + xx] = s / 4.0;
-            }
-        }
-    }
-}
-
 /// 2× average pooling (height/width must be even).
 ///
 /// # Panics
@@ -481,23 +368,19 @@ fn avg_pool2_slice(x: &[f32], c: usize, h: usize, w: usize, out: &mut [f32]) {
 pub fn avg_pool2(x: &Tensor) -> Tensor {
     let (c, h, w) = x.shape();
     assert!(h % 2 == 0 && w % 2 == 0, "avg_pool2 needs even dims");
-    let mut out = Tensor::zeros(c, h / 2, w / 2);
-    avg_pool2_slice(x.as_slice(), c, h, w, out.as_mut_slice());
-    out
-}
-
-/// Batched [`avg_pool2`] writing into a single output allocation.
-///
-/// # Panics
-///
-/// Panics on odd spatial dimensions.
-#[must_use]
-pub fn avg_pool2_batch(x: &BatchTensor) -> BatchTensor {
-    let (n, c, h, w) = x.shape();
-    assert!(h % 2 == 0 && w % 2 == 0, "avg_pool2 needs even dims");
-    let mut out = BatchTensor::zeros(n, c, h / 2, w / 2);
-    for i in 0..n {
-        avg_pool2_slice(x.sample(i), c, h, w, out.sample_mut(i));
+    let (oh, ow) = (h / 2, w / 2);
+    let mut out = Tensor::zeros(c, oh, ow);
+    let (xs, os) = (x.as_slice(), out.as_mut_slice());
+    for ch in 0..c {
+        for y in 0..oh {
+            for xx in 0..ow {
+                let s = xs[(ch * h + 2 * y) * w + 2 * xx]
+                    + xs[(ch * h + 2 * y) * w + 2 * xx + 1]
+                    + xs[(ch * h + 2 * y + 1) * w + 2 * xx]
+                    + xs[(ch * h + 2 * y + 1) * w + 2 * xx + 1];
+                os[(ch * oh + y) * ow + xx] = s / 4.0;
+            }
+        }
     }
     out
 }
@@ -521,35 +404,19 @@ pub fn avg_pool2_backward(gout: &Tensor) -> Tensor {
     gx
 }
 
-/// One sample's 2× nearest-neighbour upsampling over flat CHW slices,
-/// shared by the serial and batched entry points.
-fn upsample2_slice(x: &[f32], c: usize, h: usize, w: usize, out: &mut [f32]) {
-    let (oh, ow) = (h * 2, w * 2);
-    for ch in 0..c {
-        for y in 0..oh {
-            for xx in 0..ow {
-                out[(ch * oh + y) * ow + xx] = x[(ch * h + y / 2) * w + xx / 2];
-            }
-        }
-    }
-}
-
 /// 2× nearest-neighbour upsampling.
 #[must_use]
 pub fn upsample2(x: &Tensor) -> Tensor {
     let (c, h, w) = x.shape();
-    let mut out = Tensor::zeros(c, h * 2, w * 2);
-    upsample2_slice(x.as_slice(), c, h, w, out.as_mut_slice());
-    out
-}
-
-/// Batched [`upsample2`] writing into a single output allocation.
-#[must_use]
-pub fn upsample2_batch(x: &BatchTensor) -> BatchTensor {
-    let (n, c, h, w) = x.shape();
-    let mut out = BatchTensor::zeros(n, c, h * 2, w * 2);
-    for i in 0..n {
-        upsample2_slice(x.sample(i), c, h, w, out.sample_mut(i));
+    let (oh, ow) = (h * 2, w * 2);
+    let mut out = Tensor::zeros(c, oh, ow);
+    let (xs, os) = (x.as_slice(), out.as_mut_slice());
+    for ch in 0..c {
+        for y in 0..oh {
+            for xx in 0..ow {
+                os[(ch * oh + y) * ow + xx] = xs[(ch * h + y / 2) * w + xx / 2];
+            }
+        }
     }
     out
 }
@@ -594,30 +461,6 @@ pub fn concat_channels(a: &Tensor, b: &Tensor) -> Tensor {
     data.extend_from_slice(a.as_slice());
     data.extend_from_slice(b.as_slice());
     Tensor::from_data(a.channels() + b.channels(), a.height(), a.width(), data)
-}
-
-/// Batched [`concat_channels`]: per sample, `a`'s channels followed by
-/// `b`'s channels, matching the batch-1 layout exactly.
-///
-/// # Panics
-///
-/// Panics when batch size or spatial shape differ.
-#[must_use]
-pub fn concat_channels_batch(a: &BatchTensor, b: &BatchTensor) -> BatchTensor {
-    assert_eq!(
-        (a.batch(), a.height(), a.width()),
-        (b.batch(), b.height(), b.width()),
-        "batch concat shape mismatch"
-    );
-    let (n, h, w) = (a.batch(), a.height(), a.width());
-    let mut out = BatchTensor::zeros(n, a.channels() + b.channels(), h, w);
-    for i in 0..n {
-        let split = a.sample_len();
-        let dst = out.sample_mut(i);
-        dst[..split].copy_from_slice(a.sample(i));
-        dst[split..].copy_from_slice(b.sample(i));
-    }
-    out
 }
 
 /// Splits a concat gradient back into the two inputs' gradients.

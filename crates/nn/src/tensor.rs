@@ -135,161 +135,6 @@ impl Tensor {
     }
 }
 
-/// An `n × channels × height × width` batch of feature maps in one
-/// contiguous allocation.
-///
-/// The batched inference path (`Conv2d::forward_batch`,
-/// `UNet::forward_batch`) streams N samples through each layer using
-/// one buffer per stage instead of N — sample `i` occupies the
-/// contiguous CHW slice [`BatchTensor::sample`] returns, so per-sample
-/// arithmetic is identical to the batch-1 [`Tensor`] path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchTensor {
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    data: Vec<f32>,
-}
-
-impl BatchTensor {
-    /// All-zero batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    #[must_use]
-    pub fn zeros(n: usize, c: usize, h: usize, w: usize) -> BatchTensor {
-        assert!(
-            n > 0 && c > 0 && h > 0 && w > 0,
-            "batch tensor dims must be positive"
-        );
-        BatchTensor {
-            n,
-            c,
-            h,
-            w,
-            data: vec![0.0; n * c * h * w],
-        }
-    }
-
-    /// Stacks batch-1 tensors of identical shape into one batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or the shapes differ.
-    #[must_use]
-    pub fn from_samples(samples: &[Tensor]) -> BatchTensor {
-        assert!(!samples.is_empty(), "batch needs at least one sample");
-        let (c, h, w) = samples[0].shape();
-        let mut data = Vec::with_capacity(samples.len() * c * h * w);
-        for sample in samples {
-            assert_eq!(sample.shape(), (c, h, w), "batch sample shape mismatch");
-            data.extend_from_slice(sample.as_slice());
-        }
-        BatchTensor {
-            n: samples.len(),
-            c,
-            h,
-            w,
-            data,
-        }
-    }
-
-    /// `(batch, channels, height, width)`.
-    #[must_use]
-    pub fn shape(&self) -> (usize, usize, usize, usize) {
-        (self.n, self.c, self.h, self.w)
-    }
-
-    /// Batch size.
-    #[must_use]
-    pub fn batch(&self) -> usize {
-        self.n
-    }
-
-    /// Number of channels.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.c
-    }
-
-    /// Spatial height.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.h
-    }
-
-    /// Spatial width.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.w
-    }
-
-    /// Elements per sample (`c·h·w`).
-    #[must_use]
-    pub fn sample_len(&self) -> usize {
-        self.c * self.h * self.w
-    }
-
-    /// Sample `i` as a flat CHW slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    #[must_use]
-    pub fn sample(&self, i: usize) -> &[f32] {
-        assert!(i < self.n, "batch index out of bounds");
-        let len = self.sample_len();
-        &self.data[i * len..(i + 1) * len]
-    }
-
-    /// Mutable flat CHW view of sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn sample_mut(&mut self, i: usize) -> &mut [f32] {
-        assert!(i < self.n, "batch index out of bounds");
-        let len = self.sample_len();
-        &mut self.data[i * len..(i + 1) * len]
-    }
-
-    /// The whole batch as one flat NCHW slice (sample-major).
-    #[must_use]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable flat NCHW view of the whole batch (sample-major).
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Element-wise sum with another batch of identical shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn add(&self, other: &BatchTensor) -> BatchTensor {
-        assert_eq!(self.shape(), other.shape(), "batch tensor shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        BatchTensor {
-            n: self.n,
-            c: self.c,
-            h: self.h,
-            w: self.w,
-            data,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -143,11 +143,6 @@ Options:
   --queue-depth N        bounded submission queue, per shard when
                          sharded (default 256)
   --cache-capacity N     LRU result-cache entries, 0 disables (default 128)
-  --max-microbatch N     fuse up to N batch-compatible queued jobs (same
-                         kind/shape/class, any seed) into one batched
-                         service call per worker dequeue; payloads are
-                         byte-identical either way (default 1 = off;
-                         no effect with --backend inline)
   --tenant-quota SPEC    per-tenant admission limits; SPEC is
                          comma-separated name=value with names
                          inflight, sessions, tps, burst (0/omitted =
@@ -235,7 +230,6 @@ fn parse_args() -> Result<Options, String> {
             "--workers" => options.engine.workers = number("--workers")?,
             "--queue-depth" => options.engine.queue_depth = number("--queue-depth")?,
             "--cache-capacity" => options.engine.cache_capacity = number("--cache-capacity")?,
-            "--max-microbatch" => options.engine.max_microbatch = number("--max-microbatch")?,
             "--tenant-quota" => {
                 options
                     .qos
@@ -299,7 +293,7 @@ fn print_stats(engine: &PatternEngine<ChatPattern>) {
     let stats = engine.stats();
     eprintln!(
         "chatpattern-serve: backend={} submitted={} completed={} failed={} cancelled={} \
-         cache_hits={} cache_misses={} coalesced={} batched={} sessions_open={} \
+         cache_hits={} cache_misses={} coalesced={} sessions_open={} \
          sessions_evicted={} sessions_spilled={} sessions_restored={} turns={} \
          queue_depths={:?} conns_live={} conns_peak={} disconnects_clean={} \
          disconnects_backpressure={} sessions_spilled_ahead={} snapshot_bytes_saved={}",
@@ -311,7 +305,6 @@ fn print_stats(engine: &PatternEngine<ChatPattern>) {
         stats.cache_hits,
         stats.cache_misses,
         stats.coalesced,
-        stats.batched,
         stats.sessions_open,
         stats.sessions_evicted,
         stats.sessions_spilled,

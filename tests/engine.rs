@@ -108,7 +108,6 @@ fn parallel_execute_many_matches_serial_across_all_kinds() {
             workers: 4,
             queue_depth: 64,
             cache_capacity: 0,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");
@@ -142,7 +141,6 @@ fn cache_hit_replays_payload_with_fresh_timing() {
             workers: 2,
             queue_depth: 16,
             cache_capacity: 8,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");
@@ -174,7 +172,6 @@ fn unseeded_chat_bypasses_the_cache() {
             workers: 2,
             queue_depth: 16,
             cache_capacity: 8,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");
@@ -207,7 +204,6 @@ fn cancelling_a_queued_job_yields_cancelled() {
             workers: 1,
             queue_depth: 16,
             cache_capacity: 0,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");
@@ -293,7 +289,6 @@ fn gated_engine(
             workers: 2,
             queue_depth: 64,
             cache_capacity,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");
@@ -309,7 +304,6 @@ fn inline_reference(request: PatternRequest) -> String {
             workers: 1,
             queue_depth: 1,
             cache_capacity: 0,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");
@@ -436,7 +430,6 @@ fn session_turns_are_never_cached_or_coalesced() {
             workers: 2,
             queue_depth: 32,
             cache_capacity: 8,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");
@@ -517,7 +510,6 @@ fn sharded_session_turns_are_shard_affine_and_ordered() {
             workers: 4,
             queue_depth: 64,
             cache_capacity: 8,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");
@@ -592,7 +584,6 @@ fn evicted_session_turn_is_a_typed_error_through_the_engine() {
             workers: 2,
             queue_depth: 16,
             cache_capacity: 0,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");
@@ -629,7 +620,6 @@ fn sharded_execute_many_matches_serial_across_all_kinds() {
             workers: 4,
             queue_depth: 64,
             cache_capacity: 0,
-            max_microbatch: 1,
         },
     )
     .expect("valid config");

@@ -1191,39 +1191,37 @@ fn fair_queue_weight_shares_are_exact_under_saturation() {
 
 // ---------------------------------------------------------------------
 
-/// One submission in a random microbatching workload: a tenant index,
-/// a request-kind selector, and a deliberately small seed space so
+/// One submission in a random queued workload: a tenant index, a
+/// request-kind selector, and a deliberately small seed space so
 /// duplicate requests (the coalescer's and cache's input) arise
-/// naturally alongside batch-compatible runs.
+/// naturally.
 #[derive(Debug, Clone, Copy)]
-struct MicrobatchItem {
+struct QueuedItem {
     tenant: u8,
     kind: u8,
     seed: u64,
 }
 
-/// A random submission queue plus the engine knobs under test.
+/// A random submission queue plus the engine knob under test.
 #[derive(Debug, Clone)]
-struct MicrobatchCase {
-    max_microbatch: usize,
+struct QueuedCase {
     cache_capacity: usize,
-    items: Vec<MicrobatchItem>,
+    items: Vec<QueuedItem>,
 }
 
-const MICROBATCH_TENANTS: u8 = 3;
+const QUEUED_TENANTS: u8 = 3;
 
-fn microbatch_tenant(i: u8) -> &'static str {
-    ["t0", "t1", "t2"][i as usize % MICROBATCH_TENANTS as usize]
+fn queued_tenant(i: u8) -> &'static str {
+    ["t0", "t1", "t2"][i as usize % QUEUED_TENANTS as usize]
 }
 
-fn arb_microbatch_case(rng: &mut ChaCha8Rng) -> MicrobatchCase {
+fn arb_queued_case(rng: &mut ChaCha8Rng) -> QueuedCase {
     let len = rng.gen_range(4..=12usize);
-    MicrobatchCase {
-        max_microbatch: rng.gen_range(2..=5),
+    QueuedCase {
         cache_capacity: if rng.gen_range(0..2u32) == 0 { 0 } else { 8 },
         items: (0..len)
-            .map(|_| MicrobatchItem {
-                tenant: rng.gen_range(0..MICROBATCH_TENANTS),
+            .map(|_| QueuedItem {
+                tenant: rng.gen_range(0..QUEUED_TENANTS),
                 kind: rng.gen_range(0..8u8),
                 seed: rng.gen_range(0..6u64),
             })
@@ -1231,15 +1229,15 @@ fn arb_microbatch_case(rng: &mut ChaCha8Rng) -> MicrobatchCase {
     }
 }
 
-fn shrink_microbatch_case(case: &MicrobatchCase) -> Vec<MicrobatchCase> {
+fn shrink_queued_case(case: &QueuedCase) -> Vec<QueuedCase> {
     let mut out = Vec::new();
     if case.items.len() > 1 {
         let half = case.items.len() / 2;
-        out.push(MicrobatchCase {
+        out.push(QueuedCase {
             items: case.items[..half].to_vec(),
             ..case.clone()
         });
-        out.push(MicrobatchCase {
+        out.push(QueuedCase {
             items: case.items[half..].to_vec(),
             ..case.clone()
         });
@@ -1247,13 +1245,13 @@ fn shrink_microbatch_case(case: &MicrobatchCase) -> Vec<MicrobatchCase> {
     for i in 0..case.items.len() {
         let mut items = case.items.clone();
         items.remove(i);
-        out.push(MicrobatchCase {
+        out.push(QueuedCase {
             items,
             ..case.clone()
         });
     }
     if case.cache_capacity != 0 {
-        out.push(MicrobatchCase {
+        out.push(QueuedCase {
             cache_capacity: 0,
             ..case.clone()
         });
@@ -1261,10 +1259,9 @@ fn shrink_microbatch_case(case: &MicrobatchCase) -> Vec<MicrobatchCase> {
     out
 }
 
-/// Kinds 0-4 map to Generate (the only fusible kind, biased so the
-/// drain stage sees batch-compatible runs); 5-7 interleave the other
-/// request kinds so fused batches form around incompatible jobs.
-fn microbatch_request(item: MicrobatchItem, topology: &Topology) -> PatternRequest {
+/// Kinds 0-4 map to Generate (biased: the sampler is the hot path);
+/// 5-7 interleave the other request kinds.
+fn queued_request(item: QueuedItem, topology: &Topology) -> PatternRequest {
     match item.kind {
         0..=4 => PatternRequest::Generate(GenerateParams {
             style: if item.seed.is_multiple_of(2) {
@@ -1297,27 +1294,26 @@ fn microbatch_request(item: MicrobatchItem, topology: &Topology) -> PatternReque
     }
 }
 
-fn check_microbatch_case(
+fn check_queued_case(
     system: &Arc<ChatPattern>,
     topology: &Topology,
-    case: &MicrobatchCase,
+    case: &QueuedCase,
 ) -> Result<(), String> {
-    let engine = |backend, max_microbatch| {
+    let engine = |backend, workers| {
         PatternEngine::with_config(
             Arc::clone(system),
             EngineConfig {
                 backend,
-                workers: 1,
+                workers,
                 queue_depth: 64,
                 cache_capacity: case.cache_capacity,
-                max_microbatch,
             },
         )
         .expect("valid config")
     };
 
     // Reference: the inline backend executes each submission on the
-    // caller thread in order — microbatching never engages.
+    // caller thread in order.
     let inline = engine(BackendKind::Inline, 1);
     let expected = case
         .items
@@ -1325,8 +1321,8 @@ fn check_microbatch_case(
         .map(|&item| {
             let response = inline
                 .submit_blocking_as(
-                    Some(microbatch_tenant(item.tenant)),
-                    microbatch_request(item, topology),
+                    Some(queued_tenant(item.tenant)),
+                    queued_request(item, topology),
                 )
                 .wait()
                 .map_err(|e| format!("inline execution failed: {e:?}"))?;
@@ -1334,11 +1330,25 @@ fn check_microbatch_case(
         })
         .collect::<Result<Vec<String>, String>>()?;
 
-    // Under test: a single worker pinned by a shape-incompatible
-    // blocker while the case's items queue behind it, so the drain
-    // stage fuses whatever compatible runs the random queue contains.
-    let fused = engine(BackendKind::ThreadPool, case.max_microbatch);
-    let blocker = fused.submit_blocking_as(
+    for (backend, workers) in [
+        (BackendKind::ThreadPool, 1),
+        (BackendKind::Sharded { shards: 2 }, 2),
+    ] {
+        check_queued_backend(&engine(backend, workers), topology, case, &expected)
+            .map_err(|e| format!("{}: {e}", backend.name()))?;
+    }
+    Ok(())
+}
+
+/// Under test: a worker pinned by a blocker while the case's items
+/// queue behind it, so duplicates coalesce or hit the cache.
+fn check_queued_backend(
+    queued: &PatternEngine<Arc<ChatPattern>>,
+    topology: &Topology,
+    case: &QueuedCase,
+    expected: &[String],
+) -> Result<(), String> {
+    let blocker = queued.submit_blocking_as(
         Some("blocker"),
         PatternRequest::Generate(GenerateParams {
             style: Style::Layer10001,
@@ -1352,9 +1362,9 @@ fn check_microbatch_case(
         .items
         .iter()
         .map(|&item| {
-            fused.submit_blocking_as(
-                Some(microbatch_tenant(item.tenant)),
-                microbatch_request(item, topology),
+            queued.submit_blocking_as(
+                Some(queued_tenant(item.tenant)),
+                queued_request(item, topology),
             )
         })
         .collect();
@@ -1376,11 +1386,11 @@ fn check_microbatch_case(
 
     // Ledger consistency: every submission (blocker included) was
     // admitted exactly once under its own tenant, nothing was
-    // rejected, and fused batch members each count once — every
-    // submission was delivered (`completed` includes cache hits and
-    // coalesced waiters), while the QoS ledger's completed rows count
-    // executions and cache hits only (waiters are admitted-only).
-    let stats = fused.stats();
+    // rejected, and every submission was delivered (`completed`
+    // includes cache hits and coalesced waiters), while the QoS
+    // ledger's completed rows count executions and cache hits only
+    // (waiters are admitted-only).
+    let stats = queued.stats();
     let total = case.items.len() as u64 + 1;
     if stats.submitted != total {
         return Err(format!("submitted {} of {total}", stats.submitted));
@@ -1395,7 +1405,7 @@ fn check_microbatch_case(
     expected_admitted.insert("blocker", 1);
     for item in &case.items {
         *expected_admitted
-            .entry(microbatch_tenant(item.tenant))
+            .entry(queued_tenant(item.tenant))
             .or_insert(0) += 1;
     }
     let mut admitted: BTreeMap<&str, u64> = BTreeMap::new();
@@ -1426,7 +1436,7 @@ fn check_microbatch_case(
 }
 
 #[test]
-fn microbatched_threadpool_matches_inline_and_ledger_counts_each_job_once() {
+fn queued_backends_match_inline_and_ledger_counts_each_job_once() {
     // Real model executions dominate, so this property runs fewer,
     // richer cases over one shared system (seeded requests carry all
     // per-case variation).
@@ -1444,11 +1454,11 @@ fn microbatched_threadpool_matches_inline_and_ledger_counts_each_job_once() {
         .expect("generates")
         .remove(0);
     shrink::check(
-        "microbatched_threadpool_matches_inline_and_ledger_counts_each_job_once",
+        "queued_backends_match_inline_and_ledger_counts_each_job_once",
         8,
         11000,
-        arb_microbatch_case,
-        shrink_microbatch_case,
-        |case| check_microbatch_case(&system, &topology, case),
+        arb_queued_case,
+        shrink_queued_case,
+        |case| check_queued_case(&system, &topology, case),
     );
 }

@@ -62,7 +62,6 @@ fn quota_engine(delay: Duration, tenant: &str, quota: TenantQuota) -> PatternEng
             workers: 2,
             queue_depth: 64,
             cache_capacity: 0,
-            max_microbatch: 1,
         },
         qos,
     )

@@ -51,7 +51,6 @@ fn build_engine() -> Arc<PatternEngine<Arc<ChatPattern>>> {
                 workers: 2,
                 queue_depth: 512,
                 cache_capacity: 0,
-                max_microbatch: 1,
             },
         )
         .expect("valid engine config"),

@@ -269,3 +269,21 @@ fn serve_round_trips_the_smoke_file_with_matching_ids() {
         }
     }
 }
+
+/// A pre-removal worker behind a newer router still stamps the retired
+/// microbatching keys (`timing.batched`, `Stats.batched`,
+/// `Stats.batch_sizes`) on its replies; they must decode, ignored.
+#[test]
+fn reply_from_a_microbatching_era_peer_still_decodes() {
+    let line = r#"{"id":"old-1","outcome":{"Ok":{"payload":{"Stats":{"batch_sizes":[1,0,1],"batched":3,"cache_hits":0,"cache_misses":4,"cancelled":0,"coalesced":0,"completed":4,"connections_live":0,"connections_peak":0,"disconnects_backpressure":0,"disconnects_clean":0,"failed":0,"queue_depths":[0],"sessions_evicted":0,"sessions_open":0,"sessions_restored":0,"sessions_spilled":0,"sessions_spilled_ahead":0,"snapshot_bytes_saved":0,"submitted":4,"tenants":[],"turns":0}},"timing":{"batched":true,"cached":false,"coalesced":false,"exec_micros":4,"micros":7,"queue_micros":3}}}}"#;
+    let envelope: ResponseEnvelope = serde_json::from_str(line).expect("old reply decodes");
+    assert_eq!(envelope.id.as_str(), Some("old-1"));
+    let WireOutcome::Ok(response) = envelope.outcome else {
+        panic!("old reply is an Ok outcome");
+    };
+    assert_eq!(response.timing.micros, 7);
+    let ResponsePayload::Stats(stats) = response.payload else {
+        panic!("old reply carries Stats");
+    };
+    assert_eq!((stats.submitted, stats.completed), (4, 4));
+}
