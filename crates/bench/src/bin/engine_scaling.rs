@@ -25,7 +25,8 @@
 //! and a
 //! `hot_loops` sweep (`Layout::union_area`,
 //! `SquishPattern::from_layout` and the legalizer solve in isolation
-//! on a dense synthetic layout — the three surgically-tuned loops).
+//! on a dense synthetic layout, plus one 128×128 denoise step and one
+//! 128×128 sample of the diffusion model — the surgically-tuned loops).
 //! Prints a table and writes `BENCH_ENGINE.json` (in the working
 //! directory) so the perf trajectory captures the backend dimension,
 //! coalescing, the stateful session workloads and the network path.
@@ -144,14 +145,32 @@ fn run_coalescing(system: &Arc<ChatPattern>, cfg: &BenchConfig, workers: usize) 
     (millis, engine.stats().coalesced)
 }
 
-/// The three surgically-optimised inner loops, isolated from the
-/// engine: `Layout::union_area` (row-band sweep over one reused
-/// coverage mask), `SquishPattern::from_layout` (per-rect block fill),
-/// and the legalizer solve (flat bound collection plus
-/// buffer-reusing area repair), all on one dense synthetic layout.
-/// Returns `(union_millis, encode_millis, legalize_millis, rows, cols)`
-/// where `rows × cols` is the scan-grid size the loops ran over.
-fn run_hot_loops(cfg: &BenchConfig, rects: usize, reps: usize) -> (f64, f64, f64, usize, usize) {
+/// Timings of [`run_hot_loops`], each over its `reps` repetitions.
+struct HotLoops {
+    union_ms: f64,
+    encode_ms: f64,
+    legalize_ms: f64,
+    /// Scan-grid size the three layout loops ran over.
+    grid: (usize, usize),
+    denoise_step_ms: f64,
+    sample_128_ms: f64,
+}
+
+/// Side of the window the two diffusion rows run at: the paper's,
+/// whatever `CP_WINDOW` the rest of the bench uses (the denoiser is
+/// size-agnostic).
+const HOT_WINDOW: usize = 128;
+
+/// The surgically-optimised inner loops, isolated from the engine:
+/// `Layout::union_area` (row-band sweep over one reused coverage
+/// mask), `SquishPattern::from_layout` (per-rect block fill) and the
+/// legalizer solve (flat bound collection plus buffer-reusing area
+/// repair), all on one dense synthetic layout; then `denoise_step`
+/// (one table-driven `predict_x0` of a 128×128 window at the middle
+/// step `k = K/2`) and `sample_128` (the whole K-step reverse chain of
+/// one 128×128 window, draws included) on the system's own model.
+fn run_hot_loops(system: &ChatPattern, cfg: &BenchConfig, rects: usize, reps: usize) -> HotLoops {
+    use cp_diffusion::Denoiser;
     use cp_drc::DesignRules;
     use cp_geom::{Layout, Rect};
     use cp_legalize::Legalizer;
@@ -200,7 +219,37 @@ fn run_hot_loops(cfg: &BenchConfig, rects: usize, reps: usize) -> (f64, f64, f64
         std::hint::black_box(legalized);
     }
     let legalize_ms = started.elapsed().as_secs_f64() * 1e3;
-    (union_ms, encode_ms, legalize_ms, rows, cols)
+
+    let model = system.model();
+    let style = Some(Style::Layer10001.id());
+    let mut sample_rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
+    let started = Instant::now();
+    let mut sample = model.sample(HOT_WINDOW, HOT_WINDOW, style, &mut sample_rng);
+    for _ in 1..reps {
+        sample = model.sample(HOT_WINDOW, HOT_WINDOW, style, &mut sample_rng);
+    }
+    let sample_128_ms = started.elapsed().as_secs_f64() * 1e3;
+
+    let steps = model.schedule().len();
+    let k = (steps / 2).max(1);
+    let noisy = model.forward_noised(&sample, k, &mut sample_rng);
+    let started = Instant::now();
+    for _ in 0..reps {
+        let prediction = model
+            .denoiser()
+            .predict_x0(std::hint::black_box(&noisy), k, steps, style);
+        std::hint::black_box(prediction);
+    }
+    let denoise_step_ms = started.elapsed().as_secs_f64() * 1e3;
+
+    HotLoops {
+        union_ms,
+        encode_ms,
+        legalize_ms,
+        grid: (rows, cols),
+        denoise_step_ms,
+        sample_128_ms,
+    }
 }
 
 /// N concurrent sessions × M turns each through one engine: opens the
@@ -1176,18 +1225,33 @@ fn main() {
         }
     }
 
-    // Hot loops: the three measured inner loops on their own, no
-    // engine in the way — regressions here are what the surgery fixed.
+    // Hot loops: the measured inner loops on their own, no engine in
+    // the way — regressions here are what the surgery fixed.
     const HOT_RECTS: usize = 192;
     const HOT_REPS: usize = 10;
-    let (union_ms, encode_ms, legalize_ms, hot_rows, hot_cols) =
-        run_hot_loops(&cfg, HOT_RECTS, HOT_REPS);
+    let HotLoops {
+        union_ms,
+        encode_ms,
+        legalize_ms,
+        grid: (hot_rows, hot_cols),
+        denoise_step_ms,
+        sample_128_ms,
+    } = run_hot_loops(&system, &cfg, HOT_RECTS, HOT_REPS);
     println!(
         "  hot_loops union_area      {union_ms:9.1} ms   \
          {HOT_REPS} reps, {HOT_RECTS} rects, {hot_rows}x{hot_cols} grid"
     );
     println!("  hot_loops squish_encode   {encode_ms:9.1} ms   {HOT_REPS} reps");
     println!("  hot_loops legalize        {legalize_ms:9.1} ms   {HOT_REPS} reps");
+    println!(
+        "  hot_loops denoise_step    {denoise_step_ms:9.1} ms   \
+         {HOT_REPS} reps, {HOT_WINDOW}x{HOT_WINDOW}, k = K/2"
+    );
+    println!(
+        "  hot_loops sample_128      {sample_128_ms:9.1} ms   \
+         {HOT_REPS} reps, {HOT_WINDOW}x{HOT_WINDOW}, {} steps",
+        cfg.steps
+    );
 
     if cpus == 1 {
         println!(
@@ -1227,7 +1291,9 @@ fn main() {
          \"grid_rows\":{hot_rows},\"grid_cols\":{hot_cols},\
          \"union_area_millis\":{union_ms:.3},\
          \"squish_encode_millis\":{encode_ms:.3},\
-         \"legalize_millis\":{legalize_ms:.3}}}}}\n",
+         \"legalize_millis\":{legalize_ms:.3},\
+         \"denoise_step_millis\":{denoise_step_ms:.3},\
+         \"sample_128_millis\":{sample_128_ms:.3}}}}}\n",
         cfg.window, cfg.steps, cfg.train
     );
     match check {

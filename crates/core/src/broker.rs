@@ -174,7 +174,9 @@ struct TaskState {
 /// result. This is the unit an
 /// [`ExecBackend`](crate::backend::ExecBackend) queues and runs.
 pub struct ExecTask {
-    key: Option<String>,
+    /// Shared with the broker's in-flight map and, once the result is
+    /// cached, with the cache: one allocation of the serialized request.
+    key: Option<Arc<str>>,
     route: u64,
     tenant: String,
     lane: cp_qos::Lane,
@@ -199,7 +201,7 @@ impl std::fmt::Debug for ExecTask {
 
 impl ExecTask {
     fn new(
-        key: Option<String>,
+        key: Option<Arc<str>>,
         route: u64,
         tenant: &str,
         lane: cp_qos::Lane,
@@ -342,7 +344,7 @@ struct BrokerState {
     /// sites, outside the critical section.
     cache: LruCache<Arc<ResponsePayload>>,
     /// Request key → the single in-flight execution for that key.
-    inflight: HashMap<String, Arc<ExecTask>>,
+    inflight: HashMap<Arc<str>, Arc<ExecTask>>,
 }
 
 /// The shared result layer: cache + coalescer under one lock.
@@ -392,15 +394,16 @@ impl ResultBroker {
         if let Some(payload) = state.cache.get(&key) {
             return Admission::CacheHit(payload);
         }
-        if let Some(task) = state.inflight.get(&key) {
+        if let Some(task) = state.inflight.get(key.as_str()) {
             let task = Arc::clone(task);
             let job = JobShared::pending();
             task.attach(Arc::clone(&job));
             return Admission::Coalesced { task, job };
         }
         let job = JobShared::pending();
+        let key: Arc<str> = key.into();
         let task = ExecTask::new(
-            Some(key.clone()),
+            Some(Arc::clone(&key)),
             route,
             tenant,
             lane,
@@ -431,7 +434,7 @@ impl ResultBroker {
         let mut state = self.state.lock().expect("broker lock");
         if let Some(key) = &task.key {
             if let Some(payload) = ok_payload {
-                state.cache.insert(key.clone(), payload);
+                state.cache.insert(Arc::clone(key), payload);
             }
             Self::remove_inflight(&mut state, key, task);
         }

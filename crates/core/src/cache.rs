@@ -14,8 +14,14 @@
 //! earlier `VecDeque` recency scan was O(n) per touch, fine at a few
 //! hundred entries but not at the capacities a long-running server
 //! wants. Capacity 0 disables caching.
+//!
+//! A key is the whole serialized request — half a megabyte for a 4×
+//! `Legalize` — so the index and the node share one `Arc<str>` of it
+//! (and with them the broker's in-flight map and the task itself)
+//! instead of holding a copy each.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Sentinel for "no neighbour" in the intrusive list.
 const NIL: usize = usize::MAX;
@@ -23,7 +29,8 @@ const NIL: usize = usize::MAX;
 /// One slab node: the entry plus its recency-list links.
 #[derive(Debug)]
 struct Node<V> {
-    key: String,
+    /// The same allocation as this node's key in the index.
+    key: Arc<str>,
     value: V,
     /// Towards the LRU end (older).
     prev: usize,
@@ -37,7 +44,7 @@ struct Node<V> {
 pub(crate) struct LruCache<V> {
     capacity: usize,
     /// Key → slab index.
-    index: HashMap<String, usize>,
+    index: HashMap<Arc<str>, usize>,
     /// Slab of nodes; freed slots are recycled through `free`.
     nodes: Vec<Node<V>>,
     free: Vec<usize>,
@@ -76,11 +83,11 @@ impl<V: Clone> LruCache<V> {
 
     /// Inserts (or refreshes) `key`, evicting the least recently used
     /// entry when over capacity.
-    pub(crate) fn insert(&mut self, key: String, value: V) {
+    pub(crate) fn insert(&mut self, key: Arc<str>, value: V) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&slot) = self.index.get(&key) {
+        if let Some(&slot) = self.index.get(&*key) {
             self.nodes[slot].value = value;
             self.unlink(slot);
             self.push_tail(slot);
@@ -92,11 +99,11 @@ impl<V: Clone> LruCache<V> {
             let oldest = self.head;
             debug_assert_ne!(oldest, NIL, "non-empty cache has a head");
             self.unlink(oldest);
-            self.index.remove(&self.nodes[oldest].key);
+            self.index.remove(&*self.nodes[oldest].key);
             self.free.push(oldest);
         }
         let node = Node {
-            key: key.clone(),
+            key: Arc::clone(&key),
             value,
             prev: NIL,
             next: NIL,
@@ -185,13 +192,37 @@ mod tests {
     fn single_entry_cache_churns_correctly() {
         let mut cache = LruCache::new(1);
         for i in 0..100 {
-            cache.insert(format!("k{i}"), i);
+            cache.insert(format!("k{i}").into(), i);
             assert_eq!(cache.len(), 1);
             assert_eq!(cache.get(&format!("k{i}")), Some(i));
             if i > 0 {
                 assert_eq!(cache.get(&format!("k{}", i - 1)), None);
             }
         }
+    }
+
+    #[test]
+    fn a_key_is_stored_once_and_eviction_drops_it() {
+        let mut cache = LruCache::new(1);
+        let key: Arc<str> = "a rather long serialized request".into();
+        let watch = Arc::downgrade(&key);
+        cache.insert(key, 1);
+        // Index and node hold the caller's allocation, not copies.
+        let (index_key, &slot) = cache
+            .index
+            .get_key_value("a rather long serialized request")
+            .expect("indexed");
+        assert!(Arc::ptr_eq(index_key, &cache.nodes[slot].key));
+        assert!(std::ptr::eq(watch.as_ptr(), Arc::as_ptr(index_key)));
+        assert_eq!(watch.strong_count(), 2, "index + node, nothing else");
+        // A refresh keeps the stored key; the offered duplicate goes.
+        cache.insert("a rather long serialized request".into(), 2);
+        assert_eq!(watch.strong_count(), 2);
+        assert_eq!(cache.get("a rather long serialized request"), Some(2));
+        // Eviction releases both references: the key is freed.
+        cache.insert("b".into(), 3);
+        assert_eq!(watch.strong_count(), 0, "evicted key still allocated");
+        assert!(watch.upgrade().is_none());
     }
 
     /// A naive reference model: same behavior, O(n) implementation.
@@ -246,7 +277,7 @@ mod tests {
             let key = format!("k{}", (state >> 33) % (2 * CAPACITY as u64));
             if op % 3 == 0 {
                 let value = (op % 1009) as i64;
-                cache.insert(key.clone(), value);
+                cache.insert(key.as_str().into(), value);
                 model.insert(&key, value);
             } else {
                 assert_eq!(
@@ -261,8 +292,8 @@ mod tests {
         // Final state: every model entry is retrievable in the cache
         // and recency order agrees (walk by evicting).
         for (key, value) in &model.entries {
-            assert!(cache.index.contains_key(key), "missing {key}");
-            assert_eq!(cache.nodes[cache.index[key]].value, *value);
+            assert!(cache.index.contains_key(key.as_str()), "missing {key}");
+            assert_eq!(cache.nodes[cache.index[key.as_str()]].value, *value);
         }
         // The slab never grew past capacity: recycled slots bound it.
         assert!(cache.nodes.len() <= CAPACITY);

@@ -10,6 +10,7 @@
 //! combined as `T_{k-1} = M ⊙ T^known_{k-1} + (1 − M) ⊙ T^unknown_{k-1}`.
 //! Because `b̄_0 = 0`, the final step reproduces the kept pixels exactly.
 
+use crate::model::collect_topology;
 use crate::{Denoiser, DiffusionModel, Mask};
 use cp_squish::Topology;
 use rand::Rng;
@@ -48,13 +49,15 @@ impl<D: Denoiser> DiffusionModel<D> {
                 let unknown = self.reverse_step(&x, k, condition, rng);
                 // ...and ground-truth forward noise for the kept region.
                 let known_noised = self.forward_noised(&result, k - 1, rng);
-                x = Topology::from_fn(rows, cols, |r, c| {
-                    if mask.keeps(r, c) {
-                        known_noised.get(r, c)
-                    } else {
-                        unknown.get(r, c)
-                    }
-                });
+                let kept = mask.as_topology().as_bytes().iter();
+                let sources = known_noised.as_bytes().iter().zip(unknown.as_bytes());
+                x = collect_topology(
+                    rows,
+                    cols,
+                    kept.zip(sources).map(|(&keep, (&known, &unknown))| {
+                        (if keep != 0 { known } else { unknown }) != 0
+                    }),
+                );
             }
             result = x;
         }

@@ -234,159 +234,6 @@ fn context_of(t: &Topology, r: usize, c: usize) -> usize {
     ctx
 }
 
-/// Thresholds beliefs and enforces the minimum-feature structure of
-/// Manhattan layout data: single-cell gaps inside runs are filled,
-/// single-cell runs removed (first along rows, then along columns), and
-/// connected fragments below four cells are dropped — the minimum-area
-/// analogue. This is what keeps the scan-line complexity and fragment
-/// count of samples in the legalizable range, mirroring what the paper's
-/// U-Net learns from DRC-clean training data.
-fn regularize_min_feature(
-    beliefs: &[f64],
-    rows: usize,
-    cols: usize,
-    target_density: f64,
-) -> Vec<bool> {
-    // Quantile threshold: the binary map starts at exactly the training
-    // density, so thresholding artefacts cannot inflate or deflate it.
-    // Exactly the top-k cells are kept (ties broken by index) — a plain
-    // `>= threshold` comparison would keep every tied cell and saturate
-    // degenerate belief maps.
-    let keep = ((beliefs.len() as f64) * target_density).round() as usize;
-    let mut order: Vec<usize> = (0..beliefs.len()).collect();
-    order.sort_by(|&a, &b| beliefs[b].partial_cmp(&beliefs[a]).expect("finite beliefs"));
-    let mut bits = vec![false; beliefs.len()];
-    for &i in order.iter().take(keep.min(beliefs.len())) {
-        bits[i] = true;
-    }
-    // Iterate the fill/remove passes to a (bounded) fixpoint so collinear
-    // fragments consolidate into long runs instead of oscillating.
-    for _ in 0..3 {
-        let before = bits.clone();
-        regularize_once(&mut bits, rows, cols);
-        if bits == before {
-            break;
-        }
-    }
-    drop_small_components(&mut bits, rows, cols, 6);
-    bits
-}
-
-fn regularize_once(bits: &mut [bool], rows: usize, cols: usize) {
-    for pass in 0..2 {
-        let horizontal = pass == 0;
-        let (outer, inner) = if horizontal {
-            (rows, cols)
-        } else {
-            (cols, rows)
-        };
-        for o in 0..outer {
-            let idx = |i: usize| {
-                if horizontal {
-                    o * cols + i
-                } else {
-                    i * cols + o
-                }
-            };
-            // Fill single-cell gaps (1 0 1 → 1 1 1).
-            for i in 1..inner.saturating_sub(1) {
-                if !bits[idx(i)] && bits[idx(i - 1)] && bits[idx(i + 1)] {
-                    bits[idx(i)] = true;
-                }
-            }
-            // Remove single-cell runs (0 1 0 → 0 0 0) unless the cell
-            // continues a perpendicular run (part of a thin wire the
-            // perpendicular pass is responsible for).
-            for i in 0..inner {
-                let prev = i > 0 && bits[idx(i - 1)];
-                let next = i + 1 < inner && bits[idx(i + 1)];
-                if !bits[idx(i)] || prev || next {
-                    continue;
-                }
-                let (r, c) = if horizontal { (o, i) } else { (i, o) };
-                let perpendicular_run = if horizontal {
-                    (r > 0 && bits[(r - 1) * cols + c])
-                        || (r + 1 < rows && bits[(r + 1) * cols + c])
-                } else {
-                    (c > 0 && bits[r * cols + c - 1]) || (c + 1 < cols && bits[r * cols + c + 1])
-                };
-                if !perpendicular_run {
-                    bits[idx(i)] = false;
-                }
-            }
-        }
-    }
-}
-
-/// Clears 4-connected components with fewer than `min_cells` cells.
-fn drop_small_components(bits: &mut [bool], rows: usize, cols: usize, min_cells: usize) {
-    let mut labels = vec![usize::MAX; bits.len()];
-    let mut component = 0usize;
-    let mut stack = Vec::new();
-    let mut members: Vec<usize> = Vec::new();
-    for start in 0..bits.len() {
-        if !bits[start] || labels[start] != usize::MAX {
-            continue;
-        }
-        members.clear();
-        stack.push(start);
-        labels[start] = component;
-        while let Some(i) = stack.pop() {
-            members.push(i);
-            let (r, c) = (i / cols, i % cols);
-            let mut visit = |j: usize| {
-                if bits[j] && labels[j] == usize::MAX {
-                    labels[j] = component;
-                    stack.push(j);
-                }
-            };
-            if r > 0 {
-                visit(i - cols);
-            }
-            if r + 1 < rows {
-                visit(i + cols);
-            }
-            if c > 0 {
-                visit(i - 1);
-            }
-            if c + 1 < cols {
-                visit(i + 1);
-            }
-        }
-        if members.len() < min_cells {
-            for &i in &members {
-                bits[i] = false;
-            }
-        }
-        component += 1;
-    }
-}
-
-/// Context from a float belief map (threshold 0.5), used inside sweeps.
-fn context_of_beliefs(beliefs: &[f64], rows: usize, cols: usize, r: usize, c: usize) -> usize {
-    let mut ctx = 0usize;
-    let mut bit = 0;
-    for dr in -1i32..=1 {
-        for dc in -1i32..=1 {
-            if dr == 0 && dc == 0 {
-                continue;
-            }
-            let rr = r as i32 + dr;
-            let cc = c as i32 + dc;
-            let set = rr >= 0
-                && cc >= 0
-                && (rr as usize) < rows
-                && (cc as usize) < cols
-                && beliefs[rr as usize * cols + cc as usize] > 0.5;
-            if set {
-                ctx |= 1 << bit;
-            }
-            bit += 1;
-        }
-    }
-    ctx
-}
-
 /// Per-(step, condition) constants of one [`MrfDenoiser`] prediction.
 ///
 /// The noise schedule and the channel likelihoods depend only on
@@ -438,52 +285,297 @@ impl MrfDenoiser {
             w,
         }
     }
+}
 
-    /// Prediction at the table's own grid resolution: the mean-field
-    /// sweeps, then `finish_grid`.
-    fn predict_grid_with(&self, x_k: &Topology, gc: &GridContext<'_>) -> Vec<f32> {
-        let (rows, cols) = x_k.shape();
-        // Initial beliefs: channel posterior under a flat prior.
-        let mut beliefs: Vec<f64> = x_k
-            .as_bytes()
-            .iter()
-            .map(|&b| gc.init[usize::from(b != 0)])
-            .collect();
-        // Mean-field sweeps: local fitted prior × channel likelihood.
-        for _ in 0..self.sweeps {
-            for r in 0..rows {
-                for c in 0..cols {
-                    let i = r * cols + c;
-                    let ctx = context_of_beliefs(&beliefs, rows, cols, r, c);
-                    let prior = gc.table[ctx].clamp(1e-6, 1.0 - 1e-6);
-                    let bit = usize::from(x_k.as_bytes()[i] != 0);
-                    let numerator = prior * gc.like[bit][1];
-                    let denominator = numerator + (1.0 - prior) * gc.like[bit][0];
-                    beliefs[i] = numerator / denominator;
+/// Majority vote over `factor × factor` blocks (ties round up to drawn;
+/// edge blocks are clipped to the matrix), as row-major 0/1 bytes with
+/// the coarse shape.
+fn downsample_majority_bytes(
+    cells: &[u8],
+    rows: usize,
+    cols: usize,
+    factor: usize,
+) -> (Vec<u8>, usize, usize) {
+    let (coarse_rows, coarse_cols) = (rows.div_ceil(factor), cols.div_ceil(factor));
+    let mut out = Vec::with_capacity(coarse_rows * coarse_cols);
+    let mut column_ones = vec![0u32; cols];
+    for block in cells.chunks(factor * cols) {
+        column_ones.fill(0);
+        for row in block.chunks_exact(cols) {
+            for (ones, &cell) in column_ones.iter_mut().zip(row) {
+                *ones += u32::from(cell != 0);
+            }
+        }
+        let height = block.len() / cols;
+        out.extend(column_ones.chunks(factor).map(|columns| {
+            let ones = columns.iter().sum::<u32>() as usize;
+            u8::from(2 * ones >= height * columns.len() && ones > 0)
+        }));
+    }
+    (out, coarse_rows, coarse_cols)
+}
+
+/// [`downsample_majority_bytes`] of a topology (`factor <= 1` is the
+/// identity) — what the tables are fitted on.
+fn downsample_majority(t: &Topology, factor: usize) -> Topology {
+    if factor <= 1 {
+        return t.clone();
+    }
+    let (cells, rows, cols) = downsample_majority_bytes(t.as_bytes(), t.rows(), t.cols(), factor);
+    Topology::from_fn(rows, cols, |r, c| cells[r * cols + c] != 0)
+}
+
+/// Number of distinct cell keys: the observed bit (bit 8) over the
+/// 8-neighbour context byte (bits 0..8) the cell was last updated
+/// under. After one sweep a cell's belief is a pure function of its
+/// key, so every per-cell float of a prediction is one of `KEYS` table
+/// values — the sweeps, the calibration, the top-k quantile and the
+/// final blend all work on keys and look the floats up.
+const KEYS: usize = 2 * CONTEXTS;
+
+/// Context bit of the left neighbour `(0, -1)`: the one neighbour a
+/// Gauss-Seidel row pass rewrites immediately before the cell itself.
+const LEFT: usize = 1 << 3;
+
+/// Connected fragments with fewer cells than this are dropped from the
+/// regularized map — the minimum-area analogue.
+const MIN_COMPONENT_CELLS: usize = 6;
+
+/// A binary map as row bitboards: cell `c` of a row is bit `c % 64` of
+/// the row's word `c / 64`. Rows are padded with one all-clear row
+/// above and one below (row `r` of the map is padded row `r + 1`), and
+/// the bits past `cols` in a row's last word stay clear, so neighbour
+/// reads need no bounds checks.
+struct BitGrid {
+    rows: usize,
+    cols: usize,
+    /// Words per row.
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl BitGrid {
+    fn new(rows: usize, cols: usize) -> BitGrid {
+        let stride = cols.div_ceil(64);
+        BitGrid {
+            rows,
+            cols,
+            stride,
+            words: vec![0; (rows + 2) * stride],
+        }
+    }
+
+    /// Padded row `r` (`0` and `rows + 1` are the clear borders).
+    fn row(&self, r: usize) -> &[u64] {
+        &self.words[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// Cell `c` of padded row `r`; columns past the map read as clear.
+    fn get(&self, r: usize, c: usize) -> bool {
+        c < self.cols && self.words[r * self.stride + c / 64] >> (c % 64) & 1 == 1
+    }
+
+    fn clear(&mut self, r: usize, c: usize) {
+        self.words[r * self.stride + c / 64] &= !(1 << (c % 64));
+    }
+}
+
+/// Word `w` of `row` moved one cell right: bit `c` is cell `c - 1`.
+#[inline]
+fn left_neighbours(row: &[u64], w: usize) -> u64 {
+    row[w] << 1 | if w > 0 { row[w - 1] >> 63 } else { 0 }
+}
+
+/// Word `w` of `row` moved one cell left: bit `c` is cell `c + 1`.
+#[inline]
+fn right_neighbours(row: &[u64], w: usize) -> u64 {
+    row[w] >> 1
+        | if w + 1 < row.len() {
+            row[w + 1] << 63
+        } else {
+            0
+        }
+}
+
+/// Enforces the minimum-feature structure of Manhattan layout data on
+/// a thresholded belief map: single-cell gaps inside runs are filled,
+/// single-cell runs removed (first along rows, then along columns), and
+/// connected fragments below [`MIN_COMPONENT_CELLS`] (six) cells are
+/// dropped — the minimum-area analogue. This is what keeps the
+/// scan-line complexity and fragment count of samples in the
+/// legalizable range, mirroring what the paper's U-Net learns from
+/// DRC-clean training data.
+fn regularize_min_feature(grid: &mut BitGrid) {
+    // Iterate the fill/remove passes to a (bounded) fixpoint so collinear
+    // fragments consolidate into long runs instead of oscillating.
+    let mut scratch = vec![0u64; grid.words.len() + grid.stride];
+    for _ in 0..3 {
+        if !regularize_once(grid, &mut scratch) {
+            break;
+        }
+    }
+    drop_small_components(grid);
+}
+
+/// One fill/remove pass along rows, then one along columns; returns
+/// whether any cell changed. The pass is defined cell by cell (see the
+/// oracle in `mrf/reference.rs`): lines are walked in order and edited
+/// in place, so a line sees its predecessor finished and its successor
+/// untouched; within a line neither edit can feed the next cell's test
+/// (a filled gap has set neighbours, a removed cell clear ones), which
+/// is what makes whole-word evaluation exact.
+/// `scratch` holds one padded grid plus one row.
+fn regularize_once(grid: &mut BitGrid, scratch: &mut [u64]) -> bool {
+    let (rows, stride) = (grid.rows, grid.stride);
+    let (filled_grid, filled_row) = scratch.split_at_mut(grid.words.len());
+    let mut changed = false;
+    // Along rows, top to bottom: fill single-cell gaps (1 0 1 → 1 1 1),
+    // then remove single-cell runs (0 1 0 → 0 0 0) unless the cell
+    // continues a run in the finished row above or the untouched row
+    // below (part of a thin wire the column pass is responsible for).
+    for r in 1..=rows {
+        let (above, rest) = grid.words.split_at_mut(r * stride);
+        let (row, below) = rest.split_at_mut(stride);
+        let (up, down) = (&above[(r - 1) * stride..], &below[..stride]);
+        for w in 0..stride {
+            filled_row[w] = row[w] | left_neighbours(row, w) & right_neighbours(row, w);
+        }
+        for w in 0..stride {
+            let filled = filled_row[w];
+            let lone = filled & !left_neighbours(filled_row, w) & !right_neighbours(filled_row, w);
+            let kept = filled & !(lone & !(up[w] | down[w]));
+            changed |= kept != row[w];
+            row[w] = kept;
+        }
+    }
+    // Along columns, left to right. Filling is per column, so all
+    // columns fill at once; a lone cell survives when its left
+    // neighbour survived (a chain along the row, walked over the few
+    // lone cells) or its right neighbour was set before that column
+    // filled.
+    for r in 1..=rows {
+        let (up, row, down) = (grid.row(r - 1), grid.row(r), grid.row(r + 1));
+        for w in 0..stride {
+            filled_grid[r * stride + w] = row[w] | up[w] & down[w];
+        }
+    }
+    for r in 1..=rows {
+        let row = &mut grid.words[r * stride..(r + 1) * stride];
+        let mut left_kept = false;
+        for w in 0..stride {
+            let at = r * stride + w;
+            let filled = filled_grid[at];
+            let mut lone = filled
+                & !filled_grid[at - stride]
+                & !filled_grid[at + stride]
+                & !right_neighbours(row, w);
+            let mut kept = filled;
+            while lone != 0 {
+                let bit = lone.trailing_zeros();
+                lone &= lone - 1;
+                let left = if bit == 0 {
+                    left_kept
+                } else {
+                    kept >> (bit - 1) & 1 == 1
+                };
+                if !left {
+                    kept &= !(1 << bit);
+                }
+            }
+            left_kept = kept >> 63 == 1;
+            changed |= kept != row[w];
+            row[w] = kept;
+        }
+    }
+    changed
+}
+
+/// Clears 4-connected components with fewer than
+/// [`MIN_COMPONENT_CELLS`] cells. A component's first cell in raster
+/// order starts a run and has nothing above it, so a search bounded at
+/// `MIN_COMPONENT_CELLS` cells from every such cell finds each small
+/// component whole (and gives up on a large one after six cells).
+fn drop_small_components(grid: &mut BitGrid) {
+    let mut found = [(0usize, 0usize); MIN_COMPONENT_CELLS];
+    for r in 1..=grid.rows {
+        for w in 0..grid.stride {
+            let row = grid.row(r);
+            let mut starts = row[w] & !left_neighbours(row, w) & !grid.row(r - 1)[w];
+            while starts != 0 {
+                let c = w * 64 + starts.trailing_zeros() as usize;
+                starts &= starts - 1;
+                // An earlier search in this row may have cleared it.
+                if !grid.get(r, c) {
+                    continue;
+                }
+                found[0] = (r, c);
+                let (mut len, mut next) = (1, 0);
+                while next < len && len < MIN_COMPONENT_CELLS {
+                    let (r, c) = found[next];
+                    next += 1;
+                    for cell in [(r - 1, c), (r + 1, c), (r, c.wrapping_sub(1)), (r, c + 1)] {
+                        if len < MIN_COMPONENT_CELLS
+                            && grid.get(cell.0, cell.1)
+                            && !found[..len].contains(&cell)
+                        {
+                            found[len] = cell;
+                            len += 1;
+                        }
+                    }
+                }
+                if len < MIN_COMPONENT_CELLS {
+                    for &(r, c) in &found[..len] {
+                        grid.clear(r, c);
+                    }
                 }
             }
         }
-        self.finish_grid(beliefs, rows, cols, gc)
     }
+}
 
-    /// Calibration + regularization tail of a grid prediction.
-    // Kept out of line: inlined into `predict_grid_with`, the sweep
-    // loop there measured ~2.5% slower end to end on a 128×128,
-    // 24-step sample (20.7 ms → 21.2 ms).
-    #[inline(never)]
-    fn finish_grid(
+impl MrfDenoiser {
+    /// Prediction for the 0/1 `cells` of a `rows × cols` grid at the
+    /// table's own resolution, written out as `out_rows × out_cols`
+    /// with every cell replicated `self.coarse` times each way.
+    ///
+    /// The per-cell mean-field update is `belief = f(observed bit,
+    /// context)`, so the 512 possible beliefs are computed once and the
+    /// sweeps, the calibration mean, the top-k quantile, the
+    /// regularization and the final blend run on small integers; every
+    /// float that reaches the output is produced by the same expression
+    /// on the same operands, in the same order where order matters (the
+    /// calibration sum), as a cell-by-cell evaluation would.
+    fn predict_grid(
         &self,
-        mut beliefs: Vec<f64>,
-        rows: usize,
-        cols: usize,
+        cells: &[u8],
+        (rows, cols): (usize, usize),
+        (out_rows, out_cols): (usize, usize),
         gc: &GridContext<'_>,
     ) -> Vec<f32> {
+        // Mean-field update per key: local fitted prior × channel
+        // likelihood.
+        let mut beliefs = [0.0f64; KEYS];
+        for (key, belief) in beliefs.iter_mut().enumerate() {
+            let bit = key >> 8;
+            let prior = gc.table[key & (CONTEXTS - 1)].clamp(1e-6, 1.0 - 1e-6);
+            let numerator = prior * gc.like[bit][1];
+            let denominator = numerator + (1.0 - prior) * gc.like[bit][0];
+            *belief = numerator / denominator;
+        }
+        let keys = self.sweep(cells, rows, cols, gc, &beliefs);
         // Marginal calibration: mean-field on dense tables can run away
         // toward saturation; shift the belief odds so the mean prediction
         // matches the style's training density (a denoiser trained to
-        // convergence is calibrated by construction).
+        // convergence is calibrated by construction). The mean is summed
+        // cell by cell — float addition does not reorder.
+        let mut counts = [0usize; KEYS];
+        let mut sum = 0.0f64;
+        for &key in &keys {
+            counts[usize::from(key)] += 1;
+            sum += beliefs[usize::from(key)];
+        }
         let target = gc.target;
-        let mean: f64 = beliefs.iter().sum::<f64>() / beliefs.len() as f64;
+        let mean = sum / keys.len() as f64;
         if mean > 1e-6 && mean < 1.0 - 1e-6 {
             let ratio = (target / (1.0 - target)) / (mean / (1.0 - mean));
             for b in &mut beliefs {
@@ -498,17 +590,178 @@ impl MrfDenoiser {
         // shapes near the end of the chain. Earlier steps keep the raw
         // beliefs — blending the regularized map into mid-chain feedback
         // ratchets density upward, so the weight stays zero there.
-        let binary = regularize_min_feature(&beliefs, rows, cols, target);
+        // (With the weight at zero neither blend target changes a
+        // belief, so the map is not computed.)
         let w = gc.w;
-        beliefs
-            .iter()
-            .zip(&binary)
-            .map(|(&b, &bit)| {
-                let target = if bit { 1.0 } else { 0.0 };
-                (b * (1.0 - w) + target * w) as f32
-            })
-            .collect()
+        let binary = if w > 0.0 {
+            let mut binary = top_cells(&keys, rows, cols, &counts, &beliefs, target);
+            regularize_min_feature(&mut binary);
+            binary
+        } else {
+            BitGrid::new(rows, cols)
+        };
+        let mut blended = [[0.0f32; KEYS]; 2];
+        for (target, row) in [0.0, 1.0].into_iter().zip(&mut blended) {
+            for (out, &b) in row.iter_mut().zip(&beliefs) {
+                *out = (b * (1.0 - w) + target * w) as f32;
+            }
+        }
+        // Look every cell up and replicate it back to full resolution.
+        let factor = self.coarse.max(1);
+        let mut out = Vec::with_capacity(out_rows * out_cols);
+        let mut out_row = vec![0.0f32; out_cols];
+        for (r, key_row) in keys.chunks_exact(cols).enumerate() {
+            let bits = binary.row(r + 1);
+            for (c, (&key, block)) in key_row.iter().zip(out_row.chunks_mut(factor)).enumerate() {
+                let bit = (bits[c / 64] >> (c % 64) & 1) as usize;
+                block.fill(blended[bit][usize::from(key)]);
+            }
+            for _ in r * factor..out_rows.min((r + 1) * factor) {
+                out.extend_from_slice(&out_row);
+            }
+        }
+        out
     }
+
+    /// The Gauss-Seidel mean-field sweeps, on the "belief > 0.5" map
+    /// alone (a context only ever reads that bit of its neighbours);
+    /// returns each cell's key at its last update.
+    fn sweep(
+        &self,
+        cells: &[u8],
+        rows: usize,
+        cols: usize,
+        gc: &GridContext<'_>,
+        beliefs: &[f64; KEYS],
+    ) -> Vec<u16> {
+        // `set[key]` for a key with LEFT clear: bit 0 is "belief > 0.5"
+        // as is, bit 1 the same with the left neighbour set — so the
+        // only step of a row pass that waits for the previous cell is
+        // one shift.
+        let mut set = [0u8; KEYS];
+        for key in (0..KEYS).filter(|key| key & LEFT == 0) {
+            set[key] = u8::from(beliefs[key] > 0.5) | u8::from(beliefs[key | LEFT] > 0.5) << 1;
+        }
+        // The map, zero-padded by one cell all round: out-of-bounds
+        // neighbours read as 0 (patterns sit in empty surroundings).
+        // Initial beliefs are the channel posterior under a flat prior.
+        let padded = cols + 2;
+        let mut map = vec![0u8; (rows + 2) * padded];
+        for (row, cells) in map
+            .chunks_exact_mut(padded)
+            .skip(1)
+            .zip(cells.chunks_exact(cols))
+        {
+            for (m, &cell) in row[1..].iter_mut().zip(cells) {
+                *m = u8::from(gc.init[usize::from(cell != 0)] > 0.5);
+            }
+        }
+        let mut keys = vec![0u16; rows * cols];
+        for sweep in 0..self.sweeps {
+            for (r, keys) in keys.chunks_exact_mut(cols).enumerate() {
+                // Everything of the key but LEFT: the finished row
+                // above, the previous sweep's row below and right
+                // neighbour, the observed bit.
+                let (up, rest) = map[r * padded..(r + 3) * padded].split_at(padded);
+                let (mid, down) = rest.split_at(padded);
+                let observed = &cells[r * cols..(r + 1) * cols];
+                let (up, right, down) = (shifts(up, cols), &mid[2..cols + 2], shifts(down, cols));
+                let keys = &mut keys[..cols];
+                for c in 0..cols {
+                    let context = up[0][c]
+                        | up[1][c] << 1
+                        | up[2][c] << 2
+                        | right[c] << 4
+                        | down[0][c] << 5
+                        | down[1][c] << 6
+                        | down[2][c] << 7;
+                    keys[c] = u16::from(context) | u16::from(observed[c] != 0) << 8;
+                }
+                // The row pass proper: each cell under its finished
+                // left neighbour.
+                let mid = &mut map[(r + 1) * padded..(r + 2) * padded];
+                let mut left = 0u8;
+                for (&key, cell) in keys.iter().zip(&mut mid[1..]) {
+                    left = set[usize::from(key) % KEYS] >> left & 1;
+                    *cell = left;
+                }
+                // Only the last sweep's keys are read: complete them
+                // with the left neighbours the pass just wrote.
+                if sweep + 1 == self.sweeps {
+                    for (key, &left) in keys.iter_mut().zip(&mid[..cols]) {
+                        *key |= u16::from(left) << 3;
+                    }
+                }
+            }
+        }
+        keys
+    }
+}
+
+/// The `cols` cells of a padded row as seen from one cell to the right,
+/// in place, and one cell to the left: `shifts(row, cols)[i][c]` is the
+/// map cell `c - 1 + i`. Three slices of one length, so a loop over
+/// `0..cols` reads them without bounds checks.
+fn shifts(padded_row: &[u8], cols: usize) -> [&[u8]; 3] {
+    [
+        &padded_row[..cols],
+        &padded_row[1..cols + 1],
+        &padded_row[2..cols + 2],
+    ]
+}
+
+/// The top-k quantile threshold: the binary map starts at exactly the
+/// training density, so thresholding artefacts cannot inflate or
+/// deflate it. Exactly the `round(cells · target_density)` cells of
+/// highest belief are kept, ties broken by index — a plain `>=
+/// threshold` comparison would keep every tied cell and saturate
+/// degenerate belief maps. Cells sharing a belief value share a rank,
+/// so the ranking is over the distinct values present (at most `KEYS`):
+/// ranks above the boundary are kept whole and the boundary rank's
+/// lowest-index cells fill what is left, as a stable descending sort of
+/// all cells would have it.
+fn top_cells(
+    keys: &[u16],
+    rows: usize,
+    cols: usize,
+    counts: &[usize; KEYS],
+    beliefs: &[f64; KEYS],
+    target_density: f64,
+) -> BitGrid {
+    const DROP: u8 = 0;
+    const BOUNDARY: u8 = 1;
+    const KEEP: u8 = 2;
+    let mut left = (((keys.len() as f64) * target_density).round() as usize).min(keys.len());
+    let mut ranked: Vec<usize> = (0..KEYS).filter(|&key| counts[key] > 0).collect();
+    ranked.sort_by(|&a, &b| beliefs[b].partial_cmp(&beliefs[a]).expect("finite beliefs"));
+    let mut class = [DROP; KEYS];
+    for tied in ranked.chunk_by(|&a, &b| beliefs[a] == beliefs[b]) {
+        let cells: usize = tied.iter().map(|&key| counts[key]).sum();
+        let all = cells <= left;
+        for &key in tied {
+            class[key] = if all { KEEP } else { BOUNDARY };
+        }
+        if !all {
+            break;
+        }
+        left -= cells;
+    }
+    let mut grid = BitGrid::new(rows, cols);
+    let stride = grid.stride;
+    for (r, key_row) in keys.chunks_exact(cols).enumerate() {
+        for (w, chunk) in key_row.chunks(64).enumerate() {
+            let mut word = 0u64;
+            for (bit, &key) in chunk.iter().enumerate() {
+                // Branch-free: the classes are bit patterns.
+                let class = class[usize::from(key) % KEYS];
+                let from_boundary = class & BOUNDARY & u8::from(left > 0);
+                left -= usize::from(from_boundary);
+                word |= u64::from(class >> 1 | from_boundary) << bit;
+            }
+            grid.words[(r + 1) * stride + w] = word;
+        }
+    }
+    grid
 }
 
 impl Denoiser for MrfDenoiser {
@@ -520,22 +773,15 @@ impl Denoiser for MrfDenoiser {
         condition: Option<u32>,
     ) -> Vec<f32> {
         let gc = &self.grid_context(k, total_steps, condition);
+        let shape = x_k.shape();
         if self.coarse <= 1 {
-            return self.predict_grid_with(x_k, gc);
+            return self.predict_grid(x_k.as_bytes(), shape, shape, gc);
         }
         // Coarse path: majority-downsample the noisy input, predict on
         // the table's grid, replicate probabilities back up.
-        let (rows, cols) = x_k.shape();
-        let down = downsample_majority(x_k, self.coarse);
-        let coarse_p = self.predict_grid_with(&down, gc);
-        let ccols = down.cols();
-        (0..rows * cols)
-            .map(|i| {
-                let (r, c) = (i / cols, i % cols);
-                coarse_p[(r / self.coarse).min(down.rows() - 1) * ccols
-                    + (c / self.coarse).min(ccols - 1)]
-            })
-            .collect()
+        let (down, rows, cols) =
+            downsample_majority_bytes(x_k.as_bytes(), shape.0, shape.1, self.coarse);
+        self.predict_grid(&down, (rows, cols), shape, gc)
     }
 
     fn native_size(&self) -> usize {
@@ -543,25 +789,8 @@ impl Denoiser for MrfDenoiser {
     }
 }
 
-/// Majority vote over `factor × factor` blocks (ties round up to drawn).
-fn downsample_majority(t: &Topology, factor: usize) -> Topology {
-    if factor <= 1 {
-        return t.clone();
-    }
-    let rows = t.rows().div_ceil(factor).max(1);
-    let cols = t.cols().div_ceil(factor).max(1);
-    Topology::from_fn(rows, cols, |r, c| {
-        let mut ones = 0usize;
-        let mut total = 0usize;
-        for rr in r * factor..((r + 1) * factor).min(t.rows()) {
-            for cc in c * factor..((c + 1) * factor).min(t.cols()) {
-                ones += usize::from(t.get(rr, cc));
-                total += 1;
-            }
-        }
-        2 * ones >= total.max(1) && ones > 0
-    })
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -659,6 +888,188 @@ mod tests {
             (mean - expected).abs() < 0.3,
             "generated density {mean:.3} vs training {expected:.3}"
         );
+    }
+
+    /// Two styles of training data: stripes and sparse islands.
+    fn two_style_denoiser(coarse: usize, sweeps: usize) -> MrfDenoiser {
+        let stripes = striped_dataset(8);
+        let islands: Vec<Topology> = (0..6)
+            .map(|i| {
+                Topology::from_fn(16, 16, move |r, c| {
+                    let (r0, c0) = (1 + (i * 2) % 8, 2 + (i * 3) % 8);
+                    (r0..r0 + 6).contains(&r) && (c0..c0 + 4).contains(&c)
+                })
+            })
+            .collect();
+        MrfDenoiser::fit_coarse(&[(0, &stripes), (1, &islands)], 1.0, coarse).with_sweeps(sweeps)
+    }
+
+    /// Noisy inputs of one shape: uniform noise, sparse noise, a clean
+    /// block pattern with a few flipped cells (what late steps see),
+    /// and the two constant maps (every belief tied).
+    fn inputs(rows: usize, cols: usize, rng: &mut ChaCha8Rng) -> Vec<Topology> {
+        use rand::Rng;
+        vec![
+            Topology::from_fn(rows, cols, |_, _| rng.gen::<bool>()),
+            Topology::from_fn(rows, cols, |_, _| rng.gen::<f64>() < 0.15),
+            Topology::from_fn(rows, cols, |r, c| {
+                ((r / 5 + c / 7) % 3 == 0) != (rng.gen::<f64>() < 0.04)
+            }),
+            Topology::filled(rows, cols, false),
+            Topology::filled(rows, cols, true),
+        ]
+    }
+
+    fn assert_same_bits(
+        mrf: &MrfDenoiser,
+        x: &Topology,
+        k: usize,
+        steps: usize,
+        cond: Option<u32>,
+    ) {
+        let got = mrf.predict_x0(x, k, steps, cond);
+        let want = reference::predict_x0(mrf, x, k, steps, cond);
+        assert_eq!(got.len(), want.len());
+        if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+            panic!(
+                "{:?} coarse {} sweeps {} k {k}/{steps} {cond:?}: cell {i} is {} not {}",
+                x.shape(),
+                mrf.coarse,
+                mrf.sweeps,
+                got[i],
+                want[i]
+            );
+        }
+    }
+
+    #[test]
+    fn predict_x0_matches_the_reference_bit_for_bit_at_every_step() {
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let shapes = [
+            (1, 1),
+            (1, 9),
+            (9, 1),
+            (2, 2),
+            (3, 3),
+            (5, 7),
+            (16, 16),
+            (13, 22),
+        ];
+        for coarse in 1..=3 {
+            for sweeps in [1, 3] {
+                let mrf = two_style_denoiser(coarse, sweeps);
+                for (rows, cols) in shapes {
+                    for x in inputs(rows, cols, &mut rng) {
+                        for steps in [1, 8, 24] {
+                            for k in 1..=steps {
+                                // Known style, unknown style (pooled
+                                // table, pooled marginal), no style.
+                                for cond in [Some((k % 2) as u32), Some(9), None] {
+                                    assert_same_bits(&mrf, &x, k, steps, cond);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn predict_x0_matches_the_reference_on_wide_and_ragged_grids() {
+        // More than one bitboard word per row, sizes that are not a
+        // multiple of the coarse factor, and the paper's window.
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        let shapes = [
+            (130, 67),
+            (67, 130),
+            (1, 131),
+            (129, 1),
+            (64, 64),
+            (65, 128),
+        ];
+        for (coarse, sweeps) in [(1, 3), (2, 3), (3, 1), (2, 1)] {
+            let mrf = two_style_denoiser(coarse, sweeps);
+            for (rows, cols) in shapes {
+                for (i, x) in inputs(rows, cols, &mut rng).iter().enumerate() {
+                    for (k, steps) in [(1, 1), (1, 8), (5, 8), (2, 24), (9, 24), (24, 24)] {
+                        let cond = [Some(0), Some(1), Some(9), None][(i + k) % 4];
+                        assert_same_bits(&mrf, x, k, steps, cond);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_and_regularization_match_the_reference_under_heavy_ties() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        for (rows, cols) in [
+            (1, 1),
+            (1, 70),
+            (70, 1),
+            (7, 5),
+            (24, 64),
+            (31, 65),
+            (40, 130),
+        ] {
+            for distinct in [1usize, 2, 3, 40] {
+                for density in [0.0, 0.07, 0.3, 0.5, 0.93, 1.0] {
+                    // A belief table with few distinct values, so ranks
+                    // are shared and the boundary rank is split by index.
+                    let mut beliefs = [0.0f64; KEYS];
+                    for b in &mut beliefs {
+                        *b = rng.gen_range(0..distinct) as f64 / distinct as f64;
+                    }
+                    let keys: Vec<u16> = (0..rows * cols)
+                        .map(|_| rng.gen_range(0..KEYS as u16))
+                        .collect();
+                    let mut counts = [0usize; KEYS];
+                    for &key in &keys {
+                        counts[usize::from(key)] += 1;
+                    }
+                    let mut grid = top_cells(&keys, rows, cols, &counts, &beliefs, density);
+                    regularize_min_feature(&mut grid);
+                    let per_cell: Vec<f64> =
+                        keys.iter().map(|&k| beliefs[usize::from(k)]).collect();
+                    let want = reference::regularize_min_feature(&per_cell, rows, cols, density);
+                    for (i, &bit) in want.iter().enumerate() {
+                        assert_eq!(
+                            grid.get(i / cols + 1, i % cols),
+                            bit,
+                            "{rows}x{cols}, {distinct} values, density {density}: cell {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn downsample_matches_the_reference() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        for (rows, cols) in [
+            (1, 1),
+            (1, 8),
+            (7, 1),
+            (5, 7),
+            (16, 16),
+            (33, 20),
+            (130, 67),
+        ] {
+            for density in [0.1, 0.5, 0.9] {
+                let t = Topology::from_fn(rows, cols, |_, _| rng.gen::<f64>() < density);
+                for factor in 1..=4 {
+                    assert_eq!(
+                        downsample_majority(&t, factor),
+                        reference::downsample_majority(&t, factor),
+                        "{rows}x{cols} by {factor}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,8 +64,13 @@ impl Canvas {
     /// Pastes externally produced content and marks it generated.
     pub fn place(&mut self, content: &Topology, row0: usize, col0: usize) {
         self.topology.paste(content, row0, col0);
-        let ones = Topology::filled(content.rows(), content.cols(), true);
-        self.generated.paste(&ones, row0, col0);
+        self.generated.fill_block(
+            row0,
+            row0 + content.rows(),
+            col0,
+            col0 + content.cols(),
+            true,
+        );
     }
 
     /// The window content under `region`.
@@ -77,8 +82,9 @@ impl Canvas {
     /// Keep-mask of a window: cells already generated are kept.
     #[must_use]
     pub fn keep_mask(&self, region: Region) -> Mask {
-        Mask::from_fn(region.height(), region.width(), |r, c| {
-            self.generated.get(region.row0() + r, region.col0() + c)
+        let mut generated = self.generated_under(region);
+        Mask::from_fn(region.height(), region.width(), |_, _| {
+            generated.next().expect("window inside the canvas")
         })
     }
 
@@ -88,9 +94,23 @@ impl Canvas {
     /// mask of in-painting.
     #[must_use]
     pub fn keep_mask_excluding(&self, region: Region, repaint: Region) -> Mask {
+        let mut generated = self.generated_under(region);
         Mask::from_fn(region.height(), region.width(), |r, c| {
-            !repaint.contains(r, c) && self.generated.get(region.row0() + r, region.col0() + c)
+            let generated = generated.next().expect("window inside the canvas");
+            generated && !repaint.contains(r, c)
         })
+    }
+
+    /// The generated flags under `region`, row-major, read off the
+    /// flag matrix a row slice at a time.
+    fn generated_under(&self, region: Region) -> impl Iterator<Item = bool> + '_ {
+        self.generated
+            .as_bytes()
+            .chunks_exact(self.generated.cols())
+            .skip(region.row0())
+            .take(region.height())
+            .flat_map(move |row| &row[region.col0()..region.col1()])
+            .map(|&flag| flag != 0)
     }
 
     /// Writes back a window produced by the model and marks the whole
@@ -102,8 +122,13 @@ impl Canvas {
             "window content shape mismatch"
         );
         self.topology.paste(content, region.row0(), region.col0());
-        let ones = Topology::filled(region.height(), region.width(), true);
-        self.generated.paste(&ones, region.row0(), region.col0());
+        self.generated.fill_block(
+            region.row0(),
+            region.row1(),
+            region.col0(),
+            region.col1(),
+            true,
+        );
     }
 }
 

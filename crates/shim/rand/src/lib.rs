@@ -18,7 +18,11 @@ pub trait RngCore {
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
 
-    /// Fills `dest` with random bytes.
+    /// Fills `dest` with random bytes: the little-endian bytes of one
+    /// [`next_u64`](RngCore::next_u64) per eight bytes, a whole one for
+    /// a shorter tail. Callers that draw in bulk rely on exactly that
+    /// (eight bytes here are one `gen::<f64>()` there), so an override
+    /// may only be a faster way to the same bytes and stream position.
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);
         for chunk in &mut chunks {

@@ -10,31 +10,153 @@ use rand::{RngCore, SeedableRng};
 
 const ROUNDS: usize = 8;
 
+/// Words in one ChaCha block.
+const BLOCK: usize = 16;
+
+/// Blocks generated per refill: one per lane of a [`Lanes`] value, so
+/// every line of the round function is a single vector instruction
+/// over four blocks.
+const LANES: usize = 4;
+
+/// One state word of [`LANES`] consecutive blocks, with the three
+/// operations the ChaCha round is made of. Written out over `[u32; 4]`
+/// the compiler keeps all of it scalar (the dependency chain of a
+/// block is deeper than its vectorizer looks), so on x86-64 — where
+/// SSE2 is part of the base instruction set — the lanes are an
+/// `__m128i`; elsewhere they are the array.
+#[cfg(target_arch = "x86_64")]
+mod lanes {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_or_si128, _mm_set_epi32, _mm_slli_epi32, _mm_srli_epi32,
+        _mm_xor_si128,
+    };
+
+    #[derive(Clone, Copy)]
+    pub struct Lanes(__m128i);
+
+    // The intrinsics below are register-to-register: their one
+    // requirement is that the CPU has SSE2, which every x86-64 CPU
+    // does (it is part of the base instruction set this module is
+    // compiled for).
+    impl Lanes {
+        #[inline(always)]
+        pub fn new(words: [u32; 4]) -> Lanes {
+            let [a, b, c, d] = words.map(|word| word as i32);
+            // SAFETY: needs SSE2 only, see above.
+            Lanes(unsafe { _mm_set_epi32(d, c, b, a) })
+        }
+
+        #[inline(always)]
+        pub fn words(self) -> [u32; 4] {
+            // SAFETY: both types are 16 bytes of plain integers with no
+            // invalid bit patterns; lane 0 is the lowest 32 bits.
+            unsafe { std::mem::transmute(self.0) }
+        }
+
+        #[inline(always)]
+        pub fn add(self, other: Lanes) -> Lanes {
+            // SAFETY: needs SSE2 only, see above.
+            Lanes(unsafe { _mm_add_epi32(self.0, other.0) })
+        }
+
+        /// `(self ^ other).rotate_left(LEFT)`; `RIGHT` is `32 - LEFT`.
+        #[inline(always)]
+        pub fn xor_rotate<const LEFT: i32, const RIGHT: i32>(self, other: Lanes) -> Lanes {
+            // SAFETY: needs SSE2 only, see above.
+            unsafe {
+                let x = _mm_xor_si128(self.0, other.0);
+                Lanes(_mm_or_si128(
+                    _mm_slli_epi32::<LEFT>(x),
+                    _mm_srli_epi32::<RIGHT>(x),
+                ))
+            }
+        }
+    }
+}
+
+#[cfg(any(test, not(target_arch = "x86_64")))]
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+mod portable_lanes {
+    #[derive(Clone, Copy)]
+    pub struct Lanes([u32; 4]);
+
+    impl Lanes {
+        #[inline(always)]
+        pub fn new(words: [u32; 4]) -> Lanes {
+            Lanes(words)
+        }
+
+        #[inline(always)]
+        pub fn words(self) -> [u32; 4] {
+            self.0
+        }
+
+        #[inline(always)]
+        pub fn add(self, other: Lanes) -> Lanes {
+            Lanes(std::array::from_fn(|lane| {
+                self.0[lane].wrapping_add(other.0[lane])
+            }))
+        }
+
+        /// `(self ^ other).rotate_left(LEFT)`; `RIGHT` is `32 - LEFT`.
+        #[inline(always)]
+        pub fn xor_rotate<const LEFT: i32, const RIGHT: i32>(self, other: Lanes) -> Lanes {
+            Lanes(std::array::from_fn(|lane| {
+                (self.0[lane] ^ other.0[lane]).rotate_left(LEFT as u32)
+            }))
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use portable_lanes as lanes;
+
+use lanes::Lanes;
+
 /// A deterministic ChaCha8-based random number generator.
 #[derive(Debug, Clone)]
 pub struct ChaCha8Rng {
-    /// Input block: constants, key, counter, nonce.
-    state: [u32; 16],
-    /// Current keystream block.
-    block: [u32; 16],
-    /// Next unread word of `block` (16 = exhausted).
+    /// Input block: constants, key, counter, nonce. The counter is
+    /// that of the next block to generate.
+    state: [u32; BLOCK],
+    /// [`LANES`] consecutive keystream blocks: the ones before the
+    /// counter.
+    buffer: [u32; LANES * BLOCK],
+    /// Next unread word of `buffer` (its length = exhausted).
     cursor: usize,
 }
 
-#[inline]
-fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(16);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(12);
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(8);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(7);
+#[inline(always)]
+fn quarter_round(s: &mut [Lanes; BLOCK], a: usize, b: usize, c: usize, d: usize) {
+    s[a] = s[a].add(s[b]);
+    s[d] = s[d].xor_rotate::<16, 16>(s[a]);
+    s[c] = s[c].add(s[d]);
+    s[b] = s[b].xor_rotate::<12, 20>(s[c]);
+    s[a] = s[a].add(s[b]);
+    s[d] = s[d].xor_rotate::<8, 24>(s[a]);
+    s[c] = s[c].add(s[d]);
+    s[b] = s[b].xor_rotate::<7, 25>(s[c]);
 }
 
-fn chacha_block(input: &[u32; 16]) -> [u32; 16] {
-    let mut s = *input;
+/// The 64-bit block counter in words 12..14 of an input block.
+fn counter(input: &[u32; BLOCK]) -> u64 {
+    u64::from(input[13]) << 32 | u64::from(input[12])
+}
+
+fn set_counter(input: &mut [u32; BLOCK], counter: u64) {
+    input[12] = counter as u32;
+    input[13] = (counter >> 32) as u32;
+}
+
+/// The keystream blocks of `input` and of the [`LANES`]` - 1` counters
+/// after it, block after block.
+fn chacha_blocks(input: &[u32; BLOCK]) -> [u32; LANES * BLOCK] {
+    let mut words: [[u32; LANES]; BLOCK] = input.map(|word| [word; LANES]);
+    let blocks: [u64; LANES] = std::array::from_fn(|lane| counter(input).wrapping_add(lane as u64));
+    words[12] = blocks.map(|block| block as u32);
+    words[13] = blocks.map(|block| (block >> 32) as u32);
+    let initial = words.map(Lanes::new);
+    let mut s = initial;
     for _ in 0..ROUNDS / 2 {
         quarter_round(&mut s, 0, 4, 8, 12);
         quarter_round(&mut s, 1, 5, 9, 13);
@@ -45,10 +167,14 @@ fn chacha_block(input: &[u32; 16]) -> [u32; 16] {
         quarter_round(&mut s, 2, 7, 8, 13);
         quarter_round(&mut s, 3, 4, 9, 14);
     }
-    for (word, inp) in s.iter_mut().zip(input) {
-        *word = word.wrapping_add(*inp);
+    let mut out = [0u32; LANES * BLOCK];
+    for word in 0..BLOCK {
+        let sum = s[word].add(initial[word]).words();
+        for lane in 0..LANES {
+            out[lane * BLOCK + word] = sum[lane];
+        }
     }
-    s
+    out
 }
 
 /// SplitMix64 step — the standard way to expand a small seed.
@@ -70,12 +196,22 @@ impl ChaCha8Rng {
     /// [`ChaCha8Rng::from_state_words`] continues the stream exactly
     /// where this one stands — the hook session snapshots use to make
     /// restored runs byte-identical to uninterrupted ones.
+    ///
+    /// The words are those of a generator that produces one block at a
+    /// time: the block the cursor stands in, the counter of the block
+    /// after it, and the cursor within it (16 once its last word is
+    /// read — the next block is only produced on demand). That this
+    /// generator produces several blocks per refill does not show.
     #[must_use]
     pub fn state_words(&self) -> Vec<u32> {
+        let block = self.cursor.saturating_sub(1) / BLOCK;
+        let mut input = self.state;
+        let next = counter(&self.state).wrapping_sub((LANES - 1 - block) as u64);
+        set_counter(&mut input, next);
         let mut words = Vec::with_capacity(STATE_WORDS);
-        words.extend_from_slice(&self.state);
-        words.extend_from_slice(&self.block);
-        words.push(self.cursor as u32);
+        words.extend_from_slice(&input);
+        words.extend_from_slice(&self.buffer[block * BLOCK..(block + 1) * BLOCK]);
+        words.push((self.cursor - block * BLOCK) as u32);
         words
     }
 
@@ -88,29 +224,30 @@ impl ChaCha8Rng {
             return None;
         }
         let cursor = words[32] as usize;
-        if cursor > 16 {
+        if cursor > BLOCK {
             return None;
         }
-        let mut state = [0u32; 16];
-        let mut block = [0u32; 16];
-        state.copy_from_slice(&words[0..16]);
-        block.copy_from_slice(&words[16..32]);
+        let mut state = [0u32; BLOCK];
+        state.copy_from_slice(&words[0..BLOCK]);
+        // The given block first, then the ones the counter says follow.
+        let following = chacha_blocks(&state);
+        let mut buffer = [0u32; LANES * BLOCK];
+        buffer[..BLOCK].copy_from_slice(&words[BLOCK..2 * BLOCK]);
+        buffer[BLOCK..].copy_from_slice(&following[..(LANES - 1) * BLOCK]);
+        let next = counter(&state).wrapping_add((LANES - 1) as u64);
+        set_counter(&mut state, next);
         Some(ChaCha8Rng {
             state,
-            block,
+            buffer,
             cursor,
         })
     }
 
-    fn advance_block(&mut self) {
-        self.block = chacha_block(&self.state);
+    fn refill(&mut self) {
+        self.buffer = chacha_blocks(&self.state);
         self.cursor = 0;
-        // 64-bit block counter in words 12..14.
-        let (lo, carry) = self.state[12].overflowing_add(1);
-        self.state[12] = lo;
-        if carry {
-            self.state[13] = self.state[13].wrapping_add(1);
-        }
+        let next = counter(&self.state).wrapping_add(LANES as u64);
+        set_counter(&mut self.state, next);
     }
 }
 
@@ -131,20 +268,20 @@ impl SeedableRng for ChaCha8Rng {
         // Counter and nonce start at zero.
         let mut rng = ChaCha8Rng {
             state: s,
-            block: [0; 16],
-            cursor: 16,
+            buffer: [0; LANES * BLOCK],
+            cursor: LANES * BLOCK,
         };
-        rng.advance_block();
+        rng.refill();
         rng
     }
 }
 
 impl RngCore for ChaCha8Rng {
     fn next_u32(&mut self) -> u32 {
-        if self.cursor >= 16 {
-            self.advance_block();
+        if self.cursor >= self.buffer.len() {
+            self.refill();
         }
-        let word = self.block[self.cursor];
+        let word = self.buffer[self.cursor];
         self.cursor += 1;
         word
     }
@@ -154,11 +291,252 @@ impl RngCore for ChaCha8Rng {
         let hi = u64::from(self.next_u32());
         (hi << 32) | lo
     }
+
+    /// The bytes and the stream position of the default (`next_u64`
+    /// per eight bytes, a whole one for a shorter tail), copied out of
+    /// the keystream buffer a run of words at a time.
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        let (body, tail) = dest.split_at_mut(dest.len() & !7);
+        let mut body = body.chunks_exact_mut(4);
+        while body.len() > 0 {
+            if self.cursor >= self.buffer.len() {
+                self.refill();
+            }
+            let words = &self.buffer[self.cursor..];
+            let copied = words.len().min(body.len());
+            // (`zip` asks the words first: running out of them must
+            // not swallow a destination chunk.)
+            for (word, bytes) in words.iter().zip(body.by_ref()) {
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
+            self.cursor += copied;
+        }
+        if !tail.is_empty() {
+            let bytes = self.next_u64().to_le_bytes();
+            tail.copy_from_slice(&bytes[..tail.len()]);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-block-at-a-time generator this crate used to be, kept
+    /// as the oracle: the keystream, the exported state words and the
+    /// restore behaviour of [`ChaCha8Rng`] must be indistinguishable
+    /// from it.
+    #[derive(Clone)]
+    struct OneBlockRng {
+        state: [u32; 16],
+        block: [u32; 16],
+        cursor: usize,
+    }
+
+    fn scalar_quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+        s[a] = s[a].wrapping_add(s[b]);
+        s[d] = (s[d] ^ s[a]).rotate_left(16);
+        s[c] = s[c].wrapping_add(s[d]);
+        s[b] = (s[b] ^ s[c]).rotate_left(12);
+        s[a] = s[a].wrapping_add(s[b]);
+        s[d] = (s[d] ^ s[a]).rotate_left(8);
+        s[c] = s[c].wrapping_add(s[d]);
+        s[b] = (s[b] ^ s[c]).rotate_left(7);
+    }
+
+    fn chacha_block(input: &[u32; 16]) -> [u32; 16] {
+        let mut s = *input;
+        for _ in 0..ROUNDS / 2 {
+            scalar_quarter_round(&mut s, 0, 4, 8, 12);
+            scalar_quarter_round(&mut s, 1, 5, 9, 13);
+            scalar_quarter_round(&mut s, 2, 6, 10, 14);
+            scalar_quarter_round(&mut s, 3, 7, 11, 15);
+            scalar_quarter_round(&mut s, 0, 5, 10, 15);
+            scalar_quarter_round(&mut s, 1, 6, 11, 12);
+            scalar_quarter_round(&mut s, 2, 7, 8, 13);
+            scalar_quarter_round(&mut s, 3, 4, 9, 14);
+        }
+        for (word, inp) in s.iter_mut().zip(input) {
+            *word = word.wrapping_add(*inp);
+        }
+        s
+    }
+
+    impl OneBlockRng {
+        /// A freshly seeded generator: same key expansion, first block
+        /// produced eagerly.
+        fn seed_from_u64(seed: u64) -> OneBlockRng {
+            let words = ChaCha8Rng::seed_from_u64(seed).state_words();
+            let mut state = [0u32; 16];
+            state.copy_from_slice(&words[..16]);
+            state[12] = 0;
+            state[13] = 0;
+            let mut rng = OneBlockRng {
+                state,
+                block: [0; 16],
+                cursor: 16,
+            };
+            rng.advance_block();
+            rng
+        }
+
+        fn from_state_words(words: &[u32]) -> OneBlockRng {
+            let mut rng = OneBlockRng {
+                state: [0; 16],
+                block: [0; 16],
+                cursor: words[32] as usize,
+            };
+            rng.state.copy_from_slice(&words[0..16]);
+            rng.block.copy_from_slice(&words[16..32]);
+            rng
+        }
+
+        fn state_words(&self) -> Vec<u32> {
+            let mut words = Vec::with_capacity(STATE_WORDS);
+            words.extend_from_slice(&self.state);
+            words.extend_from_slice(&self.block);
+            words.push(self.cursor as u32);
+            words
+        }
+
+        fn advance_block(&mut self) {
+            self.block = chacha_block(&self.state);
+            self.cursor = 0;
+            // 64-bit block counter in words 12..14.
+            let (lo, carry) = self.state[12].overflowing_add(1);
+            self.state[12] = lo;
+            if carry {
+                self.state[13] = self.state[13].wrapping_add(1);
+            }
+        }
+
+        fn next_u32(&mut self) -> u32 {
+            if self.cursor >= 16 {
+                self.advance_block();
+            }
+            let word = self.block[self.cursor];
+            self.cursor += 1;
+            word
+        }
+    }
+
+    #[test]
+    fn keystream_and_state_words_are_those_of_the_one_block_generator() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut oracle = OneBlockRng::seed_from_u64(11);
+        // Before the first draw, then after every draw across several
+        // refills: same word out, same 33 words exported.
+        assert_eq!(rng.state_words(), oracle.state_words());
+        for draw in 0..5 * LANES * BLOCK {
+            assert_eq!(rng.next_u32(), oracle.next_u32(), "word {draw}");
+            assert_eq!(rng.state_words(), oracle.state_words(), "after word {draw}");
+        }
+    }
+
+    #[test]
+    fn restoring_at_any_position_continues_and_re_exports_identically() {
+        let mut oracle = OneBlockRng::seed_from_u64(12);
+        for position in 0..3 * LANES * BLOCK {
+            // `position` words in (0 = seeded, nothing drawn; a multiple
+            // of 16 = block read to its end, next one not produced).
+            let words = oracle.state_words();
+            let mut restored = ChaCha8Rng::from_state_words(&words).expect("valid state");
+            assert_eq!(restored.state_words(), words, "re-export at {position}");
+            let mut expected = oracle.clone();
+            for draw in 0..2 * LANES * BLOCK + 3 {
+                assert_eq!(
+                    restored.next_u32(),
+                    expected.next_u32(),
+                    "{position}+{draw}"
+                );
+                assert_eq!(restored.state_words(), expected.state_words());
+            }
+            oracle.next_u32();
+        }
+    }
+
+    #[test]
+    fn a_hand_made_block_is_read_out_before_the_stream_resumes() {
+        // The exported block is data, not recomputed: a snapshot whose
+        // block differs from what the counter implies still reads that
+        // block first, as the one-block generator did.
+        let mut words = ChaCha8Rng::seed_from_u64(13).state_words();
+        for (i, word) in words[16..32].iter_mut().enumerate() {
+            *word = 1000 + i as u32;
+        }
+        words[32] = 5;
+        let mut restored = ChaCha8Rng::from_state_words(&words).expect("valid state");
+        let mut oracle = OneBlockRng::from_state_words(&words);
+        for _ in 0..100 {
+            assert_eq!(restored.next_u32(), oracle.next_u32());
+        }
+    }
+
+    #[test]
+    fn the_block_counter_carries_into_its_high_word() {
+        let mut words = ChaCha8Rng::seed_from_u64(14).state_words();
+        words[12] = u32::MAX - 1;
+        words[32] = 16;
+        let mut restored = ChaCha8Rng::from_state_words(&words).expect("valid state");
+        let mut oracle = OneBlockRng::from_state_words(&words);
+        for _ in 0..6 * BLOCK {
+            assert_eq!(restored.next_u32(), oracle.next_u32());
+            assert_eq!(restored.state_words(), oracle.state_words());
+        }
+    }
+
+    #[test]
+    fn portable_lanes_compute_what_the_target_lanes_do() {
+        // The array fallback is what non-x86-64 targets run; here it
+        // only runs in this test, against the lanes in use.
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        for _ in 0..200 {
+            let a: [u32; 4] = std::array::from_fn(|_| rng.next_u32());
+            let b: [u32; 4] = std::array::from_fn(|_| rng.next_u32());
+            let (la, lb) = (Lanes::new(a), Lanes::new(b));
+            let (pa, pb) = (portable_lanes::Lanes::new(a), portable_lanes::Lanes::new(b));
+            assert_eq!(la.add(lb).words(), pa.add(pb).words());
+            assert_eq!(
+                la.xor_rotate::<16, 16>(lb).words(),
+                pa.xor_rotate::<16, 16>(pb).words()
+            );
+            assert_eq!(
+                la.xor_rotate::<12, 20>(lb).words(),
+                pa.xor_rotate::<12, 20>(pb).words()
+            );
+            assert_eq!(
+                la.xor_rotate::<8, 24>(lb).words(),
+                pa.xor_rotate::<8, 24>(pb).words()
+            );
+            assert_eq!(
+                la.xor_rotate::<7, 25>(lb).words(),
+                pa.xor_rotate::<7, 25>(pb).words()
+            );
+        }
+    }
+
+    #[test]
+    fn fill_bytes_is_next_u64_per_eight_bytes() {
+        for len in [0, 1, 4, 7, 8, 9, 12, 64, 250, 256, 257, 1000, 1024] {
+            for skip in [0, 1, 15, 16, 63, 64] {
+                let mut bulk = ChaCha8Rng::seed_from_u64(15);
+                let mut single = ChaCha8Rng::seed_from_u64(15);
+                for _ in 0..skip {
+                    bulk.next_u32();
+                    single.next_u32();
+                }
+                let mut got = vec![0u8; len];
+                bulk.fill_bytes(&mut got);
+                let mut want = Vec::new();
+                while want.len() < len {
+                    want.extend_from_slice(&single.next_u64().to_le_bytes());
+                }
+                want.truncate(len);
+                assert_eq!(got, want, "{len} bytes after {skip} words");
+                assert_eq!(bulk.state_words(), single.state_words());
+            }
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {

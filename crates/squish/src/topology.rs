@@ -41,15 +41,22 @@ impl Topology {
     }
 
     /// Creates a matrix by evaluating `f(row, col)` for every cell.
+    ///
+    /// Cells are evaluated row-major, each exactly once — `f` may be a
+    /// stateful generator (a random draw per cell, an iterator's next
+    /// item).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is zero.
     #[must_use]
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> bool) -> Topology {
-        let mut t = Topology::filled(rows, cols, false);
+        assert!(rows > 0 && cols > 0, "topology must be non-empty");
+        let mut bits = Vec::with_capacity(rows * cols);
         for r in 0..rows {
-            for c in 0..cols {
-                t.set(r, c, f(r, c));
-            }
+            bits.extend((0..cols).map(|c| u8::from(f(r, c))));
         }
-        t
+        Topology { rows, cols, bits }
     }
 
     /// Creates a matrix from rows of `0`/`1` characters (`#` also counts
@@ -193,9 +200,20 @@ impl Topology {
             self.rows,
             self.cols
         );
-        Topology::from_fn(region.height(), region.width(), |r, c| {
-            self.get(region.row0() + r, region.col0() + c)
-        })
+        assert!(
+            region.height() > 0 && region.width() > 0,
+            "topology must be non-empty"
+        );
+        let mut bits = Vec::with_capacity(region.height() * region.width());
+        for row in region.row0()..region.row1() {
+            let start = row * self.cols;
+            bits.extend_from_slice(&self.bits[start + region.col0()..start + region.col1()]);
+        }
+        Topology {
+            rows: region.height(),
+            cols: region.width(),
+            bits,
+        }
     }
 
     /// Pastes `src` with its top-left corner at `(row0, col0)`.
