@@ -26,7 +26,8 @@
 //! `hot_loops` sweep (`Layout::union_area`,
 //! `SquishPattern::from_layout` and the legalizer solve in isolation
 //! on a dense synthetic layout, plus one 128×128 denoise step and one
-//! 128×128 sample of the diffusion model — the surgically-tuned loops).
+//! 128×128 sample of the diffusion model, and the decode / cache-key /
+//! encode passes of one ≈ 33 kB wire line — the surgically-tuned loops).
 //! Prints a table and writes `BENCH_ENGINE.json` (in the working
 //! directory) so the perf trajectory captures the backend dimension,
 //! coalescing, the stateful session workloads and the network path.
@@ -154,12 +155,22 @@ struct HotLoops {
     grid: (usize, usize),
     denoise_step_ms: f64,
     sample_128_ms: f64,
+    /// The three codec passes a wire request pays, each over
+    /// [`WIRE_REPS`] repetitions, and the size of the request line.
+    wire_decode_ms: f64,
+    wire_encode_ms: f64,
+    request_key_ms: f64,
+    wire_line_bytes: usize,
 }
 
 /// Side of the window the two diffusion rows run at: the paper's,
 /// whatever `CP_WINDOW` the rest of the bench uses (the denoiser is
 /// size-agnostic).
 const HOT_WINDOW: usize = 128;
+
+/// Repetitions of the three wire-codec rows (each pass is tens of
+/// microseconds, so they take more than the other rows' `reps`).
+const WIRE_REPS: usize = 100;
 
 /// The surgically-optimised inner loops, isolated from the engine:
 /// `Layout::union_area` (row-band sweep over one reused coverage
@@ -168,8 +179,15 @@ const HOT_WINDOW: usize = 128;
 /// repair), all on one dense synthetic layout; then `denoise_step`
 /// (one table-driven `predict_x0` of a 128×128 window at the middle
 /// step `k = K/2`) and `sample_128` (the whole K-step reverse chain of
-/// one 128×128 window, draws included) on the system's own model.
+/// one 128×128 window, draws included) on the system's own model; and
+/// the codec passes of one wire request, on the ≈ 33 kB line that asks
+/// to legalize that sample: `wire_decode_33k` (`decode_request_line`),
+/// `request_key_33k` (the engine's cache key) and `wire_encode_33k`
+/// (`ResponseEnvelope::to_line` of the legalized reply).
 fn run_hot_loops(system: &ChatPattern, cfg: &BenchConfig, rects: usize, reps: usize) -> HotLoops {
+    use chatpattern_core::routing::request_key;
+    use chatpattern_core::wire::{decode_request_line, RequestEnvelope, ResponseEnvelope};
+    use chatpattern_core::LegalizeParams;
     use cp_diffusion::Denoiser;
     use cp_drc::DesignRules;
     use cp_geom::{Layout, Rect};
@@ -242,6 +260,39 @@ fn run_hot_loops(system: &ChatPattern, cfg: &BenchConfig, rects: usize, reps: us
     }
     let denoise_step_ms = started.elapsed().as_secs_f64() * 1e3;
 
+    let frame_nm = 64 * (HOT_WINDOW as i64 + 1);
+    let line = serde_json::to_string(&RequestEnvelope {
+        id: serde_json::to_value(&1u64),
+        tenant: None,
+        request: PatternRequest::Legalize(LegalizeParams {
+            topology: sample,
+            width_nm: frame_nm,
+            height_nm: frame_nm,
+            seed: cfg.seed,
+        }),
+    })
+    .expect("requests serialize");
+    let started = Instant::now();
+    let mut envelope = decode_request_line(&line).expect("own line decodes");
+    for _ in 1..WIRE_REPS {
+        envelope = decode_request_line(std::hint::black_box(&line)).expect("own line decodes");
+    }
+    let wire_decode_ms = started.elapsed().as_secs_f64() * 1e3;
+    let started = Instant::now();
+    for _ in 0..WIRE_REPS {
+        std::hint::black_box(request_key(std::hint::black_box(&envelope.request)));
+    }
+    let request_key_ms = started.elapsed().as_secs_f64() * 1e3;
+    let response = system
+        .execute(envelope.request)
+        .expect("the model's own sample legalizes in a generous frame");
+    let reply = ResponseEnvelope::ok(envelope.id, response);
+    let started = Instant::now();
+    for _ in 0..WIRE_REPS {
+        std::hint::black_box(std::hint::black_box(&reply).to_line());
+    }
+    let wire_encode_ms = started.elapsed().as_secs_f64() * 1e3;
+
     HotLoops {
         union_ms,
         encode_ms,
@@ -249,6 +300,10 @@ fn run_hot_loops(system: &ChatPattern, cfg: &BenchConfig, rects: usize, reps: us
         grid: (rows, cols),
         denoise_step_ms,
         sample_128_ms,
+        wire_decode_ms,
+        wire_encode_ms,
+        request_key_ms,
+        wire_line_bytes: line.len(),
     }
 }
 
@@ -1236,6 +1291,10 @@ fn main() {
         grid: (hot_rows, hot_cols),
         denoise_step_ms,
         sample_128_ms,
+        wire_decode_ms,
+        wire_encode_ms,
+        request_key_ms,
+        wire_line_bytes,
     } = run_hot_loops(&system, &cfg, HOT_RECTS, HOT_REPS);
     println!(
         "  hot_loops union_area      {union_ms:9.1} ms   \
@@ -1252,6 +1311,12 @@ fn main() {
          {HOT_REPS} reps, {HOT_WINDOW}x{HOT_WINDOW}, {} steps",
         cfg.steps
     );
+    println!(
+        "  hot_loops wire_decode_33k {wire_decode_ms:9.1} ms   \
+         {WIRE_REPS} reps, {wire_line_bytes}-byte Legalize line"
+    );
+    println!("  hot_loops request_key_33k {request_key_ms:9.1} ms   {WIRE_REPS} reps");
+    println!("  hot_loops wire_encode_33k {wire_encode_ms:9.1} ms   {WIRE_REPS} reps, its reply");
 
     if cpus == 1 {
         println!(
@@ -1293,7 +1358,11 @@ fn main() {
          \"squish_encode_millis\":{encode_ms:.3},\
          \"legalize_millis\":{legalize_ms:.3},\
          \"denoise_step_millis\":{denoise_step_ms:.3},\
-         \"sample_128_millis\":{sample_128_ms:.3}}}}}\n",
+         \"sample_128_millis\":{sample_128_ms:.3},\
+         \"wire_reps\":{WIRE_REPS},\"wire_line_bytes\":{wire_line_bytes},\
+         \"wire_decode_33k_millis\":{wire_decode_ms:.3},\
+         \"request_key_33k_millis\":{request_key_ms:.3},\
+         \"wire_encode_33k_millis\":{wire_encode_ms:.3}}}}}\n",
         cfg.window, cfg.steps, cfg.train
     );
     match check {

@@ -100,6 +100,40 @@ mod tests {
         assert_eq!(route_hash("chatpattern"), 0x6605_c78e_e5c8_7533);
     }
 
+    /// The key is the request's wire text, and both the result cache
+    /// and the fleet's shard placement hang off it: the exact bytes —
+    /// sorted keys, no whitespace, cells as bare digits — are pinned
+    /// here together with the hash they route by.
+    #[test]
+    fn request_key_of_a_fixed_request_is_pinned() {
+        let generate = PatternRequest::Generate(crate::GenerateParams {
+            style: cp_dataset::Style::Layer10001,
+            rows: 8,
+            cols: 8,
+            count: 1,
+            seed: 7,
+        });
+        let key = request_key(&generate).expect("keyed");
+        assert_eq!(
+            key,
+            r#"{"Generate":{"cols":8,"count":1,"rows":8,"seed":7,"style":"Layer10001"}}"#
+        );
+        assert_eq!(route_hash(&key), 0xc832_c584_f3ec_767c);
+
+        let legalize = PatternRequest::Legalize(crate::LegalizeParams {
+            topology: cp_squish::Topology::from_fn(2, 3, |r, c| (r + c) % 2 == 0),
+            width_nm: 256,
+            height_nm: -512,
+            seed: u64::MAX,
+        });
+        let key = request_key(&legalize).expect("keyed");
+        assert_eq!(
+            key,
+            r#"{"Legalize":{"height_nm":-512,"seed":18446744073709551615,"topology":{"bits":[1,0,1,0,1,0],"cols":3,"rows":2},"width_nm":256}}"#
+        );
+        assert_eq!(request_route(&legalize), Some(0x1c5a_6a60_2155_533a));
+    }
+
     #[test]
     fn route_hash_is_deterministic_and_spreads() {
         assert_eq!(route_hash("s"), route_hash("s"));

@@ -11,7 +11,8 @@
 //! `id` is the correlation key.
 
 use crate::{Error, PatternRequest, PatternResponse};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 /// One input line: a client-tagged request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -130,6 +131,13 @@ impl ResponseEnvelope {
 /// problem as an [`Error::InvalidRequest`]. Malformed JSON and absent
 /// ids yield `Value::Null` as the id.
 pub fn decode_request_line(line: &str) -> Result<RequestEnvelope, (Value, Error)> {
+    let typed = match serde_json::from_str::<RequestEnvelope>(line) {
+        Ok(envelope) if !envelope.id.is_null() => return Ok(envelope),
+        Ok(_) => None,
+        Err(e) => Some(e),
+    };
+    // Only a refused line is read a second time, as a tree, to find
+    // the id its error reply should carry.
     let value: Value = serde_json::from_str(line).map_err(|e| {
         (
             Value::Null,
@@ -137,15 +145,12 @@ pub fn decode_request_line(line: &str) -> Result<RequestEnvelope, (Value, Error)
         )
     })?;
     let id = value.get("id").cloned().unwrap_or(Value::Null);
-    if id.is_null() {
-        return Err((
+    match typed {
+        Some(e) if !id.is_null() => Err((id, Error::invalid_request(format!("bad request: {e}")))),
+        _ => Err((
             Value::Null,
             Error::invalid_request("request envelope needs a non-null \"id\""),
-        ));
-    }
-    match serde_json::from_value::<RequestEnvelope>(&value) {
-        Ok(envelope) => Ok(envelope),
-        Err(e) => Err((id, Error::invalid_request(format!("bad request: {e}")))),
+        )),
     }
 }
 
@@ -276,5 +281,34 @@ mod tests {
         let (id, err) = decode_request_line(r#"{"request": "x"}"#).unwrap_err();
         assert!(id.is_null());
         assert!(err.to_string().contains("id"));
+    }
+
+    #[test]
+    fn escaped_astral_characters_reach_the_request_intact() {
+        // How a standard (ASCII-escaping) client spells U+1F600.
+        let line = r#"{"id":1,"request":{"Chat":{"request":"denser \ud83d\ude00","seed":1}}}"#;
+        let envelope = decode_request_line(line).expect("decodes");
+        match envelope.request {
+            PatternRequest::Chat(params) => assert_eq!(params.request, "denser 😀"),
+            other => panic!("expected a Chat request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_refused_line_still_yields_its_id_whatever_the_key_order() {
+        // The id comes after the part that fails to decode.
+        let (id, err) = decode_request_line(r#"{"request":{"Generate":{"rows":"x"}},"id":"late"}"#)
+            .unwrap_err();
+        assert_eq!(id, "late");
+        assert!(err.to_string().contains("bad request"), "{err}");
+        // Well-formed request, null id: refused for the id.
+        let (id, err) = decode_request_line(r#"{"id":null,"request":"Stats"}"#).unwrap_err();
+        assert!(id.is_null());
+        assert!(err.to_string().contains("non-null"), "{err}");
+        // Syntax errors outrank shape errors, as when the line was
+        // parsed whole before it was looked at.
+        let (id, err) = decode_request_line(r#"{"id":3,"request":{"Nonsense":{}}} x"#).unwrap_err();
+        assert!(id.is_null());
+        assert!(err.to_string().contains("bad JSON"), "{err}");
     }
 }

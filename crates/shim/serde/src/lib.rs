@@ -1,17 +1,33 @@
 //! Offline stand-in for the subset of `serde` this workspace uses.
 //!
-//! The real serde is a zero-copy visitor framework; this shim is a
-//! value-tree design: [`Serialize`] renders any type into a JSON-shaped
-//! [`Value`], [`Deserialize`] rebuilds it from one. The derive macros
-//! (`#[derive(Serialize, Deserialize)]`, provided by the sibling
-//! `serde_derive` proc-macro crate) generate the same externally-tagged
-//! representation serde would: structs become objects, unit enum
-//! variants become strings, data-carrying variants become
-//! `{"Variant": {...}}` objects.
+//! Like the real crate, this shim is a streaming design: a type's
+//! [`Serialize`] impl emits JSON-shaped events into whichever
+//! [`Serializer`] it is given, and its [`Deserialize`] impl pulls them
+//! from whichever [`Deserializer`] it is given. There are two of each:
 //!
-//! `serde_json` (also shimmed) layers the text format on top: `json!`,
-//! `to_string`, `from_str`.
+//! * [`text::TextWriter`] / [`text::TextReader`] — the wire text
+//!   itself, so `serde_json::to_string` / `from_str` go straight
+//!   between typed values and JSON text without building anything in
+//!   between;
+//! * a tree builder and a tree walker private to [`value`] — the
+//!   [`Value`] tree, for `serde_json::to_value` / `from_value` / `json!`.
+//!
+//! Every type has exactly one `serialize` and one `deserialize`
+//! (hand-written here for the std types, generated by the sibling
+//! `serde_derive` proc-macro crate for everything else), generic over
+//! those; [`Value`] is just another type with both impls, so parsing
+//! text into a tree is `Value::deserialize` from a `TextReader` and
+//! printing a tree is `Value::serialize` into a `TextWriter`.
+//!
+//! The derive generates the same externally-tagged representation
+//! serde would: structs become objects, unit enum variants become
+//! strings, data-carrying variants become `{"Variant": {...}}` objects.
+//! Object keys are always emitted in ascending byte order (the derive
+//! sorts a type's fields when it expands; a [`Value`] object is a
+//! `BTreeMap`), so the text for a value is the same whichever way it
+//! is produced.
 
+pub mod text;
 pub mod value;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -50,20 +66,154 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types renderable into a [`Value`].
-pub trait Serialize {
-    /// Renders `self` as a value tree.
-    fn to_value(&self) -> Value;
+/// Receives the JSON-shaped events of one value.
+///
+/// A well-formed event stream is one scalar, or `seq_begin`, then
+/// `seq_element` before each element's own events, then `seq_end`, or
+/// `map_begin`, then `map_key` before each entry's value events, then
+/// `map_end`. Keys of one map must arrive in ascending byte order.
+pub trait Serializer {
+    /// `null`.
+    fn null(&mut self);
+    /// `true` / `false`.
+    fn bool(&mut self, v: bool);
+    /// A non-negative integer.
+    fn u64(&mut self, v: u64);
+    /// A signed integer.
+    fn i64(&mut self, v: i64);
+    /// A float; non-finite values have no JSON form and print as `null`.
+    fn f64(&mut self, v: f64);
+    /// A string.
+    fn str(&mut self, v: &str);
+    /// Opens an array.
+    fn seq_begin(&mut self);
+    /// Announces the next element of the innermost open array.
+    fn seq_element(&mut self);
+    /// Closes the innermost open array.
+    fn seq_end(&mut self);
+    /// Opens an object.
+    fn map_begin(&mut self);
+    /// Announces the next entry of the innermost open object; the
+    /// entry's value follows.
+    fn map_key(&mut self, key: &str);
+    /// Closes the innermost open object.
+    fn map_end(&mut self);
 }
 
-/// Types rebuildable from a [`Value`].
+/// The JSON kind of the value a [`Deserializer`] is about to yield.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// An array.
+    Seq,
+    /// An object.
+    Map,
+}
+
+/// Yields the JSON-shaped events of one value on request.
+///
+/// Each typed accessor consumes the pending value, or fails with an
+/// "expected …, found …" error when the pending value is of another
+/// kind. After any error the deserializer's position is unspecified.
+pub trait Deserializer {
+    /// The kind of the pending value, without consuming it.
+    fn kind(&mut self) -> Result<Kind, Error>;
+    /// Consumes a `null`.
+    fn null(&mut self) -> Result<(), Error>;
+    /// Consumes a boolean.
+    fn bool(&mut self) -> Result<bool, Error>;
+    /// Consumes a number.
+    fn number(&mut self) -> Result<Number, Error>;
+    /// Consumes a string; the slice is valid until the next call.
+    fn str(&mut self) -> Result<&str, Error>;
+    /// Enters an array.
+    fn seq_begin(&mut self) -> Result<(), Error>;
+    /// `true` when another element of the innermost array is pending;
+    /// `false` once the array is finished (and left).
+    fn seq_next(&mut self) -> Result<bool, Error>;
+    /// Enters an object.
+    fn map_begin(&mut self) -> Result<(), Error>;
+    /// The next key of the innermost object, its value then pending;
+    /// `None` once the object is finished (and left). A key that occurs
+    /// twice is yielded twice.
+    fn map_key(&mut self) -> Result<Option<&str>, Error>;
+    /// Consumes the pending value, whatever it is, and says that
+    /// `expected` was wanted in its place.
+    fn unexpected(&mut self, expected: &str) -> Error;
+
+    /// Consumes the pending value, whatever it is (an unknown key's).
+    fn skip(&mut self) -> Result<(), Error> {
+        match self.kind()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::String => self.str().map(drop),
+            Kind::Seq => {
+                self.seq_begin()?;
+                while self.seq_next()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Kind::Map => {
+                self.map_begin()?;
+                while self.map_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Types that can emit themselves into a [`Serializer`].
+pub trait Serialize {
+    /// Emits `self` as one value's events.
+    fn serialize<S: Serializer>(&self, s: &mut S);
+}
+
+/// Types that can rebuild themselves from a [`Deserializer`].
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a value tree.
+    /// Consumes one value and rebuilds `Self` from it.
     ///
     /// # Errors
     ///
-    /// Returns an [`Error`] when the value has the wrong shape.
-    fn from_value(value: &Value) -> Result<Self, Error>;
+    /// Returns an [`Error`] when the value has the wrong shape (or the
+    /// underlying text is malformed).
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error>;
+}
+
+/// What a struct field whose key never occurred decodes to: whatever
+/// its type makes of `null` (`None` for an `Option`, an error for most
+/// others). Called by derive-generated code.
+///
+/// # Errors
+///
+/// Returns the type's own "expected …, found null" error.
+pub fn missing_field<T: Deserialize>() -> Result<T, Error> {
+    value::from_value(&Value::Null)
+}
+
+/// A `#[serde(default)]` field's value: `None` (use the default) when
+/// it is `null`, else the parsed value. Called by derive-generated code.
+///
+/// # Errors
+///
+/// Returns the type's error for a present, non-null, ill-shaped value.
+pub fn defaulted_field<T: Deserialize, D: Deserializer>(d: &mut D) -> Result<Option<T>, Error> {
+    if d.kind()? == Kind::Null {
+        d.null()?;
+        Ok(None)
+    } else {
+        T::deserialize(d).map(Some)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -71,116 +221,143 @@ pub trait Deserialize: Sized {
 // ---------------------------------------------------------------------
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        (**self).serialize(s);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        (**self).serialize(s);
     }
 }
 
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-macro_rules! impl_serialize_prim {
-    ($($t:ty),*) => {$(
+macro_rules! impl_serialize_int {
+    ($method:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::from(*self)
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                // Lossless: every listed type fits the wide one.
+                s.$method(*self as $wide);
             }
         }
     )*};
 }
 
-impl_serialize_prim!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize, f64, bool);
+impl_serialize_int!(u64 as u64: u8, u16, u32, u64, usize);
+impl_serialize_int!(i64 as i64: i8, i16, i32, i64, isize);
+
+impl Serialize for f64 {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.f64(*self);
+    }
+}
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::from(f64::from(*self))
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.f64(f64::from(*self));
+    }
+}
+
+impl Serialize for bool {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.bool(*self);
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_owned())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.str(self);
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.str(self);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(s),
+            None => s.null(),
         }
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.seq_begin();
+        for item in self {
+            s.seq_element();
+            item.serialize(s);
+        }
+        s.seq_end();
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        self.as_slice().serialize(s);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        self.as_slice().serialize(s);
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.seq_begin();
+        s.seq_element();
+        self.0.serialize(s);
+        s.seq_element();
+        self.1.serialize(s);
+        s.seq_end();
     }
 }
 
 impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_value(),
-            self.1.to_value(),
-            self.2.to_value(),
-        ])
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.seq_begin();
+        s.seq_element();
+        self.0.serialize(s);
+        s.seq_element();
+        self.1.serialize(s);
+        s.seq_element();
+        self.2.serialize(s);
+        s.seq_end();
     }
+}
+
+fn serialize_entries<'a, K, V, S>(entries: impl Iterator<Item = (&'a K, &'a V)>, s: &mut S)
+where
+    K: Serialize + 'a,
+    V: Serialize + 'a,
+    S: Serializer,
+{
+    s.seq_begin();
+    for entry in entries {
+        s.seq_element();
+        entry.serialize(s);
+    }
+    s.seq_end();
 }
 
 /// Maps serialize as arrays of `[key, value]` pairs: unlike JSON
 /// objects this supports non-string keys (the workspace keys maps by
 /// tuples), and round-trips losslessly through `Deserialize`.
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+impl<K: Serialize, V: Serialize, H> Serialize for HashMap<K, V, H> {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        serialize_entries(self.iter(), s);
     }
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        serialize_entries(self.iter(), s);
     }
 }
 
@@ -188,42 +365,17 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
 // Deserialize impls
 // ---------------------------------------------------------------------
 
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Value, Error> {
-        Ok(value.clone())
-    }
-}
-
-macro_rules! impl_deserialize_uint {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<$t, Error> {
-                value
-                    .as_u64()
-                    .and_then(|v| <$t>::try_from(v).ok())
-                    .ok_or_else(|| {
-                        Error::custom(format!(
-                            "expected {}, found {value}",
-                            stringify!($t)
-                        ))
-                    })
-            }
-        }
-    )*};
-}
-
-impl_deserialize_uint!(u8, u16, u32, u64, usize);
-
 macro_rules! impl_deserialize_int {
-    ($($t:ty),*) => {$(
+    ($accessor:ident: $($t:ty),*) => {$(
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<$t, Error> {
-                value
-                    .as_i64()
+            fn deserialize<D: Deserializer>(d: &mut D) -> Result<$t, Error> {
+                let number = d.number()?;
+                number
+                    .$accessor()
                     .and_then(|v| <$t>::try_from(v).ok())
                     .ok_or_else(|| {
                         Error::custom(format!(
-                            "expected {}, found {value}",
+                            "expected {}, found {number}",
                             stringify!($t)
                         ))
                     })
@@ -232,140 +384,130 @@ macro_rules! impl_deserialize_int {
     )*};
 }
 
-impl_deserialize_int!(i8, i16, i32, i64, isize);
+impl_deserialize_int!(as_u64: u8, u16, u32, u64, usize);
+impl_deserialize_int!(as_i64: i8, i16, i32, i64, isize);
 
 impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<f64, Error> {
-        value
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<f64, Error> {
+        let number = d.number()?;
+        number
             .as_f64()
-            .ok_or_else(|| Error::custom(format!("expected f64, found {value}")))
+            .ok_or_else(|| Error::custom(format!("expected f64, found {number}")))
     }
 }
 
 impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<f32, Error> {
-        f64::from_value(value).map(|v| v as f32)
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<f32, Error> {
+        f64::deserialize(d).map(|v| v as f32)
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<bool, Error> {
-        value
-            .as_bool()
-            .ok_or_else(|| Error::custom(format!("expected bool, found {value}")))
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<bool, Error> {
+        d.bool()
     }
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<String, Error> {
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| Error::custom(format!("expected string, found {value}")))
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<String, Error> {
+        d.str().map(str::to_owned)
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(value: &Value) -> Result<Box<T>, Error> {
-        T::from_value(value).map(Box::new)
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Box<T>, Error> {
+        T::deserialize(d).map(Box::new)
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Option<T>, Error> {
-        if value.is_null() {
-            Ok(None)
-        } else {
-            T::from_value(value).map(Some)
-        }
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Option<T>, Error> {
+        defaulted_field(d)
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Vec<T>, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::custom(format!("expected array, found {value}")))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Vec<T>, Error> {
+        d.seq_begin()?;
+        let mut items = Vec::new();
+        while d.seq_next()? {
+            items.push(T::deserialize(d)?);
+        }
+        Ok(items)
     }
 }
 
-fn pair(value: &Value) -> Result<(&Value, &Value), Error> {
-    match value.as_array().map(Vec::as_slice) {
-        Some([a, b]) => Ok((a, b)),
-        _ => Err(Error::custom(format!(
-            "expected two-element array, found {value}"
-        ))),
+/// Steps to the next element of a fixed-length array, or reports that
+/// the array is not `arity` long when `more` says otherwise.
+fn tuple_step<D: Deserializer>(d: &mut D, more: bool, arity: &str) -> Result<(), Error> {
+    if d.seq_next()? == more {
+        Ok(())
+    } else {
+        Err(Error::custom(format!("expected {arity}-element array")))
     }
 }
 
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn from_value(value: &Value) -> Result<(A, B), Error> {
-        let (a, b) = pair(value)?;
-        Ok((A::from_value(a)?, B::from_value(b)?))
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<(A, B), Error> {
+        d.seq_begin()?;
+        tuple_step(d, true, "two")?;
+        let a = A::deserialize(d)?;
+        tuple_step(d, true, "two")?;
+        let b = B::deserialize(d)?;
+        tuple_step(d, false, "two")?;
+        Ok((a, b))
     }
 }
 
 impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_value(value: &Value) -> Result<(A, B, C), Error> {
-        match value.as_array().map(Vec::as_slice) {
-            Some([a, b, c]) => Ok((A::from_value(a)?, B::from_value(b)?, C::from_value(c)?)),
-            _ => Err(Error::custom(format!(
-                "expected three-element array, found {value}"
-            ))),
-        }
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<(A, B, C), Error> {
+        d.seq_begin()?;
+        tuple_step(d, true, "three")?;
+        let a = A::deserialize(d)?;
+        tuple_step(d, true, "three")?;
+        let b = B::deserialize(d)?;
+        tuple_step(d, true, "three")?;
+        let c = C::deserialize(d)?;
+        tuple_step(d, false, "three")?;
+        Ok((a, b, c))
     }
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<BTreeMap<K, V>, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::custom(format!("expected entry array, found {value}")))?
-            .iter()
-            .map(|entry| {
-                let (k, v) = pair(entry)?;
-                Ok((K::from_value(k)?, V::from_value(v)?))
-            })
-            .collect()
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<BTreeMap<K, V>, Error> {
+        Vec::<(K, V)>::deserialize(d).map(|entries| entries.into_iter().collect())
     }
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(value: &Value) -> Result<HashMap<K, V>, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::custom(format!("expected entry array, found {value}")))?
-            .iter()
-            .map(|entry| {
-                let (k, v) = pair(entry)?;
-                Ok((K::from_value(k)?, V::from_value(v)?))
-            })
-            .collect()
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<HashMap<K, V>, Error> {
+        Vec::<(K, V)>::deserialize(d).map(|entries| entries.into_iter().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::value::{from_value, to_value};
     use super::*;
 
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(u32::from_value(&42u32.to_value()), Ok(42));
-        assert_eq!(i64::from_value(&(-3i64).to_value()), Ok(-3));
-        assert_eq!(bool::from_value(&true.to_value()), Ok(true));
-        assert_eq!(String::from_value(&"hi".to_value()), Ok(String::from("hi")));
+        assert_eq!(from_value::<u32>(&to_value(&42u32)), Ok(42));
+        assert_eq!(from_value::<i64>(&to_value(&-3i64)), Ok(-3));
+        assert_eq!(from_value::<bool>(&to_value(&true)), Ok(true));
+        assert_eq!(
+            from_value::<String>(&to_value("hi")),
+            Ok(String::from("hi"))
+        );
     }
 
     #[test]
     fn options_and_vectors_round_trip() {
         let v: Option<u64> = None;
-        assert!(v.to_value().is_null());
-        assert_eq!(Option::<u64>::from_value(&Value::Null), Ok(None));
+        assert!(to_value(&v).is_null());
+        assert_eq!(from_value::<Option<u64>>(&Value::Null), Ok(None));
         let xs = vec![1u64, 2, 3];
-        assert_eq!(Vec::<u64>::from_value(&xs.to_value()), Ok(xs));
+        assert_eq!(from_value::<Vec<u64>>(&to_value(&xs)), Ok(xs));
     }
 
     #[test]
@@ -373,13 +515,25 @@ mod tests {
         let mut m: HashMap<(u32, String), u64> = HashMap::new();
         m.insert((1, "a".into()), 10);
         m.insert((2, "b".into()), 20);
-        let back = HashMap::<(u32, String), u64>::from_value(&m.to_value()).unwrap();
+        let back = from_value::<HashMap<(u32, String), u64>>(&to_value(&m)).unwrap();
         assert_eq!(back, m);
     }
 
     #[test]
     fn wrong_shapes_error() {
-        assert!(u32::from_value(&Value::String("x".into())).is_err());
-        assert!(Vec::<u64>::from_value(&Value::Bool(true)).is_err());
+        assert!(from_value::<u32>(&Value::String("x".into())).is_err());
+        assert!(from_value::<Vec<u64>>(&Value::Bool(true)).is_err());
+        assert!(from_value::<(u8, u8)>(&to_value(&[1u8, 2, 3])).is_err());
+        assert!(from_value::<(u8, u8, u8)>(&to_value(&[1u8, 2])).is_err());
+        assert!(from_value::<u8>(&to_value(&300u32)).is_err());
+        assert!(from_value::<u32>(&to_value(&-1i32)).is_err());
+    }
+
+    #[test]
+    fn a_missing_field_is_a_null_field() {
+        assert_eq!(missing_field::<Option<u8>>(), Ok(None));
+        assert_eq!(missing_field::<Value>(), Ok(Value::Null));
+        assert!(missing_field::<u8>().is_err());
+        assert!(missing_field::<Vec<u8>>().is_err());
     }
 }

@@ -1,6 +1,11 @@
-//! The JSON-shaped value tree all (de)serialization goes through.
+//! The JSON-shaped value tree: a type like any other to the codec
+//! (it serializes into and deserializes from whatever it is given),
+//! plus the [`Serializer`] that builds one and the [`Deserializer`]
+//! that walks one.
 
-use std::collections::BTreeMap;
+use crate::text::TextWriter;
+use crate::{Deserialize, Deserializer, Error, Kind, Serialize, Serializer};
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
 
 /// Object representation: sorted keys give deterministic output.
@@ -243,54 +248,12 @@ impl PartialEq<String> for Value {
     }
 }
 
-/// Writes `s` as a JSON string literal.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
-}
-
 impl fmt::Display for Value {
     /// Compact JSON encoding.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Number(n) => write!(f, "{n}"),
-            Value::String(s) => write_escaped(f, s),
-            Value::Array(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Object(map) => {
-                f.write_str("{")?;
-                for (i, (key, value)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, key)?;
-                    f.write_str(":")?;
-                    write!(f, "{value}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut writer = TextWriter::default();
+        self.serialize(&mut writer);
+        f.write_str(&writer.finish())
     }
 }
 
@@ -338,5 +301,282 @@ impl From<String> for Value {
 impl<T: Into<Value>> From<Vec<T>> for Value {
     fn from(v: Vec<T>) -> Value {
         Value::Array(v.into_iter().map(Into::into).collect())
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tree as a serializable type
+// ---------------------------------------------------------------------
+
+impl Serialize for Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        match self {
+            Value::Null => s.null(),
+            Value::Bool(v) => s.bool(*v),
+            Value::Number(Number::PosInt(v)) => s.u64(*v),
+            Value::Number(Number::NegInt(v)) => s.i64(*v),
+            Value::Number(Number::Float(v)) => s.f64(*v),
+            Value::String(v) => s.str(v),
+            Value::Array(items) => items.serialize(s),
+            Value::Object(map) => {
+                s.map_begin();
+                for (key, value) in map {
+                    s.map_key(key);
+                    value.serialize(s);
+                }
+                s.map_end();
+            }
+        }
+    }
+}
+
+impl Deserialize for Value {
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Value, Error> {
+        Ok(match d.kind()? {
+            Kind::Null => {
+                d.null()?;
+                Value::Null
+            }
+            Kind::Bool => Value::Bool(d.bool()?),
+            Kind::Number => Value::Number(d.number()?),
+            Kind::String => Value::String(d.str()?.to_owned()),
+            Kind::Seq => Value::Array(Vec::deserialize(d)?),
+            Kind::Map => {
+                d.map_begin()?;
+                let mut map = Map::new();
+                while let Some(key) = d.map_key()? {
+                    let key = key.to_owned();
+                    // A repeated key keeps its last value.
+                    map.insert(key, Value::deserialize(d)?);
+                }
+                Value::Object(map)
+            }
+        })
+    }
+}
+
+/// Renders any serializable value into a [`Value`] tree.
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
+    let mut builder = ValueSerializer::default();
+    value.serialize(&mut builder);
+    builder.root
+}
+
+/// Rebuilds a typed value from a [`Value`] tree.
+///
+/// # Errors
+///
+/// Returns an [`Error`] when the tree has the wrong shape.
+pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
+    T::deserialize(&mut ValueDeserializer::new(value))
+}
+
+// ---------------------------------------------------------------------
+// Building a tree from events
+// ---------------------------------------------------------------------
+
+/// An array or object still receiving its members.
+enum Open {
+    Seq(Vec<Value>),
+    /// The entries so far and the key whose value is due next.
+    Map(Map, String),
+}
+
+/// A [`Serializer`] that builds the [`Value`] the events describe.
+#[derive(Default)]
+struct ValueSerializer {
+    open: Vec<Open>,
+    root: Value,
+}
+
+impl ValueSerializer {
+    /// A finished value goes into the innermost open container, or is
+    /// the result.
+    fn put(&mut self, value: Value) {
+        match self.open.last_mut() {
+            None => self.root = value,
+            Some(Open::Seq(items)) => items.push(value),
+            Some(Open::Map(map, key)) => {
+                map.insert(std::mem::take(key), value);
+            }
+        }
+    }
+}
+
+impl Serializer for ValueSerializer {
+    fn null(&mut self) {
+        self.put(Value::Null);
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.put(Value::Bool(v));
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.put(Value::from(v));
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.put(Value::from(v));
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.put(Value::from(v));
+    }
+
+    fn str(&mut self, v: &str) {
+        self.put(Value::from(v));
+    }
+
+    fn seq_begin(&mut self) {
+        self.open.push(Open::Seq(Vec::new()));
+    }
+
+    fn seq_element(&mut self) {}
+
+    fn seq_end(&mut self) {
+        if let Some(Open::Seq(items)) = self.open.pop() {
+            self.put(Value::Array(items));
+        }
+    }
+
+    fn map_begin(&mut self) {
+        self.open.push(Open::Map(Map::new(), String::new()));
+    }
+
+    fn map_key(&mut self, key: &str) {
+        if let Some(Open::Map(_, next)) = self.open.last_mut() {
+            key.clone_into(next);
+        }
+    }
+
+    fn map_end(&mut self) {
+        if let Some(Open::Map(map, _)) = self.open.pop() {
+            self.put(Value::Object(map));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Walking a tree as events
+// ---------------------------------------------------------------------
+
+/// An array or object being walked.
+enum Walk<'a> {
+    Seq(std::slice::Iter<'a, Value>),
+    Map(btree_map::Iter<'a, String, Value>),
+}
+
+/// A [`Deserializer`] that yields the events of an existing [`Value`].
+struct ValueDeserializer<'a> {
+    /// The value the next accessor reads: the root, then whichever
+    /// member `seq_next` / `map_key` last stepped to.
+    pending: &'a Value,
+    walks: Vec<Walk<'a>>,
+}
+
+impl<'a> ValueDeserializer<'a> {
+    fn new(value: &'a Value) -> ValueDeserializer<'a> {
+        ValueDeserializer {
+            pending: value,
+            walks: Vec::new(),
+        }
+    }
+}
+
+impl Deserializer for ValueDeserializer<'_> {
+    fn kind(&mut self) -> Result<Kind, Error> {
+        Ok(match self.pending {
+            Value::Null => Kind::Null,
+            Value::Bool(_) => Kind::Bool,
+            Value::Number(_) => Kind::Number,
+            Value::String(_) => Kind::String,
+            Value::Array(_) => Kind::Seq,
+            Value::Object(_) => Kind::Map,
+        })
+    }
+
+    fn null(&mut self) -> Result<(), Error> {
+        match self.pending {
+            Value::Null => Ok(()),
+            _ => Err(self.unexpected("null")),
+        }
+    }
+
+    fn bool(&mut self) -> Result<bool, Error> {
+        match self.pending {
+            Value::Bool(v) => Ok(*v),
+            _ => Err(self.unexpected("bool")),
+        }
+    }
+
+    fn number(&mut self) -> Result<Number, Error> {
+        match self.pending {
+            Value::Number(v) => Ok(*v),
+            _ => Err(self.unexpected("number")),
+        }
+    }
+
+    fn str(&mut self) -> Result<&str, Error> {
+        match self.pending {
+            Value::String(v) => Ok(v),
+            _ => Err(self.unexpected("string")),
+        }
+    }
+
+    fn seq_begin(&mut self) -> Result<(), Error> {
+        match self.pending {
+            Value::Array(items) => {
+                self.walks.push(Walk::Seq(items.iter()));
+                Ok(())
+            }
+            _ => Err(self.unexpected("array")),
+        }
+    }
+
+    fn seq_next(&mut self) -> Result<bool, Error> {
+        let Some(Walk::Seq(items)) = self.walks.last_mut() else {
+            return Err(Error::custom("not inside an array"));
+        };
+        match items.next() {
+            Some(item) => {
+                self.pending = item;
+                Ok(true)
+            }
+            None => {
+                self.walks.pop();
+                Ok(false)
+            }
+        }
+    }
+
+    fn map_begin(&mut self) -> Result<(), Error> {
+        match self.pending {
+            Value::Object(map) => {
+                self.walks.push(Walk::Map(map.iter()));
+                Ok(())
+            }
+            _ => Err(self.unexpected("object")),
+        }
+    }
+
+    fn map_key(&mut self) -> Result<Option<&str>, Error> {
+        let Some(Walk::Map(entries)) = self.walks.last_mut() else {
+            return Err(Error::custom("not inside an object"));
+        };
+        match entries.next() {
+            Some((key, value)) => {
+                self.pending = value;
+                Ok(Some(key))
+            }
+            None => {
+                self.walks.pop();
+                Ok(None)
+            }
+        }
+    }
+
+    fn unexpected(&mut self, expected: &str) -> Error {
+        Error::custom(format!("expected {expected}, found {}", self.pending))
     }
 }

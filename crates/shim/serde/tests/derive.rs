@@ -3,6 +3,7 @@
 //! the real crates back in (a `[workspace.dependencies]` edit) cannot
 //! silently change the wire format.
 
+use serde::value::{from_value, to_value};
 use serde::{Deserialize, Serialize, Value};
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,17 +40,17 @@ fn sample() -> Envelope {
 #[test]
 fn struct_with_value_field_round_trips() {
     let envelope = sample();
-    let back = Envelope::from_value(&envelope.to_value()).expect("round-trips");
+    let back = from_value::<Envelope>(&to_value(&envelope)).expect("round-trips");
     assert_eq!(back, envelope);
 }
 
 #[test]
 fn newtype_variant_is_externally_tagged() {
-    let value = sample().body.to_value();
+    let value = to_value(&sample().body);
     let object = value.as_object().expect("tagged object");
     assert_eq!(object.len(), 1);
     assert!(object.contains_key("Ok"));
-    let back = Outcome::from_value(&value).expect("parses");
+    let back = from_value::<Outcome>(&value).expect("parses");
     assert_eq!(back, sample().body);
 }
 
@@ -59,17 +60,17 @@ fn named_field_variant_round_trips() {
         kind: "InvalidRequest".into(),
         message: "nope".into(),
     };
-    let value = err.to_value();
+    let value = to_value(&err);
     assert!(value.get("Err").is_some());
-    assert_eq!(Outcome::from_value(&value).expect("parses"), err);
+    assert_eq!(from_value::<Outcome>(&value).expect("parses"), err);
 }
 
 #[test]
 fn unit_variant_serializes_as_string() {
-    let value = Outcome::Pending.to_value();
+    let value = to_value(&Outcome::Pending);
     assert_eq!(value, "Pending");
     assert_eq!(
-        Outcome::from_value(&value).expect("parses"),
+        from_value::<Outcome>(&value).expect("parses"),
         Outcome::Pending
     );
 }
@@ -78,50 +79,50 @@ fn unit_variant_serializes_as_string() {
 fn multiple_variant_tags_are_rejected() {
     // {"Ok": ..., "Err": ...} is ambiguous; real serde rejects it and
     // so must the shim (no first-match-wins).
-    let ok = sample().body.to_value();
-    let err = Outcome::Err {
+    let ok = to_value(&sample().body);
+    let err = to_value(&Outcome::Err {
         kind: "k".into(),
         message: "m".into(),
-    }
-    .to_value();
+    });
     let mut merged = serde::Map::new();
     merged.insert("Ok".to_owned(), ok.get("Ok").expect("tag present").clone());
     merged.insert(
         "Err".to_owned(),
         err.get("Err").expect("tag present").clone(),
     );
-    let error = Outcome::from_value(&Value::Object(merged)).expect_err("ambiguous tag");
+    let error = from_value::<Outcome>(&Value::Object(merged)).expect_err("ambiguous tag");
     assert!(error.to_string().contains("exactly one variant tag"));
 }
 
 #[test]
 fn empty_object_is_rejected_for_enums() {
-    let error = Outcome::from_value(&Value::Object(serde::Map::new())).expect_err("no variant tag");
+    let error =
+        from_value::<Outcome>(&Value::Object(serde::Map::new())).expect_err("no variant tag");
     assert!(error.to_string().contains("exactly one"));
 }
 
 #[test]
 fn unknown_variants_are_rejected() {
-    let error = Outcome::from_value(&Value::String("Bogus".into())).expect_err("unknown unit");
+    let error = from_value::<Outcome>(&Value::String("Bogus".into())).expect_err("unknown unit");
     assert!(error.to_string().contains("unknown variant"));
     let mut object = serde::Map::new();
     object.insert("Bogus".to_owned(), Value::Null);
-    assert!(Outcome::from_value(&Value::Object(object)).is_err());
+    assert!(from_value::<Outcome>(&Value::Object(object)).is_err());
 }
 
 #[test]
 fn missing_option_field_reads_as_none() {
     // The derive treats an absent key as null; Option absorbs it —
     // matching real serde's implicit-default for Option fields.
-    let mut object = sample().to_value().as_object().expect("object").clone();
+    let mut object = to_value(&sample()).as_object().expect("object").clone();
     object.remove("flag");
-    let back = Envelope::from_value(&Value::Object(object)).expect("parses");
+    let back = from_value::<Envelope>(&Value::Object(object)).expect("parses");
     assert_eq!(back.flag, None);
 }
 
 #[test]
 fn missing_required_field_errors() {
-    let mut object = sample().to_value().as_object().expect("object").clone();
+    let mut object = to_value(&sample()).as_object().expect("object").clone();
     object.remove("body");
-    assert!(Envelope::from_value(&Value::Object(object)).is_err());
+    assert!(from_value::<Envelope>(&Value::Object(object)).is_err());
 }

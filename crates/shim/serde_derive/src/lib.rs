@@ -5,16 +5,28 @@
 //! workspace derives on:
 //!
 //! * structs with named fields;
-//! * enums whose variants are unit or carry named fields.
+//! * enums whose variants are unit, carry named fields, or wrap one
+//!   value.
 //!
 //! Generated representation (matching serde's externally-tagged
 //! default): structs and struct variants become objects keyed by field
 //! name, unit variants become their name as a string, and a
 //! data-carrying variant `V { f }` becomes `{"V": {"f": ...}}`.
-//! Like real serde, deserializing a tagged enum from an object demands
-//! exactly one variant key — `{"Ok": ..., "Err": ...}` is rejected, not
-//! first-match-wins (the wire envelopes depend on this). Generics,
-//! tuple structs and tuple variants are rejected with a compile error.
+//! Generics, tuple structs and wider tuple variants are rejected with
+//! a compile error.
+//!
+//! The generated `serialize` emits a type's events into any
+//! `serde::Serializer`, fields in ascending byte order of their names
+//! (sorted here, at expansion time) so that the text writer's output
+//! has sorted keys without ever collecting them. The generated
+//! `deserialize` pulls from any `serde::Deserializer` and takes keys in
+//! whatever order they come: an unknown key's value is skipped, a key
+//! seen twice keeps its last value (the earlier one must still be
+//! well-formed for its field), and a field whose key never came is
+//! decoded as if it had been `null` (so `Option` fields may be left
+//! out). Like real serde, a tagged enum demands exactly one variant key
+//! — `{"Ok": ..., "Err": ...}` is rejected, not first-match-wins (the
+//! wire envelopes depend on this).
 //!
 //! One field attribute is honoured: `#[serde(default)]` makes a field
 //! fall back to `Default::default()` when the key is absent (or null)
@@ -260,64 +272,117 @@ fn parse(input: &TokenStream) -> Result<(String, Shape), String> {
 // Codegen
 // ---------------------------------------------------------------------
 
-fn struct_serialize(name: &str, fields: &[Field]) -> String {
-    let inserts: String = fields
+const SER_HEAD: &str = "fn serialize<S: ::serde::Serializer>(&self, s: &mut S)";
+const DE_HEAD: &str = "fn deserialize<D: ::serde::Deserializer>(d: &mut D) \
+                       -> ::std::result::Result<Self, ::serde::Error>";
+
+/// Statements emitting an object with one entry per field, keys
+/// ascending; `access` turns a field name into the expression (a
+/// reference) that reads it.
+fn fields_to_map(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+    names.sort_unstable();
+    let entries: String = names
         .iter()
         .map(|f| {
-            let f = &f.name;
             format!(
-                "map.insert(::std::string::String::from({f:?}), \
-                 ::serde::Serialize::to_value(&self.{f}));\n"
+                "s.map_key({f:?});\n::serde::Serialize::serialize({}, s);\n",
+                access(f)
             )
         })
         .collect();
+    format!("s.map_begin();\n{entries}s.map_end();\n")
+}
+
+fn struct_serialize(name: &str, fields: &[Field]) -> String {
+    let body = fields_to_map(fields, |f| format!("&self.{f}"));
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n\
-                 let mut map = ::serde::Map::new();\n\
-                 {inserts}\
-                 ::serde::Value::Object(map)\n\
-             }}\n\
+             {SER_HEAD} {{\n{body}}}\n\
          }}"
     )
 }
 
-fn fields_from_object(path: &str, fields: &[Field]) -> String {
-    let inits: String = fields
+/// A block expression reading an object (pending on `d`) into the
+/// struct or struct variant `path`.
+fn fields_from_map(path: &str, fields: &[Field]) -> String {
+    let slots: String = fields
         .iter()
-        .map(|field| {
+        .map(|f| {
+            format!(
+                "let mut __field_{} = ::std::option::Option::None;\n",
+                f.name
+            )
+        })
+        .collect();
+    let key_arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(slot, f)| format!("{:?} => {slot}usize,\n", f.name))
+        .collect();
+    let slot_arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(slot, field)| {
             let f = &field.name;
             if field.default {
                 // Absent key (older peer) or explicit null both fall
                 // back; a present non-null value must still parse.
-                format!(
-                    "{f}: match obj.get({f:?}) {{\n\
-                         ::std::option::Option::Some(found)\n\
-                             if !matches!(found, ::serde::Value::Null) =>\n\
-                             ::serde::Deserialize::from_value(found)?,\n\
-                         _ => ::std::default::Default::default(),\n\
-                     }},\n"
-                )
+                format!("{slot}usize => __field_{f} = ::serde::defaulted_field(d)?,\n")
             } else {
                 format!(
-                    "{f}: ::serde::Deserialize::from_value(\
-                     obj.get({f:?}).unwrap_or(&::serde::Value::Null))?,\n"
+                    "{slot}usize => __field_{f} = ::std::option::Option::Some(\
+                     ::serde::Deserialize::deserialize(d)?),\n"
                 )
             }
         })
         .collect();
-    format!("{path} {{\n{inits}}}")
+    let inits: String = fields
+        .iter()
+        .map(|field| {
+            let f = &field.name;
+            let absent = if field.default {
+                "::std::default::Default::default()"
+            } else {
+                "::serde::missing_field()?"
+            };
+            format!(
+                "{f}: match __field_{f} {{\n\
+                     ::std::option::Option::Some(found) => found,\n\
+                     ::std::option::Option::None => {absent},\n\
+                 }},\n"
+            )
+        })
+        .collect();
+    format!(
+        "{{\n\
+             d.map_begin()?;\n\
+             {slots}\
+             loop {{\n\
+                 let slot = match d.map_key()? {{\n\
+                     ::std::option::Option::None => break,\n\
+                     ::std::option::Option::Some(key) => match key {{\n\
+                         {key_arms}\
+                         _ => usize::MAX,\n\
+                     }},\n\
+                 }};\n\
+                 match slot {{\n\
+                     {slot_arms}\
+                     _ => d.skip()?,\n\
+                 }}\n\
+             }}\n\
+             {path} {{\n{inits}}}\n\
+         }}"
+    )
 }
 
 fn struct_deserialize(name: &str, fields: &[Field]) -> String {
-    let body = fields_from_object(name, fields);
+    let body = fields_from_map(name, fields);
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(value: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 let obj = value.as_object().ok_or_else(|| ::serde::Error::custom(\
-                     format!(\"expected object for struct {name}, found {{value}}\")))?;\n\
+             {DE_HEAD} {{\n\
                  ::std::result::Result::Ok({body})\n\
              }}\n\
          }}"
@@ -330,16 +395,13 @@ fn enum_serialize(name: &str, variants: &[Variant]) -> String {
         .map(|v| {
             let vname = &v.name;
             match &v.shape {
-                VariantShape::Unit => format!(
-                    "{name}::{vname} => ::serde::Value::String(\
-                     ::std::string::String::from({vname:?})),\n"
-                ),
+                VariantShape::Unit => format!("{name}::{vname} => s.str({vname:?}),\n"),
                 VariantShape::Newtype => format!(
                     "{name}::{vname}(payload) => {{\n\
-                         let mut map = ::serde::Map::new();\n\
-                         map.insert(::std::string::String::from({vname:?}), \
-                             ::serde::Serialize::to_value(payload));\n\
-                         ::serde::Value::Object(map)\n\
+                         s.map_begin();\n\
+                         s.map_key({vname:?});\n\
+                         ::serde::Serialize::serialize(payload, s);\n\
+                         s.map_end();\n\
                      }}\n"
                 ),
                 VariantShape::Named(fields) => {
@@ -348,24 +410,13 @@ fn enum_serialize(name: &str, variants: &[Variant]) -> String {
                         .map(|f| f.name.as_str())
                         .collect::<Vec<_>>()
                         .join(", ");
-                    let inserts: String = fields
-                        .iter()
-                        .map(|f| {
-                            let f = &f.name;
-                            format!(
-                                "inner.insert(::std::string::String::from({f:?}), \
-                                 ::serde::Serialize::to_value({f}));\n"
-                            )
-                        })
-                        .collect();
+                    let inner = fields_to_map(fields, str::to_owned);
                     format!(
                         "{name}::{vname} {{ {bindings} }} => {{\n\
-                             let mut inner = ::serde::Map::new();\n\
-                             {inserts}\
-                             let mut map = ::serde::Map::new();\n\
-                             map.insert(::std::string::String::from({vname:?}), \
-                                 ::serde::Value::Object(inner));\n\
-                             ::serde::Value::Object(map)\n\
+                             s.map_begin();\n\
+                             s.map_key({vname:?});\n\
+                             {inner}\
+                             s.map_end();\n\
                          }}\n"
                     )
                 }
@@ -375,7 +426,7 @@ fn enum_serialize(name: &str, variants: &[Variant]) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n\
+             {SER_HEAD} {{\n\
                  match self {{\n{arms}}}\n\
              }}\n\
          }}"
@@ -391,51 +442,75 @@ fn enum_deserialize(name: &str, variants: &[Variant]) -> String {
             format!("{vname:?} => ::std::result::Result::Ok({name}::{vname}),\n")
         })
         .collect();
-    let tagged_arms: String = variants
+    let tagged: Vec<&Variant> = variants
         .iter()
-        .filter_map(|v| match &v.shape {
-            VariantShape::Unit => None,
-            VariantShape::Newtype => Some(format!(
-                "if let ::std::option::Option::Some(inner) = map.get({vname:?}) {{\n\
-                     return ::std::result::Result::Ok({name}::{vname}(\
-                         ::serde::Deserialize::from_value(inner)?));\n\
-                 }}\n",
-                vname = &v.name,
-            )),
-            VariantShape::Named(fields) => {
-                let vname = &v.name;
-                let body = fields_from_object(&format!("{name}::{vname}"), fields);
-                Some(format!(
-                    "if let ::std::option::Option::Some(inner) = map.get({vname:?}) {{\n\
-                         let obj = inner.as_object().ok_or_else(|| ::serde::Error::custom(\
-                             format!(\"expected object payload for variant {name}::{vname}\")))?;\n\
-                         return ::std::result::Result::Ok({body});\n\
-                     }}\n"
-                ))
+        .filter(|v| !matches!(v.shape, VariantShape::Unit))
+        .collect();
+    let tag_arms: String = tagged
+        .iter()
+        .enumerate()
+        .map(|(slot, v)| format!("{:?} => {slot}usize,\n", v.name))
+        .collect();
+    let payload_arms: String = tagged
+        .iter()
+        .enumerate()
+        .map(|(slot, v)| {
+            let vname = &v.name;
+            match &v.shape {
+                VariantShape::Named(fields) => {
+                    let body = fields_from_map(&format!("{name}::{vname}"), fields);
+                    format!("{slot}usize => {body},\n")
+                }
+                _ => format!(
+                    "{slot}usize => {name}::{vname}(::serde::Deserialize::deserialize(d)?),\n"
+                ),
             }
         })
         .collect();
+    let one_tag = format!(
+        "::std::result::Result::Err(::serde::Error::custom(\
+             \"expected exactly one variant tag for enum {name}\"))"
+    );
+    // An enum of unit variants only has no object form at all.
+    let map_arm = if tagged.is_empty() {
+        String::new()
+    } else {
+        format!(
+            "::serde::Kind::Map => {{\n\
+                 d.map_begin()?;\n\
+                 let tag = match d.map_key()? {{\n\
+                     ::std::option::Option::None => return {one_tag},\n\
+                     ::std::option::Option::Some(key) => match key {{\n\
+                         {tag_arms}\
+                         other => return ::std::result::Result::Err(\
+                             ::serde::Error::custom(format!(\
+                                 \"unknown variant {{other}} for enum {name}\"))),\n\
+                     }},\n\
+                 }};\n\
+                 let value = match tag {{\n\
+                     {payload_arms}\
+                     _ => unreachable!(\"tags map to listed variants\"),\n\
+                 }};\n\
+                 if d.map_key()?.is_some() {{\n\
+                     return {one_tag};\n\
+                 }}\n\
+                 ::std::result::Result::Ok(value)\n\
+             }}\n"
+        )
+    };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(value: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 if let ::serde::Value::String(s) = value {{\n\
-                     return match s.as_str() {{\n\
+             {DE_HEAD} {{\n\
+                 match d.kind()? {{\n\
+                     ::serde::Kind::String => match d.str()? {{\n\
                          {unit_arms}\
                          other => ::std::result::Result::Err(::serde::Error::custom(\
                              format!(\"unknown variant {{other}} for enum {name}\"))),\n\
-                     }};\n\
+                     }},\n\
+                     {map_arm}\
+                     _ => ::std::result::Result::Err(d.unexpected(\"enum {name}\")),\n\
                  }}\n\
-                 if let ::serde::Value::Object(map) = value {{\n\
-                     if map.len() != 1 {{\n\
-                         return ::std::result::Result::Err(::serde::Error::custom(\
-                             format!(\"expected exactly one variant tag for enum {name}, \
-                                      found {{}} keys\", map.len())));\n\
-                     }}\n\
-                     {tagged_arms}\
-                 }}\n\
-                 ::std::result::Result::Err(::serde::Error::custom(\
-                     format!(\"cannot deserialize enum {name} from {{value}}\")))\n\
              }}\n\
          }}"
     )

@@ -1,30 +1,27 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
-//! the [`Value`] tree (re-exported from the serde shim), the [`json!`]
-//! macro, and the `to_string` / `from_str` / `to_value` / `from_value`
-//! entry points.
+//! the [`Value`] tree, the [`json!`] macro, and the `to_string` /
+//! `from_str` / `to_value` / `from_value` entry points.
 //!
-//! The text format is standard JSON. One deliberate divergence from the
-//! real crate: maps serialize as `[key, value]` entry arrays (see the
-//! serde shim), which lets tuple-keyed maps round-trip.
+//! This crate is the facade; the codec itself — the JSON text writer
+//! and reader, and the tree builder and walker — lives in the serde
+//! shim, where every type's one `serialize` / `deserialize` is generic
+//! over them. `to_string` and `from_str` run a typed value straight to
+//! and from text; no [`Value`] is built unless a `Value` is what the
+//! caller asked for.
+//!
+//! The text format is standard JSON, compact, object keys in ascending
+//! byte order. Reading accepts any key order and surrounding
+//! whitespace, at most [`MAX_DEPTH`](serde::text::MAX_DEPTH) open
+//! arrays and objects, and decodes `\uXXXX` surrogate pairs (a lone
+//! surrogate becomes U+FFFD). One deliberate divergence from the real
+//! crate: maps serialize as `[key, value]` entry arrays (see the serde
+//! shim), which lets tuple-keyed maps round-trip.
 
-pub use serde::value::{Map, Number, Value};
+pub use serde::value::{from_value, to_value, Map, Number, Value};
 pub use serde::Error;
 
+use serde::text::{TextReader, TextWriter};
 use serde::{Deserialize, Serialize};
-
-/// Renders any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    value.to_value()
-}
-
-/// Rebuilds a typed value from a [`Value`] tree.
-///
-/// # Errors
-///
-/// Returns an [`Error`] when the tree has the wrong shape.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
-    T::from_value(value)
-}
 
 /// Serializes a value to compact JSON text.
 ///
@@ -32,7 +29,9 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
 ///
 /// Never fails in this shim; the `Result` mirrors the real API.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.to_value().to_string())
+    let mut writer = TextWriter::default();
+    value.serialize(&mut writer);
+    Ok(writer.finish())
 }
 
 /// Parses JSON text into a typed value.
@@ -41,8 +40,10 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 ///
 /// Returns an [`Error`] on malformed JSON or mismatched shape.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse(text)?;
-    T::from_value(&value)
+    let mut reader = TextReader::new(text);
+    let value = T::deserialize(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
 /// Builds a [`Value`] with JSON-like syntax.
@@ -157,236 +158,6 @@ macro_rules! json_internal {
     ($other:expr) => {
         $crate::to_value(&$other)
     };
-}
-
-// ---------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// Parses one JSON document (trailing whitespace allowed).
-fn parse(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at byte {}",
-            parser.pos
-        )));
-    }
-    Ok(value)
-}
-
-impl Parser<'_> {
-    fn skip_whitespace(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, Error> {
-        self.skip_whitespace();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| Error::custom("unexpected end of JSON"))
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), Error> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected '{}' at byte {}",
-                byte as char, self.pos
-            )))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(Error::custom(format!(
-                "invalid literal at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek()? {
-            b'n' => self.literal("null", Value::Null),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'"' => Ok(Value::String(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
-            _ => self.number(),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected ',' or ']' at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected ',' or '}}' at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let byte = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| Error::custom("unterminated string"))?;
-            match byte {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::custom("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| Error::custom("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are unsupported (the shim
-                            // never emits them); map them to U+FFFD.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "invalid escape '\\{}'",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar from the source text.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| Error::custom("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        self.skip_whitespace();
-        let start = self.pos;
-        let mut is_float = false;
-        if let Some(b'-') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if text.is_empty() || text == "-" {
-            return Err(Error::custom(format!("invalid number at byte {start}")));
-        }
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::PosInt(v)));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::NegInt(v)));
-            }
-        }
-        text.parse::<f64>()
-            .map(|v| Value::Number(Number::Float(v)))
-            .map_err(|_| Error::custom(format!("invalid number '{text}'")))
-    }
 }
 
 #[cfg(test)]

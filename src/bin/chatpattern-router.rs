@@ -632,12 +632,13 @@ fn forward(
     entry: Pending,
 ) {
     let internal = router.next_internal.fetch_add(1, Ordering::Relaxed);
-    let line = serde_json::to_string(&RequestEnvelope {
+    let mut framed = serde_json::to_string(&RequestEnvelope {
         id: serde_json::to_value(&internal),
         tenant: tenant.map(str::to_owned),
         request: request.clone(),
     })
     .expect("requests serialize");
+    framed.push('\n');
     let worker = &router.workers[index];
 
     let mut entry = Some(entry);
@@ -660,8 +661,6 @@ fn forward(
             match stream.as_mut() {
                 Some(live) => {
                     use std::io::Write;
-                    let mut framed = line.clone();
-                    framed.push('\n');
                     live.write_all(framed.as_bytes()).is_ok()
                 }
                 None => false,
@@ -1018,10 +1017,6 @@ impl RouterHandler {
 
 impl ConnectionHandler for RouterHandler {
     fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
-        if let Ok(control) = serde_json::from_str::<ControlEnvelope>(line) {
-            self.handle_control(control, sink);
-            return;
-        }
         match decode_request_line(line) {
             Ok(envelope) => {
                 if matches!(envelope.request, PatternRequest::Stats) {
@@ -1059,9 +1054,15 @@ impl ConnectionHandler for RouterHandler {
                     }
                 }
             }
-            Err((id, error)) => {
-                sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
-            }
+            // Only a line that is no request is read again, as a
+            // control line (which has no `request` and so never
+            // decodes as one).
+            Err((id, error)) => match serde_json::from_str::<ControlEnvelope>(line) {
+                Ok(control) => self.handle_control(control, sink),
+                Err(_) => {
+                    sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
+                }
+            },
         }
     }
 }

@@ -1462,3 +1462,600 @@ fn queued_backends_match_inline_and_ledger_counts_each_job_once() {
         |case| check_queued_case(&system, &topology, case),
     );
 }
+
+// ---------------------------------------------------------------------
+// The codec's two routes agree
+// ---------------------------------------------------------------------
+//
+// Every type has one generated `serialize` and one `deserialize`, each
+// of which runs against text directly (`to_string` / `from_str`) or
+// against a `Value` tree (`to_value` / `from_value`). Wire lines, cache
+// keys and snapshot files take the direct route; until the streaming
+// codec they all took the tree route, so "the same bytes out" is the
+// statement that the two routes cannot be told apart.
+
+/// Direct text equals the tree's text, and reading that text directly
+/// equals reading it as a tree first — as `Result`s, so a value the
+/// format cannot carry (a non-finite float prints as `null`) must fail
+/// the same way on both routes.
+fn codec_routes_agree<T>(value: &T) -> Result<(), String>
+where
+    T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    let text = serde_json::to_string(value).map_err(|e| e.to_string())?;
+    let tree_text = serde_json::to_value(value).to_string();
+    if text != tree_text {
+        return Err(format!(
+            "written directly: {text}\nwritten as a tree: {tree_text}"
+        ));
+    }
+    let tree: serde_json::Value =
+        serde_json::from_str(&text).map_err(|e| format!("own text {text} does not parse: {e}"))?;
+    let direct = serde_json::from_str::<T>(&text).map_err(|e| e.to_string());
+    let walked = serde_json::from_value::<T>(&tree).map_err(|e| e.to_string());
+    if direct != walked {
+        return Err(format!(
+            "{text}\nread directly: {direct:?}\nread as a tree: {walked:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// [`codec_routes_agree`], and the text reads back as the value itself.
+fn codec_round_trips<T>(value: &T) -> Result<(), String>
+where
+    T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    codec_routes_agree(value)?;
+    let text = serde_json::to_string(value).map_err(|e| e.to_string())?;
+    match serde_json::from_str::<T>(&text) {
+        Ok(back) if back == *value => Ok(()),
+        other => Err(format!("{text} reads back as {other:?}")),
+    }
+}
+
+/// One of everything the derive and the std impls handle, with field
+/// names whose byte order (`0` < `_` < `a`) differs from their
+/// declaration order.
+#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+struct Probe {
+    wide: u64,
+    float: f64,
+    single: f32,
+    text: String,
+    nested: Option<Option<i32>>,
+    keyed: BTreeMap<(u32, String), u64>,
+    hashed: std::collections::HashMap<(u8, String), i64>,
+    a_b: i8,
+    a0: (bool, f64),
+    ab: (i16, String, Option<u8>),
+    choice: ProbeChoice,
+    items: Vec<ProbeChoice>,
+    #[serde(default)]
+    extra: Vec<f32>,
+    boxed: Box<Option<String>>,
+    any: serde_json::Value,
+}
+
+#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+enum ProbeChoice {
+    #[default]
+    Unit,
+    Newtype(f64),
+    Named {
+        z: u16,
+        a: Option<String>,
+        m: Vec<(u8, i64)>,
+    },
+}
+
+/// 64 random bits cut to a random width: small and huge magnitudes
+/// alike (cast down for the narrower integer types).
+fn arb_bits(rng: &mut ChaCha8Rng) -> u64 {
+    rng.gen::<u64>() >> rng.gen_range(0..64)
+}
+
+fn arb_f64(rng: &mut ChaCha8Rng) -> f64 {
+    match rng.gen_range(0..10) {
+        0 => f64::NAN,
+        1 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2)],
+        2 => [0.0, -0.0, 1.0, -7.0, 1e15, 1e21, -3e300][rng.gen_range(0..7)],
+        3 => [f64::MAX, f64::MIN_POSITIVE, 5e-324, 1e-7, 0.1][rng.gen_range(0..5)],
+        4 => f64::from(rng.gen_range(-1000i32..1000)),
+        5 => f64::from_bits(rng.gen::<u64>()),
+        _ => (rng.gen::<f64>() - 0.5) * 10f64.powi(rng.gen_range(-8..9)),
+    }
+}
+
+fn arb_f32(rng: &mut ChaCha8Rng) -> f32 {
+    match rng.gen_range(0..6) {
+        0 => f32::NAN,
+        1 => [0.1f32, -0.0, 16_777_216.0, f32::MAX, f32::MIN_POSITIVE][rng.gen_range(0..5)],
+        2 => f32::from_bits(rng.gen::<u32>()),
+        _ => rng.gen::<f32>() * 100.0,
+    }
+}
+
+fn arb_text(rng: &mut ChaCha8Rng) -> String {
+    const PIECES: [&str; 16] = [
+        "",
+        "a",
+        "style Layer-10003",
+        "\"",
+        "\\",
+        "/",
+        "\n",
+        "\r\t",
+        "\u{0}",
+        "\u{1f}",
+        "\u{7f}",
+        "é",
+        "布局",
+        "😀",
+        "\u{2028}",
+        "\\u0041",
+    ];
+    (0..rng.gen_range(0..5))
+        .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+        .collect()
+}
+
+fn arb_value(rng: &mut ChaCha8Rng, depth: u32) -> serde_json::Value {
+    use serde_json::{Number, Value};
+    match rng.gen_range(0..if depth == 0 { 6 } else { 8 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen()),
+        2 => Value::Number(Number::PosInt(arb_bits(rng))),
+        3 => Value::Number(Number::NegInt(-((arb_bits(rng) >> 1) as i64) - 1)),
+        4 => Value::Number(Number::Float(arb_f64(rng))),
+        5 => Value::String(arb_text(rng)),
+        6 => Value::Array(
+            (0..rng.gen_range(0..4))
+                .map(|_| arb_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::Object(
+            (0..rng.gen_range(0..4))
+                .map(|_| (arb_text(rng), arb_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+fn arb_choice(rng: &mut ChaCha8Rng) -> ProbeChoice {
+    match rng.gen_range(0..3) {
+        0 => ProbeChoice::Unit,
+        1 => ProbeChoice::Newtype(arb_f64(rng)),
+        _ => ProbeChoice::Named {
+            z: arb_bits(rng) as u16,
+            a: rng.gen::<bool>().then(|| arb_text(rng)),
+            m: (0..rng.gen_range(0..3))
+                .map(|_| (arb_bits(rng) as u8, rng.gen::<u64>() as i64))
+                .collect(),
+        },
+    }
+}
+
+fn arb_probe(rng: &mut ChaCha8Rng) -> Probe {
+    Probe {
+        wide: arb_bits(rng),
+        float: arb_f64(rng),
+        single: arb_f32(rng),
+        text: arb_text(rng),
+        nested: [None, Some(None), Some(Some(rng.gen::<u32>() as i32))][rng.gen_range(0..3)],
+        keyed: (0..rng.gen_range(0..3))
+            .map(|_| ((rng.gen(), arb_text(rng)), arb_bits(rng)))
+            .collect(),
+        hashed: (0..rng.gen_range(0..3))
+            .map(|_| {
+                (
+                    (arb_bits(rng) as u8, arb_text(rng)),
+                    rng.gen::<u64>() as i64,
+                )
+            })
+            .collect(),
+        a_b: rng.gen::<u32>() as i8,
+        a0: (rng.gen(), arb_f64(rng)),
+        ab: (
+            rng.gen::<u32>() as i16,
+            arb_text(rng),
+            rng.gen::<bool>().then(|| arb_bits(rng) as u8),
+        ),
+        choice: arb_choice(rng),
+        items: (0..rng.gen_range(0..3)).map(|_| arb_choice(rng)).collect(),
+        extra: (0..rng.gen_range(0..3)).map(|_| arb_f32(rng)).collect(),
+        boxed: Box::new(rng.gen::<bool>().then(|| arb_text(rng))),
+        any: arb_value(rng, 3),
+    }
+}
+
+/// One field at a time back to its default: what is left of a failing
+/// probe names the field (and so the impl) at fault.
+fn shrink_probe(probe: &Probe) -> Vec<Probe> {
+    let blank = Probe::default();
+    let mut out = Vec::new();
+    macro_rules! reset {
+        ($($field:ident),*) => {$(
+            if probe.$field != blank.$field {
+                let mut smaller = probe.clone();
+                smaller.$field = blank.$field.clone();
+                out.push(smaller);
+            }
+        )*};
+    }
+    // NaN never equals the default, so float fields always offer a
+    // reset; `minimize` stops once none of them keeps the failure.
+    reset!(
+        wide, float, single, text, nested, keyed, hashed, a_b, a0, ab, choice, items, extra, boxed,
+        any
+    );
+    out
+}
+
+#[test]
+fn codec_routes_agree_on_ten_thousand_random_values() {
+    shrink::check(
+        "codec_routes_agree_on_ten_thousand_random_values",
+        10_000,
+        14_000,
+        arb_probe,
+        shrink_probe,
+        codec_routes_agree,
+    );
+}
+
+/// A case of the product-type property: which recorded request/reply
+/// pair to wrap, in what envelope, plus fresh request-side content.
+#[derive(Debug, Clone)]
+struct WireCase {
+    kind: usize,
+    id: serde_json::Value,
+    tenant: Option<String>,
+    timing: chatpattern::Timing,
+    topology: Topology,
+    text: String,
+    stats: chatpattern::EngineStats,
+    error: chatpattern::WireError,
+}
+
+fn arb_wire_case(rng: &mut ChaCha8Rng) -> WireCase {
+    use chatpattern::qos::TenantLaneStats;
+    let small = arb_bits;
+    WireCase {
+        kind: rng.gen_range(0..usize::MAX),
+        // Any scalar a client may pick; floats finite, so that the id
+        // reads back as itself.
+        id: match arb_value(rng, 0) {
+            serde_json::Value::Number(serde_json::Number::Float(_)) => {
+                serde_json::to_value(&(rng.gen::<f64>() * 1e6))
+            }
+            scalar => scalar,
+        },
+        tenant: rng.gen::<bool>().then(|| arb_text(rng)),
+        timing: chatpattern::Timing {
+            micros: small(rng),
+            queue_micros: small(rng),
+            exec_micros: small(rng),
+            cached: rng.gen(),
+            coalesced: rng.gen(),
+        },
+        topology: arb_topology(rng),
+        text: arb_text(rng),
+        stats: chatpattern::EngineStats {
+            submitted: small(rng),
+            completed: small(rng),
+            cache_hits: small(rng),
+            sessions_spilled_ahead: small(rng),
+            snapshot_bytes_saved: small(rng),
+            queue_depths: (0..rng.gen_range(0..5))
+                .map(|_| rng.gen_range(0..9))
+                .collect(),
+            tenants: (0..rng.gen_range(0..3))
+                .map(|_| TenantLaneStats {
+                    tenant: arb_text(rng),
+                    lane: ["interactive", "standard", "batch"][rng.gen_range(0..3)].to_owned(),
+                    admitted: small(rng),
+                    rejected: small(rng),
+                    completed: small(rng),
+                    queue_micros: small(rng),
+                })
+                .collect(),
+            connections_peak: small(rng),
+            ..chatpattern::EngineStats::default()
+        },
+        error: chatpattern::WireError {
+            kind: ["InvalidRequest", "Overloaded", "Legalize"][rng.gen_range(0..3)].to_owned(),
+            message: arb_text(rng),
+            retry_after_ms: rng.gen::<bool>().then(|| small(rng)),
+        },
+    }
+}
+
+/// Every request kind next to a real reply to it, made once on a small
+/// system; the session kinds run as one dialog so the snapshot is a
+/// real one (kept at format 2, compacted, and rewritten as format 1).
+fn recorded_exchanges() -> Vec<(PatternRequest, chatpattern::PatternResponse)> {
+    use chatpattern::extend::ExtensionMethod;
+    use chatpattern::squish::Region;
+    use chatpattern::{
+        ExtendParams, ModifyParams, PatternService, ResponsePayload, SessionCloseParams,
+        SessionOpenParams, SessionRestoreParams, SessionSnapshotParams, SessionTurnParams,
+    };
+
+    let system = ChatPattern::builder()
+        .window(16)
+        .training_patterns(8)
+        .diffusion_steps(6)
+        .seed(5)
+        .build()
+        .expect("valid configuration");
+    let seed_topology = system
+        .generate(Style::Layer10003, 16, 16, 1, 1)
+        .expect("generates")
+        .remove(0);
+    let session = || "codec \"dialog\" é".to_owned();
+    let mut requests = vec![
+        PatternRequest::Chat(ChatParams {
+            request: "Generate 1 pattern, topology size 16*16, physical size 512nm x 512nm, \
+                      style Layer-10001."
+                .into(),
+            seed: Some(4),
+        }),
+        PatternRequest::Generate(GenerateParams {
+            style: Style::Layer10001,
+            rows: 16,
+            cols: 16,
+            count: 2,
+            seed: 2,
+        }),
+        PatternRequest::Extend(ExtendParams {
+            seed_topology: seed_topology.clone(),
+            rows: 24,
+            cols: 32,
+            method: ExtensionMethod::InPainting,
+            style: Style::Layer10003,
+            seed: 3,
+        }),
+        PatternRequest::Modify(ModifyParams {
+            known: seed_topology.clone(),
+            region: Region::new(2, 3, 9, 12),
+            style: Style::Layer10001,
+            seed: 4,
+        }),
+        PatternRequest::Legalize(LegalizeParams {
+            topology: seed_topology.clone(),
+            width_nm: 2048,
+            height_nm: 2048,
+            seed: 5,
+        }),
+        PatternRequest::Evaluate(EvaluateParams {
+            topologies: vec![seed_topology.clone(), seed_topology],
+            frame_nm: 2048,
+            seed: 6,
+        }),
+        PatternRequest::SessionOpen(SessionOpenParams {
+            session: session(),
+            seed: Some(8),
+        }),
+    ];
+    for utterance in [
+        "Generate 2 patterns, topology size 16*16, physical size 512nm x 512nm, style Layer-10003.",
+        "Now make them denser.",
+        "1 more pattern.",
+    ] {
+        requests.push(PatternRequest::SessionTurn(SessionTurnParams {
+            session: session(),
+            utterance: utterance.into(),
+        }));
+    }
+    requests.push(PatternRequest::SessionSnapshot(SessionSnapshotParams {
+        session: session(),
+    }));
+    requests.push(PatternRequest::SessionClose(SessionCloseParams {
+        session: session(),
+    }));
+
+    let mut exchanges: Vec<(PatternRequest, chatpattern::PatternResponse)> = requests
+        .into_iter()
+        .map(|request| {
+            let response = system
+                .execute(request.clone())
+                .unwrap_or_else(|e| panic!("{request:?} fails: {e}"));
+            (request, response)
+        })
+        .collect();
+
+    let snapshot = exchanges
+        .iter()
+        .find_map(|(_, response)| match &response.payload {
+            ResponsePayload::SessionSnapshot(snapshot) => Some((**snapshot).clone()),
+            _ => None,
+        })
+        .expect("the dialog exported a snapshot");
+    let mut compacted = snapshot.clone();
+    assert!(
+        compacted.compact(2) > 0,
+        "three turns leave something to drop"
+    );
+    let legacy = chatpattern::SessionSnapshot {
+        format: 1,
+        compaction: None,
+        ..snapshot
+    };
+    for snapshot in [compacted, legacy] {
+        let restore = PatternRequest::SessionRestore(SessionRestoreParams {
+            snapshot: Box::new(snapshot.clone()),
+        });
+        let response = system.execute(restore.clone()).expect("restores");
+        let export = system
+            .execute(PatternRequest::SessionSnapshot(SessionSnapshotParams {
+                session: session(),
+            }))
+            .expect("exports");
+        system.session_close(&session()).expect("closes");
+        exchanges.push((restore, response));
+        // The reply side of both formats: the restored session's own
+        // export and the snapshot that went in.
+        exchanges.push((
+            PatternRequest::SessionSnapshot(SessionSnapshotParams { session: session() }),
+            chatpattern::PatternResponse {
+                payload: ResponsePayload::SessionSnapshot(Box::new(snapshot)),
+                timing: export.timing,
+            },
+        ));
+        exchanges.push((
+            PatternRequest::SessionSnapshot(SessionSnapshotParams { session: session() }),
+            export,
+        ));
+    }
+    exchanges.push((
+        PatternRequest::Stats,
+        chatpattern::PatternResponse {
+            payload: ResponsePayload::Stats(chatpattern::EngineStats::default()),
+            timing: chatpattern::Timing::direct(1),
+        },
+    ));
+    exchanges
+}
+
+/// The variant tag of an externally tagged enum value.
+fn variant_tag<T: serde::Serialize>(value: &T) -> String {
+    match serde_json::to_value(value) {
+        serde_json::Value::String(tag) => tag,
+        serde_json::Value::Object(map) => map.keys().next().expect("one tag").clone(),
+        other => panic!("not an enum: {other}"),
+    }
+}
+
+fn check_wire_case(
+    exchanges: &[(PatternRequest, chatpattern::PatternResponse)],
+    case: &WireCase,
+) -> Result<(), String> {
+    use chatpattern::{
+        PatternResponse, RequestEnvelope, ResponseEnvelope, ResponsePayload, WireOutcome,
+    };
+    let (request, response) = &exchanges[case.kind % exchanges.len()];
+    // Fresh request-side content where the kind has room for it.
+    let mut request = request.clone();
+    match &mut request {
+        PatternRequest::Chat(params) => params.request.push_str(&case.text),
+        PatternRequest::SessionTurn(params) => params.utterance.push_str(&case.text),
+        PatternRequest::SessionOpen(params) => params.session.push_str(&case.text),
+        PatternRequest::Legalize(params) => params.topology = case.topology.clone(),
+        PatternRequest::Modify(params) => params.known = case.topology.clone(),
+        PatternRequest::Extend(params) => params.seed_topology = case.topology.clone(),
+        PatternRequest::Evaluate(params) => params.topologies.push(case.topology.clone()),
+        _ => {}
+    }
+    let mut payload = response.payload.clone();
+    if let ResponsePayload::Stats(stats) = &mut payload {
+        *stats = case.stats.clone();
+    }
+
+    codec_round_trips(&request)?;
+    codec_round_trips(&payload)?;
+    codec_round_trips(&case.stats)?;
+    if let ResponsePayload::SessionSnapshot(snapshot) = &payload {
+        codec_round_trips(&**snapshot)?;
+    }
+    let ok = ResponseEnvelope {
+        id: case.id.clone(),
+        outcome: WireOutcome::Ok(PatternResponse {
+            payload,
+            timing: case.timing,
+        }),
+    };
+    codec_round_trips(&ok)?;
+    let tree_line = serde_json::to_value(&ok).to_string();
+    if ok.to_line() != tree_line {
+        return Err("to_line is not the tree's text".into());
+    }
+    codec_round_trips(&ResponseEnvelope {
+        id: case.id.clone(),
+        outcome: WireOutcome::Err(case.error.clone()),
+    })?;
+
+    let envelope = RequestEnvelope {
+        id: case.id.clone(),
+        tenant: case.tenant.clone(),
+        request,
+    };
+    codec_round_trips(&envelope)?;
+    // The product's own decoder agrees with the plain typed read
+    // whenever the id is one it accepts.
+    let line = serde_json::to_string(&envelope).map_err(|e| e.to_string())?;
+    match chatpattern::core::wire::decode_request_line(&line) {
+        Ok(decoded) if decoded == envelope && !case.id.is_null() => {}
+        Err((id, _)) if case.id.is_null() && id.is_null() => {}
+        other => return Err(format!("{line} decodes as {other:?}")),
+    }
+    // And the cache key is the request's tree text.
+    if let Some(key) = chatpattern::core::routing::request_key(&envelope.request) {
+        let tree_key = serde_json::to_value(&envelope.request).to_string();
+        if key != tree_key {
+            return Err(format!("request_key {key} is not the tree's text"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn codec_routes_agree_on_every_wire_and_snapshot_type() {
+    let exchanges = recorded_exchanges();
+    // Nothing the protocol can say is missing from the recording.
+    let request_kinds: std::collections::BTreeSet<String> = exchanges
+        .iter()
+        .map(|(request, _)| variant_tag(request))
+        .collect();
+    let payload_kinds: std::collections::BTreeSet<String> = exchanges
+        .iter()
+        .map(|(_, response)| variant_tag(&response.payload))
+        .collect();
+    let all = [
+        "Chat",
+        "Evaluate",
+        "Extend",
+        "Generate",
+        "Legalize",
+        "Modify",
+        "SessionClose",
+        "SessionOpen",
+        "SessionRestore",
+        "SessionSnapshot",
+        "SessionTurn",
+        "Stats",
+    ];
+    assert_eq!(
+        request_kinds.iter().map(String::as_str).collect::<Vec<_>>(),
+        all
+    );
+    assert_eq!(
+        payload_kinds.iter().map(String::as_str).collect::<Vec<_>>(),
+        all
+    );
+    let formats: std::collections::BTreeSet<(u32, bool)> = exchanges
+        .iter()
+        .filter_map(|(_, response)| match &response.payload {
+            chatpattern::ResponsePayload::SessionSnapshot(s) => {
+                Some((s.format, s.compaction.is_some()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(
+        formats.contains(&(1, false))
+            && formats
+                .iter()
+                .any(|(format, compacted)| *format == 2 && *compacted),
+        "both snapshot formats are in the recording: {formats:?}"
+    );
+
+    shrink::check(
+        "codec_routes_agree_on_every_wire_and_snapshot_type",
+        40 * exchanges.len() as u64,
+        15_000,
+        arb_wire_case,
+        |_| Vec::new(),
+        |case| check_wire_case(&exchanges, case),
+    );
+}

@@ -895,3 +895,59 @@ fn snapshot_restore_errors_are_typed() {
         .expect_err("corrupt RNG state must be rejected");
     assert!(matches!(err, Error::SessionPersist { .. }), "{err:?}");
 }
+
+/// A snapshot the previous build's `chatpattern-serve` spilled
+/// (`--window 16 --training-patterns 8 --diffusion-steps 6 --seed 7
+/// --spill-ahead-turns 1`, session seed 21, two turns, the second with
+/// quotes and a non-ASCII letter in it) — written by the value-tree
+/// codec, before the streaming one existed.
+const PARENT_SPILLED: &str = include_str!("data/parent_spilled.session.json");
+
+/// The on-disk format did not move with the codec: the old build's
+/// file reads back and re-spills to the same bytes, and the session
+/// resumes here exactly as it resumed there — turn 3's outcome and the
+/// file after it are the ones that build produced over the same file
+/// (FNV-1a of its reply line's payload and of its directory, recorded
+/// when the fixture was made).
+#[test]
+fn snapshot_spilled_by_the_previous_build_restores_and_respills_identically() {
+    use chatpattern::core::routing::route_hash;
+
+    let snapshot: SessionSnapshot = serde_json::from_str(PARENT_SPILLED).expect("old file reads");
+    assert_eq!(snapshot.session, "handoff");
+    assert_eq!(
+        serde_json::to_string(&snapshot).expect("serializes"),
+        PARENT_SPILLED,
+        "a re-spill must not move a byte"
+    );
+
+    let dir = temp_dir("parent-spill");
+    let file = dir.join("handoff.session.json");
+    std::fs::write(&file, PARENT_SPILLED).expect("fixture copied");
+    let system = ChatPattern::builder()
+        .window(16)
+        .training_patterns(8)
+        .diffusion_steps(6)
+        .seed(7)
+        .session_dir(&dir)
+        .spill_ahead_turns(1)
+        .build()
+        .expect("valid configuration");
+    let turn = system
+        .session_turn("handoff", "1 more pattern.")
+        .expect("the spilled session resumes");
+    assert_eq!((turn.turn, turn.library.len()), (3, 4));
+    assert_eq!(
+        route_hash(&serde_json::to_string(&turn).expect("serializes")),
+        0x7dbf_10a9_461e_f37c,
+        "turn 3 differs from the previous build's"
+    );
+    let respilled = std::fs::read_to_string(&file).expect("spill-ahead rewrote the file");
+    assert_eq!(
+        (respilled.len(), route_hash(&respilled)),
+        (8177, 0xf631_a5bb_a955_189a),
+        "the file after turn 3 differs from the previous build's"
+    );
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -366,3 +366,52 @@ fn slow_reader_is_killed_at_the_high_water_mark() {
     assert_eq!(stats.connections_live, 0, "{stats:?}");
     handle.shutdown();
 }
+
+/// A line of 200 000 `[` fits the default line limit, and reading it
+/// used to recurse once per bracket until the stack ran out — one
+/// such line took the whole server down. On both transports it now
+/// earns the ordinary bad-JSON envelope and the same connection goes
+/// on serving.
+#[test]
+fn deeply_nested_line_is_refused_on_both_transports_and_the_connection_survives() {
+    let exercise = |addr: std::net::SocketAddr, transport: &str| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .expect("read timeout set");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        for open in ["[", "{\"id\":"] {
+            let mut bomb = open.repeat(200_000 / open.len());
+            bomb.push('\n');
+            stream.write_all(bomb.as_bytes()).expect("bomb written");
+            let reply = read_reply(&mut reader);
+            assert!(reply.id.is_null(), "{transport}: {reply:?}");
+            let WireOutcome::Err(error) = &reply.outcome else {
+                panic!("{transport}: a bomb must error: {reply:?}");
+            };
+            assert_eq!(error.kind, "InvalidRequest", "{transport}");
+            assert!(
+                error.message.contains("bad JSON") && error.message.contains("nesting deeper"),
+                "{transport}: {error:?}"
+            );
+        }
+        let valid = format!("{}\n", generate_line("after", 4));
+        stream.write_all(valid.as_bytes()).expect("valid written");
+        let reply = read_reply(&mut reader);
+        assert_eq!(reply.id.as_str(), Some("after"), "{transport}");
+        assert!(matches!(reply.outcome, WireOutcome::Ok(_)), "{transport}");
+    };
+
+    let threads_engine = build_engine();
+    let threads = NdjsonServer::bind("127.0.0.1:0", 8)
+        .expect("bind")
+        .conn_counters(threads_engine.conn_counters())
+        .spawn(Arc::new(EngineHandler::new(Arc::clone(&threads_engine))));
+    exercise(threads.local_addr(), "threads");
+    threads.shutdown();
+
+    let loop_engine = build_engine();
+    let event_loop = spawn_event_loop(&loop_engine, EventLoopConfig::default());
+    exercise(event_loop.local_addr(), "event-loop");
+    event_loop.shutdown();
+}

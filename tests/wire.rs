@@ -270,6 +270,50 @@ fn serve_round_trips_the_smoke_file_with_matching_ids() {
     }
 }
 
+/// The stdio face of the nesting bound: 200 000 open brackets on one
+/// line used to abort the process with a stack overflow; now the line
+/// gets the bad-JSON envelope and the next request is served.
+#[test]
+fn deeply_nested_line_is_refused_on_stdio_and_serve_keeps_answering() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"))
+        .args([
+            "--window",
+            "16",
+            "--training-patterns",
+            "8",
+            "--diffusion-steps",
+            "6",
+            "--workers",
+            "1",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve binary starts");
+    let mut client = InteractiveClient {
+        stdin: child.stdin.take().expect("stdin piped"),
+        lines: BufReader::new(child.stdout.take().expect("stdout piped")).lines(),
+    };
+    for bomb in ["[".repeat(200_000), "{\"request\":".repeat(20_000)] {
+        let refused = client.exchange(&bomb);
+        assert!(refused.id.is_null());
+        let WireOutcome::Err(error) = refused.outcome else {
+            panic!("a bomb must error");
+        };
+        assert_eq!(error.kind, "InvalidRequest");
+        assert!(
+            error.message.contains("bad JSON") && error.message.contains("nesting deeper"),
+            "{error:?}"
+        );
+    }
+    let served = client.exchange(r#"{"id":"after","request":"Stats"}"#);
+    assert_eq!(served.id.as_str(), Some("after"));
+    assert!(matches!(served.outcome, WireOutcome::Ok(_)));
+    drop(client);
+    assert!(child.wait().expect("serve exits").success());
+}
+
 /// A pre-removal worker behind a newer router still stamps the retired
 /// microbatching keys (`timing.batched`, `Stats.batched`,
 /// `Stats.batch_sizes`) on its replies; they must decode, ignored.
