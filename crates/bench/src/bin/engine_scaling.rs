@@ -18,8 +18,7 @@
 //! real spawned `chatpattern-router` fleet at several worker counts;
 //! skipped with a note when the release binaries are not built), a
 //! `connection_scaling` sweep (C idle + K active connections against
-//! an in-process loopback serve, the 64-thread-capped thread
-//! transport vs. the epoll event loop up to 1024 connections, with
+//! an in-process loopback serve, up to 1024 connections, with
 //! active-request p50/p99 and a sustained-idle-connection proof;
 //! shape it with `CP_CONN_IDLE` / `CP_CONN_ACTIVE` / `CP_CONN_CALLS`),
 //! and a
@@ -538,17 +537,20 @@ fn run_session_durability(
 }
 
 /// The Generate batch through an in-process TCP loopback
-/// (`NdjsonServer` + `EngineHandler`): pipelined (all requests in
+/// (`EventLoopServer` + `EngineHandler`): pipelined (all requests in
 /// flight, then collect) and strictly sequential (one call at a
 /// time). Returns `(pipelined_millis, sequential_millis)`.
 fn run_tcp_round_trip(system: &Arc<ChatPattern>, cfg: &BenchConfig, workers: usize) -> (f64, f64) {
     use chatpattern_core::wire::{RequestEnvelope, WireOutcome};
-    use cp_net::{ClientConfig, EngineHandler, NdjsonClient, NdjsonServer};
+    use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
 
     let engine = Arc::new(engine(system, BackendKind::ThreadPool, workers));
-    let server = NdjsonServer::bind("127.0.0.1:0", 4).expect("loopback bind");
+    let server =
+        EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default()).expect("loopback bind");
     let addr = server.local_addr().to_string();
-    let handle = server.spawn(Arc::new(EngineHandler::new(engine)));
+    let handle = server
+        .spawn(Arc::new(EngineHandler::new(engine)))
+        .expect("event loop spawns");
 
     let mut client = NdjsonClient::connect(&addr, ClientConfig::default()).expect("loopback dial");
     // Pipelined: write every envelope, then drain every reply (ids
@@ -721,13 +723,10 @@ struct ConnScale {
 /// transport + submit-path overhead — exactly what grows with the
 /// connection count). Afterwards every idle connection is pinged once;
 /// the count that still answers is the sustained-connection proof.
-/// The thread transport runs at its `DEFAULT_MAX_CONNECTIONS` cap; the
-/// event loop at its own (4096) default.
 #[cfg(unix)]
 fn run_connection_scaling(
     system: &Arc<ChatPattern>,
     workers: usize,
-    event_loop: bool,
     idle: usize,
     active: usize,
     calls: usize,
@@ -738,27 +737,13 @@ fn run_connection_scaling(
     let engine = Arc::new(engine(system, BackendKind::ThreadPool, workers));
     let counters = engine.conn_counters();
     let handler = Arc::new(EngineHandler::new(Arc::clone(&engine)));
-    enum Server {
-        Threads(cp_net::ServerHandle),
-        EventLoop(cp_net::EventLoopHandle),
-    }
-    let (addr, server) = if event_loop {
-        let server =
-            cp_net::EventLoopServer::bind("127.0.0.1:0", cp_net::EventLoopConfig::default())
-                .map_err(|e| format!("event-loop bind failed: {e}"))?
-                .conn_counters(counters);
-        let addr = server.local_addr().to_string();
-        let handle = server
-            .spawn(handler)
-            .map_err(|e| format!("event-loop spawn failed: {e}"))?;
-        (addr, Server::EventLoop(handle))
-    } else {
-        let server = cp_net::NdjsonServer::bind("127.0.0.1:0", cp_net::DEFAULT_MAX_CONNECTIONS)
-            .map_err(|e| format!("thread-server bind failed: {e}"))?
-            .conn_counters(counters);
-        let addr = server.local_addr().to_string();
-        (addr, Server::Threads(server.spawn(handler)))
-    };
+    let server = cp_net::EventLoopServer::bind("127.0.0.1:0", cp_net::EventLoopConfig::default())
+        .map_err(|e| format!("event-loop bind failed: {e}"))?
+        .conn_counters(counters);
+    let addr = server.local_addr().to_string();
+    let server = server
+        .spawn(handler)
+        .map_err(|e| format!("event-loop spawn failed: {e}"))?;
 
     let config = ClientConfig::default();
     let mut idle_conns = Vec::with_capacity(idle);
@@ -817,10 +802,7 @@ fn run_connection_scaling(
     }
     let peak = engine.stats().connections_peak;
     drop(idle_conns);
-    match server {
-        Server::Threads(handle) => handle.shutdown(),
-        Server::EventLoop(handle) => handle.shutdown(),
-    }
+    server.shutdown();
     Ok(ConnScale {
         p50_ms,
         p99_ms,
@@ -884,14 +866,13 @@ fn parse_check_args() -> Option<CheckMode> {
 /// descriptive fields (backend, workers, …) so rows match across runs
 /// even when their order changes.
 fn collect_millis(prefix: &str, value: &serde_json::Value, out: &mut Vec<(String, f64)>) {
-    const IDENTITY_KEYS: [&str; 8] = [
+    const IDENTITY_KEYS: [&str; 7] = [
         "backend",
         "workers",
         "shards",
         "sessions",
         "turns_per_session",
         "tenant",
-        "transport",
         "connections",
     ];
     match value {
@@ -1221,60 +1202,39 @@ fn main() {
         }
     }
 
-    // Connection scaling: C idle + K active connections, thread
-    // transport at its 64-connection cap vs. the event loop up to
-    // 1024. The sustained count proves every idle connection still
-    // answers after the active burst.
+    // Connection scaling: C idle + K active connections, up to 1024.
+    // The sustained count proves every idle connection still answers
+    // after the active burst.
     let mut conn_rows = String::new();
     let conn_active = sweep("CP_CONN_ACTIVE", "4").first().copied().unwrap_or(4);
     let conn_calls = sweep("CP_CONN_CALLS", "25").first().copied().unwrap_or(25);
-    let thread_cap = cp_net::DEFAULT_MAX_CONNECTIONS;
     #[cfg(unix)]
     {
         cp_net::raise_nofile_limit();
-        let loop_idle = sweep("CP_CONN_IDLE", "32,256,512,1024");
-        // `sweep` drops zeros, so the thread transport's idle list is
-        // fixed: bare active conns, then idle near its 64-conn cap.
-        let sweeps: [(&str, bool, Vec<usize>); 2] = [
-            ("threads", false, vec![0, 32]),
-            ("event-loop", true, loop_idle),
-        ];
-        for (transport, event_loop, idles) in sweeps {
-            for &idle in &idles {
-                let total = idle + conn_active;
-                match run_connection_scaling(
-                    &system,
-                    max_workers,
-                    event_loop,
-                    idle,
-                    conn_active,
-                    conn_calls,
-                ) {
-                    Ok(scale) => {
-                        println!(
-                            "  connection_scaling {transport:<10} {total:5} conns   \
-                             p50 {:7.2} ms  p99 {:7.2} ms  ({}/{idle} idle sustained)",
-                            scale.p50_ms, scale.p99_ms, scale.sustained
-                        );
-                        let _ = write!(
-                            conn_rows,
-                            "{}{{\"transport\":\"{transport}\",\"connections\":{total},\
-                             \"idle\":{idle},\"active\":{conn_active},\
-                             \"sustained\":{},\"peak_connections\":{},\
-                             \"p50_millis\":{:.3},\"p99_millis\":{:.3}}}",
-                            if conn_rows.is_empty() { "" } else { "," },
-                            scale.sustained,
-                            scale.peak,
-                            scale.p50_ms,
-                            scale.p99_ms,
-                        );
-                    }
-                    Err(reason) => {
-                        println!(
-                            "  connection_scaling {transport:<10} {total:5} conns   \
-                             skipped: {reason}"
-                        );
-                    }
+        for idle in sweep("CP_CONN_IDLE", "32,256,512,1024") {
+            let total = idle + conn_active;
+            match run_connection_scaling(&system, max_workers, idle, conn_active, conn_calls) {
+                Ok(scale) => {
+                    println!(
+                        "  connection_scaling {total:5} conns   \
+                         p50 {:7.2} ms  p99 {:7.2} ms  ({}/{idle} idle sustained)",
+                        scale.p50_ms, scale.p99_ms, scale.sustained
+                    );
+                    let _ = write!(
+                        conn_rows,
+                        "{}{{\"connections\":{total},\
+                         \"idle\":{idle},\"active\":{conn_active},\
+                         \"sustained\":{},\"peak_connections\":{},\
+                         \"p50_millis\":{:.3},\"p99_millis\":{:.3}}}",
+                        if conn_rows.is_empty() { "" } else { "," },
+                        scale.sustained,
+                        scale.peak,
+                        scale.p50_ms,
+                        scale.p99_ms,
+                    );
+                }
+                Err(reason) => {
+                    println!("  connection_scaling {total:5} conns   skipped: {reason}");
                 }
             }
         }
@@ -1350,8 +1310,7 @@ fn main() {
          \"sequential_requests_per_sec\":{tcp_sequential_rps:.3}}},\
          \"router_fanout\":[{router_rows}],\
          \"connection_scaling\":{{\"active\":{conn_active},\
-         \"calls_per_conn\":{conn_calls},\
-         \"thread_cap\":{thread_cap},\"rows\":[{conn_rows}]}},\
+         \"calls_per_conn\":{conn_calls},\"rows\":[{conn_rows}]}},\
          \"hot_loops\":{{\"rects\":{HOT_RECTS},\"reps\":{HOT_REPS},\
          \"grid_rows\":{hot_rows},\"grid_cols\":{hot_cols},\
          \"union_area_millis\":{union_ms:.3},\

@@ -33,10 +33,15 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+/// What [`JobHandle::on_done`](crate::JobHandle::on_done) registers.
+pub(crate) type DoneFn = Box<dyn FnOnce(Result<PatternResponse, Error>) + Send>;
+
 /// Lifecycle of one submitter's view of a job.
 pub(crate) enum JobState {
-    /// The result has not been delivered to this handle yet.
-    Pending,
+    /// The result has not been delivered to this handle yet. `Some`
+    /// once the handle was consumed by `on_done`: the result then goes
+    /// to the callback instead of being parked for `wait`.
+    Pending(Option<DoneFn>),
     /// Finished; `wait` returns immediately.
     Done {
         /// Whether this handle was cancelled (detached) rather than
@@ -64,7 +69,7 @@ impl JobShared {
     /// A job still waiting for its result.
     pub(crate) fn pending() -> Arc<JobShared> {
         Arc::new(JobShared {
-            state: Mutex::new(JobState::Pending),
+            state: Mutex::new(JobState::Pending(None)),
             done: Condvar::new(),
             submitted_at: Instant::now(),
         })
@@ -87,32 +92,64 @@ impl JobShared {
     /// the result was delivered. On delivery, `counted` runs under the
     /// job lock *before* any waiter can observe the result — this is
     /// what keeps stats counters consistent with what `wait` returned.
+    /// A registered `on_done` callback takes the result instead, on
+    /// this thread, after the job lock is released.
     pub(crate) fn finish_if_pending(
         &self,
         result: Result<PatternResponse, Error>,
         counted: impl FnOnce(),
     ) -> bool {
         let mut state = self.state.lock().expect("job lock");
-        match *state {
-            JobState::Pending => {
+        let JobState::Pending(on_done) = &mut *state else {
+            return false;
+        };
+        let on_done = on_done.take();
+        counted();
+        match on_done {
+            Some(on_done) => {
+                *state = JobState::Done {
+                    cancelled: false,
+                    result: None,
+                };
+                drop(state);
+                on_done(result);
+            }
+            None => {
                 *state = JobState::Done {
                     cancelled: false,
                     result: Some(Box::new(result)),
                 };
-                counted();
                 self.done.notify_all();
-                true
             }
-            JobState::Done { .. } => false,
+        }
+        true
+    }
+
+    /// Hands the result to `on_done` exactly once: right here when the
+    /// job already finished, otherwise from whichever thread finishes
+    /// it — in both cases outside the job lock.
+    pub(crate) fn on_done(&self, on_done: DoneFn) {
+        let mut state = self.state.lock().expect("job lock");
+        match &mut *state {
+            JobState::Pending(slot) => *slot = Some(on_done),
+            JobState::Done { result, .. } => {
+                let result = result
+                    .take()
+                    .expect("on_done consumes the handle, so the result is untaken");
+                drop(state);
+                on_done(*result);
+            }
         }
     }
 
     /// Marks the handle cancelled if its result has not been delivered
-    /// yet. Returns whether the cancellation won.
+    /// yet. Returns whether the cancellation won. (Only a live handle
+    /// can cancel, and `on_done` consumes the handle, so no callback
+    /// is ever pending here.)
     pub(crate) fn cancel_if_pending(&self) -> bool {
         let mut state = self.state.lock().expect("job lock");
         match *state {
-            JobState::Pending => {
+            JobState::Pending(_) => {
                 *state = JobState::Done {
                     cancelled: true,
                     result: Some(Box::new(Err(Error::Cancelled))),
@@ -140,7 +177,7 @@ impl JobShared {
     /// `Some(cancelled)` when done, `None` while pending.
     pub(crate) fn done_state(&self) -> Option<bool> {
         match &*self.state.lock().expect("job lock") {
-            JobState::Pending => None,
+            JobState::Pending(_) => None,
             JobState::Done { cancelled, .. } => Some(*cancelled),
         }
     }

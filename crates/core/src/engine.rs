@@ -9,6 +9,7 @@
 //!   [`JobHandle`] immediately (or [`Error::QueueFull`] when the
 //!   target bounded queue is at capacity);
 //! * [`JobHandle::wait`] blocks for the result,
+//!   [`JobHandle::on_done`] has it delivered to a callback instead,
 //!   [`JobHandle::try_status`] polls without blocking, and
 //!   [`JobHandle::cancel`] detaches a handle whose result has not been
 //!   delivered yet, reporting [`Error::Cancelled`] to that handle only;
@@ -363,7 +364,7 @@ fn stable_route(input: &str) -> u64 {
 /// [`JobHandle::cancel`] detaches only this handle. Dropping the
 /// handle does not cancel anything; the shared execution still runs
 /// (and a cacheable result still lands in the cache).
-#[must_use = "a JobHandle should be waited on, polled or cancelled"]
+#[must_use = "a JobHandle should be waited on, given a callback, polled or cancelled"]
 pub struct JobHandle {
     shared: Arc<JobShared>,
     /// `None` only for handles born finished (cache hits). Inline
@@ -406,6 +407,21 @@ impl JobHandle {
     /// coalesce onto executions whose dispatch already succeeded.
     pub fn wait(self) -> Result<PatternResponse, Error> {
         self.shared.wait()
+    }
+
+    /// Delivers the result to `on_done` instead of to a waiting
+    /// thread. The callback runs exactly once, with what
+    /// [`JobHandle::wait`] would have returned, on the thread that
+    /// finishes the job: an engine worker — or, for a handle that is
+    /// already finished (a cache hit, `Stats`, the inline backend, a
+    /// job that completed in the meantime), the calling thread, before
+    /// this returns. A job still queued when the engine is dropped
+    /// reports [`Error::Cancelled`] from the dropping thread. No engine
+    /// lock is held around the call, so the callback may submit to the
+    /// same engine; on a worker it delays that worker's next job, so
+    /// it must not block.
+    pub fn on_done(self, on_done: impl FnOnce(Result<PatternResponse, Error>) + Send + 'static) {
+        self.shared.on_done(Box::new(on_done));
     }
 
     /// Current lifecycle stage, without blocking.
@@ -943,6 +959,7 @@ mod tests {
     use super::*;
     use crate::{ChatParams, GenerateParams, ResponsePayload};
     use cp_dataset::Style;
+    use std::sync::{mpsc, Condvar, Mutex};
     use std::thread;
     use std::time::Duration;
 
@@ -1236,6 +1253,190 @@ mod tests {
             handle.wait().expect("completes");
         }
         assert_eq!(engine.stats().completed, 6);
+    }
+
+    /// A service whose jobs block until the test opens the gate, so a
+    /// test decides which handles are still queued when it acts.
+    struct GatedService {
+        open: Arc<(Mutex<bool>, Condvar)>,
+    }
+
+    impl PatternService for GatedService {
+        fn execute(&self, _request: PatternRequest) -> Result<PatternResponse, Error> {
+            let (open, opened) = &*self.open;
+            let mut open = open.lock().expect("gate lock");
+            while !*open {
+                open = opened.wait(open).expect("gate wait");
+            }
+            Ok(PatternResponse {
+                payload: ResponsePayload::Generate(Vec::new()),
+                timing: Timing::direct(0),
+            })
+        }
+    }
+
+    /// One worker over a [`GatedService`], plus the closure that opens
+    /// the gate.
+    fn gated_engine() -> (Arc<PatternEngine<GatedService>>, impl Fn()) {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let engine = PatternEngine::with_config(
+            GatedService {
+                open: Arc::clone(&gate),
+            },
+            EngineConfig {
+                backend: BackendKind::ThreadPool,
+                workers: 1,
+                queue_depth: 8,
+                cache_capacity: 0,
+            },
+        )
+        .expect("valid config");
+        let open = move || {
+            *gate.0.lock().expect("gate lock") = true;
+            gate.1.notify_all();
+        };
+        (Arc::new(engine), open)
+    }
+
+    /// What an `on_done` callback saw: the result and the name of the
+    /// thread it ran on.
+    type Delivery = (Result<PatternResponse, Error>, Option<String>);
+
+    /// Registers a callback that reports its [`Delivery`] on a channel.
+    /// The callback owns the only sender, so a second `recv` failing
+    /// with a disconnect proves it ran once and was dropped.
+    fn deliver(handle: JobHandle) -> mpsc::Receiver<Delivery> {
+        let (sender, receiver) = mpsc::channel();
+        handle.on_done(move |result| {
+            let _ = sender.send((result, thread::current().name().map(str::to_owned)));
+        });
+        receiver
+    }
+
+    fn on_a_worker(name: &Option<String>) -> bool {
+        name.as_deref()
+            .is_some_and(|name| name.starts_with("pattern-engine-"))
+    }
+
+    #[test]
+    fn on_done_of_a_finished_handle_runs_before_it_returns() {
+        let here = thread::current().name().map(str::to_owned);
+        let inline = PatternEngine::with_config(
+            SlowService {
+                delay: Duration::ZERO,
+            },
+            EngineConfig {
+                backend: BackendKind::Inline,
+                workers: 1,
+                queue_depth: 1,
+                cache_capacity: 4,
+            },
+        )
+        .expect("valid config");
+        // Inline execution, then a cache hit of it, then Stats: all
+        // three handles are finished when `submit` returns, so the
+        // delivery is already in the channel when `deliver` returns.
+        for (request, cached) in [
+            (generate(1), false),
+            (generate(1), true),
+            (PatternRequest::Stats, false),
+        ] {
+            let deliveries = deliver(inline.submit(request).expect("inline never overflows"));
+            let (result, ran_on) = deliveries.try_recv().expect("ran before on_done returned");
+            assert_eq!(result.expect("completes").timing.cached, cached);
+            assert_eq!(ran_on, here, "a finished handle calls back on the caller");
+            assert!(matches!(
+                deliveries.try_recv(),
+                Err(mpsc::TryRecvError::Disconnected)
+            ));
+        }
+    }
+
+    #[test]
+    fn on_done_of_a_queued_job_runs_once_on_the_worker() {
+        let (engine, open_gate) = gated_engine();
+        let _running = engine.submit(generate(1)).expect("submits");
+        let queued = engine.submit(generate(2)).expect("submits");
+        assert_eq!(queued.try_status(), JobStatus::Queued);
+        let deliveries = deliver(queued);
+        assert!(deliveries.try_recv().is_err(), "nothing before completion");
+        open_gate();
+        let (result, ran_on) = deliveries.recv().expect("delivered");
+        let response = result.expect("completes");
+        assert!(!response.timing.coalesced);
+        assert!(on_a_worker(&ran_on), "ran on {ran_on:?}");
+        assert!(deliveries.recv().is_err(), "exactly one delivery");
+        let stats = engine.stats();
+        assert_eq!(stats.completed, 2, "counted before the callback ran");
+    }
+
+    #[test]
+    fn on_done_reaches_every_coalesced_waiter_with_its_own_timing() {
+        let (engine, open_gate) = gated_engine();
+        let _running = engine.submit(generate(1)).expect("submits");
+        let leader = deliver(engine.submit(generate(2)).expect("submits"));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| deliver(engine.submit(generate(2)).expect("submits")))
+            .collect();
+        open_gate();
+        let (result, ran_on) = leader.recv().expect("leader delivered");
+        assert!(!result.expect("completes").timing.coalesced);
+        assert!(on_a_worker(&ran_on));
+        for waiter in waiters {
+            let (result, ran_on) = waiter.recv().expect("waiter delivered");
+            let timing = result.expect("completes").timing;
+            assert!(timing.coalesced, "a waiter's timing says so: {timing:?}");
+            assert_eq!(timing.micros, timing.queue_micros + timing.exec_micros);
+            assert!(on_a_worker(&ran_on));
+            assert!(waiter.recv().is_err(), "exactly one delivery per waiter");
+        }
+        assert_eq!(engine.stats().coalesced, 2);
+    }
+
+    #[test]
+    fn on_done_of_a_job_queued_at_engine_drop_reports_cancelled() {
+        let (engine, open_gate) = gated_engine();
+        let _running = engine.submit(generate(1)).expect("submits");
+        let deliveries = deliver(engine.submit(generate(2)).expect("submits"));
+        // Dropping drains the queue, then joins the worker — which is
+        // parked at the gate, so it has to be opened from the side.
+        // Nothing outside the engine shows that the drain has happened;
+        // the pause only has to outlast the first lines of `drop`.
+        let engine = Arc::try_unwrap(engine).expect("sole owner");
+        let opener = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(200));
+            open_gate();
+        });
+        drop(engine);
+        opener.join().expect("opener finishes");
+        let (result, _) = deliveries.recv().expect("delivered");
+        assert!(matches!(result, Err(Error::Cancelled)), "{result:?}");
+        assert!(deliveries.recv().is_err(), "exactly one delivery");
+    }
+
+    #[test]
+    fn on_done_may_submit_the_identical_request_again() {
+        // The callback runs outside the broker lock: re-admitting the
+        // very key whose completion is being delivered must not
+        // deadlock, and leads a fresh execution (the cache is off).
+        let (engine, open_gate) = gated_engine();
+        let (sender, resubmitted) = mpsc::channel();
+        let again = Arc::clone(&engine);
+        engine
+            .submit(generate(1))
+            .expect("submits")
+            .on_done(move |result| {
+                result.expect("first execution completes");
+                let _ = sender.send(again.submit(generate(1)));
+            });
+        open_gate();
+        let second = resubmitted
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the callback returned")
+            .expect("re-admitted");
+        let response = second.wait().expect("second execution completes");
+        assert!(!response.timing.cached && !response.timing.coalesced);
+        assert_eq!(engine.stats().cache_misses, 2);
     }
 
     /// A service that panics on every request.

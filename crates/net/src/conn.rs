@@ -1,7 +1,7 @@
-//! Per-connection state for the event-loop transport: incremental
-//! NDJSON framing over a non-blocking socket, and a bounded outbound
-//! queue that lets completion threads hand replies to the loop without
-//! ever blocking on a slow peer.
+//! Per-connection state for the event loop: incremental NDJSON framing
+//! over a non-blocking socket, and a bounded outbound queue that lets
+//! engine workers hand replies to the loop without ever blocking on a
+//! slow peer.
 
 use crate::poller::Interest;
 use std::collections::VecDeque;
@@ -10,13 +10,15 @@ use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::{Arc, Mutex};
 
-/// Default per-line byte cap (a single envelope larger than this is
-/// rejected with an error envelope, not buffered without bound).
-pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
-
 /// Default per-connection outbound high-water mark: a peer that falls
 /// this many unread reply bytes behind is disconnected.
 pub const DEFAULT_OUTBOUND_HIGH_WATER: usize = 8 << 20;
+
+/// Default per-line byte cap (a single envelope larger than this is
+/// rejected with an error envelope, not buffered without bound). The
+/// same figure as the outbound mark, so any line a server can emit —
+/// a session snapshot, say — it can also take back.
+pub const DEFAULT_MAX_LINE_BYTES: usize = DEFAULT_OUTBOUND_HIGH_WATER;
 
 /// One framing product from [`LineFramer::push`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,7 +123,7 @@ struct OutboundInner {
     killed: bool,
 }
 
-/// The outbound side of one event-loop connection. Completion threads
+/// The outbound side of one event-loop connection. Engine workers
 /// push framed reply lines (via [`QueueWriter`] under a `LineSink`);
 /// the loop thread drains the queue into the non-blocking socket.
 /// Pushing never blocks: past `high_water` buffered bytes the queue
@@ -220,7 +222,9 @@ impl Write for QueueWriter {
 pub enum ReadOutcome {
     /// Socket drained to `WouldBlock`; connection still live.
     Open,
-    /// Peer closed (EOF or a disconnect-class error).
+    /// The peer finished sending (EOF). It may still be reading.
+    Eof,
+    /// The connection failed (a reset or another read error).
     Closed,
 }
 
@@ -277,11 +281,12 @@ impl NonblockingConn {
     }
 
     /// Drains the readable socket, appending framing products to
-    /// `out`. Returns [`ReadOutcome::Closed`] on EOF or disconnect.
+    /// `out`, until it would block, ends ([`ReadOutcome::Eof`]) or
+    /// fails ([`ReadOutcome::Closed`]).
     pub fn read_ready(&mut self, scratch: &mut [u8], out: &mut Vec<Framed>) -> ReadOutcome {
         loop {
             match self.stream.read(scratch) {
-                Ok(0) => return ReadOutcome::Closed,
+                Ok(0) => return ReadOutcome::Eof,
                 Ok(n) => self.framer.push(&scratch[..n], out),
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return ReadOutcome::Open,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}

@@ -1,30 +1,33 @@
-//! The readiness-driven NDJSON transport: one loop thread multiplexing
-//! thousands of connections.
+//! The NDJSON-over-TCP server: one readiness-driven loop thread
+//! multiplexing thousands of connections.
 //!
-//! The blocking [`NdjsonServer`](crate::NdjsonServer) spends a thread per
-//! connection, so its ceiling is thread count (`--max-connections`,
-//! default 64). Interactive dialog workloads are dominated by mostly-idle
-//! connections — exactly where readiness polling wins. This module serves
-//! the same [`ConnectionHandler`] contract, byte-identical on the wire,
-//! with a different execution shape:
+//! Interactive dialog workloads are dominated by mostly-idle
+//! connections, which is where readiness polling costs two buffers per
+//! connection instead of a thread:
 //!
 //! * **accept / read / frame** happen on the single loop thread over
 //!   non-blocking sockets ([`Poller`]: epoll on Linux, `poll(2)`
 //!   fallback elsewhere);
-//! * complete lines go to the handler exactly as in the thread server —
-//!   for [`EngineHandler`](crate::EngineHandler) that is the engine's
-//!   non-blocking `submit` path, so the loop never waits on inference;
-//! * **replies** are pushed by completion threads into a per-connection
-//!   [`OutboundQueue`] and the loop is poked through a [`WakePipe`]; the
-//!   loop writes them out as sockets accept bytes. The loop never blocks
-//!   on a slow client: past the configured high-water mark the client is
-//!   disconnected (a *backpressure kill*, reported separately from clean
-//!   closes in the engine's connection counters).
+//! * complete lines go to the [`ConnectionHandler`], which must not
+//!   block — for [`EngineHandler`](crate::EngineHandler) that is the
+//!   engine's non-blocking `submit` path, so the loop never waits on
+//!   inference;
+//! * **replies** are pushed — by the engine worker that finished the
+//!   job — into a per-connection [`OutboundQueue`](crate::OutboundQueue)
+//!   and the loop is poked through a [`WakePipe`]; the loop writes them
+//!   out as sockets accept bytes. The loop never blocks on a slow
+//!   client: past the configured high-water mark the client is
+//!   disconnected (a *backpressure kill*, reported separately from
+//!   clean closes in the engine's connection counters);
+//! * a peer that **half-closes** (EOF on our read side) has said "no
+//!   more requests", nothing else: the connection stays until every
+//!   reply owed for the lines it sent has been written, then closes
+//!   clean. A reset, a write error or a kill closes at once.
 
 use crate::conn::{FlushOutcome, Framed, NonblockingConn, ReadOutcome};
 use crate::conn::{DEFAULT_MAX_LINE_BYTES, DEFAULT_OUTBOUND_HIGH_WATER};
+use crate::handler::ConnectionHandler;
 use crate::poller::{Interest, PollEvent, Poller, WakePipe};
-use crate::server::ConnectionHandler;
 use crate::sink::LineSink;
 use chatpattern_core::wire::ResponseEnvelope;
 use chatpattern_core::{ConnCounters, Error};
@@ -36,16 +39,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Default connection cap for the event-loop transport — two orders of
-/// magnitude above the thread transport's default, bounded by fd budget
-/// and per-connection buffer memory rather than by threads.
+/// Default connection cap — bounded by fd budget and per-connection
+/// buffer memory, not by threads.
 pub const DEFAULT_EVENT_LOOP_CONNECTIONS: usize = 4096;
 
 /// Tuning for [`EventLoopServer`].
 #[derive(Debug, Clone)]
 pub struct EventLoopConfig {
     /// Accepts pause (connections queue in the OS backlog) at this many
-    /// live connections.
+    /// live connections (≥ 1).
     pub max_connections: usize,
     /// Longest accepted request line; longer lines are answered with an
     /// error envelope and discarded without unbounded buffering.
@@ -71,14 +73,15 @@ impl Default for EventLoopConfig {
 
 /// Why a connection left the loop.
 enum CloseReason {
-    /// EOF, reset, or a write to a vanished peer.
+    /// The peer finished and was answered, a reset, or a write to a
+    /// vanished peer.
     Clean,
     /// The outbound queue overflowed its high-water mark.
     Backpressure,
 }
 
-/// State shared between the loop thread, completion threads (via each
-/// queue's notify hook), and the handle.
+/// State shared between the loop thread, whoever pushes replies (via
+/// each queue's notify hook), and the handle.
 struct Shared {
     /// Tokens whose outbound queues need loop attention.
     dirty: Mutex<Vec<u64>>,
@@ -86,10 +89,9 @@ struct Shared {
     stop: AtomicBool,
 }
 
-/// A bound-but-not-yet-serving event-loop server; mirrors
-/// [`NdjsonServer`](crate::NdjsonServer)'s bind → `local_addr` →
-/// [`spawn`](EventLoopServer::spawn) shape so serve binaries can switch
-/// transports behind one flag.
+/// A bound-but-not-yet-serving server: `bind` first (so callers can
+/// learn the OS-assigned port under `:0`), then
+/// [`spawn`](EventLoopServer::spawn) the loop.
 pub struct EventLoopServer {
     listener: TcpListener,
     addr: SocketAddr,
@@ -102,8 +104,15 @@ impl EventLoopServer {
     ///
     /// # Errors
     ///
-    /// Any socket-level bind failure.
+    /// Any socket-level bind failure; `InvalidInput` for a connection
+    /// cap of zero (a server that would never accept).
     pub fn bind(addr: impl ToSocketAddrs, config: EventLoopConfig) -> io::Result<EventLoopServer> {
+        if config.max_connections == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "max_connections must be at least 1 (got 0)",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(EventLoopServer {
@@ -170,8 +179,10 @@ impl EventLoopServer {
     }
 }
 
-/// A running event-loop server; same surface as
-/// [`ServerHandle`](crate::ServerHandle).
+/// A running server. Dropping the handle *without* calling
+/// [`EventLoopHandle::shutdown`] leaves the loop running for the life
+/// of the process (what a serve binary wants); `shutdown` quiesces,
+/// flushes and joins it (what tests want).
 pub struct EventLoopHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -218,6 +229,9 @@ const FIRST_CONN_TOKEN: u64 = 2;
 struct Slot {
     conn: NonblockingConn,
     sink: Arc<LineSink>,
+    /// The peer sent EOF: no more requests, READ interest dropped; the
+    /// connection goes once nothing is owed and nothing is queued.
+    read_closed: bool,
 }
 
 struct LoopState<H: ConnectionHandler> {
@@ -269,8 +283,8 @@ impl<H: ConnectionHandler> LoopState<H> {
             if wake_ready {
                 self.shared.wake.drain();
             }
-            // Drain the dirty list every pass: completion threads may
-            // have queued replies whose wake byte raced this wait.
+            // Drain the dirty list every pass: a worker may have
+            // queued a reply whose wake byte raced this wait.
             self.flush_dirty();
             if accept_ready {
                 self.accept_ready();
@@ -333,7 +347,14 @@ impl<H: ConnectionHandler> LoopState<H> {
                     if let Some(counters) = &self.counters {
                         counters.connected();
                     }
-                    self.conns.insert(token, Slot { conn, sink });
+                    self.conns.insert(
+                        token,
+                        Slot {
+                            conn,
+                            sink,
+                            read_closed: false,
+                        },
+                    );
                 }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
@@ -371,6 +392,12 @@ impl<H: ConnectionHandler> LoopState<H> {
             let Some(slot) = self.conns.get_mut(&token) else {
                 return;
             };
+            if slot.read_closed {
+                // READ interest is gone, so this is an error or a full
+                // hangup: the peer is not reading any more either.
+                self.close(token, CloseReason::Clean);
+                return;
+            }
             let mut scratch = [0u8; 16 * 1024];
             let outcome = slot.conn.read_ready(&mut scratch, &mut products);
             (outcome, Arc::clone(&slot.sink))
@@ -393,44 +420,50 @@ impl<H: ConnectionHandler> LoopState<H> {
                 }
             }
         }
-        if sink.has_failed() {
+        if sink.has_failed() || outcome == ReadOutcome::Closed {
             self.close(token, CloseReason::Clean);
             return;
         }
-        match outcome {
-            ReadOutcome::Closed => self.close(token, CloseReason::Clean),
-            // Opportunistic flush: synchronous replies (decode errors,
-            // typed back-pressure) go out this pass instead of waiting
-            // for the wake pipe.
-            ReadOutcome::Open => self.flush_token(token),
+        if outcome == ReadOutcome::Eof {
+            if let Some(slot) = self.conns.get_mut(&token) {
+                slot.read_closed = true;
+            }
         }
+        // Opportunistic flush: synchronous replies (decode errors,
+        // typed back-pressure) go out this pass instead of waiting for
+        // the wake pipe. After an EOF it also drops READ interest (a
+        // level-triggered EOF would refire every pass) and closes a
+        // connection that is owed nothing.
+        self.flush_token(token);
     }
 
+    /// Writes what the socket will take, keeps the registered interest
+    /// in step (READ until the peer's EOF, WRITE while bytes are
+    /// queued), and closes a connection that is finished: killed,
+    /// failed, or — after the peer's EOF — answered in full.
     fn flush_token(&mut self, token: u64) {
-        let (fd, outcome, interest) = {
-            let Some(slot) = self.conns.get_mut(&token) else {
-                return;
-            };
-            (
-                slot.conn.raw_fd(),
-                slot.conn.flush_ready(),
-                slot.conn.interest,
-            )
+        let Some(slot) = self.conns.get_mut(&token) else {
+            return;
         };
+        // Asked before the flush: a reply the sink no longer counts is
+        // in the queue by now, so if the flush then leaves the queue
+        // empty, that reply has been written.
+        let answered = slot.read_closed && slot.sink.owed() == 0;
+        let outcome = slot.conn.flush_ready();
         match outcome {
-            FlushOutcome::Idle => {
-                if interest.writable && self.poller.modify(fd, token, Interest::READ).is_ok() {
-                    if let Some(slot) = self.conns.get_mut(&token) {
-                        slot.conn.interest = Interest::READ;
-                    }
-                }
-            }
-            FlushOutcome::Pending => {
-                if !interest.writable && self.poller.modify(fd, token, Interest::READ_WRITE).is_ok()
+            FlushOutcome::Idle if answered => self.close(token, CloseReason::Clean),
+            FlushOutcome::Idle | FlushOutcome::Pending => {
+                let wanted = Interest {
+                    readable: !slot.read_closed,
+                    writable: outcome == FlushOutcome::Pending,
+                };
+                if wanted != slot.conn.interest
+                    && self
+                        .poller
+                        .modify(slot.conn.raw_fd(), token, wanted)
+                        .is_ok()
                 {
-                    if let Some(slot) = self.conns.get_mut(&token) {
-                        slot.conn.interest = Interest::READ_WRITE;
-                    }
+                    slot.conn.interest = wanted;
                 }
             }
             FlushOutcome::Killed => self.close(token, CloseReason::Backpressure),

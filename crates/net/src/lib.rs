@@ -5,31 +5,33 @@
 //! one JSON request envelope per line in, one response envelope per
 //! line out, `id` as the only correlation key. This crate is the TCP
 //! carrier for it — deliberately std-only (the offline build has no
-//! async runtime), in two execution shapes behind one
-//! [`ConnectionHandler`] trait:
+//! async runtime):
 //!
-//! * a blocking thread-per-connection [`NdjsonServer`] with a bounded
-//!   accept pool — simple, and capped by thread count;
-//! * a readiness-driven [`EventLoopServer`] (epoll on Linux via direct
-//!   `extern "C"` declarations, portable `poll(2)` fallback) that
-//!   multiplexes thousands of mostly-idle connections on one loop
-//!   thread, with incremental NDJSON framing ([`LineFramer`]) and
-//!   bounded per-connection outbound queues (slow readers are
-//!   disconnected past a high-water mark instead of buffered without
-//!   bound).
+//! * one server, the readiness-driven [`EventLoopServer`] (epoll on
+//!   Linux via direct `extern "C"` declarations, portable `poll(2)`
+//!   fallback): thousands of mostly-idle connections on one loop
+//!   thread, incremental NDJSON framing ([`LineFramer`]), bounded
+//!   per-connection outbound queues (slow readers are disconnected
+//!   past a high-water mark instead of buffered without bound), and a
+//!   peer's half-close honoured as "no more requests" — it still gets
+//!   every reply it is owed;
+//! * one contract for what happens to a line, [`ConnectionHandler`]
+//!   (`on_line` does not block), and the [`EngineHandler`] that plugs a
+//!   [`PatternEngine`](chatpattern_core::PatternEngine) into it: the
+//!   engine worker that finishes a job hands the reply to the
+//!   connection itself;
+//! * the [`LineSink`] that treats a vanished peer (`EPIPE` and friends)
+//!   as a clean close instead of an error, shared with the stdio front
+//!   end, and the blocking, reconnecting [`NdjsonClient`].
 //!
-//! Both share the [`LineSink`] that treats a vanished peer (`EPIPE`
-//! and friends) as a clean close instead of an error, the reconnecting
-//! [`NdjsonClient`], and the [`EngineHandler`] that plugs a
-//! [`PatternEngine`](chatpattern_core::PatternEngine) straight into
-//! any transport. `chatpattern-serve --listen --transport
-//! {threads,event-loop}` and the `chatpattern-router` fleet front-end
-//! are both built from these parts.
+//! `chatpattern-serve --listen` is an [`EventLoopServer`] over an
+//! [`EngineHandler`]; `chatpattern-router` dials its workers with the
+//! client parts.
 //!
 //! ```
 //! use chatpattern_core::wire::RequestEnvelope;
 //! use chatpattern_core::{ChatPattern, EngineConfig, PatternEngine, PatternRequest};
-//! use cp_net::{ClientConfig, EngineHandler, NdjsonClient, NdjsonServer};
+//! use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
 //! use std::sync::Arc;
 //!
 //! let system = ChatPattern::builder()
@@ -38,9 +40,11 @@
 //!     .diffusion_steps(6)
 //!     .build()?;
 //! let engine = Arc::new(PatternEngine::with_config(system, EngineConfig::default())?);
-//! let server = NdjsonServer::bind("127.0.0.1:0", 4).expect("binds");
+//! let server = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default()).expect("binds");
 //! let addr = server.local_addr();
-//! let handle = server.spawn(Arc::new(EngineHandler::new(engine)));
+//! let handle = server
+//!     .spawn(Arc::new(EngineHandler::new(engine)))
+//!     .expect("loop starts");
 //!
 //! let mut client = NdjsonClient::connect(&addr.to_string(), ClientConfig::default())
 //!     .expect("connects");
@@ -64,7 +68,6 @@ mod event_loop;
 mod handler;
 #[cfg(unix)]
 mod poller;
-mod server;
 mod sink;
 
 pub use client::{connect_with_backoff, ClientConfig, NdjsonClient, NdjsonReceiver, NdjsonSender};
@@ -77,8 +80,7 @@ pub use conn::{
 pub use event_loop::{
     EventLoopConfig, EventLoopHandle, EventLoopServer, DEFAULT_EVENT_LOOP_CONNECTIONS,
 };
-pub use handler::EngineHandler;
+pub use handler::{ConnectionHandler, EngineHandler};
 #[cfg(unix)]
 pub use poller::{raise_nofile_limit, Interest, PollEvent, Poller, WakePipe};
-pub use server::{ConnectionHandler, NdjsonServer, ServerHandle, DEFAULT_MAX_CONNECTIONS};
 pub use sink::{is_disconnect, LineSink};

@@ -1,7 +1,7 @@
 //! Shared line-oriented output with disconnect-tolerant semantics.
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Is this I/O error the peer going away (as opposed to a real
@@ -20,9 +20,9 @@ pub fn is_disconnect(kind: io::ErrorKind) -> bool {
     )
 }
 
-/// One NDJSON output stream (a TCP connection's write half, or
-/// stdout) shared between the reader loop and any number of
-/// completion-writer threads.
+/// One NDJSON output stream (a TCP connection's outbound queue, or
+/// stdout) shared between whoever reads the requests and whichever
+/// threads finish them.
 ///
 /// Every write is line + flush under one mutex, so concurrent writers
 /// never interleave bytes. Failure handling is sticky and two-tier:
@@ -32,8 +32,14 @@ pub fn is_disconnect(kind: io::ErrorKind) -> bool {
 ///   to tell);
 /// * any other I/O error marks the sink *failed* and records the
 ///   first message for the caller to report.
+///
+/// A handler that answers a line later says so with [`LineSink::owe`]
+/// and answers with [`LineSink::send_owed`]; [`LineSink::owed`] is how
+/// the event loop knows whether a peer that stopped sending is still
+/// waiting for replies.
 pub struct LineSink {
     out: Mutex<Box<dyn Write + Send>>,
+    owed: AtomicUsize,
     closed: AtomicBool,
     failed: AtomicBool,
     error: Mutex<Option<String>>,
@@ -45,6 +51,7 @@ impl LineSink {
     pub fn new(out: Box<dyn Write + Send>) -> LineSink {
         LineSink {
             out: Mutex::new(out),
+            owed: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
@@ -61,15 +68,46 @@ impl LineSink {
     /// once the sink is closed or failed — callers use that to stop
     /// producing output for a connection that is gone.
     pub fn send_line(&self, line: &str) -> bool {
-        if self.closed.load(Ordering::Relaxed) || self.failed.load(Ordering::Relaxed) {
-            return false;
-        }
+        self.write_line(line, false)
+    }
+
+    /// Promises one later [`LineSink::send_owed`].
+    pub fn owe(&self) {
+        self.owed.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// [`LineSink::send_line`] for a reply promised with
+    /// [`LineSink::owe`].
+    pub fn send_owed(&self, line: &str) -> bool {
+        self.write_line(line, true)
+    }
+
+    /// Replies promised and not yet handed over. Waits for a write in
+    /// progress, so a reply no longer counted here has reached the
+    /// writer.
+    #[must_use]
+    pub fn owed(&self) -> usize {
+        let _out = self.out.lock().expect("sink lock");
+        self.owed.load(Ordering::SeqCst)
+    }
+
+    fn write_line(&self, line: &str, owed: bool) -> bool {
         // One write call for line + newline: atomic on the wire and
         // exactly one failure point for the tests' failing writers.
         let mut framed = String::with_capacity(line.len() + 1);
         framed.push_str(line);
         framed.push('\n');
         let mut out = self.out.lock().expect("sink lock");
+        if owed {
+            // Under the lock and ahead of the write: whoever acts on the
+            // written line (the event loop, woken by the push into its
+            // queue) already sees the count without it, and nobody sees
+            // the lower count while the line is still on its way.
+            self.owed.fetch_sub(1, Ordering::SeqCst);
+        }
+        if self.closed.load(Ordering::Relaxed) || self.failed.load(Ordering::Relaxed) {
+            return false;
+        }
         let outcome = out.write_all(framed.as_bytes()).and_then(|()| out.flush());
         drop(out);
         match outcome {

@@ -1,6 +1,6 @@
 //! `chatpattern-router` — the multi-process shard front-end.
 //!
-//! Accepts NDJSON wire-protocol connections (`cp_net`) and fans every
+//! Accepts NDJSON wire-protocol connections and fans every
 //! request out across a fleet of `chatpattern-serve --listen` workers
 //! — spawned as children, or attached by address — sharding by the
 //! exact same request-key / session-id hash as the in-process
@@ -44,12 +44,12 @@ use chatpattern_core::{
     EngineStats, Error, PatternRequest, PatternResponse, RequestEnvelope, ResponsePayload,
     SessionCloseParams, SessionRestoreParams, SessionSnapshotParams, Timing, WireOutcome,
 };
-use cp_net::{connect_with_backoff, ClientConfig, ConnectionHandler, LineSink, NdjsonServer};
+use cp_net::{connect_with_backoff, ClientConfig, LineSink, DEFAULT_MAX_LINE_BYTES};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 use std::io::BufRead;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -91,8 +91,8 @@ Options:
                          snapshot cadence in seconds (serve syntax)
   --persist-shards N     forwarded to every spawned worker: shard each
                          worker's spill directory N ways (serve syntax)
-  --max-connections N    concurrently served client connections
-                         (default 64)
+  --max-connections N    concurrently served client connections, at
+                         least 1 (default 64); excess connects wait
   --pool N               TCP connections per worker (default 2): each
                          forwarded request round-robins over the pool,
                          so one slow reply cannot head-of-line-block
@@ -110,6 +110,9 @@ Options:
 
 /// Default TCP connections per worker.
 const DEFAULT_POOL: usize = 2;
+
+/// Default cap on concurrently served clients (a thread each).
+const DEFAULT_MAX_CLIENTS: usize = 64;
 
 struct Options {
     listen: String,
@@ -132,7 +135,7 @@ fn parse_args() -> Result<Options, String> {
         serve_bin: None,
         serve_args: Vec::new(),
         session_dir: None,
-        max_connections: cp_net::DEFAULT_MAX_CONNECTIONS,
+        max_connections: DEFAULT_MAX_CLIENTS,
         pool: DEFAULT_POOL,
         rebalance_threshold: 0,
         rebalance_interval: Duration::from_millis(1000),
@@ -178,7 +181,12 @@ fn parse_args() -> Result<Options, String> {
                 options.serve_args.push(flag.clone());
                 options.serve_args.push(value.clone());
             }
-            "--max-connections" => options.max_connections = number("--max-connections")?,
+            "--max-connections" => {
+                options.max_connections = match number("--max-connections")? {
+                    0 => return Err(format!("--max-connections needs at least 1, got {value:?}")),
+                    n => n,
+                };
+            }
             "--pool" => options.pool = number("--pool")?.max(1),
             "--rebalance-threshold" => {
                 options.rebalance_threshold = number("--rebalance-threshold")?;
@@ -272,6 +280,18 @@ enum Pending {
     },
     /// A router-internal call (stats, snapshot/restore during drain).
     Internal(Arc<ReplySlot>),
+}
+
+impl Pending {
+    /// Answers the requester with `error` in place of a worker's reply.
+    fn fail(self, error: &Error) {
+        match self {
+            Pending::Client { id, sink, .. } => {
+                sink.send_line(&ResponseEnvelope::error(id, error).to_line());
+            }
+            Pending::Internal(slot) => slot.fill(ResponseEnvelope::error(Value::Null, error)),
+        }
+    }
 }
 
 /// Rendezvous for a synchronous internal call.
@@ -609,14 +629,7 @@ fn fail_pending(link: &Link, reason: &str) {
     );
     let error = Error::internal(reason.to_owned());
     for entry in orphans {
-        match entry {
-            Pending::Client { id, sink, .. } => {
-                sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
-            }
-            Pending::Internal(slot) => {
-                slot.fill(ResponseEnvelope::error(Value::Null, &error));
-            }
-        }
+        entry.fail(&error);
     }
 }
 
@@ -638,6 +651,17 @@ fn forward(
         request: request.clone(),
     })
     .expect("requests serialize");
+    if framed.len() > DEFAULT_MAX_LINE_BYTES {
+        // The worker would refuse this line under a `null` id, which
+        // matches no pending entry: the requester would never hear.
+        // Refuse it here, under the id the requester is waiting on.
+        entry.fail(&Error::config(format!(
+            "request line exceeds {DEFAULT_MAX_LINE_BYTES} bytes as framed for worker {index} \
+             ({} bytes)",
+            framed.len()
+        )));
+        return;
+    }
     framed.push('\n');
     let worker = &router.workers[index];
 
@@ -677,13 +701,10 @@ fn forward(
         }
     }
 
-    let error = Error::internal(format!("worker {index} unavailable"));
-    match entry.take().expect("entry still ours") {
-        Pending::Client { id, sink, .. } => {
-            sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
-        }
-        Pending::Internal(slot) => slot.fill(ResponseEnvelope::error(Value::Null, &error)),
-    }
+    entry
+        .take()
+        .expect("entry still ours")
+        .fail(&Error::internal(format!("worker {index} unavailable")));
 }
 
 /// A synchronous router-internal request to one worker. Internal
@@ -1013,9 +1034,12 @@ impl RouterHandler {
             std::process::exit(0);
         }
     }
-}
 
-impl ConnectionHandler for RouterHandler {
+    /// One client line. Blocks by design — a request for a session that
+    /// is mid-move waits for the move, `Stats` / `Fleet` / `Drain` are
+    /// synchronous fan-ins, a forward may respawn a worker — which is
+    /// why each client has a reader thread of its own (`serve_clients`)
+    /// instead of sharing `cp_net`'s event loop.
     fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
         match decode_request_line(line) {
             Ok(envelope) => {
@@ -1063,6 +1087,58 @@ impl ConnectionHandler for RouterHandler {
                     sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
                 }
             },
+        }
+    }
+}
+
+/// The client front end: accepts on this thread, one reader thread per
+/// client, and a counting gate that stops serving beyond
+/// `max_connections` (the excess waits, accepted, until a slot frees).
+/// Never returns; the `Shutdown` control exits the process.
+fn serve_clients(listener: &TcpListener, max_connections: usize, handler: &Arc<RouterHandler>) {
+    let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else { continue };
+        {
+            let (count, freed) = &*gate;
+            let mut active = count.lock().expect("gate lock");
+            while *active >= max_connections {
+                active = freed.wait(active).expect("gate wait");
+            }
+            *active += 1;
+        }
+        let handler = Arc::clone(handler);
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            serve_client(stream, &handler);
+            let (count, freed) = &*gate;
+            *count.lock().expect("gate lock") -= 1;
+            freed.notify_one();
+        });
+    }
+}
+
+/// Reads one client's lines until EOF or a failed write. The sink
+/// outlives the reader in the pending entries of `read_worker`
+/// threads, so a client that half-closed its write side keeps
+/// receiving answers until the last of them is delivered.
+fn serve_client(stream: TcpStream, handler: &RouterHandler) {
+    let Ok(write_half) = stream.try_clone() else {
+        return;
+    };
+    // Replies are small writes to a peer that may only be reading (a
+    // pipelined batch): with Nagle on, the second one waits out the
+    // peer's delayed ACK (~40 ms) — `cp_net`'s loop turns it off too.
+    let _ = stream.set_nodelay(true);
+    let sink = Arc::new(LineSink::new(Box::new(write_half)));
+    for line in std::io::BufReader::new(stream).lines() {
+        let Ok(line) = line else { break };
+        if line.trim().is_empty() {
+            continue;
+        }
+        handler.on_line(&line, &sink);
+        if sink.is_closed() || sink.has_failed() {
+            break;
         }
     }
 }
@@ -1164,8 +1240,8 @@ fn main() -> ExitCode {
         );
     }
 
-    let server = match NdjsonServer::bind(options.listen.as_str(), options.max_connections) {
-        Ok(server) => server,
+    let listener = match TcpListener::bind(options.listen.as_str()) {
+        Ok(listener) => listener,
         Err(error) => {
             eprintln!(
                 "chatpattern-router: cannot listen on {}: {error}",
@@ -1174,7 +1250,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("chatpattern-router: listening on {}", server.local_addr());
-    server.spawn(Arc::new(RouterHandler { router })).join();
+    match listener.local_addr() {
+        Ok(addr) => eprintln!("chatpattern-router: listening on {addr}"),
+        Err(error) => {
+            eprintln!("chatpattern-router: cannot read the bound address: {error}");
+            return ExitCode::FAILURE;
+        }
+    }
+    serve_clients(
+        &listener,
+        options.max_connections,
+        &Arc::new(RouterHandler { router }),
+    );
     ExitCode::SUCCESS
 }

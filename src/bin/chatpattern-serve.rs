@@ -3,16 +3,15 @@
 //! Reads one [`RequestEnvelope`](chatpattern_core::RequestEnvelope)
 //! per line, executes it on a [`PatternEngine`], and writes one
 //! [`ResponseEnvelope`](chatpattern_core::ResponseEnvelope) per line,
-//! echoing the client-chosen `id`. Each accepted job gets a
-//! completion-writer thread, so responses go out the moment the job
+//! echoing the client-chosen `id`. The engine worker that finishes a
+//! job writes its reply, so responses go out the moment the job
 //! finishes — an interactive client can hold its stream open and
 //! still receive every reply immediately — and may arrive out of
 //! submission order; the `id` is the correlation key. The format is
 //! documented with worked examples in `docs/WIRE_PROTOCOL.md`.
 //!
 //! ```text
-//! chatpattern-serve [--listen ADDR] [--transport threads|event-loop]
-//!                   [--max-connections N]
+//! chatpattern-serve [--listen ADDR] [--max-connections N]
 //!                   [--backend inline|threadpool|sharded] [--shards N]
 //!                   [--workers N] [--queue-depth N] [--cache-capacity N]
 //!                   [--tenant-quota [TENANT:]SPEC]... [--lane-weights W]
@@ -22,13 +21,16 @@
 //!                   [--training-patterns N] [--seed N] [--stats]
 //! ```
 //!
-//! Two transports, one protocol (byte-identical envelopes): the
+//! Two carriers, one protocol (byte-identical envelopes): the
 //! default stdin/stdout pipe, and — with `--listen ADDR` — an
-//! NDJSON-over-TCP server (`cp_net`) where every connection is its
-//! own request stream over the same shared engine. `--backend`
-//! selects the engine's execution strategy (see `docs/ENGINE.md`);
-//! duplicate in-flight requests coalesce onto one execution
-//! regardless of backend. Stateful multi-turn sessions (`SessionOpen`
+//! NDJSON-over-TCP server (`cp_net`'s event loop) where every
+//! connection is its own request stream over the same shared engine;
+//! a client that half-closes still gets every reply it is owed, and
+//! one that stops reading is disconnected, not buffered for without
+//! bound (`docs/WIRE_PROTOCOL.md`, "Transports"). `--backend` selects
+//! the engine's execution strategy (see `docs/ENGINE.md`); duplicate
+//! in-flight requests coalesce onto one execution regardless of
+//! backend. Stateful multi-turn sessions (`SessionOpen`
 //! / `SessionTurn` / `SessionClose`, see `docs/SESSIONS.md`) are
 //! bounded by `--max-sessions` and `--session-ttl-secs`; with
 //! `--session-dir`, capacity eviction *spills* sessions to disk, and
@@ -46,21 +48,10 @@
 
 use chatpattern_core::qos::{LaneWeights, QosConfig};
 use chatpattern_core::{BackendKind, ChatPattern, EngineConfig, PatternEngine};
-use cp_net::{
-    ConnectionHandler, EngineHandler, EventLoopConfig, EventLoopServer, LineSink, NdjsonServer,
-};
+use cp_net::{ConnectionHandler, EngineHandler, EventLoopConfig, EventLoopServer, LineSink};
 use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;
-
-/// Which TCP execution shape serves `--listen`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Transport {
-    /// Blocking thread-per-connection with a bounded accept pool.
-    Threads,
-    /// Readiness-driven event loop (epoll, `poll(2)` fallback).
-    EventLoop,
-}
 
 /// Everything the command line can configure.
 struct Options {
@@ -78,10 +69,7 @@ struct Options {
     persist_shards: usize,
     stats: bool,
     listen: Option<String>,
-    transport: Transport,
-    /// `None` until `--max-connections` is given, so each transport
-    /// can apply its own default (64 threads vs. 4096 multiplexed).
-    max_connections: Option<usize>,
+    max_connections: usize,
 }
 
 impl Default for Options {
@@ -103,8 +91,7 @@ impl Default for Options {
             persist_shards: 1,
             stats: false,
             listen: None,
-            transport: Transport::Threads,
-            max_connections: None,
+            max_connections: cp_net::DEFAULT_EVENT_LOOP_CONNECTIONS,
         }
     }
 }
@@ -122,17 +109,15 @@ Options:
                          port; the bound address is announced on
                          stderr as 'listening on HOST:PORT'); every
                          connection is an independent NDJSON stream
-                         over one shared engine
-  --transport NAME       TCP execution shape for --listen: 'threads'
-                         (default; one blocking thread per connection,
-                         bounded accept pool) or 'event-loop'
-                         (readiness-driven epoll/poll multiplexing —
-                         thousands of mostly-idle connections on one
-                         loop thread; slow readers are disconnected
-                         past an outbound high-water mark)
-  --max-connections N    concurrently served TCP connections (default
-                         64 for --transport threads, 4096 for
-                         event-loop)
+                         over one shared engine, multiplexed on one
+                         readiness-driven loop thread. A client that
+                         half-closes is answered in full before the
+                         close; one that falls 8 MiB of unread replies
+                         behind is disconnected; a request line over
+                         8 MiB is refused with an error envelope
+  --max-connections N    concurrently served TCP connections, at least
+                         1 (default 4096); excess connects wait in the
+                         OS backlog
   --backend NAME         execution backend: inline, threadpool (default)
                          or sharded (per-shard queues + workers, jobs
                          routed by request-key hash; needs
@@ -255,18 +240,12 @@ fn parse_args() -> Result<Options, String> {
             "--training-patterns" => options.training_patterns = number("--training-patterns")?,
             "--seed" => options.seed = number("--seed")? as u64,
             "--listen" => options.listen = Some(value.clone()),
-            "--transport" => {
-                options.transport = match value.as_str() {
-                    "threads" => Transport::Threads,
-                    "event-loop" => Transport::EventLoop,
-                    other => {
-                        return Err(format!(
-                            "--transport must be threads or event-loop, got {other:?}"
-                        ))
-                    }
-                }
+            "--max-connections" => {
+                options.max_connections = match number("--max-connections")? {
+                    0 => return Err(format!("--max-connections needs at least 1, got {value:?}")),
+                    n => n,
+                };
             }
-            "--max-connections" => options.max_connections = Some(number("--max-connections")?),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
@@ -370,8 +349,7 @@ fn serve_stdio(handler: &EngineHandler<ChatPattern>, stats: bool) -> ExitCode {
         }
         // Submission inside is non-blocking: a full queue or an
         // exhausted tenant quota answers an error envelope with
-        // retry_after_ms immediately, and accepted work still bounds
-        // the live writer threads to roughly queue_depth + workers.
+        // retry_after_ms immediately.
         handler.on_line(&line, &sink);
         if sink.is_closed() || sink.has_failed() {
             break;
@@ -446,52 +424,29 @@ fn main() -> ExitCode {
                 inner: handler,
                 stats: options.stats,
             });
-            match options.transport {
-                Transport::Threads => {
-                    let max = options
-                        .max_connections
-                        .unwrap_or(cp_net::DEFAULT_MAX_CONNECTIONS);
-                    let server = match NdjsonServer::bind(addr.as_str(), max) {
-                        Ok(server) => server.conn_counters(counters),
-                        Err(error) => {
-                            eprintln!("chatpattern-serve: cannot listen on {addr}: {error}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    // The announcement line is part of the CLI
-                    // contract: the router and the smoke scripts parse
-                    // it to learn the OS-assigned port under
-                    // `--listen 127.0.0.1:0`.
-                    eprintln!("chatpattern-serve: listening on {}", server.local_addr());
-                    server.spawn(handler).join();
+            // Thousands of sockets need fd headroom beyond the usual
+            // shell default of 1024.
+            cp_net::raise_nofile_limit();
+            let config = EventLoopConfig {
+                max_connections: options.max_connections,
+                ..EventLoopConfig::default()
+            };
+            let server = match EventLoopServer::bind(addr.as_str(), config) {
+                Ok(server) => server.conn_counters(counters),
+                Err(error) => {
+                    eprintln!("chatpattern-serve: cannot listen on {addr}: {error}");
+                    return ExitCode::FAILURE;
                 }
-                Transport::EventLoop => {
-                    // Thousands of sockets need fd headroom beyond the
-                    // usual shell default of 1024.
-                    cp_net::raise_nofile_limit();
-                    let config = EventLoopConfig {
-                        max_connections: options
-                            .max_connections
-                            .unwrap_or(cp_net::DEFAULT_EVENT_LOOP_CONNECTIONS),
-                        ..EventLoopConfig::default()
-                    };
-                    let server = match EventLoopServer::bind(addr.as_str(), config) {
-                        Ok(server) => server.conn_counters(counters),
-                        Err(error) => {
-                            eprintln!("chatpattern-serve: cannot listen on {addr}: {error}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    // Same announcement contract as the thread
-                    // transport: clients cannot tell them apart.
-                    eprintln!("chatpattern-serve: listening on {}", server.local_addr());
-                    match server.spawn(handler) {
-                        Ok(handle) => handle.join(),
-                        Err(error) => {
-                            eprintln!("chatpattern-serve: cannot start event loop: {error}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
+            };
+            // The announcement line is part of the CLI contract: the
+            // router and the smoke scripts parse it to learn the
+            // OS-assigned port under `--listen 127.0.0.1:0`.
+            eprintln!("chatpattern-serve: listening on {}", server.local_addr());
+            match server.spawn(handler) {
+                Ok(handle) => handle.join(),
+                Err(error) => {
+                    eprintln!("chatpattern-serve: cannot start event loop: {error}");
+                    return ExitCode::FAILURE;
                 }
             }
             ExitCode::SUCCESS

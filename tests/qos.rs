@@ -19,7 +19,7 @@ use chatpattern::{
     WireOutcome,
 };
 use cp_dataset::Style;
-use cp_net::{ClientConfig, EngineHandler, NdjsonClient, NdjsonServer};
+use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -140,9 +140,11 @@ fn overloaded_surfaces_typed_over_the_wire_without_blocking() {
             ..TenantQuota::default()
         },
     ));
-    let server = NdjsonServer::bind("127.0.0.1:0", 4).expect("binds");
+    let server = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default()).expect("binds");
     let addr = server.local_addr().to_string();
-    let handle = server.spawn(Arc::new(EngineHandler::new(engine)));
+    let handle = server
+        .spawn(Arc::new(EngineHandler::new(engine)))
+        .expect("loop starts");
 
     let mut client = NdjsonClient::connect(&addr, ClientConfig::default()).expect("connects");
     let envelope = |id: u64, tenant: &str, seed: u64| RequestEnvelope {

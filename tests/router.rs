@@ -18,6 +18,11 @@
 //!   byte-identical payloads over stdio serve, TCP serve and the
 //!   router (asserted against the in-process reference here; the
 //!   stdio/TCP diff also runs in `scripts/wire_smoke.sh`).
+//! * **One line cap, both directions** — a request line over the
+//!   workers' cap is refused by the router under the client's own id
+//!   (a worker could only refuse it under `null`, which the router
+//!   cannot route back), and a line well over the former 1 MiB cap is
+//!   served, directly and through the router.
 //! * **Auto-rebalance** — with `--rebalance-threshold 1`, a fleet
 //!   whose sessions all hash onto one worker is evened out by the
 //!   background rebalancer without any drain command, and every moved
@@ -322,6 +327,77 @@ fn three_worker_fleet_keeps_sessions_and_keys_worker_local() {
         );
         assert!(matches!(payload, ResponsePayload::SessionClose(_)));
     }
+    fleet.shutdown();
+}
+
+#[test]
+fn the_line_cap_is_answered_under_the_clients_id_and_sits_above_the_old_one() {
+    let mut fleet = RouterFleet::spawn(1, &[]);
+
+    // 9 MiB of utterance: over the 8 MiB cap once the router has
+    // re-framed it for the worker. The client must hear about it.
+    let over = format!(
+        r#"{{"id":"over","request":{{"Chat":{{"request":"{}","seed":1}}}}}}"#,
+        "x".repeat(9 << 20)
+    );
+    fleet.client.send_line(&over).expect("oversize line sent");
+    let refused = fleet.client.recv().expect("the router answers");
+    assert_eq!(refused.id.as_str(), Some("over"), "under the client's id");
+    let WireOutcome::Err(error) = refused.outcome else {
+        panic!("a line over the cap must be refused");
+    };
+    assert_eq!(error.kind, "Config");
+    assert!(error.message.contains("exceeds 8388608 bytes"), "{error:?}");
+
+    // A valid request padded with JSON whitespace to 1.5 MB — over the
+    // former 1 MiB request cap, under the one cap there is now — is
+    // served through the router and by a worker directly.
+    let padded = |id: &str| {
+        let line = serde_json::to_string(&RequestEnvelope {
+            id: serde_json::to_value(&id),
+            tenant: None,
+            request: PatternRequest::Generate(GenerateParams {
+                style: Style::Layer10001,
+                rows: 16,
+                cols: 16,
+                count: 1,
+                seed: 9,
+            }),
+        })
+        .expect("serializes");
+        let body = line.strip_suffix('}').expect("an object");
+        format!("{body}{}}}", " ".repeat(1_500_000 - line.len()))
+    };
+    fleet.client.send_line(&padded("routed")).expect("sent");
+    let routed = fleet.client.recv().expect("the router answers");
+    assert_eq!(routed.id.as_str(), Some("routed"));
+    assert!(matches!(routed.outcome, WireOutcome::Ok(_)), "{routed:?}");
+
+    let view = fleet.control(r#"{"id":"fleet","control":"Fleet"}"#);
+    let worker_addr = view
+        .get("control")
+        .and_then(|c| c.get("Fleet"))
+        .and_then(|f| f.get("workers"))
+        .and_then(|w| w.as_array())
+        .and_then(|w| w.first())
+        .and_then(|w| w.get("addr"))
+        .and_then(|a| a.as_str())
+        .unwrap_or_else(|| panic!("no worker address in {view:?}"))
+        .to_owned();
+    let mut direct = NdjsonClient::connect(
+        &worker_addr,
+        ClientConfig {
+            read_timeout: Some(Duration::from_secs(120)),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("the worker accepts the test client");
+    direct.send_line(&padded("direct")).expect("sent");
+    let served = direct.recv().expect("the worker answers");
+    assert_eq!(served.id.as_str(), Some("direct"));
+    assert!(matches!(served.outcome, WireOutcome::Ok(_)), "{served:?}");
+    drop(direct);
+
     fleet.shutdown();
 }
 

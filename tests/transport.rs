@@ -1,6 +1,6 @@
-//! Event-loop transport acceptance suite (ISSUE 9).
+//! TCP transport acceptance suite (ISSUE 9, ISSUE 15).
 //!
-//! Everything here runs the real engine behind an in-process
+//! Everything here runs a real engine behind an in-process
 //! [`EventLoopServer`] and drives it over real sockets:
 //!
 //! * **Incremental framing** — a request dribbled in byte-sized chunks
@@ -9,27 +9,33 @@
 //!   independently of read-boundary luck).
 //! * **Oversize rejection** — a line past `max_line_bytes` earns one
 //!   error envelope and the connection keeps working.
-//! * **Byte-identical transports** — the same requests through the
-//!   thread transport and the event loop produce byte-identical
-//!   payloads (only `timing` may differ — that is the wire contract).
+//! * **Byte-identical to in-process** — requests served over the loop
+//!   carry byte-identical payloads to the same requests executed on
+//!   the engine directly (only `timing` may differ — that is the wire
+//!   contract).
 //! * **Portable fallback** — the same round trip with
 //!   `force_poll_fallback`, proving the `poll(2)` backend serves too.
 //! * **Backpressure** — a client that requests far more than it reads
 //!   is killed once its outbound queue passes the high-water mark, and
 //!   the disconnect is accounted as a backpressure kill, not a clean
 //!   close.
+//! * **Half-close** — a client that pipelines requests and shuts its
+//!   write side down still receives every reply, then a clean EOF.
+//! * **No thread per request** — requests in flight are held by the
+//!   engine's queue and the jobs' completion callbacks, not by parked
+//!   threads.
 
 #![cfg(unix)]
 
 use chatpattern::ChatPattern;
 use chatpattern_core::wire::{RequestEnvelope, ResponseEnvelope, WireOutcome};
-use chatpattern_core::{BackendKind, EngineConfig, GenerateParams, PatternEngine, PatternRequest};
-use cp_dataset::Style;
-use cp_net::{
-    ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient, NdjsonServer,
+use chatpattern_core::{
+    BackendKind, EngineConfig, GenerateParams, PatternEngine, PatternRequest, PatternService,
 };
+use cp_dataset::Style;
+use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -185,7 +191,7 @@ fn oversize_line_is_rejected_and_the_connection_survives() {
 }
 
 /// Serializes a reply with its `timing` blanked — the only field the
-/// wire contract allows to differ between transports.
+/// wire contract allows to differ between two runs of one request.
 fn normalized(reply: &ResponseEnvelope) -> String {
     let mut value = serde_json::to_value(reply);
     if let serde_json::Value::Object(envelope) = &mut value {
@@ -200,51 +206,59 @@ fn normalized(reply: &ResponseEnvelope) -> String {
 }
 
 #[test]
-fn event_loop_payloads_are_byte_identical_to_thread_transport() {
-    // One deterministic system per transport (identical seed), the
-    // same request sequence, byte-compared after timing removal.
-    let requests: Vec<(String, u64)> = (0..4).map(|i| (format!("eq-{i}"), 100 + i)).collect();
-
-    let collect = |addr: String| -> Vec<String> {
-        let mut client = NdjsonClient::connect(&addr, ClientConfig::default()).expect("dial");
-        requests
-            .iter()
-            .map(|(id, seed)| {
-                let reply = client
-                    .call(&RequestEnvelope {
-                        id: serde_json::to_value(id),
-                        tenant: None,
-                        request: PatternRequest::Generate(GenerateParams {
-                            style: Style::Layer10003,
-                            rows: 16,
-                            cols: 16,
-                            count: 1,
-                            seed: *seed,
-                        }),
-                    })
-                    .expect("call round-trips");
-                assert!(matches!(reply.outcome, WireOutcome::Ok(_)));
-                normalized(&reply)
-            })
-            .collect()
-    };
-
-    let threads_engine = build_engine();
-    let threads = NdjsonServer::bind("127.0.0.1:0", 8)
-        .expect("bind")
-        .conn_counters(threads_engine.conn_counters())
-        .spawn(Arc::new(EngineHandler::new(Arc::clone(&threads_engine))));
-    let over_threads = collect(threads.local_addr().to_string());
-    threads.shutdown();
+fn event_loop_payloads_are_byte_identical_to_in_process_execution() {
+    // Two deterministic systems (identical seed): one behind the loop,
+    // one executed directly; the same requests, byte-compared after
+    // timing removal.
+    let requests: Vec<(String, PatternRequest)> = (0..4)
+        .map(|i| {
+            let request = PatternRequest::Generate(GenerateParams {
+                style: Style::Layer10003,
+                rows: 16,
+                cols: 16,
+                count: 1,
+                seed: 100 + i,
+            });
+            (format!("eq-{i}"), request)
+        })
+        .collect();
 
     let loop_engine = build_engine();
     let event_loop = spawn_event_loop(&loop_engine, EventLoopConfig::default());
-    let over_loop = collect(event_loop.local_addr().to_string());
+    let mut client = NdjsonClient::connect(
+        &event_loop.local_addr().to_string(),
+        ClientConfig::default(),
+    )
+    .expect("dial");
+    let over_loop: Vec<String> = requests
+        .iter()
+        .map(|(id, request)| {
+            let reply = client
+                .call(&RequestEnvelope {
+                    id: serde_json::to_value(id),
+                    tenant: None,
+                    request: request.clone(),
+                })
+                .expect("call round-trips");
+            assert!(matches!(reply.outcome, WireOutcome::Ok(_)));
+            normalized(&reply)
+        })
+        .collect();
+    drop(client);
     event_loop.shutdown();
 
+    let local_engine = build_engine();
+    let in_process: Vec<String> = requests
+        .into_iter()
+        .map(|(id, request)| {
+            let response = local_engine.execute(request).expect("executes");
+            normalized(&ResponseEnvelope::ok(serde_json::to_value(&id), response))
+        })
+        .collect();
+
     assert_eq!(
-        over_threads, over_loop,
-        "transports must be byte-identical after timing removal"
+        over_loop, in_process,
+        "the wire must carry what the engine produced, byte for byte, after timing removal"
     );
 }
 
@@ -369,49 +383,181 @@ fn slow_reader_is_killed_at_the_high_water_mark() {
 
 /// A line of 200 000 `[` fits the default line limit, and reading it
 /// used to recurse once per bracket until the stack ran out — one
-/// such line took the whole server down. On both transports it now
-/// earns the ordinary bad-JSON envelope and the same connection goes
-/// on serving.
+/// such line took the whole server down. It now earns the ordinary
+/// bad-JSON envelope and the same connection goes on serving (the
+/// stdio face of this is in `tests/wire.rs`).
 #[test]
-fn deeply_nested_line_is_refused_on_both_transports_and_the_connection_survives() {
-    let exercise = |addr: std::net::SocketAddr, transport: &str| {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .expect("read timeout set");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        for open in ["[", "{\"id\":"] {
-            let mut bomb = open.repeat(200_000 / open.len());
-            bomb.push('\n');
-            stream.write_all(bomb.as_bytes()).expect("bomb written");
-            let reply = read_reply(&mut reader);
-            assert!(reply.id.is_null(), "{transport}: {reply:?}");
-            let WireOutcome::Err(error) = &reply.outcome else {
-                panic!("{transport}: a bomb must error: {reply:?}");
-            };
-            assert_eq!(error.kind, "InvalidRequest", "{transport}");
-            assert!(
-                error.message.contains("bad JSON") && error.message.contains("nesting deeper"),
-                "{transport}: {error:?}"
-            );
-        }
-        let valid = format!("{}\n", generate_line("after", 4));
-        stream.write_all(valid.as_bytes()).expect("valid written");
+fn deeply_nested_line_is_refused_over_tcp_and_the_connection_survives() {
+    let engine = build_engine();
+    let handle = spawn_event_loop(&engine, EventLoopConfig::default());
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout set");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for open in ["[", "{\"id\":"] {
+        let mut bomb = open.repeat(200_000 / open.len());
+        bomb.push('\n');
+        stream.write_all(bomb.as_bytes()).expect("bomb written");
         let reply = read_reply(&mut reader);
-        assert_eq!(reply.id.as_str(), Some("after"), "{transport}");
-        assert!(matches!(reply.outcome, WireOutcome::Ok(_)), "{transport}");
-    };
+        assert!(reply.id.is_null(), "{reply:?}");
+        let WireOutcome::Err(error) = &reply.outcome else {
+            panic!("a bomb must error: {reply:?}");
+        };
+        assert_eq!(error.kind, "InvalidRequest");
+        assert!(
+            error.message.contains("bad JSON") && error.message.contains("nesting deeper"),
+            "{error:?}"
+        );
+    }
+    let valid = format!("{}\n", generate_line("after", 4));
+    stream.write_all(valid.as_bytes()).expect("valid written");
+    let reply = read_reply(&mut reader);
+    assert_eq!(reply.id.as_str(), Some("after"));
+    assert!(matches!(reply.outcome, WireOutcome::Ok(_)));
 
-    let threads_engine = build_engine();
-    let threads = NdjsonServer::bind("127.0.0.1:0", 8)
-        .expect("bind")
-        .conn_counters(threads_engine.conn_counters())
-        .spawn(Arc::new(EngineHandler::new(Arc::clone(&threads_engine))));
-    exercise(threads.local_addr(), "threads");
-    threads.shutdown();
+    drop(stream);
+    handle.shutdown();
+}
 
-    let loop_engine = build_engine();
-    let event_loop = spawn_event_loop(&loop_engine, EventLoopConfig::default());
-    exercise(event_loop.local_addr(), "event-loop");
-    event_loop.shutdown();
+/// EOF on the server's read side means "no more requests", not "go
+/// away": `printf … | nc -N host port` pipelines its lines, shuts its
+/// write side down and then reads. Every reply owed for the lines
+/// already sent must arrive before the server closes — clean, and
+/// counted only then.
+#[test]
+fn half_closed_client_still_receives_every_owed_reply() {
+    let engine = build_engine();
+    let handle = spawn_event_loop(&engine, EventLoopConfig::default());
+
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout set");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    const REQUESTS: u64 = 6;
+    let mut batch = String::new();
+    for i in 0..REQUESTS {
+        batch.push_str(&generate_line(&format!("half-{i}"), 300 + i));
+        batch.push('\n');
+    }
+    stream
+        .write_all(batch.as_bytes())
+        .expect("requests written");
+    stream.shutdown(Shutdown::Write).expect("write side closes");
+
+    let mut seen: Vec<String> = (0..REQUESTS)
+        .map(|_| {
+            let reply = read_reply(&mut reader);
+            assert!(matches!(reply.outcome, WireOutcome::Ok(_)), "{reply:?}");
+            reply.id.as_str().expect("string id").to_owned()
+        })
+        .collect();
+    seen.sort();
+    let expected: Vec<String> = (0..REQUESTS).map(|i| format!("half-{i}")).collect();
+    assert_eq!(seen, expected);
+    let mut rest = String::new();
+    reader.read_line(&mut rest).expect("EOF reads");
+    assert!(rest.is_empty(), "nothing after the owed replies: {rest:?}");
+
+    // The server closed its socket after counting the disconnect, so
+    // the EOF above already implies the counters below.
+    let stats = engine.stats();
+    assert_eq!(stats.connections_live, 0, "{stats:?}");
+    assert_eq!(stats.disconnects_clean, 1, "{stats:?}");
+    assert_eq!(stats.disconnects_backpressure, 0, "{stats:?}");
+    handle.shutdown();
+}
+
+/// Threads of this process that carry the calling thread's name. A
+/// thread spawned without a name of its own inherits its spawner's, so
+/// this counts the test thread and its unnamed descendants — the loop
+/// thread, and whatever the loop thread spawns — and is blind to the
+/// threads that tests running in parallel start and stop.
+#[cfg(target_os = "linux")]
+fn threads_sharing_my_name() -> usize {
+    let mine = std::fs::read_to_string("/proc/thread-self/comm").expect("own comm reads");
+    std::fs::read_dir("/proc/self/task")
+        .expect("task directory reads")
+        .filter_map(Result::ok)
+        // A thread may exit between the listing and the read.
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .filter(|comm| *comm == mine)
+        .count()
+}
+
+/// A request in flight is a queue entry and a callback, not a parked
+/// thread: 64 requests accepted against a service that is holding
+/// every job leave the thread count where it was.
+#[cfg(target_os = "linux")]
+#[test]
+fn in_flight_requests_hold_no_threads() {
+    use chatpattern_core::{Error, PatternResponse, ResponsePayload, Timing};
+    use std::sync::{Condvar, Mutex};
+
+    /// Holds every job until the test opens the gate.
+    struct Gated(Arc<(Mutex<bool>, Condvar)>);
+
+    impl PatternService for Gated {
+        fn execute(&self, _request: PatternRequest) -> Result<PatternResponse, Error> {
+            let (open, opened) = &*self.0;
+            let mut open = open.lock().expect("gate lock");
+            while !*open {
+                open = opened.wait(open).expect("gate wait");
+            }
+            Ok(PatternResponse {
+                payload: ResponsePayload::Generate(Vec::new()),
+                timing: Timing::direct(0),
+            })
+        }
+    }
+
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let engine = Arc::new(
+        PatternEngine::with_config(
+            Gated(Arc::clone(&gate)),
+            EngineConfig {
+                backend: BackendKind::ThreadPool,
+                workers: 2,
+                queue_depth: 512,
+                cache_capacity: 0,
+            },
+        )
+        .expect("valid engine config"),
+    );
+    let handle = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default())
+        .expect("loopback bind")
+        .spawn(Arc::new(EngineHandler::new(Arc::clone(&engine))))
+        .expect("event loop spawns");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout set");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    const REQUESTS: u64 = 64;
+    let before = threads_sharing_my_name();
+    for i in 0..REQUESTS {
+        let line = format!("{}\n", generate_line(&format!("held-{i}"), i));
+        stream.write_all(line.as_bytes()).expect("request written");
+    }
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while engine.stats().submitted < REQUESTS {
+        assert!(Instant::now() < deadline, "stalled: {:?}", engine.stats());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let during = threads_sharing_my_name();
+    assert!(
+        during <= before,
+        "{REQUESTS} requests in flight grew the thread count from {before} to {during}"
+    );
+
+    *gate.0.lock().expect("gate lock") = true;
+    gate.1.notify_all();
+    for _ in 0..REQUESTS {
+        let reply = read_reply(&mut reader);
+        assert!(matches!(reply.outcome, WireOutcome::Ok(_)), "{reply:?}");
+    }
+    drop(stream);
+    handle.shutdown();
 }

@@ -331,3 +331,49 @@ fn reply_from_a_microbatching_era_peer_still_decodes() {
     };
     assert_eq!((stats.submitted, stats.completed), (4, 4));
 }
+
+/// Runs a product binary with flags it must refuse: a non-zero exit,
+/// nothing served, and the returned stderr names the complaint.
+fn refused(binary: &str, args: &[&str]) -> String {
+    let output = Command::new(binary)
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("binary starts");
+    assert!(
+        !output.status.success(),
+        "{binary} {args:?} must exit non-zero"
+    );
+    assert!(output.stdout.is_empty(), "a refused start serves nothing");
+    String::from_utf8(output.stderr).expect("utf-8 stderr")
+}
+
+/// There is one TCP transport; the flag that used to choose between
+/// two is gone, not ignored.
+#[test]
+fn the_transport_flag_is_an_unknown_flag() {
+    let stderr = refused(
+        env!("CARGO_BIN_EXE_chatpattern-serve"),
+        &["--transport", "threads"],
+    );
+    assert!(stderr.contains("unknown flag --transport"), "{stderr}");
+}
+
+/// A connection cap of zero is a server that accepts nobody: both
+/// binaries refuse it at start-up instead of listening in silence.
+#[test]
+fn a_connection_cap_of_zero_is_refused_at_start_up() {
+    for binary in [
+        env!("CARGO_BIN_EXE_chatpattern-serve"),
+        env!("CARGO_BIN_EXE_chatpattern-router"),
+    ] {
+        let stderr = refused(
+            binary,
+            &["--listen", "127.0.0.1:0", "--max-connections", "0"],
+        );
+        assert!(
+            stderr.contains("--max-connections needs at least 1, got \"0\""),
+            "{binary}: {stderr}"
+        );
+    }
+}
