@@ -63,7 +63,7 @@ fn bench_execute_many(c: &mut Criterion) {
     });
     for (name, backend) in [
         ("inline", BackendKind::Inline),
-        ("pooled_4_workers", BackendKind::ThreadPool),
+        ("pooled_4_workers", BackendKind::Sharded { shards: 1 }),
         ("sharded_2x2", BackendKind::Sharded { shards: 2 }),
     ] {
         let engine = engine(backend);

@@ -15,9 +15,7 @@
 #[cfg(unix)]
 fn run() -> Result<(), String> {
     use chatpattern_core::wire::{RequestEnvelope, WireOutcome};
-    use chatpattern_core::{
-        BackendKind, EngineConfig, GenerateParams, PatternEngine, PatternRequest,
-    };
+    use chatpattern_core::{EngineConfig, GenerateParams, PatternEngine, PatternRequest};
     use cp_bench::BenchConfig;
     use cp_dataset::Style;
     use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
@@ -43,10 +41,10 @@ fn run() -> Result<(), String> {
         PatternEngine::with_config(
             Arc::clone(&system),
             EngineConfig {
-                backend: BackendKind::ThreadPool,
                 workers: 2,
                 queue_depth: conns * (stats_per_conn + 1),
                 cache_capacity: 0,
+                ..EngineConfig::default()
             },
         )
         .map_err(|e| format!("engine config: {e}"))?,

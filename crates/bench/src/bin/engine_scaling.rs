@@ -1,9 +1,9 @@
 //! Engine scaling: serial `execute_many` vs. every execution backend
-//! (inline, thread pool at several worker counts, sharded) on a
+//! (inline, one queue at several worker counts, several shards) on a
 //! 32-request Generate batch, plus a duplicate-request burst measuring
 //! the in-flight coalescing hit rate, a `session_turns` sweep (N
-//! concurrent chat sessions × M turns each, threadpool vs. sharded
-//! session-affine routing), and a `session_spill_rehydrate` sweep (N
+//! concurrent chat sessions × M turns each, one queue vs.
+//! session-affine shards), and a `session_spill_rehydrate` sweep (N
 //! sessions over a smaller store capacity with an in-memory
 //! durability layer, so every turn pays a spill + rehydrate — the
 //! steady-state cost of durable over-capacity operation), a
@@ -32,10 +32,10 @@
 //! coalescing, the stateful session workloads and the network path.
 //!
 //! Scale with the usual `CP_*` variables; `CP_ENGINE_WORKERS` is a
-//! comma-separated list of thread-pool sizes to sweep (default
-//! `2,4,8`) and `CP_ENGINE_SHARDS` the shard counts for the sharded
-//! backend (default `2,4`). `CP_ENGINE_SESSIONS` / `CP_ENGINE_TURNS`
-//! shape the session sweep (default `4` × `4`);
+//! comma-separated list of worker counts to sweep over one queue
+//! (default `2,4,8`) and `CP_ENGINE_SHARDS` the shard counts to sweep
+//! at the largest of them (default `2,4`). `CP_ENGINE_SESSIONS` /
+//! `CP_ENGINE_TURNS` shape the session sweep (default `4` × `4`);
 //! `CP_ROUTER_WORKERS` the router fleet sizes (default `1,2`).
 //!
 //! With `--check` the binary becomes a regression gate: it runs the
@@ -89,6 +89,9 @@ fn run_serial(system: &ChatPattern, cfg: &BenchConfig) -> f64 {
     started.elapsed().as_secs_f64() * 1e3
 }
 
+/// The default backend: one queue feeding every worker.
+const ONE_QUEUE: BackendKind = BackendKind::Sharded { shards: 1 };
+
 fn engine(
     system: &Arc<ChatPattern>,
     backend: BackendKind,
@@ -125,7 +128,7 @@ fn run_backend(
 /// Submits `BATCH` requests cycling through `UNIQUE` distinct seeds,
 /// all in flight at once, and reports `(millis, coalesced)`.
 fn run_coalescing(system: &Arc<ChatPattern>, cfg: &BenchConfig, workers: usize) -> (f64, u64) {
-    let engine = engine(system, BackendKind::ThreadPool, workers);
+    let engine = engine(system, ONE_QUEUE, workers);
     let started = Instant::now();
     let handles: Vec<JobHandle> = (0..BATCH as u64)
         .map(|i| {
@@ -392,7 +395,7 @@ fn run_session_spill(
             .build()
             .expect("valid spill-sweep configuration"),
     );
-    let engine = engine(&system, BackendKind::ThreadPool, workers);
+    let engine = engine(&system, ONE_QUEUE, workers);
     let utterance = format!(
         "Generate 1 pattern, topology size {w}*{w}, physical size {f}nm x {f}nm, \
          style Layer-10001.",
@@ -483,7 +486,7 @@ fn run_session_durability(
     );
 
     let system = build();
-    let live = engine(&system, BackendKind::ThreadPool, workers);
+    let live = engine(&system, ONE_QUEUE, workers);
     for s in 0..sessions {
         live.execute(PatternRequest::SessionOpen(SessionOpenParams {
             session: format!("durable-{s}"),
@@ -516,7 +519,7 @@ fn run_session_durability(
     drop(system);
 
     let system = build();
-    let engine = engine(&system, BackendKind::ThreadPool, workers);
+    let engine = engine(&system, ONE_QUEUE, workers);
     let started = Instant::now();
     for s in 0..sessions {
         engine
@@ -544,7 +547,7 @@ fn run_tcp_round_trip(system: &Arc<ChatPattern>, cfg: &BenchConfig, workers: usi
     use chatpattern_core::wire::{RequestEnvelope, WireOutcome};
     use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
 
-    let engine = Arc::new(engine(system, BackendKind::ThreadPool, workers));
+    let engine = Arc::new(engine(system, ONE_QUEUE, workers));
     let server =
         EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default()).expect("loopback bind");
     let addr = server.local_addr().to_string();
@@ -734,7 +737,7 @@ fn run_connection_scaling(
     use chatpattern_core::wire::{RequestEnvelope, WireOutcome};
     use cp_net::{ClientConfig, EngineHandler, NdjsonClient};
 
-    let engine = Arc::new(engine(system, BackendKind::ThreadPool, workers));
+    let engine = Arc::new(engine(system, ONE_QUEUE, workers));
     let counters = engine.conn_counters();
     let handler = Arc::new(EngineHandler::new(Arc::clone(&engine)));
     let server = cp_net::EventLoopServer::bind("127.0.0.1:0", cp_net::EventLoopConfig::default())
@@ -1018,7 +1021,7 @@ fn check_against_baseline(current_json: &str, mode: &CheckMode) -> bool {
 fn main() {
     let check = parse_check_args();
     let cfg = BenchConfig::from_env();
-    cfg.print_banner("Engine scaling: serial vs. inline/threadpool/sharded backends");
+    cfg.print_banner("Engine scaling: serial vs. inline/sharded backends");
     let worker_sweep = sweep("CP_ENGINE_WORKERS", "2,4,8");
     let shard_sweep = sweep("CP_ENGINE_SHARDS", "2,4");
     let max_workers = worker_sweep.iter().copied().max().unwrap_or(4);
@@ -1052,22 +1055,14 @@ fn main() {
 
     let inline_ms = run_backend(&system, &cfg, BackendKind::Inline, 1);
     record("inline", "inline", 0, 0, inline_ms);
-    for &workers in &worker_sweep {
-        let ms = run_backend(&system, &cfg, BackendKind::ThreadPool, workers);
+    let one_queue = worker_sweep.iter().map(|&workers| (1, workers));
+    let sharded = shard_sweep.iter().map(|&shards| (shards, max_workers));
+    for (shards, workers) in one_queue.chain(sharded) {
+        let ms = run_backend(&system, &cfg, BackendKind::Sharded { shards }, workers);
         record(
-            &format!("threadpool {workers:2} workers"),
-            "threadpool",
-            workers,
-            0,
-            ms,
-        );
-    }
-    for &shards in &shard_sweep {
-        let ms = run_backend(&system, &cfg, BackendKind::Sharded { shards }, max_workers);
-        record(
-            &format!("sharded {shards} shards/{max_workers} wrk"),
+            &format!("sharded {shards} shards/{workers} wrk"),
             "sharded",
-            max_workers,
+            workers,
             shards,
             ms,
         );
@@ -1082,8 +1077,8 @@ fn main() {
         hit_rate * 100.0
     );
 
-    // Session sweep: the stateful multi-turn workload, threadpool vs.
-    // session-affine sharded routing.
+    // Session sweep: the stateful multi-turn workload, one queue vs.
+    // session-affine shards.
     let n_sessions = sweep("CP_ENGINE_SESSIONS", "4")
         .first()
         .copied()
@@ -1092,22 +1087,17 @@ fn main() {
     let session_workers = max_workers.max(n_sessions.min(4));
     let session_shards = n_sessions.min(session_workers).max(1);
     let mut session_rows = String::new();
-    for (label, backend, shards) in [
-        ("threadpool", BackendKind::ThreadPool, 0usize),
-        (
-            "sharded",
-            BackendKind::Sharded {
-                shards: session_shards,
-            },
-            session_shards,
-        ),
-    ] {
+    let mut session_sweep = vec![1, session_shards];
+    session_sweep.dedup();
+    for shards in session_sweep {
+        let backend = BackendKind::Sharded { shards };
+        let label = backend.name();
         let millis =
             run_session_turns(&system, &cfg, backend, session_workers, n_sessions, n_turns);
         #[allow(clippy::cast_precision_loss)]
         let turns_per_sec = (n_sessions * n_turns) as f64 / (millis / 1e3);
         println!(
-            "  session_turns {label:<10} {millis:9.1} ms   \
+            "  session_turns {label}/{shards:<2} {millis:9.1} ms   \
              {n_sessions} sessions x {n_turns} turns, {turns_per_sec:.1} turns/s"
         );
         let _ = write!(

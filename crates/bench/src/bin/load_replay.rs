@@ -125,10 +125,6 @@ fn spawn_fleet(
         "127.0.0.1:0",
         "--workers",
         &load.fleet_workers.to_string(),
-        "--tenant-quota",
-        &load.quota,
-        "--lane-weights",
-        &load.lane_weights,
         "--serve-bin",
     ]);
     command.arg(serve);
@@ -143,6 +139,10 @@ fn spawn_fleet(
         "2",
         "--seed",
         &cfg.seed.to_string(),
+        "--tenant-quota",
+        &load.quota,
+        "--lane-weights",
+        &load.lane_weights,
     ] {
         command.args(["--serve-arg", arg]);
     }

@@ -1,33 +1,23 @@
-//! Pluggable execution backends.
+//! Where a [`PatternEngine`](crate::PatternEngine) runs its jobs.
 //!
-//! A [`PatternEngine`](crate::PatternEngine) no longer owns one
-//! hard-coded worker pool: the execution strategy is the
-//! [`ExecBackend`] trait, selected through
-//! [`EngineConfig::backend`](crate::EngineConfig) via [`BackendKind`]:
+//! [`EngineConfig::backend`](crate::EngineConfig) picks a
+//! [`BackendKind`]; `docs/ENGINE.md` has the matrix.
 //!
-//! | backend | threads | queues | for |
-//! |---|---|---|---|
-//! | [`InlineBackend`] | 0 | none | tests, WASM-ish hosts, strict determinism |
-//! | [`ThreadPoolBackend`] | `workers` | 1 bounded | the default server workload |
-//! | [`ShardedBackend`] | `workers` split across shards | 1 bounded per shard | key-affine routing at scale |
+//! The backend schedules tasks; everything about *what* a task does
+//! (service execution, caching, coalescing fan-out, stats) lives in
+//! the engine closure it is constructed with, so it is pure scheduling
+//! policy. A task goes to the shard its route — a stable hash of the
+//! request key ([`crate::routing`]) — selects, so repeated identical
+//! requests land on the same shard and stay cache-hot there.
 //!
-//! Backends schedule [`ExecTask`]s; everything about *what* a task does
-//! (service execution, caching, coalescing fan-out, stats) lives in the
-//! engine closure they are constructed with, so a backend is pure
-//! scheduling policy. The sharded backend routes by
-//! [`ExecTask::route`] — a stable hash of the request key — so repeated
-//! identical requests land on the same shard and stay cache-hot there.
-//!
-//! Queued backends dequeue **weighted-fair**, not FIFO: every task
-//! carries a QoS lane and tenant ([`ExecTask::lane`] /
-//! [`ExecTask::tenant`]), and the pool queue is a
-//! [`cp_qos::FairQueue`] — lanes share by
-//! [`cp_qos::LaneWeights`] credits and tenants round-robin within a
-//! lane, so one flooding tenant cannot starve everyone else's queued
-//! work.
+//! Workers dequeue **weighted-fair**, not FIFO: every task carries the
+//! QoS lane and tenant of its leading request, and each shard's queue
+//! is a [`cp_qos::FairQueue`] — lanes share by [`cp_qos::LaneWeights`]
+//! credits and tenants round-robin within a lane, so one flooding
+//! tenant cannot starve everyone else's queued work.
 
-pub use crate::broker::ExecTask;
-use crate::Error;
+use crate::broker::ExecTask;
+use crate::{EngineConfig, Error};
 use cp_qos::{FairQueue, LaneWeights};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -42,13 +32,12 @@ pub enum BackendKind {
     /// them ≥ 1, so one config passes for any backend); `QueueFull`
     /// never happens.
     Inline,
-    /// One bounded queue feeding `workers` threads — the default.
-    ThreadPool,
     /// `shards` independent bounded queues (each `queue_depth` deep),
     /// each with its own slice of the `workers` threads (`workers`
     /// must be ≥ `shards` so every shard can drain its queue). Jobs
     /// are routed by request-key hash, so identical and repeated
-    /// requests stay shard-local.
+    /// requests stay shard-local. `shards: 1` — one queue feeding
+    /// every worker — is the default.
     Sharded {
         /// Number of independent queue+worker groups (≥ 1, ≤ workers).
         shards: usize,
@@ -56,158 +45,112 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// The name used on the `chatpattern-serve` command line and in
-    /// bench output.
+    /// The name in `chatpattern-serve --stats` lines and bench output.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Inline => "inline",
-            BackendKind::ThreadPool => "threadpool",
             BackendKind::Sharded { .. } => "sharded",
         }
     }
 }
 
-/// What a backend runs for every task it schedules. The engine builds
+/// What the backend runs for every task it schedules. The engine builds
 /// this once (service execution + broker completion + stats) and hands
-/// it to the backend at construction.
-pub type TaskFn = Arc<dyn Fn(&Arc<ExecTask>) + Send + Sync>;
+/// it over at construction.
+pub(crate) type TaskFn = Arc<dyn Fn(&Arc<ExecTask>) + Send + Sync>;
 
-/// An execution strategy: accepts tasks, runs them (somehow), and can
-/// shut down. Implementations are pure scheduling policy — the task
-/// closure owns all engine semantics.
-pub trait ExecBackend: Send + Sync {
-    /// Schedules one task. With `block` set, waits for queue space
-    /// (back-pressure); otherwise reports [`Error::QueueFull`] when the
-    /// target queue is at capacity and the task was not accepted.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::QueueFull`] — only possible when `block` is `false`.
-    fn dispatch(&self, task: Arc<ExecTask>, block: bool) -> Result<(), Error>;
-
-    /// Jobs currently waiting in each internal queue, one entry per
-    /// queue (empty for queueless backends). Feeds
-    /// [`EngineStats::queue_depths`](crate::EngineStats).
-    fn queue_depths(&self) -> Vec<usize>;
-
-    /// Stops accepting work, joins all workers, and returns every task
-    /// that never ran so the caller can fail its subscribers.
-    fn shutdown(&mut self) -> Vec<Arc<ExecTask>>;
-}
-
-/// Serial, zero-thread execution: the submitting thread runs the job.
-pub struct InlineBackend {
-    run: TaskFn,
-}
-
-impl InlineBackend {
-    pub(crate) fn new(run: TaskFn) -> InlineBackend {
-        InlineBackend { run }
-    }
-}
-
-impl ExecBackend for InlineBackend {
-    fn dispatch(&self, task: Arc<ExecTask>, _block: bool) -> Result<(), Error> {
-        (self.run)(&task);
-        Ok(())
-    }
-
-    fn queue_depths(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    fn shutdown(&mut self) -> Vec<Arc<ExecTask>> {
-        Vec::new()
-    }
-}
-
-struct PoolQueue {
+struct ShardQueue {
     /// Weighted-fair across lanes, round-robin across tenants, FIFO
     /// within a tenant — see [`cp_qos::FairQueue`].
     tasks: FairQueue<Arc<ExecTask>>,
     shutdown: bool,
 }
 
-struct PoolShared {
-    depth: usize,
-    run: TaskFn,
-    queue: Mutex<PoolQueue>,
+/// One bounded queue and the condvars its workers and blocked
+/// dispatchers park on.
+struct Shard {
+    queue: Mutex<ShardQueue>,
     /// Signalled when a task is pushed or shutdown begins (workers wait).
     task_ready: Condvar,
     /// Signalled when a task is popped (blocking dispatchers wait).
     space_ready: Condvar,
 }
 
-/// The bounded-queue worker pool (the engine's original strategy),
-/// dequeuing in weighted-fair order.
-pub struct ThreadPoolBackend {
-    shared: Arc<PoolShared>,
+/// The engine's scheduler: a pool of queues, each drained by its own
+/// worker threads — or, with no queue at all
+/// ([`BackendKind::Inline`]), the submitting thread itself.
+pub(crate) struct Backend {
+    run: TaskFn,
+    /// Empty for [`BackendKind::Inline`].
+    shards: Vec<Arc<Shard>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl ThreadPoolBackend {
-    /// `label` names the worker threads (`{label}-{i}`).
-    pub(crate) fn new(
-        label: &str,
-        workers: usize,
-        queue_depth: usize,
-        weights: LaneWeights,
-        run: TaskFn,
-    ) -> ThreadPoolBackend {
-        let shared = Arc::new(PoolShared {
-            depth: queue_depth,
-            run,
-            queue: Mutex::new(PoolQueue {
-                tasks: FairQueue::new(queue_depth, weights),
-                shutdown: false,
-            }),
-            task_ready: Condvar::new(),
-            space_ready: Condvar::new(),
-        });
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
+impl Backend {
+    /// Worker `i` (thread `pattern-engine-{i}`) drains shard
+    /// `i % shards`: the `workers` threads split as evenly as possible.
+    /// A [validated](EngineConfig::validate) config has `workers >=
+    /// shards >= 1`, so every shard gets at least one worker without
+    /// oversubscribing the configured thread count.
+    pub(crate) fn new(config: &EngineConfig, weights: LaneWeights, run: TaskFn) -> Backend {
+        let shards: Vec<Arc<Shard>> = match config.backend {
+            BackendKind::Inline => Vec::new(),
+            BackendKind::Sharded { shards } => (0..shards)
+                .map(|_| {
+                    Arc::new(Shard {
+                        queue: Mutex::new(ShardQueue {
+                            tasks: FairQueue::new(config.queue_depth, weights),
+                            shutdown: false,
+                        }),
+                        task_ready: Condvar::new(),
+                        space_ready: Condvar::new(),
+                    })
+                })
+                .collect(),
+        };
+        let workers = shards
+            .iter()
+            .cycle()
+            .take(config.workers)
+            .enumerate()
+            .map(|(i, shard)| {
+                let shard = Arc::clone(shard);
+                let run = Arc::clone(&run);
                 thread::Builder::new()
-                    .name(format!("{label}-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .name(format!("pattern-engine-{i}"))
+                    .spawn(move || worker_loop(&shard, &run))
                     .expect("spawn engine worker")
             })
             .collect();
-        ThreadPoolBackend { shared, workers }
+        Backend {
+            run,
+            shards,
+            workers,
+        }
     }
-}
 
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let task = {
-            let mut queue = shared.queue.lock().expect("queue lock");
-            loop {
-                if let Some((task, _queued_for)) = queue.tasks.pop() {
-                    shared.space_ready.notify_one();
-                    break task;
-                }
-                if queue.shutdown {
-                    return;
-                }
-                queue = shared.task_ready.wait(queue).expect("queue lock");
-            }
-        };
-        (shared.run)(&task);
-    }
-}
-
-impl ExecBackend for ThreadPoolBackend {
-    fn dispatch(&self, task: Arc<ExecTask>, block: bool) -> Result<(), Error> {
+    /// Schedules one task. With `block` set, waits for queue space
+    /// (back-pressure); otherwise reports [`Error::QueueFull`] when the
+    /// target queue is at capacity and the task was not accepted.
+    /// Inline, the task has run by the time this returns.
+    pub(crate) fn dispatch(&self, task: Arc<ExecTask>, block: bool) -> Result<(), Error> {
+        if self.shards.is_empty() {
+            (self.run)(&task);
+            return Ok(());
+        }
+        let index = usize::try_from(task.route() % self.shards.len() as u64)
+            .expect("shard index fits usize");
+        let shard = &self.shards[index];
         {
-            let mut queue = self.shared.queue.lock().expect("queue lock");
+            let mut queue = shard.queue.lock().expect("queue lock");
             while queue.tasks.is_full() {
                 if !block {
                     return Err(Error::QueueFull {
-                        depth: self.shared.depth,
+                        depth: queue.tasks.capacity(),
                     });
                 }
-                queue = self.shared.space_ready.wait(queue).expect("queue lock");
+                queue = shard.space_ready.wait(queue).expect("queue lock");
             }
             let lane = task.lane();
             let tenant = task.tenant().to_owned();
@@ -217,22 +160,32 @@ impl ExecBackend for ThreadPoolBackend {
                 .map_err(|_| ())
                 .expect("space was awaited under the queue lock");
         }
-        self.shared.task_ready.notify_one();
+        shard.task_ready.notify_one();
         Ok(())
     }
 
-    fn queue_depths(&self) -> Vec<usize> {
-        vec![self.shared.queue.lock().expect("queue lock").tasks.len()]
+    /// Jobs currently waiting in each queue, one entry per shard (none
+    /// inline). Feeds [`EngineStats::queue_depths`](crate::EngineStats).
+    pub(crate) fn queue_depths(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|shard| shard.queue.lock().expect("queue lock").tasks.len())
+            .collect()
     }
 
-    fn shutdown(&mut self) -> Vec<Arc<ExecTask>> {
-        let drained = {
-            let mut queue = self.shared.queue.lock().expect("queue lock");
-            queue.shutdown = true;
-            queue.tasks.drain()
-        };
-        self.shared.task_ready.notify_all();
-        self.shared.space_ready.notify_all();
+    /// Stops accepting work, joins all workers, and returns every task
+    /// that never ran so the caller can fail its subscribers.
+    pub(crate) fn shutdown(&mut self) -> Vec<Arc<ExecTask>> {
+        let mut drained = Vec::new();
+        for shard in &self.shards {
+            {
+                let mut queue = shard.queue.lock().expect("queue lock");
+                queue.shutdown = true;
+                drained.extend(queue.tasks.drain());
+            }
+            shard.task_ready.notify_all();
+            shard.space_ready.notify_all();
+        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -240,69 +193,21 @@ impl ExecBackend for ThreadPoolBackend {
     }
 }
 
-impl Drop for ThreadPoolBackend {
-    fn drop(&mut self) {
-        // Idempotent: the engine normally shuts the pool down first and
-        // `workers` is already empty.
-        let _ = self.shutdown();
-    }
-}
-
-/// Per-shard queues and workers, routed by request-key hash.
-pub struct ShardedBackend {
-    shards: Vec<ThreadPoolBackend>,
-}
-
-impl ShardedBackend {
-    /// Splits `workers` threads as evenly as possible across `shards`
-    /// pools; each shard's queue is `queue_depth` deep. Callers
-    /// guarantee `workers >= shards >= 1`
-    /// ([`EngineConfig::validate`](crate::EngineConfig::validate)), so
-    /// every shard gets at least one worker without oversubscribing
-    /// the configured thread count.
-    pub(crate) fn new(
-        shards: usize,
-        workers: usize,
-        queue_depth: usize,
-        weights: LaneWeights,
-        run: &TaskFn,
-    ) -> ShardedBackend {
-        let base = workers / shards;
-        let extra = workers % shards;
-        let shards = (0..shards)
-            .map(|s| {
-                let shard_workers = base + usize::from(s < extra);
-                ThreadPoolBackend::new(
-                    &format!("pattern-shard-{s}"),
-                    shard_workers,
-                    queue_depth,
-                    weights,
-                    Arc::clone(run),
-                )
-            })
-            .collect();
-        ShardedBackend { shards }
-    }
-}
-
-impl ExecBackend for ShardedBackend {
-    fn dispatch(&self, task: Arc<ExecTask>, block: bool) -> Result<(), Error> {
-        let shard = usize::try_from(task.route() % self.shards.len() as u64)
-            .expect("shard index fits usize");
-        self.shards[shard].dispatch(task, block)
-    }
-
-    fn queue_depths(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .flat_map(ThreadPoolBackend::queue_depths)
-            .collect()
-    }
-
-    fn shutdown(&mut self) -> Vec<Arc<ExecTask>> {
-        self.shards
-            .iter_mut()
-            .flat_map(ThreadPoolBackend::shutdown)
-            .collect()
+fn worker_loop(shard: &Shard, run: &TaskFn) {
+    loop {
+        let task = {
+            let mut queue = shard.queue.lock().expect("queue lock");
+            loop {
+                if let Some((task, _queued_for)) = queue.tasks.pop() {
+                    shard.space_ready.notify_one();
+                    break task;
+                }
+                if queue.shutdown {
+                    return;
+                }
+                queue = shard.task_ready.wait(queue).expect("queue lock");
+            }
+        };
+        run(&task);
     }
 }

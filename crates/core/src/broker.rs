@@ -1,9 +1,9 @@
 //! The result broker: one LRU result cache plus an in-flight request
-//! coalescer, shared by every execution backend.
+//! coalescer, in front of the execution backend.
 //!
 //! The broker sits between [`PatternEngine`](crate::PatternEngine)
-//! submission and the [`ExecBackend`](crate::backend::ExecBackend)
-//! that actually runs jobs. Every keyed request (anything except
+//! submission and the [`Backend`](crate::backend::Backend) that
+//! actually runs jobs. Every keyed request (anything except
 //! `Chat { seed: None }`, see [`cache_key`](crate::engine::cache_key))
 //! is admitted through [`ResultBroker::admit`], which resolves it one
 //! of three ways:
@@ -208,8 +208,8 @@ struct TaskState {
 
 /// One shared execution: a request, the backend routing hash, the
 /// tenant/lane QoS context, and every submitter waiting on the
-/// result. This is the unit an
-/// [`ExecBackend`](crate::backend::ExecBackend) queues and runs.
+/// result. This is the unit the
+/// [`Backend`](crate::backend::Backend) queues and runs.
 pub struct ExecTask {
     /// Shared with the broker's in-flight map and, once the result is
     /// cached, with the cache: one allocation of the serialized request.
@@ -261,8 +261,8 @@ impl ExecTask {
     }
 
     /// Stable routing hash: identical request keys always map to the
-    /// same value, so a [`ShardedBackend`](crate::backend::ShardedBackend)
-    /// keeps cache-hot keys shard-local. Unkeyed requests carry a
+    /// same value, so the [`Backend`](crate::backend::Backend) keeps
+    /// cache-hot keys shard-local. Unkeyed requests carry a
     /// round-robin counter value instead.
     #[must_use]
     pub fn route(&self) -> u64 {

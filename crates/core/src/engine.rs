@@ -1,7 +1,7 @@
 //! The job-oriented execution engine.
 //!
-//! [`PatternEngine`] wraps any [`PatternService`] in a pluggable
-//! execution backend (see [`crate::backend`]) behind a shared result
+//! [`PatternEngine`] wraps any [`PatternService`] in an execution
+//! backend (see [`crate::backend`]) behind a shared result
 //! broker (the cache + coalescer layer), turning the blocking trait
 //! into a submission API:
 //!
@@ -15,7 +15,7 @@
 //!   delivered yet, reporting [`Error::Cancelled`] to that handle only;
 //! * the engine itself implements [`PatternService`], so
 //!   [`PatternService::execute_many`] becomes a submit-all/wait-all
-//!   loop that runs batches in parallel (on the threaded backends).
+//!   loop that runs batches in parallel (on the queued backend).
 //!
 //! Because every request carries its own RNG seed, parallel execution
 //! returns byte-identical payloads to the serial default — the batch is
@@ -33,10 +33,9 @@
 //! queue wait from execution time for every job. The full semantics
 //! are documented in `docs/ENGINE.md`.
 
-use crate::backend::{
-    BackendKind, ExecBackend, InlineBackend, ShardedBackend, TaskFn, ThreadPoolBackend,
-};
+use crate::backend::{Backend, BackendKind, TaskFn};
 use crate::broker::{Admission, ExecTask, JobShared, ResultBroker, TaskPhase};
+use crate::routing::route_hash;
 use crate::{Error, PatternRequest, PatternResponse, PatternService, ResponsePayload, Timing};
 use cp_qos::{QosConfig, QosGate, TenantLaneStats, TenantLedger};
 use serde::{Deserialize, Serialize};
@@ -49,12 +48,12 @@ use std::time::Instant;
 pub struct EngineConfig {
     /// Execution strategy (see [`BackendKind`]).
     pub backend: BackendKind,
-    /// Worker threads executing jobs (≥ 1; split across shards for
-    /// [`BackendKind::Sharded`], ignored by [`BackendKind::Inline`]).
+    /// Worker threads executing jobs (≥ 1; split across the shards,
+    /// ignored by [`BackendKind::Inline`]).
     pub workers: usize,
     /// Bound of each submission queue (≥ 1); [`PatternEngine::submit`]
-    /// reports [`Error::QueueFull`] beyond it. Per shard for the
-    /// sharded backend; ignored by the inline backend.
+    /// reports [`Error::QueueFull`] beyond it. Per shard; ignored by
+    /// the inline backend.
     pub queue_depth: usize,
     /// Entries in the request-level result cache (0 disables caching;
     /// coalescing of in-flight requests stays active either way).
@@ -64,7 +63,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            backend: BackendKind::ThreadPool,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: thread_count(),
             queue_depth: 256,
             cache_capacity: 128,
@@ -82,9 +81,8 @@ impl EngineConfig {
     /// # Errors
     ///
     /// Returns [`Error::Config`] when `workers` or `queue_depth` is
-    /// zero, or — for the sharded backend — when `shards` is zero or
-    /// exceeds `workers` (every shard needs a dedicated worker to
-    /// drain its queue).
+    /// zero, or when `shards` is zero or exceeds `workers` (every
+    /// shard needs a dedicated worker to drain its queue).
     pub fn validate(&self) -> Result<(), Error> {
         if self.workers == 0 {
             return Err(Error::config("engine needs at least 1 worker (got 0)"));
@@ -93,18 +91,13 @@ impl EngineConfig {
             return Err(Error::config("queue_depth must be at least 1 (got 0)"));
         }
         if let BackendKind::Sharded { shards } = self.backend {
-            if shards == 0 {
-                return Err(Error::config(
-                    "the sharded backend needs at least 1 shard (got 0)",
-                ));
-            }
             // Each shard drains its own queue, so a shard without a
             // dedicated worker would never make progress; silently
             // spawning extra threads would exceed the configured cap.
-            if shards > self.workers {
+            if !(1..=self.workers).contains(&shards) {
                 return Err(Error::config(format!(
-                    "the sharded backend needs at least 1 worker per shard \
-                     ({shards} shards > {} workers)",
+                    "engine needs at least 1 shard and 1 worker per shard \
+                     (got {shards} shards, {} workers)",
                     self.workers
                 )));
             }
@@ -176,8 +169,7 @@ pub struct EngineStats {
     /// Session turns executed.
     pub turns: u64,
     /// Jobs currently waiting in each backend queue, one entry per
-    /// queue: empty for [`BackendKind::Inline`], one entry for
-    /// [`BackendKind::ThreadPool`], one per shard for
+    /// queue: empty for [`BackendKind::Inline`], one per shard for
     /// [`BackendKind::Sharded`].
     pub queue_depths: Vec<usize>,
     /// Per-(tenant, lane) QoS accounting rows, sorted by tenant then
@@ -347,16 +339,6 @@ pub(crate) fn cache_key(request: &PatternRequest) -> Option<String> {
     crate::routing::request_key(request)
 }
 
-/// Stable backend-routing hash for a string (request key or session
-/// id): identical inputs always map to the same value, so a
-/// [`ShardedBackend`] keeps cache-hot keys — and every turn of one
-/// session — shard-local. Delegates to
-/// [`crate::routing::route_hash`] so in-process shards and the
-/// `chatpattern-router` fleet agree on placement.
-fn stable_route(input: &str) -> u64 {
-    crate::routing::route_hash(input)
-}
-
 /// A submitted job: wait for, poll, or cancel it.
 ///
 /// Several handles may share one backend execution (request
@@ -471,7 +453,7 @@ impl JobHandle {
     }
 }
 
-/// Service + broker + stats + QoS gate: everything a backend's task
+/// Service + broker + stats + QoS gate: everything the backend's task
 /// closure needs.
 struct EngineCore<S> {
     service: S,
@@ -495,7 +477,7 @@ impl<S: PatternService> EngineCore<S> {
         self.gate.release(task.tenant());
     }
 
-    /// Executes one task a backend scheduled and fans the result out
+    /// Executes one task the backend scheduled and fans the result out
     /// to its subscribers (the leader plus any coalesced waiters):
     /// cache insert, session and QoS bookkeeping, broker completion,
     /// per-subscriber timing and stats.
@@ -601,7 +583,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// current job and cancels everything still queued.
 pub struct PatternEngine<S: PatternService + Send + Sync + 'static> {
     core: Arc<EngineCore<S>>,
-    backend: Box<dyn ExecBackend>,
+    backend: Backend,
     config: EngineConfig,
     /// Round-robin routing for unkeyed (uncacheable) requests.
     route_counter: AtomicU64,
@@ -640,7 +622,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
     /// Wraps `service` with an explicit configuration **and** a
     /// multi-tenant QoS policy: per-tenant admission quotas
     /// ([`QosConfig::default_quota`] / overrides) and the lane weights
-    /// the queued backends dequeue with.
+    /// the queued backend dequeues with.
     ///
     /// # Errors
     ///
@@ -663,23 +645,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
             let core = Arc::clone(&core);
             Arc::new(move |task| core.run_task(task))
         };
-        let backend: Box<dyn ExecBackend> = match config.backend {
-            BackendKind::Inline => Box::new(InlineBackend::new(run)),
-            BackendKind::ThreadPool => Box::new(ThreadPoolBackend::new(
-                "pattern-engine",
-                config.workers,
-                config.queue_depth,
-                weights,
-                run,
-            )),
-            BackendKind::Sharded { shards } => Box::new(ShardedBackend::new(
-                shards,
-                config.workers,
-                config.queue_depth,
-                weights,
-                &run,
-            )),
-        };
+        let backend = Backend::new(&config, weights, run);
         Ok(PatternEngine {
             core,
             backend,
@@ -696,7 +662,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
     }
 
     /// A snapshot of the activity counters, including the live
-    /// per-queue depths of the active backend and the wrapped
+    /// per-queue depths of the backend and the wrapped
     /// service's session gauges.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
@@ -821,8 +787,8 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         // state shard-local and its turn order the shard queue's FIFO
         // order), and everything else spreads round-robin.
         let route = match (&key, request.session_id()) {
-            (Some(key), _) => stable_route(key),
-            (None, Some(session)) => stable_route(session),
+            (Some(key), _) => route_hash(key),
+            (None, Some(session)) => route_hash(session),
             (None, None) => self.route_counter.fetch_add(1, Ordering::Relaxed),
         };
         let lookup = Instant::now();
@@ -933,7 +899,7 @@ impl<S: PatternService + Send + Sync + 'static> Drop for PatternEngine<S> {
 }
 
 /// The engine is itself a service: `execute` is submit-and-wait, and
-/// `execute_many` runs batches in parallel (on threaded backends)
+/// `execute_many` runs batches in parallel (on the queued backend)
 /// while preserving input order (and, thanks to per-request seeds,
 /// exact payloads).
 impl<S: PatternService + Send + Sync + 'static> PatternService for PatternEngine<S> {
@@ -1001,7 +967,7 @@ mod tests {
                 delay: Duration::from_millis(30),
             },
             EngineConfig {
-                backend: BackendKind::ThreadPool,
+                backend: BackendKind::Sharded { shards: 1 },
                 workers,
                 queue_depth,
                 cache_capacity: 0,
@@ -1018,7 +984,7 @@ mod tests {
         let err = PatternEngine::with_config(
             service,
             EngineConfig {
-                backend: BackendKind::ThreadPool,
+                backend: BackendKind::Sharded { shards: 1 },
                 workers: 0,
                 queue_depth: 1,
                 cache_capacity: 0,
@@ -1255,6 +1221,28 @@ mod tests {
         assert_eq!(engine.stats().completed, 6);
     }
 
+    #[test]
+    fn the_default_is_one_queue_and_it_is_fifo_within_a_tenant() {
+        let default = PatternEngine::new(SlowService {
+            delay: Duration::ZERO,
+        });
+        assert_eq!(default.config().backend, BackendKind::Sharded { shards: 1 });
+        assert_eq!(default.stats().queue_depths.len(), 1);
+
+        // One shard, one worker: what one tenant queued behind a
+        // running job finishes in the order it was submitted.
+        let (engine, open_gate) = gated_engine();
+        let _running = engine.submit(generate(0)).expect("submits");
+        let (sender, finished) = mpsc::channel();
+        for seed in 1..=4 {
+            let sender = sender.clone();
+            let queued = engine.submit(generate(seed)).expect("submits");
+            queued.on_done(move |_| sender.send(seed).expect("the test is listening"));
+        }
+        open_gate();
+        assert_eq!(finished.iter().take(4).collect::<Vec<u64>>(), [1, 2, 3, 4]);
+    }
+
     /// A service whose jobs block until the test opens the gate, so a
     /// test decides which handles are still queued when it acts.
     struct GatedService {
@@ -1284,7 +1272,7 @@ mod tests {
                 open: Arc::clone(&gate),
             },
             EngineConfig {
-                backend: BackendKind::ThreadPool,
+                backend: BackendKind::Sharded { shards: 1 },
                 workers: 1,
                 queue_depth: 8,
                 cache_capacity: 0,
@@ -1453,7 +1441,7 @@ mod tests {
         let engine = PatternEngine::with_config(
             PanickingService,
             EngineConfig {
-                backend: BackendKind::ThreadPool,
+                backend: BackendKind::Sharded { shards: 1 },
                 workers: 1,
                 queue_depth: 8,
                 cache_capacity: 4,
@@ -1502,8 +1490,6 @@ mod tests {
             assert!(cache_key(request).is_none(), "{request:?}");
             assert_eq!(request.session_id(), Some("s"));
         }
-        assert_eq!(stable_route("s"), stable_route("s"));
-        assert_ne!(stable_route("s"), stable_route("t"));
         assert!(cache_key(&PatternRequest::Chat(ChatParams {
             request: "x".into(),
             seed: Some(1),
@@ -1526,7 +1512,7 @@ mod tests {
         PatternEngine::with_qos(
             SlowService { delay },
             EngineConfig {
-                backend: BackendKind::ThreadPool,
+                backend: BackendKind::Sharded { shards: 1 },
                 workers: 1,
                 queue_depth: 8,
                 cache_capacity: 0,

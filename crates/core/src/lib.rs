@@ -29,14 +29,14 @@
 //!
 //! For batch and server workloads, wrap any service in a
 //! [`PatternEngine`]: a job-submission executor
-//! ([`PatternEngine::submit`] → [`JobHandle`]) over a pluggable
-//! execution [`backend`] ([`BackendKind`]: inline, thread pool, or
-//! sharded), with a shared result broker that replays completed
-//! results from a request-level LRU cache and **coalesces** identical
-//! in-flight requests onto one execution, all reported in
-//! [`EngineStats`] counters (see `docs/ENGINE.md`). The [`wire`]
-//! module defines the JSON-lines envelopes the `chatpattern-serve`
-//! binary speaks over stdin/stdout.
+//! ([`PatternEngine::submit`] → [`JobHandle`]) over an execution
+//! [`backend`] ([`BackendKind`]: worker threads draining one or more
+//! bounded queues, or inline), with a shared result broker that
+//! replays completed results from a request-level LRU cache and
+//! **coalesces** identical in-flight requests onto one execution, all
+//! reported in [`EngineStats`] counters (see `docs/ENGINE.md`). The
+//! [`wire`] module defines the JSON-lines envelopes the
+//! `chatpattern-serve` binary speaks over stdin/stdout.
 //!
 //! # Example
 //!

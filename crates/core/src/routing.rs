@@ -3,7 +3,7 @@
 //!
 //! Two layers consume these helpers and must agree byte-for-byte:
 //!
-//! * the in-process [`ShardedBackend`](crate::BackendKind::Sharded),
+//! * the in-process engine backend ([`crate::BackendKind::Sharded`]),
 //!   which routes every submitted job to one of its shard queues, and
 //! * the multi-process `chatpattern-router` binary, which shards client
 //!   requests across a fleet of `chatpattern-serve` workers.

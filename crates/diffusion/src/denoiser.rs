@@ -9,9 +9,9 @@ use cp_squish::Topology;
 /// bit `x₀` is 1 (row-major, same length as the matrix).
 ///
 /// The diffusion machinery (reverse step, RePaint modification, painting
-/// walks) is written once against this trait; back-ends range from the
-/// fitted statistical [`MrfDenoiser`](crate::MrfDenoiser) to the real
-/// trainable U-Net ([`UNetDenoiser`](crate::UNetDenoiser)).
+/// walks) is written once against this trait. The fitted statistical
+/// [`MrfDenoiser`](crate::MrfDenoiser) is the implementation the system
+/// runs; the reference oracle and the test fakes are the others.
 pub trait Denoiser {
     /// Predicts `P(x₀ = 1)` per cell of `x_k` at diffusion step `k`.
     ///

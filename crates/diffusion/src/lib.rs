@@ -6,10 +6,12 @@
 //! * [`NoiseSchedule`] — the linear β schedule and 2×2 transition
 //!   matrices `Q_k` of Eqs. (1)–(4), with closed-form cumulative flip
 //!   probabilities;
-//! * [`Denoiser`] — the learned `p_θ(x₀ | x_k, c)` estimator. Two
-//!   back-ends exist: the fast statistical [`MrfDenoiser`] (fitted 3×3
-//!   neighbourhood tables; the workhorse of the experiments) and a real
-//!   trainable U-Net in `cp-nn` (see `cp-diffusion`'s `unet` module);
+//! * [`Denoiser`] — the `p_θ(x₀ | x_k, c)` estimator. **The paper's is
+//!   a trained U-Net; this repository's is [`MrfDenoiser`]**, a
+//!   mean-field Markov random field over fitted 3×3 neighbourhood
+//!   tables, which every binary, bench and test samples through. The
+//!   CPU U-Net and tensor crate once carried beside it, reached by none
+//!   of them, end at commit `a19dcb9` (`crates/diffusion/src/unet.rs`);
 //! * [`DiffusionModel`] — the conditional reverse process of Eqs. (9)
 //!   and (11), ancestral sampling from uniform noise;
 //! * [`modification`] — RePaint-style masked modification (Eq. 12):
@@ -42,7 +44,6 @@ pub mod modification;
 pub mod mrf;
 pub mod sampler;
 pub mod schedule;
-pub mod unet;
 
 pub use denoiser::Denoiser;
 pub use mask::Mask;
@@ -50,4 +51,3 @@ pub use model::DiffusionModel;
 pub use mrf::MrfDenoiser;
 pub use sampler::PatternSampler;
 pub use schedule::NoiseSchedule;
-pub use unet::UNetDenoiser;

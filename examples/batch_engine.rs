@@ -35,14 +35,15 @@ fn main() -> Result<(), Error> {
             .build()?,
     );
 
-    // Wrap the system in a 4-worker thread-pool engine with a small
-    // result cache. Swap `backend` for `BackendKind::Inline` (serial,
-    // zero threads) or `BackendKind::Sharded { shards: 2 }` (per-shard
-    // queues, key-affine routing) without touching anything else.
+    // Wrap the system in a 4-worker engine — one queue feeding all of
+    // them — with a small result cache. Swap `backend` for
+    // `BackendKind::Inline` (serial, zero threads) or
+    // `BackendKind::Sharded { shards: 2 }` (per-shard queues,
+    // key-affine routing) without touching anything else.
     let engine = PatternEngine::with_config(
         std::sync::Arc::clone(&system),
         EngineConfig {
-            backend: BackendKind::ThreadPool,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: 4,
             queue_depth: 64,
             cache_capacity: 32,

@@ -3,17 +3,18 @@
 //! Accepts NDJSON wire-protocol connections and fans every
 //! request out across a fleet of `chatpattern-serve --listen` workers
 //! — spawned as children, or attached by address — sharding by the
-//! exact same request-key / session-id hash as the in-process
-//! [`ShardedBackend`](chatpattern_core::BackendKind::Sharded)
-//! (`chatpattern_core::routing`, the single source of truth), so
+//! exact same request-key / session-id hash as the in-process engine's
+//! shards ([`chatpattern_core::BackendKind::Sharded`];
+//! `chatpattern_core::routing` is the single source of truth), so
 //! cache-hot keys and every turn of one session stay worker-local. A
 //! `Stats` request is answered with the *fleet* view: one
 //! [`EngineStats`] merged across all workers — including the
 //! per-(tenant, lane) QoS rows, summed fleet-wide.
 //!
 //! The envelope's `tenant` field is forwarded verbatim, so each
-//! worker's QoS gate (quotas from `--tenant-quota`, lane weights from
-//! `--lane-weights` — both forwarded to every spawned worker) sees
+//! worker's QoS gate (configured like everything else about a spawned
+//! worker, `--serve-arg --tenant-quota --serve-arg SPEC`, and checked
+//! by the worker: a value it refuses stops the router's start-up) sees
 //! the same tenant identity the client presented to the router, and
 //! an over-quota tenant gets the same typed `Overloaded` +
 //! `retry_after_ms` answer it would get from a single serve process.
@@ -44,11 +45,13 @@ use chatpattern_core::{
     EngineStats, Error, PatternRequest, PatternResponse, RequestEnvelope, ResponsePayload,
     SessionCloseParams, SessionRestoreParams, SessionSnapshotParams, Timing, WireOutcome,
 };
-use cp_net::{connect_with_backoff, ClientConfig, LineSink, DEFAULT_MAX_LINE_BYTES};
+use cp_net::{
+    connect_with_backoff, ClientConfig, Framed, LineFramer, LineSink, DEFAULT_MAX_LINE_BYTES,
+};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,7 +63,7 @@ chatpattern-router: shard a chatpattern-serve fleet behind one address
 
 Clients speak the normal wire protocol (docs/WIRE_PROTOCOL.md); every
 request is routed to one worker by the same request-key/session-id
-hash the in-process sharded backend uses, Stats requests return the
+hash the in-process engine shards by, Stats requests return the
 merged fleet view, and control lines ({\"id\":..,\"control\":..}, see
 docs/ROUTER.md) expose Fleet / Drain / Shutdown.
 
@@ -68,35 +71,30 @@ Options:
   --listen ADDR          address to accept clients on (required; port 0
                          for OS-assigned, announced on stderr as
                          'listening on HOST:PORT')
-  --workers N            spawn N chatpattern-serve children (default 2)
+  --workers N            spawn N chatpattern-serve children, at least 1
+                         (default 2)
   --worker ADDR          attach to an already-running serve --listen
                          worker instead of spawning (repeatable;
-                         overrides --workers)
+                         overrides --workers). It keeps the
+                         configuration it was started with: the next
+                         three options only apply to spawned workers
+                         and are refused together with --worker
   --serve-bin PATH       serve binary to spawn (default: the
                          chatpattern-serve next to this executable)
-  --serve-arg ARG        extra argument forwarded to every spawned
-                         worker (repeatable; model + engine flags)
-  --tenant-quota SPEC    per-tenant admission limits, validated here
-                         and forwarded to every spawned worker
-                         (repeatable; serve --tenant-quota syntax)
-  --lane-weights W       weighted-fair lane credits, validated here
-                         and forwarded to every spawned worker
-                         (serve --lane-weights syntax)
+  --serve-arg ARG        one word handed to every spawned worker as is
+                         (repeatable), for whatever chatpattern-serve
+                         --help lists, e.g. --serve-arg --tenant-quota
+                         --serve-arg inflight=4; the worker checks it,
+                         and a refusal stops the router's start-up
   --session-dir PATH     give worker i the spill directory
                          PATH/worker-i — this is what lets a respawned
                          worker rehydrate its sessions after a crash
-  --spill-ahead-turns N  forwarded to every spawned worker: snapshot
-                         warm sessions every N turns (serve syntax)
-  --spill-ahead-secs N   forwarded to every spawned worker: background
-                         snapshot cadence in seconds (serve syntax)
-  --persist-shards N     forwarded to every spawned worker: shard each
-                         worker's spill directory N ways (serve syntax)
   --max-connections N    concurrently served client connections, at
                          least 1 (default 64); excess connects wait
-  --pool N               TCP connections per worker (default 2): each
-                         forwarded request round-robins over the pool,
-                         so one slow reply cannot head-of-line-block
-                         every other request to that shard
+  --pool N               TCP connections per worker, at least 1 (default
+                         2): each forwarded request round-robins over
+                         the pool, so one slow reply cannot
+                         head-of-line-block every other to that shard
   --rebalance-threshold N  auto-rebalance: when the per-worker session
                          or queue-depth skew (max minus min across live
                          workers) exceeds N, move sessions from the
@@ -104,7 +102,7 @@ Options:
                          same drain machinery, one at a time, until the
                          skew closes (default 0 = off)
   --rebalance-interval-ms MS  how often the auto-rebalancer inspects
-                         fleet stats (default 1000; needs
+                         fleet stats, at least 1 (default 1000; needs
                          --rebalance-threshold)
   --help                 this text";
 
@@ -152,48 +150,25 @@ fn parse_args() -> Result<Options, String> {
                 .parse::<usize>()
                 .map_err(|_| format!("{name} needs an unsigned integer, got {value:?}"))
         };
+        let positive = |name: &str| match number(name)? {
+            0 => Err(format!("{name} needs at least 1, got {value:?}")),
+            n => Ok(n),
+        };
         match flag.as_str() {
             "--listen" => options.listen = value.clone(),
-            "--workers" => options.workers = number("--workers")?,
+            "--workers" => options.workers = positive("--workers")?,
             "--worker" => options.attach.push(value.clone()),
             "--serve-bin" => options.serve_bin = Some(value.clone()),
             "--serve-arg" => options.serve_args.push(value.clone()),
-            "--tenant-quota" => {
-                // Validate eagerly so a typo fails the router start
-                // instead of every worker spawn.
-                chatpattern_core::qos::QosConfig::default()
-                    .apply_quota_flag(&value)
-                    .map_err(|e| format!("--tenant-quota: {e}"))?;
-                options.serve_args.push("--tenant-quota".to_owned());
-                options.serve_args.push(value.clone());
-            }
-            "--lane-weights" => {
-                chatpattern_core::qos::LaneWeights::parse(&value)
-                    .map_err(|e| format!("--lane-weights: {e}"))?;
-                options.serve_args.push("--lane-weights".to_owned());
-                options.serve_args.push(value.clone());
-            }
             "--session-dir" => options.session_dir = Some(value.clone()),
-            "--spill-ahead-turns" | "--spill-ahead-secs" | "--persist-shards" => {
-                // Durability knobs ride through to every worker (each
-                // worker applies them to its own --session-dir slice).
-                number(&flag)?;
-                options.serve_args.push(flag.clone());
-                options.serve_args.push(value.clone());
-            }
-            "--max-connections" => {
-                options.max_connections = match number("--max-connections")? {
-                    0 => return Err(format!("--max-connections needs at least 1, got {value:?}")),
-                    n => n,
-                };
-            }
-            "--pool" => options.pool = number("--pool")?.max(1),
+            "--max-connections" => options.max_connections = positive("--max-connections")?,
+            "--pool" => options.pool = positive("--pool")?,
             "--rebalance-threshold" => {
                 options.rebalance_threshold = number("--rebalance-threshold")?;
             }
             "--rebalance-interval-ms" => {
                 options.rebalance_interval =
-                    Duration::from_millis(number("--rebalance-interval-ms")?.max(1) as u64);
+                    Duration::from_millis(positive("--rebalance-interval-ms")? as u64);
             }
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
@@ -201,8 +176,20 @@ fn parse_args() -> Result<Options, String> {
     if options.listen.is_empty() {
         return Err("--listen ADDR is required".to_owned());
     }
-    if options.attach.is_empty() && options.workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
+    if !options.attach.is_empty() {
+        // An attached worker was configured by whoever started it;
+        // taking these would promise what the router cannot deliver
+        // (crash rehydration from --session-dir, say).
+        let spawn_only = [
+            ("--serve-bin", options.serve_bin.is_some()),
+            ("--serve-arg", !options.serve_args.is_empty()),
+            ("--session-dir", options.session_dir.is_some()),
+        ];
+        if let Some((flag, _)) = spawn_only.iter().find(|(_, given)| *given) {
+            return Err(format!(
+                "{flag} only applies to spawned workers, not with --worker"
+            ));
+        }
     }
     Ok(options)
 }
@@ -727,6 +714,18 @@ fn call_worker(
         .ok_or_else(|| format!("worker {index}: internal call timed out"))
 }
 
+/// One worker's `Stats`, or `None` when it cannot be had right now.
+fn worker_stats(router: &Arc<Router>, index: usize) -> Option<EngineStats> {
+    let reply = call_worker(router, index, &PatternRequest::Stats).ok()?;
+    match reply.outcome {
+        WireOutcome::Ok(response) => match response.payload {
+            ResponsePayload::Stats(stats) => Some(stats),
+            _ => None,
+        },
+        WireOutcome::Err(_) => None,
+    }
+}
+
 // ------------------------------------------------------------- rebalancing
 
 /// Moves one session from `source` to `target`: snapshot → restore →
@@ -868,19 +867,8 @@ fn auto_rebalance(router: &Arc<Router>, threshold: usize) -> usize {
         let queued: HashMap<usize, usize> = live
             .iter()
             .map(|&index| {
-                let depth = call_worker(router, index, &PatternRequest::Stats)
-                    .ok()
-                    .and_then(|reply| match reply.outcome {
-                        WireOutcome::Ok(response) => match response.payload {
-                            ResponsePayload::Stats(stats) => {
-                                Some(stats.queue_depths.iter().sum::<usize>())
-                            }
-                            _ => None,
-                        },
-                        WireOutcome::Err(_) => None,
-                    })
-                    .unwrap_or(0);
-                (index, depth)
+                let stats = worker_stats(router, index);
+                (index, stats.map_or(0, |s| s.queue_depths.iter().sum()))
             })
             .collect();
         let counts: HashMap<usize, usize> = {
@@ -957,25 +945,15 @@ impl RouterHandler {
     /// Fan-out `Stats` and merge: the fleet view, answered by the
     /// router itself under normal wire framing.
     fn fleet_stats(&self) -> (EngineStats, Vec<Option<EngineStats>>) {
-        let started = Instant::now();
         let mut merged = EngineStats::default();
         let mut per_worker = Vec::with_capacity(self.router.workers.len());
         for worker in &self.router.workers {
-            let stats = call_worker(&self.router, worker.index, &PatternRequest::Stats)
-                .ok()
-                .and_then(|reply| match reply.outcome {
-                    WireOutcome::Ok(response) => match response.payload {
-                        ResponsePayload::Stats(stats) => Some(stats),
-                        _ => None,
-                    },
-                    WireOutcome::Err(_) => None,
-                });
+            let stats = worker_stats(&self.router, worker.index);
             if let Some(stats) = &stats {
                 merged.merge(stats);
             }
             per_worker.push(stats);
         }
-        let _ = started;
         (merged, per_worker)
     }
 
@@ -1118,11 +1096,14 @@ fn serve_clients(listener: &TcpListener, max_connections: usize, handler: &Arc<R
     }
 }
 
-/// Reads one client's lines until EOF or a failed write. The sink
+/// Reads one client's lines until EOF or a failed write, through the
+/// same bounded framer as `cp_net`'s event loop: a line over the cap is
+/// discarded as it streams in and answered under `id: null`, and the
+/// connection carries on at the next newline. The sink
 /// outlives the reader in the pending entries of `read_worker`
 /// threads, so a client that half-closed its write side keeps
 /// receiving answers until the last of them is delivered.
-fn serve_client(stream: TcpStream, handler: &RouterHandler) {
+fn serve_client(mut stream: TcpStream, handler: &RouterHandler) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -1131,14 +1112,39 @@ fn serve_client(stream: TcpStream, handler: &RouterHandler) {
     // peer's delayed ACK (~40 ms) — `cp_net`'s loop turns it off too.
     let _ = stream.set_nodelay(true);
     let sink = Arc::new(LineSink::new(Box::new(write_half)));
-    for line in std::io::BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut framer = LineFramer::new(DEFAULT_MAX_LINE_BYTES);
+    let mut scratch = [0u8; 16 * 1024];
+    let mut products = Vec::new();
+    loop {
+        let read = match stream.read(&mut scratch) {
+            Ok(read) => read,
+            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
+        // At EOF a last line still counts without its newline.
+        let chunk: &[u8] = if read == 0 { b"\n" } else { &scratch[..read] };
+        framer.push(chunk, &mut products);
+        for product in products.drain(..) {
+            match product {
+                Framed::Line(line) => {
+                    if !line.trim().is_empty() {
+                        handler.on_line(&line, &sink);
+                    }
+                }
+                Framed::Oversize { bytes } => {
+                    let error = Error::config(format!(
+                        "request line exceeds {DEFAULT_MAX_LINE_BYTES} bytes \
+                         ({bytes} bytes discarded)"
+                    ));
+                    sink.send_line(&ResponseEnvelope::error(Value::Null, &error).to_line());
+                }
+            }
+            if sink.is_closed() || sink.has_failed() {
+                return;
+            }
         }
-        handler.on_line(&line, &sink);
-        if sink.is_closed() || sink.has_failed() {
-            break;
+        if read == 0 {
+            return;
         }
     }
 }
@@ -1154,6 +1160,15 @@ fn main() -> ExitCode {
         }
     };
 
+    let worker = |index: usize, spawn: Option<SpawnSpec>, attach_addr: Option<String>| Worker {
+        index,
+        spawn,
+        attach_addr,
+        proc: Mutex::new(None),
+        links: (0..options.pool).map(|_| Link::new()).collect(),
+        next_link: AtomicU64::new(0),
+        draining: AtomicBool::new(false),
+    };
     let workers: Vec<Worker> = if options.attach.is_empty() {
         let bin = options.serve_bin.clone().unwrap_or_else(|| {
             std::env::current_exe()
@@ -1172,34 +1187,14 @@ fn main() -> ExitCode {
                     args.push("--session-dir".to_owned());
                     args.push(format!("{base}/worker-{index}"));
                 }
-                Worker {
-                    index,
-                    spawn: Some(SpawnSpec {
-                        bin: bin.clone(),
-                        args,
-                    }),
-                    attach_addr: None,
-                    proc: Mutex::new(None),
-                    links: (0..options.pool).map(|_| Link::new()).collect(),
-                    next_link: AtomicU64::new(0),
-                    draining: AtomicBool::new(false),
-                }
+                let bin = bin.clone();
+                worker(index, Some(SpawnSpec { bin, args }), None)
             })
             .collect()
     } else {
-        options
-            .attach
-            .iter()
-            .enumerate()
-            .map(|(index, addr)| Worker {
-                index,
-                spawn: None,
-                attach_addr: Some(addr.clone()),
-                proc: Mutex::new(None),
-                links: (0..options.pool).map(|_| Link::new()).collect(),
-                next_link: AtomicU64::new(0),
-                draining: AtomicBool::new(false),
-            })
+        let attached = options.attach.iter().enumerate();
+        attached
+            .map(|(index, addr)| worker(index, None, Some(addr.clone())))
             .collect()
     };
 

@@ -10,27 +10,16 @@
 //! submission order; the `id` is the correlation key. The format is
 //! documented with worked examples in `docs/WIRE_PROTOCOL.md`.
 //!
-//! ```text
-//! chatpattern-serve [--listen ADDR] [--max-connections N]
-//!                   [--backend inline|threadpool|sharded] [--shards N]
-//!                   [--workers N] [--queue-depth N] [--cache-capacity N]
-//!                   [--tenant-quota [TENANT:]SPEC]... [--lane-weights W]
-//!                   [--max-sessions N] [--session-ttl-secs N]
-//!                   [--session-dir PATH]
-//!                   [--window N] [--diffusion-steps N]
-//!                   [--training-patterns N] [--seed N] [--stats]
-//! ```
-//!
 //! Two carriers, one protocol (byte-identical envelopes): the
 //! default stdin/stdout pipe, and — with `--listen ADDR` — an
 //! NDJSON-over-TCP server (`cp_net`'s event loop) where every
 //! connection is its own request stream over the same shared engine;
 //! a client that half-closes still gets every reply it is owed, and
 //! one that stops reading is disconnected, not buffered for without
-//! bound (`docs/WIRE_PROTOCOL.md`, "Transports"). `--backend` selects
-//! the engine's execution strategy (see `docs/ENGINE.md`); duplicate
-//! in-flight requests coalesce onto one execution regardless of
-//! backend. Stateful multi-turn sessions (`SessionOpen`
+//! bound (`docs/WIRE_PROTOCOL.md`, "Transports"). `--help` lists the
+//! flags. `--workers` threads drain `--shards` bounded queues (one by
+//! default; see `docs/ENGINE.md`); duplicate in-flight requests coalesce
+//! onto one execution. Stateful multi-turn sessions (`SessionOpen`
 //! / `SessionTurn` / `SessionClose`, see `docs/SESSIONS.md`) are
 //! bounded by `--max-sessions` and `--session-ttl-secs`; with
 //! `--session-dir`, capacity eviction *spills* sessions to disk, and
@@ -118,13 +107,11 @@ Options:
   --max-connections N    concurrently served TCP connections, at least
                          1 (default 4096); excess connects wait in the
                          OS backlog
-  --backend NAME         execution backend: inline, threadpool (default)
-                         or sharded (per-shard queues + workers, jobs
-                         routed by request-key hash; needs
-                         --workers >= shards)
-  --shards N             shard count for --backend sharded
-                         (default min(4, workers))
   --workers N            engine worker threads (default: CPU count)
+  --shards N             bounded job queues the workers are split
+                         across, jobs routed by request-key hash; at
+                         least 1 and at most --workers (default 1: one
+                         queue feeding every worker)
   --queue-depth N        bounded submission queue, per shard when
                          sharded (default 256)
   --cache-capacity N     LRU result-cache entries, 0 disables (default 128)
@@ -179,7 +166,7 @@ Options:
 
 fn parse_args() -> Result<Options, String> {
     let mut options = Options::default();
-    let mut shards: Option<usize> = None;
+    let mut shards = 1;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--help" || flag == "-h" {
@@ -196,23 +183,13 @@ fn parse_args() -> Result<Options, String> {
                 .parse::<usize>()
                 .map_err(|_| format!("{name} needs an unsigned integer, got {value:?}"))
         };
+        let positive = |name: &str| match number(name)? {
+            0 => Err(format!("{name} needs at least 1, got {value:?}")),
+            n => Ok(n),
+        };
         match flag.as_str() {
-            "--backend" => {
-                options.engine.backend = match value.as_str() {
-                    "inline" => BackendKind::Inline,
-                    "threadpool" => BackendKind::ThreadPool,
-                    // The shard count is applied after the full parse
-                    // so --shards works in either flag order.
-                    "sharded" => BackendKind::Sharded { shards: 0 },
-                    other => {
-                        return Err(format!(
-                            "--backend must be inline, threadpool or sharded, got {other:?}"
-                        ))
-                    }
-                }
-            }
-            "--shards" => shards = Some(number("--shards")?),
-            "--workers" => options.engine.workers = number("--workers")?,
+            "--workers" => options.engine.workers = positive("--workers")?,
+            "--shards" => shards = positive("--shards")?,
             "--queue-depth" => options.engine.queue_depth = number("--queue-depth")?,
             "--cache-capacity" => options.engine.cache_capacity = number("--cache-capacity")?,
             "--tenant-quota" => {
@@ -240,29 +217,18 @@ fn parse_args() -> Result<Options, String> {
             "--training-patterns" => options.training_patterns = number("--training-patterns")?,
             "--seed" => options.seed = number("--seed")? as u64,
             "--listen" => options.listen = Some(value.clone()),
-            "--max-connections" => {
-                options.max_connections = match number("--max-connections")? {
-                    0 => return Err(format!("--max-connections needs at least 1, got {value:?}")),
-                    n => n,
-                };
-            }
+            "--max-connections" => options.max_connections = positive("--max-connections")?,
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
-    match (options.engine.backend, shards) {
-        (BackendKind::Sharded { .. }, shards) => {
-            // Default shard count: 4, clamped so the documented
-            // defaults stay valid on small hosts (validation requires
-            // workers >= shards).
-            options.engine.backend = BackendKind::Sharded {
-                shards: shards.unwrap_or_else(|| options.engine.workers.clamp(1, 4)),
-            };
-        }
-        (_, Some(_)) => {
-            return Err("--shards only applies with --backend sharded".to_owned());
-        }
-        _ => {}
+    // Compared after the loop so the two flags work in either order.
+    let workers = options.engine.workers;
+    if shards > workers {
+        return Err(format!(
+            "--shards needs at most --workers ({workers}), got \"{shards}\""
+        ));
     }
+    options.engine.backend = BackendKind::Sharded { shards };
     Ok(options)
 }
 

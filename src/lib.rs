@@ -5,14 +5,20 @@
 //! conditional discrete-diffusion layout pattern generator with
 //! free-size extension and explainable legalization.
 //!
+//! There is one generator, and it is not the paper's: the paper's
+//! denoiser is a trained U-Net; this repository's is the fitted
+//! mean-field MRF, [`diffusion::MrfDenoiser`]. The CPU U-Net and tensor
+//! crate once carried beside it, reached by no binary, bench or test,
+//! end at commit `a19dcb9` (`git show a19dcb9:crates/nn/src/lib.rs`).
+//!
 //! This crate re-exports the whole workspace. The public API is the
 //! [`PatternService`] trait served by [`ChatPattern`]: every capability
 //! — the agent chat path and the direct generate / extend / modify /
 //! legalize / evaluate back-ends — is one typed, serializable
 //! [`PatternRequest`], and every failure is the workspace-wide
 //! [`Error`]. For parallel batches and serving, wrap the system in a
-//! [`PatternEngine`] — a job-submission executor with pluggable
-//! backends ([`BackendKind`]: inline / thread pool / sharded), a
+//! [`PatternEngine`] — a job-submission executor over worker threads
+//! draining one or more bounded queues ([`BackendKind`]), a
 //! request-level result cache, and in-flight request coalescing (see
 //! `docs/ENGINE.md`) — or run the `chatpattern-serve` binary, which
 //! speaks the JSON-lines wire protocol from `docs/WIRE_PROTOCOL.md`
@@ -62,7 +68,6 @@ pub use cp_geom as geom;
 pub use cp_legalize as legalize;
 pub use cp_metrics as metrics;
 pub use cp_net as net;
-pub use cp_nn as nn;
 pub use cp_squish as squish;
 
 pub use chatpattern_core::{

@@ -104,7 +104,7 @@ fn parallel_execute_many_matches_serial_across_all_kinds() {
     let engine = PatternEngine::with_config(
         system,
         EngineConfig {
-            backend: BackendKind::ThreadPool,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: 4,
             queue_depth: 64,
             cache_capacity: 0,
@@ -137,7 +137,7 @@ fn cache_hit_replays_payload_with_fresh_timing() {
     let engine = PatternEngine::with_config(
         small_system(),
         EngineConfig {
-            backend: BackendKind::ThreadPool,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 16,
             cache_capacity: 8,
@@ -168,7 +168,7 @@ fn unseeded_chat_bypasses_the_cache() {
     let engine = PatternEngine::with_config(
         small_system(),
         EngineConfig {
-            backend: BackendKind::ThreadPool,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 16,
             cache_capacity: 8,
@@ -200,7 +200,7 @@ fn cancelling_a_queued_job_yields_cancelled() {
     let engine = PatternEngine::with_config(
         small_system(),
         EngineConfig {
-            backend: BackendKind::ThreadPool,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: 1,
             queue_depth: 16,
             cache_capacity: 0,
@@ -318,7 +318,7 @@ fn inline_reference(request: PatternRequest) -> String {
 /// The ISSUE acceptance criterion: N identical concurrent submits
 /// perform exactly one backend execution, `EngineStats.coalesced` is
 /// N-1, and all N payloads are byte-identical to the serial
-/// `InlineBackend` result.
+/// inline-backend result.
 fn coalescing_acceptance(backend: BackendKind) {
     const N: usize = 8;
     let (service, engine) = gated_engine(backend, 8);
@@ -347,7 +347,7 @@ fn coalescing_acceptance(backend: BackendKind) {
 
 #[test]
 fn identical_concurrent_submits_coalesce_on_the_thread_pool() {
-    coalescing_acceptance(BackendKind::ThreadPool);
+    coalescing_acceptance(BackendKind::Sharded { shards: 1 });
 }
 
 #[test]
@@ -357,7 +357,7 @@ fn identical_concurrent_submits_coalesce_on_the_sharded_backend() {
 
 #[test]
 fn cancelling_a_waiter_detaches_only_that_waiter() {
-    let (service, engine) = gated_engine(BackendKind::ThreadPool, 0);
+    let (service, engine) = gated_engine(BackendKind::Sharded { shards: 1 }, 0);
     let request = generate(5);
     let leader = engine.submit(request.clone()).expect("submits");
     let doomed = engine.submit(request.clone()).expect("coalesces");
@@ -378,7 +378,7 @@ fn cancelling_a_waiter_detaches_only_that_waiter() {
 
 #[test]
 fn cancelling_the_leader_keeps_the_shared_execution_alive() {
-    let (service, engine) = gated_engine(BackendKind::ThreadPool, 0);
+    let (service, engine) = gated_engine(BackendKind::Sharded { shards: 1 }, 0);
     let request = generate(6);
     let leader = engine.submit(request.clone()).expect("submits");
     let waiter = engine.submit(request).expect("coalesces");
@@ -426,7 +426,7 @@ fn session_turns_are_never_cached_or_coalesced() {
     let engine = PatternEngine::with_config(
         small_system(),
         EngineConfig {
-            backend: BackendKind::ThreadPool,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 32,
             cache_capacity: 8,

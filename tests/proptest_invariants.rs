@@ -1331,11 +1331,11 @@ fn check_queued_case(
         .collect::<Result<Vec<String>, String>>()?;
 
     for (backend, workers) in [
-        (BackendKind::ThreadPool, 1),
+        (BackendKind::Sharded { shards: 1 }, 1),
         (BackendKind::Sharded { shards: 2 }, 2),
     ] {
         check_queued_backend(&engine(backend, workers), topology, case, &expected)
-            .map_err(|e| format!("{}: {e}", backend.name()))?;
+            .map_err(|e| format!("{backend:?}: {e}"))?;
     }
     Ok(())
 }

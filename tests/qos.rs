@@ -58,7 +58,7 @@ fn quota_engine(delay: Duration, tenant: &str, quota: TenantQuota) -> PatternEng
     PatternEngine::with_qos(
         SleepService { delay },
         EngineConfig {
-            backend: BackendKind::ThreadPool,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 64,
             cache_capacity: 0,

@@ -19,10 +19,13 @@
 //!   router (asserted against the in-process reference here; the
 //!   stdio/TCP diff also runs in `scripts/wire_smoke.sh`).
 //! * **One line cap, both directions** — a request line over the
-//!   workers' cap is refused by the router under the client's own id
-//!   (a worker could only refuse it under `null`, which the router
-//!   cannot route back), and a line well over the former 1 MiB cap is
-//!   served, directly and through the router.
+//!   workers' cap once re-framed is refused by the router under the
+//!   client's own id (a worker could only refuse it under `null`, which
+//!   the router cannot route back), a line well over the former 1 MiB
+//!   cap is served, directly and through the router, and a client line
+//!   over the cap is discarded as it streams in, answered under `null`.
+//! * **One validator** — a value serve refuses for a flag forwarded
+//!   with `--serve-arg` stops the router before it listens.
 //! * **Auto-rebalance** — with `--rebalance-threshold 1`, a fleet
 //!   whose sessions all hash onto one worker is evened out by the
 //!   background rebalancer without any drain command, and every moved
@@ -34,7 +37,7 @@ use chatpattern::{
     ResponsePayload, SessionCloseParams, SessionOpenParams, SessionTurnParams, WireOutcome,
 };
 use cp_dataset::Style;
-use cp_net::{ClientConfig, NdjsonClient};
+use cp_net::{ClientConfig, NdjsonClient, DEFAULT_MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -334,12 +337,15 @@ fn three_worker_fleet_keeps_sessions_and_keys_worker_local() {
 fn the_line_cap_is_answered_under_the_clients_id_and_sits_above_the_old_one() {
     let mut fleet = RouterFleet::spawn(1, &[]);
 
-    // 9 MiB of utterance: over the 8 MiB cap once the router has
-    // re-framed it for the worker. The client must hear about it.
-    let over = format!(
-        r#"{{"id":"over","request":{{"Chat":{{"request":"{}","seed":1}}}}}}"#,
-        "x".repeat(9 << 20)
-    );
+    // Exactly the 8 MiB cap as the client frames it, so it passes the
+    // router's front door; over it once the router has re-framed it
+    // for the worker (an explicit `"tenant":null` outweighs the
+    // shorter internal id). The client must hear about it.
+    let envelope = |utterance: &str| {
+        format!(r#"{{"id":"over","request":{{"Chat":{{"request":"{utterance}","seed":1}}}}}}"#)
+    };
+    let over = envelope(&"x".repeat(DEFAULT_MAX_LINE_BYTES - envelope("").len()));
+    assert_eq!(over.len(), DEFAULT_MAX_LINE_BYTES);
     fleet.client.send_line(&over).expect("oversize line sent");
     let refused = fleet.client.recv().expect("the router answers");
     assert_eq!(refused.id.as_str(), Some("over"), "under the client's id");
@@ -399,6 +405,76 @@ fn the_line_cap_is_answered_under_the_clients_id_and_sits_above_the_old_one() {
     drop(direct);
 
     fleet.shutdown();
+}
+
+/// Peak resident set of a live process in KiB, from `/proc/PID/status`.
+fn peak_rss_kib(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("status reads");
+    let peak = status.lines().find_map(|line| line.strip_prefix("VmHWM:"));
+    let kib = peak.and_then(|rest| rest.trim().strip_suffix("kB"));
+    kib.and_then(|kib| kib.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no VmHWM in {status}"))
+}
+
+#[test]
+fn an_unterminated_line_over_the_cap_is_refused_without_being_buffered_whole() {
+    let mut fleet = RouterFleet::spawn(1, &[]);
+    let before = peak_rss_kib(fleet.child.id());
+
+    // Eight caps' worth of bytes go by before the router sees the
+    // newline: a reader that waits for it before it measures has to
+    // hold them all.
+    const STREAMED: usize = 8 * DEFAULT_MAX_LINE_BYTES + 1;
+    fleet
+        .client
+        .send_line(&"x".repeat(STREAMED))
+        .expect("bytes streamed");
+    let refused = fleet.client.recv().expect("the router answers");
+    assert!(refused.id.is_null(), "nothing to recover an id from");
+    let WireOutcome::Err(error) = refused.outcome else {
+        panic!("a line over the cap must be refused");
+    };
+    let expected = format!(
+        "exceeds {DEFAULT_MAX_LINE_BYTES} bytes ({} bytes discarded)",
+        STREAMED + 1
+    );
+    assert!(error.message.contains(&expected), "{error:?}");
+
+    // The connection survived and framing resumed at the newline.
+    let payload = fleet.expect_ok("after", PatternRequest::Stats);
+    assert!(matches!(payload, ResponsePayload::Stats(_)));
+
+    // The framer buffers up to the cap before it switches to
+    // discarding, so the router held one cap's worth of the line at
+    // most, not the 64 MiB that went by.
+    let grown = peak_rss_kib(fleet.child.id()).saturating_sub(before);
+    assert!(
+        grown < 3 * (DEFAULT_MAX_LINE_BYTES as u64 / 1024),
+        "router peak RSS grew by {grown} KiB for a {STREAMED}-byte line"
+    );
+    fleet.shutdown();
+}
+
+/// The router has no copy of serve's flag syntax: `--serve-arg` hands
+/// the words over, the serve child checks them, and a value it refuses
+/// ends the router's start-up — before any address is announced, with
+/// the child's own complaint on stderr.
+#[test]
+fn a_forwarded_serve_flag_is_validated_by_serve_before_the_router_listens() {
+    for (flag, value) in [("--tenant-quota", "bogus=1"), ("--lane-weights", "1,2")] {
+        let output = Command::new(env!("CARGO_BIN_EXE_chatpattern-router"))
+            .args(["--listen", "127.0.0.1:0", "--workers", "1", "--serve-bin"])
+            .arg(env!("CARGO_BIN_EXE_chatpattern-serve"))
+            .args(["--serve-arg", flag, "--serve-arg", value])
+            .stdin(Stdio::null())
+            .output()
+            .expect("router binary starts");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("listening on"), "{stderr}");
+        let complaint = format!("[worker 0] chatpattern-serve: {flag}:");
+        assert!(stderr.contains(&complaint), "{stderr}");
+    }
 }
 
 #[test]

@@ -64,7 +64,7 @@ fn engine(system: ChatPattern) -> PatternEngine<ChatPattern> {
     PatternEngine::with_config(
         system,
         EngineConfig {
-            backend: BackendKind::ThreadPool,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 16,
             cache_capacity: 16,
@@ -625,6 +625,13 @@ fn sigkilled_router_worker_rehydrates_its_spilled_sessions() {
             .success(),
         "SIGKILL delivered"
     );
+    // Delivered is not dead: until the worker's last thread has exited
+    // its sockets are open, and a turn written to one is an in-flight
+    // loss, not what is tested here. The Fleet view's own Stats poll
+    // is a forward, so it respawns the worker once the death shows.
+    while fleet.worker_pids()[victim] == Some(pid) {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 
     // Every spilled session — on the victim (after the router
     // respawns it over the same --session-dir) and on the survivor —

@@ -53,7 +53,7 @@ fn build_engine() -> Arc<PatternEngine<Arc<ChatPattern>>> {
         PatternEngine::with_config(
             system,
             EngineConfig {
-                backend: BackendKind::ThreadPool,
+                backend: BackendKind::Sharded { shards: 1 },
                 workers: 2,
                 queue_depth: 512,
                 cache_capacity: 0,
@@ -517,7 +517,7 @@ fn in_flight_requests_hold_no_threads() {
         PatternEngine::with_config(
             Gated(Arc::clone(&gate)),
             EngineConfig {
-                backend: BackendKind::ThreadPool,
+                backend: BackendKind::Sharded { shards: 1 },
                 workers: 2,
                 queue_depth: 512,
                 cache_capacity: 0,

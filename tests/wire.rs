@@ -118,8 +118,6 @@ fn scripted_session_via_wire_matches_in_process_session_store() {
             "6",
             "--workers",
             "2",
-            "--backend",
-            "sharded",
             "--shards",
             "2",
         ])
@@ -332,48 +330,197 @@ fn reply_from_a_microbatching_era_peer_still_decodes() {
     assert_eq!((stats.submitted, stats.completed), (4, 4));
 }
 
+const SERVE: &str = env!("CARGO_BIN_EXE_chatpattern-serve");
+const ROUTER: &str = env!("CARGO_BIN_EXE_chatpattern-router");
+
 /// Runs a product binary with flags it must refuse: a non-zero exit,
-/// nothing served, and the returned stderr names the complaint.
-fn refused(binary: &str, args: &[&str]) -> String {
+/// nothing served, and a stderr that names the complaint.
+fn refused(binary: &str, args: &[&str], complaint: &str) {
     let output = Command::new(binary)
         .args(args)
         .stdin(Stdio::null())
         .output()
         .expect("binary starts");
-    assert!(
-        !output.status.success(),
-        "{binary} {args:?} must exit non-zero"
-    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{binary} {args:?}: {stderr}");
     assert!(output.stdout.is_empty(), "a refused start serves nothing");
-    String::from_utf8(output.stderr).expect("utf-8 stderr")
+    assert!(stderr.contains(complaint), "{binary} {args:?}: {stderr}");
 }
 
-/// There is one TCP transport; the flag that used to choose between
-/// two is gone, not ignored.
+/// A flag that used to choose between two mechanisms is gone with the
+/// second mechanism, not ignored: the TCP transport, the execution
+/// backend, and the router's copies of five serve flags (which ride
+/// `--serve-arg` like every other serve flag).
 #[test]
 fn the_transport_flag_is_an_unknown_flag() {
-    let stderr = refused(
-        env!("CARGO_BIN_EXE_chatpattern-serve"),
-        &["--transport", "threads"],
-    );
-    assert!(stderr.contains("unknown flag --transport"), "{stderr}");
+    for (binary, flag) in [
+        (SERVE, "--transport"),
+        (SERVE, "--backend"),
+        (ROUTER, "--tenant-quota"),
+        (ROUTER, "--lane-weights"),
+        (ROUTER, "--spill-ahead-turns"),
+        (ROUTER, "--spill-ahead-secs"),
+        (ROUTER, "--persist-shards"),
+    ] {
+        let args = ["--listen", "127.0.0.1:0", flag, "1"];
+        refused(binary, &args, &format!("unknown flag {flag} "));
+    }
 }
 
-/// A connection cap of zero is a server that accepts nobody: both
-/// binaries refuse it at start-up instead of listening in silence.
+/// A count of zero is a server that accepts nobody, a fleet with no
+/// link to it, a timer that never sleeps or an engine with no queue:
+/// both binaries refuse it at start-up, by the flag's name, instead of
+/// listening in silence or clamping it. A shard without a worker could
+/// never drain, so that is refused here too.
 #[test]
 fn a_connection_cap_of_zero_is_refused_at_start_up() {
-    for binary in [
-        env!("CARGO_BIN_EXE_chatpattern-serve"),
-        env!("CARGO_BIN_EXE_chatpattern-router"),
+    for (binary, flag) in [
+        (SERVE, "--max-connections"),
+        (SERVE, "--workers"),
+        (SERVE, "--shards"),
+        (ROUTER, "--max-connections"),
+        (ROUTER, "--workers"),
+        (ROUTER, "--pool"),
+        (ROUTER, "--rebalance-interval-ms"),
     ] {
-        let stderr = refused(
+        let args = ["--listen", "127.0.0.1:0", flag, "0"];
+        refused(
             binary,
-            &["--listen", "127.0.0.1:0", "--max-connections", "0"],
+            &args,
+            &format!("{flag} needs at least 1, got \"0\""),
         );
+    }
+    let complaint = "--shards needs at most --workers (2), got \"3\"";
+    refused(SERVE, &["--workers", "2", "--shards", "3"], complaint);
+    refused(SERVE, &["--shards", "3", "--workers", "2"], complaint);
+}
+
+/// Attach mode spawns nothing, so configuration for spawned workers is
+/// refused with it rather than accepted and dropped.
+#[test]
+fn attach_mode_refuses_configuration_for_spawned_workers() {
+    for (flag, value) in [
+        ("--serve-arg", "--stats"),
+        ("--serve-bin", "/bin/true"),
+        ("--session-dir", "/tmp/never-created"),
+    ] {
+        let args = [
+            "--listen",
+            "127.0.0.1:0",
+            flag,
+            value,
+            "--worker",
+            "127.0.0.1:1",
+        ];
+        refused(
+            ROUTER,
+            &args,
+            &format!("{flag} only applies to spawned workers"),
+        );
+    }
+}
+
+/// The flags `--help` lists: every line of the form `  --flag …`.
+fn help_flags(binary: &str) -> Vec<String> {
+    let output = Command::new(binary)
+        .arg("--help")
+        .output()
+        .expect("binary starts");
+    String::from_utf8(output.stdout)
+        .expect("utf-8 help")
+        .lines()
+        .filter_map(|line| line.strip_prefix("  --"))
+        .map(|rest| format!("--{}", rest.split(' ').next().expect("a flag name")))
+        .collect()
+}
+
+/// The `--flag` a word of documentation holds, if any (`--` alone is
+/// cargo's separator and `---` a table rule, not flags).
+fn flag_in(word: &str) -> Option<&str> {
+    let is_name = |c: char| c.is_ascii_alphanumeric() || c == '-';
+    let word = &word[word.find("--")?..];
+    let flag = &word[..word.find(|c| !is_name(c)).unwrap_or(word.len())];
+    flag[2..]
+        .starts_with(|c: char| c.is_ascii_lowercase())
+        .then_some(flag)
+}
+
+fn docs() -> impl Iterator<Item = String> {
+    ["ENGINE", "ROUTER", "SESSIONS", "WIRE_PROTOCOL"]
+        .into_iter()
+        .map(|name| {
+            let path = format!("{}/docs/{name}.md", env!("CARGO_MANIFEST_DIR"));
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+        })
+}
+
+/// Help, parser and docs agree about one binary: the parser takes
+/// every flag `--help` lists, and `--help` lists every flag the docs
+/// put on one of its command lines — what follows the binary's name
+/// up to the end of the code span or of the command (a trailing `\`
+/// continues it). The word after `--serve-arg` is the serve child's.
+fn help_parser_and_docs_agree(binary: &str, name: &str) {
+    let listed = help_flags(binary);
+    assert!(listed.len() > 5, "{name} --help lists flags: {listed:?}");
+    for flag in &listed {
+        // The parser reads left to right and stops at its first
+        // complaint: about this flag's value or about the flag after
+        // it, but not about this flag's name.
+        let output = Command::new(binary)
+            .args([flag.as_str(), "1", "--no-such-flag", "1"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("binary starts");
+        let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            stderr.contains("--max-connections needs at least 1, got \"0\""),
-            "{binary}: {stderr}"
+            !stderr.contains(&format!("unknown flag {flag} ")),
+            "{name} --help lists {flag}, the parser refuses it: {stderr}"
         );
+    }
+    for doc in docs() {
+        for segment in doc.replace("\\\n", " ").split(['`', '\n']) {
+            let Some((_, command)) = segment.split_once(name) else {
+                continue;
+            };
+            let mut words = command.split_whitespace();
+            while let Some(flag) = words.next().map(flag_in) {
+                let Some(flag) = flag else { continue };
+                assert!(
+                    listed.iter().any(|l| l == flag),
+                    "the docs show `{name} … {flag}`, which its --help does not list"
+                );
+                if flag == "--serve-arg" {
+                    words.next();
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn serve_help_parser_and_docs_list_the_same_flags() {
+    help_parser_and_docs_agree(SERVE, "chatpattern-serve");
+}
+
+#[test]
+fn router_help_parser_and_docs_list_the_same_flags() {
+    help_parser_and_docs_agree(ROUTER, "chatpattern-router");
+}
+
+/// No doc mentions a flag that nothing takes: every `--flag` in
+/// `docs/*.md` is in one of the two `--help` texts, or belongs to
+/// `cargo` or to `engine_scaling --check`.
+#[test]
+fn every_flag_the_docs_mention_exists() {
+    let mut known = help_flags(SERVE);
+    known.extend(help_flags(ROUTER));
+    known.extend(["--release", "--bin", "--check", "--threshold", "--baseline"].map(String::from));
+    for doc in docs() {
+        for flag in doc.split([' ', '\n', '/', '`']).filter_map(flag_in) {
+            assert!(
+                known.iter().any(|k| k == flag),
+                "the docs mention {flag}, which neither binary lists"
+            );
+        }
     }
 }
