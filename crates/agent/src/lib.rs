@@ -26,8 +26,10 @@
 //!
 //! The [`LanguageModel`] trait decouples the loop
 //! from the model: [`ExpertPolicy`] is the
-//! deterministic expert stand-in used in this reproduction (see
-//! DESIGN.md); any external LLM can be plugged in behind the same trait.
+//! deterministic expert stand-in used in this reproduction (no model
+//! weights or network in the build; [`policy`] says what it decides
+//! and from what); any external LLM can be plugged in behind the same
+//! trait.
 
 pub mod knowledge;
 pub mod llm;

@@ -11,7 +11,7 @@ use cp_dataset::Style;
 use cp_diffusion::{Mask, PatternSampler};
 use cp_extend::{extend, ExtensionMethod};
 use cp_legalize::Legalizer;
-use cp_squish::{Region, SquishPattern, Topology};
+use cp_squish::{fits_one_request, Region, SquishPattern, Topology, MAX_REQUEST_CELLS};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -436,6 +436,11 @@ impl Tool for TopologyExtension {
     fn call(&self, ctx: &mut ToolContext, args: &Value) -> Result<Value, ToolError> {
         let ids = arg_ids(args, "ids")?;
         let (rows, cols) = arg_pair(args, "target")?;
+        if !fits_one_request(rows, cols, 1) {
+            return Err(ToolError::new(format!(
+                "target {rows}x{cols} exceeds the {MAX_REQUEST_CELLS} cells one request may ask for"
+            )));
+        }
         let method = args
             .get("method")
             .and_then(Value::as_str)
@@ -790,6 +795,17 @@ mod tests {
             json!({"ids": [id], "target": [32, 32], "method": "Out"}),
         );
         assert_eq!(out["method"], "Out");
+        assert_eq!(ctx.stored(id).expect("stored").topology.shape(), (32, 32));
+        // A target no reply could carry is an observation for the
+        // agent, not a canvas allocation (this one would be 9 TB).
+        for side in [3_000_000u64, 1 << 32] {
+            let err = ToolRegistry::standard()
+                .get("topology_extension")
+                .expect("tool exists")
+                .call(&mut ctx, &json!({"ids": [id], "target": [side, side]}))
+                .expect_err("refused");
+            assert!(err.to_string().contains("exceeds"), "{err}");
+        }
         assert_eq!(ctx.stored(id).expect("stored").topology.shape(), (32, 32));
     }
 

@@ -7,7 +7,7 @@
 //! on the union dataset).
 
 use crate::Generator;
-use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule, PatternSampler};
+use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
 use cp_squish::Topology;
 use rand::RngCore;
 
@@ -57,8 +57,8 @@ impl Generator for DiffPattern {
         "DiffPattern"
     }
 
-    fn generate(&self, rows: usize, cols: usize, rng: &mut dyn RngCore) -> Topology {
-        self.model.generate(rows, cols, None, rng)
+    fn generate(&self, rows: usize, cols: usize, mut rng: &mut dyn RngCore) -> Topology {
+        self.model.sample(rows, cols, None, &mut rng)
     }
 }
 

@@ -2,7 +2,9 @@
 //! Table 1 of the paper.
 //!
 //! Each baseline is a *scaled but mechanistically faithful*
-//! reimplementation (see DESIGN.md for the substitution rationale):
+//! reimplementation — none of the originals' weights or training code
+//! are available offline, so each item names the mechanism kept and
+//! what stands in for the network:
 //!
 //! * [`Cae`] — convolutional auto-encoder proxy: a PCA (linear
 //!   auto-encoder) decoder over topology matrices, sampled in latent

@@ -95,8 +95,9 @@ use cp_drc::{check_pattern, DesignRules};
 use cp_extend::ExtensionMethod;
 use cp_legalize::Legalizer;
 use cp_metrics::LibraryStats;
-use cp_squish::{SquishPattern, Topology};
-use rand::{RngCore, SeedableRng};
+pub use cp_squish::MAX_REQUEST_CELLS;
+use cp_squish::{fits_one_request, SquishPattern, Topology};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -106,9 +107,10 @@ use std::time::Duration;
 
 /// Builder for a [`ChatPattern`] system.
 ///
-/// Defaults are the CPU-scale configuration documented in DESIGN.md:
-/// 64-cell window (paper: 128), 16 nm mean grid pitch, 12 diffusion steps
-/// (paper: 1000 — β endpoints preserved), 64 training patterns per style.
+/// Defaults are a CPU-scale configuration, one a laptop fits and
+/// samples in seconds: 64-cell window (paper: 128), 16 nm mean grid
+/// pitch, 12 diffusion steps (paper: 1000 — β endpoints preserved), 64
+/// training patterns per style.
 ///
 /// Setters record values verbatim; [`ChatPatternBuilder::build`]
 /// validates the whole configuration and reports [`Error::Config`]
@@ -496,6 +498,23 @@ impl Drop for Maintenance {
     }
 }
 
+/// Refuses `count` topologies of `rows × cols` that are empty or
+/// together exceed [`MAX_REQUEST_CELLS`].
+fn check_cells(rows: usize, cols: usize, count: usize) -> Result<(), Error> {
+    if rows == 0 || cols == 0 {
+        return Err(Error::invalid_request(format!(
+            "topology size {rows}x{cols} must be non-empty"
+        )));
+    }
+    if !fits_one_request(rows, cols, count) {
+        return Err(Error::invalid_request(format!(
+            "{count} x topology size {rows}x{cols} exceeds the {MAX_REQUEST_CELLS} cells \
+             one request may ask for"
+        )));
+    }
+    Ok(())
+}
+
 /// A sampler handle sharing the trained model across sessions.
 #[derive(Clone)]
 struct SharedSampler(Arc<DiffusionModel<MrfDenoiser>>);
@@ -510,7 +529,7 @@ impl PatternSampler for SharedSampler {
         rows: usize,
         cols: usize,
         condition: Option<u32>,
-        rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> Topology {
         self.0.generate(rows, cols, condition, rng)
     }
@@ -520,7 +539,7 @@ impl PatternSampler for SharedSampler {
         known: &Topology,
         mask: &Mask,
         condition: Option<u32>,
-        rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> Topology {
         PatternSampler::modify(&*self.0, known, mask, condition, rng)
     }
@@ -996,7 +1015,8 @@ impl ChatPattern {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidRequest`] when `rows` or `cols` is zero.
+    /// Returns [`Error::InvalidRequest`] when `rows` or `cols` is zero
+    /// or the request asks for more than [`MAX_REQUEST_CELLS`] cells.
     pub fn generate(
         &self,
         style: Style,
@@ -1005,11 +1025,7 @@ impl ChatPattern {
         count: usize,
         seed: u64,
     ) -> Result<Vec<Topology>, Error> {
-        if rows == 0 || cols == 0 {
-            return Err(Error::invalid_request(format!(
-                "topology size {rows}x{cols} must be non-empty"
-            )));
-        }
+        check_cells(rows, cols, count)?;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         Ok((0..count)
             .map(|_| self.model.sample(rows, cols, Some(style.id()), &mut rng))
@@ -1030,12 +1046,7 @@ impl ChatPattern {
     /// cannot waste the earlier requests' diffusion work.
     pub fn generate_many(&self, requests: &[GenerateParams]) -> Result<Vec<Vec<Topology>>, Error> {
         for p in requests {
-            if p.rows == 0 || p.cols == 0 {
-                return Err(Error::invalid_request(format!(
-                    "topology size {}x{} must be non-empty",
-                    p.rows, p.cols
-                )));
-            }
+            check_cells(p.rows, p.cols, p.count)?;
         }
         requests
             .iter()
@@ -1048,9 +1059,9 @@ impl ChatPattern {
     /// # Errors
     ///
     /// Returns [`Error::InvalidRequest`] when the target is smaller than
-    /// the seed topology, (unless it equals the seed shape) smaller
-    /// than the model window, or — for in-painting — when the seed is
-    /// not exactly window-sized.
+    /// the seed topology, larger than [`MAX_REQUEST_CELLS`], (unless it
+    /// equals the seed shape) smaller than the model window, or — for
+    /// in-painting — when the seed is not exactly window-sized.
     pub fn extend(
         &self,
         seed_topology: &Topology,
@@ -1062,6 +1073,7 @@ impl ChatPattern {
     ) -> Result<Topology, Error> {
         let (seed_rows, seed_cols) = seed_topology.shape();
         if (rows, cols) != (seed_rows, seed_cols) {
+            check_cells(rows, cols, 1)?;
             if rows < seed_rows || cols < seed_cols {
                 return Err(Error::invalid_request(format!(
                     "extension target {rows}x{cols} is smaller than the seed \
@@ -1336,6 +1348,29 @@ mod tests {
             )
             .expect_err("shrinking must fail");
         assert!(matches!(err, Error::InvalidRequest { .. }));
+    }
+
+    #[test]
+    fn the_cell_cap_counts_every_topology_and_does_not_wrap() {
+        for (rows, cols, count) in [(1024, 1024, 1), (2048, 2048, 1), (16, 16, 16384), (5, 5, 0)] {
+            assert!(
+                check_cells(rows, cols, count).is_ok(),
+                "{rows}x{cols} x{count}"
+            );
+        }
+        let half = usize::MAX / 2 + 1;
+        for (rows, cols, count) in [
+            (0, 16, 1),
+            (2049, 2048, 1),
+            (2048, 2048, 2),
+            (3_000_000, 3_000_000, 1),
+            (half, half, 1),
+            (half, 1, 2),
+            (16, 16, usize::MAX),
+        ] {
+            let err = check_cells(rows, cols, count).expect_err("refused");
+            assert!(matches!(err, Error::InvalidRequest { .. }), "{err:?}");
+        }
     }
 
     #[test]

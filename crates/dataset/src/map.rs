@@ -1,7 +1,7 @@
 //! Rule-based synthetic layout-map generation.
 //!
-//! These generators stand in for the ICCAD-2014 contest layout maps (see
-//! DESIGN.md). They emit large [`Layout`]s that the dataset builder
+//! These generators stand in for the ICCAD-2014 contest layout maps,
+//! which cannot ship with an offline build. They emit large [`Layout`]s that the dataset builder
 //! windows into patches. Both follow the reference design rules with
 //! margin, so the *local statistics* the generative models learn are
 //! those of DRC-plausible metal.

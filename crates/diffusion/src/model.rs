@@ -50,19 +50,9 @@ impl<D: Denoiser> DiffusionModel<D> {
     /// probability `b̄_k` (Eq. 2 in its closed two-state form).
     #[must_use]
     pub fn forward_noised(&self, x0: &Topology, k: usize, rng: &mut impl Rng) -> Topology {
-        let flip = self.schedule.flip_bar(k);
-        let mut cells = Vec::with_capacity(x0.len());
-        let mut draws = [0u8; 8 * DRAW_BLOCK];
-        for x0 in x0.as_bytes().chunks(DRAW_BLOCK) {
-            let draws = &mut draws[..8 * x0.len()];
-            rng.fill_bytes(draws);
-            cells.extend(
-                x0.iter()
-                    .zip(draws.chunks_exact(8))
-                    .map(|(&bit, draw)| (bit != 0) != (unit_draw(draw) < flip)),
-            );
-        }
-        collect_topology(x0.rows(), x0.cols(), cells)
+        let mut cells = vec![0u8; x0.len()];
+        forward_cells(x0.as_bytes(), self.schedule.flip_bar(k), rng, &mut cells);
+        Topology::from_bytes(x0.rows(), x0.cols(), cells)
     }
 
     /// The four posterior values of step `k`, indexed
@@ -71,7 +61,7 @@ impl<D: Denoiser> DiffusionModel<D> {
     /// these four precomputed values instead of re-deriving them —
     /// byte-identical, since the draw evaluates the same expression on
     /// the same f64s.
-    fn posterior_table(&self, k: usize) -> [[f64; 2]; 2] {
+    pub(crate) fn posterior_table(&self, k: usize) -> [[f64; 2]; 2] {
         let mut post = [[0.0f64; 2]; 2];
         for (xi, xk_bit) in [false, true].into_iter().enumerate() {
             for (oi, x0_bit) in [false, true].into_iter().enumerate() {
@@ -79,34 +69,6 @@ impl<D: Denoiser> DiffusionModel<D> {
             }
         }
         post
-    }
-
-    /// The categorical draw of one reverse step, given the denoiser
-    /// prediction and the step's posterior table.
-    fn reverse_from_prediction(
-        &self,
-        x_k: &Topology,
-        p0: &[f32],
-        post: &[[f64; 2]; 2],
-        rng: &mut impl Rng,
-    ) -> Topology {
-        debug_assert_eq!(p0.len(), x_k.len(), "denoiser output length mismatch");
-        let mut cells = Vec::with_capacity(x_k.len());
-        let mut draws = [0u8; 8 * DRAW_BLOCK];
-        for (x_k, p0) in x_k.as_bytes().chunks(DRAW_BLOCK).zip(p0.chunks(DRAW_BLOCK)) {
-            let draws = &mut draws[..8 * x_k.len()];
-            rng.fill_bytes(draws);
-            cells.extend(x_k.iter().zip(p0).zip(draws.chunks_exact(8)).map(
-                |((&xk, &p0), draw)| {
-                    let post = &post[usize::from(xk != 0)];
-                    let p_x0_one = f64::from(p0).clamp(0.0, 1.0);
-                    // Marginalize the posterior over x̃0 ∈ {0, 1}.
-                    let p_one = p_x0_one * post[1] + (1.0 - p_x0_one) * post[0];
-                    unit_draw(draw) < p_one
-                },
-            ));
-        }
-        collect_topology(x_k.rows(), x_k.cols(), cells)
     }
 
     /// One reverse step: samples `x_{k-1}` given `x_k` (Eq. 9):
@@ -122,7 +84,9 @@ impl<D: Denoiser> DiffusionModel<D> {
         let p0 = self
             .denoiser
             .predict_x0(x_k, k, self.schedule.len(), condition);
-        self.reverse_from_prediction(x_k, &p0, &self.posterior_table(k), rng)
+        let mut cells = x_k.as_bytes().to_vec();
+        reverse_cells(&mut cells, &p0, &self.posterior_table(k), rng);
+        Topology::from_bytes(x_k.rows(), x_k.cols(), cells)
     }
 
     /// Full ancestral sampling (Eq. 11): start from the uniform stationary
@@ -158,16 +122,43 @@ fn unit_draw(bytes: &[u8]) -> f64 {
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// A `rows × cols` topology from its cells in row-major order.
-pub(crate) fn collect_topology(
-    rows: usize,
-    cols: usize,
-    cells: impl IntoIterator<Item = bool>,
-) -> Topology {
-    let mut cells = cells.into_iter();
-    Topology::from_fn(rows, cols, |_, _| {
-        cells.next().expect("a cell for every position")
-    })
+/// The forward process over a run of cells: `noised[i]` is `x0[i]`
+/// flipped with probability `flip`, one draw a cell in cell order.
+pub(crate) fn forward_cells(x0: &[u8], flip: f64, rng: &mut impl Rng, noised: &mut [u8]) {
+    debug_assert_eq!(x0.len(), noised.len());
+    let mut draws = [0u8; 8 * DRAW_BLOCK];
+    for (x0, noised) in x0.chunks(DRAW_BLOCK).zip(noised.chunks_mut(DRAW_BLOCK)) {
+        let draws = &mut draws[..8 * x0.len()];
+        rng.fill_bytes(draws);
+        for ((noised, &bit), draw) in noised.iter_mut().zip(x0).zip(draws.chunks_exact(8)) {
+            *noised = u8::from((bit != 0) != (unit_draw(draw) < flip));
+        }
+    }
+}
+
+/// The categorical draw of one reverse step over a run of cells, in
+/// place: `cells` holds `x_k` going in and `x_{k-1}` coming out, given
+/// the denoiser prediction `p0` for the same cells and the step's
+/// posterior table; one draw a cell in cell order.
+pub(crate) fn reverse_cells(
+    cells: &mut [u8],
+    p0: &[f32],
+    post: &[[f64; 2]; 2],
+    rng: &mut impl Rng,
+) {
+    debug_assert_eq!(p0.len(), cells.len(), "denoiser output length mismatch");
+    let mut draws = [0u8; 8 * DRAW_BLOCK];
+    for (cells, p0) in cells.chunks_mut(DRAW_BLOCK).zip(p0.chunks(DRAW_BLOCK)) {
+        let draws = &mut draws[..8 * cells.len()];
+        rng.fill_bytes(draws);
+        for ((cell, &p0), draw) in cells.iter_mut().zip(p0).zip(draws.chunks_exact(8)) {
+            let post = &post[usize::from(*cell != 0)];
+            let p_x0_one = f64::from(p0).clamp(0.0, 1.0);
+            // Marginalize the posterior over x̃0 ∈ {0, 1}.
+            let p_one = p_x0_one * post[1] + (1.0 - p_x0_one) * post[0];
+            *cell = u8::from(unit_draw(draw) < p_one);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -287,13 +278,12 @@ mod tests {
         DiffusionModel::new(NoiseSchedule::scaled_default(steps), mrf, 16)
     }
 
-    /// Runs `flat` (behind `&mut dyn RngCore`, as `PatternSampler`
-    /// calls it) and `per_cell` from the same generator state — also
+    /// Runs `flat` and `per_cell` from the same generator state — also
     /// from the middle of a keystream block — and expects the same
     /// topology and the same generator state afterwards.
     fn assert_same_draws(
         what: &str,
-        flat: impl Fn(&mut dyn rand::RngCore) -> Topology,
+        flat: impl Fn(&mut ChaCha8Rng) -> Topology,
         per_cell: impl Fn(&mut ChaCha8Rng) -> Topology,
     ) {
         for skip in [0, 1, 7] {
@@ -312,6 +302,11 @@ mod tests {
         }
     }
 
+    /// The generator as `PatternSampler::generate` hands it on.
+    fn erased(rng: &mut ChaCha8Rng) -> &mut dyn rand::RngCore {
+        rng
+    }
+
     #[test]
     fn forward_noised_draws_exactly_like_the_per_cell_loop() {
         let model = mrf_model(8);
@@ -320,7 +315,7 @@ mod tests {
             for k in [0, 1, 4, 8] {
                 assert_same_draws(
                     &format!("forward_noised {rows}x{cols} k={k}"),
-                    |mut rng| model.forward_noised(&x0, k, &mut rng),
+                    |rng| model.forward_noised(&x0, k, &mut erased(rng)),
                     |rng| reference::forward_noised(&model, &x0, k, rng),
                 );
             }
@@ -341,29 +336,83 @@ mod tests {
         for (rows, cols) in SHAPES {
             assert_same_draws(
                 &format!("constant sample {rows}x{cols}"),
-                |mut rng| constant.sample(rows, cols, None, &mut rng),
+                |rng| constant.sample(rows, cols, None, &mut erased(rng)),
                 |rng| reference::sample(&constant, rows, cols, None, rng),
             );
             assert_same_draws(
                 &format!("mrf sample {rows}x{cols}"),
-                |mut rng| mrf.sample(rows, cols, Some(0), &mut rng),
+                |rng| mrf.sample(rows, cols, Some(0), &mut erased(rng)),
                 |rng| reference::sample(&mrf, rows, cols, Some(0), rng),
             );
         }
     }
 
+    /// The masks extension builds (Out-Painting's halves and its
+    /// L-shaped keep, In-Painting's seam bands and corner block), the
+    /// two trivial ones, and masks whose runs are one cell long.
+    fn extension_masks(rows: usize, cols: usize) -> Vec<(&'static str, crate::Mask)> {
+        use crate::Mask;
+        let (mid_r, mid_c) = (rows / 2, cols / 2);
+        let (band_r, band_c) = ((rows / 8).max(1), (cols / 8).max(1));
+        let mut coin = ChaCha8Rng::seed_from_u64(31);
+        vec![
+            ("right half", Mask::from_fn(rows, cols, |_, c| c < mid_c)),
+            ("bottom half", Mask::from_fn(rows, cols, |r, _| r < mid_r)),
+            (
+                "bottom-right quarter",
+                Mask::from_fn(rows, cols, |r, c| r < mid_r || c < mid_c),
+            ),
+            (
+                "vertical seam band",
+                Mask::from_fn(rows, cols, |_, c| c.abs_diff(mid_c) >= band_c),
+            ),
+            (
+                "horizontal seam band",
+                Mask::from_fn(rows, cols, |r, _| r.abs_diff(mid_r) >= band_r),
+            ),
+            (
+                "corner block",
+                Mask::from_fn(rows, cols, |r, c| {
+                    r.abs_diff(mid_r) >= band_r || c.abs_diff(mid_c) >= band_c
+                }),
+            ),
+            ("keep_none", Mask::keep_none(rows, cols)),
+            ("keep_all", Mask::keep_all(rows, cols)),
+            (
+                "checkerboard",
+                Mask::from_fn(rows, cols, |r, c| (r + c) % 2 == 0),
+            ),
+            (
+                "random",
+                Mask::from_fn(rows, cols, |_, _| coin.gen::<bool>()),
+            ),
+        ]
+    }
+
     #[test]
     fn modify_draws_exactly_like_the_per_cell_loop() {
-        let mrf = mrf_model(6);
-        for (rows, cols) in SHAPES {
-            let known = Topology::from_fn(rows, cols, |r, c| (r / 2 + c / 3) % 2 == 0);
-            let mask = crate::Mask::from_fn(rows, cols, |r, c| r < rows / 2 || c % 4 == 0);
+        type Model = DiffusionModel<crate::MrfDenoiser>;
+        let check = |mrf: &Model, what: &str, known: &Topology, mask: &crate::Mask| {
             for rounds in [1, 2] {
                 assert_same_draws(
-                    &format!("modify {rows}x{cols} x{rounds}"),
-                    |mut rng| mrf.modify(&known, &mask, Some(0), rounds, &mut rng),
-                    |rng| reference::modify(&mrf, &known, &mask, Some(0), rounds, rng),
+                    &format!("modify {what} x{rounds}"),
+                    |rng| mrf.modify(known, mask, Some(0), rounds, rng),
+                    |rng| reference::modify(mrf, known, mask, Some(0), rounds, rng),
                 );
+            }
+        };
+        let known = |rows, cols| Topology::from_fn(rows, cols, |r, c| (r / 2 + c / 3) % 2 == 0);
+        let mrf = mrf_model(6);
+        for (rows, cols) in SHAPES {
+            let mask = crate::Mask::from_fn(rows, cols, |r, c| r < rows / 2 || c % 4 == 0);
+            check(&mrf, &format!("{rows}x{cols}"), &known(rows, cols), &mask);
+        }
+        // (Two steps at the benchmark's window: what a debug build affords.)
+        for (rows, cols, steps) in [(16, 16, 6), (33, 17, 6), (128, 128, 2)] {
+            let mrf = mrf_model(steps);
+            for (name, mask) in extension_masks(rows, cols) {
+                let what = format!("{name} {rows}x{cols}");
+                check(&mrf, &what, &known(rows, cols), &mask);
             }
         }
     }

@@ -10,10 +10,13 @@
 //! combined as `T_{k-1} = M ⊙ T^known_{k-1} + (1 − M) ⊙ T^unknown_{k-1}`.
 //! Because `b̄_0 = 0`, the final step reproduces the kept pixels exactly.
 
-use crate::model::collect_topology;
+use std::ops::Range;
+
+use crate::model::{forward_cells, reverse_cells};
 use crate::{Denoiser, DiffusionModel, Mask};
 use cp_squish::Topology;
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 
 impl<D: Denoiser> DiffusionModel<D> {
     /// Regenerates the masked-out region of `known` under `condition`,
@@ -22,6 +25,14 @@ impl<D: Denoiser> DiffusionModel<D> {
     /// `resample_rounds` repeats the full reverse pass RePaint-style,
     /// re-noising the previous result, which improves boundary harmony at
     /// linear cost; 1 is the plain single-pass variant.
+    ///
+    /// The stream has a draw for every cell from both sources, every
+    /// step — the `n` reverse-process draws, then the `n` forward-noise
+    /// draws, `n` words of initial noise before the first step: `n +
+    /// 4·K·n` words a round for `n` cells whatever the mask, so where a
+    /// call leaves the generator depends on the window's shape alone.
+    /// Each cell uses one of its two draws; the generator is moved past
+    /// the other, which is why this takes the generator by name.
     ///
     /// # Panics
     ///
@@ -34,36 +45,63 @@ impl<D: Denoiser> DiffusionModel<D> {
         mask: &Mask,
         condition: Option<u32>,
         resample_rounds: usize,
-        rng: &mut impl Rng,
+        rng: &mut ChaCha8Rng,
     ) -> Topology {
         assert_eq!(mask.shape(), known.shape(), "mask/pattern shape mismatch");
         assert!(resample_rounds >= 1, "at least one resample round");
         let (rows, cols) = known.shape();
+        let n = known.len();
         let steps = self.schedule().len();
+        // The runs of cells the mask treats alike, in the order a step
+        // reads their draws: the reverse-process draws of every
+        // regenerated run, then the forward-noise draws of every kept
+        // run (the sort is stable, so each kind stays in cell order).
+        let mut start = 0;
+        let mut reads: Vec<(Range<usize>, bool)> = mask
+            .as_topology()
+            .as_bytes()
+            .chunk_by(|a, b| a == b)
+            .map(|run| {
+                let cells = start..start + run.len();
+                start = cells.end;
+                (cells, run[0] != 0)
+            })
+            .collect();
+        reads.sort_by_key(|&(_, kept)| kept);
         let mut result = known.clone();
         for _ in 0..resample_rounds {
             // Start from fully-noised state.
             let mut x = Topology::from_fn(rows, cols, |_, _| rng.gen::<bool>());
-            for k in (1..=steps).rev() {
-                // Model proposal for everything...
-                let unknown = self.reverse_step(&x, k, condition, rng);
-                // ...and ground-truth forward noise for the kept region.
-                let known_noised = self.forward_noised(&result, k - 1, rng);
-                let kept = mask.as_topology().as_bytes().iter();
-                let sources = known_noised.as_bytes().iter().zip(unknown.as_bytes());
-                x = collect_topology(
-                    rows,
-                    cols,
-                    kept.zip(sources).map(|(&keep, (&known, &unknown))| {
-                        (if keep != 0 { known } else { unknown }) != 0
-                    }),
-                );
+            let first_step = rng.get_word_pos();
+            for (step, k) in (1..=steps).rev().enumerate() {
+                let p0 = self.denoiser().predict_x0(&x, k, steps, condition);
+                let post = self.posterior_table(k);
+                let flip = self.schedule().flip_bar(k - 1);
+                let mut cells = x.as_bytes().to_vec();
+                for (run, kept) in &reads {
+                    let (run, kept) = (run.clone(), *kept);
+                    // Of the step's 2n draws, the n reverse ones come first.
+                    let draw = 2 * n * step + if kept { n + run.start } else { run.start };
+                    rng.set_word_pos(first_step + WORDS_PER_DRAW * draw as u128);
+                    if kept {
+                        // Ground-truth forward noise for the kept region...
+                        forward_cells(&result.as_bytes()[run.clone()], flip, rng, &mut cells[run]);
+                    } else {
+                        // ...and the model's proposal for the rest.
+                        reverse_cells(&mut cells[run.clone()], &p0[run], &post, rng);
+                    }
+                }
+                x = Topology::from_bytes(rows, cols, cells);
             }
+            rng.set_word_pos(first_step + WORDS_PER_DRAW * (2 * n * steps) as u128);
             result = x;
         }
         result
     }
 }
+
+/// A draw is one `u64` of the stream.
+const WORDS_PER_DRAW: u128 = 2;
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,8 @@
 //! The statistical (Markov-random-field) denoiser back-end.
 //!
-//! Stands in for the paper's 250-GPU-hour U-Net (see DESIGN.md). Per
-//! style, it fits the table `P(x₀ = 1 | 8-neighbour context)` over all
+//! Stands in for the paper's 250-GPU-hour U-Net (the crate
+//! documentation says what became of the CPU U-Net once carried beside
+//! it). Per style, it fits the table `P(x₀ = 1 | 8-neighbour context)` over all
 //! 3×3 windows of the training topologies (256 contexts). At inference it
 //! runs a few mean-field sweeps that combine the fitted local prior with
 //! the exact diffusion-channel likelihood of the observed noisy bit:

@@ -2,10 +2,15 @@
 
 use crate::{Denoiser, DiffusionModel, Mask};
 use cp_squish::Topology;
-use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 
 /// The generation capabilities the rest of the system needs: fixed-window
 /// conditional generation and masked modification.
+///
+/// Both draw from the workspace's one generator, by name: masked
+/// modification seeks past the draws its mask leaves unused (see
+/// [`DiffusionModel::modify`]), and a call of either kind advances the
+/// stream by a word count that depends on the shape alone.
 ///
 /// [`DiffusionModel`] implements this for any denoiser back-end; tests
 /// use lightweight fakes. `Send + Sync` is a supertrait because samplers
@@ -22,7 +27,7 @@ pub trait PatternSampler: Send + Sync {
         rows: usize,
         cols: usize,
         condition: Option<u32>,
-        rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> Topology;
 
     /// Regenerates the non-kept cells of `known` under `condition`.
@@ -31,7 +36,7 @@ pub trait PatternSampler: Send + Sync {
         known: &Topology,
         mask: &Mask,
         condition: Option<u32>,
-        rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> Topology;
 }
 
@@ -45,9 +50,9 @@ impl<D: Denoiser + Send + Sync> PatternSampler for DiffusionModel<D> {
         rows: usize,
         cols: usize,
         condition: Option<u32>,
-        mut rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> Topology {
-        self.sample(rows, cols, condition, &mut rng)
+        self.sample(rows, cols, condition, rng)
     }
 
     fn modify(
@@ -55,9 +60,9 @@ impl<D: Denoiser + Send + Sync> PatternSampler for DiffusionModel<D> {
         known: &Topology,
         mask: &Mask,
         condition: Option<u32>,
-        mut rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> Topology {
-        DiffusionModel::modify(self, known, mask, condition, 1, &mut rng)
+        DiffusionModel::modify(self, known, mask, condition, 1, rng)
     }
 }
 
@@ -71,7 +76,7 @@ impl<S: PatternSampler + ?Sized> PatternSampler for &S {
         rows: usize,
         cols: usize,
         condition: Option<u32>,
-        rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> Topology {
         (**self).generate(rows, cols, condition, rng)
     }
@@ -81,7 +86,7 @@ impl<S: PatternSampler + ?Sized> PatternSampler for &S {
         known: &Topology,
         mask: &Mask,
         condition: Option<u32>,
-        rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> Topology {
         (**self).modify(known, mask, condition, rng)
     }
@@ -93,7 +98,6 @@ mod tests {
     use crate::denoiser::test_support::ConstantDenoiser;
     use crate::NoiseSchedule;
     use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn diffusion_model_implements_sampler() {

@@ -4,7 +4,7 @@ use crate::out_painting::axis_positions;
 use crate::Canvas;
 use cp_diffusion::PatternSampler;
 use cp_squish::{Region, Topology};
-use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 
 /// Builds a `rows × cols` topology by tiling independently generated
 /// `L × L` patches (the first one may be a given `seed`), then
@@ -25,7 +25,7 @@ pub fn in_paint<S: PatternSampler + ?Sized>(
     rows: usize,
     cols: usize,
     condition: Option<u32>,
-    rng: &mut dyn RngCore,
+    rng: &mut ChaCha8Rng,
 ) -> Topology {
     let l = sampler.window();
     assert!(rows >= l && cols >= l, "target smaller than sampler window");
@@ -114,7 +114,7 @@ fn repaint_window<S: PatternSampler + ?Sized>(
     region: Region,
     repaint: Region,
     condition: Option<u32>,
-    rng: &mut dyn RngCore,
+    rng: &mut ChaCha8Rng,
 ) {
     let mask = canvas.keep_mask_excluding(region, repaint);
     let known = canvas.window(region);
@@ -125,20 +125,8 @@ fn repaint_window<S: PatternSampler + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
+    use crate::test_support::{striped_model, Counting};
     use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    fn striped_model() -> DiffusionModel<MrfDenoiser> {
-        let data: Vec<Topology> = (0..6)
-            .map(|i| Topology::from_fn(16, 16, move |_, c| (c + i) % 4 < 2))
-            .collect();
-        DiffusionModel::new(
-            NoiseSchedule::scaled_default(8),
-            MrfDenoiser::fit(&[(0, &data)], 1.0),
-            16,
-        )
-    }
 
     #[test]
     fn in_paint_produces_target_shape() {
@@ -168,49 +156,12 @@ mod tests {
     #[test]
     fn in_paint_call_count_matches_formula() {
         use crate::in_painting_samples;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        struct Counting<'a, S> {
-            inner: &'a S,
-            calls: &'a AtomicUsize,
-        }
-        impl<S: PatternSampler> PatternSampler for Counting<'_, S> {
-            fn window(&self) -> usize {
-                self.inner.window()
-            }
-            fn generate(
-                &self,
-                rows: usize,
-                cols: usize,
-                c: Option<u32>,
-                rng: &mut dyn RngCore,
-            ) -> Topology {
-                self.calls.fetch_add(1, Ordering::Relaxed);
-                self.inner.generate(rows, cols, c, rng)
-            }
-            fn modify(
-                &self,
-                known: &Topology,
-                mask: &cp_diffusion::Mask,
-                c: Option<u32>,
-                rng: &mut dyn RngCore,
-            ) -> Topology {
-                self.calls.fetch_add(1, Ordering::Relaxed);
-                self.inner.modify(known, mask, c, rng)
-            }
-        }
         let model = striped_model();
-        let calls = AtomicUsize::new(0);
-        let counting = Counting {
-            inner: &model,
-            calls: &calls,
-        };
+        let counting = Counting::new(&model);
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let _ = in_paint(&counting, None, 32, 32, Some(0), &mut rng);
         // (2·2−1)² = 9 model calls: 4 tiles + 4 seams + 1 corner.
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            in_painting_samples(32, 32, 16)
-        );
+        assert_eq!(counting.calls().len(), in_painting_samples(32, 32, 16));
     }
 
     #[test]

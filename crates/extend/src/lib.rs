@@ -45,6 +45,8 @@ pub mod cost;
 pub mod in_painting;
 pub mod method;
 pub mod out_painting;
+#[cfg(test)]
+mod test_support;
 
 pub use canvas::Canvas;
 pub use cost::{in_painting_samples, out_painting_samples};

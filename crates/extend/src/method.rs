@@ -3,7 +3,7 @@
 use crate::{in_paint, out_paint};
 use cp_diffusion::PatternSampler;
 use cp_squish::Topology;
-use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Which extension algorithm to use — the choice the LLM agent makes from
@@ -68,7 +68,7 @@ pub fn extend<S: PatternSampler + ?Sized>(
     cols: usize,
     method: ExtensionMethod,
     condition: Option<u32>,
-    rng: &mut dyn RngCore,
+    rng: &mut ChaCha8Rng,
 ) -> Topology {
     if seed.shape() == (rows, cols) {
         return seed.clone();
@@ -85,20 +85,8 @@ pub fn extend<S: PatternSampler + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
+    use crate::test_support::{striped_model, Counting, STEPS};
     use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    fn model() -> DiffusionModel<MrfDenoiser> {
-        let data: Vec<Topology> = (0..6)
-            .map(|i| Topology::from_fn(16, 16, move |_, c| (c + i) % 4 < 2))
-            .collect();
-        DiffusionModel::new(
-            NoiseSchedule::scaled_default(8),
-            MrfDenoiser::fit(&[(0, &data)], 1.0),
-            16,
-        )
-    }
 
     #[test]
     fn parses_method_names() {
@@ -119,7 +107,7 @@ mod tests {
 
     #[test]
     fn same_size_is_identity() {
-        let m = model();
+        let m = striped_model();
         let seed = Topology::from_fn(16, 16, |r, _| r % 2 == 0);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let out = extend(
@@ -136,12 +124,42 @@ mod tests {
 
     #[test]
     fn both_methods_reach_target_size() {
-        let m = model();
+        let m = striped_model();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let seed = m.sample(16, 16, Some(0), &mut rng);
         for method in [ExtensionMethod::OutPainting, ExtensionMethod::InPainting] {
             let out = extend(&m, &seed, 48, 32, method, Some(0), &mut rng);
             assert_eq!(out.shape(), (48, 32), "{method}");
+        }
+    }
+
+    #[test]
+    fn a_model_call_advances_the_stream_by_what_its_window_shape_says() {
+        // `n` words of initial noise, then per step `n` 64-bit draws
+        // for `generate` and `2n` for `modify` — whatever the mask keeps.
+        // So every window's place in the stream is known before any
+        // window runs (what scheduling them, ROADMAP 1(c), stands on).
+        let model = striped_model();
+        for method in [ExtensionMethod::OutPainting, ExtensionMethod::InPainting] {
+            let counting = Counting::new(&model);
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            let seed = model.sample(16, 16, Some(0), &mut rng);
+            let start = rng.get_word_pos();
+            let out = extend(&counting, &seed, 40, 56, method, Some(0), &mut rng);
+            assert_eq!(out.shape(), (40, 56));
+            let calls = counting.calls();
+            for call in &calls {
+                let draws_per_cell = if call.modify { 2 } else { 1 };
+                let expected = call.cells + 2 * draws_per_cell * STEPS * call.cells;
+                assert_eq!(call.words, expected as u128, "{method}: {call:?}");
+            }
+            assert!(calls.iter().any(|call| call.modify), "{method}");
+            if method == ExtensionMethod::InPainting {
+                assert!(calls.iter().any(|call| !call.modify), "tiles are generated");
+            }
+            // ...and nothing but the model draws.
+            let total: u128 = calls.iter().map(|call| call.words).sum();
+            assert_eq!(rng.get_word_pos() - start, total, "{method}");
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::Canvas;
 use cp_diffusion::PatternSampler;
 use cp_squish::{Region, Topology};
-use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 
 /// Extends `seed` to `rows × cols` by walking `window × window` frames
 /// over the canvas with the given stride, regenerating the not-yet
@@ -24,7 +24,7 @@ pub fn out_paint<S: PatternSampler + ?Sized>(
     cols: usize,
     stride: usize,
     condition: Option<u32>,
-    rng: &mut dyn RngCore,
+    rng: &mut ChaCha8Rng,
 ) -> Topology {
     let l = sampler.window();
     assert!(
@@ -70,20 +70,8 @@ pub(crate) fn axis_positions(len: usize, l: usize, stride: usize) -> Vec<usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
+    use crate::test_support::{striped_model, Counting};
     use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    fn striped_model() -> DiffusionModel<MrfDenoiser> {
-        let data: Vec<Topology> = (0..6)
-            .map(|i| Topology::from_fn(16, 16, move |_, c| (c + i) % 4 < 2))
-            .collect();
-        DiffusionModel::new(
-            NoiseSchedule::scaled_default(8),
-            MrfDenoiser::fit(&[(0, &data)], 1.0),
-            16,
-        )
-    }
 
     #[test]
     fn axis_positions_cover_with_clamp() {
@@ -116,49 +104,15 @@ mod tests {
     #[test]
     fn out_paint_matches_sample_count_formula() {
         use crate::out_painting_samples;
-        // Count via a wrapper sampler that tallies modify calls.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        struct Counting<'a, S> {
-            inner: &'a S,
-            calls: &'a AtomicUsize,
-        }
-        impl<S: PatternSampler> PatternSampler for Counting<'_, S> {
-            fn window(&self) -> usize {
-                self.inner.window()
-            }
-            fn generate(
-                &self,
-                rows: usize,
-                cols: usize,
-                c: Option<u32>,
-                rng: &mut dyn RngCore,
-            ) -> Topology {
-                self.inner.generate(rows, cols, c, rng)
-            }
-            fn modify(
-                &self,
-                known: &Topology,
-                mask: &cp_diffusion::Mask,
-                c: Option<u32>,
-                rng: &mut dyn RngCore,
-            ) -> Topology {
-                self.calls.fetch_add(1, Ordering::Relaxed);
-                self.inner.modify(known, mask, c, rng)
-            }
-        }
         let model = striped_model();
-        let calls = AtomicUsize::new(0);
-        let counting = Counting {
-            inner: &model,
-            calls: &calls,
-        };
+        let counting = Counting::new(&model);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let seed = model.generate(16, 16, Some(0), &mut rng);
         let _ = out_paint(&counting, &seed, 32, 32, 8, Some(0), &mut rng);
         // N_out = (⌈16/8⌉+1)² = 9, minus the seed window which needs no
         // regeneration.
         assert_eq!(
-            calls.load(Ordering::Relaxed),
+            counting.calls().len(),
             out_painting_samples(32, 32, 16, 8) - 1
         );
     }

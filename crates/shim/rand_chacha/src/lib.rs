@@ -151,6 +151,8 @@ fn set_counter(input: &mut [u32; BLOCK], counter: u64) {
 /// The keystream blocks of `input` and of the [`LANES`]` - 1` counters
 /// after it, block after block.
 fn chacha_blocks(input: &[u32; BLOCK]) -> [u32; LANES * BLOCK] {
+    #[cfg(test)]
+    tests::PRODUCED.with(|produced| produced.set(produced.get() + LANES as u64));
     let mut words: [[u32; LANES]; BLOCK] = input.map(|word| [word; LANES]);
     let blocks: [u64; LANES] = std::array::from_fn(|lane| counter(input).wrapping_add(lane as u64));
     words[12] = blocks.map(|block| block as u32);
@@ -202,16 +204,33 @@ impl ChaCha8Rng {
     /// after it, and the cursor within it (16 once its last word is
     /// read — the next block is only produced on demand). That this
     /// generator produces several blocks per refill does not show.
+    ///
+    /// Only a seek can leave the cursor on the first word of the
+    /// buffered blocks anywhere but at the start of the stream; a
+    /// generator that drew its way there holds the block *before*,
+    /// read to its end, and that block is produced here on demand.
     #[must_use]
     pub fn state_words(&self) -> Vec<u32> {
-        let block = self.cursor.saturating_sub(1) / BLOCK;
+        let first = self.first_block();
         let mut input = self.state;
-        let next = counter(&self.state).wrapping_sub((LANES - 1 - block) as u64);
+        let before;
+        let (block, next, cursor) = if self.cursor == 0 && first != 0 {
+            set_counter(&mut input, first.wrapping_sub(1));
+            before = chacha_blocks(&input);
+            (&before[..BLOCK], first, BLOCK)
+        } else {
+            let held = self.cursor.saturating_sub(1) / BLOCK;
+            (
+                &self.buffer[held * BLOCK..(held + 1) * BLOCK],
+                first.wrapping_add(held as u64 + 1),
+                self.cursor - held * BLOCK,
+            )
+        };
         set_counter(&mut input, next);
         let mut words = Vec::with_capacity(STATE_WORDS);
         words.extend_from_slice(&input);
-        words.extend_from_slice(&self.buffer[block * BLOCK..(block + 1) * BLOCK]);
-        words.push((self.cursor - block * BLOCK) as u32);
+        words.extend_from_slice(block);
+        words.push(cursor as u32);
         words
     }
 
@@ -241,6 +260,43 @@ impl ChaCha8Rng {
             buffer,
             cursor,
         })
+    }
+
+    /// The position in the stream, in 32-bit words from its start
+    /// (modulo 2⁶⁸, where the 64-bit block counter wraps): what
+    /// [`ChaCha8Rng::set_word_pos`] takes to come back here. Named and
+    /// typed as in `rand_chacha`.
+    #[must_use]
+    pub fn get_word_pos(&self) -> u128 {
+        let block = self
+            .first_block()
+            .wrapping_add((self.cursor / BLOCK) as u64);
+        u128::from(block) * BLOCK as u128 + (self.cursor % BLOCK) as u128
+    }
+
+    /// Moves to `word_offset` words from the start of the stream,
+    /// forwards or backwards. No keystream is produced for the blocks
+    /// passed over: a position inside the buffered blocks only moves
+    /// the cursor, any other produces the blocks from the one the
+    /// position stands in. Afterwards the generator cannot be told —
+    /// by any later word or by [`ChaCha8Rng::state_words`] — from one
+    /// that drew every word up to that position and discarded it.
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        let block = (word_offset / BLOCK as u128) as u64;
+        let word = (word_offset % BLOCK as u128) as usize;
+        let ahead = block.wrapping_sub(self.first_block());
+        if ahead < LANES as u64 || (ahead == LANES as u64 && word == 0) {
+            self.cursor = ahead as usize * BLOCK + word;
+        } else {
+            set_counter(&mut self.state, block);
+            self.refill();
+            self.cursor = word;
+        }
+    }
+
+    /// Counter of the first buffered block.
+    fn first_block(&self) -> u64 {
+        counter(&self.state).wrapping_sub(LANES as u64)
     }
 
     fn refill(&mut self) {
@@ -321,6 +377,11 @@ impl RngCore for ChaCha8Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Keystream blocks this thread has produced.
+        pub(super) static PRODUCED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     /// The one-block-at-a-time generator this crate used to be, kept
     /// as the oracle: the keystream, the exported state words and the
@@ -483,6 +544,113 @@ mod tests {
             assert_eq!(restored.next_u32(), oracle.next_u32());
             assert_eq!(restored.state_words(), oracle.state_words());
         }
+    }
+
+    /// Seeded starts on both sides of a block and of a refill, and
+    /// one restored mid-stream, whose buffered blocks start at block 2
+    /// rather than at a multiple of [`LANES`].
+    fn seek_starts() -> Vec<(String, ChaCha8Rng, OneBlockRng)> {
+        let mut starts = Vec::new();
+        for drawn in [0, 1, 7, 63, 64, 65] {
+            let mut rng = ChaCha8Rng::seed_from_u64(17);
+            let mut oracle = OneBlockRng::seed_from_u64(17);
+            for _ in 0..drawn {
+                assert_eq!(rng.next_u32(), oracle.next_u32());
+            }
+            starts.push((format!("after {drawn} words"), rng, oracle));
+        }
+        let mut oracle = OneBlockRng::seed_from_u64(17);
+        for _ in 0..2 * BLOCK + 5 {
+            oracle.next_u32();
+        }
+        let restored = ChaCha8Rng::from_state_words(&oracle.state_words()).expect("valid state");
+        starts.push(("restored in block 2".to_owned(), restored, oracle));
+        starts
+    }
+
+    fn assert_continues_like(what: &str, rng: &mut ChaCha8Rng, oracle: &mut OneBlockRng) {
+        assert_eq!(rng.state_words(), oracle.state_words(), "{what}: state");
+        for draw in 0..130 {
+            assert_eq!(rng.next_u32(), oracle.next_u32(), "{what}: word {draw}");
+        }
+        assert_eq!(
+            rng.state_words(),
+            oracle.state_words(),
+            "{what}: state after"
+        );
+    }
+
+    #[test]
+    fn a_seek_leaves_the_generator_where_drawing_and_discarding_would() {
+        for (start, rng, oracle) in seek_starts() {
+            let origin = rng.get_word_pos();
+            let mut discarded = 0u64;
+            let mut ahead = oracle.clone();
+            for hop in [0u64, 1, 15, 16, 17, 63, 64, 65, 1000, 1 << 20] {
+                while discarded < hop {
+                    ahead.next_u32();
+                    discarded += 1;
+                }
+                let mut sought = rng.clone();
+                sought.set_word_pos(origin + u128::from(hop));
+                assert_eq!(sought.get_word_pos(), origin + u128::from(hop));
+                let what = format!("{start}, {hop} forward");
+                assert_continues_like(&what, &mut sought, &mut ahead.clone());
+
+                // ...and back from there to half the hop.
+                let mut behind = oracle.clone();
+                for _ in 0..hop / 2 {
+                    behind.next_u32();
+                }
+                sought.set_word_pos(origin + u128::from(hop / 2));
+                let what = format!("{start}, back to {} of {hop}", hop / 2);
+                assert_continues_like(&what, &mut sought, &mut behind);
+            }
+        }
+    }
+
+    #[test]
+    fn the_word_position_counts_what_each_draw_consumes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(18);
+        assert_eq!(rng.get_word_pos(), 0);
+        let mut expected = 0u128;
+        for round in 0..3 * LANES * BLOCK {
+            rng.next_u32();
+            expected += 1;
+            assert_eq!(rng.get_word_pos(), expected, "next_u32, round {round}");
+            rng.next_u64();
+            expected += 2;
+            assert_eq!(rng.get_word_pos(), expected, "next_u64, round {round}");
+        }
+        for len in [0usize, 1, 7, 8, 9, 250, 256, 1021, 1024] {
+            rng.fill_bytes(&mut vec![0u8; len]);
+            expected += 2 * len.div_ceil(8) as u128;
+            assert_eq!(rng.get_word_pos(), expected, "fill_bytes of {len}");
+        }
+    }
+
+    #[test]
+    fn a_seek_produces_only_the_blocks_it_lands_in() {
+        let produced = || PRODUCED.with(std::cell::Cell::get);
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let mut oracle = OneBlockRng::seed_from_u64(19);
+        rng.next_u32();
+        let before = produced();
+        // Inside the buffered blocks, and to their very end: nothing.
+        rng.set_word_pos(3 * BLOCK as u128 + 2);
+        rng.set_word_pos((LANES * BLOCK) as u128);
+        assert_eq!(produced(), before);
+        // 2²⁰ words on: one refill, starting with the block the
+        // position stands in — reading all of it needs no second one.
+        rng.set_word_pos(1 << 20);
+        assert_eq!(produced(), before + LANES as u64);
+        for _ in 0..1 << 20 {
+            oracle.next_u32();
+        }
+        for word in 0..LANES * BLOCK {
+            assert_eq!(rng.next_u32(), oracle.next_u32(), "word {word}");
+        }
+        assert_eq!(produced(), before + LANES as u64);
     }
 
     #[test]

@@ -3,6 +3,25 @@
 use crate::Region;
 use serde::{Deserialize, Serialize};
 
+/// The most cells the topologies one request asks for may total, 4 Mi.
+/// A topology travels as `{"bits":[…]}`, two bytes a cell, and a reply
+/// line is capped at 8 MiB (`cp_net::DEFAULT_MAX_LINE_BYTES`), so more
+/// could not be delivered at all. Sizes arrive off the wire and out of
+/// natural language: whoever receives one holds it against this before
+/// `rows × cols` is computed unchecked, let alone allocated. The
+/// paper's largest target, an 8× extension to 1024 × 1024, is a
+/// quarter of it.
+pub const MAX_REQUEST_CELLS: usize = 4 << 20;
+
+/// Whether `count` topologies of `rows × cols` total no more than
+/// [`MAX_REQUEST_CELLS`] cells, worked out without overflow.
+#[must_use]
+pub fn fits_one_request(rows: usize, cols: usize, count: usize) -> bool {
+    rows.checked_mul(cols)
+        .and_then(|cells| cells.checked_mul(count))
+        .is_some_and(|cells| cells <= MAX_REQUEST_CELLS)
+}
+
 /// A binary topology matrix `T` of a squish pattern.
 ///
 /// Stored row-major, one byte per cell (cheap, simple, and the sizes in
@@ -56,6 +75,26 @@ impl Topology {
         for r in 0..rows {
             bits.extend((0..cols).map(|c| u8::from(f(r, c))));
         }
+        Topology { rows, cols, bits }
+    }
+
+    /// Creates a matrix from its row-major cell bytes, the form
+    /// [`Topology::as_bytes`] returns — for producers that compute
+    /// cells a slice at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is zero, `bits` is not `rows × cols`
+    /// long, or a byte is neither 0 nor 1.
+    #[must_use]
+    pub fn from_bytes(rows: usize, cols: usize, bits: Vec<u8>) -> Topology {
+        assert!(rows > 0 && cols > 0, "topology must be non-empty");
+        assert_eq!(
+            Some(bits.len()),
+            rows.checked_mul(cols),
+            "one byte per cell"
+        );
+        assert!(bits.iter().all(|&bit| bit <= 1), "cell bytes are 0 or 1");
         Topology { rows, cols, bits }
     }
 
@@ -365,6 +404,27 @@ mod tests {
         assert_eq!(t.shape(), (3, 4));
         assert!(t.get(0, 0) && t.get(0, 1) && t.get(1, 1) && t.get(2, 3));
         assert_eq!(t.count_ones(), 4);
+    }
+
+    #[test]
+    fn from_bytes_is_the_inverse_of_as_bytes() {
+        let t = Topology::from_ascii(
+            "##.
+             ..#",
+        );
+        assert_eq!(Topology::from_bytes(2, 3, t.as_bytes().to_vec()), t);
+    }
+
+    #[test]
+    #[should_panic(expected = "0 or 1")]
+    fn from_bytes_refuses_a_byte_that_is_not_a_cell() {
+        let _ = Topology::from_bytes(1, 2, vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one byte per cell")]
+    fn from_bytes_refuses_the_wrong_length() {
+        let _ = Topology::from_bytes(2, 2, vec![0; 3]);
     }
 
     #[test]

@@ -8,7 +8,8 @@ use chatpattern::{
 };
 
 fn main() -> Result<(), Error> {
-    // Small CPU-friendly configuration; see DESIGN.md for paper scale.
+    // Small CPU-friendly configuration; `ChatPatternBuilder` lists its
+    // defaults against the paper's scale (window 128, 1000 steps).
     // `build` validates the configuration instead of panicking.
     let system = ChatPattern::builder()
         .window(32)

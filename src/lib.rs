@@ -78,5 +78,5 @@ pub use chatpattern_core::{
     ResponsePayload, SessionCloseParams, SessionConfig, SessionInfo, SessionOpenParams,
     SessionPersist, SessionRestoreParams, SessionSnapshot, SessionSnapshotParams, SessionStats,
     SessionStore, SessionTurnParams, Timing, TurnOutcome, WireError, WireOutcome,
-    SESSION_SNAPSHOT_FORMAT,
+    MAX_REQUEST_CELLS, SESSION_SNAPSHOT_FORMAT,
 };

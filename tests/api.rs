@@ -8,6 +8,7 @@ use chatpattern::squish::{Region, Topology};
 use chatpattern::{
     ChatParams, ChatPattern, Error, EvaluateParams, ExtendParams, GenerateParams, LegalizeParams,
     ModifyParams, PatternRequest, PatternResponse, PatternService, ResponsePayload,
+    MAX_REQUEST_CELLS,
 };
 
 fn small_system(seed: u64) -> ChatPattern {
@@ -212,6 +213,38 @@ fn invalid_service_requests_fail_without_panicking() {
             count: 1,
             seed: 1,
         }),
+        // Sizes no reply line could carry: a failed 9 TB allocation
+        // (the process aborted), a product that wraps, a count that
+        // takes a deliverable size past the cap.
+        PatternRequest::Generate(GenerateParams {
+            style: Style::Layer10001,
+            rows: 3_000_000,
+            cols: 3_000_000,
+            count: 1,
+            seed: 1,
+        }),
+        PatternRequest::Generate(GenerateParams {
+            style: Style::Layer10001,
+            rows: usize::MAX / 2 + 1,
+            cols: usize::MAX / 2 + 1,
+            count: 1,
+            seed: 1,
+        }),
+        PatternRequest::Generate(GenerateParams {
+            style: Style::Layer10001,
+            rows: 16,
+            cols: 16,
+            count: MAX_REQUEST_CELLS / 256 + 1,
+            seed: 1,
+        }),
+        PatternRequest::Extend(ExtendParams {
+            seed_topology: topology.clone(),
+            rows: 3_000_000,
+            cols: 3_000_000,
+            method: ExtensionMethod::OutPainting,
+            style: Style::Layer10001,
+            seed: 2,
+        }),
         PatternRequest::Extend(ExtendParams {
             seed_topology: topology.clone(),
             rows: 4,
@@ -259,6 +292,48 @@ fn invalid_service_requests_fail_without_panicking() {
             other => panic!("expected a validation error for {label}, got {other:?}"),
         }
     }
+    // The batch path refuses before it samples anything.
+    let oversize = GenerateParams {
+        style: Style::Layer10001,
+        rows: 3_000_000,
+        cols: 3_000_000,
+        count: 1,
+        seed: 1,
+    };
+    let err = system.generate_many(&[oversize]).unwrap_err();
+    assert!(matches!(err, Error::InvalidRequest { .. }), "{err:?}");
+}
+
+/// The cap is what one reply line can carry at two bytes a cell, and
+/// the paper's largest target — 8× the 128 window — is well inside it.
+#[test]
+fn the_request_cell_cap_is_the_reply_line_cap() {
+    assert_eq!(
+        2 * MAX_REQUEST_CELLS,
+        chatpattern::net::DEFAULT_MAX_LINE_BYTES
+    );
+    let system = ChatPattern::builder()
+        .window(128)
+        .training_patterns(4)
+        .diffusion_steps(1)
+        .seed(6)
+        .build()
+        .expect("valid configuration");
+    let seed = system
+        .generate(Style::Layer10001, 128, 128, 1, 1)
+        .expect("generates")
+        .remove(0);
+    let extended = system
+        .extend(
+            &seed,
+            1024,
+            1024,
+            ExtensionMethod::InPainting,
+            Style::Layer10001,
+            2,
+        )
+        .expect("8x extends");
+    assert_eq!(extended.shape(), (1024, 1024));
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Golden output pins (ROADMAP aim 3): digests of what the system
 //! produces for fixed seeds, hard-coded from the commit before the
-//! denoise step became table-driven (ISSUE 13).
+//! denoise step became table-driven (ISSUE 13) — the 4× and 80×72
+//! `Extend` pins and the two corner `Modify` pins from the commit
+//! before `modify` read only the draws it uses (ISSUE 17).
 //!
 //! Every sampler, denoiser, extension or RNG change must leave these
 //! untouched: an optimisation is allowed to change how long an answer
@@ -89,37 +91,68 @@ fn modify_output_is_pinned() {
     let system = system();
     let known = generate(&system, Style::Layer10003, 21).remove(0);
     let quarter = WINDOW / 4;
-    let ResponsePayload::Modify(modified) = payload(
-        &system,
-        PatternRequest::Modify(ModifyParams {
-            known: known.clone(),
-            region: Region::new(quarter, quarter, 3 * quarter, 3 * quarter),
-            style: Style::Layer10003,
-            seed: 22,
-        }),
-    ) else {
-        panic!("wrong payload");
-    };
-    assert_ne!(modified, known, "the central half was regenerated");
-    let got = digest_topologies([&modified]);
-    assert_eq!(got, 0xff44_8467_6ef7_bbd9, "Modify: {got:#018x}");
+    // The central half; then regions holding the first and the last
+    // cell of the window (the first and the last run of the mask).
+    let pins = [
+        (
+            Region::new(quarter, quarter, 3 * quarter, 3 * quarter),
+            0xff44_8467_6ef7_bbd9_u64,
+        ),
+        (
+            Region::new(0, 0, 2 * quarter, 3 * quarter),
+            0x5253_6161_16fb_9c91,
+        ),
+        (
+            Region::new(quarter, 2 * quarter, WINDOW, WINDOW),
+            0xbe61_aaed_057e_d155,
+        ),
+    ];
+    let got = pins.map(|(region, _)| {
+        let ResponsePayload::Modify(modified) = payload(
+            &system,
+            PatternRequest::Modify(ModifyParams {
+                known: known.clone(),
+                region,
+                style: Style::Layer10003,
+                seed: 22,
+            }),
+        ) else {
+            panic!("wrong payload");
+        };
+        assert_ne!(modified, known, "{region:?} was regenerated");
+        digest_topologies([&modified])
+    });
+    assert_eq!(got, pins.map(|(_, pin)| pin), "Modify: {got:#018x?}");
 }
 
 #[test]
 fn extend_outputs_are_pinned() {
+    use ExtensionMethod::{InPainting, OutPainting};
     let system = system();
     let seed_topology = generate(&system, Style::Layer10001, 31).remove(0);
+    // 2×; 4× (interior windows, all three in-painting seam passes);
+    // a non-multiple, non-square target (the last window of each axis
+    // clamps, rows of the mask stop lining up with keystream blocks).
     let pins = [
-        (ExtensionMethod::OutPainting, 0x8657_cb08_c66a_77c5_u64),
-        (ExtensionMethod::InPainting, 0x5b10_362e_1b30_7691),
+        (
+            OutPainting,
+            2 * WINDOW,
+            2 * WINDOW,
+            0x8657_cb08_c66a_77c5_u64,
+        ),
+        (InPainting, 2 * WINDOW, 2 * WINDOW, 0x5b10_362e_1b30_7691),
+        (OutPainting, 4 * WINDOW, 4 * WINDOW, 0xd8f2_0552_67e7_ab05),
+        (InPainting, 4 * WINDOW, 4 * WINDOW, 0x3768_5711_b0ca_1a95),
+        (OutPainting, 80, 72, 0x309c_178e_ce10_c205),
+        (InPainting, 80, 72, 0x3a08_f57e_71ee_33cd),
     ];
-    let got = pins.map(|(method, _)| {
+    let got = pins.map(|(method, rows, cols, _)| {
         let ResponsePayload::Extend(extended) = payload(
             &system,
             PatternRequest::Extend(ExtendParams {
                 seed_topology: seed_topology.clone(),
-                rows: 2 * WINDOW,
-                cols: 2 * WINDOW,
+                rows,
+                cols,
                 method,
                 style: Style::Layer10001,
                 seed: 32,
@@ -127,10 +160,10 @@ fn extend_outputs_are_pinned() {
         ) else {
             panic!("wrong payload");
         };
-        assert_eq!(extended.shape(), (2 * WINDOW, 2 * WINDOW));
+        assert_eq!(extended.shape(), (rows, cols));
         digest_topologies([&extended])
     });
-    assert_eq!(got, pins.map(|(_, pin)| pin), "Extend: {got:#018x?}");
+    assert_eq!(got, pins.map(|(.., pin)| pin), "Extend: {got:#018x?}");
 }
 
 #[test]

@@ -312,6 +312,69 @@ fn deeply_nested_line_is_refused_on_stdio_and_serve_keeps_answering() {
     assert!(child.wait().expect("serve exits").success());
 }
 
+/// Sizes come off the wire: a `Generate` or `Extend` asking for
+/// 3 000 000 × 3 000 000 cells used to end the process (and every live
+/// session with it) in a failed 9 TB allocation, and 2³² × 2³² wrapped
+/// `rows * cols` and never answered. Each is refused under its own id
+/// and the connection keeps serving.
+#[test]
+fn oversize_targets_are_refused_under_their_id_and_serve_keeps_answering() {
+    let mut child = Command::new(SERVE)
+        .args([
+            "--window",
+            "16",
+            "--training-patterns",
+            "8",
+            "--diffusion-steps",
+            "6",
+            "--workers",
+            "1",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve binary starts");
+    let mut client = InteractiveClient {
+        stdin: child.stdin.take().expect("stdin piped"),
+        lines: BufReader::new(child.stdout.take().expect("stdout piped")).lines(),
+    };
+    let generate = |id: &str, side: &str, count: usize| {
+        format!(
+            r#"{{"id":"{id}","request":{{"Generate":{{"style":"Layer10001","rows":{side},"cols":{side},"count":{count},"seed":1}}}}}}"#
+        )
+    };
+    let seed_bits = vec!["0"; 16 * 16].join(",");
+    let extend = |id: &str, side: &str| {
+        format!(
+            r#"{{"id":"{id}","request":{{"Extend":{{"seed_topology":{{"rows":16,"cols":16,"bits":[{seed_bits}]}},"rows":{side},"cols":{side},"method":"OutPainting","style":"Layer10001","seed":1}}}}}}"#
+        )
+    };
+    for (id, line) in [
+        ("g-huge", generate("g-huge", "3000000", 1)),
+        ("g-wraps", generate("g-wraps", "4294967296", 1)),
+        // One 2048 × 2048 topology is the most a reply line can carry.
+        ("g-two", generate("g-two", "2048", 2)),
+        ("e-huge", extend("e-huge", "3000000")),
+        ("e-wraps", extend("e-wraps", "4294967296")),
+    ] {
+        let refused = client.exchange(&line);
+        assert_eq!(refused.id.as_str(), Some(id));
+        let WireOutcome::Err(error) = refused.outcome else {
+            panic!("{id} must be refused");
+        };
+        assert_eq!(error.kind, "InvalidRequest", "{id}: {error:?}");
+        assert!(error.message.contains("exceeds"), "{id}: {error:?}");
+    }
+    let served = client.exchange(
+        r#"{"id":"after","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":2,"seed":1}}}"#,
+    );
+    assert_eq!(served.id.as_str(), Some("after"));
+    assert!(matches!(served.outcome, WireOutcome::Ok(_)));
+    drop(client);
+    assert!(child.wait().expect("serve exits").success());
+}
+
 /// A pre-removal worker behind a newer router still stamps the retired
 /// microbatching keys (`timing.batched`, `Stats.batched`,
 /// `Stats.batch_sizes`) on its replies; they must decode, ignored.
