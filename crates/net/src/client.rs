@@ -1,6 +1,6 @@
-//! The blocking NDJSON client: timeouts, reconnect-with-backoff, and
-//! a split mode for callers that pump sends and receives on separate
-//! threads (the router does).
+//! The blocking NDJSON client — one request/response connection with
+//! timeouts — and the dial-with-backoff under it, which the router
+//! also (re)connects its worker links with.
 
 use chatpattern_core::wire::{RequestEnvelope, ResponseEnvelope};
 use std::io::{self, BufRead, BufReader, Write};
@@ -37,8 +37,8 @@ impl Default for ClientConfig {
 }
 
 /// Resolves, then dials every resolved address once per attempt, with
-/// exponential backoff between attempts. The reconnect primitive both
-/// the client and the router use.
+/// exponential backoff between attempts. What the client connects
+/// with and the router (re)dials a worker with.
 ///
 /// # Errors
 ///
@@ -79,8 +79,6 @@ pub fn connect_with_backoff(
 pub struct NdjsonClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
-    addr: String,
-    config: ClientConfig,
 }
 
 impl NdjsonClient {
@@ -95,23 +93,7 @@ impl NdjsonClient {
         Ok(NdjsonClient {
             writer,
             reader: BufReader::new(stream),
-            addr: addr.to_owned(),
-            config,
         })
-    }
-
-    /// Drops the current connection and dials again with the same
-    /// policy. Pending server-side state (sessions!) is unaffected —
-    /// the wire protocol is connection-agnostic.
-    ///
-    /// # Errors
-    ///
-    /// The last connection error once every attempt failed.
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        let stream = connect_with_backoff(self.addr.as_str(), &self.config)?;
-        self.writer = stream.try_clone()?;
-        self.reader = BufReader::new(stream);
-        Ok(())
     }
 
     /// Sends one request envelope as one NDJSON line.
@@ -178,64 +160,5 @@ impl NdjsonClient {
     pub fn call(&mut self, envelope: &RequestEnvelope) -> io::Result<ResponseEnvelope> {
         self.send(envelope)?;
         self.recv()
-    }
-
-    /// Splits into independently owned send/receive halves, for
-    /// callers pumping the two directions from different threads.
-    ///
-    /// # Errors
-    ///
-    /// Socket clone failures.
-    pub fn split(self) -> io::Result<(NdjsonSender, NdjsonReceiver)> {
-        Ok((
-            NdjsonSender {
-                writer: self.writer,
-            },
-            NdjsonReceiver {
-                reader: self.reader,
-            },
-        ))
-    }
-}
-
-/// The write half of a split [`NdjsonClient`].
-pub struct NdjsonSender {
-    writer: TcpStream,
-}
-
-impl NdjsonSender {
-    /// Sends one raw line.
-    ///
-    /// # Errors
-    ///
-    /// Socket write failures.
-    pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
-    }
-}
-
-/// The read half of a split [`NdjsonClient`].
-pub struct NdjsonReceiver {
-    reader: BufReader<TcpStream>,
-}
-
-impl NdjsonReceiver {
-    /// Reads the next non-empty line; `None` at clean EOF.
-    ///
-    /// # Errors
-    ///
-    /// Socket read failures.
-    pub fn recv_line(&mut self) -> io::Result<Option<String>> {
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Ok(None);
-            }
-            if !line.trim().is_empty() {
-                return Ok(Some(line.trim_end_matches(['\r', '\n']).to_owned()));
-            }
-        }
     }
 }

@@ -11,9 +11,11 @@
 //! * complete lines go to the [`ConnectionHandler`], which must not
 //!   block — for [`EngineHandler`](crate::EngineHandler) that is the
 //!   engine's non-blocking `submit` path, so the loop never waits on
-//!   inference;
+//!   inference; for `chatpattern-router`'s handler it is a write to a
+//!   worker's link, or a list to park the line on;
 //! * **replies** are pushed — by the engine worker that finished the
-//!   job — into a per-connection [`OutboundQueue`](crate::OutboundQueue)
+//!   job, or by the router's reader of the worker that answered — into
+//!   a per-connection [`OutboundQueue`](crate::OutboundQueue)
 //!   and the loop is poked through a [`WakePipe`]; the loop writes them
 //!   out as sockets accept bytes. The loop never blocks on a slow
 //!   client: past the configured high-water mark the client is
@@ -181,8 +183,8 @@ impl EventLoopServer {
 
 /// A running server. Dropping the handle *without* calling
 /// [`EventLoopHandle::shutdown`] leaves the loop running for the life
-/// of the process (what a serve binary wants); `shutdown` quiesces,
-/// flushes and joins it (what tests want).
+/// of the process (what the serve binary wants); `shutdown` quiesces,
+/// flushes and joins it (what the router's `Shutdown` and tests want).
 pub struct EventLoopHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -206,7 +208,7 @@ impl EventLoopHandle {
         // The loop keeps serving while the handler quiesces, so the
         // replies land in live queues, not ones teardown closed.
         self.handler.quiesce();
-        self.shared.stop.store(true, Ordering::Relaxed);
+        self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.wake.wake();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
@@ -250,17 +252,21 @@ impl<H: ConnectionHandler> LoopState<H> {
     fn run(&mut self) {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
-            if self.poller.wait(&mut events, -1).is_err() {
-                // Pathological poller failure: back off instead of
-                // spinning; stop flag is still honoured below.
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            if self.shared.stop.load(Ordering::Relaxed) {
+            // Asked before each wait, not after it: the pass below
+            // drains the wake pipe, so a stop raised while it ran has
+            // lost its wake byte by now, and one raised after this
+            // line still finds its byte in the pipe.
+            if self.shared.stop.load(Ordering::SeqCst) {
                 // Shutdown quiesced the handler first, so every owed
-                // reply is queued by now: flush what this pass has not
-                // seen yet, with the usual kill/close accounting.
+                // reply is queued by now: flush what the last pass has
+                // not seen yet, with the usual kill/close accounting.
                 self.flush_dirty();
                 break;
+            }
+            if self.poller.wait(&mut events, -1).is_err() {
+                // Pathological poller failure: back off instead of
+                // spinning; the stop flag is still honoured above.
+                std::thread::sleep(std::time::Duration::from_millis(10));
             }
             let mut accept_ready = false;
             let mut wake_ready = false;

@@ -9,16 +9,19 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// What a server does with each connection's traffic. One handler
 /// instance is shared by every connection (hold shared state in
-/// `Arc`s; the engine itself is the usual state).
+/// `Arc`s: the engine for [`EngineHandler`], the fleet's links and
+/// routing tables for the router's handler).
 pub trait ConnectionHandler: Send + Sync + 'static {
     /// One non-empty NDJSON line arrived. **Must not block**: the event
     /// loop calls this on its one thread, so every connection waits
-    /// while it runs. Replies go through `sink`, now or from any thread
-    /// at any later time — the wire protocol's `id` is the correlation
-    /// key, not ordering. A reply that comes later is announced with
-    /// [`LineSink::owe`] before this returns and sent with
-    /// [`LineSink::send_owed`], so a peer that half-closes is kept
-    /// until it has been answered.
+    /// while it runs — what would wait (a job, a worker's answer, a
+    /// session on the move, a link to redial) is handed to the thread
+    /// that ends the wait. Replies go through `sink`, now or from any
+    /// thread at any later time — the wire protocol's `id` is the
+    /// correlation key, not ordering. A reply that comes later is
+    /// announced with [`LineSink::owe`] before this returns and sent
+    /// with [`LineSink::send_owed`], so a peer that half-closes is
+    /// kept until it has been answered.
     fn on_line(&self, line: &str, sink: &Arc<LineSink>);
 
     /// The connection is gone (the peer finished and was answered, a

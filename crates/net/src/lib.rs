@@ -22,11 +22,13 @@
 //!   connection itself;
 //! * the [`LineSink`] that treats a vanished peer (`EPIPE` and friends)
 //!   as a clean close instead of an error, shared with the stdio front
-//!   end, and the blocking, reconnecting [`NdjsonClient`].
+//!   end, the blocking [`NdjsonClient`], and the dial-with-backoff
+//!   under it ([`connect_with_backoff`]).
 //!
 //! `chatpattern-serve --listen` is an [`EventLoopServer`] over an
-//! [`EngineHandler`]; `chatpattern-router` dials its workers with the
-//! client parts.
+//! [`EngineHandler`]; `chatpattern-router` is the same server over a
+//! handler of its own that forwards each line to a worker it dialled
+//! with [`connect_with_backoff`].
 //!
 //! ```
 //! use chatpattern_core::wire::RequestEnvelope;
@@ -70,7 +72,7 @@ mod handler;
 mod poller;
 mod sink;
 
-pub use client::{connect_with_backoff, ClientConfig, NdjsonClient, NdjsonReceiver, NdjsonSender};
+pub use client::{connect_with_backoff, ClientConfig, NdjsonClient};
 #[cfg(unix)]
 pub use conn::{
     FlushOutcome, Framed, LineFramer, NonblockingConn, OutboundQueue, QueueWriter, ReadOutcome,

@@ -1,8 +1,10 @@
 //! `chatpattern-router` — the multi-process shard front-end.
 //!
-//! Accepts NDJSON wire-protocol connections and fans every
-//! request out across a fleet of `chatpattern-serve --listen` workers
-//! — spawned as children, or attached by address — sharding by the
+//! Serves NDJSON wire-protocol connections from `cp_net`'s event loop
+//! (what `chatpattern-serve --listen` runs: same line cap, half-close
+//! and slow-reader rules) and fans every request out, over one TCP
+//! link a worker, across a fleet of `chatpattern-serve --listen`
+//! workers — spawned as children, or attached by address — sharding by the
 //! exact same request-key / session-id hash as the in-process engine's
 //! shards ([`chatpattern_core::BackendKind::Sharded`];
 //! `chatpattern_core::routing` is the single source of truth), so
@@ -38,6 +40,15 @@
 //! {"id":2,"control":{"Drain":{"worker":0}}}  move its sessions, stop routing to it
 //! {"id":3,"control":"Shutdown"}              kill spawned workers and exit
 //! ```
+//!
+//! Threads, whatever the number of clients: main (parked until
+//! `Shutdown`), the event loop, a reader per connected worker, a stderr
+//! drain per spawned child, the auto-rebalancer when it is on, and a
+//! mover (`Drain`) or reviver (a link that is down) while one runs. The
+//! loop thread never waits: a line that cannot go on at once is parked
+//! — on its session while that moves, on its worker's link while that
+//! is down — and forwarded in arrival order by the thread that ends the
+//! wait.
 
 use chatpattern_core::routing::route_hash;
 use chatpattern_core::wire::{decode_request_line, ResponseEnvelope};
@@ -46,16 +57,18 @@ use chatpattern_core::{
     SessionCloseParams, SessionRestoreParams, SessionSnapshotParams, Timing, WireOutcome,
 };
 use cp_net::{
-    connect_with_backoff, ClientConfig, Framed, LineFramer, LineSink, DEFAULT_MAX_LINE_BYTES,
+    connect_with_backoff, ClientConfig, ConnectionHandler, EventLoopConfig, EventLoopServer,
+    LineSink, DEFAULT_EVENT_LOOP_CONNECTIONS, DEFAULT_MAX_LINE_BYTES,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, Read};
-use std::net::{TcpListener, TcpStream};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::io::{BufRead, Write};
+use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -90,11 +103,8 @@ Options:
                          PATH/worker-i — this is what lets a respawned
                          worker rehydrate its sessions after a crash
   --max-connections N    concurrently served client connections, at
-                         least 1 (default 64); excess connects wait
-  --pool N               TCP connections per worker, at least 1 (default
-                         2): each forwarded request round-robins over
-                         the pool, so one slow reply cannot
-                         head-of-line-block every other to that shard
+                         least 1 (default 4096); excess connects wait
+                         in the OS backlog
   --rebalance-threshold N  auto-rebalance: when the per-worker session
                          or queue-depth skew (max minus min across live
                          workers) exceeds N, move sessions from the
@@ -106,12 +116,6 @@ Options:
                          --rebalance-threshold)
   --help                 this text";
 
-/// Default TCP connections per worker.
-const DEFAULT_POOL: usize = 2;
-
-/// Default cap on concurrently served clients (a thread each).
-const DEFAULT_MAX_CLIENTS: usize = 64;
-
 struct Options {
     listen: String,
     workers: usize,
@@ -120,7 +124,6 @@ struct Options {
     serve_args: Vec<String>,
     session_dir: Option<String>,
     max_connections: usize,
-    pool: usize,
     rebalance_threshold: usize,
     rebalance_interval: Duration,
 }
@@ -133,8 +136,7 @@ fn parse_args() -> Result<Options, String> {
         serve_bin: None,
         serve_args: Vec::new(),
         session_dir: None,
-        max_connections: DEFAULT_MAX_CLIENTS,
-        pool: DEFAULT_POOL,
+        max_connections: DEFAULT_EVENT_LOOP_CONNECTIONS,
         rebalance_threshold: 0,
         rebalance_interval: Duration::from_millis(1000),
     };
@@ -162,7 +164,6 @@ fn parse_args() -> Result<Options, String> {
             "--serve-arg" => options.serve_args.push(value.clone()),
             "--session-dir" => options.session_dir = Some(value.clone()),
             "--max-connections" => options.max_connections = positive("--max-connections")?,
-            "--pool" => options.pool = positive("--pool")?,
             "--rebalance-threshold" => {
                 options.rebalance_threshold = number("--rebalance-threshold")?;
             }
@@ -241,9 +242,7 @@ struct WorkerView {
     pid: Option<u32>,
     draining: bool,
     sessions: usize,
-    /// Connection-pool size configured for this worker.
-    pool: usize,
-    /// Pool connections currently established.
+    /// Established links to this worker: 1, or 0 while it is down.
     links: usize,
     stats: Option<EngineStats>,
 }
@@ -256,67 +255,60 @@ struct SpawnSpec {
     args: Vec<String>,
 }
 
-/// What a reply to a forwarded line is for.
+/// Who hears the answer to a forwarded line. Answering may take router
+/// locks (the last step of a fan-in does), so it is always done with no
+/// link or router lock held.
 enum Pending {
-    /// A client request: deliver under its original id; when this was
-    /// a successful `SessionClose`, also forget the routing entry.
+    /// A client request, promised to its connection with
+    /// [`LineSink::owe`]: answered under its original id; when this was
+    /// a successful `SessionClose`, the routing entry is forgotten too.
     Client {
         id: Value,
         sink: Arc<LineSink>,
         closes_session: Option<String>,
     },
-    /// A router-internal call (stats, snapshot/restore during drain).
-    Internal(Arc<ReplySlot>),
+    /// A router-internal call (stats fan-in, snapshot/restore during a
+    /// move): runs once, on the thread that has the answer.
+    Internal(Box<dyn FnOnce(ResponseEnvelope) + Send>),
 }
 
 impl Pending {
-    /// Answers the requester with `error` in place of a worker's reply.
-    fn fail(self, error: &Error) {
+    /// Hands a worker's reply to the requester.
+    fn deliver(self, router: &Router, reply: ResponseEnvelope) {
         match self {
-            Pending::Client { id, sink, .. } => {
-                sink.send_line(&ResponseEnvelope::error(id, error).to_line());
+            Pending::Client {
+                id,
+                sink,
+                closes_session,
+            } => {
+                if let (Some(sid), WireOutcome::Ok(_)) = (&closes_session, &reply.outcome) {
+                    router.sessions.lock().expect("session lock").remove(sid);
+                }
+                let reply = ResponseEnvelope {
+                    id,
+                    outcome: reply.outcome,
+                };
+                sink.send_owed(&reply.to_line());
             }
-            Pending::Internal(slot) => slot.fill(ResponseEnvelope::error(Value::Null, error)),
+            Pending::Internal(done) => done(reply),
         }
     }
-}
 
-/// Rendezvous for a synchronous internal call.
-struct ReplySlot {
-    reply: Mutex<Option<ResponseEnvelope>>,
-    ready: Condvar,
-}
-
-impl ReplySlot {
-    fn new() -> Arc<ReplySlot> {
-        Arc::new(ReplySlot {
-            reply: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, envelope: ResponseEnvelope) {
-        *self.reply.lock().expect("slot lock") = Some(envelope);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self, timeout: Duration) -> Option<ResponseEnvelope> {
-        let mut reply = self.reply.lock().expect("slot lock");
-        let deadline = Instant::now() + timeout;
-        while reply.is_none() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (next, timed_out) = self.ready.wait_timeout(reply, left).expect("slot wait");
-            reply = next;
-            if timed_out.timed_out() && reply.is_none() {
-                return None;
-            }
-        }
-        reply.take()
+    /// Answers the requester with `error` in place of a worker's reply.
+    fn fail(self, router: &Router, error: &Error) {
+        self.deliver(router, ResponseEnvelope::error(Value::Null, error));
     }
 }
+
+/// A request parked on its way to a worker.
+struct Outbound {
+    tenant: Option<String>,
+    request: PatternRequest,
+    entry: Pending,
+}
+
+/// A line as framed for a worker's socket, under its router-internal id.
+type Framed = (u64, String, Pending);
 
 /// The worker's process-level state: its current address, and (spawn
 /// mode) the live child. Present once the worker has been brought up.
@@ -325,28 +317,26 @@ struct WorkerProc {
     child: Option<Child>,
 }
 
-/// One pooled TCP connection to a worker. Requests round-robin over a
-/// worker's links, and each link keeps its own in-flight map — a reply
-/// always comes back on the connection its request went out on, so one
-/// link dying fails exactly its own requests.
+/// The one TCP connection to a worker. Every client's lines for the
+/// worker share it in arrival order, each under a router-internal id
+/// that `pending` maps back to its requester, so the link dying fails
+/// exactly what was in flight on it.
+#[derive(Default)]
 struct Link {
-    /// Write half while connected (reads happen on the link's
-    /// dedicated reader thread).
-    stream: Mutex<Option<TcpStream>>,
+    wire: Mutex<Wire>,
     pending: Mutex<HashMap<u64, Pending>>,
-    /// Bumped per (re)connect so a stale reader thread can tell it no
-    /// longer owns the link.
-    generation: AtomicU64,
 }
 
-impl Link {
-    fn new() -> Link {
-        Link {
-            stream: Mutex::new(None),
-            pending: Mutex::new(HashMap::new()),
-            generation: AtomicU64::new(0),
-        }
-    }
+#[derive(Default)]
+struct Wire {
+    /// Write half while connected (the reader thread has the other).
+    stream: Option<TcpStream>,
+    /// Bumped per connect and per teardown so a stale reader thread can
+    /// tell it no longer owns the link.
+    generation: u64,
+    /// `Some` while a reviver thread is bringing the link back up: the
+    /// lines that arrived for the worker meanwhile, in arrival order.
+    parked: Option<Vec<Framed>>,
 }
 
 struct Worker {
@@ -356,10 +346,7 @@ struct Worker {
     /// from the child's announcement line each (re)spawn.
     attach_addr: Option<String>,
     proc: Mutex<Option<WorkerProc>>,
-    /// The connection pool (`--pool` entries).
-    links: Vec<Link>,
-    /// Round-robin cursor over `links`.
-    next_link: AtomicU64,
+    link: Link,
     draining: AtomicBool,
 }
 
@@ -369,16 +356,17 @@ struct Router {
     workers: Vec<Worker>,
     /// session id → worker index currently hosting it.
     sessions: Mutex<HashMap<String, usize>>,
-    /// Sessions mid-rebalance: requests for them wait until the move
+    /// Sessions mid-rebalance, each with the lines that arrived for it
+    /// meanwhile: they are forwarded, in arrival order, once the move
     /// completes, so a turn can never slip in between snapshot and
     /// restore (which would fork the session's history).
-    moving: Mutex<HashSet<String>>,
-    moved: Condvar,
+    moving: Mutex<HashMap<String, Vec<Outbound>>>,
     next_internal: AtomicU64,
     round_robin: AtomicU64,
     connect: ClientConfig,
 }
 
+/// How long a mover waits for one worker's answer.
 const INTERNAL_CALL_TIMEOUT: Duration = Duration::from_secs(300);
 
 impl Router {
@@ -393,18 +381,13 @@ impl Router {
 
     /// Picks the worker for a request: pinned session placement
     /// first, then key/session hash over the live workers, then
-    /// round-robin. Blocks while the addressed session is
-    /// mid-rebalance.
-    fn route(&self, request: &PatternRequest) -> Result<usize, Error> {
+    /// round-robin.
+    fn place(&self, request: &PatternRequest) -> Result<usize, Error> {
         let live = self.live_workers();
         if live.is_empty() {
             return Err(Error::internal("no live workers to route to"));
         }
         if let Some(sid) = request.session_id() {
-            let mut moving = self.moving.lock().expect("moving lock");
-            while moving.contains(sid) {
-                moving = self.moved.wait(moving).expect("moving wait");
-            }
             let mut sessions = self.sessions.lock().expect("session lock");
             if let Some(worker) = sessions.get(sid) {
                 return Ok(*worker);
@@ -430,31 +413,33 @@ impl Router {
     }
 }
 
+/// Places one line and forwards it; with nowhere to go it is answered
+/// with the reason under its own id.
+fn route(router: &Arc<Router>, line: Outbound) {
+    match router.place(&line.request) {
+        Ok(worker) => forward(router, worker, line.tenant, line.request, line.entry),
+        Err(error) => line.entry.fail(router, &error),
+    }
+}
+
 /// Ensures the worker *process* is alive (spawning or respawning as
-/// needed) and returns its address. A spawned child that exited
-/// invalidates every pool link even if the sockets have not reported
-/// the death yet — their in-flight entries fail now instead of
-/// lingering, and the generation bumps tell stale readers to stand
-/// down.
-fn ensure_worker_process(router: &Arc<Router>, index: usize) -> Result<String, String> {
+/// needed) and returns its address. Liveness is `try_wait` on the
+/// child: a dropped connection alone never triggers a respawn. No lock
+/// is held across the spawn (a model build): only one thread at a time
+/// brings a worker up — `main`, then its link's one reviver.
+fn ensure_worker_process(router: &Router, index: usize) -> Result<String, String> {
     let worker = &router.workers[index];
-    let mut proc = worker.proc.lock().expect("proc lock");
-    if let Some(live) = proc.as_mut() {
-        let child_exited = live
-            .child
-            .as_mut()
-            .is_some_and(|c| c.try_wait().ok().flatten().is_some());
-        if !child_exited {
-            return Ok(live.addr.clone());
-        }
-        *proc = None;
-        for link in &worker.links {
-            let mut stream = link.stream.lock().expect("link lock");
-            if stream.take().is_some() {
-                link.generation.fetch_add(1, Ordering::Relaxed);
+    {
+        let mut proc = worker.proc.lock().expect("proc lock");
+        if let Some(live) = proc.as_mut() {
+            let child_exited = live
+                .child
+                .as_mut()
+                .is_some_and(|c| c.try_wait().ok().flatten().is_some());
+            if !child_exited {
+                return Ok(live.addr.clone());
             }
-            drop(stream);
-            fail_pending(link, &format!("worker {index} exited"));
+            *proc = None;
         }
     }
     let (addr, child) = match (&worker.spawn, &worker.attach_addr) {
@@ -462,35 +447,32 @@ fn ensure_worker_process(router: &Arc<Router>, index: usize) -> Result<String, S
         (None, Some(addr)) => (addr.clone(), None),
         (None, None) => unreachable!("a worker is spawned or attached"),
     };
-    *proc = Some(WorkerProc {
+    *worker.proc.lock().expect("proc lock") = Some(WorkerProc {
         addr: addr.clone(),
         child,
     });
     Ok(addr)
 }
 
-/// Ensures one pool link of the worker has a live connection,
-/// (re)spawning the process and (re)connecting with backoff as needed.
-/// Returns the error message when the worker cannot be revived.
-fn ensure_connected(router: &Arc<Router>, index: usize, slot: usize) -> Result<(), String> {
+/// (Re)spawns the worker's process as needed, dials it with backoff,
+/// installs the connection as the link's stream and starts its reader.
+/// For `main` and reviver threads, never the event loop: it spawns,
+/// connects and sleeps, and takes the wire lock only once it has.
+fn connect_worker(router: &Arc<Router>, index: usize) -> Result<(), String> {
     let addr = ensure_worker_process(router, index)?;
-    let worker = &router.workers[index];
-    let link = &worker.links[slot];
-    let mut stream = link.stream.lock().expect("link lock");
-    if stream.is_some() {
-        return Ok(());
-    }
     let conn = connect_with_backoff(addr.as_str(), &router.connect)
         .map_err(|e| format!("worker {index}: cannot connect to {addr}: {e}"))?;
     let read_half = conn
         .try_clone()
         .map_err(|e| format!("worker {index}: clone failed: {e}"))?;
-    let generation = link.generation.fetch_add(1, Ordering::Relaxed) + 1;
-    *stream = Some(conn);
-    drop(stream);
+    let mut wire = router.workers[index].link.wire.lock().expect("wire lock");
+    wire.generation += 1;
+    wire.stream = Some(conn);
+    let generation = wire.generation;
+    drop(wire);
 
     let router = Arc::clone(router);
-    std::thread::spawn(move || read_worker(&router, index, slot, generation, read_half));
+    std::thread::spawn(move || read_worker(&router, index, generation, read_half));
     Ok(())
 }
 
@@ -534,18 +516,12 @@ fn spawn_worker(spec: &SpawnSpec, index: usize) -> Result<(String, Option<Child>
     Ok((addr, Some(child)))
 }
 
-/// The per-link reader: pumps response lines back to whoever is
-/// waiting on them; on connection loss, fails the link's own pending
-/// entries and releases the slot (the next forward reconnects it — or,
-/// when the whole process died, respawns it).
-fn read_worker(
-    router: &Arc<Router>,
-    index: usize,
-    slot: usize,
-    generation: u64,
-    stream: TcpStream,
-) {
-    let link = &router.workers[index].links[slot];
+/// The link's reader: hands each response line to whoever is waiting
+/// on it — a push into a client's bounded outbound queue or an internal
+/// callback, so no requester can hold it up; when the connection ends,
+/// takes the link down and fails what was in flight on it.
+fn read_worker(router: &Arc<Router>, index: usize, generation: u64, stream: TcpStream) {
+    let link = &router.workers[index].link;
     let mut reader = std::io::BufReader::new(stream).lines();
     while let Some(Ok(line)) = reader.next() {
         if line.trim().is_empty() {
@@ -559,164 +535,178 @@ fn read_worker(
             continue;
         };
         let entry = link.pending.lock().expect("pending lock").remove(&internal);
-        match entry {
-            Some(Pending::Client {
-                id,
-                sink,
-                closes_session,
-            }) => {
-                if let (Some(sid), WireOutcome::Ok(_)) = (&closes_session, &envelope.outcome) {
-                    router.sessions.lock().expect("session lock").remove(sid);
-                }
-                let reply = ResponseEnvelope {
-                    id,
-                    outcome: envelope.outcome,
-                };
-                sink.send_line(&reply.to_line());
-            }
-            Some(Pending::Internal(slot)) => slot.fill(envelope),
-            None => {}
+        if let Some(entry) = entry {
+            entry.deliver(router, envelope);
         }
     }
 
-    // Only the reader that still owns the slot tears it down (and
-    // fails the in-flight entries): a reconnect bumps the generation,
-    // and a stale reader must not touch entries registered for the
-    // fresh connection. Both the check and the teardown happen under
-    // the slot's stream lock, which `ensure_connected` also holds
-    // while it bumps the generation. The worker process is *not*
-    // killed here: a single pool socket dying says nothing about its
-    // siblings, and real process death is detected by `try_wait` in
-    // `ensure_worker_process` on the next forward.
-    {
-        let mut stream = link.stream.lock().expect("link lock");
-        if link.generation.load(Ordering::Relaxed) != generation {
+    // Only the reader that still owns the link tears it down: a failed
+    // write or a reconnect since has bumped the generation under the
+    // wire lock, and a stale reader must not touch entries registered
+    // for the fresh connection. The worker process is *not* killed
+    // here; `try_wait` in `ensure_worker_process` detects real death.
+    let orphans = {
+        let mut wire = link.wire.lock().expect("wire lock");
+        if wire.generation != generation {
             return;
         }
-        *stream = None;
-        fail_pending(link, &format!("worker {index} connection lost"));
-    }
+        take_down(link, &mut wire)
+    };
+    fail_all(router, orphans, &format!("worker {index} connection lost"));
 }
 
-/// Fails every in-flight entry of a pool link whose connection is
-/// gone. Callers must own the teardown (hold the slot's stream lock as
-/// the current generation's reader, or as `ensure_worker_process`
-/// discovering a dead child).
-fn fail_pending(link: &Link, reason: &str) {
-    let orphans: Vec<Pending> = {
-        let mut pending = link.pending.lock().expect("pending lock");
-        pending.drain().map(|(_, entry)| entry).collect()
-    };
-    if orphans.is_empty() {
+/// Marks the link down under its wire lock and returns what was in
+/// flight on it, for the caller to fail once it has let go of the lock.
+fn take_down(link: &Link, wire: &mut Wire) -> Vec<Pending> {
+    if let Some(stream) = wire.stream.take() {
+        // Wakes the reader this strands; the generation tells it to
+        // stand down.
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    wire.generation += 1;
+    let mut pending = link.pending.lock().expect("pending lock");
+    pending.drain().map(|(_, entry)| entry).collect()
+}
+
+/// Answers every entry with `reason` as a typed `Internal` error.
+fn fail_all(router: &Router, entries: Vec<Pending>, reason: &str) {
+    if entries.is_empty() {
         return;
     }
-    eprintln!(
-        "chatpattern-router: {reason}, failing {} in-flight request(s)",
-        orphans.len()
-    );
+    let lost = entries.len();
+    eprintln!("chatpattern-router: {reason}, failing {lost} request(s)");
     let error = Error::internal(reason.to_owned());
-    for entry in orphans {
-        entry.fail(&error);
+    for entry in entries {
+        entry.fail(router, &error);
     }
 }
 
-/// Forwards one request line to a worker over the next pool link
-/// (round-robin), reviving process and connection first when they are
-/// down. Registration happens before the send — on the same link the
-/// send uses — so the reader can never race the reply past us.
+/// Registers `entry`, then writes its line, so the reader never sees a
+/// reply before the entry it is for. A failed write gives the entry
+/// back: nothing answers a line that was not sent whole, and a teardown
+/// needs the wire lock the caller holds.
+fn send(
+    link: &Link,
+    stream: &mut TcpStream,
+    internal: u64,
+    framed: &str,
+    entry: Pending,
+) -> Result<(), Pending> {
+    let mut pending = link.pending.lock().expect("pending lock");
+    pending.insert(internal, entry);
+    drop(pending);
+    if stream.write_all(framed.as_bytes()).is_ok() {
+        return Ok(());
+    }
+    let mut pending = link.pending.lock().expect("pending lock");
+    pending.remove(&internal).map_or(Ok(()), Err)
+}
+
+/// Forwards one request line to a worker over its link, behind every
+/// line forwarded to it before. The write is the one socket operation
+/// the event loop makes outside its own connections: a worker is that
+/// same loop and never stops reading. Anything slower is handed over —
+/// a line for a link that is down is parked on it, behind a reviver
+/// thread, and a failed write takes the link down and does the same.
 fn forward(
     router: &Arc<Router>,
     index: usize,
-    tenant: Option<&str>,
-    request: &PatternRequest,
-    entry: Pending,
+    tenant: Option<String>,
+    request: PatternRequest,
+    mut entry: Pending,
 ) {
     let internal = router.next_internal.fetch_add(1, Ordering::Relaxed);
-    let mut framed = serde_json::to_string(&RequestEnvelope {
-        id: serde_json::to_value(&internal),
-        tenant: tenant.map(str::to_owned),
-        request: request.clone(),
-    })
-    .expect("requests serialize");
+    let id = serde_json::to_value(&internal);
+    let envelope = RequestEnvelope {
+        id,
+        tenant,
+        request,
+    };
+    let mut framed = serde_json::to_string(&envelope).expect("requests serialize");
     if framed.len() > DEFAULT_MAX_LINE_BYTES {
         // The worker would refuse this line under a `null` id, which
         // matches no pending entry: the requester would never hear.
         // Refuse it here, under the id the requester is waiting on.
-        entry.fail(&Error::config(format!(
+        let error = Error::config(format!(
             "request line exceeds {DEFAULT_MAX_LINE_BYTES} bytes as framed for worker {index} \
              ({} bytes)",
             framed.len()
-        )));
-        return;
+        ));
+        return entry.fail(router, &error);
     }
     framed.push('\n');
-    let worker = &router.workers[index];
 
-    let mut entry = Some(entry);
-    for _attempt in 0..2 {
-        // Each attempt advances the cursor, so a retry lands on a
-        // different pool slot when there is more than one.
-        let slot =
-            (worker.next_link.fetch_add(1, Ordering::Relaxed) % worker.links.len() as u64) as usize;
-        if let Err(message) = ensure_connected(router, index, slot) {
-            eprintln!("chatpattern-router: {message}");
-            continue;
-        }
-        let link = &worker.links[slot];
-        link.pending
-            .lock()
-            .expect("pending lock")
-            .insert(internal, entry.take().expect("entry available"));
-        let sent = {
-            let mut stream = link.stream.lock().expect("link lock");
-            match stream.as_mut() {
-                Some(live) => {
-                    use std::io::Write;
-                    live.write_all(framed.as_bytes()).is_ok()
-                }
-                None => false,
+    let link = &router.workers[index].link;
+    let mut wire = link.wire.lock().expect("wire lock");
+    if let Some(parked) = wire.parked.as_mut() {
+        parked.push((internal, framed, entry));
+        return;
+    }
+    let mut orphans = Vec::new();
+    if let Some(stream) = wire.stream.as_mut() {
+        match send(link, stream, internal, &framed, entry) {
+            Ok(()) => return,
+            Err(unsent) => {
+                entry = unsent;
+                orphans = take_down(link, &mut wire);
             }
-        };
-        if sent {
-            return;
-        }
-        // Reclaim the entry (when the reader has not already failed
-        // it) and retry on a fresh connection.
-        match link.pending.lock().expect("pending lock").remove(&internal) {
-            Some(reclaimed) => entry = Some(reclaimed),
-            None => return,
         }
     }
-
-    entry
-        .take()
-        .expect("entry still ours")
-        .fail(&Error::internal(format!("worker {index} unavailable")));
+    wire.parked = Some(vec![(internal, framed, entry)]);
+    drop(wire);
+    let reviver = Arc::clone(router);
+    std::thread::spawn(move || revive(&reviver, index));
+    fail_all(router, orphans, &format!("worker {index} connection lost"));
 }
 
-/// A synchronous router-internal request to one worker. Internal
-/// calls run as the default tenant: fleet plumbing (stats polls,
-/// rebalancing snapshots) must never be throttled by a client quota.
+/// Brings a down link back up on a thread of its own, then sends what
+/// was parked on it meanwhile in arrival order — or, when the worker
+/// cannot be reached or is gone again mid-way, fails it under each
+/// line's own id. Lines park until the list is taken, so none overtakes.
+fn revive(router: &Arc<Router>, index: usize) {
+    if let Err(message) = connect_worker(router, index) {
+        eprintln!("chatpattern-router: {message}");
+    }
+    let link = &router.workers[index].link;
+    let mut wire = link.wire.lock().expect("wire lock");
+    let mut parked = wire.parked.take().unwrap_or_default().into_iter();
+    let mut unsent = Vec::new();
+    if let Some(stream) = wire.stream.as_mut() {
+        for (internal, framed, entry) in parked.by_ref() {
+            if let Err(entry) = send(link, stream, internal, &framed, entry) {
+                unsent.push(entry);
+                break;
+            }
+        }
+    }
+    unsent.extend(parked.map(|(_, _, entry)| entry));
+    if !unsent.is_empty() {
+        unsent.extend(take_down(link, &mut wire));
+    }
+    drop(wire);
+    fail_all(router, unsent, &format!("worker {index} unavailable"));
+}
+
+/// A synchronous router-internal request to one worker, for mover
+/// threads. Internal calls run as the default tenant: fleet plumbing
+/// (stats polls, rebalancing snapshots) must never be throttled by a
+/// client quota.
 fn call_worker(
     router: &Arc<Router>,
     index: usize,
-    request: &PatternRequest,
+    request: PatternRequest,
 ) -> Result<ResponseEnvelope, String> {
-    let slot = ReplySlot::new();
-    forward(
-        router,
-        index,
-        None,
-        request,
-        Pending::Internal(Arc::clone(&slot)),
-    );
-    slot.wait(INTERNAL_CALL_TIMEOUT)
-        .ok_or_else(|| format!("worker {index}: internal call timed out"))
+    let (answer, answered) = mpsc::channel();
+    // The caller may have timed out and gone when the answer comes.
+    let entry = Pending::Internal(Box::new(move |reply| drop(answer.send(reply))));
+    forward(router, index, None, request, entry);
+    answered
+        .recv_timeout(INTERNAL_CALL_TIMEOUT)
+        .map_err(|_| format!("worker {index}: internal call timed out"))
 }
 
-/// One worker's `Stats`, or `None` when it cannot be had right now.
-fn worker_stats(router: &Arc<Router>, index: usize) -> Option<EngineStats> {
-    let reply = call_worker(router, index, &PatternRequest::Stats).ok()?;
+/// The `Stats` a worker answered with, if that is what it did.
+fn stats_of(reply: ResponseEnvelope) -> Option<EngineStats> {
     match reply.outcome {
         WireOutcome::Ok(response) => match response.payload {
             ResponsePayload::Stats(stats) => Some(stats),
@@ -726,12 +716,48 @@ fn worker_stats(router: &Arc<Router>, index: usize) -> Option<EngineStats> {
     }
 }
 
+/// Asks every worker for its `Stats` at once and hands `done` one entry
+/// a worker — `None` where the link failed or the answer was an error —
+/// on the thread that brings the last of them. A worker that hangs with
+/// its link up holds this as it holds a client request routed to it.
+fn fleet_stats(router: &Arc<Router>, done: impl FnOnce(Vec<Option<EngineStats>>) + Send + 'static) {
+    let count = router.workers.len();
+    let unanswered: Vec<Option<EngineStats>> = (0..count).map(|_| None).collect();
+    let gather = Arc::new(Mutex::new((unanswered, count, Some(done))));
+    for index in 0..count {
+        let gather = Arc::clone(&gather);
+        let entry = Pending::Internal(Box::new(move |reply| {
+            let last = {
+                let mut gather = gather.lock().expect("gather lock");
+                let (per_worker, outstanding, done) = &mut *gather;
+                per_worker[index] = stats_of(reply);
+                *outstanding -= 1;
+                (*outstanding == 0).then(|| (std::mem::take(per_worker), done.take()))
+            };
+            if let Some((per_worker, Some(done))) = last {
+                done(per_worker);
+            }
+        }));
+        forward(router, index, None, PatternRequest::Stats, entry);
+    }
+}
+
+/// One `EngineStats` merged across the workers that answered.
+fn merged(per_worker: &[Option<EngineStats>]) -> EngineStats {
+    let mut fleet = EngineStats::default();
+    for stats in per_worker.iter().flatten() {
+        fleet.merge(stats);
+    }
+    fleet
+}
+
 // ------------------------------------------------------------- rebalancing
 
 /// Moves one session from `source` to `target`: snapshot → restore →
-/// re-route → close the source copy. Callers choose the target (drain
-/// hashes over the remaining live workers; the auto-rebalancer picks
-/// the least-loaded one).
+/// re-route → close the source copy. Callers claim the session in
+/// `moving` first, choose the target (drain hashes over the remaining
+/// live workers; the auto-rebalancer picks the least-loaded one) and
+/// `release` the session afterwards.
 fn move_session(
     router: &Arc<Router>,
     sid: &str,
@@ -741,7 +767,7 @@ fn move_session(
     let snapshot = call_worker(
         router,
         source,
-        &PatternRequest::SessionSnapshot(SessionSnapshotParams {
+        PatternRequest::SessionSnapshot(SessionSnapshotParams {
             session: sid.to_owned(),
         }),
     )?;
@@ -763,7 +789,7 @@ fn move_session(
     let restored = call_worker(
         router,
         target,
-        &PatternRequest::SessionRestore(SessionRestoreParams { snapshot }),
+        PatternRequest::SessionRestore(SessionRestoreParams { snapshot }),
     )?;
     if let WireOutcome::Err(error) = restored.outcome {
         return Err(format!(
@@ -781,27 +807,48 @@ fn move_session(
     let _ = call_worker(
         router,
         source,
-        &PatternRequest::SessionClose(SessionCloseParams {
+        PatternRequest::SessionClose(SessionCloseParams {
             session: sid.to_owned(),
         }),
     );
     Ok(Some(target))
 }
 
-/// Drains a worker: mark it out of the routing domain, then move each
-/// of its sessions. Requests addressed to a mid-move session wait on
-/// the `moving` set instead of racing the handoff.
-fn drain_worker(router: &Arc<Router>, index: usize) -> Result<usize, String> {
+/// Ends a session's move, successful or not: forwards the lines parked
+/// on it to wherever it lives now, in arrival order. Its `moving` entry
+/// goes only once it is seen empty under the lock, so a line arriving
+/// during the flush queues behind the parked ones, never ahead.
+fn release(router: &Arc<Router>, sid: &str) {
+    loop {
+        let batch = {
+            let mut moving = router.moving.lock().expect("moving lock");
+            match moving.get_mut(sid) {
+                Some(parked) if !parked.is_empty() => std::mem::take(parked),
+                _ => {
+                    moving.remove(sid);
+                    return;
+                }
+            }
+        };
+        for line in batch {
+            route(router, line);
+        }
+    }
+}
+
+/// The first half of a drain, on the event loop: marks the worker out
+/// of the routing domain and claims its sessions, so every line the
+/// loop reads after the `Drain` line already finds them moving. One
+/// already in `moving` is left to the mover (the auto-rebalancer) that
+/// has it.
+fn start_drain(router: &Router, index: usize) -> Result<Vec<String>, String> {
     if index >= router.workers.len() {
         return Err(format!("no worker {index}"));
     }
-    router.workers[index]
-        .draining
-        .store(true, Ordering::Relaxed);
+    let draining = &router.workers[index].draining;
+    draining.store(true, Ordering::Relaxed);
     if router.live_workers().is_empty() {
-        router.workers[index]
-            .draining
-            .store(false, Ordering::Relaxed);
+        draining.store(false, Ordering::Relaxed);
         return Err("cannot drain the last live worker".to_owned());
     }
     let mut resident: Vec<String> = {
@@ -812,16 +859,23 @@ fn drain_worker(router: &Arc<Router>, index: usize) -> Result<usize, String> {
             .map(|(sid, _)| sid.clone())
             .collect()
     };
-    {
-        // Claim each session for this drain; one already in the moving
-        // set is being handled by a concurrent mover (the
-        // auto-rebalancer) and is left to it.
-        let mut moving = router.moving.lock().expect("moving lock");
-        resident.retain(|sid| moving.insert(sid.clone()));
-    }
+    let mut moving = router.moving.lock().expect("moving lock");
+    resident.retain(|sid| match moving.entry(sid.clone()) {
+        Entry::Vacant(unclaimed) => {
+            unclaimed.insert(Vec::new());
+            true
+        }
+        Entry::Occupied(_) => false,
+    });
+    Ok(resident)
+}
+
+/// The second half, on a mover thread: moves each claimed session and
+/// returns how many moved.
+fn finish_drain(router: &Arc<Router>, index: usize, claimed: &[String]) -> Result<usize, String> {
     let mut moved = 0;
     let mut first_error = None;
-    for sid in &resident {
+    for sid in claimed {
         let targets = router.live_workers();
         let outcome = if targets.is_empty() {
             Err("no live workers left to move sessions to".to_owned())
@@ -840,15 +894,9 @@ fn drain_worker(router: &Arc<Router>, index: usize) -> Result<usize, String> {
                 first_error.get_or_insert(message);
             }
         }
-        let mut moving = router.moving.lock().expect("moving lock");
-        moving.remove(sid);
-        drop(moving);
-        router.moved.notify_all();
+        release(router, sid);
     }
-    match first_error {
-        None => Ok(moved),
-        Some(message) => Err(message),
-    }
+    first_error.map_or(Ok(moved), Err)
 }
 
 /// One auto-rebalance pass: measure per-live-worker load (sessions
@@ -867,7 +915,9 @@ fn auto_rebalance(router: &Arc<Router>, threshold: usize) -> usize {
         let queued: HashMap<usize, usize> = live
             .iter()
             .map(|&index| {
-                let stats = worker_stats(router, index);
+                let stats = call_worker(router, index, PatternRequest::Stats)
+                    .ok()
+                    .and_then(stats_of);
                 (index, stats.map_or(0, |s| s.queue_depths.iter().sum()))
             })
             .collect();
@@ -897,19 +947,18 @@ fn auto_rebalance(router: &Arc<Router>, threshold: usize) -> usize {
             let sessions = router.sessions.lock().expect("session lock");
             let candidate = sessions
                 .iter()
-                .find(|(sid, w)| **w == busiest && !moving.contains(*sid))
+                .find(|(sid, w)| **w == busiest && !moving.contains_key(*sid))
                 .map(|(sid, _)| sid.clone());
             match candidate {
                 Some(sid) => {
-                    moving.insert(sid.clone());
+                    moving.insert(sid.clone(), Vec::new());
                     sid
                 }
                 None => return moved,
             }
         };
         let outcome = move_session(router, &sid, busiest, calmest);
-        router.moving.lock().expect("moving lock").remove(&sid);
-        router.moved.notify_all();
+        release(router, &sid);
         match outcome {
             Ok(Some(target)) => {
                 moved += 1;
@@ -937,215 +986,144 @@ fn spawn_rebalancer(router: Arc<Router>, threshold: usize, interval: Duration) {
 
 // -------------------------------------------------------- client frontend
 
+/// The router's side of `cp_net`'s event loop, which serves every
+/// client connection from its one thread.
 struct RouterHandler {
     router: Arc<Router>,
+    /// Tells `main`, which owns the loop's handle, of a `Shutdown`.
+    shutdown: mpsc::Sender<()>,
+}
+
+fn control_line(id: Value, control: ControlOutcome) -> String {
+    serde_json::to_string(&ControlReply { id, control }).expect("control replies serialize")
+}
+
+/// The `Fleet` reply: every worker as the router sees it now, next to
+/// the stats it just answered with, plus the merged fleet stats.
+fn fleet_view(router: &Router, per_worker: Vec<Option<EngineStats>>) -> FleetView {
+    let fleet = merged(&per_worker);
+    let sessions = router.sessions.lock().expect("session lock");
+    let workers = router
+        .workers
+        .iter()
+        .zip(per_worker)
+        .map(|(worker, stats)| {
+            let proc = worker.proc.lock().expect("proc lock");
+            let wire = worker.link.wire.lock().expect("wire lock");
+            WorkerView {
+                index: worker.index,
+                addr: proc.as_ref().map(|p| p.addr.clone()),
+                pid: proc.as_ref().and_then(|p| p.child.as_ref().map(Child::id)),
+                draining: worker.draining.load(Ordering::Relaxed),
+                sessions: sessions.values().filter(|w| **w == worker.index).count(),
+                links: usize::from(wire.stream.is_some()),
+                stats,
+            }
+        })
+        .collect();
+    FleetView { workers, fleet }
 }
 
 impl RouterHandler {
-    /// Fan-out `Stats` and merge: the fleet view, answered by the
-    /// router itself under normal wire framing.
-    fn fleet_stats(&self) -> (EngineStats, Vec<Option<EngineStats>>) {
-        let mut merged = EngineStats::default();
-        let mut per_worker = Vec::with_capacity(self.router.workers.len());
-        for worker in &self.router.workers {
-            let stats = worker_stats(&self.router, worker.index);
-            if let Some(stats) = &stats {
-                merged.merge(stats);
-            }
-            per_worker.push(stats);
-        }
-        (merged, per_worker)
-    }
-
-    fn handle_control(&self, envelope: ControlEnvelope, sink: &Arc<LineSink>) {
-        let outcome = match envelope.control {
+    /// A control line. `Fleet` is the stats fan-in with a wider reply,
+    /// `Drain` claims on the loop and moves on a thread of its own (as
+    /// the auto-rebalancer it shares `move_session` with has), and
+    /// `Shutdown` is answered here and carried out by `main`.
+    fn on_control(&self, envelope: ControlEnvelope, sink: &Arc<LineSink>) {
+        let ControlEnvelope { id, control } = envelope;
+        let router = Arc::clone(&self.router);
+        let owed = Arc::clone(sink);
+        match control {
             RouterControl::Fleet => {
-                let (fleet, per_worker) = self.fleet_stats();
-                let sessions = self.router.sessions.lock().expect("session lock");
-                let workers = self
-                    .router
-                    .workers
-                    .iter()
-                    .zip(per_worker)
-                    .map(|(worker, stats)| {
-                        let proc = worker.proc.lock().expect("proc lock");
-                        WorkerView {
-                            index: worker.index,
-                            addr: proc.as_ref().map(|p| p.addr.clone()),
-                            pid: proc.as_ref().and_then(|p| p.child.as_ref().map(Child::id)),
-                            draining: worker.draining.load(Ordering::Relaxed),
-                            sessions: sessions.values().filter(|w| **w == worker.index).count(),
-                            pool: worker.links.len(),
-                            links: worker
-                                .links
-                                .iter()
-                                .filter(|l| l.stream.lock().expect("link lock").is_some())
-                                .count(),
-                            stats,
-                        }
-                    })
-                    .collect();
-                ControlOutcome::Fleet(Box::new(FleetView { workers, fleet }))
+                sink.owe();
+                fleet_stats(&self.router, move |per_worker| {
+                    let view = fleet_view(&router, per_worker);
+                    owed.send_owed(&control_line(id, ControlOutcome::Fleet(Box::new(view))));
+                });
             }
-            RouterControl::Drain { worker } => match drain_worker(&self.router, worker) {
-                Ok(moved) => ControlOutcome::Drained { worker, moved },
-                Err(message) => ControlOutcome::Error { message },
-            },
-            RouterControl::Shutdown => ControlOutcome::ShuttingDown,
-        };
-        let shutting_down = matches!(outcome, ControlOutcome::ShuttingDown);
-        let reply = ControlReply {
-            id: envelope.id,
-            control: outcome,
-        };
-        sink.send_line(&serde_json::to_string(&reply).expect("control replies serialize"));
-        if shutting_down {
-            for worker in &self.router.workers {
-                if let Some(mut proc) = worker.proc.lock().expect("proc lock").take() {
-                    if let Some(child) = proc.child.as_mut() {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                    }
+            RouterControl::Drain { worker } => match start_drain(&router, worker) {
+                Ok(claimed) => {
+                    sink.owe();
+                    std::thread::spawn(move || {
+                        let outcome = match finish_drain(&router, worker, &claimed) {
+                            Ok(moved) => ControlOutcome::Drained { worker, moved },
+                            Err(message) => ControlOutcome::Error { message },
+                        };
+                        owed.send_owed(&control_line(id, outcome));
+                    });
                 }
+                Err(message) => {
+                    sink.send_line(&control_line(id, ControlOutcome::Error { message }));
+                }
+            },
+            RouterControl::Shutdown => {
+                sink.send_line(&control_line(id, ControlOutcome::ShuttingDown));
+                // `main` stops the loop, which flushes the line above.
+                let _ = self.shutdown.send(());
             }
-            eprintln!("chatpattern-router: shutting down");
-            std::process::exit(0);
         }
     }
+}
 
-    /// One client line. Blocks by design — a request for a session that
-    /// is mid-move waits for the move, `Stats` / `Fleet` / `Drain` are
-    /// synchronous fan-ins, a forward may respawn a worker — which is
-    /// why each client has a reader thread of its own (`serve_clients`)
-    /// instead of sharing `cp_net`'s event loop.
+impl ConnectionHandler for RouterHandler {
+    /// One client line, on the event loop's one thread — so nothing in
+    /// here waits: no connect, no child process, no sleep, no receive,
+    /// and no lock that another thread holds across one of those. A
+    /// line answered later (forwarded, parked, a fan-in, a drain) is
+    /// announced with `owe` and answered with `send_owed` by the thread
+    /// that has the answer, so a client that half-closed is kept until
+    /// it has heard; `send_line` is for what is answered at once (a line
+    /// that does not decode, a refused drain, `Shutdown`).
     fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
-        match decode_request_line(line) {
-            Ok(envelope) => {
-                if matches!(envelope.request, PatternRequest::Stats) {
-                    let started = Instant::now();
-                    let (fleet, _) = self.fleet_stats();
-                    let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    let reply = ResponseEnvelope::ok(
-                        envelope.id,
-                        PatternResponse {
-                            payload: ResponsePayload::Stats(fleet),
-                            timing: Timing::direct(micros),
-                        },
-                    );
-                    sink.send_line(&reply.to_line());
-                    return;
-                }
-                let closes_session = match &envelope.request {
-                    PatternRequest::SessionClose(params) => Some(params.session.clone()),
-                    _ => None,
-                };
-                match self.router.route(&envelope.request) {
-                    Ok(worker) => forward(
-                        &self.router,
-                        worker,
-                        envelope.tenant.as_deref(),
-                        &envelope.request,
-                        Pending::Client {
-                            id: envelope.id,
-                            sink: Arc::clone(sink),
-                            closes_session,
-                        },
-                    ),
-                    Err(error) => {
-                        sink.send_line(&ResponseEnvelope::error(envelope.id, &error).to_line());
-                    }
-                }
-            }
+        let envelope = match decode_request_line(line) {
+            Ok(envelope) => envelope,
             // Only a line that is no request is read again, as a
             // control line (which has no `request` and so never
             // decodes as one).
-            Err((id, error)) => match serde_json::from_str::<ControlEnvelope>(line) {
-                Ok(control) => self.handle_control(control, sink),
-                Err(_) => {
-                    sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
-                }
-            },
-        }
-    }
-}
-
-/// The client front end: accepts on this thread, one reader thread per
-/// client, and a counting gate that stops serving beyond
-/// `max_connections` (the excess waits, accepted, until a slot frees).
-/// Never returns; the `Shutdown` control exits the process.
-fn serve_clients(listener: &TcpListener, max_connections: usize, handler: &Arc<RouterHandler>) {
-    let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        {
-            let (count, freed) = &*gate;
-            let mut active = count.lock().expect("gate lock");
-            while *active >= max_connections {
-                active = freed.wait(active).expect("gate wait");
-            }
-            *active += 1;
-        }
-        let handler = Arc::clone(handler);
-        let gate = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            serve_client(stream, &handler);
-            let (count, freed) = &*gate;
-            *count.lock().expect("gate lock") -= 1;
-            freed.notify_one();
-        });
-    }
-}
-
-/// Reads one client's lines until EOF or a failed write, through the
-/// same bounded framer as `cp_net`'s event loop: a line over the cap is
-/// discarded as it streams in and answered under `id: null`, and the
-/// connection carries on at the next newline. The sink
-/// outlives the reader in the pending entries of `read_worker`
-/// threads, so a client that half-closed its write side keeps
-/// receiving answers until the last of them is delivered.
-fn serve_client(mut stream: TcpStream, handler: &RouterHandler) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    // Replies are small writes to a peer that may only be reading (a
-    // pipelined batch): with Nagle on, the second one waits out the
-    // peer's delayed ACK (~40 ms) — `cp_net`'s loop turns it off too.
-    let _ = stream.set_nodelay(true);
-    let sink = Arc::new(LineSink::new(Box::new(write_half)));
-    let mut framer = LineFramer::new(DEFAULT_MAX_LINE_BYTES);
-    let mut scratch = [0u8; 16 * 1024];
-    let mut products = Vec::new();
-    loop {
-        let read = match stream.read(&mut scratch) {
-            Ok(read) => read,
-            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        };
-        // At EOF a last line still counts without its newline.
-        let chunk: &[u8] = if read == 0 { b"\n" } else { &scratch[..read] };
-        framer.push(chunk, &mut products);
-        for product in products.drain(..) {
-            match product {
-                Framed::Line(line) => {
-                    if !line.trim().is_empty() {
-                        handler.on_line(&line, &sink);
+            Err((id, error)) => {
+                return match serde_json::from_str::<ControlEnvelope>(line) {
+                    Ok(control) => self.on_control(control, sink),
+                    Err(_) => {
+                        sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
                     }
                 }
-                Framed::Oversize { bytes } => {
-                    let error = Error::config(format!(
-                        "request line exceeds {DEFAULT_MAX_LINE_BYTES} bytes \
-                         ({bytes} bytes discarded)"
-                    ));
-                    sink.send_line(&ResponseEnvelope::error(Value::Null, &error).to_line());
-                }
             }
-            if sink.is_closed() || sink.has_failed() {
-                return;
+        };
+        sink.owe();
+        let id = envelope.id;
+        let sink = Arc::clone(sink);
+        if matches!(envelope.request, PatternRequest::Stats) {
+            // The fleet view, answered by the router itself.
+            let started = Instant::now();
+            return fleet_stats(&self.router, move |per_worker| {
+                let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                let response = PatternResponse {
+                    payload: ResponsePayload::Stats(merged(&per_worker)),
+                    timing: Timing::direct(micros),
+                };
+                sink.send_owed(&ResponseEnvelope::ok(id, response).to_line());
+            });
+        }
+        let closes_session = match &envelope.request {
+            PatternRequest::SessionClose(params) => Some(params.session.clone()),
+            _ => None,
+        };
+        let line = Outbound {
+            tenant: envelope.tenant,
+            request: envelope.request,
+            entry: Pending::Client {
+                id,
+                sink,
+                closes_session,
+            },
+        };
+        if let Some(sid) = line.request.session_id() {
+            let mut moving = self.router.moving.lock().expect("moving lock");
+            if let Some(parked) = moving.get_mut(sid) {
+                return parked.push(line);
             }
         }
-        if read == 0 {
-            return;
-        }
+        route(&self.router, line);
     }
 }
 
@@ -1165,8 +1143,7 @@ fn main() -> ExitCode {
         spawn,
         attach_addr,
         proc: Mutex::new(None),
-        links: (0..options.pool).map(|_| Link::new()).collect(),
-        next_link: AtomicU64::new(0),
+        link: Link::default(),
         draining: AtomicBool::new(false),
     };
     let workers: Vec<Worker> = if options.attach.is_empty() {
@@ -1201,8 +1178,7 @@ fn main() -> ExitCode {
     let router = Arc::new(Router {
         workers,
         sessions: Mutex::new(HashMap::new()),
-        moving: Mutex::new(HashSet::new()),
-        moved: Condvar::new(),
+        moving: Mutex::new(HashMap::new()),
         next_internal: AtomicU64::new(1),
         round_robin: AtomicU64::new(0),
         connect: ClientConfig {
@@ -1217,7 +1193,7 @@ fn main() -> ExitCode {
     // Bring the whole fleet up before accepting clients, so the first
     // request does not pay every worker's model-build latency at once.
     for index in 0..router.workers.len() {
-        if let Err(message) = ensure_connected(&router, index, 0) {
+        if let Err(message) = connect_worker(&router, index) {
             eprintln!("chatpattern-router: {message}");
             return ExitCode::FAILURE;
         }
@@ -1235,8 +1211,15 @@ fn main() -> ExitCode {
         );
     }
 
-    let listener = match TcpListener::bind(options.listen.as_str()) {
-        Ok(listener) => listener,
+    // Thousands of sockets need fd headroom beyond the usual shell
+    // default of 1024.
+    cp_net::raise_nofile_limit();
+    let config = EventLoopConfig {
+        max_connections: options.max_connections,
+        ..EventLoopConfig::default()
+    };
+    let server = match EventLoopServer::bind(options.listen.as_str(), config) {
+        Ok(server) => server,
         Err(error) => {
             eprintln!(
                 "chatpattern-router: cannot listen on {}: {error}",
@@ -1245,17 +1228,32 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match listener.local_addr() {
-        Ok(addr) => eprintln!("chatpattern-router: listening on {addr}"),
+    eprintln!("chatpattern-router: listening on {}", server.local_addr());
+    let (shutdown, asked_to_stop) = mpsc::channel();
+    let handler = RouterHandler {
+        router: Arc::clone(&router),
+        shutdown,
+    };
+    let handle = match server.spawn(Arc::new(handler)) {
+        Ok(handle) => handle,
         Err(error) => {
-            eprintln!("chatpattern-router: cannot read the bound address: {error}");
+            eprintln!("chatpattern-router: cannot start event loop: {error}");
             return ExitCode::FAILURE;
         }
+    };
+
+    // Parked until a client's `Shutdown`, answered by the handler;
+    // stopping the loop flushes that answer.
+    let _ = asked_to_stop.recv();
+    handle.shutdown();
+    for worker in &router.workers {
+        if let Some(mut proc) = worker.proc.lock().expect("proc lock").take() {
+            if let Some(child) = proc.child.as_mut() {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+        }
     }
-    serve_clients(
-        &listener,
-        options.max_connections,
-        &Arc::new(RouterHandler { router }),
-    );
+    eprintln!("chatpattern-router: shutting down");
     ExitCode::SUCCESS
 }

@@ -31,6 +31,15 @@
 //!   background rebalancer without any drain command, and every moved
 //!   conversation still closes byte-identical to the uninterrupted
 //!   reference.
+//! * **The front door is `cp_net`'s event loop** (ISSUE 18) — a client
+//!   that stops reading is cut off at the outbound high-water mark and
+//!   costs no other client a reply; a client that half-closes hears
+//!   every answer it is owed (forwarded, fan-in, control) before the
+//!   EOF; a hundred idle clients cost no thread and keep nobody out;
+//!   one client's lines reach each worker in the order it sent them,
+//!   parked behind a live session move or not; and an attached worker
+//!   that died fails its own lines after the redial while the lines
+//!   for every other worker are served meanwhile.
 
 use chatpattern::{
     ChatPattern, GenerateParams, PatternRequest, RequestEnvelope, ResponseEnvelope,
@@ -38,9 +47,10 @@ use chatpattern::{
 };
 use cp_dataset::Style;
 use cp_net::{ClientConfig, NdjsonClient, DEFAULT_MAX_LINE_BYTES};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TURNS: [&str; 3] = [
     "Generate 2 patterns, topology size 16*16, physical size 512nm x 512nm, style Layer-10003.",
@@ -85,6 +95,42 @@ fn uninterrupted_close_payload(id: &str, seed: u64) -> String {
     serde_json::to_string(&ResponsePayload::SessionClose(outcome)).expect("serializes")
 }
 
+/// Starts a product binary that announces `NAME: listening on ADDR` on
+/// its stderr — the router once its whole fleet is up, a serve worker
+/// once its model is built — and keeps draining that stderr afterwards.
+fn spawn_listening(command: &mut Command, name: &str) -> (Child, String) {
+    let mut child = command
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("{name} starts: {e}"));
+    let stderr = child.stderr.take().expect("stderr piped");
+    let mut lines = BufReader::new(stderr).lines();
+    let marker = format!("{name}: listening on ");
+    let addr = loop {
+        let line = lines
+            .next()
+            .unwrap_or_else(|| panic!("{name} announces its address before EOF"))
+            .expect("stderr reads");
+        if let Some(addr) = line.strip_prefix(&marker) {
+            break addr.trim().to_owned();
+        }
+    };
+    std::thread::spawn(move || for _ in lines.by_ref() {});
+    (child, addr)
+}
+
+/// A strict request-then-response client; a reply that takes longer
+/// than two minutes fails the test instead of hanging it.
+fn connect(addr: &str) -> NdjsonClient {
+    let config = ClientConfig {
+        read_timeout: Some(Duration::from_secs(120)),
+        ..ClientConfig::default()
+    };
+    NdjsonClient::connect(addr, config).expect("the test client is accepted")
+}
+
 /// A spawned router fleet plus a strict request-then-response client
 /// connection to it.
 struct RouterFleet {
@@ -95,49 +141,21 @@ struct RouterFleet {
 
 impl RouterFleet {
     fn spawn(workers: usize, extra_router_args: &[&str]) -> RouterFleet {
-        let mut command = Command::new(env!("CARGO_BIN_EXE_chatpattern-router"));
-        command.args([
-            "--listen",
-            "127.0.0.1:0",
-            "--workers",
-            &workers.to_string(),
-            "--serve-bin",
-            env!("CARGO_BIN_EXE_chatpattern-serve"),
-        ]);
+        let mut args = vec!["--workers".to_owned(), workers.to_string()];
+        args.extend(["--serve-bin", env!("CARGO_BIN_EXE_chatpattern-serve")].map(String::from));
         for arg in SERVE_ARGS {
-            command.args(["--serve-arg", arg]);
+            args.extend(["--serve-arg", arg].map(String::from));
         }
-        command.args(extra_router_args);
-        let mut child = command
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("router binary starts");
+        args.extend(extra_router_args.iter().map(|arg| (*arg).to_owned()));
+        RouterFleet::start(&args)
+    }
 
-        // The router announces its client address once the whole
-        // fleet is up; keep draining its stderr afterwards.
-        let stderr = child.stderr.take().expect("stderr piped");
-        let mut lines = BufReader::new(stderr).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .expect("router announces its address before EOF")
-                .expect("router stderr reads");
-            if let Some(addr) = line.strip_prefix("chatpattern-router: listening on ") {
-                break addr.trim().to_owned();
-            }
-        };
-        std::thread::spawn(move || for _ in lines.by_ref() {});
-
-        let client = NdjsonClient::connect(
-            &addr,
-            ClientConfig {
-                read_timeout: Some(Duration::from_secs(120)),
-                ..ClientConfig::default()
-            },
-        )
-        .expect("router accepts the test client");
+    /// A router in front of whatever `args` describe.
+    fn start(args: &[String]) -> RouterFleet {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_chatpattern-router"));
+        command.args(["--listen", "127.0.0.1:0"]).args(args);
+        let (child, addr) = spawn_listening(&mut command, "chatpattern-router");
+        let client = connect(&addr);
         RouterFleet {
             child,
             client,
@@ -147,11 +165,7 @@ impl RouterFleet {
 
     fn exchange(&mut self, id: &str, request: PatternRequest) -> ResponseEnvelope {
         self.client
-            .call(&RequestEnvelope {
-                id: serde_json::to_value(&id),
-                tenant: None,
-                request,
-            })
+            .call(&envelope(id, request))
             .expect("router answers")
     }
 
@@ -390,14 +404,7 @@ fn the_line_cap_is_answered_under_the_clients_id_and_sits_above_the_old_one() {
         .and_then(|a| a.as_str())
         .unwrap_or_else(|| panic!("no worker address in {view:?}"))
         .to_owned();
-    let mut direct = NdjsonClient::connect(
-        &worker_addr,
-        ClientConfig {
-            read_timeout: Some(Duration::from_secs(120)),
-            ..ClientConfig::default()
-        },
-    )
-    .expect("the worker accepts the test client");
+    let mut direct = connect(&worker_addr);
     direct.send_line(&padded("direct")).expect("sent");
     let served = direct.recv().expect("the worker answers");
     assert_eq!(served.id.as_str(), Some("direct"));
@@ -407,19 +414,21 @@ fn the_line_cap_is_answered_under_the_clients_id_and_sits_above_the_old_one() {
     fleet.shutdown();
 }
 
-/// Peak resident set of a live process in KiB, from `/proc/PID/status`.
-fn peak_rss_kib(pid: u32) -> u64 {
+/// One numeric field of a live process's `/proc/PID/status`: `VmHWM:`
+/// (peak resident set, KiB) or `Threads:`.
+fn status_field(pid: u32, key: &str) -> u64 {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("status reads");
-    let peak = status.lines().find_map(|line| line.strip_prefix("VmHWM:"));
-    let kib = peak.and_then(|rest| rest.trim().strip_suffix("kB"));
-    kib.and_then(|kib| kib.trim().parse().ok())
-        .unwrap_or_else(|| panic!("no VmHWM in {status}"))
+    let field = status.lines().find_map(|line| line.strip_prefix(key));
+    field
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {status}"))
 }
 
 #[test]
 fn an_unterminated_line_over_the_cap_is_refused_without_being_buffered_whole() {
     let mut fleet = RouterFleet::spawn(1, &[]);
-    let before = peak_rss_kib(fleet.child.id());
+    let before = status_field(fleet.child.id(), "VmHWM:");
 
     // Eight caps' worth of bytes go by before the router sees the
     // newline: a reader that waits for it before it measures has to
@@ -447,7 +456,7 @@ fn an_unterminated_line_over_the_cap_is_refused_without_being_buffered_whole() {
     // The framer buffers up to the cap before it switches to
     // discarding, so the router held one cap's worth of the line at
     // most, not the 64 MiB that went by.
-    let grown = peak_rss_kib(fleet.child.id()).saturating_sub(before);
+    let grown = status_field(fleet.child.id(), "VmHWM:").saturating_sub(before);
     assert!(
         grown < 3 * (DEFAULT_MAX_LINE_BYTES as u64 / 1024),
         "router peak RSS grew by {grown} KiB for a {STREAMED}-byte line"
@@ -613,4 +622,329 @@ fn draining_a_worker_mid_conversation_is_lossless_and_byte_identical() {
         );
     }
     fleet.shutdown();
+}
+
+// ---------------------------------------------------------- the front door
+
+fn generate(count: usize, seed: u64) -> PatternRequest {
+    PatternRequest::Generate(GenerateParams {
+        style: Style::Layer10001,
+        rows: 16,
+        cols: 16,
+        count,
+        seed,
+    })
+}
+
+fn envelope(id: &str, request: PatternRequest) -> RequestEnvelope {
+    RequestEnvelope {
+        id: serde_json::to_value(&id),
+        tenant: None,
+        request,
+    }
+}
+
+fn request_line(id: &str, request: PatternRequest) -> String {
+    serde_json::to_string(&envelope(id, request)).expect("serializes") + "\n"
+}
+
+/// The first `Generate` (by seed) that a fleet of `workers` live workers
+/// routes to `worker`, by the hash the router itself uses.
+fn generate_keyed_to(worker: u64, workers: u64) -> PatternRequest {
+    (0..64)
+        .map(|seed| generate(1, seed))
+        .find(|request| {
+            let route = chatpattern_core::routing::request_route(request);
+            route.expect("a Generate routes by its key") % workers == worker
+        })
+        .expect("64 keys reach every worker")
+}
+
+/// Reads NDJSON lines up to EOF, keyed by their `id`.
+fn replies_until_eof(stream: TcpStream) -> Vec<(String, String)> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout set");
+    BufReader::new(stream)
+        .lines()
+        .map(|line| {
+            let line = line.expect("reply line reads");
+            let value: serde_json::Value = serde_json::from_str(&line).expect("reply parses");
+            let id = value.get("id").and_then(|id| id.as_str());
+            (id.expect("a string id").to_owned(), line)
+        })
+        .collect()
+}
+
+/// Every client's replies from one worker come through that worker's
+/// one reader thread, so that reader may not wait for any client: a
+/// client that asks for far more than it reads is dropped once it is
+/// the outbound high-water mark behind, as it is by a serve process,
+/// and a client served meanwhile never notices. (While the reader
+/// wrote to a blocking socket, it stopped behind the first client that
+/// did, and with it every reply from that worker.)
+///
+/// The flood comes in batches with a round trip of the calm client
+/// between them, not as one burst: a serve process answers cached
+/// requests as it reads them and writes only once it has read them
+/// all, so a single burst of these — 240 is enough — has 8 MiB queued
+/// for the router's link before the first byte is written and gets the
+/// link itself dropped, whoever reads what (ROADMAP, open item 3).
+#[test]
+fn a_client_that_stops_reading_is_cut_off_and_costs_no_other_client_a_reply() {
+    // ≈ 35 kB a reply and cached after the first, so the volume costs
+    // no compute: ≈ 70 MB in all, past the 8 MiB mark plus anything the
+    // kernel can buffer for a socket nobody reads (4 MiB to send, 32 MiB
+    // to receive at most).
+    const BATCHES: usize = 50;
+    const BATCH: usize = 40;
+    let mut fleet = RouterFleet::spawn(1, &[]);
+    let hot = generate(64, 5);
+    let ResponsePayload::Generate(library) = fleet.expect_ok("warm", hot.clone()) else {
+        panic!("wrong payload for Generate");
+    };
+    assert_eq!(library.len(), 64);
+    let before = status_field(fleet.child.id(), "VmHWM:");
+
+    let mut stalled = TcpStream::connect(&fleet.addr).expect("connects");
+    let batch = request_line("flood", hot).repeat(BATCH);
+    let mut cut_off = false;
+    for i in 0..BATCHES {
+        // A write fails once the router has dropped the connection.
+        cut_off = cut_off || stalled.write_all(batch.as_bytes()).is_err();
+        // Same worker, so the same link and the same reader.
+        let payload = fleet.expect_ok(&format!("calm-{i}"), generate(1, 100 + i as u64));
+        assert!(matches!(payload, ResponsePayload::Generate(_)));
+    }
+    assert!(cut_off, "the router served all of a flood nobody read");
+
+    // The stalled client reads at last: what the kernel had buffered
+    // for it, then the router's close.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout set");
+    let mut scratch = vec![0u8; 1 << 16];
+    loop {
+        match stalled.read(&mut scratch) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(error) if error.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(error) => panic!("the stalled client's connection is still open: {error}"),
+        }
+    }
+
+    // The router held that one queue up to its mark, not the flood.
+    let grown = status_field(fleet.child.id(), "VmHWM:").saturating_sub(before);
+    assert!(
+        grown < 4 * (DEFAULT_MAX_LINE_BYTES as u64 / 1024),
+        "router peak RSS grew by {grown} KiB beside a client that does not read"
+    );
+    let payload = fleet.expect_ok("after", PatternRequest::Stats);
+    assert!(matches!(payload, ResponsePayload::Stats(_)));
+    fleet.shutdown();
+}
+
+/// A peer that half-closes has said "no more requests", nothing else
+/// (`docs/ROUTER.md`, "Transport"): every line it sent is answered —
+/// the ones forwarded to a worker, the `Stats` fan-in and the control
+/// line alike — and only then does the router close.
+#[test]
+fn a_half_closed_client_hears_every_reply_it_is_owed() {
+    let fleet = RouterFleet::spawn(2, &[]);
+    let mut batch = String::new();
+    for worker in 0..2 {
+        batch += &request_line(&format!("to-{worker}"), generate_keyed_to(worker, 2));
+    }
+    batch += &request_line("stats", PatternRequest::Stats);
+    batch += "{\"id\":\"fleet\",\"control\":\"Fleet\"}\n";
+
+    let mut stream = TcpStream::connect(&fleet.addr).expect("connects");
+    stream.write_all(batch.as_bytes()).expect("batch written");
+    stream.shutdown(Shutdown::Write).expect("write side closes");
+    let mut replies = replies_until_eof(stream);
+    replies.sort();
+    let ids: Vec<&str> = replies.iter().map(|(id, _)| id.as_str()).collect();
+    assert_eq!(ids, ["fleet", "stats", "to-0", "to-1"], "{replies:?}");
+    for (id, line) in &replies {
+        let answered = if id == "fleet" {
+            line.contains("\"Fleet\":{")
+        } else {
+            line.contains("\"outcome\":{\"Ok\":")
+        };
+        assert!(answered, "{id} was answered with {line}");
+    }
+    fleet.shutdown();
+}
+
+/// Connections are two buffers on one readiness loop, not a thread
+/// behind a 64-slot gate: a hundred clients that say nothing keep the
+/// next one neither out nor waiting, and leave the router's thread
+/// count where it was.
+#[test]
+fn idle_clients_cost_no_thread_and_keep_nobody_out() {
+    let mut fleet = RouterFleet::spawn(1, &[]);
+    let payload = fleet.expect_ok("before", PatternRequest::Stats);
+    assert!(matches!(payload, ResponsePayload::Stats(_)));
+    let before = status_field(fleet.child.id(), "Threads:");
+
+    let idle: Vec<TcpStream> = (0..100)
+        .map(|_| TcpStream::connect(&fleet.addr).expect("connects"))
+        .collect();
+    // Accepted in the order they connected: once this one is served,
+    // the hundred before it are connections of the router's too.
+    let mut late = connect(&fleet.addr);
+    let reply = late
+        .call(&envelope("late", PatternRequest::Stats))
+        .expect("the 101st client is served");
+    assert_eq!(reply.id.as_str(), Some("late"));
+    assert!(matches!(reply.outcome, WireOutcome::Ok(_)), "{reply:?}");
+
+    let during = status_field(fleet.child.id(), "Threads:");
+    assert_eq!(
+        during, before,
+        "a hundred idle clients changed the router's thread count"
+    );
+    drop(idle);
+    fleet.shutdown();
+}
+
+/// One client's lines reach a worker's socket in the order the client
+/// sent them — and a session's worker takes them one at a time here
+/// (`--workers 1`) — so a conversation pipelined without waiting for
+/// any reply, with a drain of its host thrown in after the first turn,
+/// runs as if each line had waited for the last: whichever lines the
+/// move catches are parked on the session and follow it in order.
+#[test]
+fn pipelined_turns_keep_their_order_across_a_live_move() {
+    const SID: &str = "piped";
+    const SEED: u64 = 80;
+    let one_engine_thread = ["--serve-arg", "--workers", "--serve-arg", "1"];
+    let fleet = RouterFleet::spawn(3, &one_engine_thread);
+    let host = chatpattern_core::routing::route_hash(SID) % 3;
+
+    let turn_line = |index: usize| {
+        let params = SessionTurnParams {
+            session: SID.to_owned(),
+            utterance: TURNS[index].to_owned(),
+        };
+        request_line(
+            &format!("turn-{index}"),
+            PatternRequest::SessionTurn(params),
+        )
+    };
+    let open = SessionOpenParams {
+        session: SID.to_owned(),
+        seed: Some(SEED),
+    };
+    let close = SessionCloseParams {
+        session: SID.to_owned(),
+    };
+    let mut batch = request_line("open", PatternRequest::SessionOpen(open));
+    batch += &turn_line(0);
+    batch += &format!("{{\"id\":\"drain\",\"control\":{{\"Drain\":{{\"worker\":{host}}}}}}}\n");
+    batch += &turn_line(1);
+    batch += &turn_line(2);
+    batch += &request_line("close", PatternRequest::SessionClose(close));
+
+    let mut stream = TcpStream::connect(&fleet.addr).expect("connects");
+    stream.write_all(batch.as_bytes()).expect("batch written");
+    stream.shutdown(Shutdown::Write).expect("write side closes");
+    let replies = replies_until_eof(stream);
+    assert_eq!(replies.len(), 6, "one reply a line: {replies:?}");
+    let payload = |id: &str| {
+        let (_, line) = replies
+            .iter()
+            .find(|(reply, _)| reply == id)
+            .unwrap_or_else(|| panic!("no reply to {id}: {replies:?}"));
+        let reply: ResponseEnvelope = serde_json::from_str(line).expect("reply parses");
+        match reply.outcome {
+            WireOutcome::Ok(response) => response.payload,
+            WireOutcome::Err(error) => panic!("{id} failed: {error:?}"),
+        }
+    };
+    assert!(matches!(payload("open"), ResponsePayload::SessionOpen(_)));
+    for index in 0..TURNS.len() {
+        let ResponsePayload::SessionTurn(outcome) = payload(&format!("turn-{index}")) else {
+            panic!("wrong payload for turn {index}");
+        };
+        assert_eq!(outcome.turn, index + 1, "a turn overtook another");
+    }
+    let (_, drained) = replies
+        .iter()
+        .find(|(id, _)| id == "drain")
+        .expect("the drain is answered");
+    assert!(drained.contains("\"Drained\":{\"moved\":1,"), "{drained}");
+    assert_eq!(
+        serde_json::to_string(&payload("close")).expect("serializes"),
+        uninterrupted_close_payload(SID, SEED),
+        "the pipelined conversation diverged from the one that waits"
+    );
+    fleet.shutdown();
+}
+
+/// Redialling a dead worker takes seconds of backoff, and the thread
+/// that serves every client may not spend them: the line for the dead
+/// worker is parked on its link for a reviver thread to fail, under the
+/// line's own id, and lines for a live worker are answered meanwhile.
+#[test]
+fn a_dead_attached_worker_fails_its_own_lines_and_delays_no_others() {
+    let serve = || {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"));
+        command.args(["--listen", "127.0.0.1:0"]).args(SERVE_ARGS);
+        spawn_listening(&mut command, "chatpattern-serve")
+    };
+    let (mut alive, alive_addr) = serve();
+    let (mut dead, dead_addr) = serve();
+    let attach = ["--worker", &alive_addr, "--worker", &dead_addr].map(String::from);
+    let mut fleet = RouterFleet::start(&attach);
+    let (for_alive, for_dead) = (generate_keyed_to(0, 2), generate_keyed_to(1, 2));
+    for request in [&for_alive, &for_dead] {
+        let payload = fleet.expect_ok("warm", request.clone());
+        assert!(matches!(payload, ResponsePayload::Generate(_)));
+    }
+
+    dead.kill().expect("SIGKILL delivered");
+    dead.wait().expect("worker reaped");
+    // The router has noticed once its view shows the link gone (the
+    // view's own poll of the dead worker is what a redial costs).
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let view = fleet.control(r#"{"id":"fleet","control":"Fleet"}"#);
+        let links = view["control"]["Fleet"]["workers"][1]["links"].as_u64();
+        if links == Some(0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the dead link stays up: {view:?}"
+        );
+    }
+
+    let mut doomed = connect(&fleet.addr);
+    doomed.send(&envelope("doomed", for_dead)).expect("sent");
+    let failing = std::thread::spawn(move || {
+        let reply = doomed
+            .recv()
+            .expect("the router answers for the dead worker");
+        (reply, Instant::now())
+    });
+    for i in 0..20 {
+        let payload = fleet.expect_ok(&format!("alive-{i}"), for_alive.clone());
+        assert!(matches!(payload, ResponsePayload::Generate(_)));
+    }
+    let served = Instant::now();
+    let (reply, failed) = failing.join().expect("reader thread");
+    assert!(
+        served < failed,
+        "20 round trips to a live worker waited out the redial of a dead one"
+    );
+    assert_eq!(reply.id.as_str(), Some("doomed"), "under its own id");
+    let WireOutcome::Err(error) = reply.outcome else {
+        panic!("nobody can have served the dead worker's line");
+    };
+    assert_eq!(error.kind, "Internal", "{error:?}");
+
+    fleet.shutdown();
+    alive.kill().expect("attached workers outlive their router");
+    alive.wait().expect("worker reaped");
 }

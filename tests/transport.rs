@@ -24,6 +24,9 @@
 //! * **No thread per request** — requests in flight are held by the
 //!   engine's queue and the jobs' completion callbacks, not by parked
 //!   threads.
+//! * **Stop is not lost** — a `shutdown()` that lands while the loop is
+//!   mid-pass (a handler's own line asked for it, as the router's
+//!   `Shutdown` does) still stops the loop.
 
 #![cfg(unix)]
 
@@ -560,4 +563,79 @@ fn in_flight_requests_hold_no_threads() {
     }
     drop(stream);
     handle.shutdown();
+}
+
+/// `shutdown()` raises the stop flag and pokes the wake pipe. A loop
+/// that asks for the flag only right after it wakes loses a stop raised
+/// while the same pass goes on to drain the pipe — it then waits with
+/// the flag up and nothing left to wake it (the router's `Shutdown`
+/// line, answered on the loop and carried out by `main`, hung there).
+/// The handler below holds the loop inside exactly that pass.
+#[test]
+fn a_stop_raised_while_the_loop_drains_its_wake_pipe_is_not_lost() {
+    use cp_net::{ConnectionHandler, LineSink};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Mutex;
+
+    struct Staller {
+        /// To the test: the loop is handling the first, the second line.
+        reached: Sender<&'static str>,
+        /// From the test: the second line is in the socket; from
+        /// `quiesce`: `shutdown()` has started.
+        go: Mutex<Receiver<()>>,
+        stopping: Sender<()>,
+    }
+
+    impl ConnectionHandler for Staller {
+        fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
+            let go = self.go.lock().expect("go lock");
+            if line == "first" {
+                // This pass has read all there was to read. It ends
+                // with the reply's wake byte in the pipe and the second
+                // line in the socket, so the next pass handles that
+                // line and then drains the pipe.
+                sink.send_line("one");
+                self.reached.send("first").expect("test listens");
+                go.recv().expect("the second line was written");
+            } else {
+                self.reached.send("second").expect("test listens");
+                go.recv().expect("shutdown started");
+                // `shutdown()` raises the flag and writes its byte
+                // right after `quiesce` returns.
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        }
+
+        fn quiesce(&self) {
+            self.stopping.send(()).expect("the loop is held");
+        }
+    }
+
+    let (reached, has_reached) = channel();
+    let (go, may_go) = channel();
+    let handle = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default())
+        .expect("loopback bind")
+        .spawn(Arc::new(Staller {
+            reached,
+            go: Mutex::new(may_go),
+            stopping: go.clone(),
+        }))
+        .expect("event loop spawns");
+    let patience = Duration::from_secs(60);
+
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.write_all(b"first\n").expect("first line written");
+    assert_eq!(has_reached.recv_timeout(patience), Ok("first"));
+    stream.write_all(b"second\n").expect("second line written");
+    go.send(()).expect("the loop is held");
+    assert_eq!(has_reached.recv_timeout(patience), Ok("second"));
+
+    let (stopped, has_stopped) = channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = stopped.send(());
+    });
+    has_stopped
+        .recv_timeout(patience)
+        .expect("the loop saw the stop that was raised mid-pass");
 }

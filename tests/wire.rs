@@ -412,8 +412,9 @@ fn refused(binary: &str, args: &[&str], complaint: &str) {
 
 /// A flag that used to choose between two mechanisms is gone with the
 /// second mechanism, not ignored: the TCP transport, the execution
-/// backend, and the router's copies of five serve flags (which ride
-/// `--serve-arg` like every other serve flag).
+/// backend, the router's copies of five serve flags (which ride
+/// `--serve-arg` like every other serve flag), and its link pool (one
+/// link a worker now that no reader of one can block).
 #[test]
 fn the_transport_flag_is_an_unknown_flag() {
     for (binary, flag) in [
@@ -424,14 +425,15 @@ fn the_transport_flag_is_an_unknown_flag() {
         (ROUTER, "--spill-ahead-turns"),
         (ROUTER, "--spill-ahead-secs"),
         (ROUTER, "--persist-shards"),
+        (ROUTER, "--pool"),
     ] {
         let args = ["--listen", "127.0.0.1:0", flag, "1"];
         refused(binary, &args, &format!("unknown flag {flag} "));
     }
 }
 
-/// A count of zero is a server that accepts nobody, a fleet with no
-/// link to it, a timer that never sleeps or an engine with no queue:
+/// A count of zero is a server that accepts nobody, a fleet of none,
+/// a timer that never sleeps or an engine with no queue:
 /// both binaries refuse it at start-up, by the flag's name, instead of
 /// listening in silence or clamping it. A shard without a worker could
 /// never drain, so that is refused here too.
@@ -443,7 +445,6 @@ fn a_connection_cap_of_zero_is_refused_at_start_up() {
         (SERVE, "--shards"),
         (ROUTER, "--max-connections"),
         (ROUTER, "--workers"),
-        (ROUTER, "--pool"),
         (ROUTER, "--rebalance-interval-ms"),
     ] {
         let args = ["--listen", "127.0.0.1:0", flag, "0"];
