@@ -11,10 +11,11 @@
 //! rejections are retried after their `retry_after_ms` hint — the
 //! generator is a well-behaved client of the back-pressure contract.
 //!
-//! Records per-tenant p50/p95/p99 latency, rejection counts, a Jain
+//! Prints per-tenant p50/p95/p99 latency, rejection counts, a Jain
 //! fairness index over per-tenant mean service rates, and the
-//! fleet-merged per-tenant stats rows into `BENCH_ENGINE.json`
-//! (merged into the existing file next to `engine_scaling`'s sweeps).
+//! fleet-merged per-tenant stats rows, and fails (non-zero exit) when
+//! an operation does not complete or the fleet's ledger disagrees with
+//! what the clients saw; it records nothing.
 //!
 //! Scale with `CP_WINDOW`/`CP_TRAIN`/`CP_STEPS` (model size) and:
 //! `CP_LOAD_TENANTS` (default 4), `CP_LOAD_OPS` (total standard-lane
@@ -39,7 +40,6 @@ use cp_squish::Topology;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -478,30 +478,6 @@ fn fleet_stats(addr: &str) -> Result<EngineStats, String> {
     }
 }
 
-/// Merges the `load_replay` section into `BENCH_ENGINE.json`,
-/// preserving whatever other benches recorded there.
-fn write_results(section_json: &str) {
-    let section: serde_json::Value =
-        serde_json::from_str(section_json).expect("load_replay section is valid JSON");
-    let mut root = std::fs::read_to_string("BENCH_ENGINE.json")
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
-        .unwrap_or_else(|| serde_json::Value::Object(serde_json::Map::new()));
-    match &mut root {
-        serde_json::Value::Object(map) => {
-            map.insert("load_replay".to_owned(), section);
-        }
-        _ => {
-            let mut map = serde_json::Map::new();
-            map.insert("load_replay".to_owned(), section);
-            root = serde_json::Value::Object(map);
-        }
-    }
-    let mut text = serde_json::to_string(&root).expect("results serialize");
-    text.push('\n');
-    std::fs::write("BENCH_ENGINE.json", text).expect("write BENCH_ENGINE.json");
-}
-
 fn main() {
     let cfg = BenchConfig::from_env();
     let load = LoadConfig::from_env();
@@ -571,9 +547,7 @@ fn main() {
         })
     };
 
-    // Per-tenant report + JSON rows.
     println!("\nper-tenant latency (closed-loop over the fleet):");
-    let mut rows = String::new();
     let mut rates = Vec::new();
     let mut total_overloaded = 0u64;
     let mut total_queue_full = 0u64;
@@ -607,18 +581,6 @@ fn main() {
             outcome.retries,
             outcome.elapsed.as_secs_f64() * 1e3,
         );
-        let _ = write!(
-            rows,
-            "{}{{\"tenant\":\"{}\",\"ops\":{},\"overloaded\":{},\"queue_full\":{},\
-             \"retries\":{},\"p50_micros\":{p50},\"p95_micros\":{p95},\"p99_micros\":{p99},\
-             \"mean_micros\":{mean_micros:.1}}}",
-            if rows.is_empty() { "" } else { "," },
-            outcome.tenant,
-            outcome.ops,
-            outcome.overloaded,
-            outcome.queue_full,
-            outcome.retries,
-        );
     }
     let fairness = jain_index(&rates);
     #[allow(clippy::cast_precision_loss)]
@@ -633,7 +595,6 @@ fn main() {
     // The fleet-merged per-tenant rows are the server-side half of the
     // proof: every tenant must have been accounted, and the ledger's
     // rejection counts must match what the clients saw on the wire.
-    let mut fleet_rows = String::new();
     let mut fleet_rejected = 0u64;
     println!("\nfleet-merged tenant rows (router Stats):");
     for row in &stats.tenants {
@@ -644,18 +605,6 @@ fn main() {
         if row.tenant != DEFAULT_TENANT {
             fleet_rejected += row.rejected;
         }
-        let _ = write!(
-            fleet_rows,
-            "{}{{\"tenant\":\"{}\",\"lane\":\"{}\",\"admitted\":{},\"rejected\":{},\
-             \"completed\":{},\"queue_micros\":{}}}",
-            if fleet_rows.is_empty() { "" } else { "," },
-            row.tenant,
-            row.lane,
-            row.admitted,
-            row.rejected,
-            row.completed,
-            row.queue_micros,
-        );
     }
     for outcome in &tenants {
         let admitted: u64 = stats
@@ -675,22 +624,4 @@ fn main() {
         fleet_rejected, total_overloaded,
         "the fleet ledger's rejection count must match the typed Overloaded replies"
     );
-
-    let section = format!(
-        "{{\"tenants\":{},\"fleet_workers\":{},\"zipf\":{},\"quota\":\"{}\",\
-         \"lane_weights\":\"{}\",\"burst\":{},\"session_turns\":{},\"total_ops\":{total_ops},\
-         \"wall_millis\":{wall_millis:.3},\"ops_per_sec\":{rps:.3},\
-         \"overloaded\":{total_overloaded},\"queue_full\":{total_queue_full},\
-         \"retries\":{total_retries},\"fairness_jain\":{fairness:.4},\
-         \"per_tenant\":[{rows}],\"fleet_tenant_rows\":[{fleet_rows}]}}",
-        load.tenants,
-        load.fleet_workers,
-        load.zipf,
-        load.quota,
-        load.lane_weights,
-        load.burst,
-        load.turns,
-    );
-    write_results(&section);
-    println!("\nmerged load_replay results into BENCH_ENGINE.json");
 }

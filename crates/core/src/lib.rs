@@ -261,7 +261,9 @@ impl ChatPatternBuilder {
     /// Spill-ahead cadence trigger (`chatpattern-serve
     /// --spill-ahead-secs`): a background maintenance thread flushes
     /// every warm session with unpersisted turns on this interval (and
-    /// purges expired sessions while at it).
+    /// purges expired sessions while at it). A zero interval — a thread
+    /// that never sleeps — is refused by
+    /// [`ChatPatternBuilder::validate`].
     #[must_use]
     pub fn spill_ahead_interval(mut self, interval: Duration) -> ChatPatternBuilder {
         self.spill_ahead.interval = Some(interval);
@@ -307,6 +309,12 @@ impl ChatPatternBuilder {
         if self.persist_shards == 0 {
             return Err(Error::config(
                 "persist_shards must be at least 1 (got 0); 1 keeps the flat layout",
+            ));
+        }
+        if self.spill_ahead.interval == Some(Duration::ZERO) {
+            return Err(Error::config(
+                "spill_ahead_interval must be longer than zero: the maintenance thread \
+                 sleeps that long between passes",
             ));
         }
         let has_dir = matches!(self.durability, SessionDurability::Dir(_));
@@ -1232,6 +1240,18 @@ mod tests {
         assert!(matches!(no_training, Err(Error::Config { .. })));
         let no_styles = ChatPattern::builder().styles(Vec::new()).build();
         assert!(matches!(no_styles, Err(Error::Config { .. })));
+        // A maintenance thread that never sleeps: refused before the
+        // session directory is touched.
+        let never_sleeps = ChatPattern::builder()
+            .session_dir(std::env::temp_dir().join("cp-core-never-created"))
+            .spill_ahead_interval(Duration::ZERO)
+            .build()
+            .expect_err("a zero interval is refused");
+        assert!(
+            matches!(never_sleeps, Error::Config { .. })
+                && never_sleeps.to_string().contains("spill_ahead_interval"),
+            "{never_sleeps}"
+        );
     }
 
     #[test]

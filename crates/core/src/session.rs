@@ -2127,6 +2127,11 @@ mod tests {
             .turn("warm", |v| Ok(v.clone()))
             .expect("the spill-ahead copy survives the crash");
         assert_eq!(value, vec![0, 1, 2], "no completed turn was lost");
+        assert_eq!(
+            store.stats().restored,
+            1,
+            "rehydrated from its spill-ahead copy, not reopened"
+        );
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

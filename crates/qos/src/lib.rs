@@ -24,7 +24,7 @@
 //!   admitted/rejected/completed/queue-time counters that surface in
 //!   `EngineStats` and merge across a router fleet;
 //! * [`jain_index`] — the fairness metric the replay load generator
-//!   records into `BENCH_ENGINE.json`.
+//!   (`cp_bench`'s `load_replay`) reports.
 //!
 //! The crate is deliberately engine-agnostic: it never sees a
 //! `PatternRequest` (the engine classifies requests into a [`Lane`]),

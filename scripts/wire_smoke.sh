@@ -437,11 +437,13 @@ qos_fail() {
 }
 
 exec 7<> "/dev/tcp/${ADDR%:*}/${ADDR##*:}"
-# q-f1 is deliberately heavy (count=16) so it holds flood's single
-# in-flight slot while the rest of the burst is read; distinct seeds
-# keep the requests out of the coalescer.
+# q-f1 is deliberately heavy (count=512, ≈ 25 ms) so it holds flood's
+# single in-flight slot while the rest of the burst is read — at
+# count=16 it ran 0.8 ms, and on a busy 2-CPU host the loop thread was
+# off the CPU that long one run in five; distinct seeds keep the
+# requests out of the coalescer.
 printf '%s\n' \
-    '{"id":"q-f1","tenant":"flood","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":16,"seed":90001}}}' \
+    '{"id":"q-f1","tenant":"flood","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":512,"seed":90001}}}' \
     '{"id":"q-f2","tenant":"flood","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":1,"seed":90002}}}' \
     '{"id":"q-f3","tenant":"flood","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":1,"seed":90003}}}' \
     '{"id":"q-calm","tenant":"calm","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":1,"seed":90004}}}' >&7

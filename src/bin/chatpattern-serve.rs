@@ -142,12 +142,14 @@ Options:
                          SessionSnapshot / SessionRestore request kinds
                          (docs/SESSIONS.md)
   --spill-ahead-turns N  with --session-dir: snapshot a warm session to
-                         disk after every N completed turns, so a crash
-                         loses at most the in-flight turn (default: off)
+                         disk after every N completed turns, at least
+                         1, so a crash loses at most the in-flight turn
+                         (default: off)
   --spill-ahead-secs N   with --session-dir: background cadence thread
                          that snapshots every dirty session at least
-                         every N seconds, off the turn path (default:
-                         off; combines with --spill-ahead-turns)
+                         every N seconds, at least 1, off the turn path
+                         (default: off; combines with
+                         --spill-ahead-turns)
   --persist-shards N     fan the --session-dir store out over N
                          shard-{i} subdirectories with per-shard
                          locking; spilled sessions rehydrate lazily on
@@ -206,10 +208,10 @@ fn parse_args() -> Result<Options, String> {
             "--session-ttl-secs" => options.session_ttl_secs = number("--session-ttl-secs")? as u64,
             "--session-dir" => options.session_dir = Some(value.clone()),
             "--spill-ahead-turns" => {
-                options.spill_ahead_turns = Some(number("--spill-ahead-turns")? as u64);
+                options.spill_ahead_turns = Some(positive("--spill-ahead-turns")? as u64);
             }
             "--spill-ahead-secs" => {
-                options.spill_ahead_secs = Some(number("--spill-ahead-secs")? as u64);
+                options.spill_ahead_secs = Some(positive("--spill-ahead-secs")? as u64);
             }
             "--persist-shards" => options.persist_shards = number("--persist-shards")?,
             "--window" => options.window = number("--window")?,

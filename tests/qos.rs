@@ -11,6 +11,12 @@
 //!   blocks the connection reader).
 //! * **Session caps** — a tenant at its open-session cap is refused
 //!   new opens until a close frees the slot.
+//!
+//! The weighted-fair queue under the lanes is model-checked separately
+//! (`tests/proptest_invariants.rs`), and `load_replay` (`cp_bench`)
+//! replays the quota-retry loop through a real router fleet. CI runs
+//! this suite once, inside `cargo test`; `cargo test --test qos` names
+//! a QoS regression.
 
 use chatpattern::qos::{QosConfig, TenantQuota, DEFAULT_RETRY_AFTER_MS};
 use chatpattern::{

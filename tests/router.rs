@@ -40,6 +40,12 @@
 //!   parked behind a live session move or not; and an attached worker
 //!   that died fails its own lines after the redial while the lines
 //!   for every other worker are served meanwhile.
+//!
+//! The other half of the fleet guarantee — a SIGKILLed spawned worker
+//! respawned over its `--session-dir` — is
+//! `tests/session_durability.rs::sigkilled_router_worker_rehydrates_its_spilled_sessions`.
+//! CI runs this suite once, inside `cargo test`; `cargo test --test
+//! router` names a routing regression.
 
 use chatpattern::{
     ChatPattern, GenerateParams, PatternRequest, RequestEnvelope, ResponseEnvelope,

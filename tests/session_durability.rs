@@ -21,6 +21,20 @@
 //!   router respawns it over its per-worker `--session-dir`, so the
 //!   worker's spilled sessions resume mid-dialog through the same
 //!   client connection, with only its warm-in-memory session lost.
+//! * **SIGKILL crash matrix** (ISSUE 10) — a serve process with
+//!   `--spill-ahead-turns 1` is SIGKILLed after every prefix of a
+//!   multi-turn dialog, and once mid-turn with a request already on
+//!   the wire; a respawn over the same `--session-dir` resumes the
+//!   session losing at most the in-flight turn, every surviving turn
+//!   byte-identical to the uninterrupted run. So every completed turn
+//!   was written ahead before its reply, and every restarted session
+//!   came back from that copy.
+//! * **Lazy restart** — a restart over a 10 000-session directory
+//!   sharded eight ways reads exactly the snapshots that are touched.
+//!
+//! CI runs this suite once, inside `cargo test`; to see a durability
+//! or crash-edge regression by name, run `cargo test --test
+//! session_durability`.
 
 use chatpattern::{
     BackendKind, ChatPattern, EngineConfig, Error, PatternEngine, PatternRequest, PatternService,

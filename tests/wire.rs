@@ -443,6 +443,8 @@ fn a_connection_cap_of_zero_is_refused_at_start_up() {
         (SERVE, "--max-connections"),
         (SERVE, "--workers"),
         (SERVE, "--shards"),
+        (SERVE, "--spill-ahead-secs"),
+        (SERVE, "--spill-ahead-turns"),
         (ROUTER, "--max-connections"),
         (ROUTER, "--workers"),
         (ROUTER, "--rebalance-interval-ms"),
@@ -573,12 +575,22 @@ fn router_help_parser_and_docs_list_the_same_flags() {
 
 /// No doc mentions a flag that nothing takes: every `--flag` in
 /// `docs/*.md` is in one of the two `--help` texts, or belongs to
-/// `cargo` or to `engine_scaling --check`.
+/// `cargo`, to `engine_scaling --check` or to `benchmark/run.sh`.
 #[test]
 fn every_flag_the_docs_mention_exists() {
     let mut known = help_flags(SERVE);
     known.extend(help_flags(ROUTER));
-    known.extend(["--release", "--bin", "--check", "--threshold", "--baseline"].map(String::from));
+    let elsewhere = [
+        "--release",
+        "--bin",
+        "--check",
+        "--threshold",
+        "--baseline",
+        "--workload",
+        "--seconds",
+        "--trace",
+    ];
+    known.extend(elsewhere.map(String::from));
     for doc in docs() {
         for flag in doc.split([' ', '\n', '/', '`']).filter_map(flag_in) {
             assert!(
