@@ -51,8 +51,10 @@
 //! (default `1.5`). The run also fails when the baseline lacks a
 //! metric this bench emits (a stale baseline leaves new series
 //! unguarded). When the baseline was recorded at a different config
-//! (window / steps / train / CPU count) the comparison is advisory:
-//! ratios and staleness are printed but never fail the run.
+//! (window / steps / train / CPU count / vector instruction set — a
+//! baseline that does not say which counts as different) the
+//! comparison is advisory: ratios and staleness are printed but never
+//! fail the run.
 
 use chatpattern_core::{ChatPattern, PatternRequest, PatternService};
 use cp_bench::BenchConfig;
@@ -65,6 +67,23 @@ use std::time::Instant;
 /// Rounds behind every gated number; a round of both sweeps takes
 /// about a quarter of a second.
 const ROUNDS: usize = 9;
+
+/// The widest vector instruction set this CPU offers the keystream and
+/// draw-compare kernels, which pick theirs the same way (`rand_chacha`,
+/// `cp_diffusion`): `sample_128_millis` differs 2× between an SSE2 and
+/// an AVX-512 host that agree on everything else a baseline records.
+fn simd() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    return if is_x86_feature_detected!("avx512f") {
+        "avx512f"
+    } else if is_x86_feature_detected!("avx2") {
+        "avx2"
+    } else {
+        "sse2"
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    "portable"
+}
 
 /// Milliseconds one call of `work` takes.
 fn time_ms(work: impl FnOnce()) -> f64 {
@@ -461,9 +480,9 @@ fn check_against_baseline(current: &Value, baseline: &Value, threshold: f64) -> 
     let mut report = String::new();
     // A baseline recorded at another scale (or host) still prints the
     // ratios, but only a same-config comparison can fail the build.
-    let config_matches = ["window", "steps", "train", "cpus"].iter().all(|key| {
-        baseline.get(key).and_then(Value::as_u64) == current.get(key).and_then(Value::as_u64)
-    });
+    let config_matches = ["window", "steps", "train", "cpus", "simd"]
+        .iter()
+        .all(|key| baseline.get(key) == current.get(key));
     if !config_matches {
         let _ = writeln!(
             report,
@@ -543,10 +562,11 @@ fn main() {
     cfg.print_banner("Engine scaling: hot loops and connection scaling");
 
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let simd = simd();
     let system = Arc::new(cfg.build_system());
     println!(
-        "window {}, {cpus} CPU(s), {ROUNDS} rounds (connection_scaling: the middle one, \
-         hot_loops: the fastest):",
+        "window {}, {cpus} CPU(s), {simd} vectors, {ROUNDS} rounds (connection_scaling: the \
+         middle one, hot_loops: the fastest):",
         cfg.window
     );
 
@@ -627,6 +647,7 @@ fn main() {
 
     let json = format!(
         "{{\"bench\":\"engine_scaling\",\"window\":{},\"steps\":{},\"train\":{},\"cpus\":{cpus},\
+         \"simd\":\"{simd}\",\
          \"connection_scaling\":{{\"active\":{conn_active},\"calls_per_conn\":{conn_calls},\
          \"rounds\":{ROUNDS},\"rows\":[{conn_rows}]}},\
          \"hot_loops\":{{\"rects\":{HOT_RECTS},\"reps\":{HOT_REPS},\"wire_reps\":{WIRE_REPS},\
@@ -675,6 +696,7 @@ mod tests {
     /// `hot_loops` row: three gated metrics.
     const RESULTS: &str = r#"{
         "bench": "engine_scaling", "window": 64, "steps": 10, "train": 48, "cpus": 2,
+        "simd": "avx2",
         "connection_scaling": {"active": 4, "rows": [
             {"connections": 36, "p50_millis": 0.06, "p99_ungated_ms": 0.4},
             {"connections": 260, "p50_millis": 0.07, "p99_ungated_ms": 0.5}]},
@@ -735,6 +757,16 @@ mod tests {
             assert!(report.contains("REGRESSION"), "{key}: {report}");
             assert!(report.contains("MISSING from baseline"), "{key}: {report}");
         }
+        // Same four numbers on a host with other vector units, and a
+        // baseline from before the key existed: neither can fail.
+        let without_key = stale.replace(r#""simd": "avx2","#, "");
+        assert!(!without_key.contains("simd"));
+        for other in [stale.replace("avx2", "avx512f"), without_key] {
+            let (passed, report) = check(&current, &other);
+            assert!(passed, "{other}: {report}");
+            assert!(report.contains("ratios are advisory"), "{report}");
+            assert!(report.contains("REGRESSION"), "{report}");
+        }
     }
 
     #[test]
@@ -743,7 +775,7 @@ mod tests {
         // times faster than this run's: matched by position it would
         // be compared with the 260-connection row and pass.
         let reversed = r#"{
-            "window": 64, "steps": 10, "train": 48, "cpus": 2,
+            "window": 64, "steps": 10, "train": 48, "cpus": 2, "simd": "avx2",
             "connection_scaling": {"active": 4, "rows": [
                 {"connections": 260, "p50_millis": 0.07},
                 {"connections": 36, "p50_millis": 0.02}]},

@@ -99,7 +99,7 @@ impl<D: Denoiser> DiffusionModel<D> {
         condition: Option<u32>,
         rng: &mut impl Rng,
     ) -> Topology {
-        let mut x = Topology::from_fn(rows, cols, |_, _| rng.gen::<bool>());
+        let mut x = initial_noise(rows, cols, rng);
         for k in (1..=self.schedule.len()).rev() {
             x = self.reverse_step(&x, k, condition, rng);
         }
@@ -111,15 +111,53 @@ impl<D: Denoiser> DiffusionModel<D> {
 /// `fill_bytes` call (eight bytes a draw, on the stack).
 const DRAW_BLOCK: usize = 512;
 
+/// The fully-noised state a reverse chain starts from: one
+/// `rng.gen::<bool>()` a cell in cell order — the low bit of one
+/// `next_u32` — fetched a block of cells a `fill_bytes` call, which
+/// hands out the same words, little-endian, two to a `next_u64`. An
+/// odd cell count draws its last word on its own: `fill_bytes` would
+/// take a whole `u64` for it and leave the generator a word further on.
+pub(crate) fn initial_noise(rows: usize, cols: usize, rng: &mut impl Rng) -> Topology {
+    let mut cells = vec![0u8; rows * cols];
+    let mut words = [0u8; 8 * DRAW_BLOCK];
+    let (pairs, odd) = cells.split_at_mut((rows * cols) & !1);
+    for cells in pairs.chunks_mut(2 * DRAW_BLOCK) {
+        let words = &mut words[..4 * cells.len()];
+        rng.fill_bytes(words);
+        for (cell, word) in cells.iter_mut().zip(words.chunks_exact(4)) {
+            let word = u32::from_le_bytes(word.try_into().expect("four bytes a word"));
+            *cell = (word & 1) as u8;
+        }
+    }
+    if let [cell] = odd {
+        *cell = u8::from(rng.gen::<bool>());
+    }
+    Topology::from_bytes(rows, cols, cells)
+}
+
+/// 2⁵² and 2⁸⁴: floats whose low mantissa bits count in units of 1 and
+/// of 2³².
+const TWO_52: u64 = 0x4330_0000_0000_0000;
+const TWO_84: u64 = 0x4530_0000_0000_0000;
+
 /// The `rng.gen::<f64>()` in `[0, 1)` that the eight bytes
 /// `rng.fill_bytes` wrote stand for: one `next_u64`, little-endian,
-/// its top 53 bits. A block of per-cell draws is therefore one call
-/// into the generator — which matters behind `&mut dyn RngCore` —
-/// for the same values in the same order.
-#[inline]
+/// its top 53 bits `m` as a float, times 2⁻⁵³. A block of per-cell
+/// draws is therefore one call into the generator — which matters
+/// behind `&mut dyn RngCore` — for the same values in the same order.
+///
+/// `m as f64` has no packed form below AVX-512DQ, which would keep the
+/// loops around this scalar. So `m` goes into the mantissas of two
+/// floats, its low 32 bits under 2⁵² and its high 21 under 2⁸⁴;
+/// taking the two powers off again leaves `m mod 2³²` and `m − m mod
+/// 2³²`, both exact, and their sum is `m`, exact because `m < 2⁵³`.
+#[inline(always)]
 fn unit_draw(bytes: &[u8]) -> f64 {
     let word = u64::from_le_bytes(bytes.try_into().expect("eight bytes a draw"));
-    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    let m = word >> 11;
+    let low = f64::from_bits(TWO_52 | (m & 0xFFFF_FFFF)) - f64::from_bits(TWO_52);
+    let high = f64::from_bits(TWO_84 | (m >> 32)) - f64::from_bits(TWO_84);
+    (high + low) * (1.0 / (1u64 << 53) as f64)
 }
 
 /// The forward process over a run of cells: `noised[i]` is `x0[i]`
@@ -130,10 +168,36 @@ pub(crate) fn forward_cells(x0: &[u8], flip: f64, rng: &mut impl Rng, noised: &m
     for (x0, noised) in x0.chunks(DRAW_BLOCK).zip(noised.chunks_mut(DRAW_BLOCK)) {
         let draws = &mut draws[..8 * x0.len()];
         rng.fill_bytes(draws);
-        for ((noised, &bit), draw) in noised.iter_mut().zip(x0).zip(draws.chunks_exact(8)) {
-            *noised = u8::from((bit != 0) != (unit_draw(draw) < flip));
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `is_x86_feature_detected!("avx2")` just found the
+            // feature the callee is compiled for.
+            unsafe { forward_compare_avx2(x0, flip, draws, noised) };
+            continue;
         }
+        forward_compare(x0, flip, draws, noised);
     }
+}
+
+/// The compare of [`forward_cells`] over one block of draws. This and
+/// [`reverse_compare`] are written for the compiler to vectorise —
+/// selects for branches, no table look-up, [`unit_draw`] — and each is
+/// compiled twice, for the build's baseline and once more with AVX2's
+/// 256-bit integer vectors, which is what runs where the CPU has them.
+/// One source either way, and the float semantics are the compiler's
+/// (Rust neither contracts `a * b + c` nor reorders float operations),
+/// so every instance computes the same values.
+#[inline(always)]
+fn forward_compare(x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
+    for ((noised, &bit), draw) in noised.iter_mut().zip(x0).zip(draws.chunks_exact(8)) {
+        *noised = u8::from((bit != 0) != (unit_draw(draw) < flip));
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn forward_compare_avx2(x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
+    forward_compare(x0, flip, draws, noised);
 }
 
 /// The categorical draw of one reverse step over a run of cells, in
@@ -151,14 +215,38 @@ pub(crate) fn reverse_cells(
     for (cells, p0) in cells.chunks_mut(DRAW_BLOCK).zip(p0.chunks(DRAW_BLOCK)) {
         let draws = &mut draws[..8 * cells.len()];
         rng.fill_bytes(draws);
-        for ((cell, &p0), draw) in cells.iter_mut().zip(p0).zip(draws.chunks_exact(8)) {
-            let post = &post[usize::from(*cell != 0)];
-            let p_x0_one = f64::from(p0).clamp(0.0, 1.0);
-            // Marginalize the posterior over x̃0 ∈ {0, 1}.
-            let p_one = p_x0_one * post[1] + (1.0 - p_x0_one) * post[0];
-            *cell = u8::from(unit_draw(draw) < p_one);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `is_x86_feature_detected!("avx2")` just found the
+            // feature the callee is compiled for.
+            unsafe { reverse_compare_avx2(cells, p0, post, draws) };
+            continue;
         }
+        reverse_compare(cells, p0, post, draws);
     }
+}
+
+/// The compare of [`reverse_cells`] over one block of draws; see
+/// [`forward_compare`].
+#[inline(always)]
+fn reverse_compare(cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], draws: &[u8]) {
+    let [[off_zero, off_one], [on_zero, on_one]] = *post;
+    for ((cell, &p0), draw) in cells.iter_mut().zip(p0).zip(draws.chunks_exact(8)) {
+        // The posterior row of this cell's `x_k` bit, by value.
+        let on = *cell != 0;
+        let post_zero = if on { on_zero } else { off_zero };
+        let post_one = if on { on_one } else { off_one };
+        let p_x0_one = f64::from(p0).clamp(0.0, 1.0);
+        // Marginalize the posterior over x̃0 ∈ {0, 1}.
+        let p_one = p_x0_one * post_one + (1.0 - p_x0_one) * post_zero;
+        *cell = u8::from(unit_draw(draw) < p_one);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn reverse_compare_avx2(cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], draws: &[u8]) {
+    reverse_compare(cells, p0, post, draws);
 }
 
 #[cfg(test)]
@@ -305,6 +393,148 @@ mod tests {
     /// The generator as `PatternSampler::generate` hands it on.
     fn erased(rng: &mut ChaCha8Rng) -> &mut dyn rand::RngCore {
         rng
+    }
+
+    /// The conversion [`unit_draw`] replaced.
+    fn integer_unit_draw(word: u64) -> f64 {
+        (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    #[test]
+    fn unit_draw_is_the_integer_conversion_bit_for_bit() {
+        let mut words = vec![0, u64::MAX];
+        words.extend((0..64).map(|k| 1u64 << k));
+        words.extend((0..64).map(|k| (1u64 << k) - 1));
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        words.extend((0..1_000_000).map(|_| rand::RngCore::next_u64(&mut rng)));
+        for word in words {
+            assert_eq!(
+                unit_draw(&word.to_le_bytes()).to_bits(),
+                integer_unit_draw(word).to_bits(),
+                "{word:#x}"
+            );
+        }
+    }
+
+    /// A generator that hands out the given `u64`s over and over, and
+    /// only through `fill_bytes`, eight bytes a draw: what the compare
+    /// loops ask for.
+    struct Scripted<'a> {
+        words: std::iter::Cycle<std::slice::Iter<'a, u64>>,
+    }
+
+    impl Scripted<'_> {
+        fn new(words: &[u64]) -> Scripted<'_> {
+            Scripted {
+                words: words.iter().cycle(),
+            }
+        }
+    }
+
+    impl rand::RngCore for Scripted<'_> {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("the compare loops draw in bulk")
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            *self.words.next().expect("a script is not empty")
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            assert_eq!(dest.len() % 8, 0, "whole draws only");
+            for draw in dest.chunks_exact_mut(8) {
+                draw.copy_from_slice(&self.next_u64().to_le_bytes());
+            }
+        }
+    }
+
+    /// Run lengths around the width of a vector (the remainder loop)
+    /// and around [`DRAW_BLOCK`].
+    const RUNS: [usize; 7] = [1, 3, 4, 5, 511, 512, 513];
+
+    /// `m · 2⁻⁵³` and the two draws around it: the word whose draw is
+    /// exactly that (which must not fire: the compare is strict) and
+    /// the one whose draw is one step below (which must), each with the
+    /// eleven bits a draw ignores set.
+    fn threshold(m: u64) -> (f64, [u64; 2]) {
+        assert!(0 < m && m < 1 << 53);
+        let at = integer_unit_draw(m << 11);
+        (at, [m << 11 | 0x7ff, (m - 1) << 11 | 0x7ff])
+    }
+
+    #[test]
+    fn a_draw_equal_to_its_threshold_does_not_fire() {
+        let (flip, at_then_below) = threshold(0x0012_3456_789a_bcde);
+        for len in RUNS {
+            let x0: Vec<u8> = (0..len).map(|i| (i % 3 == 0).into()).collect();
+            let mut noised = vec![9u8; len];
+            let mut rng = Scripted::new(&at_then_below);
+            forward_cells(&x0, flip, &mut rng, &mut noised);
+            for (i, (&bit, &got)) in x0.iter().zip(&noised).enumerate() {
+                let flipped = i % 2 == 1;
+                assert_eq!(got, bit ^ u8::from(flipped), "forward, cell {i} of {len}");
+            }
+        }
+        // With `p0` 1 the marginal is `1 · post[x][1] + 0 · post[x][0]`,
+        // the table entry itself; with `p0` 0 it is `post[x][0]`. Cells
+        // alternate off / on, so each row of the table is read with a
+        // draw equal to its entry and with one a step below it.
+        let (off, off_draws) = threshold(0x0000_0000_0000_0001);
+        let (on, on_draws) = threshold(0x001f_ffff_ffff_ffff);
+        let script = [off_draws[0], on_draws[0], off_draws[1], on_draws[1]];
+        for (p0, post) in [
+            (1.0, [[0.25, off], [0.75, on]]),
+            (0.0, [[off, 0.25], [on, 0.75]]),
+        ] {
+            for len in RUNS {
+                let mut cells: Vec<u8> = (0..len).map(|i| (i % 2) as u8).collect();
+                let mut rng = Scripted::new(&script);
+                reverse_cells(&mut cells, &vec![p0; len], &post, &mut rng);
+                for (i, &got) in cells.iter().enumerate() {
+                    let below = i % 4 >= 2;
+                    assert_eq!(got, u8::from(below), "reverse p0={p0}, cell {i} of {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_predictions_clamp_like_the_per_cell_expression() {
+        // `clamp` keeps a NaN (the marginal is then NaN and no draw is
+        // below it) and a negative zero; `max(0.0).min(1.0)` would turn
+        // the NaN into 0.
+        let p0s = [
+            0.0,
+            1.0,
+            -0.0,
+            1.0 + f32::EPSILON,
+            -f32::EPSILON,
+            f32::from_bits(1),
+            f32::NAN,
+            0.5,
+            7.0,
+            f32::NEG_INFINITY,
+        ];
+        let post = [[0.125, 0.875], [0.25, 0.625]];
+        let draws: Vec<u64> = [0.0, 0.1249, 0.125, 0.2, 0.25, 0.5, 0.625, 0.87, 0.875, 0.99]
+            .iter()
+            .map(|unit: &f64| ((unit * (1u64 << 53) as f64) as u64) << 11)
+            .collect();
+        for len in RUNS.into_iter().chain([3 * DRAW_BLOCK + 71]) {
+            // (Periods 2, 10 and 11: every combination within 220 cells.)
+            let start: Vec<u8> = (0..len).map(|i| (i % 2) as u8).collect();
+            let p0: Vec<f32> = (0..len).map(|i| p0s[i % p0s.len()]).collect();
+            let script: Vec<u64> = (0..11).map(|i| draws[i % draws.len()] | i as u64).collect();
+            let mut cells = start.clone();
+            reverse_cells(&mut cells, &p0, &post, &mut Scripted::new(&script));
+            for (i, &got) in cells.iter().enumerate() {
+                let post = &post[usize::from(start[i] != 0)];
+                let p_x0_one = f64::from(p0[i]).clamp(0.0, 1.0);
+                let p_one = p_x0_one * post[1] + (1.0 - p_x0_one) * post[0];
+                let want = integer_unit_draw(script[i % script.len()]) < p_one;
+                assert_eq!(got, u8::from(want), "cell {i} of {len}: p0 {}", p0[i]);
+            }
+        }
     }
 
     #[test]

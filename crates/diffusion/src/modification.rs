@@ -12,10 +12,9 @@
 
 use std::ops::Range;
 
-use crate::model::{forward_cells, reverse_cells};
+use crate::model::{forward_cells, initial_noise, reverse_cells};
 use crate::{Denoiser, DiffusionModel, Mask};
 use cp_squish::Topology;
-use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 impl<D: Denoiser> DiffusionModel<D> {
@@ -71,7 +70,7 @@ impl<D: Denoiser> DiffusionModel<D> {
         let mut result = known.clone();
         for _ in 0..resample_rounds {
             // Start from fully-noised state.
-            let mut x = Topology::from_fn(rows, cols, |_, _| rng.gen::<bool>());
+            let mut x = initial_noise(rows, cols, rng);
             let first_step = rng.get_word_pos();
             for (step, k) in (1..=steps).rev().enumerate() {
                 let p0 = self.denoiser().predict_x0(&x, k, steps, condition);
