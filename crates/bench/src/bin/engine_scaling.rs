@@ -558,7 +558,10 @@ fn main() {
         eprintln!("{complaint}");
         std::process::exit(2);
     });
-    let cfg = BenchConfig::from_env();
+    let cfg = BenchConfig::from_env().unwrap_or_else(|complaint| {
+        eprintln!("{complaint}");
+        std::process::exit(2);
+    });
     cfg.print_banner("Engine scaling: hot loops and connection scaling");
 
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);

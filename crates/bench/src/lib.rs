@@ -1,7 +1,9 @@
-//! Shared harness for the table/figure regeneration binaries.
+//! What is left of the experiment harness: [`quality`], the paper's
+//! legality / diversity tables as recorded and gated data, and the
+//! scale both binaries (`quality`, `engine_scaling`) run at.
 //!
-//! Every binary scales with one [`BenchConfig`], read from the
-//! environment so paper-scale runs are a matter of exporting variables:
+//! Both scale with one [`BenchConfig`], read from the environment so
+//! paper-scale runs are a matter of exporting variables:
 //!
 //! | variable | default | paper value | meaning |
 //! |---|---|---|---|
@@ -11,21 +13,22 @@
 //! | `CP_TRAIN` | 48 | ~10k patches | training patterns per style |
 //! | `CP_SEED` | 0 | — | master seed |
 //!
-//! The physical frame is `32 nm × topology size` (see [`BenchConfig::frame_nm`]
-//! for the calibration note), and free-size experiments run at 2×/4×/8×
-//! the window (the paper's 256²/512²/1024²).
+//! A value that does not parse is refused by name, never replaced by
+//! the default: a recorded file is compared by scale, and a silent
+//! fall-back would turn a typo into a mismatch nobody can explain.
+//!
+//! The physical frame is `16 nm × topology size` (see
+//! [`BenchConfig::frame_nm`]), and free-size experiments run at
+//! 2×/4×/8× the window (the paper's 256²/512²/1024²).
+
+pub mod quality;
 
 use chatpattern_core::ChatPattern;
-use cp_dataset::Style;
-use cp_drc::{check_pattern, DesignRules};
-use cp_geom::Layout;
-use cp_metrics::{diversity, legality, LibraryStats};
-use cp_squish::{SquishPattern, Topology};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use serde::{Deserialize, Serialize};
 
-/// Scale knobs for every experiment binary.
-#[derive(Debug, Clone, Copy)]
+/// Scale knobs of both binaries, and the header of a recorded
+/// `BENCH_QUALITY.json`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BenchConfig {
     /// Model window `L` (the paper's 128).
     pub window: usize,
@@ -52,29 +55,37 @@ impl Default for BenchConfig {
 }
 
 impl BenchConfig {
-    /// Reads the configuration from `CP_*` environment variables.
-    #[must_use]
-    pub fn from_env() -> BenchConfig {
-        let get = |name: &str, default: usize| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
+    /// Reads the configuration from the `CP_*` environment variables.
+    ///
+    /// # Errors
+    ///
+    /// Names the variable whose value is not a non-negative integer.
+    pub fn from_env() -> Result<BenchConfig, String> {
+        BenchConfig::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`BenchConfig::from_env`] over any source of variables.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<BenchConfig, String> {
+        let get = |name: &str, default: usize| match var(name) {
+            None => Ok(default),
+            Some(text) => text.parse::<usize>().map_err(|_| {
+                format!("{name}={text:?} is not a non-negative integer; unset it for {default}")
+            }),
         };
         let d = BenchConfig::default();
-        BenchConfig {
-            window: get("CP_WINDOW", d.window),
-            samples: get("CP_SAMPLES", d.samples),
-            steps: get("CP_STEPS", d.steps),
-            train: get("CP_TRAIN", d.train),
-            seed: get("CP_SEED", d.seed as usize) as u64,
-        }
+        Ok(BenchConfig {
+            window: get("CP_WINDOW", d.window)?,
+            samples: get("CP_SAMPLES", d.samples)?,
+            steps: get("CP_STEPS", d.steps)?,
+            train: get("CP_TRAIN", d.train)?,
+            seed: get("CP_SEED", d.seed as usize)? as u64,
+        })
     }
 
     /// Physical frame (nm) for a topology of `size` cells: 16 nm/cell,
-    /// the paper's 2048 nm / 128-cell ratio. The `calibrate` binary
-    /// reports each method's minimal-extent distribution under the
-    /// reference rules for re-tuning at other scales.
+    /// the paper's 2048 nm / 128-cell ratio. Every [`quality::Row`]
+    /// held against a frame carries the largest minimal legal extent of
+    /// its topologies beside it, for re-tuning at other scales.
     #[must_use]
     pub fn frame_nm(&self, size: usize) -> i64 {
         (size as i64) * 16
@@ -85,7 +96,7 @@ impl BenchConfig {
     /// # Panics
     ///
     /// Panics when the `CP_*` environment variables describe an invalid
-    /// configuration — the experiment binaries want the loud failure.
+    /// configuration — the binaries want the loud failure.
     #[must_use]
     pub fn build_system(&self) -> ChatPattern {
         ChatPattern::builder()
@@ -97,7 +108,7 @@ impl BenchConfig {
             .unwrap_or_else(|e| panic!("invalid CP_* bench configuration: {e}"))
     }
 
-    /// Prints the configuration banner every binary starts with.
+    /// Prints the configuration banner both binaries start with.
     pub fn print_banner(&self, experiment: &str) {
         println!("=== {experiment} ===");
         println!(
@@ -115,172 +126,25 @@ impl BenchConfig {
     }
 }
 
-/// Evaluates a topology library exactly as Table 1 does: one
-/// legalization attempt each (no selection), then diversity over the
-/// legal survivors.
-#[must_use]
-pub fn evaluate_library(
-    topologies: &[Topology],
-    frame_nm: i64,
-    rules: &DesignRules,
-    seed: u64,
-) -> LibraryStats {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let report = legality(topologies.iter(), frame_nm, rules, &mut rng);
-    LibraryStats::from_report(&report)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Evaluates *assembled* layouts with frozen geometry (the concatenation
-/// baseline): legality is the DRC-clean fraction — no legalization can
-/// repair a stitched pattern — and diversity is measured over the clean
-/// survivors' minimal topologies.
-#[must_use]
-pub fn evaluate_assembled(layouts: &[Layout], rules: &DesignRules) -> (f64, f64) {
-    if layouts.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mut clean_topologies = Vec::new();
-    for layout in layouts {
-        let squish = SquishPattern::from_layout(layout).minimized();
-        if check_pattern(&squish, rules).is_clean() {
-            clean_topologies.push(squish.topology().clone());
-        }
-    }
-    let legality = clean_topologies.len() as f64 / layouts.len() as f64;
-    (legality, diversity(clean_topologies.iter()))
-}
-
-/// Reference (real-pattern) diversity of raw topologies.
-#[must_use]
-pub fn reference_diversity(topologies: &[Topology]) -> f64 {
-    diversity(topologies.iter())
-}
-
-/// One Table-1-style row over both styles plus the pooled total.
-#[derive(Debug, Clone, Copy)]
-pub struct TableRow {
-    /// Layer-10001 legality (NaN = not applicable).
-    pub legality_a: f64,
-    /// Layer-10001 diversity.
-    pub diversity_a: f64,
-    /// Layer-10003 legality.
-    pub legality_b: f64,
-    /// Layer-10003 diversity.
-    pub diversity_b: f64,
-    /// Pooled legality.
-    pub legality_total: f64,
-    /// Pooled diversity.
-    pub diversity_total: f64,
-}
-
-impl TableRow {
-    /// Builds the row from per-style libraries.
-    #[must_use]
-    pub fn from_libraries(
-        lib_a: &[Topology],
-        lib_b: &[Topology],
-        frame_nm: i64,
-        rules: &DesignRules,
-        seed: u64,
-    ) -> TableRow {
-        let a = evaluate_library(lib_a, frame_nm, rules, seed);
-        let b = evaluate_library(lib_b, frame_nm, rules, seed + 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed + 2);
-        let pooled_report = legality(lib_a.iter().chain(lib_b.iter()), frame_nm, rules, &mut rng);
-        let pooled = LibraryStats::from_report(&pooled_report);
-        TableRow {
-            legality_a: a.legality,
-            diversity_a: a.diversity,
-            legality_b: b.legality,
-            diversity_b: b.diversity,
-            legality_total: pooled.legality,
-            diversity_total: pooled.diversity,
-        }
-    }
-
-    /// Single-style row (the baselines trained on Layer-10001 only).
-    #[must_use]
-    pub fn single_style(
-        lib_a: &[Topology],
-        frame_nm: i64,
-        rules: &DesignRules,
-        seed: u64,
-    ) -> TableRow {
-        let a = evaluate_library(lib_a, frame_nm, rules, seed);
-        TableRow {
-            legality_a: a.legality,
-            diversity_a: a.diversity,
-            legality_b: f64::NAN,
-            diversity_b: f64::NAN,
-            legality_total: f64::NAN,
-            diversity_total: f64::NAN,
-        }
-    }
-
-    /// Reference row (no legality column).
-    #[must_use]
-    pub fn reference(lib_a: &[Topology], lib_b: &[Topology]) -> TableRow {
-        let pooled: Vec<Topology> = lib_a.iter().chain(lib_b.iter()).cloned().collect();
-        TableRow {
-            legality_a: f64::NAN,
-            diversity_a: reference_diversity(lib_a),
-            legality_b: f64::NAN,
-            diversity_b: reference_diversity(lib_b),
-            legality_total: f64::NAN,
-            diversity_total: reference_diversity(&pooled),
-        }
-    }
-
-    /// Prints the row in the paper's column layout.
-    pub fn print(&self, label: &str) {
-        let pct = |v: f64| {
-            if v.is_nan() {
-                "      /".to_owned()
-            } else {
-                format!("{:6.2}%", v * 100.0)
-            }
+    #[test]
+    fn an_unparsable_scale_variable_is_refused_by_name() {
+        let vars = |name: &str| match name {
+            "CP_WINDOW" => Some("12x".to_owned()),
+            "CP_SEED" => Some("7".to_owned()),
+            _ => None,
         };
-        let div = |v: f64| {
-            if v.is_nan() {
-                "      /".to_owned()
-            } else {
-                format!("{v:7.3}")
-            }
+        let complaint = BenchConfig::from_vars(vars).expect_err("12x is not a window");
+        assert!(complaint.starts_with("CP_WINDOW=\"12x\""), "{complaint}");
+        let only_seed = |name: &str| vars(name).filter(|_| name == "CP_SEED");
+        let expected = BenchConfig {
+            seed: 7,
+            ..BenchConfig::default()
         };
-        println!(
-            "{label:<28} {} {}   {} {}   {} {}",
-            pct(self.legality_a),
-            div(self.diversity_a),
-            pct(self.legality_b),
-            div(self.diversity_b),
-            pct(self.legality_total),
-            div(self.diversity_total),
-        );
+        assert_eq!(BenchConfig::from_vars(only_seed), Ok(expected));
+        assert!(BenchConfig::from_vars(|_| Some("-1".to_owned())).is_err());
     }
-}
-
-/// Prints the Table-1 column header.
-pub fn print_table_header() {
-    println!(
-        "{:<28} {:>7} {:>7}   {:>7} {:>7}   {:>7} {:>7}",
-        "Method", "10001-L", "10001-H", "10003-L", "10003-H", "Tot-L", "Tot-H"
-    );
-    println!("{}", "-".repeat(82));
-}
-
-/// Both styles in evaluation order.
-#[must_use]
-pub fn styles() -> [Style; 2] {
-    [Style::Layer10001, Style::Layer10003]
-}
-
-/// Training topologies of one style, cloned out of the system datasets.
-#[must_use]
-pub fn training_topologies(system: &ChatPattern, style: Style) -> Vec<Topology> {
-    system
-        .datasets()
-        .iter()
-        .find(|d| d.style() == style)
-        .map(|d| d.topologies().cloned().collect())
-        .unwrap_or_default()
 }

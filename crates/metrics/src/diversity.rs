@@ -25,8 +25,16 @@ pub fn entropy_bits<K>(hist: &HashMap<K, usize>) -> f64 {
         return 0.0;
     }
     let total = total as f64;
-    hist.values()
-        .filter(|&&n| n > 0)
+    // A float sum depends on the order of its terms and a `HashMap`
+    // yields its values in an order that differs from process to
+    // process, so the terms are summed in ascending count order: equal
+    // counts give equal terms, which makes the result a function of the
+    // multiset of counts alone (an `Evaluate` reply is cached and
+    // compared byte for byte across processes).
+    let mut counts: Vec<usize> = hist.values().copied().filter(|&n| n > 0).collect();
+    counts.sort_unstable();
+    counts
+        .iter()
         .map(|&n| {
             let p = n as f64 / total;
             -p * p.log2()
@@ -75,6 +83,27 @@ mod tests {
         uniform.insert(0u32, 5usize);
         uniform.insert(1u32, 5usize);
         assert!(entropy_bits(&uniform) > entropy_bits(&skewed));
+    }
+
+    #[test]
+    fn entropy_does_not_depend_on_the_histograms_iteration_order() {
+        // 40 topologies in seven complexity classes of unequal sizes:
+        // every freshly built `HashMap` hashes with keys of its own, so
+        // 200 of them walk the same seven counts in many orders.
+        let sizes = [1usize, 2, 3, 5, 7, 9, 13];
+        let library: Vec<Topology> = sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(class, &size)| {
+                let stripes = "1.".repeat(class + 1);
+                std::iter::repeat_n(Topology::from_ascii(&stripes), size)
+            })
+            .collect();
+        assert_eq!(library.len(), 40);
+        let bits: std::collections::HashSet<u64> = (0..200)
+            .map(|_| diversity(library.iter()).to_bits())
+            .collect();
+        assert_eq!(bits.len(), 1, "one library, one diversity: {bits:?}");
     }
 
     #[test]

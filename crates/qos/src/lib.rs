@@ -22,9 +22,12 @@
 //!   flood from one tenant cannot starve the rest;
 //! * [`TenantLedger`] / [`TenantLaneStats`] — per-(tenant, lane)
 //!   admitted/rejected/completed/queue-time counters that surface in
-//!   `EngineStats` and merge across a router fleet;
-//! * [`jain_index`] — the fairness metric the replay load generator
-//!   (`cp_bench`'s `load_replay`) reports.
+//!   `EngineStats` and merge across a router fleet.
+//!
+//! End to end, the quota-retry loop runs through a real router fleet in
+//! `tests/router.rs`
+//! (`tenants_over_quota_retry_to_completion_and_the_fleet_ledger_agrees`)
+//! and against one engine in `tests/qos.rs`.
 //!
 //! The crate is deliberately engine-agnostic: it never sees a
 //! `PatternRequest` (the engine classifies requests into a [`Lane`]),
@@ -734,27 +737,6 @@ impl TenantLedger {
     }
 }
 
-// --------------------------------------------------------------- fairness
-
-/// Jain's fairness index over non-negative per-tenant measurements:
-/// `(Σx)² / (n · Σx²)`. 1.0 means perfectly equal; `1/n` means one
-/// tenant got everything. Empty or all-zero input reports 1.0 (nothing
-/// was unfair).
-#[must_use]
-pub fn jain_index(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = values.iter().sum();
-    let squares: f64 = values.iter().map(|v| v * v).sum();
-    if squares <= 0.0 {
-        return 1.0;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let n = values.len() as f64;
-    (sum * sum) / (n * squares)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -974,14 +956,6 @@ mod tests {
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].admitted, 2);
         assert_eq!(merged[0].queue_micros, 500);
-    }
-
-    #[test]
-    fn jain_index_matches_known_points() {
-        assert!((jain_index(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!((jain_index(&[1.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
-        assert!((jain_index(&[]) - 1.0).abs() < 1e-12);
-        assert!((jain_index(&[0.0, 0.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

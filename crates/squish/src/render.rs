@@ -1,7 +1,4 @@
-//! Rendering topologies for inspection (ASCII art and binary PGM).
-//!
-//! Used by the figure-regeneration binaries (Figures 8 and 9 of the paper
-//! show raw generated topology matrices).
+//! Rendering topologies for inspection (ASCII art).
 
 use crate::Topology;
 
@@ -45,19 +42,6 @@ pub fn to_ascii(topology: &Topology, max_cols: usize) -> String {
     out
 }
 
-/// Encodes a topology as a binary PGM (P5) image, drawn cells black.
-///
-/// The output is a complete file body suitable for writing to disk.
-#[must_use]
-pub fn to_pgm(topology: &Topology) -> Vec<u8> {
-    let mut out = Vec::with_capacity(topology.len() + 32);
-    out.extend_from_slice(format!("P5\n{} {}\n255\n", topology.cols(), topology.rows()).as_bytes());
-    for (_, _, set) in topology.iter() {
-        out.push(if set { 0 } else { 255 });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,13 +64,5 @@ mod tests {
         assert!(lines
             .iter()
             .all(|l| l.len() == 4 && l.chars().all(|ch| ch == '#')));
-    }
-
-    #[test]
-    fn pgm_header_and_payload() {
-        let t = Topology::from_ascii("#.");
-        let pgm = to_pgm(&t);
-        assert!(pgm.starts_with(b"P5\n2 1\n255\n"));
-        assert_eq!(&pgm[pgm.len() - 2..], &[0u8, 255u8]);
     }
 }

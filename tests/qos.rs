@@ -13,7 +13,8 @@
 //!   new opens until a close frees the slot.
 //!
 //! The weighted-fair queue under the lanes is model-checked separately
-//! (`tests/proptest_invariants.rs`), and `load_replay` (`cp_bench`)
+//! (`tests/proptest_invariants.rs`), and `tests/router.rs`
+//! (`tenants_over_quota_retry_to_completion_and_the_fleet_ledger_agrees`)
 //! replays the quota-retry loop through a real router fleet. CI runs
 //! this suite once, inside `cargo test`; `cargo test --test qos` names
 //! a QoS regression.

@@ -40,6 +40,11 @@
 //!   parked behind a live session move or not; and an attached worker
 //!   that died fails its own lines after the redial while the lines
 //!   for every other worker are served meanwhile.
+//! * **Quotas through a fleet** (ISSUE 21) — three tenants replay a skewed mixed load against a
+//!   2-worker fleet with a per-tenant in-flight quota, re-sending what
+//!   is refused with typed back-pressure after its `retry_after_ms`:
+//!   every operation completes, and the fleet-merged ledger agrees with
+//!   what the clients saw on the wire.
 //!
 //! The other half of the fleet guarantee — a SIGKILLed spawned worker
 //! respawned over its `--session-dir` — is
@@ -47,12 +52,16 @@
 //! CI runs this suite once, inside `cargo test`; `cargo test --test
 //! router` names a routing regression.
 
+use chatpattern::qos::{DEFAULT_RETRY_AFTER_MS, DEFAULT_TENANT};
 use chatpattern::{
-    ChatPattern, GenerateParams, PatternRequest, RequestEnvelope, ResponseEnvelope,
-    ResponsePayload, SessionCloseParams, SessionOpenParams, SessionTurnParams, WireOutcome,
+    ChatPattern, EvaluateParams, ExtendParams, GenerateParams, LegalizeParams, PatternRequest,
+    RequestEnvelope, ResponseEnvelope, ResponsePayload, SessionCloseParams, SessionOpenParams,
+    SessionTurnParams, WireOutcome,
 };
 use cp_dataset::Style;
+use cp_extend::ExtensionMethod;
 use cp_net::{ClientConfig, NdjsonClient, DEFAULT_MAX_LINE_BYTES};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -953,4 +962,197 @@ fn a_dead_attached_worker_fails_its_own_lines_and_delays_no_others() {
     fleet.shutdown();
     alive.kill().expect("attached workers outlive their router");
     alive.wait().expect("worker reaped");
+}
+
+// ------------------------------------------------- quotas through a fleet
+
+/// One tenant's connection and what it saw.
+struct Tenant {
+    client: NdjsonClient,
+    name: String,
+    /// Requests sent, re-sends included (the next id).
+    sent: usize,
+    /// Operations completed.
+    completed: usize,
+    /// Typed `Overloaded` replies received.
+    overloaded: u64,
+}
+
+impl Tenant {
+    /// Puts every request in flight at once and re-sends those refused
+    /// with typed back-pressure, after the longest `retry_after_ms` of
+    /// the round, until each has completed. A quota that never frees is
+    /// a bug, not back-pressure: the rounds are capped.
+    fn complete(&mut self, requests: Vec<PatternRequest>) -> Vec<ResponsePayload> {
+        const ROUNDS: usize = 1000;
+        let mut payloads = Vec::with_capacity(requests.len());
+        let mut pending = requests;
+        for _ in 0..ROUNDS {
+            let mut outstanding = HashMap::new();
+            for request in pending.drain(..) {
+                let id = format!("{}-{}", self.name, self.sent);
+                self.sent += 1;
+                let envelope = RequestEnvelope {
+                    id: serde_json::to_value(&id),
+                    tenant: Some(self.name.clone()),
+                    request: request.clone(),
+                };
+                self.client.send(&envelope).expect("request sent");
+                outstanding.insert(id, request);
+            }
+            let mut hint = 0;
+            while !outstanding.is_empty() {
+                let reply = self.client.recv().expect("the fleet answers");
+                let id = reply.id.as_str().expect("a string id");
+                let request = outstanding
+                    .remove(id)
+                    .unwrap_or_else(|| panic!("reply {id} answers nothing outstanding"));
+                match reply.outcome {
+                    WireOutcome::Ok(response) => {
+                        self.completed += 1;
+                        payloads.push(response.payload);
+                    }
+                    WireOutcome::Err(error) => {
+                        match error.kind.as_str() {
+                            "Overloaded" => self.overloaded += 1,
+                            "QueueFull" => {}
+                            _ => panic!("{id} failed with something else than load: {error:?}"),
+                        }
+                        hint = hint.max(error.retry_after_ms.unwrap_or(DEFAULT_RETRY_AFTER_MS));
+                        pending.push(request);
+                    }
+                }
+            }
+            if pending.is_empty() {
+                return payloads;
+            }
+            std::thread::sleep(Duration::from_millis(hint));
+        }
+        panic!(
+            "tenant {}: {} request(s) still refused after {ROUNDS} rounds",
+            self.name,
+            pending.len()
+        );
+    }
+}
+
+/// One tenant's replay: a two-turn session (interactive lane), a seed
+/// topology, `burst_ops` mixed operations pipelined six at a time
+/// (standard lane; distinct seeds keep them out of cache and coalescer,
+/// so the load is real executions) and a closing library evaluation
+/// (batch lane).
+fn replay_tenant(addr: &str, index: usize, burst_ops: usize) -> Tenant {
+    const FRAME_NM: i64 = 16 * 16;
+    let mut tenant = Tenant {
+        client: connect(addr),
+        name: format!("t{index}"),
+        sent: 0,
+        completed: 0,
+        overloaded: 0,
+    };
+    let session = format!("load-{}", tenant.name);
+    let turn = PatternRequest::SessionTurn(SessionTurnParams {
+        session: session.clone(),
+        utterance: format!(
+            "Generate 1 pattern, topology size 16*16, physical size {FRAME_NM}nm x \
+             {FRAME_NM}nm, style Layer-10001."
+        ),
+    });
+    let seed_base = (index as u64) << 20;
+    for request in [
+        PatternRequest::SessionOpen(SessionOpenParams {
+            session: session.clone(),
+            seed: Some(index as u64),
+        }),
+        turn.clone(),
+        turn,
+        PatternRequest::SessionClose(SessionCloseParams { session }),
+    ] {
+        tenant.complete(vec![request]);
+    }
+    let mut seeded = tenant.complete(vec![generate(1, seed_base)]);
+    let Some(ResponsePayload::Generate(mut topologies)) = seeded.pop() else {
+        panic!("a Generate is answered with topologies");
+    };
+    let seed_topology = topologies.pop().expect("one topology asked for");
+
+    let operations: Vec<PatternRequest> = (1..=burst_ops as u64)
+        .map(|op| match op % 5 {
+            0 => PatternRequest::Extend(ExtendParams {
+                seed_topology: seed_topology.clone(),
+                rows: 24,
+                cols: 24,
+                method: ExtensionMethod::OutPainting,
+                style: Style::Layer10001,
+                seed: seed_base + op,
+            }),
+            1 => PatternRequest::Legalize(LegalizeParams {
+                topology: seed_topology.clone(),
+                width_nm: FRAME_NM,
+                height_nm: FRAME_NM,
+                seed: seed_base + op,
+            }),
+            _ => generate(1, seed_base + op),
+        })
+        .collect();
+    for burst in operations.chunks(6) {
+        tenant.complete(burst.to_vec());
+    }
+    tenant.complete(vec![PatternRequest::Evaluate(EvaluateParams {
+        topologies: vec![seed_topology],
+        frame_nm: FRAME_NM,
+        seed: seed_base,
+    })]);
+    assert_eq!(tenant.completed, 4 + 1 + burst_ops + 1, "{}", tenant.name);
+    tenant
+}
+
+/// The quota-retry loop through a real fleet: the budget of 18 burst
+/// operations is split 1/(i+1) over three tenants, so the heavy one
+/// overruns `inflight=3` while the light one stays inside it. Nothing
+/// here depends on timing — how many requests are refused does, and
+/// only the two ledgers' agreement on it is asserted.
+#[test]
+fn tenants_over_quota_retry_to_completion_and_the_fleet_ledger_agrees() {
+    let qos = ["--tenant-quota", "inflight=3", "--lane-weights", "4,2,1"];
+    let args: Vec<&str> = qos.iter().flat_map(|arg| ["--serve-arg", arg]).collect();
+    let mut fleet = RouterFleet::spawn(2, &args);
+
+    let addr = fleet.addr.as_str();
+    let tenants: Vec<Tenant> = std::thread::scope(|scope| {
+        let threads: Vec<_> = [10usize, 5, 3]
+            .into_iter()
+            .enumerate()
+            .map(|(index, ops)| scope.spawn(move || replay_tenant(addr, index, ops)))
+            .collect();
+        let joined = threads.into_iter().map(|thread| thread.join());
+        joined
+            .map(|tenant| tenant.expect("tenant thread"))
+            .collect()
+    });
+
+    let ResponsePayload::Stats(stats) = fleet.expect_ok("stats", PatternRequest::Stats) else {
+        panic!("wrong payload for Stats");
+    };
+    for tenant in &tenants {
+        let rows = stats.tenants.iter().filter(|row| row.tenant == tenant.name);
+        let admitted: u64 = rows.map(|row| row.admitted).sum();
+        assert!(
+            admitted >= tenant.completed as u64,
+            "the fleet's rows must account tenant {}: {admitted} admitted, {} completed",
+            tenant.name,
+            tenant.completed
+        );
+    }
+    let named = stats
+        .tenants
+        .iter()
+        .filter(|row| row.tenant != DEFAULT_TENANT);
+    let rejected: u64 = named.map(|row| row.rejected).sum();
+    let overloaded: u64 = tenants.iter().map(|tenant| tenant.overloaded).sum();
+    assert_eq!(
+        rejected, overloaded,
+        "the fleet ledger's rejections are the typed Overloaded replies the clients counted"
+    );
+    fleet.shutdown();
 }

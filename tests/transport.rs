@@ -27,6 +27,10 @@
 //! * **Stop is not lost** — a `shutdown()` that lands while the loop is
 //!   mid-pass (a handler's own line asked for it, as the router's
 //!   `Shutdown` does) still stops the loop.
+//! * **Hundreds of connections at once** (ISSUE 21) — 256 clients each pipeline their requests
+//!   before anyone reads: every id is answered once, nobody is killed
+//!   for back-pressure, and the connection counters account every
+//!   client, up and down.
 
 #![cfg(unix)]
 
@@ -37,6 +41,7 @@ use chatpattern_core::{
 };
 use cp_dataset::Style;
 use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
@@ -638,4 +643,90 @@ fn a_stop_raised_while_the_loop_drains_its_wake_pipe_is_not_lost() {
     has_stopped
         .recv_timeout(patience)
         .expect("the loop saw the stop that was raised mid-pass");
+}
+
+/// Every client writes its whole pipeline before any reply is read, so
+/// the loop holds outstanding replies for hundreds of connections in
+/// its outbound queues at once. Any dropped, repeated or mis-correlated
+/// reply fails, and the engine's connection counters must agree with
+/// what the clients did.
+#[test]
+fn hundreds_of_pipelining_clients_are_each_answered_exactly_once() {
+    const CLIENTS: usize = 256;
+    /// Stats pipelined per client; every 32nd client also runs one real
+    /// Generate, so diffusion work is in flight too, not just framing.
+    const STATS_EACH: usize = 4;
+    cp_net::raise_nofile_limit();
+    let engine = build_engine();
+    let handle = spawn_event_loop(&engine, EventLoopConfig::default());
+    let addr = handle.local_addr().to_string();
+    let mut clients: Vec<NdjsonClient> = (0..CLIENTS)
+        .map(|i| {
+            NdjsonClient::connect(&addr, ClientConfig::default())
+                .unwrap_or_else(|e| panic!("client {i} connects: {e}"))
+        })
+        .collect();
+
+    let mut expected: Vec<HashSet<u64>> = Vec::with_capacity(CLIENTS);
+    for (i, client) in clients.iter_mut().enumerate() {
+        let mut requests = vec![PatternRequest::Stats; STATS_EACH];
+        if i % 32 == 0 {
+            requests.push(PatternRequest::Generate(GenerateParams {
+                style: Style::Layer10001,
+                rows: 16,
+                cols: 16,
+                count: 1,
+                seed: i as u64,
+            }));
+        }
+        let mut ids = HashSet::new();
+        for (seq, request) in requests.into_iter().enumerate() {
+            let id = (i * 16 + seq) as u64;
+            let envelope = RequestEnvelope {
+                id: serde_json::to_value(&id),
+                tenant: None,
+                request,
+            };
+            client.send(&envelope).expect("request sent");
+            ids.insert(id);
+        }
+        expected.push(ids);
+    }
+    for (i, (client, want)) in clients.iter_mut().zip(&mut expected).enumerate() {
+        while !want.is_empty() {
+            let reply = client.recv().expect("reply reads");
+            assert!(
+                matches!(reply.outcome, WireOutcome::Ok(_)),
+                "client {i}: a request errored"
+            );
+            let id = reply.id.as_u64().expect("a numeric id");
+            assert!(
+                want.remove(&id),
+                "client {i}: reply {id} is not owed (twice?)"
+            );
+        }
+    }
+
+    let stats = engine.stats();
+    assert_eq!(stats.connections_live as usize, CLIENTS);
+    assert!(stats.connections_peak as usize >= CLIENTS, "{stats:?}");
+    assert_eq!(stats.disconnects_backpressure, 0, "a well-behaved crowd");
+
+    // Hang up everything and wait for the loop to observe each EOF.
+    drop(clients);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = engine.stats();
+        if stats.connections_live == 0 && stats.disconnects_clean as usize >= CLIENTS {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "disconnects not all observed: {} live, {} clean",
+            stats.connections_live,
+            stats.disconnects_clean
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    handle.shutdown();
 }
