@@ -11,10 +11,10 @@ use cp_dataset::Style;
 use cp_diffusion::{Mask, PatternSampler};
 use cp_extend::{extend, ExtensionMethod};
 use cp_legalize::Legalizer;
-use cp_squish::{fits_one_request, Region, SquishPattern, Topology, MAX_REQUEST_CELLS};
+use cp_squish::{fits_one_request, Packed, Region, SquishPattern, Topology, MAX_REQUEST_CELLS};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 use serde_json::{json, Value};
 use std::collections::HashMap;
 
@@ -213,7 +213,14 @@ impl ToolContext {
 /// The serializable mutable state of a [`ToolContext`] (see
 /// [`ToolContext::snapshot`]). Store entries are sorted by id so the
 /// serialized form is deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// This is where a session's topologies rest, and the one place that
+/// writes them packed ([`cp_squish::Packed`], one bit a cell): a
+/// dialog's library only grows, and every spill, export and move
+/// carries all of it. Reading needs no counterpart — the topology
+/// reader takes both forms, so snapshots written before the packed
+/// form existed still load.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ContextSnapshot {
     /// The working pattern store as sorted `(id, pattern)` entries.
     pub store: Vec<(u64, StoredPattern)>,
@@ -225,6 +232,64 @@ pub struct ContextSnapshot {
     pub rng: Vec<u32>,
     /// The next working-pattern id to hand out.
     pub next_id: u64,
+}
+
+impl Serialize for ContextSnapshot {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        // Taken apart by name, here and below, so that a field added
+        // to the struct cannot be left out of its text.
+        let ContextSnapshot {
+            store,
+            library,
+            knowledge,
+            rng,
+            next_id,
+        } = self;
+        s.map_begin();
+        s.map_key("knowledge");
+        knowledge.serialize(s);
+        s.map_key("library");
+        let library: Vec<_> = library.iter().map(Packed).collect();
+        library.serialize(s);
+        s.map_key("next_id");
+        next_id.serialize(s);
+        s.map_key("rng");
+        rng.serialize(s);
+        s.map_key("store");
+        let store: Vec<_> = store
+            .iter()
+            .map(|(id, pattern)| (id, PackedStored(pattern)))
+            .collect();
+        store.serialize(s);
+        s.map_end();
+    }
+}
+
+/// A [`StoredPattern`] with its topologies written packed.
+struct PackedStored<'a>(&'a StoredPattern);
+
+impl Serialize for PackedStored<'_> {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        let StoredPattern {
+            topology,
+            style,
+            legal,
+            failures,
+            last_failure_region,
+        } = self.0;
+        s.map_begin();
+        s.map_key("failures");
+        failures.serialize(s);
+        s.map_key("last_failure_region");
+        last_failure_region.serialize(s);
+        s.map_key("legal");
+        legal.as_ref().map(Packed).serialize(s);
+        s.map_key("style");
+        style.serialize(s);
+        s.map_key("topology");
+        Packed(topology).serialize(s);
+        s.map_end();
+    }
 }
 
 /// A callable tool. `Send + Sync` is a supertrait because registries

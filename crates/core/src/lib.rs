@@ -700,10 +700,15 @@ impl ChatSession {
 /// [`SessionSnapshot`] (or anything nested in it) changes shape;
 /// [`ChatSession::restore`] rejects snapshots from unknown formats
 /// with a typed error instead of misreading them. Format 2 added the
-/// optional [`TranscriptCompaction`] record; format-1 snapshots (no
-/// `compaction` field) still restore unchanged
-/// ([`SESSION_SNAPSHOT_FORMAT_MIN`]).
-pub const SESSION_SNAPSHOT_FORMAT: u32 = 2;
+/// optional [`TranscriptCompaction`] record; format 3 writes every
+/// topology in the store and the library packed, one bit a cell
+/// ([`cp_squish::Packed`]), where formats 1 and 2 spelled each cell as
+/// a number. Format-1 and format-2 snapshots still restore unchanged
+/// ([`SESSION_SNAPSHOT_FORMAT_MIN`]): the topology reader takes both
+/// forms. Nothing writes format 2 any more, and a build that stops at
+/// format 2 refuses a format-3 snapshot by its number rather than
+/// tripping over `packed`.
+pub const SESSION_SNAPSHOT_FORMAT: u32 = 3;
 
 /// Oldest snapshot format [`ChatSession::restore`] still reads.
 pub const SESSION_SNAPSHOT_FORMAT_MIN: u32 = 1;
@@ -1687,14 +1692,29 @@ mod tests {
         let snapshot = system.session_snapshot("v1").expect("exports");
         let _ = system.session_close("v1").expect("closes");
         // Rewrite the JSON exactly as a format-1 producer wrote it:
-        // format tag 1 and no `compaction` member at all.
+        // format tag 1, no `compaction` member at all, and every
+        // topology spelled as `bits`.
+        fn spell_as_bits(value: &mut serde_json::Value) {
+            use serde_json::Value;
+            match value {
+                Value::Object(map) if map.contains_key("packed") => {
+                    let topology: Topology = serde_json::from_value(value).expect("a topology");
+                    *value = serde_json::to_value(&topology);
+                }
+                Value::Object(map) => map.values_mut().for_each(spell_as_bits),
+                Value::Array(items) => items.iter_mut().for_each(spell_as_bits),
+                _ => {}
+            }
+        }
         let mut value = serde_json::to_value(&snapshot);
+        spell_as_bits(&mut value);
         let serde_json::Value::Object(object) = &mut value else {
             panic!("snapshot is an object");
         };
         object.insert("format".to_owned(), serde_json::to_value(&1u32));
         object.remove("compaction");
         let text = serde_json::to_string(&value).expect("serializes");
+        assert!(text.contains(r#""bits":["#) && !text.contains("packed"));
         let legacy: SessionSnapshot = serde_json::from_str(&text).expect("format 1 parses");
         assert_eq!(legacy.format, 1);
         assert_eq!(legacy.compaction, None);

@@ -44,4 +44,4 @@ pub use complexity::{complexity, Complexity};
 pub use normalize::{normalize_to, uniform_deltas, with_uniform_geometry};
 pub use pattern::SquishPattern;
 pub use region::Region;
-pub use topology::{fits_one_request, Topology, MAX_REQUEST_CELLS};
+pub use topology::{fits_one_request, Packed, Topology, MAX_REQUEST_CELLS};

@@ -1,13 +1,14 @@
 //! Squish patterns: topology + geometry vectors.
 
-use crate::Topology;
+use crate::{Packed, Topology};
 use cp_geom::{Layout, Rect, ScanLines};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
 /// A full squish pattern: binary topology matrix `T` plus the Δx/Δy
 /// interval vectors that restore physical geometry.
 ///
-/// Invariants (enforced at construction):
+/// Invariants (enforced at construction, and by the reader when the
+/// value comes from text):
 /// * `dx.len() == topology.cols()`, `dy.len() == topology.rows()`;
 /// * every delta is strictly positive.
 ///
@@ -23,11 +24,50 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(sq.physical_height(), 80);
 /// assert_eq!(sq.to_layout().union_area(), 50 * 30);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SquishPattern {
     topology: Topology,
     dx: Vec<i64>,
     dy: Vec<i64>,
+}
+
+impl Serialize for Packed<'_, SquishPattern> {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.map_begin();
+        s.map_key("dx");
+        self.0.dx.serialize(s);
+        s.map_key("dy");
+        self.0.dy.serialize(s);
+        s.map_key("topology");
+        Packed(&self.0.topology).serialize(s);
+        s.map_end();
+    }
+}
+
+/// The fields as text spells them, before they are held against each
+/// other.
+#[derive(Deserialize)]
+struct SquishPatternText {
+    topology: Topology,
+    dx: Vec<i64>,
+    dy: Vec<i64>,
+}
+
+impl Deserialize for SquishPattern {
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<SquishPattern, Error> {
+        let SquishPatternText { topology, dx, dy } = SquishPatternText::deserialize(d)?;
+        let refuse = |what: &str| Err(Error::custom(format!("squish pattern: {what}")));
+        if dx.len() != topology.cols() {
+            return refuse("dx is not cols long");
+        }
+        if dy.len() != topology.rows() {
+            return refuse("dy is not rows long");
+        }
+        if dx.iter().chain(&dy).any(|&delta| delta <= 0) {
+            return refuse("a delta is not positive");
+        }
+        Ok(SquishPattern { topology, dx, dy })
+    }
 }
 
 impl SquishPattern {
@@ -328,6 +368,35 @@ mod tests {
     fn zero_delta_rejected() {
         let t = Topology::filled(1, 2, true);
         let _ = SquishPattern::new(t, vec![5, 0], vec![3]);
+    }
+
+    /// What `new` asserts, the reader refuses: text is not a caller.
+    #[test]
+    fn the_reader_holds_the_deltas_against_the_topology() {
+        let text = |dx: &str, dy: &str| {
+            format!(r#"{{"dx":[{dx}],"dy":[{dy}],"topology":{{"rows":1,"cols":2,"packed":"c"}}}}"#)
+        };
+        for (text, why) in [
+            (text("5", "3"), "dx is not cols long"),
+            (text("5,5", "3,3"), "dy is not rows long"),
+            (text("5,0", "3"), "a delta is not positive"),
+            (text("5,5", "-3"), "a delta is not positive"),
+        ] {
+            let refusal = serde_json::from_str::<SquishPattern>(&text).expect_err(&text);
+            assert!(refusal.to_string().contains(why), "{text}: {refusal}");
+        }
+        let sound = SquishPattern::new(Topology::filled(1, 2, true), vec![5, 5], vec![3]);
+        assert_eq!(
+            serde_json::from_str::<SquishPattern>(&text("5,5", "3")).expect("reads"),
+            sound
+        );
+        assert_eq!(
+            serde_json::to_string(&Packed(&sound)).expect("serializes"),
+            text("5,5", "3").replace(
+                r#""rows":1,"cols":2,"packed":"c""#,
+                r#""cols":2,"packed":"c","rows":1"#
+            )
+        );
     }
 
     #[test]

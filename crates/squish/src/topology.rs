@@ -1,13 +1,15 @@
 //! Binary topology matrices.
 
 use crate::Region;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
 /// The most cells the topologies one request asks for may total, 4 Mi.
-/// A topology travels as `{"bits":[…]}`, two bytes a cell, and a reply
-/// line is capped at 8 MiB (`cp_net::DEFAULT_MAX_LINE_BYTES`), so more
-/// could not be delivered at all. Sizes arrive off the wire and out of
-/// natural language: whoever receives one holds it against this before
+/// A reply carries a topology as `{"bits":[…]}`, two bytes a cell, and
+/// a reply line is capped at 8 MiB (`cp_net::DEFAULT_MAX_LINE_BYTES`),
+/// so more could not be delivered at all — a request may spell its own
+/// topologies packed, a quarter of a byte a cell, but what it asks for
+/// comes back as `bits`. Sizes arrive off the wire and out of natural
+/// language: whoever receives one holds it against this before
 /// `rows × cols` is computed unchecked, let alone allocated. The
 /// paper's largest target, an 8× extension to 1024 × 1024, is a
 /// quarter of it.
@@ -36,7 +38,20 @@ pub fn fits_one_request(rows: usize, cols: usize, count: usize) -> bool {
 /// assert!(t.get(1, 2));
 /// assert_eq!(t.count_ones(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// # Text forms
+///
+/// A topology is written as `{"bits":[0,1,…],"cols":C,"rows":R}`, one
+/// number a cell, row-major: the form of every request key, reply and
+/// pinned digest. It is read from that or from the packed form
+/// [`Packed`] writes, `{"cols":C,"packed":"…","rows":R}`: `R·⌈C/4⌉`
+/// lower-case hex digits, row-major, every row starting on a digit, a
+/// digit's most significant bit its leftmost cell, the unused low bits
+/// of a row's last digit zero. Whichever it reads, the reader refuses
+/// what the constructors would (an empty matrix, cells that are not
+/// `rows × cols` many or not 0 or 1) and what only text can get wrong
+/// (both forms or neither, a digit that is not one, a set pad bit).
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Topology {
     rows: usize,
     cols: usize,
@@ -94,7 +109,7 @@ impl Topology {
             rows.checked_mul(cols),
             "one byte per cell"
         );
-        assert!(bits.iter().all(|&bit| bit <= 1), "cell bytes are 0 or 1");
+        assert!(cells_are_binary(&bits), "cell bytes are 0 or 1");
         Topology { rows, cols, bits }
     }
 
@@ -347,6 +362,150 @@ impl Topology {
     }
 }
 
+/// Whether every byte is 0 or 1. An OR over the whole slice, not a
+/// search for the first offender: this runs on every cell a sampler
+/// step or a request line produces, and only a loop that cannot stop
+/// early vectorises.
+fn cells_are_binary(bits: &[u8]) -> bool {
+    bits.iter().fold(0, |seen, &bit| seen | bit) <= 1
+}
+
+/// Writes the topology it borrows — a [`Topology`], or the one inside a
+/// [`crate::SquishPattern`] — in the packed form (one bit a cell; the
+/// grammar is in [`Topology`]'s docs) and everything else about the
+/// value as the value itself would. Session snapshots are written
+/// through it; requests may be.
+///
+/// ```
+/// use cp_squish::{Packed, Topology};
+/// let t = Topology::from_ascii("#.#.#\n.....");
+/// let text = serde_json::to_string(&Packed(&t)).unwrap();
+/// assert_eq!(text, r#"{"cols":5,"packed":"a800","rows":2}"#);
+/// assert_eq!(serde_json::from_str::<Topology>(&text).unwrap(), t);
+/// ```
+#[derive(Debug)]
+pub struct Packed<'a, T>(pub &'a T);
+
+impl Serialize for Packed<'_, Topology> {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let Topology { rows, cols, bits } = self.0;
+        let mut digits = Vec::with_capacity(rows * cols.div_ceil(4));
+        for row in bits.chunks_exact(*cols) {
+            let quads = row.chunks_exact(4);
+            let tail = quads.remainder();
+            digits.extend(quads.map(|quad| {
+                HEX[usize::from(quad[0] << 3 | quad[1] << 2 | quad[2] << 1 | quad[3])]
+            }));
+            if !tail.is_empty() {
+                let cells = tail.iter().fold(0, |cells, &cell| cells << 1 | cell);
+                digits.push(HEX[usize::from(cells << (4 - tail.len()))]);
+            }
+        }
+        s.map_begin();
+        s.map_key("cols");
+        cols.serialize(s);
+        s.map_key("packed");
+        s.str(std::str::from_utf8(&digits).expect("hex digits are ASCII"));
+        s.map_key("rows");
+        rows.serialize(s);
+        s.map_end();
+    }
+}
+
+/// What a topology's text may hold, before any of it is believed:
+/// the shape and the cells in one of the two forms.
+#[derive(Deserialize)]
+struct TopologyText {
+    rows: usize,
+    cols: usize,
+    bits: Option<Vec<u8>>,
+    packed: Option<String>,
+}
+
+/// The one reader of both forms. Text comes from outside the program,
+/// so nothing is allocated from `rows` or `cols` until the cells that
+/// came with them have been counted against them.
+impl Deserialize for Topology {
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Topology, Error> {
+        let refuse = |what: &str| Err(Error::custom(format!("topology: {what}")));
+        let TopologyText {
+            rows,
+            cols,
+            bits,
+            packed,
+        } = TopologyText::deserialize(d)?;
+        if rows == 0 || cols == 0 {
+            return refuse("rows and cols are at least 1");
+        }
+        let Some(cells) = rows.checked_mul(cols) else {
+            return refuse("rows x cols overflows");
+        };
+        let bits = match (bits, packed) {
+            (Some(bits), None) => {
+                if bits.len() != cells {
+                    return refuse("bits is not rows x cols long");
+                }
+                if !cells_are_binary(&bits) {
+                    return refuse("a bits entry is neither 0 nor 1");
+                }
+                bits
+            }
+            (None, Some(packed)) => {
+                if packed.len() != rows * cols.div_ceil(4) {
+                    return refuse("packed is not rows x ceil(cols / 4) digits long");
+                }
+                let mut bits = vec![0; cells];
+                // Every digit's value ORed together (0xff for what is
+                // not a digit), and every pad bit.
+                let (mut seen, mut pad) = (0u8, 0u8);
+                let digit_rows = packed.as_bytes().chunks_exact(cols.div_ceil(4));
+                for (row, digits) in bits.chunks_exact_mut(cols).zip(digit_rows) {
+                    let mut quads = row.chunks_exact_mut(4);
+                    for (quad, &digit) in quads.by_ref().zip(digits) {
+                        let value = hex_value(digit);
+                        seen |= value;
+                        quad.copy_from_slice(&[
+                            value >> 3 & 1,
+                            value >> 2 & 1,
+                            value >> 1 & 1,
+                            value & 1,
+                        ]);
+                    }
+                    let tail = quads.into_remainder();
+                    if !tail.is_empty() {
+                        let value = hex_value(digits[cols / 4]);
+                        seen |= value;
+                        pad |= value & (0xf >> tail.len());
+                        for (at, cell) in tail.iter_mut().enumerate() {
+                            *cell = value >> (3 - at) & 1;
+                        }
+                    }
+                }
+                if seen > 0xf {
+                    return refuse("packed holds something other than 0-9 and a-f");
+                }
+                if pad != 0 {
+                    return refuse("packed has a bit set past the last column of a row");
+                }
+                bits
+            }
+            (Some(_), Some(_)) => return refuse("both bits and packed are given"),
+            (None, None) => return refuse("neither bits nor packed is given"),
+        };
+        Ok(Topology { rows, cols, bits })
+    }
+}
+
+/// The value of a lower-case hex digit; 0xff for any other byte.
+fn hex_value(digit: u8) -> u8 {
+    match digit {
+        b'0'..=b'9' => digit - b'0',
+        b'a'..=b'f' => digit - b'a' + 10,
+        _ => 0xff,
+    }
+}
+
 /// Maximal runs of `true` over a boolean sequence: `(start, end)` inclusive.
 fn runs(seq: impl Iterator<Item = bool>) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
@@ -419,6 +578,82 @@ mod tests {
     #[should_panic(expected = "0 or 1")]
     fn from_bytes_refuses_a_byte_that_is_not_a_cell() {
         let _ = Topology::from_bytes(1, 2, vec![1, 2]);
+    }
+
+    /// The check is an OR over the slice: it has to see an offender
+    /// wherever it sits, whatever it is (0x80 and 0xff have the bit a
+    /// signed compare would miss), in the scalar tail as in the vector
+    /// body.
+    #[test]
+    fn from_bytes_refuses_a_bad_byte_wherever_it_sits() {
+        for len in [1, 31, 32, 33, 16_384] {
+            for at in [0, len / 2, len - 1] {
+                for bad in [2, 0x80, 0xff] {
+                    let mut bits = vec![1; len];
+                    bits[at] = bad;
+                    let panic = std::panic::catch_unwind(|| Topology::from_bytes(1, len, bits))
+                        .expect_err("refused");
+                    let message = panic.downcast_ref::<&str>().expect("a literal message");
+                    assert_eq!(*message, "cell bytes are 0 or 1", "{bad} at {at} of {len}");
+                }
+            }
+            let _ = Topology::from_bytes(len, 1, vec![1; len]);
+        }
+    }
+
+    #[test]
+    fn the_reader_refuses_what_the_constructors_would() {
+        for (text, why) in [
+            (
+                r#"{"rows":4,"cols":4,"bits":[1,1,0]}"#,
+                "bits is not rows x cols long",
+            ),
+            (r#"{"rows":2,"cols":2,"bits":[1,2,7,0]}"#, "neither 0 nor 1"),
+            (r#"{"rows":0,"cols":0,"bits":[]}"#, "at least 1"),
+            (r#"{"rows":1,"cols":0,"packed":""}"#, "at least 1"),
+            (
+                r#"{"rows":3000000,"cols":3000000,"packed":""}"#,
+                "digits long",
+            ),
+            (
+                r#"{"rows":3000000,"cols":3000000,"bits":[]}"#,
+                "bits is not rows x cols long",
+            ),
+            (
+                r#"{"rows":4294967296,"cols":4294967296,"packed":""}"#,
+                "overflows",
+            ),
+            (r#"{"rows":1,"cols":5,"packed":"a"}"#, "digits long"),
+            (
+                r#"{"rows":1,"cols":4,"packed":"a","bits":[1,0,1,0]}"#,
+                "both bits and packed",
+            ),
+            (r#"{"rows":1,"cols":4}"#, "neither bits nor packed"),
+            (
+                r#"{"rows":1,"cols":4,"packed":"A"}"#,
+                "other than 0-9 and a-f",
+            ),
+            (
+                r#"{"rows":2,"cols":4,"packed":"a "}"#,
+                "other than 0-9 and a-f",
+            ),
+            (
+                r#"{"rows":1,"cols":3,"packed":"1"}"#,
+                "past the last column",
+            ),
+            (
+                r#"{"rows":2,"cols":5,"packed":"00f4"}"#,
+                "past the last column",
+            ),
+            (r#"{"cols":4,"packed":"a"}"#, "expected number, found null"),
+        ] {
+            let refusal = serde_json::from_str::<Topology>(text).expect_err(text);
+            assert!(refusal.to_string().contains(why), "{text}: {refusal}");
+        }
+        // Keys in any order, unknown ones skipped, as the derive read.
+        let read: Topology =
+            serde_json::from_str(r#"{"packed":"a8f8","note":7,"rows":2,"cols":5}"#).expect("reads");
+        assert_eq!(read, Topology::from_ascii("#.#.#\n#####"));
     }
 
     #[test]

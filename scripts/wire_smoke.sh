@@ -2,14 +2,17 @@
 # End-to-end wire smoke test: pipe the checked-in JSONL request file
 # through chatpattern-serve and assert that (a) every output line is
 # valid JSON with a non-null id and an Ok/Err outcome, (b) the set
-# of response ids exactly matches the set of request ids, (c) a
+# of response ids exactly matches the set of request ids, a packed
+# Legalize answers as its `bits` twin does and a malformed topology is
+# a typed refusal, (c) a
 # burst of duplicate requests performs exactly one backend execution
 # while still answering every id, (d) an interactive session
 # round-trips (open, turns, close, typed error on the closed id),
-# (e) with --session-dir capacity eviction spills and rehydrates
-# (while a *closed* id stays SessionNotFound), and (f) a session
-# snapshot exported from one serve process restores into another and
-# the conversation continues (cross-process handoff), (g) the TCP
+# (e) with --session-dir capacity eviction spills (a format-3 file,
+# topologies packed) and rehydrates (while a *closed* id stays
+# SessionNotFound), and (f) a session snapshot exported from one serve
+# process (format 3 again) restores into another and the conversation
+# continues (cross-process handoff), (g) the TCP
 # transport (`--listen`) answers the same fixture payload-identical to
 # stdio and flushes --stats, connection counters included, on client
 # disconnect, (h) a 2-worker
@@ -47,7 +50,18 @@ if [ "$WANT" != "$GOT" ]; then
     exit 1
 fi
 
-echo "wire smoke OK: $(echo "$OUT" | wc -l | tr -d ' ') responses, ids all matched"
+# The fixture spells one Legalize twice, r6 as `bits` and r10 packed:
+# one request, so one payload. r11's `bits` is short of rows x cols:
+# refused by the line decoder under its own id, not by a worker panic.
+[ "$(echo "$OUT" | jq -c 'select(.id == "r10") | .outcome.Ok.payload')" = \
+  "$(echo "$OUT" | jq -c 'select(.id == "r6") | .outcome.Ok.payload')" ] \
+    && echo "$OUT" | jq -es 'any(.[]; .id == "r6" and (.outcome.Ok.payload | has("Legalize")))' > /dev/null \
+    || { echo "wire smoke FAILED: the packed Legalize (r10) and its bits twin (r6) disagree" >&2; exit 1; }
+echo "$OUT" | jq -es 'any(.[]; .id == "r11" and .outcome.Err.kind == "InvalidRequest"
+    and (.outcome.Err.message | contains("bits is not rows x cols long")))' > /dev/null \
+    || { echo "wire smoke FAILED: the short-bits Legalize (r11) is not a typed InvalidRequest" >&2; exit 1; }
+
+echo "wire smoke OK: $(echo "$OUT" | wc -l | tr -d ' ') responses, ids all matched, packed = bits, short bits refused"
 
 # (c) Coalescing burst: N identical requests under distinct ids must
 # produce exactly one backend execution (cache_misses=1 for the single
@@ -167,6 +181,11 @@ echo "$SESSION_REPLY" | jq -e '.outcome.Ok.payload.SessionTurn.turn == 1' > /dev
 session_exchange '{"id":"d-open2","request":{"SessionOpen":{"session":"second","seed":8}}}'
 echo "$SESSION_REPLY" | jq -e '.outcome | has("Ok")' > /dev/null \
     || session_fail "second open errored"
+# What now rests on disk is format 3: its topology packed, not `bits`.
+SPILL_FILE=$(find "$SESS_DIR/spill" -name 'first.session.json')
+{ grep -q '"format":3' "$SPILL_FILE" && grep -q '"packed":"' "$SPILL_FILE" \
+    && ! grep -q '"bits"' "$SPILL_FILE"; } \
+    || session_fail "the spilled file is not a packed format-3 snapshot"
 session_exchange '{"id":"d-t2","request":{"SessionTurn":{"session":"first","utterance":"1 more pattern."}}}'
 echo "$SESSION_REPLY" | jq -e '.outcome.Ok.payload.SessionTurn.turn == 2' > /dev/null \
     || session_fail "turn on the spilled (evicted) id must rehydrate and report turn 2"
@@ -212,6 +231,11 @@ echo "$SESSION_REPLY" | jq -e '.outcome.Ok.payload.SessionTurn.turn == 1' > /dev
 session_exchange '{"id":"h-snap","request":{"SessionSnapshot":{"session":"hand"}}}'
 SNAPSHOT=$(echo "$SESSION_REPLY" | jq -ce '.outcome.Ok.payload.SessionSnapshot') \
     || session_fail "snapshot export errored"
+case "$SNAPSHOT" in
+    *'"bits"'*) session_fail "the exported snapshot spells a topology as bits" ;;
+    *'"packed":"'*'"format":3'*) ;;
+    *) session_fail "the exported snapshot is not a packed format-3 snapshot" ;;
+esac
 exec 3>&- 4<&-
 kill -9 "$SERVE_PID" 2> /dev/null || true
 wait "$SERVE_PID" 2> /dev/null || true

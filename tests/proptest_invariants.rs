@@ -1773,7 +1773,9 @@ fn arb_wire_case(rng: &mut ChaCha8Rng) -> WireCase {
 
 /// Every request kind next to a real reply to it, made once on a small
 /// system; the session kinds run as one dialog so the snapshot is a
-/// real one (kept at format 2, compacted, and rewritten as format 1).
+/// real one (kept at format 3, compacted, and relabelled as formats 2
+/// and 1 — what those formats' own files hold, topologies spelled as
+/// `bits`, is `tests/session_durability.rs`'s fixture).
 fn recorded_exchanges() -> Vec<(PatternRequest, chatpattern::PatternResponse)> {
     use chatpattern::extend::ExtensionMethod;
     use chatpattern::squish::Region;
@@ -1877,12 +1879,16 @@ fn recorded_exchanges() -> Vec<(PatternRequest, chatpattern::PatternResponse)> {
         compacted.compact(2) > 0,
         "three turns leave something to drop"
     );
+    let previous = chatpattern::SessionSnapshot {
+        format: 2,
+        ..compacted.clone()
+    };
     let legacy = chatpattern::SessionSnapshot {
         format: 1,
         compaction: None,
         ..snapshot
     };
-    for snapshot in [compacted, legacy] {
+    for snapshot in [compacted, previous, legacy] {
         let restore = PatternRequest::SessionRestore(SessionRestoreParams {
             snapshot: Box::new(snapshot.clone()),
         });
@@ -1894,7 +1900,7 @@ fn recorded_exchanges() -> Vec<(PatternRequest, chatpattern::PatternResponse)> {
             .expect("exports");
         system.session_close(&session()).expect("closes");
         exchanges.push((restore, response));
-        // The reply side of both formats: the restored session's own
+        // The reply side of every format: the restored session's own
         // export and the snapshot that went in.
         exchanges.push((
             PatternRequest::SessionSnapshot(SessionSnapshotParams { session: session() }),
@@ -2043,11 +2049,10 @@ fn codec_routes_agree_on_every_wire_and_snapshot_type() {
         })
         .collect();
     assert!(
-        formats.contains(&(1, false))
-            && formats
-                .iter()
-                .any(|(format, compacted)| *format == 2 && *compacted),
-        "both snapshot formats are in the recording: {formats:?}"
+        [(1, false), (2, true), (3, true), (3, false)]
+            .iter()
+            .all(|format| formats.contains(format)),
+        "every snapshot format is in the recording: {formats:?}"
     );
 
     shrink::check(
@@ -2058,4 +2063,191 @@ fn codec_routes_agree_on_every_wire_and_snapshot_type() {
         |_| Vec::new(),
         |case| check_wire_case(&exchanges, case),
     );
+}
+
+// ---------------------------------------------------------------------
+// The two text forms of a topology, and the snapshot that rests packed
+// ---------------------------------------------------------------------
+
+/// A topology's `bits` text is the parent build's bytes, its packed
+/// text is the grammar spelled out cell by cell, both read back to the
+/// value by either route, and a request is the same request whichever
+/// its client wrote.
+fn check_topology_texts(topology: &Topology) -> Result<(), String> {
+    use chatpattern::core::wire::decode_request_line;
+    use chatpattern::squish::Packed;
+
+    let (rows, cols) = topology.shape();
+    let cell = |r: usize, c: usize| u32::from(c < cols && topology.get(r, c));
+    let cells: Vec<String> = topology
+        .iter()
+        .map(|(_, _, set)| u8::from(set).to_string())
+        .collect();
+    let bits_text = format!(
+        r#"{{"bits":[{}],"cols":{cols},"rows":{rows}}}"#,
+        cells.join(",")
+    );
+    let digits: String = (0..rows)
+        .flat_map(|r| (0..cols.div_ceil(4)).map(move |d| (r, 4 * d)))
+        .map(|(r, c)| {
+            let value =
+                cell(r, c) << 3 | cell(r, c + 1) << 2 | cell(r, c + 2) << 1 | cell(r, c + 3);
+            char::from_digit(value, 16).expect("four bits")
+        })
+        .collect();
+    if digits.len() != rows * cols.div_ceil(4) {
+        return Err(format!("{} digits for {rows}x{cols}", digits.len()));
+    }
+    let packed_text = format!(r#"{{"cols":{cols},"packed":"{digits}","rows":{rows}}}"#);
+
+    let written = serde_json::to_string(topology).map_err(|e| e.to_string())?;
+    if written != bits_text {
+        return Err(format!(
+            "written as {written}, the parent wrote {bits_text}"
+        ));
+    }
+    codec_round_trips(topology)?;
+    let written = serde_json::to_string(&Packed(topology)).map_err(|e| e.to_string())?;
+    if written != packed_text {
+        return Err(format!(
+            "packed as {written}, the grammar says {packed_text}"
+        ));
+    }
+    let tree = serde_json::to_value(&Packed(topology));
+    let tree_text = tree.to_string();
+    if tree_text != packed_text {
+        return Err(format!("packed as a tree: {tree_text}"));
+    }
+    for (route, read) in [
+        ("text", serde_json::from_str::<Topology>(&packed_text)),
+        ("tree", serde_json::from_value::<Topology>(&tree)),
+    ] {
+        if read.as_ref() != Ok(topology) {
+            return Err(format!("{packed_text} read as {route}: {read:?}"));
+        }
+    }
+
+    let mut keys = Vec::new();
+    for text in [&packed_text, &bits_text] {
+        let line = format!(
+            r#"{{"id":1,"request":{{"Legalize":{{"topology":{text},"width_nm":2048,"height_nm":2048,"seed":5}}}}}}"#
+        );
+        let envelope = decode_request_line(&line).map_err(|(_, e)| e.to_string())?;
+        keys.push(chatpattern::core::routing::request_key(&envelope.request));
+    }
+    if keys[0].is_none() || keys[0] != keys[1] {
+        return Err(format!("one request, two keys: {keys:?}"));
+    }
+    Ok(())
+}
+
+#[test]
+fn packed_and_bits_texts_of_a_topology_are_one_value_and_one_request_key() {
+    // The edges of the grammar by name (a single cell, a single row, a
+    // single column, each remainder of cols / 4, rows wider than one
+    // vector and not a multiple of anything, the benchmark's window),
+    // then shapes drawn at random.
+    let shapes = [
+        (1, 1),
+        (1, 37),
+        (29, 1),
+        (5, 9),
+        (6, 10),
+        (7, 11),
+        (3, 4),
+        (130, 67),
+        (128, 128),
+    ];
+    for (at, (rows, cols)) in shapes.into_iter().enumerate() {
+        shrink::check(
+            "packed_and_bits_texts_of_a_topology_are_one_value_and_one_request_key",
+            6,
+            16_000 + 10 * at as u64,
+            |rng| Topology::from_fn(rows, cols, |_, _| rng.gen()),
+            shrink_topology,
+            check_topology_texts,
+        );
+    }
+    shrink::check(
+        "packed_and_bits_texts_of_a_topology_are_one_value_and_one_request_key",
+        CASES,
+        16_500,
+        |rng| {
+            let (rows, cols) = (rng.gen_range(1..24), rng.gen_range(1..24));
+            Topology::from_fn(rows, cols, |_, _| rng.gen_range(0..3) == 0)
+        },
+        shrink_topology,
+        check_topology_texts,
+    );
+}
+
+/// A dialog caught with work in its store: one pattern whose
+/// legalization failed (topology, failure count, failure region) and
+/// one legalized but not yet saved, beside a library of three.
+#[test]
+fn a_snapshot_with_a_working_store_rests_packed_and_restores_equal() {
+    use chatpattern::agent::tools::StoredPattern;
+
+    let system = ChatPattern::builder()
+        .window(16)
+        .training_patterns(8)
+        .diffusion_steps(6)
+        .seed(5)
+        .build()
+        .expect("valid configuration");
+    system.session_open("store", Some(8)).expect("opens");
+    for utterance in [
+        "Generate 2 patterns, topology size 16*16, physical size 512nm x 512nm, style Layer-10003.",
+        "1 more pattern.",
+    ] {
+        system.session_turn("store", utterance).expect("turn runs");
+    }
+    let mut snapshot = system.session_snapshot("store").expect("exports");
+    system.session_close("store").expect("closes");
+    assert_eq!(snapshot.agent.context.library.len(), 3);
+
+    let mut working = system
+        .generate(Style::Layer10001, 16, 11, 2, 12)
+        .expect("generates");
+    let cramped = working.remove(0);
+    let Err(Error::Legalize(failure)) = system.legalize(&cramped, 40, 40, 1) else {
+        panic!("16 columns do not fit 40 nm");
+    };
+    let roomy = working.remove(0);
+    let legal = system.legalize(&roomy, 2048, 2048, 1).expect("legalizes");
+    let context = &mut snapshot.agent.context;
+    let first = context.next_id;
+    context.store = vec![
+        (
+            first,
+            StoredPattern {
+                topology: cramped,
+                style: Some(0),
+                legal: None,
+                failures: 1,
+                last_failure_region: Some(failure.region),
+            },
+        ),
+        (
+            first + 1,
+            StoredPattern {
+                topology: roomy,
+                style: None,
+                legal: Some(legal),
+                failures: 0,
+                last_failure_region: None,
+            },
+        ),
+    ];
+    context.next_id = first + 2;
+
+    let text = serde_json::to_string(&snapshot).expect("serializes");
+    assert!(text.starts_with(r#"{"agent":"#) && text.contains(r#""format":3"#));
+    assert_eq!(text.matches(r#""packed":""#).count(), 6, "{text}");
+    assert!(!text.contains(r#""bits""#), "{text}");
+    codec_round_trips(&snapshot).expect("both routes, and back to itself");
+
+    let read: chatpattern::SessionSnapshot = serde_json::from_str(&text).expect("parses");
+    system.session_restore(read).expect("restores");
+    assert_eq!(system.session_snapshot("store").expect("exports"), snapshot);
 }

@@ -362,6 +362,54 @@ fn three_worker_fleet_keeps_sessions_and_keys_worker_local() {
     fleet.shutdown();
 }
 
+/// The fleet half of `tests/wire.rs::
+/// a_packed_request_and_its_bits_twin_are_one_execution`: shard
+/// placement hangs off the request key, and the key does not depend on
+/// how the client spelled its topology — the packed line and its
+/// `bits` twin reach the same worker, whose cache answers the second.
+#[test]
+fn a_packed_request_and_its_bits_twin_land_on_one_worker() {
+    let mut fleet = RouterFleet::spawn(2, &[]);
+    let completed = |fleet: &mut RouterFleet| -> Vec<u64> {
+        let view = fleet.control(r#"{"id":"fleet","control":"Fleet"}"#);
+        let workers = view["control"]["Fleet"]["workers"]
+            .as_array()
+            .expect("workers");
+        workers
+            .iter()
+            .map(|worker| worker["stats"]["completed"].as_u64().expect("completed"))
+            .collect()
+    };
+    let mut counts = vec![completed(&mut fleet)];
+    assert_eq!(counts[0], [0, 0]);
+    let mut payloads = Vec::new();
+    for (id, topology) in [
+        ("packed", r#"{"rows":3,"cols":6,"packed":"f8cc84"}"#),
+        (
+            "bits",
+            r#"{"rows":3,"cols":6,"bits":[1,1,1,1,1,0,1,1,0,0,1,1,1,0,0,0,0,1]}"#,
+        ),
+    ] {
+        let reply = fleet.control(&format!(
+            r#"{{"id":"{id}","request":{{"Legalize":{{"topology":{topology},"width_nm":2048,"height_nm":2048,"seed":1}}}}}}"#
+        ));
+        let payload = &reply["outcome"]["Ok"]["payload"];
+        assert!(payload.get("Legalize").is_some(), "{id}: {reply}");
+        payloads.push(payload.to_string());
+        counts.push(completed(&mut fleet));
+    }
+    assert_eq!(payloads[0], payloads[1]);
+    let served = counts[1].iter().position(|&count| count == 1).expect("one");
+    assert_eq!(counts[1].iter().sum::<u64>(), 1, "{counts:?}");
+    assert_eq!(counts[2][served], 2, "{counts:?}");
+    assert_eq!(counts[2].iter().sum::<u64>(), 2, "{counts:?}");
+    let ResponsePayload::Stats(stats) = fleet.expect_ok("stats", PatternRequest::Stats) else {
+        panic!("wrong payload for Stats");
+    };
+    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1), "{stats:?}");
+    fleet.shutdown();
+}
+
 #[test]
 fn the_line_cap_is_answered_under_the_clients_id_and_sits_above_the_old_one() {
     let mut fleet = RouterFleet::spawn(1, &[]);

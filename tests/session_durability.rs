@@ -915,32 +915,44 @@ fn snapshot_restore_errors_are_typed() {
         .session_restore(snapshot)
         .expect_err("corrupt RNG state must be rejected");
     assert!(matches!(err, Error::SessionPersist { .. }), "{err:?}");
+    // Restore of a snapshot from a build that does not exist yet.
+    system.session_open("t", Some(1)).expect("opens");
+    let mut snapshot = system.session_snapshot("t").expect("exports");
+    let _ = system.session_close("t").expect("closes");
+    assert_eq!(snapshot.format, 3);
+    snapshot.format = 4;
+    let err = system
+        .session_restore(snapshot)
+        .expect_err("a format this build has not heard of is refused, not guessed at");
+    assert!(matches!(err, Error::SessionPersist { .. }), "{err:?}");
+    assert!(
+        err.to_string()
+            .contains("unknown session snapshot format 4 (this build reads formats 1..=3)"),
+        "{err}"
+    );
 }
 
-/// A snapshot the previous build's `chatpattern-serve` spilled
+/// A snapshot a format-2 build's `chatpattern-serve` spilled
 /// (`--window 16 --training-patterns 8 --diffusion-steps 6 --seed 7
 /// --spill-ahead-turns 1`, session seed 21, two turns, the second with
 /// quotes and a non-ASCII letter in it) — written by the value-tree
-/// codec, before the streaming one existed.
+/// codec, before the streaming one existed, every topology spelled as
+/// `bits`.
 const PARENT_SPILLED: &str = include_str!("data/parent_spilled.session.json");
 
-/// The on-disk format did not move with the codec: the old build's
-/// file reads back and re-spills to the same bytes, and the session
-/// resumes here exactly as it resumed there — turn 3's outcome and the
-/// file after it are the ones that build produced over the same file
-/// (FNV-1a of its reply line's payload and of its directory, recorded
-/// when the fixture was made).
+/// Old files keep working: the format-2 file reads back, and the
+/// session resumes here exactly as it resumed in the build that wrote
+/// it — turn 3's outcome is the one that build produced over the same
+/// file (FNV-1a of its reply line's payload, recorded when the fixture
+/// was made). What spill-ahead then leaves in its place is a format-3
+/// file: the same session, every topology packed.
 #[test]
-fn snapshot_spilled_by_the_previous_build_restores_and_respills_identically() {
+fn snapshot_spilled_by_a_previous_build_restores_and_respills_as_format_3() {
     use chatpattern::core::routing::route_hash;
 
     let snapshot: SessionSnapshot = serde_json::from_str(PARENT_SPILLED).expect("old file reads");
-    assert_eq!(snapshot.session, "handoff");
-    assert_eq!(
-        serde_json::to_string(&snapshot).expect("serializes"),
-        PARENT_SPILLED,
-        "a re-spill must not move a byte"
-    );
+    assert_eq!((snapshot.format, snapshot.session.as_str()), (2, "handoff"));
+    assert_eq!(PARENT_SPILLED.matches(r#""bits""#).count(), 3);
 
     let dir = temp_dir("parent-spill");
     let file = dir.join("handoff.session.json");
@@ -964,11 +976,102 @@ fn snapshot_spilled_by_the_previous_build_restores_and_respills_identically() {
         "turn 3 differs from the previous build's"
     );
     let respilled = std::fs::read_to_string(&file).expect("spill-ahead rewrote the file");
+    assert!(respilled.contains(r#""format":3"#), "{respilled}");
+    assert_eq!(respilled.matches(r#""packed":""#).count(), 4, "{respilled}");
+    assert!(!respilled.contains(r#""bits""#), "{respilled}");
     assert_eq!(
         (respilled.len(), route_hash(&respilled)),
-        (8177, 0xf631_a5bb_a955_189a),
-        "the file after turn 3 differs from the previous build's"
+        (6397, 0x3128_2d39_70ca_8219),
+        "the file after turn 3 moved"
     );
+    // The file is the live session's state, as the persist path
+    // compacts it.
+    let mut live = system.session_snapshot("handoff").expect("exports");
+    live.compact(chatpattern::core::SNAPSHOT_TRANSCRIPT_TAIL);
+    let read: SessionSnapshot = serde_json::from_str(&respilled).expect("new file reads");
+    assert_eq!(read, live);
     drop(system);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What format 3 is for, at a size where it shows: an 8-pattern library
+/// of 64 x 64 topologies. The whole session — transcript, policy,
+/// knowledge, RNG, library — rests in under a third of the bytes the
+/// library alone takes in a reply, and the snapshot one serve process
+/// exports resumes in another byte-identically to the uninterrupted
+/// dialog, as the `bits` snapshots did.
+#[test]
+fn a_window_64_session_rests_at_a_third_of_its_library_and_hands_off() {
+    const OPENING: &str = "Generate 8 patterns, topology size 64*64, physical size \
+                           2048nm x 2048nm, style Layer-10003.";
+    let turn = |session: &str, utterance: &str| {
+        PatternRequest::SessionTurn(SessionTurnParams {
+            session: session.into(),
+            utterance: utterance.into(),
+        })
+    };
+    let mut serve_a = ServeClient::spawn(&["--window", "64"]);
+    serve_a.expect_ok(
+        "o",
+        PatternRequest::SessionOpen(SessionOpenParams {
+            session: "wide".into(),
+            seed: Some(SEED),
+        }),
+    );
+    let ResponsePayload::SessionTurn(opening) = serve_a.expect_ok("t0", turn("wide", OPENING))
+    else {
+        panic!("wrong payload");
+    };
+    assert_eq!(opening.library.len(), 8);
+    let ResponsePayload::SessionSnapshot(snapshot) = serve_a.expect_ok(
+        "snap",
+        PatternRequest::SessionSnapshot(SessionSnapshotParams {
+            session: "wide".into(),
+        }),
+    ) else {
+        panic!("wrong payload");
+    };
+    serve_a.kill();
+
+    let at_rest = serde_json::to_string(&snapshot).expect("serializes");
+    let in_a_reply = serde_json::to_string(&opening.library).expect("serializes");
+    assert!(!at_rest.contains(r#""bits""#));
+    assert!(
+        3 * at_rest.len() < in_a_reply.len(),
+        "a {} B snapshot of a {} B library",
+        at_rest.len(),
+        in_a_reply.len()
+    );
+
+    let mut serve_b = ServeClient::spawn(&["--window", "64"]);
+    serve_b.expect_ok(
+        "restore",
+        PatternRequest::SessionRestore(SessionRestoreParams { snapshot }),
+    );
+    serve_b.expect_ok("t1", turn("wide", TURNS[2]));
+    let closed = serve_b.expect_ok(
+        "c",
+        PatternRequest::SessionClose(SessionCloseParams {
+            session: "wide".into(),
+        }),
+    );
+    serve_b.shutdown();
+
+    let system = ChatPattern::builder()
+        .window(64)
+        .training_patterns(8)
+        .diffusion_steps(6)
+        .seed(3)
+        .build()
+        .expect("valid configuration");
+    system.session_open("wide", Some(SEED)).expect("opens");
+    for utterance in [OPENING, TURNS[2]] {
+        system.session_turn("wide", utterance).expect("turn runs");
+    }
+    let uninterrupted =
+        ResponsePayload::SessionClose(system.session_close("wide").expect("closes"));
+    assert_eq!(
+        serde_json::to_string(&closed).expect("serializes"),
+        serde_json::to_string(&uninterrupted).expect("serializes"),
+    );
 }

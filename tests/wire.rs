@@ -1,9 +1,10 @@
 //! End-to-end wire test: run the real `chatpattern-serve` binary over
 //! the checked-in smoke JSONL file (the same one CI pipes through it)
 //! and verify the protocol contract — every line parses as a
-//! [`ResponseEnvelope`], ids match the requests exactly, and the one
-//! deliberately invalid request (`r9`, a zero-row Generate) comes back
-//! as an `Err` outcome instead of killing the stream.
+//! [`ResponseEnvelope`], ids match the requests exactly, and the two
+//! deliberately invalid requests (`r9`, a zero-row Generate, and `r11`,
+//! a Legalize whose `bits` is short of `rows × cols`) come back as
+//! `Err` outcomes instead of killing the stream.
 
 use chatpattern::{ChatPattern, ResponseEnvelope, ResponsePayload, WireOutcome};
 use std::collections::BTreeMap;
@@ -257,11 +258,14 @@ fn serve_round_trips_the_smoke_file_with_matching_ids() {
         "every request id answered exactly once"
     );
 
-    // The deliberate bad request fails gracefully; everything else
+    // The deliberate bad requests fail gracefully; everything else
     // succeeds.
     for (id, ok) in &outcomes {
-        if id == "r9" {
-            assert!(!ok, "r9 is a zero-row Generate and must fail");
+        if id == "r9" || id == "r11" {
+            assert!(
+                !ok,
+                "{id} is a zero-row Generate or a short Legalize and must fail"
+            );
         } else {
             assert!(ok, "request {id} unexpectedly failed");
         }
@@ -273,26 +277,7 @@ fn serve_round_trips_the_smoke_file_with_matching_ids() {
 /// gets the bad-JSON envelope and the next request is served.
 #[test]
 fn deeply_nested_line_is_refused_on_stdio_and_serve_keeps_answering() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"))
-        .args([
-            "--window",
-            "16",
-            "--training-patterns",
-            "8",
-            "--diffusion-steps",
-            "6",
-            "--workers",
-            "1",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve binary starts");
-    let mut client = InteractiveClient {
-        stdin: child.stdin.take().expect("stdin piped"),
-        lines: BufReader::new(child.stdout.take().expect("stdout piped")).lines(),
-    };
+    let (mut child, mut client) = small_serve(Stdio::null());
     for bomb in ["[".repeat(200_000), "{\"request\":".repeat(20_000)] {
         let refused = client.exchange(&bomb);
         assert!(refused.id.is_null());
@@ -319,26 +304,7 @@ fn deeply_nested_line_is_refused_on_stdio_and_serve_keeps_answering() {
 /// and the connection keeps serving.
 #[test]
 fn oversize_targets_are_refused_under_their_id_and_serve_keeps_answering() {
-    let mut child = Command::new(SERVE)
-        .args([
-            "--window",
-            "16",
-            "--training-patterns",
-            "8",
-            "--diffusion-steps",
-            "6",
-            "--workers",
-            "1",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve binary starts");
-    let mut client = InteractiveClient {
-        stdin: child.stdin.take().expect("stdin piped"),
-        lines: BufReader::new(child.stdout.take().expect("stdout piped")).lines(),
-    };
+    let (mut child, mut client) = small_serve(Stdio::null());
     let generate = |id: &str, side: &str, count: usize| {
         format!(
             r#"{{"id":"{id}","request":{{"Generate":{{"style":"Layer10001","rows":{side},"cols":{side},"count":{count},"seed":1}}}}}}"#
@@ -371,6 +337,218 @@ fn oversize_targets_are_refused_under_their_id_and_serve_keeps_answering() {
     );
     assert_eq!(served.id.as_str(), Some("after"));
     assert!(matches!(served.outcome, WireOutcome::Ok(_)));
+    drop(client);
+    assert!(child.wait().expect("serve exits").success());
+}
+
+/// A small single-worker serve child and a strict client on its pipes.
+fn small_serve(stderr: Stdio) -> (std::process::Child, InteractiveClient) {
+    let mut child = Command::new(SERVE)
+        .args([
+            "--window",
+            "16",
+            "--training-patterns",
+            "8",
+            "--diffusion-steps",
+            "6",
+            "--workers",
+            "1",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(stderr)
+        .spawn()
+        .expect("serve binary starts");
+    let client = InteractiveClient {
+        stdin: child.stdin.take().expect("stdin piped"),
+        lines: BufReader::new(child.stdout.take().expect("stdout piped")).lines(),
+    };
+    (child, client)
+}
+
+fn legalize_line(id: &str, topology: &str) -> String {
+    format!(
+        r#"{{"id":"{id}","request":{{"Legalize":{{"topology":{topology},"width_nm":2048,"height_nm":2048,"seed":1}}}}}}"#
+    )
+}
+
+fn stats(client: &mut InteractiveClient) -> chatpattern::EngineStats {
+    let reply = client.exchange(r#"{"id":"stats","request":"Stats"}"#);
+    match reply.outcome {
+        WireOutcome::Ok(response) => match response.payload {
+            ResponsePayload::Stats(stats) => stats,
+            other => panic!("Stats answered with {other:?}"),
+        },
+        WireOutcome::Err(error) => panic!("Stats failed: {error:?}"),
+    }
+}
+
+/// A topology is checked by the reader that builds it. The derived
+/// reader believed whatever `rows`, `cols` and `bits` a line gave: a
+/// short `bits` panicked an engine worker three layers down (`Legalize`
+/// in the solver, `Evaluate` in the library statistics), cells of 2 and
+/// 7 were legalized, echoed back and cached, a 0 x 0 matrix answered
+/// `Ok`, and a restored snapshot put a pattern with 3 `dx` for 16
+/// columns into a live session's library. Each is now the line
+/// decoder's typed refusal under the line's own id: nothing reaches the
+/// engine, and the session id of a refused restore stays free.
+#[test]
+fn a_malformed_topology_is_refused_where_it_is_parsed() {
+    const TURN: &str = "Generate 1 pattern, topology size 16*16, physical size 512nm x 512nm, \
+                        style Layer-10001.";
+    let system = ChatPattern::builder()
+        .window(16)
+        .training_patterns(8)
+        .diffusion_steps(6)
+        .build()
+        .expect("valid configuration");
+    system.session_open("corrupt", Some(1)).expect("opens");
+    system.session_turn("corrupt", TURN).expect("turn runs");
+    let mut snapshot = system.session_snapshot("corrupt").expect("exports");
+    snapshot.agent.context.library.clear();
+    let snapshot = serde_json::to_string(&snapshot).expect("serializes");
+    let restore = |id: &str, dx: usize, dy: i64, cells: usize| {
+        let pattern = format!(
+            r#"{{"dx":[{}],"dy":[{}],"topology":{{"rows":16,"cols":16,"bits":[{}]}}}}"#,
+            vec!["32"; dx].join(","),
+            vec![dy.to_string(); 16].join(","),
+            vec!["1"; cells].join(","),
+        );
+        let snapshot = snapshot.replace(r#""library":[]"#, &format!(r#""library":[{pattern}]"#));
+        assert!(snapshot.contains(&pattern));
+        format!(r#"{{"id":"{id}","request":{{"SessionRestore":{{"snapshot":{snapshot}}}}}}}"#)
+    };
+
+    let (child, mut client) = small_serve(Stdio::piped());
+    let before = stats(&mut client);
+    let short = r#"{"rows":4,"cols":4,"bits":[1,1,0]}"#;
+    for (id, line, complaint) in [
+        (
+            "short",
+            legalize_line("short", short),
+            "bits is not rows x cols long",
+        ),
+        (
+            "short-evaluate",
+            format!(
+                r#"{{"id":"short-evaluate","request":{{"Evaluate":{{"topologies":[{short}],"frame_nm":2048,"seed":1}}}}}}"#
+            ),
+            "bits is not rows x cols long",
+        ),
+        (
+            "not-cells",
+            legalize_line("not-cells", r#"{"rows":2,"cols":2,"bits":[1,2,7,0]}"#),
+            "neither 0 nor 1",
+        ),
+        (
+            "empty",
+            legalize_line("empty", r#"{"rows":0,"cols":0,"bits":[]}"#),
+            "at least 1",
+        ),
+        (
+            "corrupt",
+            restore("corrupt", 3, -32, 7),
+            "topology: bits is not",
+        ),
+        (
+            "three-dx",
+            restore("three-dx", 3, 32, 256),
+            "dx is not cols long",
+        ),
+        (
+            "negative-dy",
+            restore("negative-dy", 16, -32, 256),
+            "not positive",
+        ),
+        (
+            "huge",
+            legalize_line("huge", r#"{"rows":3000000,"cols":3000000,"packed":""}"#),
+            "digits long",
+        ),
+        (
+            "both",
+            legalize_line(
+                "both",
+                r#"{"rows":1,"cols":4,"bits":[1,0,1,0],"packed":"a"}"#,
+            ),
+            "both bits and packed",
+        ),
+        (
+            "neither",
+            legalize_line("neither", r#"{"rows":1,"cols":4}"#),
+            "neither bits nor packed",
+        ),
+        (
+            "upper-case",
+            legalize_line("upper-case", r#"{"rows":1,"cols":4,"packed":"A"}"#),
+            "other than 0-9 and a-f",
+        ),
+        (
+            "pad-bit",
+            legalize_line("pad-bit", r#"{"rows":1,"cols":3,"packed":"1"}"#),
+            "past the last column",
+        ),
+    ] {
+        let refused = client.exchange(&line);
+        assert_eq!(refused.id.as_str(), Some(id));
+        let WireOutcome::Err(error) = refused.outcome else {
+            panic!("{id} must be refused");
+        };
+        assert_eq!(error.kind, "InvalidRequest", "{id}: {error:?}");
+        assert!(error.message.contains(complaint), "{id}: {error:?}");
+    }
+    assert_eq!(stats(&mut client), before, "nothing reached the engine");
+    // The refused restore left nothing behind under its id, and the
+    // same snapshot with a sound library is welcome.
+    let restored = client.exchange(&restore("sound", 16, 32, 256));
+    assert!(
+        matches!(restored.outcome, WireOutcome::Ok(_)),
+        "{restored:?}"
+    );
+    let turn = client.exchange(
+        r#"{"id":"turn","request":{"SessionTurn":{"session":"corrupt","utterance":"1 more pattern."}}}"#,
+    );
+    assert!(matches!(turn.outcome, WireOutcome::Ok(_)), "{turn:?}");
+    let after = stats(&mut client);
+    assert_eq!((after.failed, after.cancelled), (0, 0));
+
+    drop(client);
+    let output = child.wait_with_output().expect("serve exits");
+    assert!(output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// How a client spells a topology is not part of the request: the
+/// packed line and its `bits` twin are one cache entry (and so one
+/// shard — `tests/router.rs` sends the pair through a fleet), and the
+/// reply is spelled as replies are, `bits`, either way.
+#[test]
+fn a_packed_request_and_its_bits_twin_are_one_execution() {
+    let (mut child, mut client) = small_serve(Stdio::null());
+    let mut payloads = Vec::new();
+    for (id, topology) in [
+        ("packed", r#"{"rows":3,"cols":6,"packed":"f8cc84"}"#),
+        (
+            "bits",
+            r#"{"rows":3,"cols":6,"bits":[1,1,1,1,1,0, 1,1,0,0,1,1, 1,0,0,0,0,1]}"#,
+        ),
+    ] {
+        let reply = client.exchange(&legalize_line(id, topology));
+        let WireOutcome::Ok(response) = reply.outcome else {
+            panic!("{id} failed: {reply:?}");
+        };
+        assert_eq!(response.timing.cached, id == "bits");
+        payloads.push(serde_json::to_string(&response.payload).expect("serializes"));
+    }
+    assert_eq!(payloads[0], payloads[1]);
+    assert!(
+        payloads[0].contains(r#""bits":[1,1,1,1,1,0,1,1,0,0,1,1,1,0,0,0,0,1]"#),
+        "{}",
+        payloads[0]
+    );
+    let stats = stats(&mut client);
+    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1), "{stats:?}");
     drop(client);
     assert!(child.wait().expect("serve exits").success());
 }
