@@ -75,7 +75,7 @@ impl JobShared {
         })
     }
 
-    /// A job born finished (cache hits, inline completions).
+    /// A job born finished (cache hits, `Stats`).
     pub(crate) fn finished(result: Result<PatternResponse, Error>) -> Arc<JobShared> {
         Arc::new(JobShared {
             state: Mutex::new(JobState::Done {
@@ -206,15 +206,13 @@ struct TaskState {
     subscribers: Vec<Subscriber>,
 }
 
-/// One shared execution: a request, the backend routing hash, the
-/// tenant/lane QoS context, and every submitter waiting on the
-/// result. This is the unit the
+/// One shared execution: a request, the tenant/lane QoS context, and
+/// every submitter waiting on the result. This is the unit the
 /// [`Backend`](crate::backend::Backend) queues and runs.
 pub struct ExecTask {
     /// Shared with the broker's in-flight map and, once the result is
     /// cached, with the cache: one allocation of the serialized request.
     key: Option<Arc<str>>,
-    route: u64,
     tenant: String,
     lane: cp_qos::Lane,
     /// Whether admission reserved a session slot for this request
@@ -229,7 +227,6 @@ impl std::fmt::Debug for ExecTask {
         let state = self.state.lock().expect("task lock");
         f.debug_struct("ExecTask")
             .field("key", &self.key)
-            .field("route", &self.route)
             .field("phase", &state.phase)
             .field("subscribers", &state.subscribers.len())
             .finish()
@@ -239,7 +236,6 @@ impl std::fmt::Debug for ExecTask {
 impl ExecTask {
     fn new(
         key: Option<Arc<str>>,
-        route: u64,
         tenant: &str,
         lane: cp_qos::Lane,
         request: PatternRequest,
@@ -248,7 +244,6 @@ impl ExecTask {
         let opens_session = request.admit_class().opens_session;
         Arc::new(ExecTask {
             key,
-            route,
             tenant: tenant.to_owned(),
             lane,
             opens_session,
@@ -258,15 +253,6 @@ impl ExecTask {
                 subscribers: vec![(leader, false)],
             }),
         })
-    }
-
-    /// Stable routing hash: identical request keys always map to the
-    /// same value, so the [`Backend`](crate::backend::Backend) keeps
-    /// cache-hot keys shard-local. Unkeyed requests carry a
-    /// round-robin counter value instead.
-    #[must_use]
-    pub fn route(&self) -> u64 {
-        self.route
     }
 
     /// The tenant whose submission leads this execution (QoS
@@ -410,13 +396,12 @@ impl ResultBroker {
     /// submit can ever coalesce onto an undispatched task (the
     /// [`Admission::Rejected`] outcome affects only this submitter).
     /// Callers must only pass dispatchers that cannot block and cannot
-    /// re-enter the broker (a bounded-queue try-push qualifies; an
-    /// inline-executing backend does not — it would deadlock in
+    /// re-enter the broker (a bounded-queue try-push qualifies; running
+    /// the task there would not — it would deadlock in
     /// [`ResultBroker::complete`]).
     pub(crate) fn admit(
         &self,
         key: Option<String>,
-        route: u64,
         tenant: &str,
         lane: cp_qos::Lane,
         request: PatternRequest,
@@ -424,7 +409,7 @@ impl ResultBroker {
     ) -> Admission {
         let Some(key) = key else {
             let job = JobShared::pending();
-            let task = ExecTask::new(None, route, tenant, lane, request, Arc::clone(&job));
+            let task = ExecTask::new(None, tenant, lane, request, Arc::clone(&job));
             return Admission::Lead { task, job };
         };
         let mut state = self.state.lock().expect("broker lock");
@@ -441,7 +426,6 @@ impl ResultBroker {
         let key: Arc<str> = key.into();
         let task = ExecTask::new(
             Some(Arc::clone(&key)),
-            route,
             tenant,
             lane,
             request,
@@ -561,12 +545,11 @@ mod tests {
     #[test]
     fn identical_submissions_coalesce_onto_one_task() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } =
-            broker.admit(Some("k".into()), 0, T, L, request(1), None)
+        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, L, request(1), None)
         else {
             panic!("first submission leads");
         };
-        match broker.admit(Some("k".into()), 0, T, L, request(1), None) {
+        match broker.admit(Some("k".into()), T, L, request(1), None) {
             Admission::Coalesced { task: shared, .. } => assert!(Arc::ptr_eq(&shared, &task)),
             _ => panic!("second identical submission coalesces"),
         }
@@ -577,7 +560,7 @@ mod tests {
         assert!(subscribers[1].1, "waiter is coalesced");
         assert_eq!(broker.inflight_len(), 0);
         assert!(matches!(
-            broker.admit(Some("k".into()), 0, T, L, request(1), None),
+            broker.admit(Some("k".into()), T, L, request(1), None),
             Admission::CacheHit(_)
         ));
     }
@@ -585,8 +568,8 @@ mod tests {
     #[test]
     fn unkeyed_requests_never_share_a_task() {
         let broker = ResultBroker::new(8);
-        let first = broker.admit(None, 0, T, L, request(1), None);
-        let second = broker.admit(None, 1, T, L, request(1), None);
+        let first = broker.admit(None, T, L, request(1), None);
+        let second = broker.admit(None, T, L, request(1), None);
         assert!(matches!(first, Admission::Lead { .. }));
         assert!(matches!(second, Admission::Lead { .. }));
         assert_eq!(broker.inflight_len(), 0, "unkeyed tasks are unregistered");
@@ -595,8 +578,7 @@ mod tests {
     #[test]
     fn last_detach_abandons_a_queued_task() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, job } =
-            broker.admit(Some("k".into()), 0, T, L, request(1), None)
+        let Admission::Lead { task, job } = broker.admit(Some("k".into()), T, L, request(1), None)
         else {
             panic!("leads");
         };
@@ -609,7 +591,7 @@ mod tests {
         assert!(task.claim().is_none(), "abandoned tasks are never executed");
         // A fresh identical submit starts a new execution.
         assert!(matches!(
-            broker.admit(Some("k".into()), 0, T, L, request(1), None),
+            broker.admit(Some("k".into()), T, L, request(1), None),
             Admission::Lead { .. }
         ));
     }
@@ -617,13 +599,12 @@ mod tests {
     #[test]
     fn detach_of_one_waiter_keeps_the_execution_alive() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } =
-            broker.admit(Some("k".into()), 0, T, L, request(1), None)
+        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, L, request(1), None)
         else {
             panic!("leads");
         };
         let Admission::Coalesced { job: waiter, .. } =
-            broker.admit(Some("k".into()), 0, T, L, request(1), None)
+            broker.admit(Some("k".into()), T, L, request(1), None)
         else {
             panic!("coalesces");
         };
@@ -649,12 +630,11 @@ mod tests {
     #[test]
     fn reject_returns_every_attached_subscriber() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } =
-            broker.admit(Some("k".into()), 0, T, L, request(1), None)
+        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, L, request(1), None)
         else {
             panic!("leads");
         };
-        let _ = broker.admit(Some("k".into()), 0, T, L, request(1), None);
+        let _ = broker.admit(Some("k".into()), T, L, request(1), None);
         let subscribers = broker.reject(&task);
         assert_eq!(subscribers.len(), 2);
         assert_eq!(broker.inflight_len(), 0);

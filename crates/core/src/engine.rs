@@ -1,13 +1,13 @@
 //! The job-oriented execution engine.
 //!
-//! [`PatternEngine`] wraps any [`PatternService`] in an execution
-//! backend (see [`crate::backend`]) behind a shared result
-//! broker (the cache + coalescer layer), turning the blocking trait
-//! into a submission API:
+//! [`PatternEngine`] wraps any [`PatternService`] in a pool of worker
+//! threads over one bounded queue (`backend.rs`) behind a shared
+//! result broker (the cache + coalescer layer), turning the blocking
+//! trait into a submission API:
 //!
 //! * [`PatternEngine::submit`] enqueues a request and returns a
 //!   [`JobHandle`] immediately (or [`Error::QueueFull`] when the
-//!   target bounded queue is at capacity);
+//!   bounded queue is at capacity);
 //! * [`JobHandle::wait`] blocks for the result,
 //!   [`JobHandle::on_done`] has it delivered to a callback instead,
 //!   [`JobHandle::try_status`] polls without blocking, and
@@ -15,12 +15,12 @@
 //!   delivered yet, reporting [`Error::Cancelled`] to that handle only;
 //! * the engine itself implements [`PatternService`], so
 //!   [`PatternService::execute_many`] becomes a submit-all/wait-all
-//!   loop that runs batches in parallel (on the queued backend).
+//!   loop that runs batches in parallel.
 //!
 //! Because every request carries its own RNG seed, parallel execution
 //! returns byte-identical payloads to the serial default — the batch is
-//! a pure function of the request list, independent of worker
-//! interleaving or backend choice.
+//! a pure function of the request list, independent of worker count
+//! and interleaving.
 //!
 //! Deterministic requests (everything except `Chat { seed: None }`)
 //! flow through the result broker: completed results replay from a
@@ -33,9 +33,8 @@
 //! queue wait from execution time for every job. The full semantics
 //! are documented in `docs/ENGINE.md`.
 
-use crate::backend::{Backend, BackendKind, TaskFn};
+use crate::backend::{Backend, TaskFn};
 use crate::broker::{Admission, ExecTask, JobShared, ResultBroker, TaskPhase};
-use crate::routing::route_hash;
 use crate::{Error, PatternRequest, PatternResponse, PatternService, ResponsePayload, Timing};
 use cp_qos::{QosConfig, QosGate, TenantLaneStats, TenantLedger};
 use serde::{Deserialize, Serialize};
@@ -46,14 +45,13 @@ use std::time::Instant;
 /// Scale knobs of a [`PatternEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Execution strategy (see [`BackendKind`]).
-    pub backend: BackendKind,
-    /// Worker threads executing jobs (≥ 1; split across the shards,
-    /// ignored by [`BackendKind::Inline`]).
+    /// Worker threads executing jobs (≥ 1), all draining one queue.
+    /// With more than one, turns of one session submitted without
+    /// waiting for each reply may execute out of submission order;
+    /// `docs/SESSIONS.md`, "Turn order".
     pub workers: usize,
-    /// Bound of each submission queue (≥ 1); [`PatternEngine::submit`]
-    /// reports [`Error::QueueFull`] beyond it. Per shard; ignored by
-    /// the inline backend.
+    /// Bound of the submission queue (≥ 1); [`PatternEngine::submit`]
+    /// reports [`Error::QueueFull`] beyond it.
     pub queue_depth: usize,
     /// Entries in the request-level result cache (0 disables caching;
     /// coalescing of in-flight requests stays active either way).
@@ -63,7 +61,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 1 },
             workers: thread_count(),
             queue_depth: 256,
             cache_capacity: 128,
@@ -81,26 +78,13 @@ impl EngineConfig {
     /// # Errors
     ///
     /// Returns [`Error::Config`] when `workers` or `queue_depth` is
-    /// zero, or when `shards` is zero or exceeds `workers` (every
-    /// shard needs a dedicated worker to drain its queue).
+    /// zero.
     pub fn validate(&self) -> Result<(), Error> {
         if self.workers == 0 {
             return Err(Error::config("engine needs at least 1 worker (got 0)"));
         }
         if self.queue_depth == 0 {
             return Err(Error::config("queue_depth must be at least 1 (got 0)"));
-        }
-        if let BackendKind::Sharded { shards } = self.backend {
-            // Each shard drains its own queue, so a shard without a
-            // dedicated worker would never make progress; silently
-            // spawning extra threads would exceed the configured cap.
-            if !(1..=self.workers).contains(&shards) {
-                return Err(Error::config(format!(
-                    "engine needs at least 1 shard and 1 worker per shard \
-                     (got {shards} shards, {} workers)",
-                    self.workers
-                )));
-            }
         }
         Ok(())
     }
@@ -109,7 +93,7 @@ impl EngineConfig {
 /// Observable lifecycle of a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Waiting in a backend queue.
+    /// Waiting in the queue.
     Queued,
     /// The shared execution is running.
     Running,
@@ -168,9 +152,8 @@ pub struct EngineStats {
     pub snapshot_bytes_saved: u64,
     /// Session turns executed.
     pub turns: u64,
-    /// Jobs currently waiting in each backend queue, one entry per
-    /// queue: empty for [`BackendKind::Inline`], one per shard for
-    /// [`BackendKind::Sharded`].
+    /// Jobs currently waiting to execute, one entry per queue: one
+    /// from a process, one a worker in the router's merged fleet view.
     pub queue_depths: Vec<usize>,
     /// Per-(tenant, lane) QoS accounting rows, sorted by tenant then
     /// lane name. Empty until the first tagged (or default-tenant)
@@ -349,9 +332,8 @@ pub(crate) fn cache_key(request: &PatternRequest) -> Option<String> {
 #[must_use = "a JobHandle should be waited on, given a callback, polled or cancelled"]
 pub struct JobHandle {
     shared: Arc<JobShared>,
-    /// `None` only for handles born finished (cache hits). Inline
-    /// handles carry a live attachment whose task is already
-    /// `Finished` by the time `submit` returns.
+    /// `None` only for handles born finished (cache hits, `Stats`,
+    /// refused blocking submits).
     attachment: Option<Attachment>,
 }
 
@@ -395,9 +377,9 @@ impl JobHandle {
     /// thread. The callback runs exactly once, with what
     /// [`JobHandle::wait`] would have returned, on the thread that
     /// finishes the job: an engine worker — or, for a handle that is
-    /// already finished (a cache hit, `Stats`, the inline backend, a
-    /// job that completed in the meantime), the calling thread, before
-    /// this returns. A job still queued when the engine is dropped
+    /// already finished (a cache hit, `Stats`, a job that completed in
+    /// the meantime), the calling thread, before this returns. A job
+    /// still queued when the engine is dropped
     /// reports [`Error::Cancelled`] from the dropping thread. No engine
     /// lock is held around the call, so the callback may submit to the
     /// same engine; on a worker it delays that worker's next job, so
@@ -578,15 +560,13 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// [`PatternService`].
 ///
 /// See the [module docs](self) for the full story and `docs/ENGINE.md`
-/// for the backend matrix. The engine is `Sync`: submit from as many
+/// for the scheduler. The engine is `Sync`: submit from as many
 /// threads as you like. Dropping it stops the workers after their
 /// current job and cancels everything still queued.
 pub struct PatternEngine<S: PatternService + Send + Sync + 'static> {
     core: Arc<EngineCore<S>>,
     backend: Backend,
     config: EngineConfig,
-    /// Round-robin routing for unkeyed (uncacheable) requests.
-    route_counter: AtomicU64,
     /// Transport-connection telemetry, updated by whatever server
     /// fronts this engine and reported through [`PatternEngine::stats`].
     conn: Arc<ConnCounters>,
@@ -650,7 +630,6 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
             core,
             backend,
             config,
-            route_counter: AtomicU64::new(0),
             conn: Arc::new(ConnCounters::default()),
         })
     }
@@ -661,13 +640,12 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         self.config
     }
 
-    /// A snapshot of the activity counters, including the live
-    /// per-queue depths of the backend and the wrapped
-    /// service's session gauges.
+    /// A snapshot of the activity counters, including the live depth
+    /// of the queue and the wrapped service's session gauges.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.core.stats.snapshot(
-            self.backend.queue_depths(),
+            vec![self.backend.queue_depth()],
             self.core.service.session_stats(),
             self.core.ledger.snapshot(),
         );
@@ -699,7 +677,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::QueueFull`] when the target bounded queue is at
+    /// Returns [`Error::QueueFull`] when the bounded queue is at
     /// capacity (the request is not enqueued; retry or use
     /// [`PatternEngine::submit_blocking`]) and [`Error::Overloaded`]
     /// when the default tenant's QoS quota refuses the admission.
@@ -716,7 +694,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
     ///
     /// [`Error::Overloaded`] (with a retry-after hint) when the
     /// tenant's quota refuses the request; [`Error::QueueFull`] when
-    /// the target bounded queue is at capacity.
+    /// the bounded queue is at capacity.
     pub fn submit_as(
         &self,
         tenant: Option<&str>,
@@ -781,16 +759,6 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
             self.core.gate.release(tenant);
         };
         let key = cache_key(&request);
-        // Routing priority: keyed requests go by key hash (cache
-        // affinity), session requests go by *session-id* hash (every
-        // turn of one session lands on the same shard, keeping its
-        // state shard-local and its turn order the shard queue's FIFO
-        // order), and everything else spreads round-robin.
-        let route = match (&key, request.session_id()) {
-            (Some(key), _) => route_hash(key),
-            (None, Some(session)) => route_hash(session),
-            (None, None) => self.route_counter.fetch_add(1, Ordering::Relaxed),
-        };
         let lookup = Instant::now();
         // Keyed non-blocking submits dispatch *inside* the admission
         // lock: a try-push into a bounded queue never blocks and never
@@ -799,20 +767,14 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         // attach to a task whose dispatch has not succeeded. Blocking
         // dispatch must stay outside the lock (waiting for queue space
         // while holding it would deadlock against worker completions),
-        // and the inline backend executes the task during dispatch (it
-        // would re-enter the broker), but neither can fail.
+        // but cannot fail.
         let try_dispatch = |task: Arc<ExecTask>| self.backend.dispatch(task, false);
         let in_lock_dispatch: Option<&dyn Fn(Arc<ExecTask>) -> Result<(), Error>> =
-            if !block && !matches!(self.config.backend, BackendKind::Inline) {
-                Some(&try_dispatch)
-            } else {
-                None
-            };
-        let dispatched_in_lock = in_lock_dispatch.is_some();
+            if block { None } else { Some(&try_dispatch) };
         match self
             .core
             .broker
-            .admit(key, route, tenant, lane, request, in_lock_dispatch)
+            .admit(key, tenant, lane, request, in_lock_dispatch)
         {
             Admission::CacheHit(payload) => {
                 stats.add(&stats.submitted);
@@ -845,7 +807,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
                 Err(error)
             }
             Admission::Lead { task, job } => {
-                let outcome = if dispatched_in_lock && task.is_keyed() {
+                let outcome = if !block && task.is_keyed() {
                     Ok(())
                 } else {
                     self.backend.dispatch(Arc::clone(&task), block)
@@ -899,9 +861,8 @@ impl<S: PatternService + Send + Sync + 'static> Drop for PatternEngine<S> {
 }
 
 /// The engine is itself a service: `execute` is submit-and-wait, and
-/// `execute_many` runs batches in parallel (on the queued backend)
-/// while preserving input order (and, thanks to per-request seeds,
-/// exact payloads).
+/// `execute_many` runs batches in parallel while preserving input
+/// order (and, thanks to per-request seeds, exact payloads).
 impl<S: PatternService + Send + Sync + 'static> PatternService for PatternEngine<S> {
     fn execute(&self, request: PatternRequest) -> Result<PatternResponse, Error> {
         self.submit_blocking(request).wait()
@@ -967,7 +928,6 @@ mod tests {
                 delay: Duration::from_millis(30),
             },
             EngineConfig {
-                backend: BackendKind::Sharded { shards: 1 },
                 workers,
                 queue_depth,
                 cache_capacity: 0,
@@ -984,7 +944,6 @@ mod tests {
         let err = PatternEngine::with_config(
             service,
             EngineConfig {
-                backend: BackendKind::Sharded { shards: 1 },
                 workers: 0,
                 queue_depth: 1,
                 cache_capacity: 0,
@@ -993,22 +952,12 @@ mod tests {
         .expect_err("zero workers rejected");
         assert!(matches!(err, Error::Config { .. }));
         let err = EngineConfig {
-            backend: BackendKind::Sharded { shards: 0 },
             workers: 2,
-            queue_depth: 1,
+            queue_depth: 0,
             cache_capacity: 0,
         }
         .validate()
-        .expect_err("zero shards rejected");
-        assert!(matches!(err, Error::Config { .. }));
-        let err = EngineConfig {
-            backend: BackendKind::Sharded { shards: 8 },
-            workers: 2,
-            queue_depth: 1,
-            cache_capacity: 0,
-        }
-        .validate()
-        .expect_err("a shard without a worker could never drain");
+        .expect_err("a queue that holds nothing accepts nothing");
         assert!(matches!(err, Error::Config { .. }));
     }
 
@@ -1168,69 +1117,25 @@ mod tests {
     }
 
     #[test]
-    fn inline_backend_completes_on_submit() {
-        let engine = PatternEngine::with_config(
-            SlowService {
-                delay: Duration::from_millis(1),
-            },
-            EngineConfig {
-                backend: BackendKind::Inline,
-                workers: 1,
-                queue_depth: 1,
-                cache_capacity: 4,
-            },
-        )
-        .expect("valid config");
-        let handle = engine.submit(generate(1)).expect("inline never overflows");
-        assert_eq!(handle.try_status(), JobStatus::Done);
-        let response = handle.wait().expect("completes");
-        assert!(!response.timing.cached);
-        // Replay is a cache hit even inline.
-        let hit = engine
-            .submit(generate(1))
-            .expect("submits")
-            .wait()
-            .expect("hits");
-        assert!(hit.timing.cached);
-        let stats = engine.stats();
-        assert_eq!(stats.queue_depths.len(), 0, "inline has no queues");
-        assert_eq!(stats.cache_hits, 1);
-    }
-
-    #[test]
-    fn sharded_backend_reports_per_shard_depths() {
-        let engine = PatternEngine::with_config(
-            SlowService {
-                delay: Duration::from_millis(5),
-            },
-            EngineConfig {
-                backend: BackendKind::Sharded { shards: 3 },
-                workers: 3,
-                queue_depth: 8,
-                cache_capacity: 0,
-            },
-        )
-        .expect("valid config");
-        assert_eq!(engine.stats().queue_depths, vec![0, 0, 0]);
-        let handles: Vec<JobHandle> = (0..6)
-            .map(|s| engine.submit_blocking(generate(s)))
-            .collect();
-        for handle in handles {
-            handle.wait().expect("completes");
-        }
-        assert_eq!(engine.stats().completed, 6);
-    }
-
-    #[test]
     fn the_default_is_one_queue_and_it_is_fifo_within_a_tenant() {
         let default = PatternEngine::new(SlowService {
             delay: Duration::ZERO,
         });
-        assert_eq!(default.config().backend, BackendKind::Sharded { shards: 1 });
-        assert_eq!(default.stats().queue_depths.len(), 1);
+        assert_eq!(default.stats().queue_depths, [0]);
+        // However many workers drain it, `Stats` reports the one depth.
+        let wide = slow_engine(3, 8);
+        let handles: Vec<JobHandle> = (0..6)
+            .map(|seed| wide.submit_blocking(generate(seed)))
+            .collect();
+        assert_eq!(wide.stats().queue_depths.len(), 1);
+        for handle in handles {
+            handle.wait().expect("completes");
+        }
+        assert_eq!(wide.stats().completed, 6);
+        assert_eq!(wide.stats().queue_depths, [0]);
 
-        // One shard, one worker: what one tenant queued behind a
-        // running job finishes in the order it was submitted.
+        // One worker: what one tenant queued behind a running job
+        // finishes in the order it was submitted.
         let (engine, open_gate) = gated_engine();
         let _running = engine.submit(generate(0)).expect("submits");
         let (sender, finished) = mpsc::channel();
@@ -1272,7 +1177,6 @@ mod tests {
                 open: Arc::clone(&gate),
             },
             EngineConfig {
-                backend: BackendKind::Sharded { shards: 1 },
                 workers: 1,
                 queue_depth: 8,
                 cache_capacity: 0,
@@ -1309,27 +1213,26 @@ mod tests {
     #[test]
     fn on_done_of_a_finished_handle_runs_before_it_returns() {
         let here = thread::current().name().map(str::to_owned);
-        let inline = PatternEngine::with_config(
+        let engine = PatternEngine::with_config(
             SlowService {
                 delay: Duration::ZERO,
             },
             EngineConfig {
-                backend: BackendKind::Inline,
                 workers: 1,
                 queue_depth: 1,
                 cache_capacity: 4,
             },
         )
         .expect("valid config");
-        // Inline execution, then a cache hit of it, then Stats: all
-        // three handles are finished when `submit` returns, so the
-        // delivery is already in the channel when `deliver` returns.
-        for (request, cached) in [
-            (generate(1), false),
-            (generate(1), true),
-            (PatternRequest::Stats, false),
-        ] {
-            let deliveries = deliver(inline.submit(request).expect("inline never overflows"));
+        engine
+            .submit_blocking(generate(1))
+            .wait()
+            .expect("executes");
+        // A cache hit of that execution, then Stats: both handles are
+        // finished when `submit` returns, so the delivery is already
+        // in the channel when `deliver` returns.
+        for (request, cached) in [(generate(1), true), (PatternRequest::Stats, false)] {
+            let deliveries = deliver(engine.submit(request).expect("nothing is queued"));
             let (result, ran_on) = deliveries.try_recv().expect("ran before on_done returned");
             assert_eq!(result.expect("completes").timing.cached, cached);
             assert_eq!(ran_on, here, "a finished handle calls back on the caller");
@@ -1441,7 +1344,6 @@ mod tests {
         let engine = PatternEngine::with_config(
             PanickingService,
             EngineConfig {
-                backend: BackendKind::Sharded { shards: 1 },
                 workers: 1,
                 queue_depth: 8,
                 cache_capacity: 4,
@@ -1473,8 +1375,8 @@ mod tests {
             seed: None,
         }))
         .is_none());
-        // Session requests are stateful: never keyed, but routed by a
-        // stable session-id hash so a session stays shard-local.
+        // Session requests are stateful: never keyed; the router
+        // places them by their session id.
         let open = PatternRequest::SessionOpen(crate::SessionOpenParams {
             session: "s".into(),
             seed: Some(1),
@@ -1512,7 +1414,6 @@ mod tests {
         PatternEngine::with_qos(
             SlowService { delay },
             EngineConfig {
-                backend: BackendKind::Sharded { shards: 1 },
                 workers: 1,
                 queue_depth: 8,
                 cache_capacity: 0,

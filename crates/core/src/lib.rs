@@ -29,9 +29,8 @@
 //!
 //! For batch and server workloads, wrap any service in a
 //! [`PatternEngine`]: a job-submission executor
-//! ([`PatternEngine::submit`] → [`JobHandle`]) over an execution
-//! [`backend`] ([`BackendKind`]: worker threads draining one or more
-//! bounded queues, or inline), with a shared result broker that
+//! ([`PatternEngine::submit`] → [`JobHandle`]) over worker threads
+//! draining one bounded queue, with a shared result broker that
 //! replays completed results from a request-level LRU cache and
 //! **coalesces** identical in-flight requests onto one execution, all
 //! reported in [`EngineStats`] counters (see `docs/ENGINE.md`). The
@@ -58,7 +57,7 @@
 //! ```
 
 pub mod api;
-pub mod backend;
+mod backend;
 mod broker;
 mod cache;
 pub mod engine;
@@ -73,7 +72,6 @@ pub use api::{
     SessionCloseParams, SessionInfo, SessionOpenParams, SessionRestoreParams,
     SessionSnapshotParams, SessionTurnParams, Timing, TurnOutcome,
 };
-pub use backend::BackendKind;
 /// The QoS vocabulary (lanes, quotas, fair queue, tenant stats),
 /// re-exported so engine embedders need no direct `cp_qos` dependency.
 pub use cp_qos as qos;
@@ -217,7 +215,7 @@ impl ChatPatternBuilder {
     /// Idle lifetime of a chat session (default 15 minutes). Sessions
     /// untouched for longer expire lazily on the next session
     /// operation. The same TTL bounds *spilled* sessions in the
-    /// durability layer.
+    /// durability layer. Zero is refused by `build`.
     #[must_use]
     pub fn session_ttl(mut self, ttl: Duration) -> ChatPatternBuilder {
         self.sessions.ttl = ttl;
@@ -1787,6 +1785,20 @@ mod tests {
     fn builder_rejects_zero_session_capacity() {
         let err = ChatPattern::builder().max_sessions(0).validate();
         assert!(matches!(err, Err(Error::Config { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn builder_rejects_a_zero_session_ttl() {
+        let err = ChatPattern::builder()
+            .window(16)
+            .training_patterns(8)
+            .session_ttl(Duration::ZERO)
+            .build()
+            .expect_err("a session that expires as it opens takes no turn");
+        assert!(
+            matches!(&err, Error::Config { message } if message.contains("ttl")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,26 +1,28 @@
-//! Request routing — the single source of truth for "which shard /
-//! worker does this request belong to".
+//! Request routing — the single source of truth for "which worker
+//! does this request belong to".
 //!
-//! Two layers consume these helpers and must agree byte-for-byte:
+//! Two consumers are left, and neither is the engine (a
+//! [`PatternEngine`](crate::PatternEngine) is one queue; it hashes
+//! nothing):
 //!
-//! * the in-process engine backend ([`crate::BackendKind::Sharded`]),
-//!   which routes every submitted job to one of its shard queues, and
 //! * the multi-process `chatpattern-router` binary, which shards client
-//!   requests across a fleet of `chatpattern-serve` workers.
-//!
-//! Both route by the same rule: keyed requests go by
-//! [`request_key`] hash (cache-hot keys stay local), session requests
-//! go by session-id hash (every turn of one session lands on the same
-//! shard/worker), and everything else is free to spread round-robin
-//! ([`request_route`] returns `None`).
+//!   requests across a fleet of `chatpattern-serve` workers: keyed
+//!   requests go by [`request_key`] hash (a repeated request finds the
+//!   worker whose cache holds its result), session requests go by
+//!   session-id hash (every turn of one session lands on the worker
+//!   that holds it), and everything else is free to spread round-robin
+//!   ([`request_route`] returns `None`);
+//! * [`JsonDirPersist`](crate::JsonDirPersist), which fans a session
+//!   directory out over `--persist-shards` subdirectories by
+//!   [`route_hash`] of the session id.
 //!
 //! [`route_hash`] is a hand-rolled **FNV-1a 64** — deliberately *not*
 //! [`std::collections::hash_map::DefaultHasher`], whose algorithm is
-//! explicitly unspecified and may change between Rust releases. Shard
-//! assignment must stay stable across builds so that a router and its
-//! workers compiled at different times, or a persisted routing table,
-//! never disagree; the unit test below pins exact hash values to make
-//! any algorithm drift a loud test failure.
+//! explicitly unspecified and may change between Rust releases. Worker
+//! and directory assignment must stay stable across builds so that a
+//! router restarted on a newer build, or a session directory written
+//! by an older one, never disagrees; the unit test below pins exact
+//! hash values to make any algorithm drift a loud test failure.
 
 use crate::PatternRequest;
 
@@ -69,11 +71,10 @@ pub fn request_key(request: &PatternRequest) -> Option<String> {
     }
 }
 
-/// The preferred route of a request, or `None` when any shard/worker
-/// serves it equally well (the caller should spread such requests
-/// round-robin). This is the exact priority order the engine's
-/// `submit` uses: key hash first (cache affinity), then session-id
-/// hash (session affinity), then nothing.
+/// The preferred route of a request, or `None` when any worker serves
+/// it equally well (the caller should spread such requests
+/// round-robin): key hash first (cache affinity), then session-id hash
+/// (session affinity), then nothing.
 #[must_use]
 pub fn request_route(request: &PatternRequest) -> Option<u64> {
     if let Some(key) = request_key(request) {
@@ -88,8 +89,7 @@ mod tests {
     use crate::{ChatParams, SessionTurnParams};
 
     /// The load-bearing test: these values are the published contract
-    /// between in-process shards, the router and any persisted routing
-    /// state. If this test fails, the hash algorithm changed — do NOT
+    /// between the router and any persisted routing state. If this test fails, the hash algorithm changed — do NOT
     /// update the constants; fix the hash.
     #[test]
     fn route_hash_is_pinned_fnv1a() {
@@ -138,12 +138,12 @@ mod tests {
     fn route_hash_is_deterministic_and_spreads() {
         assert_eq!(route_hash("s"), route_hash("s"));
         assert_ne!(route_hash("s"), route_hash("t"));
-        // A quick sanity check that low bits vary (shard index uses
-        // `hash % shards`).
+        // A quick sanity check that low bits vary (the worker index is
+        // `hash % workers`).
         let buckets: std::collections::HashSet<u64> = (0..32)
             .map(|i| route_hash(&format!("key-{i}")) % 4)
             .collect();
-        assert!(buckets.len() > 1, "all keys landed on one shard");
+        assert!(buckets.len() > 1, "all keys landed on one worker");
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //!
 //! The engine layer keeps session requests out of the result cache and
 //! the in-flight coalescer entirely (they mutate state, so two
-//! identical turns are *different* requests) and routes them by
-//! session-id hash so one session's turns stay shard-local — see
+//! identical turns are *different* requests); the router places them by
+//! session-id hash so one session's turns reach one worker — see
 //! `docs/SESSIONS.md`.
 
 use crate::Error;
@@ -82,11 +82,17 @@ impl SessionConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] when `capacity` is zero.
+    /// Returns [`Error::Config`] when `capacity` or `ttl` is zero (a
+    /// session that expires the moment it opens can take no turn).
     pub fn validate(&self) -> Result<(), Error> {
         if self.capacity == 0 {
             return Err(Error::config(
                 "session store needs capacity for at least 1 session (got 0)",
+            ));
+        }
+        if self.ttl.is_zero() {
+            return Err(Error::config(
+                "session ttl must be longer than zero (every turn would find its session expired)",
             ));
         }
         Ok(())

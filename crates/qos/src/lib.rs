@@ -18,7 +18,7 @@
 //!   reserves capacity or answers with a [`Rejection`] carrying
 //!   `retry_after_ms`;
 //! * [`FairQueue`] — a bounded, lane-aware, tenant-round-robin queue
-//!   the engine's shards use instead of a plain `VecDeque`, so a
+//!   the engine's workers drain instead of a plain `VecDeque`, so a
 //!   flood from one tenant cannot starve the rest;
 //! * [`TenantLedger`] / [`TenantLaneStats`] — per-(tenant, lane)
 //!   admitted/rejected/completed/queue-time counters that surface in

@@ -107,7 +107,7 @@ echo "wire smoke OK: duplicate burst of $N → 1 execution ($COALESCED coalesced
 SESS_DIR=$(mktemp -d)
 mkfifo "$SESS_DIR/in" "$SESS_DIR/out"
 "$BIN" --window 16 --training-patterns 8 --diffusion-steps 6 --workers 2 \
-    --shards 2 --max-sessions 4 --session-ttl-secs 600 --stats \
+    --max-sessions 4 --session-ttl-secs 600 --stats \
     < "$SESS_DIR/in" > "$SESS_DIR/out" 2> "$SESS_DIR/err" &
 SERVE_PID=$!
 exec 3> "$SESS_DIR/in" 4< "$SESS_DIR/out"

@@ -4,12 +4,12 @@
 //! (what `chatpattern-serve --listen` runs: same line cap, half-close
 //! and slow-reader rules) and fans every request out, over one TCP
 //! link a worker, across a fleet of `chatpattern-serve --listen`
-//! workers — spawned as children, or attached by address — sharding by the
-//! exact same request-key / session-id hash as the in-process engine's
-//! shards ([`chatpattern_core::BackendKind::Sharded`];
-//! `chatpattern_core::routing` is the single source of truth), so
-//! cache-hot keys and every turn of one session stay worker-local. A
-//! `Stats` request is answered with the *fleet* view: one
+//! workers — spawned as children, or attached by address — sharding by
+//! request-key / session-id hash (`chatpattern_core::routing` is the
+//! single source of truth; a serve process is one queue, so this is the
+//! only shard layer there is), so cache-hot keys and every turn of one
+//! session stay worker-local. A `Stats` request is answered with the
+//! *fleet* view: one
 //! [`EngineStats`] merged across all workers — including the
 //! per-(tenant, lane) QoS rows, summed fleet-wide.
 //!
@@ -75,10 +75,10 @@ const USAGE: &str = "\
 chatpattern-router: shard a chatpattern-serve fleet behind one address
 
 Clients speak the normal wire protocol (docs/WIRE_PROTOCOL.md); every
-request is routed to one worker by the same request-key/session-id
-hash the in-process engine shards by, Stats requests return the
-merged fleet view, and control lines ({\"id\":..,\"control\":..}, see
-docs/ROUTER.md) expose Fleet / Drain / Shutdown.
+request is routed to one worker by its request-key/session-id hash,
+Stats requests return the merged fleet view, and control lines
+({\"id\":..,\"control\":..}, see docs/ROUTER.md) expose Fleet / Drain /
+Shutdown.
 
 Options:
   --listen ADDR          address to accept clients on (required; port 0
@@ -140,6 +140,7 @@ fn parse_args() -> Result<Options, String> {
         rebalance_threshold: 0,
         rebalance_interval: Duration::from_millis(1000),
     };
+    let mut interval_given = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--help" || flag == "-h" {
@@ -170,12 +171,19 @@ fn parse_args() -> Result<Options, String> {
             "--rebalance-interval-ms" => {
                 options.rebalance_interval =
                     Duration::from_millis(positive("--rebalance-interval-ms")? as u64);
+                interval_given = true;
             }
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
     if options.listen.is_empty() {
         return Err("--listen ADDR is required".to_owned());
+    }
+    // Checked after the loop so the two flags work in either order.
+    if interval_given && options.rebalance_threshold == 0 {
+        return Err("--rebalance-interval-ms needs --rebalance-threshold \
+                    (the auto-rebalancer is off without it)"
+            .to_owned());
     }
     if !options.attach.is_empty() {
         // An attached worker was configured by whoever started it;

@@ -17,9 +17,9 @@
 //! a client that half-closes still gets every reply it is owed, and
 //! one that stops reading is disconnected, not buffered for without
 //! bound (`docs/WIRE_PROTOCOL.md`, "Transports"). `--help` lists the
-//! flags. `--workers` threads drain `--shards` bounded queues (one by
-//! default; see `docs/ENGINE.md`); duplicate in-flight requests coalesce
-//! onto one execution. Stateful multi-turn sessions (`SessionOpen`
+//! flags. `--workers` threads drain one bounded queue (see
+//! `docs/ENGINE.md`; the router is what spreads load over more);
+//! duplicate in-flight requests coalesce onto one execution. Stateful multi-turn sessions (`SessionOpen`
 //! / `SessionTurn` / `SessionClose`, see `docs/SESSIONS.md`) are
 //! bounded by `--max-sessions` and `--session-ttl-secs`; with
 //! `--session-dir`, capacity eviction *spills* sessions to disk, and
@@ -36,7 +36,7 @@
 //! otherwise) and never abort the stream.
 
 use chatpattern_core::qos::{LaneWeights, QosConfig};
-use chatpattern_core::{BackendKind, ChatPattern, EngineConfig, PatternEngine};
+use chatpattern_core::{ChatPattern, EngineConfig, PatternEngine};
 use cp_net::{ConnectionHandler, EngineHandler, EventLoopConfig, EventLoopServer, LineSink};
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -108,12 +108,7 @@ Options:
                          1 (default 4096); excess connects wait in the
                          OS backlog
   --workers N            engine worker threads (default: CPU count)
-  --shards N             bounded job queues the workers are split
-                         across, jobs routed by request-key hash; at
-                         least 1 and at most --workers (default 1: one
-                         queue feeding every worker)
-  --queue-depth N        bounded submission queue, per shard when
-                         sharded (default 256)
+  --queue-depth N        bounded submission queue (default 256)
   --cache-capacity N     LRU result-cache entries, 0 disables (default 128)
   --tenant-quota SPEC    per-tenant admission limits; SPEC is
                          comma-separated name=value with names
@@ -130,8 +125,9 @@ Options:
                          weights are clamped to 1 so no lane starves
   --max-sessions N       open chat sessions held at once; opening more
                          evicts the least-recently-used (default 64)
-  --session-ttl-secs N   idle seconds before a session expires (default 900;
-                         also bounds spilled sessions in --session-dir)
+  --session-ttl-secs N   idle seconds before a session expires, at least
+                         1 (default 900; also bounds spilled sessions in
+                         --session-dir)
   --session-dir PATH     spill evicted sessions to one JSON file per
                          session under PATH instead of destroying them;
                          a turn on a spilled id rehydrates it
@@ -168,7 +164,6 @@ Options:
 
 fn parse_args() -> Result<Options, String> {
     let mut options = Options::default();
-    let mut shards = 1;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--help" || flag == "-h" {
@@ -191,7 +186,6 @@ fn parse_args() -> Result<Options, String> {
         };
         match flag.as_str() {
             "--workers" => options.engine.workers = positive("--workers")?,
-            "--shards" => shards = positive("--shards")?,
             "--queue-depth" => options.engine.queue_depth = number("--queue-depth")?,
             "--cache-capacity" => options.engine.cache_capacity = number("--cache-capacity")?,
             "--tenant-quota" => {
@@ -205,7 +199,9 @@ fn parse_args() -> Result<Options, String> {
                     LaneWeights::parse(&value).map_err(|e| format!("--lane-weights: {e}"))?;
             }
             "--max-sessions" => options.max_sessions = number("--max-sessions")?,
-            "--session-ttl-secs" => options.session_ttl_secs = number("--session-ttl-secs")? as u64,
+            "--session-ttl-secs" => {
+                options.session_ttl_secs = positive("--session-ttl-secs")? as u64;
+            }
             "--session-dir" => options.session_dir = Some(value.clone()),
             "--spill-ahead-turns" => {
                 options.spill_ahead_turns = Some(positive("--spill-ahead-turns")? as u64);
@@ -223,14 +219,6 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
-    // Compared after the loop so the two flags work in either order.
-    let workers = options.engine.workers;
-    if shards > workers {
-        return Err(format!(
-            "--shards needs at most --workers ({workers}), got \"{shards}\""
-        ));
-    }
-    options.engine.backend = BackendKind::Sharded { shards };
     Ok(options)
 }
 
@@ -239,12 +227,11 @@ fn parse_args() -> Result<Options, String> {
 fn print_stats(engine: &PatternEngine<ChatPattern>) {
     let stats = engine.stats();
     eprintln!(
-        "chatpattern-serve: backend={} submitted={} completed={} failed={} cancelled={} \
+        "chatpattern-serve: submitted={} completed={} failed={} cancelled={} \
          cache_hits={} cache_misses={} coalesced={} sessions_open={} \
          sessions_evicted={} sessions_spilled={} sessions_restored={} turns={} \
          queue_depths={:?} conns_live={} conns_peak={} disconnects_clean={} \
          disconnects_backpressure={} sessions_spilled_ahead={} snapshot_bytes_saved={}",
-        engine.config().backend.name(),
         stats.submitted,
         stats.completed,
         stats.failed,

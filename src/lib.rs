@@ -18,9 +18,9 @@
 //! [`PatternRequest`], and every failure is the workspace-wide
 //! [`Error`]. For parallel batches and serving, wrap the system in a
 //! [`PatternEngine`] — a job-submission executor over worker threads
-//! draining one or more bounded queues ([`BackendKind`]), a
-//! request-level result cache, and in-flight request coalescing (see
-//! `docs/ENGINE.md`) — or run the `chatpattern-serve` binary, which
+//! draining one bounded queue, a request-level result cache, and
+//! in-flight request coalescing (see `docs/ENGINE.md`) — or run the
+//! `chatpattern-serve` binary, which
 //! speaks the JSON-lines wire protocol from `docs/WIRE_PROTOCOL.md`
 //! over stdin/stdout or — with `--listen` — over NDJSON-on-TCP (the
 //! [`net`] transport crate). `chatpattern-router` shards a whole
@@ -71,12 +71,12 @@ pub use cp_net as net;
 pub use cp_squish as squish;
 
 pub use chatpattern_core::{
-    BackendKind, ChatOutcome, ChatParams, ChatPattern, ChatPatternBuilder, ChatSession,
-    EngineConfig, EngineStats, Error, EvaluateParams, ExtendParams, GenerateParams, JobHandle,
-    JobStatus, JsonDirPersist, LegalizeParams, MemoryPersist, ModifyParams, PatternEngine,
-    PatternRequest, PatternResponse, PatternService, RequestEnvelope, ResponseEnvelope,
-    ResponsePayload, SessionCloseParams, SessionConfig, SessionInfo, SessionOpenParams,
-    SessionPersist, SessionRestoreParams, SessionSnapshot, SessionSnapshotParams, SessionStats,
-    SessionStore, SessionTurnParams, Timing, TurnOutcome, WireError, WireOutcome,
-    MAX_REQUEST_CELLS, SESSION_SNAPSHOT_FORMAT,
+    ChatOutcome, ChatParams, ChatPattern, ChatPatternBuilder, ChatSession, EngineConfig,
+    EngineStats, Error, EvaluateParams, ExtendParams, GenerateParams, JobHandle, JobStatus,
+    JsonDirPersist, LegalizeParams, MemoryPersist, ModifyParams, PatternEngine, PatternRequest,
+    PatternResponse, PatternService, RequestEnvelope, ResponseEnvelope, ResponsePayload,
+    SessionCloseParams, SessionConfig, SessionInfo, SessionOpenParams, SessionPersist,
+    SessionRestoreParams, SessionSnapshot, SessionSnapshotParams, SessionStats, SessionStore,
+    SessionTurnParams, Timing, TurnOutcome, WireError, WireOutcome, MAX_REQUEST_CELLS,
+    SESSION_SNAPSHOT_FORMAT,
 };

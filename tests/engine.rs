@@ -1,6 +1,6 @@
 //! Engine semantics against the real system: parallel execution is
-//! payload-identical to the serial trait default on every backend, the
-//! result cache replays payloads with fresh timing, identical
+//! payload-identical to the bare service called serially, the result
+//! cache replays payloads with fresh timing, identical
 //! in-flight requests coalesce onto exactly one execution, and cancel
 //! detaches a single handle without touching a shared execution.
 
@@ -8,12 +8,11 @@ use chatpattern::dataset::Style;
 use chatpattern::extend::ExtensionMethod;
 use chatpattern::squish::Region;
 use chatpattern::{
-    BackendKind, ChatParams, ChatPattern, EngineConfig, Error, EvaluateParams, ExtendParams,
-    GenerateParams, JobStatus, LegalizeParams, ModifyParams, PatternEngine, PatternRequest,
-    PatternResponse, PatternService, ResponsePayload, SessionOpenParams, SessionStats,
-    SessionTurnParams, TurnOutcome,
+    ChatParams, ChatPattern, EngineConfig, Error, EvaluateParams, ExtendParams, GenerateParams,
+    JobStatus, LegalizeParams, ModifyParams, PatternEngine, PatternRequest, PatternResponse,
+    PatternService, ResponsePayload, SessionOpenParams, SessionTurnParams, TurnOutcome,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -104,7 +103,6 @@ fn parallel_execute_many_matches_serial_across_all_kinds() {
     let engine = PatternEngine::with_config(
         system,
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 1 },
             workers: 4,
             queue_depth: 64,
             cache_capacity: 0,
@@ -127,6 +125,7 @@ fn parallel_execute_many_matches_serial_across_all_kinds() {
         }
     }
     let stats = engine.stats();
+    assert_eq!(stats.queue_depths.len(), 1, "four workers, one queue");
     assert_eq!(stats.submitted, 32);
     assert_eq!(stats.completed + stats.failed, 32);
     assert_eq!(stats.cache_hits, 0, "cache was disabled");
@@ -137,7 +136,6 @@ fn cache_hit_replays_payload_with_fresh_timing() {
     let engine = PatternEngine::with_config(
         small_system(),
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 16,
             cache_capacity: 8,
@@ -168,7 +166,6 @@ fn unseeded_chat_bypasses_the_cache() {
     let engine = PatternEngine::with_config(
         small_system(),
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 16,
             cache_capacity: 8,
@@ -200,7 +197,6 @@ fn cancelling_a_queued_job_yields_cancelled() {
     let engine = PatternEngine::with_config(
         small_system(),
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 1 },
             workers: 1,
             queue_depth: 16,
             cache_capacity: 0,
@@ -277,15 +273,11 @@ impl PatternService for GatedService {
     }
 }
 
-fn gated_engine(
-    backend: BackendKind,
-    cache_capacity: usize,
-) -> (Arc<GatedService>, PatternEngine<Arc<GatedService>>) {
+fn gated_engine(cache_capacity: usize) -> (Arc<GatedService>, PatternEngine<Arc<GatedService>>) {
     let service = Arc::new(GatedService::new(small_system()));
     let engine = PatternEngine::with_config(
         Arc::clone(&service),
         EngineConfig {
-            backend,
             workers: 2,
             queue_depth: 64,
             cache_capacity,
@@ -295,39 +287,21 @@ fn gated_engine(
     (service, engine)
 }
 
-/// The serial reference payload for `request`, via the inline backend.
-fn inline_reference(request: PatternRequest) -> String {
-    let engine = PatternEngine::with_config(
-        small_system(),
-        EngineConfig {
-            backend: BackendKind::Inline,
-            workers: 1,
-            queue_depth: 1,
-            cache_capacity: 0,
-        },
-    )
-    .expect("valid config");
-    let response = engine
-        .submit(request)
-        .expect("inline never overflows")
-        .wait()
-        .expect("inline executes");
-    serde_json::to_string(&response.payload).expect("serializes")
-}
-
 /// The ISSUE acceptance criterion: N identical concurrent submits
 /// perform exactly one backend execution, `EngineStats.coalesced` is
-/// N-1, and all N payloads are byte-identical to the serial
-/// inline-backend result.
-fn coalescing_acceptance(backend: BackendKind) {
+/// N-1, and all N payloads are byte-identical to what the bare service
+/// answers.
+#[test]
+fn identical_concurrent_submits_coalesce_on_the_thread_pool() {
     const N: usize = 8;
-    let (service, engine) = gated_engine(backend, 8);
+    let (service, engine) = gated_engine(8);
     let request = generate(42);
     let handles: Vec<_> = (0..N)
         .map(|_| engine.submit(request.clone()).expect("queue has room"))
         .collect();
     service.open();
-    let reference = inline_reference(request);
+    let reference = PatternService::execute(&small_system(), request).expect("executes");
+    let reference = serde_json::to_string(&reference.payload).expect("serializes");
     for handle in handles {
         let response = handle.wait().expect("shared execution succeeds");
         let payload = serde_json::to_string(&response.payload).expect("serializes");
@@ -346,18 +320,8 @@ fn coalescing_acceptance(backend: BackendKind) {
 }
 
 #[test]
-fn identical_concurrent_submits_coalesce_on_the_thread_pool() {
-    coalescing_acceptance(BackendKind::Sharded { shards: 1 });
-}
-
-#[test]
-fn identical_concurrent_submits_coalesce_on_the_sharded_backend() {
-    coalescing_acceptance(BackendKind::Sharded { shards: 2 });
-}
-
-#[test]
 fn cancelling_a_waiter_detaches_only_that_waiter() {
-    let (service, engine) = gated_engine(BackendKind::Sharded { shards: 1 }, 0);
+    let (service, engine) = gated_engine(0);
     let request = generate(5);
     let leader = engine.submit(request.clone()).expect("submits");
     let doomed = engine.submit(request.clone()).expect("coalesces");
@@ -378,7 +342,7 @@ fn cancelling_a_waiter_detaches_only_that_waiter() {
 
 #[test]
 fn cancelling_the_leader_keeps_the_shared_execution_alive() {
-    let (service, engine) = gated_engine(BackendKind::Sharded { shards: 1 }, 0);
+    let (service, engine) = gated_engine(0);
     let request = generate(6);
     let leader = engine.submit(request.clone()).expect("submits");
     let waiter = engine.submit(request).expect("coalesces");
@@ -426,7 +390,6 @@ fn session_turns_are_never_cached_or_coalesced() {
     let engine = PatternEngine::with_config(
         small_system(),
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 32,
             cache_capacity: 8,
@@ -462,58 +425,24 @@ fn session_turns_are_never_cached_or_coalesced() {
     assert_eq!(stats.sessions_open, 1);
 }
 
-/// Forwards to a real system while recording which worker thread ran
-/// each session turn — how the tests observe shard affinity.
-struct RecordingService {
-    inner: ChatPattern,
-    turns_seen: Mutex<Vec<(String, String)>>,
-}
-
-impl PatternService for RecordingService {
-    fn execute(&self, request: PatternRequest) -> Result<PatternResponse, Error> {
-        if let PatternRequest::SessionTurn(params) = &request {
-            let thread = std::thread::current()
-                .name()
-                .unwrap_or("unnamed")
-                .to_owned();
-            self.turns_seen
-                .lock()
-                .expect("log lock")
-                .push((params.session.clone(), thread));
-        }
-        self.inner.execute(request)
-    }
-
-    fn session_stats(&self) -> SessionStats {
-        self.inner.session_stats()
-    }
-}
-
-/// The ISSUE acceptance criterion: on the sharded backend, concurrent
-/// turns on one session serialize in submission order, K distinct
-/// sessions make progress in parallel (they spread over several
-/// shards), and all of a session's turns execute on the same shard.
+/// What `workers: 1` still promises (and more workers no longer do,
+/// `docs/SESSIONS.md`, "Turn order"): turns submitted without waiting
+/// for each reply execute in submission order — one thread drains the
+/// queue, and one tenant's queue is FIFO.
 #[test]
-fn sharded_session_turns_are_shard_affine_and_ordered() {
+fn turns_on_one_worker_execute_in_submission_order() {
     const SESSIONS: usize = 6;
     const TURNS: usize = 3;
-    let service = Arc::new(RecordingService {
-        inner: small_system(),
-        turns_seen: Mutex::new(Vec::new()),
-    });
-    // 4 shards × 1 worker each: every shard drains its queue FIFO, so
-    // shard affinity implies per-session submission order.
     let engine = PatternEngine::with_config(
-        Arc::clone(&service),
+        small_system(),
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 4 },
-            workers: 4,
+            workers: 1,
             queue_depth: 64,
             cache_capacity: 8,
         },
     )
     .expect("valid config");
-    let ids: Vec<String> = (0..SESSIONS).map(|s| format!("aff-{s}")).collect();
+    let ids: Vec<String> = (0..SESSIONS).map(|s| format!("ord-{s}")).collect();
     for (s, id) in ids.iter().enumerate() {
         open_session(&engine, id, s as u64);
     }
@@ -536,27 +465,6 @@ fn sharded_session_turns_are_shard_affine_and_ordered() {
         );
         next_turn[s] += 1;
     }
-    // Affinity: all of a session's turns ran on one shard worker, and
-    // the sessions collectively used more than one shard.
-    let log = service.turns_seen.lock().expect("log lock");
-    let mut by_session: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for (session, thread) in log.iter() {
-        by_session.entry(session).or_default().insert(thread);
-    }
-    assert_eq!(by_session.len(), SESSIONS);
-    let mut shards_used: BTreeSet<&str> = BTreeSet::new();
-    for (session, threads) in &by_session {
-        assert_eq!(
-            threads.len(),
-            1,
-            "session {session} executed on several workers: {threads:?}"
-        );
-        shards_used.extend(threads.iter());
-    }
-    assert!(
-        shards_used.len() >= 2,
-        "{SESSIONS} sessions all hashed onto one shard: {shards_used:?}"
-    );
     let stats = engine.stats();
     assert_eq!(stats.turns as usize, SESSIONS * TURNS);
     assert_eq!(stats.sessions_open as usize, SESSIONS);
@@ -580,7 +488,6 @@ fn evicted_session_turn_is_a_typed_error_through_the_engine() {
     let engine = PatternEngine::with_config(
         system,
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 2 },
             workers: 2,
             queue_depth: 16,
             cache_capacity: 0,
@@ -602,40 +509,4 @@ fn evicted_session_turn_is_a_typed_error_through_the_engine() {
     assert_eq!(stats.sessions_open, 1);
     assert_eq!(stats.sessions_evicted, 1);
     assert_eq!(stats.failed, 1, "the dead turn failed cleanly");
-}
-
-#[test]
-fn sharded_execute_many_matches_serial_across_all_kinds() {
-    let system = small_system();
-    let batch = mixed_batch(&system);
-    let serial: Vec<_> = batch
-        .iter()
-        .cloned()
-        .map(|r| PatternService::execute(&system, r))
-        .collect();
-    let engine = PatternEngine::with_config(
-        system,
-        EngineConfig {
-            backend: BackendKind::Sharded { shards: 2 },
-            workers: 4,
-            queue_depth: 64,
-            cache_capacity: 0,
-        },
-    )
-    .expect("valid config");
-    let sharded = engine.execute_many(batch);
-    for (i, (s, p)) in serial.iter().zip(&sharded).enumerate() {
-        match (s, p) {
-            (Ok(a), Ok(b)) => {
-                let a = serde_json::to_string(&a.payload).expect("serializes");
-                let b = serde_json::to_string(&b.payload).expect("serializes");
-                assert_eq!(a, b, "request {i} diverged between serial and sharded");
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "request {i} failed differently"),
-            other => panic!("request {i}: serial/sharded outcome mismatch: {other:?}"),
-        }
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.queue_depths.len(), 2, "one depth per shard");
-    assert_eq!(stats.submitted, 32);
 }

@@ -15,8 +15,8 @@ use chatpattern::geom::{Layout, Rect};
 use chatpattern::legalize::Legalizer;
 use chatpattern::squish::{complexity, normalize_to, SquishPattern, Topology};
 use chatpattern::{
-    BackendKind, ChatParams, ChatPattern, EngineConfig, Error, EvaluateParams, GenerateParams,
-    LegalizeParams, MemoryPersist, PatternEngine, PatternRequest, SessionConfig, SessionStore,
+    ChatParams, ChatPattern, EngineConfig, Error, EvaluateParams, GenerateParams, LegalizeParams,
+    MemoryPersist, PatternEngine, PatternRequest, PatternService, SessionConfig, SessionStore,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -1299,43 +1299,31 @@ fn check_queued_case(
     topology: &Topology,
     case: &QueuedCase,
 ) -> Result<(), String> {
-    let engine = |backend, workers| {
-        PatternEngine::with_config(
-            Arc::clone(system),
-            EngineConfig {
-                backend,
-                workers,
-                queue_depth: 64,
-                cache_capacity: case.cache_capacity,
-            },
-        )
-        .expect("valid config")
-    };
-
-    // Reference: the inline backend executes each submission on the
-    // caller thread in order.
-    let inline = engine(BackendKind::Inline, 1);
+    // Reference: the bare service, called inline — each request on
+    // this thread, in order, through no engine at all.
     let expected = case
         .items
         .iter()
         .map(|&item| {
-            let response = inline
-                .submit_blocking_as(
-                    Some(queued_tenant(item.tenant)),
-                    queued_request(item, topology),
-                )
-                .wait()
+            let response = system
+                .execute(queued_request(item, topology))
                 .map_err(|e| format!("inline execution failed: {e:?}"))?;
             serde_json::to_string(&response.payload).map_err(|e| e.to_string())
         })
         .collect::<Result<Vec<String>, String>>()?;
 
-    for (backend, workers) in [
-        (BackendKind::Sharded { shards: 1 }, 1),
-        (BackendKind::Sharded { shards: 2 }, 2),
-    ] {
-        check_queued_backend(&engine(backend, workers), topology, case, &expected)
-            .map_err(|e| format!("{backend:?}: {e}"))?;
+    for workers in [1, 2] {
+        let engine = PatternEngine::with_config(
+            Arc::clone(system),
+            EngineConfig {
+                workers,
+                queue_depth: 64,
+                cache_capacity: case.cache_capacity,
+            },
+        )
+        .expect("valid config");
+        check_queued_backend(&engine, topology, case, &expected)
+            .map_err(|e| format!("{workers} workers: {e}"))?;
     }
     Ok(())
 }

@@ -21,9 +21,8 @@
 
 use chatpattern::qos::{QosConfig, TenantQuota, DEFAULT_RETRY_AFTER_MS};
 use chatpattern::{
-    BackendKind, EngineConfig, Error, GenerateParams, PatternEngine, PatternRequest,
-    PatternResponse, PatternService, RequestEnvelope, ResponsePayload, SessionStats, Timing,
-    WireOutcome,
+    EngineConfig, Error, GenerateParams, PatternEngine, PatternRequest, PatternResponse,
+    PatternService, RequestEnvelope, ResponsePayload, SessionStats, Timing, WireOutcome,
 };
 use cp_dataset::Style;
 use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
@@ -65,7 +64,6 @@ fn quota_engine(delay: Duration, tenant: &str, quota: TenantQuota) -> PatternEng
     PatternEngine::with_qos(
         SleepService { delay },
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 64,
             cache_capacity: 0,

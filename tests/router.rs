@@ -530,10 +530,15 @@ fn an_unterminated_line_over_the_cap_is_refused_without_being_buffered_whole() {
 /// The router has no copy of serve's flag syntax: `--serve-arg` hands
 /// the words over, the serve child checks them, and a value it refuses
 /// ends the router's start-up — before any address is announced, with
-/// the child's own complaint on stderr.
+/// the child's own complaint on stderr. A flag serve no longer has (the
+/// in-process shard count) is refused the same way.
 #[test]
 fn a_forwarded_serve_flag_is_validated_by_serve_before_the_router_listens() {
-    for (flag, value) in [("--tenant-quota", "bogus=1"), ("--lane-weights", "1,2")] {
+    for (flag, value, complaint) in [
+        ("--tenant-quota", "bogus=1", "--tenant-quota:"),
+        ("--lane-weights", "1,2", "--lane-weights:"),
+        ("--shards", "2", "unknown flag --shards (try --help)"),
+    ] {
         let output = Command::new(env!("CARGO_BIN_EXE_chatpattern-router"))
             .args(["--listen", "127.0.0.1:0", "--workers", "1", "--serve-bin"])
             .arg(env!("CARGO_BIN_EXE_chatpattern-serve"))
@@ -544,7 +549,7 @@ fn a_forwarded_serve_flag_is_validated_by_serve_before_the_router_listens() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(!output.status.success(), "{flag} {value}: {stderr}");
         assert!(!stderr.contains("listening on"), "{stderr}");
-        let complaint = format!("[worker 0] chatpattern-serve: {flag}:");
+        let complaint = format!("[worker 0] chatpattern-serve: {complaint}");
         assert!(stderr.contains(&complaint), "{stderr}");
     }
 }

@@ -37,7 +37,7 @@
 //! session_durability`.
 
 use chatpattern::{
-    BackendKind, ChatPattern, EngineConfig, Error, PatternEngine, PatternRequest, PatternService,
+    ChatPattern, EngineConfig, Error, PatternEngine, PatternRequest, PatternService,
     RequestEnvelope, ResponseEnvelope, ResponsePayload, SessionCloseParams, SessionOpenParams,
     SessionRestoreParams, SessionSnapshot, SessionSnapshotParams, SessionTurnParams, WireOutcome,
 };
@@ -78,7 +78,6 @@ fn engine(system: ChatPattern) -> PatternEngine<ChatPattern> {
     PatternEngine::with_config(
         system,
         EngineConfig {
-            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             queue_depth: 16,
             cache_capacity: 16,

@@ -37,7 +37,7 @@
 use chatpattern::ChatPattern;
 use chatpattern_core::wire::{RequestEnvelope, ResponseEnvelope, WireOutcome};
 use chatpattern_core::{
-    BackendKind, EngineConfig, GenerateParams, PatternEngine, PatternRequest, PatternService,
+    EngineConfig, GenerateParams, PatternEngine, PatternRequest, PatternService,
 };
 use cp_dataset::Style;
 use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
@@ -61,7 +61,6 @@ fn build_engine() -> Arc<PatternEngine<Arc<ChatPattern>>> {
         PatternEngine::with_config(
             system,
             EngineConfig {
-                backend: BackendKind::Sharded { shards: 1 },
                 workers: 2,
                 queue_depth: 512,
                 cache_capacity: 0,
@@ -525,7 +524,6 @@ fn in_flight_requests_hold_no_threads() {
         PatternEngine::with_config(
             Gated(Arc::clone(&gate)),
             EngineConfig {
-                backend: BackendKind::Sharded { shards: 1 },
                 workers: 2,
                 queue_depth: 512,
                 cache_capacity: 0,

@@ -119,8 +119,6 @@ fn scripted_session_via_wire_matches_in_process_session_store() {
             "6",
             "--workers",
             "2",
-            "--shards",
-            "2",
         ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -590,14 +588,15 @@ fn refused(binary: &str, args: &[&str], complaint: &str) {
 
 /// A flag that used to choose between two mechanisms is gone with the
 /// second mechanism, not ignored: the TCP transport, the execution
-/// backend, the router's copies of five serve flags (which ride
-/// `--serve-arg` like every other serve flag), and its link pool (one
-/// link a worker now that no reader of one can block).
+/// backend, the shard count, the router's copies of five serve flags
+/// (which ride `--serve-arg` like every other serve flag), and its link
+/// pool (one link a worker now that no reader of one can block).
 #[test]
 fn the_transport_flag_is_an_unknown_flag() {
     for (binary, flag) in [
         (SERVE, "--transport"),
         (SERVE, "--backend"),
+        (SERVE, "--shards"),
         (ROUTER, "--tenant-quota"),
         (ROUTER, "--lane-weights"),
         (ROUTER, "--spill-ahead-turns"),
@@ -611,16 +610,15 @@ fn the_transport_flag_is_an_unknown_flag() {
 }
 
 /// A count of zero is a server that accepts nobody, a fleet of none,
-/// a timer that never sleeps or an engine with no queue:
-/// both binaries refuse it at start-up, by the flag's name, instead of
-/// listening in silence or clamping it. A shard without a worker could
-/// never drain, so that is refused here too.
+/// a timer that never sleeps, an engine with no worker or a session
+/// that expires as it opens: both binaries refuse it at start-up, by
+/// the flag's name, instead of listening in silence or clamping it.
 #[test]
 fn a_connection_cap_of_zero_is_refused_at_start_up() {
     for (binary, flag) in [
         (SERVE, "--max-connections"),
         (SERVE, "--workers"),
-        (SERVE, "--shards"),
+        (SERVE, "--session-ttl-secs"),
         (SERVE, "--spill-ahead-secs"),
         (SERVE, "--spill-ahead-turns"),
         (ROUTER, "--max-connections"),
@@ -634,13 +632,12 @@ fn a_connection_cap_of_zero_is_refused_at_start_up() {
             &format!("{flag} needs at least 1, got \"0\""),
         );
     }
-    let complaint = "--shards needs at most --workers (2), got \"3\"";
-    refused(SERVE, &["--workers", "2", "--shards", "3"], complaint);
-    refused(SERVE, &["--shards", "3", "--workers", "2"], complaint);
 }
 
-/// Attach mode spawns nothing, so configuration for spawned workers is
-/// refused with it rather than accepted and dropped.
+/// A flag that cannot take effect is refused rather than accepted and
+/// dropped: attach mode spawns nothing, so configuration for spawned
+/// workers is refused with it; so is a cadence for an auto-rebalancer
+/// that is off, in either flag order.
 #[test]
 fn attach_mode_refuses_configuration_for_spawned_workers() {
     for (flag, value) in [
@@ -662,6 +659,13 @@ fn attach_mode_refuses_configuration_for_spawned_workers() {
             &format!("{flag} only applies to spawned workers"),
         );
     }
+    let complaint = "--rebalance-interval-ms needs --rebalance-threshold";
+    let listen = ["--listen", "127.0.0.1:0"];
+    let interval = ["--rebalance-interval-ms", "5"];
+    let off = ["--rebalance-threshold", "0"];
+    refused(ROUTER, &[listen, interval].concat(), complaint);
+    refused(ROUTER, &[listen, off, interval].concat(), complaint);
+    refused(ROUTER, &[listen, interval, off].concat(), complaint);
 }
 
 /// The flags `--help` lists: every line of the form `  --flag …`.
