@@ -98,6 +98,9 @@ pub trait Serializer {
     fn map_key(&mut self, key: &str);
     /// Closes the innermost open object.
     fn map_end(&mut self);
+    /// One whole value given as its JSON text, which must be well
+    /// formed (`serde_json::value::RawValue` holds nothing else).
+    fn raw(&mut self, json: &str);
 }
 
 /// The JSON kind of the value a [`Deserializer`] is about to yield.
@@ -147,6 +150,11 @@ pub trait Deserializer {
     /// Consumes the pending value, whatever it is, and says that
     /// `expected` was wanted in its place.
     fn unexpected(&mut self, expected: &str) -> Error;
+    /// Consumes the pending value, whatever it is, and yields its JSON
+    /// text: the input's own bytes where the input is text (surrounding
+    /// whitespace left out), a compact print where it is a tree. The
+    /// slice is valid until the next call.
+    fn raw(&mut self) -> Result<&str, Error>;
 
     /// Consumes the pending value, whatever it is (an unknown key's).
     fn skip(&mut self) -> Result<(), Error> {
@@ -192,13 +200,15 @@ pub trait Deserialize: Sized {
 
 /// What a struct field whose key never occurred decodes to: whatever
 /// its type makes of `null` (`None` for an `Option`, an error for most
-/// others). Called by derive-generated code.
+/// others) — except that no text stands behind it, so a type that asks
+/// for the value's text ([`Deserializer::raw`]) is refused rather than
+/// handed `null`. Called by derive-generated code.
 ///
 /// # Errors
 ///
 /// Returns the type's own "expected …, found null" error.
 pub fn missing_field<T: Deserialize>() -> Result<T, Error> {
-    value::from_value(&Value::Null)
+    value::from_absent()
 }
 
 /// A `#[serde(default)]` field's value: `None` (use the default) when

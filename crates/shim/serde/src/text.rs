@@ -154,6 +154,10 @@ impl Serializer for TextWriter {
     fn map_end(&mut self) {
         self.out.push(b'}');
     }
+
+    fn raw(&mut self, json: &str) {
+        self.push_str(json);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -292,6 +296,31 @@ impl<'a> TextReader<'a> {
             Ok(true)
         } else {
             Err(self.expected_separator(close))
+        }
+    }
+
+    /// Steps over the `,d` members — a comma, then one digit — that
+    /// follow a member of the innermost array, 31 a step, for as long
+    /// as the text is nothing else: a 128×128 topology's `bits` is
+    /// 32 kB of them. Each pair stepped over is followed by the next
+    /// one's comma, so [`next_member`](Self::next_member) and
+    /// [`number`](Deserializer::number) would have taken it as it
+    /// stands; the last pair of a chunk, and whatever is spelled any
+    /// other way (`10`, `-1`, ` 1`), is left to them.
+    #[inline]
+    fn skip_digit_members(&mut self) {
+        const CHUNK: usize = 64;
+        while let Some(chunk) = self.bytes().get(self.pos..self.pos + CHUNK) {
+            // No early exit and no `&&`: a loop the compiler turns
+            // into a few vector compares.
+            let mut other = 0u8;
+            for pair in chunk.chunks_exact(2) {
+                other |= (pair[0] ^ b',') | u8::from(pair[1].wrapping_sub(b'0') > 9);
+            }
+            if other != 0 {
+                return;
+            }
+            self.pos += CHUNK - 2;
         }
     }
 
@@ -535,6 +564,40 @@ impl Deserializer for TextReader<'_> {
         match Value::deserialize(self) {
             Ok(found) => Error::custom(format!("expected {expected}, found {found}")),
             Err(malformed) => malformed,
+        }
+    }
+
+    fn raw(&mut self) -> Result<&str, Error> {
+        self.skip_whitespace();
+        let start = self.pos;
+        self.skip()?;
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// The default walk, so what it accepts is what reading the value
+    /// as a [`Value`] accepts, nesting included — plus the fast path
+    /// over an array's one-digit members.
+    fn skip(&mut self) -> Result<(), Error> {
+        match self.kind()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::String => self.string().map(drop),
+            Kind::Seq => {
+                self.seq_begin()?;
+                while self.seq_next()? {
+                    self.skip()?;
+                    self.skip_digit_members();
+                }
+                Ok(())
+            }
+            Kind::Map => {
+                self.map_begin()?;
+                while self.map_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! plus the [`Serializer`] that builds one and the [`Deserializer`]
 //! that walks one.
 
-use crate::text::TextWriter;
+use crate::text::{TextReader, TextWriter};
 use crate::{Deserialize, Deserializer, Error, Kind, Serialize, Serializer};
 use std::collections::{btree_map, BTreeMap};
 use std::fmt;
@@ -371,6 +371,14 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
     T::deserialize(&mut ValueDeserializer::new(value))
 }
 
+/// What `T` makes of a struct field whose key never came: of `null`,
+/// with no text to show for it.
+pub(crate) fn from_absent<T: Deserialize>() -> Result<T, Error> {
+    let mut walker = ValueDeserializer::new(&NULL);
+    walker.absent = true;
+    T::deserialize(&mut walker)
+}
+
 // ---------------------------------------------------------------------
 // Building a tree from events
 // ---------------------------------------------------------------------
@@ -455,6 +463,11 @@ impl Serializer for ValueSerializer {
             self.put(Value::Object(map));
         }
     }
+
+    fn raw(&mut self, json: &str) {
+        let value = Value::deserialize(&mut TextReader::new(json));
+        self.put(value.expect("raw text is one well-formed value"));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -473,6 +486,10 @@ struct ValueDeserializer<'a> {
     /// member `seq_next` / `map_key` last stepped to.
     pending: &'a Value,
     walks: Vec<Walk<'a>>,
+    /// The last value asked for as text.
+    printed: String,
+    /// The value stands in for a field whose key never came.
+    absent: bool,
 }
 
 impl<'a> ValueDeserializer<'a> {
@@ -480,6 +497,8 @@ impl<'a> ValueDeserializer<'a> {
         ValueDeserializer {
             pending: value,
             walks: Vec::new(),
+            printed: String::new(),
+            absent: false,
         }
     }
 }
@@ -578,5 +597,13 @@ impl Deserializer for ValueDeserializer<'_> {
 
     fn unexpected(&mut self, expected: &str) -> Error {
         Error::custom(format!("expected {expected}, found {}", self.pending))
+    }
+
+    fn raw(&mut self) -> Result<&str, Error> {
+        if self.absent {
+            return Err(Error::custom("expected a value, found none"));
+        }
+        self.printed = self.pending.to_string();
+        Ok(&self.printed)
     }
 }

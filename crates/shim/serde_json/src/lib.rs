@@ -1,6 +1,6 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
-//! the [`Value`] tree, the [`json!`] macro, and the `to_string` /
-//! `from_str` / `to_value` / `from_value` entry points.
+//! the [`Value`] tree, [`value::RawValue`], the [`json!`] macro, and the
+//! `to_string` / `from_str` / `to_value` / `from_value` entry points.
 //!
 //! This crate is the facade; the codec itself — the JSON text writer
 //! and reader, and the tree builder and walker — lives in the serde
@@ -17,8 +17,10 @@
 //! crate: maps serialize as `[key, value]` entry arrays (see the serde
 //! shim), which lets tuple-keyed maps round-trip.
 
-pub use serde::value::{from_value, to_value, Map, Number, Value};
+pub mod value;
+
 pub use serde::Error;
+pub use value::{from_value, to_value, Map, Number, Value};
 
 use serde::text::{TextReader, TextWriter};
 use serde::{Deserialize, Serialize};

@@ -17,7 +17,8 @@
 # stdio and flushes --stats, connection counters included, on client
 # disconnect, (h) a 2-worker
 # router fleet routes a session, survives draining its host worker
-# (live rebalance), and aggregates fleet stats, and (i) a tenant that
+# (live rebalance), answers an ill-typed and a packed line once each
+# under their ids, and aggregates fleet stats, and (i) a tenant that
 # floods past its --tenant-quota collects typed Overloaded envelopes
 # with a retry_after_ms hint while a calm tenant on the same server
 # still completes, with the rejection counted in the per-tenant stats
@@ -412,7 +413,28 @@ router_exchange '{"id":"f-close","request":{"SessionClose":{"session":"fleet-smo
 echo "$ROUTER_REPLY" | jq -e '.outcome.Ok.payload | has("SessionClose")' > /dev/null \
     || router_fail "fleet session close errored"
 
+# The router passes a request's text on unread: what is wrong with it
+# is the worker's to say, under the client's id, and a topology the
+# client packed goes through as packed. Two lines in, two replies out —
+# the `Stats` exchange after them must read its own reply, not a third.
+printf '%s\n' \
+    '{"id":"f-ill","request":{"Legalize":{"topology":{"rows":4,"cols":4,"bits":[1,1,0]},"width_nm":2048,"height_nm":2048,"seed":1}}}' \
+    '{"id":"f-packed","request":{"Legalize":{"topology":{"rows":3,"cols":6,"packed":"f8cc84"},"width_nm":2048,"height_nm":2048,"seed":1}}}' >&6
+ROUTER_REPLY=""
+for _ in 1 2; do
+    IFS= read -t 120 -r LINE <&6 || router_fail "the fleet did not answer the ill-typed and the packed line"
+    ROUTER_REPLY+="$LINE"$'\n'
+done
+echo "$ROUTER_REPLY" | jq -es '
+    (map(.id) | sort) == ["f-ill", "f-packed"]
+    and any(.[]; .id == "f-ill" and .outcome.Err.kind == "InvalidRequest"
+        and (.outcome.Err.message | contains("bits is not rows x cols long")))
+    and any(.[]; .id == "f-packed" and (.outcome.Ok.payload | has("Legalize")))' > /dev/null \
+    || router_fail "an ill-typed line must be the worker's typed refusal and a packed one served, each id once"
+
 router_exchange '{"id":"f-stats","request":"Stats"}'
+echo "$ROUTER_REPLY" | jq -e '.id == "f-stats"' > /dev/null \
+    || router_fail "a reply nobody asked for came ahead of the Stats reply"
 echo "$ROUTER_REPLY" | jq -e '.outcome.Ok.payload.Stats.turns == 2' > /dev/null \
     || router_fail "fleet Stats must aggregate both workers (want turns=2)"
 echo "$ROUTER_REPLY" | jq -e '.outcome.Ok.payload.Stats.queue_depths | length == 2' > /dev/null \
@@ -425,7 +447,7 @@ exec 6<&- 6>&-
 wait "$ROUTER_PID" || { echo "wire smoke FAILED: router exited non-zero" >&2; rm -rf "$SESS_DIR"; exit 1; }
 rm -rf "$SESS_DIR"
 
-echo "wire smoke OK: router fleet (pin, drain, live migration, aggregated stats, shutdown)"
+echo "wire smoke OK: router fleet (pin, drain, live migration, refusal and packed line pass through, aggregated stats, shutdown)"
 
 # (i) QoS overload burst: tenant "flood" has an in-flight quota of 1.
 # A pipelined burst holds the quota with one slow request, so the

@@ -13,7 +13,17 @@
 //! [`EngineStats`] merged across all workers — including the
 //! per-(tenant, lane) QoS rows, summed fleet-wide.
 //!
-//! The envelope's `tenant` field is forwarded verbatim, so each
+//! The data plane is textual: of a client's line the router reads the
+//! envelope (`id`, `tenant`) and, off the request's text, the little its
+//! placement depends on (`routing::text_route`); the request goes to its
+//! worker as the bytes the client sent, under a router-internal id, and
+//! the worker's outcome goes back to the client as the bytes the worker
+//! sent, under the client's id. The worker is the one validator: a
+//! request it cannot decode comes back as its `InvalidRequest`. Only
+//! what the router itself asks a worker (`Stats` fan-in, the snapshot /
+//! restore / close of a move) is built and read as typed values.
+//!
+//! The envelope's `tenant` field is forwarded as given, so each
 //! worker's QoS gate (configured like everything else about a spawned
 //! worker, `--serve-arg --tenant-quota --serve-arg SPEC`, and checked
 //! by the worker: a value it refuses stops the router's start-up) sees
@@ -50,21 +60,22 @@
 //! is down — and forwarded in arrival order by the thread that ends the
 //! wait.
 
-use chatpattern_core::routing::route_hash;
-use chatpattern_core::wire::{decode_request_line, ResponseEnvelope};
+use chatpattern_core::routing::{route_hash, text_route, SessionRole, TextRoute};
+use chatpattern_core::wire::{decode_request_line, ResponseEnvelope, WireError};
 use chatpattern_core::{
-    EngineStats, Error, PatternRequest, PatternResponse, RequestEnvelope, ResponsePayload,
-    SessionCloseParams, SessionRestoreParams, SessionSnapshotParams, Timing, WireOutcome,
+    EngineStats, Error, PatternRequest, PatternResponse, ResponsePayload, SessionCloseParams,
+    SessionRestoreParams, SessionSnapshotParams, Timing, WireOutcome,
 };
 use cp_net::{
     connect_with_backoff, ClientConfig, ConnectionHandler, EventLoopConfig, EventLoopServer,
     LineSink, DEFAULT_EVENT_LOOP_CONNECTIONS, DEFAULT_MAX_LINE_BYTES,
 };
 use serde::{Deserialize, Serialize};
+use serde_json::value::{to_raw_value, RawValue};
 use serde_json::Value;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -203,6 +214,36 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
+// ----------------------------------------------------------------- frames
+
+/// A client's request line, as far as the router reads it: a line
+/// without a `request` (a control line), with a `null` id or with
+/// anything that is not JSON in it does not frame.
+#[derive(Deserialize)]
+struct ClientFrame {
+    id: Value,
+    tenant: Option<String>,
+    request: Box<RawValue>,
+}
+
+/// The line a worker gets: the request's text under a router-internal
+/// id, `"tenant":null` spelled out — the wire envelope's own text.
+#[derive(Serialize)]
+struct WorkerFrame {
+    id: u64,
+    request: Box<RawValue>,
+    tenant: Option<String>,
+}
+
+/// A worker's reply line, and — under the client's id — the line the
+/// client gets: the outcome's text passes through as the worker, which
+/// is the canonical writer, wrote it.
+#[derive(Serialize, Deserialize)]
+struct ReplyFrame {
+    id: Value,
+    outcome: Box<RawValue>,
+}
+
 // ---------------------------------------------------------------- control
 
 /// A router-only control line: `{"id":…,"control":…}`.
@@ -276,42 +317,51 @@ enum Pending {
         closes_session: Option<String>,
     },
     /// A router-internal call (stats fan-in, snapshot/restore during a
-    /// move): runs once, on the thread that has the answer.
-    Internal(Box<dyn FnOnce(ResponseEnvelope) + Send>),
+    /// move), the one kind of reply the router decodes: runs once, on
+    /// the thread that has the answer.
+    Internal(Box<dyn FnOnce(WireOutcome) + Send>),
 }
 
 impl Pending {
-    /// Hands a worker's reply to the requester.
-    fn deliver(self, router: &Router, reply: ResponseEnvelope) {
+    /// Hands the outcome a worker answered with to the requester.
+    fn deliver(self, router: &Router, outcome: Box<RawValue>) {
         match self {
             Pending::Client {
                 id,
                 sink,
                 closes_session,
             } => {
-                if let (Some(sid), WireOutcome::Ok(_)) = (&closes_session, &reply.outcome) {
-                    router.sessions.lock().expect("session lock").remove(sid);
+                // The one client reply that is read: did the close succeed?
+                if let Some(sid) = closes_session {
+                    if let Ok(WireOutcome::Ok(_)) = serde_json::from_str(outcome.get()) {
+                        router.sessions.lock().expect("session lock").remove(&sid);
+                    }
                 }
-                let reply = ResponseEnvelope {
-                    id,
-                    outcome: reply.outcome,
-                };
-                sink.send_owed(&reply.to_line());
+                let reply = ReplyFrame { id, outcome };
+                sink.send_owed(&serde_json::to_string(&reply).expect("replies serialize"));
             }
-            Pending::Internal(done) => done(reply),
+            Pending::Internal(done) => {
+                done(serde_json::from_str(outcome.get()).unwrap_or_else(|e| {
+                    let unread = Error::internal(format!("unreadable worker reply: {e}"));
+                    WireOutcome::Err(WireError::from(&unread))
+                }));
+            }
         }
     }
 
     /// Answers the requester with `error` in place of a worker's reply.
     fn fail(self, router: &Router, error: &Error) {
-        self.deliver(router, ResponseEnvelope::error(Value::Null, error));
+        let outcome = WireOutcome::Err(WireError::from(error));
+        self.deliver(router, to_raw_value(&outcome).expect("outcomes serialize"));
     }
 }
 
-/// A request parked on its way to a worker.
+/// A client's request on its way to a worker: its text as sent, and
+/// where that text says it belongs.
 struct Outbound {
     tenant: Option<String>,
-    request: PatternRequest,
+    request: Box<RawValue>,
+    route: TextRoute,
     entry: Pending,
 }
 
@@ -390,41 +440,36 @@ impl Router {
     /// Picks the worker for a request: pinned session placement
     /// first, then key/session hash over the live workers, then
     /// round-robin.
-    fn place(&self, request: &PatternRequest) -> Result<usize, Error> {
+    fn place(&self, route: &TextRoute) -> Result<usize, Error> {
         let live = self.live_workers();
         if live.is_empty() {
             return Err(Error::internal("no live workers to route to"));
         }
-        if let Some(sid) = request.session_id() {
-            let mut sessions = self.sessions.lock().expect("session lock");
-            if let Some(worker) = sessions.get(sid) {
-                return Ok(*worker);
+        let hash = match route {
+            TextRoute::Session { id, role } => {
+                let mut sessions = self.sessions.lock().expect("session lock");
+                if let Some(worker) = sessions.get(id) {
+                    return Ok(*worker);
+                }
+                let worker = live[(route_hash(id) % live.len() as u64) as usize];
+                // Only requests that create the session pin it; a turn on
+                // an unknown id is the worker's SessionNotFound to report.
+                if *role == SessionRole::Creates {
+                    sessions.insert(id.clone(), worker);
+                }
+                return Ok(worker);
             }
-            let worker = live[(route_hash(sid) % live.len() as u64) as usize];
-            // Only requests that create the session pin it; a turn on
-            // an unknown id is the worker's SessionNotFound to report.
-            if matches!(
-                request,
-                PatternRequest::SessionOpen(_) | PatternRequest::SessionRestore(_)
-            ) {
-                sessions.insert(sid.to_owned(), worker);
-            }
-            return Ok(worker);
-        }
-        match chatpattern_core::routing::request_route(request) {
-            Some(hash) => Ok(live[(hash % live.len() as u64) as usize]),
-            None => {
-                let next = self.round_robin.fetch_add(1, Ordering::Relaxed);
-                Ok(live[(next % live.len() as u64) as usize])
-            }
-        }
+            TextRoute::Keyed(hash) => *hash,
+            TextRoute::Stats | TextRoute::Free => self.round_robin.fetch_add(1, Ordering::Relaxed),
+        };
+        Ok(live[(hash % live.len() as u64) as usize])
     }
 }
 
 /// Places one line and forwards it; with nowhere to go it is answered
 /// with the reason under its own id.
 fn route(router: &Arc<Router>, line: Outbound) {
-    match router.place(&line.request) {
+    match router.place(&line.route) {
         Ok(worker) => forward(router, worker, line.tenant, line.request, line.entry),
         Err(error) => line.entry.fail(router, &error),
     }
@@ -530,21 +575,27 @@ fn spawn_worker(spec: &SpawnSpec, index: usize) -> Result<(String, Option<Child>
 /// takes the link down and fails what was in flight on it.
 fn read_worker(router: &Arc<Router>, index: usize, generation: u64, stream: TcpStream) {
     let link = &router.workers[index].link;
-    let mut reader = std::io::BufReader::new(stream).lines();
-    while let Some(Ok(line)) = reader.next() {
+    let mut reader = BufReader::new(stream);
+    // One buffer for every line: it grows to the longest reply once.
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if !matches!(reader.read_line(&mut line), Ok(read) if read > 0) {
+            break;
+        }
         if line.trim().is_empty() {
             continue;
         }
-        let Ok(envelope) = serde_json::from_str::<ResponseEnvelope>(&line) else {
+        let Ok(reply) = serde_json::from_str::<ReplyFrame>(&line) else {
             eprintln!("chatpattern-router: worker {index} sent an unparsable line");
             continue;
         };
-        let Some(internal) = envelope.id.as_u64() else {
+        let Some(internal) = reply.id.as_u64() else {
             continue;
         };
         let entry = link.pending.lock().expect("pending lock").remove(&internal);
         if let Some(entry) = entry {
-            entry.deliver(router, envelope);
+            entry.deliver(router, reply.outcome);
         }
     }
 
@@ -620,17 +671,16 @@ fn forward(
     router: &Arc<Router>,
     index: usize,
     tenant: Option<String>,
-    request: PatternRequest,
+    request: Box<RawValue>,
     mut entry: Pending,
 ) {
     let internal = router.next_internal.fetch_add(1, Ordering::Relaxed);
-    let id = serde_json::to_value(&internal);
-    let envelope = RequestEnvelope {
-        id,
-        tenant,
+    let frame = WorkerFrame {
+        id: internal,
         request,
+        tenant,
     };
-    let mut framed = serde_json::to_string(&envelope).expect("requests serialize");
+    let mut framed = serde_json::to_string(&frame).expect("frames serialize");
     if framed.len() > DEFAULT_MAX_LINE_BYTES {
         // The worker would refuse this line under a `null` id, which
         // matches no pending entry: the requester would never hear.
@@ -702,11 +752,12 @@ fn revive(router: &Arc<Router>, index: usize) {
 fn call_worker(
     router: &Arc<Router>,
     index: usize,
-    request: PatternRequest,
-) -> Result<ResponseEnvelope, String> {
+    request: &PatternRequest,
+) -> Result<WireOutcome, String> {
     let (answer, answered) = mpsc::channel();
     // The caller may have timed out and gone when the answer comes.
-    let entry = Pending::Internal(Box::new(move |reply| drop(answer.send(reply))));
+    let entry = Pending::Internal(Box::new(move |outcome| drop(answer.send(outcome))));
+    let request = to_raw_value(request).expect("requests serialize");
     forward(router, index, None, request, entry);
     answered
         .recv_timeout(INTERNAL_CALL_TIMEOUT)
@@ -714,8 +765,8 @@ fn call_worker(
 }
 
 /// The `Stats` a worker answered with, if that is what it did.
-fn stats_of(reply: ResponseEnvelope) -> Option<EngineStats> {
-    match reply.outcome {
+fn stats_of(outcome: WireOutcome) -> Option<EngineStats> {
+    match outcome {
         WireOutcome::Ok(response) => match response.payload {
             ResponsePayload::Stats(stats) => Some(stats),
             _ => None,
@@ -732,13 +783,14 @@ fn fleet_stats(router: &Arc<Router>, done: impl FnOnce(Vec<Option<EngineStats>>)
     let count = router.workers.len();
     let unanswered: Vec<Option<EngineStats>> = (0..count).map(|_| None).collect();
     let gather = Arc::new(Mutex::new((unanswered, count, Some(done))));
+    let stats = to_raw_value(&PatternRequest::Stats).expect("requests serialize");
     for index in 0..count {
         let gather = Arc::clone(&gather);
-        let entry = Pending::Internal(Box::new(move |reply| {
+        let entry = Pending::Internal(Box::new(move |outcome| {
             let last = {
                 let mut gather = gather.lock().expect("gather lock");
                 let (per_worker, outstanding, done) = &mut *gather;
-                per_worker[index] = stats_of(reply);
+                per_worker[index] = stats_of(outcome);
                 *outstanding -= 1;
                 (*outstanding == 0).then(|| (std::mem::take(per_worker), done.take()))
             };
@@ -746,7 +798,7 @@ fn fleet_stats(router: &Arc<Router>, done: impl FnOnce(Vec<Option<EngineStats>>)
                 done(per_worker);
             }
         }));
-        forward(router, index, None, PatternRequest::Stats, entry);
+        forward(router, index, None, stats.clone(), entry);
     }
 }
 
@@ -775,11 +827,11 @@ fn move_session(
     let snapshot = call_worker(
         router,
         source,
-        PatternRequest::SessionSnapshot(SessionSnapshotParams {
+        &PatternRequest::SessionSnapshot(SessionSnapshotParams {
             session: sid.to_owned(),
         }),
     )?;
-    let snapshot = match snapshot.outcome {
+    let snapshot = match snapshot {
         WireOutcome::Ok(response) => match response.payload {
             ResponsePayload::SessionSnapshot(snapshot) => snapshot,
             other => return Err(format!("snapshot of {sid} returned {other:?}")),
@@ -797,9 +849,9 @@ fn move_session(
     let restored = call_worker(
         router,
         target,
-        PatternRequest::SessionRestore(SessionRestoreParams { snapshot }),
+        &PatternRequest::SessionRestore(SessionRestoreParams { snapshot }),
     )?;
-    if let WireOutcome::Err(error) = restored.outcome {
+    if let WireOutcome::Err(error) = restored {
         return Err(format!(
             "restore of {sid} on worker {target} failed: {}",
             error.message
@@ -815,7 +867,7 @@ fn move_session(
     let _ = call_worker(
         router,
         source,
-        PatternRequest::SessionClose(SessionCloseParams {
+        &PatternRequest::SessionClose(SessionCloseParams {
             session: sid.to_owned(),
         }),
     );
@@ -923,7 +975,7 @@ fn auto_rebalance(router: &Arc<Router>, threshold: usize) -> usize {
         let queued: HashMap<usize, usize> = live
             .iter()
             .map(|&index| {
-                let stats = call_worker(router, index, PatternRequest::Stats)
+                let stats = call_worker(router, index, &PatternRequest::Stats)
                     .ok()
                     .and_then(stats_of);
                 (index, stats.map_or(0, |s| s.queue_depths.iter().sum()))
@@ -1083,24 +1135,31 @@ impl ConnectionHandler for RouterHandler {
     /// it has heard; `send_line` is for what is answered at once (a line
     /// that does not decode, a refused drain, `Shutdown`).
     fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
-        let envelope = match decode_request_line(line) {
-            Ok(envelope) => envelope,
-            // Only a line that is no request is read again, as a
-            // control line (which has no `request` and so never
-            // decodes as one).
-            Err((id, error)) => {
+        let frame = match serde_json::from_str::<ClientFrame>(line) {
+            Ok(frame) if !frame.id.is_null() => frame,
+            // A line that is no request is read again: as a control
+            // line (which has no `request` and so never frames as one),
+            // else by serve's own reader, for the refusal serve would
+            // give it — that reader takes no line this one did not (it
+            // reads the same envelope, and of `request` more).
+            _ => {
                 return match serde_json::from_str::<ControlEnvelope>(line) {
                     Ok(control) => self.on_control(control, sink),
                     Err(_) => {
+                        let (id, error) = decode_request_line(line).err().unwrap_or_else(|| {
+                            let unframed = "request line decodes but does not frame";
+                            (Value::Null, Error::internal(unframed))
+                        });
                         sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
                     }
-                }
+                };
             }
         };
         sink.owe();
-        let id = envelope.id;
+        let id = frame.id;
         let sink = Arc::clone(sink);
-        if matches!(envelope.request, PatternRequest::Stats) {
+        let placement = text_route(frame.request.get());
+        if placement == TextRoute::Stats {
             // The fleet view, answered by the router itself.
             let started = Instant::now();
             return fleet_stats(&self.router, move |per_worker| {
@@ -1112,22 +1171,23 @@ impl ConnectionHandler for RouterHandler {
                 sink.send_owed(&ResponseEnvelope::ok(id, response).to_line());
             });
         }
-        let closes_session = match &envelope.request {
-            PatternRequest::SessionClose(params) => Some(params.session.clone()),
+        let closes_session = match &placement {
+            TextRoute::Session { id, role } if *role == SessionRole::Closes => Some(id.clone()),
             _ => None,
         };
         let line = Outbound {
-            tenant: envelope.tenant,
-            request: envelope.request,
+            tenant: frame.tenant,
+            request: frame.request,
+            route: placement,
             entry: Pending::Client {
                 id,
                 sink,
                 closes_session,
             },
         };
-        if let Some(sid) = line.request.session_id() {
+        if let TextRoute::Session { id, .. } = &line.route {
             let mut moving = self.router.moving.lock().expect("moving lock");
-            if let Some(parked) = moving.get_mut(sid) {
+            if let Some(parked) = moving.get_mut(id) {
                 return parked.push(line);
             }
         }

@@ -363,25 +363,15 @@ fn three_worker_fleet_keeps_sessions_and_keys_worker_local() {
 }
 
 /// The fleet half of `tests/wire.rs::
-/// a_packed_request_and_its_bits_twin_are_one_execution`: shard
-/// placement hangs off the request key, and the key does not depend on
-/// how the client spelled its topology — the packed line and its
-/// `bits` twin reach the same worker, whose cache answers the second.
+/// a_packed_request_and_its_bits_twin_are_one_execution`, as far as a
+/// fleet still promises it: the router places a keyed request by the
+/// bytes the client sent, so a packed line and its `bits` twin are two
+/// texts and may reach different workers — but each spelling sent again
+/// finds the worker that has it cached, and wherever the two land they
+/// are one request with one payload.
 #[test]
-fn a_packed_request_and_its_bits_twin_land_on_one_worker() {
+fn a_packed_request_and_its_bits_twin_each_find_their_workers_cache() {
     let mut fleet = RouterFleet::spawn(2, &[]);
-    let completed = |fleet: &mut RouterFleet| -> Vec<u64> {
-        let view = fleet.control(r#"{"id":"fleet","control":"Fleet"}"#);
-        let workers = view["control"]["Fleet"]["workers"]
-            .as_array()
-            .expect("workers");
-        workers
-            .iter()
-            .map(|worker| worker["stats"]["completed"].as_u64().expect("completed"))
-            .collect()
-    };
-    let mut counts = vec![completed(&mut fleet)];
-    assert_eq!(counts[0], [0, 0]);
     let mut payloads = Vec::new();
     for (id, topology) in [
         ("packed", r#"{"rows":3,"cols":6,"packed":"f8cc84"}"#),
@@ -390,23 +380,300 @@ fn a_packed_request_and_its_bits_twin_land_on_one_worker() {
             r#"{"rows":3,"cols":6,"bits":[1,1,1,1,1,0,1,1,0,0,1,1,1,0,0,0,0,1]}"#,
         ),
     ] {
-        let reply = fleet.control(&format!(
-            r#"{{"id":"{id}","request":{{"Legalize":{{"topology":{topology},"width_nm":2048,"height_nm":2048,"seed":1}}}}}}"#
-        ));
-        let payload = &reply["outcome"]["Ok"]["payload"];
-        assert!(payload.get("Legalize").is_some(), "{id}: {reply}");
-        payloads.push(payload.to_string());
-        counts.push(completed(&mut fleet));
+        for round in 0..2 {
+            let reply = fleet.control(&format!(
+                r#"{{"id":"{id}-{round}","request":{{"Legalize":{{"topology":{topology},"width_nm":2048,"height_nm":2048,"seed":1}}}}}}"#
+            ));
+            let payload = &reply["outcome"]["Ok"]["payload"];
+            assert!(payload.get("Legalize").is_some(), "{id}: {reply}");
+            payloads.push(payload.to_string());
+        }
     }
-    assert_eq!(payloads[0], payloads[1]);
-    let served = counts[1].iter().position(|&count| count == 1).expect("one");
-    assert_eq!(counts[1].iter().sum::<u64>(), 1, "{counts:?}");
-    assert_eq!(counts[2][served], 2, "{counts:?}");
-    assert_eq!(counts[2].iter().sum::<u64>(), 2, "{counts:?}");
+    assert!(payloads.iter().all(|payload| *payload == payloads[0]));
+    // Two workers' caches: the two spellings missed once where they
+    // shared a worker and once each where they did not — and no more,
+    // so each repeat was a hit.
     let ResponsePayload::Stats(stats) = fleet.expect_ok("stats", PatternRequest::Stats) else {
         panic!("wrong payload for Stats");
     };
-    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1), "{stats:?}");
+    assert_eq!(stats.cache_misses + stats.cache_hits, 4, "{stats:?}");
+    assert!((1..=2).contains(&stats.cache_misses), "{stats:?}");
+    fleet.shutdown();
+}
+
+/// The address of a spawned worker, for talking to it directly.
+fn worker_addr(fleet: &mut RouterFleet, index: usize) -> String {
+    let view = fleet.control(r#"{"id":"fleet","control":"Fleet"}"#);
+    let addr = view["control"]["Fleet"]["workers"][index]["addr"].as_str();
+    addr.unwrap_or_else(|| panic!("no worker {index} address in {view:?}"))
+        .to_owned()
+}
+
+/// Sends `lines` down one connection, half-closes and reads to EOF.
+fn replies_to(addr: &str, lines: &[&str]) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    let batch: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    stream.write_all(batch.as_bytes()).expect("batch written");
+    stream.shutdown(Shutdown::Write).expect("write side closes");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout set");
+    let replies = BufReader::new(stream).lines();
+    replies.map(|line| line.expect("reply reads")).collect()
+}
+
+/// The router forwards a request's text without decoding it, so the
+/// worker is the one that refuses what is no request — and the client
+/// must not be able to tell: every line that a serve process refuses is
+/// answered through the router exactly once, under the same id and with
+/// the same `kind`, whether the router saw the problem (no id, not
+/// JSON) or passed the line on (anything wrong inside `request`). A
+/// line the router lets through and its worker cannot answer under the
+/// internal id would be a reply nobody is waiting on and a client that
+/// hangs: the `Generate` behind the refusals is served, and the
+/// half-closed connection ends, only if nothing was left pending.
+#[test]
+fn what_serve_refuses_the_fleet_refuses_once_under_the_same_id_and_kind() {
+    const REFUSED: [&str; 11] = [
+        r#"{"id":"variant","request":{"Nonsense":{}}}"#,
+        r#"{"id":"payload","request":{"Legalize":5}}"#,
+        r#"{"id":"short","request":{"Legalize":{"topology":{"rows":4,"cols":4,"bits":[1,1,0]},"width_nm":2048,"height_nm":2048,"seed":1}}}"#,
+        r#"{"id":"cell","request":{"Legalize":{"topology":{"rows":1,"cols":3,"bits":[1,2,0]},"width_nm":2048,"height_nm":2048,"seed":1}}}"#,
+        r#"{"id":"no-session","request":{"SessionTurn":{"utterance":"denser"}}}"#,
+        r#"{"id":"two-tags","request":{"Stats":{},"Chat":{}}}"#,
+        r#"{"id":"null-request","request":null}"#,
+        r#"{"id":"tenant","tenant":5,"request":"Stats"}"#,
+        r#"{"request":"Stats"}"#,
+        r#"{"id":null,"request":"Stats"}"#,
+        r#"{"id":"broken","request":{"Generate":{"rows":[1,,2]}}}"#,
+    ];
+    let served = request_line("served", generate(1, 9));
+    let mut lines = REFUSED.to_vec();
+    lines.extend(["{oops", served.trim_end()]);
+
+    let mut fleet = RouterFleet::spawn(2, &[]);
+    let direct = replies_to(&worker_addr(&mut fleet, 0), &lines);
+    let routed = replies_to(&fleet.addr, &lines);
+
+    let id_and_kind = |replies: &[String]| {
+        let mut seen: Vec<(String, String)> = replies
+            .iter()
+            .map(|line| {
+                let reply: serde_json::Value = serde_json::from_str(line).expect("reply parses");
+                let kind = match reply["outcome"].get("Err") {
+                    Some(error) => error["kind"].as_str().expect("a kind").to_owned(),
+                    None => "Ok".to_owned(),
+                };
+                (reply["id"].to_string(), kind)
+            })
+            .collect();
+        seen.sort();
+        seen
+    };
+    let expected = id_and_kind(&direct);
+    assert_eq!(
+        expected.len(),
+        lines.len(),
+        "serve answers each: {direct:?}"
+    );
+    let invalid = expected.iter().filter(|(_, kind)| kind == "InvalidRequest");
+    assert_eq!(invalid.count(), REFUSED.len() + 1, "{direct:?}");
+    assert!(expected.contains(&("\"served\"".to_owned(), "Ok".to_owned())));
+    assert_eq!(id_and_kind(&routed), expected, "{routed:?}");
+    // Four lines have no id to answer under; every other id is there.
+    let anonymous = expected.iter().filter(|(id, _)| id == "null").count();
+    assert_eq!(anonymous, 4, "{direct:?}");
+    fleet.shutdown();
+}
+
+/// What the router reads of an envelope it reads as serve does: any
+/// scalar id comes back as serve prints it, and a client's own key
+/// order and spacing — in the envelope and inside the request, which
+/// goes to the worker as sent — are served.
+#[test]
+fn ids_echo_and_a_clients_own_spelling_is_served() {
+    let mut fleet = RouterFleet::spawn(2, &[]);
+    let request = r#"{"Generate":{"cols":16,"count":1,"rows":16,"seed":9,"style":"Layer10001"}}"#;
+    let ids = [r#""s""#, "7", "-7", "1.5", "true", "1e3", r#""\u0041""#];
+    let lines: Vec<String> = ids
+        .iter()
+        .map(|id| format!(r#"{{"id":{id},"request":{request}}}"#))
+        .collect();
+    let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let echoed = |replies: Vec<String>| {
+        let mut heads: Vec<String> = replies
+            .iter()
+            .map(|line| {
+                assert!(line.contains(r#""outcome":{"Ok":"#), "{line}");
+                line.split(r#","outcome""#)
+                    .next()
+                    .expect("a head")
+                    .to_owned()
+            })
+            .collect();
+        heads.sort();
+        heads
+    };
+    let direct = echoed(replies_to(&worker_addr(&mut fleet, 0), &lines));
+    let mut expected = vec![
+        r#"{"id":"s""#,
+        r#"{"id":7"#,
+        r#"{"id":-7"#,
+        r#"{"id":1.5"#,
+        r#"{"id":true"#,
+        r#"{"id":1000"#,
+        r#"{"id":"A""#,
+    ];
+    expected.sort_unstable();
+    assert_eq!(direct, expected);
+    assert_eq!(echoed(replies_to(&fleet.addr, &lines)), expected);
+
+    let spelled = [
+        r#"{"request":{"Generate":{"cols":16,"count":1,"rows":16,"seed":9,"style":"Layer10001"}},"tenant":null,"id":"reversed"}"#,
+        "{ \"id\" : \"spaced\" ,\t\"request\" : { \"Generate\" : { \"style\" : \"Layer10001\" , \
+         \"seed\" : 9 , \"rows\" : 16 , \"cols\" : 16 , \"count\" : 1 , \"later\" : [ 1 , { } ] } } }",
+    ];
+    let mut payloads = Vec::new();
+    for line in spelled {
+        let reply = fleet.control(line);
+        let payload = &reply["outcome"]["Ok"]["payload"];
+        assert!(payload.get("Generate").is_some(), "{line}: {reply}");
+        payloads.push(payload.to_string());
+    }
+    assert_eq!(payloads[0], payloads[1], "one request, two spellings");
+    fleet.shutdown();
+}
+
+/// The router hands a client the worker's outcome text under the
+/// client's id without reading it. The path this replaced decoded every
+/// reply into a `ResponseEnvelope` and wrote it out again; it lives on
+/// here as the reference: for every payload kind, and for an error, the
+/// spliced line is byte for byte what `to_line` makes of its own typed
+/// decode.
+#[test]
+fn a_spliced_reply_is_the_line_the_typed_path_would_write() {
+    let mut fleet = RouterFleet::spawn(2, &[]);
+    let spliced = |fleet: &mut RouterFleet, id: &str, request: PatternRequest| {
+        let line = request_line(id, request);
+        fleet.client.send_line(line.trim_end()).expect("sent");
+        let reply = fleet.client.recv_line().expect("reply reads");
+        let reply = reply.expect("reply arrives");
+        let typed: ResponseEnvelope = serde_json::from_str(&reply).expect("reply decodes");
+        assert_eq!(typed.id.as_str(), Some(id));
+        assert_eq!(typed.to_line(), reply, "{id}");
+        typed.outcome
+    };
+    let payload = |outcome: WireOutcome| match outcome {
+        WireOutcome::Ok(response) => response.payload,
+        WireOutcome::Err(error) => panic!("request failed: {error:?}"),
+    };
+    let session = || "spliced".to_owned();
+    let mut kinds = std::collections::HashSet::new();
+    let mut record = |payload: &ResponsePayload| kinds.insert(std::mem::discriminant(payload));
+
+    let chat = chatpattern::ChatParams {
+        request: TURNS[0].to_owned(),
+        seed: Some(5),
+    };
+    record(&payload(spliced(
+        &mut fleet,
+        "chat",
+        PatternRequest::Chat(chat),
+    )));
+    let open = SessionOpenParams {
+        session: session(),
+        seed: Some(6),
+    };
+    let turn = SessionTurnParams {
+        session: session(),
+        utterance: TURNS[0].to_owned(),
+    };
+    let snapshot = chatpattern::SessionSnapshotParams { session: session() };
+    let close = SessionCloseParams { session: session() };
+    record(&payload(spliced(
+        &mut fleet,
+        "open",
+        PatternRequest::SessionOpen(open),
+    )));
+    record(&payload(spliced(
+        &mut fleet,
+        "turn",
+        PatternRequest::SessionTurn(turn.clone()),
+    )));
+    let exported = payload(spliced(
+        &mut fleet,
+        "snapshot",
+        PatternRequest::SessionSnapshot(snapshot),
+    ));
+    record(&exported);
+    let ResponsePayload::SessionSnapshot(exported) = exported else {
+        panic!("wrong payload for SessionSnapshot");
+    };
+    record(&payload(spliced(
+        &mut fleet,
+        "close",
+        PatternRequest::SessionClose(close),
+    )));
+    let restore = chatpattern::SessionRestoreParams { snapshot: exported };
+    record(&payload(spliced(
+        &mut fleet,
+        "restore",
+        PatternRequest::SessionRestore(restore),
+    )));
+
+    let generated = payload(spliced(&mut fleet, "generate", generate(2, 11)));
+    record(&generated);
+    let ResponsePayload::Generate(topologies) = generated else {
+        panic!("wrong payload for Generate");
+    };
+    let extend = ExtendParams {
+        seed_topology: topologies[0].clone(),
+        rows: 24,
+        cols: 24,
+        method: ExtensionMethod::InPainting,
+        style: Style::Layer10001,
+        seed: 12,
+    };
+    let modify = chatpattern::ModifyParams {
+        known: topologies[0].clone(),
+        region: cp_squish::Region::new(2, 2, 9, 9),
+        style: Style::Layer10001,
+        seed: 13,
+    };
+    let legalize = LegalizeParams {
+        topology: topologies[1].clone(),
+        width_nm: 512,
+        height_nm: 512,
+        seed: 14,
+    };
+    let evaluate = EvaluateParams {
+        topologies,
+        frame_nm: 512,
+        seed: 15,
+    };
+    for (id, request) in [
+        ("extend", PatternRequest::Extend(extend)),
+        ("modify", PatternRequest::Modify(modify)),
+        ("legalize", PatternRequest::Legalize(legalize)),
+        ("evaluate", PatternRequest::Evaluate(evaluate)),
+        ("stats", PatternRequest::Stats),
+    ] {
+        record(&payload(spliced(&mut fleet, id, request)));
+    }
+    assert_eq!(kinds.len(), 12, "one of each payload kind");
+
+    // The restored session is live again; a turn on one that is not is
+    // the worker's error, passed on as it stands.
+    let missing = SessionTurnParams {
+        session: "nobody".to_owned(),
+        ..turn
+    };
+    let WireOutcome::Err(error) =
+        spliced(&mut fleet, "missing", PatternRequest::SessionTurn(missing))
+    else {
+        panic!("a turn on an unknown session must fail");
+    };
+    assert_eq!(error.kind, "SessionNotFound");
     fleet.shutdown();
 }
 
