@@ -10,11 +10,10 @@
 //!   legalizer solve on a dense synthetic layout, one 128×128 denoise
 //!   step and one 128×128 sample of the diffusion model, and the
 //!   decode / cache-key / encode passes of one ≈ 33 kB wire line.
-//! * `connection_scaling` — C idle + K active connections against an
-//!   in-process loopback serve, up to 1024 idle, with the active
-//!   requests' round-trip latency and a sustained-idle-connection
-//!   proof; shape it with `CP_CONN_IDLE` / `CP_CONN_ACTIVE` /
-//!   `CP_CONN_CALLS`.
+//! * `connection_scaling` — [`CONN_IDLE`] idle + [`CONN_ACTIVE`] active
+//!   connections against an in-process loopback serve, up to 1024
+//!   idle, with the active requests' round-trip latency and a
+//!   sustained-idle-connection proof.
 //!
 //! Every gated number rests on [`ROUNDS`] measurements: the two sweeps
 //! take turns, a whole round of each at a time, so the measurements
@@ -67,6 +66,15 @@ use std::time::Instant;
 /// Rounds behind every gated number; a round of both sweeps takes
 /// about a quarter of a second.
 const ROUNDS: usize = 9;
+
+/// Idle connections of the `connection_scaling` rows, one row each.
+const CONN_IDLE: [usize; 4] = [32, 256, 512, 1024];
+
+/// Connections that make calls while the idle ones are held open.
+const CONN_ACTIVE: usize = 4;
+
+/// Calls each active connection makes in one round.
+const CONN_CALLS: usize = 25;
 
 /// The widest vector instruction set this CPU offers the keystream and
 /// draw-compare kernels, which pick theirs the same way (`rand_chacha`,
@@ -392,15 +400,6 @@ fn middle_round(rounds: Vec<Result<ConnScale, String>>) -> Result<ConnScale, Str
     })
 }
 
-fn sweep(var: &str, default: &str) -> Vec<usize> {
-    std::env::var(var)
-        .unwrap_or_else(|_| default.to_owned())
-        .split(',')
-        .filter_map(|w| w.trim().parse().ok())
-        .filter(|&w| w > 0)
-        .collect()
-}
-
 /// `--check` mode options.
 #[derive(Debug, PartialEq)]
 struct CheckMode {
@@ -573,9 +572,6 @@ fn main() {
         cfg.window
     );
 
-    let conn_active = sweep("CP_CONN_ACTIVE", "4").first().copied().unwrap_or(4);
-    let conn_calls = sweep("CP_CONN_CALLS", "25").first().copied().unwrap_or(25);
-    let idle_sweep = sweep("CP_CONN_IDLE", "32,256,512,1024");
     #[cfg(unix)]
     cp_net::raise_nofile_limit();
     let mut hot = hot_loops(&system, &cfg);
@@ -585,16 +581,16 @@ fn main() {
     // neighbour's; every connection round starts from scratch (new
     // server, connections and threads), so it draws its own placement
     // on the CPUs.
-    let mut conn_rounds: Vec<Vec<_>> = idle_sweep.iter().map(|_| Vec::new()).collect();
+    let mut conn_rounds: Vec<Vec<_>> = CONN_IDLE.iter().map(|_| Vec::new()).collect();
     let mut hot_best = [f64::INFINITY; HOT_ROWS.len()];
     for _ in 0..ROUNDS {
         #[cfg(unix)]
-        for (rounds, &idle) in conn_rounds.iter_mut().zip(&idle_sweep) {
+        for (rounds, &idle) in conn_rounds.iter_mut().zip(&CONN_IDLE) {
             rounds.push(run_connection_scaling(
                 &system,
                 idle,
-                conn_active,
-                conn_calls,
+                CONN_ACTIVE,
+                CONN_CALLS,
             ));
         }
         for (best, ms) in hot_best.iter_mut().zip((hot.round)()) {
@@ -606,8 +602,8 @@ fn main() {
     // The sustained count proves every idle connection still answers
     // after the active burst.
     let mut conn_rows = String::new();
-    for (rounds, idle) in conn_rounds.into_iter().zip(&idle_sweep) {
-        let total = idle + conn_active;
+    for (rounds, idle) in conn_rounds.into_iter().zip(&CONN_IDLE) {
+        let total = idle + CONN_ACTIVE;
         match middle_round(rounds) {
             Ok(scale) => {
                 println!(
@@ -619,7 +615,7 @@ fn main() {
                 let _ = write!(
                     conn_rows,
                     "{}{{\"connections\":{total},\
-                     \"idle\":{idle},\"active\":{conn_active},\
+                     \"idle\":{idle},\"active\":{CONN_ACTIVE},\
                      \"sustained\":{},\"peak_connections\":{},\
                      \"p50_millis\":{:.3},\"p99_ungated_ms\":{:.3}}}",
                     if conn_rows.is_empty() { "" } else { "," },
@@ -651,7 +647,7 @@ fn main() {
     let json = format!(
         "{{\"bench\":\"engine_scaling\",\"window\":{},\"steps\":{},\"train\":{},\"cpus\":{cpus},\
          \"simd\":\"{simd}\",\
-         \"connection_scaling\":{{\"active\":{conn_active},\"calls_per_conn\":{conn_calls},\
+         \"connection_scaling\":{{\"active\":{CONN_ACTIVE},\"calls_per_conn\":{CONN_CALLS},\
          \"rounds\":{ROUNDS},\"rows\":[{conn_rows}]}},\
          \"hot_loops\":{{\"rects\":{HOT_RECTS},\"reps\":{HOT_REPS},\"wire_reps\":{WIRE_REPS},\
          \"rounds\":{ROUNDS},\"grid_rows\":{hot_rows},\"grid_cols\":{hot_cols},\

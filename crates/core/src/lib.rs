@@ -35,7 +35,7 @@
 //! **coalesces** identical in-flight requests onto one execution, all
 //! reported in [`EngineStats`] counters (see `docs/ENGINE.md`). The
 //! [`wire`] module defines the JSON-lines envelopes the
-//! `chatpattern-serve` binary speaks over stdin/stdout.
+//! `chatpattern-serve` binary speaks over stdin/stdout or TCP.
 //!
 //! # Example
 //!
@@ -79,7 +79,6 @@ pub use engine::{ConnCounters, EngineConfig, EngineStats, JobHandle, JobStatus, 
 pub use error::Error;
 pub use session::{
     JsonDirPersist, MemoryPersist, SessionConfig, SessionPersist, SessionStats, SessionStore,
-    SpillAheadConfig,
 };
 pub use wire::{RequestEnvelope, ResponseEnvelope, WireError, WireOutcome};
 
@@ -100,7 +99,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Builder for a [`ChatPattern`] system.
@@ -122,23 +121,9 @@ pub struct ChatPatternBuilder {
     rules: DesignRules,
     styles: Vec<Style>,
     sessions: SessionConfig,
-    durability: SessionDurability,
-    spill_ahead: SpillAheadConfig,
+    session_dir: Option<PathBuf>,
+    spill_ahead_turns: Option<u64>,
     persist_shards: usize,
-}
-
-/// Where evicted chat sessions go (see
-/// [`ChatPatternBuilder::session_spill_memory`] /
-/// [`ChatPatternBuilder::session_dir`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SessionDurability {
-    /// Eviction destroys (the pre-durability behavior).
-    None,
-    /// Eviction spills to process memory.
-    Memory,
-    /// Eviction spills to one JSON file per session under this
-    /// directory; spilled sessions survive a process restart.
-    Dir(PathBuf),
 }
 
 impl Default for ChatPatternBuilder {
@@ -151,8 +136,8 @@ impl Default for ChatPatternBuilder {
             rules: DesignRules::reference(),
             styles: Style::ALL.to_vec(),
             sessions: SessionConfig::default(),
-            durability: SessionDurability::None,
-            spill_ahead: SpillAheadConfig::default(),
+            session_dir: None,
+            spill_ahead_turns: None,
             persist_shards: 1,
         }
     }
@@ -222,25 +207,17 @@ impl ChatPatternBuilder {
         self
     }
 
-    /// Spills evicted sessions to process memory instead of destroying
-    /// them: an over-capacity store keeps serving turns on *every*
-    /// opened session (eviction rehydrates transparently) until the
-    /// TTL really runs out.
-    #[must_use]
-    pub fn session_spill_memory(mut self) -> ChatPatternBuilder {
-        self.durability = SessionDurability::Memory;
-        self
-    }
-
-    /// Spills evicted sessions to one JSON file per session under
-    /// `dir` (`chatpattern-serve --session-dir`). Like
-    /// [`ChatPatternBuilder::session_spill_memory`], plus spilled
-    /// sessions survive a process restart: a new system built over the
-    /// same directory (and an equivalent model configuration)
-    /// rehydrates them on first touch.
+    /// Spills evicted and expired sessions to one JSON file per session
+    /// under `dir` (`chatpattern-serve --session-dir`) instead of
+    /// destroying them: an over-capacity store keeps serving turns on
+    /// *every* opened session (an access rehydrates transparently)
+    /// until the TTL really runs out, and spilled sessions survive a
+    /// process restart — a new system built over the same directory
+    /// (and an equivalent model configuration) rehydrates them on first
+    /// touch.
     #[must_use]
     pub fn session_dir(mut self, dir: impl Into<PathBuf>) -> ChatPatternBuilder {
-        self.durability = SessionDurability::Dir(dir.into());
+        self.session_dir = Some(dir.into());
         self
     }
 
@@ -250,21 +227,10 @@ impl ChatPatternBuilder {
     /// while the session stays warm, so a crash loses at most the
     /// in-flight turn. The write runs on the turn's own thread holding
     /// only that session's lock — turns on other sessions never block.
+    /// Zero is refused by `build`.
     #[must_use]
     pub fn spill_ahead_turns(mut self, every_turns: u64) -> ChatPatternBuilder {
-        self.spill_ahead.every_turns = Some(every_turns.max(1));
-        self
-    }
-
-    /// Spill-ahead cadence trigger (`chatpattern-serve
-    /// --spill-ahead-secs`): a background maintenance thread flushes
-    /// every warm session with unpersisted turns on this interval (and
-    /// purges expired sessions while at it). A zero interval — a thread
-    /// that never sleeps — is refused by
-    /// [`ChatPatternBuilder::validate`].
-    #[must_use]
-    pub fn spill_ahead_interval(mut self, interval: Duration) -> ChatPatternBuilder {
-        self.spill_ahead.interval = Some(interval);
+        self.spill_ahead_turns = Some(every_turns);
         self
     }
 
@@ -309,17 +275,16 @@ impl ChatPatternBuilder {
                 "persist_shards must be at least 1 (got 0); 1 keeps the flat layout",
             ));
         }
-        if self.spill_ahead.interval == Some(Duration::ZERO) {
+        if self.spill_ahead_turns == Some(0) {
             return Err(Error::config(
-                "spill_ahead_interval must be longer than zero: the maintenance thread \
-                 sleeps that long between passes",
+                "spill_ahead_turns must be at least 1 (got 0)",
             ));
         }
-        let has_dir = matches!(self.durability, SessionDurability::Dir(_));
-        if self.spill_ahead.is_enabled() && !has_dir {
+        let has_dir = self.session_dir.is_some();
+        if self.spill_ahead_turns.is_some() && !has_dir {
             return Err(Error::config(
                 "spill-ahead needs a session directory to write to; configure session_dir \
-                 (serve: --session-dir) alongside the spill-ahead triggers",
+                 (serve: --session-dir) alongside spill_ahead_turns",
             ));
         }
         if self.persist_shards > 1 && !has_dir {
@@ -378,13 +343,9 @@ impl ChatPatternBuilder {
         let model = Arc::new(model);
         let legalizer = Legalizer::new(self.rules);
         let snapshot_bytes_saved = Arc::new(AtomicU64::new(0));
-        let sessions = match self.durability {
-            SessionDurability::None => SessionStore::new(self.sessions),
-            SessionDurability::Memory => SessionStore::with_persist(
-                self.sessions,
-                Arc::new(MemoryPersist::new(self.sessions.ttl)),
-            ),
-            SessionDurability::Dir(dir) => {
+        let sessions = match self.session_dir {
+            None => SessionStore::new(self.sessions),
+            Some(dir) => {
                 // The decode closure re-injects the trained sampler and
                 // the legalizer — the snapshot carries only session
                 // state, so spilled files stay small and a restart with
@@ -425,13 +386,9 @@ impl ChatPatternBuilder {
                         },
                     )?),
                 )
+                .with_spill_ahead_turns(self.spill_ahead_turns)
             }
         };
-        let sessions = Arc::new(sessions.with_spill_ahead(self.spill_ahead));
-        let maintenance = self
-            .spill_ahead
-            .interval
-            .map(|interval| Maintenance::spawn(Arc::clone(&sessions), interval));
         Ok(ChatPattern {
             model,
             legalizer,
@@ -442,65 +399,7 @@ impl ChatPatternBuilder {
             seed: self.seed,
             sessions,
             snapshot_bytes_saved,
-            _maintenance: maintenance,
         })
-    }
-}
-
-/// The background session-maintenance thread: on the spill-ahead
-/// cadence it purges expired sessions (which spills them — see
-/// [`SessionStore::purge_expired`]) and flushes warm sessions with
-/// unpersisted turns. Stops (and joins) when the owning [`ChatPattern`]
-/// drops.
-struct Maintenance {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Maintenance {
-    fn spawn(sessions: Arc<SessionStore<ChatSession>>, interval: Duration) -> Maintenance {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("cp-session-maintenance".into())
-            .spawn(move || {
-                let (lock, cvar) = &*stop_flag;
-                let mut stopped = lock.lock().expect("maintenance stop lock");
-                loop {
-                    let (guard, timeout) = cvar
-                        .wait_timeout(stopped, interval)
-                        .expect("maintenance stop lock");
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
-                        // Run the sweep with the stop lock released so
-                        // shutdown never waits behind persist I/O more
-                        // than one tick.
-                        drop(stopped);
-                        sessions.purge_expired();
-                        sessions.spill_ahead_pass();
-                        stopped = lock.lock().expect("maintenance stop lock");
-                    }
-                }
-            })
-            .expect("maintenance thread spawns");
-        Maintenance {
-            stop,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for Maintenance {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.stop;
-        *lock.lock().expect("maintenance stop lock") = true;
-        cvar.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
     }
 }
 
@@ -828,14 +727,11 @@ pub struct ChatPattern {
     knowledge: KnowledgeBase,
     patch_nm: i64,
     seed: u64,
-    sessions: Arc<SessionStore<ChatSession>>,
+    sessions: SessionStore<ChatSession>,
     /// Transcript bytes trimmed by persist-path snapshot compaction
     /// (bumped by the encode closure; surfaced via
     /// [`ChatPattern::session_stats`]).
     snapshot_bytes_saved: Arc<AtomicU64>,
-    /// Background cadence thread (spill-ahead + TTL purge). Held only
-    /// for its `Drop` (signals the thread to stop and joins it).
-    _maintenance: Option<Maintenance>,
 }
 
 impl std::fmt::Debug for ChatPattern {
@@ -1043,11 +939,12 @@ impl ChatPattern {
             .collect())
     }
 
-    /// Batch generation: the seed-stream fan-out path behind
-    /// [`PatternService::execute_many`]. Every request draws from its
-    /// own [`ChaCha8Rng`] stream seeded by `GenerateParams::seed`, so
-    /// the output is a pure function of the request list — independent
-    /// of execution order and ready for parallel dispatch.
+    /// Batch generation for in-process callers. Every request draws
+    /// from its own [`ChaCha8Rng`] stream seeded by
+    /// `GenerateParams::seed`, so the output is a pure function of the
+    /// request list — independent of execution order. (The service's
+    /// [`PatternService::execute_many`] is the trait's sequential
+    /// default and does not come through here.)
     ///
     /// # Errors
     ///
@@ -1243,17 +1140,17 @@ mod tests {
         assert!(matches!(no_training, Err(Error::Config { .. })));
         let no_styles = ChatPattern::builder().styles(Vec::new()).build();
         assert!(matches!(no_styles, Err(Error::Config { .. })));
-        // A maintenance thread that never sleeps: refused before the
-        // session directory is touched.
-        let never_sleeps = ChatPattern::builder()
+        // A zero turn trigger is refused by name, not clamped to 1, and
+        // before the session directory is touched.
+        let every_zero_turns = ChatPattern::builder()
             .session_dir(std::env::temp_dir().join("cp-core-never-created"))
-            .spill_ahead_interval(Duration::ZERO)
+            .spill_ahead_turns(0)
             .build()
-            .expect_err("a zero interval is refused");
+            .expect_err("a zero turn trigger is refused");
         assert!(
-            matches!(never_sleeps, Error::Config { .. })
-                && never_sleeps.to_string().contains("spill_ahead_interval"),
-            "{never_sleeps}"
+            matches!(every_zero_turns, Error::Config { .. })
+                && every_zero_turns.to_string().contains("spill_ahead_turns"),
+            "{every_zero_turns}"
         );
     }
 
@@ -1572,13 +1469,21 @@ mod tests {
     }
 
     #[test]
-    fn session_spill_memory_keeps_over_capacity_sessions_alive() {
+    fn session_dir_keeps_over_capacity_sessions_alive() {
+        let dir = std::env::temp_dir().join(format!(
+            "cp-core-session-dir-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
         let system = ChatPattern::builder()
             .window(16)
             .training_patterns(8)
             .diffusion_steps(6)
             .max_sessions(1)
-            .session_spill_memory()
+            .session_dir(&dir)
             .build()
             .expect("valid configuration");
         system.session_open("old", Some(1)).expect("opens");
@@ -1614,6 +1519,7 @@ mod tests {
             system.session_turn("old", "more"),
             Err(Error::SessionNotFound { .. })
         ));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

@@ -20,19 +20,21 @@
 //!   instead of destroying it, and a later turn / snapshot / close on
 //!   the spilled id transparently *rehydrates* it — the session keeps
 //!   working until the persist layer's own TTL really runs out.
-//!   [`MemoryPersist`] keeps spilled sessions in process memory;
 //!   [`JsonDirPersist`] writes one JSON file per session
 //!   (`chatpattern-serve --session-dir`), optionally fanned out over
-//!   shard subdirectories, which additionally survives a process
-//!   restart. A persist-layer write failure surfaces as the typed
-//!   [`Error::SessionPersist`] and the victim stays live — never a
-//!   panic, never a silent drop.
-//! * **Spill-ahead (zero-loss durability).** With a
-//!   [`SpillAheadConfig`] ([`SessionStore::with_spill_ahead`]) the
-//!   store also snapshots *warm* sessions — synchronously after every
-//!   N-th turn, and/or via background [`SessionStore::spill_ahead_pass`]
-//!   sweeps — so a crash loses at most the turn that was still in
-//!   flight, not everything since the last eviction.
+//!   shard subdirectories, and so survives a process restart;
+//!   [`MemoryPersist`] is the in-process stand-in tests use in place of
+//!   a directory. Both edges spill by one protocol: the victim stays in
+//!   the map, frozen by its own slot lock, while its snapshot is
+//!   written, and leaves the map only once the write has landed. A
+//!   failed write leaves the victim live — capacity eviction surfaces
+//!   the typed [`Error::SessionPersist`], expiry retries at the next
+//!   purge — never a panic, never a silent drop.
+//! * **Spill-ahead (zero-loss durability).** With a turn trigger
+//!   ([`SessionStore::with_spill_ahead_turns`]) the store also
+//!   snapshots *warm* sessions, synchronously after every N-th turn, so
+//!   a crash loses at most the turn that was still in flight, not
+//!   everything since the last eviction.
 //! * **Per-session serialization.** Each session value sits behind its
 //!   own lock, taken only *after* the store map lock is released —
 //!   concurrent turns on one session serialize while turns on distinct
@@ -54,7 +56,7 @@ use crate::Error;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Capacity and lifetime knobs of a [`SessionStore`].
@@ -160,9 +162,6 @@ pub trait SessionPersist<T>: Send + Sync {
     /// Whether a live (non-expired) spilled session exists under `id`.
     fn contains(&self, id: &str) -> bool;
 
-    /// Ids of live spilled sessions, in unspecified order.
-    fn ids(&self) -> Vec<String>;
-
     /// Writes a *copy* of `value` under `id` while the session stays
     /// live in memory — the spill-ahead path. Returns `Ok(true)` when
     /// a durable copy landed, `Ok(false)` when the layer does not
@@ -188,8 +187,9 @@ pub trait SessionPersist<T>: Send + Sync {
 }
 
 /// In-memory [`SessionPersist`]: spilled sessions survive eviction but
-/// not the process. The zero-dependency default for tests, benches and
-/// embedders that only need eviction to stop destroying state.
+/// not the process. The stand-in the store's tests and property tests
+/// use in place of a directory; a system spills to its
+/// [`JsonDirPersist`] or nowhere.
 pub struct MemoryPersist<T> {
     ttl: Duration,
     slots: Mutex<HashMap<String, (Instant, T)>>,
@@ -241,15 +241,6 @@ impl<T: Send> SessionPersist<T> for MemoryPersist<T> {
             None => false,
         }
     }
-
-    fn ids(&self) -> Vec<String> {
-        let slots = self.slots.lock().expect("memory persist lock");
-        slots
-            .iter()
-            .filter(|(_, (spilled_at, _))| spilled_at.elapsed() <= self.ttl)
-            .map(|(id, _)| id.clone())
-            .collect()
-    }
 }
 
 /// Filename suffix of every spilled-session file.
@@ -257,7 +248,7 @@ const SPILL_SUFFIX: &str = ".session.json";
 
 /// Escapes a session id into a filesystem-safe filename stem:
 /// alphanumerics, `_` and `-` pass through, every other byte becomes
-/// `%XX`. Reversible via [`decode_id`].
+/// `%XX`, so distinct ids never share a file.
 fn encode_id(id: &str) -> String {
     let mut out = String::with_capacity(id.len());
     for byte in id.bytes() {
@@ -270,24 +261,6 @@ fn encode_id(id: &str) -> String {
         }
     }
     out
-}
-
-/// Inverse of [`encode_id`]; `None` on malformed input.
-fn decode_id(stem: &str) -> Option<String> {
-    let mut bytes = Vec::with_capacity(stem.len());
-    let mut chars = stem.bytes();
-    while let Some(byte) = chars.next() {
-        if byte == b'%' {
-            let hi = chars.next()?;
-            let lo = chars.next()?;
-            let hex = [hi, lo];
-            let hex = std::str::from_utf8(&hex).ok()?;
-            bytes.push(u8::from_str_radix(hex, 16).ok()?);
-        } else {
-            bytes.push(byte);
-        }
-    }
-    String::from_utf8(bytes).ok()
 }
 
 /// Filename suffix of the temp file a spill write stages through
@@ -561,34 +534,6 @@ impl<T: Send> SessionPersist<T> for JsonDirPersist<T> {
         self.live_path(id).is_some()
     }
 
-    fn ids(&self) -> Vec<String> {
-        let mut dirs: Vec<&Path> = self
-            .shards
-            .iter()
-            .map(|shard| shard.dir.as_path())
-            .collect();
-        if self.shards.len() > 1 {
-            dirs.push(&self.dir);
-        }
-        let mut out = Vec::new();
-        for dir in dirs {
-            let Ok(entries) = std::fs::read_dir(dir) else {
-                continue;
-            };
-            out.extend(entries.filter_map(Result::ok).filter_map(|entry| {
-                let name = entry.file_name().into_string().ok()?;
-                let stem = name.strip_suffix(SPILL_SUFFIX)?;
-                if !self.is_live(&entry.path()) {
-                    return None;
-                }
-                decode_id(stem)
-            }));
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
     fn spill_ahead(&self, id: &str, value: &T) -> Result<bool, Error> {
         self.write(id, value)?;
         Ok(true)
@@ -604,44 +549,14 @@ impl<T: Send> SessionPersist<T> for JsonDirPersist<T> {
     }
 }
 
-/// When and how the spill-ahead writer snapshots *warm* sessions, so
-/// a crash loses at most the in-flight turn instead of everything
-/// since the last capacity eviction.
-///
-/// Both triggers are optional and compose: `every_turns` writes
-/// synchronously at the end of every N-th turn (still holding only the
-/// session's own slot lock — turns on other sessions never block),
-/// `interval` is the cadence an owning maintenance loop should call
-/// [`SessionStore::spill_ahead_pass`] at to flush sessions the turn
-/// trigger has not caught yet.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpillAheadConfig {
-    /// Snapshot a session after every N-th turn on it (`None` = no
-    /// turn trigger).
-    pub every_turns: Option<u64>,
-    /// Suggested cadence for background passes (`None` = no cadence;
-    /// the store itself spawns no threads — see
-    /// [`SessionStore::spill_ahead_pass`]).
-    pub interval: Option<Duration>,
-}
-
-impl SpillAheadConfig {
-    /// Whether either trigger is configured.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.every_turns.is_some() || self.interval.is_some()
-    }
-}
-
 /// One live session: the value behind its own lock, plus the eviction
 /// flag a racing turn checks after acquiring it.
 struct Slot<T> {
-    /// Set (under the store lock) when the session is evicted or
-    /// expired while references to the slot may still be live.
+    /// Set when the session is evicted or expired while references to
+    /// the slot may still be live.
     evicted: AtomicBool,
-    /// Turns run since the last durable snapshot of this session (a
-    /// capacity spill, a purge spill, or a spill-ahead write). The
-    /// spill-ahead writer only touches sessions with a non-zero count.
+    /// Turns run since this session's last spill-ahead write; the turn
+    /// trigger writes when it reaches N.
     dirty_turns: AtomicU64,
     /// `None` once closed. Guarded by this per-session mutex — holding
     /// it is what serializes turns on one session.
@@ -668,13 +583,18 @@ struct Entry<T> {
     touched: u64,
 }
 
+/// The store map: session id → entry.
+type Sessions<T> = HashMap<String, Entry<T>>;
+
 /// Bounded map from session ids to live session values with TTL + LRU
 /// eviction, per-session locking, and optional spill-on-evict
 /// durability. See the [module docs](self).
 pub struct SessionStore<T> {
     config: SessionConfig,
-    spill_ahead: SpillAheadConfig,
-    state: Mutex<HashMap<String, Entry<T>>>,
+    /// Spill-ahead turn trigger: snapshot a session after every N-th
+    /// turn on it.
+    spill_ahead_turns: Option<u64>,
+    state: Mutex<Sessions<T>>,
     persist: Option<Arc<dyn SessionPersist<T>>>,
     clock: AtomicU64,
     evicted: AtomicU64,
@@ -701,7 +621,7 @@ impl<T> SessionStore<T> {
     pub fn new(config: SessionConfig) -> SessionStore<T> {
         SessionStore {
             config,
-            spill_ahead: SpillAheadConfig::default(),
+            spill_ahead_turns: None,
             state: Mutex::new(HashMap::new()),
             persist: None,
             clock: AtomicU64::new(0),
@@ -713,23 +633,21 @@ impl<T> SessionStore<T> {
         }
     }
 
-    /// Enables the spill-ahead writer (no-op configuration disables
-    /// it). Only meaningful with a persist layer attached.
+    /// Sets the spill-ahead turn trigger (`None` turns it off): at the
+    /// end of every `every_turns`-th turn on a session its snapshot is
+    /// written ahead to the persist layer
+    /// ([`SessionPersist::spill_ahead`]) while the session stays live.
+    /// Only meaningful with a persist layer attached.
     #[must_use]
-    pub fn with_spill_ahead(mut self, spill_ahead: SpillAheadConfig) -> SessionStore<T> {
-        self.spill_ahead = spill_ahead;
+    pub fn with_spill_ahead_turns(mut self, every_turns: Option<u64>) -> SessionStore<T> {
+        self.spill_ahead_turns = every_turns;
         self
     }
 
-    /// The spill-ahead configuration in force.
-    #[must_use]
-    pub fn spill_ahead_config(&self) -> SpillAheadConfig {
-        self.spill_ahead
-    }
-
     /// Creates an empty store with a durability layer: capacity
-    /// eviction spills to `persist` instead of destroying, and
-    /// accessing a spilled id transparently rehydrates it.
+    /// eviction and TTL expiry spill to `persist` instead of
+    /// destroying, and accessing a spilled id transparently rehydrates
+    /// it.
     #[must_use]
     pub fn with_persist(
         config: SessionConfig,
@@ -747,16 +665,14 @@ impl<T> SessionStore<T> {
         self.config
     }
 
-    /// The attached persist layer, if any.
-    #[must_use]
-    pub fn persist(&self) -> Option<&Arc<dyn SessionPersist<T>>> {
-        self.persist.as_ref()
-    }
-
     /// Sessions currently open.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.state.lock().expect("session store lock").len()
+        self.lock().len()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Sessions<T>> {
+        self.state.lock().expect("session store lock")
     }
 
     /// Whether no session is open.
@@ -779,209 +695,126 @@ impl<T> SessionStore<T> {
         }
     }
 
-    /// Retires every session idle past the TTL: destroyed without a
-    /// persist layer, *spilled* with one (so a touch within the
-    /// persist TTL still rehydrates — idleness must not silently
-    /// destroy durable state). Called lazily by every store operation;
-    /// callers never need to invoke it, but a serving loop may want to
-    /// on a timer.
-    pub fn purge_expired(&self) {
-        let spills = {
-            let mut state = self.state.lock().expect("session store lock");
-            self.purge_locked(&mut state)
-        };
-        self.flush_purged(spills);
-    }
-
-    /// Unlinks expired entries under the map lock. Without a persist
-    /// layer they are destroyed on the spot; with one, each idle
-    /// victim's value is *taken* (its slot `try_lock`ed — a session
-    /// mid-turn is left for the next purge) and returned for the
-    /// caller to spill via [`SessionStore::flush_purged`] **after
-    /// dropping the map lock** — persist I/O never runs under it.
-    fn purge_locked(&self, state: &mut HashMap<String, Entry<T>>) -> Vec<(String, T)> {
-        let ttl = self.config.ttl;
+    /// Takes the map lock and retires every session idle past the TTL
+    /// first: destroyed without a persist layer, *spilled* with one
+    /// ([`SessionStore::spill`]), so a touch within the persist TTL
+    /// still rehydrates. A session mid-turn, or one whose write fails,
+    /// stays live and the next purge retries it. Every store operation
+    /// starts here; with nothing expired it does no I/O and allocates
+    /// nothing.
+    fn purged(&self) -> MutexGuard<'_, Sessions<T>> {
+        let mut state = self.lock();
         let now = Instant::now();
-        let mut spills: Vec<(String, T)> = Vec::new();
-        let has_persist = self.persist.is_some();
-        state.retain(|id, entry| {
-            let live = now.saturating_duration_since(entry.last_used) <= ttl;
-            if live {
-                return true;
-            }
-            if has_persist {
-                // Expired but durable: freeze the victim via its own
-                // lock and hand the value out for an off-lock spill. A
-                // busy slot is mid-turn — keep it until a later purge
-                // finds it idle (the turn refreshes nothing; it merely
-                // finishes).
-                let Ok(mut guard) = entry.slot.value.try_lock() else {
+        let expired =
+            |entry: &Entry<T>| now.saturating_duration_since(entry.last_used) > self.config.ttl;
+        if self.persist.is_none() {
+            state.retain(|_, entry| {
+                if !expired(entry) {
                     return true;
-                };
-                entry.slot.evicted.store(true, Ordering::Release);
-                if let Some(value) = guard.take() {
-                    spills.push((id.clone(), value));
                 }
-                false
-            } else {
                 entry.slot.evicted.store(true, Ordering::Release);
                 self.evicted.fetch_add(1, Ordering::Relaxed);
                 false
-            }
-        });
-        spills
-    }
-
-    /// Spills the values [`SessionStore::purge_locked`] unlinked. Must
-    /// be called with the map lock released. A write failure degrades
-    /// that session to the destroyed (pre-durability) outcome — purge
-    /// is background cleanup, so the error is absorbed into the
-    /// `evicted` counter rather than surfaced to an unrelated caller.
-    fn flush_purged(&self, spills: Vec<(String, T)>) {
-        if spills.is_empty() {
-            return;
+            });
+            return state;
         }
-        let persist = self.persist.as_ref().expect("purge spills imply persist");
-        for (id, value) in spills {
-            match persist.spill(&id, value) {
-                Ok(()) => {
-                    self.spilled.fetch_add(1, Ordering::Relaxed);
-                }
-                Err((_, _)) => {
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
+        let victims: Vec<String> = state
+            .iter()
+            .filter(|(_, entry)| expired(entry))
+            .map(|(id, _)| id.clone())
+            .collect();
+        for id in victims {
+            // Another thread may have touched, spilled or closed it
+            // while an earlier victim was being written.
+            if state.get(&id).is_some_and(expired) {
+                let _ = self.spill(state, &id);
+                state = self.lock();
             }
         }
+        state
     }
 
-    /// One background spill-ahead sweep: snapshots every warm session
-    /// with turns newer than its last durable copy, skipping sessions
-    /// mid-turn (their slot lock is busy — the turn trigger or the
-    /// next pass catches them). Candidates are collected under the map
-    /// lock, but every persist write runs with only the victim's own
-    /// slot lock held, so turns on other sessions never block behind
-    /// the writer. Returns how many snapshots landed.
+    /// Spills the session `id` by the one protocol capacity eviction
+    /// and TTL expiry share. Under the map lock (`state`) its slot is
+    /// `try_lock`ed — a session mid-turn is left alone — and its value
+    /// taken; the map lock is released around the persist write, so
+    /// turns on other sessions never wait behind it, while the victim
+    /// stays in the map: a turn on it waits on the slot (then
+    /// rehydrates), an open of its id is still "already open". On
+    /// success the slot is flagged evicted and unlinked, so the id is
+    /// resolvable at every instant. Returns with the map lock
+    /// released.
     ///
-    /// The store spawns no threads; an owning maintenance loop calls
-    /// this on the [`SpillAheadConfig::interval`] cadence.
-    pub fn spill_ahead_pass(&self) -> usize {
-        let Some(persist) = self.persist.clone() else {
-            return 0;
+    /// # Errors
+    ///
+    /// Returns [`Error::SessionPersist`] when the write fails; the value
+    /// is put back and the session stays live.
+    fn spill(&self, mut state: MutexGuard<'_, Sessions<T>>, id: &str) -> Result<(), Error> {
+        let Some(entry) = state.get(id) else {
+            return Ok(());
         };
-        let candidates: Vec<(String, Arc<Slot<T>>)> = {
-            let state = self.state.lock().expect("session store lock");
-            state
-                .iter()
-                .filter(|(_, entry)| entry.slot.dirty_turns.load(Ordering::Relaxed) > 0)
-                .map(|(id, entry)| (id.clone(), Arc::clone(&entry.slot)))
-                .collect()
+        let slot = Arc::clone(&entry.slot);
+        let Ok(mut guard) = slot.value.try_lock() else {
+            return Ok(());
         };
-        let mut written = 0;
-        for (id, slot) in candidates {
-            let Ok(guard) = slot.value.try_lock() else {
-                continue;
-            };
-            if slot.evicted.load(Ordering::Acquire) {
-                continue;
-            }
-            let Some(value) = guard.as_ref() else {
-                continue;
-            };
-            if let Ok(true) = persist.spill_ahead(&id, value) {
-                slot.dirty_turns.store(0, Ordering::Relaxed);
-                self.spilled_ahead.fetch_add(1, Ordering::Relaxed);
-                written += 1;
-            }
+        let Some(value) = guard.take() else {
+            // Defensive: a value-less slot inside the map is stale
+            // state; dropping the entry frees the slot.
+            drop(guard);
+            state.remove(id);
+            return Ok(());
+        };
+        drop(state);
+        let persist = self.persist.as_ref().expect("a spill implies persist");
+        if let Err((value, error)) = persist.spill(id, value) {
+            *guard = Some(value);
+            return Err(error);
         }
-        written
+        // Flag, then unlink under the map lock, then release the slot:
+        // a waiter wakes to the evicted flag, re-resolves, and
+        // rehydrates from the spill that is already durable.
+        slot.evicted.store(true, Ordering::Release);
+        let mut state = self.lock();
+        if state
+            .get(id)
+            .is_some_and(|entry| Arc::ptr_eq(&entry.slot, &slot))
+        {
+            state.remove(id);
+        }
+        self.spilled.fetch_add(1, Ordering::Relaxed);
+        drop(guard);
+        Ok(())
     }
 
     /// Brings the store below capacity so one insertion fits. With a
     /// persist layer the least-recently-used *idle* session is spilled
-    /// (a session mid-turn is skipped — its slot cannot be drained
-    /// without blocking); without one, or when every session is
-    /// mid-turn, the LRU victim is destroyed (the pre-durability
-    /// behavior).
-    ///
-    /// Locks the store map itself, and **releases it around the spill
-    /// write**: the victim stays in the map with its slot lock held
-    /// while its snapshot is encoded and written, so turns on other
-    /// sessions never wait behind persist I/O, a turn on the victim
-    /// blocks on the slot (then rehydrates), and an open of the
-    /// victim's id is still "already open". Only after the write lands
-    /// is the victim unlinked — the id is resolvable at every instant.
+    /// ([`SessionStore::spill`]; a session mid-turn is skipped — its
+    /// slot cannot be drained without blocking); without one, or when
+    /// every session is mid-turn, the LRU victim is destroyed (the
+    /// pre-durability behavior).
     ///
     /// # Errors
     ///
     /// Returns [`Error::SessionPersist`] when the spill write fails;
-    /// the victim's value is put back and stays live.
+    /// the victim stays live.
     fn make_room(&self) -> Result<(), Error> {
         let capacity = self.config.capacity.max(1);
         loop {
-            let mut state = self.state.lock().expect("session store lock");
+            let mut state = self.lock();
             if state.len() < capacity {
                 return Ok(());
             }
-            // LRU-ordered spill candidates (skipping sessions whose
-            // slot lock is busy — they are mid-turn).
-            let victim_key = self.persist.as_ref().and_then(|_| {
-                let mut order: Vec<(u64, &String)> = state
+            if self.persist.is_some() {
+                let idle_lru = state
                     .iter()
-                    .map(|(key, entry)| (entry.touched, key))
-                    .collect();
-                order.sort();
-                order
-                    .into_iter()
-                    .find(|(_, key)| {
-                        state
-                            .get(*key)
-                            .is_some_and(|entry| entry.slot.value.try_lock().is_ok())
-                    })
-                    .map(|(_, key)| key.clone())
-            });
-            if let Some(key) = victim_key {
-                let slot = Arc::clone(&state.get(&key).expect("victim is in the map").slot);
-                // Re-acquire after the probe above released it; a turn
-                // thread beating us to it just means this victim is no
-                // longer idle — retry the whole round.
-                let Ok(mut guard) = slot.value.try_lock() else {
+                    .filter(|(_, entry)| entry.slot.value.try_lock().is_ok())
+                    .min_by_key(|(_, entry)| entry.touched)
+                    .map(|(id, _)| id.clone());
+                if let Some(id) = idle_lru {
+                    // A turn that takes the slot before the spill does
+                    // just sends this round around again.
+                    self.spill(state, &id)?;
                     continue;
-                };
-                let Some(value) = guard.take() else {
-                    // Defensive: a value-less slot inside the map is
-                    // stale state; dropping the entry frees the slot.
-                    drop(guard);
-                    state.remove(&key);
-                    continue;
-                };
-                // The slot lock (held) is what freezes the victim;
-                // the map lock can go while the snapshot is written.
-                drop(state);
-                let persist = self.persist.as_ref().expect("victim implies persist");
-                match persist.spill(&key, value) {
-                    Ok(()) => {
-                        // Flag, then unlink under the map lock, then
-                        // release the slot: a waiter wakes to the
-                        // evicted flag, re-resolves, and rehydrates
-                        // from the spill that is already durable.
-                        slot.evicted.store(true, Ordering::Release);
-                        let mut state = self.state.lock().expect("session store lock");
-                        if let Some(entry) = state.get(&key) {
-                            if Arc::ptr_eq(&entry.slot, &slot) {
-                                state.remove(&key);
-                            }
-                        }
-                        self.spilled.fetch_add(1, Ordering::Relaxed);
-                        drop(guard);
-                        continue;
-                    }
-                    Err((value, error)) => {
-                        // The victim stays live (its entry never left
-                        // the map): hand the value back and surface
-                        // the typed error.
-                        *guard = Some(value);
-                        return Err(error);
-                    }
                 }
             }
             // Destructive LRU eviction: the entry idle the longest (by
@@ -1023,16 +856,7 @@ impl<T> SessionStore<T> {
         let mut value = Some(make());
         loop {
             {
-                let mut state = self.state.lock().expect("session store lock");
-                let spills = self.purge_locked(&mut state);
-                if !spills.is_empty() {
-                    // Spill the purged victims off-lock, then re-run —
-                    // the persist layer now knows about them, so the
-                    // liveness probe below sees the truth.
-                    drop(state);
-                    self.flush_purged(spills);
-                    continue;
-                }
+                let mut state = self.purged();
                 if state.contains_key(id) {
                     return Err(Error::invalid_request(format!(
                         "session \"{id}\" is already open; close it first or pick another id"
@@ -1076,13 +900,7 @@ impl<T> SessionStore<T> {
     /// serialization), while other sessions proceed untouched.
     fn resolve(&self, id: &str) -> Result<Arc<Slot<T>>, Error> {
         loop {
-            let mut state = self.state.lock().expect("session store lock");
-            let spills = self.purge_locked(&mut state);
-            if !spills.is_empty() {
-                drop(state);
-                self.flush_purged(spills);
-                continue;
-            }
+            let mut state = self.purged();
             if let Some(entry) = state.get_mut(id) {
                 entry.last_used = Instant::now();
                 entry.touched = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -1136,7 +954,7 @@ impl<T> SessionStore<T> {
             // blocked on the slot wake to the evicted flag, re-resolve
             // and get the error themselves.
             slot.evicted.store(true, Ordering::Release);
-            let mut state = self.state.lock().expect("session store lock");
+            let mut state = self.lock();
             if let Some(entry) = state.get(id) {
                 if Arc::ptr_eq(&entry.slot, &slot) {
                     state.remove(id);
@@ -1193,7 +1011,7 @@ impl<T> SessionStore<T> {
                 // so turns on other sessions never block, and when the
                 // write lands the completed turn is already durable
                 // (a crash loses at most a turn still in flight).
-                if self.spill_ahead.every_turns.is_some_and(|n| dirty >= n) {
+                if self.spill_ahead_turns.is_some_and(|n| dirty >= n) {
                     if let (Some(persist), Some(live)) = (&self.persist, value.as_ref()) {
                         if let Ok(true) = persist.spill_ahead(id, live) {
                             slot.dirty_turns.store(0, Ordering::Relaxed);
@@ -1201,8 +1019,7 @@ impl<T> SessionStore<T> {
                         }
                         // Unsupported layer or write failure: the turn
                         // itself succeeded — leave the dirty count so
-                        // the next trigger (or background pass)
-                        // retries.
+                        // the next turn retries.
                     }
                 }
             }
@@ -1271,13 +1088,7 @@ impl<T> SessionStore<T> {
         // between unlink attempts.
         for _ in 0..4 {
             let slot = {
-                let mut state = self.state.lock().expect("session store lock");
-                let spills = self.purge_locked(&mut state);
-                if !spills.is_empty() {
-                    drop(state);
-                    self.flush_purged(spills);
-                    continue;
-                }
+                let mut state = self.purged();
                 match state.remove(id) {
                     Some(entry) => entry.slot,
                     None => {
@@ -1335,7 +1146,7 @@ impl<T> SessionStore<T> {
     /// Unlinks `id` if it still points at `slot` (the poisoned-lock
     /// recovery path).
     fn discard(&self, id: &str, slot: &Arc<Slot<T>>) {
-        let mut state = self.state.lock().expect("session store lock");
+        let mut state = self.lock();
         if let Some(entry) = state.get(id) {
             if Arc::ptr_eq(&entry.slot, slot) {
                 slot.evicted.store(true, Ordering::Release);
@@ -1722,10 +1533,6 @@ mod tests {
         fn contains(&self, _id: &str) -> bool {
             false
         }
-
-        fn ids(&self) -> Vec<String> {
-            Vec::new()
-        }
     }
 
     #[test]
@@ -1821,14 +1628,14 @@ mod tests {
             )
         };
         {
+            let layer = persist(&dir);
             let store: SessionStore<Vec<u64>> =
-                SessionStore::with_persist(SessionConfig { capacity: 1, ttl }, persist(&dir));
+                SessionStore::with_persist(SessionConfig { capacity: 1, ttl }, Arc::clone(&layer));
             store.open("weird id/♥", || vec![1, 2, 3]).expect("opens");
             store.open("other", Vec::new).expect("opens, spilling");
             assert_eq!(store.stats().spilled, 1);
-            assert_eq!(
-                store.persist().expect("attached").ids(),
-                vec![String::from("weird id/♥")],
+            assert!(
+                layer.contains("weird id/♥"),
                 "ids round-trip through filename escaping"
             );
         }
@@ -1885,7 +1692,7 @@ mod tests {
         let value = store.turn("bad", |v| Ok(v.clone())).expect("fresh session");
         assert_eq!(value, vec![1]);
         // The corrupt bytes were preserved for forensics, off to the
-        // side where `contains`/`ids` no longer see them.
+        // side where `contains` no longer sees them.
         assert!(dir.join("bad.session.corrupt").exists());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -1916,10 +1723,6 @@ mod tests {
 
         fn contains(&self, id: &str) -> bool {
             self.inner.contains(id)
-        }
-
-        fn ids(&self) -> Vec<String> {
-            self.inner.ids()
         }
     }
 
@@ -1959,6 +1762,82 @@ mod tests {
         // And the spilled victim rehydrates with its state intact.
         let value = store.turn("victim", |v| Ok(v.clone())).expect("rehydrates");
         assert_eq!(value, vec![1]);
+    }
+
+    /// References to `id`'s slot: the map's, plus one for every thread
+    /// that holds it — a spiller, or a turn waiting on its lock.
+    fn slot_refs(store: &SessionStore<Vec<u64>>, id: &str) -> usize {
+        let state = store.lock();
+        state
+            .get(id)
+            .map_or(0, |entry| Arc::strong_count(&entry.slot))
+    }
+
+    #[test]
+    fn an_expired_session_stays_resolvable_while_its_spill_is_written() {
+        // Store TTL a few ms, persist TTL long: "x" expires, and the
+        // purge inside open("y") spills it through the gate.
+        let in_spill = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let store: Arc<SessionStore<Vec<u64>>> = Arc::new(SessionStore::with_persist(
+            SessionConfig {
+                capacity: 4,
+                ttl: Duration::from_millis(5),
+            },
+            Arc::new(GatedPersist {
+                in_spill: Arc::clone(&in_spill),
+                release: Arc::clone(&release),
+                inner: MemoryPersist::new(Duration::from_secs(3600)),
+            }),
+        ));
+        store.open("x", || vec![1]).expect("opens");
+        thread::sleep(Duration::from_millis(10));
+        let store2 = Arc::clone(&store);
+        let opener = thread::spawn(move || store2.open("y", Vec::new));
+        while !in_spill.load(Ordering::SeqCst) {
+            thread::yield_now();
+        }
+        // The write of "x" is in flight. A turn on it must wait for the
+        // write and rehydrate, not miss the id: it parks on the slot
+        // beside the map's reference and the spiller's.
+        let store2 = Arc::clone(&store);
+        let turner = thread::spawn(move || store2.turn("x", |v| Ok(v.clone())));
+        while slot_refs(&store, "x") < 3 && !turner.is_finished() {
+            thread::yield_now();
+        }
+        let reopened = store.open("x", Vec::new);
+        let evicted_mid_spill = store.stats().evicted;
+        release.store(true, Ordering::SeqCst);
+        opener.join().expect("no panic").expect("y opens");
+        let turned = turner.join().expect("no panic");
+        match reopened {
+            Err(Error::InvalidRequest { message }) => {
+                assert!(message.contains("already open"), "{message}");
+            }
+            other => panic!("a second \"x\" opened while the first was spilling: {other:?}"),
+        }
+        assert_eq!(turned.expect("x is live throughout its spill"), vec![1]);
+        assert_eq!((evicted_mid_spill, store.stats().evicted), (0, 0));
+    }
+
+    #[test]
+    fn a_failed_expiry_spill_leaves_the_session_live() {
+        let store: SessionStore<Vec<u64>> = SessionStore::with_persist(
+            SessionConfig {
+                capacity: 4,
+                ttl: Duration::from_millis(5),
+            },
+            Arc::new(FailingPersist),
+        );
+        store.open("a", || vec![5]).expect("opens");
+        thread::sleep(Duration::from_millis(10));
+        // The purge inside this open cannot write "a": it absorbs the
+        // failure instead of refusing an unrelated open…
+        store.open("b", Vec::new).expect("opens");
+        // …and "a" is neither dropped nor corrupted.
+        let value = store.turn("a", |v| Ok(v.clone())).expect("a is live");
+        assert_eq!(value, vec![5]);
+        assert_eq!(store.stats().evicted, 0, "nothing was destroyed");
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -2055,10 +1934,8 @@ mod tests {
             per_shard.iter().all(|&n| n < 16),
             "fan-out used more than one shard: {per_shard:?}"
         );
-        // ids() aggregates across shards; take() round-trips values.
-        let mut ids = persist.ids();
-        ids.sort();
-        assert_eq!(ids.len(), 16);
+        // Every shard is found by id; take() round-trips values.
+        assert!((0..16).all(|i| persist.contains(&format!("s{i}"))));
         for i in 0..16u64 {
             let value = persist
                 .take(&format!("s{i}"))
@@ -2080,7 +1957,6 @@ mod tests {
         // …then the operator turns sharding on over the same dir.
         let sharded = json_persist(&dir, ttl, 4);
         assert!(sharded.contains("old-timer"));
-        assert!(sharded.ids().contains(&"old-timer".to_owned()));
         let value = sharded
             .take("old-timer")
             .expect("reads back")
@@ -2102,10 +1978,7 @@ mod tests {
                 SessionConfig { capacity: 4, ttl },
                 json_persist(&dir, ttl, 1),
             )
-            .with_spill_ahead(SpillAheadConfig {
-                every_turns: Some(1),
-                interval: None,
-            });
+            .with_spill_ahead_turns(Some(1));
             store.open("warm", Vec::new).expect("opens");
             for i in 0..3u64 {
                 store
@@ -2150,10 +2023,7 @@ mod tests {
                 SessionConfig { capacity: 4, ttl },
                 json_persist(&dir, ttl, 1),
             )
-            .with_spill_ahead(SpillAheadConfig {
-                every_turns: Some(1),
-                interval: None,
-            })
+            .with_spill_ahead_turns(Some(1))
         };
         let store = make_store();
         store.open("done", || vec![9]).expect("opens");
@@ -2174,46 +2044,14 @@ mod tests {
     }
 
     #[test]
-    fn background_pass_flushes_dirty_sessions_once() {
-        let dir = scratch_dir("pass");
-        let ttl = Duration::from_secs(3600);
-        let store: SessionStore<Vec<u64>> = SessionStore::with_persist(
-            SessionConfig { capacity: 4, ttl },
-            json_persist(&dir, ttl, 1),
-        )
-        .with_spill_ahead(SpillAheadConfig {
-            every_turns: None,
-            interval: Some(Duration::from_millis(10)),
-        });
-        store.open("a", || vec![1]).expect("opens");
-        store.open("b", || vec![2]).expect("opens");
-        store.turn("a", |_| Ok(())).expect("turn runs");
-        // Only "a" is dirty: one write, and a second pass is a no-op
-        // until another turn dirties something again.
-        assert_eq!(store.spill_ahead_pass(), 1);
-        assert!(dir.join("a.session.json").exists());
-        assert!(!dir.join("b.session.json").exists());
-        assert_eq!(store.spill_ahead_pass(), 0);
-        store.turn("b", |_| Ok(())).expect("turn runs");
-        assert_eq!(store.spill_ahead_pass(), 1);
-        assert_eq!(store.stats().spilled_ahead, 2);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
     fn memory_persist_declines_spill_ahead() {
         // MemoryPersist cannot outlive the process, so write-ahead
-        // copies are pointless — the default trait impl declines and
-        // the pass writes nothing.
+        // copies are pointless — the default trait impl declines.
         let store = spill_store(4, 3600);
-        let store = store.with_spill_ahead(SpillAheadConfig {
-            every_turns: Some(1),
-            interval: None,
-        });
+        let store = store.with_spill_ahead_turns(Some(1));
         store.open("a", Vec::new).expect("opens");
         store.turn("a", |_| Ok(())).expect("turn runs");
         assert_eq!(store.stats().spilled_ahead, 0);
-        assert_eq!(store.spill_ahead_pass(), 0);
     }
 
     #[test]

@@ -57,9 +57,6 @@ pub struct EventLoopConfig {
     /// Per-connection outbound byte cap; a peer that falls further
     /// behind than this is disconnected (backpressure kill).
     pub outbound_high_water: usize,
-    /// Use the portable `poll(2)` backend even where epoll is
-    /// available — keeps the fallback path testable on Linux.
-    pub force_poll_fallback: bool,
 }
 
 impl Default for EventLoopConfig {
@@ -68,7 +65,6 @@ impl Default for EventLoopConfig {
             max_connections: DEFAULT_EVENT_LOOP_CONNECTIONS,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             outbound_high_water: DEFAULT_OUTBOUND_HIGH_WATER,
-            force_poll_fallback: false,
         }
     }
 }
@@ -145,12 +141,17 @@ impl EventLoopServer {
     ///
     /// Poller or wake-pipe creation failure.
     pub fn spawn<H: ConnectionHandler>(self, handler: Arc<H>) -> io::Result<EventLoopHandle> {
+        self.spawn_on(Poller::new()?, handler)
+    }
+
+    /// [`EventLoopServer::spawn`] over a given backend — the tests' way
+    /// to run the loop over `poll(2)` on a host that has epoll.
+    fn spawn_on<H: ConnectionHandler>(
+        self,
+        mut poller: Poller,
+        handler: Arc<H>,
+    ) -> io::Result<EventLoopHandle> {
         self.listener.set_nonblocking(true)?;
-        let mut poller = if self.config.force_poll_fallback {
-            Poller::poll_fallback()?
-        } else {
-            Poller::new()?
-        };
         let shared = Arc::new(Shared {
             dirty: Mutex::new(Vec::new()),
             wake: WakePipe::new()?,
@@ -493,5 +494,40 @@ impl<H: ConnectionHandler> LoopState<H> {
         }
         self.handler.on_disconnect(&slot.sink);
         // Dropping the slot closes the socket fd.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    /// Answers every line with itself.
+    struct Echo;
+
+    impl ConnectionHandler for Echo {
+        fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
+            sink.send_line(line);
+        }
+    }
+
+    #[test]
+    fn poll_fallback_backend_serves_round_trips() {
+        let server =
+            EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default()).expect("binds");
+        let handle = server
+            .spawn_on(Poller::poll_fallback().expect("poll table"), Arc::new(Echo))
+            .expect("loop starts");
+        let mut stream = TcpStream::connect(handle.local_addr()).expect("connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        for line in ["{\"id\":1}", "{\"id\":\"fallback\"}"] {
+            writeln!(stream, "{line}").expect("writes");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("reads");
+            assert_eq!(reply, format!("{line}\n"), "a round trip over poll(2)");
+        }
+        drop((stream, reader));
+        handle.shutdown();
     }
 }

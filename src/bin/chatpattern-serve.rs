@@ -22,9 +22,9 @@
 //! duplicate in-flight requests coalesce onto one execution. Stateful multi-turn sessions (`SessionOpen`
 //! / `SessionTurn` / `SessionClose`, see `docs/SESSIONS.md`) are
 //! bounded by `--max-sessions` and `--session-ttl-secs`; with
-//! `--session-dir`, capacity eviction *spills* sessions to disk, and
-//! the `SessionSnapshot` / `SessionRestore` request kinds export a
-//! live session from one serve process and import it into another
+//! `--session-dir`, capacity eviction and TTL expiry *spill* sessions
+//! to disk, and the `SessionSnapshot` / `SessionRestore` request kinds
+//! export a live session from one serve process and import it into another
 //! (what the `chatpattern-router` uses to rebalance a fleet). The
 //! `Stats` request kind answers the engine's
 //! [`EngineStats`](chatpattern_core::EngineStats) counters over the
@@ -54,7 +54,6 @@ struct Options {
     session_ttl_secs: u64,
     session_dir: Option<String>,
     spill_ahead_turns: Option<u64>,
-    spill_ahead_secs: Option<u64>,
     persist_shards: usize,
     stats: bool,
     listen: Option<String>,
@@ -76,7 +75,6 @@ impl Default for Options {
             session_ttl_secs: 900,
             session_dir: None,
             spill_ahead_turns: None,
-            spill_ahead_secs: None,
             persist_shards: 1,
             stats: false,
             listen: None,
@@ -128,24 +126,20 @@ Options:
   --session-ttl-secs N   idle seconds before a session expires, at least
                          1 (default 900; also bounds spilled sessions in
                          --session-dir)
-  --session-dir PATH     spill evicted sessions to one JSON file per
-                         session under PATH instead of destroying them;
-                         a turn on a spilled id rehydrates it
-                         transparently, and spilled sessions survive a
-                         serve restart over the same PATH (default: off
-                         — eviction destroys). Cross-process handoff
-                         without a shared directory uses the
-                         SessionSnapshot / SessionRestore request kinds
-                         (docs/SESSIONS.md)
+  --session-dir PATH     spill evicted and expired sessions to one JSON
+                         file per session under PATH instead of
+                         destroying them (a failed write keeps the
+                         session live); a turn on a spilled id
+                         rehydrates it transparently, and spilled
+                         sessions survive a serve restart over the same
+                         PATH (default: off — eviction and expiry
+                         destroy). Cross-process handoff without a
+                         shared directory uses the SessionSnapshot /
+                         SessionRestore request kinds (docs/SESSIONS.md)
   --spill-ahead-turns N  with --session-dir: snapshot a warm session to
                          disk after every N completed turns, at least
                          1, so a crash loses at most the in-flight turn
                          (default: off)
-  --spill-ahead-secs N   with --session-dir: background cadence thread
-                         that snapshots every dirty session at least
-                         every N seconds, at least 1, off the turn path
-                         (default: off; combines with
-                         --spill-ahead-turns)
   --persist-shards N     fan the --session-dir store out over N
                          shard-{i} subdirectories with per-shard
                          locking; spilled sessions rehydrate lazily on
@@ -205,9 +199,6 @@ fn parse_args() -> Result<Options, String> {
             "--session-dir" => options.session_dir = Some(value.clone()),
             "--spill-ahead-turns" => {
                 options.spill_ahead_turns = Some(positive("--spill-ahead-turns")? as u64);
-            }
-            "--spill-ahead-secs" => {
-                options.spill_ahead_secs = Some(positive("--spill-ahead-secs")? as u64);
             }
             "--persist-shards" => options.persist_shards = number("--persist-shards")?,
             "--window" => options.window = number("--window")?,
@@ -348,9 +339,6 @@ fn main() -> ExitCode {
     }
     if let Some(turns) = options.spill_ahead_turns {
         builder = builder.spill_ahead_turns(turns);
-    }
-    if let Some(secs) = options.spill_ahead_secs {
-        builder = builder.spill_ahead_interval(std::time::Duration::from_secs(secs));
     }
     if options.persist_shards != 1 {
         builder = builder.persist_shards(options.persist_shards);

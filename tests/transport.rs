@@ -13,8 +13,6 @@
 //!   carry byte-identical payloads to the same requests executed on
 //!   the engine directly (only `timing` may differ — that is the wire
 //!   contract).
-//! * **Portable fallback** — the same round trip with
-//!   `force_poll_fallback`, proving the `poll(2)` backend serves too.
 //! * **Backpressure** — a client that requests far more than it reads
 //!   is killed once its outbound queue passes the high-water mark, and
 //!   the disconnect is accounted as a backpressure kill, not a clean
@@ -267,31 +265,6 @@ fn event_loop_payloads_are_byte_identical_to_in_process_execution() {
         over_loop, in_process,
         "the wire must carry what the engine produced, byte for byte, after timing removal"
     );
-}
-
-#[test]
-fn poll_fallback_backend_serves_round_trips() {
-    let engine = build_engine();
-    let handle = spawn_event_loop(
-        &engine,
-        EventLoopConfig {
-            force_poll_fallback: true,
-            ..EventLoopConfig::default()
-        },
-    );
-    let mut client =
-        NdjsonClient::connect(&handle.local_addr().to_string(), ClientConfig::default())
-            .expect("dial");
-    let reply = client
-        .call(&RequestEnvelope {
-            id: serde_json::to_value(&"fallback"),
-            tenant: None,
-            request: PatternRequest::Stats,
-        })
-        .expect("round trip over poll(2)");
-    assert!(matches!(reply.outcome, WireOutcome::Ok(_)));
-    drop(client);
-    handle.shutdown();
 }
 
 #[test]

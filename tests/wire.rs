@@ -589,14 +589,17 @@ fn refused(binary: &str, args: &[&str], complaint: &str) {
 /// A flag that used to choose between two mechanisms is gone with the
 /// second mechanism, not ignored: the TCP transport, the execution
 /// backend, the shard count, the router's copies of five serve flags
-/// (which ride `--serve-arg` like every other serve flag), and its link
-/// pool (one link a worker now that no reader of one can block).
+/// (which ride `--serve-arg` like every other serve flag), its link
+/// pool (one link a worker now that no reader of one can block), and
+/// serve's spill-ahead cadence thread (expiry is purged at the next
+/// store operation, and spilled like an eviction).
 #[test]
 fn the_transport_flag_is_an_unknown_flag() {
     for (binary, flag) in [
         (SERVE, "--transport"),
         (SERVE, "--backend"),
         (SERVE, "--shards"),
+        (SERVE, "--spill-ahead-secs"),
         (ROUTER, "--tenant-quota"),
         (ROUTER, "--lane-weights"),
         (ROUTER, "--spill-ahead-turns"),
@@ -610,16 +613,16 @@ fn the_transport_flag_is_an_unknown_flag() {
 }
 
 /// A count of zero is a server that accepts nobody, a fleet of none,
-/// a timer that never sleeps, an engine with no worker or a session
-/// that expires as it opens: both binaries refuse it at start-up, by
-/// the flag's name, instead of listening in silence or clamping it.
+/// a timer that never sleeps, an engine with no worker, a session
+/// that expires as it opens or a snapshot after every zero turns: both
+/// binaries refuse it at start-up, by the flag's name, instead of
+/// listening in silence or clamping it.
 #[test]
 fn a_connection_cap_of_zero_is_refused_at_start_up() {
     for (binary, flag) in [
         (SERVE, "--max-connections"),
         (SERVE, "--workers"),
         (SERVE, "--session-ttl-secs"),
-        (SERVE, "--spill-ahead-secs"),
         (SERVE, "--spill-ahead-turns"),
         (ROUTER, "--max-connections"),
         (ROUTER, "--workers"),
