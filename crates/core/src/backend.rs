@@ -17,7 +17,7 @@
 use crate::broker::ExecTask;
 use crate::{EngineConfig, Error};
 use cp_qos::{FairQueue, LaneWeights};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 
 /// What the backend runs for every task it schedules. The engine builds
@@ -51,10 +51,10 @@ pub(crate) struct Backend {
 impl Backend {
     /// Spawns `config.workers` threads (`pattern-engine-{i}`) over one
     /// queue `config.queue_depth` deep.
-    pub(crate) fn new(config: &EngineConfig, weights: LaneWeights, run: TaskFn) -> Backend {
+    pub(crate) fn new(config: &EngineConfig, run: TaskFn) -> Backend {
         let queue = Arc::new(Queue {
             state: Mutex::new(QueueState {
-                tasks: FairQueue::new(config.queue_depth, weights),
+                tasks: FairQueue::new(config.queue_depth, LaneWeights::default()),
                 shutdown: false,
             }),
             task_ready: Condvar::new(),
@@ -73,30 +73,38 @@ impl Backend {
         Backend { queue, workers }
     }
 
-    /// Schedules one task. With `block` set, waits for queue space
-    /// (back-pressure); otherwise reports [`Error::QueueFull`] when the
-    /// queue is at capacity and the task was not accepted.
-    pub(crate) fn dispatch(&self, task: Arc<ExecTask>, block: bool) -> Result<(), Error> {
-        {
-            let mut state = self.queue.state.lock().expect("queue lock");
-            while state.tasks.is_full() {
-                if !block {
-                    return Err(Error::QueueFull {
-                        depth: state.tasks.capacity(),
-                    });
-                }
-                state = self.queue.space_ready.wait(state).expect("queue lock");
-            }
-            let lane = task.lane();
-            let tenant = task.tenant().to_owned();
-            state
-                .tasks
-                .push(lane, &tenant, task)
-                .map_err(|_| ())
-                .expect("space was awaited under the queue lock");
+    /// Schedules one task, waiting for queue space (back-pressure).
+    pub(crate) fn dispatch(&self, task: Arc<ExecTask>) {
+        let mut state = self.queue.state.lock().expect("queue lock");
+        while state.tasks.is_full() {
+            state = self.queue.space_ready.wait(state).expect("queue lock");
         }
-        self.queue.task_ready.notify_one();
+        self.push(state, task);
+    }
+
+    /// Schedules one task if the queue has room; reports
+    /// [`Error::QueueFull`] otherwise, and the task was not accepted.
+    pub(crate) fn try_dispatch(&self, task: Arc<ExecTask>) -> Result<(), Error> {
+        let state = self.queue.state.lock().expect("queue lock");
+        if state.tasks.is_full() {
+            return Err(Error::QueueFull {
+                depth: state.tasks.capacity(),
+            });
+        }
+        self.push(state, task);
         Ok(())
+    }
+
+    fn push(&self, mut state: MutexGuard<'_, QueueState>, task: Arc<ExecTask>) {
+        let lane = task.lane();
+        let tenant = task.tenant().to_owned();
+        state
+            .tasks
+            .push(lane, &tenant, task)
+            .map_err(|_| ())
+            .expect("room was checked under the queue lock");
+        drop(state);
+        self.queue.task_ready.notify_one();
     }
 
     /// Jobs currently waiting in the queue. Feeds
@@ -105,20 +113,24 @@ impl Backend {
         self.queue.state.lock().expect("queue lock").tasks.len()
     }
 
-    /// Stops accepting work, joins all workers, and returns every task
-    /// that never ran so the caller can fail its subscribers.
-    pub(crate) fn shutdown(&mut self) -> Vec<Arc<ExecTask>> {
+    /// Stops accepting work and returns every task that never ran, so
+    /// the caller can fail its subscribers without waiting for the
+    /// jobs still running. Each worker exits after its current job.
+    pub(crate) fn stop(&self) -> Vec<Arc<ExecTask>> {
         let drained = {
             let mut state = self.queue.state.lock().expect("queue lock");
             state.shutdown = true;
             state.tasks.drain()
         };
         self.queue.task_ready.notify_all();
-        self.queue.space_ready.notify_all();
+        drained
+    }
+
+    /// Waits for every worker to exit (after [`Backend::stop`]).
+    pub(crate) fn join(&mut self) {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        drained
     }
 }
 

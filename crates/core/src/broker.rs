@@ -15,12 +15,12 @@
 //!    waiter and will receive a clone of the same payload when the one
 //!    shared execution finishes.
 //! 3. **Lead** — nothing identical is in flight; a fresh [`ExecTask`]
-//!    is registered and the caller must dispatch it to a backend.
+//!    is dispatched to a backend and registered.
 //!
-//! Cancellation detaches only the cancelling handle from the shared
-//! task (the other waiters still get their payload); when the *last*
-//! subscriber of a still-queued task detaches, the task is abandoned
-//! and a worker that later pops it skips execution entirely.
+//! A task ends one of two ways: a worker runs it and fans the result
+//! out to every subscriber ([`ResultBroker::complete`]), or the engine
+//! is dropped with it still queued and every subscriber hears
+//! [`Error::Cancelled`] ([`ResultBroker::reject`]).
 //!
 //! Completion is atomic with respect to admission: the cache insert
 //! and the in-flight deregistration happen under one lock, so a
@@ -42,21 +42,15 @@ pub(crate) enum JobState {
     /// once the handle was consumed by `on_done`: the result then goes
     /// to the callback instead of being parked for `wait`.
     Pending(Option<DoneFn>),
-    /// Finished; `wait` returns immediately.
-    Done {
-        /// Whether this handle was cancelled (detached) rather than
-        /// served.
-        cancelled: bool,
-        /// `Some` until `wait` takes it. Boxed: a response dwarfs the
-        /// `Pending` variant every live handle carries.
-        result: Option<Box<Result<PatternResponse, Error>>>,
-    },
+    /// Finished; `wait` returns immediately. `Some` until `wait` takes
+    /// it. Boxed: a response dwarfs the `Pending` variant every live
+    /// handle carries.
+    Done(Option<Box<Result<PatternResponse, Error>>>),
 }
 
 /// The state one [`JobHandle`](crate::JobHandle) observes. Each
 /// submitter gets its own `JobShared`, even when several of them share
-/// one execution — that is what lets a waiter cancel (detach) without
-/// touching anyone else's result.
+/// one execution, so each gets its own delivery and its own timing.
 pub(crate) struct JobShared {
     state: Mutex<JobState>,
     done: Condvar,
@@ -78,51 +72,37 @@ impl JobShared {
     /// A job born finished (cache hits, `Stats`).
     pub(crate) fn finished(result: Result<PatternResponse, Error>) -> Arc<JobShared> {
         Arc::new(JobShared {
-            state: Mutex::new(JobState::Done {
-                cancelled: false,
-                result: Some(Box::new(result)),
-            }),
+            state: Mutex::new(JobState::Done(Some(Box::new(result)))),
             done: Condvar::new(),
             submitted_at: Instant::now(),
         })
     }
 
-    /// Publishes `result` unless the handle already finished (a
-    /// cancelled waiter keeps its `Error::Cancelled`). Returns whether
-    /// the result was delivered. On delivery, `counted` runs under the
-    /// job lock *before* any waiter can observe the result — this is
-    /// what keeps stats counters consistent with what `wait` returned.
-    /// A registered `on_done` callback takes the result instead, on
-    /// this thread, after the job lock is released.
-    pub(crate) fn finish_if_pending(
-        &self,
-        result: Result<PatternResponse, Error>,
-        counted: impl FnOnce(),
-    ) -> bool {
+    /// Publishes `result`. Every pending job is finished exactly once,
+    /// by the fan-out of its execution or by the engine's drop.
+    /// `counted` runs under the job lock *before* any waiter can
+    /// observe the result — this is what keeps stats counters
+    /// consistent with what `wait` returned. A registered `on_done`
+    /// callback takes the result instead, on this thread, after the
+    /// job lock is released.
+    pub(crate) fn finish(&self, result: Result<PatternResponse, Error>, counted: impl FnOnce()) {
         let mut state = self.state.lock().expect("job lock");
         let JobState::Pending(on_done) = &mut *state else {
-            return false;
+            unreachable!("a job is finished once");
         };
         let on_done = on_done.take();
         counted();
         match on_done {
             Some(on_done) => {
-                *state = JobState::Done {
-                    cancelled: false,
-                    result: None,
-                };
+                *state = JobState::Done(None);
                 drop(state);
                 on_done(result);
             }
             None => {
-                *state = JobState::Done {
-                    cancelled: false,
-                    result: Some(Box::new(result)),
-                };
+                *state = JobState::Done(Some(Box::new(result)));
                 self.done.notify_all();
             }
         }
-        true
     }
 
     /// Hands the result to `on_done` exactly once: right here when the
@@ -132,7 +112,7 @@ impl JobShared {
         let mut state = self.state.lock().expect("job lock");
         match &mut *state {
             JobState::Pending(slot) => *slot = Some(on_done),
-            JobState::Done { result, .. } => {
+            JobState::Done(result) => {
                 let result = result
                     .take()
                     .expect("on_done consumes the handle, so the result is untaken");
@@ -142,30 +122,11 @@ impl JobShared {
         }
     }
 
-    /// Marks the handle cancelled if its result has not been delivered
-    /// yet. Returns whether the cancellation won. (Only a live handle
-    /// can cancel, and `on_done` consumes the handle, so no callback
-    /// is ever pending here.)
-    pub(crate) fn cancel_if_pending(&self) -> bool {
-        let mut state = self.state.lock().expect("job lock");
-        match *state {
-            JobState::Pending(_) => {
-                *state = JobState::Done {
-                    cancelled: true,
-                    result: Some(Box::new(Err(Error::Cancelled))),
-                };
-                self.done.notify_all();
-                true
-            }
-            JobState::Done { .. } => false,
-        }
-    }
-
     /// Blocks until finished and takes the result.
     pub(crate) fn wait(&self) -> Result<PatternResponse, Error> {
         let mut state = self.state.lock().expect("job lock");
         loop {
-            if let JobState::Done { result, .. } = &mut *state {
+            if let JobState::Done(result) = &mut *state {
                 return *result
                     .take()
                     .expect("wait consumes the handle, so the result is untaken");
@@ -173,25 +134,6 @@ impl JobShared {
             state = self.done.wait(state).expect("job lock");
         }
     }
-
-    /// `Some(cancelled)` when done, `None` while pending.
-    pub(crate) fn done_state(&self) -> Option<bool> {
-        match &*self.state.lock().expect("job lock") {
-            JobState::Pending(_) => None,
-            JobState::Done { cancelled, .. } => Some(*cancelled),
-        }
-    }
-}
-
-/// Where a shared execution stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TaskPhase {
-    /// Waiting in a backend queue.
-    Queued,
-    /// A worker claimed it and is executing.
-    Running,
-    /// Executed, abandoned, or rejected; no worker will touch it again.
-    Finished,
 }
 
 /// One subscriber of a task: the handle to notify, plus whether it
@@ -199,9 +141,11 @@ pub(crate) enum TaskPhase {
 /// is the leader that triggered it (`false`).
 type Subscriber = (Arc<JobShared>, bool);
 
+/// What [`ResultBroker::admit`] dispatches a fresh task with.
+pub(crate) type Dispatch<'a> = &'a dyn Fn(Arc<ExecTask>) -> Result<(), Error>;
+
 struct TaskState {
-    phase: TaskPhase,
-    /// Taken by the worker that claims the task.
+    /// Taken by the worker that runs the task.
     request: Option<PatternRequest>,
     subscribers: Vec<Subscriber>,
 }
@@ -209,14 +153,14 @@ struct TaskState {
 /// One shared execution: a request, the tenant/lane QoS context, and
 /// every submitter waiting on the result. This is the unit the
 /// [`Backend`](crate::backend::Backend) queues and runs.
-pub struct ExecTask {
+pub(crate) struct ExecTask {
     /// Shared with the broker's in-flight map and, once the result is
     /// cached, with the cache: one allocation of the serialized request.
     key: Option<Arc<str>>,
     tenant: String,
     lane: cp_qos::Lane,
     /// Whether admission reserved a session slot for this request
-    /// (kept here so abandoned and drained tasks can roll the
+    /// (kept here so a task drained at the engine's drop can roll the
     /// reservation back without access to the request).
     opens_session: bool,
     state: Mutex<TaskState>,
@@ -227,7 +171,6 @@ impl std::fmt::Debug for ExecTask {
         let state = self.state.lock().expect("task lock");
         f.debug_struct("ExecTask")
             .field("key", &self.key)
-            .field("phase", &state.phase)
             .field("subscribers", &state.subscribers.len())
             .finish()
     }
@@ -248,7 +191,6 @@ impl ExecTask {
             lane,
             opens_session,
             state: Mutex::new(TaskState {
-                phase: TaskPhase::Queued,
                 request: Some(request),
                 subscribers: vec![(leader, false)],
             }),
@@ -257,14 +199,12 @@ impl ExecTask {
 
     /// The tenant whose submission leads this execution (QoS
     /// accounting and fair queuing).
-    #[must_use]
-    pub fn tenant(&self) -> &str {
+    pub(crate) fn tenant(&self) -> &str {
         &self.tenant
     }
 
     /// The priority lane of the leading request.
-    #[must_use]
-    pub fn lane(&self) -> cp_qos::Lane {
+    pub(crate) fn lane(&self) -> cp_qos::Lane {
         self.lane
     }
 
@@ -273,20 +213,15 @@ impl ExecTask {
         self.opens_session
     }
 
-    /// Claims the task for execution: returns the request, or `None`
-    /// when every subscriber already detached while it was queued (the
-    /// worker then skips it — the abandoned-task fast path).
-    pub(crate) fn claim(&self) -> Option<PatternRequest> {
-        let mut state = self.state.lock().expect("task lock");
-        if state.phase != TaskPhase::Queued {
-            return None;
-        }
-        if state.subscribers.is_empty() {
-            state.phase = TaskPhase::Finished;
-            return None;
-        }
-        state.phase = TaskPhase::Running;
-        state.request.take()
+    /// Takes the request out for execution. A task leaves the queue
+    /// once, so it is claimed once.
+    pub(crate) fn claim(&self) -> PatternRequest {
+        self.state
+            .lock()
+            .expect("task lock")
+            .request
+            .take()
+            .expect("a task is claimed once")
     }
 
     /// Adds a coalesced waiter. Caller must hold the broker lock (this
@@ -299,30 +234,9 @@ impl ExecTask {
             .push((job, true));
     }
 
-    /// Removes one subscriber (a cancelled handle). Returns `true`
-    /// when that was the last subscriber of a still-queued task — the
-    /// caller ([`ResultBroker::detach`], under the broker lock) then
-    /// unregisters the task so a fresh identical submit starts a new
-    /// execution instead of joining a dead one.
-    fn detach(&self, job: &Arc<JobShared>) -> bool {
-        let mut state = self.state.lock().expect("task lock");
-        state
-            .subscribers
-            .retain(|(subscriber, _)| !Arc::ptr_eq(subscriber, job));
-        state.subscribers.is_empty() && state.phase == TaskPhase::Queued
-    }
-
-    /// Marks the task finished and drains everyone still subscribed.
-    pub(crate) fn take_subscribers(&self) -> Vec<Subscriber> {
-        let mut state = self.state.lock().expect("task lock");
-        state.phase = TaskPhase::Finished;
-        std::mem::take(&mut state.subscribers)
-    }
-
-    /// Current phase (drives [`JobStatus`](crate::JobStatus) for
-    /// pending handles).
-    pub(crate) fn phase(&self) -> TaskPhase {
-        self.state.lock().expect("task lock").phase
+    /// Drains everyone subscribed.
+    fn take_subscribers(&self) -> Vec<Subscriber> {
+        std::mem::take(&mut self.state.lock().expect("task lock").subscribers)
     }
 
     /// Whether this task is registered with the broker (cacheable and
@@ -340,24 +254,19 @@ pub(crate) enum Admission {
     /// (behind an `Arc`; the caller deep-clones outside the lock).
     CacheHit(Arc<ResponsePayload>),
     /// Attached as a waiter to this already-in-flight task.
-    Coalesced {
-        /// The shared execution.
-        task: Arc<ExecTask>,
-        /// This submitter's freshly attached handle state.
-        job: Arc<JobShared>,
-    },
-    /// A fresh task: either already dispatched (when the caller passed
-    /// an in-lock dispatcher) or for the caller to dispatch.
+    Coalesced(Arc<JobShared>),
+    /// A fresh task: already dispatched when the caller passed a
+    /// dispatcher, for the caller to dispatch otherwise.
     Lead {
         /// The new execution.
         task: Arc<ExecTask>,
         /// The leader's handle state.
         job: Arc<JobShared>,
     },
-    /// The in-lock dispatcher refused the task (`QueueFull`). Nothing
-    /// was registered and — because the broker lock was held across
-    /// the dispatch attempt — no waiter can have attached, so only
-    /// the submitter sees this error.
+    /// The dispatcher refused the task (`QueueFull`). Nothing was
+    /// registered and — because the broker lock was held across the
+    /// dispatch attempt — no waiter can have attached, so only the
+    /// submitter sees this error.
     Rejected(Error),
 }
 
@@ -391,8 +300,8 @@ impl ResultBroker {
     /// from caching.
     ///
     /// When `dispatch` is `Some`, it is invoked for a fresh lead task
-    /// *inside the admission critical section*; on failure the task is
-    /// unregistered before the lock drops, so no concurrent identical
+    /// *inside the admission critical section*, keyed or not; on
+    /// failure nothing is registered, so no concurrent identical
     /// submit can ever coalesce onto an undispatched task (the
     /// [`Admission::Rejected`] outcome affects only this submitter).
     /// Callers must only pass dispatchers that cannot block and cannot
@@ -405,42 +314,38 @@ impl ResultBroker {
         tenant: &str,
         lane: cp_qos::Lane,
         request: PatternRequest,
-        dispatch: Option<&dyn Fn(Arc<ExecTask>) -> Result<(), Error>>,
+        dispatch: Option<Dispatch<'_>>,
     ) -> Admission {
-        let Some(key) = key else {
+        let lead = |key| {
             let job = JobShared::pending();
-            let task = ExecTask::new(None, tenant, lane, request, Arc::clone(&job));
-            return Admission::Lead { task, job };
+            let task = ExecTask::new(key, tenant, lane, request, Arc::clone(&job));
+            match dispatch.map_or(Ok(()), |dispatch| dispatch(Arc::clone(&task))) {
+                Ok(()) => Admission::Lead { task, job },
+                Err(error) => Admission::Rejected(error),
+            }
+        };
+        let Some(key) = key else {
+            // Nothing coalesces onto a private task: no lock to take.
+            return lead(None);
         };
         let mut state = self.state.lock().expect("broker lock");
         if let Some(payload) = state.cache.get(&key) {
             return Admission::CacheHit(payload);
         }
         if let Some(task) = state.inflight.get(key.as_str()) {
-            let task = Arc::clone(task);
             let job = JobShared::pending();
             task.attach(Arc::clone(&job));
-            return Admission::Coalesced { task, job };
+            return Admission::Coalesced(job);
         }
-        let job = JobShared::pending();
         let key: Arc<str> = key.into();
-        let task = ExecTask::new(
-            Some(Arc::clone(&key)),
-            tenant,
-            lane,
-            request,
-            Arc::clone(&job),
-        );
-        if let Some(dispatch) = dispatch {
-            if let Err(error) = dispatch(Arc::clone(&task)) {
-                return Admission::Rejected(error);
-            }
+        let admission = lead(Some(Arc::clone(&key)));
+        if let Admission::Lead { task, .. } = &admission {
             // Safe even though a worker may already be running the
             // task: completion also needs the broker lock, so the
             // entry lands in `inflight` before `complete` can look.
+            state.inflight.insert(key, Arc::clone(task));
         }
-        state.inflight.insert(key, Arc::clone(&task));
-        Admission::Lead { task, job }
+        admission
     }
 
     /// Completes an executed task: caches a successful payload,
@@ -453,53 +358,27 @@ impl ResultBroker {
         ok_payload: Option<Arc<ResponsePayload>>,
     ) -> Vec<Subscriber> {
         let mut state = self.state.lock().expect("broker lock");
-        if let Some(key) = &task.key {
-            if let Some(payload) = ok_payload {
-                state.cache.insert(Arc::clone(key), payload);
-            }
-            Self::remove_inflight(&mut state, key, task);
+        if let (Some(key), Some(payload)) = (&task.key, ok_payload) {
+            state.cache.insert(Arc::clone(key), payload);
         }
+        Self::unregister(&mut state, task);
         task.take_subscribers()
     }
 
-    /// Rolls back a `Lead` admission whose out-of-lock dispatch failed
-    /// (`QueueFull` on an unkeyed task): deregisters the task and
-    /// returns everyone attached so far. Keyed non-blocking leads
-    /// dispatch inside [`ResultBroker::admit`], so for them this path
-    /// is unreachable; it remains as defense in depth.
+    /// Retires a task that will never run (still queued when the
+    /// engine is dropped): deregisters it and returns everyone
+    /// attached, for the caller to fail.
     pub(crate) fn reject(&self, task: &Arc<ExecTask>) -> Vec<Subscriber> {
-        let mut state = self.state.lock().expect("broker lock");
-        if let Some(key) = &task.key {
-            Self::remove_inflight(&mut state, key, task);
-        }
+        Self::unregister(&mut self.state.lock().expect("broker lock"), task);
         task.take_subscribers()
     }
 
-    /// Detaches one cancelled handle from its task. When that empties
-    /// a still-queued task, the in-flight registration is dropped *in
-    /// the same critical section* — so a concurrent identical submit
-    /// either coalesced before the detach (keeping the task alive) or
-    /// finds the key free and leads a fresh execution. Holding the
-    /// broker lock here is what makes abandonment atomic with
-    /// admission; without it, a worker could skip the emptied task
-    /// while the stale registration still accepts waiters that would
-    /// then never be notified.
-    pub(crate) fn detach(&self, task: &Arc<ExecTask>, job: &Arc<JobShared>) {
-        let mut state = self.state.lock().expect("broker lock");
-        if task.detach(job) {
-            if let Some(key) = &task.key {
-                Self::remove_inflight(&mut state, key, task);
-            }
-        }
-    }
-
-    /// Removes the key → task binding, but only if it still points at
-    /// `task` (a fresh execution may have replaced a rejected one).
-    fn remove_inflight(state: &mut BrokerState, key: &str, task: &Arc<ExecTask>) {
-        if let Some(current) = state.inflight.get(key) {
-            if Arc::ptr_eq(current, task) {
-                state.inflight.remove(key);
-            }
+    /// Removes a keyed task's key → task binding. Nothing replaces it
+    /// while the task lives: an identical submit coalesces instead.
+    fn unregister(state: &mut BrokerState, task: &Arc<ExecTask>) {
+        if let Some(key) = &task.key {
+            let registered = state.inflight.remove(key);
+            debug_assert!(registered.is_some_and(|current| Arc::ptr_eq(&current, task)));
         }
     }
 
@@ -513,7 +392,7 @@ impl ResultBroker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GenerateParams, Timing};
+    use crate::GenerateParams;
     use cp_dataset::Style;
 
     /// Tenant/lane context for admissions whose QoS fields are
@@ -535,13 +414,6 @@ mod tests {
         ResponsePayload::Generate(Vec::new())
     }
 
-    fn response() -> PatternResponse {
-        PatternResponse {
-            payload: payload(),
-            timing: Timing::direct(1),
-        }
-    }
-
     #[test]
     fn identical_submissions_coalesce_onto_one_task() {
         let broker = ResultBroker::new(8);
@@ -549,15 +421,16 @@ mod tests {
         else {
             panic!("first submission leads");
         };
-        match broker.admit(Some("k".into()), T, L, request(1), None) {
-            Admission::Coalesced { task: shared, .. } => assert!(Arc::ptr_eq(&shared, &task)),
-            _ => panic!("second identical submission coalesces"),
-        }
+        let Admission::Coalesced(waiter) = broker.admit(Some("k".into()), T, L, request(1), None)
+        else {
+            panic!("second identical submission coalesces");
+        };
         // Completion delivers to both, caches the payload, clears the key.
         let subscribers = broker.complete(&task, Some(Arc::new(payload())));
         assert_eq!(subscribers.len(), 2);
         assert!(!subscribers[0].1, "leader is not coalesced");
         assert!(subscribers[1].1, "waiter is coalesced");
+        assert!(Arc::ptr_eq(&subscribers[1].0, &waiter));
         assert_eq!(broker.inflight_len(), 0);
         assert!(matches!(
             broker.admit(Some("k".into()), T, L, request(1), None),
@@ -576,55 +449,21 @@ mod tests {
     }
 
     #[test]
-    fn last_detach_abandons_a_queued_task() {
+    fn a_refused_dispatch_registers_nothing() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, job } = broker.admit(Some("k".into()), T, L, request(1), None)
-        else {
-            panic!("leads");
-        };
-        broker.detach(&task, &job);
-        assert_eq!(
-            broker.inflight_len(),
-            0,
-            "emptying a queued task atomically drops its registration"
-        );
-        assert!(task.claim().is_none(), "abandoned tasks are never executed");
-        // A fresh identical submit starts a new execution.
+        let full: Dispatch<'_> = &|_| Err(Error::QueueFull { depth: 1 });
+        for key in [Some("k".to_owned()), None] {
+            assert!(matches!(
+                broker.admit(key, T, L, request(1), Some(full)),
+                Admission::Rejected(Error::QueueFull { depth: 1 })
+            ));
+        }
+        assert_eq!(broker.inflight_len(), 0);
+        // Nothing to coalesce onto: the next identical submit leads.
         assert!(matches!(
             broker.admit(Some("k".into()), T, L, request(1), None),
             Admission::Lead { .. }
         ));
-    }
-
-    #[test]
-    fn detach_of_one_waiter_keeps_the_execution_alive() {
-        let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, L, request(1), None)
-        else {
-            panic!("leads");
-        };
-        let Admission::Coalesced { job: waiter, .. } =
-            broker.admit(Some("k".into()), T, L, request(1), None)
-        else {
-            panic!("coalesces");
-        };
-        broker.detach(&task, &waiter);
-        assert_eq!(broker.inflight_len(), 1, "execution still registered");
-        assert!(task.claim().is_some(), "still runnable for the leader");
-    }
-
-    #[test]
-    fn cancelled_handle_refuses_late_results() {
-        let job = JobShared::pending();
-        assert!(job.cancel_if_pending());
-        let mut counted = false;
-        assert!(
-            !job.finish_if_pending(Ok(response()), || counted = true),
-            "already cancelled"
-        );
-        assert!(!counted, "skipped deliveries are not counted");
-        assert!(matches!(job.wait(), Err(Error::Cancelled)));
-        assert!(!job.cancel_if_pending(), "double cancel is a no-op");
     }
 
     #[test]

@@ -8,11 +8,8 @@
 //! * [`PatternEngine::submit`] enqueues a request and returns a
 //!   [`JobHandle`] immediately (or [`Error::QueueFull`] when the
 //!   bounded queue is at capacity);
-//! * [`JobHandle::wait`] blocks for the result,
-//!   [`JobHandle::on_done`] has it delivered to a callback instead,
-//!   [`JobHandle::try_status`] polls without blocking, and
-//!   [`JobHandle::cancel`] detaches a handle whose result has not been
-//!   delivered yet, reporting [`Error::Cancelled`] to that handle only;
+//! * [`JobHandle::wait`] blocks for the result, and
+//!   [`JobHandle::on_done`] has it delivered to a callback instead;
 //! * the engine itself implements [`PatternService`], so
 //!   [`PatternService::execute_many`] becomes a submit-all/wait-all
 //!   loop that runs batches in parallel.
@@ -30,11 +27,16 @@
 //! counted in [`EngineStats::coalesced`] and flagged in
 //! [`Timing::coalesced`]. `Chat` with `seed: null` bypasses both, same
 //! as the long-standing cache-bypass rule. [`Timing`] distinguishes
-//! queue wait from execution time for every job. The full semantics
-//! are documented in `docs/ENGINE.md`.
+//! queue wait from execution time for every job.
+//!
+//! A submitted job ends one of two ways: a worker runs it and the
+//! result reaches every handle on it, or the engine is dropped while
+//! it is still queued and every handle on it gets [`Error::Cancelled`].
+//! Dropping a handle ends nothing. The full semantics are documented
+//! in `docs/ENGINE.md`.
 
 use crate::backend::{Backend, TaskFn};
-use crate::broker::{Admission, ExecTask, JobShared, ResultBroker, TaskPhase};
+use crate::broker::{Admission, Dispatch, ExecTask, JobShared, ResultBroker};
 use crate::{Error, PatternRequest, PatternResponse, PatternService, ResponsePayload, Timing};
 use cp_qos::{QosConfig, QosGate, TenantLaneStats, TenantLedger};
 use serde::{Deserialize, Serialize};
@@ -90,20 +92,6 @@ impl EngineConfig {
     }
 }
 
-/// Observable lifecycle of a submitted job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Waiting in the queue.
-    Queued,
-    /// The shared execution is running.
-    Running,
-    /// Finished (successfully or with an error); `wait` returns
-    /// immediately.
-    Done,
-    /// This handle was cancelled; `wait` returns [`Error::Cancelled`].
-    Cancelled,
-}
-
 /// Counters describing engine activity since construction.
 ///
 /// Serializable: a [`PatternRequest::Stats`] request returns this
@@ -119,7 +107,8 @@ pub struct EngineStats {
     pub completed: u64,
     /// Jobs whose result was an error.
     pub failed: u64,
-    /// Handles cancelled before their result was delivered.
+    /// Jobs still queued when the engine was dropped, failed with
+    /// [`Error::Cancelled`].
     pub cancelled: u64,
     /// Requests served straight from the result cache.
     pub cache_hits: u64,
@@ -322,32 +311,22 @@ pub(crate) fn cache_key(request: &PatternRequest) -> Option<String> {
     crate::routing::request_key(request)
 }
 
-/// A submitted job: wait for, poll, or cancel it.
+/// A submitted job: wait for it, or have its result delivered to a
+/// callback.
 ///
 /// Several handles may share one backend execution (request
-/// coalescing); each handle still gets its own result delivery, so
-/// [`JobHandle::cancel`] detaches only this handle. Dropping the
-/// handle does not cancel anything; the shared execution still runs
-/// (and a cacheable result still lands in the cache).
-#[must_use = "a JobHandle should be waited on, given a callback, polled or cancelled"]
+/// coalescing); each handle still gets its own result delivery and
+/// its own [`Timing`]. Dropping the handle does not cancel anything;
+/// the shared execution still runs (and a cacheable result still lands
+/// in the cache).
+#[must_use = "a JobHandle should be waited on or given an on_done callback"]
 pub struct JobHandle {
     shared: Arc<JobShared>,
-    /// `None` only for handles born finished (cache hits, `Stats`,
-    /// refused blocking submits).
-    attachment: Option<Attachment>,
-}
-
-struct Attachment {
-    task: Arc<ExecTask>,
-    broker: Arc<ResultBroker>,
-    stats: Arc<AtomicStats>,
 }
 
 impl std::fmt::Debug for JobHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHandle")
-            .field("status", &self.try_status())
-            .finish()
+        f.debug_struct("JobHandle").finish_non_exhaustive()
     }
 }
 
@@ -355,7 +334,6 @@ impl JobHandle {
     fn done(result: Result<PatternResponse, Error>) -> JobHandle {
         JobHandle {
             shared: JobShared::finished(result),
-            attachment: None,
         }
     }
 
@@ -365,10 +343,10 @@ impl JobHandle {
     ///
     /// Returns whatever the underlying service reported (including
     /// [`Error::Internal`] when the service panicked), or
-    /// [`Error::Cancelled`] when [`JobHandle::cancel`] won the race.
-    /// [`Error::QueueFull`] never reaches a handle: an accepted
-    /// submission always resolves to a result — waiters can only
-    /// coalesce onto executions whose dispatch already succeeded.
+    /// [`Error::Cancelled`] when the engine was dropped with the job
+    /// still queued. [`Error::QueueFull`] never reaches a handle: an
+    /// accepted submission always resolves to a result — waiters can
+    /// only coalesce onto executions whose dispatch already succeeded.
     pub fn wait(self) -> Result<PatternResponse, Error> {
         self.shared.wait()
     }
@@ -379,59 +357,13 @@ impl JobHandle {
     /// finishes the job: an engine worker — or, for a handle that is
     /// already finished (a cache hit, `Stats`, a job that completed in
     /// the meantime), the calling thread, before this returns. A job
-    /// still queued when the engine is dropped
-    /// reports [`Error::Cancelled`] from the dropping thread. No engine
-    /// lock is held around the call, so the callback may submit to the
-    /// same engine; on a worker it delays that worker's next job, so
-    /// it must not block.
+    /// still queued when the engine is dropped reports
+    /// [`Error::Cancelled`] from the dropping thread, before the drop
+    /// waits for the jobs still running. No engine lock is held around
+    /// the call, so the callback may submit to the same engine; on a
+    /// worker it delays that worker's next job, so it must not block.
     pub fn on_done(self, on_done: impl FnOnce(Result<PatternResponse, Error>) + Send + 'static) {
         self.shared.on_done(Box::new(on_done));
-    }
-
-    /// Current lifecycle stage, without blocking.
-    #[must_use]
-    pub fn try_status(&self) -> JobStatus {
-        match self.shared.done_state() {
-            Some(true) => JobStatus::Cancelled,
-            Some(false) => JobStatus::Done,
-            None => match &self.attachment {
-                Some(attachment) => match attachment.task.phase() {
-                    TaskPhase::Queued => JobStatus::Queued,
-                    // `Finished` here means the fan-out is about to
-                    // deliver; report Running for the last instants.
-                    TaskPhase::Running | TaskPhase::Finished => JobStatus::Running,
-                },
-                None => JobStatus::Running,
-            },
-        }
-    }
-
-    /// Cancels this handle if its result has not been delivered yet.
-    /// Returns `true` when the cancellation took effect —
-    /// [`JobHandle::wait`] will then report [`Error::Cancelled`].
-    ///
-    /// Cancellation **detaches**, it never preempts: when other
-    /// handles share the execution (coalesced identical requests),
-    /// the execution proceeds and every other handle still receives
-    /// its payload; only the canceller sees [`Error::Cancelled`].
-    /// When this was the *only* handle and the job is still queued,
-    /// the backend skips it entirely. A job already running runs to
-    /// completion (a cacheable result still lands in the cache) —
-    /// its result is simply discarded. Finished handles are
-    /// unaffected and `false` is returned.
-    pub fn cancel(&self) -> bool {
-        if !self.shared.cancel_if_pending() {
-            return false;
-        }
-        if let Some(attachment) = &self.attachment {
-            attachment.stats.add(&attachment.stats.cancelled);
-            // Atomic detach: when this empties a still-queued task,
-            // the broker frees the key in the same critical section so
-            // a fresh identical submit re-executes instead of joining
-            // the abandoned task.
-            attachment.broker.detach(&attachment.task, &self.shared);
-        }
-        true
     }
 }
 
@@ -442,34 +374,20 @@ struct EngineCore<S> {
     broker: Arc<ResultBroker>,
     stats: Arc<AtomicStats>,
     /// Per-tenant admission control; a slot admitted in `submit_inner`
-    /// is released here once the task leaves the system (executed,
-    /// abandoned, rejected or drained).
+    /// is released once the task leaves the system: here when it ran,
+    /// by the engine's `Drop` when it was still queued then.
     gate: Arc<QosGate>,
     /// Per-(tenant, lane) accounting behind [`EngineStats::tenants`].
     ledger: Arc<TenantLedger>,
 }
 
 impl<S: PatternService> EngineCore<S> {
-    /// Rolls back everything [`QosGate::try_admit`] granted for a task
-    /// that will never produce a result for its leader.
-    fn release_task_qos(&self, task: &ExecTask) {
-        if task.opens_session() {
-            self.gate.release_session(task.tenant());
-        }
-        self.gate.release(task.tenant());
-    }
-
     /// Executes one task the backend scheduled and fans the result out
     /// to its subscribers (the leader plus any coalesced waiters):
     /// cache insert, session and QoS bookkeeping, broker completion,
     /// per-subscriber timing and stats.
     fn run_task(&self, task: &Arc<ExecTask>) {
-        let Some(request) = task.claim() else {
-            // Every subscriber detached while the task was queued; the
-            // leader's QoS grants die with it.
-            self.release_task_qos(task);
-            return;
-        };
+        let request = task.claim();
         let closes_session = matches!(request, crate::PatternRequest::SessionClose(_));
         let started = Instant::now();
         // A panicking service must not poison the broker: without the
@@ -530,7 +448,7 @@ impl<S: PatternService> EngineCore<S> {
                 Err(error) => Err(error.clone()),
             };
             let ok = shared.is_ok();
-            job.finish_if_pending(shared, || {
+            job.finish(shared, || {
                 self.stats.add(if ok {
                     &self.stats.completed
                 } else {
@@ -590,7 +508,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
     }
 
     /// Wraps `service` with an explicit configuration and no QoS
-    /// limits (unlimited default quota, default lane weights).
+    /// limits (an unlimited default quota).
     ///
     /// # Errors
     ///
@@ -601,8 +519,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
 
     /// Wraps `service` with an explicit configuration **and** a
     /// multi-tenant QoS policy: per-tenant admission quotas
-    /// ([`QosConfig::default_quota`] / overrides) and the lane weights
-    /// the queued backend dequeues with.
+    /// ([`QosConfig::default_quota`] / overrides).
     ///
     /// # Errors
     ///
@@ -613,7 +530,6 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         qos: QosConfig,
     ) -> Result<PatternEngine<S>, Error> {
         config.validate()?;
-        let weights = qos.lane_weights;
         let core = Arc::new(EngineCore {
             service,
             broker: Arc::new(ResultBroker::new(config.cache_capacity)),
@@ -625,7 +541,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
             let core = Arc::clone(&core);
             Arc::new(move |task| core.run_task(task))
         };
-        let backend = Backend::new(&config, weights, run);
+        let backend = Backend::new(&config, run);
         Ok(PatternEngine {
             core,
             backend,
@@ -671,7 +587,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
     /// Submits a request without blocking.
     ///
     /// Cache hits complete immediately (the returned handle is already
-    /// [`JobStatus::Done`]), identical in-flight requests coalesce onto
+    /// finished), identical in-flight requests coalesce onto
     /// the existing execution, and anything else is dispatched to the
     /// backend.
     ///
@@ -744,7 +660,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         // (plus any session reservation) is held until the task leaves
         // the system — released below for cache hits, coalesced
         // waiters and dispatch rejections, by `run_task` for executed
-        // and abandoned tasks, and by `Drop` for drained ones.
+        // tasks, and by `Drop` for drained ones.
         let lane = request.lane();
         let class = request.admit_class();
         if let Err(rejection) = self.core.gate.try_admit(tenant, class) {
@@ -760,21 +676,20 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         };
         let key = cache_key(&request);
         let lookup = Instant::now();
-        // Keyed non-blocking submits dispatch *inside* the admission
-        // lock: a try-push into a bounded queue never blocks and never
-        // re-enters the broker, and doing it there means a QueueFull
-        // rejection can never strand a coalesced waiter — nobody can
-        // attach to a task whose dispatch has not succeeded. Blocking
-        // dispatch must stay outside the lock (waiting for queue space
-        // while holding it would deadlock against worker completions),
-        // but cannot fail.
-        let try_dispatch = |task: Arc<ExecTask>| self.backend.dispatch(task, false);
-        let in_lock_dispatch: Option<&dyn Fn(Arc<ExecTask>) -> Result<(), Error>> =
-            if block { None } else { Some(&try_dispatch) };
+        // Non-blocking submits dispatch *inside* admission: a try-push
+        // into a bounded queue never blocks and never re-enters the
+        // broker, and doing it there means a QueueFull rejection can
+        // never strand a coalesced waiter — nobody can attach to a task
+        // whose dispatch has not succeeded. Blocking dispatch must stay
+        // outside the broker lock (waiting for queue space while
+        // holding it would deadlock against worker completions), and
+        // it waits for room, so it cannot fail.
+        let try_dispatch = |task| self.backend.try_dispatch(task);
+        let in_admission: Option<Dispatch<'_>> = if block { None } else { Some(&try_dispatch) };
         match self
             .core
             .broker
-            .admit(key, tenant, lane, request, in_lock_dispatch)
+            .admit(key, tenant, lane, request, in_admission)
         {
             Admission::CacheHit(payload) => {
                 stats.add(&stats.submitted);
@@ -791,72 +706,50 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
                     timing: Timing::cache_hit(elapsed_micros(lookup)),
                 })))
             }
-            Admission::Coalesced { task, job } => {
+            Admission::Coalesced(job) => {
                 stats.add(&stats.submitted);
                 stats.add(&stats.coalesced);
                 // The leader's slot covers the execution; a waiter
                 // holds nothing while it waits.
                 release_admission();
-                Ok(JobHandle {
-                    shared: job,
-                    attachment: Some(self.attachment(task)),
-                })
+                Ok(JobHandle { shared: job })
             }
             Admission::Rejected(error) => {
                 release_admission();
                 Err(error)
             }
             Admission::Lead { task, job } => {
-                let outcome = if !block && task.is_keyed() {
-                    Ok(())
-                } else {
-                    self.backend.dispatch(Arc::clone(&task), block)
-                };
-                match outcome {
-                    Ok(()) => {
-                        stats.add(&stats.submitted);
-                        if task.is_keyed() {
-                            stats.add(&stats.cache_misses);
-                        }
-                        Ok(JobHandle {
-                            shared: job,
-                            attachment: Some(self.attachment(task)),
-                        })
-                    }
-                    Err(error) => {
-                        // Only reachable for unkeyed tasks, which are
-                        // never registered — reject returns just the
-                        // leader, so nobody else is affected.
-                        let _ = self.core.broker.reject(&task);
-                        release_admission();
-                        Err(error)
-                    }
+                if block {
+                    self.backend.dispatch(Arc::clone(&task));
                 }
+                stats.add(&stats.submitted);
+                if task.is_keyed() {
+                    stats.add(&stats.cache_misses);
+                }
+                Ok(JobHandle { shared: job })
             }
-        }
-    }
-
-    fn attachment(&self, task: Arc<ExecTask>) -> Attachment {
-        Attachment {
-            task,
-            broker: Arc::clone(&self.core.broker),
-            stats: Arc::clone(&self.core.stats),
         }
     }
 }
 
 impl<S: PatternService + Send + Sync + 'static> Drop for PatternEngine<S> {
     fn drop(&mut self) {
-        // Anything still queued will never run; release its waiters
-        // (and the QoS grants its leader still holds).
-        for task in self.backend.shutdown() {
-            self.core.release_task_qos(&task);
+        // Anything still queued will never run: fail its subscribers
+        // and release the QoS grants its leader holds — before waiting
+        // for the jobs still running, so no queued job's fate hangs on
+        // how long those take.
+        for task in self.backend.stop() {
+            if task.opens_session() {
+                self.core.gate.release_session(task.tenant());
+            }
+            self.core.gate.release(task.tenant());
             for (job, _) in self.core.broker.reject(&task) {
-                job.finish_if_pending(Err(Error::Cancelled), || {
+                job.finish(Err(Error::Cancelled), || {
                     self.core.stats.add(&self.core.stats.cancelled);
                 });
             }
         }
+        self.backend.join();
     }
 }
 
@@ -1010,32 +903,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_detaches_a_queued_job() {
-        let engine = slow_engine(1, 8);
-        let running = engine.submit_blocking(generate(1));
-        let queued = engine.submit_blocking(generate(2));
-        assert_eq!(queued.try_status(), JobStatus::Queued);
-        assert!(queued.cancel(), "queued job cancels");
-        assert_eq!(queued.try_status(), JobStatus::Cancelled);
-        assert!(matches!(queued.wait(), Err(Error::Cancelled)));
-        let done = running.wait().expect("running job unaffected");
-        assert!(!done.timing.cached);
-        let finished = engine.submit_blocking(generate(3));
-        finished.wait().expect("completes");
-    }
-
-    #[test]
-    fn cancel_after_completion_is_a_no_op() {
-        let engine = slow_engine(2, 8);
-        let handle = engine.submit_blocking(generate(1));
-        while handle.try_status() != JobStatus::Done {
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert!(!handle.cancel(), "finished jobs cannot be cancelled");
-        handle.wait().expect("result still delivered");
-    }
-
-    #[test]
     fn drop_cancels_queued_jobs() {
         let engine = slow_engine(1, 8);
         let _running = engine.submit_blocking(generate(1));
@@ -1152,10 +1019,26 @@ mod tests {
     /// test decides which handles are still queued when it acts.
     struct GatedService {
         open: Arc<(Mutex<bool>, Condvar)>,
+        /// How many jobs have reached the gate, i.e. are running.
+        started: (Mutex<usize>, Condvar),
+    }
+
+    impl GatedService {
+        /// Blocks until `jobs` jobs have reached the gate.
+        fn await_started(&self, jobs: usize) {
+            let (started, arrived) = &self.started;
+            let started = started.lock().expect("gate lock");
+            let (started, _) = arrived
+                .wait_timeout_while(started, Duration::from_secs(30), |started| *started < jobs)
+                .expect("gate lock");
+            assert!(*started >= jobs, "{jobs} jobs never reached the gate");
+        }
     }
 
     impl PatternService for GatedService {
         fn execute(&self, _request: PatternRequest) -> Result<PatternResponse, Error> {
+            *self.started.0.lock().expect("gate lock") += 1;
+            self.started.1.notify_all();
             let (open, opened) = &*self.open;
             let mut open = open.lock().expect("gate lock");
             while !*open {
@@ -1175,6 +1058,7 @@ mod tests {
         let engine = PatternEngine::with_config(
             GatedService {
                 open: Arc::clone(&gate),
+                started: (Mutex::new(0), Condvar::new()),
             },
             EngineConfig {
                 workers: 1,
@@ -1248,7 +1132,6 @@ mod tests {
         let (engine, open_gate) = gated_engine();
         let _running = engine.submit(generate(1)).expect("submits");
         let queued = engine.submit(generate(2)).expect("submits");
-        assert_eq!(queued.try_status(), JobStatus::Queued);
         let deliveries = deliver(queued);
         assert!(deliveries.try_recv().is_err(), "nothing before completion");
         open_gate();
@@ -1286,23 +1169,30 @@ mod tests {
 
     #[test]
     fn on_done_of_a_job_queued_at_engine_drop_reports_cancelled() {
+        let here = thread::current().name().map(str::to_owned);
         let (engine, open_gate) = gated_engine();
-        let _running = engine.submit(generate(1)).expect("submits");
-        let deliveries = deliver(engine.submit(generate(2)).expect("submits"));
-        // Dropping drains the queue, then joins the worker — which is
-        // parked at the gate, so it has to be opened from the side.
-        // Nothing outside the engine shows that the drain has happened;
-        // the pause only has to outlast the first lines of `drop`.
+        let running = deliver(engine.submit(generate(1)).expect("submits"));
+        engine.service().await_started(1);
+        let queued = deliver(engine.submit(generate(2)).expect("submits"));
+        // Dropping fails the queued job, then joins the worker — which
+        // is parked at the gate, so the gate is opened from the side,
+        // once the queued job has heard. A drop that joined first would
+        // leave the opener to time out instead.
         let engine = Arc::try_unwrap(engine).expect("sole owner");
         let opener = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(200));
+            let heard = queued.recv_timeout(Duration::from_secs(30));
             open_gate();
+            (heard, queued)
         });
         drop(engine);
-        opener.join().expect("opener finishes");
-        let (result, _) = deliveries.recv().expect("delivered");
+        let (heard, queued) = opener.join().expect("opener finishes");
+        let (result, ran_on) = heard.expect("the queued job heard before the drop joined");
         assert!(matches!(result, Err(Error::Cancelled)), "{result:?}");
-        assert!(deliveries.recv().is_err(), "exactly one delivery");
+        assert_eq!(ran_on, here, "the dropping thread delivers");
+        assert!(queued.recv().is_err(), "exactly one delivery");
+        // The running job was let finish.
+        let (result, _) = running.recv().expect("delivered");
+        result.expect("the running job completes");
     }
 
     #[test]

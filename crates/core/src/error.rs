@@ -58,7 +58,8 @@ pub enum Error {
         /// What went wrong in the persist layer.
         message: String,
     },
-    /// The job was cancelled while still queued; no work was done.
+    /// The engine was dropped while the job was still queued; no work
+    /// was done.
     Cancelled,
     /// The engine's bounded submission queue was full; the request was
     /// rejected without being enqueued. Retry later or use a blocking

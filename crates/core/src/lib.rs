@@ -75,7 +75,7 @@ pub use api::{
 /// The QoS vocabulary (lanes, quotas, fair queue, tenant stats),
 /// re-exported so engine embedders need no direct `cp_qos` dependency.
 pub use cp_qos as qos;
-pub use engine::{ConnCounters, EngineConfig, EngineStats, JobHandle, JobStatus, PatternEngine};
+pub use engine::{ConnCounters, EngineConfig, EngineStats, JobHandle, PatternEngine};
 pub use error::Error;
 pub use session::{
     JsonDirPersist, MemoryPersist, SessionConfig, SessionPersist, SessionStats, SessionStore,

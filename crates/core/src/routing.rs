@@ -10,12 +10,12 @@
 //!   requests go by [`request_key`] hash (a repeated request finds the
 //!   worker whose cache holds its result), session requests go by
 //!   session-id hash (every turn of one session lands on the worker
-//!   that holds it), and everything else is free to spread round-robin
-//!   ([`request_route`] returns `None`). The router forwards a
-//!   request's text without decoding it, so what it calls is
-//!   [`text_route`], which reads off the text the little that placement
-//!   depends on and agrees with [`request_route`] on every request as
-//!   this build writes it;
+//!   that holds it), and everything else is free to spread round-robin.
+//!   The router forwards a request's text without decoding it, so what
+//!   it calls is [`text_route`], which reads off the text the little
+//!   that placement depends on and, on every request as this build
+//!   writes it, agrees with the typed side: [`request_key`] and
+//!   [`PatternRequest::session_id`];
 //! * [`JsonDirPersist`](crate::JsonDirPersist), which fans a session
 //!   directory out over `--persist-shards` subdirectories by
 //!   [`route_hash`] of the session id.
@@ -74,18 +74,6 @@ pub fn request_key(request: &PatternRequest) -> Option<String> {
         | PatternRequest::Stats => None,
         _ => serde_json::to_string(request).ok(),
     }
-}
-
-/// The preferred route of a request, or `None` when any worker serves
-/// it equally well (the caller should spread such requests
-/// round-robin): key hash first (cache affinity), then session-id hash
-/// (session affinity), then nothing.
-#[must_use]
-pub fn request_route(request: &PatternRequest) -> Option<u64> {
-    if let Some(key) = request_key(request) {
-        return Some(route_hash(&key));
-    }
-    request.session_id().map(route_hash)
 }
 
 /// Where a request belongs, read off its wire text by [`text_route`].
@@ -165,14 +153,15 @@ impl Deserialize for Unread {
     }
 }
 
-/// [`request_route`] for a request still in its wire text (the value of
-/// an envelope's `request`), without decoding it. A keyed request goes
-/// by the hash of the text **as sent**: for text as this build writes
-/// it — compact, keys sorted, cells as `bits` — that is the
-/// [`request_key`] hash, so it lands where [`request_route`] puts it;
-/// another spelling of the same request (reordered keys, inner
-/// whitespace, a `packed` topology) is another text and may land on
-/// another worker, whose cache still knows it for the same request.
+/// Where a request still in its wire text (the value of an envelope's
+/// `request`) belongs, without decoding it: key hash first (cache
+/// affinity), then session-id hash (session affinity), then anywhere.
+/// A keyed request goes by the hash of the text **as sent**: for text
+/// as this build writes it — compact, keys sorted, cells as `bits` —
+/// that is the [`route_hash`] of its [`request_key`]; another spelling
+/// of the same request (reordered keys, inner whitespace, a `packed`
+/// topology) is another text and may land on another worker, whose
+/// cache still knows it for the same request.
 ///
 /// A text that cannot be read this far is one no worker can decode
 /// either; it is [`TextRoute::Free`], and whichever worker gets it
@@ -244,7 +233,7 @@ mod tests {
             key,
             r#"{"Legalize":{"height_nm":-512,"seed":18446744073709551615,"topology":{"bits":[1,0,1,0,1,0],"cols":3,"rows":2},"width_nm":256}}"#
         );
-        assert_eq!(request_route(&legalize), Some(0x1c5a_6a60_2155_533a));
+        assert_eq!(route_hash(&key), 0x1c5a_6a60_2155_533a);
     }
 
     #[test]
@@ -260,31 +249,38 @@ mod tests {
     }
 
     #[test]
-    fn request_route_prefers_key_then_session() {
+    fn text_route_prefers_key_then_session() {
         let keyed = PatternRequest::Chat(ChatParams {
             request: "two patterns".into(),
             seed: Some(1),
         });
         let key = request_key(&keyed).expect("seeded chat has a key");
-        assert_eq!(request_route(&keyed), Some(route_hash(&key)));
+        assert_eq!(text_route(&key), TextRoute::Keyed(route_hash(&key)));
 
         let session = PatternRequest::SessionTurn(SessionTurnParams {
             session: "det".into(),
             utterance: "denser".into(),
         });
         assert_eq!(request_key(&session), None);
-        assert_eq!(request_route(&session), Some(route_hash("det")));
+        let text = serde_json::to_string(&session).expect("serializes");
+        assert_eq!(
+            text_route(&text),
+            TextRoute::Session {
+                id: "det".to_owned(),
+                role: SessionRole::Uses,
+            }
+        );
 
         let unkeyed = PatternRequest::Chat(ChatParams {
             request: "two patterns".into(),
             seed: None,
         });
-        assert_eq!(request_route(&unkeyed), None);
-        assert_eq!(request_route(&PatternRequest::Stats), None);
+        let text = serde_json::to_string(&unkeyed).expect("serializes");
+        assert_eq!(text_route(&text), TextRoute::Free);
     }
 
     /// Which route the text reader must find for a request, taken from
-    /// the typed side: `request_route` / `session_id`, and the variant
+    /// the typed side: `request_key` / `session_id`, and the variant
     /// for what those do not say.
     fn typed_route(request: &PatternRequest) -> TextRoute {
         let role = match request {
@@ -303,11 +299,12 @@ mod tests {
             | PatternRequest::Modify(_)
             | PatternRequest::Legalize(_)
             | PatternRequest::Evaluate(_) => {
-                return request_route(request).map_or(TextRoute::Free, TextRoute::Keyed)
+                return request_key(request)
+                    .map_or(TextRoute::Free, |key| TextRoute::Keyed(route_hash(&key)))
             }
         };
+        assert_eq!(request_key(request), None, "a session request is unkeyed");
         let id = request.session_id().expect("a session request").to_owned();
-        assert_eq!(request_route(request), Some(route_hash(&id)));
         TextRoute::Session { id, role }
     }
 

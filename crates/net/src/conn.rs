@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 /// Default per-connection outbound high-water mark: a peer that falls
 /// this many unread reply bytes behind is disconnected.
-pub const DEFAULT_OUTBOUND_HIGH_WATER: usize = 8 << 20;
+pub(crate) const DEFAULT_OUTBOUND_HIGH_WATER: usize = 8 << 20;
 
 /// Default per-line byte cap (a single envelope larger than this is
 /// rejected with an error envelope, not buffered without bound). The
@@ -22,7 +22,7 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = DEFAULT_OUTBOUND_HIGH_WATER;
 
 /// One framing product from [`LineFramer::push`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Framed {
+pub(crate) enum Framed {
     /// A complete line (terminator and trailing `\r` stripped).
     Line(String),
     /// A line that exceeded the cap; its `bytes` were discarded up to
@@ -37,7 +37,7 @@ pub enum Framed {
 /// complete lines come out in order. Memory is bounded: once a partial
 /// line exceeds `max_line` the framer switches to discard mode until
 /// the next newline, then reports one [`Framed::Oversize`].
-pub struct LineFramer {
+pub(crate) struct LineFramer {
     buf: Vec<u8>,
     max_line: usize,
     discarding: bool,
@@ -46,7 +46,7 @@ pub struct LineFramer {
 
 impl LineFramer {
     #[must_use]
-    pub fn new(max_line: usize) -> LineFramer {
+    pub(crate) fn new(max_line: usize) -> LineFramer {
         LineFramer {
             buf: Vec::new(),
             max_line: max_line.max(1),
@@ -56,7 +56,7 @@ impl LineFramer {
     }
 
     /// Feeds one received chunk, appending completed products to `out`.
-    pub fn push(&mut self, chunk: &[u8], out: &mut Vec<Framed>) {
+    pub(crate) fn push(&mut self, chunk: &[u8], out: &mut Vec<Framed>) {
         let mut rest = chunk;
         while !rest.is_empty() {
             match rest.iter().position(|&b| b == b'\n') {
@@ -100,12 +100,6 @@ impl LineFramer {
             }
         }
     }
-
-    /// Bytes currently buffered for an incomplete line.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 struct OutboundInner {
@@ -129,7 +123,7 @@ struct OutboundInner {
 /// Pushing never blocks: past `high_water` buffered bytes the queue
 /// flips to `killed` and the peer is disconnected — bounded
 /// back-pressure instead of unbounded memory for a stalled reader.
-pub struct OutboundQueue {
+pub(crate) struct OutboundQueue {
     inner: Mutex<OutboundInner>,
     high_water: usize,
     /// Called (outside the lock) whenever the loop must look at this
@@ -138,7 +132,10 @@ pub struct OutboundQueue {
 }
 
 impl OutboundQueue {
-    pub fn new(high_water: usize, notify: impl Fn() + Send + Sync + 'static) -> Arc<OutboundQueue> {
+    pub(crate) fn new(
+        high_water: usize,
+        notify: impl Fn() + Send + Sync + 'static,
+    ) -> Arc<OutboundQueue> {
         Arc::new(OutboundQueue {
             inner: Mutex::new(OutboundInner {
                 chunks: VecDeque::new(),
@@ -176,7 +173,7 @@ impl OutboundQueue {
     }
 
     /// Loop-side teardown: silences all future pushes.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut inner = self.inner.lock().expect("outbound lock");
         inner.open = false;
         inner.chunks.clear();
@@ -186,13 +183,13 @@ impl OutboundQueue {
 
     /// True once a push overflowed the high-water mark.
     #[must_use]
-    pub fn is_killed(&self) -> bool {
+    pub(crate) fn is_killed(&self) -> bool {
         self.inner.lock().expect("outbound lock").killed
     }
 
     /// A `Write` front for this queue, suitable for `LineSink::new`.
     #[must_use]
-    pub fn writer(self: &Arc<OutboundQueue>) -> QueueWriter {
+    pub(crate) fn writer(self: &Arc<OutboundQueue>) -> QueueWriter {
         QueueWriter {
             queue: Arc::clone(self),
         }
@@ -202,7 +199,7 @@ impl OutboundQueue {
 /// `Write` adapter: each `write` call enqueues one chunk. `LineSink`
 /// frames line + `\n` into a single `write_all`, so every chunk is one
 /// complete reply line and partial-line interleaving is impossible.
-pub struct QueueWriter {
+pub(crate) struct QueueWriter {
     queue: Arc<OutboundQueue>,
 }
 
@@ -219,7 +216,7 @@ impl Write for QueueWriter {
 
 /// What a readiness-driven read pass concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadOutcome {
+pub(crate) enum ReadOutcome {
     /// Socket drained to `WouldBlock`; connection still live.
     Open,
     /// The peer finished sending (EOF). It may still be reading.
@@ -230,7 +227,7 @@ pub enum ReadOutcome {
 
 /// What a flush pass concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushOutcome {
+pub(crate) enum FlushOutcome {
     /// Queue fully drained; write interest can be dropped.
     Idle,
     /// Socket would block with bytes still queued; keep write interest.
@@ -243,18 +240,18 @@ pub enum FlushOutcome {
 
 /// One live event-loop connection: the non-blocking socket plus its
 /// read-side [`LineFramer`] and write-side [`OutboundQueue`].
-pub struct NonblockingConn {
+pub(crate) struct NonblockingConn {
     stream: TcpStream,
     framer: LineFramer,
     outbound: Arc<OutboundQueue>,
     /// The interest set currently registered with the poller.
-    pub interest: Interest,
+    pub(crate) interest: Interest,
 }
 
 impl NonblockingConn {
     /// Takes ownership of an accepted stream, flips it non-blocking,
     /// and wires the outbound queue's notify hook.
-    pub fn new(
+    pub(crate) fn new(
         stream: TcpStream,
         max_line: usize,
         high_water: usize,
@@ -271,19 +268,19 @@ impl NonblockingConn {
     }
 
     #[must_use]
-    pub fn raw_fd(&self) -> RawFd {
+    pub(crate) fn raw_fd(&self) -> RawFd {
         self.stream.as_raw_fd()
     }
 
     #[must_use]
-    pub fn outbound(&self) -> &Arc<OutboundQueue> {
+    pub(crate) fn outbound(&self) -> &Arc<OutboundQueue> {
         &self.outbound
     }
 
     /// Drains the readable socket, appending framing products to
     /// `out`, until it would block, ends ([`ReadOutcome::Eof`]) or
     /// fails ([`ReadOutcome::Closed`]).
-    pub fn read_ready(&mut self, scratch: &mut [u8], out: &mut Vec<Framed>) -> ReadOutcome {
+    pub(crate) fn read_ready(&mut self, scratch: &mut [u8], out: &mut Vec<Framed>) -> ReadOutcome {
         loop {
             match self.stream.read(scratch) {
                 Ok(0) => return ReadOutcome::Eof,
@@ -297,7 +294,7 @@ impl NonblockingConn {
 
     /// Writes as much queued output as the socket will take without
     /// blocking.
-    pub fn flush_ready(&mut self) -> FlushOutcome {
+    pub(crate) fn flush_ready(&mut self) -> FlushOutcome {
         let mut inner = self.outbound.inner.lock().expect("outbound lock");
         if inner.killed {
             return FlushOutcome::Killed;
@@ -351,7 +348,11 @@ mod tests {
                 Framed::Line("gamma".into()),
             ]
         );
-        assert_eq!(framer.buffered(), 0);
+        // Nothing of them is left over: a bare newline is an empty line.
+        assert_eq!(
+            lines(&mut framer, &[b"\n"]),
+            vec![Framed::Line(String::new())]
+        );
     }
 
     #[test]

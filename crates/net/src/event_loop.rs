@@ -15,7 +15,7 @@
 //!   worker's link, or a list to park the line on;
 //! * **replies** are pushed — by the engine worker that finished the
 //!   job, or by the router's reader of the worker that answered — into
-//!   a per-connection [`OutboundQueue`](crate::OutboundQueue)
+//!   a per-connection [`OutboundQueue`](crate::conn::OutboundQueue)
 //!   and the loop is poked through a [`WakePipe`]; the loop writes them
 //!   out as sockets accept bytes. The loop never blocks on a slow
 //!   client: past the configured high-water mark the client is

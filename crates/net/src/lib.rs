@@ -10,7 +10,7 @@
 //! * one server, the readiness-driven [`EventLoopServer`] (epoll on
 //!   Linux via direct `extern "C"` declarations, portable `poll(2)`
 //!   fallback): thousands of mostly-idle connections on one loop
-//!   thread, incremental NDJSON framing ([`LineFramer`]), bounded
+//!   thread, incremental NDJSON framing, bounded
 //!   per-connection outbound queues (slow readers are disconnected
 //!   past a high-water mark instead of buffered without bound), and a
 //!   peer's half-close honoured as "no more requests" — it still gets
@@ -74,15 +74,12 @@ mod sink;
 
 pub use client::{connect_with_backoff, ClientConfig, NdjsonClient};
 #[cfg(unix)]
-pub use conn::{
-    FlushOutcome, Framed, LineFramer, NonblockingConn, OutboundQueue, QueueWriter, ReadOutcome,
-    DEFAULT_MAX_LINE_BYTES, DEFAULT_OUTBOUND_HIGH_WATER,
-};
+pub use conn::DEFAULT_MAX_LINE_BYTES;
 #[cfg(unix)]
 pub use event_loop::{
     EventLoopConfig, EventLoopHandle, EventLoopServer, DEFAULT_EVENT_LOOP_CONNECTIONS,
 };
 pub use handler::{ConnectionHandler, EngineHandler};
 #[cfg(unix)]
-pub use poller::{raise_nofile_limit, Interest, PollEvent, Poller, WakePipe};
+pub use poller::raise_nofile_limit;
 pub use sink::{is_disconnect, LineSink};

@@ -25,36 +25,28 @@ use std::os::unix::io::RawFd;
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct PollEvent {
+pub(crate) struct PollEvent {
     /// The token the fd was registered with.
-    pub token: u64,
+    pub(crate) token: u64,
     /// Reading will not block (includes EOF: the read returns 0).
-    pub readable: bool,
+    pub(crate) readable: bool,
     /// Writing will not block.
-    pub writable: bool,
+    pub(crate) writable: bool,
     /// Error or hangup; the owner should read to completion and close.
-    pub hangup: bool,
+    pub(crate) hangup: bool,
 }
 
 /// Interest set for one registered fd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
-    pub readable: bool,
-    pub writable: bool,
+pub(crate) struct Interest {
+    pub(crate) readable: bool,
+    pub(crate) writable: bool,
 }
 
 impl Interest {
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         readable: true,
         writable: false,
-    };
-    pub const WRITE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
     };
 }
 
@@ -353,13 +345,13 @@ enum Backend {
 }
 
 /// Readiness poller over raw fds; epoll on Linux, `poll(2)` elsewhere.
-pub struct Poller {
+pub(crate) struct Poller {
     backend: Backend,
 }
 
 impl Poller {
     /// The platform-preferred backend.
-    pub fn new() -> io::Result<Poller> {
+    pub(crate) fn new() -> io::Result<Poller> {
         #[cfg(target_os = "linux")]
         {
             Ok(Poller {
@@ -372,24 +364,16 @@ impl Poller {
         }
     }
 
-    /// The portable `poll(2)` backend, selectable on any platform so the
-    /// fallback path stays exercised by tests run on Linux.
-    pub fn poll_fallback() -> io::Result<Poller> {
+    /// The portable `poll(2)` backend: what non-Linux unix runs, and
+    /// what tests select on Linux so the fallback stays exercised.
+    #[cfg_attr(target_os = "linux", allow(dead_code))]
+    pub(crate) fn poll_fallback() -> io::Result<Poller> {
         Ok(Poller {
             backend: Backend::Poll(PollTable::new()),
         })
     }
 
-    /// Human-readable backend name, for announce/debug lines.
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => "epoll",
-            Backend::Poll(_) => "poll",
-        }
-    }
-
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(e) => e.register(fd, token, interest),
@@ -397,7 +381,7 @@ impl Poller {
         }
     }
 
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(e) => e.modify(fd, token, interest),
@@ -405,7 +389,7 @@ impl Poller {
         }
     }
 
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(e) => e.deregister(fd),
@@ -415,7 +399,7 @@ impl Poller {
 
     /// Blocks up to `timeout_ms` (−1 = forever) and appends the ready set
     /// to `out`. `out` is cleared first.
-    pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
+    pub(crate) fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
         out.clear();
         match &mut self.backend {
             #[cfg(target_os = "linux")]
@@ -432,13 +416,13 @@ impl Poller {
 /// A self-pipe used to interrupt a blocked [`Poller::wait`] from another
 /// thread. Completion writers call [`WakePipe::wake`]; the loop registers
 /// the read end and drains it on readiness.
-pub struct WakePipe {
+pub(crate) struct WakePipe {
     read_fd: RawFd,
     write_fd: RawFd,
 }
 
 impl WakePipe {
-    pub fn new() -> io::Result<WakePipe> {
+    pub(crate) fn new() -> io::Result<WakePipe> {
         let mut fds = [0 as c_int; 2];
         // SAFETY: fds is a valid out-array of 2 ints.
         if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
@@ -462,13 +446,13 @@ impl WakePipe {
         Ok(WakePipe { read_fd, write_fd })
     }
 
-    pub fn read_fd(&self) -> RawFd {
+    pub(crate) fn read_fd(&self) -> RawFd {
         self.read_fd
     }
 
     /// Non-blocking, signal-safe poke. A full pipe already guarantees the
     /// loop will wake, so EAGAIN is success.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let byte = 1u8;
         // SAFETY: one-byte write from a live stack buffer.
         unsafe {
@@ -477,7 +461,7 @@ impl WakePipe {
     }
 
     /// Drain all pending wake bytes (called by the loop on readiness).
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
             // SAFETY: read into a live stack buffer of the stated size.
@@ -566,7 +550,14 @@ mod tests {
         let (accepted, _) = listener.accept().unwrap();
         accepted.set_nonblocking(true).unwrap();
         poller
-            .register(accepted.as_raw_fd(), 9, Interest::READ_WRITE)
+            .register(
+                accepted.as_raw_fd(),
+                9,
+                Interest {
+                    readable: true,
+                    writable: true,
+                },
+            )
             .unwrap();
         client.write_all(b"hi").unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
@@ -596,7 +587,7 @@ mod tests {
     #[test]
     fn poll_fallback_reports_readiness() {
         let poller = Poller::poll_fallback().unwrap();
-        assert_eq!(poller.backend_name(), "poll");
+        assert!(matches!(poller.backend, Backend::Poll(_)));
         exercise(poller);
     }
 

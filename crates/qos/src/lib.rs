@@ -10,7 +10,7 @@
 //! * [`Lane`] — the three priority classes (interactive chat >
 //!   generate/extend > batch evaluation);
 //! * [`LaneWeights`] — how many dequeues each lane gets per
-//!   weighted-fair cycle (`--lane-weights`);
+//!   weighted-fair cycle;
 //! * [`TenantQuota`] / [`QosConfig`] — per-tenant admission limits:
 //!   concurrent jobs, open sessions and a token-bucket turn budget
 //!   (`--tenant-quota`);
@@ -76,7 +76,7 @@ pub const LANE_COUNT: usize = 3;
 pub const LANES: [Lane; LANE_COUNT] = [Lane::Interactive, Lane::Standard, Lane::Batch];
 
 impl Lane {
-    /// Stable lowercase name, used in stats rows and flag parsing.
+    /// Stable lowercase name, used in stats rows.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -134,53 +134,6 @@ impl LaneWeights {
     pub fn cycle(&self) -> u32 {
         self.credits().iter().sum()
     }
-
-    /// Parses a `--lane-weights` spec: either bare
-    /// `"INTERACTIVE,STANDARD,BATCH"` (e.g. `"4,2,1"`) or named
-    /// `"interactive=4,standard=2,batch=1"` (any subset overrides the
-    /// default).
-    pub fn parse(spec: &str) -> Result<LaneWeights, String> {
-        let mut weights = LaneWeights::default();
-        let parts: Vec<&str> = spec.split(',').map(str::trim).collect();
-        let named = parts.iter().any(|p| p.contains('='));
-        if !named {
-            if parts.len() != 3 {
-                return Err(format!(
-                    "lane weights need 3 comma-separated numbers or name=value pairs, got {spec:?}"
-                ));
-            }
-            weights.interactive = parse_u32("interactive weight", parts[0])?;
-            weights.standard = parse_u32("standard weight", parts[1])?;
-            weights.batch = parse_u32("batch weight", parts[2])?;
-            return Ok(weights);
-        }
-        for part in parts {
-            if part.is_empty() {
-                continue;
-            }
-            let (name, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("lane weight {part:?} is not name=value"))?;
-            let value = parse_u32(name.trim(), value.trim())?;
-            match name.trim() {
-                "interactive" => weights.interactive = value,
-                "standard" => weights.standard = value,
-                "batch" => weights.batch = value,
-                other => {
-                    return Err(format!(
-                        "unknown lane {other:?} (expected interactive, standard or batch)"
-                    ))
-                }
-            }
-        }
-        Ok(weights)
-    }
-}
-
-fn parse_u32(name: &str, value: &str) -> Result<u32, String> {
-    value
-        .parse::<u32>()
-        .map_err(|_| format!("{name} needs an unsigned integer, got {value:?}"))
 }
 
 // ----------------------------------------------------------------- quotas
@@ -261,27 +214,21 @@ fn parse_rate(name: &str, value: &str) -> Result<f64, String> {
     Ok(rate)
 }
 
-/// The whole QoS policy of one engine: a default quota, per-tenant
-/// overrides and the lane weights.
+/// The admission policy of one engine: a default quota and per-tenant
+/// overrides. (Its queue dequeues by [`LaneWeights::default`].)
 #[derive(Debug, Clone, Default)]
 pub struct QosConfig {
     /// Quota applied to tenants without an explicit override.
     pub default_quota: TenantQuota,
     /// Per-tenant overrides (full replacement, not merge).
     pub tenant_quotas: HashMap<String, TenantQuota>,
-    /// Weighted-fair dequeue credits.
-    pub lane_weights: LaneWeights,
 }
 
 impl QosConfig {
-    /// A config with default (unlimited) quotas and default weights.
+    /// A config with default (unlimited) quotas.
     #[must_use]
     pub fn new() -> QosConfig {
-        QosConfig {
-            default_quota: TenantQuota::default(),
-            tenant_quotas: HashMap::new(),
-            lane_weights: LaneWeights::default(),
-        }
+        QosConfig::default()
     }
 
     /// The effective quota of a tenant.
@@ -751,28 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_weights_parse_both_syntaxes() {
-        let bare = LaneWeights::parse("5,3,2").expect("bare parses");
-        assert_eq!(
-            bare,
-            LaneWeights {
-                interactive: 5,
-                standard: 3,
-                batch: 2
-            }
-        );
-        let named = LaneWeights::parse("batch=7, interactive=9").expect("named parses");
-        assert_eq!(named.interactive, 9);
-        assert_eq!(named.standard, LaneWeights::default().standard);
-        assert_eq!(named.batch, 7);
-        assert!(LaneWeights::parse("1,2").is_err());
-        assert!(LaneWeights::parse("express=1").is_err());
-        // A zero weight is clamped at use, never a starved lane.
-        let zeroed = LaneWeights::parse("0,0,0").expect("zeros parse");
-        assert_eq!(zeroed.credits(), [1, 1, 1]);
-    }
-
-    #[test]
     fn quota_parse_round_trips_fields() {
         let quota = TenantQuota::parse("inflight=4, sessions=8, tps=2.5, burst=5").expect("parses");
         assert_eq!(quota.max_inflight, 4);
@@ -923,6 +848,13 @@ mod tests {
         // Once interactive drains, batch still finishes.
         assert_eq!(order.len(), 16);
         assert_eq!(order.last().map(String::as_str), Some("b7"));
+        // A zero weight is clamped at use, never a starved lane.
+        let zeroed = LaneWeights {
+            interactive: 0,
+            standard: 0,
+            batch: 0,
+        };
+        assert_eq!(zeroed.credits(), [1, 1, 1]);
     }
 
     #[test]

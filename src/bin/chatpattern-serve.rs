@@ -35,7 +35,7 @@
 //! immediately (with the line's `id` when one is recoverable, `null`
 //! otherwise) and never abort the stream.
 
-use chatpattern_core::qos::{LaneWeights, QosConfig};
+use chatpattern_core::qos::QosConfig;
 use chatpattern_core::{ChatPattern, EngineConfig, PatternEngine};
 use cp_net::{ConnectionHandler, EngineHandler, EventLoopConfig, EventLoopServer, LineSink};
 use std::io::BufRead;
@@ -116,11 +116,6 @@ Options:
                          sets the default quota; repeatable. Over-quota
                          requests answer an Overloaded error envelope
                          with retry_after_ms instead of queuing
-  --lane-weights W       weighted-fair dequeue credits for the
-                         interactive/standard/batch lanes, either bare
-                         \"4,2,1\" (the default) or named
-                         \"interactive=4,standard=2,batch=1\"; zero
-                         weights are clamped to 1 so no lane starves
   --max-sessions N       open chat sessions held at once; opening more
                          evicts the least-recently-used (default 64)
   --session-ttl-secs N   idle seconds before a session expires, at least
@@ -187,10 +182,6 @@ fn parse_args() -> Result<Options, String> {
                     .qos
                     .apply_quota_flag(&value)
                     .map_err(|e| format!("--tenant-quota: {e}"))?;
-            }
-            "--lane-weights" => {
-                options.qos.lane_weights =
-                    LaneWeights::parse(&value).map_err(|e| format!("--lane-weights: {e}"))?;
             }
             "--max-sessions" => options.max_sessions = number("--max-sessions")?,
             "--session-ttl-secs" => {

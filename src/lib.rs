@@ -31,7 +31,8 @@
 //! multi-turn sessions (`SessionOpen` / `SessionTurn` /
 //! `SessionClose`, bounded by a TTL + LRU [`SessionStore`]; see
 //! `docs/SESSIONS.md`): follow-up turns operate on the previous turn's
-//! results. See the `examples/` directory for runnable scenarios.
+//! results. To drive the system end to end, pipe
+//! `tests/data/smoke_requests.jsonl` through `chatpattern-serve`.
 //!
 //! ```
 //! use chatpattern::{ChatPattern, ChatParams, PatternRequest, PatternService, ResponsePayload};
@@ -72,11 +73,10 @@ pub use cp_squish as squish;
 
 pub use chatpattern_core::{
     ChatOutcome, ChatParams, ChatPattern, ChatPatternBuilder, ChatSession, EngineConfig,
-    EngineStats, Error, EvaluateParams, ExtendParams, GenerateParams, JobHandle, JobStatus,
-    JsonDirPersist, LegalizeParams, MemoryPersist, ModifyParams, PatternEngine, PatternRequest,
-    PatternResponse, PatternService, RequestEnvelope, ResponseEnvelope, ResponsePayload,
-    SessionCloseParams, SessionConfig, SessionInfo, SessionOpenParams, SessionPersist,
-    SessionRestoreParams, SessionSnapshot, SessionSnapshotParams, SessionStats, SessionStore,
-    SessionTurnParams, Timing, TurnOutcome, WireError, WireOutcome, MAX_REQUEST_CELLS,
-    SESSION_SNAPSHOT_FORMAT,
+    EngineStats, Error, EvaluateParams, ExtendParams, GenerateParams, JobHandle, JsonDirPersist,
+    LegalizeParams, MemoryPersist, ModifyParams, PatternEngine, PatternRequest, PatternResponse,
+    PatternService, RequestEnvelope, ResponseEnvelope, ResponsePayload, SessionCloseParams,
+    SessionConfig, SessionInfo, SessionOpenParams, SessionPersist, SessionRestoreParams,
+    SessionSnapshot, SessionSnapshotParams, SessionStats, SessionStore, SessionTurnParams, Timing,
+    TurnOutcome, WireError, WireOutcome, MAX_REQUEST_CELLS, SESSION_SNAPSHOT_FORMAT,
 };

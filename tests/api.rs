@@ -339,6 +339,21 @@ fn the_request_cell_cap_is_the_reply_line_cap() {
 #[test]
 fn execute_many_matches_sequential_execution() {
     let system = small_system(6);
+    let known = system
+        .generate(Style::Layer10003, 16, 16, 1, 24)
+        .expect("generates")
+        .remove(0);
+    let region = Region::new(4, 4, 12, 12);
+    let extend = |method| {
+        PatternRequest::Extend(ExtendParams {
+            seed_topology: known.clone(),
+            rows: 64,
+            cols: 64,
+            method,
+            style: Style::Layer10003,
+            seed: 25,
+        })
+    };
     let requests = vec![
         PatternRequest::Generate(GenerateParams {
             style: Style::Layer10001,
@@ -354,12 +369,53 @@ fn execute_many_matches_sequential_execution() {
             frame_nm: 512,
             seed: 23,
         }),
+        PatternRequest::Modify(ModifyParams {
+            known: known.clone(),
+            region,
+            style: Style::Layer10003,
+            seed: 26,
+        }),
+        extend(ExtensionMethod::OutPainting),
+        extend(ExtensionMethod::InPainting),
     ];
     let batch = system.execute_many(requests.clone());
-    assert_eq!(batch.len(), 2);
+    assert_eq!(batch.len(), 5);
+    let mut payloads = Vec::new();
     for (served, request) in batch.into_iter().zip(requests) {
         let served = served.expect("batch entry succeeds");
         let solo = system.execute(request).expect("solo entry succeeds");
         assert_eq!(served.payload, solo.payload);
+        payloads.push(served.payload);
     }
+    // A served Modify regenerates its region and keeps every other
+    // cell bit for bit.
+    let ResponsePayload::Modify(modified) = &payloads[2] else {
+        panic!("wrong payload");
+    };
+    for (r, c) in (0..16).flat_map(|r| (0..16).map(move |c| (r, c))) {
+        if !region.contains(r, c) {
+            assert_eq!(modified.get(r, c), known.get(r, c), "cell ({r},{c})");
+        }
+    }
+    // Both extension methods grow the pattern 4x into layouts that
+    // all legalize.
+    let extended: Vec<Topology> = payloads[3..]
+        .iter()
+        .map(|payload| match payload {
+            ResponsePayload::Extend(topology) => topology.clone(),
+            other => panic!("wrong payload {other:?}"),
+        })
+        .collect();
+    let ResponsePayload::Evaluate(stats) = system
+        .execute(PatternRequest::Evaluate(EvaluateParams {
+            topologies: extended,
+            frame_nm: 64 * 16,
+            seed: 27,
+        }))
+        .expect("evaluates")
+        .payload
+    else {
+        panic!("wrong payload");
+    };
+    assert_eq!((stats.total, stats.legal), (2, 2), "{stats:?}");
 }

@@ -1,16 +1,16 @@
 //! Engine semantics against the real system: parallel execution is
 //! payload-identical to the bare service called serially, the result
-//! cache replays payloads with fresh timing, identical
-//! in-flight requests coalesce onto exactly one execution, and cancel
-//! detaches a single handle without touching a shared execution.
+//! cache replays payloads with fresh timing, and identical in-flight
+//! requests coalesce onto exactly one execution whose result reaches
+//! every handle on it.
 
 use chatpattern::dataset::Style;
 use chatpattern::extend::ExtensionMethod;
 use chatpattern::squish::Region;
 use chatpattern::{
     ChatParams, ChatPattern, EngineConfig, Error, EvaluateParams, ExtendParams, GenerateParams,
-    JobStatus, LegalizeParams, ModifyParams, PatternEngine, PatternRequest, PatternResponse,
-    PatternService, ResponsePayload, SessionOpenParams, SessionTurnParams, TurnOutcome,
+    LegalizeParams, ModifyParams, PatternEngine, PatternRequest, PatternResponse, PatternService,
+    ResponsePayload, SessionOpenParams, SessionTurnParams, TurnOutcome,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -190,47 +190,6 @@ fn unseeded_chat_bypasses_the_cache() {
     );
 }
 
-#[test]
-fn cancelling_a_queued_job_yields_cancelled() {
-    // One worker: a job submitted while another runs stays queued until
-    // the worker frees up, so the cancel below cannot race a pickup.
-    let engine = PatternEngine::with_config(
-        small_system(),
-        EngineConfig {
-            workers: 1,
-            queue_depth: 16,
-            cache_capacity: 0,
-        },
-    )
-    .expect("valid config");
-    let busy = engine.submit_blocking(PatternRequest::Generate(GenerateParams {
-        style: Style::Layer10001,
-        rows: 32,
-        cols: 32,
-        count: 4,
-        seed: 1,
-    }));
-    // Wait until the worker has actually claimed the busy job.
-    while busy.try_status() == JobStatus::Queued {
-        std::thread::yield_now();
-    }
-    let doomed = engine.submit_blocking(generate(2));
-    // `cancel` is atomic: it succeeds iff the result has not been
-    // delivered yet, so gating on its return value makes the test
-    // race-free even if both jobs finished absurdly fast.
-    if doomed.cancel() {
-        assert_eq!(doomed.try_status(), JobStatus::Cancelled);
-        assert!(matches!(doomed.wait(), Err(Error::Cancelled)));
-        assert!(busy.wait().is_ok(), "running job is unaffected");
-        assert_eq!(engine.stats().cancelled, 1);
-    } else {
-        // The doomed job's result already landed: it was delivered
-        // normally instead — no flaky failure.
-        assert!(doomed.wait().is_ok());
-        assert!(busy.wait().is_ok());
-    }
-}
-
 /// A service that counts executions and holds every call at a gate
 /// until the test opens it — the deterministic way to keep identical
 /// requests in flight together so they must coalesce.
@@ -273,14 +232,14 @@ impl PatternService for GatedService {
     }
 }
 
-fn gated_engine(cache_capacity: usize) -> (Arc<GatedService>, PatternEngine<Arc<GatedService>>) {
+fn gated_engine() -> (Arc<GatedService>, PatternEngine<Arc<GatedService>>) {
     let service = Arc::new(GatedService::new(small_system()));
     let engine = PatternEngine::with_config(
         Arc::clone(&service),
         EngineConfig {
             workers: 2,
             queue_depth: 64,
-            cache_capacity,
+            cache_capacity: 8,
         },
     )
     .expect("valid config");
@@ -294,7 +253,7 @@ fn gated_engine(cache_capacity: usize) -> (Arc<GatedService>, PatternEngine<Arc<
 #[test]
 fn identical_concurrent_submits_coalesce_on_the_thread_pool() {
     const N: usize = 8;
-    let (service, engine) = gated_engine(8);
+    let (service, engine) = gated_engine();
     let request = generate(42);
     let handles: Vec<_> = (0..N)
         .map(|_| engine.submit(request.clone()).expect("queue has room"))
@@ -317,42 +276,6 @@ fn identical_concurrent_submits_coalesce_on_the_thread_pool() {
     assert_eq!(stats.completed, N as u64);
     assert_eq!(stats.cache_misses, 1, "only the leader executed");
     assert_eq!(stats.cache_hits, 0, "nothing completed before the burst");
-}
-
-#[test]
-fn cancelling_a_waiter_detaches_only_that_waiter() {
-    let (service, engine) = gated_engine(0);
-    let request = generate(5);
-    let leader = engine.submit(request.clone()).expect("submits");
-    let doomed = engine.submit(request.clone()).expect("coalesces");
-    let survivor = engine.submit(request).expect("coalesces");
-    assert!(doomed.cancel(), "undelivered waiter cancels");
-    assert!(!doomed.cancel(), "second cancel is a no-op");
-    service.open();
-    assert!(matches!(doomed.wait(), Err(Error::Cancelled)));
-    let a = leader.wait().expect("leader still served");
-    let b = survivor.wait().expect("other waiter still served");
-    assert_eq!(a.payload, b.payload);
-    assert_eq!(service.calls(), 1, "the shared execution ran once");
-    let stats = engine.stats();
-    assert_eq!(stats.cancelled, 1);
-    assert_eq!(stats.coalesced, 2);
-    assert_eq!(stats.completed, 2);
-}
-
-#[test]
-fn cancelling_the_leader_keeps_the_shared_execution_alive() {
-    let (service, engine) = gated_engine(0);
-    let request = generate(6);
-    let leader = engine.submit(request.clone()).expect("submits");
-    let waiter = engine.submit(request).expect("coalesces");
-    assert!(leader.cancel(), "leader detaches like any other handle");
-    service.open();
-    assert!(matches!(leader.wait(), Err(Error::Cancelled)));
-    waiter
-        .wait()
-        .expect("shared execution survives the leader's cancel");
-    assert_eq!(service.calls(), 1);
 }
 
 fn open_session(engine: &impl PatternService, id: &str, seed: u64) {

@@ -798,12 +798,16 @@ fn an_unterminated_line_over_the_cap_is_refused_without_being_buffered_whole() {
 /// the words over, the serve child checks them, and a value it refuses
 /// ends the router's start-up — before any address is announced, with
 /// the child's own complaint on stderr. A flag serve no longer has (the
-/// in-process shard count) is refused the same way.
+/// lane weights, the in-process shard count) is refused the same way.
 #[test]
 fn a_forwarded_serve_flag_is_validated_by_serve_before_the_router_listens() {
     for (flag, value, complaint) in [
         ("--tenant-quota", "bogus=1", "--tenant-quota:"),
-        ("--lane-weights", "1,2", "--lane-weights:"),
+        (
+            "--lane-weights",
+            "4,2,1",
+            "unknown flag --lane-weights (try --help)",
+        ),
         ("--shards", "2", "unknown flag --shards (try --help)"),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_chatpattern-router"))
@@ -989,8 +993,8 @@ fn generate_keyed_to(worker: u64, workers: u64) -> PatternRequest {
     (0..64)
         .map(|seed| generate(1, seed))
         .find(|request| {
-            let route = chatpattern_core::routing::request_route(request);
-            route.expect("a Generate routes by its key") % workers == worker
+            let key = chatpattern_core::routing::request_key(request).expect("a Generate is keyed");
+            chatpattern_core::routing::route_hash(&key) % workers == worker
         })
         .expect("64 keys reach every worker")
 }
@@ -1434,7 +1438,7 @@ fn replay_tenant(addr: &str, index: usize, burst_ops: usize) -> Tenant {
 /// only the two ledgers' agreement on it is asserted.
 #[test]
 fn tenants_over_quota_retry_to_completion_and_the_fleet_ledger_agrees() {
-    let qos = ["--tenant-quota", "inflight=3", "--lane-weights", "4,2,1"];
+    let qos = ["--tenant-quota", "inflight=3"];
     let args: Vec<&str> = qos.iter().flat_map(|arg| ["--serve-arg", arg]).collect();
     let mut fleet = RouterFleet::spawn(2, &args);
 

@@ -590,9 +590,11 @@ fn refused(binary: &str, args: &[&str], complaint: &str) {
 /// second mechanism, not ignored: the TCP transport, the execution
 /// backend, the shard count, the router's copies of five serve flags
 /// (which ride `--serve-arg` like every other serve flag), its link
-/// pool (one link a worker now that no reader of one can block), and
+/// pool (one link a worker now that no reader of one can block),
 /// serve's spill-ahead cadence thread (expiry is purged at the next
-/// store operation, and spilled like an eviction).
+/// store operation, and spilled like an eviction), and serve's lane
+/// weights (the queue dequeues by the default `4,2,1`, which nothing
+/// ever changed).
 #[test]
 fn the_transport_flag_is_an_unknown_flag() {
     for (binary, flag) in [
@@ -600,6 +602,7 @@ fn the_transport_flag_is_an_unknown_flag() {
         (SERVE, "--backend"),
         (SERVE, "--shards"),
         (SERVE, "--spill-ahead-secs"),
+        (SERVE, "--lane-weights"),
         (ROUTER, "--tenant-quota"),
         (ROUTER, "--lane-weights"),
         (ROUTER, "--spill-ahead-turns"),
