@@ -130,8 +130,9 @@ pub struct EngineStats {
     /// Spilled sessions rehydrated by a later turn, snapshot or close.
     pub sessions_restored: u64,
     /// Warm sessions snapshotted ahead of any eviction by the
-    /// spill-ahead writer (turn-count or cadence trigger). Absent on
-    /// the wire from older peers — defaults to zero.
+    /// spill-ahead writer on the turn-count trigger
+    /// (`spill_ahead_turns`). Absent on the wire from older peers —
+    /// defaults to zero.
     #[serde(default)]
     pub sessions_spilled_ahead: u64,
     /// Transcript bytes trimmed by snapshot compaction on the persist

@@ -119,7 +119,7 @@ pub struct SessionStats {
     /// Turns executed since construction (successful or not).
     pub turns: u64,
     /// Warm sessions snapshotted ahead of need by the spill-ahead
-    /// writer (turn-count trigger or background cadence). Unlike
+    /// writer on the turn-count trigger (`spill_ahead_turns`). Unlike
     /// `spilled`, the session stays live in memory.
     pub spilled_ahead: u64,
     /// Bytes the snapshot compactor trimmed from persisted snapshots

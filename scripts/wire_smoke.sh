@@ -17,7 +17,7 @@
 # stdio and flushes --stats, connection counters included, on client
 # disconnect, (h) a 2-worker
 # router fleet routes a session, survives draining its host worker
-# (live rebalance), answers an ill-typed and a packed line once each
+# (a live session move), answers an ill-typed and a packed line once each
 # under their ids, and aggregates fleet stats, and (i) a tenant that
 # floods past its --tenant-quota collects typed Overloaded envelopes
 # with a retry_after_ms hint while a calm tenant on the same server

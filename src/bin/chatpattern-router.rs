@@ -31,11 +31,14 @@
 //! an over-quota tenant gets the same typed `Overloaded` +
 //! `retry_after_ms` answer it would get from a single serve process.
 //!
-//! The headline capability is **live session rebalancing**: draining
-//! a worker issues `SessionSnapshot` on the source, `SessionRestore`
-//! on the target, re-routes the session id and closes the source copy
-//! — mid-conversation, with the continued turns byte-identical to a
-//! never-moved session (PR 5's snapshot determinism guarantee).
+//! The headline capability is **live session moves**: draining a
+//! worker issues `SessionSnapshot` on the source, `SessionRestore` on
+//! the target, re-routes the session id and closes the source copy —
+//! mid-conversation, with the continued turns byte-identical to a
+//! never-moved session (PR 5's snapshot determinism guarantee). A
+//! `Drain` is the one way a session moves, and one drain runs at a
+//! time: every session a mover moves was claimed on the event loop,
+//! while no other mover existed.
 //! Worker death is survived the same way sessions survive a serve
 //! restart: the child is respawned over its per-worker
 //! `--session-dir`, and spilled sessions rehydrate on their next
@@ -53,8 +56,8 @@
 //!
 //! Threads, whatever the number of clients: main (parked until
 //! `Shutdown`), the event loop, a reader per connected worker, a stderr
-//! drain per spawned child, the auto-rebalancer when it is on, and a
-//! mover (`Drain`) or reviver (a link that is down) while one runs. The
+//! drain per spawned child, and a mover (`Drain`) or reviver (a link
+//! that is down) while one runs. The
 //! loop thread never waits: a line that cannot go on at once is parked
 //! — on its session while that moves, on its worker's link while that
 //! is down — and forwarded in arrival order by the thread that ends the
@@ -73,7 +76,6 @@ use cp_net::{
 use serde::{Deserialize, Serialize};
 use serde_json::value::{to_raw_value, RawValue};
 use serde_json::Value;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
@@ -116,15 +118,6 @@ Options:
   --max-connections N    concurrently served client connections, at
                          least 1 (default 4096); excess connects wait
                          in the OS backlog
-  --rebalance-threshold N  auto-rebalance: when the per-worker session
-                         or queue-depth skew (max minus min across live
-                         workers) exceeds N, move sessions from the
-                         busiest to the least-loaded worker through the
-                         same drain machinery, one at a time, until the
-                         skew closes (default 0 = off)
-  --rebalance-interval-ms MS  how often the auto-rebalancer inspects
-                         fleet stats, at least 1 (default 1000; needs
-                         --rebalance-threshold)
   --help                 this text";
 
 struct Options {
@@ -135,8 +128,6 @@ struct Options {
     serve_args: Vec<String>,
     session_dir: Option<String>,
     max_connections: usize,
-    rebalance_threshold: usize,
-    rebalance_interval: Duration,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -148,10 +139,7 @@ fn parse_args() -> Result<Options, String> {
         serve_args: Vec::new(),
         session_dir: None,
         max_connections: DEFAULT_EVENT_LOOP_CONNECTIONS,
-        rebalance_threshold: 0,
-        rebalance_interval: Duration::from_millis(1000),
     };
-    let mut interval_given = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--help" || flag == "-h" {
@@ -176,25 +164,11 @@ fn parse_args() -> Result<Options, String> {
             "--serve-arg" => options.serve_args.push(value.clone()),
             "--session-dir" => options.session_dir = Some(value.clone()),
             "--max-connections" => options.max_connections = positive("--max-connections")?,
-            "--rebalance-threshold" => {
-                options.rebalance_threshold = number("--rebalance-threshold")?;
-            }
-            "--rebalance-interval-ms" => {
-                options.rebalance_interval =
-                    Duration::from_millis(positive("--rebalance-interval-ms")? as u64);
-                interval_given = true;
-            }
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
     if options.listen.is_empty() {
         return Err("--listen ADDR is required".to_owned());
-    }
-    // Checked after the loop so the two flags work in either order.
-    if interval_given && options.rebalance_threshold == 0 {
-        return Err("--rebalance-interval-ms needs --rebalance-threshold \
-                    (the auto-rebalancer is off without it)"
-            .to_owned());
     }
     if !options.attach.is_empty() {
         // An attached worker was configured by whoever started it;
@@ -414,11 +388,15 @@ struct Router {
     workers: Vec<Worker>,
     /// session id → worker index currently hosting it.
     sessions: Mutex<HashMap<String, usize>>,
-    /// Sessions mid-rebalance, each with the lines that arrived for it
+    /// Sessions mid-move, each with the lines that arrived for it
     /// meanwhile: they are forwarded, in arrival order, once the move
     /// completes, so a turn can never slip in between snapshot and
-    /// restore (which would fork the session's history).
+    /// restore (which would fork the session's history). Entries are
+    /// inserted only by `start_drain`, on the event loop.
     moving: Mutex<HashMap<String, Vec<Outbound>>>,
+    /// The worker whose drain's mover is running, if one is: the mark
+    /// that keeps drains one at a time.
+    drain: Mutex<Option<usize>>,
     next_internal: AtomicU64,
     round_robin: AtomicU64,
     connect: ClientConfig,
@@ -745,10 +723,10 @@ fn revive(router: &Arc<Router>, index: usize) {
     fail_all(router, unsent, &format!("worker {index} unavailable"));
 }
 
-/// A synchronous router-internal request to one worker, for mover
-/// threads. Internal calls run as the default tenant: fleet plumbing
-/// (stats polls, rebalancing snapshots) must never be throttled by a
-/// client quota.
+/// A synchronous router-internal request to one worker, for the mover
+/// thread. Internal calls run as the default tenant: fleet plumbing
+/// (stats polls, a move's snapshot) must never be throttled by a client
+/// quota.
 fn call_worker(
     router: &Arc<Router>,
     index: usize,
@@ -811,19 +789,18 @@ fn merged(per_worker: &[Option<EngineStats>]) -> EngineStats {
     fleet
 }
 
-// ------------------------------------------------------------- rebalancing
+// ---------------------------------------------------------- session moves
 
 /// Moves one session from `source` to `target`: snapshot → restore →
-/// re-route → close the source copy. Callers claim the session in
-/// `moving` first, choose the target (drain hashes over the remaining
-/// live workers; the auto-rebalancer picks the least-loaded one) and
-/// `release` the session afterwards.
+/// re-route → close the source copy. Its one caller, a drain's mover,
+/// has claimed the session in `moving` and `release`s it afterwards.
+/// `Ok(false)` is a session the source no longer has: nothing to move.
 fn move_session(
     router: &Arc<Router>,
     sid: &str,
     source: usize,
     target: usize,
-) -> Result<Option<usize>, String> {
+) -> Result<bool, String> {
     let snapshot = call_worker(
         router,
         source,
@@ -839,7 +816,7 @@ fn move_session(
         WireOutcome::Err(error) if error.kind == "SessionNotFound" => {
             // Expired (or closed concurrently): nothing to move.
             router.sessions.lock().expect("session lock").remove(sid);
-            return Ok(None);
+            return Ok(false);
         }
         WireOutcome::Err(error) => {
             return Err(format!("snapshot of {sid} failed: {}", error.message))
@@ -871,7 +848,7 @@ fn move_session(
             session: sid.to_owned(),
         }),
     );
-    Ok(Some(target))
+    Ok(true)
 }
 
 /// Ends a session's move, successful or not: forwards the lines parked
@@ -896,14 +873,20 @@ fn release(router: &Arc<Router>, sid: &str) {
     }
 }
 
-/// The first half of a drain, on the event loop: marks the worker out
-/// of the routing domain and claims its sessions, so every line the
-/// loop reads after the `Drain` line already finds them moving. One
-/// already in `moving` is left to the mover (the auto-rebalancer) that
-/// has it.
+/// The first half of a drain, on the event loop: refuses while another
+/// drain's mover runs, else marks the worker out of the routing domain
+/// and claims its sessions, so every line the loop reads after the
+/// `Drain` line already finds them moving. Claims are made only here
+/// and one drain runs at a time, so none of them is in `moving` yet.
 fn start_drain(router: &Router, index: usize) -> Result<Vec<String>, String> {
     if index >= router.workers.len() {
         return Err(format!("no worker {index}"));
+    }
+    let mut running = router.drain.lock().expect("drain lock");
+    if let Some(other) = *running {
+        return Err(format!(
+            "worker {other} is still draining (one drain at a time)"
+        ));
     }
     let draining = &router.workers[index].draining;
     draining.store(true, Ordering::Relaxed);
@@ -911,7 +894,7 @@ fn start_drain(router: &Router, index: usize) -> Result<Vec<String>, String> {
         draining.store(false, Ordering::Relaxed);
         return Err("cannot drain the last live worker".to_owned());
     }
-    let mut resident: Vec<String> = {
+    let resident: Vec<String> = {
         let sessions = router.sessions.lock().expect("session lock");
         sessions
             .iter()
@@ -920,35 +903,32 @@ fn start_drain(router: &Router, index: usize) -> Result<Vec<String>, String> {
             .collect()
     };
     let mut moving = router.moving.lock().expect("moving lock");
-    resident.retain(|sid| match moving.entry(sid.clone()) {
-        Entry::Vacant(unclaimed) => {
-            unclaimed.insert(Vec::new());
-            true
-        }
-        Entry::Occupied(_) => false,
-    });
+    for sid in &resident {
+        let claimed = moving.insert(sid.clone(), Vec::new());
+        debug_assert!(claimed.is_none(), "session {sid} was already moving");
+    }
+    *running = Some(index);
     Ok(resident)
 }
 
-/// The second half, on a mover thread: moves each claimed session and
-/// returns how many moved.
+/// The second half, on the drain's mover thread: moves each claimed
+/// session to the live worker its id hashes onto, then clears the drain
+/// mark and returns how many moved. The live workers stay as they are
+/// meanwhile — only a drain changes them — and include one at least, or
+/// `start_drain` would have refused. The mark goes before the caller
+/// answers, so a client that has heard `Drained` can drain again at once.
 fn finish_drain(router: &Arc<Router>, index: usize, claimed: &[String]) -> Result<usize, String> {
+    let targets = router.live_workers();
     let mut moved = 0;
     let mut first_error = None;
     for sid in claimed {
-        let targets = router.live_workers();
-        let outcome = if targets.is_empty() {
-            Err("no live workers left to move sessions to".to_owned())
-        } else {
-            let target = targets[(route_hash(sid) % targets.len() as u64) as usize];
-            move_session(router, sid, index, target)
-        };
-        match outcome {
-            Ok(Some(target)) => {
+        let target = targets[(route_hash(sid) % targets.len() as u64) as usize];
+        match move_session(router, sid, index, target) {
+            Ok(true) => {
                 moved += 1;
                 eprintln!("chatpattern-router: moved session {sid} {index} -> {target}");
             }
-            Ok(None) => {}
+            Ok(false) => {}
             Err(message) => {
                 eprintln!("chatpattern-router: drain of {sid} failed: {message}");
                 first_error.get_or_insert(message);
@@ -956,92 +936,8 @@ fn finish_drain(router: &Arc<Router>, index: usize, claimed: &[String]) -> Resul
         }
         release(router, sid);
     }
+    *router.drain.lock().expect("drain lock") = None;
     first_error.map_or(Ok(moved), Err)
-}
-
-/// One auto-rebalance pass: measure per-live-worker load (sessions
-/// hosted from the routing table, queued jobs from each worker's
-/// `Stats`), and while either skew (max − min) exceeds the threshold,
-/// move one session at a time from the busiest worker to the
-/// least-loaded one through the same snapshot → restore machinery a
-/// manual drain uses. Returns the number of sessions moved.
-fn auto_rebalance(router: &Arc<Router>, threshold: usize) -> usize {
-    let mut moved = 0;
-    loop {
-        let live = router.live_workers();
-        if live.len() < 2 {
-            return moved;
-        }
-        let queued: HashMap<usize, usize> = live
-            .iter()
-            .map(|&index| {
-                let stats = call_worker(router, index, &PatternRequest::Stats)
-                    .ok()
-                    .and_then(stats_of);
-                (index, stats.map_or(0, |s| s.queue_depths.iter().sum()))
-            })
-            .collect();
-        let counts: HashMap<usize, usize> = {
-            let sessions = router.sessions.lock().expect("session lock");
-            live.iter()
-                .map(|&index| (index, sessions.values().filter(|w| **w == index).count()))
-                .collect()
-        };
-        let load = |index: usize| (counts[&index], queued[&index]);
-        let &busiest = live.iter().max_by_key(|&&w| load(w)).expect("live workers");
-        let &calmest = live.iter().min_by_key(|&&w| load(w)).expect("live workers");
-        let session_skew = counts[&busiest].saturating_sub(counts[&calmest]);
-        let queue_skew = queued.values().max().unwrap_or(&0) - queued.values().min().unwrap_or(&0);
-        if session_skew <= threshold && queue_skew <= threshold {
-            return moved;
-        }
-        if session_skew == 0 {
-            // Skewed by queue depth alone with nothing movable:
-            // sessions are the only load the router can shift.
-            return moved;
-        }
-        // Claim one resident session of the busiest worker that no
-        // concurrent mover owns, re-checking placement under the lock.
-        let sid = {
-            let mut moving = router.moving.lock().expect("moving lock");
-            let sessions = router.sessions.lock().expect("session lock");
-            let candidate = sessions
-                .iter()
-                .find(|(sid, w)| **w == busiest && !moving.contains_key(*sid))
-                .map(|(sid, _)| sid.clone());
-            match candidate {
-                Some(sid) => {
-                    moving.insert(sid.clone(), Vec::new());
-                    sid
-                }
-                None => return moved,
-            }
-        };
-        let outcome = move_session(router, &sid, busiest, calmest);
-        release(router, &sid);
-        match outcome {
-            Ok(Some(target)) => {
-                moved += 1;
-                eprintln!(
-                    "chatpattern-router: auto-rebalance moved session {sid} {busiest} -> {target} \
-                     (session skew {session_skew}, queue skew {queue_skew})"
-                );
-            }
-            Ok(None) => {}
-            Err(message) => {
-                eprintln!("chatpattern-router: auto-rebalance of {sid} failed: {message}");
-                return moved;
-            }
-        }
-    }
-}
-
-/// The background skew watcher behind `--rebalance-threshold`.
-fn spawn_rebalancer(router: Arc<Router>, threshold: usize, interval: Duration) {
-    std::thread::spawn(move || loop {
-        std::thread::sleep(interval);
-        auto_rebalance(&router, threshold);
-    });
 }
 
 // -------------------------------------------------------- client frontend
@@ -1086,8 +982,8 @@ fn fleet_view(router: &Router, per_worker: Vec<Option<EngineStats>>) -> FleetVie
 
 impl RouterHandler {
     /// A control line. `Fleet` is the stats fan-in with a wider reply,
-    /// `Drain` claims on the loop and moves on a thread of its own (as
-    /// the auto-rebalancer it shares `move_session` with has), and
+    /// `Drain` claims on the loop and moves on a thread of its own —
+    /// or, while another drain's mover runs, is refused here — and
     /// `Shutdown` is answered here and carried out by `main`.
     fn on_control(&self, envelope: ControlEnvelope, sink: &Arc<LineSink>) {
         let ControlEnvelope { id, control } = envelope;
@@ -1247,6 +1143,7 @@ fn main() -> ExitCode {
         workers,
         sessions: Mutex::new(HashMap::new()),
         moving: Mutex::new(HashMap::new()),
+        drain: Mutex::new(None),
         next_internal: AtomicU64::new(1),
         round_robin: AtomicU64::new(0),
         connect: ClientConfig {
@@ -1265,18 +1162,6 @@ fn main() -> ExitCode {
             eprintln!("chatpattern-router: {message}");
             return ExitCode::FAILURE;
         }
-    }
-
-    if options.rebalance_threshold > 0 {
-        eprintln!(
-            "chatpattern-router: auto-rebalance on (threshold {}, every {:?})",
-            options.rebalance_threshold, options.rebalance_interval
-        );
-        spawn_rebalancer(
-            Arc::clone(&router),
-            options.rebalance_threshold,
-            options.rebalance_interval,
-        );
     }
 
     // Thousands of sockets need fd headroom beyond the usual shell

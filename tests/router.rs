@@ -9,11 +9,12 @@
 //!   counters stay multiples of the per-session turn count) and
 //!   cache-hot keys worker-local (a repeated Generate is a fleet-wide
 //!   cache hit).
-//! * **Live rebalancing** — draining the busiest worker
+//! * **Live session moves** — draining the busiest worker
 //!   mid-conversation moves its sessions (snapshot → restore →
 //!   re-route) with zero `SessionNotFound` errors, and every
 //!   continued conversation closes byte-identical to the same turns
-//!   run uninterrupted in-process.
+//!   run uninterrupted in-process. A `Drain` is the one way a session
+//!   moves, and a second one sent while the first is moving is refused.
 //! * **Transport equivalence** — the same scripted session produces
 //!   byte-identical payloads over stdio serve, TCP serve and the
 //!   router (asserted against the in-process reference here; the
@@ -26,11 +27,6 @@
 //!   over the cap is discarded as it streams in, answered under `null`.
 //! * **One validator** — a value serve refuses for a flag forwarded
 //!   with `--serve-arg` stops the router before it listens.
-//! * **Auto-rebalance** — with `--rebalance-threshold 1`, a fleet
-//!   whose sessions all hash onto one worker is evened out by the
-//!   background rebalancer without any drain command, and every moved
-//!   conversation still closes byte-identical to the uninterrupted
-//!   reference.
 //! * **The front door is `cp_net`'s event loop** (ISSUE 18) — a client
 //!   that stops reading is cut off at the outbound high-water mark and
 //!   costs no other client a reply; a client that half-closes hears
@@ -826,79 +822,6 @@ fn a_forwarded_serve_flag_is_validated_by_serve_before_the_router_listens() {
 }
 
 #[test]
-fn auto_rebalance_evens_out_a_skewed_fleet_losslessly() {
-    const BASE_SEED: u64 = 60;
-    let mut fleet = RouterFleet::spawn(
-        2,
-        &[
-            "--rebalance-threshold",
-            "1",
-            "--rebalance-interval-ms",
-            "200",
-        ],
-    );
-
-    // Four session ids that all hash onto worker 0 of a two-worker
-    // fleet — the maximal skew the rebalancer exists to fix.
-    let sids: Vec<String> = (0..64)
-        .map(|i| format!("rb-{i}"))
-        .filter(|sid| chatpattern_core::routing::route_hash(sid).is_multiple_of(2))
-        .take(4)
-        .collect();
-    assert_eq!(sids.len(), 4, "hash collisions exist among 64 candidates");
-    for (k, sid) in sids.iter().enumerate() {
-        open(&mut fleet, sid, BASE_SEED + k as u64);
-    }
-    for sid in &sids {
-        turn(&mut fleet, sid, 0);
-        turn(&mut fleet, sid, 1);
-    }
-
-    // No drain command: the background rebalancer alone must bring the
-    // per-worker session counts within the threshold (2/2 here).
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    loop {
-        let view = fleet.fleet_view();
-        let counts: Vec<usize> = view.iter().map(|(sessions, _, _)| *sessions).collect();
-        let (max, min) = (
-            counts.iter().copied().max().unwrap_or(0),
-            counts.iter().copied().min().unwrap_or(0),
-        );
-        assert_eq!(counts.iter().sum::<usize>(), sids.len(), "{view:?}");
-        if max - min <= 1 {
-            assert_eq!((max, min), (2, 2), "balanced means 2/2 here: {view:?}");
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "auto-rebalance never evened out the fleet: {view:?}"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-
-    // Every conversation — two of them freshly moved — continues and
-    // closes byte-identical to the uninterrupted in-process reference.
-    for sid in &sids {
-        turn(&mut fleet, sid, 2);
-    }
-    for (k, sid) in sids.iter().enumerate() {
-        let payload = fleet.expect_ok(
-            &format!("close-{sid}"),
-            PatternRequest::SessionClose(SessionCloseParams {
-                session: sid.clone(),
-            }),
-        );
-        let routed = serde_json::to_string(&payload).expect("serializes");
-        assert_eq!(
-            routed,
-            uninterrupted_close_payload(sid, BASE_SEED + k as u64),
-            "session {sid} diverged after an auto-rebalance"
-        );
-    }
-    fleet.shutdown();
-}
-
-#[test]
 fn draining_a_worker_mid_conversation_is_lossless_and_byte_identical() {
     const SESSIONS: usize = 4;
     const BASE_SEED: u64 = 40;
@@ -957,7 +880,7 @@ fn draining_a_worker_mid_conversation_is_lossless_and_byte_identical() {
         assert_eq!(
             routed,
             uninterrupted_close_payload(&sid, BASE_SEED + s as u64),
-            "session {sid} diverged after the rebalance"
+            "session {sid} diverged after the move"
         );
     }
     fleet.shutdown();
@@ -1153,13 +1076,28 @@ fn idle_clients_cost_no_thread_and_keep_nobody_out() {
 /// any reply, with a drain of its host thrown in after the first turn,
 /// runs as if each line had waited for the last: whichever lines the
 /// move catches are parked on the session and follow it in order.
+///
+/// Drains run one at a time. Right behind the first comes a drain of
+/// the worker the session moves onto, read while the first drain's
+/// snapshot waits behind `turn-0` on the host's one engine thread: it
+/// is refused, naming the drain that runs, so the session cannot end up
+/// pinned to a worker drained under it. Once the first drain has
+/// answered, the same drain goes through.
 #[test]
 fn pipelined_turns_keep_their_order_across_a_live_move() {
     const SID: &str = "piped";
     const SEED: u64 = 80;
     let one_engine_thread = ["--serve-arg", "--workers", "--serve-arg", "1"];
-    let fleet = RouterFleet::spawn(3, &one_engine_thread);
-    let host = chatpattern_core::routing::route_hash(SID) % 3;
+    let mut fleet = RouterFleet::spawn(3, &one_engine_thread);
+    let hash = chatpattern_core::routing::route_hash(SID);
+    let host = hash % 3;
+    // Where the move restores the session: its hash over the two
+    // workers left live.
+    let left: Vec<u64> = (0..3).filter(|worker| *worker != host).collect();
+    let target = left[(hash % 2) as usize];
+    let drain = |id: &str, worker: u64| {
+        format!("{{\"id\":\"{id}\",\"control\":{{\"Drain\":{{\"worker\":{worker}}}}}}}\n")
+    };
 
     let turn_line = |index: usize| {
         let params = SessionTurnParams {
@@ -1180,7 +1118,8 @@ fn pipelined_turns_keep_their_order_across_a_live_move() {
     };
     let mut batch = request_line("open", PatternRequest::SessionOpen(open));
     batch += &turn_line(0);
-    batch += &format!("{{\"id\":\"drain\",\"control\":{{\"Drain\":{{\"worker\":{host}}}}}}}\n");
+    batch += &drain("drain", host);
+    batch += &drain("drain-2", target);
     batch += &turn_line(1);
     batch += &turn_line(2);
     batch += &request_line("close", PatternRequest::SessionClose(close));
@@ -1189,7 +1128,7 @@ fn pipelined_turns_keep_their_order_across_a_live_move() {
     stream.write_all(batch.as_bytes()).expect("batch written");
     stream.shutdown(Shutdown::Write).expect("write side closes");
     let replies = replies_until_eof(stream);
-    assert_eq!(replies.len(), 6, "one reply a line: {replies:?}");
+    assert_eq!(replies.len(), 7, "one reply a line: {replies:?}");
     let payload = |id: &str| {
         let (_, line) = replies
             .iter()
@@ -1213,11 +1152,29 @@ fn pipelined_turns_keep_their_order_across_a_live_move() {
         .find(|(id, _)| id == "drain")
         .expect("the drain is answered");
     assert!(drained.contains("\"Drained\":{\"moved\":1,"), "{drained}");
+    let (_, refused) = replies
+        .iter()
+        .find(|(id, _)| id == "drain-2")
+        .expect("the second drain is answered");
+    let refused: serde_json::Value = serde_json::from_str(refused).expect("reply parses");
+    let message = refused["control"]["Error"]["message"].as_str();
+    let message = message.unwrap_or_else(|| panic!("drain-2 was not refused: {refused}"));
+    assert!(
+        message.contains(&format!("worker {host} is still draining")),
+        "{message}"
+    );
     assert_eq!(
         serde_json::to_string(&payload("close")).expect("serializes"),
         uninterrupted_close_payload(SID, SEED),
         "the pipelined conversation diverged from the one that waits"
     );
+
+    let drained = fleet.control(drain("drain-3", target).trim_end());
+    let moved = drained["control"]["Drained"]["moved"].as_u64();
+    assert_eq!(moved, Some(0), "the session is closed: {drained}");
+    let view = fleet.fleet_view();
+    let on = |worker: u64| view[worker as usize].0;
+    assert_eq!((on(host), on(target)), (0, 0), "{view:?}");
     fleet.shutdown();
 }
 

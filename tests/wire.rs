@@ -592,9 +592,10 @@ fn refused(binary: &str, args: &[&str], complaint: &str) {
 /// (which ride `--serve-arg` like every other serve flag), its link
 /// pool (one link a worker now that no reader of one can block),
 /// serve's spill-ahead cadence thread (expiry is purged at the next
-/// store operation, and spilled like an eviction), and serve's lane
+/// store operation, and spilled like an eviction), serve's lane
 /// weights (the queue dequeues by the default `4,2,1`, which nothing
-/// ever changed).
+/// ever changed), and the router's auto-rebalancer (a session moves by
+/// a `Drain`, one at a time).
 #[test]
 fn the_transport_flag_is_an_unknown_flag() {
     for (binary, flag) in [
@@ -609,6 +610,8 @@ fn the_transport_flag_is_an_unknown_flag() {
         (ROUTER, "--spill-ahead-secs"),
         (ROUTER, "--persist-shards"),
         (ROUTER, "--pool"),
+        (ROUTER, "--rebalance-threshold"),
+        (ROUTER, "--rebalance-interval-ms"),
     ] {
         let args = ["--listen", "127.0.0.1:0", flag, "1"];
         refused(binary, &args, &format!("unknown flag {flag} "));
@@ -616,7 +619,7 @@ fn the_transport_flag_is_an_unknown_flag() {
 }
 
 /// A count of zero is a server that accepts nobody, a fleet of none,
-/// a timer that never sleeps, an engine with no worker, a session
+/// an engine with no worker, a session
 /// that expires as it opens or a snapshot after every zero turns: both
 /// binaries refuse it at start-up, by the flag's name, instead of
 /// listening in silence or clamping it.
@@ -629,7 +632,6 @@ fn a_connection_cap_of_zero_is_refused_at_start_up() {
         (SERVE, "--spill-ahead-turns"),
         (ROUTER, "--max-connections"),
         (ROUTER, "--workers"),
-        (ROUTER, "--rebalance-interval-ms"),
     ] {
         let args = ["--listen", "127.0.0.1:0", flag, "0"];
         refused(
@@ -642,8 +644,7 @@ fn a_connection_cap_of_zero_is_refused_at_start_up() {
 
 /// A flag that cannot take effect is refused rather than accepted and
 /// dropped: attach mode spawns nothing, so configuration for spawned
-/// workers is refused with it; so is a cadence for an auto-rebalancer
-/// that is off, in either flag order.
+/// workers is refused with it.
 #[test]
 fn attach_mode_refuses_configuration_for_spawned_workers() {
     for (flag, value) in [
@@ -665,13 +666,6 @@ fn attach_mode_refuses_configuration_for_spawned_workers() {
             &format!("{flag} only applies to spawned workers"),
         );
     }
-    let complaint = "--rebalance-interval-ms needs --rebalance-threshold";
-    let listen = ["--listen", "127.0.0.1:0"];
-    let interval = ["--rebalance-interval-ms", "5"];
-    let off = ["--rebalance-threshold", "0"];
-    refused(ROUTER, &[listen, interval].concat(), complaint);
-    refused(ROUTER, &[listen, off, interval].concat(), complaint);
-    refused(ROUTER, &[listen, interval, off].concat(), complaint);
 }
 
 /// The flags `--help` lists: every line of the form `  --flag …`.
