@@ -205,8 +205,7 @@ pub enum PatternRequest {
     /// Read the serving-side activity counters
     /// ([`EngineStats`]) — answered inline by a
     /// [`PatternEngine`](crate::PatternEngine) without queueing, so
-    /// counters are queryable over the wire mid-stream instead of
-    /// only at EOF. Against a bare [`ChatPattern`] it reports the
+    /// counters are queryable over the wire mid-stream. Against a bare [`ChatPattern`] it reports the
     /// session gauges with every engine counter zero.
     Stats,
 }

@@ -35,7 +35,7 @@
 //! **coalesces** identical in-flight requests onto one execution, all
 //! reported in [`EngineStats`] counters (see `docs/ENGINE.md`). The
 //! [`wire`] module defines the JSON-lines envelopes the
-//! `chatpattern-serve` binary speaks over stdin/stdout or TCP.
+//! `chatpattern-serve` binary speaks over TCP.
 //!
 //! # Example
 //!

@@ -1,7 +1,7 @@
 //! The JSON-lines wire protocol.
 //!
 //! One request per input line, one response per output line — the
-//! framing `chatpattern-serve` speaks over stdin/stdout (see
+//! framing `chatpattern-serve` speaks over TCP (see
 //! `docs/WIRE_PROTOCOL.md` for the full format with worked examples).
 //!
 //! A [`RequestEnvelope`] pairs a client-chosen `id` (any JSON scalar;

@@ -1,14 +1,14 @@
 //! Per-connection state for the event loop: incremental NDJSON framing
-//! over a non-blocking socket, and a bounded outbound queue that lets
-//! engine workers hand replies to the loop without ever blocking on a
-//! slow peer.
+//! over a non-blocking socket, and the bounded outbound queue
+//! ([`LineSink`]) that lets engine workers hand replies to the loop
+//! without ever blocking on a slow peer.
 
 use crate::poller::Interest;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default per-connection outbound high-water mark: a peer that falls
 /// this many unread reply bytes behind is disconnected.
@@ -102,45 +102,53 @@ impl LineFramer {
     }
 }
 
-struct OutboundInner {
+struct Outbound {
     chunks: VecDeque<Vec<u8>>,
     /// Bytes of `chunks.front()` already written to the socket.
     head: usize,
     /// Total unsent bytes across all chunks.
     bytes: usize,
+    /// Replies promised with [`LineSink::owe`] and not yet pushed.
+    owed: usize,
     /// Cleared when the loop tears the connection down; later pushes
-    /// fail with `BrokenPipe` (which [`crate::LineSink`] treats as a
-    /// clean close).
+    /// are dropped.
     open: bool,
     /// Set when a push overflows the high-water mark; the loop kills
     /// the connection on its next pass.
     killed: bool,
 }
 
-/// The outbound side of one event-loop connection. Engine workers
-/// push framed reply lines (via [`QueueWriter`] under a `LineSink`);
-/// the loop thread drains the queue into the non-blocking socket.
-/// Pushing never blocks: past `high_water` buffered bytes the queue
-/// flips to `killed` and the peer is disconnected — bounded
-/// back-pressure instead of unbounded memory for a stalled reader.
-pub(crate) struct OutboundQueue {
-    inner: Mutex<OutboundInner>,
+/// The outbound side of one event-loop connection, shared between the
+/// loop thread and whichever threads answer the connection's lines.
+/// Repliers push whole lines; the loop drains the queue into the
+/// non-blocking socket. Pushing never blocks: past `high_water`
+/// buffered bytes the queue flips to `killed` and the peer is
+/// disconnected — bounded back-pressure instead of unbounded memory
+/// for a stalled reader.
+///
+/// A handler that answers a line later says so with [`LineSink::owe`]
+/// and answers with [`LineSink::send_owed`]; [`LineSink::owed`] is how
+/// the event loop knows whether a peer that stopped sending is still
+/// waiting for replies.
+pub struct LineSink {
+    inner: Mutex<Outbound>,
     high_water: usize,
     /// Called (outside the lock) whenever the loop must look at this
     /// queue again: new data, or a kill.
     notify: Box<dyn Fn() + Send + Sync>,
 }
 
-impl OutboundQueue {
+impl LineSink {
     pub(crate) fn new(
         high_water: usize,
         notify: impl Fn() + Send + Sync + 'static,
-    ) -> Arc<OutboundQueue> {
-        Arc::new(OutboundQueue {
-            inner: Mutex::new(OutboundInner {
+    ) -> Arc<LineSink> {
+        Arc::new(LineSink {
+            inner: Mutex::new(Outbound {
                 chunks: VecDeque::new(),
                 head: 0,
                 bytes: 0,
+                owed: 0,
                 open: true,
                 killed: false,
             }),
@@ -149,32 +157,65 @@ impl OutboundQueue {
         })
     }
 
-    /// Enqueues one framed line. Fails with `BrokenPipe` once the
-    /// connection is gone or the high-water mark is exceeded.
-    fn push(&self, data: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("outbound lock");
+    /// Queues one line (appending `\n`). Returns `false` once the
+    /// connection is gone — closed, or killed by this push or an
+    /// earlier one — so callers can stop producing output for it.
+    pub fn send_line(&self, line: &str) -> bool {
+        self.push(line, false)
+    }
+
+    /// Promises one later [`LineSink::send_owed`].
+    pub fn owe(&self) {
+        self.lock().owed += 1;
+    }
+
+    /// [`LineSink::send_line`] for a reply promised with
+    /// [`LineSink::owe`]. Settles the promise even when the connection
+    /// is gone.
+    pub fn send_owed(&self, line: &str) -> bool {
+        self.push(line, true)
+    }
+
+    /// Replies promised and not yet handed over. Counted under the
+    /// queue's lock, so a reply no longer counted here is in the queue.
+    #[must_use]
+    pub fn owed(&self) -> usize {
+        self.lock().owed
+    }
+
+    fn push(&self, line: &str, owed: bool) -> bool {
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        let mut inner = self.lock();
+        if owed {
+            // In the push's critical section: whoever sees the lower
+            // count (the event loop, woken by this push) also sees the
+            // line in the queue.
+            inner.owed -= 1;
+        }
         if !inner.open || inner.killed {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection gone"));
+            return false;
         }
-        if inner.bytes + data.len() > self.high_water {
+        let fits = inner.bytes + framed.len() <= self.high_water;
+        if fits {
+            inner.bytes += framed.len();
+            inner.chunks.push_back(framed);
+        } else {
             inner.killed = true;
-            drop(inner);
-            (self.notify)();
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "outbound high-water mark exceeded",
-            ));
         }
-        inner.bytes += data.len();
-        inner.chunks.push_back(data.to_vec());
         drop(inner);
         (self.notify)();
-        Ok(())
+        fits
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Outbound> {
+        self.inner.lock().expect("outbound lock")
     }
 
     /// Loop-side teardown: silences all future pushes.
     pub(crate) fn close(&self) {
-        let mut inner = self.inner.lock().expect("outbound lock");
+        let mut inner = self.lock();
         inner.open = false;
         inner.chunks.clear();
         inner.bytes = 0;
@@ -184,33 +225,7 @@ impl OutboundQueue {
     /// True once a push overflowed the high-water mark.
     #[must_use]
     pub(crate) fn is_killed(&self) -> bool {
-        self.inner.lock().expect("outbound lock").killed
-    }
-
-    /// A `Write` front for this queue, suitable for `LineSink::new`.
-    #[must_use]
-    pub(crate) fn writer(self: &Arc<OutboundQueue>) -> QueueWriter {
-        QueueWriter {
-            queue: Arc::clone(self),
-        }
-    }
-}
-
-/// `Write` adapter: each `write` call enqueues one chunk. `LineSink`
-/// frames line + `\n` into a single `write_all`, so every chunk is one
-/// complete reply line and partial-line interleaving is impossible.
-pub(crate) struct QueueWriter {
-    queue: Arc<OutboundQueue>,
-}
-
-impl Write for QueueWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.queue.push(buf)?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
+        self.lock().killed
     }
 }
 
@@ -239,18 +254,18 @@ pub(crate) enum FlushOutcome {
 }
 
 /// One live event-loop connection: the non-blocking socket plus its
-/// read-side [`LineFramer`] and write-side [`OutboundQueue`].
+/// read-side [`LineFramer`] and write-side [`LineSink`].
 pub(crate) struct NonblockingConn {
     stream: TcpStream,
     framer: LineFramer,
-    outbound: Arc<OutboundQueue>,
+    sink: Arc<LineSink>,
     /// The interest set currently registered with the poller.
     pub(crate) interest: Interest,
 }
 
 impl NonblockingConn {
     /// Takes ownership of an accepted stream, flips it non-blocking,
-    /// and wires the outbound queue's notify hook.
+    /// and wires the sink's notify hook.
     pub(crate) fn new(
         stream: TcpStream,
         max_line: usize,
@@ -262,7 +277,7 @@ impl NonblockingConn {
         Ok(NonblockingConn {
             stream,
             framer: LineFramer::new(max_line),
-            outbound: OutboundQueue::new(high_water, notify),
+            sink: LineSink::new(high_water, notify),
             interest: Interest::READ,
         })
     }
@@ -273,8 +288,8 @@ impl NonblockingConn {
     }
 
     #[must_use]
-    pub(crate) fn outbound(&self) -> &Arc<OutboundQueue> {
-        &self.outbound
+    pub(crate) fn sink(&self) -> &Arc<LineSink> {
+        &self.sink
     }
 
     /// Drains the readable socket, appending framing products to
@@ -295,7 +310,7 @@ impl NonblockingConn {
     /// Writes as much queued output as the socket will take without
     /// blocking.
     pub(crate) fn flush_ready(&mut self) -> FlushOutcome {
-        let mut inner = self.outbound.inner.lock().expect("outbound lock");
+        let mut inner = self.sink.lock();
         if inner.killed {
             return FlushOutcome::Killed;
         }
@@ -423,29 +438,48 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let notified = Arc::new(AtomicUsize::new(0));
         let n2 = Arc::clone(&notified);
-        let queue = OutboundQueue::new(10, move || {
+        let queue = LineSink::new(10, move || {
             n2.fetch_add(1, Ordering::SeqCst);
         });
-        let mut writer = queue.writer();
-        assert!(writer.write_all(b"12345").is_ok());
+        assert!(queue.send_line("1234"));
         assert_eq!(notified.load(Ordering::SeqCst), 1);
         assert!(!queue.is_killed());
         // 5 + 6 > 10: overflow kills the queue (and notifies the loop).
-        let err = writer.write_all(b"678901").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert!(!queue.send_line("67890"));
         assert!(queue.is_killed());
         assert_eq!(notified.load(Ordering::SeqCst), 2);
-        // Later writes fail fast without flipping state back.
-        assert!(writer.write_all(b"x").is_err());
+        // Later sends fail fast without flipping state back.
+        assert!(!queue.send_line("x"));
+        assert!(queue.is_killed());
     }
 
     #[test]
     fn closed_queue_silences_writers() {
-        let queue = OutboundQueue::new(1024, || {});
+        let queue = LineSink::new(1024, || {});
         queue.close();
-        let mut writer = queue.writer();
-        let err = writer.write_all(b"late reply").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert!(!queue.send_line("late reply"));
         assert!(!queue.is_killed());
+    }
+
+    /// A reply owed to a connection that is gone is still a reply
+    /// handed over: the count the loop closes a half-closed peer by
+    /// must come back to zero either way.
+    #[test]
+    fn a_send_to_a_closed_or_killed_queue_fails_and_settles_what_it_owed() {
+        for kill in [false, true] {
+            let queue = LineSink::new(8, || {});
+            queue.owe();
+            queue.owe();
+            assert!(queue.send_owed("ok"));
+            assert_eq!(queue.owed(), 1);
+            if kill {
+                assert!(!queue.send_line("past the mark"));
+                assert!(queue.is_killed());
+            } else {
+                queue.close();
+            }
+            assert!(!queue.send_owed("late"));
+            assert_eq!(queue.owed(), 0, "kill: {kill}");
+        }
     }
 }

@@ -15,9 +15,9 @@
 //!   worker's link, or a list to park the line on;
 //! * **replies** are pushed — by the engine worker that finished the
 //!   job, or by the router's reader of the worker that answered — into
-//!   a per-connection [`OutboundQueue`](crate::conn::OutboundQueue)
-//!   and the loop is poked through a [`WakePipe`]; the loop writes them
-//!   out as sockets accept bytes. The loop never blocks on a slow
+//!   a per-connection [`LineSink`](crate::LineSink) and the loop is
+//!   poked through a [`WakePipe`]; the loop writes them out as sockets
+//!   accept bytes. The loop never blocks on a slow
 //!   client: past the configured high-water mark the client is
 //!   disconnected (a *backpressure kill*, reported separately from
 //!   clean closes in the engine's connection counters);
@@ -30,7 +30,6 @@ use crate::conn::{FlushOutcome, Framed, NonblockingConn, ReadOutcome};
 use crate::conn::{DEFAULT_MAX_LINE_BYTES, DEFAULT_OUTBOUND_HIGH_WATER};
 use crate::handler::ConnectionHandler;
 use crate::poller::{Interest, PollEvent, Poller, WakePipe};
-use crate::sink::LineSink;
 use chatpattern_core::wire::ResponseEnvelope;
 use chatpattern_core::{ConnCounters, Error};
 use std::collections::HashMap;
@@ -231,7 +230,6 @@ const FIRST_CONN_TOKEN: u64 = 2;
 
 struct Slot {
     conn: NonblockingConn,
-    sink: Arc<LineSink>,
     /// The peer sent EOF: no more requests, READ interest dropped; the
     /// connection goes once nothing is owed and nothing is queued.
     read_closed: bool,
@@ -306,10 +304,10 @@ impl<H: ConnectionHandler> LoopState<H> {
         // does not quiesce drops its late replies instead of
         // accumulating them forever.
         for slot in self.conns.values_mut() {
-            if !slot.conn.outbound().is_killed() {
+            if !slot.conn.sink().is_killed() {
                 let _ = slot.conn.flush_ready();
             }
-            slot.conn.outbound().close();
+            slot.conn.sink().close();
         }
     }
 
@@ -343,7 +341,6 @@ impl<H: ConnectionHandler> LoopState<H> {
                     ) else {
                         continue;
                     };
-                    let sink = Arc::new(LineSink::new(Box::new(conn.outbound().writer())));
                     if self
                         .poller
                         .register(conn.raw_fd(), token, Interest::READ)
@@ -358,7 +355,6 @@ impl<H: ConnectionHandler> LoopState<H> {
                         token,
                         Slot {
                             conn,
-                            sink,
                             read_closed: false,
                         },
                     );
@@ -407,7 +403,7 @@ impl<H: ConnectionHandler> LoopState<H> {
             }
             let mut scratch = [0u8; 16 * 1024];
             let outcome = slot.conn.read_ready(&mut scratch, &mut products);
-            (outcome, Arc::clone(&slot.sink))
+            (outcome, Arc::clone(slot.conn.sink()))
         };
         for product in products {
             match product {
@@ -427,7 +423,7 @@ impl<H: ConnectionHandler> LoopState<H> {
                 }
             }
         }
-        if sink.has_failed() || outcome == ReadOutcome::Closed {
+        if outcome == ReadOutcome::Closed {
             self.close(token, CloseReason::Clean);
             return;
         }
@@ -455,7 +451,7 @@ impl<H: ConnectionHandler> LoopState<H> {
         // Asked before the flush: a reply the sink no longer counts is
         // in the queue by now, so if the flush then leaves the queue
         // empty, that reply has been written.
-        let answered = slot.read_closed && slot.sink.owed() == 0;
+        let answered = slot.read_closed && slot.conn.sink().owed() == 0;
         let outcome = slot.conn.flush_ready();
         match outcome {
             FlushOutcome::Idle if answered => self.close(token, CloseReason::Clean),
@@ -483,7 +479,7 @@ impl<H: ConnectionHandler> LoopState<H> {
             return;
         };
         let _ = self.poller.deregister(slot.conn.raw_fd());
-        slot.conn.outbound().close();
+        slot.conn.sink().close();
         // Count before the handler callback: a stats line flushed from
         // `on_disconnect` must already see this disconnect.
         if let Some(counters) = &self.counters {
@@ -492,7 +488,7 @@ impl<H: ConnectionHandler> LoopState<H> {
                 CloseReason::Backpressure => counters.disconnected_backpressure(),
             }
         }
-        self.handler.on_disconnect(&slot.sink);
+        self.handler.on_disconnect(slot.conn.sink());
         // Dropping the slot closes the socket fd.
     }
 }
@@ -500,6 +496,7 @@ impl<H: ConnectionHandler> LoopState<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LineSink;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 

@@ -2,7 +2,7 @@
 //! contract — and the handler that feeds decoded wire envelopes into a
 //! [`PatternEngine`](chatpattern_core::PatternEngine).
 
-use crate::sink::LineSink;
+use crate::conn::LineSink;
 use chatpattern_core::wire::{decode_request_line, ResponseEnvelope};
 use chatpattern_core::{PatternEngine, PatternService};
 use std::sync::{Arc, Condvar, Mutex};
@@ -37,7 +37,7 @@ pub trait ConnectionHandler: Send + Sync + 'static {
     fn quiesce(&self) {}
 }
 
-/// Serves one engine over any number of connections (TCP or stdio):
+/// Serves one engine over any number of connections:
 /// each accepted request registers a completion callback on its job
 /// ([`JobHandle::on_done`](chatpattern_core::JobHandle::on_done)), so
 /// the engine worker that finishes the job serialises the reply and
@@ -52,11 +52,9 @@ pub trait ConnectionHandler: Send + Sync + 'static {
 /// (`QueueFull`) or an exhausted tenant quota (`Overloaded`) answers
 /// immediately with an error envelope carrying `retry_after_ms`
 /// instead of stalling the reader — one flooding connection cannot
-/// freeze every other connection's submissions. The hand-over to a TCP
-/// sink is a push into the connection's bounded outbound queue and
-/// never waits for the peer; a stdout sink is written by the worker
-/// directly, so a stalled stdout reader stalls the engine it is the
-/// only client of.
+/// freeze every other connection's submissions. The hand-over to a
+/// connection is a push into its bounded outbound queue and never
+/// waits for the peer.
 pub struct EngineHandler<S: PatternService + Send + Sync + 'static> {
     engine: Arc<PatternEngine<S>>,
     in_flight: Arc<(Mutex<usize>, Condvar)>,
@@ -75,17 +73,6 @@ impl<S: PatternService + Send + Sync + 'static> EngineHandler<S> {
     #[must_use]
     pub fn engine(&self) -> &Arc<PatternEngine<S>> {
         &self.engine
-    }
-
-    /// Blocks until every accepted request has been answered — what a
-    /// stdio loop does between EOF and printing its final stats, so
-    /// the numbers include all in-flight work.
-    pub fn drain(&self) {
-        let (count, zero) = &*self.in_flight;
-        let mut active = count.lock().expect("in-flight lock");
-        while *active > 0 {
-            active = zero.wait(active).expect("in-flight wait");
-        }
     }
 }
 
@@ -129,6 +116,10 @@ impl<S: PatternService + Send + Sync + 'static> ConnectionHandler for EngineHand
     }
 
     fn quiesce(&self) {
-        self.drain();
+        let (count, zero) = &*self.in_flight;
+        let mut active = count.lock().expect("in-flight lock");
+        while *active > 0 {
+            active = zero.wait(active).expect("in-flight wait");
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! # cp_net — NDJSON-over-TCP transport for the ChatPattern wire
 //! protocol
 //!
-//! The wire protocol (`docs/WIRE_PROTOCOL.md`) is transport-agnostic:
-//! one JSON request envelope per line in, one response envelope per
-//! line out, `id` as the only correlation key. This crate is the TCP
-//! carrier for it — deliberately std-only (the offline build has no
-//! async runtime):
+//! The wire protocol (`docs/WIRE_PROTOCOL.md`): one JSON request
+//! envelope per line in, one response envelope per line out, `id` as
+//! the only correlation key. This crate carries it over TCP, the
+//! product's one carrier — deliberately std-only (the offline build
+//! has no async runtime):
 //!
 //! * one server, the readiness-driven [`EventLoopServer`] (epoll on
 //!   Linux via direct `extern "C"` declarations, portable `poll(2)`
@@ -20,12 +20,12 @@
 //!   [`PatternEngine`](chatpattern_core::PatternEngine) into it: the
 //!   engine worker that finishes a job hands the reply to the
 //!   connection itself;
-//! * the [`LineSink`] that treats a vanished peer (`EPIPE` and friends)
-//!   as a clean close instead of an error, shared with the stdio front
-//!   end, the blocking [`NdjsonClient`], and the dial-with-backoff
-//!   under it ([`connect_with_backoff`]).
+//! * [`LineSink`], a connection's outbound queue, which handlers answer
+//!   through — a reply to a peer that is gone is dropped, not an error;
+//! * the blocking [`NdjsonClient`], and the dial-with-backoff under it
+//!   ([`connect_with_backoff`]).
 //!
-//! `chatpattern-serve --listen` is an [`EventLoopServer`] over an
+//! `chatpattern-serve` is an [`EventLoopServer`] over an
 //! [`EngineHandler`]; `chatpattern-router` is the same server over a
 //! handler of its own that forwards each line to a worker it dialled
 //! with [`connect_with_backoff`].
@@ -67,19 +67,19 @@ mod client;
 mod conn;
 #[cfg(unix)]
 mod event_loop;
+#[cfg(unix)]
 mod handler;
 #[cfg(unix)]
 mod poller;
-mod sink;
 
 pub use client::{connect_with_backoff, ClientConfig, NdjsonClient};
 #[cfg(unix)]
-pub use conn::DEFAULT_MAX_LINE_BYTES;
+pub use conn::{LineSink, DEFAULT_MAX_LINE_BYTES};
 #[cfg(unix)]
 pub use event_loop::{
     EventLoopConfig, EventLoopHandle, EventLoopServer, DEFAULT_EVENT_LOOP_CONNECTIONS,
 };
+#[cfg(unix)]
 pub use handler::{ConnectionHandler, EngineHandler};
 #[cfg(unix)]
 pub use poller::raise_nofile_limit;
-pub use sink::{is_disconnect, LineSink};

@@ -1,25 +1,22 @@
 //! `chatpattern-serve` — the JSON-lines wire front-end.
 //!
-//! Reads one [`RequestEnvelope`](chatpattern_core::RequestEnvelope)
-//! per line, executes it on a [`PatternEngine`], and writes one
+//! Listens on `--listen ADDR` (`cp_net`'s event loop); every TCP
+//! connection is its own request stream over one shared engine. Reads
+//! one [`RequestEnvelope`](chatpattern_core::RequestEnvelope) per
+//! line, executes it on a [`PatternEngine`], and writes one
 //! [`ResponseEnvelope`](chatpattern_core::ResponseEnvelope) per line,
 //! echoing the client-chosen `id`. The engine worker that finishes a
-//! job writes its reply, so responses go out the moment the job
-//! finishes — an interactive client can hold its stream open and
+//! job hands over its reply, so responses go out the moment the job
+//! finishes — an interactive client can hold its connection open and
 //! still receive every reply immediately — and may arrive out of
-//! submission order; the `id` is the correlation key. The format is
-//! documented with worked examples in `docs/WIRE_PROTOCOL.md`.
-//!
-//! Two carriers, one protocol (byte-identical envelopes): the
-//! default stdin/stdout pipe, and — with `--listen ADDR` — an
-//! NDJSON-over-TCP server (`cp_net`'s event loop) where every
-//! connection is its own request stream over the same shared engine;
-//! a client that half-closes still gets every reply it is owed, and
-//! one that stops reading is disconnected, not buffered for without
-//! bound (`docs/WIRE_PROTOCOL.md`, "Transports"). `--help` lists the
-//! flags. `--workers` threads drain one bounded queue (see
-//! `docs/ENGINE.md`; the router is what spreads load over more);
-//! duplicate in-flight requests coalesce onto one execution. Stateful multi-turn sessions (`SessionOpen`
+//! submission order; the `id` is the correlation key. A client that
+//! half-closes still gets every reply it is owed, and one that stops
+//! reading is disconnected, not buffered for without bound. The
+//! format is documented with worked examples in
+//! `docs/WIRE_PROTOCOL.md`. `--help` lists the flags. `--workers`
+//! threads drain one bounded queue (see `docs/ENGINE.md`; the router
+//! is what spreads load over more); duplicate in-flight requests
+//! coalesce onto one execution. Stateful multi-turn sessions (`SessionOpen`
 //! / `SessionTurn` / `SessionClose`, see `docs/SESSIONS.md`) are
 //! bounded by `--max-sessions` and `--session-ttl-secs`; with
 //! `--session-dir`, capacity eviction and TTL expiry *spill* sessions
@@ -29,16 +26,13 @@
 //! `Stats` request kind answers the engine's
 //! [`EngineStats`](chatpattern_core::EngineStats) counters over the
 //! wire mid-stream; `--stats` additionally prints them to stderr at
-//! every EOF/disconnect — including a broken pipe, which is treated
-//! as a clean close (a client that got what it wanted and went away
-//! is not an error). Malformed lines produce an error envelope
+//! every disconnect. Malformed lines produce an error envelope
 //! immediately (with the line's `id` when one is recoverable, `null`
 //! otherwise) and never abort the stream.
 
 use chatpattern_core::qos::QosConfig;
 use chatpattern_core::{ChatPattern, EngineConfig, PatternEngine};
 use cp_net::{ConnectionHandler, EngineHandler, EventLoopConfig, EventLoopServer, LineSink};
-use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -56,7 +50,7 @@ struct Options {
     spill_ahead_turns: Option<u64>,
     persist_shards: usize,
     stats: bool,
-    listen: Option<String>,
+    listen: String,
     max_connections: usize,
 }
 
@@ -77,24 +71,24 @@ impl Default for Options {
             spill_ahead_turns: None,
             persist_shards: 1,
             stats: false,
-            listen: None,
+            listen: String::new(),
             max_connections: cp_net::DEFAULT_EVENT_LOOP_CONNECTIONS,
         }
     }
 }
 
 const USAGE: &str = "\
-chatpattern-serve: JSON-lines PatternRequest server over stdin/stdout or TCP
+chatpattern-serve: JSON-lines PatternRequest server over TCP
 
 Each input line: {\"id\": <scalar>, \"request\": <PatternRequest>}
 Each output line: {\"id\": <same>, \"outcome\": {\"Ok\": ...} | {\"Err\": ...}}
 (see docs/WIRE_PROTOCOL.md)
 
 Options:
-  --listen ADDR          serve the same protocol over TCP instead of
-                         stdin/stdout (use port 0 for an OS-assigned
-                         port; the bound address is announced on
-                         stderr as 'listening on HOST:PORT'); every
+  --listen ADDR          address to accept clients on (required; use
+                         port 0 for an OS-assigned port; the bound
+                         address is announced on stderr as 'listening
+                         on HOST:PORT'); every
                          connection is an independent NDJSON stream
                          over one shared engine, multiplexed on one
                          readiness-driven loop thread. A client that
@@ -147,7 +141,7 @@ Options:
   --training-patterns N  training patterns per style (default 64)
   --seed N               master seed (default 0)
   --stats                print engine counters to stderr at every
-                         EOF/disconnect (counters are also queryable
+                         disconnect (counters are also queryable
                          in-band via the Stats request kind)
   --help                 this text";
 
@@ -175,7 +169,7 @@ fn parse_args() -> Result<Options, String> {
         };
         match flag.as_str() {
             "--workers" => options.engine.workers = positive("--workers")?,
-            "--queue-depth" => options.engine.queue_depth = number("--queue-depth")?,
+            "--queue-depth" => options.engine.queue_depth = positive("--queue-depth")?,
             "--cache-capacity" => options.engine.cache_capacity = number("--cache-capacity")?,
             "--tenant-quota" => {
                 options
@@ -183,7 +177,7 @@ fn parse_args() -> Result<Options, String> {
                     .apply_quota_flag(&value)
                     .map_err(|e| format!("--tenant-quota: {e}"))?;
             }
-            "--max-sessions" => options.max_sessions = number("--max-sessions")?,
+            "--max-sessions" => options.max_sessions = positive("--max-sessions")?,
             "--session-ttl-secs" => {
                 options.session_ttl_secs = positive("--session-ttl-secs")? as u64;
             }
@@ -191,21 +185,26 @@ fn parse_args() -> Result<Options, String> {
             "--spill-ahead-turns" => {
                 options.spill_ahead_turns = Some(positive("--spill-ahead-turns")? as u64);
             }
-            "--persist-shards" => options.persist_shards = number("--persist-shards")?,
+            "--persist-shards" => options.persist_shards = positive("--persist-shards")?,
             "--window" => options.window = number("--window")?,
-            "--diffusion-steps" => options.diffusion_steps = number("--diffusion-steps")?,
-            "--training-patterns" => options.training_patterns = number("--training-patterns")?,
+            "--diffusion-steps" => options.diffusion_steps = positive("--diffusion-steps")?,
+            "--training-patterns" => {
+                options.training_patterns = positive("--training-patterns")?;
+            }
             "--seed" => options.seed = number("--seed")? as u64,
-            "--listen" => options.listen = Some(value.clone()),
+            "--listen" => options.listen = value.clone(),
             "--max-connections" => options.max_connections = positive("--max-connections")?,
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
+    }
+    if options.listen.is_empty() {
+        return Err("--listen ADDR is required".to_owned());
     }
     Ok(options)
 }
 
 /// One stderr line of engine counters — the shape `wire_smoke.sh`
-/// greps, flushed at every EOF/disconnect when `--stats` is on.
+/// greps, flushed at every disconnect when `--stats` is on.
 fn print_stats(engine: &PatternEngine<ChatPattern>) {
     let stats = engine.stats();
     eprintln!(
@@ -245,8 +244,8 @@ fn print_stats(engine: &PatternEngine<ChatPattern>) {
     }
 }
 
-/// TCP-mode handler: the shared [`EngineHandler`] plus the `--stats`
-/// flush on every disconnect.
+/// The shared [`EngineHandler`] plus the `--stats` flush on every
+/// disconnect.
 struct ServeHandler {
     inner: EngineHandler<ChatPattern>,
     stats: bool,
@@ -261,52 +260,6 @@ impl ConnectionHandler for ServeHandler {
         if self.stats {
             print_stats(self.inner.engine());
         }
-    }
-}
-
-/// The stdin/stdout transport: one NDJSON stream, EOF ends it. A
-/// broken stdout pipe is a clean close (stop reading, still report
-/// stats); only real I/O errors fail the process.
-fn serve_stdio(handler: &EngineHandler<ChatPattern>, stats: bool) -> ExitCode {
-    let stdin = std::io::stdin();
-    let sink = Arc::new(LineSink::stdout());
-    let mut io_failed = false;
-
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(error) => {
-                eprintln!("chatpattern-serve: stdin error: {error}");
-                io_failed = true;
-                break;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        // Submission inside is non-blocking: a full queue or an
-        // exhausted tenant quota answers an error envelope with
-        // retry_after_ms immediately.
-        handler.on_line(&line, &sink);
-        if sink.is_closed() || sink.has_failed() {
-            break;
-        }
-    }
-
-    // EOF (or a gone client): wait for everything still in flight so
-    // the final counters include it.
-    handler.drain();
-    if let Some(error) = sink.error() {
-        eprintln!("chatpattern-serve: stdout error: {error}");
-        io_failed = true;
-    }
-    if stats {
-        print_stats(handler.engine());
-    }
-    if io_failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
@@ -349,41 +302,37 @@ fn main() -> ExitCode {
         }
     };
     let counters = engine.conn_counters();
-    let handler = EngineHandler::new(engine);
-
-    match &options.listen {
-        None => serve_stdio(&handler, options.stats),
-        Some(addr) => {
-            let handler = Arc::new(ServeHandler {
-                inner: handler,
-                stats: options.stats,
-            });
-            // Thousands of sockets need fd headroom beyond the usual
-            // shell default of 1024.
-            cp_net::raise_nofile_limit();
-            let config = EventLoopConfig {
-                max_connections: options.max_connections,
-                ..EventLoopConfig::default()
-            };
-            let server = match EventLoopServer::bind(addr.as_str(), config) {
-                Ok(server) => server.conn_counters(counters),
-                Err(error) => {
-                    eprintln!("chatpattern-serve: cannot listen on {addr}: {error}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // The announcement line is part of the CLI contract: the
-            // router and the smoke scripts parse it to learn the
-            // OS-assigned port under `--listen 127.0.0.1:0`.
-            eprintln!("chatpattern-serve: listening on {}", server.local_addr());
-            match server.spawn(handler) {
-                Ok(handle) => handle.join(),
-                Err(error) => {
-                    eprintln!("chatpattern-serve: cannot start event loop: {error}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
+    let handler = Arc::new(ServeHandler {
+        inner: EngineHandler::new(engine),
+        stats: options.stats,
+    });
+    // Thousands of sockets need fd headroom beyond the usual shell
+    // default of 1024.
+    cp_net::raise_nofile_limit();
+    let config = EventLoopConfig {
+        max_connections: options.max_connections,
+        ..EventLoopConfig::default()
+    };
+    let server = match EventLoopServer::bind(options.listen.as_str(), config) {
+        Ok(server) => server.conn_counters(counters),
+        Err(error) => {
+            eprintln!(
+                "chatpattern-serve: cannot listen on {}: {error}",
+                options.listen
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+    // The announcement line is part of the CLI contract: the router and
+    // the smoke scripts parse it to learn the OS-assigned port under
+    // `--listen 127.0.0.1:0`.
+    eprintln!("chatpattern-serve: listening on {}", server.local_addr());
+    match server.spawn(handler) {
+        Ok(handle) => handle.join(),
+        Err(error) => {
+            eprintln!("chatpattern-serve: cannot start event loop: {error}");
+            return ExitCode::FAILURE;
         }
     }
+    ExitCode::SUCCESS
 }

@@ -22,8 +22,7 @@
 //! in-flight request coalescing (see `docs/ENGINE.md`) — or run the
 //! `chatpattern-serve` binary, which
 //! speaks the JSON-lines wire protocol from `docs/WIRE_PROTOCOL.md`
-//! over stdin/stdout or — with `--listen` — over NDJSON-on-TCP (the
-//! [`net`] transport crate). `chatpattern-router` shards a whole
+//! over TCP (the [`net`] transport crate). `chatpattern-router` shards a whole
 //! fleet of serve workers behind one address using the stable
 //! [`core::routing`] hash and can rebalance live sessions between
 //! them (see `docs/ROUTER.md`). Interactive refinement runs through

@@ -16,9 +16,8 @@
 //!   run uninterrupted in-process. A `Drain` is the one way a session
 //!   moves, and a second one sent while the first is moving is refused.
 //! * **Transport equivalence** — the same scripted session produces
-//!   byte-identical payloads over stdio serve, TCP serve and the
-//!   router (asserted against the in-process reference here; the
-//!   stdio/TCP diff also runs in `scripts/wire_smoke.sh`).
+//!   byte-identical payloads over serve and the router (asserted
+//!   against the in-process reference here).
 //! * **One line cap, both directions** — a request line over the
 //!   workers' cap once re-framed is refused by the router under the
 //!   client's own id (a worker could only refuse it under `null`, which

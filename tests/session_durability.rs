@@ -41,8 +41,8 @@ use chatpattern::{
     RequestEnvelope, ResponseEnvelope, ResponsePayload, SessionCloseParams, SessionOpenParams,
     SessionRestoreParams, SessionSnapshot, SessionSnapshotParams, SessionTurnParams, WireOutcome,
 };
-use std::io::{BufRead, BufReader, Lines, Write};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
 
 const TURNS: [&str; 3] = [
     "Generate 2 patterns, topology size 16*16, physical size 512nm x 512nm, style Layer-10003.",
@@ -151,11 +151,39 @@ fn in_process_crash_recovery_is_byte_identical() {
     );
 }
 
-/// A strict request-then-response client over a serve child's pipes.
+/// Reads `child`'s stderr up to its `NAME: listening on ADDR` line and
+/// returns ADDR; a thread drains the rest, so the child never blocks on
+/// a full pipe.
+fn announced_addr(child: &mut Child, name: &str) -> String {
+    let stderr = child.stderr.take().expect("stderr piped");
+    let mut lines = BufReader::new(stderr).lines();
+    let marker = format!("{name}: listening on ");
+    let addr = loop {
+        let line = lines
+            .next()
+            .unwrap_or_else(|| panic!("{name} announces its address before EOF"))
+            .expect("stderr reads");
+        if let Some(addr) = line.strip_prefix(&marker) {
+            break addr.trim().to_owned();
+        }
+    };
+    std::thread::spawn(move || for _ in lines.by_ref() {});
+    addr
+}
+
+fn test_client(addr: &str) -> cp_net::NdjsonClient {
+    let config = cp_net::ClientConfig {
+        read_timeout: Some(std::time::Duration::from_secs(120)),
+        ..cp_net::ClientConfig::default()
+    };
+    cp_net::NdjsonClient::connect(addr, config).expect("the test client connects")
+}
+
+/// A strict request-then-response client on a serve child's port.
+/// Serve exits only when killed, so dropping this kills it.
 struct ServeClient {
     child: Child,
-    stdin: Option<ChildStdin>,
-    lines: Lines<BufReader<ChildStdout>>,
+    client: cp_net::NdjsonClient,
 }
 
 impl ServeClient {
@@ -164,6 +192,8 @@ impl ServeClient {
         // session state, not the trained model, so equivalence across
         // processes requires equivalently trained back-ends.
         let mut args = vec![
+            "--listen",
+            "127.0.0.1:0",
             "--window",
             "16",
             "--training-patterns",
@@ -178,36 +208,26 @@ impl ServeClient {
         args.extend_from_slice(extra_args);
         let mut child = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"))
             .args(&args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("serve binary starts");
-        let stdin = child.stdin.take().expect("stdin piped");
-        let stdout = child.stdout.take().expect("stdout piped");
+        let addr = announced_addr(&mut child, "chatpattern-serve");
         ServeClient {
             child,
-            stdin: Some(stdin),
-            lines: BufReader::new(stdout).lines(),
+            client: test_client(&addr),
         }
     }
 
     fn exchange(&mut self, id: &str, request: PatternRequest) -> ResponseEnvelope {
-        let envelope = RequestEnvelope {
-            id: serde_json::to_value(&id),
-            tenant: None,
-            request,
-        };
-        let line = serde_json::to_string(&envelope).expect("serializes");
-        let stdin = self.stdin.as_mut().expect("stdin open");
-        writeln!(stdin, "{line}").expect("request written");
-        stdin.flush().expect("request flushed");
-        let reply = self
-            .lines
-            .next()
-            .expect("a reply line arrives")
-            .expect("reply reads");
-        serde_json::from_str(&reply).unwrap_or_else(|e| panic!("unparsable reply {reply:?}: {e}"))
+        self.client
+            .call(&RequestEnvelope {
+                id: serde_json::to_value(&id),
+                tenant: None,
+                request,
+            })
+            .expect("serve answers")
     }
 
     fn expect_ok(&mut self, id: &str, request: PatternRequest) -> ResponsePayload {
@@ -218,16 +238,18 @@ impl ServeClient {
         }
     }
 
-    /// Simulated crash: SIGKILL, no flushing, no goodbyes.
+    /// Simulated crash: SIGKILL, no flushing, no goodbyes — also how a
+    /// test is done with a serve. Asserts first that it is still up.
     fn kill(mut self) {
-        self.child.kill().expect("kill serve");
-        let _ = self.child.wait();
+        let status = self.child.try_wait().expect("serve status reads");
+        assert!(status.is_none(), "serve exited by itself: {status:?}");
     }
+}
 
-    /// Graceful shutdown (EOF on stdin, zero exit).
-    fn shutdown(mut self) {
-        drop(self.stdin.take());
-        assert!(self.child.wait().expect("serve exits").success());
+impl Drop for ServeClient {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -292,7 +314,7 @@ fn wire_handoff_across_two_serve_processes_is_byte_identical() {
         }),
     );
     let recovered = serde_json::to_string(&closed).expect("serializes");
-    serve_b.shutdown();
+    serve_b.kill();
 
     assert_eq!(
         recovered,
@@ -430,7 +452,7 @@ fn killed_serve_process_leaves_spilled_sessions_recoverable() {
         ),
         WireOutcome::Ok(_) => panic!("session b cannot have survived the crash"),
     }
-    serve_b.shutdown();
+    serve_b.kill();
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -479,29 +501,10 @@ impl RouterClient {
             .stderr(Stdio::piped())
             .spawn()
             .expect("router binary starts");
-        let stderr = child.stderr.take().expect("stderr piped");
-        let mut lines = BufReader::new(stderr).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .expect("router announces its address before EOF")
-                .expect("router stderr reads");
-            if let Some(addr) = line.strip_prefix("chatpattern-router: listening on ") {
-                break addr.trim().to_owned();
-            }
-        };
-        std::thread::spawn(move || for _ in lines.by_ref() {});
-        let client = cp_net::NdjsonClient::connect(
-            &addr,
-            cp_net::ClientConfig {
-                read_timeout: Some(std::time::Duration::from_secs(120)),
-                ..cp_net::ClientConfig::default()
-            },
-        )
-        .expect("router accepts the test client");
+        let addr = announced_addr(&mut child, "chatpattern-router");
         RouterClient {
             child,
-            client,
+            client: test_client(&addr),
             addr,
         }
     }
@@ -750,7 +753,7 @@ fn sigkill_at_any_point_loses_at_most_the_inflight_turn() {
                 i + 1
             );
         }
-        serve_b.shutdown();
+        serve_b.kill();
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }
@@ -791,12 +794,7 @@ fn sigkill_mid_turn_loses_only_the_inflight_turn() {
             utterance: TURNS[1].to_owned(),
         }),
     };
-    let line = serde_json::to_string(&envelope).expect("serializes");
-    {
-        let stdin = serve_a.stdin.as_mut().expect("stdin open");
-        writeln!(stdin, "{line}").expect("request written");
-        stdin.flush().expect("request flushed");
-    }
+    serve_a.client.send(&envelope).expect("request written");
     serve_a.kill();
 
     // Restart: the session is at turn 1 (the in-flight turn was lost)
@@ -832,7 +830,7 @@ fn sigkill_mid_turn_loses_only_the_inflight_turn() {
             i + 1
         );
     }
-    serve_b.shutdown();
+    serve_b.kill();
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -893,7 +891,7 @@ fn restart_over_ten_thousand_session_sharded_dir_rehydrates_lazily() {
     // Exactly the two touched snapshots were consumed; the other 9,998
     // were never read, let alone decoded, by the restart.
     assert_eq!(census(&dir), SESSIONS - 2);
-    serve.shutdown();
+    serve.kill();
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -1054,7 +1052,7 @@ fn a_window_64_session_rests_at_a_third_of_its_library_and_hands_off() {
             session: "wide".into(),
         }),
     );
-    serve_b.shutdown();
+    serve_b.kill();
 
     let system = ChatPattern::builder()
         .window(64)

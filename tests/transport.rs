@@ -364,8 +364,7 @@ fn slow_reader_is_killed_at_the_high_water_mark() {
 /// A line of 200 000 `[` fits the default line limit, and reading it
 /// used to recurse once per bracket until the stack ran out — one
 /// such line took the whole server down. It now earns the ordinary
-/// bad-JSON envelope and the same connection goes on serving (the
-/// stdio face of this is in `tests/wire.rs`).
+/// bad-JSON envelope and the same connection goes on serving.
 #[test]
 fn deeply_nested_line_is_refused_over_tcp_and_the_connection_survives() {
     let engine = build_engine();

@@ -1,16 +1,19 @@
-//! End-to-end wire test: run the real `chatpattern-serve` binary over
-//! the checked-in smoke JSONL file (the same one CI pipes through it)
-//! and verify the protocol contract — every line parses as a
-//! [`ResponseEnvelope`], ids match the requests exactly, and the two
-//! deliberately invalid requests (`r9`, a zero-row Generate, and `r11`,
-//! a Legalize whose `bits` is short of `rows × cols`) come back as
-//! `Err` outcomes instead of killing the stream.
+//! End-to-end wire test: run the real `chatpattern-serve` binary, send
+//! it the checked-in smoke JSONL file (the same one
+//! `scripts/wire_smoke.sh` sends) over TCP and verify the protocol
+//! contract — every line parses as a [`ResponseEnvelope`], ids match
+//! the requests exactly, and the two deliberately invalid requests
+//! (`r9`, a zero-row Generate, and `r11`, a Legalize whose `bits` is
+//! short of `rows × cols`) come back as `Err` outcomes instead of
+//! killing the stream.
 
 use chatpattern::{ChatPattern, ResponseEnvelope, ResponsePayload, WireOutcome};
+use cp_net::{ClientConfig, NdjsonClient};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Lines, Write};
-use std::process::{ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::mpsc;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 const SMOKE_FILE: &str = concat!(
@@ -18,76 +21,108 @@ const SMOKE_FILE: &str = concat!(
     "/tests/data/smoke_requests.jsonl"
 );
 
-/// Regression: responses must be written the moment a job finishes,
-/// not when the next stdin line (or EOF) arrives. An interactive
-/// client sends one request, keeps the pipe open, and must receive the
-/// reply — the original loop only flushed finished jobs on the next
-/// input line, deadlocking strict request-then-response clients.
-#[test]
-fn serve_answers_while_stdin_stays_open() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"))
-        .args([
-            "--window",
-            "16",
-            "--training-patterns",
-            "8",
-            "--diffusion-steps",
-            "6",
-            "--workers",
-            "2",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve binary starts");
-    let mut stdin = child.stdin.take().expect("stdin piped");
-    let stdout = child.stdout.take().expect("stdout piped");
+/// A small serve child on an OS-assigned port. Serve exits only when
+/// killed, so dropping this kills it.
+struct Serve {
+    child: Child,
+    addr: String,
+    /// Collects what the child writes to stderr after its announcement.
+    stderr: Option<JoinHandle<String>>,
+}
 
-    let (sender, receiver) = mpsc::channel();
-    let reader = std::thread::spawn(move || {
-        let mut lines = BufReader::new(stdout).lines();
-        if let Some(Ok(line)) = lines.next() {
-            let _ = sender.send(line);
+impl Serve {
+    fn spawn(extra_args: &[&str]) -> Serve {
+        let mut child = Command::new(SERVE)
+            .args(["--listen", "127.0.0.1:0"])
+            .args(["--window", "16", "--training-patterns", "8"])
+            .args(["--diffusion-steps", "6"])
+            .args(extra_args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("serve binary starts");
+        let mut lines = BufReader::new(child.stderr.take().expect("stderr piped")).lines();
+        let addr = loop {
+            let line = lines
+                .next()
+                .expect("serve announces its address")
+                .expect("stderr reads");
+            if let Some(addr) = line.strip_prefix("chatpattern-serve: listening on ") {
+                break addr.trim().to_owned();
+            }
+        };
+        let stderr = std::thread::spawn(move || {
+            lines
+                .map_while(Result::ok)
+                .map(|line| line + "\n")
+                .collect()
+        });
+        Serve {
+            child,
+            addr,
+            stderr: Some(stderr),
         }
-    });
+    }
 
-    stdin
-        .write_all(
-            b"{\"id\":\"live\",\"request\":{\"Generate\":{\"style\":\"Layer10001\",\
-              \"rows\":16,\"cols\":16,\"count\":1,\"seed\":1}}}\n",
-        )
-        .expect("request written");
-    stdin.flush().expect("request flushed");
+    fn connect(&self) -> InteractiveClient {
+        let config = ClientConfig {
+            read_timeout: Some(Duration::from_secs(120)),
+            ..ClientConfig::default()
+        };
+        InteractiveClient(NdjsonClient::connect(&self.addr, config).expect("serve accepts"))
+    }
 
-    // Stdin is still open here; the reply must arrive anyway.
-    let line = receiver
-        .recv_timeout(Duration::from_secs(60))
-        .expect("response arrives while stdin is open");
-    let envelope: ResponseEnvelope = serde_json::from_str(&line).expect("parses");
+    /// Asserts the server is still serving, kills it and returns what
+    /// it wrote to stderr.
+    fn stop(mut self) -> String {
+        let status = self.child.try_wait().expect("serve status reads");
+        assert!(status.is_none(), "serve exited by itself: {status:?}");
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let stderr = self.stderr.take().expect("stderr collected once");
+        stderr.join().expect("stderr reader finishes")
+    }
+}
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Regression: responses must be written the moment a job finishes,
+/// not when the next request line arrives. An interactive client sends
+/// one request, keeps its connection open, and must receive the reply —
+/// the original loop only flushed finished jobs on the next input line,
+/// deadlocking strict request-then-response clients.
+#[test]
+fn serve_answers_while_the_connection_stays_open() {
+    let serve = Serve::spawn(&["--workers", "2"]);
+    let mut client = serve.connect();
+    // The connection stays open both ways; the reply must arrive anyway.
+    let envelope = client.exchange(
+        r#"{"id":"live","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":1,"seed":1}}}"#,
+    );
     assert_eq!(envelope.id.as_str(), Some("live"));
     assert!(matches!(envelope.outcome, WireOutcome::Ok(_)));
 
-    drop(stdin);
-    reader.join().expect("reader finishes");
-    assert!(child.wait().expect("serve exits").success());
+    drop(client);
+    serve.stop();
 }
 
-/// A strict request-then-response client over the child's pipes.
-struct InteractiveClient {
-    stdin: ChildStdin,
-    lines: Lines<BufReader<ChildStdout>>,
-}
+/// A strict request-then-response client on one connection.
+struct InteractiveClient(NdjsonClient);
 
 impl InteractiveClient {
     fn exchange(&mut self, line: &str) -> ResponseEnvelope {
-        writeln!(self.stdin, "{line}").expect("request written");
-        self.stdin.flush().expect("request flushed");
+        self.0.send_line(line).expect("request written");
         let reply = self
-            .lines
-            .next()
-            .expect("a reply line arrives")
-            .expect("reply reads");
+            .0
+            .recv_line()
+            .expect("reply reads")
+            .expect("a reply line arrives");
         serde_json::from_str(&reply).unwrap_or_else(|e| panic!("unparsable reply {reply:?}: {e}"))
     }
 }
@@ -109,26 +144,8 @@ fn scripted_session_via_wire_matches_in_process_session_store() {
     // Wire transport: open → three turns → close, strictly pipelined
     // (each turn waits for the previous reply, the documented way to
     // order turns over the async wire).
-    let mut child = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"))
-        .args([
-            "--window",
-            "16",
-            "--training-patterns",
-            "8",
-            "--diffusion-steps",
-            "6",
-            "--workers",
-            "2",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve binary starts");
-    let mut client = InteractiveClient {
-        stdin: child.stdin.take().expect("stdin piped"),
-        lines: BufReader::new(child.stdout.take().expect("stdout piped")).lines(),
-    };
+    let serve = Serve::spawn(&["--workers", "2"]);
+    let mut client = serve.connect();
 
     let opened = client.exchange(&format!(
         r#"{{"id":"o","request":{{"SessionOpen":{{"session":"det","seed":{SEED}}}}}}}"#
@@ -161,7 +178,7 @@ fn scripted_session_via_wire_matches_in_process_session_store() {
         WireOutcome::Ok(_) => panic!("turn on a closed session must fail"),
     }
     drop(client);
-    assert!(child.wait().expect("serve exits").success());
+    serve.stop();
 
     // In-process transport: the same turns through the SessionStore
     // directly, on an identically configured system.
@@ -189,36 +206,24 @@ fn scripted_session_via_wire_matches_in_process_session_store() {
 #[test]
 fn serve_round_trips_the_smoke_file_with_matching_ids() {
     let input = std::fs::read_to_string(SMOKE_FILE).expect("smoke file exists");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"))
-        .args([
-            "--window",
-            "16",
-            "--training-patterns",
-            "8",
-            "--diffusion-steps",
-            "6",
-            "--workers",
-            "4",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("serve binary starts");
-    child
-        .stdin
-        .take()
-        .expect("stdin piped")
+    let serve = Serve::spawn(&["--workers", "4"]);
+    // What `nc -N` does with a file: send it all, half-close, read to
+    // the server's EOF, which comes once every line is answered.
+    let mut stream = TcpStream::connect(&serve.addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout set");
+    stream
         .write_all(input.as_bytes())
         .expect("requests written");
-    let output = child.wait_with_output().expect("serve exits");
-    assert!(
-        output.status.success(),
-        "serve failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
+    stream.shutdown(Shutdown::Write).expect("write side closes");
+    let mut stdout = String::new();
+    stream
+        .read_to_string(&mut stdout)
+        .expect("every reply, then EOF");
+    let stderr = serve.stop();
+    assert!(!stderr.contains("panicked"), "serve failed: {stderr}");
 
-    let stdout = String::from_utf8(output.stdout).expect("utf-8 output");
     let mut outcomes: BTreeMap<String, bool> = BTreeMap::new();
     for line in stdout.lines().filter(|l| !l.trim().is_empty()) {
         let envelope: ResponseEnvelope =
@@ -270,31 +275,6 @@ fn serve_round_trips_the_smoke_file_with_matching_ids() {
     }
 }
 
-/// The stdio face of the nesting bound: 200 000 open brackets on one
-/// line used to abort the process with a stack overflow; now the line
-/// gets the bad-JSON envelope and the next request is served.
-#[test]
-fn deeply_nested_line_is_refused_on_stdio_and_serve_keeps_answering() {
-    let (mut child, mut client) = small_serve(Stdio::null());
-    for bomb in ["[".repeat(200_000), "{\"request\":".repeat(20_000)] {
-        let refused = client.exchange(&bomb);
-        assert!(refused.id.is_null());
-        let WireOutcome::Err(error) = refused.outcome else {
-            panic!("a bomb must error");
-        };
-        assert_eq!(error.kind, "InvalidRequest");
-        assert!(
-            error.message.contains("bad JSON") && error.message.contains("nesting deeper"),
-            "{error:?}"
-        );
-    }
-    let served = client.exchange(r#"{"id":"after","request":"Stats"}"#);
-    assert_eq!(served.id.as_str(), Some("after"));
-    assert!(matches!(served.outcome, WireOutcome::Ok(_)));
-    drop(client);
-    assert!(child.wait().expect("serve exits").success());
-}
-
 /// Sizes come off the wire: a `Generate` or `Extend` asking for
 /// 3 000 000 × 3 000 000 cells used to end the process (and every live
 /// session with it) in a failed 9 TB allocation, and 2³² × 2³² wrapped
@@ -302,7 +282,8 @@ fn deeply_nested_line_is_refused_on_stdio_and_serve_keeps_answering() {
 /// and the connection keeps serving.
 #[test]
 fn oversize_targets_are_refused_under_their_id_and_serve_keeps_answering() {
-    let (mut child, mut client) = small_serve(Stdio::null());
+    let serve = Serve::spawn(&["--workers", "1"]);
+    let mut client = serve.connect();
     let generate = |id: &str, side: &str, count: usize| {
         format!(
             r#"{{"id":"{id}","request":{{"Generate":{{"style":"Layer10001","rows":{side},"cols":{side},"count":{count},"seed":1}}}}}}"#
@@ -336,32 +317,7 @@ fn oversize_targets_are_refused_under_their_id_and_serve_keeps_answering() {
     assert_eq!(served.id.as_str(), Some("after"));
     assert!(matches!(served.outcome, WireOutcome::Ok(_)));
     drop(client);
-    assert!(child.wait().expect("serve exits").success());
-}
-
-/// A small single-worker serve child and a strict client on its pipes.
-fn small_serve(stderr: Stdio) -> (std::process::Child, InteractiveClient) {
-    let mut child = Command::new(SERVE)
-        .args([
-            "--window",
-            "16",
-            "--training-patterns",
-            "8",
-            "--diffusion-steps",
-            "6",
-            "--workers",
-            "1",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(stderr)
-        .spawn()
-        .expect("serve binary starts");
-    let client = InteractiveClient {
-        stdin: child.stdin.take().expect("stdin piped"),
-        lines: BufReader::new(child.stdout.take().expect("stdout piped")).lines(),
-    };
-    (child, client)
+    serve.stop();
 }
 
 fn legalize_line(id: &str, topology: &str) -> String {
@@ -417,7 +373,8 @@ fn a_malformed_topology_is_refused_where_it_is_parsed() {
         format!(r#"{{"id":"{id}","request":{{"SessionRestore":{{"snapshot":{snapshot}}}}}}}"#)
     };
 
-    let (child, mut client) = small_serve(Stdio::piped());
+    let serve = Serve::spawn(&["--workers", "1"]);
+    let mut client = serve.connect();
     let before = stats(&mut client);
     let short = r#"{"rows":4,"cols":4,"bits":[1,1,0]}"#;
     for (id, line, complaint) in [
@@ -511,9 +468,7 @@ fn a_malformed_topology_is_refused_where_it_is_parsed() {
     assert_eq!((after.failed, after.cancelled), (0, 0));
 
     drop(client);
-    let output = child.wait_with_output().expect("serve exits");
-    assert!(output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let stderr = serve.stop();
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
@@ -523,7 +478,8 @@ fn a_malformed_topology_is_refused_where_it_is_parsed() {
 /// reply is spelled as replies are, `bits`, either way.
 #[test]
 fn a_packed_request_and_its_bits_twin_are_one_execution() {
-    let (mut child, mut client) = small_serve(Stdio::null());
+    let serve = Serve::spawn(&["--workers", "1"]);
+    let mut client = serve.connect();
     let mut payloads = Vec::new();
     for (id, topology) in [
         ("packed", r#"{"rows":3,"cols":6,"packed":"f8cc84"}"#),
@@ -548,7 +504,7 @@ fn a_packed_request_and_its_bits_twin_are_one_execution() {
     let stats = stats(&mut client);
     assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1), "{stats:?}");
     drop(client);
-    assert!(child.wait().expect("serve exits").success());
+    serve.stop();
 }
 
 /// A pre-removal worker behind a newer router still stamps the retired
@@ -587,7 +543,7 @@ fn refused(binary: &str, args: &[&str], complaint: &str) {
 }
 
 /// A flag that used to choose between two mechanisms is gone with the
-/// second mechanism, not ignored: the TCP transport, the execution
+/// second mechanism, not ignored: the transport, the execution
 /// backend, the shard count, the router's copies of five serve flags
 /// (which ride `--serve-arg` like every other serve flag), its link
 /// pool (one link a worker now that no reader of one can block),
@@ -616,13 +572,19 @@ fn the_transport_flag_is_an_unknown_flag() {
         let args = ["--listen", "127.0.0.1:0", flag, "1"];
         refused(binary, &args, &format!("unknown flag {flag} "));
     }
+    // Serve's stdin/stdout carrier is gone with it: TCP is the one way
+    // in, and a serve without an address to listen on does not start.
+    for binary in [SERVE, ROUTER] {
+        refused(binary, &["--workers", "1"], "--listen ADDR is required");
+    }
 }
 
 /// A count of zero is a server that accepts nobody, a fleet of none,
-/// an engine with no worker, a session
-/// that expires as it opens or a snapshot after every zero turns: both
-/// binaries refuse it at start-up, by the flag's name, instead of
-/// listening in silence or clamping it.
+/// an engine with no worker or no queue, a store of no session, a
+/// session that expires as it opens, a snapshot after every zero
+/// turns, a store over no shard, a chain of no step or a model trained
+/// on nothing: both binaries refuse it at start-up, by the flag's name
+/// and before training, instead of listening in silence or clamping it.
 #[test]
 fn a_connection_cap_of_zero_is_refused_at_start_up() {
     for (binary, flag) in [
@@ -630,6 +592,11 @@ fn a_connection_cap_of_zero_is_refused_at_start_up() {
         (SERVE, "--workers"),
         (SERVE, "--session-ttl-secs"),
         (SERVE, "--spill-ahead-turns"),
+        (SERVE, "--queue-depth"),
+        (SERVE, "--max-sessions"),
+        (SERVE, "--persist-shards"),
+        (SERVE, "--diffusion-steps"),
+        (SERVE, "--training-patterns"),
         (ROUTER, "--max-connections"),
         (ROUTER, "--workers"),
     ] {
