@@ -143,11 +143,14 @@ const WIRE_REPS: usize = 100;
 /// mask), `SquishPattern::from_layout` (per-rect block fill) and the
 /// legalizer solve (flat bound collection plus buffer-reusing area
 /// repair), all on one dense synthetic layout; then `denoise_step`
-/// (one table-driven `predict_x0` of a 128×128 window at the middle
-/// step `k = K/2`) and `sample_128` (the whole K-step reverse chain of
-/// one 128×128 window, draws included) on the system's own model; and
-/// the codec passes of one wire request, on the ≈ 33 kB line that asks
-/// to legalize such a sample: `wire_decode_33k` (`decode_request_line`),
+/// (one table-driven `predict_x0` of a 128×128 window, averaged over
+/// every step `k` of one K-step reverse chain — the final third of the
+/// steps also runs the top-k quantile and the regularization, which a
+/// single mid-chain step never does) and `sample_128` (the whole K-step
+/// reverse chain of one 128×128 window, draws included) on the
+/// system's own model; and the codec passes of one wire request, on the
+/// ≈ 33 kB line that asks to legalize such a sample: `wire_decode_33k`
+/// (`decode_request_line`),
 /// `request_key_33k` (the engine's cache key) and `wire_encode_33k`
 /// (`ResponseEnvelope::to_line` of the legalized reply). Builds the
 /// inputs once; every call of the returned `round` times each row once.
@@ -190,8 +193,15 @@ fn hot_loops<'a>(
     let mut sample_rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
     let sample = model.sample(HOT_WINDOW, HOT_WINDOW, style, &mut sample_rng);
     let steps = model.schedule().len();
-    let k = (steps / 2).max(1);
-    let noisy = model.forward_noised(&sample, k, &mut sample_rng);
+    // The input of every step of one reverse chain, from the fully
+    // noised window down to `k = 1`.
+    let mut chain = Vec::with_capacity(steps);
+    let mut x = model.forward_noised(&sample, steps, &mut sample_rng);
+    for k in (1..=steps).rev() {
+        let next = model.reverse_step(&x, k, style, &mut sample_rng);
+        chain.push((x, k));
+        x = next;
+    }
 
     let frame_nm = 64 * (HOT_WINDOW as i64 + 1);
     let line = serde_json::to_string(&RequestEnvelope {
@@ -236,13 +246,11 @@ fn hot_loops<'a>(
             }),
             time_ms(|| {
                 for _ in 0..HOT_REPS {
-                    black_box(
-                        model
-                            .denoiser()
-                            .predict_x0(black_box(&noisy), k, steps, style),
-                    );
+                    for (x, k) in &chain {
+                        black_box(model.denoiser().predict_x0(black_box(x), *k, steps, style));
+                    }
                 }
-            }),
+            }) / chain.len() as f64,
             time_ms(|| {
                 for _ in 0..HOT_REPS {
                     black_box(model.sample(HOT_WINDOW, HOT_WINDOW, style, &mut sample_rng));

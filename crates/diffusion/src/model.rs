@@ -160,33 +160,117 @@ fn unit_draw(bytes: &[u8]) -> f64 {
     (high + low) * (1.0 / (1u64 << 53) as f64)
 }
 
+/// One instantiation of the draw-compare loops ([`forward_compare`],
+/// [`reverse_compare`]): the build's baseline, or the same bodies
+/// compiled once more under AVX2 or under AVX-512. Holding a wide unit
+/// is proof that the CPU has every feature its instantiation is
+/// compiled for: [`Compare::supported`] is the only place that makes
+/// one, and nothing can ask for a unit — [`Compare::detect`] takes the
+/// widest there is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Compare {
+    Baseline,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Compare {
+    /// The units this CPU can run, narrowest first — the one place in
+    /// this crate that asks the CPU what it has.
+    fn supported() -> impl Iterator<Item = Compare> {
+        #[cfg(target_arch = "x86_64")]
+        let units = [
+            (Compare::Baseline, true),
+            (Compare::Avx2, is_x86_feature_detected!("avx2")),
+            (
+                Compare::Avx512,
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512dq")
+                    && is_x86_feature_detected!("avx512vl"),
+            ),
+        ];
+        #[cfg(not(target_arch = "x86_64"))]
+        let units = [(Compare::Baseline, true)];
+        units
+            .into_iter()
+            .filter(|&(_, supported)| supported)
+            .map(|(unit, _)| unit)
+    }
+
+    /// The widest unit this CPU can run (under `cfg(test)`, the one a
+    /// test pinned for its thread, if it did).
+    fn detect() -> Compare {
+        #[cfg(test)]
+        if let Some(unit) = tests::PINNED.with(std::cell::Cell::get) {
+            return unit;
+        }
+        Compare::supported()
+            .last()
+            .expect("the baseline runs everywhere")
+    }
+
+    /// [`forward_compare`] as this unit compiles it.
+    fn forward(self, x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
+        match self {
+            Compare::Baseline => forward_compare(x0, flip, draws, noised),
+            // SAFETY: `supported` makes `Avx2` only where
+            // `is_x86_feature_detected!("avx2")`, the one feature the
+            // callee enables.
+            #[cfg(target_arch = "x86_64")]
+            Compare::Avx2 => unsafe { forward_compare_avx2(x0, flip, draws, noised) },
+            // SAFETY: `supported` makes `Avx512` only where
+            // `is_x86_feature_detected!` found each of `avx512f`,
+            // `avx512bw`, `avx512dq` and `avx512vl`, the four features
+            // the callee enables.
+            #[cfg(target_arch = "x86_64")]
+            Compare::Avx512 => unsafe { forward_compare_avx512(x0, flip, draws, noised) },
+        }
+    }
+
+    /// [`reverse_compare`] as this unit compiles it.
+    fn reverse(self, cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], draws: &[u8]) {
+        match self {
+            Compare::Baseline => reverse_compare(cells, p0, post, draws),
+            // SAFETY: `supported` makes `Avx2` only where
+            // `is_x86_feature_detected!("avx2")`, the one feature the
+            // callee enables.
+            #[cfg(target_arch = "x86_64")]
+            Compare::Avx2 => unsafe { reverse_compare_avx2(cells, p0, post, draws) },
+            // SAFETY: `supported` makes `Avx512` only where
+            // `is_x86_feature_detected!` found each of `avx512f`,
+            // `avx512bw`, `avx512dq` and `avx512vl`, the four features
+            // the callee enables.
+            #[cfg(target_arch = "x86_64")]
+            Compare::Avx512 => unsafe { reverse_compare_avx512(cells, p0, post, draws) },
+        }
+    }
+}
+
 /// The forward process over a run of cells: `noised[i]` is `x0[i]`
 /// flipped with probability `flip`, one draw a cell in cell order.
 pub(crate) fn forward_cells(x0: &[u8], flip: f64, rng: &mut impl Rng, noised: &mut [u8]) {
     debug_assert_eq!(x0.len(), noised.len());
+    let unit = Compare::detect();
     let mut draws = [0u8; 8 * DRAW_BLOCK];
     for (x0, noised) in x0.chunks(DRAW_BLOCK).zip(noised.chunks_mut(DRAW_BLOCK)) {
         let draws = &mut draws[..8 * x0.len()];
         rng.fill_bytes(draws);
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: `is_x86_feature_detected!("avx2")` just found the
-            // feature the callee is compiled for.
-            unsafe { forward_compare_avx2(x0, flip, draws, noised) };
-            continue;
-        }
-        forward_compare(x0, flip, draws, noised);
+        unit.forward(x0, flip, draws, noised);
     }
 }
 
 /// The compare of [`forward_cells`] over one block of draws. This and
 /// [`reverse_compare`] are written for the compiler to vectorise —
 /// selects for branches, no table look-up, [`unit_draw`] — and each is
-/// compiled twice, for the build's baseline and once more with AVX2's
-/// 256-bit integer vectors, which is what runs where the CPU has them.
-/// One source either way, and the float semantics are the compiler's
-/// (Rust neither contracts `a * b + c` nor reorders float operations),
-/// so every instance computes the same values.
+/// compiled three times ([`Compare`]): for the build's baseline, once
+/// more with AVX2's 256-bit vectors and once more with AVX-512's
+/// 512-bit ones; the widest the CPU has is what runs. One source for
+/// all three, and the float semantics are the compiler's (Rust
+/// neither contracts `a * b + c` nor reorders float operations), so
+/// every instance computes the same values.
 #[inline(always)]
 fn forward_compare(x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
     for ((noised, &bit), draw) in noised.iter_mut().zip(x0).zip(draws.chunks_exact(8)) {
@@ -197,6 +281,12 @@ fn forward_compare(x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn forward_compare_avx2(x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
+    forward_compare(x0, flip, draws, noised);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+fn forward_compare_avx512(x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
     forward_compare(x0, flip, draws, noised);
 }
 
@@ -211,18 +301,12 @@ pub(crate) fn reverse_cells(
     rng: &mut impl Rng,
 ) {
     debug_assert_eq!(p0.len(), cells.len(), "denoiser output length mismatch");
+    let unit = Compare::detect();
     let mut draws = [0u8; 8 * DRAW_BLOCK];
     for (cells, p0) in cells.chunks_mut(DRAW_BLOCK).zip(p0.chunks(DRAW_BLOCK)) {
         let draws = &mut draws[..8 * cells.len()];
         rng.fill_bytes(draws);
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: `is_x86_feature_detected!("avx2")` just found the
-            // feature the callee is compiled for.
-            unsafe { reverse_compare_avx2(cells, p0, post, draws) };
-            continue;
-        }
-        reverse_compare(cells, p0, post, draws);
+        unit.reverse(cells, p0, post, draws);
     }
 }
 
@@ -249,6 +333,12 @@ fn reverse_compare_avx2(cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], draw
     reverse_compare(cells, p0, post, draws);
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+fn reverse_compare_avx512(cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], draws: &[u8]) {
+    reverse_compare(cells, p0, post, draws);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,6 +348,33 @@ mod tests {
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(17)
+    }
+
+    thread_local! {
+        /// The unit [`Compare::detect`] hands this test's thread, once
+        /// [`for_each_unit`] has pinned one.
+        pub(super) static PINNED: std::cell::Cell<Option<Compare>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// Every unit there is, supported here or not.
+    #[cfg(target_arch = "x86_64")]
+    const ALL_UNITS: [Compare; 3] = [Compare::Baseline, Compare::Avx2, Compare::Avx512];
+    #[cfg(not(target_arch = "x86_64"))]
+    const ALL_UNITS: [Compare; 1] = [Compare::Baseline];
+
+    /// Runs `test` once for every unit this CPU supports, each pinned
+    /// for the run, and returns their names: called by name, a unit the
+    /// CPU has cannot go untested because detection prefers a wider
+    /// one.
+    fn for_each_unit(mut test: impl FnMut(Compare)) -> Vec<Compare> {
+        let units: Vec<Compare> = Compare::supported().collect();
+        for &unit in &units {
+            PINNED.with(|pinned| pinned.set(Some(unit)));
+            test(unit);
+        }
+        PINNED.with(|pinned| pinned.set(None));
+        units
     }
 
     /// The per-cell loops the flat passes replaced, verbatim: one
@@ -464,42 +581,63 @@ mod tests {
 
     #[test]
     fn a_draw_equal_to_its_threshold_does_not_fire() {
-        let (flip, at_then_below) = threshold(0x0012_3456_789a_bcde);
-        for len in RUNS {
-            let x0: Vec<u8> = (0..len).map(|i| (i % 3 == 0).into()).collect();
-            let mut noised = vec![9u8; len];
-            let mut rng = Scripted::new(&at_then_below);
-            forward_cells(&x0, flip, &mut rng, &mut noised);
-            for (i, (&bit, &got)) in x0.iter().zip(&noised).enumerate() {
-                let flipped = i % 2 == 1;
-                assert_eq!(got, bit ^ u8::from(flipped), "forward, cell {i} of {len}");
-            }
-        }
-        // With `p0` 1 the marginal is `1 · post[x][1] + 0 · post[x][0]`,
-        // the table entry itself; with `p0` 0 it is `post[x][0]`. Cells
-        // alternate off / on, so each row of the table is read with a
-        // draw equal to its entry and with one a step below it.
-        let (off, off_draws) = threshold(0x0000_0000_0000_0001);
-        let (on, on_draws) = threshold(0x001f_ffff_ffff_ffff);
-        let script = [off_draws[0], on_draws[0], off_draws[1], on_draws[1]];
-        for (p0, post) in [
-            (1.0, [[0.25, off], [0.75, on]]),
-            (0.0, [[off, 0.25], [on, 0.75]]),
-        ] {
+        use std::io::Write;
+        let ran = for_each_unit(|unit| {
+            let (flip, at_then_below) = threshold(0x0012_3456_789a_bcde);
             for len in RUNS {
-                let mut cells: Vec<u8> = (0..len).map(|i| (i % 2) as u8).collect();
-                let mut rng = Scripted::new(&script);
-                reverse_cells(&mut cells, &vec![p0; len], &post, &mut rng);
-                for (i, &got) in cells.iter().enumerate() {
-                    let below = i % 4 >= 2;
-                    assert_eq!(got, u8::from(below), "reverse p0={p0}, cell {i} of {len}");
+                let x0: Vec<u8> = (0..len).map(|i| (i % 3 == 0).into()).collect();
+                let mut noised = vec![9u8; len];
+                let mut rng = Scripted::new(&at_then_below);
+                forward_cells(&x0, flip, &mut rng, &mut noised);
+                for (i, (&bit, &got)) in x0.iter().zip(&noised).enumerate() {
+                    let flipped = i % 2 == 1;
+                    let what = format!("{unit:?} forward, cell {i} of {len}");
+                    assert_eq!(got, bit ^ u8::from(flipped), "{what}");
                 }
             }
-        }
+            // With `p0` 1 the marginal is `1 · post[x][1] + 0 ·
+            // post[x][0]`, the table entry itself; with `p0` 0 it is
+            // `post[x][0]`. Cells alternate off / on, so each row of the
+            // table is read with a draw equal to its entry and with one
+            // a step below it.
+            let (off, off_draws) = threshold(0x0000_0000_0000_0001);
+            let (on, on_draws) = threshold(0x001f_ffff_ffff_ffff);
+            let script = [off_draws[0], on_draws[0], off_draws[1], on_draws[1]];
+            for (p0, post) in [
+                (1.0, [[0.25, off], [0.75, on]]),
+                (0.0, [[off, 0.25], [on, 0.75]]),
+            ] {
+                for len in RUNS {
+                    let mut cells: Vec<u8> = (0..len).map(|i| (i % 2) as u8).collect();
+                    let mut rng = Scripted::new(&script);
+                    reverse_cells(&mut cells, &vec![p0; len], &post, &mut rng);
+                    for (i, &got) in cells.iter().enumerate() {
+                        let below = i % 4 >= 2;
+                        let what = format!("{unit:?} reverse p0={p0}, cell {i} of {len}");
+                        assert_eq!(got, u8::from(below), "{what}");
+                    }
+                }
+            }
+        });
+        // Straight to the descriptor: the harness swallows what a
+        // passing test prints, and a green log must not hide a unit
+        // that did not run.
+        let lacking: Vec<Compare> = ALL_UNITS
+            .into_iter()
+            .filter(|unit| !ran.contains(unit))
+            .collect();
+        let _ = writeln!(
+            std::io::stderr(),
+            "cp_diffusion: draw-compare units tested by name: {ran:?}; this CPU lacks: {lacking:?}"
+        );
     }
 
     #[test]
     fn out_of_range_predictions_clamp_like_the_per_cell_expression() {
+        for_each_unit(out_of_range_predictions_clamp_under);
+    }
+
+    fn out_of_range_predictions_clamp_under(unit: Compare) {
         // `clamp` keeps a NaN (the marginal is then NaN and no draw is
         // below it) and a negative zero; `max(0.0).min(1.0)` would turn
         // the NaN into 0.
@@ -532,7 +670,8 @@ mod tests {
                 let p_x0_one = f64::from(p0[i]).clamp(0.0, 1.0);
                 let p_one = p_x0_one * post[1] + (1.0 - p_x0_one) * post[0];
                 let want = integer_unit_draw(script[i % script.len()]) < p_one;
-                assert_eq!(got, u8::from(want), "cell {i} of {len}: p0 {}", p0[i]);
+                let what = format!("{unit:?} cell {i} of {len}: p0 {}", p0[i]);
+                assert_eq!(got, u8::from(want), "{what}");
             }
         }
     }
@@ -540,16 +679,18 @@ mod tests {
     #[test]
     fn forward_noised_draws_exactly_like_the_per_cell_loop() {
         let model = mrf_model(8);
-        for (rows, cols) in SHAPES {
-            let x0 = Topology::from_fn(rows, cols, |r, c| (r * 3 + c) % 5 < 2);
-            for k in [0, 1, 4, 8] {
-                assert_same_draws(
-                    &format!("forward_noised {rows}x{cols} k={k}"),
-                    |rng| model.forward_noised(&x0, k, &mut erased(rng)),
-                    |rng| reference::forward_noised(&model, &x0, k, rng),
-                );
+        for_each_unit(|unit| {
+            for (rows, cols) in SHAPES {
+                let x0 = Topology::from_fn(rows, cols, |r, c| (r * 3 + c) % 5 < 2);
+                for k in [0, 1, 4, 8] {
+                    assert_same_draws(
+                        &format!("{unit:?} forward_noised {rows}x{cols} k={k}"),
+                        |rng| model.forward_noised(&x0, k, &mut erased(rng)),
+                        |rng| reference::forward_noised(&model, &x0, k, rng),
+                    );
+                }
             }
-        }
+        });
     }
 
     #[test]
@@ -563,18 +704,20 @@ mod tests {
             8,
         );
         let mrf = mrf_model(6);
-        for (rows, cols) in SHAPES {
-            assert_same_draws(
-                &format!("constant sample {rows}x{cols}"),
-                |rng| constant.sample(rows, cols, None, &mut erased(rng)),
-                |rng| reference::sample(&constant, rows, cols, None, rng),
-            );
-            assert_same_draws(
-                &format!("mrf sample {rows}x{cols}"),
-                |rng| mrf.sample(rows, cols, Some(0), &mut erased(rng)),
-                |rng| reference::sample(&mrf, rows, cols, Some(0), rng),
-            );
-        }
+        for_each_unit(|unit| {
+            for (rows, cols) in SHAPES {
+                assert_same_draws(
+                    &format!("{unit:?} constant sample {rows}x{cols}"),
+                    |rng| constant.sample(rows, cols, None, &mut erased(rng)),
+                    |rng| reference::sample(&constant, rows, cols, None, rng),
+                );
+                assert_same_draws(
+                    &format!("{unit:?} mrf sample {rows}x{cols}"),
+                    |rng| mrf.sample(rows, cols, Some(0), &mut erased(rng)),
+                    |rng| reference::sample(&mrf, rows, cols, Some(0), rng),
+                );
+            }
+        });
     }
 
     /// The masks extension builds (Out-Painting's halves and its
@@ -632,19 +775,27 @@ mod tests {
             }
         };
         let known = |rows, cols| Topology::from_fn(rows, cols, |r, c| (r / 2 + c / 3) % 2 == 0);
-        let mrf = mrf_model(6);
-        for (rows, cols) in SHAPES {
-            let mask = crate::Mask::from_fn(rows, cols, |r, c| r < rows / 2 || c % 4 == 0);
-            check(&mrf, &format!("{rows}x{cols}"), &known(rows, cols), &mask);
-        }
-        // (Two steps at the benchmark's window: what a debug build affords.)
-        for (rows, cols, steps) in [(16, 16, 6), (33, 17, 6), (128, 128, 2)] {
-            let mrf = mrf_model(steps);
-            for (name, mask) in extension_masks(rows, cols) {
-                let what = format!("{name} {rows}x{cols}");
-                check(&mrf, &what, &known(rows, cols), &mask);
+        for_each_unit(|unit| {
+            let mrf = mrf_model(6);
+            for (rows, cols) in SHAPES {
+                let mask = crate::Mask::from_fn(rows, cols, |r, c| r < rows / 2 || c % 4 == 0);
+                check(
+                    &mrf,
+                    &format!("{unit:?} {rows}x{cols}"),
+                    &known(rows, cols),
+                    &mask,
+                );
             }
-        }
+            // (Two steps at the benchmark's window: what a debug build
+            // affords.)
+            for (rows, cols, steps) in [(16, 16, 6), (33, 17, 6), (128, 128, 2)] {
+                let mrf = mrf_model(steps);
+                for (name, mask) in extension_masks(rows, cols) {
+                    let what = format!("{unit:?} {name} {rows}x{cols}");
+                    check(&mrf, &what, &known(rows, cols), &mask);
+                }
+            }
+        });
     }
 
     #[test]

@@ -19,6 +19,11 @@ use cp_squish::Topology;
 
 const CONTEXTS: usize = 256;
 
+/// The coarse-grid factor [`MrfDenoiser::fit`] gives a model — the one
+/// the product runs, and so the one the down-sample and replicate-up
+/// bodies are instantiated at as a constant.
+const MODEL_COARSE: usize = 2;
+
 /// A fitted neighbourhood-statistics denoiser.
 #[derive(Debug, Clone)]
 pub struct MrfDenoiser {
@@ -58,7 +63,7 @@ impl MrfDenoiser {
     /// Panics if `datasets` is empty or any dataset has no topologies.
     #[must_use]
     pub fn fit(datasets: &[(u32, &[Topology])], smoothing: f64) -> MrfDenoiser {
-        MrfDenoiser::fit_coarse(datasets, smoothing, 2)
+        MrfDenoiser::fit_coarse(datasets, smoothing, MODEL_COARSE)
     }
 
     /// [`MrfDenoiser::fit`] with an explicit coarse-grid factor
@@ -70,7 +75,8 @@ impl MrfDenoiser {
     /// # Panics
     ///
     /// Panics if `datasets` is empty, any dataset has no topologies, or
-    /// `coarse == 0`.
+    /// `coarse` is 0 or above 65 535 (the down-sample counts a block's
+    /// column in 16 bits).
     #[must_use]
     pub fn fit_coarse(
         datasets: &[(u32, &[Topology])],
@@ -79,6 +85,10 @@ impl MrfDenoiser {
     ) -> MrfDenoiser {
         assert!(!datasets.is_empty(), "need at least one dataset");
         assert!(coarse >= 1, "coarse factor must be at least 1");
+        assert!(
+            coarse <= usize::from(u16::MAX),
+            "coarse factor must be at most 65535"
+        );
         let downsampled: Vec<(u32, Vec<Topology>)> = datasets
             .iter()
             .map(|(cond, topos)| {
@@ -297,21 +307,55 @@ fn downsample_majority_bytes(
     cols: usize,
     factor: usize,
 ) -> (Vec<u8>, usize, usize) {
+    match factor {
+        MODEL_COARSE => downsample_blocks(cells, rows, cols, MODEL_COARSE),
+        _ => downsample_blocks(cells, rows, cols, factor),
+    }
+}
+
+/// The one body of [`downsample_majority_bytes`], compiled once with
+/// the model's factor as a constant — the block loops unrolled, the
+/// counts in vectors — and once with the factor at run time.
+///
+/// A block row's cells are counted column by column in 16 bits, then
+/// `factor` columns at a time in 32. Both are exact because
+/// `fit_coarse` bounds the factor by 65 535: a column count is at most
+/// a block's height, and a block's count at most its `height × width`
+/// cells, below 2³². A block is drawn when twice its count reaches
+/// its cell count, i.e. when the count reaches half the cells rounded
+/// up — which is never 0, so an empty block stays clear.
+#[inline(always)]
+fn downsample_blocks(
+    cells: &[u8],
+    rows: usize,
+    cols: usize,
+    factor: usize,
+) -> (Vec<u8>, usize, usize) {
     let (coarse_rows, coarse_cols) = (rows.div_ceil(factor), cols.div_ceil(factor));
-    let mut out = Vec::with_capacity(coarse_rows * coarse_cols);
-    let mut column_ones = vec![0u32; cols];
-    for block in cells.chunks(factor * cols) {
+    let mut out = vec![0u8; coarse_rows * coarse_cols];
+    let mut column_ones = vec![0u16; cols];
+    for (block, out) in cells
+        .chunks(factor * cols)
+        .zip(out.chunks_exact_mut(coarse_cols))
+    {
         column_ones.fill(0);
         for row in block.chunks_exact(cols) {
             for (ones, &cell) in column_ones.iter_mut().zip(row) {
-                *ones += u32::from(cell != 0);
+                *ones += u16::from(cell != 0);
             }
         }
         let height = block.len() / cols;
-        out.extend(column_ones.chunks(factor).map(|columns| {
-            let ones = columns.iter().sum::<u32>() as usize;
-            u8::from(2 * ones >= height * columns.len() && ones > 0)
-        }));
+        let drawn = |columns: &[u16], width: usize| {
+            let ones: u32 = columns.iter().map(|&ones| u32::from(ones)).sum();
+            u8::from(ones >= (height * width).div_ceil(2) as u32)
+        };
+        let mut blocks = column_ones.chunks_exact(factor);
+        for (out, columns) in out.iter_mut().zip(&mut blocks) {
+            *out = drawn(columns, factor);
+        }
+        if let Some(out) = out.last_mut().filter(|_| !blocks.remainder().is_empty()) {
+            *out = drawn(blocks.remainder(), blocks.remainder().len());
+        }
     }
     (out, coarse_rows, coarse_cols)
 }
@@ -608,20 +652,11 @@ impl MrfDenoiser {
             }
         }
         // Look every cell up and replicate it back to full resolution.
-        let factor = self.coarse.max(1);
-        let mut out = Vec::with_capacity(out_rows * out_cols);
-        let mut out_row = vec![0.0f32; out_cols];
-        for (r, key_row) in keys.chunks_exact(cols).enumerate() {
-            let bits = binary.row(r + 1);
-            for (c, (&key, block)) in key_row.iter().zip(out_row.chunks_mut(factor)).enumerate() {
-                let bit = (bits[c / 64] >> (c % 64) & 1) as usize;
-                block.fill(blended[bit][usize::from(key)]);
-            }
-            for _ in r * factor..out_rows.min((r + 1) * factor) {
-                out.extend_from_slice(&out_row);
-            }
+        let out = (out_rows, out_cols);
+        match self.coarse {
+            MODEL_COARSE => replicate_up(&keys, cols, &binary, &blended, out, MODEL_COARSE),
+            factor => replicate_up(&keys, cols, &binary, &blended, out, factor.max(1)),
         }
-        out
     }
 
     /// The Gauss-Seidel mean-field sweeps, on the "belief > 0.5" map
@@ -697,6 +732,50 @@ impl MrfDenoiser {
         }
         keys
     }
+}
+
+/// The tail of [`MrfDenoiser::predict_grid`]: each cell of the
+/// `cols`-wide coarse grid looked up in `blended` by its bit of the
+/// regularized map and its key, and written out `factor` times each
+/// way as an `out_rows × out_cols` prediction. A coarse row is looked
+/// up once, widened into one fine row, and that row is copied `factor`
+/// times (fewer at the bottom edge; the right edge's last block is cut
+/// the same way). One body, compiled once with the model's factor as a
+/// constant and once with the factor at run time.
+#[inline(always)]
+fn replicate_up(
+    keys: &[u16],
+    cols: usize,
+    binary: &BitGrid,
+    blended: &[[f32; KEYS]; 2],
+    (out_rows, out_cols): (usize, usize),
+    factor: usize,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(out_rows * out_cols);
+    let mut coarse_row = vec![0.0f32; cols];
+    let mut fine_row = vec![0.0f32; out_cols];
+    for (r, key_row) in keys.chunks_exact(cols).enumerate() {
+        for ((keys, values), &bits) in key_row
+            .chunks(64)
+            .zip(coarse_row.chunks_mut(64))
+            .zip(binary.row(r + 1))
+        {
+            for (c, (&key, value)) in keys.iter().zip(values).enumerate() {
+                *value = blended[(bits >> c & 1) as usize][usize::from(key) % KEYS];
+            }
+        }
+        let mut blocks = fine_row.chunks_exact_mut(factor);
+        for (block, &value) in (&mut blocks).zip(&coarse_row) {
+            block.fill(value);
+        }
+        if let Some(&last) = coarse_row.last() {
+            blocks.into_remainder().fill(last);
+        }
+        for _ in r * factor..out_rows.min((r + 1) * factor) {
+            out.extend_from_slice(&fine_row);
+        }
+    }
+    out
 }
 
 /// The `cols` cells of a padded row as seen from one cell to the right,
@@ -997,6 +1076,19 @@ mod tests {
                         let cond = [Some(0), Some(1), Some(9), None][(i + k) % 4];
                         assert_same_bits(&mrf, x, k, steps, cond);
                     }
+                }
+            }
+        }
+        // The window the product runs and a ragged one beside it, at the
+        // model's own factor and sweeps, on both sides of a 24-step
+        // chain's blend-weight boundary (the weight is positive up to
+        // k = 8, so 8 regularizes and 9 does not).
+        let mrf = two_style_denoiser(MODEL_COARSE, 3);
+        for (rows, cols) in [(128, 128), (127, 129)] {
+            for (i, x) in inputs(rows, cols, &mut rng).iter().enumerate() {
+                for k in [1, 8, 9, 24] {
+                    let cond = [Some(0), Some(1), Some(9), None][(i + k) % 4];
+                    assert_same_bits(&mrf, x, k, 24, cond);
                 }
             }
         }
