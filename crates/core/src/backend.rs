@@ -139,7 +139,7 @@ fn worker_loop(queue: &Queue, run: &TaskFn) {
         let task = {
             let mut state = queue.state.lock().expect("queue lock");
             loop {
-                if let Some((task, _queued_for)) = state.tasks.pop() {
+                if let Some(task) = state.tasks.pop() {
                     queue.space_ready.notify_one();
                     break task;
                 }

@@ -124,8 +124,8 @@ pub struct EngineStats {
     /// Sessions destroyed: expired past their TTL, or evicted for
     /// capacity with no persist layer attached.
     pub sessions_evicted: u64,
-    /// Sessions spilled to the persist layer on capacity eviction
-    /// (instead of being destroyed).
+    /// Sessions spilled to the persist layer on capacity eviction or
+    /// TTL expiry (instead of being destroyed).
     pub sessions_spilled: u64,
     /// Spilled sessions rehydrated by a later turn, snapshot or close.
     pub sessions_restored: u64,
@@ -135,11 +135,6 @@ pub struct EngineStats {
     /// defaults to zero.
     #[serde(default)]
     pub sessions_spilled_ahead: u64,
-    /// Transcript bytes trimmed by snapshot compaction on the persist
-    /// path, cumulative. Absent on the wire from older peers —
-    /// defaults to zero.
-    #[serde(default)]
-    pub snapshot_bytes_saved: u64,
     /// Session turns executed.
     pub turns: u64,
     /// Jobs currently waiting to execute, one entry per queue: one
@@ -184,7 +179,6 @@ impl EngineStats {
             sessions_spilled: sessions.spilled,
             sessions_restored: sessions.restored,
             sessions_spilled_ahead: sessions.spilled_ahead,
-            snapshot_bytes_saved: sessions.bytes_saved,
             turns: sessions.turns,
             ..EngineStats::default()
         }
@@ -207,7 +201,6 @@ impl EngineStats {
         self.sessions_spilled += other.sessions_spilled;
         self.sessions_restored += other.sessions_restored;
         self.sessions_spilled_ahead += other.sessions_spilled_ahead;
-        self.snapshot_bytes_saved += other.snapshot_bytes_saved;
         self.turns += other.turns;
         self.queue_depths.extend_from_slice(&other.queue_depths);
         self.tenants = cp_qos::merge_rows(&[&self.tenants, &other.tenants]);
@@ -292,7 +285,6 @@ impl AtomicStats {
             sessions_spilled: sessions.spilled,
             sessions_restored: sessions.restored,
             sessions_spilled_ahead: sessions.spilled_ahead,
-            snapshot_bytes_saved: sessions.bytes_saved,
             turns: sessions.turns,
             queue_depths,
             tenants,

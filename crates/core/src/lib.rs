@@ -83,8 +83,8 @@ pub use session::{
 pub use wire::{RequestEnvelope, ResponseEnvelope, WireError, WireOutcome};
 
 use cp_agent::{
-    try_auto_format, AgentSession, AgentSnapshot, ExpertPolicy, KnowledgeBase, Message, Role,
-    SessionReport, ToolContext, ToolRegistry,
+    try_auto_format, AgentSession, AgentSnapshot, ExpertPolicy, KnowledgeBase, SessionReport,
+    ToolContext, ToolRegistry,
 };
 use cp_dataset::{Dataset, DatasetBuilder, Style};
 use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule, PatternSampler};
@@ -98,7 +98,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -342,33 +341,24 @@ impl ChatPatternBuilder {
         );
         let model = Arc::new(model);
         let legalizer = Legalizer::new(self.rules);
-        let snapshot_bytes_saved = Arc::new(AtomicU64::new(0));
         let sessions = match self.session_dir {
             None => SessionStore::new(self.sessions),
             Some(dir) => {
-                // The decode closure re-injects the trained sampler and
-                // the legalizer — the snapshot carries only session
-                // state, so spilled files stay small and a restart with
-                // an equivalent model configuration rehydrates them.
-                // The encode closure additionally *compacts* the
-                // snapshot (rolling digest + bounded transcript tail):
-                // the transcript dominates snapshot size, yet future
-                // turns never read past the current turn's messages,
-                // so persisted files stay bounded as dialogs grow.
+                // A spill file is the session's `SessionSnapshot`, the
+                // same bytes a wire export returns. The decode closure
+                // re-injects the trained sampler and the legalizer — the
+                // snapshot carries only session state, so a restart with
+                // an equivalent model configuration rehydrates it.
                 let decode_model = Arc::clone(&model);
                 let decode_legalizer = legalizer.clone();
-                let encode_saved = Arc::clone(&snapshot_bytes_saved);
                 SessionStore::with_persist(
                     self.sessions,
                     Arc::new(JsonDirPersist::sharded(
                         dir,
                         self.sessions.ttl,
                         self.persist_shards,
-                        move |session: &ChatSession| {
-                            let mut snapshot = session.snapshot();
-                            let saved = snapshot.compact(SNAPSHOT_TRANSCRIPT_TAIL);
-                            encode_saved.fetch_add(saved, Ordering::Relaxed);
-                            serde_json::to_string(&snapshot)
+                        |session: &ChatSession| {
+                            serde_json::to_string(&session.snapshot())
                                 .map_err(|e| Error::session_persist(e.to_string()))
                         },
                         move |text| {
@@ -398,7 +388,6 @@ impl ChatPatternBuilder {
             patch_nm,
             seed: self.seed,
             sessions,
-            snapshot_bytes_saved,
         })
     }
 }
@@ -549,7 +538,6 @@ impl ChatSession {
             session: self.id.clone(),
             seed: self.seed,
             agent: self.inner.snapshot(),
-            compaction: None,
         }
     }
 
@@ -596,11 +584,12 @@ impl ChatSession {
 /// Version tag of the serialized session snapshot layout. Bump it when
 /// [`SessionSnapshot`] (or anything nested in it) changes shape;
 /// [`ChatSession::restore`] rejects snapshots from unknown formats
-/// with a typed error instead of misreading them. Format 2 added the
-/// optional [`TranscriptCompaction`] record; format 3 writes every
-/// topology in the store and the library packed, one bit a cell
-/// ([`cp_squish::Packed`]), where formats 1 and 2 spelled each cell as
-/// a number. Format-1 and format-2 snapshots still restore unchanged
+/// with a typed error instead of misreading them. Format 2 added an
+/// optional `compaction` record of trimmed transcript messages, which
+/// this build reads and ignores (nothing trims a transcript any more);
+/// format 3 writes every topology in the store and the library packed,
+/// one bit a cell ([`cp_squish::Packed`]), where formats 1 and 2
+/// spelled each cell as a number. Format-1 and format-2 snapshots still restore unchanged
 /// ([`SESSION_SNAPSHOT_FORMAT_MIN`]): the topology reader takes both
 /// forms. Nothing writes format 2 any more, and a build that stops at
 /// format 2 refuses a format-3 snapshot by its number rather than
@@ -610,61 +599,13 @@ pub const SESSION_SNAPSHOT_FORMAT: u32 = 3;
 /// Oldest snapshot format [`ChatSession::restore`] still reads.
 pub const SESSION_SNAPSHOT_FORMAT_MIN: u32 = 1;
 
-/// Transcript messages a compacted snapshot keeps after the system
-/// prompt ([`SessionSnapshot::compact`]). Between turns the policy
-/// only ever reads the *current* turn's messages (requirement
-/// carry-over lives in [`cp_agent::PolicySnapshot`], the library and
-/// RNG in [`cp_agent::ContextSnapshot`]), so any tail is behaviorally
-/// safe; a short one keeps spill files bounded while preserving
-/// recent context for humans reading the file.
-pub const SNAPSHOT_TRANSCRIPT_TAIL: usize = 8;
-
-/// Rolling record of transcript messages trimmed from a snapshot by
-/// [`SessionSnapshot::compact`]: how many were dropped, a running
-/// digest of their contents (so two snapshots with different trimmed
-/// histories never look identical), and the content bytes saved.
-/// Folds across repeated compactions of the same dialog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct TranscriptCompaction {
-    /// Messages dropped from the head of the transcript (the system
-    /// prompt is never dropped).
-    pub dropped: u64,
-    /// FNV-1a digest folded over every dropped message, in order.
-    pub digest: u64,
-    /// Transcript content bytes trimmed, cumulative.
-    pub bytes: u64,
-}
-
-/// Folds `message` into a running FNV-1a digest (`seed` 0 starts a
-/// fresh chain).
-fn fold_digest(seed: u64, message: &Message) -> u64 {
-    let mut hash = if seed == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        seed
-    };
-    let role = match message.role {
-        Role::System => 0u8,
-        Role::User => 1,
-        Role::Assistant => 2,
-        Role::Observation => 3,
-    };
-    for byte in std::iter::once(role).chain(message.content.bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// The complete serializable state of one [`ChatSession`] between
 /// turns: identity (id + resolved seed) plus the agent's transcript,
 /// policy carry-over, working store, library, knowledge and RNG
-/// position. JSON round-trippable — this is both the spill format of
+/// position. JSON round-trippable — this is both the spill file of
 /// [`JsonDirPersist`] and the wire payload of
 /// `PatternRequest::{SessionSnapshot, SessionRestore}` (cross-process
-/// handoff; see `docs/SESSIONS.md`). Wire snapshots are exported
-/// full-fidelity; the persist path compacts them first
-/// ([`SessionSnapshot::compact`]).
+/// handoff; see `docs/SESSIONS.md`), byte for byte the same text.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionSnapshot {
     /// Snapshot layout version ([`SESSION_SNAPSHOT_FORMAT`]).
@@ -675,43 +616,6 @@ pub struct SessionSnapshot {
     pub seed: u64,
     /// The agent's between-turns state.
     pub agent: AgentSnapshot,
-    /// Compaction record (`None` = full-fidelity transcript; also what
-    /// a format-1 snapshot deserializes to).
-    #[serde(default)]
-    pub compaction: Option<TranscriptCompaction>,
-}
-
-impl SessionSnapshot {
-    /// Compacts the snapshot in place: drops every transcript message
-    /// between the system prompt and the last `max_tail` entries,
-    /// folding the dropped messages into the rolling
-    /// [`TranscriptCompaction`] record. Returns the content bytes
-    /// trimmed by *this* call (0 when the transcript is already within
-    /// bounds).
-    ///
-    /// Restoring a compacted snapshot changes no future behavior: the
-    /// policy re-reads only the current turn's messages, and all
-    /// cross-turn state (requirement carry-over, library, knowledge,
-    /// RNG position) lives outside the transcript. Only artifacts that
-    /// replay the full dialog history (`session_close` transcripts,
-    /// wire snapshot exports) see the shorter transcript.
-    pub fn compact(&mut self, max_tail: usize) -> u64 {
-        let transcript = &mut self.agent.transcript;
-        if transcript.len() <= max_tail.saturating_add(1) {
-            return 0;
-        }
-        let keep_from = transcript.len() - max_tail;
-        let mut record = self.compaction.unwrap_or_default();
-        let mut saved = 0u64;
-        for message in transcript.drain(1..keep_from) {
-            record.dropped += 1;
-            saved += message.content.len() as u64;
-            record.digest = fold_digest(record.digest, &message);
-        }
-        record.bytes += saved;
-        self.compaction = Some(record);
-        saved
-    }
 }
 
 /// The assembled ChatPattern system.
@@ -728,10 +632,6 @@ pub struct ChatPattern {
     patch_nm: i64,
     seed: u64,
     sessions: SessionStore<ChatSession>,
-    /// Transcript bytes trimmed by persist-path snapshot compaction
-    /// (bumped by the encode closure; surfaced via
-    /// [`ChatPattern::session_stats`]).
-    snapshot_bytes_saved: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for ChatPattern {
@@ -910,12 +810,10 @@ impl ChatPattern {
     }
 
     /// Session activity counters (open / evicted / spilled / restored
-    /// / spilled-ahead / turns, plus compaction savings).
+    /// / spilled-ahead / turns).
     #[must_use]
     pub fn session_stats(&self) -> SessionStats {
-        let mut stats = self.sessions.stats();
-        stats.bytes_saved = self.snapshot_bytes_saved.load(Ordering::Relaxed);
-        stats
+        self.sessions.stats()
     }
 
     /// Direct API: conditional generation of `count` topologies.
@@ -1596,8 +1494,7 @@ mod tests {
         let snapshot = system.session_snapshot("v1").expect("exports");
         let _ = system.session_close("v1").expect("closes");
         // Rewrite the JSON exactly as a format-1 producer wrote it:
-        // format tag 1, no `compaction` member at all, and every
-        // topology spelled as `bits`.
+        // format tag 1 and every topology spelled as `bits`.
         fn spell_as_bits(value: &mut serde_json::Value) {
             use serde_json::Value;
             match value {
@@ -1616,12 +1513,10 @@ mod tests {
             panic!("snapshot is an object");
         };
         object.insert("format".to_owned(), serde_json::to_value(&1u32));
-        object.remove("compaction");
         let text = serde_json::to_string(&value).expect("serializes");
         assert!(text.contains(r#""bits":["#) && !text.contains("packed"));
         let legacy: SessionSnapshot = serde_json::from_str(&text).expect("format 1 parses");
         assert_eq!(legacy.format, 1);
-        assert_eq!(legacy.compaction, None);
         assert_eq!(legacy.agent, snapshot.agent, "payload untouched");
         let info = system.session_restore(legacy).expect("format 1 restores");
         assert_eq!(info.seed, 9);
@@ -1630,61 +1525,6 @@ mod tests {
             .expect("restored session continues");
         assert_eq!(t2.turn, 2);
         assert_eq!(t2.library[..1], t1.library[..]);
-    }
-
-    #[test]
-    fn compaction_trims_transcript_without_changing_future_turns() {
-        let reference = small_system();
-        reference.session_open("c", Some(11)).expect("opens");
-        for _ in 0..3 {
-            reference
-                .session_turn(
-                    "c",
-                    "Generate 1 pattern, topology size 16*16, physical size 512nm x 512nm, \
-                     style Layer-10001.",
-                )
-                .expect("turn runs");
-        }
-        let full = reference.session_snapshot("c").expect("exports");
-        assert_eq!(full.compaction, None, "wire snapshots stay full fidelity");
-
-        let mut compacted = full.clone();
-        let saved = compacted.compact(2);
-        assert!(saved > 0, "three turns exceed a 2-message tail");
-        let record = compacted.compaction.expect("compaction recorded");
-        assert_eq!(record.bytes, saved);
-        assert!(record.dropped > 0);
-        assert_ne!(record.digest, 0, "digest covers the dropped messages");
-        assert_eq!(compacted.agent.transcript.len(), 3, "system prompt + tail");
-        assert_eq!(compacted.agent.transcript[0], full.agent.transcript[0]);
-        assert_eq!(
-            compacted.agent.transcript[1..],
-            full.agent.transcript[full.agent.transcript.len() - 2..]
-        );
-
-        // Re-compacting an already-bounded snapshot is a no-op that
-        // preserves the rolling record.
-        let mut again = compacted.clone();
-        assert_eq!(again.compact(2), 0);
-        assert_eq!(again, compacted);
-
-        // The follow-up turn is byte-identical whether it runs on the
-        // full-fidelity restore or the compacted one.
-        let next = "1 more pattern.";
-        let on_full = {
-            let system = small_system();
-            system.session_restore(full).expect("restores");
-            system.session_turn("c", next).expect("turn runs")
-        };
-        let on_compacted = {
-            let system = small_system();
-            system.session_restore(compacted).expect("restores");
-            system.session_turn("c", next).expect("turn runs")
-        };
-        assert_eq!(on_full.turn, on_compacted.turn);
-        assert_eq!(on_full.summary, on_compacted.summary);
-        assert_eq!(on_full.library, on_compacted.library);
-        assert_eq!(on_full.transcript, on_compacted.transcript);
     }
 
     #[test]

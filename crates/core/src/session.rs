@@ -102,8 +102,7 @@ impl SessionConfig {
 }
 
 /// A snapshot of session activity, surfaced through
-/// [`EngineStats`](crate::EngineStats) and the `chatpattern-serve`
-/// `--stats` line.
+/// [`EngineStats`](crate::EngineStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Sessions currently open (a gauge, not a counter).
@@ -111,7 +110,8 @@ pub struct SessionStats {
     /// Sessions destroyed: expired past their TTL, or evicted for
     /// capacity with no persist layer to spill to.
     pub evicted: u64,
-    /// Sessions spilled to the persist layer on capacity eviction.
+    /// Sessions spilled to the persist layer, on capacity eviction or
+    /// TTL expiry.
     pub spilled: u64,
     /// Spilled sessions rehydrated from the persist layer (by a turn,
     /// a snapshot, or a close).
@@ -122,10 +122,6 @@ pub struct SessionStats {
     /// writer on the turn-count trigger (`spill_ahead_turns`). Unlike
     /// `spilled`, the session stays live in memory.
     pub spilled_ahead: u64,
-    /// Bytes the snapshot compactor trimmed from persisted snapshots
-    /// (filled by the owner of the encode pipeline — zero at the bare
-    /// store level).
-    pub bytes_saved: u64,
 }
 
 /// The session durability layer a [`SessionStore`] spills to on
@@ -691,7 +687,6 @@ impl<T> SessionStore<T> {
             restored: self.restored.load(Ordering::Relaxed),
             turns: self.turns.load(Ordering::Relaxed),
             spilled_ahead: self.spilled_ahead.load(Ordering::Relaxed),
-            bytes_saved: 0,
         }
     }
 

@@ -480,15 +480,12 @@ impl<H: ConnectionHandler> LoopState<H> {
         };
         let _ = self.poller.deregister(slot.conn.raw_fd());
         slot.conn.sink().close();
-        // Count before the handler callback: a stats line flushed from
-        // `on_disconnect` must already see this disconnect.
         if let Some(counters) = &self.counters {
             match reason {
                 CloseReason::Clean => counters.disconnected_clean(),
                 CloseReason::Backpressure => counters.disconnected_backpressure(),
             }
         }
-        self.handler.on_disconnect(slot.conn.sink());
         // Dropping the slot closes the socket fd.
     }
 }

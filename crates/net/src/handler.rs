@@ -24,11 +24,6 @@ pub trait ConnectionHandler: Send + Sync + 'static {
     /// kept until it has been answered.
     fn on_line(&self, line: &str, sink: &Arc<LineSink>);
 
-    /// The connection is gone (the peer finished and was answered, a
-    /// reset, a write failure, a slow-reader kill). Per-connection
-    /// teardown — e.g. flushing stats — goes here.
-    fn on_disconnect(&self, _sink: &Arc<LineSink>) {}
-
     /// Blocks until every reply the handler still owes for lines it
     /// already accepted has been handed to its sink. A transport calls
     /// this before tearing its connections down, so completions in
@@ -67,12 +62,6 @@ impl<S: PatternService + Send + Sync + 'static> EngineHandler<S> {
             engine,
             in_flight: Arc::new((Mutex::new(0), Condvar::new())),
         }
-    }
-
-    /// The served engine (for stats reporting at disconnect).
-    #[must_use]
-    pub fn engine(&self) -> &Arc<PatternEngine<S>> {
-        &self.engine
     }
 }
 

@@ -35,7 +35,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The tenant every un-tagged request is accounted to. Wire envelopes
 /// without a `tenant` field land here, which keeps pre-QoS clients
@@ -424,7 +424,7 @@ impl QosGate {
 // ------------------------------------------------------------ fair queue
 
 struct LaneQueue<T> {
-    tenants: HashMap<String, VecDeque<(T, Instant)>>,
+    tenants: HashMap<String, VecDeque<T>>,
     /// Round-robin order over tenants with queued work.
     order: VecDeque<String>,
     len: usize,
@@ -441,10 +441,10 @@ impl<T> LaneQueue<T> {
 
     fn push(&mut self, tenant: &str, item: T) {
         match self.tenants.get_mut(tenant) {
-            Some(queue) => queue.push_back((item, Instant::now())),
+            Some(queue) => queue.push_back(item),
             None => {
                 let mut queue = VecDeque::new();
-                queue.push_back((item, Instant::now()));
+                queue.push_back(item);
                 self.tenants.insert(tenant.to_owned(), queue);
                 self.order.push_back(tenant.to_owned());
             }
@@ -452,10 +452,10 @@ impl<T> LaneQueue<T> {
         self.len += 1;
     }
 
-    fn pop(&mut self) -> Option<(T, Instant)> {
+    fn pop(&mut self) -> Option<T> {
         let tenant = self.order.pop_front()?;
         let queue = self.tenants.get_mut(&tenant).expect("tenant has a queue");
-        let entry = queue.pop_front().expect("queued tenant is non-empty");
+        let item = queue.pop_front().expect("queued tenant is non-empty");
         self.len -= 1;
         if queue.is_empty() {
             self.tenants.remove(&tenant);
@@ -463,7 +463,7 @@ impl<T> LaneQueue<T> {
             // One item per visit: round-robin across tenants.
             self.order.push_back(tenant);
         }
-        Some(entry)
+        Some(item)
     }
 }
 
@@ -480,9 +480,6 @@ impl<T> LaneQueue<T> {
 ///   visit, so a tenant with 1000 queued jobs and a tenant with 1
 ///   alternate instead of the flood going first.
 /// * **Within a tenant** order is strict FIFO.
-///
-/// `pop` also reports how long the item waited, which feeds the
-/// per-tenant queue-time stats.
 pub struct FairQueue<T> {
     lanes: [LaneQueue<T>; LANE_COUNT],
     weights: [u32; LANE_COUNT],
@@ -539,9 +536,8 @@ impl<T> FairQueue<T> {
         Ok(())
     }
 
-    /// Dequeues the next item by weighted-fair order, with the time
-    /// it spent queued.
-    pub fn pop(&mut self) -> Option<(T, Duration)> {
+    /// Dequeues the next item by weighted-fair order.
+    pub fn pop(&mut self) -> Option<T> {
         if self.len == 0 {
             return None;
         }
@@ -549,9 +545,9 @@ impl<T> FairQueue<T> {
             for index in 0..LANE_COUNT {
                 if self.lanes[index].len > 0 && self.credits[index] > 0 {
                     self.credits[index] -= 1;
-                    let (item, queued_at) = self.lanes[index].pop().expect("lane is non-empty");
+                    let item = self.lanes[index].pop().expect("lane is non-empty");
                     self.len -= 1;
-                    return Some((item, queued_at.elapsed()));
+                    return Some(item);
                 }
             }
             // Every non-empty lane is out of credit: start a new cycle.
@@ -563,7 +559,7 @@ impl<T> FairQueue<T> {
     /// fair-dequeue order.
     pub fn drain(&mut self) -> Vec<T> {
         let mut items = Vec::with_capacity(self.len);
-        while let Some((item, _)) = self.pop() {
+        while let Some(item) = self.pop() {
             items.push(item);
         }
         items
@@ -625,8 +621,9 @@ struct LedgerRow {
 }
 
 /// Thread-safe per-(tenant, lane) counters. The engine records
-/// admissions/rejections, the backends record queue time and
-/// completions, and `EngineStats` snapshots the whole ledger.
+/// admissions/rejections, and each leader's completion with the queue
+/// time its execution measured (submission to completion, less the
+/// execution itself); `EngineStats` snapshots the whole ledger.
 #[derive(Default)]
 pub struct TenantLedger {
     rows: std::sync::Mutex<HashMap<(String, Lane), LedgerRow>>,
@@ -821,7 +818,7 @@ mod tests {
         queue
             .push(Lane::Standard, "b", "b0".to_owned())
             .expect("fits");
-        let order: Vec<String> = std::iter::from_fn(|| queue.pop().map(|(item, _)| item)).collect();
+        let order: Vec<String> = std::iter::from_fn(|| queue.pop()).collect();
         // Tenants alternate; a's items stay in submission order.
         assert_eq!(order, ["a0", "b0", "a1", "a2"]);
     }
@@ -842,7 +839,7 @@ mod tests {
                 .push(Lane::Batch, "eval", format!("b{index}"))
                 .expect("fits");
         }
-        let order: Vec<String> = std::iter::from_fn(|| queue.pop().map(|(item, _)| item)).collect();
+        let order: Vec<String> = std::iter::from_fn(|| queue.pop()).collect();
         // Per cycle: 2 interactive, then (standard empty) 1 batch.
         assert_eq!(order[..6], ["i0", "i1", "b0", "i2", "i3", "b1"]);
         // Once interactive drains, batch still finishes.

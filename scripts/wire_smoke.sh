@@ -4,8 +4,9 @@
 # valid JSON with a non-null id and an Ok/Err outcome, (b) the set
 # of response ids exactly matches the set of request ids, a packed
 # Legalize answers as its `bits` twin does, a malformed topology is
-# a typed refusal, and --stats flushes on the client's disconnect,
-# connection counters included, (c) a
+# a typed refusal, and the Stats request reads the connection
+# counters: the one client peaked the gauge at 1, and a second
+# connection sees the first one's close counted clean, (c) a
 # burst of duplicate requests performs exactly one backend execution
 # while still answering every id, (d) an interactive session
 # round-trips (open, turns, close, typed error on the closed id),
@@ -21,7 +22,8 @@
 # with a retry_after_ms hint while a calm tenant on the same server
 # still completes, with the rejection counted in the per-tenant stats
 # ledger. Every serve runs through `serve_start` (--listen on an
-# OS-assigned port, one connection on fd 5). Run from anywhere; needs
+# OS-assigned port, one connection on fd 5), and every counter is read
+# in-band, from a Stats reply, with jq. Run from anywhere; needs
 # jq and built (or buildable) release binaries.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -54,17 +56,17 @@ fail() {
     exit 1
 }
 
-# Waits for NAME's `listening on HOST:PORT` line in $WORK/err and
-# connects fd 5 to it.
+# Waits for NAME's `listening on HOST:PORT` line in $WORK/err, sets
+# ADDR to it and connects fd 5 to it.
 connect() {
-    local addr=""
+    ADDR=""
     for _ in $(seq 1 300); do
-        addr=$(sed -n "s/^$1: listening on //p" "$WORK/err" | head -n 1)
-        [ -n "$addr" ] && break
+        ADDR=$(sed -n "s/^$1: listening on //p" "$WORK/err" | head -n 1)
+        [ -n "$ADDR" ] && break
         sleep 0.1
     done
-    [ -n "$addr" ] || { cat "$WORK/err" >&2; fail "$1 never announced its address"; }
-    exec 5<> "/dev/tcp/${addr%:*}/${addr##*:}"
+    [ -n "$ADDR" ] || { cat "$WORK/err" >&2; fail "$1 never announced its address"; }
+    exec 5<> "/dev/tcp/${ADDR%:*}/${ADDR##*:}"
 }
 
 # Starts serve with the given flags and connects fd 5 to it.
@@ -74,21 +76,10 @@ serve_start() {
     connect chatpattern-serve
 }
 
-# Closes the connection and, for a serve started with --stats, waits
-# for the stats the disconnect flushes, up to the line matching
-# PATTERN (default: the counter line); sets STATS to that line.
-serve_disconnect() {
-    exec 5<&- 5>&-
-    STATS=""
-    for _ in $(seq 1 100); do
-        STATS=$(grep -m 1 "${1:-submitted=}" "$WORK/err" || true)
-        [ -n "$STATS" ] && break
-        sleep 0.1
-    done
-}
-
-# Serve has no exit of its own: this is a crash (SIGKILL).
+# Serve has no exit of its own: this is a crash (SIGKILL). The
+# connection on fd 5 is closed first.
 serve_kill() {
+    exec 5<&- 5>&-
     kill -9 "$SERVE_PID" 2> /dev/null || true
     wait "$SERVE_PID" 2> /dev/null || true
     SERVE_PID=""
@@ -111,18 +102,37 @@ exchange() {
     IFS= read -t 120 -r REPLY <&5 || { REPLY="(no reply within 120s)"; fail "no reply to: $1"; }
 }
 
-# Reads KEY=N off the stats line.
+# Asks for the engine counters on fd 5; sets STATS to the Stats payload.
+serve_stats() {
+    exchange '{"id":"stats","request":"Stats"}'
+    STATS=$(echo "$REPLY" | jq -ce '.outcome.Ok.payload.Stats') \
+        || fail "the Stats request did not answer a Stats payload"
+}
+
+# Reads one counter off STATS: a jq filter under the Stats payload.
 stat() {
-    echo "$STATS" | grep -o "$1=[0-9]*" | cut -d= -f2 || true
+    echo "$STATS" | jq -r ".$1"
 }
 
 # (a) every line parses with the envelope shape (jq aborts on bad JSON).
 N_REQ=$(wc -l < "$IN" | tr -d ' ')
-serve_start "${SMALL[@]}" --workers 4 --stats
+serve_start "${SMALL[@]}" --workers 4
 cat "$IN" >&5
 recv "$N_REQ"
-serve_disconnect
+# Read before fd 5 closes: this run's one client peaked the gauge at 1.
+serve_stats
+PEAK=$(stat connections_peak)
+exec 5<&- 5>&-
+# A second connection polls until the first one's close is counted: a
+# client going away is a clean close.
+exec 5<> "/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+for _ in $(seq 1 100); do
+    serve_stats
+    [ "$(stat disconnects_clean)" = 1 ] && break
+    sleep 0.1
+done
 serve_kill
+REPLY=""
 echo "$OUT" | jq -es '
     all(.[]; (.id != null) and ((.outcome | has("Ok")) or (.outcome | has("Err"))))
 ' > /dev/null || fail "malformed response line"
@@ -147,13 +157,10 @@ echo "$OUT" | jq -es 'any(.[]; .id == "r11" and .outcome.Err.kind == "InvalidReq
     and (.outcome.Err.message | contains("bits is not rows x cols long")))' > /dev/null \
     || fail "the short-bits Legalize (r11) is not a typed InvalidRequest"
 
-# The disconnect flushed a stats line (a client going away is a clean
-# close that still reports): this run's one client peaked the gauge at
-# 1 and closed cleanly.
-[ "$(stat conns_peak) $(stat disconnects_clean)" = "1 1" ] \
-    || fail "--stats on client disconnect read '$STATS' (want conns_peak=1 disconnects_clean=1)"
+[ "$PEAK $(stat disconnects_clean)" = "1 1" ] \
+    || fail "Stats read connections_peak=$PEAK, then $STATS (want connections_peak=1, disconnects_clean=1)"
 
-echo "wire smoke OK: $N_REQ responses, ids all matched, packed = bits, short bits refused, stats flushed on disconnect"
+echo "wire smoke OK: $N_REQ responses, ids all matched, packed = bits, short bits refused, clean disconnect counted"
 
 # (c) Coalescing burst: N identical requests under distinct ids must
 # produce exactly one backend execution (cache_misses=1 for the single
@@ -163,11 +170,12 @@ N=6
 BURST=$(for i in $(seq 1 $N); do
     printf '{"id":"dup%d","request":{"Generate":{"style":"Layer10003","rows":16,"cols":16,"count":2,"seed":424242}}}\n' "$i"
 done)
-serve_start "${SMALL[@]}" --workers 4 --stats
+serve_start "${SMALL[@]}" --workers 4
 echo "$BURST" >&5
 recv "$N"
-serve_disconnect
+serve_stats
 serve_kill
+REPLY=""
 
 REPLIES=$(echo "$OUT" | jq -r '.id' | sort)
 WANT_IDS=$(echo "$BURST" | jq -r '.id' | sort)
@@ -189,7 +197,7 @@ echo "wire smoke OK: duplicate burst of $N → 1 execution ($COALESCED coalesced
 
 # (d) Session round-trip: open, two turns, close, then a turn on the
 # closed id asserting the typed error envelope.
-serve_start "${SMALL[@]}" --workers 2 --max-sessions 4 --session-ttl-secs 600 --stats
+serve_start "${SMALL[@]}" --workers 2 --max-sessions 4 --session-ttl-secs 600
 
 exchange '{"id":"s-open","request":{"SessionOpen":{"session":"smoke","seed":7}}}'
 echo "$REPLY" | jq -e '.outcome | has("Ok")' > /dev/null || fail "session open errored"
@@ -206,7 +214,7 @@ exchange '{"id":"s-late","request":{"SessionTurn":{"session":"smoke","utterance"
 echo "$REPLY" | jq -e '.outcome.Err.kind == "SessionNotFound"' > /dev/null \
     || fail "turn on a closed session must yield the SessionNotFound envelope"
 
-serve_disconnect
+serve_stats
 serve_kill
 REPLY=""
 [ "$(stat turns) $(stat sessions_open)" = "2 0" ] \
@@ -219,7 +227,7 @@ echo "wire smoke OK: session round-trip (open, 2 turns, close, typed error on cl
 # explicitly *closed* id stays a SessionNotFound envelope. The two
 # cases were previously conflated; they pin different behaviors.
 serve_start "${SMALL[@]}" --workers 2 --max-sessions 1 --session-ttl-secs 600 \
-    --session-dir "$WORK/spill" --stats
+    --session-dir "$WORK/spill"
 
 exchange '{"id":"d-open1","request":{"SessionOpen":{"session":"first","seed":7}}}'
 echo "$REPLY" | jq -e '.outcome | has("Ok")' > /dev/null || fail "durable open errored"
@@ -247,7 +255,7 @@ exchange '{"id":"d-close2","request":{"SessionClose":{"session":"second"}}}'
 echo "$REPLY" | jq -e '.outcome.Ok.payload | has("SessionClose")' > /dev/null \
     || fail "close of the second session errored"
 
-serve_disconnect
+serve_stats
 serve_kill
 REPLY=""
 EVICTED=$(stat sessions_evicted)
@@ -277,7 +285,6 @@ case "$SNAPSHOT" in
     *'"packed":"'*'"format":3'*) ;;
     *) fail "the exported snapshot is not a packed format-3 snapshot" ;;
 esac
-exec 5<&- 5>&-
 serve_kill
 
 # Serve B: same model configuration (snapshots carry session state,
@@ -296,7 +303,6 @@ exchange '{"id":"h-close","request":{"SessionClose":{"session":"hand"}}}'
 echo "$REPLY" | jq -e '.outcome.Ok.payload | has("SessionClose")' > /dev/null \
     || fail "handoff close errored"
 
-exec 5<&- 5>&-
 serve_kill
 REPLY=""
 
@@ -385,7 +391,7 @@ echo "wire smoke OK: router fleet (pin, drain, live migration, refusal and packe
 # server completes untouched, and the per-tenant stats ledger counts
 # the rejections.
 serve_start "${SMALL[@]}" --workers 2 --seed 3 \
-    --tenant-quota flood:inflight=1 --cache-capacity 0 --stats
+    --tenant-quota flood:inflight=1 --cache-capacity 0
 # q-f1 is deliberately heavy (count=512, ≈ 25 ms) so it holds flood's
 # single in-flight slot while the rest of the burst is read — at
 # count=16 it ran 0.8 ms, and on a busy 2-CPU host the loop thread was
@@ -397,9 +403,9 @@ printf '%s\n' \
     '{"id":"q-f3","tenant":"flood","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":1,"seed":90003}}}' \
     '{"id":"q-calm","tenant":"calm","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":1,"seed":90004}}}' >&5
 recv 4
-REPLY=$OUT
-serve_disconnect 'tenant=flood lane=standard'
+serve_stats
 serve_kill
+REPLY=$OUT
 
 echo "$OUT" | jq -es 'map(select(.id == "q-f1")) | first | .outcome | has("Ok")' > /dev/null \
     || fail "the in-quota flood request must complete"
@@ -412,9 +418,9 @@ echo "$OUT" | jq -es '
     | length >= 1 and all(.[]; .outcome.Err.retry_after_ms != null)' > /dev/null \
     || fail "the over-quota burst must yield typed Overloaded envelopes with retry_after_ms"
 
-# The disconnect flushed --stats; the flood tenant's standard-lane row
-# must account the wire-visible rejections.
-LEDGER_REJECTED=$(stat rejected)
+# The flood tenant's standard-lane row in the Stats reply must account
+# the wire-visible rejections.
+LEDGER_REJECTED=$(stat 'tenants[] | select(.tenant == "flood" and .lane == "standard") | .rejected')
 [ "$LEDGER_REJECTED" = "$REJECTED_WIRE" ] \
     || fail "ledger rejected=$LEDGER_REJECTED but the wire saw $REJECTED_WIRE Overloaded replies"
 

@@ -25,14 +25,14 @@
 //! (what the `chatpattern-router` uses to rebalance a fleet). The
 //! `Stats` request kind answers the engine's
 //! [`EngineStats`](chatpattern_core::EngineStats) counters over the
-//! wire mid-stream; `--stats` additionally prints them to stderr at
-//! every disconnect. Malformed lines produce an error envelope
-//! immediately (with the line's `id` when one is recoverable, `null`
-//! otherwise) and never abort the stream.
+//! wire mid-stream; it is the one way counters leave the process.
+//! Malformed lines produce an error envelope immediately (with the
+//! line's `id` when one is recoverable, `null` otherwise) and never
+//! abort the stream.
 
 use chatpattern_core::qos::QosConfig;
 use chatpattern_core::{ChatPattern, EngineConfig, PatternEngine};
-use cp_net::{ConnectionHandler, EngineHandler, EventLoopConfig, EventLoopServer, LineSink};
+use cp_net::{EngineHandler, EventLoopConfig, EventLoopServer};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -49,7 +49,6 @@ struct Options {
     session_dir: Option<String>,
     spill_ahead_turns: Option<u64>,
     persist_shards: usize,
-    stats: bool,
     listen: String,
     max_connections: usize,
 }
@@ -70,7 +69,6 @@ impl Default for Options {
             session_dir: None,
             spill_ahead_turns: None,
             persist_shards: 1,
-            stats: false,
             listen: String::new(),
             max_connections: cp_net::DEFAULT_EVENT_LOOP_CONNECTIONS,
         }
@@ -82,7 +80,8 @@ chatpattern-serve: JSON-lines PatternRequest server over TCP
 
 Each input line: {\"id\": <scalar>, \"request\": <PatternRequest>}
 Each output line: {\"id\": <same>, \"outcome\": {\"Ok\": ...} | {\"Err\": ...}}
-(see docs/WIRE_PROTOCOL.md)
+(see docs/WIRE_PROTOCOL.md). Engine counters are read in-band: send
+{\"id\": <scalar>, \"request\": \"Stats\"}
 
 Options:
   --listen ADDR          address to accept clients on (required; use
@@ -140,9 +139,6 @@ Options:
   --diffusion-steps N    diffusion chain length K (default 12)
   --training-patterns N  training patterns per style (default 64)
   --seed N               master seed (default 0)
-  --stats                print engine counters to stderr at every
-                         disconnect (counters are also queryable
-                         in-band via the Stats request kind)
   --help                 this text";
 
 fn parse_args() -> Result<Options, String> {
@@ -153,18 +149,18 @@ fn parse_args() -> Result<Options, String> {
             println!("{USAGE}");
             std::process::exit(0);
         }
-        if flag == "--stats" {
-            options.stats = true;
-            continue;
-        }
-        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        // Every flag takes a value; an unknown one is refused by its
+        // name even when nothing follows it.
+        let value = args.next();
+        let text = || value.clone().ok_or_else(|| format!("{flag} needs a value"));
         let number = |name: &str| {
+            let value = text()?;
             value
                 .parse::<usize>()
                 .map_err(|_| format!("{name} needs an unsigned integer, got {value:?}"))
         };
         let positive = |name: &str| match number(name)? {
-            0 => Err(format!("{name} needs at least 1, got {value:?}")),
+            0 => Err(format!("{name} needs at least 1, got {:?}", text()?)),
             n => Ok(n),
         };
         match flag.as_str() {
@@ -174,14 +170,14 @@ fn parse_args() -> Result<Options, String> {
             "--tenant-quota" => {
                 options
                     .qos
-                    .apply_quota_flag(&value)
+                    .apply_quota_flag(&text()?)
                     .map_err(|e| format!("--tenant-quota: {e}"))?;
             }
             "--max-sessions" => options.max_sessions = positive("--max-sessions")?,
             "--session-ttl-secs" => {
                 options.session_ttl_secs = positive("--session-ttl-secs")? as u64;
             }
-            "--session-dir" => options.session_dir = Some(value.clone()),
+            "--session-dir" => options.session_dir = Some(text()?),
             "--spill-ahead-turns" => {
                 options.spill_ahead_turns = Some(positive("--spill-ahead-turns")? as u64);
             }
@@ -192,7 +188,7 @@ fn parse_args() -> Result<Options, String> {
                 options.training_patterns = positive("--training-patterns")?;
             }
             "--seed" => options.seed = number("--seed")? as u64,
-            "--listen" => options.listen = value.clone(),
+            "--listen" => options.listen = text()?,
             "--max-connections" => options.max_connections = positive("--max-connections")?,
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
@@ -201,66 +197,6 @@ fn parse_args() -> Result<Options, String> {
         return Err("--listen ADDR is required".to_owned());
     }
     Ok(options)
-}
-
-/// One stderr line of engine counters — the shape `wire_smoke.sh`
-/// greps, flushed at every disconnect when `--stats` is on.
-fn print_stats(engine: &PatternEngine<ChatPattern>) {
-    let stats = engine.stats();
-    eprintln!(
-        "chatpattern-serve: submitted={} completed={} failed={} cancelled={} \
-         cache_hits={} cache_misses={} coalesced={} sessions_open={} \
-         sessions_evicted={} sessions_spilled={} sessions_restored={} turns={} \
-         queue_depths={:?} conns_live={} conns_peak={} disconnects_clean={} \
-         disconnects_backpressure={} sessions_spilled_ahead={} snapshot_bytes_saved={}",
-        stats.submitted,
-        stats.completed,
-        stats.failed,
-        stats.cancelled,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.coalesced,
-        stats.sessions_open,
-        stats.sessions_evicted,
-        stats.sessions_spilled,
-        stats.sessions_restored,
-        stats.turns,
-        stats.queue_depths,
-        stats.connections_live,
-        stats.connections_peak,
-        stats.disconnects_clean,
-        stats.disconnects_backpressure,
-        stats.sessions_spilled_ahead,
-        stats.snapshot_bytes_saved,
-    );
-    // One extra line per (tenant, lane) QoS row, after the main
-    // counter line so existing log scrapers keep matching it.
-    for row in &stats.tenants {
-        eprintln!(
-            "chatpattern-serve: tenant={} lane={} admitted={} rejected={} completed={} \
-             queue_micros={}",
-            row.tenant, row.lane, row.admitted, row.rejected, row.completed, row.queue_micros,
-        );
-    }
-}
-
-/// The shared [`EngineHandler`] plus the `--stats` flush on every
-/// disconnect.
-struct ServeHandler {
-    inner: EngineHandler<ChatPattern>,
-    stats: bool,
-}
-
-impl ConnectionHandler for ServeHandler {
-    fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
-        self.inner.on_line(line, sink);
-    }
-
-    fn on_disconnect(&self, _sink: &Arc<LineSink>) {
-        if self.stats {
-            print_stats(self.inner.engine());
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -302,10 +238,7 @@ fn main() -> ExitCode {
         }
     };
     let counters = engine.conn_counters();
-    let handler = Arc::new(ServeHandler {
-        inner: EngineHandler::new(engine),
-        stats: options.stats,
-    });
+    let handler = Arc::new(EngineHandler::new(engine));
     // Thousands of sockets need fd headroom beyond the usual shell
     // default of 1024.
     cp_net::raise_nofile_limit();

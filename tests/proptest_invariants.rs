@@ -991,7 +991,7 @@ fn check_queue_case(case: &QueueCase) -> Result<(), String> {
                 }
                 Ok(None)
             }
-            Some(((lane, tenant, got), _queued_for)) => {
+            Some((lane, tenant, got)) => {
                 let fifo = model
                     .get_mut(&(lane, tenant))
                     .ok_or_else(|| format!("popped unknown stream ({lane}, {tenant})"))?;
@@ -1172,7 +1172,7 @@ fn fair_queue_weight_shares_are_exact_under_saturation() {
             }
             let mut served = [0usize; 3];
             for _ in 0..cycle {
-                let (lane_idx, _) = queue.pop().ok_or("pop on a saturated queue")?;
+                let lane_idx = queue.pop().ok_or("pop on a saturated queue")?;
                 served[lane_idx] += 1;
             }
             for lane in 0..3 {
@@ -1734,7 +1734,6 @@ fn arb_wire_case(rng: &mut ChaCha8Rng) -> WireCase {
             completed: small(rng),
             cache_hits: small(rng),
             sessions_spilled_ahead: small(rng),
-            snapshot_bytes_saved: small(rng),
             queue_depths: (0..rng.gen_range(0..5))
                 .map(|_| rng.gen_range(0..9))
                 .collect(),
@@ -1862,21 +1861,15 @@ fn recorded_exchanges() -> Vec<(PatternRequest, chatpattern::PatternResponse)> {
             _ => None,
         })
         .expect("the dialog exported a snapshot");
-    let mut compacted = snapshot.clone();
-    assert!(
-        compacted.compact(2) > 0,
-        "three turns leave something to drop"
-    );
     let previous = chatpattern::SessionSnapshot {
         format: 2,
-        ..compacted.clone()
+        ..snapshot.clone()
     };
     let legacy = chatpattern::SessionSnapshot {
         format: 1,
-        compaction: None,
-        ..snapshot
+        ..snapshot.clone()
     };
-    for snapshot in [compacted, previous, legacy] {
+    for snapshot in [snapshot, previous, legacy] {
         let restore = PatternRequest::SessionRestore(SessionRestoreParams {
             snapshot: Box::new(snapshot.clone()),
         });
@@ -2027,19 +2020,15 @@ fn codec_routes_agree_on_every_wire_and_snapshot_type() {
         payload_kinds.iter().map(String::as_str).collect::<Vec<_>>(),
         all
     );
-    let formats: std::collections::BTreeSet<(u32, bool)> = exchanges
+    let formats: std::collections::BTreeSet<u32> = exchanges
         .iter()
         .filter_map(|(_, response)| match &response.payload {
-            chatpattern::ResponsePayload::SessionSnapshot(s) => {
-                Some((s.format, s.compaction.is_some()))
-            }
+            chatpattern::ResponsePayload::SessionSnapshot(s) => Some(s.format),
             _ => None,
         })
         .collect();
     assert!(
-        [(1, false), (2, true), (3, true), (3, false)]
-            .iter()
-            .all(|format| formats.contains(format)),
+        [1, 2, 3].iter().all(|format| formats.contains(format)),
         "every snapshot format is in the recording: {formats:?}"
     );
 

@@ -391,6 +391,67 @@ fn over_capacity_session_dir_store_never_reports_not_found() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// A dialog closes the same whether or not its session left memory on
+/// the way: a spill file is the session's whole `SessionSnapshot`, so
+/// the copy that was spilled exports, after it rehydrates, what the live
+/// one exports, and closes with the same full transcript — also when a
+/// restart over the directory is what brings it back.
+#[test]
+fn a_spilled_session_closes_as_the_one_that_stayed_in_memory() {
+    let dir = temp_dir("close-after-spill");
+    let spilling = || {
+        ChatPattern::builder()
+            .window(16)
+            .training_patterns(8)
+            .diffusion_steps(6)
+            .seed(3)
+            .max_sessions(1)
+            .session_dir(&dir)
+            .build()
+            .expect("valid configuration")
+    };
+    let two_turns = |system: &ChatPattern| {
+        system.session_open("d", Some(SEED)).expect("opens");
+        for utterance in &TURNS[..2] {
+            system.session_turn("d", utterance).expect("turn runs");
+        }
+    };
+    let in_memory = build_system();
+    two_turns(&in_memory);
+    let live = in_memory.session_snapshot("d").expect("exports");
+    let closed = in_memory.session_close("d").expect("closes");
+
+    let system = spilling();
+    two_turns(&system);
+    system
+        .session_open("second", Some(1))
+        .expect("opening a second session spills the first");
+    assert_eq!(system.session_stats().spilled, 1);
+    let rehydrated = system
+        .session_snapshot("d")
+        .expect("the spilled copy exports");
+    assert_eq!(system.session_stats().restored, 1);
+    assert_eq!(rehydrated, live, "the spill kept the whole session");
+    let after_spill = system.session_close("d").expect("closes");
+    assert_eq!(
+        (after_spill.transcript.len(), closed.transcript.len()),
+        (closed.transcript.len(), live.agent.transcript.len())
+    );
+    assert_eq!(after_spill, closed);
+
+    // Spilled again, then the process is gone: the restart's close reads
+    // the session back from the directory alone.
+    two_turns(&system);
+    system
+        .session_open("third", Some(1))
+        .expect("opening another session spills the dialog");
+    drop(system);
+    let restarted = spilling();
+    assert_eq!(restarted.session_close("d").expect("closes"), closed);
+    drop(restarted);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 #[test]
 fn killed_serve_process_leaves_spilled_sessions_recoverable() {
     let dir = temp_dir("restart");
@@ -978,14 +1039,23 @@ fn snapshot_spilled_by_a_previous_build_restores_and_respills_as_format_3() {
     assert!(!respilled.contains(r#""bits""#), "{respilled}");
     assert_eq!(
         (respilled.len(), route_hash(&respilled)),
-        (6397, 0x3128_2d39_70ca_8219),
+        (7998, 0xecd0_a1c1_6eeb_d46f),
         "the file after turn 3 moved"
     );
-    // The file is the live session's state, as the persist path
-    // compacts it.
-    let mut live = system.session_snapshot("handoff").expect("exports");
-    live.compact(chatpattern::core::SNAPSHOT_TRANSCRIPT_TAIL);
+    // The file is the live session's `SessionSnapshot`, byte for byte.
+    let live = system.session_snapshot("handoff").expect("exports");
+    assert_eq!(respilled, serde_json::to_string(&live).expect("serializes"));
     let read: SessionSnapshot = serde_json::from_str(&respilled).expect("new file reads");
+    assert_eq!(read, live);
+    // A format-3 file that a compacting build wrote still carries that
+    // build's `compaction` record; this build reads past it.
+    let compacted = respilled.replacen(
+        r#","format":3"#,
+        r#","compaction":{"bytes":1915,"digest":15734819377510731759,"dropped":12},"format":3"#,
+        1,
+    );
+    assert_ne!(compacted, respilled);
+    let read: SessionSnapshot = serde_json::from_str(&compacted).expect("compacted file reads");
     assert_eq!(read, live);
     drop(system);
     let _ = std::fs::remove_dir_all(&dir);

@@ -507,22 +507,26 @@ fn a_packed_request_and_its_bits_twin_are_one_execution() {
     serve.stop();
 }
 
-/// A pre-removal worker behind a newer router still stamps the retired
-/// microbatching keys (`timing.batched`, `Stats.batched`,
-/// `Stats.batch_sizes`) on its replies; they must decode, ignored.
+/// A pre-removal worker behind a newer router still stamps retired keys
+/// on its replies: the microbatching ones (`timing.batched`,
+/// `Stats.batched`, `Stats.batch_sizes`) and the snapshot compactor's
+/// `Stats.snapshot_bytes_saved`. They must decode, ignored.
 #[test]
 fn reply_from_a_microbatching_era_peer_still_decodes() {
-    let line = r#"{"id":"old-1","outcome":{"Ok":{"payload":{"Stats":{"batch_sizes":[1,0,1],"batched":3,"cache_hits":0,"cache_misses":4,"cancelled":0,"coalesced":0,"completed":4,"connections_live":0,"connections_peak":0,"disconnects_backpressure":0,"disconnects_clean":0,"failed":0,"queue_depths":[0],"sessions_evicted":0,"sessions_open":0,"sessions_restored":0,"sessions_spilled":0,"sessions_spilled_ahead":0,"snapshot_bytes_saved":0,"submitted":4,"tenants":[],"turns":0}},"timing":{"batched":true,"cached":false,"coalesced":false,"exec_micros":4,"micros":7,"queue_micros":3}}}}"#;
-    let envelope: ResponseEnvelope = serde_json::from_str(line).expect("old reply decodes");
-    assert_eq!(envelope.id.as_str(), Some("old-1"));
-    let WireOutcome::Ok(response) = envelope.outcome else {
-        panic!("old reply is an Ok outcome");
-    };
-    assert_eq!(response.timing.micros, 7);
-    let ResponsePayload::Stats(stats) = response.payload else {
-        panic!("old reply carries Stats");
-    };
-    assert_eq!((stats.submitted, stats.completed), (4, 4));
+    let microbatching = r#"{"id":"old-1","outcome":{"Ok":{"payload":{"Stats":{"batch_sizes":[1,0,1],"batched":3,"cache_hits":0,"cache_misses":4,"cancelled":0,"coalesced":0,"completed":4,"connections_live":0,"connections_peak":0,"disconnects_backpressure":0,"disconnects_clean":0,"failed":0,"queue_depths":[0],"sessions_evicted":0,"sessions_open":0,"sessions_restored":0,"sessions_spilled":0,"sessions_spilled_ahead":0,"snapshot_bytes_saved":0,"submitted":4,"tenants":[],"turns":0}},"timing":{"batched":true,"cached":false,"coalesced":false,"exec_micros":4,"micros":7,"queue_micros":3}}}}"#;
+    let compacting = r#"{"id":"old-1","outcome":{"Ok":{"payload":{"Stats":{"cache_hits":0,"cache_misses":4,"cancelled":0,"coalesced":0,"completed":4,"connections_live":0,"connections_peak":0,"disconnects_backpressure":0,"disconnects_clean":0,"failed":0,"queue_depths":[0],"sessions_evicted":0,"sessions_open":1,"sessions_restored":2,"sessions_spilled":2,"sessions_spilled_ahead":3,"snapshot_bytes_saved":40517,"submitted":4,"tenants":[],"turns":3}},"timing":{"cached":false,"coalesced":false,"exec_micros":4,"micros":7,"queue_micros":3}}}}"#;
+    for line in [microbatching, compacting] {
+        let envelope: ResponseEnvelope = serde_json::from_str(line).expect("old reply decodes");
+        assert_eq!(envelope.id.as_str(), Some("old-1"));
+        let WireOutcome::Ok(response) = envelope.outcome else {
+            panic!("old reply is an Ok outcome");
+        };
+        assert_eq!(response.timing.micros, 7);
+        let ResponsePayload::Stats(stats) = response.payload else {
+            panic!("old reply carries Stats");
+        };
+        assert_eq!((stats.submitted, stats.completed), (4, 4));
+    }
 }
 
 const SERVE: &str = env!("CARGO_BIN_EXE_chatpattern-serve");
@@ -550,8 +554,9 @@ fn refused(binary: &str, args: &[&str], complaint: &str) {
 /// serve's spill-ahead cadence thread (expiry is purged at the next
 /// store operation, and spilled like an eviction), serve's lane
 /// weights (the queue dequeues by the default `4,2,1`, which nothing
-/// ever changed), and the router's auto-rebalancer (a session moves by
-/// a `Drain`, one at a time).
+/// ever changed), the router's auto-rebalancer (a session moves by a
+/// `Drain`, one at a time), and serve's stderr counter line (counters
+/// leave a process only as the `Stats` reply).
 #[test]
 fn the_transport_flag_is_an_unknown_flag() {
     for (binary, flag) in [
@@ -560,6 +565,7 @@ fn the_transport_flag_is_an_unknown_flag() {
         (SERVE, "--shards"),
         (SERVE, "--spill-ahead-secs"),
         (SERVE, "--lane-weights"),
+        (SERVE, "--stats"),
         (ROUTER, "--tenant-quota"),
         (ROUTER, "--lane-weights"),
         (ROUTER, "--spill-ahead-turns"),
@@ -615,7 +621,7 @@ fn a_connection_cap_of_zero_is_refused_at_start_up() {
 #[test]
 fn attach_mode_refuses_configuration_for_spawned_workers() {
     for (flag, value) in [
-        ("--serve-arg", "--stats"),
+        ("--serve-arg", "--seed"),
         ("--serve-bin", "/bin/true"),
         ("--session-dir", "/tmp/never-created"),
     ] {
