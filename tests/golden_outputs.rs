@@ -2,9 +2,10 @@
 //! produces for fixed seeds, hard-coded from the commit before the
 //! denoise step became table-driven (ISSUE 13) — the 4× and 80×72
 //! `Extend` pins and the two corner `Modify` pins from the commit
-//! before `modify` read only the draws it uses (ISSUE 17).
+//! before `modify` read only the draws it uses (ISSUE 17); the legalize
+//! pins from the commit before the legalizer moved to row runs.
 //!
-//! Every sampler, denoiser, extension or RNG change must leave these
+//! Every sampler, denoiser, extension, legalizer or RNG change must leave these
 //! untouched: an optimisation is allowed to change how long an answer
 //! takes, never the answer. A digest that moves means the change is not
 //! output-neutral — do not re-pin it without saying so in CHANGES.md.
@@ -15,9 +16,9 @@
 
 use chatpattern::dataset::Style;
 use chatpattern::extend::ExtensionMethod;
-use chatpattern::squish::{Region, Topology};
+use chatpattern::squish::{Region, SquishPattern, Topology};
 use chatpattern::{
-    ChatPattern, ExtendParams, GenerateParams, ModifyParams, PatternRequest, PatternService,
+    ChatPattern, Error, ExtendParams, GenerateParams, ModifyParams, PatternRequest, PatternService,
     ResponsePayload, SessionCloseParams, SessionOpenParams, SessionTurnParams,
 };
 
@@ -209,4 +210,90 @@ fn three_turn_chat_is_pinned() {
     assert!(!outcome.library.is_empty(), "the dialog produced patterns");
     fnv1a(&mut digest, outcome.render_transcript().as_bytes());
     assert_eq!(digest, 0x77a1_a6c6_16dd_5d50, "3-turn chat: {digest:#018x}");
+}
+
+fn digest_geometry(digest: &mut u64, pattern: &SquishPattern) {
+    for delta in [pattern.dx(), pattern.dy()] {
+        fnv1a(digest, &(delta.len() as u64).to_le_bytes());
+        for d in delta {
+            fnv1a(digest, &d.to_le_bytes());
+        }
+    }
+}
+
+fn render_failure(outcome: Result<SquishPattern, Error>) -> String {
+    let Err(Error::Legalize(f)) = outcome else {
+        panic!("expected a legalization failure, got {outcome:?}");
+    };
+    format!(
+        "{:?} | {} | needed {} | available {} | {}",
+        f.kind, f.region, f.needed, f.available, f.log
+    )
+}
+
+/// The legalizer's geometry vectors and its explainable failures: the
+/// `Generate` samples above in their 1× frame (16 nm a cell), a 4×
+/// extension in its 4× frame, one frame too small for a sample, and one
+/// polygon whose minimum area the slack cannot buy.
+#[test]
+fn legalize_outputs_are_pinned() {
+    const FRAME: i64 = 16 * WINDOW as i64;
+    let system = system();
+    let mut digest = FNV_OFFSET;
+    let mut samples = Vec::new();
+    for (style, seed) in [
+        (Style::Layer10001, 11),
+        (Style::Layer10001, 12),
+        (Style::Layer10003, 11),
+        (Style::Layer10003, 12),
+    ] {
+        samples.extend(generate(&system, style, seed));
+    }
+    for (i, t) in samples.iter().enumerate() {
+        let pattern = system
+            .legalize(t, FRAME, FRAME, 100 + i as u64)
+            .expect("a 1x sample legalizes");
+        digest_geometry(&mut digest, &pattern);
+    }
+    let ResponsePayload::Extend(extended) = payload(
+        &system,
+        PatternRequest::Extend(ExtendParams {
+            seed_topology: samples[0].clone(),
+            rows: 4 * WINDOW,
+            cols: 4 * WINDOW,
+            method: ExtensionMethod::OutPainting,
+            style: Style::Layer10001,
+            seed: 32,
+        }),
+    ) else {
+        panic!("wrong payload");
+    };
+    let pattern = system
+        .legalize(&extended, 4 * FRAME, 4 * FRAME, 120)
+        .expect("the 4x extension legalizes");
+    digest_geometry(&mut digest, &pattern);
+    assert_eq!(
+        digest, 0x9d50_6ad4_ab02_4dc9,
+        "Legalize geometry: {digest:#018x}"
+    );
+
+    let infeasible = render_failure(system.legalize(&samples[0], FRAME / 4, FRAME, 121));
+    assert_eq!(
+        infeasible,
+        "Infeasible { axis: X } | rows 8..9, cols 26..30 | needed 176 | available 128 | \
+         axis x: minimal extent 176 nm exceeds frame 128 nm; binding region rows 8..9, \
+         cols 26..30 (bound 40 nm)"
+    );
+    let dot = Topology::from_ascii(
+        "........
+         .11..1..
+         .11.....
+         ....111.",
+    );
+    let area = render_failure(system.legalize(&dot, 132, 136, 122));
+    assert_eq!(
+        area,
+        "AreaUnsatisfiable | rows 1..2, cols 5..6 | needed 3200 | available 2695 | \
+         component 1 area 2695 nm\u{b2} < minimum 3200 nm\u{b2} and the slack budget is exhausted"
+    );
 }
