@@ -99,22 +99,17 @@ pub fn check_pattern(pattern: &SquishPattern, rules: &DesignRules) -> DrcReport 
         );
     }
 
-    // Polygon areas over 4-connected components.
-    let labels = label_components(t.rows(), t.cols(), |r, c| t.get(r, c));
-    let dx = min.dx();
+    // Polygon areas over 4-connected components, a row run at a time.
+    let labels = label_components(t.rows(), t.cols(), t.as_bytes());
     let dy = min.dy();
-    let mut areas = vec![0i64; labels.count() as usize];
-    for (r, c, set) in t.iter() {
-        if set {
-            areas[labels.label(r, c) as usize] += dx[c] * dy[r];
-        }
-    }
-    for (id, &area) in areas.iter().enumerate() {
+    for id in 0..labels.count() {
+        let area: i64 = labels
+            .runs_of(id)
+            .iter()
+            .map(|run| dy[run.row] * (xs[run.end] - xs[run.start]))
+            .sum();
         if area < rules.min_area() {
-            // A label with no cells cannot violate the area rule.
-            let Some((r0, c0, r1, c1)) = labels.bbox_of(id as u32) else {
-                continue;
-            };
+            let (r0, c0, r1, c1) = labels.bbox_of(id).expect("a component has cells");
             violations.push(Violation {
                 kind: ViolationKind::Area,
                 axis: None,

@@ -29,7 +29,7 @@ pub mod point;
 pub mod rect;
 pub mod scanline;
 
-pub use component::{label_components, ComponentLabels};
+pub use component::{label_components, line_edges, CellRun, ComponentLabels};
 pub use layout::Layout;
 pub use point::Point;
 pub use rect::Rect;

@@ -13,6 +13,15 @@
 //! where pattern geometry diversity comes from), and polygon areas are
 //! repaired by shifting slack into deficient components.
 //!
+//! Every stage reads runs, not cells. A scan line is a contiguous byte
+//! slice (columns come from one transposed copy) whose edges are found
+//! eight cells a word; a line equal to the one before it adds nothing
+//! and is skipped; two counting sorts order the raw runs. Polygons are
+//! the row-run components of [`cp_geom::label_components`], so an
+//! area-repair pass costs one multiply a run (the model's 128 × 128
+//! samples take about two passes a call). `docs/ENGINE.md`, "Legalize
+//! budget", splits a call's time by stage.
+//!
 //! When the minimal solution already exceeds the frame, legalization is
 //! infeasible and the binding constraint chain identifies the
 //! "unreasonable region" — the grid [`Region`](cp_squish::Region) the

@@ -2,8 +2,9 @@
 //! produces for fixed seeds, hard-coded from the commit before the
 //! denoise step became table-driven (ISSUE 13) — the 4× and 80×72
 //! `Extend` pins and the two corner `Modify` pins from the commit
-//! before `modify` read only the draws it uses (ISSUE 17); the legalize
-//! pins from the commit before the legalizer moved to row runs.
+//! before `modify` read only the draws it uses (ISSUE 17).
+//! The legalize pins are from the commit before the legalizer moved to
+//! row runs.
 //!
 //! Every sampler, denoiser, extension, legalizer or RNG change must leave these
 //! untouched: an optimisation is allowed to change how long an answer
