@@ -1469,4 +1469,182 @@ mod tests {
             stats.tenants
         );
     }
+
+    /// The seed the accounting script's service holds at its gate.
+    const HOLD: u64 = 99;
+
+    /// The accounting script's service: a `Generate` at seed [`HOLD`]
+    /// waits at a [`GatedService`] gate, one with zero rows fails, and
+    /// everything else succeeds at once.
+    struct ScriptService(GatedService);
+
+    impl PatternService for ScriptService {
+        fn execute(&self, request: PatternRequest) -> Result<PatternResponse, Error> {
+            match &request {
+                PatternRequest::Generate(p) if p.seed == HOLD => self.0.execute(request),
+                PatternRequest::Generate(p) if p.rows == 0 => {
+                    Err(Error::invalid_request("zero rows"))
+                }
+                _ => Ok(PatternResponse {
+                    payload: ResponsePayload::Generate(Vec::new()),
+                    timing: Timing::direct(0),
+                }),
+            }
+        }
+    }
+
+    #[test]
+    fn every_accounting_path_counts_once_and_returns_every_grant() {
+        let mut qos = QosConfig::new();
+        qos.apply_quota_flag("bob:tps=0.001,burst=1")
+            .expect("one turn, then an empty budget");
+        let open = Arc::new((Mutex::new(false), Condvar::new()));
+        let engine = PatternEngine::with_qos(
+            ScriptService(GatedService {
+                open: Arc::clone(&open),
+                started: (Mutex::new(0), Condvar::new()),
+            }),
+            EngineConfig {
+                workers: 1,
+                queue_depth: 1,
+                cache_capacity: 8,
+            },
+            qos,
+        )
+        .expect("valid config");
+        let rows = |engine: &PatternEngine<ScriptService>| -> Vec<(String, String, u64, u64, u64)> {
+            engine
+                .stats()
+                .tenants
+                .into_iter()
+                .map(|r| (r.tenant, r.lane, r.admitted, r.rejected, r.completed))
+                .collect()
+        };
+        let standard_queue_micros = |engine: &PatternEngine<ScriptService>| {
+            let stats = engine.stats();
+            let row = stats
+                .tenants
+                .iter()
+                .find(|r| r.tenant == "alice" && r.lane == "standard");
+            row.expect("alice has a standard row").queue_micros
+        };
+        let turn = || {
+            PatternRequest::SessionTurn(crate::SessionTurnParams {
+                session: "s".into(),
+                utterance: "x".into(),
+            })
+        };
+        let alice = Some("alice");
+
+        // An executed session turn (interactive), then a quota refusal.
+        engine
+            .submit_as(Some("bob"), turn())
+            .expect("admits")
+            .wait()
+            .expect("runs");
+        assert!(matches!(
+            engine.submit_as(Some("bob"), turn()),
+            Err(Error::Overloaded { .. })
+        ));
+        // Executed leaders in the standard and batch lanes, a cache hit
+        // of the first, and a request the service fails.
+        engine
+            .submit_as(alice, generate(1))
+            .expect("admits")
+            .wait()
+            .expect("runs");
+        let before = standard_queue_micros(&engine);
+        let hit = engine
+            .submit_as(alice, generate(1))
+            .expect("admits")
+            .wait()
+            .expect("hits");
+        assert!(hit.timing.cached);
+        assert_eq!(
+            standard_queue_micros(&engine),
+            before,
+            "a cache hit adds no queue time"
+        );
+        let evaluate = PatternRequest::Evaluate(crate::EvaluateParams {
+            topologies: Vec::new(),
+            frame_nm: 512,
+            seed: 1,
+        });
+        engine
+            .submit_as(alice, evaluate)
+            .expect("admits")
+            .wait()
+            .expect("runs");
+        let failing = PatternRequest::Generate(GenerateParams {
+            rows: 0,
+            ..match generate(2) {
+                PatternRequest::Generate(p) => p,
+                _ => unreachable!(),
+            }
+        });
+        assert!(engine
+            .submit_as(alice, failing)
+            .expect("admits")
+            .wait()
+            .is_err());
+
+        // A leader held running, a coalesced waiter on it, a session
+        // open queued behind it, and a submit the full queue refuses.
+        let leader = engine.submit_as(alice, generate(HOLD)).expect("admits");
+        engine.service().0.await_started(1);
+        let waiter = engine.submit_as(alice, generate(HOLD)).expect("coalesces");
+        let late_open = PatternRequest::SessionOpen(crate::SessionOpenParams {
+            session: "late".into(),
+            seed: Some(1),
+        });
+        let queued = engine.submit_as(alice, late_open).expect("queues");
+        assert!(matches!(
+            engine.submit_as(alice, generate(3)),
+            Err(Error::QueueFull { depth: 1 })
+        ));
+
+        let owned = |rows: &[(&str, &str, u64, u64, u64)]| -> Vec<(String, String, u64, u64, u64)> {
+            rows.iter()
+                .map(|&(t, l, a, r, c)| (t.to_owned(), l.to_owned(), a, r, c))
+                .collect()
+        };
+        // Sorted by tenant, then by lane *name*: batch < interactive <
+        // standard. A QueueFull was admitted and never completes; a
+        // coalesced waiter is admitted, the leader alone completes.
+        assert_eq!(
+            rows(&engine),
+            owned(&[
+                ("alice", "batch", 1, 0, 1),
+                ("alice", "interactive", 1, 0, 0),
+                ("alice", "standard", 6, 0, 3),
+                ("bob", "interactive", 1, 1, 1),
+            ])
+        );
+        assert_eq!(
+            engine.core.gate.gauges("alice"),
+            (2, 1),
+            "the held leader and the queued open"
+        );
+        assert_eq!(engine.core.gate.gauges("bob"), (0, 0));
+
+        // Drop with the open still queued: it is cancelled, then the
+        // held leader is let finish for its subscribers.
+        let core = Arc::clone(&engine.core);
+        let opener = thread::spawn(move || {
+            let cancelled = queued.wait();
+            *open.0.lock().expect("gate lock") = true;
+            open.1.notify_all();
+            cancelled
+        });
+        drop(engine);
+        assert!(matches!(
+            opener.join().expect("opener finishes"),
+            Err(Error::Cancelled)
+        ));
+        leader.wait().expect("the held leader completes");
+        assert!(waiter.wait().expect("its waiter hears").timing.coalesced);
+        for tenant in ["alice", "bob"] {
+            assert_eq!(core.gate.gauges(tenant), (0, 0), "{tenant} holds no grant");
+        }
+    }
 }
