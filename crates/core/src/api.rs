@@ -211,29 +211,16 @@ pub enum PatternRequest {
 }
 
 impl PatternRequest {
-    /// The session id this request addresses, when it is a session
-    /// request. Drives the engine's session-affine shard routing and
-    /// its cache/coalescer exemption.
-    #[must_use]
-    pub fn session_id(&self) -> Option<&str> {
-        match self {
-            PatternRequest::SessionOpen(p) => Some(&p.session),
-            PatternRequest::SessionTurn(p) => Some(&p.session),
-            PatternRequest::SessionClose(p) => Some(&p.session),
-            PatternRequest::SessionSnapshot(p) => Some(&p.session),
-            PatternRequest::SessionRestore(p) => Some(&p.snapshot.session),
-            _ => None,
-        }
-    }
-
-    /// The QoS priority lane of this request: chat turns and session
-    /// operations are interactive (a user is waiting
+    /// How the QoS gate admits this request. Its lane: chat turns and
+    /// session operations are interactive (a user is waiting
     /// mid-conversation), one-shot generation work is standard, and
-    /// evaluation sweeps are batch. `Stats` is classified interactive
-    /// but never queued — the engine answers it inline.
+    /// evaluation sweeps are batch (`Stats` is classified interactive
+    /// but never queued — the engine answers it inline). Its cost: chat
+    /// turns consume a turn token, and session open/restore reserves
+    /// an open-session slot.
     #[must_use]
-    pub fn lane(&self) -> cp_qos::Lane {
-        match self {
+    pub fn admit_class(&self) -> cp_qos::AdmitClass {
+        let lane = match self {
             PatternRequest::Chat(_)
             | PatternRequest::SessionOpen(_)
             | PatternRequest::SessionTurn(_)
@@ -246,15 +233,9 @@ impl PatternRequest {
             | PatternRequest::Modify(_)
             | PatternRequest::Legalize(_) => cp_qos::Lane::Standard,
             PatternRequest::Evaluate(_) => cp_qos::Lane::Batch,
-        }
-    }
-
-    /// What admitting this request costs against a tenant's quota:
-    /// chat turns consume a turn token; session open/restore reserves
-    /// an open-session slot.
-    #[must_use]
-    pub fn admit_class(&self) -> cp_qos::AdmitClass {
+        };
         cp_qos::AdmitClass {
+            lane,
             consumes_turn: matches!(
                 self,
                 PatternRequest::Chat(_) | PatternRequest::SessionTurn(_)
@@ -453,7 +434,7 @@ pub struct PatternResponse {
 }
 
 /// The service abstraction over the assembled system: one typed,
-/// fallible, batchable entry point. Network layers, queues and test
+/// fallible entry point. Network layers, queues and test
 /// doubles implement or wrap this trait instead of reaching into the
 /// facade.
 pub trait PatternService {
@@ -464,13 +445,6 @@ pub trait PatternService {
     /// Returns the workspace-wide [`Error`] for invalid parameters or
     /// any back-end failure.
     fn execute(&self, request: PatternRequest) -> Result<PatternResponse, Error>;
-
-    /// Serves a batch of requests, preserving order. Each request
-    /// carries its own seed, so implementations are free to reorder or
-    /// parallelize execution without changing results.
-    fn execute_many(&self, requests: Vec<PatternRequest>) -> Vec<Result<PatternResponse, Error>> {
-        requests.into_iter().map(|r| self.execute(r)).collect()
-    }
 
     /// Session activity of this service, when it hosts stateful
     /// sessions ([`ChatPattern`] does; pure computational services
@@ -488,10 +462,6 @@ pub trait PatternService {
 impl<S: PatternService + ?Sized> PatternService for std::sync::Arc<S> {
     fn execute(&self, request: PatternRequest) -> Result<PatternResponse, Error> {
         (**self).execute(request)
-    }
-
-    fn execute_many(&self, requests: Vec<PatternRequest>) -> Vec<Result<PatternResponse, Error>> {
-        (**self).execute_many(requests)
     }
 
     fn session_stats(&self) -> SessionStats {
@@ -773,14 +743,6 @@ mod tests {
         let text = serde_json::to_string(&request).expect("serializes");
         let back: PatternRequest = serde_json::from_str(&text).expect("parses");
         assert_eq!(back, request);
-        assert_eq!(request.session_id(), Some("h"));
-        assert_eq!(
-            PatternRequest::SessionSnapshot(SessionSnapshotParams {
-                session: "h".into()
-            })
-            .session_id(),
-            Some("h")
-        );
         // Close the donor, then import the snapshot through the trait.
         let _ = system
             .execute(PatternRequest::SessionClose(SessionCloseParams {
@@ -840,39 +802,6 @@ mod tests {
         let text = serde_json::to_string(&response).expect("serializes");
         let back: PatternResponse = serde_json::from_str(&text).expect("parses");
         assert_eq!(back, response);
-    }
-
-    #[test]
-    fn execute_many_preserves_order_and_isolates_failures() {
-        let system = small_system();
-        let results = system.execute_many(vec![
-            PatternRequest::Generate(GenerateParams {
-                style: Style::Layer10001,
-                rows: 16,
-                cols: 16,
-                count: 1,
-                seed: 1,
-            }),
-            // Invalid: zero rows.
-            PatternRequest::Generate(GenerateParams {
-                style: Style::Layer10001,
-                rows: 0,
-                cols: 16,
-                count: 1,
-                seed: 2,
-            }),
-            PatternRequest::Generate(GenerateParams {
-                style: Style::Layer10003,
-                rows: 16,
-                cols: 16,
-                count: 1,
-                seed: 3,
-            }),
-        ]);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(Error::InvalidRequest { .. })));
-        assert!(results[2].is_ok());
     }
 
     #[test]

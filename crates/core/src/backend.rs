@@ -9,10 +9,13 @@
 //! job (`chatpattern-router`, one serve process a shard).
 //!
 //! Workers dequeue **weighted-fair**, not FIFO: every task carries the
-//! QoS lane and tenant of its leading request, and the queue is a
-//! [`cp_qos::FairQueue`] — lanes share by [`cp_qos::LaneWeights`]
-//! credits and tenants round-robin within a lane, so one flooding
-//! tenant cannot starve everyone else's queued work.
+//! tenant and the [`cp_qos::AdmitClass`] the engine's one
+//! [`cp_qos::QosGate`] admitted its leading request under, and the
+//! queue is a [`cp_qos::FairQueue`] over that class's lane — lanes
+//! share by [`cp_qos::LaneWeights`] credits and tenants round-robin
+//! within a lane, so one flooding tenant cannot starve everyone else's
+//! queued work. The queue counts nothing: what a tenant was admitted,
+//! refused and served is the gate's entry for it.
 
 use crate::broker::ExecTask;
 use crate::{EngineConfig, Error};
@@ -96,11 +99,10 @@ impl Backend {
     }
 
     fn push(&self, mut state: MutexGuard<'_, QueueState>, task: Arc<ExecTask>) {
-        let lane = task.lane();
-        let tenant = task.tenant().to_owned();
+        let queued = Arc::clone(&task);
         state
             .tasks
-            .push(lane, &tenant, task)
+            .push(task.class().lane, task.tenant(), queued)
             .map_err(|_| ())
             .expect("room was checked under the queue lock");
         drop(state);

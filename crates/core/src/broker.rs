@@ -29,6 +29,7 @@
 
 use crate::cache::LruCache;
 use crate::{Error, PatternRequest, PatternResponse, ResponsePayload};
+use cp_qos::AdmitClass;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -150,19 +151,22 @@ struct TaskState {
     subscribers: Vec<Subscriber>,
 }
 
-/// One shared execution: a request, the tenant/lane QoS context, and
-/// every submitter waiting on the result. This is the unit the
-/// [`Backend`](crate::backend::Backend) queues and runs.
+/// One shared execution: a request, the tenant and admission class it
+/// was admitted under, and every submitter waiting on the result. This
+/// is the unit the [`Backend`](crate::backend::Backend) queues and
+/// runs.
 pub(crate) struct ExecTask {
     /// Shared with the broker's in-flight map and, once the result is
     /// cached, with the cache: one allocation of the serialized request.
     key: Option<Arc<str>>,
     tenant: String,
-    lane: cp_qos::Lane,
-    /// Whether admission reserved a session slot for this request
-    /// (kept here so a task drained at the engine's drop can roll the
-    /// reservation back without access to the request).
-    opens_session: bool,
+    /// The leading request's class: its lane, and whether admission
+    /// reserved a session slot (kept here so a task drained at the
+    /// engine's drop can roll the reservation back without access to
+    /// the request).
+    class: AdmitClass,
+    /// When the leader was submitted: its queue wait is the tenant's.
+    submitted_at: Instant,
     state: Mutex<TaskState>,
 }
 
@@ -180,16 +184,15 @@ impl ExecTask {
     fn new(
         key: Option<Arc<str>>,
         tenant: &str,
-        lane: cp_qos::Lane,
+        class: AdmitClass,
         request: PatternRequest,
         leader: Arc<JobShared>,
     ) -> Arc<ExecTask> {
-        let opens_session = request.admit_class().opens_session;
         Arc::new(ExecTask {
             key,
             tenant: tenant.to_owned(),
-            lane,
-            opens_session,
+            class,
+            submitted_at: leader.submitted_at,
             state: Mutex::new(TaskState {
                 request: Some(request),
                 subscribers: vec![(leader, false)],
@@ -203,14 +206,14 @@ impl ExecTask {
         &self.tenant
     }
 
-    /// The priority lane of the leading request.
-    pub(crate) fn lane(&self) -> cp_qos::Lane {
-        self.lane
+    /// How the leading request was admitted.
+    pub(crate) fn class(&self) -> AdmitClass {
+        self.class
     }
 
-    /// Whether this task's admission reserved an open-session slot.
-    pub(crate) fn opens_session(&self) -> bool {
-        self.opens_session
+    /// When the leading request was submitted.
+    pub(crate) fn submitted_at(&self) -> Instant {
+        self.submitted_at
     }
 
     /// Takes the request out for execution. A task leaves the queue
@@ -312,13 +315,13 @@ impl ResultBroker {
         &self,
         key: Option<String>,
         tenant: &str,
-        lane: cp_qos::Lane,
+        class: AdmitClass,
         request: PatternRequest,
         dispatch: Option<Dispatch<'_>>,
     ) -> Admission {
         let lead = |key| {
             let job = JobShared::pending();
-            let task = ExecTask::new(key, tenant, lane, request, Arc::clone(&job));
+            let task = ExecTask::new(key, tenant, class, request, Arc::clone(&job));
             match dispatch.map_or(Ok(()), |dispatch| dispatch(Arc::clone(&task))) {
                 Ok(()) => Admission::Lead { task, job },
                 Err(error) => Admission::Rejected(error),
@@ -395,10 +398,14 @@ mod tests {
     use crate::GenerateParams;
     use cp_dataset::Style;
 
-    /// Tenant/lane context for admissions whose QoS fields are
+    /// Tenant and class for admissions whose QoS fields are
     /// irrelevant to the property under test.
     const T: &str = "test-tenant";
-    const L: cp_qos::Lane = cp_qos::Lane::Standard;
+    const C: AdmitClass = AdmitClass {
+        lane: cp_qos::Lane::Standard,
+        consumes_turn: false,
+        opens_session: false,
+    };
 
     fn request(seed: u64) -> PatternRequest {
         PatternRequest::Generate(GenerateParams {
@@ -417,11 +424,11 @@ mod tests {
     #[test]
     fn identical_submissions_coalesce_onto_one_task() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, L, request(1), None)
+        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, C, request(1), None)
         else {
             panic!("first submission leads");
         };
-        let Admission::Coalesced(waiter) = broker.admit(Some("k".into()), T, L, request(1), None)
+        let Admission::Coalesced(waiter) = broker.admit(Some("k".into()), T, C, request(1), None)
         else {
             panic!("second identical submission coalesces");
         };
@@ -433,7 +440,7 @@ mod tests {
         assert!(Arc::ptr_eq(&subscribers[1].0, &waiter));
         assert_eq!(broker.inflight_len(), 0);
         assert!(matches!(
-            broker.admit(Some("k".into()), T, L, request(1), None),
+            broker.admit(Some("k".into()), T, C, request(1), None),
             Admission::CacheHit(_)
         ));
     }
@@ -441,8 +448,8 @@ mod tests {
     #[test]
     fn unkeyed_requests_never_share_a_task() {
         let broker = ResultBroker::new(8);
-        let first = broker.admit(None, T, L, request(1), None);
-        let second = broker.admit(None, T, L, request(1), None);
+        let first = broker.admit(None, T, C, request(1), None);
+        let second = broker.admit(None, T, C, request(1), None);
         assert!(matches!(first, Admission::Lead { .. }));
         assert!(matches!(second, Admission::Lead { .. }));
         assert_eq!(broker.inflight_len(), 0, "unkeyed tasks are unregistered");
@@ -454,14 +461,14 @@ mod tests {
         let full: Dispatch<'_> = &|_| Err(Error::QueueFull { depth: 1 });
         for key in [Some("k".to_owned()), None] {
             assert!(matches!(
-                broker.admit(key, T, L, request(1), Some(full)),
+                broker.admit(key, T, C, request(1), Some(full)),
                 Admission::Rejected(Error::QueueFull { depth: 1 })
             ));
         }
         assert_eq!(broker.inflight_len(), 0);
         // Nothing to coalesce onto: the next identical submit leads.
         assert!(matches!(
-            broker.admit(Some("k".into()), T, L, request(1), None),
+            broker.admit(Some("k".into()), T, C, request(1), None),
             Admission::Lead { .. }
         ));
     }
@@ -469,11 +476,11 @@ mod tests {
     #[test]
     fn reject_returns_every_attached_subscriber() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, L, request(1), None)
+        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, C, request(1), None)
         else {
             panic!("leads");
         };
-        let _ = broker.admit(Some("k".into()), T, L, request(1), None);
+        let _ = broker.admit(Some("k".into()), T, C, request(1), None);
         let subscribers = broker.reject(&task);
         assert_eq!(subscribers.len(), 2);
         assert_eq!(broker.inflight_len(), 0);

@@ -10,14 +10,12 @@
 //!   bounded queue is at capacity);
 //! * [`JobHandle::wait`] blocks for the result, and
 //!   [`JobHandle::on_done`] has it delivered to a callback instead;
-//! * the engine itself implements [`PatternService`], so
-//!   [`PatternService::execute_many`] becomes a submit-all/wait-all
-//!   loop that runs batches in parallel.
+//! * the engine itself implements [`PatternService`]: `execute` is
+//!   submit-and-wait.
 //!
-//! Because every request carries its own RNG seed, parallel execution
-//! returns byte-identical payloads to the serial default — the batch is
-//! a pure function of the request list, independent of worker count
-//! and interleaving.
+//! Because every request carries its own RNG seed, requests submitted
+//! together and run in parallel return byte-identical payloads to
+//! serial execution — independent of worker count and interleaving.
 //!
 //! Deterministic requests (everything except `Chat { seed: None }`)
 //! flow through the result broker: completed results replay from a
@@ -38,7 +36,7 @@
 use crate::backend::{Backend, TaskFn};
 use crate::broker::{Admission, Dispatch, ExecTask, JobShared, ResultBroker};
 use crate::{Error, PatternRequest, PatternResponse, PatternService, ResponsePayload, Timing};
-use cp_qos::{QosConfig, QosGate, TenantLaneStats, TenantLedger};
+use cp_qos::{AdmitClass, QosConfig, QosGate, TenantLaneStats};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -366,20 +364,30 @@ struct EngineCore<S> {
     service: S,
     broker: Arc<ResultBroker>,
     stats: Arc<AtomicStats>,
-    /// Per-tenant admission control; a slot admitted in `submit_inner`
-    /// is released once the task leaves the system: here when it ran,
-    /// by the engine's `Drop` when it was still queued then.
+    /// Per-tenant admission control and the accounting behind
+    /// [`EngineStats::tenants`]; a slot admitted in `submit_inner` is
+    /// returned once the task leaves the system: here when it ran, by
+    /// the engine's `Drop` when it was still queued then.
     gate: Arc<QosGate>,
-    /// Per-(tenant, lane) accounting behind [`EngineStats::tenants`].
-    ledger: Arc<TenantLedger>,
 }
 
 impl<S: PatternService> EngineCore<S> {
+    /// Returns the grants of an admitted request that was not served —
+    /// a coalesced waiter, a refused dispatch, a task that never ran:
+    /// its in-flight slot, and the session slot its class reserved.
+    fn withdraw(&self, tenant: &str, class: AdmitClass) {
+        if class.opens_session {
+            self.gate.release_session(tenant);
+        }
+        self.gate.release(tenant);
+    }
+
     /// Executes one task the backend scheduled and fans the result out
     /// to its subscribers (the leader plus any coalesced waiters):
     /// cache insert, session and QoS bookkeeping, broker completion,
     /// per-subscriber timing and stats.
     fn run_task(&self, task: &Arc<ExecTask>) {
+        let class = task.class();
         let request = task.claim();
         let closes_session = matches!(request, crate::PatternRequest::SessionClose(_));
         let started = Instant::now();
@@ -400,16 +408,16 @@ impl<S: PatternService> EngineCore<S> {
             _ => None,
         };
         // Session-slot bookkeeping: a failed open/restore never made a
-        // session, a successful close retires one; the in-flight slot
-        // itself is released unconditionally now that execution is
-        // over.
-        if task.opens_session() && result.is_err() {
+        // session, a successful close retires one. The in-flight slot
+        // goes back, with the leader's completion and queue wait,
+        // before any subscriber hears — a client that retries on its
+        // reply finds the slot free.
+        if (class.opens_session && result.is_err()) || (closes_session && result.is_ok()) {
             self.gate.release_session(task.tenant());
         }
-        if closes_session && result.is_ok() {
-            self.gate.release_session(task.tenant());
-        }
-        self.gate.release(task.tenant());
+        let leader_queue_micros = elapsed_micros(task.submitted_at()).saturating_sub(exec_micros);
+        self.gate
+            .complete(task.tenant(), class.lane, leader_queue_micros);
         let subscribers = self.broker.complete(task, cache_copy);
         for (job, coalesced) in subscribers {
             // Each handle's timing runs from its own submission:
@@ -420,12 +428,6 @@ impl<S: PatternService> EngineCore<S> {
             let total = elapsed_micros(job.submitted_at);
             let exec_share = exec_micros.min(total);
             let queue_micros = total - exec_share;
-            if !coalesced {
-                // The leader's queue wait is the per-tenant QoS
-                // signal (coalesced waiters only count as admitted).
-                self.ledger
-                    .record_completed(task.tenant(), task.lane(), queue_micros);
-            }
             let shared = match &result {
                 Ok(response) => {
                     let timing = if coalesced {
@@ -528,7 +530,6 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
             broker: Arc::new(ResultBroker::new(config.cache_capacity)),
             stats: Arc::new(AtomicStats::default()),
             gate: Arc::new(QosGate::new(qos)),
-            ledger: Arc::new(TenantLedger::new()),
         });
         let run: TaskFn = {
             let core = Arc::clone(&core);
@@ -556,7 +557,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         let mut stats = self.core.stats.snapshot(
             vec![self.backend.queue_depth()],
             self.core.service.session_stats(),
-            self.core.ledger.snapshot(),
+            self.core.gate.stats(),
         );
         self.conn.fill(&mut stats);
         stats
@@ -649,24 +650,16 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         let stats = &self.core.stats;
         // QoS admission happens before the broker sees the request: a
         // tenant over quota is refused with a typed retry-after hint
-        // and costs the system nothing. On success the in-flight slot
-        // (plus any session reservation) is held until the task leaves
-        // the system — released below for cache hits, coalesced
-        // waiters and dispatch rejections, by `run_task` for executed
-        // tasks, and by `Drop` for drained ones.
-        let lane = request.lane();
+        // and costs the system nothing. The gate counts the admission
+        // or refusal as it decides. On success the in-flight slot (plus
+        // any session reservation) is held until the task leaves the
+        // system — returned below for cache hits, coalesced waiters and
+        // dispatch rejections, by `run_task` for executed tasks, and by
+        // `Drop` for drained ones.
         let class = request.admit_class();
         if let Err(rejection) = self.core.gate.try_admit(tenant, class) {
-            self.core.ledger.record_rejected(tenant, lane);
             return Err(Error::overloaded(rejection.retry_after_ms));
         }
-        self.core.ledger.record_admitted(tenant, lane);
-        let release_admission = || {
-            if class.opens_session {
-                self.core.gate.release_session(tenant);
-            }
-            self.core.gate.release(tenant);
-        };
         let key = cache_key(&request);
         let lookup = Instant::now();
         // Non-blocking submits dispatch *inside* admission: a try-push
@@ -682,7 +675,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         match self
             .core
             .broker
-            .admit(key, tenant, lane, request, in_admission)
+            .admit(key, tenant, class, request, in_admission)
         {
             Admission::CacheHit(payload) => {
                 stats.add(&stats.submitted);
@@ -690,9 +683,9 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
                 stats.add(&stats.completed);
                 // The request never reaches the executor: the slot
                 // frees immediately and the hit counts as a completed
-                // request with zero queue wait.
-                release_admission();
-                self.core.ledger.record_completed(tenant, lane, 0);
+                // request with zero queue wait. (A hit is keyed, and
+                // no session request is, so it reserved no session.)
+                self.core.gate.complete(tenant, class.lane, 0);
                 Ok(JobHandle::done(Ok(PatternResponse {
                     // Deep clone outside the broker lock.
                     payload: ResponsePayload::clone(&payload),
@@ -704,11 +697,11 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
                 stats.add(&stats.coalesced);
                 // The leader's slot covers the execution; a waiter
                 // holds nothing while it waits.
-                release_admission();
+                self.core.withdraw(tenant, class);
                 Ok(JobHandle { shared: job })
             }
             Admission::Rejected(error) => {
-                release_admission();
+                self.core.withdraw(tenant, class);
                 Err(error)
             }
             Admission::Lead { task, job } => {
@@ -732,10 +725,7 @@ impl<S: PatternService + Send + Sync + 'static> Drop for PatternEngine<S> {
         // for the jobs still running, so no queued job's fate hangs on
         // how long those take.
         for task in self.backend.stop() {
-            if task.opens_session() {
-                self.core.gate.release_session(task.tenant());
-            }
-            self.core.gate.release(task.tenant());
+            self.core.withdraw(task.tenant(), task.class());
             for (job, _) in self.core.broker.reject(&task) {
                 job.finish(Err(Error::Cancelled), || {
                     self.core.stats.add(&self.core.stats.cancelled);
@@ -746,20 +736,10 @@ impl<S: PatternService + Send + Sync + 'static> Drop for PatternEngine<S> {
     }
 }
 
-/// The engine is itself a service: `execute` is submit-and-wait, and
-/// `execute_many` runs batches in parallel while preserving input
-/// order (and, thanks to per-request seeds, exact payloads).
+/// The engine is itself a service: `execute` is submit-and-wait.
 impl<S: PatternService + Send + Sync + 'static> PatternService for PatternEngine<S> {
     fn execute(&self, request: PatternRequest) -> Result<PatternResponse, Error> {
         self.submit_blocking(request).wait()
-    }
-
-    fn execute_many(&self, requests: Vec<PatternRequest>) -> Vec<Result<PatternResponse, Error>> {
-        let handles: Vec<JobHandle> = requests
-            .into_iter()
-            .map(|request| self.submit_blocking(request))
-            .collect();
-        handles.into_iter().map(JobHandle::wait).collect()
     }
 
     fn session_stats(&self) -> crate::session::SessionStats {
@@ -1273,7 +1253,6 @@ mod tests {
         });
         for request in [&open, &turn, &close] {
             assert!(cache_key(request).is_none(), "{request:?}");
-            assert_eq!(request.session_id(), Some("s"));
         }
         assert!(cache_key(&PatternRequest::Chat(ChatParams {
             request: "x".into(),

@@ -87,7 +87,7 @@ use cp_agent::{
     ToolContext, ToolRegistry,
 };
 use cp_dataset::{Dataset, DatasetBuilder, Style};
-use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule, PatternSampler};
+use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule};
 use cp_drc::{check_pattern, DesignRules};
 use cp_extend::ExtensionMethod;
 use cp_legalize::Legalizer;
@@ -370,7 +370,7 @@ impl ChatPatternBuilder {
                                 })?;
                             ChatSession::restore(
                                 snapshot,
-                                Box::new(SharedSampler(Arc::clone(&decode_model))),
+                                Box::new(Arc::clone(&decode_model)),
                                 decode_legalizer.clone(),
                             )
                         },
@@ -384,7 +384,6 @@ impl ChatPatternBuilder {
             legalizer,
             rules: self.rules,
             datasets,
-            knowledge: KnowledgeBase::new(),
             patch_nm,
             seed: self.seed,
             sessions,
@@ -407,36 +406,6 @@ fn check_cells(rows: usize, cols: usize, count: usize) -> Result<(), Error> {
         )));
     }
     Ok(())
-}
-
-/// A sampler handle sharing the trained model across sessions.
-#[derive(Clone)]
-struct SharedSampler(Arc<DiffusionModel<MrfDenoiser>>);
-
-impl PatternSampler for SharedSampler {
-    fn window(&self) -> usize {
-        self.0.native_size()
-    }
-
-    fn generate(
-        &self,
-        rows: usize,
-        cols: usize,
-        condition: Option<u32>,
-        rng: &mut ChaCha8Rng,
-    ) -> Topology {
-        self.0.generate(rows, cols, condition, rng)
-    }
-
-    fn modify(
-        &self,
-        known: &Topology,
-        mask: &Mask,
-        condition: Option<u32>,
-        rng: &mut ChaCha8Rng,
-    ) -> Topology {
-        PatternSampler::modify(&*self.0, known, mask, condition, rng)
-    }
 }
 
 /// One live multi-turn chat dialog: a resumable
@@ -628,7 +597,6 @@ pub struct ChatPattern {
     legalizer: Legalizer,
     rules: DesignRules,
     datasets: Vec<Dataset>,
-    knowledge: KnowledgeBase,
     patch_nm: i64,
     seed: u64,
     sessions: SessionStore<ChatSession>,
@@ -681,17 +649,6 @@ impl ChatPattern {
         &self.model
     }
 
-    /// The agent's knowledge base.
-    #[must_use]
-    pub fn knowledge(&self) -> &KnowledgeBase {
-        &self.knowledge
-    }
-
-    /// Mutable knowledge base (seed it with Figure-10 statistics).
-    pub fn knowledge_mut(&mut self) -> &mut KnowledgeBase {
-        &mut self.knowledge
-    }
-
     /// Runs a full agent session on a natural-language request.
     ///
     /// # Errors
@@ -717,9 +674,9 @@ impl ChatPattern {
 
     fn new_agent_session(&self, seed: u64) -> AgentSession<ExpertPolicy> {
         let ctx = ToolContext::new(
-            Box::new(SharedSampler(Arc::clone(&self.model))),
+            Box::new(Arc::clone(&self.model)),
             self.legalizer.clone(),
-            self.knowledge.clone(),
+            KnowledgeBase::new(),
             seed,
         );
         AgentSession::new(ExpertPolicy::default(), ToolRegistry::standard(), ctx)
@@ -798,7 +755,7 @@ impl ChatPattern {
     pub fn session_restore(&self, snapshot: SessionSnapshot) -> Result<SessionInfo, Error> {
         let session = ChatSession::restore(
             snapshot,
-            Box::new(SharedSampler(Arc::clone(&self.model))),
+            Box::new(Arc::clone(&self.model)),
             self.legalizer.clone(),
         )?;
         let info = SessionInfo {
@@ -835,29 +792,6 @@ impl ChatPattern {
         Ok((0..count)
             .map(|_| self.model.sample(rows, cols, Some(style.id()), &mut rng))
             .collect())
-    }
-
-    /// Batch generation for in-process callers. Every request draws
-    /// from its own [`ChaCha8Rng`] stream seeded by
-    /// `GenerateParams::seed`, so the output is a pure function of the
-    /// request list — independent of execution order. (The service's
-    /// [`PatternService::execute_many`] is the trait's sequential
-    /// default and does not come through here.)
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Error::InvalidRequest`] among the requests;
-    /// nothing is partially delivered. All parameters are validated
-    /// before any sampling starts, so a bad request late in the batch
-    /// cannot waste the earlier requests' diffusion work.
-    pub fn generate_many(&self, requests: &[GenerateParams]) -> Result<Vec<Vec<Topology>>, Error> {
-        for p in requests {
-            check_cells(p.rows, p.cols, p.count)?;
-        }
-        requests
-            .iter()
-            .map(|p| self.generate(p.style, p.rows, p.cols, p.count, p.seed))
-            .collect()
     }
 
     /// Direct API: free-size extension of an existing topology.
@@ -904,7 +838,7 @@ impl ChatPattern {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         Ok(cp_extend::extend(
-            &SharedSampler(Arc::clone(&self.model)),
+            &*self.model,
             seed_topology,
             rows,
             cols,
@@ -1074,36 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn generate_many_fans_out_independent_seed_streams() {
-        let system = small_system();
-        let requests = [
-            GenerateParams {
-                style: Style::Layer10001,
-                rows: 16,
-                cols: 16,
-                count: 2,
-                seed: 1,
-            },
-            GenerateParams {
-                style: Style::Layer10003,
-                rows: 16,
-                cols: 16,
-                count: 1,
-                seed: 2,
-            },
-        ];
-        let batch = system.generate_many(&requests).expect("generates");
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].len(), 2);
-        assert_eq!(batch[1].len(), 1);
-        // Each request equals its standalone execution: order-free.
-        let solo = system
-            .generate(Style::Layer10003, 16, 16, 1, 2)
-            .expect("generates");
-        assert_eq!(batch[1], solo);
-    }
-
-    #[test]
     fn chat_delivers_requested_library() {
         let system = small_system();
         let report = system
@@ -1218,31 +1122,6 @@ mod tests {
             )
             .expect("out-painting grows sub-window seeds");
         assert_eq!(ok.shape(), (32, 32));
-    }
-
-    #[test]
-    fn generate_many_validates_before_sampling() {
-        let system = small_system();
-        let requests = [
-            GenerateParams {
-                style: Style::Layer10001,
-                rows: 16,
-                cols: 16,
-                count: 1,
-                seed: 1,
-            },
-            GenerateParams {
-                style: Style::Layer10001,
-                rows: 0,
-                cols: 16,
-                count: 1,
-                seed: 2,
-            },
-        ];
-        let err = system
-            .generate_many(&requests)
-            .expect_err("zero-row request must fail the batch");
-        assert!(matches!(err, Error::InvalidRequest { .. }));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   The router forwards a request's text without decoding it, so what
 //!   it calls is [`text_route`], which reads off the text the little
 //!   that placement depends on and, on every request as this build
-//!   writes it, agrees with the typed side: [`request_key`] and
-//!   [`PatternRequest::session_id`];
+//!   writes it, agrees with the typed side: [`request_key`] and the
+//!   request's session id;
 //! * [`JsonDirPersist`](crate::JsonDirPersist), which fans a session
 //!   directory out over `--persist-shards` subdirectories by
 //!   [`route_hash`] of the session id.
@@ -280,17 +280,15 @@ mod tests {
     }
 
     /// Which route the text reader must find for a request, taken from
-    /// the typed side: `request_key` / `session_id`, and the variant
-    /// for what those do not say.
+    /// the typed side: `request_key`, the session id field, and the
+    /// variant for what those do not say.
     fn typed_route(request: &PatternRequest) -> TextRoute {
-        let role = match request {
-            PatternRequest::SessionOpen(_) | PatternRequest::SessionRestore(_) => {
-                SessionRole::Creates
-            }
-            PatternRequest::SessionTurn(_) | PatternRequest::SessionSnapshot(_) => {
-                SessionRole::Uses
-            }
-            PatternRequest::SessionClose(_) => SessionRole::Closes,
+        let (id, role) = match request {
+            PatternRequest::SessionOpen(p) => (&p.session, SessionRole::Creates),
+            PatternRequest::SessionRestore(p) => (&p.snapshot.session, SessionRole::Creates),
+            PatternRequest::SessionTurn(p) => (&p.session, SessionRole::Uses),
+            PatternRequest::SessionSnapshot(p) => (&p.session, SessionRole::Uses),
+            PatternRequest::SessionClose(p) => (&p.session, SessionRole::Closes),
             PatternRequest::Stats => return TextRoute::Stats,
             // Listed, so that a thirteenth variant has to be placed.
             PatternRequest::Chat(_)
@@ -304,8 +302,10 @@ mod tests {
             }
         };
         assert_eq!(request_key(request), None, "a session request is unkeyed");
-        let id = request.session_id().expect("a session request").to_owned();
-        TextRoute::Session { id, role }
+        TextRoute::Session {
+            id: id.clone(),
+            role,
+        }
     }
 
     /// The router places a request by its text, tests and movers think

@@ -416,12 +416,6 @@ impl<T> JsonDirPersist<T> {
         &self.dir
     }
 
-    /// The number of spill subdirectories (1 = flat layout).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `id`, by the same stable hash the router uses
     /// to pin sessions to workers.
     fn shard(&self, id: &str) -> &Shard {
@@ -1902,7 +1896,6 @@ mod tests {
         let dir = scratch_dir("shards");
         let ttl = Duration::from_secs(3600);
         let persist = json_persist(&dir, ttl, 4);
-        assert_eq!(persist.shard_count(), 4);
         for i in 0..16u64 {
             persist
                 .spill(&format!("s{i}"), vec![i])

@@ -92,6 +92,32 @@ impl<S: PatternSampler + ?Sized> PatternSampler for &S {
     }
 }
 
+impl<S: PatternSampler + ?Sized> PatternSampler for std::sync::Arc<S> {
+    fn window(&self) -> usize {
+        (**self).window()
+    }
+
+    fn generate(
+        &self,
+        rows: usize,
+        cols: usize,
+        condition: Option<u32>,
+        rng: &mut ChaCha8Rng,
+    ) -> Topology {
+        (**self).generate(rows, cols, condition, rng)
+    }
+
+    fn modify(
+        &self,
+        known: &Topology,
+        mask: &Mask,
+        condition: Option<u32>,
+        rng: &mut ChaCha8Rng,
+    ) -> Topology {
+        (**self).modify(known, mask, condition, rng)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,19 +127,21 @@ mod tests {
 
     #[test]
     fn diffusion_model_implements_sampler() {
-        let model = DiffusionModel::new(
+        let model = std::sync::Arc::new(DiffusionModel::new(
             NoiseSchedule::scaled_default(4),
             ConstantDenoiser {
                 probability: 1.0,
                 size: 8,
             },
             8,
-        );
-        let sampler: &dyn PatternSampler = &model;
-        assert_eq!(sampler.window(), 8);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let t = sampler.generate(8, 8, None, &mut rng);
-        assert_eq!(t.count_ones(), 64);
+        ));
+        // The model itself, and the `Arc` a session holds it by.
+        for sampler in [&*model as &dyn PatternSampler, &model] {
+            assert_eq!(sampler.window(), 8);
+            let mut rng = ChaCha8Rng::seed_from_u64(1);
+            let t = sampler.generate(8, 8, None, &mut rng);
+            assert_eq!(t.count_ones(), 64);
+        }
     }
 
     #[test]

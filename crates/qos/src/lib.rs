@@ -14,15 +14,14 @@
 //! * [`TenantQuota`] / [`QosConfig`] — per-tenant admission limits:
 //!   concurrent jobs, open sessions and a token-bucket turn budget
 //!   (`--tenant-quota`);
-//! * [`QosGate`] — the admission gate itself: `try_admit` either
+//! * [`QosGate`] — the one per-tenant table: `try_admit` either
 //!   reserves capacity or answers with a [`Rejection`] carrying
-//!   `retry_after_ms`;
+//!   `retry_after_ms`, and the same entry counts what it admitted,
+//!   refused and completed per lane, as the [`TenantLaneStats`] rows
+//!   that surface in `EngineStats` and merge across a router fleet;
 //! * [`FairQueue`] — a bounded, lane-aware, tenant-round-robin queue
 //!   the engine's workers drain instead of a plain `VecDeque`, so a
-//!   flood from one tenant cannot starve the rest;
-//! * [`TenantLedger`] / [`TenantLaneStats`] — per-(tenant, lane)
-//!   admitted/rejected/completed/queue-time counters that surface in
-//!   `EngineStats` and merge across a router fleet.
+//!   flood from one tenant cannot starve the rest.
 //!
 //! End to end, the quota-retry loop runs through a real router fleet in
 //! `tests/router.rs`
@@ -30,8 +29,8 @@
 //! and against one engine in `tests/qos.rs`.
 //!
 //! The crate is deliberately engine-agnostic: it never sees a
-//! `PatternRequest` (the engine classifies requests into a [`Lane`]),
-//! so the same primitives can gate any executor.
+//! `PatternRequest` (the engine classifies each request once, into an
+//! [`AdmitClass`]), so the same primitives can gate any executor.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -57,12 +56,15 @@ pub const DEFAULT_RETRY_AFTER_MS: u64 = 100;
 /// one-shot generation work is `Standard`, and evaluation sweeps are
 /// `Batch`. Dequeue order is weighted-fair, not strict — see
 /// [`FairQueue`] — so even `Batch` makes progress under interactive
-/// load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// load. The default is `Standard`.
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub enum Lane {
     /// Chat turns and session operations: a user is waiting.
     Interactive,
     /// Generate / extend / modify / legalize: one-shot foreground work.
+    #[default]
     Standard,
     /// Evaluation and other offline sweeps.
     Batch,
@@ -283,9 +285,12 @@ pub struct Rejection {
     pub reason: RejectReason,
 }
 
-/// What the admission of one request costs, beyond one in-flight slot.
+/// How one request is admitted: the lane it queues in and is counted
+/// under, and what it costs beyond one in-flight slot.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdmitClass {
+    /// The lane the request queues in and is accounted to.
+    pub lane: Lane,
     /// Consumes one token from the tenant's turn budget (chat turns).
     pub consumes_turn: bool,
     /// Reserves one open-session slot (session open/restore).
@@ -315,19 +320,76 @@ impl TokenBucket {
     }
 }
 
+/// What one tenant's entry counts in one lane.
+#[derive(Clone, Copy, Default)]
+struct LaneCounters {
+    admitted: u64,
+    rejected: u64,
+    completed: u64,
+    queue_micros: u64,
+}
+
+/// One tenant's entry: its quota state and its per-lane counters.
 struct TenantState {
     inflight: u64,
     sessions: u64,
     bucket: TokenBucket,
+    /// In [`LANES`] order.
+    lanes: [LaneCounters; LANE_COUNT],
 }
 
-/// The admission gate: per-tenant in-flight counts, open-session
-/// reservations and turn token buckets behind one mutex.
+impl TenantState {
+    fn new(quota: &TenantQuota) -> TenantState {
+        TenantState {
+            inflight: 0,
+            sessions: 0,
+            bucket: TokenBucket {
+                tokens: quota.burst(),
+                last_refill: Instant::now(),
+            },
+            lanes: [LaneCounters::default(); LANE_COUNT],
+        }
+    }
+
+    /// Reserves what `class` costs, or says which quota refuses it.
+    fn reserve(&mut self, quota: &TenantQuota, class: AdmitClass) -> Result<(), Rejection> {
+        if quota.max_inflight > 0 && self.inflight >= quota.max_inflight {
+            return Err(Rejection {
+                retry_after_ms: DEFAULT_RETRY_AFTER_MS,
+                reason: RejectReason::Inflight,
+            });
+        }
+        if class.opens_session && quota.max_sessions > 0 && self.sessions >= quota.max_sessions {
+            return Err(Rejection {
+                retry_after_ms: DEFAULT_RETRY_AFTER_MS,
+                reason: RejectReason::Sessions,
+            });
+        }
+        if class.consumes_turn && quota.turns_per_sec > 0.0 {
+            if let Err(retry_after_ms) = self.bucket.try_take(Instant::now(), quota) {
+                return Err(Rejection {
+                    retry_after_ms,
+                    reason: RejectReason::TurnBudget,
+                });
+            }
+        }
+        self.inflight += 1;
+        if class.opens_session {
+            self.sessions += 1;
+        }
+        Ok(())
+    }
+}
+
+/// The admission gate and the per-tenant accounting, in one table:
+/// each tenant's in-flight count, open-session reservations, turn
+/// token bucket and per-lane counters, behind one mutex.
 ///
 /// Call [`QosGate::try_admit`] before handing a request to the
 /// executor; on success the in-flight slot (and, for session-opening
 /// requests, a session reservation) is held until the matching
-/// [`QosGate::release`] / [`QosGate::release_session`].
+/// [`QosGate::complete`] or [`QosGate::release`] /
+/// [`QosGate::release_session`].
 pub struct QosGate {
     config: QosConfig,
     tenants: std::sync::Mutex<HashMap<String, TenantState>>,
@@ -349,54 +411,47 @@ impl QosGate {
         &self.config
     }
 
-    /// Admits or refuses one request for `tenant`. On success one
-    /// in-flight slot is reserved (plus a session slot when
-    /// `class.opens_session`); the caller must pair it with
-    /// [`QosGate::release`] once the request leaves the system.
-    pub fn try_admit(&self, tenant: &str, class: AdmitClass) -> Result<(), Rejection> {
-        let quota = self.config.quota_for(tenant);
-        let mut tenants = self.tenants.lock().expect("qos gate lock");
-        let state = tenants
-            .entry(tenant.to_owned())
-            .or_insert_with(|| TenantState {
-                inflight: 0,
-                sessions: 0,
-                bucket: TokenBucket {
-                    tokens: quota.burst(),
-                    last_refill: Instant::now(),
-                },
-            });
-        if quota.max_inflight > 0 && state.inflight >= quota.max_inflight {
-            return Err(Rejection {
-                retry_after_ms: DEFAULT_RETRY_AFTER_MS,
-                reason: RejectReason::Inflight,
-            });
-        }
-        if class.opens_session && quota.max_sessions > 0 && state.sessions >= quota.max_sessions {
-            return Err(Rejection {
-                retry_after_ms: DEFAULT_RETRY_AFTER_MS,
-                reason: RejectReason::Sessions,
-            });
-        }
-        if class.consumes_turn && quota.turns_per_sec > 0.0 {
-            if let Err(retry_after_ms) = state.bucket.try_take(Instant::now(), &quota) {
-                return Err(Rejection {
-                    retry_after_ms,
-                    reason: RejectReason::TurnBudget,
-                });
-            }
-        }
-        state.inflight += 1;
-        if class.opens_session {
-            state.sessions += 1;
-        }
-        Ok(())
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, TenantState>> {
+        self.tenants.lock().expect("qos gate lock")
     }
 
-    /// Returns the in-flight slot of an admitted request.
+    /// Admits or refuses one request for `tenant`, and counts which in
+    /// `class.lane`. On success one in-flight slot is reserved (plus a
+    /// session slot when `class.opens_session`); the caller must pair
+    /// it with [`QosGate::complete`] or [`QosGate::release`] once the
+    /// request leaves the system.
+    pub fn try_admit(&self, tenant: &str, class: AdmitClass) -> Result<(), Rejection> {
+        let quota = self.config.quota_for(tenant);
+        let mut tenants = self.lock();
+        if !tenants.contains_key(tenant) {
+            tenants.insert(tenant.to_owned(), TenantState::new(&quota));
+        }
+        let state = tenants.get_mut(tenant).expect("the entry was just made");
+        let admission = state.reserve(&quota, class);
+        let counters = &mut state.lanes[class.lane.index()];
+        match admission {
+            Ok(()) => counters.admitted += 1,
+            Err(_) => counters.rejected += 1,
+        }
+        admission
+    }
+
+    /// Returns the in-flight slot of a request that was served —
+    /// executed, or answered from a cache — and counts its completion
+    /// in `lane` with the microseconds it waited in a queue.
+    pub fn complete(&self, tenant: &str, lane: Lane, queue_micros: u64) {
+        if let Some(state) = self.lock().get_mut(tenant) {
+            state.inflight = state.inflight.saturating_sub(1);
+            let counters = &mut state.lanes[lane.index()];
+            counters.completed += 1;
+            counters.queue_micros += queue_micros;
+        }
+    }
+
+    /// Returns the in-flight slot of an admitted request that was not
+    /// served, counting nothing.
     pub fn release(&self, tenant: &str) {
-        let mut tenants = self.tenants.lock().expect("qos gate lock");
-        if let Some(state) = tenants.get_mut(tenant) {
+        if let Some(state) = self.lock().get_mut(tenant) {
             state.inflight = state.inflight.saturating_sub(1);
         }
     }
@@ -404,8 +459,7 @@ impl QosGate {
     /// Returns a session reservation: call when a session-opening
     /// request fails (or is abandoned), and when a session closes.
     pub fn release_session(&self, tenant: &str) {
-        let mut tenants = self.tenants.lock().expect("qos gate lock");
-        if let Some(state) = tenants.get_mut(tenant) {
+        if let Some(state) = self.lock().get_mut(tenant) {
             state.sessions = state.sessions.saturating_sub(1);
         }
     }
@@ -414,10 +468,36 @@ impl QosGate {
     /// diagnostics.
     #[must_use]
     pub fn gauges(&self, tenant: &str) -> (u64, u64) {
-        let tenants = self.tenants.lock().expect("qos gate lock");
-        tenants
+        self.lock()
             .get(tenant)
             .map_or((0, 0), |s| (s.inflight, s.sessions))
+    }
+
+    /// The accounting rows behind `EngineStats::tenants`: one for each
+    /// (tenant, lane) that admitted or refused anything, sorted by
+    /// tenant, then lane name.
+    #[must_use]
+    pub fn stats(&self) -> Vec<TenantLaneStats> {
+        let mut rows: Vec<TenantLaneStats> = self
+            .lock()
+            .iter()
+            .flat_map(|(tenant, state)| {
+                LANES
+                    .iter()
+                    .zip(&state.lanes)
+                    .filter(|(_, c)| c.admitted + c.rejected > 0)
+                    .map(|(lane, c)| TenantLaneStats {
+                        tenant: tenant.clone(),
+                        lane: lane.name().to_owned(),
+                        admitted: c.admitted,
+                        rejected: c.rejected,
+                        completed: c.completed,
+                        queue_micros: c.queue_micros,
+                    })
+            })
+            .collect();
+        sort_rows(&mut rows);
+        rows
     }
 }
 
@@ -580,7 +660,8 @@ pub struct TenantLaneStats {
     pub admitted: u64,
     /// Requests refused with `Overloaded`.
     pub rejected: u64,
-    /// Leader executions finished (success or error).
+    /// Requests served: leader executions finished (success or
+    /// error) and cache hits.
     pub completed: u64,
     /// Total microseconds completed leaders spent queued.
     pub queue_micros: u64,
@@ -608,77 +689,13 @@ pub fn merge_rows(sources: &[&[TenantLaneStats]]) -> Vec<TenantLaneStats> {
         }
     }
     let mut rows: Vec<TenantLaneStats> = merged.into_values().collect();
-    rows.sort_by(|a, b| (&a.tenant, &a.lane).cmp(&(&b.tenant, &b.lane)));
+    sort_rows(&mut rows);
     rows
 }
 
-#[derive(Default)]
-struct LedgerRow {
-    admitted: u64,
-    rejected: u64,
-    completed: u64,
-    queue_micros: u64,
-}
-
-/// Thread-safe per-(tenant, lane) counters. The engine records
-/// admissions/rejections, and each leader's completion with the queue
-/// time its execution measured (submission to completion, less the
-/// execution itself); `EngineStats` snapshots the whole ledger.
-#[derive(Default)]
-pub struct TenantLedger {
-    rows: std::sync::Mutex<HashMap<(String, Lane), LedgerRow>>,
-}
-
-impl TenantLedger {
-    /// An empty ledger.
-    #[must_use]
-    pub fn new() -> TenantLedger {
-        TenantLedger::default()
-    }
-
-    fn with_row(&self, tenant: &str, lane: Lane, update: impl FnOnce(&mut LedgerRow)) {
-        let mut rows = self.rows.lock().expect("ledger lock");
-        let row = rows.entry((tenant.to_owned(), lane)).or_default();
-        update(row);
-    }
-
-    /// Counts one admitted request.
-    pub fn record_admitted(&self, tenant: &str, lane: Lane) {
-        self.with_row(tenant, lane, |row| row.admitted += 1);
-    }
-
-    /// Counts one `Overloaded` rejection.
-    pub fn record_rejected(&self, tenant: &str, lane: Lane) {
-        self.with_row(tenant, lane, |row| row.rejected += 1);
-    }
-
-    /// Counts one finished leader execution and the time it waited in
-    /// a backend queue.
-    pub fn record_completed(&self, tenant: &str, lane: Lane, queue_micros: u64) {
-        self.with_row(tenant, lane, |row| {
-            row.completed += 1;
-            row.queue_micros += queue_micros;
-        });
-    }
-
-    /// The current rows, sorted by tenant then lane name.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<TenantLaneStats> {
-        let rows = self.rows.lock().expect("ledger lock");
-        let mut snapshot: Vec<TenantLaneStats> = rows
-            .iter()
-            .map(|((tenant, lane), row)| TenantLaneStats {
-                tenant: tenant.clone(),
-                lane: lane.name().to_owned(),
-                admitted: row.admitted,
-                rejected: row.rejected,
-                completed: row.completed,
-                queue_micros: row.queue_micros,
-            })
-            .collect();
-        snapshot.sort_by(|a, b| (&a.tenant, &a.lane).cmp(&(&b.tenant, &b.lane)));
-        snapshot
-    }
+/// Sorts rows by tenant, then lane name.
+fn sort_rows(rows: &mut [TenantLaneStats]) {
+    rows.sort_by(|a, b| (&a.tenant, &a.lane).cmp(&(&b.tenant, &b.lane)));
 }
 
 #[cfg(test)]
@@ -688,6 +705,7 @@ mod tests {
     #[test]
     fn lane_names_and_order_are_stable() {
         assert_eq!(LANES.map(Lane::name), ["interactive", "standard", "batch"]);
+        assert_eq!(AdmitClass::default().lane, Lane::Standard);
         assert!(Lane::Interactive < Lane::Standard && Lane::Standard < Lane::Batch);
         for (index, lane) in LANES.iter().enumerate() {
             assert_eq!(lane.index(), index);
@@ -867,24 +885,47 @@ mod tests {
     }
 
     #[test]
-    fn ledger_snapshot_is_sorted_and_merges() {
-        let ledger = TenantLedger::new();
-        ledger.record_admitted("zeta", Lane::Interactive);
-        ledger.record_admitted("alpha", Lane::Batch);
-        ledger.record_rejected("alpha", Lane::Batch);
-        ledger.record_completed("alpha", Lane::Batch, 250);
-        let snapshot = ledger.snapshot();
-        assert_eq!(snapshot.len(), 2);
-        assert_eq!(snapshot[0].tenant, "alpha");
-        assert_eq!(snapshot[0].lane, "batch");
-        assert_eq!(snapshot[0].rejected, 1);
-        assert_eq!(snapshot[0].queue_micros, 250);
-        assert_eq!(snapshot[1].tenant, "zeta");
+    fn gate_rows_count_each_path_sort_by_lane_name_and_merge() {
+        let mut config = QosConfig::new();
+        config.apply_quota_flag("alpha:inflight=1").expect("spec");
+        let gate = QosGate::new(config);
+        let class = |lane| AdmitClass {
+            lane,
+            ..AdmitClass::default()
+        };
+        gate.try_admit("zeta", class(Lane::Interactive))
+            .expect("admits");
+        gate.try_admit("alpha", class(Lane::Standard))
+            .expect("admits");
+        gate.try_admit("alpha", class(Lane::Batch))
+            .expect_err("over quota");
+        gate.complete("alpha", Lane::Standard, 250);
+        gate.try_admit("alpha", class(Lane::Batch))
+            .expect("completion returned the slot");
+        let rows = gate.stats();
+        let counts: Vec<(&str, &str, u64, u64, u64, u64)> = rows
+            .iter()
+            .map(|r| {
+                let (t, l) = (r.tenant.as_str(), r.lane.as_str());
+                (t, l, r.admitted, r.rejected, r.completed, r.queue_micros)
+            })
+            .collect();
+        // Lane *names* order the rows: batch before standard, although
+        // Standard's discriminant is the smaller.
+        assert_eq!(
+            counts,
+            [
+                ("alpha", "batch", 1, 1, 0, 0),
+                ("alpha", "standard", 1, 0, 1, 250),
+                ("zeta", "interactive", 1, 0, 0, 0),
+            ]
+        );
+        assert_eq!(gate.gauges("alpha"), (1, 0));
 
-        let merged = merge_rows(&[&snapshot, &snapshot]);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].admitted, 2);
-        assert_eq!(merged[0].queue_micros, 500);
+        let merged = merge_rows(&[&rows, &rows]);
+        assert_eq!(merged.len(), 3);
+        assert_eq!(merged[1].admitted, 2);
+        assert_eq!(merged[1].queue_micros, 500);
     }
 
     #[test]

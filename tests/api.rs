@@ -109,35 +109,6 @@ fn chat_request_equals_direct_chat() {
 }
 
 #[test]
-fn generate_many_is_deterministic_and_order_free() {
-    let system = small_system(3);
-    let requests: Vec<GenerateParams> = (0..4u64)
-        .map(|i| GenerateParams {
-            style: if i % 2 == 0 {
-                Style::Layer10001
-            } else {
-                Style::Layer10003
-            },
-            rows: 16,
-            cols: 16,
-            count: 2,
-            seed: 100 + i,
-        })
-        .collect();
-    let first = system.generate_many(&requests).expect("generates");
-    let second = system.generate_many(&requests).expect("generates");
-    assert_eq!(first, second, "same seeds must give the same library");
-
-    // Reversing the batch must not change any individual result: each
-    // request owns its seed stream (the fan-out property that makes the
-    // batch safely parallelizable).
-    let reversed: Vec<GenerateParams> = requests.iter().rev().copied().collect();
-    let mut reversed_out = system.generate_many(&reversed).expect("generates");
-    reversed_out.reverse();
-    assert_eq!(first, reversed_out);
-}
-
-#[test]
 fn builder_rejections_are_config_errors() {
     for (result, label) in [
         (ChatPattern::builder().window(0).build(), "window 0"),
@@ -292,15 +263,10 @@ fn invalid_service_requests_fail_without_panicking() {
             other => panic!("expected a validation error for {label}, got {other:?}"),
         }
     }
-    // The batch path refuses before it samples anything.
-    let oversize = GenerateParams {
-        style: Style::Layer10001,
-        rows: 3_000_000,
-        cols: 3_000_000,
-        count: 1,
-        seed: 1,
-    };
-    let err = system.generate_many(&[oversize]).unwrap_err();
+    // The direct path refuses before it samples anything.
+    let err = system
+        .generate(Style::Layer10001, 3_000_000, 3_000_000, 1, 1)
+        .unwrap_err();
     assert!(matches!(err, Error::InvalidRequest { .. }), "{err:?}");
 }
 
@@ -337,7 +303,7 @@ fn the_request_cell_cap_is_the_reply_line_cap() {
 }
 
 #[test]
-fn execute_many_matches_sequential_execution() {
+fn direct_requests_serve_repeatably_and_keep_their_contracts() {
     let system = small_system(6);
     let known = system
         .generate(Style::Layer10003, 16, 16, 1, 24)
@@ -378,7 +344,11 @@ fn execute_many_matches_sequential_execution() {
         extend(ExtensionMethod::OutPainting),
         extend(ExtensionMethod::InPainting),
     ];
-    let batch = system.execute_many(requests.clone());
+    let batch: Vec<_> = requests
+        .iter()
+        .cloned()
+        .map(|r| system.execute(r))
+        .collect();
     assert_eq!(batch.len(), 5);
     let mut payloads = Vec::new();
     for (served, request) in batch.into_iter().zip(requests) {

@@ -91,15 +91,16 @@ fn parallel_execute_many_matches_serial_across_all_kinds() {
     let batch = mixed_batch(&system);
     assert_eq!(batch.len(), 32);
 
-    // Serial reference: the trait's default implementation.
+    // Serial reference: the bare service, one request at a time.
     let serial: Vec<_> = batch
         .iter()
         .cloned()
         .map(|r| PatternService::execute(&system, r))
         .collect();
 
-    // Parallel: the same system behind a 4-worker engine. The cache is
-    // disabled so every request truly executes on a worker.
+    // Parallel: the same system behind a 4-worker engine, every request
+    // submitted before any handle is waited on. The cache is disabled
+    // so every request truly executes on a worker.
     let engine = PatternEngine::with_config(
         system,
         EngineConfig {
@@ -109,7 +110,11 @@ fn parallel_execute_many_matches_serial_across_all_kinds() {
         },
     )
     .expect("valid config");
-    let parallel = engine.execute_many(batch);
+    let handles: Vec<_> = batch
+        .into_iter()
+        .map(|request| engine.submit_blocking(request))
+        .collect();
+    let parallel: Vec<_> = handles.into_iter().map(|handle| handle.wait()).collect();
 
     assert_eq!(serial.len(), parallel.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
