@@ -6,7 +6,13 @@
 //! The agent consults it through the `get_documentation` tool when a
 //! requirement leaves the extension method open; "out-painting typically
 //! yields better legality, while in-painting excels in diversity" is not
-//! hard-coded anywhere: it emerges from the recorded statistics.
+//! hard-coded anywhere: it would emerge from recorded statistics.
+//!
+//! In the served agent nothing records any yet: every session starts
+//! from [`KnowledgeBase::new`] and no tool calls
+//! [`KnowledgeBase::record_extension`] or
+//! [`KnowledgeBase::record_diversity`], so `get_documentation` always
+//! recommends the Out-Painting fallback of [`KnowledgeBase::recommend`].
 
 use cp_extend::ExtensionMethod;
 use serde::{Deserialize, Serialize};

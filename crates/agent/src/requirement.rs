@@ -64,21 +64,6 @@ pub struct Requirement {
 }
 
 impl Requirement {
-    /// A reasonable default sub-task (128² topology, 2048 nm frame,
-    /// Layer-10001, 10 patterns).
-    #[must_use]
-    pub fn default_task() -> Requirement {
-        Requirement {
-            topology_size: (128, 128),
-            physical_size_nm: (2048, 2048),
-            style: Style::Layer10001,
-            count: 10,
-            extension_method: None,
-            drop_allowed: true,
-            time_limit: None,
-        }
-    }
-
     /// Renders the paper's requirement-list template for sub-task `index`
     /// (1-based).
     #[must_use]

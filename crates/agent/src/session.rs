@@ -172,13 +172,6 @@ impl<L: LanguageModel> AgentSession<L> {
         }
     }
 
-    /// Overrides the per-turn step budget.
-    #[must_use]
-    pub fn with_max_steps(mut self, max_steps: usize) -> AgentSession<L> {
-        self.max_steps = max_steps.max(1);
-        self
-    }
-
     /// Number of user turns processed so far.
     #[must_use]
     pub fn turns(&self) -> usize {

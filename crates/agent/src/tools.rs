@@ -129,21 +129,10 @@ impl ToolContext {
         &self.knowledge
     }
 
-    /// Mutable knowledge base access (for seeding Figure-10 statistics).
-    pub fn knowledge_mut(&mut self) -> &mut KnowledgeBase {
-        &mut self.knowledge
-    }
-
     /// Looks up a stored pattern.
     #[must_use]
     pub fn stored(&self, id: u64) -> Option<&StoredPattern> {
         self.store.get(&id)
-    }
-
-    /// Number of stored working patterns.
-    #[must_use]
-    pub fn stored_count(&self) -> usize {
-        self.store.len()
     }
 
     fn insert(&mut self, pattern: StoredPattern) -> u64 {
@@ -831,7 +820,7 @@ mod tests {
         );
         assert_eq!(out["ids"].as_array().map(Vec::len), Some(3));
         assert_eq!(out["window"], 16);
-        assert_eq!(ctx.stored_count(), 3);
+        assert_eq!(ctx.store.len(), 3);
     }
 
     #[test]
@@ -969,15 +958,15 @@ mod tests {
             .collect();
         let out = call(&mut ctx, "drop_patterns", json!({"ids": ids}));
         assert_eq!(out["dropped"], 2);
-        assert_eq!(ctx.stored_count(), 0);
+        assert_eq!(ctx.store.len(), 0);
     }
 
     #[test]
     fn documentation_tool_returns_recommendation() {
         let mut ctx = test_ctx();
-        ctx.knowledge_mut()
+        ctx.knowledge
             .record_extension(0, ExtensionMethod::InPainting, 10, 9);
-        ctx.knowledge_mut()
+        ctx.knowledge
             .record_extension(0, ExtensionMethod::OutPainting, 10, 3);
         let out = call(
             &mut ctx,

@@ -3,8 +3,8 @@
 //! The prior SOTA the paper re-implements for comparison: the same
 //! diffusion machinery as ChatPattern's back-end but trained *per style*
 //! with no condition input (mixing styles in one unconditional model
-//! "can easily lead to a conflict", §4.1 — reproducible here by fitting
-//! on the union dataset).
+//! "can easily lead to a conflict", §4.1 — reproducible here by passing
+//! [`DiffPattern::fit`] the union dataset).
 
 use crate::Generator;
 use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
@@ -30,19 +30,6 @@ impl DiffPattern {
         DiffPattern {
             model: DiffusionModel::new(NoiseSchedule::scaled_default(steps), denoiser, native_size),
         }
-    }
-
-    /// Fits on a *mixture* of styles without conditioning — the
-    /// configuration whose style conflict motivates ChatPattern's
-    /// conditional model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dataset is empty.
-    #[must_use]
-    pub fn fit_mixed(datasets: &[&[Topology]], steps: usize, native_size: usize) -> DiffPattern {
-        let pooled: Vec<Topology> = datasets.iter().flat_map(|d| d.iter().cloned()).collect();
-        DiffPattern::fit(&pooled, steps, native_size)
     }
 
     /// The underlying diffusion model (for extension experiments).
@@ -120,7 +107,8 @@ mod tests {
         let sparse: Vec<Topology> = (0..8)
             .map(|i| Topology::from_fn(16, 16, move |r, c| r % 8 == i && c % 8 == 0))
             .collect();
-        let mixed = DiffPattern::fit_mixed(&[&dense, &sparse], 8, 16);
+        let pooled: Vec<Topology> = dense.into_iter().chain(sparse).collect();
+        let mixed = DiffPattern::fit(&pooled, 8, 16);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let t = mixed.generate(16, 16, &mut rng);
         assert_eq!(t.shape(), (16, 16));

@@ -88,7 +88,7 @@ use cp_agent::{
 };
 use cp_dataset::{Dataset, DatasetBuilder, Style};
 use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule};
-use cp_drc::{check_pattern, DesignRules};
+use cp_drc::DesignRules;
 use cp_extend::ExtensionMethod;
 use cp_legalize::Legalizer;
 use cp_metrics::LibraryStats;
@@ -238,7 +238,9 @@ impl ChatPatternBuilder {
     /// layout), each with its own lock, so a 10k-session store neither
     /// serializes every spill on one directory lock nor makes restart
     /// scans quadratic. Files spilled by an earlier unsharded run are
-    /// still found in the directory root.
+    /// still found in the directory root. A directory keeps the shard
+    /// count it was created with: [`ChatPatternBuilder::build`] refuses
+    /// one whose `shard-k` subdirectories were made with another count.
     #[must_use]
     pub fn persist_shards(mut self, shards: usize) -> ChatPatternBuilder {
         self.persist_shards = shards;
@@ -922,21 +924,6 @@ impl ChatPattern {
             &mut rng,
         ))
     }
-
-    /// Direct API: independent DRC verification of a physical pattern.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Drc`] carrying every violation when the pattern
-    /// is not clean.
-    pub fn drc_check(&self, pattern: &SquishPattern) -> Result<(), Error> {
-        let report = check_pattern(pattern, &self.rules);
-        if report.is_clean() {
-            Ok(())
-        } else {
-            Err(Error::from(&report))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1424,17 +1411,5 @@ mod tests {
             matches!(&err, Error::Config { message } if message.contains("ttl")),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn drc_check_reports_violations_as_error() {
-        let system = small_system();
-        // A 10 nm sliver violates the reference width rule.
-        let bad = SquishPattern::new(Topology::from_ascii("1."), vec![10, 40], vec![50]);
-        let err = system.drc_check(&bad).expect_err("sliver must violate");
-        match err {
-            Error::Drc { violations } => assert!(!violations.is_empty()),
-            other => panic!("wrong variant {other:?}"),
-        }
     }
 }

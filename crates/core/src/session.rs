@@ -279,7 +279,9 @@ const SPILL_TMP_SUFFIX: &str = ".session.tmp";
 /// nothing is read until an id is actually touched. A sharded layer
 /// still finds files spilled by an earlier unsharded run in the
 /// directory root, so turning sharding on over an existing directory
-/// loses nothing.
+/// loses nothing. The other way round is refused: a directory keeps
+/// the shard count it was created with, since a session filed under
+/// `shard-(hash % N)` cannot be found under another `N`.
 ///
 /// The layer is generic: `encode`/`decode` close over whatever
 /// dependencies reconstruction needs (for `ChatSession`, the trained
@@ -343,10 +345,16 @@ impl<T> JsonDirPersist<T> {
     /// listings are read, never file contents, so construction over a
     /// 10k-session directory does not stall startup.
     ///
+    /// A directory keeps the shard count it was created with: one that
+    /// already holds `shard-k` subdirectories opens only with
+    /// `shards` equal to one more than the largest `k`. A flat
+    /// directory may be opened with any count.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::SessionPersist`] when a directory cannot be
-    /// created.
+    /// created, or when `dir` was created with another shard count;
+    /// then no file is touched.
     pub fn sharded(
         dir: impl Into<PathBuf>,
         ttl: Duration,
@@ -358,6 +366,15 @@ impl<T> JsonDirPersist<T> {
         std::fs::create_dir_all(&dir).map_err(|e| {
             Error::session_persist(format!("cannot create session dir {}: {e}", dir.display()))
         })?;
+        let existing = Self::existing_shard_count(&dir);
+        if existing != 0 && (shards <= 1 || existing != shards) {
+            return Err(Error::session_persist(format!(
+                "session dir {} was created with {existing} shards and cannot be opened with {}: \
+                 a session directory keeps the shard count it was created with",
+                dir.display(),
+                shards.max(1)
+            )));
+        }
         let shard_dirs: Vec<PathBuf> = if shards <= 1 {
             vec![dir.clone()]
         } else {
@@ -391,6 +408,25 @@ impl<T> JsonDirPersist<T> {
             encode: Box::new(encode),
             decode: Box::new(decode),
         })
+    }
+
+    /// One more than the largest `k` of a `shard-k` subdirectory of
+    /// `dir`, or 0 when there is none: the shard count the directory
+    /// was created with.
+    fn existing_shard_count(dir: &Path) -> usize {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return 0;
+        };
+        entries
+            .filter_map(Result::ok)
+            .filter(|entry| entry.file_type().is_ok_and(|kind| kind.is_dir()))
+            .filter_map(|entry| {
+                let name = entry.file_name().into_string().ok()?;
+                name.strip_prefix("shard-")?.parse::<usize>().ok()
+            })
+            .map(|k| k + 1)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Removes `*.session.tmp` litter a crashed mid-spill writer left
@@ -1954,6 +1990,66 @@ mod tests {
             !sharded.contains("old-timer"),
             "take consumed the legacy file"
         );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_sharded_dir_refuses_another_shard_count() {
+        let dir = scratch_dir("shard-count");
+        let ttl = Duration::from_secs(3600);
+        let persist = json_persist(&dir, ttl, 4);
+        for i in 0..8u64 {
+            persist
+                .spill(&format!("s{i}"), vec![i])
+                .expect("spill lands");
+        }
+        drop(persist);
+        // Every path under the dir with its bytes (None for a directory).
+        fn census(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+            let mut found = Vec::new();
+            for entry in std::fs::read_dir(dir)
+                .expect("listed")
+                .filter_map(Result::ok)
+            {
+                let path = entry.path();
+                if path.is_dir() {
+                    found.extend(census(&path));
+                    found.push((path, None));
+                } else {
+                    let bytes = std::fs::read(&path).expect("read");
+                    found.push((path, Some(bytes)));
+                }
+            }
+            found.sort();
+            found
+        }
+        let before = census(&dir);
+        for shards in [8, 1] {
+            let refused = JsonDirPersist::<Vec<u64>>::sharded(
+                &dir,
+                ttl,
+                shards,
+                |_| unreachable!("a refused layer encodes nothing"),
+                |_| unreachable!("a refused layer decodes nothing"),
+            )
+            .expect_err("another shard count is refused");
+            let text = refused.to_string();
+            assert!(
+                matches!(refused, Error::SessionPersist { .. })
+                    && text.contains("created with 4 shards")
+                    && text.contains(&format!("opened with {shards}")),
+                "{text}"
+            );
+            assert_eq!(census(&dir), before, "a refusal touches no file");
+        }
+        let reopened = json_persist(&dir, ttl, 4);
+        for i in 0..8u64 {
+            let value = reopened
+                .take(&format!("s{i}"))
+                .expect("reads back")
+                .expect("present");
+            assert_eq!(value, vec![i]);
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -56,25 +56,6 @@ impl Dataset {
     pub fn topologies(&self) -> impl Iterator<Item = &Topology> + '_ {
         self.patterns.iter().map(SquishPattern::topology)
     }
-
-    /// Doubles the dataset with mirror/rotation augmentations (the
-    /// classic rule-based augmentation the paper's introduction cites).
-    #[must_use]
-    pub fn augmented(&self) -> Dataset {
-        let mut patterns = self.patterns.clone();
-        for p in &self.patterns {
-            let t = p.topology();
-            let flipped = t.flipped_horizontal();
-            let dx: Vec<i64> = p.dx().iter().rev().copied().collect();
-            patterns.push(SquishPattern::new(flipped, dx, p.dy().to_vec()));
-        }
-        Dataset {
-            style: self.style,
-            topo_size: self.topo_size,
-            patch_nm: self.patch_nm,
-            patterns,
-        }
-    }
 }
 
 /// Builder producing a [`Dataset`] by windowing synthetic layout maps.
@@ -273,20 +254,6 @@ mod tests {
             .seed(2)
             .build();
         assert_ne!(a.patterns(), b.patterns());
-    }
-
-    #[test]
-    fn augmentation_doubles_and_mirrors() {
-        let ds = DatasetBuilder::new(Style::Layer10003)
-            .topology_size(32)
-            .count(3)
-            .seed(4)
-            .build();
-        let aug = ds.augmented();
-        assert_eq!(aug.len(), 6);
-        let orig = ds.patterns()[0].topology();
-        let mirrored = aug.patterns()[3].topology();
-        assert_eq!(&orig.flipped_horizontal(), mirrored);
     }
 
     #[test]

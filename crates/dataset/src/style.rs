@@ -28,16 +28,6 @@ impl Style {
         }
     }
 
-    /// Style with the given id, if any.
-    #[must_use]
-    pub fn from_id(id: u32) -> Option<Style> {
-        match id {
-            0 => Some(Style::Layer10001),
-            1 => Some(Style::Layer10003),
-            _ => None,
-        }
-    }
-
     /// Canonical dataset name (e.g. `"Layer-10001"`).
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -80,9 +70,8 @@ mod tests {
     #[test]
     fn ids_round_trip() {
         for s in Style::ALL {
-            assert_eq!(Style::from_id(s.id()), Some(s));
+            assert_eq!(Style::ALL[s.id() as usize], s);
         }
-        assert_eq!(Style::from_id(99), None);
     }
 
     #[test]

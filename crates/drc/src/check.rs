@@ -22,28 +22,6 @@ impl DrcReport {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
-
-    /// Number of violations of a given kind.
-    #[must_use]
-    pub fn count_of(&self, kind: ViolationKind) -> usize {
-        self.violations.iter().filter(|v| v.kind == kind).count()
-    }
-
-    /// Smallest grid region covering every violation, or `None` when clean.
-    ///
-    /// This is the "unreasonable region" the legalizer reports back to the
-    /// agent for targeted modification.
-    #[must_use]
-    pub fn covering_region(&self) -> Option<Region> {
-        self.violations.iter().map(|v| v.region).reduce(|a, b| {
-            Region::new(
-                a.row0().min(b.row0()),
-                a.col0().min(b.col0()),
-                a.row1().max(b.row1()),
-                a.col1().max(b.col1()),
-            )
-        })
-    }
 }
 
 /// Checks a squish pattern against the design rules.
@@ -174,6 +152,14 @@ mod tests {
         SquishPattern::new(Topology::from_ascii(art), dx, dy)
     }
 
+    fn count_of(report: &DrcReport, kind: ViolationKind) -> usize {
+        report
+            .violations()
+            .iter()
+            .filter(|v| v.kind == kind)
+            .count()
+    }
+
     #[test]
     fn clean_single_shape() {
         let sq = pattern("1..", vec![30, 10, 10], vec![30]);
@@ -191,7 +177,7 @@ mod tests {
             vec![25, 25],
         );
         let report = check_pattern(&sq, &rules());
-        assert_eq!(report.count_of(ViolationKind::Width), 1);
+        assert_eq!(count_of(&report, ViolationKind::Width), 1);
         let v = report.violations()[0];
         assert_eq!(v.axis, Some(Axis::X));
         assert_eq!(v.measured, 10);
@@ -202,7 +188,7 @@ mod tests {
         // Two 30 nm bars separated by 10 nm.
         let sq = pattern("1.1", vec![30, 10, 30], vec![30]);
         let report = check_pattern(&sq, &rules());
-        assert_eq!(report.count_of(ViolationKind::Space), 1);
+        assert_eq!(count_of(&report, ViolationKind::Space), 1);
         assert_eq!(report.violations()[0].measured, 10);
         // Area of each 30x30=900 >= 400, widths fine.
         assert_eq!(report.violations().len(), 1);
@@ -221,8 +207,8 @@ mod tests {
         // 15x20 = 300 nm² < 400 but width along y is 20 (ok) and x is 15 (<20).
         let sq = pattern("1", vec![15], vec![20]);
         let report = check_pattern(&sq, &rules());
-        assert_eq!(report.count_of(ViolationKind::Area), 1);
-        assert_eq!(report.count_of(ViolationKind::Width), 1);
+        assert_eq!(count_of(&report, ViolationKind::Area), 1);
+        assert_eq!(count_of(&report, ViolationKind::Width), 1);
     }
 
     #[test]
@@ -251,15 +237,6 @@ mod tests {
         );
         let report = check_pattern(&sq, &rules());
         assert!(report.is_clean(), "{:?}", report.violations());
-    }
-
-    #[test]
-    fn covering_region_spans_violations() {
-        let sq = pattern("1.1", vec![10, 10, 10], vec![30]);
-        let report = check_pattern(&sq, &rules());
-        assert!(!report.is_clean());
-        let region = report.covering_region().expect("has violations");
-        assert_eq!(region, Region::new(0, 0, 1, 3));
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl Canvas {
         self.generated.count_ones() == self.generated.len()
     }
 
-    /// Number of cells already generated.
-    #[must_use]
-    pub fn generated_count(&self) -> usize {
-        self.generated.count_ones()
-    }
-
     /// Pastes externally produced content and marks it generated.
     pub fn place(&mut self, content: &Topology, row0: usize, col0: usize) {
         self.topology.paste(content, row0, col0);
@@ -141,7 +135,6 @@ mod tests {
         let mut canvas = Canvas::new(8, 8);
         let seed = Topology::filled(4, 4, true);
         canvas.place(&seed, 0, 0);
-        assert_eq!(canvas.generated_count(), 16);
         assert!(!canvas.fully_generated());
         assert!(canvas.topology().get(3, 3));
         assert!(!canvas.topology().get(4, 4));

@@ -80,14 +80,6 @@ impl Layout {
         self.rects.len()
     }
 
-    /// Bounding box of the drawn shapes (empty rect at origin when empty).
-    #[must_use]
-    pub fn drawn_bbox(&self) -> Rect {
-        self.rects
-            .iter()
-            .fold(Rect::default(), |acc, r| acc.union_bbox(r))
-    }
-
     /// Area of the union of all drawn shapes, in nm².
     ///
     /// Computed on the scan-line grid so overlaps are counted once.
@@ -202,13 +194,5 @@ mod tests {
         let w = l.window(Rect::new(20, 0, 60, 40));
         assert_eq!(w.frame(), Rect::new(0, 0, 40, 40));
         assert_eq!(w.rects(), &[Rect::new(0, 10, 30, 20)]);
-    }
-
-    #[test]
-    fn drawn_bbox_spans_all() {
-        let mut l = Layout::new(Rect::new(0, 0, 100, 100));
-        l.push(Rect::new(5, 6, 10, 12));
-        l.push(Rect::new(70, 80, 90, 95));
-        assert_eq!(l.drawn_bbox(), Rect::new(5, 6, 90, 95));
     }
 }

@@ -4,7 +4,7 @@
 //! shapes on an integer (nanometre) grid. This crate provides the small set
 //! of geometric primitives everything else is built on:
 //!
-//! * [`Point`] and [`Rect`] — integer-nm coordinates, half-open rectangles;
+//! * [`Rect`] — half-open rectangles in integer-nm coordinates;
 //! * [`Layout`] — a frame plus a bag of rectangles (possibly overlapping;
 //!   the union of the rectangles is the drawn metal);
 //! * [`scanline`] — scan-line coordinate extraction used by squish encoding;
@@ -25,13 +25,11 @@
 
 pub mod component;
 pub mod layout;
-pub mod point;
 pub mod rect;
 pub mod scanline;
 
 pub use component::{label_components, line_edges, CellRun, ComponentLabels};
 pub use layout::Layout;
-pub use point::Point;
 pub use rect::Rect;
 pub use scanline::ScanLines;
 

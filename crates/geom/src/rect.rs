@@ -1,6 +1,5 @@
 //! Half-open axis-aligned rectangles.
 
-use crate::Point;
 use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangle covering `[x0, x1) × [y0, y1)` in nanometres.
@@ -98,24 +97,6 @@ impl Rect {
         self.x0 >= self.x1 || self.y0 >= self.y1
     }
 
-    /// Bottom-left corner.
-    #[must_use]
-    pub fn min_corner(&self) -> Point {
-        Point::new(self.x0, self.y0)
-    }
-
-    /// Top-right (exclusive) corner.
-    #[must_use]
-    pub fn max_corner(&self) -> Point {
-        Point::new(self.x1, self.y1)
-    }
-
-    /// True if `p` lies inside the half-open extent.
-    #[must_use]
-    pub fn contains_point(&self, p: Point) -> bool {
-        p.x >= self.x0 && p.x < self.x1 && p.y >= self.y0 && p.y < self.y1
-    }
-
     /// True if `other` lies entirely inside `self`.
     #[must_use]
     pub fn contains_rect(&self, other: &Rect) -> bool {
@@ -146,73 +127,10 @@ impl Rect {
         ))
     }
 
-    /// Smallest rectangle containing both inputs.
-    #[must_use]
-    pub fn union_bbox(&self, other: &Rect) -> Rect {
-        if self.is_empty() {
-            return *other;
-        }
-        if other.is_empty() {
-            return *self;
-        }
-        Rect::new(
-            self.x0.min(other.x0),
-            self.y0.min(other.y0),
-            self.x1.max(other.x1),
-            self.y1.max(other.y1),
-        )
-    }
-
     /// Returns this rectangle moved by `(dx, dy)`.
     #[must_use]
     pub fn translated(&self, dx: i64, dy: i64) -> Rect {
         Rect::new(self.x0 + dx, self.y0 + dy, self.x1 + dx, self.y1 + dy)
-    }
-
-    /// Returns this rectangle grown by `margin` on every side
-    /// (shrunk when negative; collapses to empty rather than inverting).
-    #[must_use]
-    pub fn inflated(&self, margin: i64) -> Rect {
-        let x0 = self.x0 - margin;
-        let y0 = self.y0 - margin;
-        let x1 = (self.x1 + margin).max(x0);
-        let y1 = (self.y1 + margin).max(y0);
-        Rect { x0, y0, x1, y1 }
-    }
-
-    /// Axis-aligned gap between two disjoint rectangles along `axis`,
-    /// or `None` if their projections on the perpendicular axis do not
-    /// overlap (so no edge-to-edge spacing rule applies).
-    #[must_use]
-    pub fn edge_gap(&self, other: &Rect, axis: crate::Axis) -> Option<i64> {
-        match axis {
-            crate::Axis::X => {
-                if self.y0 < other.y1 && other.y0 < self.y1 {
-                    if self.x1 <= other.x0 {
-                        Some(other.x0 - self.x1)
-                    } else if other.x1 <= self.x0 {
-                        Some(self.x0 - other.x1)
-                    } else {
-                        Some(0)
-                    }
-                } else {
-                    None
-                }
-            }
-            crate::Axis::Y => {
-                if self.x0 < other.x1 && other.x0 < self.x1 {
-                    if self.y1 <= other.y0 {
-                        Some(other.y0 - self.y1)
-                    } else if other.y1 <= self.y0 {
-                        Some(self.y0 - other.y1)
-                    } else {
-                        Some(0)
-                    }
-                } else {
-                    None
-                }
-            }
-        }
     }
 }
 
@@ -225,7 +143,6 @@ impl std::fmt::Display for Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Axis;
 
     #[test]
     fn normalizes_on_construction() {
@@ -253,44 +170,5 @@ mod tests {
         let b = Rect::new(10, 0, 20, 10);
         assert!(!a.intersects(&b));
         assert_eq!(a.intersection(&b), None);
-    }
-
-    #[test]
-    fn union_bbox_covers_both() {
-        let a = Rect::new(0, 0, 1, 1);
-        let b = Rect::new(5, 7, 6, 9);
-        let u = a.union_bbox(&b);
-        assert!(u.contains_rect(&a) && u.contains_rect(&b));
-        assert_eq!(u, Rect::new(0, 0, 6, 9));
-    }
-
-    #[test]
-    fn edge_gap_measures_clearance() {
-        let a = Rect::new(0, 0, 10, 10);
-        let b = Rect::new(16, 2, 20, 8);
-        assert_eq!(a.edge_gap(&b, Axis::X), Some(6));
-        assert_eq!(b.edge_gap(&a, Axis::X), Some(6));
-        // No y-projection overlap → no x gap defined the other way.
-        let c = Rect::new(16, 20, 20, 30);
-        assert_eq!(a.edge_gap(&c, Axis::X), None);
-        assert_eq!(a.edge_gap(&c, Axis::Y), None); // no x overlap either
-        let d = Rect::new(2, 14, 8, 20);
-        assert_eq!(a.edge_gap(&d, Axis::Y), Some(4));
-    }
-
-    #[test]
-    fn inflate_and_deflate() {
-        let r = Rect::new(10, 10, 20, 20);
-        assert_eq!(r.inflated(5), Rect::new(5, 5, 25, 25));
-        assert_eq!(r.inflated(-5), Rect::new(15, 15, 15, 15));
-        assert!(r.inflated(-50).is_empty());
-    }
-
-    #[test]
-    fn contains_point_is_half_open() {
-        let r = Rect::new(0, 0, 10, 10);
-        assert!(r.contains_point(Point::new(0, 0)));
-        assert!(!r.contains_point(Point::new(10, 0)));
-        assert!(!r.contains_point(Point::new(0, 10)));
     }
 }

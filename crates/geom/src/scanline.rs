@@ -5,7 +5,7 @@
 //! [`ScanLines`] holds the sorted unique coordinates along each axis and
 //! the derived interval (delta) lengths.
 
-use crate::{Layout, Rect};
+use crate::Layout;
 use serde::{Deserialize, Serialize};
 
 /// The scan-line grid of a layout: sorted unique x and y coordinates.
@@ -52,24 +52,6 @@ impl ScanLines {
         ScanLines { xs, ys }
     }
 
-    /// Builds a grid directly from coordinate lists (sorted + deduped here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either list has fewer than two distinct coordinates.
-    #[must_use]
-    pub fn from_coords(mut xs: Vec<i64>, mut ys: Vec<i64>) -> ScanLines {
-        xs.sort_unstable();
-        xs.dedup();
-        ys.sort_unstable();
-        ys.dedup();
-        assert!(
-            xs.len() >= 2 && ys.len() >= 2,
-            "grid needs >=2 lines per axis"
-        );
-        ScanLines { xs, ys }
-    }
-
     /// Sorted unique x scan-line coordinates.
     #[must_use]
     pub fn xs(&self) -> &[i64] {
@@ -106,19 +88,6 @@ impl ScanLines {
         self.ys.len() - 1
     }
 
-    /// Twice the midpoint of x-interval `col` (kept doubled so the value
-    /// stays on the integer grid).
-    #[must_use]
-    pub fn x_cell_midpoint(&self, col: usize) -> i64 {
-        self.xs[col] + self.xs[col + 1]
-    }
-
-    /// Twice the midpoint of y-interval `row`.
-    #[must_use]
-    pub fn y_cell_midpoint(&self, row: usize) -> i64 {
-        self.ys[row] + self.ys[row + 1]
-    }
-
     /// Index of the x interval containing coordinate `x`, or `None` when
     /// outside the grid.
     #[must_use]
@@ -144,25 +113,17 @@ impl ScanLines {
             Err(i) => i - 1,
         })
     }
-
-    /// Grid cell extent as a physical rectangle.
-    #[must_use]
-    pub fn cell_rect(&self, row: usize, col: usize) -> Rect {
-        Rect::new(
-            self.xs[col],
-            self.ys[row],
-            self.xs[col + 1],
-            self.ys[row + 1],
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rect;
 
     fn grid() -> ScanLines {
-        ScanLines::from_coords(vec![0, 10, 40, 100], vec![0, 20, 60, 100])
+        let mut l = Layout::new(Rect::new(0, 0, 100, 100));
+        l.push(Rect::new(10, 20, 40, 60));
+        ScanLines::from_layout(&l)
     }
 
     #[test]
@@ -186,12 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_rect_matches_lines() {
-        let g = grid();
-        assert_eq!(g.cell_rect(1, 2), Rect::new(40, 20, 100, 60));
-    }
-
-    #[test]
     fn from_layout_includes_frame_and_edges() {
         let mut l = Layout::new(Rect::new(0, 0, 50, 50));
         l.push(Rect::new(5, 5, 10, 10));
@@ -199,11 +154,5 @@ mod tests {
         let g = ScanLines::from_layout(&l);
         assert_eq!(g.xs(), &[0, 5, 10, 50]);
         assert_eq!(g.ys(), &[0, 5, 10, 20, 30, 50]);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid needs")]
-    fn from_coords_rejects_degenerate() {
-        let _ = ScanLines::from_coords(vec![3, 3], vec![0, 1]);
     }
 }

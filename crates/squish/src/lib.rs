@@ -8,7 +8,7 @@
 //!
 //! This crate provides:
 //!
-//! * [`Topology`] — the binary matrix, with the paste/window/flip
+//! * [`Topology`] — the binary matrix, with the paste/window
 //!   operations the diffusion model and the extension algorithms need;
 //! * [`SquishPattern`] — topology + deltas, with lossless
 //!   [`SquishPattern::from_layout`] / [`SquishPattern::to_layout`]

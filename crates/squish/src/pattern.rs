@@ -138,12 +138,6 @@ impl SquishPattern {
         &self.dy
     }
 
-    /// Decomposes into `(topology, dx, dy)`.
-    #[must_use]
-    pub fn into_parts(self) -> (Topology, Vec<i64>, Vec<i64>) {
-        (self.topology, self.dx, self.dy)
-    }
-
     /// Physical width in nanometres (sum of Δx).
     #[must_use]
     pub fn physical_width(&self) -> i64 {

@@ -100,16 +100,6 @@ impl Region {
         row >= self.row0 && row < self.row1 && col >= self.col0 && col < self.col1
     }
 
-    /// True when `other` lies entirely inside `self`.
-    #[must_use]
-    pub fn contains_region(&self, other: &Region) -> bool {
-        other.is_empty()
-            || (other.row0 >= self.row0
-                && other.row1 <= self.row1
-                && other.col0 >= self.col0
-                && other.col1 <= self.col1)
-    }
-
     /// Intersection with another region, or `None` when disjoint.
     #[must_use]
     pub fn intersection(&self, other: &Region) -> Option<Region> {
@@ -122,18 +112,6 @@ impl Region {
         } else {
             None
         }
-    }
-
-    /// Grows the region by `margin` cells on every side, clamped to the
-    /// bounds of an `rows × cols` matrix.
-    #[must_use]
-    pub fn inflated_within(&self, margin: usize, rows: usize, cols: usize) -> Region {
-        Region::new(
-            self.row0.saturating_sub(margin),
-            self.col0.saturating_sub(margin),
-            (self.row1 + margin).min(rows),
-            (self.col1 + margin).min(cols),
-        )
     }
 
     /// Shifts the region by the given cell offsets.
@@ -183,23 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn inflate_clamps_to_matrix() {
-        let r = Region::new(1, 1, 3, 3);
-        assert_eq!(r.inflated_within(2, 4, 4), Region::new(0, 0, 4, 4));
-    }
-
-    #[test]
     fn cells_iterates_row_major() {
         let r = Region::new(1, 2, 2, 4);
         let cells: Vec<_> = r.cells().collect();
         assert_eq!(cells, vec![(1, 2), (1, 3)]);
-    }
-
-    #[test]
-    fn containment() {
-        let outer = Region::new(0, 0, 10, 10);
-        let inner = Region::new(3, 3, 7, 7);
-        assert!(outer.contains_region(&inner));
-        assert!(!inner.contains_region(&outer));
     }
 }

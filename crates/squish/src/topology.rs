@@ -292,24 +292,6 @@ impl Topology {
         }
     }
 
-    /// Horizontal mirror (left-right flip).
-    #[must_use]
-    pub fn flipped_horizontal(&self) -> Topology {
-        Topology::from_fn(self.rows, self.cols, |r, c| self.get(r, self.cols - 1 - c))
-    }
-
-    /// Vertical mirror (top-bottom flip).
-    #[must_use]
-    pub fn flipped_vertical(&self) -> Topology {
-        Topology::from_fn(self.rows, self.cols, |r, c| self.get(self.rows - 1 - r, c))
-    }
-
-    /// Quarter-turn clockwise rotation.
-    #[must_use]
-    pub fn rotated_cw(&self) -> Topology {
-        Topology::from_fn(self.cols, self.rows, |r, c| self.get(self.rows - 1 - c, r))
-    }
-
     /// True when two adjacent columns hold identical bits.
     #[must_use]
     pub fn cols_equal(&self, a: usize, b: usize) -> bool {
@@ -683,29 +665,6 @@ mod tests {
         let mut t = Topology::filled(3, 3, false);
         let s = Topology::filled(2, 2, true);
         t.paste(&s, 2, 2);
-    }
-
-    #[test]
-    fn flips_and_rotation() {
-        let t = Topology::from_ascii(
-            "#.
-             ..",
-        );
-        assert!(t.flipped_horizontal().get(0, 1));
-        assert!(t.flipped_vertical().get(1, 0));
-        let r = t.rotated_cw();
-        assert_eq!(r.shape(), (2, 2));
-        assert!(r.get(0, 1));
-    }
-
-    #[test]
-    fn rotation_four_times_is_identity() {
-        let t = Topology::from_ascii(
-            "##.
-             ..#",
-        );
-        let r4 = t.rotated_cw().rotated_cw().rotated_cw().rotated_cw();
-        assert_eq!(t, r4);
     }
 
     #[test]

@@ -134,7 +134,10 @@ Options:
                          first touch, so restarting over a huge
                          directory does not stall startup (default 1 =
                          flat layout; flat files from earlier runs are
-                         still found and migrated on touch)
+                         still found and migrated on touch). A directory
+                         keeps the shard count it was created with:
+                         serve refuses to start over shard-{i}
+                         subdirectories made with another N
   --window N             model window L (default 64)
   --diffusion-steps N    diffusion chain length K (default 12)
   --training-patterns N  training patterns per style (default 64)

@@ -3,6 +3,7 @@
 //! way an external caller would.
 
 use chatpattern::dataset::Style;
+use chatpattern::drc::check_pattern;
 use chatpattern::extend::ExtensionMethod;
 use chatpattern::squish::{Region, Topology};
 use chatpattern::{
@@ -156,9 +157,8 @@ fn error_display_and_conversions_cover_the_workspace() {
     let system = small_system(4);
     let sliver =
         chatpattern::squish::SquishPattern::new(Topology::from_ascii("1."), vec![10, 40], vec![50]);
-    let drc = system
-        .drc_check(&sliver)
-        .expect_err("sliver violates width");
+    let drc = Error::from(&check_pattern(&sliver, system.rules()));
+    assert!(matches!(&drc, Error::Drc { violations } if !violations.is_empty()));
     assert!(drc.to_string().contains("design-rule violations"));
 
     // `?` folds every subsystem failure into the workspace error.

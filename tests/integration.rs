@@ -55,9 +55,6 @@ fn legalized_patterns_are_drc_clean() {
                 check_pattern(&pattern, system.rules()).is_clean(),
                 "legalizer output failed independent DRC"
             );
-            system
-                .drc_check(&pattern)
-                .expect("facade drc_check agrees with check_pattern");
             clean += 1;
         }
     }

@@ -186,12 +186,14 @@ struct ServeClient {
     client: cp_net::NdjsonClient,
 }
 
-impl ServeClient {
-    fn spawn(extra_args: &[&str]) -> ServeClient {
-        // The builder seed must match `build_system` — snapshots carry
-        // session state, not the trained model, so equivalence across
-        // processes requires equivalently trained back-ends.
-        let mut args = vec![
+/// A `chatpattern-serve` command at the test scale, plus `extra_args`.
+fn serve_command(extra_args: &[&str]) -> Command {
+    // The builder seed must match `build_system` — snapshots carry
+    // session state, not the trained model, so equivalence across
+    // processes requires equivalently trained back-ends.
+    let mut command = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"));
+    command
+        .args([
             "--listen",
             "127.0.0.1:0",
             "--window",
@@ -204,10 +206,14 @@ impl ServeClient {
             "2",
             "--seed",
             "3",
-        ];
-        args.extend_from_slice(extra_args);
-        let mut child = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"))
-            .args(&args)
+        ])
+        .args(extra_args);
+    command
+}
+
+impl ServeClient {
+    fn spawn(extra_args: &[&str]) -> ServeClient {
+        let mut child = serve_command(extra_args)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
@@ -930,11 +936,31 @@ fn restart_over_ten_thousand_session_sharded_dir_rehydrates_lazily() {
     };
     assert_eq!(census(&dir), SESSIONS);
 
+    // A directory keeps the shard count it was created with: a serve
+    // started over it without `--persist-shards` (one flat directory)
+    // would look for every session in the root and find none, so it
+    // refuses to start, naming the count the directory has, and
+    // touches no file.
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let flat = serve_command(&["--session-dir", dir_arg])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .output()
+        .expect("serve binary runs");
+    let stderr = String::from_utf8_lossy(&flat.stderr);
+    assert_eq!(flat.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("created with 8 shards"), "{stderr}");
+    assert_eq!(census(&dir), SESSIONS, "the refusal touched no file");
+    assert_eq!(
+        std::fs::read_dir(&dir).expect("dir reads").count(),
+        SHARDS,
+        "nothing but the shard dirs in the root"
+    );
+
     // Restart over the full directory. Rehydration is strictly
     // on-demand (a touched id is read, decoded and consumed; nothing
     // else is opened), so startup cost is independent of the 10k
     // spilled sessions sitting on disk.
-    let dir_arg = dir.to_str().expect("utf-8 temp path");
     let mut serve = ServeClient::spawn(&["--session-dir", dir_arg, "--persist-shards", "8"]);
     for s in [17usize, 9_301] {
         let id = format!("bulk-{s}");
