@@ -1286,6 +1286,53 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// A session id too long to name a spill file wedged a
+    /// `--session-dir` store: the spill failed with `ENAMETOOLONG`, so
+    /// the session neither expired nor made room, and once it was the
+    /// least recently used every open at capacity failed with
+    /// `SessionPersist`. Such an id is refused at open and at restore.
+    #[test]
+    fn an_id_too_long_to_spill_is_refused_and_the_store_keeps_turning_over() {
+        let dir = std::env::temp_dir().join(format!(
+            "cp-core-long-id-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
+        let system = ChatPattern::builder()
+            .window(16)
+            .training_patterns(8)
+            .diffusion_steps(6)
+            .max_sessions(1)
+            .session_ttl(Duration::from_secs(1))
+            .session_dir(&dir)
+            .build()
+            .expect("valid configuration");
+        let long = "x".repeat(300);
+        let err = system
+            .session_open(&long, Some(1))
+            .expect_err("a 300-byte id is refused");
+        assert!(matches!(err, Error::InvalidRequest { .. }), "{err:?}");
+        system.session_open("a", Some(1)).expect("opens");
+        let mut snapshot = system.session_snapshot("a").expect("snapshots");
+        snapshot.session = long;
+        let err = system
+            .session_restore(snapshot)
+            .expect_err("a 300-byte id is refused on restore too");
+        assert!(matches!(err, Error::InvalidRequest { .. }), "{err:?}");
+        system
+            .session_open("b", Some(2))
+            .expect("opens, spilling a");
+        std::thread::sleep(Duration::from_millis(1100));
+        system.session_open("c", Some(3)).expect("b expired");
+        // "a" spilled to make room for "b", "b" on its expiry.
+        let stats = system.session_stats();
+        assert_eq!((stats.open, stats.spilled), (1, 2), "{stats:?}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
     #[test]
     fn session_snapshot_exports_without_disturbing_the_session() {
         let system = small_system();

@@ -259,6 +259,12 @@ fn encode_id(id: &str) -> String {
     out
 }
 
+/// Longest [`encode_id`] form a session id may have: 255 (`NAME_MAX`)
+/// less `.session.corrupt`, the longest name [`JsonDirPersist`] gives
+/// a file. Held by every store, with a directory or without, so a
+/// session the router moves is accepted on whichever worker it lands.
+const MAX_ENCODED_SESSION_ID_BYTES: usize = 239;
+
 /// Filename suffix of the temp file a spill write stages through
 /// (`foo.session.json` is written as `foo.session.tmp`, then renamed).
 const SPILL_TMP_SUFFIX: &str = ".session.tmp";
@@ -869,14 +875,24 @@ impl<T> SessionStore<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidRequest`] when `id` is empty or already
-    /// names a live session (in memory *or* spilled — a spilled
-    /// session is still live until its TTL), and
+    /// Returns [`Error::InvalidRequest`] when `id` is empty, longer
+    /// than 239 bytes once escaped for a file name (every byte but
+    /// `[A-Za-z0-9_-]` takes three), or already names a live session (in memory *or* spilled —
+    /// a spilled session is still live until its TTL), and
     /// [`Error::SessionPersist`] when making room required a spill
     /// that failed.
     pub fn open(&self, id: &str, make: impl FnOnce() -> T) -> Result<(), Error> {
         if id.is_empty() {
             return Err(Error::invalid_request("session id must not be empty"));
+        }
+        let encoded = encode_id(id).len();
+        if encoded > MAX_ENCODED_SESSION_ID_BYTES {
+            // It could never be spilled: the file name would be too
+            // long, so the session would neither expire nor make room.
+            return Err(Error::invalid_request(format!(
+                "session id is {encoded} bytes once escaped for a file name; the limit is \
+                 {MAX_ENCODED_SESSION_ID_BYTES}"
+            )));
         }
         let mut value = Some(make());
         loop {
@@ -1214,6 +1230,27 @@ mod tests {
         ));
         let stats = store.stats();
         assert_eq!((stats.open, stats.evicted, stats.turns), (0, 0, 1));
+    }
+
+    /// The id's escaped form counts, not its length: `/` is `%2F`.
+    #[test]
+    fn an_id_is_refused_past_239_bytes_escaped_on_every_store() {
+        let store = store(4, 3600);
+        store
+            .open(&"a".repeat(239), Vec::new)
+            .expect("239 bytes open");
+        for id in ["b".repeat(240), "/".repeat(80)] {
+            match store.open(&id, Vec::new) {
+                Err(Error::InvalidRequest { message }) => {
+                    assert!(
+                        message.contains("240 bytes") && message.contains("239"),
+                        "{message}"
+                    );
+                }
+                other => panic!("a {}-byte id opened: {other:?}", id.len()),
+            }
+        }
+        assert_eq!(store.stats().open, 1);
     }
 
     #[test]

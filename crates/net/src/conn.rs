@@ -108,7 +108,7 @@ struct Outbound {
     head: usize,
     /// Total unsent bytes across all chunks.
     bytes: usize,
-    /// Replies promised with [`LineSink::owe`] and not yet pushed.
+    /// Lines handed to the handler and not yet answered.
     owed: usize,
     /// Cleared when the loop tears the connection down; later pushes
     /// are dropped.
@@ -126,10 +126,10 @@ struct Outbound {
 /// disconnected — bounded back-pressure instead of unbounded memory
 /// for a stalled reader.
 ///
-/// A handler that answers a line later says so with [`LineSink::owe`]
-/// and answers with [`LineSink::send_owed`]; [`LineSink::owed`] is how
-/// the event loop knows whether a peer that stopped sending is still
-/// waiting for replies.
+/// The event loop counts a line as owed when it hands it to the
+/// handler, and the line's one [`LineSink::send`] settles it: that
+/// count is how the loop knows whether a peer that stopped sending, or
+/// a server asked to shut down, is still waiting for replies.
 pub struct LineSink {
     inner: Mutex<Outbound>,
     high_water: usize,
@@ -157,56 +157,50 @@ impl LineSink {
         })
     }
 
-    /// Queues one line (appending `\n`). Returns `false` once the
-    /// connection is gone — closed, or killed by this push or an
+    /// Queues the one reply to a line the event loop handed out
+    /// (appending `\n`), settling that line in the push's critical
+    /// section even when the connection is gone. Returns `false` once
+    /// the connection is gone — closed, or killed by this push or an
     /// earlier one — so callers can stop producing output for it.
-    pub fn send_line(&self, line: &str) -> bool {
-        self.push(line, false)
-    }
-
-    /// Promises one later [`LineSink::send_owed`].
-    pub fn owe(&self) {
-        self.lock().owed += 1;
-    }
-
-    /// [`LineSink::send_line`] for a reply promised with
-    /// [`LineSink::owe`]. Settles the promise even when the connection
-    /// is gone.
-    pub fn send_owed(&self, line: &str) -> bool {
-        self.push(line, true)
-    }
-
-    /// Replies promised and not yet handed over. Counted under the
-    /// queue's lock, so a reply no longer counted here is in the queue.
-    #[must_use]
-    pub fn owed(&self) -> usize {
-        self.lock().owed
-    }
-
-    fn push(&self, line: &str, owed: bool) -> bool {
+    ///
+    /// Every line gets exactly one `send`: a second answer to one line
+    /// is a handler bug, caught by a `debug_assert!` (the count stays
+    /// at zero in a release build rather than wrapping).
+    pub fn send(&self, line: &str) -> bool {
         let mut framed = Vec::with_capacity(line.len() + 1);
         framed.extend_from_slice(line.as_bytes());
         framed.push(b'\n');
         let mut inner = self.lock();
-        if owed {
-            // In the push's critical section: whoever sees the lower
-            // count (the event loop, woken by this push) also sees the
-            // line in the queue.
-            inner.owed -= 1;
-        }
-        if !inner.open || inner.killed {
-            return false;
-        }
-        let fits = inner.bytes + framed.len() <= self.high_water;
+        // Whoever sees the lower count (the event loop, woken by this
+        // push) also sees the line in the queue.
+        let settled = inner.owed.checked_sub(1);
+        inner.owed = settled.unwrap_or(0);
+        let live = inner.open && !inner.killed;
+        let fits = live && inner.bytes + framed.len() <= self.high_water;
         if fits {
             inner.bytes += framed.len();
             inner.chunks.push_back(framed);
-        } else {
+        } else if live {
             inner.killed = true;
         }
         drop(inner);
-        (self.notify)();
+        debug_assert!(settled.is_some(), "a reply sent for a line owed none");
+        if live {
+            (self.notify)();
+        }
         fits
+    }
+
+    /// Records one line handed to the handler, to be settled by its
+    /// [`LineSink::send`].
+    pub(crate) fn owe(&self) {
+        self.lock().owed += 1;
+    }
+
+    /// Lines handed out and not yet answered. Counted under the
+    /// queue's lock, so a reply no longer counted here is in the queue.
+    pub(crate) fn owed(&self) -> usize {
+        self.lock().owed
     }
 
     fn lock(&self) -> MutexGuard<'_, Outbound> {
@@ -433,31 +427,46 @@ mod tests {
         );
     }
 
+    /// A queue with `lines` lines handed out, as the event loop
+    /// leaves it before the handler answers.
+    fn owing(
+        high_water: usize,
+        lines: usize,
+        notify: impl Fn() + Send + Sync + 'static,
+    ) -> Arc<LineSink> {
+        let queue = LineSink::new(high_water, notify);
+        for _ in 0..lines {
+            queue.owe();
+        }
+        queue
+    }
+
     #[test]
     fn outbound_queue_kills_past_high_water_and_notifies() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let notified = Arc::new(AtomicUsize::new(0));
         let n2 = Arc::clone(&notified);
-        let queue = LineSink::new(10, move || {
+        let queue = owing(10, 3, move || {
             n2.fetch_add(1, Ordering::SeqCst);
         });
-        assert!(queue.send_line("1234"));
+        assert!(queue.send("1234"));
         assert_eq!(notified.load(Ordering::SeqCst), 1);
         assert!(!queue.is_killed());
         // 5 + 6 > 10: overflow kills the queue (and notifies the loop).
-        assert!(!queue.send_line("67890"));
+        assert!(!queue.send("67890"));
         assert!(queue.is_killed());
         assert_eq!(notified.load(Ordering::SeqCst), 2);
         // Later sends fail fast without flipping state back.
-        assert!(!queue.send_line("x"));
+        assert!(!queue.send("x"));
         assert!(queue.is_killed());
+        assert_eq!(queue.owed(), 0);
     }
 
     #[test]
     fn closed_queue_silences_writers() {
-        let queue = LineSink::new(1024, || {});
+        let queue = owing(1024, 1, || {});
         queue.close();
-        assert!(!queue.send_line("late reply"));
+        assert!(!queue.send("late reply"));
         assert!(!queue.is_killed());
     }
 
@@ -467,19 +476,31 @@ mod tests {
     #[test]
     fn a_send_to_a_closed_or_killed_queue_fails_and_settles_what_it_owed() {
         for kill in [false, true] {
-            let queue = LineSink::new(8, || {});
-            queue.owe();
-            queue.owe();
-            assert!(queue.send_owed("ok"));
-            assert_eq!(queue.owed(), 1);
+            let queue = owing(8, 2 + usize::from(kill), || {});
+            assert!(queue.send("ok"));
+            assert_eq!(queue.owed(), 1 + usize::from(kill));
             if kill {
-                assert!(!queue.send_line("past the mark"));
+                assert!(!queue.send("past the mark"));
                 assert!(queue.is_killed());
             } else {
                 queue.close();
             }
-            assert!(!queue.send_owed("late"));
+            assert!(!queue.send("late"));
             assert_eq!(queue.owed(), 0, "kill: {kill}");
         }
+    }
+
+    /// A handler that answers one line twice has a bug the debug build
+    /// names at the second answer; either way the count the loop
+    /// shuts down by stays at zero instead of wrapping to `usize::MAX`
+    /// (which would hold every later shutdown forever).
+    #[test]
+    fn a_second_answer_to_one_line_is_caught_and_never_wraps_the_count() {
+        use std::panic::AssertUnwindSafe;
+        let queue = owing(1024, 1, || {});
+        assert!(queue.send("first"));
+        let second = std::panic::catch_unwind(AssertUnwindSafe(|| queue.send("second")));
+        assert_eq!(second.is_err(), cfg!(debug_assertions), "{second:?}");
+        assert_eq!(queue.owed(), 0);
     }
 }

@@ -21,10 +21,16 @@
 //!   client: past the configured high-water mark the client is
 //!   disconnected (a *backpressure kill*, reported separately from
 //!   clean closes in the engine's connection counters);
+//! * the loop keeps the **one count of owed replies**: a line handed
+//!   to the handler (or an oversize line the loop answers itself) is
+//!   owed until its one [`LineSink::send`](crate::LineSink::send);
 //! * a peer that **half-closes** (EOF on our read side) has said "no
 //!   more requests", nothing else: the connection stays until every
 //!   reply owed for the lines it sent has been written, then closes
-//!   clean. A reset, a write error or a kill closes at once.
+//!   clean. A reset, a write error or a kill closes at once;
+//! * a **shutdown** follows the same rule for every live connection: the
+//!   loop serves on until none is owed a reply, then gives each one
+//!   last write pass and closes it.
 
 use crate::conn::{FlushOutcome, Framed, NonblockingConn, ReadOutcome};
 use crate::conn::{DEFAULT_MAX_LINE_BYTES, DEFAULT_OUTBOUND_HIGH_WATER};
@@ -158,7 +164,6 @@ impl EventLoopServer {
         });
         poller.register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         poller.register(shared.wake.read_fd(), TOKEN_WAKE, Interest::READ)?;
-        let addr = self.addr;
         let mut state = LoopState {
             poller,
             listener: self.listener,
@@ -170,12 +175,10 @@ impl EventLoopServer {
             next_token: FIRST_CONN_TOKEN,
             accept_paused: false,
         };
-        let handler: Arc<dyn ConnectionHandler> = state.handler.clone();
         let thread = std::thread::spawn(move || state.run());
         Ok(EventLoopHandle {
-            addr,
+            addr: self.addr,
             shared,
-            handler,
             thread: Some(thread),
         })
     }
@@ -183,12 +186,12 @@ impl EventLoopServer {
 
 /// A running server. Dropping the handle *without* calling
 /// [`EventLoopHandle::shutdown`] leaves the loop running for the life
-/// of the process (what the serve binary wants); `shutdown` quiesces,
-/// flushes and joins it (what the router's `Shutdown` and tests want).
+/// of the process (what the serve binary wants); `shutdown` answers
+/// what is owed, flushes and joins it (what the router's `Shutdown`
+/// and tests want).
 pub struct EventLoopHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    handler: Arc<dyn ConnectionHandler>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -199,15 +202,12 @@ impl EventLoopHandle {
         self.addr
     }
 
-    /// Waits for the handler to hand over every reply it still owes
-    /// ([`ConnectionHandler::quiesce`]), then stops the loop — which
-    /// gives each connection one last write pass before closing it —
-    /// and joins the loop thread. Connections stay readable during the
-    /// wait, so a peer that keeps sending keeps it waiting.
+    /// Stops the loop once no live connection is owed a reply — each
+    /// then gets one last write pass before it is closed — and joins
+    /// the loop thread. The loop serves as usual until then, so replies
+    /// land in live queues; a peer that keeps sending keeps it waiting,
+    /// and one that closed is owed nothing.
     pub fn shutdown(mut self) {
-        // The loop keeps serving while the handler quiesces, so the
-        // replies land in live queues, not ones teardown closed.
-        self.handler.quiesce();
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.wake.wake();
         if let Some(thread) = self.thread.take() {
@@ -252,13 +252,16 @@ impl<H: ConnectionHandler> LoopState<H> {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
             // Asked before each wait, not after it: the pass below
-            // drains the wake pipe, so a stop raised while it ran has
-            // lost its wake byte by now, and one raised after this
-            // line still finds its byte in the pipe.
-            if self.shared.stop.load(Ordering::SeqCst) {
-                // Shutdown quiesced the handler first, so every owed
-                // reply is queued by now: flush what the last pass has
-                // not seen yet, with the usual kill/close accounting.
+            // drains the wake pipe, so a stop raised — or a reply
+            // settled — while it ran has lost its wake byte by now, and
+            // one raised after this line still finds its byte in the
+            // pipe.
+            if self.shared.stop.load(Ordering::SeqCst)
+                && self.conns.values().all(|slot| slot.conn.sink().owed() == 0)
+            {
+                // Every owed reply is queued by now: flush what the
+                // last pass has not seen yet, with the usual kill/close
+                // accounting.
                 self.flush_dirty();
                 break;
             }
@@ -300,9 +303,7 @@ impl<H: ConnectionHandler> LoopState<H> {
         }
         // Teardown: give every non-killed queue one final write pass
         // — bounded: each stops at WouldBlock rather than waiting for
-        // a slow reader — then silence the queues so a handler that
-        // does not quiesce drops its late replies instead of
-        // accumulating them forever.
+        // a slow reader — then silence the queues.
         for slot in self.conns.values_mut() {
             if !slot.conn.sink().is_killed() {
                 let _ = slot.conn.flush_ready();
@@ -409,6 +410,7 @@ impl<H: ConnectionHandler> LoopState<H> {
             match product {
                 Framed::Line(line) => {
                     if !line.trim().is_empty() {
+                        sink.owe();
                         self.handler.on_line(&line, &sink);
                     }
                 }
@@ -417,9 +419,8 @@ impl<H: ConnectionHandler> LoopState<H> {
                         "request line exceeds {} bytes ({bytes} bytes discarded)",
                         self.config.max_line_bytes
                     ));
-                    sink.send_line(
-                        &ResponseEnvelope::error(serde_json::Value::Null, &error).to_line(),
-                    );
+                    sink.owe();
+                    sink.send(&ResponseEnvelope::error(serde_json::Value::Null, &error).to_line());
                 }
             }
         }
@@ -494,15 +495,17 @@ impl<H: ConnectionHandler> LoopState<H> {
 mod tests {
     use super::*;
     use crate::LineSink;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::time::Duration;
 
     /// Answers every line with itself.
     struct Echo;
 
     impl ConnectionHandler for Echo {
         fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
-            sink.send_line(line);
+            sink.send(line);
         }
     }
 
@@ -523,5 +526,83 @@ mod tests {
         }
         drop((stream, reader));
         handle.shutdown();
+    }
+
+    /// Answers `now` at once and hands every other line's sink to the
+    /// test, which answers it when it likes — a job still running.
+    struct Parker(Sender<Arc<LineSink>>);
+
+    impl ConnectionHandler for Parker {
+        fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
+            if line == "now" {
+                sink.send("now");
+            } else {
+                self.0.send(Arc::clone(sink)).expect("test listens");
+            }
+        }
+    }
+
+    fn spawn_parker() -> (EventLoopHandle, Receiver<Arc<LineSink>>) {
+        let (parked, jobs) = channel();
+        let handle = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default())
+            .expect("binds")
+            .spawn(Arc::new(Parker(parked)))
+            .expect("loop starts");
+        (handle, jobs)
+    }
+
+    /// Runs `shutdown` on a thread of its own; the receiver hears when
+    /// it has returned.
+    fn shut_down(handle: EventLoopHandle) -> Receiver<()> {
+        let (done, has_returned) = channel();
+        std::thread::spawn(move || {
+            handle.shutdown();
+            let _ = done.send(());
+        });
+        has_returned
+    }
+
+    const PATIENCE: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn shutdown_waits_for_a_reply_produced_after_it_began() {
+        let (handle, jobs) = spawn_parker();
+        let mut stream = TcpStream::connect(handle.local_addr()).expect("connects");
+        stream.write_all(b"job\n").expect("writes");
+        let job = jobs.recv_timeout(PATIENCE).expect("the line is handed out");
+
+        let has_returned = shut_down(handle);
+        assert!(
+            has_returned
+                .recv_timeout(Duration::from_millis(300))
+                .is_err(),
+            "shutdown returned while a live connection was owed a reply"
+        );
+        assert!(job.send("done"), "the queue is still open");
+        has_returned
+            .recv_timeout(PATIENCE)
+            .expect("shutdown returns once the reply is queued");
+        let mut replies = String::new();
+        stream.read_to_string(&mut replies).expect("reads to EOF");
+        assert_eq!(replies, "done\n", "the reply, then the close");
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_a_connection_that_closed_mid_job() {
+        let (handle, jobs) = spawn_parker();
+        let mut stream = TcpStream::connect(handle.local_addr()).expect("connects");
+        stream.write_all(b"job\n").expect("writes");
+        let job = jobs.recv_timeout(PATIENCE).expect("the line is handed out");
+        // Closing with the `now` reply unread resets the connection:
+        // the loop drops it at once, not on a half-close.
+        stream.write_all(b"now\n").expect("writes");
+        let mut peek = [0u8; 4];
+        stream.peek(&mut peek).expect("the reply arrives");
+        drop(stream);
+
+        shut_down(handle)
+            .recv_timeout(PATIENCE)
+            .expect("shutdown does not wait for a connection that is gone");
+        assert!(!job.send("too late"), "the job's reply goes nowhere");
     }
 }

@@ -12,16 +12,20 @@
 //!   fallback): thousands of mostly-idle connections on one loop
 //!   thread, incremental NDJSON framing, bounded
 //!   per-connection outbound queues (slow readers are disconnected
-//!   past a high-water mark instead of buffered without bound), and a
-//!   peer's half-close honoured as "no more requests" — it still gets
-//!   every reply it is owed;
+//!   past a high-water mark instead of buffered without bound), and
+//!   the one count of owed replies: the loop counts each line it hands
+//!   to the handler until its reply is queued, so a peer's half-close
+//!   ("no more requests") and [`EventLoopHandle::shutdown`] alike wait
+//!   until every live connection has been answered what it is owed;
 //! * one contract for what happens to a line, [`ConnectionHandler`]
-//!   (`on_line` does not block), and the [`EngineHandler`] that plugs a
+//!   (`on_line` does not block and answers the line exactly once), and
+//!   the [`EngineHandler`] that plugs a
 //!   [`PatternEngine`](chatpattern_core::PatternEngine) into it: the
 //!   engine worker that finishes a job hands the reply to the
 //!   connection itself;
 //! * [`LineSink`], a connection's outbound queue, which handlers answer
-//!   through — a reply to a peer that is gone is dropped, not an error;
+//!   through with [`LineSink::send`] — a reply to a peer that is gone
+//!   is dropped, not an error;
 //! * the blocking [`NdjsonClient`], and the dial-with-backoff under it
 //!   ([`connect_with_backoff`]).
 //!

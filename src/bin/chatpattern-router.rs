@@ -51,7 +51,7 @@
 //! ```text
 //! {"id":1,"control":"Fleet"}                 per-worker + merged stats
 //! {"id":2,"control":{"Drain":{"worker":0}}}  move its sessions, stop routing to it
-//! {"id":3,"control":"Shutdown"}              kill spawned workers and exit
+//! {"id":3,"control":"Shutdown"}              answer what is owed, kill spawned workers, exit
 //! ```
 //!
 //! Threads, whatever the number of clients: main (parked until
@@ -282,9 +282,9 @@ struct SpawnSpec {
 /// locks (the last step of a fan-in does), so it is always done with no
 /// link or router lock held.
 enum Pending {
-    /// A client request, promised to its connection with
-    /// [`LineSink::owe`]: answered under its original id; when this was
-    /// a successful `SessionClose`, the routing entry is forgotten too.
+    /// A client request, owed to its connection until this answers it
+    /// under its original id; when this was a successful
+    /// `SessionClose`, the routing entry is forgotten too.
     Client {
         id: Value,
         sink: Arc<LineSink>,
@@ -312,7 +312,7 @@ impl Pending {
                     }
                 }
                 let reply = ReplyFrame { id, outcome };
-                sink.send_owed(&serde_json::to_string(&reply).expect("replies serialize"));
+                sink.send(&serde_json::to_string(&reply).expect("replies serialize"));
             }
             Pending::Internal(done) => {
                 done(serde_json::from_str(outcome.get()).unwrap_or_else(|e| {
@@ -988,33 +988,30 @@ impl RouterHandler {
     fn on_control(&self, envelope: ControlEnvelope, sink: &Arc<LineSink>) {
         let ControlEnvelope { id, control } = envelope;
         let router = Arc::clone(&self.router);
-        let owed = Arc::clone(sink);
+        let sink = Arc::clone(sink);
         match control {
-            RouterControl::Fleet => {
-                sink.owe();
-                fleet_stats(&self.router, move |per_worker| {
-                    let view = fleet_view(&router, per_worker);
-                    owed.send_owed(&control_line(id, ControlOutcome::Fleet(Box::new(view))));
-                });
-            }
+            RouterControl::Fleet => fleet_stats(&self.router, move |per_worker| {
+                let view = fleet_view(&router, per_worker);
+                sink.send(&control_line(id, ControlOutcome::Fleet(Box::new(view))));
+            }),
             RouterControl::Drain { worker } => match start_drain(&router, worker) {
                 Ok(claimed) => {
-                    sink.owe();
                     std::thread::spawn(move || {
                         let outcome = match finish_drain(&router, worker, &claimed) {
                             Ok(moved) => ControlOutcome::Drained { worker, moved },
                             Err(message) => ControlOutcome::Error { message },
                         };
-                        owed.send_owed(&control_line(id, outcome));
+                        sink.send(&control_line(id, outcome));
                     });
                 }
                 Err(message) => {
-                    sink.send_line(&control_line(id, ControlOutcome::Error { message }));
+                    sink.send(&control_line(id, ControlOutcome::Error { message }));
                 }
             },
             RouterControl::Shutdown => {
-                sink.send_line(&control_line(id, ControlOutcome::ShuttingDown));
-                // `main` stops the loop, which flushes the line above.
+                sink.send(&control_line(id, ControlOutcome::ShuttingDown));
+                // `main` stops the loop once every connection has been
+                // answered what it is owed, this line included.
                 let _ = self.shutdown.send(());
             }
         }
@@ -1024,12 +1021,11 @@ impl RouterHandler {
 impl ConnectionHandler for RouterHandler {
     /// One client line, on the event loop's one thread — so nothing in
     /// here waits: no connect, no child process, no sleep, no receive,
-    /// and no lock that another thread holds across one of those. A
-    /// line answered later (forwarded, parked, a fan-in, a drain) is
-    /// announced with `owe` and answered with `send_owed` by the thread
-    /// that has the answer, so a client that half-closed is kept until
-    /// it has heard; `send_line` is for what is answered at once (a line
-    /// that does not decode, a refused drain, `Shutdown`).
+    /// and no lock that another thread holds across one of those. Each
+    /// line gets one `send`: at once (a line that does not decode, a
+    /// refused drain, `Shutdown`), or later by the thread that has the
+    /// answer (forwarded, parked, a fan-in, a drain) — the loop keeps
+    /// a client that half-closed, and a `Shutdown`, waiting until then.
     fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
         let frame = match serde_json::from_str::<ClientFrame>(line) {
             Ok(frame) if !frame.id.is_null() => frame,
@@ -1046,12 +1042,11 @@ impl ConnectionHandler for RouterHandler {
                             let unframed = "request line decodes but does not frame";
                             (Value::Null, Error::internal(unframed))
                         });
-                        sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
+                        sink.send(&ResponseEnvelope::error(id, &error).to_line());
                     }
                 };
             }
         };
-        sink.owe();
         let id = frame.id;
         let sink = Arc::clone(sink);
         let placement = text_route(frame.request.get());
@@ -1064,7 +1059,7 @@ impl ConnectionHandler for RouterHandler {
                     payload: ResponsePayload::Stats(merged(&per_worker)),
                     timing: Timing::direct(micros),
                 };
-                sink.send_owed(&ResponseEnvelope::ok(id, response).to_line());
+                sink.send(&ResponseEnvelope::ok(id, response).to_line());
             });
         }
         let closes_session = match &placement {
@@ -1196,7 +1191,8 @@ fn main() -> ExitCode {
     };
 
     // Parked until a client's `Shutdown`, answered by the handler;
-    // stopping the loop flushes that answer.
+    // the loop stops once it has flushed that answer and every other
+    // reply a live client is owed, so no worker is reaped mid-request.
     let _ = asked_to_stop.recv();
     handle.shutdown();
     for worker in &router.workers {

@@ -30,7 +30,8 @@
 //!   that stops reading is cut off at the outbound high-water mark and
 //!   costs no other client a reply; a client that half-closes hears
 //!   every answer it is owed (forwarded, fan-in, control) before the
-//!   EOF; a hundred idle clients cost no thread and keep nobody out;
+//!   EOF, and so does a client whose request is still running when
+//!   another asks for `Shutdown`; a hundred idle clients cost no thread and keep nobody out;
 //!   one client's lines reach each worker in the order it sent them,
 //!   parked behind a live session move or not; and an attached worker
 //!   that died fails its own lines after the redial while the lines
@@ -1035,6 +1036,37 @@ fn a_half_closed_client_hears_every_reply_it_is_owed() {
         assert!(answered, "{id} was answered with {line}");
     }
     fleet.shutdown();
+}
+
+/// `Shutdown` takes the fleet down only once every live client has been
+/// answered what it is owed: a `Generate` still running on the worker
+/// when another client asks the router to stop gets its reply before
+/// the EOF, and the router still exits 0. (A `Shutdown` that reaped the
+/// workers at once cut that client off with no reply at all.)
+#[test]
+fn shutdown_answers_a_request_still_in_flight_before_the_router_exits() {
+    let mut fleet = RouterFleet::spawn(1, &[]);
+    let mut stream = TcpStream::connect(&fleet.addr).expect("connects");
+    // ≈ 4 s on a debug build's worker, a quarter second on a release one.
+    let slow = request_line("slow", generate(3000, 77));
+    stream.write_all(slow.as_bytes()).expect("request written");
+    std::thread::sleep(Duration::from_millis(50));
+
+    let reply = fleet.control(r#"{"id":"bye","control":"Shutdown"}"#);
+    assert_eq!(
+        reply.get("control").and_then(|c| c.as_str()),
+        Some("ShuttingDown"),
+        "{reply:?}"
+    );
+    let replies = replies_until_eof(stream);
+    assert_eq!(replies.len(), 1, "one reply, then the EOF: {replies:?}");
+    let (id, line) = &replies[0];
+    assert_eq!(id, "slow");
+    assert!(
+        line.contains("\"outcome\":{\"Ok\":"),
+        "slow was answered with {line:.200}"
+    );
+    assert!(fleet.child.wait().expect("router exits").success());
 }
 
 /// Connections are two buffers on one readiness loop, not a thread

@@ -24,7 +24,8 @@
 //!   threads.
 //! * **Stop is not lost** — a `shutdown()` that lands while the loop is
 //!   mid-pass (a handler's own line asked for it, as the router's
-//!   `Shutdown` does) still stops the loop.
+//!   `Shutdown` does) still stops the loop, once every line it was
+//!   handed has been answered.
 //! * **Hundreds of connections at once** (ISSUE 21) — 256 clients each pipeline their requests
 //!   before anyone reads: every id is answered once, nobody is killed
 //!   for back-pressure, and the connection counters account every
@@ -40,7 +41,7 @@ use chatpattern_core::{
 use cp_dataset::Style;
 use cp_net::{ClientConfig, EngineHandler, EventLoopConfig, EventLoopServer, NdjsonClient};
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -545,7 +546,9 @@ fn in_flight_requests_hold_no_threads() {
 /// while the same pass goes on to drain the pipe — it then waits with
 /// the flag up and nothing left to wake it (the router's `Shutdown`
 /// line, answered on the loop and carried out by `main`, hung there).
-/// The handler below holds the loop inside exactly that pass.
+/// The handler below holds the loop inside exactly that pass, and
+/// answers every line it is handed, so once the pass is over the loop
+/// owes nothing and the stop is all that is left to act on.
 #[test]
 fn a_stop_raised_while_the_loop_drains_its_wake_pipe_is_not_lost() {
     use cp_net::{ConnectionHandler, LineSink};
@@ -555,10 +558,9 @@ fn a_stop_raised_while_the_loop_drains_its_wake_pipe_is_not_lost() {
     struct Staller {
         /// To the test: the loop is handling the first, the second line.
         reached: Sender<&'static str>,
-        /// From the test: the second line is in the socket; from
-        /// `quiesce`: `shutdown()` has started.
+        /// From the test: the second line is in the socket; then,
+        /// `shutdown()` is on its way.
         go: Mutex<Receiver<()>>,
-        stopping: Sender<()>,
     }
 
     impl ConnectionHandler for Staller {
@@ -569,20 +571,17 @@ fn a_stop_raised_while_the_loop_drains_its_wake_pipe_is_not_lost() {
                 // with the reply's wake byte in the pipe and the second
                 // line in the socket, so the next pass handles that
                 // line and then drains the pipe.
-                sink.send_line("one");
+                sink.send("one");
                 self.reached.send("first").expect("test listens");
                 go.recv().expect("the second line was written");
             } else {
+                sink.send("two");
                 self.reached.send("second").expect("test listens");
-                go.recv().expect("shutdown started");
-                // `shutdown()` raises the flag and writes its byte
-                // right after `quiesce` returns.
+                go.recv().expect("shutdown is on its way");
+                // Time for `shutdown()` to raise the flag and write its
+                // byte while this pass is still held here.
                 std::thread::sleep(Duration::from_millis(100));
             }
-        }
-
-        fn quiesce(&self) {
-            self.stopping.send(()).expect("the loop is held");
         }
     }
 
@@ -593,7 +592,6 @@ fn a_stop_raised_while_the_loop_drains_its_wake_pipe_is_not_lost() {
         .spawn(Arc::new(Staller {
             reached,
             go: Mutex::new(may_go),
-            stopping: go.clone(),
         }))
         .expect("event loop spawns");
     let patience = Duration::from_secs(60);
@@ -610,9 +608,13 @@ fn a_stop_raised_while_the_loop_drains_its_wake_pipe_is_not_lost() {
         handle.shutdown();
         let _ = stopped.send(());
     });
+    go.send(()).expect("the loop is held");
     has_stopped
         .recv_timeout(patience)
         .expect("the loop saw the stop that was raised mid-pass");
+    let mut replies = String::new();
+    stream.read_to_string(&mut replies).expect("reads to EOF");
+    assert_eq!(replies, "one\ntwo\n", "every line answered, then the close");
 }
 
 /// Every client writes its whole pipeline before any reply is read, so
