@@ -119,8 +119,9 @@ pub struct EngineStats {
     /// Chat sessions currently open in the wrapped service (a gauge;
     /// zero for services without session support).
     pub sessions_open: u64,
-    /// Sessions destroyed: expired past their TTL, or evicted for
-    /// capacity with no persist layer attached.
+    /// Sessions destroyed: expired or evicted by the stores' one exit
+    /// with no persist layer attached, lost to a panicking turn, or
+    /// evicted mid-turn because every session was mid-turn.
     pub sessions_evicted: u64,
     /// Sessions spilled to the persist layer on capacity eviction or
     /// TTL expiry (instead of being destroyed).

@@ -4,45 +4,46 @@
 //! A [`SessionStore`] maps client-chosen string ids to live session
 //! values (the concrete value is [`ChatSession`](crate::ChatSession)
 //! in production; the store is generic so invariants can be tested
-//! with cheap stand-ins). It enforces three properties the rest of the
+//! with cheap stand-ins). It enforces the properties the rest of the
 //! stack relies on:
 //!
-//! * **Bounded capacity with TTL + LRU eviction.** The store never
-//!   holds more than `capacity` sessions. Opening a new session first
-//!   drops every session idle past its TTL, then — if still full —
-//!   evicts the least-recently-used session. Without a persist layer,
-//!   evicted and expired ids are gone for good: a later turn on them
+//! * **Bounded capacity, TTL + LRU, one exit.** The store never holds
+//!   more than `capacity` sessions. Every store operation first retires
+//!   the sessions idle past their TTL; an open that still finds the
+//!   store full evicts the least-recently-used *idle* session (expiry
+//!   waits for a running turn to end, and eviction destroys a session
+//!   mid-turn only when every session is mid-turn). Both edges take a
+//!   session out of memory by one protocol (`SessionStore::spill`): the
+//!   victim stays in the map, frozen by its slot lock, until it has
+//!   left. Without a persist layer it is destroyed: a later turn on it
 //!   reports a typed [`Error::SessionNotFound`], never a panic, and
 //!   reopening the id starts a brand-new session.
 //! * **Durability (spill/rehydrate).** With a [`SessionPersist`] layer
-//!   attached ([`SessionStore::with_persist`]), capacity eviction
-//!   *and TTL expiry* both *spill* the victim to the persist layer
-//!   instead of destroying it, and a later turn / snapshot / close on
-//!   the spilled id transparently *rehydrates* it — the session keeps
-//!   working until the persist layer's own TTL really runs out.
-//!   [`JsonDirPersist`] writes one JSON file per session
-//!   (`chatpattern-serve --session-dir`), optionally fanned out over
-//!   shard subdirectories, and so survives a process restart;
-//!   [`MemoryPersist`] is the in-process stand-in tests use in place of
-//!   a directory. Both edges spill by one protocol: the victim stays in
-//!   the map, frozen by its own slot lock, while its snapshot is
-//!   written, and leaves the map only once the write has landed. A
-//!   failed write leaves the victim live — capacity eviction surfaces
-//!   the typed [`Error::SessionPersist`], expiry retries at the next
-//!   purge — never a panic, never a silent drop.
+//!   attached ([`SessionStore::with_persist`]) the same exit *spills*
+//!   the victim instead, and a later turn / snapshot / close on the
+//!   spilled id transparently *rehydrates* it, until the persist
+//!   layer's own TTL runs out. [`JsonDirPersist`] writes one JSON file
+//!   per session (`chatpattern-serve --session-dir`), optionally fanned
+//!   out over shard subdirectories, and so survives a process restart;
+//!   [`MemoryPersist`] is the in-process stand-in tests use. A failed
+//!   write leaves the victim live — capacity eviction surfaces the
+//!   typed [`Error::SessionPersist`], expiry retries at the next purge
+//!   — never a panic, never a silent drop.
 //! * **Spill-ahead (zero-loss durability).** With a turn trigger
 //!   ([`SessionStore::with_spill_ahead_turns`]) the store also
 //!   snapshots *warm* sessions, synchronously after every N-th turn, so
 //!   a crash loses at most the turn that was still in flight, not
 //!   everything since the last eviction.
-//! * **Per-session serialization.** Each session value sits behind its
-//!   own lock, taken only *after* the store map lock is released —
-//!   concurrent turns on one session serialize while turns on distinct
-//!   sessions run in parallel.
-//! * **Eviction never races a running turn into unsafety.** Eviction
-//!   flags the slot and unlinks it from the map; a turn already
-//!   executing finishes normally (it owns an `Arc` of the slot), and a
-//!   turn that was *waiting* for the slot observes the flag once it
+//! * **Per-session serialization, one access path.** Each session
+//!   value sits behind its own lock, taken only *after* the store map
+//!   lock is released, so accesses to distinct sessions run in
+//!   parallel. A turn, an inspection and a close reach the value by
+//!   one loop (resolve, lock, re-resolve if evicted meanwhile): a close
+//!   waits behind a running turn, and its id stays "already open"
+//!   until then.
+//! * **Eviction never races a running turn into unsafety.** A turn
+//!   already executing finishes normally (it owns an `Arc` of the
+//!   slot); one *waiting* for the slot sees the evicted flag once it
 //!   acquires the lock, re-resolves the id, and — with a persist
 //!   layer — rehydrates the spilled session instead of failing.
 //!
@@ -107,8 +108,9 @@ impl SessionConfig {
 pub struct SessionStats {
     /// Sessions currently open (a gauge, not a counter).
     pub open: u64,
-    /// Sessions destroyed: expired past their TTL, or evicted for
-    /// capacity with no persist layer to spill to.
+    /// Sessions destroyed: expired or evicted by the one exit with no
+    /// persist layer to spill to, lost to a panicking turn, or evicted
+    /// mid-turn because every session was mid-turn.
     pub evicted: u64,
     /// Sessions spilled to the persist layer, on capacity eviction or
     /// TTL expiry.
@@ -727,28 +729,17 @@ impl<T> SessionStore<T> {
     }
 
     /// Takes the map lock and retires every session idle past the TTL
-    /// first: destroyed without a persist layer, *spilled* with one
-    /// ([`SessionStore::spill`]), so a touch within the persist TTL
-    /// still rehydrates. A session mid-turn, or one whose write fails,
-    /// stays live and the next purge retries it. Every store operation
-    /// starts here; with nothing expired it does no I/O and allocates
-    /// nothing.
+    /// first, by the one exit ([`SessionStore::spill`]): destroyed
+    /// without a persist layer, *spilled* with one, so a touch within
+    /// the persist TTL still rehydrates. A session mid-turn, or one
+    /// whose write fails, stays live and the next purge retries it.
+    /// Every store operation starts here; with nothing expired it does
+    /// no I/O and allocates nothing.
     fn purged(&self) -> MutexGuard<'_, Sessions<T>> {
         let mut state = self.lock();
         let now = Instant::now();
         let expired =
             |entry: &Entry<T>| now.saturating_duration_since(entry.last_used) > self.config.ttl;
-        if self.persist.is_none() {
-            state.retain(|_, entry| {
-                if !expired(entry) {
-                    return true;
-                }
-                entry.slot.evicted.store(true, Ordering::Release);
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-                false
-            });
-            return state;
-        }
         let victims: Vec<String> = state
             .iter()
             .filter(|(_, entry)| expired(entry))
@@ -756,7 +747,7 @@ impl<T> SessionStore<T> {
             .collect();
         for id in victims {
             // Another thread may have touched, spilled or closed it
-            // while an earlier victim was being written.
+            // while an earlier victim was leaving.
             if state.get(&id).is_some_and(expired) {
                 let _ = self.spill(state, &id);
                 state = self.lock();
@@ -765,16 +756,18 @@ impl<T> SessionStore<T> {
         state
     }
 
-    /// Spills the session `id` by the one protocol capacity eviction
-    /// and TTL expiry share. Under the map lock (`state`) its slot is
-    /// `try_lock`ed — a session mid-turn is left alone — and its value
-    /// taken; the map lock is released around the persist write, so
-    /// turns on other sessions never wait behind it, while the victim
-    /// stays in the map: a turn on it waits on the slot (then
-    /// rehydrates), an open of its id is still "already open". On
-    /// success the slot is flagged evicted and unlinked, so the id is
-    /// resolvable at every instant. Returns with the map lock
-    /// released.
+    /// Takes the session `id` out of memory by the one protocol
+    /// capacity eviction and TTL expiry share, on every store. Under
+    /// the map lock (`state`) its slot is `try_lock`ed — a session
+    /// mid-turn is left alone — and its value taken; the map lock is
+    /// released while the value leaves, so turns on other sessions
+    /// never wait behind it, while the victim stays in the map: a turn
+    /// on it waits on the slot (then rehydrates or reports it gone), an
+    /// open of its id is still "already open". With a persist layer
+    /// the value is written there (counted in `spilled`), without one
+    /// it is destroyed (counted in `evicted`). Then the slot is flagged
+    /// evicted and unlinked, so the id is resolvable at every instant.
+    /// Returns with the map lock released.
     ///
     /// # Errors
     ///
@@ -796,33 +789,34 @@ impl<T> SessionStore<T> {
             return Ok(());
         };
         drop(state);
-        let persist = self.persist.as_ref().expect("a spill implies persist");
-        if let Err((value, error)) = persist.spill(id, value) {
-            *guard = Some(value);
-            return Err(error);
-        }
-        // Flag, then unlink under the map lock, then release the slot:
-        // a waiter wakes to the evicted flag, re-resolves, and
-        // rehydrates from the spill that is already durable.
+        let exits = match &self.persist {
+            Some(persist) => match persist.spill(id, value) {
+                Ok(()) => &self.spilled,
+                Err((value, error)) => {
+                    *guard = Some(value);
+                    return Err(error);
+                }
+            },
+            // Nowhere to write it: the value drops on return, outside
+            // the map lock.
+            None => &self.evicted,
+        };
+        // Flag, then unlink under the map lock (slot lock, then map
+        // lock), then release the slot: a waiter wakes to the evicted
+        // flag and re-resolves — to the spill, which is already
+        // durable, or to a typed not-found.
         slot.evicted.store(true, Ordering::Release);
-        let mut state = self.lock();
-        if state
-            .get(id)
-            .is_some_and(|entry| Arc::ptr_eq(&entry.slot, &slot))
-        {
-            state.remove(id);
+        if unlink(&mut self.lock(), id, &slot) {
+            exits.fetch_add(1, Ordering::Relaxed);
         }
-        self.spilled.fetch_add(1, Ordering::Relaxed);
-        drop(guard);
         Ok(())
     }
 
-    /// Brings the store below capacity so one insertion fits. With a
-    /// persist layer the least-recently-used *idle* session is spilled
+    /// Brings the store below capacity so one insertion fits: the
+    /// least-recently-used *idle* session leaves by the one exit
     /// ([`SessionStore::spill`]; a session mid-turn is skipped — its
-    /// slot cannot be drained without blocking); without one, or when
-    /// every session is mid-turn, the LRU victim is destroyed (the
-    /// pre-durability behavior).
+    /// slot cannot be drained without blocking). Only when every
+    /// session is mid-turn is the LRU victim destroyed in place.
     ///
     /// # Errors
     ///
@@ -831,42 +825,40 @@ impl<T> SessionStore<T> {
     fn make_room(&self) -> Result<(), Error> {
         let capacity = self.config.capacity.max(1);
         loop {
-            let mut state = self.lock();
+            let state = self.lock();
             if state.len() < capacity {
                 return Ok(());
             }
-            if self.persist.is_some() {
-                let idle_lru = state
-                    .iter()
-                    .filter(|(_, entry)| entry.slot.value.try_lock().is_ok())
-                    .min_by_key(|(_, entry)| entry.touched)
-                    .map(|(id, _)| id.clone());
-                if let Some(id) = idle_lru {
-                    // A turn that takes the slot before the spill does
-                    // just sends this round around again.
-                    self.spill(state, &id)?;
-                    continue;
-                }
+            let idle_lru = state
+                .iter()
+                .filter(|(_, entry)| entry.slot.value.try_lock().is_ok())
+                .min_by_key(|(_, entry)| entry.touched)
+                .map(|(id, _)| id.clone());
+            if let Some(id) = idle_lru {
+                // A turn that takes the slot before the spill does
+                // just sends this round around again.
+                self.spill(state, &id)?;
+                continue;
             }
-            // Destructive LRU eviction: the entry idle the longest (by
-            // logical clock, so the choice is deterministic).
-            let victim = state
+            // Every session is mid-turn: destroy the one idle the
+            // longest (by logical clock, so the choice is
+            // deterministic); its running turn finishes on the slot it
+            // holds.
+            let (victim, slot) = state
                 .iter()
                 .min_by_key(|(_, entry)| entry.touched)
-                .map(|(key, _)| key.clone())
+                .map(|(id, entry)| (id.clone(), Arc::clone(&entry.slot)))
                 .expect("a non-empty map has a minimum");
-            if let Some(entry) = state.remove(&victim) {
-                entry.slot.evicted.store(true, Ordering::Release);
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
+            drop(state);
+            self.discard(&victim, &slot);
         }
     }
 
     /// Opens a session under `id`, constructing its value with `make`.
     ///
     /// Expired sessions are purged first; if the store is still at
-    /// capacity, the least-recently-used session is spilled to the
-    /// persist layer when one is attached ([`SessionStats::spilled`])
+    /// capacity, the least-recently-used idle session is spilled to
+    /// the persist layer when one is attached ([`SessionStats::spilled`])
     /// or destroyed otherwise ([`SessionStats::evicted`]). `make` runs
     /// *before* the store lock is taken, so an expensive construction
     /// (a full agent session) never stalls turns on other sessions;
@@ -903,15 +895,13 @@ impl<T> SessionStore<T> {
                         "session \"{id}\" is already open; close it first or pick another id"
                     )));
                 }
-                if let Some(persist) = &self.persist {
-                    // A cheap existence probe (no I/O beyond a stat),
-                    // safe under the map lock.
-                    if persist.contains(id) {
-                        return Err(Error::invalid_request(format!(
-                            "session \"{id}\" is spilled but still live; run a turn to \
-                             rehydrate it or close it first"
-                        )));
-                    }
+                // A cheap existence probe (no I/O beyond a stat), safe
+                // under the map lock.
+                if self.persist.as_ref().is_some_and(|p| p.contains(id)) {
+                    return Err(Error::invalid_request(format!(
+                        "session \"{id}\" is spilled but still live; run a turn to \
+                         rehydrate it or close it first"
+                    )));
                 }
                 if state.len() < self.config.capacity.max(1) {
                     state.insert(
@@ -947,14 +937,10 @@ impl<T> SessionStore<T> {
                 entry.touched = self.clock.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(&entry.slot));
             }
-            let not_found =
-                || Error::session_not_found(id, "no live session has this id (open one first)");
-            let Some(persist) = &self.persist else {
-                return Err(not_found());
+            let Some(persist) = self.persist.as_ref().filter(|p| p.contains(id)) else {
+                let reason = "no live session has this id (open one first)";
+                return Err(Error::session_not_found(id, reason));
             };
-            if !persist.contains(id) {
-                return Err(not_found());
-            }
             if state.len() >= self.config.capacity.max(1) {
                 // Free a slot off-lock, then re-run the whole
                 // resolution (another thread may have rehydrated the
@@ -977,8 +963,7 @@ impl<T> SessionStore<T> {
             );
             drop(state);
             // Read + decode with the map lock released.
-            let rehydrated = persist.take(id);
-            let outcome = match rehydrated {
+            let outcome = match persist.take(id) {
                 Ok(Some(value)) => {
                     *guard = Some(value);
                     self.restored.fetch_add(1, Ordering::Relaxed);
@@ -995,29 +980,25 @@ impl<T> SessionStore<T> {
             // blocked on the slot wake to the evicted flag, re-resolve
             // and get the error themselves.
             slot.evicted.store(true, Ordering::Release);
-            let mut state = self.lock();
-            if let Some(entry) = state.get(id) {
-                if Arc::ptr_eq(&entry.slot, &slot) {
-                    state.remove(id);
-                }
-            }
-            drop(state);
+            unlink(&mut self.lock(), id, &slot);
             drop(guard);
             return outcome;
         }
     }
 
-    /// Shared body of [`SessionStore::turn`] and
-    /// [`SessionStore::inspect`]: resolve (rehydrating if spilled),
-    /// serialize on the session lock, run `f`. A slot that was evicted
-    /// while this access waited for its lock is re-resolved — with a
-    /// persist layer the spilled session rehydrates instead of
-    /// failing.
+    /// The one way to a session's value, shared by
+    /// [`SessionStore::turn`], [`SessionStore::inspect`] and
+    /// [`SessionStore::close`]: resolve (rehydrating if spilled),
+    /// serialize on the session lock, hand `f` the value. A slot that
+    /// was evicted while this access waited for its lock is
+    /// re-resolved — with a persist layer the spilled session
+    /// rehydrates instead of failing. `f` always finds a value; a
+    /// session closed while this access waited is a typed not-found.
     fn access<R>(
         &self,
         id: &str,
-        count_turn: bool,
-        f: impl FnOnce(&mut T) -> Result<R, Error>,
+        mode: Access,
+        f: impl FnOnce(&mut Option<T>) -> Result<R, Error>,
     ) -> Result<R, Error> {
         let mut f = Some(f);
         // Bounded retries: each round trips only when the session was
@@ -1029,7 +1010,8 @@ impl<T> SessionStore<T> {
             // proceed. A poisoned session lock means a previous turn
             // panicked with the value in an unknown state — report it
             // as a typed error and evict the session rather than
-            // poisoning every later turn.
+            // poisoning every later access (a close included: it never
+            // hands out the half-mutated value).
             let Ok(mut value) = slot.value.lock() else {
                 self.discard(id, &slot);
                 return Err(Error::internal(format!(
@@ -1039,29 +1021,46 @@ impl<T> SessionStore<T> {
             if slot.evicted.load(Ordering::Acquire) {
                 continue;
             }
-            let session = value.as_mut().ok_or_else(|| {
-                Error::session_not_found(id, "the session was closed before this turn ran")
-            })?;
-            let outcome = (f.take().expect("f is called at most once"))(session);
-            if count_turn {
-                self.turns.fetch_add(1, Ordering::Relaxed);
-                let dirty = slot.dirty_turns.fetch_add(1, Ordering::Relaxed) + 1;
-                // Turn-count spill-ahead trigger: write the snapshot
-                // *now*, on this thread, still holding only this
-                // session's slot lock — the map lock is long released,
-                // so turns on other sessions never block, and when the
-                // write lands the completed turn is already durable
-                // (a crash loses at most a turn still in flight).
-                if self.spill_ahead_turns.is_some_and(|n| dirty >= n) {
-                    if let (Some(persist), Some(live)) = (&self.persist, value.as_ref()) {
-                        if let Ok(true) = persist.spill_ahead(id, live) {
-                            slot.dirty_turns.store(0, Ordering::Relaxed);
-                            self.spilled_ahead.fetch_add(1, Ordering::Relaxed);
+            if value.is_none() {
+                return Err(Error::session_not_found(
+                    id,
+                    "the session was closed before this turn ran",
+                ));
+            }
+            let outcome = (f.take().expect("f is called at most once"))(&mut value);
+            match mode {
+                Access::Inspect => {}
+                Access::Turn => {
+                    self.turns.fetch_add(1, Ordering::Relaxed);
+                    let dirty = slot.dirty_turns.fetch_add(1, Ordering::Relaxed) + 1;
+                    // Turn-count spill-ahead trigger: write the snapshot
+                    // *now*, on this thread, still holding only this
+                    // session's slot lock — the map lock is long
+                    // released, so turns on other sessions never block,
+                    // and when the write lands the completed turn is
+                    // already durable (a crash loses at most a turn
+                    // still in flight).
+                    if self.spill_ahead_turns.is_some_and(|n| dirty >= n) {
+                        if let (Some(persist), Some(live)) = (&self.persist, value.as_ref()) {
+                            if let Ok(true) = persist.spill_ahead(id, live) {
+                                slot.dirty_turns.store(0, Ordering::Relaxed);
+                                self.spilled_ahead.fetch_add(1, Ordering::Relaxed);
+                            }
+                            // Unsupported layer or write failure: the
+                            // turn itself succeeded — leave the dirty
+                            // count so the next turn retries.
                         }
-                        // Unsupported layer or write failure: the turn
-                        // itself succeeded — leave the dirty count so
-                        // the next turn retries.
                     }
+                }
+                Access::Close => {
+                    // The value is out; the id stayed "already open"
+                    // until now. Drop any durable copy first, so the
+                    // closed session can never resurrect from a stale
+                    // snapshot, then unlink (slot lock, then map lock).
+                    if let Some(persist) = &self.persist {
+                        persist.forget(id);
+                    }
+                    unlink(&mut self.lock(), id, &slot);
                 }
             }
             return outcome;
@@ -1091,7 +1090,7 @@ impl<T> SessionStore<T> {
         id: &str,
         f: impl FnOnce(&mut T) -> Result<R, Error>,
     ) -> Result<R, Error> {
-        self.access(id, true, f)
+        self.access(id, Access::Turn, |value| f(live(value)))
     }
 
     /// Read-style access to session `id` — same resolution,
@@ -1106,102 +1105,70 @@ impl<T> SessionStore<T> {
         id: &str,
         f: impl FnOnce(&mut T) -> Result<R, Error>,
     ) -> Result<R, Error> {
-        self.access(id, false, f)
+        self.access(id, Access::Inspect, |value| f(live(value)))
     }
 
-    /// Closes session `id` and returns its final value. Waits for a
-    /// turn in progress (close serializes behind it like any turn). A
-    /// *spilled* session closes too: its value is taken straight from
-    /// the persist layer (counted in [`SessionStats::restored`]), and
-    /// a closed id never resurrects — the spill entry is consumed.
+    /// Closes session `id` and returns its final value — the same
+    /// access as a turn, so it waits for a turn in progress, and the id
+    /// stays "already open" meanwhile. A *spilled* session rehydrates
+    /// first (counted in [`SessionStats::restored`]) and then closes,
+    /// and a closed id never resurrects: any durable copy is dropped.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::SessionNotFound`] when `id` is unknown,
-    /// expired, destroyed, or already closed;
-    /// [`Error::SessionPersist`] when a spilled value cannot be read
-    /// back; and [`Error::Internal`] when a turn panicked
-    /// mid-execution — like [`SessionStore::turn`], close refuses to
-    /// hand out the half-mutated value a panicking turn left behind.
+    /// Same as [`SessionStore::turn`] — in particular
+    /// [`Error::Internal`] when a turn panicked mid-execution: close
+    /// refuses to hand out the half-mutated value it left behind.
     pub fn close(&self, id: &str) -> Result<T, Error> {
-        // Bounded retries, like `access`: a round trips only when the
-        // session was spilled (rehydrate and try again) or evicted
-        // between unlink attempts.
-        for _ in 0..4 {
-            let slot = {
-                let mut state = self.purged();
-                match state.remove(id) {
-                    Some(entry) => entry.slot,
-                    None => {
-                        if self.persist.is_none() {
-                            return Err(Error::session_not_found(
-                                id,
-                                "no live session has this id (open one first)",
-                            ));
-                        }
-                        // A spilled session can still be closed:
-                        // rehydrate it through the shared reservation
-                        // path (persist I/O happens off the map lock),
-                        // then loop — the next round finds it live.
-                        drop(state);
-                        let _ = self.resolve(id)?;
-                        continue;
-                    }
-                }
-            };
-            let Ok(mut value) = slot.value.lock() else {
-                // The entry is already unlinked; dropping the slot
-                // discards the corrupt value.
-                return Err(Error::internal(format!(
-                    "session \"{id}\" was lost: an earlier turn panicked mid-execution"
-                )));
-            };
-            if slot.evicted.load(Ordering::Acquire) {
-                // Spilled between our unlink and lock acquisition (the
-                // spiller held the slot): the value is in the persist
-                // layer now — go take it.
-                continue;
-            }
-            return match value.take() {
-                Some(final_value) => {
-                    // A clean close consumes the id completely: drop
-                    // any spill-ahead copy so the closed session can
-                    // never resurrect from a stale snapshot.
-                    if let Some(persist) = &self.persist {
-                        persist.forget(id);
-                    }
-                    Ok(final_value)
-                }
-                None => Err(Error::session_not_found(
-                    id,
-                    "the session was already closed or evicted",
-                )),
-            };
-        }
-        Err(Error::session_not_found(
-            id,
-            "the session was evicted (capacity or TTL) before this close ran",
-        ))
+        self.access(id, Access::Close, |value| {
+            Ok(value.take().expect("access found a value"))
+        })
     }
 
-    /// Unlinks `id` if it still points at `slot` (the poisoned-lock
-    /// recovery path).
+    /// Flags `slot` evicted and unlinks `id` if it still points at it,
+    /// counted in `evicted`: the poisoned-lock recovery path, and
+    /// capacity eviction when every session is mid-turn.
     fn discard(&self, id: &str, slot: &Arc<Slot<T>>) {
-        let mut state = self.lock();
-        if let Some(entry) = state.get(id) {
-            if Arc::ptr_eq(&entry.slot, slot) {
-                slot.evicted.store(true, Ordering::Release);
-                state.remove(id);
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
+        slot.evicted.store(true, Ordering::Release);
+        if unlink(&mut self.lock(), id, slot) {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+/// What an access does with the session value it reaches.
+enum Access {
+    /// Reads (or edits) it; not counted as a turn.
+    Inspect,
+    /// Runs a turn: counted, and written ahead on the turn trigger.
+    Turn,
+    /// Takes it out and unlinks the session.
+    Close,
+}
+
+/// The value an access hands over: always present, for
+/// [`SessionStore::access`] refuses a closed session first.
+fn live<T>(value: &mut Option<T>) -> &mut T {
+    value.as_mut().expect("access found a value")
+}
+
+/// Removes `id` from the map if it still points at `slot`; whether it
+/// did.
+fn unlink<T>(state: &mut Sessions<T>, id: &str, slot: &Arc<Slot<T>>) -> bool {
+    let current = state
+        .get(id)
+        .is_some_and(|entry| Arc::ptr_eq(&entry.slot, slot));
+    if current {
+        state.remove(id);
+    }
+    current
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
     use std::thread;
 
     fn store(capacity: usize, ttl_secs: u64) -> SessionStore<Vec<u64>> {
@@ -1880,6 +1847,113 @@ mod tests {
         }
         assert_eq!(turned.expect("x is live throughout its spill"), vec![1]);
         assert_eq!((evicted_mid_spill, store.stats().evicted), (0, 0));
+    }
+
+    /// Starts a turn on `id`, on a thread of its own, that pushes
+    /// `write` once the returned sender is dropped; returns once the
+    /// turn holds the session.
+    fn gated_turn(
+        store: &Arc<SessionStore<Vec<u64>>>,
+        id: &'static str,
+        write: u64,
+    ) -> (mpsc::Sender<()>, thread::JoinHandle<Result<usize, Error>>) {
+        let (entered, turn_running) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
+        let store = Arc::clone(store);
+        let turn = thread::spawn(move || {
+            store.turn(id, |v| {
+                entered.send(()).expect("the test waits for the turn");
+                let _ = gate.recv();
+                v.push(write);
+                Ok(v.len())
+            })
+        });
+        turn_running.recv().expect("the gated turn runs");
+        (release, turn)
+    }
+
+    #[test]
+    fn without_a_directory_eviction_takes_the_idle_lru_not_a_session_mid_turn() {
+        let store = Arc::new(store(2, 3600));
+        store.open("a", Vec::new).expect("opens");
+        store.open("b", Vec::new).expect("opens");
+        let (release, a_turn) = gated_turn(&store, "a", 1);
+        // B's turn makes A, held by its gate, the least recently used.
+        store.turn("b", |_| Ok(())).expect("b turns");
+        store.open("c", Vec::new).expect("opens, evicting b");
+        let b_after = store.turn("b", |_| Ok(()));
+        let evicted = store.stats().evicted;
+        drop(release);
+        assert_eq!(a_turn.join().expect("no panic").expect("a's turn ran"), 1);
+        assert!(
+            matches!(b_after, Err(Error::SessionNotFound { .. })),
+            "the idle LRU session was not the one evicted: {b_after:?}"
+        );
+        assert_eq!(evicted, 1);
+        let value = store.turn("a", |v| Ok(v.clone()));
+        assert_eq!(value.expect("a takes the next turn"), vec![1]);
+    }
+
+    #[test]
+    fn an_id_stays_open_while_its_close_waits_behind_a_turn() {
+        let store = Arc::new(store(4, 3600));
+        store.open("a", || vec![1]).expect("opens");
+        let (release, a_turn) = gated_turn(&store, "a", 2);
+        let store2 = Arc::clone(&store);
+        let closer = thread::spawn(move || store2.close("a"));
+        // The map and the gated turn hold the slot until the close
+        // reaches it: then the close holds a third reference while it
+        // waits (a close that unlinked before waiting leaves none).
+        while slot_refs(&store, "a") == 2 {
+            thread::yield_now();
+        }
+        let reopened = store.open("a", Vec::new);
+        drop(release);
+        assert_eq!(a_turn.join().expect("no panic").expect("turn ran"), 2);
+        let closed = closer.join().expect("no panic");
+        match reopened {
+            Err(Error::InvalidRequest { message }) => {
+                assert!(message.contains("already open"), "{message}");
+            }
+            other => panic!("a second \"a\" opened while the first was closing: {other:?}"),
+        }
+        assert_eq!(closed.expect("closes after the turn"), vec![1, 2]);
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn without_a_directory_a_session_expired_mid_turn_leaves_at_the_next_purge() {
+        let store = Arc::new(SessionStore::new(SessionConfig {
+            capacity: 4,
+            ttl: Duration::from_millis(5),
+        }));
+        store.open("a", Vec::new).expect("opens");
+        let (release, a_turn) = gated_turn(&store, "a", 1);
+        // "a" expires while its turn holds it; the open purges.
+        thread::sleep(Duration::from_millis(10));
+        store.open("b", Vec::new).expect("opens");
+        let a_refs = slot_refs(&store, "a");
+        let evicted_mid_turn = store.stats().evicted;
+        drop(release);
+        assert_eq!(a_turn.join().expect("no panic").expect("turn ran"), 1);
+        // The first purge after the turn ended retires "a" (and "b"
+        // too, should it have expired by then).
+        let a_after = store.turn("a", |_| Ok(()));
+        let stats = store.stats();
+        assert_eq!(
+            a_refs, 2,
+            "the purge left \"a\" in the map while its turn ran"
+        );
+        assert_eq!(evicted_mid_turn, 0);
+        assert!(
+            matches!(a_after, Err(Error::SessionNotFound { .. })),
+            "{a_after:?}"
+        );
+        assert_eq!(
+            stats.evicted,
+            2 - stats.open,
+            "every session gone is counted once"
+        );
     }
 
     #[test]

@@ -15,7 +15,9 @@
 # SessionNotFound), (f) a session snapshot exported from one serve
 # process (format 3 again) restores into another and the conversation
 # continues (cross-process handoff), (g) a 2-worker
-# router fleet routes a session, survives draining its host worker
+# router fleet routes a session, keeps no pin for an open a worker
+# refused (its fleet view agrees with the workers' own session
+# counts), survives draining its host worker
 # (a live session move), answers an ill-typed and a packed line once each
 # under their ids, and aggregates fleet stats, and (h) a tenant that
 # floods past its --tenant-quota collects typed Overloaded envelopes
@@ -334,7 +336,16 @@ exchange '{"id":"f-t1","request":{"SessionTurn":{"session":"fleet-smoke","uttera
 echo "$REPLY" | jq -e '.outcome.Ok.payload.SessionTurn.turn == 1' > /dev/null \
     || fail "fleet first turn did not report turn 1"
 
+# A refused open leaves no pin behind: every worker's `sessions` in the
+# fleet view is what the worker itself counts open.
+LONG_ID=$(head -c 240 /dev/zero | tr '\0' x)
+exchange "{\"id\":\"f-long\",\"request\":{\"SessionOpen\":{\"session\":\"$LONG_ID\",\"seed\":7}}}"
+echo "$REPLY" | jq -e '.outcome.Err.kind == "InvalidRequest"' > /dev/null \
+    || fail "an open with a 240-byte session id must be refused"
+
 exchange '{"id":"f-fleet","control":"Fleet"}'
+echo "$REPLY" | jq -e 'all(.control.Fleet.workers[]; .sessions == .stats.sessions_open)' > /dev/null \
+    || fail "the fleet view's sessions disagree with its workers' sessions_open"
 HOST_WORKER=$(echo "$REPLY" \
     | jq -e '[.control.Fleet.workers[] | select(.sessions == 1)][0].index') \
     || fail "fleet view did not show the session pinned to one worker"
@@ -382,7 +393,7 @@ wait "$ROUTER_PID" || fail "router exited non-zero"
 ROUTER_PID=""
 REPLY=""
 
-echo "wire smoke OK: router fleet (pin, drain, live migration, refusal and packed line pass through, aggregated stats, shutdown)"
+echo "wire smoke OK: router fleet (pin, no pin for a refused open, drain, live migration, refusal and packed line pass through, aggregated stats, shutdown)"
 
 # (h) QoS overload burst: tenant "flood" has an in-flight quota of 1.
 # A pipelined burst holds the quota with one slow request, so the

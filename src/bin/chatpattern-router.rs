@@ -283,12 +283,11 @@ struct SpawnSpec {
 /// link or router lock held.
 enum Pending {
     /// A client request, owed to its connection until this answers it
-    /// under its original id; when this was a successful
-    /// `SessionClose`, the routing entry is forgotten too.
+    /// under its original id, and the session pin the answer may lift.
     Client {
         id: Value,
         sink: Arc<LineSink>,
-        closes_session: Option<String>,
+        unpin: Option<Unpin>,
     },
     /// A router-internal call (stats fan-in, snapshot/restore during a
     /// move), the one kind of reply the router decodes: runs once, on
@@ -300,15 +299,20 @@ impl Pending {
     /// Hands the outcome a worker answered with to the requester.
     fn deliver(self, router: &Router, outcome: Box<RawValue>) {
         match self {
-            Pending::Client {
-                id,
-                sink,
-                closes_session,
-            } => {
-                // The one client reply that is read: did the close succeed?
-                if let Some(sid) = closes_session {
-                    if let Ok(WireOutcome::Ok(_)) = serde_json::from_str(outcome.get()) {
-                        router.sessions.lock().expect("session lock").remove(&sid);
+            Pending::Client { id, sink, unpin } => {
+                // The one client reply that is read: does it lift a pin?
+                if let Some(Unpin {
+                    session,
+                    worker,
+                    on_ok,
+                }) = unpin
+                {
+                    let answer = serde_json::from_str::<WireOutcome>(outcome.get());
+                    if answer.is_ok_and(|answer| matches!(answer, WireOutcome::Ok(_)) == on_ok) {
+                        let mut sessions = router.sessions.lock().expect("session lock");
+                        if sessions.get(&session) == Some(&worker) {
+                            sessions.remove(&session);
+                        }
                     }
                 }
                 let reply = ReplyFrame { id, outcome };
@@ -328,6 +332,15 @@ impl Pending {
         let outcome = WireOutcome::Err(WireError::from(error));
         self.deliver(router, to_raw_value(&outcome).expect("outcomes serialize"));
     }
+}
+
+/// A session pin a worker's answer lifts while it still names `worker`:
+/// on `Ok` (`on_ok`) the pin of a `SessionClose`, on `Err` the pin a
+/// `SessionOpen` / `SessionRestore` made when it was routed.
+struct Unpin {
+    session: String,
+    worker: usize,
+    on_ok: bool,
 }
 
 /// A client's request on its way to a worker: its text as sent, and
@@ -417,8 +430,8 @@ impl Router {
 
     /// Picks the worker for a request: pinned session placement
     /// first, then key/session hash over the live workers, then
-    /// round-robin.
-    fn place(&self, route: &TextRoute) -> Result<usize, Error> {
+    /// round-robin; and whether placing it made a new pin.
+    fn place(&self, route: &TextRoute) -> Result<(usize, bool), Error> {
         let live = self.live_workers();
         if live.is_empty() {
             return Err(Error::internal("no live workers to route to"));
@@ -427,30 +440,47 @@ impl Router {
             TextRoute::Session { id, role } => {
                 let mut sessions = self.sessions.lock().expect("session lock");
                 if let Some(worker) = sessions.get(id) {
-                    return Ok(*worker);
+                    return Ok((*worker, false));
                 }
                 let worker = live[(route_hash(id) % live.len() as u64) as usize];
                 // Only requests that create the session pin it; a turn on
                 // an unknown id is the worker's SessionNotFound to report.
-                if *role == SessionRole::Creates {
+                let pins = *role == SessionRole::Creates;
+                if pins {
                     sessions.insert(id.clone(), worker);
                 }
-                return Ok(worker);
+                return Ok((worker, pins));
             }
             TextRoute::Keyed(hash) => *hash,
             TextRoute::Stats | TextRoute::Free => self.round_robin.fetch_add(1, Ordering::Relaxed),
         };
-        Ok(live[(hash % live.len() as u64) as usize])
+        Ok((live[(hash % live.len() as u64) as usize], false))
     }
 }
 
 /// Places one line and forwards it; with nowhere to go it is answered
-/// with the reason under its own id.
-fn route(router: &Arc<Router>, line: Outbound) {
-    match router.place(&line.route) {
-        Ok(worker) => forward(router, worker, line.tenant, line.request, line.entry),
-        Err(error) => line.entry.fail(router, &error),
+/// with the reason under its own id. A close lifts its session's pin
+/// when it succeeds, and an open or restore that made a pin lifts it
+/// when the worker refuses, so a pin names only a session a worker
+/// accepted (or a move placed).
+fn route(router: &Arc<Router>, mut line: Outbound) {
+    let (worker, pinned) = match router.place(&line.route) {
+        Ok(placed) => placed,
+        Err(error) => return line.entry.fail(router, &error),
+    };
+    if let (TextRoute::Session { id, role }, Pending::Client { unpin, .. }) =
+        (&line.route, &mut line.entry)
+    {
+        let on_ok = *role == SessionRole::Closes;
+        if on_ok || pinned {
+            *unpin = Some(Unpin {
+                session: id.clone(),
+                worker,
+                on_ok,
+            });
+        }
     }
+    forward(router, worker, line.tenant, line.request, line.entry);
 }
 
 /// Ensures the worker *process* is alive (spawning or respawning as
@@ -1062,10 +1092,6 @@ impl ConnectionHandler for RouterHandler {
                 sink.send(&ResponseEnvelope::ok(id, response).to_line());
             });
         }
-        let closes_session = match &placement {
-            TextRoute::Session { id, role } if *role == SessionRole::Closes => Some(id.clone()),
-            _ => None,
-        };
         let line = Outbound {
             tenant: frame.tenant,
             request: frame.request,
@@ -1073,7 +1099,7 @@ impl ConnectionHandler for RouterHandler {
             entry: Pending::Client {
                 id,
                 sink,
-                closes_session,
+                unpin: None,
             },
         };
         if let TextRoute::Session { id, .. } = &line.route {

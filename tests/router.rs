@@ -397,6 +397,38 @@ fn a_packed_request_and_its_bits_twin_each_find_their_workers_cache() {
     fleet.shutdown();
 }
 
+/// A pin names only a session a worker accepted: an open the worker
+/// refuses lifts the pin routing it made, and a refused open of an id
+/// already pinned leaves that pin alone.
+#[test]
+fn a_refused_open_leaves_no_pin_and_keeps_the_pin_it_found() {
+    let mut fleet = RouterFleet::spawn(2, &[]);
+    let refused = |fleet: &mut RouterFleet, id: &str, sid: String| {
+        let request = PatternRequest::SessionOpen(SessionOpenParams {
+            session: sid,
+            seed: Some(1),
+        });
+        match fleet.exchange(id, request).outcome {
+            WireOutcome::Err(error) => assert_eq!(error.kind, "InvalidRequest", "{error:?}"),
+            WireOutcome::Ok(response) => panic!("open {id} was accepted: {response:?}"),
+        }
+    };
+    refused(&mut fleet, "long", "s".repeat(240));
+    let sessions = |fleet: &mut RouterFleet| -> Vec<usize> {
+        fleet
+            .fleet_view()
+            .iter()
+            .map(|(sessions, _, _)| *sessions)
+            .collect()
+    };
+    assert_eq!(sessions(&mut fleet), [0, 0], "a refused open left a pin");
+    open(&mut fleet, "kept", 5);
+    refused(&mut fleet, "again", "kept".to_owned());
+    assert_eq!(sessions(&mut fleet).iter().sum::<usize>(), 1);
+    turn(&mut fleet, "kept", 0);
+    fleet.shutdown();
+}
+
 /// The address of a spawned worker, for talking to it directly.
 fn worker_addr(fleet: &mut RouterFleet, index: usize) -> String {
     let view = fleet.control(r#"{"id":"fleet","control":"Fleet"}"#);
