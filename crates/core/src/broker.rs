@@ -4,7 +4,7 @@
 //! The broker sits between [`PatternEngine`](crate::PatternEngine)
 //! submission and the [`Backend`](crate::backend::Backend) that
 //! actually runs jobs. Every keyed request (anything except
-//! `Chat { seed: None }`, see [`cache_key`](crate::engine::cache_key))
+//! `Chat { seed: None }`, see [`request_key`](crate::routing::request_key))
 //! is admitted through [`ResultBroker::admit`], which resolves it one
 //! of three ways:
 //!
@@ -26,11 +26,14 @@
 //! and the in-flight deregistration happen under one lock, so a
 //! concurrent identical submit either coalesces onto the live task or
 //! hits the cache — it can never slip between the two and re-execute.
+//!
+//! A key is hashed once a submit, before that lock ([`Key`]); under
+//! it, both maps compare hashes, and the text where two match.
 
-use crate::cache::LruCache;
+use crate::cache::{Key, KeyMap, LruCache};
 use crate::{Error, PatternRequest, PatternResponse, ResponsePayload};
 use cp_qos::AdmitClass;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -158,7 +161,7 @@ struct TaskState {
 pub(crate) struct ExecTask {
     /// Shared with the broker's in-flight map and, once the result is
     /// cached, with the cache: one allocation of the serialized request.
-    key: Option<Arc<str>>,
+    key: Option<Key>,
     tenant: String,
     /// The leading request's class: its lane, and whether admission
     /// reserved a session slot (kept here so a task drained at the
@@ -182,7 +185,7 @@ impl std::fmt::Debug for ExecTask {
 
 impl ExecTask {
     fn new(
-        key: Option<Arc<str>>,
+        key: Option<Key>,
         tenant: &str,
         class: AdmitClass,
         request: PatternRequest,
@@ -279,12 +282,14 @@ struct BrokerState {
     /// sites, outside the critical section.
     cache: LruCache<Arc<ResponsePayload>>,
     /// Request key → the single in-flight execution for that key.
-    inflight: HashMap<Arc<str>, Arc<ExecTask>>,
+    inflight: KeyMap<Arc<ExecTask>>,
 }
 
 /// The shared result layer: cache + coalescer under one lock.
 pub(crate) struct ResultBroker {
     state: Mutex<BrokerState>,
+    /// Hashes every key, outside the lock; keyed per process.
+    hasher: RandomState,
 }
 
 impl ResultBroker {
@@ -292,9 +297,17 @@ impl ResultBroker {
         ResultBroker {
             state: Mutex::new(BrokerState {
                 cache: LruCache::new(cache_capacity),
-                inflight: HashMap::new(),
+                inflight: KeyMap::default(),
             }),
+            hasher: RandomState::new(),
         }
+    }
+
+    /// The key of a request whose [`request_key`](crate::routing::request_key)
+    /// is `text`: hashed here, once, so [`admit`](Self::admit) hashes
+    /// nothing under the lock.
+    pub(crate) fn key(&self, text: String) -> Key {
+        Key::new(&self.hasher, text)
     }
 
     /// Resolves one submission. Unkeyed requests (`key == None`)
@@ -313,7 +326,7 @@ impl ResultBroker {
     /// [`ResultBroker::complete`]).
     pub(crate) fn admit(
         &self,
-        key: Option<String>,
+        key: Option<Key>,
         tenant: &str,
         class: AdmitClass,
         request: PatternRequest,
@@ -335,13 +348,12 @@ impl ResultBroker {
         if let Some(payload) = state.cache.get(&key) {
             return Admission::CacheHit(payload);
         }
-        if let Some(task) = state.inflight.get(key.as_str()) {
+        if let Some(task) = state.inflight.get(&key) {
             let job = JobShared::pending();
             task.attach(Arc::clone(&job));
             return Admission::Coalesced(job);
         }
-        let key: Arc<str> = key.into();
-        let admission = lead(Some(Arc::clone(&key)));
+        let admission = lead(Some(key.clone()));
         if let Admission::Lead { task, .. } = &admission {
             // Safe even though a worker may already be running the
             // task: completion also needs the broker lock, so the
@@ -362,7 +374,7 @@ impl ResultBroker {
     ) -> Vec<Subscriber> {
         let mut state = self.state.lock().expect("broker lock");
         if let (Some(key), Some(payload)) = (&task.key, ok_payload) {
-            state.cache.insert(Arc::clone(key), payload);
+            state.cache.insert(key.clone(), payload);
         }
         Self::unregister(&mut state, task);
         task.take_subscribers()
@@ -417,6 +429,11 @@ mod tests {
         })
     }
 
+    /// Submits the request keyed `key`, hashed as the engine hashes it.
+    fn admit(broker: &ResultBroker, key: &str) -> Admission {
+        broker.admit(Some(broker.key(key.into())), T, C, request(1), None)
+    }
+
     fn payload() -> ResponsePayload {
         ResponsePayload::Generate(Vec::new())
     }
@@ -424,12 +441,10 @@ mod tests {
     #[test]
     fn identical_submissions_coalesce_onto_one_task() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, C, request(1), None)
-        else {
+        let Admission::Lead { task, .. } = admit(&broker, "k") else {
             panic!("first submission leads");
         };
-        let Admission::Coalesced(waiter) = broker.admit(Some("k".into()), T, C, request(1), None)
-        else {
+        let Admission::Coalesced(waiter) = admit(&broker, "k") else {
             panic!("second identical submission coalesces");
         };
         // Completion delivers to both, caches the payload, clears the key.
@@ -439,10 +454,7 @@ mod tests {
         assert!(subscribers[1].1, "waiter is coalesced");
         assert!(Arc::ptr_eq(&subscribers[1].0, &waiter));
         assert_eq!(broker.inflight_len(), 0);
-        assert!(matches!(
-            broker.admit(Some("k".into()), T, C, request(1), None),
-            Admission::CacheHit(_)
-        ));
+        assert!(matches!(admit(&broker, "k"), Admission::CacheHit(_)));
     }
 
     #[test]
@@ -459,7 +471,7 @@ mod tests {
     fn a_refused_dispatch_registers_nothing() {
         let broker = ResultBroker::new(8);
         let full: Dispatch<'_> = &|_| Err(Error::QueueFull { depth: 1 });
-        for key in [Some("k".to_owned()), None] {
+        for key in [Some(broker.key("k".into())), None] {
             assert!(matches!(
                 broker.admit(key, T, C, request(1), Some(full)),
                 Admission::Rejected(Error::QueueFull { depth: 1 })
@@ -467,20 +479,47 @@ mod tests {
         }
         assert_eq!(broker.inflight_len(), 0);
         // Nothing to coalesce onto: the next identical submit leads.
+        assert!(matches!(admit(&broker, "k"), Admission::Lead { .. }));
+    }
+
+    #[test]
+    fn texts_that_share_a_hash_neither_coalesce_nor_hit() {
+        let broker = ResultBroker::new(8);
+        let (a, b) = (Key::with_hash(7, "a"), Key::with_hash(7, "b"));
+        let Admission::Lead { task, .. } = broker.admit(Some(a.clone()), T, C, request(1), None)
+        else {
+            panic!("first submission leads");
+        };
+        let Admission::Lead { task: other, .. } =
+            broker.admit(Some(b.clone()), T, C, request(2), None)
+        else {
+            panic!("another text under the same hash coalesced");
+        };
+        assert_eq!(broker.inflight_len(), 2);
+        assert_eq!(broker.complete(&task, Some(Arc::new(payload()))).len(), 1);
         assert!(matches!(
-            broker.admit(Some("k".into()), T, C, request(1), None),
+            broker.admit(Some(b), T, C, request(2), None),
+            Admission::Coalesced(_)
+        ));
+        assert_eq!(broker.complete(&other, None).len(), 2);
+        // `a` is cached, `b` failed: only `a` hits.
+        assert!(matches!(
+            broker.admit(Some(Key::with_hash(7, "b")), T, C, request(2), None),
             Admission::Lead { .. }
+        ));
+        assert!(matches!(
+            broker.admit(Some(a), T, C, request(1), None),
+            Admission::CacheHit(_)
         ));
     }
 
     #[test]
     fn reject_returns_every_attached_subscriber() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } = broker.admit(Some("k".into()), T, C, request(1), None)
-        else {
+        let Admission::Lead { task, .. } = admit(&broker, "k") else {
             panic!("leads");
         };
-        let _ = broker.admit(Some("k".into()), T, C, request(1), None);
+        let _ = admit(&broker, "k");
         let subscribers = broker.reject(&task);
         assert_eq!(subscribers.len(), 2);
         assert_eq!(broker.inflight_len(), 0);

@@ -6,7 +6,7 @@
 //! share one result. Only deterministic requests are cached (every
 //! request kind carries an explicit seed except `Chat { seed: None }`
 //! and the stateful session requests, which bypass the cache entirely;
-//! see [`cache_key`](crate::engine::cache_key)).
+//! see [`request_key`](crate::routing::request_key)).
 //!
 //! The implementation is an intrusive hash-linked list: a `HashMap`
 //! from key to slab index plus a doubly-linked recency list threaded
@@ -16,12 +16,80 @@
 //! wants. Capacity 0 disables caching.
 //!
 //! A key is the whole serialized request — half a megabyte for a 4×
-//! `Legalize` — so the index and the node share one `Arc<str>` of it
-//! (and with them the broker's in-flight map and the task itself)
-//! instead of holding a copy each.
+//! `Legalize` — so a [`Key`] holds it behind one `Arc<str>` that the
+//! index, the node, the broker's in-flight map and the task share,
+//! with its keyed hash, taken once before the broker locks. Maps of
+//! keys pass that hash through ([`KeyHasher`]) and compare the text
+//! where two hashes match.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
+
+/// A request key: its text, hashed once.
+#[derive(Debug, Clone)]
+pub(crate) struct Key {
+    hash: u64,
+    text: Arc<str>,
+}
+
+impl Key {
+    /// Hashes `text` with `hasher`, a per-process keyed hash, so an
+    /// outsider cannot pick texts that collide.
+    pub(crate) fn new(hasher: &RandomState, text: String) -> Key {
+        Key {
+            hash: hasher.hash_one(text.as_str()),
+            text: text.into(),
+        }
+    }
+
+    /// A key whose hash is `hash`, whatever its text.
+    #[cfg(test)]
+    pub(crate) fn with_hash(hash: u64, text: &str) -> Key {
+        Key {
+            hash,
+            text: text.into(),
+        }
+    }
+}
+
+/// Equal hashes are not enough: the text decides.
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.hash == other.hash && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The hasher of every map of [`Key`]s: it passes the hash the key
+/// carries through and refuses to hash anything else.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        panic!("a map of keys hashes a Key's hash, never text");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map from [`Key`]s that hashes none of their text.
+pub(crate) type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
 /// Sentinel for "no neighbour" in the intrusive list.
 const NIL: usize = usize::MAX;
@@ -29,8 +97,8 @@ const NIL: usize = usize::MAX;
 /// One slab node: the entry plus its recency-list links.
 #[derive(Debug)]
 struct Node<V> {
-    /// The same allocation as this node's key in the index.
-    key: Arc<str>,
+    /// The same text allocation as this node's key in the index.
+    key: Key,
     value: V,
     /// Towards the LRU end (older).
     prev: usize,
@@ -44,7 +112,7 @@ struct Node<V> {
 pub(crate) struct LruCache<V> {
     capacity: usize,
     /// Key → slab index.
-    index: HashMap<Arc<str>, usize>,
+    index: KeyMap<usize>,
     /// Slab of nodes; freed slots are recycled through `free`.
     nodes: Vec<Node<V>>,
     free: Vec<usize>,
@@ -59,7 +127,7 @@ impl<V: Clone> LruCache<V> {
     pub(crate) fn new(capacity: usize) -> LruCache<V> {
         LruCache {
             capacity,
-            index: HashMap::new(),
+            index: KeyMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -74,7 +142,7 @@ impl<V: Clone> LruCache<V> {
     }
 
     /// Looks up `key`, marking it most recently used on a hit.
-    pub(crate) fn get(&mut self, key: &str) -> Option<V> {
+    pub(crate) fn get(&mut self, key: &Key) -> Option<V> {
         let slot = *self.index.get(key)?;
         self.unlink(slot);
         self.push_tail(slot);
@@ -83,11 +151,11 @@ impl<V: Clone> LruCache<V> {
 
     /// Inserts (or refreshes) `key`, evicting the least recently used
     /// entry when over capacity.
-    pub(crate) fn insert(&mut self, key: Arc<str>, value: V) {
+    pub(crate) fn insert(&mut self, key: Key, value: V) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&slot) = self.index.get(&*key) {
+        if let Some(&slot) = self.index.get(&key) {
             self.nodes[slot].value = value;
             self.unlink(slot);
             self.push_tail(slot);
@@ -99,11 +167,11 @@ impl<V: Clone> LruCache<V> {
             let oldest = self.head;
             debug_assert_ne!(oldest, NIL, "non-empty cache has a head");
             self.unlink(oldest);
-            self.index.remove(&*self.nodes[oldest].key);
+            self.index.remove(&self.nodes[oldest].key);
             self.free.push(oldest);
         }
         let node = Node {
-            key: Arc::clone(&key),
+            key: key.clone(),
             value,
             prev: NIL,
             next: NIL,
@@ -156,47 +224,57 @@ impl<V: Clone> LruCache<V> {
 mod tests {
     use super::*;
 
+    thread_local! {
+        /// One test's keyed hasher, as a broker holds one.
+        static HASHER: RandomState = RandomState::new();
+    }
+
+    /// `text` keyed as the broker keys a request.
+    fn key(text: &str) -> Key {
+        HASHER.with(|hasher| Key::new(hasher, text.to_owned()))
+    }
+
     #[test]
     fn evicts_least_recently_used() {
         let mut cache = LruCache::new(2);
-        cache.insert("a".into(), 1);
-        cache.insert("b".into(), 2);
-        assert_eq!(cache.get("a"), Some(1)); // refresh "a"; "b" is now LRU
-        cache.insert("c".into(), 3);
+        cache.insert(key("a"), 1);
+        cache.insert(key("b"), 2);
+        assert_eq!(cache.get(&key("a")), Some(1)); // refresh "a"; "b" is now LRU
+        cache.insert(key("c"), 3);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get("b"), None, "LRU entry evicted");
-        assert_eq!(cache.get("a"), Some(1));
-        assert_eq!(cache.get("c"), Some(3));
+        assert_eq!(cache.get(&key("b")), None, "LRU entry evicted");
+        assert_eq!(cache.get(&key("a")), Some(1));
+        assert_eq!(cache.get(&key("c")), Some(3));
     }
 
     #[test]
     fn reinsert_refreshes_value_and_recency() {
         let mut cache = LruCache::new(2);
-        cache.insert("a".into(), 1);
-        cache.insert("b".into(), 2);
-        cache.insert("a".into(), 10); // refresh: "b" becomes LRU
-        cache.insert("c".into(), 3);
-        assert_eq!(cache.get("a"), Some(10));
-        assert_eq!(cache.get("b"), None);
+        cache.insert(key("a"), 1);
+        cache.insert(key("b"), 2);
+        cache.insert(key("a"), 10); // refresh: "b" becomes LRU
+        cache.insert(key("c"), 3);
+        assert_eq!(cache.get(&key("a")), Some(10));
+        assert_eq!(cache.get(&key("b")), None);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = LruCache::new(0);
-        cache.insert("a".into(), 1);
+        cache.insert(key("a"), 1);
         assert_eq!(cache.len(), 0);
-        assert_eq!(cache.get("a"), None);
+        assert_eq!(cache.get(&key("a")), None);
     }
 
     #[test]
     fn single_entry_cache_churns_correctly() {
         let mut cache = LruCache::new(1);
         for i in 0..100 {
-            cache.insert(format!("k{i}").into(), i);
+            cache.insert(key(&format!("k{i}")), i);
             assert_eq!(cache.len(), 1);
-            assert_eq!(cache.get(&format!("k{i}")), Some(i));
+            assert_eq!(cache.get(&key(&format!("k{i}"))), Some(i));
             if i > 0 {
-                assert_eq!(cache.get(&format!("k{}", i - 1)), None);
+                assert_eq!(cache.get(&key(&format!("k{}", i - 1))), None);
             }
         }
     }
@@ -204,25 +282,44 @@ mod tests {
     #[test]
     fn a_key_is_stored_once_and_eviction_drops_it() {
         let mut cache = LruCache::new(1);
-        let key: Arc<str> = "a rather long serialized request".into();
-        let watch = Arc::downgrade(&key);
-        cache.insert(key, 1);
+        let text = "a rather long serialized request";
+        let stored = key(text);
+        let watch = Arc::downgrade(&stored.text);
+        cache.insert(stored, 1);
         // Index and node hold the caller's allocation, not copies.
-        let (index_key, &slot) = cache
-            .index
-            .get_key_value("a rather long serialized request")
-            .expect("indexed");
-        assert!(Arc::ptr_eq(index_key, &cache.nodes[slot].key));
-        assert!(std::ptr::eq(watch.as_ptr(), Arc::as_ptr(index_key)));
+        let (index_key, &slot) = cache.index.get_key_value(&key(text)).expect("indexed");
+        assert!(Arc::ptr_eq(&index_key.text, &cache.nodes[slot].key.text));
+        assert!(std::ptr::eq(watch.as_ptr(), Arc::as_ptr(&index_key.text)));
         assert_eq!(watch.strong_count(), 2, "index + node, nothing else");
         // A refresh keeps the stored key; the offered duplicate goes.
-        cache.insert("a rather long serialized request".into(), 2);
+        cache.insert(key(text), 2);
         assert_eq!(watch.strong_count(), 2);
-        assert_eq!(cache.get("a rather long serialized request"), Some(2));
+        assert_eq!(cache.get(&key(text)), Some(2));
         // Eviction releases both references: the key is freed.
-        cache.insert("b".into(), 3);
+        cache.insert(key("b"), 3);
         assert_eq!(watch.strong_count(), 0, "evicted key still allocated");
         assert!(watch.upgrade().is_none());
+    }
+
+    #[test]
+    fn texts_that_share_a_hash_are_different_keys() {
+        let mut cache = LruCache::new(2);
+        cache.insert(Key::with_hash(7, "a"), 1);
+        assert_eq!(
+            cache.get(&Key::with_hash(7, "b")),
+            None,
+            "a hit on another text"
+        );
+        cache.insert(Key::with_hash(7, "b"), 2);
+        assert_eq!(cache.len(), 2, "the second text replaced the first");
+        assert_eq!(cache.get(&Key::with_hash(7, "a")), Some(1));
+        assert_eq!(cache.get(&Key::with_hash(7, "b")), Some(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "never text")]
+    fn the_key_hasher_refuses_text() {
+        "a request key".hash(&mut KeyHasher::default());
     }
 
     /// A naive reference model: same behavior, O(n) implementation.
@@ -254,12 +351,11 @@ mod tests {
         }
     }
 
-    /// The large-capacity behavior test: thousands of mixed get/insert
-    /// operations against the naive model, at a capacity where the old
-    /// O(n) scan would have been painful and any linking bug shows up
-    /// as a divergence.
-    #[test]
-    fn large_capacity_matches_naive_model() {
+    /// Thousands of mixed get/insert operations on keys made by `key`
+    /// against the naive model, at a capacity where the old O(n) scan
+    /// would have been painful and any linking bug shows up as a
+    /// divergence.
+    fn matches_naive_model(key: impl Fn(&str) -> Key) {
         const CAPACITY: usize = 1024;
         const OPS: u64 = 20_000;
         let mut cache = LruCache::new(CAPACITY);
@@ -274,16 +370,16 @@ mod tests {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            let key = format!("k{}", (state >> 33) % (2 * CAPACITY as u64));
+            let text = format!("k{}", (state >> 33) % (2 * CAPACITY as u64));
             if op % 3 == 0 {
                 let value = (op % 1009) as i64;
-                cache.insert(key.as_str().into(), value);
-                model.insert(&key, value);
+                cache.insert(key(&text), value);
+                model.insert(&text, value);
             } else {
                 assert_eq!(
-                    cache.get(&key),
-                    model.get(&key),
-                    "divergence at op {op} on {key}"
+                    cache.get(&key(&text)),
+                    model.get(&text),
+                    "divergence at op {op} on {text}"
                 );
             }
             assert_eq!(cache.len(), model.entries.len());
@@ -291,11 +387,25 @@ mod tests {
         }
         // Final state: every model entry is retrievable in the cache
         // and recency order agrees (walk by evicting).
-        for (key, value) in &model.entries {
-            assert!(cache.index.contains_key(key.as_str()), "missing {key}");
-            assert_eq!(cache.nodes[cache.index[key.as_str()]].value, *value);
+        for (text, value) in &model.entries {
+            let slot = cache.index.get(&key(text)).expect("every model entry");
+            assert_eq!(cache.nodes[*slot].value, *value, "{text}");
         }
         // The slab never grew past capacity: recycled slots bound it.
         assert!(cache.nodes.len() <= CAPACITY);
+    }
+
+    /// The large-capacity behavior test, on keys hashed as the broker
+    /// hashes them.
+    #[test]
+    fn large_capacity_matches_naive_model() {
+        matches_naive_model(key);
+    }
+
+    /// The same, with every key's hash forced into one of 16: most
+    /// look-ups meet other texts under their hash first.
+    #[test]
+    fn colliding_keys_match_naive_model() {
+        matches_naive_model(|text| Key::with_hash(key(text).hash % 16, text));
     }
 }

@@ -296,13 +296,6 @@ impl AtomicStats {
     }
 }
 
-/// Cache/coalescing key of a request — a thin alias for
-/// [`crate::routing::request_key`], the single source of truth shared
-/// with the multi-process router.
-pub(crate) fn cache_key(request: &PatternRequest) -> Option<String> {
-    crate::routing::request_key(request)
-}
-
 /// A submitted job: wait for it, or have its result delivered to a
 /// callback.
 ///
@@ -661,7 +654,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         if let Err(rejection) = self.core.gate.try_admit(tenant, class) {
             return Err(Error::overloaded(rejection.retry_after_ms));
         }
-        let key = cache_key(&request);
+        let key = crate::routing::request_key(&request).map(|text| self.core.broker.key(text));
         let lookup = Instant::now();
         // Non-blocking submits dispatch *inside* admission: a try-push
         // into a bounded queue never blocks and never re-enters the
@@ -1234,7 +1227,8 @@ mod tests {
 
     #[test]
     fn cache_key_skips_unseeded_chat_and_sessions() {
-        assert!(cache_key(&PatternRequest::Chat(ChatParams {
+        use crate::routing::request_key;
+        assert!(request_key(&PatternRequest::Chat(ChatParams {
             request: "x".into(),
             seed: None,
         }))
@@ -1253,17 +1247,17 @@ mod tests {
             session: "s".into(),
         });
         for request in [&open, &turn, &close] {
-            assert!(cache_key(request).is_none(), "{request:?}");
+            assert!(request_key(request).is_none(), "{request:?}");
         }
-        assert!(cache_key(&PatternRequest::Chat(ChatParams {
+        assert!(request_key(&PatternRequest::Chat(ChatParams {
             request: "x".into(),
             seed: Some(1),
         }))
         .is_some());
-        let a = cache_key(&generate(1)).expect("seeded requests have keys");
-        let b = cache_key(&generate(1)).expect("seeded requests have keys");
+        let a = request_key(&generate(1)).expect("seeded requests have keys");
+        let b = request_key(&generate(1)).expect("seeded requests have keys");
         assert_eq!(a, b, "identical requests share a key");
-        assert_ne!(a, cache_key(&generate(2)).expect("key"));
+        assert_ne!(a, request_key(&generate(2)).expect("key"));
     }
 
     /// An engine over [`SlowService`] with one tenant-quota override.

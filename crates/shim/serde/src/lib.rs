@@ -72,7 +72,7 @@ impl std::error::Error for Error {}
 /// `seq_element` before each element's own events, then `seq_end`, or
 /// `map_begin`, then `map_key` before each entry's value events, then
 /// `map_end`. Keys of one map must arrive in ascending byte order.
-pub trait Serializer {
+pub trait Serializer: Sized {
     /// `null`.
     fn null(&mut self);
     /// `true` / `false`.
@@ -101,6 +101,13 @@ pub trait Serializer {
     /// One whole value given as its JSON text, which must be well
     /// formed (`serde_json::value::RawValue` holds nothing else).
     fn raw(&mut self, json: &str);
+
+    /// An array of bytes, each a number: the events of `v.serialize`,
+    /// for a serializer that can write them in one pass (a topology's
+    /// cells are 16 384 of them).
+    fn u8_seq(&mut self, v: &[u8]) {
+        v.serialize(self);
+    }
 }
 
 /// The JSON kind of the value a [`Deserializer`] is about to yield.
@@ -125,7 +132,7 @@ pub enum Kind {
 /// Each typed accessor consumes the pending value, or fails with an
 /// "expected …, found …" error when the pending value is of another
 /// kind. After any error the deserializer's position is unspecified.
-pub trait Deserializer {
+pub trait Deserializer: Sized {
     /// The kind of the pending value, without consuming it.
     fn kind(&mut self) -> Result<Kind, Error>;
     /// Consumes a `null`.
@@ -155,6 +162,14 @@ pub trait Deserializer {
     /// whitespace left out), a compact print where it is a tree. The
     /// slice is valid until the next call.
     fn raw(&mut self) -> Result<&str, Error>;
+
+    /// Consumes an array of bytes: what `Vec::<u8>::deserialize`
+    /// yields and refuses, to the letter of its errors, for a
+    /// deserializer that can read it in one pass (a topology's cells
+    /// are 16 384 of them).
+    fn u8_seq(&mut self) -> Result<Vec<u8>, Error> {
+        Vec::deserialize(self)
+    }
 
     /// Consumes the pending value, whatever it is (an unknown key's).
     fn skip(&mut self) -> Result<(), Error> {

@@ -2,7 +2,7 @@
 //! [`Deserializer`] ([`TextReader`]) — the only place in the workspace
 //! that knows JSON's syntax.
 
-use crate::{Deserialize, Deserializer, Error, Kind, Number, Serializer, Value};
+use crate::{Deserialize, Deserializer, Error, Kind, Number, Serialize, Serializer, Value};
 use std::io::Write;
 
 // ---------------------------------------------------------------------
@@ -158,6 +158,25 @@ impl Serializer for TextWriter {
     fn raw(&mut self, json: &str) {
         self.push_str(json);
     }
+
+    /// The whole array at once when every byte is one digit — a
+    /// comma, then the digit, written two bytes a cell into one
+    /// resized buffer — and the element loop otherwise.
+    fn u8_seq(&mut self, v: &[u8]) {
+        if v.iter().fold(0, |max, &byte| max.max(byte)) > 9 {
+            return v.serialize(self);
+        }
+        self.out.push(b'[');
+        if let Some((&first, rest)) = v.split_first() {
+            self.out.push(b'0' + first);
+            let start = self.out.len();
+            self.out.resize(start + 2 * rest.len(), b',');
+            for (pair, &digit) in self.out[start..].chunks_exact_mut(2).zip(rest) {
+                pair[1] = b'0' + digit;
+            }
+        }
+        self.out.push(b']');
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -301,14 +320,15 @@ impl<'a> TextReader<'a> {
 
     /// Steps over the `,d` members — a comma, then one digit — that
     /// follow a member of the innermost array, 31 a step, for as long
-    /// as the text is nothing else: a 128×128 topology's `bits` is
-    /// 32 kB of them. Each pair stepped over is followed by the next
-    /// one's comma, so [`next_member`](Self::next_member) and
+    /// as the text is nothing else, and hands `take` each step's 62
+    /// bytes: a 128×128 topology's `bits` is 32 kB of them. Each pair
+    /// stepped over is followed by the next one's comma, so
+    /// [`next_member`](Self::next_member) and
     /// [`number`](Deserializer::number) would have taken it as it
     /// stands; the last pair of a chunk, and whatever is spelled any
     /// other way (`10`, `-1`, ` 1`), is left to them.
     #[inline]
-    fn skip_digit_members(&mut self) {
+    fn digit_members(&mut self, mut take: impl FnMut(&[u8])) {
         const CHUNK: usize = 64;
         while let Some(chunk) = self.bytes().get(self.pos..self.pos + CHUNK) {
             // No early exit and no `&&`: a loop the compiler turns
@@ -320,6 +340,7 @@ impl<'a> TextReader<'a> {
             if other != 0 {
                 return;
             }
+            take(&chunk[..CHUNK - 2]);
             self.pos += CHUNK - 2;
         }
     }
@@ -587,7 +608,7 @@ impl Deserializer for TextReader<'_> {
                 self.seq_begin()?;
                 while self.seq_next()? {
                     self.skip()?;
-                    self.skip_digit_members();
+                    self.digit_members(|_| ());
                 }
                 Ok(())
             }
@@ -599,5 +620,20 @@ impl Deserializer for TextReader<'_> {
                 Ok(())
             }
         }
+    }
+
+    /// The element loop, plus the chunk loop [`skip`](Deserializer::skip)
+    /// runs after every element: what it steps over, the element loop
+    /// would have read as one digit each.
+    fn u8_seq(&mut self) -> Result<Vec<u8>, Error> {
+        self.seq_begin()?;
+        let mut items = Vec::new();
+        while self.seq_next()? {
+            items.push(u8::deserialize(self)?);
+            self.digit_members(|pairs| {
+                items.extend(pairs.chunks_exact(2).map(|pair| pair[1] - b'0'));
+            });
+        }
+        Ok(items)
     }
 }

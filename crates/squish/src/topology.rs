@@ -51,7 +51,7 @@ pub fn fits_one_request(rows: usize, cols: usize, count: usize) -> bool {
 /// what the constructors would (an empty matrix, cells that are not
 /// `rows × cols` many or not 0 or 1) and what only text can get wrong
 /// (both forms or neither, a digit that is not one, a set pad bit).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Topology {
     rows: usize,
     cols: usize,
@@ -395,14 +395,39 @@ impl Serialize for Packed<'_, Topology> {
     }
 }
 
+/// The `bits` form, written in one pass where the serializer has one
+/// ([`Serializer::u8_seq`]).
+impl Serialize for Topology {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.map_begin();
+        s.map_key("bits");
+        s.u8_seq(&self.bits);
+        s.map_key("cols");
+        self.cols.serialize(s);
+        s.map_key("rows");
+        self.rows.serialize(s);
+        s.map_end();
+    }
+}
+
 /// What a topology's text may hold, before any of it is believed:
 /// the shape and the cells in one of the two forms.
 #[derive(Deserialize)]
 struct TopologyText {
     rows: usize,
     cols: usize,
-    bits: Option<Vec<u8>>,
+    bits: Option<Cells>,
     packed: Option<String>,
+}
+
+/// The `bits` array, read in one pass where the deserializer has one
+/// ([`Deserializer::u8_seq`]).
+struct Cells(Vec<u8>);
+
+impl Deserialize for Cells {
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Cells, Error> {
+        d.u8_seq().map(Cells)
+    }
 }
 
 /// The one reader of both forms. Text comes from outside the program,
@@ -424,7 +449,7 @@ impl Deserialize for Topology {
             return refuse("rows x cols overflows");
         };
         let bits = match (bits, packed) {
-            (Some(bits), None) => {
+            (Some(Cells(bits)), None) => {
                 if bits.len() != cells {
                     return refuse("bits is not rows x cols long");
                 }
