@@ -17,8 +17,8 @@ use crate::policy::{ExpertPolicy, PolicySnapshot};
 use crate::prompt::system_prompt;
 use crate::tools::{ContextSnapshot, ToolContext, ToolRegistry};
 use cp_diffusion::PatternSampler;
-use cp_legalize::Legalizer;
-use cp_squish::SquishPattern;
+use cp_layout::legalize::Legalizer;
+use cp_layout::squish::SquishPattern;
 use serde::{Deserialize, Serialize};
 use serde_json::json;
 
@@ -350,9 +350,9 @@ mod tests {
     use crate::llm::{AgentStep, MockLlm};
     use crate::{ExpertPolicy, KnowledgeBase};
     use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
-    use cp_drc::DesignRules;
-    use cp_legalize::Legalizer;
-    use cp_squish::Topology;
+    use cp_layout::drc::DesignRules;
+    use cp_layout::legalize::Legalizer;
+    use cp_layout::squish::Topology;
 
     fn test_deps() -> (Box<dyn cp_diffusion::PatternSampler>, Legalizer) {
         let data: Vec<Topology> = (0..6)

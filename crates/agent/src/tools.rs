@@ -10,8 +10,8 @@ use crate::KnowledgeBase;
 use cp_dataset::Style;
 use cp_diffusion::{Mask, PatternSampler};
 use cp_extend::{extend, ExtensionMethod};
-use cp_legalize::Legalizer;
-use cp_squish::{fits_one_request, Packed, Region, SquishPattern, Topology, MAX_REQUEST_CELLS};
+use cp_layout::legalize::Legalizer;
+use cp_layout::squish::{fits_one_request, Packed, Region, SquishPattern, Topology, MAX_REQUEST_CELLS};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Serializer};
@@ -204,7 +204,7 @@ impl ToolContext {
 /// serialized form is deterministic.
 ///
 /// This is where a session's topologies rest, and the one place that
-/// writes them packed ([`cp_squish::Packed`], one bit a cell): a
+/// writes them packed ([`cp_layout::squish::Packed`], one bit a cell): a
 /// dialog's library only grows, and every spill, export and move
 /// carries all of it. Reading needs no counterpart — the topology
 /// reader takes both forms, so snapshots written before the packed
@@ -769,7 +769,7 @@ impl Tool for ReportExperience {
 mod tests {
     use super::*;
     use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
-    use cp_drc::DesignRules;
+    use cp_layout::drc::DesignRules;
 
     fn test_ctx() -> ToolContext {
         let data: Vec<Topology> = (0..6)

@@ -1,7 +1,7 @@
 //! CAE baseline (DeePattern-style auto-encoder generation).
 
 use crate::{Generator, PcaModel};
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand::SeedableRng;
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;

@@ -10,8 +10,8 @@
 //! keeps producing legal patterns.
 
 use crate::Generator;
-use cp_geom::{Layout, Rect};
-use cp_legalize::Legalizer;
+use cp_layout::geom::{Layout, Rect};
+use cp_layout::legalize::Legalizer;
 use rand::RngCore;
 
 /// Builds a `tiles_x × tiles_y` assembly of independently generated and
@@ -69,8 +69,8 @@ pub fn concat_extend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_drc::{check_pattern, DesignRules};
-    use cp_squish::{SquishPattern, Topology};
+    use cp_layout::drc::{check_pattern, DesignRules};
+    use cp_layout::squish::{SquishPattern, Topology};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

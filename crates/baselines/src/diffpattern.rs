@@ -8,7 +8,7 @@
 
 use crate::Generator;
 use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand::RngCore;
 
 /// An unconditional diffusion generator for one style.

@@ -1,6 +1,6 @@
 //! The common fixed-size generator interface.
 
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand::RngCore;
 
 /// A fixed-size topology generator (one Table-1 contender).

@@ -9,7 +9,7 @@
 //! why its legality lands below diffusion in the paper.
 
 use crate::Generator;
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 

@@ -7,7 +7,7 @@
 //! minima — the two operations a learned legalizer converges to on
 //! Manhattan layout data.
 
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 
 /// A fitted topology cleanup operator.
 #[derive(Debug, Clone)]
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn cleanup_reduces_scanline_complexity_of_noise() {
-        use cp_squish::complexity;
+        use cp_layout::squish::complexity;
         let gan = LegalGan::fit(&clean_data());
         let noisy = Topology::from_fn(16, 16, |r, c| (r * 7 + c * 13) % 5 == 0);
         let cleaned = gan.legalize_topology(&noisy);

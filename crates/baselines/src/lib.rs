@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use cp_baselines::{Cae, Generator};
-//! use cp_squish::Topology;
+//! use cp_layout::squish::Topology;
 //! use rand::SeedableRng;
 //! let data: Vec<Topology> =
 //!     (0..8).map(|i| Topology::from_fn(16, 16, |_, c| (c + i) % 4 < 2)).collect();

@@ -2,7 +2,7 @@
 //!
 //! The linear-auto-encoder substrate behind the CAE/VCAE baselines.
 
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 
 /// A fitted PCA model over flattened topology matrices.
 #[derive(Debug, Clone)]

@@ -1,7 +1,7 @@
 //! VCAE baseline (variational auto-encoder generation).
 
 use crate::{Generator, PcaModel};
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 

@@ -162,10 +162,10 @@ fn hot_loops<'a>(
     use chatpattern_core::wire::{decode_request_line, RequestEnvelope, ResponseEnvelope};
     use chatpattern_core::LegalizeParams;
     use cp_diffusion::Denoiser;
-    use cp_drc::DesignRules;
-    use cp_geom::{Layout, Rect};
-    use cp_legalize::Legalizer;
-    use cp_squish::SquishPattern;
+    use cp_layout::drc::DesignRules;
+    use cp_layout::geom::{Layout, Rect};
+    use cp_layout::legalize::Legalizer;
+    use cp_layout::squish::SquishPattern;
     use rand::{Rng, SeedableRng};
     use std::hint::black_box;
 

@@ -42,7 +42,7 @@ use cp_dataset::Style;
 use cp_diffusion::Mask;
 use cp_extend::ExtensionMethod;
 use cp_metrics::LibraryStats;
-use cp_squish::{Region, SquishPattern, Topology};
+use cp_layout::squish::{Region, SquishPattern, Topology};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 

@@ -9,8 +9,8 @@
 //! works across crate boundaries.
 
 use cp_agent::{RequirementError, ToolError};
-use cp_drc::{DrcReport, Violation};
-use cp_legalize::LegalizeFailure;
+use cp_layout::drc::{DrcReport, Violation};
+use cp_layout::legalize::LegalizeFailure;
 
 /// Any failure the ChatPattern system can report.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,15 +149,15 @@ impl std::fmt::Display for Error {
                 violations.len(),
                 violations
                     .iter()
-                    .filter(|v| v.kind == cp_drc::ViolationKind::Space)
+                    .filter(|v| v.kind == cp_layout::drc::ViolationKind::Space)
                     .count(),
                 violations
                     .iter()
-                    .filter(|v| v.kind == cp_drc::ViolationKind::Width)
+                    .filter(|v| v.kind == cp_layout::drc::ViolationKind::Width)
                     .count(),
                 violations
                     .iter()
-                    .filter(|v| v.kind == cp_drc::ViolationKind::Area)
+                    .filter(|v| v.kind == cp_layout::drc::ViolationKind::Area)
                     .count(),
             ),
             Error::SessionNotFound { id, message } => {
@@ -241,9 +241,9 @@ impl From<&DrcReport> for Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_geom::Axis;
-    use cp_legalize::FailureKind;
-    use cp_squish::Region;
+    use cp_layout::geom::Axis;
+    use cp_layout::legalize::FailureKind;
+    use cp_layout::squish::Region;
 
     #[test]
     fn display_covers_every_variant() {

@@ -5,7 +5,7 @@
 //! * the **generative back-end** — a conditional discrete diffusion model
 //!   ([`cp_diffusion`]) trained on synthetic layout datasets
 //!   ([`cp_dataset`]), with free-size extension ([`cp_extend`]) and
-//!   explainable legalization ([`cp_legalize`]);
+//!   explainable legalization ([`cp_layout::legalize`]);
 //! * the **LLM agent front-end** ([`cp_agent`]) — requirement
 //!   auto-formatting, task planning, tool execution and mistake
 //!   recovery.
@@ -88,12 +88,12 @@ use cp_agent::{
 };
 use cp_dataset::{Dataset, DatasetBuilder, Style};
 use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule};
-use cp_drc::DesignRules;
+use cp_layout::drc::DesignRules;
 use cp_extend::ExtensionMethod;
-use cp_legalize::Legalizer;
+use cp_layout::legalize::Legalizer;
 use cp_metrics::LibraryStats;
-pub use cp_squish::MAX_REQUEST_CELLS;
-use cp_squish::{fits_one_request, SquishPattern, Topology};
+pub use cp_layout::squish::MAX_REQUEST_CELLS;
+use cp_layout::squish::{fits_one_request, SquishPattern, Topology};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -559,7 +559,7 @@ impl ChatSession {
 /// optional `compaction` record of trimmed transcript messages, which
 /// this build reads and ignores (nothing trims a transcript any more);
 /// format 3 writes every topology in the store and the library packed,
-/// one bit a cell ([`cp_squish::Packed`]), where formats 1 and 2
+/// one bit a cell ([`cp_layout::squish::Packed`]), where formats 1 and 2
 /// spelled each cell as a number. Format-1 and format-2 snapshots still restore unchanged
 /// ([`SESSION_SNAPSHOT_FORMAT_MIN`]): the topology reader takes both
 /// forms. Nothing writes format 2 any more, and a build that stops at
@@ -929,7 +929,7 @@ impl ChatPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_squish::Region;
+    use cp_layout::squish::Region;
 
     fn small_system() -> ChatPattern {
         ChatPattern::builder()

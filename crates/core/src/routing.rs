@@ -223,7 +223,7 @@ mod tests {
         assert_eq!(route_hash(&key), 0xc832_c584_f3ec_767c);
 
         let legalize = PatternRequest::Legalize(crate::LegalizeParams {
-            topology: cp_squish::Topology::from_fn(2, 3, |r, c| (r + c) % 2 == 0),
+            topology: cp_layout::squish::Topology::from_fn(2, 3, |r, c| (r + c) % 2 == 0),
             width_nm: 256,
             height_nm: -512,
             seed: u64::MAX,
@@ -318,7 +318,7 @@ mod tests {
             SessionCloseParams, SessionOpenParams, SessionRestoreParams, SessionSnapshotParams,
         };
         use cp_dataset::Style;
-        use cp_squish::{Region, Topology};
+        use cp_layout::squish::{Region, Topology};
 
         let system = crate::ChatPattern::builder()
             .window(16)

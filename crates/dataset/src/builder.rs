@@ -1,8 +1,8 @@
 //! Patch extraction and dataset assembly.
 
 use crate::{generate_map, MapParams, Style};
-use cp_geom::Rect;
-use cp_squish::{normalize_to, SquishPattern, Topology};
+use cp_layout::geom::Rect;
+use cp_layout::squish::{normalize_to, SquishPattern, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 

@@ -12,7 +12,7 @@
 //!   complexity, easy to extend).
 //!
 //! Maps are split into `patch × patch` nm² windows with overlap, squished
-//! ([`cp_squish::SquishPattern::from_layout`]) and normalized to a fixed
+//! ([`cp_layout::squish::SquishPattern::from_layout`]) and normalized to a fixed
 //! topology size, exactly mirroring the paper's dataset pipeline
 //! (2048×2048 nm² → 128×128 topologies, with 4×/16×/64× larger windows
 //! for the 256²/512²/1024² free-size references).

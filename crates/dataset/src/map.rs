@@ -7,7 +7,7 @@
 //! those of DRC-plausible metal.
 
 use crate::Style;
-use cp_geom::{Layout, Rect};
+use cp_layout::geom::{Layout, Rect};
 use rand::Rng;
 
 /// Tunable parameters of map generation (defaults are calibrated per
@@ -178,7 +178,7 @@ fn sparse_island_map(params: MapParams, rng: &mut impl Rng) -> Layout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_squish::SquishPattern;
+    use cp_layout::squish::SquishPattern;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -206,8 +206,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let dense = generate_map(Style::Layer10001, small(), &mut rng);
         let sparse = generate_map(Style::Layer10003, small(), &mut rng);
-        let cd = cp_squish::complexity(SquishPattern::from_layout(&dense).topology());
-        let cs = cp_squish::complexity(SquishPattern::from_layout(&sparse).topology());
+        let cd = cp_layout::squish::complexity(SquishPattern::from_layout(&dense).topology());
+        let cs = cp_layout::squish::complexity(SquishPattern::from_layout(&sparse).topology());
         assert!(
             cd.cx > cs.cx,
             "dense map {:?} should have more x scan lines than sparse {:?}",

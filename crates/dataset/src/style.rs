@@ -1,6 +1,6 @@
 //! Layout styles (the paper's layer identities).
 
-use cp_drc::DesignRules;
+use cp_layout::drc::DesignRules;
 use serde::{Deserialize, Serialize};
 
 /// The two layout styles of the evaluation, named after the ICCAD-2014

@@ -1,6 +1,6 @@
 //! The denoiser abstraction: `p_θ(x₀ | x_k, c)`.
 
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 
 /// A learned estimator of the clean-topology posterior.
 ///

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
-//! use cp_squish::Topology;
+//! use cp_layout::squish::Topology;
 //! use rand::SeedableRng;
 //!
 //! // Fit the statistical denoiser on a toy striped dataset.

@@ -1,6 +1,6 @@
 //! Modification masks (the `M` of paper Eq. 12).
 
-use cp_squish::{Region, Topology};
+use cp_layout::squish::{Region, Topology};
 
 /// A binary mask over a topology matrix: `keep` cells come from the
 /// existing pattern, the rest are regenerated by the model.
@@ -9,7 +9,7 @@ use cp_squish::{Region, Topology};
 ///
 /// ```
 /// use cp_diffusion::Mask;
-/// use cp_squish::Region;
+/// use cp_layout::squish::Region;
 /// // Keep everything except a 2×2 hole.
 /// let mask = Mask::keep_outside(4, 4, Region::new(1, 1, 3, 3));
 /// assert!(mask.keeps(0, 0));

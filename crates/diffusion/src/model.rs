@@ -1,7 +1,7 @@
 //! The conditional reverse diffusion process (paper Eqs. 9 and 11).
 
 use crate::{Denoiser, NoiseSchedule};
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand::Rng;
 
 /// A discrete diffusion model: schedule + denoiser + native window size.
@@ -383,7 +383,7 @@ mod tests {
     /// same position.
     mod reference {
         use crate::{Denoiser, DiffusionModel, Mask};
-        use cp_squish::Topology;
+        use cp_layout::squish::Topology;
         use rand::Rng;
 
         pub fn forward_noised<D: Denoiser>(

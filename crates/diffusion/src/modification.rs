@@ -14,7 +14,7 @@ use std::ops::Range;
 
 use crate::model::{forward_cells, initial_noise, reverse_cells};
 use crate::{Denoiser, DiffusionModel, Mask};
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand_chacha::ChaCha8Rng;
 
 impl<D: Denoiser> DiffusionModel<D> {
@@ -107,7 +107,7 @@ mod tests {
     use super::*;
     use crate::denoiser::test_support::ConstantDenoiser;
     use crate::NoiseSchedule;
-    use cp_squish::Region;
+    use cp_layout::squish::Region;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -15,7 +15,7 @@
 //! conditions" configuration whose style conflict the paper warns about.
 
 use crate::{Denoiser, NoiseSchedule};
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 
 const CONTEXTS: usize = 256;
 

@@ -4,7 +4,7 @@
 //! for every input (see the equivalence tests in `mrf.rs`).
 
 use super::{GridContext, MrfDenoiser};
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 
 /// Thresholds beliefs and enforces the minimum-feature structure of
 /// Manhattan layout data: single-cell gaps inside runs are filled,

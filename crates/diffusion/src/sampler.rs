@@ -1,7 +1,7 @@
 //! Object-safe sampling interface consumed by extension and agent tools.
 
 use crate::{Denoiser, DiffusionModel, Mask};
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand_chacha::ChaCha8Rng;
 
 /// The generation capabilities the rest of the system needs: fixed-window
@@ -156,7 +156,7 @@ mod tests {
         );
         let sampler: &dyn PatternSampler = &model;
         let known = Topology::filled(4, 4, false);
-        let mask = Mask::keep_inside(4, 4, cp_squish::Region::new(0, 0, 2, 4));
+        let mask = Mask::keep_inside(4, 4, cp_layout::squish::Region::new(0, 0, 2, 4));
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let out = sampler.modify(&known, &mask, None, &mut rng);
         assert!(!out.get(0, 0)); // kept

@@ -1,7 +1,7 @@
 //! The extension working canvas.
 
 use cp_diffusion::Mask;
-use cp_squish::{Region, Topology};
+use cp_layout::squish::{Region, Topology};
 
 /// A target-size topology canvas that tracks which cells have already
 /// been generated.

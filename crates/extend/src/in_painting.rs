@@ -3,7 +3,7 @@
 use crate::out_painting::axis_positions;
 use crate::Canvas;
 use cp_diffusion::PatternSampler;
-use cp_squish::{Region, Topology};
+use cp_layout::squish::{Region, Topology};
 use rand_chacha::ChaCha8Rng;
 
 /// Builds a `rows × cols` topology by tiling independently generated

@@ -24,7 +24,7 @@
 //! ```
 //! use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule, PatternSampler};
 //! use cp_extend::{extend, ExtensionMethod};
-//! use cp_squish::Topology;
+//! use cp_layout::squish::Topology;
 //! use rand::SeedableRng;
 //!
 //! let data: Vec<Topology> =

@@ -2,7 +2,7 @@
 
 use crate::{in_paint, out_paint};
 use cp_diffusion::PatternSampler;
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 

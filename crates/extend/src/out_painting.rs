@@ -2,7 +2,7 @@
 
 use crate::Canvas;
 use cp_diffusion::PatternSampler;
-use cp_squish::{Region, Topology};
+use cp_layout::squish::{Region, Topology};
 use rand_chacha::ChaCha8Rng;
 
 /// Extends `seed` to `rows × cols` by walking `window × window` frames

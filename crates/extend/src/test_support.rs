@@ -1,7 +1,7 @@
 //! What this crate's tests paint with.
 
 use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule, PatternSampler};
-use cp_squish::Topology;
+use cp_layout::squish::Topology;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
 

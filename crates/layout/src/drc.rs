@@ -16,8 +16,8 @@
 //! # Example
 //!
 //! ```
-//! use cp_drc::{DesignRules, check_pattern};
-//! use cp_squish::{SquishPattern, Topology};
+//! use cp_layout::drc::{DesignRules, check_pattern};
+//! use cp_layout::squish::{SquishPattern, Topology};
 //!
 //! let rules = DesignRules::new(20, 20, 400);
 //! let t = Topology::from_ascii("11.\n...");

@@ -1,8 +1,8 @@
 //! The DRC engine.
 
-use crate::{DesignRules, Violation, ViolationKind};
-use cp_geom::{label_components, Axis, Rect};
-use cp_squish::{Region, SquishPattern};
+use crate::drc::{DesignRules, Violation, ViolationKind};
+use crate::geom::{label_components, Axis, Rect};
+use crate::squish::{Region, SquishPattern};
 
 /// Result of checking one pattern.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -142,7 +142,7 @@ fn scan_line_slices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_squish::{SquishPattern, Topology};
+    use crate::squish::{SquishPattern, Topology};
 
     fn rules() -> DesignRules {
         DesignRules::new(20, 20, 400)

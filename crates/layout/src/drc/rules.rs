@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use cp_drc::DesignRules;
+/// use cp_layout::drc::DesignRules;
 /// let rules = DesignRules::builder()
 ///     .min_space(40)
 ///     .min_width(40)

@@ -1,7 +1,7 @@
 //! DRC violation records.
 
-use cp_geom::{Axis, Rect};
-use cp_squish::Region;
+use crate::geom::{Axis, Rect};
+use crate::squish::Region;
 use serde::{Deserialize, Serialize};
 
 /// The rule family a violation belongs to.

@@ -13,7 +13,7 @@
 //! # Example
 //!
 //! ```
-//! use cp_geom::{Layout, Rect};
+//! use cp_layout::geom::{Layout, Rect};
 //!
 //! let frame = Rect::new(0, 0, 2048, 2048);
 //! let mut layout = Layout::new(frame);

@@ -93,7 +93,7 @@ impl ComponentLabels {
 ///
 /// ```
 /// let mut edges = Vec::new();
-/// cp_geom::component::line_edges(&[1, 1, 0, 0, 1, 0, 1], &mut edges);
+/// cp_layout::geom::component::line_edges(&[1, 1, 0, 0, 1, 0, 1], &mut edges);
 /// assert_eq!(edges, [0, 2, 4, 5, 6, 7]);
 /// ```
 pub fn line_edges(line: &[u8], edges: &mut Vec<usize>) {
@@ -136,7 +136,7 @@ pub fn line_edges(line: &[u8], edges: &mut Vec<usize>) {
 /// # Example
 ///
 /// ```
-/// use cp_geom::label_components;
+/// use cp_layout::geom::label_components;
 /// // two diagonal cells are NOT 4-connected
 /// let labels = label_components(2, 2, &[1, 0, 0, 1]);
 /// assert_eq!(labels.count(), 2);

@@ -1,6 +1,6 @@
 //! Layout patterns: a frame plus drawn rectangles.
 
-use crate::{Rect, ScanLines};
+use crate::geom::{Rect, ScanLines};
 use serde::{Deserialize, Serialize};
 
 /// A layout pattern patch.
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use cp_geom::{Layout, Rect};
+/// use cp_layout::geom::{Layout, Rect};
 /// let mut l = Layout::new(Rect::new(0, 0, 100, 100));
 /// l.push(Rect::new(10, 10, 40, 20));
 /// l.push(Rect::new(30, 10, 60, 20)); // overlaps the first

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use cp_geom::Rect;
+/// use cp_layout::geom::Rect;
 /// let a = Rect::new(0, 0, 10, 10);
 /// let b = Rect::new(5, 5, 20, 20);
 /// assert!(a.intersects(&b));

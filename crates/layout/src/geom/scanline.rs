@@ -5,7 +5,7 @@
 //! [`ScanLines`] holds the sorted unique coordinates along each axis and
 //! the derived interval (delta) lengths.
 
-use crate::Layout;
+use crate::geom::Layout;
 use serde::{Deserialize, Serialize};
 
 /// The scan-line grid of a layout: sorted unique x and y coordinates.
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use cp_geom::{Layout, Rect, ScanLines};
+/// use cp_layout::geom::{Layout, Rect, ScanLines};
 /// let mut l = Layout::new(Rect::new(0, 0, 100, 100));
 /// l.push(Rect::new(10, 20, 40, 60));
 /// let scan = ScanLines::from_layout(&l);
@@ -118,7 +118,7 @@ impl ScanLines {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rect;
+    use crate::geom::Rect;
 
     fn grid() -> ScanLines {
         let mut l = Layout::new(Rect::new(0, 0, 100, 100));

@@ -17,22 +17,22 @@
 //! slice (columns come from one transposed copy) whose edges are found
 //! eight cells a word; a line equal to the one before it adds nothing
 //! and is skipped; two counting sorts order the raw runs. Polygons are
-//! the row-run components of [`cp_geom::label_components`], so an
+//! the row-run components of [`crate::geom::label_components`], so an
 //! area-repair pass costs one multiply a run (the model's 128 × 128
 //! samples take about two passes a call). `docs/ENGINE.md`, "Legalize
 //! budget", splits a call's time by stage.
 //!
 //! When the minimal solution already exceeds the frame, legalization is
 //! infeasible and the binding constraint chain identifies the
-//! "unreasonable region" — the grid [`Region`](cp_squish::Region) the
+//! "unreasonable region" — the grid [`Region`](crate::squish::Region) the
 //! paper's LLM agent targets with `Topology_Modification`.
 //!
 //! # Example
 //!
 //! ```
-//! use cp_drc::{check_pattern, DesignRules};
-//! use cp_legalize::Legalizer;
-//! use cp_squish::Topology;
+//! use cp_layout::drc::{check_pattern, DesignRules};
+//! use cp_layout::legalize::Legalizer;
+//! use cp_layout::squish::Topology;
 //! use rand::SeedableRng;
 //!
 //! let rules = DesignRules::new(20, 20, 400);
@@ -41,7 +41,7 @@
 //! let topology = Topology::from_ascii("11.\n.1.\n.11");
 //! let pattern = legalizer.legalize(&topology, 200, 200, &mut rng)?;
 //! assert!(check_pattern(&pattern, &rules).is_clean());
-//! # Ok::<(), cp_legalize::LegalizeFailure>(())
+//! # Ok::<(), cp_layout::legalize::LegalizeFailure>(())
 //! ```
 
 pub mod failure;

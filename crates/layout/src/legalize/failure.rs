@@ -1,7 +1,7 @@
 //! Explainable legalization failures.
 
-use cp_geom::Axis;
-use cp_squish::Region;
+use crate::geom::Axis;
+use crate::squish::Region;
 use serde::{Deserialize, Serialize};
 
 /// Why legalization could not produce a legal pattern.

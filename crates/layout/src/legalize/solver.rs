@@ -1,9 +1,9 @@
 //! The per-axis difference-constraint solver and area repair loop.
 
-use crate::{FailureKind, LegalizeFailure};
-use cp_drc::DesignRules;
-use cp_geom::{label_components, line_edges, Axis, CellRun, ComponentLabels};
-use cp_squish::{Region, SquishPattern, Topology};
+use crate::legalize::{FailureKind, LegalizeFailure};
+use crate::drc::DesignRules;
+use crate::geom::{label_components, line_edges, Axis, CellRun, ComponentLabels};
+use crate::squish::{Region, SquishPattern, Topology};
 use rand::Rng;
 
 /// Most area-repair passes one call makes. A pass only ever adds slack,
@@ -559,7 +559,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_drc::check_pattern;
+    use crate::drc::check_pattern;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -825,7 +825,7 @@ mod tests {
     fn legalize_matches_the_reference_on_model_samples() {
         use cp_dataset::{DatasetBuilder, Style};
         use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
-        let fitted: Vec<(u32, Vec<Topology>)> = Style::ALL
+        let fitted: Vec<(u32, Vec<_>)> = Style::ALL
             .iter()
             .map(|&style| {
                 let data = DatasetBuilder::new(style)
@@ -837,7 +837,7 @@ mod tests {
                 (style.id(), data.topologies().cloned().collect())
             })
             .collect();
-        let refs: Vec<(u32, &[Topology])> =
+        let refs: Vec<(u32, &[_])> =
             fitted.iter().map(|(id, t)| (*id, t.as_slice())).collect();
         let model = DiffusionModel::new(
             NoiseSchedule::scaled_default(6),
@@ -850,6 +850,9 @@ mod tests {
         for n in [128, 512] {
             for style in Style::ALL {
                 let t = model.sample(n, n, Some(style.id()), &mut r);
+                // The model links this crate's library build, whose
+                // `Topology` is another type than this test build's.
+                let t = Topology::from_bytes(t.rows(), t.cols(), t.as_bytes().to_vec());
                 // The frame the product uses, frames a little above and
                 // at the minimal extents (little or no slack for area
                 // repair), and one nm short of each.

@@ -5,15 +5,15 @@
 //! `Legalizer::legalize` must return exactly what [`legalize`] here
 //! returns, and `collect_bounds` the same bounds (see the equivalence
 //! tests in `solver.rs`). Only the components come from
-//! `cp_geom::label_components`, whose own oracle is the flood fill; the
+//! `crate::geom::label_components`, whose own oracle is the flood fill; the
 //! cell lists are gathered from them in the raster order the old
 //! per-cell scan pushed them in.
 
 use super::{last_max, IntervalBound};
-use crate::{FailureKind, LegalizeFailure};
-use cp_drc::DesignRules;
-use cp_geom::{label_components, Axis};
-use cp_squish::{Region, SquishPattern, Topology};
+use crate::legalize::{FailureKind, LegalizeFailure};
+use crate::drc::DesignRules;
+use crate::geom::{label_components, Axis};
+use crate::squish::{Region, SquishPattern, Topology};
 use rand::Rng;
 
 const AREA_REPAIR_ITERS: usize = 64;

@@ -23,8 +23,8 @@
 //! # Example
 //!
 //! ```
-//! use cp_geom::{Layout, Rect};
-//! use cp_squish::SquishPattern;
+//! use cp_layout::geom::{Layout, Rect};
+//! use cp_layout::squish::SquishPattern;
 //!
 //! let mut layout = Layout::new(Rect::new(0, 0, 100, 100));
 //! layout.push(Rect::new(10, 20, 40, 60));

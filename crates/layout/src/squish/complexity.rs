@@ -9,7 +9,7 @@
 //! group count directly on a (possibly normalized, i.e. padded) topology
 //! matrix makes the measure independent of normalization.
 
-use crate::Topology;
+use crate::squish::Topology;
 use serde::{Deserialize, Serialize};
 
 /// Scan-line complexity of a pattern.
@@ -43,7 +43,7 @@ impl std::fmt::Display for Complexity {
 /// # Example
 ///
 /// ```
-/// use cp_squish::{complexity, Topology};
+/// use cp_layout::squish::{complexity, Topology};
 /// let t = Topology::from_ascii("11..\n11..");
 /// let c = complexity(&t);
 /// assert_eq!((c.cx, c.cy), (2, 1));
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn normalization_does_not_change_complexity() {
-        use crate::{normalize_to, SquishPattern};
+        use crate::squish::{normalize_to, SquishPattern};
         let t = Topology::from_ascii(
             "#.#
              .#.",

@@ -8,7 +8,7 @@
 //! the physical geometry unchanged (the same trick as the adaptive squish
 //! pattern datasets the paper trains on).
 
-use crate::{SquishPattern, Topology};
+use crate::squish::{SquishPattern, Topology};
 
 /// Normalizes a squish pattern to exactly `rows × cols` by splitting the
 /// largest Δ interval along each axis until the target is reached.
@@ -21,7 +21,7 @@ use crate::{SquishPattern, Topology};
 /// # Example
 ///
 /// ```
-/// use cp_squish::{normalize_to, SquishPattern, Topology};
+/// use cp_layout::squish::{normalize_to, SquishPattern, Topology};
 /// let t = Topology::from_ascii("#.");
 /// let sq = SquishPattern::new(t, vec![30, 70], vec![50]);
 /// let n = normalize_to(&sq, 4, 4).unwrap();

@@ -1,7 +1,7 @@
 //! Squish patterns: topology + geometry vectors.
 
-use crate::{Packed, Topology};
-use cp_geom::{Layout, Rect, ScanLines};
+use crate::squish::{Packed, Topology};
+use crate::geom::{Layout, Rect, ScanLines};
 use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
 /// A full squish pattern: binary topology matrix `T` plus the Δx/Δy
@@ -15,8 +15,8 @@ use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 /// # Example
 ///
 /// ```
-/// use cp_geom::{Layout, Rect};
-/// use cp_squish::SquishPattern;
+/// use cp_layout::geom::{Layout, Rect};
+/// use cp_layout::squish::SquishPattern;
 /// let mut layout = Layout::new(Rect::new(0, 0, 100, 80));
 /// layout.push(Rect::new(10, 10, 60, 40));
 /// let sq = SquishPattern::from_layout(&layout);

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use cp_squish::Region;
+/// use cp_layout::squish::Region;
 /// let r = Region::new(2, 3, 6, 9);
 /// assert_eq!(r.height(), 4);
 /// assert_eq!(r.width(), 6);

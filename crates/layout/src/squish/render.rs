@@ -1,6 +1,6 @@
 //! Rendering topologies for inspection (ASCII art).
 
-use crate::Topology;
+use crate::squish::Topology;
 
 /// Renders a topology as ASCII art (`#` drawn, `.` empty), optionally
 /// downsampling so the output fits in `max_cols` columns.
@@ -8,7 +8,7 @@ use crate::Topology;
 /// # Example
 ///
 /// ```
-/// use cp_squish::{render::to_ascii, Topology};
+/// use cp_layout::squish::{render::to_ascii, Topology};
 /// let t = Topology::from_ascii("#.\n.#");
 /// assert_eq!(to_ascii(&t, 80), "#.\n.#\n");
 /// ```

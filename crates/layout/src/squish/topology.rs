@@ -1,6 +1,6 @@
 //! Binary topology matrices.
 
-use crate::Region;
+use crate::squish::Region;
 use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
 /// The most cells the topologies one request asks for may total, 4 Mi.
@@ -32,7 +32,7 @@ pub fn fits_one_request(rows: usize, cols: usize, count: usize) -> bool {
 /// # Example
 ///
 /// ```
-/// use cp_squish::Topology;
+/// use cp_layout::squish::Topology;
 /// let mut t = Topology::filled(4, 4, false);
 /// t.set(1, 2, true);
 /// assert!(t.get(1, 2));
@@ -353,13 +353,13 @@ fn cells_are_binary(bits: &[u8]) -> bool {
 }
 
 /// Writes the topology it borrows — a [`Topology`], or the one inside a
-/// [`crate::SquishPattern`] — in the packed form (one bit a cell; the
+/// [`crate::squish::SquishPattern`] — in the packed form (one bit a cell; the
 /// grammar is in [`Topology`]'s docs) and everything else about the
 /// value as the value itself would. Session snapshots are written
 /// through it; requests may be.
 ///
 /// ```
-/// use cp_squish::{Packed, Topology};
+/// use cp_layout::squish::{Packed, Topology};
 /// let t = Topology::from_ascii("#.#.#\n.....");
 /// let text = serde_json::to_string(&Packed(&t)).unwrap();
 /// assert_eq!(text, r#"{"cols":5,"packed":"a800","rows":2}"#);

@@ -1,6 +1,6 @@
 //! Diversity: Shannon entropy over pattern complexities (paper Eq. 8).
 
-use cp_squish::{complexity, Complexity, Topology};
+use cp_layout::squish::{complexity, Complexity, Topology};
 use std::collections::HashMap;
 
 /// Histogram of `(cx, cy)` complexities over a library.

@@ -1,8 +1,8 @@
 //! Legality: the fraction of topologies that legalize DRC-clean (Eq. 7).
 
-use cp_drc::{check_pattern, DesignRules};
-use cp_legalize::{LegalizeFailure, Legalizer};
-use cp_squish::{SquishPattern, Topology};
+use cp_layout::drc::{check_pattern, DesignRules};
+use cp_layout::legalize::{LegalizeFailure, Legalizer};
+use cp_layout::squish::{SquishPattern, Topology};
 use rand::Rng;
 
 /// Outcome of legalizing a single topology.

@@ -17,7 +17,7 @@
 //!
 //! ```
 //! use cp_metrics::diversity;
-//! use cp_squish::Topology;
+//! use cp_layout::squish::Topology;
 //! // Four distinct complexities, uniformly distributed → H = 2 bits.
 //! let library = vec![
 //!     Topology::from_ascii("1...\n....\n....\n...."),

@@ -1,8 +1,8 @@
 //! Library summary statistics (the agent's experience documents).
 
 use crate::{diversity, legality, LegalityReport};
-use cp_drc::DesignRules;
-use cp_squish::Topology;
+use cp_layout::drc::DesignRules;
+use cp_layout::squish::Topology;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 

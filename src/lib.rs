@@ -62,13 +62,10 @@ pub use cp_agent as agent;
 pub use cp_baselines as baselines;
 pub use cp_dataset as dataset;
 pub use cp_diffusion as diffusion;
-pub use cp_drc as drc;
 pub use cp_extend as extend;
-pub use cp_geom as geom;
-pub use cp_legalize as legalize;
+pub use cp_layout::{drc, geom, legalize, squish};
 pub use cp_metrics as metrics;
 pub use cp_net as net;
-pub use cp_squish as squish;
 
 pub use chatpattern_core::{
     ChatOutcome, ChatParams, ChatPattern, ChatPatternBuilder, ChatSession, EngineConfig,

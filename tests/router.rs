@@ -664,7 +664,7 @@ fn a_spliced_reply_is_the_line_the_typed_path_would_write() {
     };
     let modify = chatpattern::ModifyParams {
         known: topologies[0].clone(),
-        region: cp_squish::Region::new(2, 2, 9, 9),
+        region: cp_layout::squish::Region::new(2, 2, 9, 9),
         style: Style::Layer10001,
         seed: 13,
     };
