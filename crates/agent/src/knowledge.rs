@@ -12,7 +12,7 @@
 //! from [`KnowledgeBase::new`] and no tool calls
 //! [`KnowledgeBase::record_extension`] or
 //! [`KnowledgeBase::record_diversity`], so `get_documentation` always
-//! recommends the Out-Painting fallback of [`KnowledgeBase::recommend`].
+//! recommends the Out-Painting fallback of `KnowledgeBase::recommend`.
 
 use cp_extend::ExtensionMethod;
 use serde::{Deserialize, Serialize};
@@ -34,7 +34,7 @@ pub struct MethodStats {
 impl MethodStats {
     /// Observed legality ratio (0 when nothing recorded).
     #[must_use]
-    pub fn legality(&self) -> f64 {
+    pub(crate) fn legality(&self) -> f64 {
         if self.attempts == 0 {
             0.0
         } else {
@@ -44,7 +44,7 @@ impl MethodStats {
 
     /// Mean observed diversity (0 when nothing recorded).
     #[must_use]
-    pub fn mean_diversity(&self) -> f64 {
+    pub(crate) fn mean_diversity(&self) -> f64 {
         if self.diversity_count == 0 {
             0.0
         } else {
@@ -95,7 +95,7 @@ impl KnowledgeBase {
 
     /// Statistics for a (style, method), if any were recorded.
     #[must_use]
-    pub fn stats(&self, style: u32, method: ExtensionMethod) -> Option<&MethodStats> {
+    pub(crate) fn stats(&self, style: u32, method: ExtensionMethod) -> Option<&MethodStats> {
         self.stats.get(&(style, method.name().to_owned()))
     }
 
@@ -103,7 +103,7 @@ impl KnowledgeBase {
     /// best observed legality; ties and absent data fall back to
     /// out-painting (the documented default).
     #[must_use]
-    pub fn recommend(&self, style: u32) -> ExtensionMethod {
+    pub(crate) fn recommend(&self, style: u32) -> ExtensionMethod {
         let out = self
             .stats(style, ExtensionMethod::OutPainting)
             .map(MethodStats::legality);
@@ -117,7 +117,7 @@ impl KnowledgeBase {
     }
 
     /// Appends a free-text experience note.
-    pub fn add_experience(&mut self, text: impl Into<String>) {
+    pub(crate) fn add_experience(&mut self, text: impl Into<String>) {
         self.experiences.push(text.into());
     }
 
@@ -129,7 +129,7 @@ impl KnowledgeBase {
 
     /// Renders the documentation section of the system prompt.
     #[must_use]
-    pub fn render_documents(&self) -> String {
+    pub(crate) fn render_documents(&self) -> String {
         let mut out = String::from("Extension-method statistics (legality / mean diversity):\n");
         let mut keys: Vec<_> = self.stats.keys().collect();
         keys.sort();

@@ -40,11 +40,9 @@ pub mod session;
 pub mod tools;
 
 pub use knowledge::KnowledgeBase;
-pub use llm::{AgentAction, AgentStep, LanguageModel, Message, MockLlm, Role};
+pub use llm::{AgentAction, AgentStep, LanguageModel, Message, Role};
 pub use policy::{ExpertPolicy, PolicySnapshot};
-pub use requirement::{
-    auto_format, auto_format_with_context, try_auto_format, Requirement, RequirementError,
-};
+pub use requirement::{auto_format, try_auto_format, Requirement, RequirementError};
 pub use session::{
     render_transcript, AgentSession, AgentSnapshot, SessionReport, SnapshotError, TurnReport,
 };

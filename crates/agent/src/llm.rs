@@ -28,7 +28,7 @@ pub struct Message {
 impl Message {
     /// Convenience constructor.
     #[must_use]
-    pub fn new(role: Role, content: impl Into<String>) -> Message {
+    pub(crate) fn new(role: Role, content: impl Into<String>) -> Message {
         Message {
             role,
             content: content.into(),
@@ -66,8 +66,8 @@ pub struct AgentStep {
 ///
 /// Implementations receive the full transcript (system prompt, user
 /// requirement, prior thoughts/actions/observations) and emit the next
-/// step. [`crate::ExpertPolicy`] is the deterministic expert; [`MockLlm`]
-/// replays canned steps for protocol tests; external LLM bindings can
+/// step. [`crate::ExpertPolicy`] is the deterministic expert; a scripted
+/// mock replays canned steps in the protocol tests; external LLM bindings can
 /// implement this trait without touching the rest of the system.
 pub trait LanguageModel {
     /// Produces the next step given the transcript so far.
@@ -80,42 +80,42 @@ pub trait LanguageModel {
     /// stateful models (planners, state machines) can reset their
     /// per-turn plan while keeping whatever cross-turn context they
     /// maintain. The default is a no-op: a purely transcript-driven
-    /// model (or a scripted [`MockLlm`]) needs nothing here.
+    /// model (or a scripted mock) needs nothing here.
     fn begin_turn(&mut self) {}
 }
 
-/// A scripted model that replays a fixed list of steps.
-#[derive(Debug, Clone, Default)]
-pub struct MockLlm {
-    steps: Vec<AgentStep>,
-    cursor: usize,
-}
-
-impl MockLlm {
-    /// Creates a mock that replays `steps` in order, then finishes.
-    #[must_use]
-    pub fn new(steps: Vec<AgentStep>) -> MockLlm {
-        MockLlm { steps, cursor: 0 }
-    }
-}
-
-impl LanguageModel for MockLlm {
-    fn next_step(&mut self, _transcript: &[Message]) -> AgentStep {
-        let step = self.steps.get(self.cursor).cloned().unwrap_or(AgentStep {
-            thought: "No scripted steps remain.".to_owned(),
-            action: AgentAction::Finish {
-                summary: "mock exhausted".to_owned(),
-            },
-        });
-        self.cursor += 1;
-        step
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use serde_json::json;
+
+    /// A scripted model that replays a fixed list of steps.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct MockLlm {
+        steps: Vec<AgentStep>,
+        cursor: usize,
+    }
+
+    impl MockLlm {
+        /// Creates a mock that replays `steps` in order, then finishes.
+        #[must_use]
+        pub(crate) fn new(steps: Vec<AgentStep>) -> MockLlm {
+            MockLlm { steps, cursor: 0 }
+        }
+    }
+
+    impl LanguageModel for MockLlm {
+        fn next_step(&mut self, _transcript: &[Message]) -> AgentStep {
+            let step = self.steps.get(self.cursor).cloned().unwrap_or(AgentStep {
+                thought: "No scripted steps remain.".to_owned(),
+                action: AgentAction::Finish {
+                    summary: "mock exhausted".to_owned(),
+                },
+            });
+            self.cursor += 1;
+            step
+        }
+    }
 
     #[test]
     fn mock_replays_then_finishes() {

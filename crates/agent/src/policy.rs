@@ -77,7 +77,7 @@ impl ExpertPolicy {
     /// Creates a policy processing `batch_size` topologies per round and
     /// repairing each failed topology at most `max_repairs` times.
     #[must_use]
-    pub fn new(batch_size: usize, max_repairs: u64) -> ExpertPolicy {
+    pub(crate) fn new(batch_size: usize, max_repairs: u64) -> ExpertPolicy {
         ExpertPolicy {
             batch_size: batch_size.max(1),
             max_repairs,
@@ -98,13 +98,6 @@ impl ExpertPolicy {
         }
     }
 
-    /// The requirement lists produced by auto-formatting (available after
-    /// the first step).
-    #[must_use]
-    pub fn requirements(&self) -> &[Requirement] {
-        &self.requirements
-    }
-
     /// Captures the state that survives turns: the configuration, the
     /// learned model `window`, and the carried requirement. Everything
     /// else is per-turn plan state that [`LanguageModel::begin_turn`]
@@ -112,7 +105,7 @@ impl ExpertPolicy {
     /// a policy whose next turn is byte-identical to the uninterrupted
     /// run.
     #[must_use]
-    pub fn snapshot(&self) -> PolicySnapshot {
+    pub(crate) fn snapshot(&self) -> PolicySnapshot {
         PolicySnapshot {
             batch_size: self.batch_size,
             max_repairs: self.max_repairs,
@@ -124,7 +117,7 @@ impl ExpertPolicy {
     /// Rebuilds a policy from a [`PolicySnapshot`] (the between-turns
     /// counterpart of [`ExpertPolicy::snapshot`]).
     #[must_use]
-    pub fn from_snapshot(snapshot: PolicySnapshot) -> ExpertPolicy {
+    pub(crate) fn from_snapshot(snapshot: PolicySnapshot) -> ExpertPolicy {
         ExpertPolicy {
             window: snapshot.window,
             carry: snapshot.carry,
@@ -350,7 +343,7 @@ impl ExpertPolicy {
 }
 
 /// The cross-turn state of an [`ExpertPolicy`], serializable for
-/// session snapshots (see [`ExpertPolicy::snapshot`]).
+/// session snapshots (see `ExpertPolicy::snapshot`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicySnapshot {
     /// Topologies processed per generation round.

@@ -22,7 +22,7 @@ pub const STANDARD_PIPELINE: &str = "Standard working pipeline:\n\
 /// Builds the full system prompt: agent setting, tool documentation and
 /// documents/experience.
 #[must_use]
-pub fn system_prompt(tools: &ToolRegistry, knowledge: &KnowledgeBase) -> String {
+pub(crate) fn system_prompt(tools: &ToolRegistry, knowledge: &KnowledgeBase) -> String {
     format!(
         "#1 Agent Setting\n{AGENT_SETTING}\n\n\
          #2 Tool Learning\nDuring the design process, you have access to the \

@@ -27,12 +27,6 @@ impl RequirementError {
             message: message.into(),
         }
     }
-
-    /// The error message.
-    #[must_use]
-    pub fn message(&self) -> &str {
-        &self.message
-    }
 }
 
 impl std::fmt::Display for RequirementError {
@@ -67,7 +61,7 @@ impl Requirement {
     /// Renders the paper's requirement-list template for sub-task `index`
     /// (1-based).
     #[must_use]
-    pub fn render(&self, index: usize) -> String {
+    pub(crate) fn render(&self, index: usize) -> String {
         format!(
             "# Requirement - subtask {index}\n\
              ## Basic Part: Topology Size: [{}, {}], Physical Size: [{}, {}] nm, \
@@ -125,7 +119,10 @@ pub fn auto_format(request: &str) -> Vec<Requirement> {
 ///
 /// With `context = None` this is exactly [`auto_format`].
 #[must_use]
-pub fn auto_format_with_context(request: &str, context: Option<&Requirement>) -> Vec<Requirement> {
+pub(crate) fn auto_format_with_context(
+    request: &str,
+    context: Option<&Requirement>,
+) -> Vec<Requirement> {
     let tokens = tokenize(request);
     let sizes = find_sizes(&tokens);
     let topo_sizes: Vec<(usize, usize)> = sizes
@@ -624,7 +621,7 @@ mod tests {
     #[test]
     fn try_auto_format_rejects_empty_requests() {
         let err = try_auto_format("   ").expect_err("empty request must fail");
-        assert!(err.message().contains("empty"));
+        assert!(err.to_string().contains("empty"));
         assert!(err.to_string().contains("requirement parsing failed"));
     }
 
@@ -634,7 +631,7 @@ mod tests {
             "Generate 1 pattern, topology size chosen from 16*16 and 32*32, style Layer-10001.",
         )
         .expect_err("1 pattern over 2 sub-tasks must fail");
-        assert!(err.message().contains("zero patterns"));
+        assert!(err.to_string().contains("zero patterns"));
     }
 
     #[test]

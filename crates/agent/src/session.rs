@@ -33,16 +33,10 @@ pub struct SnapshotError {
 impl SnapshotError {
     /// Creates an error with a message.
     #[must_use]
-    pub fn new(message: impl Into<String>) -> SnapshotError {
+    pub(crate) fn new(message: impl Into<String>) -> SnapshotError {
         SnapshotError {
             message: message.into(),
         }
-    }
-
-    /// The error message.
-    #[must_use]
-    pub fn message(&self) -> &str {
-        &self.message
     }
 }
 
@@ -182,12 +176,6 @@ impl<L: LanguageModel> AgentSession<L> {
     #[must_use]
     pub fn library(&self) -> &[SquishPattern] {
         self.ctx.library()
-    }
-
-    /// The full transcript so far (system prompt plus every turn).
-    #[must_use]
-    pub fn transcript(&self) -> &[Message] {
-        &self.transcript
     }
 
     /// Runs one ReAct loop over `utterance`. The working library,
@@ -347,7 +335,8 @@ impl AgentSession<ExpertPolicy> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::llm::{AgentStep, MockLlm};
+    use crate::llm::tests::MockLlm;
+    use crate::llm::AgentStep;
     use crate::{ExpertPolicy, KnowledgeBase};
     use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
     use cp_layout::drc::DesignRules;
@@ -565,7 +554,7 @@ mod tests {
         let (sampler, legalizer) = test_deps();
         let err = AgentSession::restore(snapshot, ToolRegistry::standard(), sampler, legalizer)
             .expect_err("corrupt RNG state must be rejected");
-        assert!(err.message().contains("corrupt RNG state"), "{err}");
+        assert!(err.to_string().contains("corrupt RNG state"), "{err}");
     }
 
     #[test]

@@ -11,7 +11,9 @@ use cp_dataset::Style;
 use cp_diffusion::{Mask, PatternSampler};
 use cp_extend::{extend, ExtensionMethod};
 use cp_layout::legalize::Legalizer;
-use cp_layout::squish::{fits_one_request, Packed, Region, SquishPattern, Topology, MAX_REQUEST_CELLS};
+use cp_layout::squish::{
+    fits_one_request, Packed, Region, SquishPattern, Topology, MAX_REQUEST_CELLS,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Serializer};
@@ -35,7 +37,7 @@ impl ToolError {
 
     /// The error message.
     #[must_use]
-    pub fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         &self.message
     }
 }
@@ -107,32 +109,26 @@ impl ToolContext {
 
     /// The model's native window size.
     #[must_use]
-    pub fn window(&self) -> usize {
+    pub(crate) fn window(&self) -> usize {
         self.sampler.window()
     }
 
     /// Patterns accumulated in the final library.
     #[must_use]
-    pub fn library(&self) -> &[SquishPattern] {
+    pub(crate) fn library(&self) -> &[SquishPattern] {
         &self.library
     }
 
     /// Consumes the context, returning the library.
     #[must_use]
-    pub fn into_library(self) -> Vec<SquishPattern> {
+    pub(crate) fn into_library(self) -> Vec<SquishPattern> {
         self.library
     }
 
     /// The knowledge base.
     #[must_use]
-    pub fn knowledge(&self) -> &KnowledgeBase {
+    pub(crate) fn knowledge(&self) -> &KnowledgeBase {
         &self.knowledge
-    }
-
-    /// Looks up a stored pattern.
-    #[must_use]
-    pub fn stored(&self, id: u64) -> Option<&StoredPattern> {
-        self.store.get(&id)
     }
 
     fn insert(&mut self, pattern: StoredPattern) -> u64 {
@@ -149,7 +145,7 @@ impl ToolContext {
     /// [`ToolContext::restore`], so a snapshot stays small and a
     /// restored context behaves byte-identically on the same back-end.
     #[must_use]
-    pub fn snapshot(&self) -> ContextSnapshot {
+    pub(crate) fn snapshot(&self) -> ContextSnapshot {
         let mut store: Vec<(u64, StoredPattern)> = self
             .store
             .iter()
@@ -175,7 +171,7 @@ impl ToolContext {
     ///
     /// Returns a [`SnapshotError`] when the RNG state words are
     /// corrupt (wrong count or out-of-range cursor).
-    pub fn restore(
+    pub(crate) fn restore(
         snapshot: ContextSnapshot,
         sampler: Box<dyn PatternSampler>,
         legalizer: Legalizer,
@@ -200,7 +196,7 @@ impl ToolContext {
 }
 
 /// The serializable mutable state of a [`ToolContext`] (see
-/// [`ToolContext::snapshot`]). Store entries are sorted by id so the
+/// `ToolContext::snapshot`). Store entries are sorted by id so the
 /// serialized form is deterministic.
 ///
 /// This is where a session's topologies rest, and the one place that
@@ -340,13 +336,13 @@ impl ToolRegistry {
 
     /// Registered tool names.
     #[must_use]
-    pub fn names(&self) -> Vec<&'static str> {
+    pub(crate) fn names(&self) -> Vec<&'static str> {
         self.tools.iter().map(|t| t.name()).collect()
     }
 
     /// Looks a tool up by name.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<&dyn Tool> {
+    pub(crate) fn get(&self, name: &str) -> Option<&dyn Tool> {
         self.tools.iter().find(|t| t.name() == name).map(|b| &**b)
     }
 
@@ -357,7 +353,7 @@ impl ToolRegistry {
     ///
     /// Returns a [`ToolError`] for unknown tool names and for failures
     /// inside the tool itself.
-    pub fn dispatch(
+    pub(crate) fn dispatch(
         &self,
         ctx: &mut ToolContext,
         name: &str,
@@ -371,7 +367,7 @@ impl ToolRegistry {
     /// Renders the `(functions and descriptions)` block of the system
     /// prompt (#2 Tool Learning in Figure 4).
     #[must_use]
-    pub fn render_descriptions(&self) -> String {
+    pub(crate) fn render_descriptions(&self) -> String {
         self.tools
             .iter()
             .map(|t| format!("- {}: {}", t.name(), t.description()))
@@ -849,7 +845,7 @@ mod tests {
             json!({"ids": [id], "target": [32, 32], "method": "Out"}),
         );
         assert_eq!(out["method"], "Out");
-        assert_eq!(ctx.stored(id).expect("stored").topology.shape(), (32, 32));
+        assert_eq!(ctx.store[&id].topology.shape(), (32, 32));
         // A target no reply could carry is an observation for the
         // agent, not a canvas allocation (this one would be 9 TB).
         for side in [3_000_000u64, 1 << 32] {
@@ -860,7 +856,7 @@ mod tests {
                 .expect_err("refused");
             assert!(err.to_string().contains("exceeds"), "{err}");
         }
-        assert_eq!(ctx.stored(id).expect("stored").topology.shape(), (32, 32));
+        assert_eq!(ctx.store[&id].topology.shape(), (32, 32));
     }
 
     #[test]
@@ -901,7 +897,7 @@ mod tests {
             json!({"count": 1, "style": "Layer-10001"}),
         );
         let id = out["ids"][0].as_u64().expect("id");
-        let before = ctx.stored(id).expect("stored").topology.clone();
+        let before = ctx.store[&id].topology.clone();
         let out = call(
             &mut ctx,
             "topology_modification",
@@ -909,7 +905,7 @@ mod tests {
                    "style": "Layer-10001", "seed": 42}),
         );
         assert_eq!(out["modified_cells"], 64);
-        let after = &ctx.stored(id).expect("stored").topology;
+        let after = &ctx.store[&id].topology;
         assert_eq!(after.shape(), before.shape());
     }
 

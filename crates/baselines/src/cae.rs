@@ -29,12 +29,6 @@ impl Cae {
             pca: PcaModel::fit(data, latent_dim),
         }
     }
-
-    /// The underlying linear model.
-    #[must_use]
-    pub fn pca(&self) -> &PcaModel {
-        &self.pca
-    }
 }
 
 impl Generator for Cae {

@@ -31,12 +31,6 @@ impl DiffPattern {
             model: DiffusionModel::new(NoiseSchedule::scaled_default(steps), denoiser, native_size),
         }
     }
-
-    /// The underlying diffusion model (for extension experiments).
-    #[must_use]
-    pub fn model(&self) -> &DiffusionModel<MrfDenoiser> {
-        &self.model
-    }
 }
 
 impl Generator for DiffPattern {

@@ -51,12 +51,6 @@ impl LayouTransformer {
         }
         LayouTransformer { table }
     }
-
-    /// Fitted `P(bit | context)` table.
-    #[must_use]
-    pub fn table(&self) -> &[f64; CONTEXTS] {
-        &self.table
-    }
 }
 
 /// Causal context: (left, left−2, up, up−2, up-left, up-right), bits in
@@ -126,7 +120,7 @@ mod tests {
         // Context "up set, up-left set, left set" (bits 0,2,4) strongly
         // predicts continuation of a solid region in stripe data.
         let ctx = 0b010101;
-        assert!(lt.table()[ctx] > 0.5, "p = {}", lt.table()[ctx]);
+        assert!(lt.table[ctx] > 0.5, "p = {}", lt.table[ctx]);
     }
 
     #[test]

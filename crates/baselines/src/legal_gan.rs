@@ -47,18 +47,6 @@ impl LegalGan {
         }
     }
 
-    /// Fitted minimum horizontal run length.
-    #[must_use]
-    pub fn min_run_x(&self) -> usize {
-        self.min_run_x
-    }
-
-    /// Fitted minimum vertical run length.
-    #[must_use]
-    pub fn min_run_y(&self) -> usize {
-        self.min_run_y
-    }
-
     /// Cleans a generated topology: majority smoothing, then pruning of
     /// sub-minimum runs along both axes.
     #[must_use]
@@ -136,8 +124,8 @@ mod tests {
     #[test]
     fn fit_learns_run_minima() {
         let gan = LegalGan::fit(&clean_data());
-        assert_eq!(gan.min_run_x(), 4);
-        assert!(gan.min_run_y() >= 8); // capped at 8
+        assert_eq!(gan.min_run_x, 4);
+        assert!(gan.min_run_y >= 8); // capped at 8
     }
 
     #[test]

@@ -23,7 +23,7 @@ impl PcaModel {
     ///
     /// Panics if `data` is empty, shapes are inconsistent, or `k == 0`.
     #[must_use]
-    pub fn fit(data: &[Topology], k: usize) -> PcaModel {
+    pub(crate) fn fit(data: &[Topology], k: usize) -> PcaModel {
         assert!(!data.is_empty(), "PCA needs data");
         assert!(k > 0, "need at least one component");
         let (rows, cols) = data[0].shape();
@@ -101,41 +101,26 @@ impl PcaModel {
 
     /// Training shape `(rows, cols)`.
     #[must_use]
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
     /// Number of fitted components.
     #[must_use]
-    pub fn component_count(&self) -> usize {
+    pub(crate) fn component_count(&self) -> usize {
         self.components.len()
     }
 
     /// Standard deviations along the components (√eigenvalues).
     #[must_use]
-    pub fn sigmas(&self) -> &[f64] {
+    pub(crate) fn sigmas(&self) -> &[f64] {
         &self.sigmas
     }
 
     /// Mean density of the training data.
     #[must_use]
-    pub fn mean_density(&self) -> f64 {
+    pub(crate) fn mean_density(&self) -> f64 {
         self.mean.iter().sum::<f64>() / self.mean.len() as f64
-    }
-
-    /// Projects a topology onto the latent space.
-    #[must_use]
-    pub fn encode(&self, t: &Topology) -> Vec<f64> {
-        let x: Vec<f64> = t
-            .as_bytes()
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| f64::from(b) - self.mean[i])
-            .collect();
-        self.components
-            .iter()
-            .map(|c| c.iter().zip(&x).map(|(a, b)| a * b).sum())
-            .collect()
     }
 
     /// Decodes a latent vector to a continuous reconstruction.
@@ -144,7 +129,7 @@ impl PcaModel {
     ///
     /// Panics if `z` length differs from the component count.
     #[must_use]
-    pub fn decode(&self, z: &[f64]) -> Vec<f64> {
+    pub(crate) fn decode(&self, z: &[f64]) -> Vec<f64> {
         assert_eq!(z.len(), self.components.len(), "latent dim mismatch");
         let mut x = self.mean.clone();
         for (zi, comp) in z.iter().zip(&self.components) {
@@ -158,7 +143,7 @@ impl PcaModel {
     /// Thresholds a continuous reconstruction at `threshold` into a
     /// topology of the training shape.
     #[must_use]
-    pub fn binarize(&self, x: &[f64], threshold: f64) -> Topology {
+    pub(crate) fn binarize(&self, x: &[f64], threshold: f64) -> Topology {
         Topology::from_fn(self.rows, self.cols, |r, c| {
             x[r * self.cols + c] > threshold
         })
@@ -214,23 +199,6 @@ mod tests {
                 assert!(dot.abs() < 1e-6, "components {i},{j} not orthogonal");
             }
         }
-    }
-
-    #[test]
-    fn encode_decode_reconstructs_training_data() {
-        let data = striped_data();
-        // Stripes with 4 phases live in a low-dimensional subspace.
-        let pca = PcaModel::fit(&data, 4);
-        let z = pca.encode(&data[0]);
-        let x = pca.decode(&z);
-        let rec = pca.binarize(&x, 0.5);
-        let diff = rec
-            .as_bytes()
-            .iter()
-            .zip(data[0].as_bytes())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert!(diff <= 4, "reconstruction differs in {diff} cells");
     }
 
     #[test]

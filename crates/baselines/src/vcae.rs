@@ -30,12 +30,6 @@ impl Vcae {
             pca: PcaModel::fit(data, latent_dim),
         }
     }
-
-    /// The underlying linear model.
-    #[must_use]
-    pub fn pca(&self) -> &PcaModel {
-        &self.pca
-    }
 }
 
 impl Generator for Vcae {

@@ -18,7 +18,7 @@
 //! fall-back would turn a typo into a mismatch nobody can explain.
 //!
 //! The physical frame is `16 nm × topology size` (see
-//! [`BenchConfig::frame_nm`]), and free-size experiments run at
+//! `BenchConfig::frame_nm`), and free-size experiments run at
 //! 2×/4×/8× the window (the paper's 256²/512²/1024²).
 
 pub mod quality;
@@ -87,7 +87,7 @@ impl BenchConfig {
     /// held against a frame carries the largest minimal legal extent of
     /// its topologies beside it, for re-tuning at other scales.
     #[must_use]
-    pub fn frame_nm(&self, size: usize) -> i64 {
+    pub(crate) fn frame_nm(&self, size: usize) -> i64 {
         (size as i64) * 16
     }
 

@@ -20,12 +20,12 @@ use cp_agent::SessionReport;
 use cp_baselines::{concat_extend, Cae, DiffPattern, Generator, LayouTransformer, LegalGan, Vcae};
 use cp_dataset::{DatasetBuilder, Style};
 use cp_diffusion::PatternSampler;
-use cp_layout::drc::{check_pattern, DesignRules};
 use cp_extend::{extend, ExtensionMethod};
+use cp_layout::drc::{check_pattern, DesignRules};
 use cp_layout::geom::Axis;
 use cp_layout::legalize::Legalizer;
-use cp_metrics::{entropy_bits, legality};
 use cp_layout::squish::{complexity, Complexity, SquishPattern, Topology};
+use cp_metrics::{entropy_bits, legality};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};

@@ -41,8 +41,8 @@ use crate::{ChatPattern, EngineStats, Error};
 use cp_dataset::Style;
 use cp_diffusion::Mask;
 use cp_extend::ExtensionMethod;
-use cp_metrics::LibraryStats;
 use cp_layout::squish::{Region, SquishPattern, Topology};
+use cp_metrics::LibraryStats;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -219,7 +219,7 @@ impl PatternRequest {
     /// turns consume a turn token, and session open/restore reserves
     /// an open-session slot.
     #[must_use]
-    pub fn admit_class(&self) -> cp_qos::AdmitClass {
+    pub(crate) fn admit_class(&self) -> cp_qos::AdmitClass {
         let lane = match self {
             PatternRequest::Chat(_)
             | PatternRequest::SessionOpen(_)
@@ -299,14 +299,6 @@ pub struct TurnOutcome {
     pub transcript: Vec<cp_agent::Message>,
 }
 
-impl TurnOutcome {
-    /// Renders this turn's transcript slice in the paper's format.
-    #[must_use]
-    pub fn render_transcript(&self) -> String {
-        cp_agent::render_transcript(&self.transcript)
-    }
-}
-
 /// Wall-clock cost of serving one request.
 ///
 /// Direct [`PatternService::execute`] calls spend no time queued, so
@@ -353,7 +345,7 @@ impl Timing {
 
     /// Timing of an engine-executed job: queue wait plus execution.
     #[must_use]
-    pub fn queued(queue_micros: u64, exec_micros: u64) -> Timing {
+    pub(crate) fn queued(queue_micros: u64, exec_micros: u64) -> Timing {
         Timing {
             micros: queue_micros.saturating_add(exec_micros),
             queue_micros,
@@ -365,7 +357,7 @@ impl Timing {
 
     /// Timing of a cache hit (no queue wait, lookup cost only).
     #[must_use]
-    pub fn cache_hit(exec_micros: u64) -> Timing {
+    pub(crate) fn cache_hit(exec_micros: u64) -> Timing {
         Timing {
             micros: exec_micros,
             queue_micros: 0,
@@ -380,7 +372,7 @@ impl Timing {
     /// `exec_micros` (the engine caps this at the handle's real
     /// elapsed time).
     #[must_use]
-    pub fn coalesced(queue_micros: u64, exec_micros: u64) -> Timing {
+    pub(crate) fn coalesced(queue_micros: u64, exec_micros: u64) -> Timing {
         Timing {
             micros: queue_micros.saturating_add(exec_micros),
             queue_micros,

@@ -23,7 +23,7 @@
 //! is still queued or executing **coalesce** — they attach as waiters
 //! to the single in-flight execution and all receive the same payload,
 //! counted in [`EngineStats::coalesced`] and flagged in
-//! [`Timing::coalesced`]. `Chat` with `seed: null` bypasses both, same
+//! `Timing::coalesced`. `Chat` with `seed: null` bypasses both, same
 //! as the long-standing cache-bypass rule. [`Timing`] distinguishes
 //! queue wait from execution time for every job.
 //!
@@ -79,7 +79,7 @@ impl EngineConfig {
     ///
     /// Returns [`Error::Config`] when `workers` or `queue_depth` is
     /// zero.
-    pub fn validate(&self) -> Result<(), Error> {
+    pub(crate) fn validate(&self) -> Result<(), Error> {
         if self.workers == 0 {
             return Err(Error::config("engine needs at least 1 worker (got 0)"));
         }
@@ -171,7 +171,7 @@ impl EngineStats {
     /// what a direct [`PatternRequest::Stats`] against a
     /// [`ChatPattern`](crate::ChatPattern) reports.
     #[must_use]
-    pub fn from_sessions(sessions: crate::session::SessionStats) -> EngineStats {
+    pub(crate) fn from_sessions(sessions: crate::session::SessionStats) -> EngineStats {
         EngineStats {
             sessions_open: sessions.open,
             sessions_evicted: sessions.evicted,
@@ -245,7 +245,7 @@ impl ConnCounters {
     }
 
     /// Folds the current counter values into a stats snapshot.
-    pub fn fill(&self, stats: &mut EngineStats) {
+    pub(crate) fn fill(&self, stats: &mut EngineStats) {
         stats.connections_live = self.live.load(Ordering::Relaxed);
         stats.connections_peak = self.peak.load(Ordering::Relaxed);
         stats.disconnects_clean = self.clean.load(Ordering::Relaxed);
@@ -538,12 +538,6 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         })
     }
 
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
     /// A snapshot of the activity counters, including the live depth
     /// of the queue and the wrapped service's session gauges.
     #[must_use]
@@ -564,12 +558,6 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
     #[must_use]
     pub fn conn_counters(&self) -> Arc<ConnCounters> {
         Arc::clone(&self.conn)
-    }
-
-    /// The wrapped service.
-    #[must_use]
-    pub fn service(&self) -> &S {
-        &self.core.service
     }
 
     /// Submits a request without blocking.
@@ -1139,7 +1127,7 @@ mod tests {
         let here = thread::current().name().map(str::to_owned);
         let (engine, open_gate) = gated_engine();
         let running = deliver(engine.submit(generate(1)).expect("submits"));
-        engine.service().await_started(1);
+        engine.core.service.await_started(1);
         let queued = deliver(engine.submit(generate(2)).expect("submits"));
         // Dropping fails the queued job, then joins the worker — which
         // is parked at the gate, so the gate is opened from the side,
@@ -1565,7 +1553,7 @@ mod tests {
         // A leader held running, a coalesced waiter on it, a session
         // open queued behind it, and a submit the full queue refuses.
         let leader = engine.submit_as(alice, generate(HOLD)).expect("admits");
-        engine.service().0.await_started(1);
+        engine.core.service.0.await_started(1);
         let waiter = engine.submit_as(alice, generate(HOLD)).expect("coalesces");
         let late_open = PatternRequest::SessionOpen(crate::SessionOpenParams {
             session: "late".into(),

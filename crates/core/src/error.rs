@@ -113,7 +113,7 @@ impl Error {
 
     /// Session-resolution error.
     #[must_use]
-    pub fn session_not_found(id: impl Into<String>, message: impl Into<String>) -> Error {
+    pub(crate) fn session_not_found(id: impl Into<String>, message: impl Into<String>) -> Error {
         Error::SessionNotFound {
             id: id.into(),
             message: message.into(),
@@ -122,7 +122,7 @@ impl Error {
 
     /// Session-durability error (spill write or snapshot decode).
     #[must_use]
-    pub fn session_persist(message: impl Into<String>) -> Error {
+    pub(crate) fn session_persist(message: impl Into<String>) -> Error {
         Error::SessionPersist {
             message: message.into(),
         }
@@ -130,7 +130,7 @@ impl Error {
 
     /// QoS admission rejection with a retry-after hint.
     #[must_use]
-    pub fn overloaded(retry_after_ms: u64) -> Error {
+    pub(crate) fn overloaded(retry_after_ms: u64) -> Error {
         Error::Overloaded { retry_after_ms }
     }
 }

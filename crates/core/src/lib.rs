@@ -88,12 +88,12 @@ use cp_agent::{
 };
 use cp_dataset::{Dataset, DatasetBuilder, Style};
 use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule};
-use cp_layout::drc::DesignRules;
 use cp_extend::ExtensionMethod;
+use cp_layout::drc::DesignRules;
 use cp_layout::legalize::Legalizer;
-use cp_metrics::LibraryStats;
 pub use cp_layout::squish::MAX_REQUEST_CELLS;
 use cp_layout::squish::{fits_one_request, SquishPattern, Topology};
+use cp_metrics::LibraryStats;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -117,7 +117,6 @@ pub struct ChatPatternBuilder {
     diffusion_steps: usize,
     training_patterns: usize,
     seed: u64,
-    rules: DesignRules,
     styles: Vec<Style>,
     sessions: SessionConfig,
     session_dir: Option<PathBuf>,
@@ -132,7 +131,6 @@ impl Default for ChatPatternBuilder {
             diffusion_steps: 12,
             training_patterns: 64,
             seed: 0,
-            rules: DesignRules::reference(),
             styles: Style::ALL.to_vec(),
             sessions: SessionConfig::default(),
             session_dir: None,
@@ -171,13 +169,6 @@ impl ChatPatternBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> ChatPatternBuilder {
         self.seed = seed;
-        self
-    }
-
-    /// Design rules for legalization and evaluation.
-    #[must_use]
-    pub fn rules(mut self, rules: DesignRules) -> ChatPatternBuilder {
-        self.rules = rules;
         self
     }
 
@@ -252,7 +243,7 @@ impl ChatPatternBuilder {
     /// # Errors
     ///
     /// Returns [`Error::Config`] describing the first invalid setting.
-    pub fn validate(&self) -> Result<(), Error> {
+    pub(crate) fn validate(&self) -> Result<(), Error> {
         if self.window < MIN_WINDOW {
             return Err(Error::config(format!(
                 "window must be at least {MIN_WINDOW} cells (got {})",
@@ -342,7 +333,8 @@ impl ChatPatternBuilder {
             self.window,
         );
         let model = Arc::new(model);
-        let legalizer = Legalizer::new(self.rules);
+        let rules = DesignRules::reference();
+        let legalizer = Legalizer::new(rules);
         let sessions = match self.session_dir {
             None => SessionStore::new(self.sessions),
             Some(dir) => {
@@ -384,7 +376,7 @@ impl ChatPatternBuilder {
         Ok(ChatPattern {
             model,
             legalizer,
-            rules: self.rules,
+            rules,
             datasets,
             patch_nm,
             seed: self.seed,
@@ -435,26 +427,14 @@ impl std::fmt::Debug for ChatSession {
 impl ChatSession {
     /// The session id.
     #[must_use]
-    pub fn id(&self) -> &str {
+    pub(crate) fn id(&self) -> &str {
         &self.id
     }
 
     /// The resolved session seed.
     #[must_use]
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Turns processed so far.
-    #[must_use]
-    pub fn turns(&self) -> usize {
-        self.inner.turns()
-    }
-
-    /// The pattern library accumulated so far.
-    #[must_use]
-    pub fn library(&self) -> &[SquishPattern] {
-        self.inner.library()
     }
 
     /// Runs one user turn. The first turn must parse into requirement
@@ -465,7 +445,7 @@ impl ChatSession {
     /// # Errors
     ///
     /// Returns [`Error::Requirement`] when the utterance is unusable.
-    pub fn turn(&mut self, utterance: &str) -> Result<TurnOutcome, Error> {
+    pub(crate) fn turn(&mut self, utterance: &str) -> Result<TurnOutcome, Error> {
         if self.inner.turns() == 0 {
             try_auto_format(utterance)?;
         } else if utterance.trim().is_empty() {
@@ -487,7 +467,7 @@ impl ChatSession {
     /// Consumes the session into its final outcome (full transcript,
     /// cumulative library, last summary).
     #[must_use]
-    pub fn into_outcome(self) -> ChatOutcome {
+    pub(crate) fn into_outcome(self) -> ChatOutcome {
         let report = self.inner.close();
         ChatOutcome {
             summary: report.summary,
@@ -503,7 +483,7 @@ impl ChatSession {
     /// [`ChatSession::restore`]d copy are byte-identical to turns on
     /// the original.
     #[must_use]
-    pub fn snapshot(&self) -> SessionSnapshot {
+    pub(crate) fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             format: SESSION_SNAPSHOT_FORMAT,
             session: self.id.clone(),
@@ -523,7 +503,7 @@ impl ChatSession {
     /// Returns [`Error::SessionPersist`] for an unknown snapshot
     /// format or corrupt state, and [`Error::InvalidRequest`] for an
     /// empty session id.
-    pub fn restore(
+    pub(crate) fn restore(
         snapshot: SessionSnapshot,
         sampler: Box<dyn cp_diffusion::PatternSampler>,
         legalizer: Legalizer,
@@ -554,7 +534,7 @@ impl ChatSession {
 
 /// Version tag of the serialized session snapshot layout. Bump it when
 /// [`SessionSnapshot`] (or anything nested in it) changes shape;
-/// [`ChatSession::restore`] rejects snapshots from unknown formats
+/// `ChatSession::restore` rejects snapshots from unknown formats
 /// with a typed error instead of misreading them. Format 2 added an
 /// optional `compaction` record of trimmed transcript messages, which
 /// this build reads and ignores (nothing trims a transcript any more);
@@ -567,7 +547,7 @@ impl ChatSession {
 /// tripping over `packed`.
 pub const SESSION_SNAPSHOT_FORMAT: u32 = 3;
 
-/// Oldest snapshot format [`ChatSession::restore`] still reads.
+/// Oldest snapshot format `ChatSession::restore` still reads.
 pub const SESSION_SNAPSHOT_FORMAT_MIN: u32 = 1;
 
 /// The complete serializable state of one [`ChatSession`] between
@@ -623,14 +603,8 @@ impl ChatPattern {
 
     /// Native model window size.
     #[must_use]
-    pub fn window(&self) -> usize {
+    pub(crate) fn window(&self) -> usize {
         self.model.native_size()
-    }
-
-    /// Physical patch size the defaults assume (16 nm × window).
-    #[must_use]
-    pub fn patch_nm(&self) -> i64 {
-        self.patch_nm
     }
 
     /// Design rules in force.
@@ -945,7 +919,7 @@ mod tests {
     fn builder_produces_working_system() {
         let system = small_system();
         assert_eq!(system.window(), 16);
-        assert_eq!(system.patch_nm(), 256);
+        assert_eq!(system.patch_nm, 256);
         assert_eq!(system.datasets().len(), 2);
     }
 

@@ -30,7 +30,7 @@
 //!   typed [`Error::SessionPersist`], expiry retries at the next purge
 //!   — never a panic, never a silent drop.
 //! * **Spill-ahead (zero-loss durability).** With a turn trigger
-//!   ([`SessionStore::with_spill_ahead_turns`]) the store also
+//!   (`SessionStore::with_spill_ahead_turns`) the store also
 //!   snapshots *warm* sessions, synchronously after every N-th turn, so
 //!   a crash loses at most the turn that was still in flight, not
 //!   everything since the last eviction.
@@ -87,7 +87,7 @@ impl SessionConfig {
     ///
     /// Returns [`Error::Config`] when `capacity` or `ttl` is zero (a
     /// session that expires the moment it opens can take no turn).
-    pub fn validate(&self) -> Result<(), Error> {
+    pub(crate) fn validate(&self) -> Result<(), Error> {
         if self.capacity == 0 {
             return Err(Error::config(
                 "session store needs capacity for at least 1 session (got 0)",
@@ -279,7 +279,7 @@ const SPILL_TMP_SUFFIX: &str = ".session.tmp";
 /// crash *did* strand are swept on construction. Expiry uses the
 /// file's modification time against the configured TTL.
 ///
-/// With `shards > 1` ([`JsonDirPersist::sharded`]) the files fan out
+/// With `shards > 1` (`JsonDirPersist::sharded`) the files fan out
 /// over `shard-N/` subdirectories keyed by the stable routing hash of
 /// the id, each shard guarded by its own lock — a 10k-session
 /// directory neither serializes every spill on one directory nor
@@ -331,7 +331,7 @@ impl<T> std::fmt::Debug for JsonDirPersist<T> {
 impl<T> JsonDirPersist<T> {
     /// Creates an unsharded layer (all files directly under `dir`),
     /// creating `dir` if needed. Equivalent to
-    /// [`JsonDirPersist::sharded`] with one shard.
+    /// `JsonDirPersist::sharded` with one shard.
     ///
     /// # Errors
     ///
@@ -363,7 +363,7 @@ impl<T> JsonDirPersist<T> {
     /// Returns [`Error::SessionPersist`] when a directory cannot be
     /// created, or when `dir` was created with another shard count;
     /// then no file is touched.
-    pub fn sharded(
+    pub(crate) fn sharded(
         dir: impl Into<PathBuf>,
         ttl: Duration,
         shards: usize,
@@ -452,12 +452,6 @@ impl<T> JsonDirPersist<T> {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
-    }
-
-    /// The directory spilled sessions live in.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The shard owning `id`, by the same stable hash the router uses
@@ -650,7 +644,7 @@ impl<T> std::fmt::Debug for SessionStore<T> {
 impl<T> SessionStore<T> {
     /// Creates an empty store. The configuration is taken as-is;
     /// validate it first where it comes from user input
-    /// ([`SessionConfig::validate`]).
+    /// (`SessionConfig::validate`).
     #[must_use]
     pub fn new(config: SessionConfig) -> SessionStore<T> {
         SessionStore {
@@ -673,7 +667,7 @@ impl<T> SessionStore<T> {
     /// ([`SessionPersist::spill_ahead`]) while the session stays live.
     /// Only meaningful with a persist layer attached.
     #[must_use]
-    pub fn with_spill_ahead_turns(mut self, every_turns: Option<u64>) -> SessionStore<T> {
+    pub(crate) fn with_spill_ahead_turns(mut self, every_turns: Option<u64>) -> SessionStore<T> {
         self.spill_ahead_turns = every_turns;
         self
     }
@@ -691,12 +685,6 @@ impl<T> SessionStore<T> {
             persist: Some(persist),
             ..SessionStore::new(config)
         }
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> SessionConfig {
-        self.config
     }
 
     /// Sessions currently open.
@@ -1100,7 +1088,7 @@ impl<T> SessionStore<T> {
     /// # Errors
     ///
     /// Same as [`SessionStore::turn`].
-    pub fn inspect<R>(
+    pub(crate) fn inspect<R>(
         &self,
         id: &str,
         f: impl FnOnce(&mut T) -> Result<R, Error>,

@@ -10,8 +10,6 @@ use rand_chacha::ChaCha8Rng;
 #[derive(Debug, Clone)]
 pub struct Dataset {
     style: Style,
-    topo_size: usize,
-    patch_nm: i64,
     patterns: Vec<SquishPattern>,
 }
 
@@ -22,34 +20,10 @@ impl Dataset {
         self.style
     }
 
-    /// Normalized topology size (e.g. 128).
-    #[must_use]
-    pub fn topology_size(&self) -> usize {
-        self.topo_size
-    }
-
-    /// Physical patch size in nm (e.g. 2048).
-    #[must_use]
-    pub fn patch_nm(&self) -> i64 {
-        self.patch_nm
-    }
-
     /// The normalized patterns.
     #[must_use]
     pub fn patterns(&self) -> &[SquishPattern] {
         &self.patterns
-    }
-
-    /// Number of patterns.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.patterns.len()
-    }
-
-    /// True when the dataset holds no patterns.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.patterns.is_empty()
     }
 
     /// Iterates the bare topology matrices (model training input).
@@ -70,7 +44,7 @@ impl Dataset {
 ///     .count(4)
 ///     .seed(7)
 ///     .build();
-/// assert_eq!(ds.len(), 4);
+/// assert_eq!(ds.patterns().len(), 4);
 /// assert_eq!(ds.patterns()[0].topology().shape(), (32, 32));
 /// ```
 #[derive(Debug, Clone)]
@@ -184,24 +158,9 @@ impl DatasetBuilder {
         }
         Dataset {
             style: self.style,
-            topo_size: self.topo_size,
-            patch_nm: self.patch_nm,
             patterns,
         }
     }
-}
-
-/// Convenience: builds the paper's reference libraries for the free-size
-/// rows of Table 1 — patches `scale`× larger than 2048 nm normalized to
-/// `128 * scale` topologies (`scale` ∈ {1, 2, 4, 8}).
-#[must_use]
-pub fn reference_library(style: Style, scale: usize, count: usize, seed: u64) -> Dataset {
-    DatasetBuilder::new(style)
-        .patch_nm(2048 * scale as i64)
-        .topology_size(128 * scale)
-        .count(count)
-        .seed(seed)
-        .build()
 }
 
 #[cfg(test)]
@@ -216,7 +175,7 @@ mod tests {
             .count(6)
             .seed(3)
             .build();
-        assert_eq!(ds.len(), 6);
+        assert_eq!(ds.patterns().len(), 6);
         for p in ds.patterns() {
             assert_eq!(p.topology().shape(), (64, 64));
             assert_eq!(p.physical_width(), 1024);

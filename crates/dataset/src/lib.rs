@@ -27,7 +27,7 @@
 //!     .count(8)
 //!     .seed(1)
 //!     .build();
-//! assert_eq!(dataset.len(), 8);
+//! assert_eq!(dataset.patterns().len(), 8);
 //! assert!(dataset.patterns()[0].topology().density() > 0.05);
 //! ```
 
@@ -35,6 +35,7 @@ pub mod builder;
 pub mod map;
 pub mod style;
 
-pub use builder::{reference_library, Dataset, DatasetBuilder};
-pub use map::{generate_map, MapParams};
+pub use builder::{Dataset, DatasetBuilder};
+pub(crate) use map::generate_map;
+pub use map::MapParams;
 pub use style::Style;

@@ -11,7 +11,7 @@ use cp_layout::geom::{Layout, Rect};
 use rand::Rng;
 
 /// Tunable parameters of map generation (defaults are calibrated per
-/// style inside [`generate_map`]; override for ablations).
+/// style inside `generate_map`; override for ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapParams {
     /// Map width in nm.
@@ -42,18 +42,8 @@ fn snapped(r: Rect) -> Rect {
 }
 
 /// Generates a synthetic layout map in the given style.
-///
-/// # Example
-///
-/// ```
-/// use cp_dataset::{generate_map, MapParams, Style};
-/// use rand::SeedableRng;
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-/// let map = generate_map(Style::Layer10001, MapParams::default(), &mut rng);
-/// assert!(!map.is_empty());
-/// ```
 #[must_use]
-pub fn generate_map(style: Style, params: MapParams, rng: &mut impl Rng) -> Layout {
+pub(crate) fn generate_map(style: Style, params: MapParams, rng: &mut impl Rng) -> Layout {
     match style {
         Style::Layer10001 => dense_routing_map(params, rng),
         Style::Layer10003 => sparse_island_map(params, rng),

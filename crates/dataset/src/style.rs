@@ -1,6 +1,5 @@
 //! Layout styles (the paper's layer identities).
 
-use cp_layout::drc::DesignRules;
 use serde::{Deserialize, Serialize};
 
 /// The two layout styles of the evaluation, named after the ICCAD-2014
@@ -47,13 +46,6 @@ impl Style {
             "10003" => Some(Style::Layer10003),
             _ => None,
         }
-    }
-
-    /// Design rules the style's patterns are checked against. Both layers
-    /// share the reference metal rules in this reproduction.
-    #[must_use]
-    pub fn rules(self) -> DesignRules {
-        DesignRules::reference()
     }
 }
 

@@ -30,29 +30,12 @@ impl Mask {
         }
     }
 
-    /// Regenerates every cell (unconditional sampling).
-    #[must_use]
-    pub fn keep_none(rows: usize, cols: usize) -> Mask {
-        Mask {
-            keep: Topology::filled(rows, cols, false),
-        }
-    }
-
     /// Keeps everything *outside* `region`; the region is regenerated.
     /// This is the in-painting mask of the paper's §4.2 recovery example.
     #[must_use]
     pub fn keep_outside(rows: usize, cols: usize, region: Region) -> Mask {
         Mask {
             keep: Topology::from_fn(rows, cols, |r, c| !region.contains(r, c)),
-        }
-    }
-
-    /// Keeps only the cells *inside* `region` (out-painting a new border
-    /// around an existing core).
-    #[must_use]
-    pub fn keep_inside(rows: usize, cols: usize, region: Region) -> Mask {
-        Mask {
-            keep: Topology::from_fn(rows, cols, |r, c| region.contains(r, c)),
         }
     }
 
@@ -90,7 +73,7 @@ impl Mask {
 
     /// The underlying keep matrix.
     #[must_use]
-    pub fn as_topology(&self) -> &Topology {
+    pub(crate) fn as_topology(&self) -> &Topology {
         &self.keep
     }
 }
@@ -102,18 +85,18 @@ mod tests {
     #[test]
     fn keep_all_and_none_counts() {
         assert_eq!(Mask::keep_all(3, 4).regenerate_count(), 0);
-        assert_eq!(Mask::keep_none(3, 4).regenerate_count(), 12);
-        assert_eq!(Mask::keep_none(3, 4).keep_count(), 0);
+        let none = Mask::from_fn(3, 4, |_, _| false);
+        assert_eq!(none.regenerate_count(), 12);
+        assert_eq!(none.keep_count(), 0);
     }
 
     #[test]
-    fn keep_inside_is_complement_of_keep_outside() {
+    fn keep_outside_regenerates_exactly_the_region() {
         let region = Region::new(0, 1, 2, 3);
-        let inside = Mask::keep_inside(3, 3, region);
         let outside = Mask::keep_outside(3, 3, region);
         for r in 0..3 {
             for c in 0..3 {
-                assert_ne!(inside.keeps(r, c), outside.keeps(r, c));
+                assert_ne!(region.contains(r, c), outside.keeps(r, c));
             }
         }
     }

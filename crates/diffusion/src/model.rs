@@ -386,7 +386,7 @@ mod tests {
         use cp_layout::squish::Topology;
         use rand::Rng;
 
-        pub fn forward_noised<D: Denoiser>(
+        pub(crate) fn forward_noised<D: Denoiser>(
             model: &DiffusionModel<D>,
             x0: &Topology,
             k: usize,
@@ -403,7 +403,7 @@ mod tests {
             })
         }
 
-        pub fn reverse_step<D: Denoiser>(
+        pub(crate) fn reverse_step<D: Denoiser>(
             model: &DiffusionModel<D>,
             x_k: &Topology,
             k: usize,
@@ -424,7 +424,7 @@ mod tests {
             })
         }
 
-        pub fn sample<D: Denoiser>(
+        pub(crate) fn sample<D: Denoiser>(
             model: &DiffusionModel<D>,
             rows: usize,
             cols: usize,
@@ -438,7 +438,7 @@ mod tests {
             x
         }
 
-        pub fn modify<D: Denoiser>(
+        pub(crate) fn modify<D: Denoiser>(
             model: &DiffusionModel<D>,
             known: &Topology,
             mask: &Mask,
@@ -749,7 +749,7 @@ mod tests {
                     r.abs_diff(mid_r) >= band_r || c.abs_diff(mid_c) >= band_c
                 }),
             ),
-            ("keep_none", Mask::keep_none(rows, cols)),
+            ("keep_none", Mask::from_fn(rows, cols, |_, _| false)),
             ("keep_all", Mask::keep_all(rows, cols)),
             (
                 "checkerboard",

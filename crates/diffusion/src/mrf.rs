@@ -78,7 +78,7 @@ impl MrfDenoiser {
     /// `coarse` is 0 or above 65 535 (the down-sample counts a block's
     /// column in 16 bits).
     #[must_use]
-    pub fn fit_coarse(
+    pub(crate) fn fit_coarse(
         datasets: &[(u32, &[Topology])],
         smoothing: f64,
         coarse: usize,
@@ -180,7 +180,7 @@ impl MrfDenoiser {
 
     /// Training marginal density for a condition (`None` = pooled).
     #[must_use]
-    pub fn marginal(&self, condition: Option<u32>) -> f64 {
+    pub(crate) fn marginal(&self, condition: Option<u32>) -> f64 {
         match condition {
             Some(cond) => self
                 .condition_ids
@@ -199,15 +199,9 @@ impl MrfDenoiser {
         self
     }
 
-    /// Condition ids the denoiser was fitted for.
-    #[must_use]
-    pub fn condition_ids(&self) -> &[u32] {
-        &self.condition_ids
-    }
-
     /// The fitted `P(x₀=1 | ctx)` for a condition (`None` = pooled).
     #[must_use]
-    pub fn table(&self, condition: Option<u32>) -> &[f64; CONTEXTS] {
+    pub(crate) fn table(&self, condition: Option<u32>) -> &[f64; CONTEXTS] {
         match condition {
             Some(cond) => self
                 .condition_ids

@@ -156,7 +156,7 @@ mod tests {
         );
         let sampler: &dyn PatternSampler = &model;
         let known = Topology::filled(4, 4, false);
-        let mask = Mask::keep_inside(4, 4, cp_layout::squish::Region::new(0, 0, 2, 4));
+        let mask = Mask::from_fn(4, 4, |r, _| r < 2);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let out = sampler.modify(&known, &mask, None, &mut rng);
         assert!(!out.get(0, 0)); // kept

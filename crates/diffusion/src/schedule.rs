@@ -27,7 +27,7 @@ impl NoiseSchedule {
     ///
     /// Panics unless `steps >= 1` and `0 < β ≤ 0.5` at both endpoints.
     #[must_use]
-    pub fn linear(steps: usize, beta1: f64, beta_k: f64) -> NoiseSchedule {
+    pub(crate) fn linear(steps: usize, beta1: f64, beta_k: f64) -> NoiseSchedule {
         assert!(steps >= 1, "schedule needs at least one step");
         assert!(
             beta1 > 0.0 && beta1 <= 0.5 && beta_k > 0.0 && beta_k <= 0.5,
@@ -83,7 +83,7 @@ impl NoiseSchedule {
     ///
     /// Panics if `k` is 0 or greater than `len()`.
     #[must_use]
-    pub fn beta(&self, k: usize) -> f64 {
+    pub(crate) fn beta(&self, k: usize) -> f64 {
         assert!((1..=self.len()).contains(&k), "step {k} out of range");
         self.betas[k - 1]
     }
@@ -94,7 +94,7 @@ impl NoiseSchedule {
     ///
     /// Panics if `k > len()`.
     #[must_use]
-    pub fn flip_bar(&self, k: usize) -> f64 {
+    pub(crate) fn flip_bar(&self, k: usize) -> f64 {
         assert!(k <= self.len(), "step {k} out of range");
         self.flip_bar[k]
     }
@@ -106,7 +106,7 @@ impl NoiseSchedule {
     ///
     /// Panics if `k` is 0 or greater than `len()`.
     #[must_use]
-    pub fn posterior_one(&self, k: usize, x_k: bool, x_0: bool) -> f64 {
+    pub(crate) fn posterior_one(&self, k: usize, x_k: bool, x_0: bool) -> f64 {
         let beta = self.beta(k);
         let bar_prev = self.flip_bar(k - 1);
         // q(x_k | x_{k-1} = v) · q(x_{k-1} = v | x_0), v ∈ {0, 1}
@@ -122,7 +122,7 @@ impl NoiseSchedule {
 
     /// Likelihood `q(x_k | x_0)` of observing `x_k` given clean bit `x_0`.
     #[must_use]
-    pub fn channel_likelihood(&self, k: usize, x_k: bool, x_0: bool) -> f64 {
+    pub(crate) fn channel_likelihood(&self, k: usize, x_k: bool, x_0: bool) -> f64 {
         let bar = self.flip_bar(k);
         if x_k == x_0 {
             1.0 - bar

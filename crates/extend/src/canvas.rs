@@ -10,7 +10,7 @@ use cp_layout::squish::{Region, Topology};
 /// generated flags, hand both to the model, and paste the result back —
 /// the model only ever sees `L × L` working space.
 #[derive(Debug, Clone)]
-pub struct Canvas {
+pub(crate) struct Canvas {
     topology: Topology,
     generated: Topology,
 }
@@ -18,23 +18,11 @@ pub struct Canvas {
 impl Canvas {
     /// Creates an empty, fully-ungenerated canvas.
     #[must_use]
-    pub fn new(rows: usize, cols: usize) -> Canvas {
+    pub(crate) fn new(rows: usize, cols: usize) -> Canvas {
         Canvas {
             topology: Topology::filled(rows, cols, false),
             generated: Topology::filled(rows, cols, false),
         }
-    }
-
-    /// Canvas shape `(rows, cols)`.
-    #[must_use]
-    pub fn shape(&self) -> (usize, usize) {
-        self.topology.shape()
-    }
-
-    /// The topology accumulated so far.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Consumes the canvas, returning the final topology.
@@ -44,19 +32,19 @@ impl Canvas {
     /// Panics if any cell was never generated — that would mean the
     /// painting walk failed to cover the canvas.
     #[must_use]
-    pub fn into_topology(self) -> Topology {
+    pub(crate) fn into_topology(self) -> Topology {
         assert!(self.fully_generated(), "canvas has ungenerated cells left");
         self.topology
     }
 
     /// True when every cell has been generated.
     #[must_use]
-    pub fn fully_generated(&self) -> bool {
+    pub(crate) fn fully_generated(&self) -> bool {
         self.generated.count_ones() == self.generated.len()
     }
 
     /// Pastes externally produced content and marks it generated.
-    pub fn place(&mut self, content: &Topology, row0: usize, col0: usize) {
+    pub(crate) fn place(&mut self, content: &Topology, row0: usize, col0: usize) {
         self.topology.paste(content, row0, col0);
         self.generated.fill_block(
             row0,
@@ -69,13 +57,13 @@ impl Canvas {
 
     /// The window content under `region`.
     #[must_use]
-    pub fn window(&self, region: Region) -> Topology {
+    pub(crate) fn window(&self, region: Region) -> Topology {
         self.topology.window(region)
     }
 
     /// Keep-mask of a window: cells already generated are kept.
     #[must_use]
-    pub fn keep_mask(&self, region: Region) -> Mask {
+    pub(crate) fn keep_mask(&self, region: Region) -> Mask {
         let mut generated = self.generated_under(region);
         Mask::from_fn(region.height(), region.width(), |_, _| {
             generated.next().expect("window inside the canvas")
@@ -87,7 +75,7 @@ impl Canvas {
     /// inside `repaint` even if previously generated — the seam-repair
     /// mask of in-painting.
     #[must_use]
-    pub fn keep_mask_excluding(&self, region: Region, repaint: Region) -> Mask {
+    pub(crate) fn keep_mask_excluding(&self, region: Region, repaint: Region) -> Mask {
         let mut generated = self.generated_under(region);
         Mask::from_fn(region.height(), region.width(), |r, c| {
             let generated = generated.next().expect("window inside the canvas");
@@ -109,7 +97,7 @@ impl Canvas {
 
     /// Writes back a window produced by the model and marks the whole
     /// window generated.
-    pub fn commit(&mut self, region: Region, content: &Topology) {
+    pub(crate) fn commit(&mut self, region: Region, content: &Topology) {
         assert_eq!(
             (region.height(), region.width()),
             content.shape(),
@@ -136,8 +124,8 @@ mod tests {
         let seed = Topology::filled(4, 4, true);
         canvas.place(&seed, 0, 0);
         assert!(!canvas.fully_generated());
-        assert!(canvas.topology().get(3, 3));
-        assert!(!canvas.topology().get(4, 4));
+        assert!(canvas.topology.get(3, 3));
+        assert!(!canvas.topology.get(4, 4));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 /// Panics if the target is smaller than the sampler window or `seed` is
 /// not exactly window-sized.
 #[must_use]
-pub fn in_paint<S: PatternSampler + ?Sized>(
+pub(crate) fn in_paint<S: PatternSampler + ?Sized>(
     sampler: &S,
     seed: Option<&Topology>,
     rows: usize,

@@ -4,10 +4,10 @@
 //! free-size generator by sliding its RePaint-style modification over a
 //! larger canvas:
 //!
-//! * **Out-Painting** ([`out_paint`]) — grow an existing pattern by
+//! * **Out-Painting** (`out_paint`) — grow an existing pattern by
 //!   generating new borders: windows walk the canvas with stride `S`,
 //!   each keeping the already-generated cells and sampling the rest;
-//! * **In-Painting** ([`in_paint`]) — concatenate independently generated
+//! * **In-Painting** (`in_paint`) — concatenate independently generated
 //!   tiles, then regenerate the bands across every tile seam and the
 //!   blocks at every seam corner so the shapes merge;
 //! * [`cost`] — the paper's sampling-count formulas
@@ -40,16 +40,16 @@
 //! assert_eq!(big.shape(), (32, 32));
 //! ```
 
-pub mod canvas;
+mod canvas;
 pub mod cost;
-pub mod in_painting;
+mod in_painting;
 pub mod method;
-pub mod out_painting;
+mod out_painting;
 #[cfg(test)]
 mod test_support;
 
-pub use canvas::Canvas;
+pub(crate) use canvas::Canvas;
 pub use cost::{in_painting_samples, out_painting_samples};
-pub use in_painting::in_paint;
+pub(crate) use in_painting::in_paint;
 pub use method::{extend, ExtensionMethod};
-pub use out_painting::out_paint;
+pub(crate) use out_painting::out_paint;

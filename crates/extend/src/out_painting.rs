@@ -17,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 /// Panics if the seed is larger than the target, the target is smaller
 /// than the sampler window, or `stride` is 0 or larger than the window.
 #[must_use]
-pub fn out_paint<S: PatternSampler + ?Sized>(
+pub(crate) fn out_paint<S: PatternSampler + ?Sized>(
     sampler: &S,
     seed: &Topology,
     rows: usize,

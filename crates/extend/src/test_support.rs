@@ -9,7 +9,7 @@ use std::sync::Mutex;
 pub const STEPS: usize = 8;
 
 /// A window-16 model fitted on vertical stripes.
-pub fn striped_model() -> DiffusionModel<MrfDenoiser> {
+pub(crate) fn striped_model() -> DiffusionModel<MrfDenoiser> {
     let data: Vec<Topology> = (0..6)
         .map(|i| Topology::from_fn(16, 16, move |_, c| (c + i) % 4 < 2))
         .collect();
@@ -38,14 +38,14 @@ pub struct Counting<'a, S> {
 }
 
 impl<'a, S: PatternSampler> Counting<'a, S> {
-    pub fn new(inner: &'a S) -> Counting<'a, S> {
+    pub(crate) fn new(inner: &'a S) -> Counting<'a, S> {
         Counting {
             inner,
             calls: Mutex::new(Vec::new()),
         }
     }
 
-    pub fn calls(&self) -> Vec<Call> {
+    pub(crate) fn calls(&self) -> Vec<Call> {
         self.calls.lock().expect("no call panicked").clone()
     }
 

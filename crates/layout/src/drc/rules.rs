@@ -11,12 +11,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use cp_layout::drc::DesignRules;
-/// let rules = DesignRules::builder()
-///     .min_space(40)
-///     .min_width(40)
-///     .min_area(3200)
-///     .build();
-/// assert_eq!(rules.min_space(), 40);
+/// let rules = DesignRules::new(40, 40, 3200);
+/// assert_eq!(rules, DesignRules::reference());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DesignRules {
@@ -44,27 +40,21 @@ impl DesignRules {
         }
     }
 
-    /// Starts a builder with the reference rule values.
-    #[must_use]
-    pub fn builder() -> DesignRulesBuilder {
-        DesignRulesBuilder::default()
-    }
-
     /// Minimum edge-to-edge spacing between adjacent polygons (nm).
     #[must_use]
-    pub fn min_space(&self) -> i64 {
+    pub(crate) fn min_space(&self) -> i64 {
         self.min_space
     }
 
     /// Minimum shape width in either direction (nm).
     #[must_use]
-    pub fn min_width(&self) -> i64 {
+    pub(crate) fn min_width(&self) -> i64 {
         self.min_width
     }
 
     /// Minimum polygon area (nm²).
     #[must_use]
-    pub fn min_area(&self) -> i64 {
+    pub(crate) fn min_area(&self) -> i64 {
         self.min_area
     }
 
@@ -84,56 +74,9 @@ impl Default for DesignRules {
     }
 }
 
-/// Builder for [`DesignRules`] (starts from [`DesignRules::reference`]).
-#[derive(Debug, Clone, Default)]
-pub struct DesignRulesBuilder {
-    rules: DesignRules,
-}
-
-impl DesignRulesBuilder {
-    /// Sets the minimum spacing rule.
-    pub fn min_space(&mut self, nm: i64) -> &mut DesignRulesBuilder {
-        self.rules.min_space = nm;
-        self
-    }
-
-    /// Sets the minimum width rule.
-    pub fn min_width(&mut self, nm: i64) -> &mut DesignRulesBuilder {
-        self.rules.min_width = nm;
-        self
-    }
-
-    /// Sets the minimum area rule.
-    pub fn min_area(&mut self, nm2: i64) -> &mut DesignRulesBuilder {
-        self.rules.min_area = nm2;
-        self
-    }
-
-    /// Finishes the builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any configured value is non-positive.
-    #[must_use]
-    pub fn build(&self) -> DesignRules {
-        DesignRules::new(
-            self.rules.min_space,
-            self.rules.min_width,
-            self.rules.min_area,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_overrides_defaults() {
-        let r = DesignRules::builder().min_space(10).build();
-        assert_eq!(r.min_space(), 10);
-        assert_eq!(r.min_width(), DesignRules::reference().min_width());
-    }
 
     #[test]
     #[should_panic(expected = "positive")]

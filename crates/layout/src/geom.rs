@@ -1,14 +1,14 @@
 //! Rectilinear geometry substrate for ChatPattern.
 //!
 //! Layout patterns in DFM flows are collections of axis-aligned rectilinear
-//! shapes on an integer (nanometre) grid. This crate provides the small set
+//! shapes on an integer (nanometre) grid. This module provides the small set
 //! of geometric primitives everything else is built on:
 //!
 //! * [`Rect`] — half-open rectangles in integer-nm coordinates;
 //! * [`Layout`] — a frame plus a bag of rectangles (possibly overlapping;
 //!   the union of the rectangles is the drawn metal);
-//! * [`scanline`] — scan-line coordinate extraction used by squish encoding;
-//! * [`component`] — connected-component labelling on boolean grids.
+//! * `scanline` — scan-line coordinate extraction used by squish encoding;
+//! * `component` — connected-component labelling on boolean grids.
 //!
 //! # Example
 //!
@@ -23,15 +23,15 @@
 //! assert!(layout.union_area() > 0);
 //! ```
 
-pub mod component;
+mod component;
 pub mod layout;
 pub mod rect;
-pub mod scanline;
+mod scanline;
 
-pub use component::{label_components, line_edges, CellRun, ComponentLabels};
+pub(crate) use component::{label_components, line_edges, CellRun, ComponentLabels};
 pub use layout::Layout;
 pub use rect::Rect;
-pub use scanline::ScanLines;
+pub(crate) use scanline::ScanLines;
 
 /// Axis selector used by design-rule measurements and legalization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -40,17 +40,6 @@ pub enum Axis {
     X,
     /// Vertical direction (widths/spaces measured along y).
     Y,
-}
-
-impl Axis {
-    /// The other axis.
-    #[must_use]
-    pub fn perpendicular(self) -> Axis {
-        match self {
-            Axis::X => Axis::Y,
-            Axis::Y => Axis::X,
-        }
-    }
 }
 
 impl std::fmt::Display for Axis {

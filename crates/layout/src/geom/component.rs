@@ -3,13 +3,13 @@
 //! Used to identify polygons in a topology matrix (for area rules,
 //! failure-region reporting, and polygon reconstruction). Labelling
 //! works on row runs: each row's runs of set cells come from its edges
-//! ([`line_edges`], eight cells a word), runs that overlap a run of the
+//! (`line_edges`, eight cells a word), runs that overlap a run of the
 //! row above are joined by union-find, and every run and bounding box is
 //! then written once.
 
 /// A maximal run of set cells in one row: columns `start..end` of `row`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CellRun {
+pub(crate) struct CellRun {
     /// Grid row of the run.
     pub row: usize,
     /// First column of the run.
@@ -22,9 +22,7 @@ pub struct CellRun {
 /// `0..count` in the raster order of each component's first cell; each
 /// is held as its row runs and its bounding box.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComponentLabels {
-    rows: usize,
-    cols: usize,
+pub(crate) struct ComponentLabels {
     count: u32,
     /// Every run, component by component, in raster order within one.
     runs: Vec<CellRun>,
@@ -35,28 +33,16 @@ pub struct ComponentLabels {
 }
 
 impl ComponentLabels {
-    /// Number of grid rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of grid columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of connected components found.
     #[must_use]
-    pub fn count(&self) -> u32 {
+    pub(crate) fn count(&self) -> u32 {
         self.count
     }
 
     /// The row runs of component `id` in raster order; empty when `id`
     /// is not a component.
     #[must_use]
-    pub fn runs_of(&self, id: u32) -> &[CellRun] {
+    pub(crate) fn runs_of(&self, id: u32) -> &[CellRun] {
         let id = id as usize;
         if id >= self.bboxes.len() {
             return &[];
@@ -66,7 +52,8 @@ impl ComponentLabels {
 
     /// Iterates over `(row, col)` cells belonging to component `id`, in
     /// raster order.
-    pub fn cells_of(&self, id: u32) -> impl Iterator<Item = (usize, usize)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn cells_of(&self, id: u32) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.runs_of(id)
             .iter()
             .flat_map(|run| (run.start..run.end).map(move |c| (run.row, c)))
@@ -75,7 +62,7 @@ impl ComponentLabels {
     /// Grid-space bounding box `(row0, col0, row1, col1)` (inclusive) of
     /// component `id`, or `None` if the component has no cells.
     #[must_use]
-    pub fn bbox_of(&self, id: u32) -> Option<(usize, usize, usize, usize)> {
+    pub(crate) fn bbox_of(&self, id: u32) -> Option<(usize, usize, usize, usize)> {
         self.bboxes.get(id as usize).copied()
     }
 }
@@ -88,15 +75,7 @@ impl ComponentLabels {
 /// set cells, and the cells between one pair's `off` and the next
 /// pair's `on` are a run of unset cells with set cells on both sides.
 /// The line is read eight cells a word.
-///
-/// # Example
-///
-/// ```
-/// let mut edges = Vec::new();
-/// cp_layout::geom::component::line_edges(&[1, 1, 0, 0, 1, 0, 1], &mut edges);
-/// assert_eq!(edges, [0, 2, 4, 5, 6, 7]);
-/// ```
-pub fn line_edges(line: &[u8], edges: &mut Vec<usize>) {
+pub(crate) fn line_edges(line: &[u8], edges: &mut Vec<usize>) {
     // Bit 7 of a byte of `set_mask(w)` is set when that cell is set, so
     // `set ^ (set << 8 | carry)` has bit 7 of byte `k` set exactly where
     // cell `k` differs from the cell before it.
@@ -132,17 +111,8 @@ pub fn line_edges(line: &[u8], edges: &mut Vec<usize>) {
 /// # Panics
 ///
 /// Panics if `cells` is not `rows × cols` long.
-///
-/// # Example
-///
-/// ```
-/// use cp_layout::geom::label_components;
-/// // two diagonal cells are NOT 4-connected
-/// let labels = label_components(2, 2, &[1, 0, 0, 1]);
-/// assert_eq!(labels.count(), 2);
-/// ```
 #[must_use]
-pub fn label_components(rows: usize, cols: usize, cells: &[u8]) -> ComponentLabels {
+pub(crate) fn label_components(rows: usize, cols: usize, cells: &[u8]) -> ComponentLabels {
     assert_eq!(cells.len(), rows * cols, "cells are rows × cols");
     // Union-find over the runs in raster order. A set's root is its
     // lowest run (`parent[i] <= i` throughout), which is the run holding
@@ -228,8 +198,6 @@ pub fn label_components(rows: usize, cols: usize, cells: &[u8]) -> ComponentLabe
         next[id as usize] += 1;
     }
     ComponentLabels {
-        rows,
-        cols,
         count,
         runs: by_component,
         first_run,

@@ -128,15 +128,6 @@ impl Layout {
         area
     }
 
-    /// Returns a new layout translated by `(dx, dy)` (frame and shapes).
-    #[must_use]
-    pub fn translated(&self, dx: i64, dy: i64) -> Layout {
-        Layout {
-            frame: self.frame.translated(dx, dy),
-            rects: self.rects.iter().map(|r| r.translated(dx, dy)).collect(),
-        }
-    }
-
     /// Extracts the sub-layout inside `window` re-anchored at the origin.
     #[must_use]
     pub fn window(&self, window: Rect) -> Layout {

@@ -11,11 +11,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use cp_layout::geom::Rect;
-/// let a = Rect::new(0, 0, 10, 10);
-/// let b = Rect::new(5, 5, 20, 20);
-/// assert!(a.intersects(&b));
-/// assert_eq!(a.intersection(&b), Some(Rect::new(5, 5, 10, 10)));
-/// assert_eq!(a.area(), 100);
+/// let a = Rect::new(10, 10, 0, 0);
+/// assert_eq!(a, Rect::new(0, 0, 10, 10));
+/// assert!(a.contains_rect(&Rect::new(2, 2, 8, 8)));
+/// assert_eq!(a.translated(5, 5), Rect::new(5, 5, 15, 15));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Rect {
@@ -75,25 +74,19 @@ impl Rect {
 
     /// Width in nanometres.
     #[must_use]
-    pub fn width(&self) -> i64 {
+    pub(crate) fn width(&self) -> i64 {
         self.x1 - self.x0
     }
 
     /// Height in nanometres.
     #[must_use]
-    pub fn height(&self) -> i64 {
+    pub(crate) fn height(&self) -> i64 {
         self.y1 - self.y0
-    }
-
-    /// Area in nm².
-    #[must_use]
-    pub fn area(&self) -> i64 {
-        self.width() * self.height()
     }
 
     /// True if the rectangle covers no area.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.x0 >= self.x1 || self.y0 >= self.y1
     }
 
@@ -109,13 +102,13 @@ impl Rect {
 
     /// True if the two rectangles share interior area.
     #[must_use]
-    pub fn intersects(&self, other: &Rect) -> bool {
+    pub(crate) fn intersects(&self, other: &Rect) -> bool {
         self.x0 < other.x1 && other.x0 < self.x1 && self.y0 < other.y1 && other.y0 < self.y1
     }
 
     /// Intersection area, or `None` when disjoint.
     #[must_use]
-    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
+    pub(crate) fn intersection(&self, other: &Rect) -> Option<Rect> {
         if !self.intersects(other) {
             return None;
         }
@@ -151,10 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn area_and_empty() {
-        assert_eq!(Rect::new(0, 0, 4, 5).area(), 20);
+    fn size_and_empty() {
+        let r = Rect::new(0, 0, 4, 5);
+        assert_eq!((r.width(), r.height()), (4, 5));
+        assert!(!r.is_empty());
         assert!(Rect::new(3, 3, 3, 9).is_empty());
-        assert_eq!(Rect::new(3, 3, 3, 9).area(), 0);
     }
 
     #[test]

@@ -6,23 +6,10 @@
 //! the derived interval (delta) lengths.
 
 use crate::geom::Layout;
-use serde::{Deserialize, Serialize};
 
 /// The scan-line grid of a layout: sorted unique x and y coordinates.
-///
-/// # Example
-///
-/// ```
-/// use cp_layout::geom::{Layout, Rect, ScanLines};
-/// let mut l = Layout::new(Rect::new(0, 0, 100, 100));
-/// l.push(Rect::new(10, 20, 40, 60));
-/// let scan = ScanLines::from_layout(&l);
-/// assert_eq!(scan.xs(), &[0, 10, 40, 100]);
-/// assert_eq!(scan.ys(), &[0, 20, 60, 100]);
-/// assert_eq!(scan.x_intervals(), &[10, 30, 60]);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScanLines {
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ScanLines {
     xs: Vec<i64>,
     ys: Vec<i64>,
 }
@@ -31,7 +18,7 @@ impl ScanLines {
     /// Builds the scan-line grid of a layout: one line per distinct shape
     /// edge coordinate plus the frame borders.
     #[must_use]
-    pub fn from_layout(layout: &Layout) -> ScanLines {
+    pub(crate) fn from_layout(layout: &Layout) -> ScanLines {
         let frame = layout.frame();
         let mut xs = Vec::with_capacity(layout.rects().len() * 2 + 2);
         let mut ys = Vec::with_capacity(layout.rects().len() * 2 + 2);
@@ -54,44 +41,44 @@ impl ScanLines {
 
     /// Sorted unique x scan-line coordinates.
     #[must_use]
-    pub fn xs(&self) -> &[i64] {
+    pub(crate) fn xs(&self) -> &[i64] {
         &self.xs
     }
 
     /// Sorted unique y scan-line coordinates.
     #[must_use]
-    pub fn ys(&self) -> &[i64] {
+    pub(crate) fn ys(&self) -> &[i64] {
         &self.ys
     }
 
     /// Interval lengths between consecutive x lines (the Δx vector).
     #[must_use]
-    pub fn x_intervals(&self) -> Vec<i64> {
+    pub(crate) fn x_intervals(&self) -> Vec<i64> {
         self.xs.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// Interval lengths between consecutive y lines (the Δy vector).
     #[must_use]
-    pub fn y_intervals(&self) -> Vec<i64> {
+    pub(crate) fn y_intervals(&self) -> Vec<i64> {
         self.ys.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// Number of grid columns.
     #[must_use]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.xs.len() - 1
     }
 
     /// Number of grid rows.
     #[must_use]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.ys.len() - 1
     }
 
     /// Index of the x interval containing coordinate `x`, or `None` when
     /// outside the grid.
     #[must_use]
-    pub fn x_interval_of(&self, x: i64) -> Option<usize> {
+    pub(crate) fn x_interval_of(&self, x: i64) -> Option<usize> {
         if x < self.xs[0] || x >= *self.xs.last().expect("non-empty") {
             return None;
         }
@@ -104,7 +91,7 @@ impl ScanLines {
     /// Index of the y interval containing coordinate `y`, or `None` when
     /// outside the grid.
     #[must_use]
-    pub fn y_interval_of(&self, y: i64) -> Option<usize> {
+    pub(crate) fn y_interval_of(&self, y: i64) -> Option<usize> {
         if y < self.ys[0] || y >= *self.ys.last().expect("non-empty") {
             return None;
         }

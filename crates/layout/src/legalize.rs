@@ -17,7 +17,7 @@
 //! slice (columns come from one transposed copy) whose edges are found
 //! eight cells a word; a line equal to the one before it adds nothing
 //! and is skipped; two counting sorts order the raw runs. Polygons are
-//! the row-run components of [`crate::geom::label_components`], so an
+//! the row-run components of `geom::label_components`, so an
 //! area-repair pass costs one multiply a run (the model's 128 × 128
 //! samples take about two passes a call). `docs/ENGINE.md`, "Legalize
 //! budget", splits a call's time by stage.

@@ -1,8 +1,8 @@
 //! The per-axis difference-constraint solver and area repair loop.
 
-use crate::legalize::{FailureKind, LegalizeFailure};
 use crate::drc::DesignRules;
 use crate::geom::{label_components, line_edges, Axis, CellRun, ComponentLabels};
+use crate::legalize::{FailureKind, LegalizeFailure};
 use crate::squish::{Region, SquishPattern, Topology};
 use rand::Rng;
 
@@ -49,8 +49,8 @@ impl Legalizer {
     }
 
     /// The rule set this legalizer enforces.
-    #[must_use]
-    pub fn rules(&self) -> &DesignRules {
+    #[cfg(test)]
+    pub(crate) fn rules(&self) -> &DesignRules {
         &self.rules
     }
 
@@ -837,8 +837,7 @@ mod tests {
                 (style.id(), data.topologies().cloned().collect())
             })
             .collect();
-        let refs: Vec<(u32, &[_])> =
-            fitted.iter().map(|(id, t)| (*id, t.as_slice())).collect();
+        let refs: Vec<(u32, &[_])> = fitted.iter().map(|(id, t)| (*id, t.as_slice())).collect();
         let model = DiffusionModel::new(
             NoiseSchedule::scaled_default(6),
             MrfDenoiser::fit(&refs, 1.0),

@@ -5,14 +5,14 @@
 //! `Legalizer::legalize` must return exactly what [`legalize`] here
 //! returns, and `collect_bounds` the same bounds (see the equivalence
 //! tests in `solver.rs`). Only the components come from
-//! `crate::geom::label_components`, whose own oracle is the flood fill; the
+//! `geom::label_components`, whose own oracle is the flood fill; the
 //! cell lists are gathered from them in the raster order the old
 //! per-cell scan pushed them in.
 
 use super::{last_max, IntervalBound};
-use crate::legalize::{FailureKind, LegalizeFailure};
 use crate::drc::DesignRules;
 use crate::geom::{label_components, Axis};
+use crate::legalize::{FailureKind, LegalizeFailure};
 use crate::squish::{Region, SquishPattern, Topology};
 use rand::Rng;
 

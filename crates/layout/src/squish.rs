@@ -6,7 +6,7 @@
 //! divide the patch into a non-uniform grid; `T[i][j]` says whether grid
 //! cell `(i, j)` is drawn, and the Δ vectors store the interval lengths.
 //!
-//! This crate provides:
+//! This module provides:
 //!
 //! * [`Topology`] — the binary matrix, with the paste/window
 //!   operations the diffusion model and the extension algorithms need;
@@ -37,11 +37,10 @@ pub mod complexity;
 pub mod normalize;
 pub mod pattern;
 pub mod region;
-pub mod render;
 pub mod topology;
 
 pub use complexity::{complexity, Complexity};
-pub use normalize::{normalize_to, uniform_deltas, with_uniform_geometry};
+pub use normalize::normalize_to;
 pub use pattern::SquishPattern;
 pub use region::Region;
 pub use topology::{fits_one_request, Packed, Topology, MAX_REQUEST_CELLS};

@@ -8,7 +8,7 @@
 //! the physical geometry unchanged (the same trick as the adaptive squish
 //! pattern datasets the paper trains on).
 
-use crate::squish::{SquishPattern, Topology};
+use crate::squish::SquishPattern;
 
 /// Normalizes a squish pattern to exactly `rows × cols` by splitting the
 /// largest Δ interval along each axis until the target is reached.
@@ -64,31 +64,6 @@ pub fn normalize_to(pattern: &SquishPattern, rows: usize, cols: usize) -> Option
     Some(SquishPattern::new(topology, dx, dy))
 }
 
-/// Builds uniform Δ vectors that stretch a bare topology matrix over a
-/// physical frame — the "default geometry" used before legalization, and
-/// for rendering un-legalized topologies.
-///
-/// The remainder of an uneven division is spread over the leading
-/// intervals so the sum is exactly `physical`.
-///
-/// # Panics
-///
-/// Panics if `cells == 0` or `physical < cells as i64` (every interval
-/// must be at least 1 nm).
-#[must_use]
-pub fn uniform_deltas(cells: usize, physical: i64) -> Vec<i64> {
-    assert!(cells > 0, "need at least one cell");
-    assert!(
-        physical >= cells as i64,
-        "physical size {physical} too small for {cells} cells"
-    );
-    let base = physical / cells as i64;
-    let extra = (physical % cells as i64) as usize;
-    (0..cells)
-        .map(|i| if i < extra { base + 1 } else { base })
-        .collect()
-}
-
 fn argmax(v: &[i64]) -> usize {
     let mut best = 0;
     for (i, &x) in v.iter().enumerate() {
@@ -99,18 +74,10 @@ fn argmax(v: &[i64]) -> usize {
     best
 }
 
-/// Attaches uniform geometry to a bare topology (convenience wrapper
-/// around [`uniform_deltas`]).
-#[must_use]
-pub fn with_uniform_geometry(topology: &Topology, width: i64, height: i64) -> SquishPattern {
-    let dx = uniform_deltas(topology.cols(), width);
-    let dy = uniform_deltas(topology.rows(), height);
-    SquishPattern::new(topology.clone(), dx, dy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::squish::Topology;
 
     #[test]
     fn normalization_preserves_physical_size_and_area() {
@@ -150,28 +117,5 @@ mod tests {
         let t = Topology::filled(1, 2, false);
         let sq = SquishPattern::new(t, vec![1, 1], vec![1]);
         assert!(normalize_to(&sq, 1, 4).is_none());
-    }
-
-    #[test]
-    fn uniform_deltas_sum_exactly() {
-        let d = uniform_deltas(3, 100);
-        assert_eq!(d.iter().sum::<i64>(), 100);
-        assert_eq!(d, vec![34, 33, 33]);
-    }
-
-    #[test]
-    #[should_panic(expected = "too small")]
-    fn uniform_deltas_reject_overfine_grid() {
-        let _ = uniform_deltas(10, 5);
-    }
-
-    #[test]
-    fn with_uniform_geometry_shapes() {
-        let t = Topology::filled(4, 8, false);
-        let sq = with_uniform_geometry(&t, 160, 80);
-        assert_eq!(sq.dx().len(), 8);
-        assert_eq!(sq.dy().len(), 4);
-        assert_eq!(sq.physical_width(), 160);
-        assert_eq!(sq.physical_height(), 80);
     }
 }

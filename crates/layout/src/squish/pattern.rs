@@ -1,7 +1,7 @@
 //! Squish patterns: topology + geometry vectors.
 
-use crate::squish::{Packed, Topology};
 use crate::geom::{Layout, Rect, ScanLines};
+use crate::squish::{Packed, Topology};
 use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
 /// A full squish pattern: binary topology matrix `T` plus the Δx/Δy
@@ -152,13 +152,13 @@ impl SquishPattern {
 
     /// X coordinates of the scan lines (prefix sums of Δx, starting at 0).
     #[must_use]
-    pub fn x_lines(&self) -> Vec<i64> {
+    pub(crate) fn x_lines(&self) -> Vec<i64> {
         prefix_sums(&self.dx)
     }
 
     /// Y coordinates of the scan lines (prefix sums of Δy, starting at 0).
     #[must_use]
-    pub fn y_lines(&self) -> Vec<i64> {
+    pub(crate) fn y_lines(&self) -> Vec<i64> {
         prefix_sums(&self.dy)
     }
 

@@ -42,7 +42,7 @@ impl Region {
 
     /// The full extent of an `rows × cols` matrix.
     #[must_use]
-    pub fn full(rows: usize, cols: usize) -> Region {
+    pub(crate) fn full(rows: usize, cols: usize) -> Region {
         Region::new(0, 0, rows, cols)
     }
 
@@ -100,31 +100,6 @@ impl Region {
         row >= self.row0 && row < self.row1 && col >= self.col0 && col < self.col1
     }
 
-    /// Intersection with another region, or `None` when disjoint.
-    #[must_use]
-    pub fn intersection(&self, other: &Region) -> Option<Region> {
-        let row0 = self.row0.max(other.row0);
-        let col0 = self.col0.max(other.col0);
-        let row1 = self.row1.min(other.row1);
-        let col1 = self.col1.min(other.col1);
-        if row0 < row1 && col0 < col1 {
-            Some(Region::new(row0, col0, row1, col1))
-        } else {
-            None
-        }
-    }
-
-    /// Shifts the region by the given cell offsets.
-    #[must_use]
-    pub fn translated(&self, drow: usize, dcol: usize) -> Region {
-        Region::new(
-            self.row0 + drow,
-            self.col0 + dcol,
-            self.row1 + drow,
-            self.col1 + dcol,
-        )
-    }
-
     /// Iterates all `(row, col)` cells inside.
     pub fn cells(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let (c0, c1) = (self.col0, self.col1);
@@ -149,15 +124,6 @@ mod tests {
     #[test]
     fn normalization_orders_bounds() {
         assert_eq!(Region::new(5, 6, 1, 2), Region::new(1, 2, 5, 6));
-    }
-
-    #[test]
-    fn intersection_cases() {
-        let a = Region::new(0, 0, 4, 4);
-        let b = Region::new(2, 2, 6, 6);
-        assert_eq!(a.intersection(&b), Some(Region::new(2, 2, 4, 4)));
-        let c = Region::new(4, 0, 8, 4); // touching rows → disjoint
-        assert_eq!(a.intersection(&c), None);
     }
 
     #[test]

@@ -294,13 +294,13 @@ impl Topology {
 
     /// True when two adjacent columns hold identical bits.
     #[must_use]
-    pub fn cols_equal(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn cols_equal(&self, a: usize, b: usize) -> bool {
         (0..self.rows).all(|r| self.get(r, a) == self.get(r, b))
     }
 
     /// True when two adjacent rows hold identical bits.
     #[must_use]
-    pub fn rows_equal(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn rows_equal(&self, a: usize, b: usize) -> bool {
         let (a0, b0) = (a * self.cols, b * self.cols);
         self.bits[a0..a0 + self.cols] == self.bits[b0..b0 + self.cols]
     }
@@ -308,7 +308,7 @@ impl Topology {
     /// Duplicates column `col`, increasing `cols` by one. The duplicate is
     /// inserted immediately after the original, preserving topology
     /// (used by fixed-size normalization: splitting a Δx interval).
-    pub fn duplicate_col(&mut self, col: usize) {
+    pub(crate) fn duplicate_col(&mut self, col: usize) {
         assert!(col < self.cols, "column out of bounds");
         let mut bits = Vec::with_capacity(self.rows * (self.cols + 1));
         for r in 0..self.rows {
@@ -322,7 +322,7 @@ impl Topology {
     }
 
     /// Duplicates row `row`, increasing `rows` by one.
-    pub fn duplicate_row(&mut self, row: usize) {
+    pub(crate) fn duplicate_row(&mut self, row: usize) {
         assert!(row < self.rows, "row out of bounds");
         let off = row * self.cols;
         let dup: Vec<u8> = self.bits[off..off + self.cols].to_vec();

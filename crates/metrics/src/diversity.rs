@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 /// Histogram of `(cx, cy)` complexities over a library.
 #[must_use]
-pub fn complexity_histogram<'a>(
+pub(crate) fn complexity_histogram<'a>(
     library: impl Iterator<Item = &'a Topology>,
 ) -> HashMap<Complexity, usize> {
     let mut hist = HashMap::new();

@@ -17,13 +17,13 @@ pub enum LegalityOutcome {
 impl LegalityOutcome {
     /// True for the legal case.
     #[must_use]
-    pub fn is_legal(&self) -> bool {
+    pub(crate) fn is_legal(&self) -> bool {
         matches!(self, LegalityOutcome::Legal(_))
     }
 
     /// The legal pattern, if any.
     #[must_use]
-    pub fn pattern(&self) -> Option<&SquishPattern> {
+    pub(crate) fn pattern(&self) -> Option<&SquishPattern> {
         match self {
             LegalityOutcome::Legal(p) => Some(p),
             LegalityOutcome::Failed(_) => None,
@@ -38,12 +38,6 @@ pub struct LegalityReport {
 }
 
 impl LegalityReport {
-    /// Per-topology outcomes, in input order.
-    #[must_use]
-    pub fn outcomes(&self) -> &[LegalityOutcome] {
-        &self.outcomes
-    }
-
     /// Number of topologies evaluated.
     #[must_use]
     pub fn total(&self) -> usize {
@@ -52,7 +46,7 @@ impl LegalityReport {
 
     /// Number of legal patterns.
     #[must_use]
-    pub fn legal_count(&self) -> usize {
+    pub(crate) fn legal_count(&self) -> usize {
         self.outcomes.iter().filter(|o| o.is_legal()).count()
     }
 
@@ -67,7 +61,7 @@ impl LegalityReport {
     }
 
     /// The legal patterns (for downstream diversity evaluation).
-    pub fn legal_patterns(&self) -> impl Iterator<Item = &SquishPattern> + '_ {
+    pub(crate) fn legal_patterns(&self) -> impl Iterator<Item = &SquishPattern> + '_ {
         self.outcomes.iter().filter_map(LegalityOutcome::pattern)
     }
 
@@ -138,7 +132,6 @@ mod tests {
         let report = legality(lib.iter(), 100, &rules, &mut rng);
         assert_eq!(report.legal_count(), 0);
         assert_eq!(report.total(), 1);
-        assert!(matches!(report.outcomes()[0], LegalityOutcome::Failed(_)));
     }
 
     #[test]

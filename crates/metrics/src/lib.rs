@@ -33,6 +33,6 @@ pub mod diversity;
 pub mod legality;
 pub mod stats;
 
-pub use diversity::{complexity_histogram, diversity, entropy_bits};
+pub use diversity::{diversity, entropy_bits};
 pub use legality::{legality, LegalityOutcome, LegalityReport};
 pub use stats::LibraryStats;

@@ -39,7 +39,7 @@ impl LibraryStats {
 
     /// Summarizes an existing legality report.
     #[must_use]
-    pub fn from_report(report: &LegalityReport) -> LibraryStats {
+    pub(crate) fn from_report(report: &LegalityReport) -> LibraryStats {
         let legal = report.legal_count();
         let diversity = diversity(report.legal_topologies());
         let mean_density = if legal == 0 {
@@ -55,27 +55,6 @@ impl LibraryStats {
             total: report.total(),
             legal,
             legality: report.ratio(),
-            diversity,
-            mean_density,
-        }
-    }
-
-    /// Diversity of raw topologies without legalization — used for the
-    /// "Real Patterns" reference rows of Table 1 (real patterns have no
-    /// legality entry).
-    #[must_use]
-    pub fn reference<'a>(topologies: impl Iterator<Item = &'a Topology> + Clone) -> LibraryStats {
-        let total = topologies.clone().count();
-        let diversity = diversity(topologies.clone());
-        let mean_density = if total == 0 {
-            0.0
-        } else {
-            topologies.map(Topology::density).sum::<f64>() / total as f64
-        };
-        LibraryStats {
-            total,
-            legal: total,
-            legality: f64::NAN,
             diversity,
             mean_density,
         }
@@ -125,13 +104,15 @@ mod tests {
     }
 
     #[test]
-    fn reference_stats_have_nan_legality() {
-        let lib = [Topology::from_ascii("1.\n..")];
-        let stats = LibraryStats::reference(lib.iter());
-        assert!(stats.legality.is_nan());
-        assert_eq!(stats.total, 1);
-        let display = stats.to_string();
-        assert!(display.contains("n/a"));
+    fn nan_legality_displays_as_n_a() {
+        let stats = LibraryStats {
+            total: 1,
+            legal: 1,
+            legality: f64::NAN,
+            diversity: 0.0,
+            mean_density: 0.25,
+        };
+        assert!(stats.to_string().contains("n/a"));
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub const LANES: [Lane; LANE_COUNT] = [Lane::Interactive, Lane::Standard, Lane::
 impl Lane {
     /// Stable lowercase name, used in stats rows.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Lane::Interactive => "interactive",
             Lane::Standard => "standard",
@@ -90,7 +90,7 @@ impl Lane {
 
     /// Position in [`LANES`] / every per-lane array.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 }
@@ -160,7 +160,7 @@ pub struct TenantQuota {
 impl TenantQuota {
     /// Effective burst size of the turn bucket.
     #[must_use]
-    pub fn burst(&self) -> f64 {
+    pub(crate) fn burst(&self) -> f64 {
         if self.turn_burst > 0.0 {
             self.turn_burst
         } else {
@@ -172,7 +172,7 @@ impl TenantQuota {
     /// names `inflight`, `sessions`, `tps` (turns per second) and
     /// `burst`, e.g. `"inflight=4,sessions=8,tps=2,burst=4"`. Omitted
     /// fields stay unlimited.
-    pub fn parse(spec: &str) -> Result<TenantQuota, String> {
+    pub(crate) fn parse(spec: &str) -> Result<TenantQuota, String> {
         let mut quota = TenantQuota::default();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (name, value) = part
@@ -235,7 +235,7 @@ impl QosConfig {
 
     /// The effective quota of a tenant.
     #[must_use]
-    pub fn quota_for(&self, tenant: &str) -> TenantQuota {
+    pub(crate) fn quota_for(&self, tenant: &str) -> TenantQuota {
         self.tenant_quotas
             .get(tenant)
             .copied()
@@ -244,7 +244,7 @@ impl QosConfig {
 
     /// Applies one `--tenant-quota` flag value: either `"SPEC"`
     /// (sets the default quota) or `"TENANT:SPEC"` (overrides one
-    /// tenant), where SPEC is [`TenantQuota::parse`] syntax. The flag
+    /// tenant), where SPEC is `TenantQuota::parse` syntax. The flag
     /// is repeatable; later values win.
     pub fn apply_quota_flag(&mut self, flag: &str) -> Result<(), String> {
         match flag.split_once(':') {
@@ -403,12 +403,6 @@ impl QosGate {
             config,
             tenants: std::sync::Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The policy this gate enforces.
-    #[must_use]
-    pub fn config(&self) -> &QosConfig {
-        &self.config
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, TenantState>> {
@@ -654,7 +648,7 @@ impl<T> FairQueue<T> {
 pub struct TenantLaneStats {
     /// Tenant name.
     pub tenant: String,
-    /// Lane name ([`Lane::name`]).
+    /// Lane name (`Lane::name`).
     pub lane: String,
     /// Requests admitted past the QoS gate.
     pub admitted: u64,
