@@ -32,10 +32,9 @@
 //! ```
 
 pub mod builder;
-pub mod map;
+mod map;
 pub mod style;
 
 pub use builder::{Dataset, DatasetBuilder};
-pub(crate) use map::generate_map;
-pub use map::MapParams;
+pub(crate) use map::{generate_map, MapParams};
 pub use style::Style;

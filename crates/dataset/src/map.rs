@@ -10,23 +10,14 @@ use crate::Style;
 use cp_layout::geom::{Layout, Rect};
 use rand::Rng;
 
-/// Tunable parameters of map generation (defaults are calibrated per
-/// style inside `generate_map`; override for ablations).
+/// The size of a generated map; everything else is calibrated per
+/// style inside `generate_map`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MapParams {
+pub(crate) struct MapParams {
     /// Map width in nm.
     pub width_nm: i64,
     /// Map height in nm.
     pub height_nm: i64,
-}
-
-impl Default for MapParams {
-    fn default() -> MapParams {
-        MapParams {
-            width_nm: 16_384,
-            height_nm: 16_384,
-        }
-    }
 }
 
 /// Snap grid (nm): every shape edge lands on a multiple of this, like

@@ -1,40 +1,15 @@
 //! Legality: the fraction of topologies that legalize DRC-clean (Eq. 7).
 
 use cp_layout::drc::{check_pattern, DesignRules};
-use cp_layout::legalize::{LegalizeFailure, Legalizer};
+use cp_layout::legalize::Legalizer;
 use cp_layout::squish::{SquishPattern, Topology};
 use rand::Rng;
-
-/// Outcome of legalizing a single topology.
-#[derive(Debug, Clone)]
-pub enum LegalityOutcome {
-    /// Legalization succeeded and the result is DRC-clean.
-    Legal(SquishPattern),
-    /// Legalization failed (with the explainable failure).
-    Failed(LegalizeFailure),
-}
-
-impl LegalityOutcome {
-    /// True for the legal case.
-    #[must_use]
-    pub(crate) fn is_legal(&self) -> bool {
-        matches!(self, LegalityOutcome::Legal(_))
-    }
-
-    /// The legal pattern, if any.
-    #[must_use]
-    pub(crate) fn pattern(&self) -> Option<&SquishPattern> {
-        match self {
-            LegalityOutcome::Legal(p) => Some(p),
-            LegalityOutcome::Failed(_) => None,
-        }
-    }
-}
 
 /// Per-library legality evaluation result.
 #[derive(Debug, Clone)]
 pub struct LegalityReport {
-    outcomes: Vec<LegalityOutcome>,
+    /// Each topology's legal pattern, `None` where legalization failed.
+    outcomes: Vec<Option<SquishPattern>>,
 }
 
 impl LegalityReport {
@@ -47,7 +22,7 @@ impl LegalityReport {
     /// Number of legal patterns.
     #[must_use]
     pub(crate) fn legal_count(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.is_legal()).count()
+        self.outcomes.iter().filter(|o| o.is_some()).count()
     }
 
     /// Legality ratio in `0.0..=1.0` (Eq. 7); `0.0` for an empty library.
@@ -62,7 +37,7 @@ impl LegalityReport {
 
     /// The legal patterns (for downstream diversity evaluation).
     pub(crate) fn legal_patterns(&self) -> impl Iterator<Item = &SquishPattern> + '_ {
-        self.outcomes.iter().filter_map(LegalityOutcome::pattern)
+        self.outcomes.iter().flatten()
     }
 
     /// The legal topologies.
@@ -96,9 +71,9 @@ pub fn legality<'a>(
                     check_pattern(&pattern, rules).is_clean(),
                     "legalizer produced a DRC-dirty pattern"
                 );
-                LegalityOutcome::Legal(pattern)
+                Some(pattern)
             }
-            Err(failure) => LegalityOutcome::Failed(failure),
+            Err(_) => None,
         })
         .collect();
     LegalityReport { outcomes }

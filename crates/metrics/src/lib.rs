@@ -34,5 +34,5 @@ pub mod legality;
 pub mod stats;
 
 pub use diversity::{diversity, entropy_bits};
-pub use legality::{legality, LegalityOutcome, LegalityReport};
+pub use legality::{legality, LegalityReport};
 pub use stats::LibraryStats;
