@@ -26,10 +26,6 @@
 //! assert!(report.is_clean()); // one 30x30 shape: width 30, area 900
 //! ```
 
-pub mod check;
-pub mod rules;
-pub mod violation;
-
-pub use check::{check_pattern, DrcReport};
-pub use rules::DesignRules;
-pub use violation::{Violation, ViolationKind};
+pub use crate::check::{check_pattern, DrcReport};
+pub use crate::rules::DesignRules;
+pub use crate::violation::{Violation, ViolationKind};

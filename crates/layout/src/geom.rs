@@ -23,15 +23,10 @@
 //! assert!(layout.union_area() > 0);
 //! ```
 
-mod component;
-pub mod layout;
-pub mod rect;
-mod scanline;
-
-pub(crate) use component::{label_components, line_edges, CellRun, ComponentLabels};
-pub use layout::Layout;
-pub use rect::Rect;
-pub(crate) use scanline::ScanLines;
+pub(crate) use crate::component::{label_components, line_edges, CellRun, ComponentLabels};
+pub use crate::layout::Layout;
+pub use crate::rect::Rect;
+pub(crate) use crate::scanline::ScanLines;
 
 /// Axis selector used by design-rule measurements and legalization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]

@@ -44,8 +44,5 @@
 //! # Ok::<(), cp_layout::legalize::LegalizeFailure>(())
 //! ```
 
-pub mod failure;
-pub mod solver;
-
-pub use failure::{FailureKind, LegalizeFailure};
-pub use solver::{AxisSolution, Legalizer};
+pub use crate::failure::{FailureKind, LegalizeFailure};
+pub use crate::solver::{AxisSolution, Legalizer};

@@ -13,3 +13,21 @@ pub mod drc;
 pub mod geom;
 pub mod legalize;
 pub mod squish;
+
+// The four modules above re-export what they hold from these, which sit
+// at the crate root so that each keeps the module path it had when the
+// four were separate crates.
+mod check;
+mod complexity;
+mod component;
+mod failure;
+mod layout;
+mod normalize;
+mod pattern;
+mod rect;
+mod region;
+mod rules;
+mod scanline;
+mod solver;
+mod topology;
+mod violation;

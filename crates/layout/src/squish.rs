@@ -13,7 +13,7 @@
 //! * [`SquishPattern`] — topology + deltas, with lossless
 //!   [`SquishPattern::from_layout`] / [`SquishPattern::to_layout`]
 //!   round-trips;
-//! * [`normalize`] — fixed-size normalization (split the largest interval
+//! * [`normalize_to`] — fixed-size normalization (split the largest interval
 //!   until the matrix is `N × N`, as in adaptive squish datasets);
 //! * [`complexity()`] — the `(cx, cy)` scan-line complexity used by the
 //!   diversity metric;
@@ -33,14 +33,8 @@
 //! assert_eq!(back.union_area(), layout.union_area());
 //! ```
 
-pub mod complexity;
-pub mod normalize;
-pub mod pattern;
-pub mod region;
-pub mod topology;
-
-pub use complexity::{complexity, Complexity};
-pub use normalize::normalize_to;
-pub use pattern::SquishPattern;
-pub use region::Region;
-pub use topology::{fits_one_request, Packed, Topology, MAX_REQUEST_CELLS};
+pub use crate::complexity::{complexity, Complexity};
+pub use crate::normalize::normalize_to;
+pub use crate::pattern::SquishPattern;
+pub use crate::region::Region;
+pub use crate::topology::{fits_one_request, Packed, Topology, MAX_REQUEST_CELLS};
