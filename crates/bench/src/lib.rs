@@ -1,8 +1,8 @@
 //! What is left of the experiment harness: [`quality`], the paper's
 //! legality / diversity tables as recorded and gated data, and the
-//! scale both binaries (`quality`, `engine_scaling`) run at.
+//! scale the `quality` binary runs at.
 //!
-//! Both scale with one [`BenchConfig`], read from the environment so
+//! It scales with one [`BenchConfig`], read from the environment so
 //! paper-scale runs are a matter of exporting variables:
 //!
 //! | variable | default | paper value | meaning |
@@ -26,7 +26,7 @@ pub mod quality;
 use chatpattern_core::ChatPattern;
 use serde::{Deserialize, Serialize};
 
-/// Scale knobs of both binaries, and the header of a recorded
+/// Scale knobs of the `quality` binary, and the header of a recorded
 /// `BENCH_QUALITY.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BenchConfig {
@@ -96,9 +96,9 @@ impl BenchConfig {
     /// # Panics
     ///
     /// Panics when the `CP_*` environment variables describe an invalid
-    /// configuration — the binaries want the loud failure.
+    /// configuration — the binary wants the loud failure.
     #[must_use]
-    pub fn build_system(&self) -> ChatPattern {
+    pub(crate) fn build_system(&self) -> ChatPattern {
         ChatPattern::builder()
             .window(self.window)
             .diffusion_steps(self.steps)
@@ -108,7 +108,7 @@ impl BenchConfig {
             .unwrap_or_else(|e| panic!("invalid CP_* bench configuration: {e}"))
     }
 
-    /// Prints the configuration banner both binaries start with.
+    /// Prints the configuration banner the `quality` binary starts with.
     pub fn print_banner(&self, experiment: &str) {
         println!("=== {experiment} ===");
         println!(

@@ -260,7 +260,7 @@ fn reference_rows(block: &Block, libraries: &[Vec<Topology>; 2]) -> Vec<Row> {
 /// # Panics
 ///
 /// Panics when `cfg` describes an invalid system (see
-/// [`BenchConfig::build_system`]).
+/// `BenchConfig::build_system`).
 #[must_use]
 pub fn measure(cfg: &BenchConfig) -> Quality {
     let system = cfg.build_system();

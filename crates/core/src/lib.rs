@@ -117,7 +117,6 @@ pub struct ChatPatternBuilder {
     diffusion_steps: usize,
     training_patterns: usize,
     seed: u64,
-    styles: Vec<Style>,
     sessions: SessionConfig,
     session_dir: Option<PathBuf>,
     spill_ahead_turns: Option<u64>,
@@ -131,7 +130,6 @@ impl Default for ChatPatternBuilder {
             diffusion_steps: 12,
             training_patterns: 64,
             seed: 0,
-            styles: Style::ALL.to_vec(),
             sessions: SessionConfig::default(),
             session_dir: None,
             spill_ahead_turns: None,
@@ -169,13 +167,6 @@ impl ChatPatternBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> ChatPatternBuilder {
         self.seed = seed;
-        self
-    }
-
-    /// Styles to train on (default: both layers).
-    #[must_use]
-    pub fn styles(mut self, styles: Vec<Style>) -> ChatPatternBuilder {
-        self.styles = styles;
         self
     }
 
@@ -258,9 +249,6 @@ impl ChatPatternBuilder {
                 "training_patterns must be at least 1 (got 0)",
             ));
         }
-        if self.styles.is_empty() {
-            return Err(Error::config("at least one style is required"));
-        }
         self.sessions.validate()?;
         if self.persist_shards == 0 {
             return Err(Error::config(
@@ -294,14 +282,13 @@ impl ChatPatternBuilder {
     /// # Errors
     ///
     /// Returns [`Error::Config`] when the configuration is invalid (bad
-    /// window or step counts, no styles); this replaces the panics of
+    /// window or step counts); this replaces the panics of
     /// earlier revisions.
     pub fn build(self) -> Result<ChatPattern, Error> {
         self.validate()?;
         // 16 nm mean grid pitch, like the paper's 2048 nm / 128 cells.
         let patch_nm = (self.window as i64) * 16;
-        let datasets: Vec<Dataset> = self
-            .styles
+        let datasets: Vec<Dataset> = Style::ALL
             .iter()
             .enumerate()
             .map(|(i, &style)| {
@@ -931,8 +918,6 @@ mod tests {
         assert!(matches!(no_steps, Err(Error::Config { .. })));
         let no_training = ChatPattern::builder().training_patterns(0).build();
         assert!(matches!(no_training, Err(Error::Config { .. })));
-        let no_styles = ChatPattern::builder().styles(Vec::new()).build();
-        assert!(matches!(no_styles, Err(Error::Config { .. })));
         // A zero turn trigger is refused by name, not clamped to 1, and
         // before the session directory is touched.
         let every_zero_turns = ChatPattern::builder()

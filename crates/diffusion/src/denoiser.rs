@@ -89,26 +89,4 @@ pub(crate) mod test_support {
             self.size
         }
     }
-
-    /// Predicts "keep exactly what you see" — the identity denoiser.
-    #[derive(Debug, Clone)]
-    pub struct IdentityDenoiser {
-        pub size: usize,
-    }
-
-    impl Denoiser for IdentityDenoiser {
-        fn predict_x0(
-            &self,
-            x_k: &Topology,
-            _k: usize,
-            _total_steps: usize,
-            _condition: Option<u32>,
-        ) -> Vec<f32> {
-            x_k.as_bytes().iter().map(|&b| b as f32).collect()
-        }
-
-        fn native_size(&self) -> usize {
-            self.size
-        }
-    }
 }

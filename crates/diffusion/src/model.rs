@@ -7,8 +7,7 @@ use rand::Rng;
 /// A discrete diffusion model: schedule + denoiser + native window size.
 ///
 /// `sample` runs the full `K`-step ancestral reverse process from uniform
-/// noise; `forward_noised` applies the closed-form forward process
-/// (Eq. 2); `reverse_step` is one step of Eq. (9).
+/// noise; `reverse_step` is one step of Eq. (9).
 #[derive(Debug, Clone)]
 pub struct DiffusionModel<D> {
     schedule: NoiseSchedule,
@@ -30,13 +29,13 @@ impl<D: Denoiser> DiffusionModel<D> {
 
     /// The noise schedule.
     #[must_use]
-    pub fn schedule(&self) -> &NoiseSchedule {
+    pub(crate) fn schedule(&self) -> &NoiseSchedule {
         &self.schedule
     }
 
     /// The denoiser back-end.
     #[must_use]
-    pub fn denoiser(&self) -> &D {
+    pub(crate) fn denoiser(&self) -> &D {
         &self.denoiser
     }
 
@@ -44,15 +43,6 @@ impl<D: Denoiser> DiffusionModel<D> {
     #[must_use]
     pub fn native_size(&self) -> usize {
         self.native_size
-    }
-
-    /// Forward process `q(x_k | x_0)`: flips each bit with the cumulative
-    /// probability `b̄_k` (Eq. 2 in its closed two-state form).
-    #[must_use]
-    pub fn forward_noised(&self, x0: &Topology, k: usize, rng: &mut impl Rng) -> Topology {
-        let mut cells = vec![0u8; x0.len()];
-        forward_cells(x0.as_bytes(), self.schedule.flip_bar(k), rng, &mut cells);
-        Topology::from_bytes(x0.rows(), x0.cols(), cells)
     }
 
     /// The four posterior values of step `k`, indexed
@@ -74,7 +64,7 @@ impl<D: Denoiser> DiffusionModel<D> {
     /// One reverse step: samples `x_{k-1}` given `x_k` (Eq. 9):
     /// `p_θ(x_{k-1}|x_k, c) = Σ_{x̃0} q(x_{k-1}|x_k, x̃0) · p_θ(x̃0|x_k, c)`.
     #[must_use]
-    pub fn reverse_step(
+    pub(crate) fn reverse_step(
         &self,
         x_k: &Topology,
         k: usize,
@@ -342,7 +332,7 @@ fn reverse_compare_avx512(cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], dr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::denoiser::test_support::{ConstantDenoiser, IdentityDenoiser};
+    use crate::denoiser::test_support::ConstantDenoiser;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -677,23 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_noised_draws_exactly_like_the_per_cell_loop() {
-        let model = mrf_model(8);
-        for_each_unit(|unit| {
-            for (rows, cols) in SHAPES {
-                let x0 = Topology::from_fn(rows, cols, |r, c| (r * 3 + c) % 5 < 2);
-                for k in [0, 1, 4, 8] {
-                    assert_same_draws(
-                        &format!("{unit:?} forward_noised {rows}x{cols} k={k}"),
-                        |rng| model.forward_noised(&x0, k, &mut erased(rng)),
-                        |rng| reference::forward_noised(&model, &x0, k, rng),
-                    );
-                }
-            }
-        });
-    }
-
-    #[test]
     fn sample_draws_exactly_like_the_per_cell_loop() {
         let constant = DiffusionModel::new(
             NoiseSchedule::scaled_default(5),
@@ -796,31 +769,6 @@ mod tests {
                 }
             }
         });
-    }
-
-    #[test]
-    fn forward_at_zero_is_identity() {
-        let model = DiffusionModel::new(
-            NoiseSchedule::scaled_default(8),
-            IdentityDenoiser { size: 8 },
-            8,
-        );
-        let x0 = Topology::from_fn(8, 8, |r, c| (r + c) % 3 == 0);
-        let x = model.forward_noised(&x0, 0, &mut rng());
-        assert_eq!(x, x0);
-    }
-
-    #[test]
-    fn forward_at_final_step_is_uniform() {
-        let model = DiffusionModel::new(
-            NoiseSchedule::scaled_default(8),
-            IdentityDenoiser { size: 32 },
-            32,
-        );
-        let x0 = Topology::filled(32, 32, true);
-        let x = model.forward_noised(&x0, 8, &mut rng());
-        let density = x.density();
-        assert!((density - 0.5).abs() < 0.1, "density {density}");
     }
 
     #[test]

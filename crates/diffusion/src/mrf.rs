@@ -905,7 +905,10 @@ mod tests {
         let clean = &data[0];
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         // Light noise (k = 2 of 10): prediction should mostly match clean.
-        let noisy = model.forward_noised(clean, 2, &mut rng);
+        let mut cells = vec![0u8; clean.len()];
+        let flip = model.schedule().flip_bar(2);
+        crate::model::forward_cells(clean.as_bytes(), flip, &mut rng, &mut cells);
+        let noisy = Topology::from_bytes(clean.rows(), clean.cols(), cells);
         let p0 = model.denoiser().predict_x0(&noisy, 2, 10, Some(0));
         let mut correct = 0usize;
         for (i, &p) in p0.iter().enumerate() {

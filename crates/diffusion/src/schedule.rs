@@ -67,14 +67,8 @@ impl NoiseSchedule {
 
     /// Number of diffusion steps `K`.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.betas.len()
-    }
-
-    /// Always false (schedules have at least one step).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Per-step flip probability `β_k` (1-based `k`).

@@ -119,10 +119,6 @@ fn builder_rejections_are_config_errors() {
             ChatPattern::builder().training_patterns(0).build(),
             "train 0",
         ),
-        (
-            ChatPattern::builder().styles(Vec::new()).build(),
-            "no styles",
-        ),
     ] {
         match result {
             Err(Error::Config { message }) => {

@@ -617,14 +617,34 @@ fn a_stop_raised_while_the_loop_drains_its_wake_pipe_is_not_lost() {
     assert_eq!(replies, "one\ntwo\n", "every line answered, then the close");
 }
 
-/// Every client writes its whole pipeline before any reply is read, so
-/// the loop holds outstanding replies for hundreds of connections in
-/// its outbound queues at once. Any dropped, repeated or mis-correlated
-/// reply fails, and the engine's connection counters must agree with
+/// Sends one `Stats` under `id` and reads the reply: whether it came
+/// back `Ok` under that id.
+fn stats_answered(client: &mut NdjsonClient, id: u64) -> bool {
+    let request = RequestEnvelope {
+        id: serde_json::to_value(&id),
+        tenant: None,
+        request: PatternRequest::Stats,
+    };
+    client.call(&request).is_ok_and(|reply| {
+        reply.id.as_u64() == Some(id) && matches!(reply.outcome, WireOutcome::Ok(_))
+    })
+}
+
+/// A thousand idle connections are opened first and held while
+/// hundreds of clients each write their whole pipeline before any
+/// reply is read, so the loop holds outstanding replies for hundreds of
+/// connections in its outbound queues at once. Any dropped, repeated or
+/// mis-correlated reply fails; afterwards every idle connection must
+/// still answer, and the engine's connection counters must agree with
 /// what the clients did.
 #[test]
 fn hundreds_of_pipelining_clients_are_each_answered_exactly_once() {
     const CLIENTS: usize = 256;
+    const IDLE: usize = 1024;
+    /// Ids of the idle connections' hellos and pings, clear of the
+    /// pipelines' `i * 16 + seq`.
+    const HELLO: u64 = 1 << 20;
+    const PING: u64 = 2 << 20;
     /// Stats pipelined per client; every 32nd client also runs one real
     /// Generate, so diffusion work is in flight too, not just framing.
     const STATS_EACH: usize = 4;
@@ -632,6 +652,20 @@ fn hundreds_of_pipelining_clients_are_each_answered_exactly_once() {
     let engine = build_engine();
     let handle = spawn_event_loop(&engine, EventLoopConfig::default());
     let addr = handle.local_addr().to_string();
+    // Each idle connection says hello once, so the next connect finds
+    // the last one accepted: a tight loop of a thousand connects
+    // overruns the listen backlog and waits seconds on SYN retries.
+    let mut idle: Vec<NdjsonClient> = (0..IDLE)
+        .map(|i| {
+            let mut client = NdjsonClient::connect(&addr, ClientConfig::default())
+                .unwrap_or_else(|e| panic!("idle connection {i} connects: {e}"));
+            assert!(
+                stats_answered(&mut client, HELLO + i as u64),
+                "idle connection {i}: no answer to its hello"
+            );
+            client
+        })
+        .collect();
     let mut clients: Vec<NdjsonClient> = (0..CLIENTS)
         .map(|i| {
             NdjsonClient::connect(&addr, ClientConfig::default())
@@ -679,17 +713,29 @@ fn hundreds_of_pipelining_clients_are_each_answered_exactly_once() {
         }
     }
 
+    let silent: Vec<usize> = (0..IDLE)
+        .filter(|&i| !stats_answered(&mut idle[i], PING + i as u64))
+        .collect();
+    assert!(
+        silent.is_empty(),
+        "idle connections not answering: {silent:?}"
+    );
+
     let stats = engine.stats();
-    assert_eq!(stats.connections_live as usize, CLIENTS);
-    assert!(stats.connections_peak as usize >= CLIENTS, "{stats:?}");
+    assert_eq!(stats.connections_live as usize, IDLE + CLIENTS);
+    assert!(
+        stats.connections_peak as usize >= IDLE + CLIENTS,
+        "{stats:?}"
+    );
     assert_eq!(stats.disconnects_backpressure, 0, "a well-behaved crowd");
 
     // Hang up everything and wait for the loop to observe each EOF.
     drop(clients);
+    drop(idle);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = engine.stats();
-        if stats.connections_live == 0 && stats.disconnects_clean as usize >= CLIENTS {
+        if stats.connections_live == 0 && stats.disconnects_clean as usize >= IDLE + CLIENTS {
             break;
         }
         assert!(

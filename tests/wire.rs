@@ -730,7 +730,7 @@ fn router_help_parser_and_docs_list_the_same_flags() {
 
 /// No doc mentions a flag that nothing takes: every `--flag` in
 /// `docs/*.md` is in one of the two `--help` texts, or belongs to
-/// `cargo`, to `engine_scaling --check` or to `benchmark/run.sh`.
+/// `cargo`, to `quality --check` or to `benchmark/run.sh`.
 #[test]
 fn every_flag_the_docs_mention_exists() {
     let mut known = help_flags(SERVE);
@@ -739,8 +739,6 @@ fn every_flag_the_docs_mention_exists() {
         "--release",
         "--bin",
         "--check",
-        "--threshold",
-        "--baseline",
         "--workload",
         "--seconds",
         "--trace",
