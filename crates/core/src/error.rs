@@ -5,11 +5,10 @@
 //! [`ChatPattern`](crate::ChatPattern) facade and the
 //! [`PatternService`](crate::PatternService) trait — returns this one
 //! [`Error`]. The `From` impls fold the per-subsystem failure types
-//! (tool calls, legalization, DRC, requirement parsing) into it, so `?`
-//! works across crate boundaries.
+//! (legalization, requirement parsing, snapshot decoding) into it, so
+//! `?` works across crate boundaries.
 
-use cp_agent::{RequirementError, ToolError};
-use cp_layout::drc::{DrcReport, Violation};
+use cp_agent::RequirementError;
 use cp_layout::legalize::LegalizeFailure;
 
 /// Any failure the ChatPattern system can report.
@@ -31,15 +30,8 @@ pub enum Error {
     /// A natural-language request could not be parsed into requirement
     /// lists.
     Requirement(RequirementError),
-    /// A tool invocation failed inside an agent session.
-    Tool(ToolError),
     /// Legalization failed; the payload explains where and why.
     Legalize(LegalizeFailure),
-    /// A pattern violated design rules.
-    Drc {
-        /// The violations found, in scan order.
-        violations: Vec<Violation>,
-    },
     /// A session id could not be resolved to a live session: it was
     /// never opened, already closed, expired past its TTL, or evicted
     /// to make room for a newer session. The message says which.
@@ -141,25 +133,7 @@ impl std::fmt::Display for Error {
             Error::Config { message } => write!(f, "invalid configuration: {message}"),
             Error::InvalidRequest { message } => write!(f, "invalid request: {message}"),
             Error::Requirement(e) => write!(f, "{e}"),
-            Error::Tool(e) => write!(f, "tool call failed: {e}"),
             Error::Legalize(e) => write!(f, "{e}"),
-            Error::Drc { violations } => write!(
-                f,
-                "design-rule violations: {} total ({} space, {} width, {} area)",
-                violations.len(),
-                violations
-                    .iter()
-                    .filter(|v| v.kind == cp_layout::drc::ViolationKind::Space)
-                    .count(),
-                violations
-                    .iter()
-                    .filter(|v| v.kind == cp_layout::drc::ViolationKind::Width)
-                    .count(),
-                violations
-                    .iter()
-                    .filter(|v| v.kind == cp_layout::drc::ViolationKind::Area)
-                    .count(),
-            ),
             Error::SessionNotFound { id, message } => {
                 write!(f, "session \"{id}\" not found: {message}")
             }
@@ -185,11 +159,9 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Requirement(e) => Some(e),
-            Error::Tool(e) => Some(e),
             Error::Legalize(e) => Some(e),
             Error::Config { .. }
             | Error::InvalidRequest { .. }
-            | Error::Drc { .. }
             | Error::SessionNotFound { .. }
             | Error::SessionPersist { .. }
             | Error::Cancelled
@@ -197,12 +169,6 @@ impl std::error::Error for Error {
             | Error::Overloaded { .. }
             | Error::Internal { .. } => None,
         }
-    }
-}
-
-impl From<ToolError> for Error {
-    fn from(e: ToolError) -> Error {
-        Error::Tool(e)
     }
 }
 
@@ -224,20 +190,6 @@ impl From<RequirementError> for Error {
     }
 }
 
-impl From<Vec<Violation>> for Error {
-    fn from(violations: Vec<Violation>) -> Error {
-        Error::Drc { violations }
-    }
-}
-
-impl From<&DrcReport> for Error {
-    fn from(report: &DrcReport) -> Error {
-        Error::Drc {
-            violations: report.violations().to_vec(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,8 +203,6 @@ mod tests {
         assert!(config.to_string().contains("invalid configuration"));
         let request = Error::invalid_request("count must be positive");
         assert!(request.to_string().contains("invalid request"));
-        let tool: Error = ToolError::new("missing 'ids'").into();
-        assert!(tool.to_string().contains("tool call failed"));
         let requirement: Error = RequirementError::new("empty").into();
         assert!(requirement
             .to_string()
@@ -266,8 +216,6 @@ mod tests {
         }
         .into();
         assert!(legalize.to_string().contains("infeasible"));
-        let drc: Error = Vec::<Violation>::new().into();
-        assert!(drc.to_string().contains("design-rule violations"));
         assert!(Error::Cancelled.to_string().contains("cancelled"));
         let full = Error::QueueFull { depth: 8 };
         assert!(full.to_string().contains("queue is full"));
@@ -288,11 +236,6 @@ mod tests {
 
     #[test]
     fn from_conversions_preserve_payloads() {
-        let tool = ToolError::new("boom");
-        match Error::from(tool.clone()) {
-            Error::Tool(inner) => assert_eq!(inner, tool),
-            other => panic!("wrong variant: {other:?}"),
-        }
         let requirement = RequirementError::new("nope");
         match Error::from(requirement.clone()) {
             Error::Requirement(inner) => assert_eq!(inner, requirement),
@@ -303,8 +246,8 @@ mod tests {
     #[test]
     fn source_chains_to_inner_errors() {
         use std::error::Error as _;
-        let err: Error = ToolError::new("inner message").into();
-        let source = err.source().expect("tool errors chain");
+        let err: Error = RequirementError::new("inner message").into();
+        let source = err.source().expect("requirement errors chain");
         assert!(source.to_string().contains("inner message"));
         assert!(Error::config("x").source().is_none());
     }

@@ -49,9 +49,7 @@ impl From<&Error> for WireError {
             Error::Config { .. } => "Config",
             Error::InvalidRequest { .. } => "InvalidRequest",
             Error::Requirement(_) => "Requirement",
-            Error::Tool(_) => "Tool",
             Error::Legalize(_) => "Legalize",
-            Error::Drc { .. } => "Drc",
             Error::SessionNotFound { .. } => "SessionNotFound",
             Error::SessionPersist { .. } => "SessionPersist",
             Error::Cancelled => "Cancelled",

@@ -7,31 +7,29 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Per-attempt TCP connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Sleep before the second attempt; doubles per retry, capped at
+/// [`MAX_BACKOFF`].
+const BACKOFF: Duration = Duration::from_millis(50);
+/// Backoff ceiling.
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
+
 /// Connection policy: how long to wait, how often to retry.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Per-attempt TCP connect timeout.
-    pub connect_timeout: Duration,
     /// Socket read timeout (`None` = block forever). The default is
     /// generous because a diffusion job legitimately takes a while.
     pub read_timeout: Option<Duration>,
     /// Total connection attempts before giving up (≥ 1).
     pub attempts: u32,
-    /// Sleep before the second attempt; doubles per retry, capped at
-    /// [`ClientConfig::max_backoff`].
-    pub backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
 }
 
 impl Default for ClientConfig {
     fn default() -> ClientConfig {
         ClientConfig {
-            connect_timeout: Duration::from_secs(5),
             read_timeout: Some(Duration::from_secs(300)),
             attempts: 5,
-            backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
         }
     }
 }
@@ -55,14 +53,14 @@ pub fn connect_with_backoff(
         ));
     }
     let mut last = None;
-    let mut pause = config.backoff;
+    let mut pause = BACKOFF;
     for attempt in 0..config.attempts.max(1) {
         if attempt > 0 {
             std::thread::sleep(pause);
-            pause = (pause * 2).min(config.max_backoff);
+            pause = (pause * 2).min(MAX_BACKOFF);
         }
         for addr in &addrs {
-            match TcpStream::connect_timeout(addr, config.connect_timeout) {
+            match TcpStream::connect_timeout(addr, CONNECT_TIMEOUT) {
                 Ok(stream) => {
                     stream.set_read_timeout(config.read_timeout)?;
                     stream.set_nodelay(true)?;

@@ -1,23 +1,20 @@
 //! Offline stand-in for the subset of `serde` this workspace uses.
 //!
 //! Like the real crate, this shim is a streaming design: a type's
-//! [`Serialize`] impl emits JSON-shaped events into whichever
-//! [`Serializer`] it is given, and its [`Deserialize`] impl pulls them
-//! from whichever [`Deserializer`] it is given. There are two of each:
-//!
-//! * [`text::TextWriter`] / [`text::TextReader`] — the wire text
-//!   itself, so `serde_json::to_string` / `from_str` go straight
-//!   between typed values and JSON text without building anything in
-//!   between;
-//! * a tree builder and a tree walker private to [`value`] — the
-//!   [`Value`] tree, for `serde_json::to_value` / `from_value` / `json!`.
+//! [`Serialize`] impl emits JSON-shaped events into a [`Serializer`],
+//! and its [`Deserialize`] impl pulls them from a [`Deserializer`].
+//! There is one of each, [`text::TextWriter`] and [`text::TextReader`]:
+//! the JSON text itself, so `serde_json::to_string` / `from_str` go
+//! straight between typed values and text without building anything in
+//! between.
 //!
 //! Every type has exactly one `serialize` and one `deserialize`
 //! (hand-written here for the std types, generated by the sibling
-//! `serde_derive` proc-macro crate for everything else), generic over
-//! those; [`Value`] is just another type with both impls, so parsing
-//! text into a tree is `Value::deserialize` from a `TextReader` and
-//! printing a tree is `Value::serialize` into a `TextWriter`.
+//! `serde_derive` proc-macro crate for everything else). [`Value`] is
+//! just another type with both impls, so parsing text into a tree is
+//! `Value::deserialize` from a `TextReader`, printing a tree is
+//! `Value::serialize` into a `TextWriter`, and `serde_json::to_value` /
+//! `from_value` are those two steps joined through the text.
 //!
 //! The derive generates the same externally-tagged representation
 //! serde would: structs become objects, unit enum variants become
@@ -102,12 +99,10 @@ pub trait Serializer: Sized {
     /// formed (`serde_json::value::RawValue` holds nothing else).
     fn raw(&mut self, json: &str);
 
-    /// An array of bytes, each a number: the events of `v.serialize`,
-    /// for a serializer that can write them in one pass (a topology's
+    /// An array of bytes, each a number: what the events of
+    /// `v.serialize` write, in one pass where it can (a topology's
     /// cells are 16 384 of them).
-    fn u8_seq(&mut self, v: &[u8]) {
-        v.serialize(self);
-    }
+    fn u8_seq(&mut self, v: &[u8]);
 }
 
 /// The JSON kind of the value a [`Deserializer`] is about to yield.
@@ -158,42 +153,17 @@ pub trait Deserializer: Sized {
     /// `expected` was wanted in its place.
     fn unexpected(&mut self, expected: &str) -> Error;
     /// Consumes the pending value, whatever it is, and yields its JSON
-    /// text: the input's own bytes where the input is text (surrounding
-    /// whitespace left out), a compact print where it is a tree. The
+    /// text: the input's own bytes, surrounding whitespace left out. The
     /// slice is valid until the next call.
     fn raw(&mut self) -> Result<&str, Error>;
 
     /// Consumes an array of bytes: what `Vec::<u8>::deserialize`
-    /// yields and refuses, to the letter of its errors, for a
-    /// deserializer that can read it in one pass (a topology's cells
-    /// are 16 384 of them).
-    fn u8_seq(&mut self) -> Result<Vec<u8>, Error> {
-        Vec::deserialize(self)
-    }
+    /// yields and refuses, to the letter of its errors, in one pass
+    /// where it can (a topology's cells are 16 384 of them).
+    fn u8_seq(&mut self) -> Result<Vec<u8>, Error>;
 
     /// Consumes the pending value, whatever it is (an unknown key's).
-    fn skip(&mut self) -> Result<(), Error> {
-        match self.kind()? {
-            Kind::Null => self.null(),
-            Kind::Bool => self.bool().map(drop),
-            Kind::Number => self.number().map(drop),
-            Kind::String => self.str().map(drop),
-            Kind::Seq => {
-                self.seq_begin()?;
-                while self.seq_next()? {
-                    self.skip()?;
-                }
-                Ok(())
-            }
-            Kind::Map => {
-                self.map_begin()?;
-                while self.map_key()?.is_some() {
-                    self.skip()?;
-                }
-                Ok(())
-            }
-        }
-    }
+    fn skip(&mut self) -> Result<(), Error>;
 }
 
 /// Types that can emit themselves into a [`Serializer`].
@@ -223,7 +193,7 @@ pub trait Deserialize: Sized {
 ///
 /// Returns the type's own "expected …, found null" error.
 pub fn missing_field<T: Deserialize>() -> Result<T, Error> {
-    value::from_absent()
+    T::deserialize(&mut text::TextReader::absent())
 }
 
 /// A `#[serde(default)]` field's value: `None` (use the default) when

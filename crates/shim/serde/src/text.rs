@@ -200,6 +200,9 @@ pub struct TextReader<'a> {
     fresh: bool,
     /// The last string that needed unescaping.
     unescaped: String,
+    /// The text is the `null` a struct field whose key never came
+    /// stands for, and no text stands behind it.
+    absent: bool,
 }
 
 /// Where a just-read string lives: a range of the input when it held
@@ -216,6 +219,17 @@ impl<'a> TextReader<'a> {
             depth: 0,
             fresh: false,
             unescaped: String::new(),
+            absent: false,
+        }
+    }
+
+    /// A reader of what a struct field whose key never came decodes
+    /// from: `null`, except that [`raw`](Deserializer::raw) has no text
+    /// to yield and refuses.
+    pub(crate) fn absent() -> TextReader<'static> {
+        TextReader {
+            absent: true,
+            ..TextReader::new("null")
         }
     }
 
@@ -589,15 +603,18 @@ impl Deserializer for TextReader<'_> {
     }
 
     fn raw(&mut self) -> Result<&str, Error> {
+        if self.absent {
+            return Err(Error::custom("expected a value, found none"));
+        }
         self.skip_whitespace();
         let start = self.pos;
         self.skip()?;
         Ok(&self.text[start..self.pos])
     }
 
-    /// The default walk, so what it accepts is what reading the value
-    /// as a [`Value`] accepts, nesting included — plus the fast path
-    /// over an array's one-digit members.
+    /// A walk of the value's events, so what it accepts is what reading
+    /// the value as a [`Value`] accepts, nesting included — plus the
+    /// fast path over an array's one-digit members.
     fn skip(&mut self) -> Result<(), Error> {
         match self.kind()? {
             Kind::Null => self.null(),

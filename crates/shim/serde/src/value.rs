@@ -1,11 +1,10 @@
-//! The JSON-shaped value tree: a type like any other to the codec
-//! (it serializes into and deserializes from whatever it is given),
-//! plus the [`Serializer`] that builds one and the [`Deserializer`]
-//! that walks one.
+//! The JSON-shaped value tree: a type like any other to the codec (it
+//! serializes into and deserializes from whatever it is given), built
+//! and read through the JSON text.
 
 use crate::text::{TextReader, TextWriter};
 use crate::{Deserialize, Deserializer, Error, Kind, Serialize, Serializer};
-use std::collections::{btree_map, BTreeMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Object representation: sorted keys give deterministic output.
@@ -274,9 +273,14 @@ macro_rules! impl_from_int {
 
 impl_from_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 
+/// NaN and the infinities have no JSON form: they become `null`.
 impl From<f64> for Value {
     fn from(v: f64) -> Value {
-        Value::Number(Number::Float(v))
+        if v.is_finite() {
+            Value::Number(Number::Float(v))
+        } else {
+            Value::Null
+        }
     }
 }
 
@@ -338,7 +342,12 @@ impl Deserialize for Value {
                 Value::Null
             }
             Kind::Bool => Value::Bool(d.bool()?),
-            Kind::Number => Value::Number(d.number()?),
+            // `-0` is negative zero, which only a float holds (an
+            // integer reader takes it as 0).
+            Kind::Number => Value::Number(match d.number()? {
+                Number::NegInt(0) => Number::Float(-0.0),
+                number => number,
+            }),
             Kind::String => Value::String(d.str()?.to_owned()),
             Kind::Seq => Value::Array(Vec::deserialize(d)?),
             Kind::Map => {
@@ -355,255 +364,28 @@ impl Deserialize for Value {
     }
 }
 
-/// Renders any serializable value into a [`Value`] tree.
+/// Renders any serializable value into a [`Value`] tree: its JSON
+/// text, read back as a tree.
+///
+/// # Panics
+///
+/// When `value` nests arrays and objects deeper than
+/// [`MAX_DEPTH`](crate::text::MAX_DEPTH): the reader refuses that text
+/// (no workspace type nests that deep).
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    let mut builder = ValueSerializer::default();
-    value.serialize(&mut builder);
-    builder.root
+    let mut writer = TextWriter::default();
+    value.serialize(&mut writer);
+    let text = writer.finish();
+    Value::deserialize(&mut TextReader::new(&text))
+        .unwrap_or_else(|error| panic!("to_value: {error}"))
 }
 
-/// Rebuilds a typed value from a [`Value`] tree.
+/// Rebuilds a typed value from a [`Value`] tree by reading its text.
 ///
 /// # Errors
 ///
-/// Returns an [`Error`] when the tree has the wrong shape.
+/// Returns an [`Error`] when the tree has the wrong shape, or nests
+/// deeper than [`MAX_DEPTH`](crate::text::MAX_DEPTH).
 pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
-    T::deserialize(&mut ValueDeserializer::new(value))
-}
-
-/// What `T` makes of a struct field whose key never came: of `null`,
-/// with no text to show for it.
-pub(crate) fn from_absent<T: Deserialize>() -> Result<T, Error> {
-    let mut walker = ValueDeserializer::new(&NULL);
-    walker.absent = true;
-    T::deserialize(&mut walker)
-}
-
-// ---------------------------------------------------------------------
-// Building a tree from events
-// ---------------------------------------------------------------------
-
-/// An array or object still receiving its members.
-enum Open {
-    Seq(Vec<Value>),
-    /// The entries so far and the key whose value is due next.
-    Map(Map, String),
-}
-
-/// A [`Serializer`] that builds the [`Value`] the events describe.
-#[derive(Default)]
-struct ValueSerializer {
-    open: Vec<Open>,
-    root: Value,
-}
-
-impl ValueSerializer {
-    /// A finished value goes into the innermost open container, or is
-    /// the result.
-    fn put(&mut self, value: Value) {
-        match self.open.last_mut() {
-            None => self.root = value,
-            Some(Open::Seq(items)) => items.push(value),
-            Some(Open::Map(map, key)) => {
-                map.insert(std::mem::take(key), value);
-            }
-        }
-    }
-}
-
-impl Serializer for ValueSerializer {
-    fn null(&mut self) {
-        self.put(Value::Null);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.put(Value::Bool(v));
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.put(Value::from(v));
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.put(Value::from(v));
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.put(Value::from(v));
-    }
-
-    fn str(&mut self, v: &str) {
-        self.put(Value::from(v));
-    }
-
-    fn seq_begin(&mut self) {
-        self.open.push(Open::Seq(Vec::new()));
-    }
-
-    fn seq_element(&mut self) {}
-
-    fn seq_end(&mut self) {
-        if let Some(Open::Seq(items)) = self.open.pop() {
-            self.put(Value::Array(items));
-        }
-    }
-
-    fn map_begin(&mut self) {
-        self.open.push(Open::Map(Map::new(), String::new()));
-    }
-
-    fn map_key(&mut self, key: &str) {
-        if let Some(Open::Map(_, next)) = self.open.last_mut() {
-            key.clone_into(next);
-        }
-    }
-
-    fn map_end(&mut self) {
-        if let Some(Open::Map(map, _)) = self.open.pop() {
-            self.put(Value::Object(map));
-        }
-    }
-
-    fn raw(&mut self, json: &str) {
-        let value = Value::deserialize(&mut TextReader::new(json));
-        self.put(value.expect("raw text is one well-formed value"));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Walking a tree as events
-// ---------------------------------------------------------------------
-
-/// An array or object being walked.
-enum Walk<'a> {
-    Seq(std::slice::Iter<'a, Value>),
-    Map(btree_map::Iter<'a, String, Value>),
-}
-
-/// A [`Deserializer`] that yields the events of an existing [`Value`].
-struct ValueDeserializer<'a> {
-    /// The value the next accessor reads: the root, then whichever
-    /// member `seq_next` / `map_key` last stepped to.
-    pending: &'a Value,
-    walks: Vec<Walk<'a>>,
-    /// The last value asked for as text.
-    printed: String,
-    /// The value stands in for a field whose key never came.
-    absent: bool,
-}
-
-impl<'a> ValueDeserializer<'a> {
-    fn new(value: &'a Value) -> ValueDeserializer<'a> {
-        ValueDeserializer {
-            pending: value,
-            walks: Vec::new(),
-            printed: String::new(),
-            absent: false,
-        }
-    }
-}
-
-impl Deserializer for ValueDeserializer<'_> {
-    fn kind(&mut self) -> Result<Kind, Error> {
-        Ok(match self.pending {
-            Value::Null => Kind::Null,
-            Value::Bool(_) => Kind::Bool,
-            Value::Number(_) => Kind::Number,
-            Value::String(_) => Kind::String,
-            Value::Array(_) => Kind::Seq,
-            Value::Object(_) => Kind::Map,
-        })
-    }
-
-    fn null(&mut self) -> Result<(), Error> {
-        match self.pending {
-            Value::Null => Ok(()),
-            _ => Err(self.unexpected("null")),
-        }
-    }
-
-    fn bool(&mut self) -> Result<bool, Error> {
-        match self.pending {
-            Value::Bool(v) => Ok(*v),
-            _ => Err(self.unexpected("bool")),
-        }
-    }
-
-    fn number(&mut self) -> Result<Number, Error> {
-        match self.pending {
-            Value::Number(v) => Ok(*v),
-            _ => Err(self.unexpected("number")),
-        }
-    }
-
-    fn str(&mut self) -> Result<&str, Error> {
-        match self.pending {
-            Value::String(v) => Ok(v),
-            _ => Err(self.unexpected("string")),
-        }
-    }
-
-    fn seq_begin(&mut self) -> Result<(), Error> {
-        match self.pending {
-            Value::Array(items) => {
-                self.walks.push(Walk::Seq(items.iter()));
-                Ok(())
-            }
-            _ => Err(self.unexpected("array")),
-        }
-    }
-
-    fn seq_next(&mut self) -> Result<bool, Error> {
-        let Some(Walk::Seq(items)) = self.walks.last_mut() else {
-            return Err(Error::custom("not inside an array"));
-        };
-        match items.next() {
-            Some(item) => {
-                self.pending = item;
-                Ok(true)
-            }
-            None => {
-                self.walks.pop();
-                Ok(false)
-            }
-        }
-    }
-
-    fn map_begin(&mut self) -> Result<(), Error> {
-        match self.pending {
-            Value::Object(map) => {
-                self.walks.push(Walk::Map(map.iter()));
-                Ok(())
-            }
-            _ => Err(self.unexpected("object")),
-        }
-    }
-
-    fn map_key(&mut self) -> Result<Option<&str>, Error> {
-        let Some(Walk::Map(entries)) = self.walks.last_mut() else {
-            return Err(Error::custom("not inside an object"));
-        };
-        match entries.next() {
-            Some((key, value)) => {
-                self.pending = value;
-                Ok(Some(key))
-            }
-            None => {
-                self.walks.pop();
-                Ok(None)
-            }
-        }
-    }
-
-    fn unexpected(&mut self, expected: &str) -> Error {
-        Error::custom(format!("expected {expected}, found {}", self.pending))
-    }
-
-    fn raw(&mut self) -> Result<&str, Error> {
-        if self.absent {
-            return Err(Error::custom("expected a value, found none"));
-        }
-        self.printed = self.pending.to_string();
-        Ok(&self.printed)
-    }
+    T::deserialize(&mut TextReader::new(&value.to_string()))
 }

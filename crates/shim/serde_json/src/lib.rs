@@ -3,11 +3,12 @@
 //! `to_string` / `from_str` / `to_value` / `from_value` entry points.
 //!
 //! This crate is the facade; the codec itself — the JSON text writer
-//! and reader, and the tree builder and walker — lives in the serde
-//! shim, where every type's one `serialize` / `deserialize` is generic
-//! over them. `to_string` and `from_str` run a typed value straight to
-//! and from text; no [`Value`] is built unless a `Value` is what the
-//! caller asked for.
+//! and reader — lives in the serde shim. `to_string` and `from_str` run
+//! a typed value straight to and from text; no [`Value`] is built
+//! unless a `Value` is what the caller asked for, and then it is read
+//! from the text too: `to_value` writes the value and reads the text
+//! back as a tree, `from_value` writes the tree and reads the text as
+//! the type.
 //!
 //! The text format is standard JSON, compact, object keys in ascending
 //! byte order. Reading accepts any key order and surrounding

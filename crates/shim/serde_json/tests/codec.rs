@@ -125,8 +125,8 @@ fn an_enum_takes_exactly_one_variant_tag() {
         "null",
     ] {
         assert!(from_str::<State>(refused).is_err(), "{refused}");
-        // The tree route refuses the same inputs (bar the repeated
-        // tag, which a tree cannot even represent).
+        // So does `from_value` (bar the repeated tag, which a tree
+        // cannot even represent).
         if !refused.contains(r#"],"Done""#) {
             let tree: Value = from_str(refused).expect("still JSON");
             assert!(from_value::<State>(&tree).is_err(), "{refused} as a tree");
@@ -297,6 +297,38 @@ fn nesting_is_bounded() {
     // Depth counts what is open, not what has been seen.
     let wide = format!("[{}]", vec![nested("[", "]", MAX_DEPTH - 1); 50].join(","));
     assert!(from_str::<Value>(&wide).is_ok());
+}
+
+/// `to_value` and `from_value` go through the text, so a tree is held
+/// to the reader's depth too.
+fn nested_tree(depth: usize) -> Value {
+    (0..depth).fold(Value::Null, |inner, _| Value::Array(vec![inner]))
+}
+
+#[test]
+fn a_tree_nested_past_the_depth_bound_is_refused() {
+    let deepest = nested_tree(MAX_DEPTH);
+    assert_eq!(to_value(&deepest), deepest);
+    assert_eq!(from_value::<Value>(&deepest), Ok(deepest));
+    let error = from_value::<Value>(&nested_tree(MAX_DEPTH + 1)).expect_err("too deep");
+    assert!(
+        error.to_string().contains("nesting deeper than 128"),
+        "{error}"
+    );
+}
+
+#[test]
+#[should_panic(expected = "to_value: nesting deeper than 128 levels")]
+fn to_value_panics_past_the_depth_bound() {
+    to_value(&nested_tree(MAX_DEPTH + 1));
+}
+
+#[test]
+fn non_finite_floats_are_null_in_a_value() {
+    assert_eq!(to_value(&f64::NAN), Value::Null);
+    assert_eq!(Value::from(f64::INFINITY), Value::Null);
+    assert_eq!(json!({"x": f64::NAN})["x"], Value::Null);
+    assert_eq!(json!([f64::NEG_INFINITY]), json!([null]));
 }
 
 #[test]

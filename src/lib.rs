@@ -24,8 +24,8 @@
 //! speaks the JSON-lines wire protocol from `docs/WIRE_PROTOCOL.md`
 //! over TCP (the [`net`] transport crate). `chatpattern-router` shards a whole
 //! fleet of serve workers behind one address using the stable
-//! [`core::routing`] hash and can rebalance live sessions between
-//! them (see `docs/ROUTER.md`). Interactive refinement runs through
+//! [`core::routing`] hash, and a `Drain` control line moves a worker's
+//! live sessions to the others (see `docs/ROUTER.md`). Interactive refinement runs through
 //! stateful
 //! multi-turn sessions (`SessionOpen` / `SessionTurn` /
 //! `SessionClose`, bounded by a TTL + LRU [`SessionStore`]; see

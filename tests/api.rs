@@ -3,7 +3,6 @@
 //! way an external caller would.
 
 use chatpattern::dataset::Style;
-use chatpattern::drc::check_pattern;
 use chatpattern::extend::ExtensionMethod;
 use chatpattern::squish::{Region, Topology};
 use chatpattern::{
@@ -131,11 +130,8 @@ fn builder_rejections_are_config_errors() {
 
 #[test]
 fn error_display_and_conversions_cover_the_workspace() {
-    use chatpattern::agent::{RequirementError, ToolError};
+    use chatpattern::agent::RequirementError;
     use chatpattern::legalize::{FailureKind, LegalizeFailure};
-
-    let tool: Error = ToolError::new("missing 'ids'").into();
-    assert!(tool.to_string().contains("missing 'ids'"));
 
     let requirement: Error = RequirementError::new("empty request").into();
     assert!(requirement.to_string().contains("empty request"));
@@ -151,12 +147,6 @@ fn error_display_and_conversions_cover_the_workspace() {
     assert!(legalize.to_string().contains("unsatisfiable"));
 
     let system = small_system(4);
-    let sliver =
-        chatpattern::squish::SquishPattern::new(Topology::from_ascii("1."), vec![10, 40], vec![50]);
-    let drc = Error::from(&check_pattern(&sliver, system.rules()));
-    assert!(matches!(&drc, Error::Drc { violations } if !violations.is_empty()));
-    assert!(drc.to_string().contains("design-rule violations"));
-
     // `?` folds every subsystem failure into the workspace error.
     fn uses_question_mark(system: &ChatPattern) -> Result<(), Error> {
         system.generate(Style::Layer10001, 0, 16, 1, 1)?;

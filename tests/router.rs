@@ -248,7 +248,6 @@ impl Drop for RouterFleet {
             let config = ClientConfig {
                 attempts: 1,
                 read_timeout: Some(Duration::from_secs(5)),
-                ..ClientConfig::default()
             };
             if let Ok(mut client) = NdjsonClient::connect(&self.addr, config) {
                 let _ = client.send_line(r#"{"id":"drop","control":"Shutdown"}"#);

@@ -635,7 +635,6 @@ impl Drop for RouterClient {
             let config = cp_net::ClientConfig {
                 attempts: 1,
                 read_timeout: Some(std::time::Duration::from_secs(5)),
-                ..cp_net::ClientConfig::default()
             };
             if let Ok(mut client) = cp_net::NdjsonClient::connect(&self.addr, config) {
                 let _ = client.send_line(r#"{"id":"drop","control":"Shutdown"}"#);
