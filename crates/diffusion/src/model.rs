@@ -1,5 +1,9 @@
 //! The conditional reverse diffusion process (paper Eqs. 9 and 11).
 
+use std::ops::Range;
+
+use crate::denoiser::{Prediction, INDICES};
+use crate::mrf::MODEL_COARSE;
 use crate::{Denoiser, NoiseSchedule};
 use cp_layout::squish::Topology;
 use rand::Rng;
@@ -7,7 +11,7 @@ use rand::Rng;
 /// A discrete diffusion model: schedule + denoiser + native window size.
 ///
 /// `sample` runs the full `K`-step ancestral reverse process from uniform
-/// noise; `reverse_step` is one step of Eq. (9).
+/// noise, one step of Eq. (9) at a time.
 #[derive(Debug, Clone)]
 pub struct DiffusionModel<D> {
     schedule: NoiseSchedule,
@@ -34,7 +38,7 @@ impl<D: Denoiser> DiffusionModel<D> {
     }
 
     /// The denoiser back-end.
-    #[must_use]
+    #[cfg(test)]
     pub(crate) fn denoiser(&self) -> &D {
         &self.denoiser
     }
@@ -61,24 +65,6 @@ impl<D: Denoiser> DiffusionModel<D> {
         post
     }
 
-    /// One reverse step: samples `x_{k-1}` given `x_k` (Eq. 9):
-    /// `p_θ(x_{k-1}|x_k, c) = Σ_{x̃0} q(x_{k-1}|x_k, x̃0) · p_θ(x̃0|x_k, c)`.
-    #[must_use]
-    pub(crate) fn reverse_step(
-        &self,
-        x_k: &Topology,
-        k: usize,
-        condition: Option<u32>,
-        rng: &mut impl Rng,
-    ) -> Topology {
-        let p0 = self
-            .denoiser
-            .predict_x0(x_k, k, self.schedule.len(), condition);
-        let mut cells = x_k.as_bytes().to_vec();
-        reverse_cells(&mut cells, &p0, &self.posterior_table(k), rng);
-        Topology::from_bytes(x_k.rows(), x_k.cols(), cells)
-    }
-
     /// Full ancestral sampling (Eq. 11): start from the uniform stationary
     /// distribution and run all `K` reverse steps.
     #[must_use]
@@ -89,11 +75,195 @@ impl<D: Denoiser> DiffusionModel<D> {
         condition: Option<u32>,
         rng: &mut impl Rng,
     ) -> Topology {
-        let mut x = initial_noise(rows, cols, rng);
+        let mut chain = Chain::new(rows, cols);
+        initial_noise(&mut chain.cells, rng);
         for k in (1..=self.schedule.len()).rev() {
-            x = self.reverse_step(&x, k, condition, rng);
+            chain.predict(self, k, condition);
+            chain.reverse(0..rows * cols, rng);
         }
-        x
+        chain.into_topology()
+    }
+}
+
+/// The buffers of one reverse chain, made once and reused by every
+/// step: the state `x_k`, updated in place, the denoiser's prediction,
+/// and the step's draw thresholds.
+pub(crate) struct Chain {
+    rows: usize,
+    cols: usize,
+    /// `x_k`, row-major 0/1 cells.
+    pub(crate) cells: Vec<u8>,
+    step: Step,
+}
+
+/// What one step reads besides `x_k`.
+struct Step {
+    prediction: Prediction,
+    /// [`threshold`] of `P(x_{k-1} = 1)` per `[prediction entry][x_k
+    /// bit]`, for the entries the prediction holds.
+    thresholds: Box<[[u64; 2]; INDICES]>,
+    /// The thresholds of one fine row, per `x_k` bit, ...
+    row: [Vec<u64>; 2],
+    /// ... which are those of this coarse row of the prediction.
+    row_of: Option<usize>,
+}
+
+impl Chain {
+    pub(crate) fn new(rows: usize, cols: usize) -> Chain {
+        Chain {
+            rows,
+            cols,
+            cells: vec![0; rows * cols],
+            step: Step {
+                prediction: Prediction::default(),
+                thresholds: Box::new([[0; 2]; INDICES]),
+                row: [vec![0; cols], vec![0; cols]],
+                row_of: None,
+            },
+        }
+    }
+
+    /// The denoiser's prediction for `x_k` at step `k`, and from it the
+    /// step's thresholds: `P(x_{k-1} = 1) = P(x̃₀ = 1) · post[x][1] +
+    /// P(x̃₀ = 0) · post[x][0]` (Eq. 9) per `x_k` bit `x` and entry
+    /// present, the prediction clamped to `[0, 1]` first — the same f64
+    /// expression the per-cell draw evaluated.
+    pub(crate) fn predict<D: Denoiser>(
+        &mut self,
+        model: &DiffusionModel<D>,
+        k: usize,
+        condition: Option<u32>,
+    ) {
+        let shape = (self.rows, self.cols);
+        let steps = model.schedule.len();
+        let step = &mut self.step;
+        let p = &mut step.prediction;
+        model
+            .denoiser
+            .predict_x0(&self.cells, shape, k, steps, condition, p);
+        step.thresholds(&model.posterior_table(k));
+    }
+
+    /// The categorical draw of one reverse step over the cells of
+    /// `run`, in place (`x_k` in, `x_{k-1}` out), one draw a cell in cell
+    /// order, against the thresholds [`Chain::predict`] made.
+    pub(crate) fn reverse(&mut self, run: Range<usize>, rng: &mut impl Rng) {
+        let unit = Compare::detect();
+        let mut draws = [0u8; 8 * DRAW_BLOCK];
+        let mut block = run.start;
+        while block < run.end {
+            let end = run.end.min(block + DRAW_BLOCK);
+            rng.fill_bytes(&mut draws[..8 * (end - block)]);
+            // A row's cells at a time: they share a row of thresholds.
+            let mut at = block;
+            while at < end {
+                let (r, c) = (at / self.cols, at % self.cols);
+                let len = (end - at).min(self.cols - c);
+                let [off, on] = self.step.row(unit, r);
+                let drawn = 8 * (at - block);
+                unit.reverse(
+                    &mut self.cells[at..at + len],
+                    (&off[c..c + len], &on[c..c + len]),
+                    &draws[drawn..drawn + 8 * len],
+                );
+                at += len;
+            }
+            block = end;
+        }
+    }
+
+    /// `x_k` as a topology: the chain's result once `k` reaches 0.
+    pub(crate) fn into_topology(self) -> Topology {
+        Topology::from_bytes(self.rows, self.cols, self.cells)
+    }
+}
+
+impl Step {
+    /// The step's thresholds from its prediction and posterior table
+    /// (see [`Chain::predict`]).
+    fn thresholds(&mut self, post: &[[f64; 2]; 2]) {
+        let p = &self.prediction;
+        for &entry in &p.present {
+            let entry = usize::from(entry) % INDICES;
+            let p_x0_one = f64::from(p.table[entry]).clamp(0.0, 1.0);
+            for (threshold_of, &[post_zero, post_one]) in
+                self.thresholds[entry].iter_mut().zip(post)
+            {
+                *threshold_of = threshold(p_x0_one * post_one + (1.0 - p_x0_one) * post_zero);
+            }
+        }
+        self.row_of = None;
+    }
+
+    /// The thresholds of fine row `r`, per `x_k` bit: its coarse row's,
+    /// gathered once and widened by `unit`.
+    fn row(&mut self, unit: Compare, r: usize) -> [&[u64]; 2] {
+        let p = &self.prediction;
+        let coarse = r / p.factor;
+        if self.row_of != Some(coarse) {
+            let index = &p.index[coarse * p.cols..(coarse + 1) * p.cols];
+            unit.widen(index, &self.thresholds, &mut self.row, p.factor);
+            self.row_of = Some(coarse);
+        }
+        [&self.row[0], &self.row[1]]
+    }
+}
+
+/// Each of `index`'s entries' thresholds written `factor` times into
+/// the fine rows (the last block cut at the right edge). One body,
+/// compiled with the model's factor as a constant and with the factor
+/// at run time.
+#[inline(always)]
+fn widen(index: &[u16], thresholds: &[[u64; 2]; INDICES], rows: &mut [Vec<u64>; 2], factor: usize) {
+    let [off, on] = rows;
+    match factor {
+        MODEL_COARSE => widen_by(index, thresholds, (off, on), MODEL_COARSE),
+        factor => widen_by(index, thresholds, (off, on), factor),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn widen_avx2(
+    index: &[u16],
+    thresholds: &[[u64; 2]; INDICES],
+    rows: &mut [Vec<u64>; 2],
+    factor: usize,
+) {
+    widen(index, thresholds, rows, factor);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+fn widen_avx512(
+    index: &[u16],
+    thresholds: &[[u64; 2]; INDICES],
+    rows: &mut [Vec<u64>; 2],
+    factor: usize,
+) {
+    widen(index, thresholds, rows, factor);
+}
+
+/// The body of [`widen`].
+#[inline(always)]
+fn widen_by(
+    index: &[u16],
+    thresholds: &[[u64; 2]; INDICES],
+    (off, on): (&mut [u64], &mut [u64]),
+    factor: usize,
+) {
+    let mut off = off.chunks_exact_mut(factor);
+    let mut on = on.chunks_exact_mut(factor);
+    for ((off, on), &entry) in (&mut off).zip(&mut on).zip(index) {
+        let [t_off, t_on] = thresholds[usize::from(entry) % INDICES];
+        for (off, on) in off.iter_mut().zip(on) {
+            (*off, *on) = (t_off, t_on);
+        }
+    }
+    if let Some(&last) = index.last() {
+        let [t_off, t_on] = thresholds[usize::from(last) % INDICES];
+        off.into_remainder().fill(t_off);
+        on.into_remainder().fill(t_on);
     }
 }
 
@@ -101,16 +271,16 @@ impl<D: Denoiser> DiffusionModel<D> {
 /// `fill_bytes` call (eight bytes a draw, on the stack).
 const DRAW_BLOCK: usize = 512;
 
-/// The fully-noised state a reverse chain starts from: one
-/// `rng.gen::<bool>()` a cell in cell order — the low bit of one
-/// `next_u32` — fetched a block of cells a `fill_bytes` call, which
-/// hands out the same words, little-endian, two to a `next_u64`. An
-/// odd cell count draws its last word on its own: `fill_bytes` would
+/// The fully-noised state a reverse chain starts from, written over
+/// `cells`: one `rng.gen::<bool>()` a cell in cell order — the low bit
+/// of one `next_u32` — fetched a block of cells a `fill_bytes` call,
+/// which hands out the same words, little-endian, two to a `next_u64`.
+/// An odd cell count draws its last word on its own: `fill_bytes` would
 /// take a whole `u64` for it and leave the generator a word further on.
-pub(crate) fn initial_noise(rows: usize, cols: usize, rng: &mut impl Rng) -> Topology {
-    let mut cells = vec![0u8; rows * cols];
+pub(crate) fn initial_noise(cells: &mut [u8], rng: &mut impl Rng) {
     let mut words = [0u8; 8 * DRAW_BLOCK];
-    let (pairs, odd) = cells.split_at_mut((rows * cols) & !1);
+    let pairs = cells.len() & !1;
+    let (pairs, odd) = cells.split_at_mut(pairs);
     for cells in pairs.chunks_mut(2 * DRAW_BLOCK) {
         let words = &mut words[..4 * cells.len()];
         rng.fill_bytes(words);
@@ -122,43 +292,34 @@ pub(crate) fn initial_noise(rows: usize, cols: usize, rng: &mut impl Rng) -> Top
     if let [cell] = odd {
         *cell = u8::from(rng.gen::<bool>());
     }
-    Topology::from_bytes(rows, cols, cells)
 }
 
-/// 2⁵² and 2⁸⁴: floats whose low mantissa bits count in units of 1 and
-/// of 2³².
-const TWO_52: u64 = 0x4330_0000_0000_0000;
-const TWO_84: u64 = 0x4530_0000_0000_0000;
-
-/// The `rng.gen::<f64>()` in `[0, 1)` that the eight bytes
-/// `rng.fill_bytes` wrote stand for: one `next_u64`, little-endian,
-/// its top 53 bits `m` as a float, times 2⁻⁵³. A block of per-cell
-/// draws is therefore one call into the generator — which matters
-/// behind `&mut dyn RngCore` — for the same values in the same order.
-///
-/// `m as f64` has no packed form below AVX-512DQ, which would keep the
-/// loops around this scalar. So `m` goes into the mantissas of two
-/// floats, its low 32 bits under 2⁵² and its high 21 under 2⁸⁴;
-/// taking the two powers off again leaves `m mod 2³²` and `m − m mod
-/// 2³²`, both exact, and their sum is `m`, exact because `m < 2⁵³`.
-#[inline(always)]
-fn unit_draw(bytes: &[u8]) -> f64 {
-    let word = u64::from_le_bytes(bytes.try_into().expect("eight bytes a draw"));
-    let m = word >> 11;
-    let low = f64::from_bits(TWO_52 | (m & 0xFFFF_FFFF)) - f64::from_bits(TWO_52);
-    let high = f64::from_bits(TWO_84 | (m >> 32)) - f64::from_bits(TWO_84);
-    (high + low) * (1.0 / (1u64 << 53) as f64)
+/// The threshold `T` with `m < T` exactly when `m · 2⁻⁵³ < p`, for
+/// every 53-bit `m`: the draw compare on integers. A draw
+/// `rng.gen::<f64>()` is its word's top 53 bits `m` times 2⁻⁵³, exact,
+/// and `p · 2⁵³` is exact too, so `m · 2⁻⁵³ < p` is `m < p · 2⁵³`, which
+/// for an integer `m` is `m < ⌈p · 2⁵³⌉`. The conversion truncates, so
+/// the ceiling is the floor plus one when the two differ; a NaN or a
+/// negative `p` saturates to 0 (nothing fires), and anything past 1 is
+/// held at 2⁵³ + 1 (everything fires).
+pub(crate) fn threshold(p: f64) -> u64 {
+    const ONE: u64 = 1 << 53;
+    let scaled = p * ONE as f64;
+    let floor = (scaled as u64).min(ONE);
+    floor + u64::from((floor as f64) < scaled)
 }
 
-/// One instantiation of the draw-compare loops ([`forward_compare`],
-/// [`reverse_compare`]): the build's baseline, or the same bodies
-/// compiled once more under AVX2 or under AVX-512. Holding a wide unit
+/// One instantiation of the sampler's vector loops — the draw compares
+/// ([`forward_compare`], [`reverse_compare`]), the widening of a row of
+/// thresholds ([`widen`]) and the sweeps' row passes (`mrf.rs`'s
+/// `sweep_rows`): the build's baseline, or the same bodies compiled
+/// once more under AVX2 or under AVX-512. Holding a wide unit
 /// is proof that the CPU has every feature its instantiation is
 /// compiled for: [`Compare::supported`] is the only place that makes
 /// one, and nothing can ask for a unit — [`Compare::detect`] takes the
 /// widest there is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Compare {
+pub(crate) enum Compare {
     Baseline,
     #[cfg(target_arch = "x86_64")]
     Avx2,
@@ -192,7 +353,7 @@ impl Compare {
 
     /// The widest unit this CPU can run (under `cfg(test)`, the one a
     /// test pinned for its thread, if it did).
-    fn detect() -> Compare {
+    pub(crate) fn detect() -> Compare {
         #[cfg(test)]
         if let Some(unit) = tests::PINNED.with(std::cell::Cell::get) {
             return unit;
@@ -203,7 +364,7 @@ impl Compare {
     }
 
     /// [`forward_compare`] as this unit compiles it.
-    fn forward(self, x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
+    fn forward(self, x0: &[u8], flip: u64, draws: &[u8], noised: &mut [u8]) {
         match self {
             Compare::Baseline => forward_compare(x0, flip, draws, noised),
             // SAFETY: `supported` makes `Avx2` only where
@@ -220,28 +381,56 @@ impl Compare {
         }
     }
 
-    /// [`reverse_compare`] as this unit compiles it.
-    fn reverse(self, cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], draws: &[u8]) {
+    /// [`widen`] as this unit compiles it.
+    fn widen(
+        self,
+        index: &[u16],
+        thresholds: &[[u64; 2]; INDICES],
+        rows: &mut [Vec<u64>; 2],
+        factor: usize,
+    ) {
         match self {
-            Compare::Baseline => reverse_compare(cells, p0, post, draws),
+            Compare::Baseline => widen(index, thresholds, rows, factor),
+            // SAFETY: as in `forward`, the unit is proof of the
+            // features the callee enables.
+            #[cfg(target_arch = "x86_64")]
+            Compare::Avx2 => unsafe { widen_avx2(index, thresholds, rows, factor) },
+            // SAFETY: as in `forward`.
+            #[cfg(target_arch = "x86_64")]
+            Compare::Avx512 => unsafe { widen_avx512(index, thresholds, rows, factor) },
+        }
+    }
+
+    /// [`reverse_compare`] as this unit compiles it.
+    fn reverse(self, cells: &mut [u8], thresholds: (&[u64], &[u64]), draws: &[u8]) {
+        match self {
+            Compare::Baseline => reverse_compare(cells, thresholds, draws),
             // SAFETY: `supported` makes `Avx2` only where
             // `is_x86_feature_detected!("avx2")`, the one feature the
             // callee enables.
             #[cfg(target_arch = "x86_64")]
-            Compare::Avx2 => unsafe { reverse_compare_avx2(cells, p0, post, draws) },
+            Compare::Avx2 => unsafe { reverse_compare_avx2(cells, thresholds, draws) },
             // SAFETY: `supported` makes `Avx512` only where
             // `is_x86_feature_detected!` found each of `avx512f`,
             // `avx512bw`, `avx512dq` and `avx512vl`, the four features
             // the callee enables.
             #[cfg(target_arch = "x86_64")]
-            Compare::Avx512 => unsafe { reverse_compare_avx512(cells, p0, post, draws) },
+            Compare::Avx512 => unsafe { reverse_compare_avx512(cells, thresholds, draws) },
         }
     }
 }
 
+/// A draw's 53-bit `m`, as a signed integer: it and every [`threshold`]
+/// are below 2⁶³, so a signed compare (the one AVX2 has) is exact.
+#[inline(always)]
+fn draw_bits(draw: &[u8]) -> i64 {
+    (u64::from_le_bytes(draw.try_into().expect("eight bytes a draw")) >> 11) as i64
+}
+
 /// The forward process over a run of cells: `noised[i]` is `x0[i]`
-/// flipped with probability `flip`, one draw a cell in cell order.
-pub(crate) fn forward_cells(x0: &[u8], flip: f64, rng: &mut impl Rng, noised: &mut [u8]) {
+/// flipped where its draw is below `flip`, a [`threshold`]; one draw a
+/// cell in cell order.
+pub(crate) fn forward_cells(x0: &[u8], flip: u64, rng: &mut impl Rng, noised: &mut [u8]) {
     debug_assert_eq!(x0.len(), noised.len());
     let unit = Compare::detect();
     let mut draws = [0u8; 8 * DRAW_BLOCK];
@@ -254,83 +443,60 @@ pub(crate) fn forward_cells(x0: &[u8], flip: f64, rng: &mut impl Rng, noised: &m
 
 /// The compare of [`forward_cells`] over one block of draws. This and
 /// [`reverse_compare`] are written for the compiler to vectorise —
-/// selects for branches, no table look-up, [`unit_draw`] — and each is
+/// selects for branches, no table look-up, integers only — and each is
 /// compiled three times ([`Compare`]): for the build's baseline, once
 /// more with AVX2's 256-bit vectors and once more with AVX-512's
 /// 512-bit ones; the widest the CPU has is what runs. One source for
-/// all three, and the float semantics are the compiler's (Rust
-/// neither contracts `a * b + c` nor reorders float operations), so
-/// every instance computes the same values.
+/// all three, on integers, so every instance computes the same bits.
 #[inline(always)]
-fn forward_compare(x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
+fn forward_compare(x0: &[u8], flip: u64, draws: &[u8], noised: &mut [u8]) {
+    let flip = flip as i64;
     for ((noised, &bit), draw) in noised.iter_mut().zip(x0).zip(draws.chunks_exact(8)) {
-        *noised = u8::from((bit != 0) != (unit_draw(draw) < flip));
+        *noised = u8::from((bit != 0) != (draw_bits(draw) < flip));
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn forward_compare_avx2(x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
+fn forward_compare_avx2(x0: &[u8], flip: u64, draws: &[u8], noised: &mut [u8]) {
     forward_compare(x0, flip, draws, noised);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-fn forward_compare_avx512(x0: &[u8], flip: f64, draws: &[u8], noised: &mut [u8]) {
+fn forward_compare_avx512(x0: &[u8], flip: u64, draws: &[u8], noised: &mut [u8]) {
     forward_compare(x0, flip, draws, noised);
 }
 
-/// The categorical draw of one reverse step over a run of cells, in
-/// place: `cells` holds `x_k` going in and `x_{k-1}` coming out, given
-/// the denoiser prediction `p0` for the same cells and the step's
-/// posterior table; one draw a cell in cell order.
-pub(crate) fn reverse_cells(
-    cells: &mut [u8],
-    p0: &[f32],
-    post: &[[f64; 2]; 2],
-    rng: &mut impl Rng,
-) {
-    debug_assert_eq!(p0.len(), cells.len(), "denoiser output length mismatch");
-    let unit = Compare::detect();
-    let mut draws = [0u8; 8 * DRAW_BLOCK];
-    for (cells, p0) in cells.chunks_mut(DRAW_BLOCK).zip(p0.chunks(DRAW_BLOCK)) {
-        let draws = &mut draws[..8 * cells.len()];
-        rng.fill_bytes(draws);
-        unit.reverse(cells, p0, post, draws);
-    }
-}
-
-/// The compare of [`reverse_cells`] over one block of draws; see
-/// [`forward_compare`].
+/// The compare of [`Chain::reverse`] over one block of draws, in place:
+/// a cell becomes 1 where its draw is below its threshold for its
+/// `x_k` bit — `off` for 0, `on` for 1. See [`forward_compare`].
 #[inline(always)]
-fn reverse_compare(cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], draws: &[u8]) {
-    let [[off_zero, off_one], [on_zero, on_one]] = *post;
-    for ((cell, &p0), draw) in cells.iter_mut().zip(p0).zip(draws.chunks_exact(8)) {
-        // The posterior row of this cell's `x_k` bit, by value.
-        let on = *cell != 0;
-        let post_zero = if on { on_zero } else { off_zero };
-        let post_one = if on { on_one } else { off_one };
-        let p_x0_one = f64::from(p0).clamp(0.0, 1.0);
-        // Marginalize the posterior over x̃0 ∈ {0, 1}.
-        let p_one = p_x0_one * post_one + (1.0 - p_x0_one) * post_zero;
-        *cell = u8::from(unit_draw(draw) < p_one);
+fn reverse_compare(cells: &mut [u8], (off, on): (&[u64], &[u64]), draws: &[u8]) {
+    for (((cell, &off), &on), draw) in cells.iter_mut().zip(off).zip(on).zip(draws.chunks_exact(8))
+    {
+        // A mask, not an `if`: the compiler would turn a choice between
+        // two loads into a load from a chosen address — a gather.
+        let pick = u64::from(*cell != 0).wrapping_neg();
+        let threshold = off & !pick | on & pick;
+        *cell = u8::from(draw_bits(draw) < threshold as i64);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn reverse_compare_avx2(cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], draws: &[u8]) {
-    reverse_compare(cells, p0, post, draws);
+fn reverse_compare_avx2(cells: &mut [u8], thresholds: (&[u64], &[u64]), draws: &[u8]) {
+    reverse_compare(cells, thresholds, draws);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-fn reverse_compare_avx512(cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], draws: &[u8]) {
-    reverse_compare(cells, p0, post, draws);
+fn reverse_compare_avx512(cells: &mut [u8], thresholds: (&[u64], &[u64]), draws: &[u8]) {
+    reverse_compare(cells, thresholds, draws);
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::denoiser::test_support::ConstantDenoiser;
     use rand::SeedableRng;
@@ -357,7 +523,7 @@ mod tests {
     /// for the run, and returns their names: called by name, a unit the
     /// CPU has cannot go untested because detection prefers a wider
     /// one.
-    fn for_each_unit(mut test: impl FnMut(Compare)) -> Vec<Compare> {
+    pub(crate) fn for_each_unit(mut test: impl FnMut(Compare)) -> Vec<Compare> {
         let units: Vec<Compare> = Compare::supported().collect();
         for &unit in &units {
             PINNED.with(|pinned| pinned.set(Some(unit)));
@@ -372,6 +538,7 @@ mod tests {
     /// must produce the same topologies and leave the generator at the
     /// same position.
     mod reference {
+        use crate::denoiser::test_support::predict_fine;
         use crate::{Denoiser, DiffusionModel, Mask};
         use cp_layout::squish::Topology;
         use rand::Rng;
@@ -400,9 +567,7 @@ mod tests {
             condition: Option<u32>,
             rng: &mut impl Rng,
         ) -> Topology {
-            let p0 = model
-                .denoiser()
-                .predict_x0(x_k, k, model.schedule().len(), condition);
+            let p0 = predict_fine(model.denoiser(), x_k, k, model.schedule().len(), condition);
             let post = model.posterior_table(k);
             let cols = x_k.cols();
             Topology::from_fn(x_k.rows(), cols, |r, c| {
@@ -502,25 +667,69 @@ mod tests {
         rng
     }
 
-    /// The conversion [`unit_draw`] replaced.
-    fn integer_unit_draw(word: u64) -> f64 {
+    /// The draw `rng.gen::<f64>()` makes of a word, which the integer
+    /// compare stands for.
+    fn unit_draw(word: u64) -> f64 {
         (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    #[test]
-    fn unit_draw_is_the_integer_conversion_bit_for_bit() {
-        let mut words = vec![0, u64::MAX];
-        words.extend((0..64).map(|k| 1u64 << k));
-        words.extend((0..64).map(|k| (1u64 << k) - 1));
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        words.extend((0..1_000_000).map(|_| rand::RngCore::next_u64(&mut rng)));
-        for word in words {
-            assert_eq!(
-                unit_draw(&word.to_le_bytes()).to_bits(),
-                integer_unit_draw(word).to_bits(),
-                "{word:#x}"
-            );
+    /// [`Chain::reverse`] over one row of `cells`, with `p0[i]` the
+    /// prediction for cell `i` (at most [`INDICES`] distinct values)
+    /// and `post` the posterior table.
+    fn reverse_cells(cells: &mut [u8], p0: &[f32], post: &[[f64; 2]; 2], rng: &mut impl Rng) {
+        let mut chain = Chain::new(1, cells.len());
+        chain.cells.copy_from_slice(cells);
+        let p = &mut chain.step.prediction;
+        (p.factor, p.cols) = (1, cells.len());
+        p.present.clear();
+        for &p0 in p0 {
+            let entry = match p
+                .present
+                .iter()
+                .find(|&&e| p.table[usize::from(e)].to_bits() == p0.to_bits())
+            {
+                Some(&entry) => entry,
+                None => {
+                    let entry = p.present.len() as u16;
+                    p.table[usize::from(entry)] = p0;
+                    p.present.push(entry);
+                    entry
+                }
+            };
+            p.index.push(entry);
         }
+        chain.step.thresholds(post);
+        chain.reverse(0..cells.len(), rng);
+        cells.copy_from_slice(&chain.cells);
+    }
+
+    #[test]
+    fn the_integer_compare_is_the_float_compare() {
+        const ONE: u64 = 1 << 53;
+        let probabilities = [0.0, 1.0 / ONE as f64, 0.5, 1.0 - 1.0 / ONE as f64, 1.0];
+        // Each probability with the draws at its threshold and around
+        // it, and at both ends of the range, the eleven bits a draw
+        // ignores set on every other one; then seeded pairs.
+        let mut pairs: Vec<(f64, u64)> = Vec::new();
+        for p in probabilities {
+            let t = threshold(p);
+            for m in [0, t.wrapping_sub(1), t, t + 1, ONE - 1] {
+                if m < ONE {
+                    pairs.push((p, m << 11));
+                    pairs.push((p, m << 11 | 0x7ff));
+                }
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        pairs.extend((0..10_000).map(|_| (rng.gen::<f64>(), rng.gen::<u64>())));
+        for_each_unit(|unit| {
+            for &(p, word) in &pairs {
+                let mut noised = [0u8];
+                forward_cells(&[0], threshold(p), &mut Scripted::new(&[word]), &mut noised);
+                let want = unit_draw(word) < p;
+                assert_eq!(noised[0] != 0, want, "{unit:?}: p {p:e}, word {word:#x}");
+            }
+        });
     }
 
     /// A generator that hands out the given `u64`s over and over, and
@@ -563,9 +772,9 @@ mod tests {
     /// exactly that (which must not fire: the compare is strict) and
     /// the one whose draw is one step below (which must), each with the
     /// eleven bits a draw ignores set.
-    fn threshold(m: u64) -> (f64, [u64; 2]) {
+    fn draw_threshold(m: u64) -> (f64, [u64; 2]) {
         assert!(0 < m && m < 1 << 53);
-        let at = integer_unit_draw(m << 11);
+        let at = unit_draw(m << 11);
         (at, [m << 11 | 0x7ff, (m - 1) << 11 | 0x7ff])
     }
 
@@ -573,12 +782,12 @@ mod tests {
     fn a_draw_equal_to_its_threshold_does_not_fire() {
         use std::io::Write;
         let ran = for_each_unit(|unit| {
-            let (flip, at_then_below) = threshold(0x0012_3456_789a_bcde);
+            let (flip, at_then_below) = draw_threshold(0x0012_3456_789a_bcde);
             for len in RUNS {
                 let x0: Vec<u8> = (0..len).map(|i| (i % 3 == 0).into()).collect();
                 let mut noised = vec![9u8; len];
                 let mut rng = Scripted::new(&at_then_below);
-                forward_cells(&x0, flip, &mut rng, &mut noised);
+                forward_cells(&x0, threshold(flip), &mut rng, &mut noised);
                 for (i, (&bit, &got)) in x0.iter().zip(&noised).enumerate() {
                     let flipped = i % 2 == 1;
                     let what = format!("{unit:?} forward, cell {i} of {len}");
@@ -590,8 +799,8 @@ mod tests {
             // `post[x][0]`. Cells alternate off / on, so each row of the
             // table is read with a draw equal to its entry and with one
             // a step below it.
-            let (off, off_draws) = threshold(0x0000_0000_0000_0001);
-            let (on, on_draws) = threshold(0x001f_ffff_ffff_ffff);
+            let (off, off_draws) = draw_threshold(0x0000_0000_0000_0001);
+            let (on, on_draws) = draw_threshold(0x001f_ffff_ffff_ffff);
             let script = [off_draws[0], on_draws[0], off_draws[1], on_draws[1]];
             for (p0, post) in [
                 (1.0, [[0.25, off], [0.75, on]]),
@@ -659,7 +868,7 @@ mod tests {
                 let post = &post[usize::from(start[i] != 0)];
                 let p_x0_one = f64::from(p0[i]).clamp(0.0, 1.0);
                 let p_one = p_x0_one * post[1] + (1.0 - p_x0_one) * post[0];
-                let want = integer_unit_draw(script[i % script.len()]) < p_one;
+                let want = unit_draw(script[i % script.len()]) < p_one;
                 let what = format!("{unit:?} cell {i} of {len}: p0 {}", p0[i]);
                 assert_eq!(got, u8::from(want), "{what}");
             }
@@ -670,10 +879,7 @@ mod tests {
     fn sample_draws_exactly_like_the_per_cell_loop() {
         let constant = DiffusionModel::new(
             NoiseSchedule::scaled_default(5),
-            ConstantDenoiser {
-                probability: 0.3,
-                size: 8,
-            },
+            ConstantDenoiser { probability: 0.3 },
             8,
         );
         let mrf = mrf_model(6);
@@ -775,10 +981,7 @@ mod tests {
     fn confident_denoiser_drives_sample_to_all_ones() {
         let model = DiffusionModel::new(
             NoiseSchedule::scaled_default(10),
-            ConstantDenoiser {
-                probability: 1.0,
-                size: 16,
-            },
+            ConstantDenoiser { probability: 1.0 },
             16,
         );
         let x = model.sample(16, 16, None, &mut rng());
@@ -790,10 +993,7 @@ mod tests {
     fn confident_zero_denoiser_drives_sample_to_empty() {
         let model = DiffusionModel::new(
             NoiseSchedule::scaled_default(10),
-            ConstantDenoiser {
-                probability: 0.0,
-                size: 16,
-            },
+            ConstantDenoiser { probability: 0.0 },
             16,
         );
         let x = model.sample(16, 16, None, &mut rng());
@@ -804,10 +1004,7 @@ mod tests {
     fn sampling_is_deterministic_per_seed() {
         let model = DiffusionModel::new(
             NoiseSchedule::scaled_default(6),
-            ConstantDenoiser {
-                probability: 0.5,
-                size: 8,
-            },
+            ConstantDenoiser { probability: 0.5 },
             8,
         );
         let a = model.sample(8, 8, None, &mut ChaCha8Rng::seed_from_u64(3));
@@ -819,14 +1016,12 @@ mod tests {
     fn reverse_step_shape_matches_input() {
         let model = DiffusionModel::new(
             NoiseSchedule::scaled_default(4),
-            ConstantDenoiser {
-                probability: 0.5,
-                size: 4,
-            },
+            ConstantDenoiser { probability: 0.5 },
             4,
         );
-        let x = Topology::filled(4, 6, false);
-        let y = model.reverse_step(&x, 4, None, &mut rng());
-        assert_eq!(y.shape(), (4, 6));
+        let mut chain = Chain::new(4, 6);
+        chain.predict(&model, 4, None);
+        chain.reverse(0..24, &mut rng());
+        assert_eq!(chain.into_topology().shape(), (4, 6));
     }
 }

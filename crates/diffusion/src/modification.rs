@@ -12,7 +12,7 @@
 
 use std::ops::Range;
 
-use crate::model::{forward_cells, initial_noise, reverse_cells};
+use crate::model::{forward_cells, initial_noise, threshold, Chain};
 use crate::{Denoiser, DiffusionModel, Mask};
 use cp_layout::squish::Topology;
 use rand_chacha::ChaCha8Rng;
@@ -67,16 +67,15 @@ impl<D: Denoiser> DiffusionModel<D> {
             })
             .collect();
         reads.sort_by_key(|&(_, kept)| kept);
-        let mut result = known.clone();
+        let mut result = known.as_bytes().to_vec();
+        let mut chain = Chain::new(rows, cols);
         for _ in 0..resample_rounds {
             // Start from fully-noised state.
-            let mut x = initial_noise(rows, cols, rng);
+            initial_noise(&mut chain.cells, rng);
             let first_step = rng.get_word_pos();
             for (step, k) in (1..=steps).rev().enumerate() {
-                let p0 = self.denoiser().predict_x0(&x, k, steps, condition);
-                let post = self.posterior_table(k);
-                let flip = self.schedule().flip_bar(k - 1);
-                let mut cells = x.as_bytes().to_vec();
+                chain.predict(self, k, condition);
+                let flip = threshold(self.schedule().flip_bar(k - 1));
                 for (run, kept) in &reads {
                     let (run, kept) = (run.clone(), *kept);
                     // Of the step's 2n draws, the n reverse ones come first.
@@ -84,18 +83,19 @@ impl<D: Denoiser> DiffusionModel<D> {
                     rng.set_word_pos(first_step + WORDS_PER_DRAW * draw as u128);
                     if kept {
                         // Ground-truth forward noise for the kept region...
-                        forward_cells(&result.as_bytes()[run.clone()], flip, rng, &mut cells[run]);
+                        forward_cells(&result[run.clone()], flip, rng, &mut chain.cells[run]);
                     } else {
                         // ...and the model's proposal for the rest.
-                        reverse_cells(&mut cells[run.clone()], &p0[run], &post, rng);
+                        chain.reverse(run, rng);
                     }
                 }
-                x = Topology::from_bytes(rows, cols, cells);
             }
             rng.set_word_pos(first_step + WORDS_PER_DRAW * (2 * n * steps) as u128);
-            result = x;
+            // The next round starts from fresh noise, written over all of
+            // what this swaps in.
+            std::mem::swap(&mut result, &mut chain.cells);
         }
-        result
+        Topology::from_bytes(rows, cols, result)
     }
 }
 
@@ -114,10 +114,7 @@ mod tests {
     fn model(p: f32) -> DiffusionModel<ConstantDenoiser> {
         DiffusionModel::new(
             NoiseSchedule::scaled_default(8),
-            ConstantDenoiser {
-                probability: p,
-                size: 8,
-            },
+            ConstantDenoiser { probability: p },
             8,
         )
     }

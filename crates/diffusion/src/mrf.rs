@@ -14,15 +14,17 @@
 //! pooled (union-dataset) table — the "mixed training without
 //! conditions" configuration whose style conflict the paper warns about.
 
+use crate::denoiser::Prediction;
+use crate::model::Compare;
 use crate::{Denoiser, NoiseSchedule};
 use cp_layout::squish::Topology;
 
 const CONTEXTS: usize = 256;
 
 /// The coarse-grid factor [`MrfDenoiser::fit`] gives a model — the one
-/// the product runs, and so the one the down-sample and replicate-up
-/// bodies are instantiated at as a constant.
-const MODEL_COARSE: usize = 2;
+/// the product runs, and so the one the down-sample has a word-wide
+/// body for and the reverse step widens thresholds at as a constant.
+pub(crate) const MODEL_COARSE: usize = 2;
 
 /// A fitted neighbourhood-statistics denoiser.
 #[derive(Debug, Clone)]
@@ -41,10 +43,10 @@ pub struct MrfDenoiser {
     sweeps: usize,
     /// Coarse-grid factor (1 = full resolution). Mimics the U-Net's
     /// downsampling path: structure is predicted on a `factor`-times
-    /// coarser grid and replicated back up, which keeps the per-scan-line
-    /// shape count of samples at training-data levels.
+    /// coarser grid, each coarse cell standing for the block under it,
+    /// which keeps the per-scan-line shape count of samples at
+    /// training-data levels.
     coarse: usize,
-    native_size: usize,
 }
 
 impl MrfDenoiser {
@@ -70,7 +72,7 @@ impl MrfDenoiser {
     /// (`coarse = 1` disables the coarse path; the default is 2).
     ///
     /// Tables are fitted on majority-downsampled training topologies and
-    /// predictions are made on the coarse grid, then replicated back up.
+    /// predictions are made on the coarse grid.
     ///
     /// # Panics
     ///
@@ -107,8 +109,6 @@ impl MrfDenoiser {
             .collect();
         let mut fitted = MrfDenoiser::fit_full_resolution(&refs, smoothing);
         fitted.coarse = coarse;
-        // Native size refers to the full-resolution window.
-        fitted.native_size *= coarse;
         fitted
     }
 
@@ -122,7 +122,6 @@ impl MrfDenoiser {
         let mut pooled_total = [0.0f64; CONTEXTS];
         let mut pooled_set_cells = 0.0f64;
         let mut pooled_cells = 0.0f64;
-        let mut native_size = 0usize;
         for &(cond, topologies) in datasets {
             assert!(
                 !topologies.is_empty(),
@@ -133,7 +132,6 @@ impl MrfDenoiser {
             let mut set_cells = 0.0f64;
             let mut cells = 0.0f64;
             for t in topologies {
-                native_size = native_size.max(t.rows().min(t.cols()));
                 for r in 0..t.rows() {
                     for c in 0..t.cols() {
                         let ctx = context_of(t, r, c);
@@ -174,7 +172,6 @@ impl MrfDenoiser {
             pooled_marginal,
             sweeps: 3,
             coarse: 1,
-            native_size,
         }
     }
 
@@ -259,18 +256,24 @@ struct GridContext<'a> {
 
 impl MrfDenoiser {
     /// Builds the per-step constants for a prediction at step `k` of a
-    /// `total_steps` chain under `condition`.
+    /// `total_steps` chain under `condition`. `schedule` keeps the
+    /// schedule it reads from one step of a chain to the next.
     fn grid_context(
         &self,
         k: usize,
         total_steps: usize,
         condition: Option<u32>,
+        schedule: &mut Option<NoiseSchedule>,
     ) -> GridContext<'_> {
         // Channel likelihoods from the schedule position: reconstruct the
         // cumulative flip probability for step k of a K-step default
         // schedule (the schedule endpoints are fixed project-wide).
-        let schedule = NoiseSchedule::scaled_default(total_steps.max(1));
-        let k = k.min(total_steps.max(1));
+        let steps = total_steps.max(1);
+        if schedule.as_ref().is_none_or(|s| s.len() != steps) {
+            *schedule = Some(NoiseSchedule::scaled_default(steps));
+        }
+        let schedule = schedule.as_ref().expect("built above");
+        let k = k.min(steps);
         let mut like = [[0.0f64; 2]; 2];
         let mut init = [0.0f64; 2];
         for (index, bit) in [false, true].into_iter().enumerate() {
@@ -293,23 +296,72 @@ impl MrfDenoiser {
 }
 
 /// Majority vote over `factor × factor` blocks (ties round up to drawn;
-/// edge blocks are clipped to the matrix), as row-major 0/1 bytes with
-/// the coarse shape.
+/// edge blocks are clipped to the matrix), written into `out` as
+/// row-major 0/1 bytes with the coarse shape.
 fn downsample_majority_bytes(
     cells: &[u8],
     rows: usize,
     cols: usize,
     factor: usize,
-) -> (Vec<u8>, usize, usize) {
-    match factor {
-        MODEL_COARSE => downsample_blocks(cells, rows, cols, MODEL_COARSE),
-        _ => downsample_blocks(cells, rows, cols, factor),
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    out.resize(rows.div_ceil(factor) * cols.div_ceil(factor), 0);
+    if factor == MODEL_COARSE {
+        downsample_pairs(cells, cols, out);
+    } else {
+        downsample_blocks(cells, cols, factor, out);
     }
 }
 
-/// The one body of [`downsample_majority_bytes`], compiled once with
-/// the model's factor as a constant — the block loops unrolled, the
-/// counts in vectors — and once with the factor at run time.
+/// [`downsample_majority_bytes`] at the model's factor 2, eight fine
+/// cells a word: the two rows of a block row are added bytewise,
+/// neighbouring bytes summed into 16-bit lanes (one block's count,
+/// 0..=4), each lane compared with 2 by a carry into its top bit, and
+/// the four verdicts packed into four bytes. Cells are 0/1, so no byte
+/// or lane overflows. What a word does not cover — the right edge past
+/// the last whole word, and a bottom block row one cell high — is
+/// counted a block at a time, against half its cells rounded up.
+fn downsample_pairs(cells: &[u8], cols: usize, out: &mut [u8]) {
+    const LOW_BYTES: u64 = 0x00FF_00FF_00FF_00FF;
+    let word = |cells: &[u8]| u64::from_le_bytes(cells.try_into().expect("eight cells"));
+    for (block, out) in cells
+        .chunks(2 * cols)
+        .zip(out.chunks_exact_mut(cols.div_ceil(2)))
+    {
+        let (top, bottom) = block.split_at(cols);
+        let mut done = 0;
+        if !bottom.is_empty() {
+            for ((top, bottom), out) in top
+                .chunks_exact(8)
+                .zip(bottom.chunks_exact(8))
+                .zip(out.chunks_exact_mut(4))
+            {
+                let sum = word(top) + word(bottom);
+                let counts = (sum & LOW_BYTES) + (sum >> 8 & LOW_BYTES);
+                let drawn = (counts + 0x7FFE_7FFE_7FFE_7FFE) >> 15 & 0x0001_0001_0001_0001;
+                let bytes = drawn | drawn >> 8;
+                let verdicts = (bytes & 0x0101 | bytes >> 16 & 0x0101_0000) as u32;
+                out.copy_from_slice(&verdicts.to_le_bytes());
+            }
+            done = cols / 8 * 4;
+        }
+        let height = block.len() / cols;
+        for (coarse, out) in out.iter_mut().enumerate().skip(done) {
+            let columns = 2 * coarse..(2 * coarse + 2).min(cols);
+            let cells = height * columns.len();
+            let ones: usize = block
+                .chunks_exact(cols)
+                .flat_map(|row| &row[columns.clone()])
+                .map(|&cell| usize::from(cell))
+                .sum();
+            *out = u8::from(2 * ones >= cells);
+        }
+    }
+}
+
+/// [`downsample_majority_bytes`] at any other factor (a model fitted
+/// at another factor, as the tests fit some).
 ///
 /// A block row's cells are counted column by column in 16 bits, then
 /// `factor` columns at a time in 32. Both are exact because
@@ -318,19 +370,11 @@ fn downsample_majority_bytes(
 /// cells, below 2³². A block is drawn when twice its count reaches
 /// its cell count, i.e. when the count reaches half the cells rounded
 /// up — which is never 0, so an empty block stays clear.
-#[inline(always)]
-fn downsample_blocks(
-    cells: &[u8],
-    rows: usize,
-    cols: usize,
-    factor: usize,
-) -> (Vec<u8>, usize, usize) {
-    let (coarse_rows, coarse_cols) = (rows.div_ceil(factor), cols.div_ceil(factor));
-    let mut out = vec![0u8; coarse_rows * coarse_cols];
+fn downsample_blocks(cells: &[u8], cols: usize, factor: usize, out: &mut [u8]) {
     let mut column_ones = vec![0u16; cols];
     for (block, out) in cells
         .chunks(factor * cols)
-        .zip(out.chunks_exact_mut(coarse_cols))
+        .zip(out.chunks_exact_mut(cols.div_ceil(factor)))
     {
         column_ones.fill(0);
         for row in block.chunks_exact(cols) {
@@ -351,7 +395,6 @@ fn downsample_blocks(
             *out = drawn(blocks.remainder(), blocks.remainder().len());
         }
     }
-    (out, coarse_rows, coarse_cols)
 }
 
 /// [`downsample_majority_bytes`] of a topology (`factor <= 1` is the
@@ -360,8 +403,9 @@ fn downsample_majority(t: &Topology, factor: usize) -> Topology {
     if factor <= 1 {
         return t.clone();
     }
-    let (cells, rows, cols) = downsample_majority_bytes(t.as_bytes(), t.rows(), t.cols(), factor);
-    Topology::from_fn(rows, cols, |r, c| cells[r * cols + c] != 0)
+    let mut cells = Vec::new();
+    downsample_majority_bytes(t.as_bytes(), t.rows(), t.cols(), factor, &mut cells);
+    Topology::from_bytes(t.rows().div_ceil(factor), t.cols().div_ceil(factor), cells)
 }
 
 /// Number of distinct cell keys: the observed bit (bit 8) over the
@@ -385,6 +429,7 @@ const MIN_COMPONENT_CELLS: usize = 6;
 /// above and one below (row `r` of the map is padded row `r + 1`), and
 /// the bits past `cols` in a row's last word stay clear, so neighbour
 /// reads need no bounds checks.
+#[derive(Debug, Clone, Default)]
 struct BitGrid {
     rows: usize,
     cols: usize,
@@ -394,14 +439,13 @@ struct BitGrid {
 }
 
 impl BitGrid {
-    fn new(rows: usize, cols: usize) -> BitGrid {
-        let stride = cols.div_ceil(64);
-        BitGrid {
-            rows,
-            cols,
-            stride,
-            words: vec![0; (rows + 2) * stride],
-        }
+    /// Makes this an all-clear `rows × cols` map, in the buffer it has.
+    fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.stride = cols.div_ceil(64);
+        self.words.clear();
+        self.words.resize((rows + 2) * self.stride, 0);
     }
 
     /// Padded row `r` (`0` and `rows + 1` are the clear borders).
@@ -443,13 +487,14 @@ fn right_neighbours(row: &[u64], w: usize) -> u64 {
 /// dropped — the minimum-area analogue. This is what keeps the
 /// scan-line complexity and fragment count of samples in the
 /// legalizable range, mirroring what the paper's U-Net learns from
-/// DRC-clean training data.
-fn regularize_min_feature(grid: &mut BitGrid) {
+/// DRC-clean training data. `scratch` is any buffer; it is resized.
+fn regularize_min_feature(grid: &mut BitGrid, scratch: &mut Vec<u64>) {
     // Iterate the fill/remove passes to a (bounded) fixpoint so collinear
     // fragments consolidate into long runs instead of oscillating.
-    let mut scratch = vec![0u64; grid.words.len() + grid.stride];
+    scratch.clear();
+    scratch.resize(grid.words.len() + grid.stride, 0);
     for _ in 0..3 {
-        if !regularize_once(grid, &mut scratch) {
+        if !regularize_once(grid, scratch) {
             break;
         }
     }
@@ -572,10 +617,33 @@ fn drop_small_components(grid: &mut BitGrid) {
     }
 }
 
+/// The buffers a prediction is made in, kept by its [`Prediction`] from
+/// one step of a chain to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    /// The schedule the channel likelihoods are read from.
+    schedule: Option<NoiseSchedule>,
+    /// `x_k` majority-downsampled to the table's grid.
+    coarse: Vec<u8>,
+    /// The sweeps' "belief > 0.5" map, zero-padded all round.
+    map: Vec<u8>,
+    /// One row's cell indices for the sweeps' look-up, padded to whole
+    /// words.
+    indices: Vec<u8>,
+    /// The regularized map.
+    grid: BitGrid,
+    /// The regularization's own buffer.
+    spare: Vec<u64>,
+}
+
+/// The bit of a [`Prediction`] index that says the cell is drawn in the
+/// regularized map; the key is below it.
+const REGULARIZED: u16 = KEYS as u16;
+
 impl MrfDenoiser {
     /// Prediction for the 0/1 `cells` of a `rows × cols` grid at the
-    /// table's own resolution, written out as `out_rows × out_cols`
-    /// with every cell replicated `self.coarse` times each way.
+    /// table's own resolution, into `out`: per cell an index (its bit of
+    /// the regularized map over its key) into the step's table.
     ///
     /// The per-cell mean-field update is `belief = f(observed bit,
     /// context)`, so the 512 possible beliefs are computed once and the
@@ -588,9 +656,10 @@ impl MrfDenoiser {
         &self,
         cells: &[u8],
         (rows, cols): (usize, usize),
-        (out_rows, out_cols): (usize, usize),
         gc: &GridContext<'_>,
-    ) -> Vec<f32> {
+        (map, indices, grid, spare): (&mut Vec<u8>, &mut Vec<u8>, &mut BitGrid, &mut Vec<u64>),
+        out: &mut Prediction,
+    ) {
         // Mean-field update per key: local fitted prior × channel
         // likelihood.
         let mut beliefs = [0.0f64; KEYS];
@@ -601,18 +670,22 @@ impl MrfDenoiser {
             let denominator = numerator + (1.0 - prior) * gc.like[bit][0];
             *belief = numerator / denominator;
         }
-        let keys = self.sweep(cells, rows, cols, gc, &beliefs);
+        let keys = &mut out.index;
+        self.sweep(cells, (rows, cols), gc, &beliefs, (map, indices), keys);
         // Marginal calibration: mean-field on dense tables can run away
         // toward saturation; shift the belief odds so the mean prediction
         // matches the style's training density (a denoiser trained to
         // convergence is calibrated by construction). The mean is summed
         // cell by cell — float addition does not reorder.
-        let mut counts = [0usize; KEYS];
+        // (Counted in four tables by cell, so that a run of one key does
+        // not chain every count on the one before.)
+        let mut tallies = [[0usize; KEYS]; 4];
         let mut sum = 0.0f64;
-        for &key in &keys {
-            counts[usize::from(key)] += 1;
-            sum += beliefs[usize::from(key)];
+        for (i, &key) in keys.iter().enumerate() {
+            tallies[i % 4][usize::from(key) % KEYS] += 1;
+            sum += beliefs[usize::from(key) % KEYS];
         }
+        let counts: [usize; KEYS] = std::array::from_fn(|key| tallies.iter().map(|t| t[key]).sum());
         let target = gc.target;
         let mean = sum / keys.len() as f64;
         if mean > 1e-6 && mean < 1.0 - 1e-6 {
@@ -630,146 +703,313 @@ impl MrfDenoiser {
         // beliefs — blending the regularized map into mid-chain feedback
         // ratchets density upward, so the weight stays zero there.
         // (With the weight at zero neither blend target changes a
-        // belief, so the map is not computed.)
+        // belief, so the map is not computed and no index has the bit.)
         let w = gc.w;
-        let binary = if w > 0.0 {
-            let mut binary = top_cells(&keys, rows, cols, &counts, &beliefs, target);
-            regularize_min_feature(&mut binary);
-            binary
-        } else {
-            BitGrid::new(rows, cols)
-        };
-        let mut blended = [[0.0f32; KEYS]; 2];
-        for (target, row) in [0.0, 1.0].into_iter().zip(&mut blended) {
-            for (out, &b) in row.iter_mut().zip(&beliefs) {
+        if w > 0.0 {
+            top_cells(keys, rows, cols, &counts, &beliefs, target, grid);
+            regularize_min_feature(grid, spare);
+            for (r, keys) in keys.chunks_exact_mut(cols).enumerate() {
+                for (keys, &bits) in keys.chunks_mut(64).zip(grid.row(r + 1)) {
+                    for (c, key) in keys.iter_mut().enumerate() {
+                        *key |= (bits >> c & 1) as u16 * REGULARIZED;
+                    }
+                }
+            }
+        }
+        for (target, table) in [0.0, 1.0].into_iter().zip(out.table.chunks_exact_mut(KEYS)) {
+            for (out, &b) in table.iter_mut().zip(&beliefs) {
                 *out = (b * (1.0 - w) + target * w) as f32;
             }
         }
-        // Look every cell up and replicate it back to full resolution.
-        let out = (out_rows, out_cols);
-        match self.coarse {
-            MODEL_COARSE => replicate_up(&keys, cols, &binary, &blended, out, MODEL_COARSE),
-            factor => replicate_up(&keys, cols, &binary, &blended, out, factor.max(1)),
+        out.present.clear();
+        for key in (0..KEYS as u16).filter(|&key| counts[usize::from(key)] > 0) {
+            out.present.push(key);
+            if w > 0.0 {
+                out.present.push(key | REGULARIZED);
+            }
         }
+        out.factor = self.coarse.max(1);
+        out.cols = cols;
     }
 
     /// The Gauss-Seidel mean-field sweeps, on the "belief > 0.5" map
     /// alone (a context only ever reads that bit of its neighbours);
-    /// returns each cell's key at its last update.
+    /// leaves each cell's key at its last update in `keys`.
+    ///
+    /// A row pass is a prefix over 64-cell words. Under a fixed rest of
+    /// its context, a cell's new bit is one of four functions of its
+    /// left neighbour's (clear, set, copy, negate): `x_c = a_c ⊕ (p_c ∧
+    /// x_{c−1})`, with `a_c` the bit under a clear left neighbour and
+    /// `p_c` whether a set one changes it. Both are read from a
+    /// [`SetTable`] by the cell's index — its key without LEFT, the
+    /// observed bit moved into LEFT's place, one byte — a word at a time
+    /// ([`pass_row`]); [`row_pass`] composes a word's functions in six
+    /// shift steps and applies them to the bit carried in from the word
+    /// before.
     fn sweep(
         &self,
         cells: &[u8],
-        rows: usize,
-        cols: usize,
+        (rows, cols): (usize, usize),
         gc: &GridContext<'_>,
         beliefs: &[f64; KEYS],
-    ) -> Vec<u16> {
-        // `set[key]` for a key with LEFT clear: bit 0 is "belief > 0.5"
-        // as is, bit 1 the same with the left neighbour set — so the
-        // only step of a row pass that waits for the previous cell is
-        // one shift.
-        let mut set = [0u8; KEYS];
-        for key in (0..KEYS).filter(|key| key & LEFT == 0) {
-            set[key] = u8::from(beliefs[key] > 0.5) | u8::from(beliefs[key | LEFT] > 0.5) << 1;
-        }
-        // The map, zero-padded by one cell all round: out-of-bounds
-        // neighbours read as 0 (patterns sit in empty surroundings).
+        (map, indices): (&mut Vec<u8>, &mut Vec<u8>),
+        keys: &mut Vec<u16>,
+    ) {
+        let table = SetTable::new(beliefs);
+        // The map, zero-padded by one cell all round and to whole words
+        // on the right: out-of-bounds neighbours read as 0 (patterns sit
+        // in empty surroundings), and a row pass writes whole words.
         // Initial beliefs are the channel posterior under a flat prior.
-        let padded = cols + 2;
-        let mut map = vec![0u8; (rows + 2) * padded];
+        let words = cols.div_ceil(64);
+        let padded = 64 * words + 2;
+        map.clear();
+        map.resize((rows + 2) * padded, 0);
+        let [off, on] = gc.init.map(|init| u8::from(init > 0.5));
         for (row, cells) in map
             .chunks_exact_mut(padded)
             .skip(1)
             .zip(cells.chunks_exact(cols))
         {
             for (m, &cell) in row[1..].iter_mut().zip(cells) {
-                *m = u8::from(gc.init[usize::from(cell != 0)] > 0.5);
+                *m = off ^ (off ^ on) & u8::from(cell != 0);
             }
         }
-        let mut keys = vec![0u16; rows * cols];
-        for sweep in 0..self.sweeps {
-            for (r, keys) in keys.chunks_exact_mut(cols).enumerate() {
-                // Everything of the key but LEFT: the finished row
-                // above, the previous sweep's row below and right
-                // neighbour, the observed bit.
-                let (up, rest) = map[r * padded..(r + 3) * padded].split_at(padded);
-                let (mid, down) = rest.split_at(padded);
-                let observed = &cells[r * cols..(r + 1) * cols];
-                let (up, right, down) = (shifts(up, cols), &mid[2..cols + 2], shifts(down, cols));
-                let keys = &mut keys[..cols];
-                for c in 0..cols {
-                    let context = up[0][c]
-                        | up[1][c] << 1
-                        | up[2][c] << 2
-                        | right[c] << 4
-                        | down[0][c] << 5
-                        | down[1][c] << 6
-                        | down[2][c] << 7;
-                    keys[c] = u16::from(context) | u16::from(observed[c] != 0) << 8;
-                }
-                // The row pass proper: each cell under its finished
-                // left neighbour.
-                let mid = &mut map[(r + 1) * padded..(r + 2) * padded];
-                let mut left = 0u8;
-                for (&key, cell) in keys.iter().zip(&mut mid[1..]) {
-                    left = set[usize::from(key) % KEYS] >> left & 1;
-                    *cell = left;
-                }
-                // Only the last sweep's keys are read: complete them
-                // with the left neighbours the pass just wrote.
-                if sweep + 1 == self.sweeps {
-                    for (key, &left) in keys.iter_mut().zip(&mid[..cols]) {
-                        *key |= u16::from(left) << 3;
-                    }
-                }
-            }
+        indices.clear();
+        indices.resize(64 * words, 0);
+        keys.clear();
+        keys.resize(rows * cols, 0);
+        let sweeps = self.sweeps;
+        match Compare::detect() {
+            Compare::Baseline => sweep_rows(sweeps, cells, cols, map, indices, keys, |indices| {
+                look_up(indices, &table.bytes)
+            }),
+            // SAFETY: `supported` makes `Avx2` only where
+            // `is_x86_feature_detected!("avx2")`, and `Avx512` only where
+            // `avx512f` is, which includes AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Compare::Avx2 | Compare::Avx512 => unsafe {
+                sweep_rows_avx2(sweeps, cells, cols, map, indices, keys, &table);
+            },
         }
-        keys
     }
 }
 
-/// The tail of [`MrfDenoiser::predict_grid`]: each cell of the
-/// `cols`-wide coarse grid looked up in `blended` by its bit of the
-/// regularized map and its key, and written out `factor` times each
-/// way as an `out_rows × out_cols` prediction. A coarse row is looked
-/// up once, widened into one fine row, and that row is copied `factor`
-/// times (fewer at the bottom edge; the right edge's last block is cut
-/// the same way). One body, compiled once with the model's factor as a
-/// constant and once with the factor at run time.
+/// The row passes of [`MrfDenoiser::sweep`] over the padded `map`,
+/// `look_up` giving a word's `(a, p)` from its cell indices. One body,
+/// compiled for the build's baseline with a scalar look-up and once
+/// more under AVX2 with a vector one.
 #[inline(always)]
-fn replicate_up(
-    keys: &[u16],
+fn sweep_rows(
+    sweeps: usize,
+    cells: &[u8],
     cols: usize,
-    binary: &BitGrid,
-    blended: &[[f32; KEYS]; 2],
-    (out_rows, out_cols): (usize, usize),
-    factor: usize,
-) -> Vec<f32> {
-    let mut out = Vec::with_capacity(out_rows * out_cols);
-    let mut coarse_row = vec![0.0f32; cols];
-    let mut fine_row = vec![0.0f32; out_cols];
-    for (r, key_row) in keys.chunks_exact(cols).enumerate() {
-        for ((keys, values), &bits) in key_row
-            .chunks(64)
-            .zip(coarse_row.chunks_mut(64))
-            .zip(binary.row(r + 1))
-        {
-            for (c, (&key, value)) in keys.iter().zip(values).enumerate() {
-                *value = blended[(bits >> c & 1) as usize][usize::from(key) % KEYS];
+    map: &mut [u8],
+    indices: &mut [u8],
+    keys: &mut [u16],
+    look_up: impl Fn(&[u8]) -> (u64, u64),
+) {
+    let padded = indices.len() + 2;
+    for sweep in 0..sweeps {
+        for (r, keys) in keys.chunks_exact_mut(cols).enumerate() {
+            // Everything of the key but LEFT: the finished row above,
+            // the previous sweep's row below and right neighbour, the
+            // observed bit.
+            let (up, rest) = map[r * padded..(r + 3) * padded].split_at(padded);
+            let (mid, down) = rest.split_at(padded);
+            let observed = &cells[r * cols..(r + 1) * cols];
+            let (up, right, down) = (shifts(up, cols), &mid[2..cols + 2], shifts(down, cols));
+            let row_indices = &mut indices[..cols];
+            for c in 0..cols {
+                row_indices[c] = up[0][c]
+                    | up[1][c] << 1
+                    | up[2][c] << 2
+                    | u8::from(observed[c] != 0) << 3
+                    | right[c] << 4
+                    | down[0][c] << 5
+                    | down[1][c] << 6
+                    | down[2][c] << 7;
+            }
+            let mid = &mut map[(r + 1) * padded..(r + 2) * padded];
+            pass_row(indices, cols, &mut mid[1..], &look_up);
+            // Only the last sweep's keys are read: each cell's index
+            // with the observed bit back in bit 8 and the left neighbour
+            // the pass just wrote in LEFT.
+            if sweep + 1 == sweeps {
+                for ((key, &index), &left) in keys.iter_mut().zip(&*indices).zip(&mid[..cols]) {
+                    *key = u16::from(index & !OBSERVED)
+                        | u16::from(left) << 3
+                        | u16::from(index & OBSERVED) << 5;
+                }
             }
         }
-        let mut blocks = fine_row.chunks_exact_mut(factor);
-        for (block, &value) in (&mut blocks).zip(&coarse_row) {
-            block.fill(value);
+    }
+}
+
+/// [`sweep_rows`] with the vector look-up.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_rows_avx2(
+    sweeps: usize,
+    cells: &[u8],
+    cols: usize,
+    map: &mut [u8],
+    indices: &mut [u8],
+    keys: &mut [u16],
+    table: &SetTable,
+) {
+    sweep_rows(sweeps, cells, cols, map, indices, keys, |indices| {
+        look_up_avx2(indices, &table.sets)
+    });
+}
+
+/// Where a sweep's cell index holds the observed bit: LEFT's place in
+/// the key, which the index does not need.
+const OBSERVED: u8 = LEFT as u8;
+
+/// The `(a, p)` of every cell index, for one step's sweeps (see
+/// [`MrfDenoiser::sweep`]): as a byte an index, `a` in bit 0 and `p` in
+/// bit 1, for the scalar look-up, and as two 256-bit sets, `[a, p]`,
+/// for the vector one.
+struct SetTable {
+    bytes: [u8; CONTEXTS],
+    sets: [[u8; CONTEXTS / 8]; 2],
+}
+
+impl SetTable {
+    fn new(beliefs: &[f64; KEYS]) -> SetTable {
+        let bytes: [u8; CONTEXTS] = std::array::from_fn(|index| {
+            let key = index & !LEFT | (index & LEFT) << 5;
+            let (clear, left_set) = (beliefs[key] > 0.5, beliefs[key | LEFT] > 0.5);
+            u8::from(clear) | u8::from(clear != left_set) << 1
+        });
+        let mut sets = [[0; CONTEXTS / 8]; 2];
+        for (j, bytes) in bytes.chunks_exact(8).enumerate() {
+            let bytes = u64::from_le_bytes(bytes.try_into().expect("eight indices"));
+            sets[0][j] = pack_bytes(bytes) as u8;
+            sets[1][j] = pack_bytes(bytes >> 1) as u8;
         }
-        if let Some(&last) = coarse_row.last() {
-            blocks.into_remainder().fill(last);
-        }
-        for _ in r * factor..out_rows.min((r + 1) * factor) {
-            out.extend_from_slice(&fine_row);
+        SetTable { bytes, sets }
+    }
+}
+
+/// The row pass proper: each cell under its finished left neighbour,
+/// 64 cells a word. `indices` holds the row's cell indices, a whole
+/// number of words of them (what lies past `cols` is looked up but not
+/// used); the cells' new bits, one byte a cell, go to the start of
+/// `row`, as many words of them, 0 past `cols`. `look_up` gives a
+/// word's `(a, p)` from its 64 indices.
+#[inline(always)]
+fn pass_row(indices: &[u8], cols: usize, row: &mut [u8], look_up: impl Fn(&[u8]) -> (u64, u64)) {
+    let mut left = 0;
+    for (w, (indices, row)) in indices
+        .chunks_exact(64)
+        .zip(row.chunks_exact_mut(64))
+        .enumerate()
+    {
+        // Cells past `cols` are "clear", so the pass writes 0 there.
+        let valid = match cols - 64 * w {
+            64.. => u64::MAX,
+            cells => (1 << cells) - 1,
+        };
+        let (a, p) = look_up(indices);
+        let x = row_pass(a & valid, p & valid, left);
+        left = x >> 63;
+        for (j, row) in row.chunks_exact_mut(8).enumerate() {
+            row.copy_from_slice(&spread_bits(x >> (8 * j)).to_le_bytes());
         }
     }
-    out
+}
+
+/// The `(a, p)` of a word of cell indices, eight at a time: their
+/// table bytes gathered and bits 0 and 1 of each packed by a multiply.
+#[inline(always)]
+fn look_up(indices: &[u8], bytes: &[u8; CONTEXTS]) -> (u64, u64) {
+    let (mut a, mut p) = (0, 0);
+    for (j, indices) in indices.chunks_exact(8).enumerate() {
+        let gathered = u64::from_le_bytes(std::array::from_fn(|i| bytes[usize::from(indices[i])]));
+        a |= pack_bytes(gathered) << (8 * j);
+        p |= pack_bytes(gathered >> 1) << (8 * j);
+    }
+    (a, p)
+}
+
+/// The `(a, p)` of 64 cell indices, 32 a vector: an index's byte of a
+/// 32-byte set is looked up by its top five bits (two 16-byte shuffles,
+/// each zeroing the lanes the other serves), its bit by the low three,
+/// and the bits packed by a byte mask.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn look_up_avx2(indices: &[u8], sets: &[[u8; CONTEXTS / 8]; 2]) -> (u64, u64) {
+    use std::arch::x86_64::*;
+    assert!(indices.len() >= 64, "a word of indices");
+    // SAFETY: each load reads 16 or 32 bytes within the slice it is
+    // given (the assert above; a set is 32 bytes).
+    let load = |bytes: &[u8]| unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) };
+    let halves = |set: &[u8; 32]| {
+        // SAFETY: as above.
+        let half = |at: usize| unsafe { _mm_loadu_si128(set[at..].as_ptr().cast()) };
+        (
+            _mm256_broadcastsi128_si256(half(0)),
+            _mm256_broadcastsi128_si256(half(16)),
+        )
+    };
+    let [a_set, p_set] = [halves(&sets[0]), halves(&sets[1])];
+    let bits = _mm256_setr_epi8(
+        1, 2, 4, 8, 16, 32, 64, -128, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 4, 8, 16, 32, 64, -128, 0, 0,
+        0, 0, 0, 0, 0, 0,
+    );
+    let (mut a, mut p) = (0, 0);
+    for half in 0..2 {
+        let index = load(&indices[32 * half..]);
+        let byte = _mm256_and_si256(_mm256_srli_epi16(index, 3), _mm256_set1_epi8(0x1F));
+        // Bit 7 of a shuffle index zeroes its lane: set from 16 up in
+        // the first, below 16 in the second.
+        let low = _mm256_add_epi8(byte, _mm256_set1_epi8(0x70));
+        let high = _mm256_sub_epi8(byte, _mm256_set1_epi8(0x10));
+        let bit = _mm256_shuffle_epi8(bits, _mm256_and_si256(index, _mm256_set1_epi8(7)));
+        for (word, (set_low, set_high)) in [(&mut a, a_set), (&mut p, p_set)] {
+            let bytes = _mm256_or_si256(
+                _mm256_shuffle_epi8(set_low, low),
+                _mm256_shuffle_epi8(set_high, high),
+            );
+            let on = _mm256_cmpeq_epi8(_mm256_and_si256(bytes, bit), bit);
+            *word |= u64::from(_mm256_movemask_epi8(on) as u32) << (32 * half);
+        }
+    }
+    (a, p)
+}
+
+/// Bit 0 of each of the eight bytes of `bytes`, little-endian, as the
+/// eight low bits of the result: the multiply moves byte `i`'s bit to
+/// bit `56 + i`, and no two partial products meet.
+#[inline(always)]
+fn pack_bytes(bytes: u64) -> u64 {
+    (bytes & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// The low eight bits of `bits` as eight 0/1 bytes, little-endian — the
+/// inverse of [`pack_bytes`].
+#[inline(always)]
+fn spread_bits(bits: u64) -> u64 {
+    let picked = (bits & 0xFF).wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
+    // A byte is 0 or one power of two; adding 0x7F sets its top bit
+    // exactly when it is not 0, and never carries out of it.
+    (picked + 0x7F7F_7F7F_7F7F_7F7F) >> 7 & 0x0101_0101_0101_0101
+}
+
+/// The word-wide row pass: `x_c = a_c ⊕ (p_c ∧ x_{c−1})` for the 64
+/// cells of a word, cell `c` bit `c`, with `x_{−1}` the bit `carry`.
+/// Each step composes every cell's function with the one `shift`
+/// cells before it, the identity (`a` 0, `p` 1) shifted in at the
+/// word's start; after six, bit `c` of `(a, p)` is cells `0..=c`
+/// composed, applied to `carry`.
+#[inline(always)]
+fn row_pass(mut a: u64, mut p: u64, carry: u64) -> u64 {
+    for shift in [1, 2, 4, 8, 16, 32] {
+        a ^= p & (a << shift);
+        p &= (p << shift) | ((1 << shift) - 1);
+    }
+    a ^ (p & carry.wrapping_neg())
 }
 
 /// The `cols` cells of a padded row as seen from one cell to the right,
@@ -793,7 +1033,9 @@ fn shifts(padded_row: &[u8], cols: usize) -> [&[u8]; 3] {
 /// so the ranking is over the distinct values present (at most `KEYS`):
 /// ranks above the boundary are kept whole and the boundary rank's
 /// lowest-index cells fill what is left, as a stable descending sort of
-/// all cells would have it.
+/// all cells would have it. (Keys of one value form one group, so the
+/// order of the keys within it does not matter.) The map is written
+/// into `grid`.
 fn top_cells(
     keys: &[u16],
     rows: usize,
@@ -801,13 +1043,20 @@ fn top_cells(
     counts: &[usize; KEYS],
     beliefs: &[f64; KEYS],
     target_density: f64,
-) -> BitGrid {
+    grid: &mut BitGrid,
+) {
     const DROP: u8 = 0;
     const BOUNDARY: u8 = 1;
     const KEEP: u8 = 2;
     let mut left = (((keys.len() as f64) * target_density).round() as usize).min(keys.len());
-    let mut ranked: Vec<usize> = (0..KEYS).filter(|&key| counts[key] > 0).collect();
-    ranked.sort_by(|&a, &b| beliefs[b].partial_cmp(&beliefs[a]).expect("finite beliefs"));
+    let mut ranked = [0usize; KEYS];
+    let mut present = 0;
+    for key in (0..KEYS).filter(|&key| counts[key] > 0) {
+        ranked[present] = key;
+        present += 1;
+    }
+    let ranked = &mut ranked[..present];
+    ranked.sort_unstable_by(|&a, &b| beliefs[b].partial_cmp(&beliefs[a]).expect("finite beliefs"));
     let mut class = [DROP; KEYS];
     for tied in ranked.chunk_by(|&a, &b| beliefs[a] == beliefs[b]) {
         let cells: usize = tied.iter().map(|&key| counts[key]).sum();
@@ -820,7 +1069,7 @@ fn top_cells(
         }
         left -= cells;
     }
-    let mut grid = BitGrid::new(rows, cols);
+    grid.reset(rows, cols);
     let stride = grid.stride;
     for (r, key_row) in keys.chunks_exact(cols).enumerate() {
         for (w, chunk) in key_row.chunks(64).enumerate() {
@@ -835,31 +1084,41 @@ fn top_cells(
             grid.words[(r + 1) * stride + w] = word;
         }
     }
-    grid
 }
 
 impl Denoiser for MrfDenoiser {
     fn predict_x0(
         &self,
-        x_k: &Topology,
+        x_k: &[u8],
+        shape: (usize, usize),
         k: usize,
         total_steps: usize,
         condition: Option<u32>,
-    ) -> Vec<f32> {
-        let gc = &self.grid_context(k, total_steps, condition);
-        let shape = x_k.shape();
+        out: &mut Prediction,
+    ) {
+        // Out of `out` while `out` is written (taking leaves empty
+        // buffers behind, which allocates nothing).
+        let mut scratch = std::mem::take(&mut out.scratch);
+        let Scratch {
+            schedule,
+            coarse,
+            map,
+            indices,
+            grid,
+            spare,
+        } = &mut scratch;
+        let gc = &self.grid_context(k, total_steps, condition, schedule);
+        let buffers = (map, indices, grid, spare);
         if self.coarse <= 1 {
-            return self.predict_grid(x_k.as_bytes(), shape, shape, gc);
+            self.predict_grid(x_k, shape, gc, buffers, out);
+        } else {
+            // Coarse path: majority-downsample the noisy input and
+            // predict on the table's grid.
+            downsample_majority_bytes(x_k, shape.0, shape.1, self.coarse, coarse);
+            let coarse_shape = (shape.0.div_ceil(self.coarse), shape.1.div_ceil(self.coarse));
+            self.predict_grid(coarse, coarse_shape, gc, buffers, out);
         }
-        // Coarse path: majority-downsample the noisy input, predict on
-        // the table's grid, replicate probabilities back up.
-        let (down, rows, cols) =
-            downsample_majority_bytes(x_k.as_bytes(), shape.0, shape.1, self.coarse);
-        self.predict_grid(&down, (rows, cols), shape, gc)
-    }
-
-    fn native_size(&self) -> usize {
-        self.native_size
+        out.scratch = scratch;
     }
 }
 
@@ -869,6 +1128,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::denoiser::test_support::predict_fine;
     use crate::DiffusionModel;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -906,10 +1166,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         // Light noise (k = 2 of 10): prediction should mostly match clean.
         let mut cells = vec![0u8; clean.len()];
-        let flip = model.schedule().flip_bar(2);
+        let flip = crate::model::threshold(model.schedule().flip_bar(2));
         crate::model::forward_cells(clean.as_bytes(), flip, &mut rng, &mut cells);
         let noisy = Topology::from_bytes(clean.rows(), clean.cols(), cells);
-        let p0 = model.denoiser().predict_x0(&noisy, 2, 10, Some(0));
+        let p0 = predict_fine(model.denoiser(), &noisy, 2, 10, Some(0));
         let mut correct = 0usize;
         for (i, &p) in p0.iter().enumerate() {
             let predicted = p > 0.5;
@@ -1004,7 +1264,7 @@ mod tests {
         steps: usize,
         cond: Option<u32>,
     ) {
-        let got = mrf.predict_x0(x, k, steps, cond);
+        let got = predict_fine(mrf, x, k, steps, cond);
         let want = reference::predict_x0(mrf, x, k, steps, cond);
         assert_eq!(got.len(), want.len());
         if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
@@ -1119,8 +1379,9 @@ mod tests {
                     for &key in &keys {
                         counts[usize::from(key)] += 1;
                     }
-                    let mut grid = top_cells(&keys, rows, cols, &counts, &beliefs, density);
-                    regularize_min_feature(&mut grid);
+                    let mut grid = BitGrid::default();
+                    top_cells(&keys, rows, cols, &counts, &beliefs, density, &mut grid);
+                    regularize_min_feature(&mut grid, &mut Vec::new());
                     let per_cell: Vec<f64> =
                         keys.iter().map(|&k| beliefs[usize::from(k)]).collect();
                     let want = reference::regularize_min_feature(&per_cell, rows, cols, density);
@@ -1134,6 +1395,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`pass_row`] with the vector look-up, as [`sweep_rows_avx2`] has
+    /// it.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn pass_row_with_avx2(indices: &[u8], cols: usize, row: &mut [u8], table: &SetTable) {
+        pass_row(indices, cols, row, |i| look_up_avx2(i, &table.sets));
+    }
+
+    #[test]
+    fn the_word_wide_row_pass_is_the_serial_one() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        // An index's two bits: what the cell becomes under a clear left
+        // neighbour, and under a set one. Random tables, then every
+        // index one function: clear, set, copy, negate.
+        let mut tables: Vec<[(bool, bool); CONTEXTS]> = (0..8)
+            .map(|_| std::array::from_fn(|_| (rng.gen(), rng.gen())))
+            .collect();
+        for function in [(false, false), (true, true), (false, true), (true, false)] {
+            tables.push([function; CONTEXTS]);
+        }
+        let rows: Vec<(Vec<u8>, Vec<u8>)> = (1..=130)
+            .map(|cols: usize| {
+                let indices: Vec<u8> = (0..64 * cols.div_ceil(64))
+                    .map(|_| rng.gen_range(0..=255))
+                    .collect();
+                (indices, vec![9; 64 * cols.div_ceil(64)])
+            })
+            .collect();
+        crate::model::tests::for_each_unit(|unit| {
+            for (t, functions) in tables.iter().enumerate() {
+                // The beliefs that make these the functions (an index is
+                // a key without LEFT, the observed bit moved there).
+                let mut beliefs = [0.0; KEYS];
+                for (index, &(clear, set)) in functions.iter().enumerate() {
+                    let key = index & !LEFT | (index & LEFT) << 5;
+                    beliefs[key] = if clear { 0.9 } else { 0.1 };
+                    beliefs[key | LEFT] = if set { 0.9 } else { 0.1 };
+                }
+                let table = SetTable::new(&beliefs);
+                for (cols, (indices, row)) in (1..).zip(&rows) {
+                    let mut want = Vec::with_capacity(cols);
+                    let mut left = false;
+                    for &index in &indices[..cols] {
+                        let (clear, set) = functions[usize::from(index)];
+                        left = if left { set } else { clear };
+                        want.push(u8::from(left));
+                    }
+                    let mut row = row.clone();
+                    match unit {
+                        Compare::Baseline => {
+                            pass_row(indices, cols, &mut row, |i| look_up(i, &table.bytes));
+                        }
+                        // SAFETY: the unit is one this CPU supports.
+                        #[cfg(target_arch = "x86_64")]
+                        _ => unsafe { pass_row_with_avx2(indices, cols, &mut row, &table) },
+                    }
+                    let what = format!("{unit:?}, table {t}, {cols} cells");
+                    assert_eq!(row[..cols], want, "{what}");
+                    assert!(row[cols..].iter().all(|&cell| cell == 0), "{what}: padding");
+                }
+            }
+        });
     }
 
     #[test]

@@ -228,7 +228,7 @@ pub(super) fn predict_x0(
     total_steps: usize,
     condition: Option<u32>,
 ) -> Vec<f32> {
-    let gc = &mrf.grid_context(k, total_steps, condition);
+    let gc = &mrf.grid_context(k, total_steps, condition, &mut None);
     if mrf.coarse <= 1 {
         return predict_grid_with(mrf, x_k, gc);
     }

@@ -129,10 +129,7 @@ mod tests {
     fn diffusion_model_implements_sampler() {
         let model = std::sync::Arc::new(DiffusionModel::new(
             NoiseSchedule::scaled_default(4),
-            ConstantDenoiser {
-                probability: 1.0,
-                size: 8,
-            },
+            ConstantDenoiser { probability: 1.0 },
             8,
         ));
         // The model itself, and the `Arc` a session holds it by.
@@ -148,10 +145,7 @@ mod tests {
     fn sampler_modify_respects_mask_through_trait() {
         let model = DiffusionModel::new(
             NoiseSchedule::scaled_default(4),
-            ConstantDenoiser {
-                probability: 1.0,
-                size: 4,
-            },
+            ConstantDenoiser { probability: 1.0 },
             4,
         );
         let sampler: &dyn PatternSampler = &model;

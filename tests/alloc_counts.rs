@@ -99,8 +99,10 @@ fn warmed_generate(steps: usize) -> (u64, u64) {
 
 #[test]
 fn a_generate_allocates_what_is_pinned() {
-    // (allocations, bytes) at K = 12 and at K = 24.
-    let pins = [(12, (168, 1_250_864)), (24, (328, 2_475_104))];
+    // (allocations, bytes) at K = 12 and at K = 24: the same count, so
+    // a step allocates nothing (the bytes differ by the schedule, one
+    // f64 a step twice over).
+    let pins = [(12, (13, 54_836)), (24, (13, 55_028))];
     let got = pins.map(|(steps, _)| (steps, warmed_generate(steps)));
     assert_eq!(got, pins, "(steps, (allocations, bytes))");
 }
@@ -115,5 +117,5 @@ fn a_half_window_modify_allocates_what_is_pinned() {
     let _ = model.modify(&known, &mask, Some(0), 1, &mut rng);
     let (counts, modified) = counted(|| model.modify(&known, &mask, Some(0), 1, &mut rng));
     assert_eq!(modified.shape(), known.shape());
-    assert_eq!(counts, (338, 2_510_336), "(allocations, bytes)");
+    assert_eq!(counts, (22, 89_748), "(allocations, bytes)");
 }
