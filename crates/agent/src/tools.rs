@@ -29,7 +29,7 @@ pub struct ToolError {
 impl ToolError {
     /// Creates an error with a message.
     #[must_use]
-    pub fn new(message: impl Into<String>) -> ToolError {
+    pub(crate) fn new(message: impl Into<String>) -> ToolError {
         ToolError {
             message: message.into(),
         }
