@@ -42,7 +42,7 @@ pub mod tools;
 pub use knowledge::KnowledgeBase;
 pub use llm::{AgentAction, AgentStep, LanguageModel, Message, Role};
 pub use policy::{ExpertPolicy, PolicySnapshot};
-pub use requirement::{auto_format, try_auto_format, Requirement, RequirementError};
+pub use requirement::{auto_format, parse, Requirement, RequirementError};
 pub use session::{
     render_transcript, AgentSession, AgentSnapshot, SessionReport, SnapshotError, TurnReport,
 };

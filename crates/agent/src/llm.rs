@@ -1,5 +1,6 @@
 //! The language-model abstraction behind the agent loop.
 
+use crate::requirement::RequirementError;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
@@ -81,7 +82,14 @@ pub trait LanguageModel {
     /// per-turn plan while keeping whatever cross-turn context they
     /// maintain. The default is a no-op: a purely transcript-driven
     /// model (or a scripted mock) needs nothing here.
-    fn begin_turn(&mut self) {}
+    ///
+    /// # Errors
+    ///
+    /// A model that refuses `utterance` returns why, and the session
+    /// records nothing of the turn.
+    fn begin_turn(&mut self, _utterance: &str) -> Result<(), RequirementError> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! the tool context — the same information boundary a real LLM has.
 
 use crate::llm::{AgentAction, AgentStep, LanguageModel, Message, Role};
-use crate::requirement::{auto_format_with_context, Requirement};
+use crate::requirement::{parse, Requirement, RequirementError};
 use cp_extend::ExtensionMethod;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
@@ -270,18 +270,19 @@ impl ExpertPolicy {
 
     fn finish_step(&mut self) -> AgentStep {
         self.state = State::Done;
-        let mut summary = format!(
-            "Completed {} sub-task(s). Delivered patterns per sub-task: {}.",
-            self.requirements.len(),
-            self.notes.join("; "),
-        );
-        if self.notes.is_empty() {
-            summary = format!(
+        let summary = if self.notes.is_empty() {
+            format!(
                 "Completed {} sub-task(s); all requested patterns delivered and saved \
                  to the library.",
                 self.requirements.len()
-            );
-        }
+            )
+        } else {
+            format!(
+                "Completed {} sub-task(s). Delivered patterns per sub-task: {}.",
+                self.requirements.len(),
+                self.notes.join("; "),
+            )
+        };
         AgentStep {
             thought: "All sub-tasks are processed; summarize results and return.".to_owned(),
             action: AgentAction::Finish { summary },
@@ -368,31 +369,26 @@ fn last_observation(transcript: &[Message]) -> Value {
         .unwrap_or(Value::Null)
 }
 
-fn last_user_request(transcript: &[Message]) -> String {
-    transcript
-        .iter()
-        .rev()
-        .find(|m| m.role == Role::User)
-        .map(|m| m.content.clone())
-        .unwrap_or_default()
-}
-
 impl LanguageModel for ExpertPolicy {
-    /// Re-arms the state machine for the next user turn by rebuilding
-    /// the policy from its constructor, explicitly carrying over only
-    /// what survives turns: the configuration, the learned model
-    /// `window`, and `carry` — the previous turn's last requirement,
-    /// which the fresh plan inherits unmentioned fields from. Built
-    /// this way, any field added later resets per turn by default
-    /// instead of silently leaking stale state. The knowledge base
-    /// lives in the tool context, so recorded experience persists
-    /// independently of this reset.
-    fn begin_turn(&mut self) {
+    /// Parses `utterance` against `carry` — the previous turn's last
+    /// requirement, which the fresh plan inherits unmentioned fields
+    /// from — and re-arms the state machine for it by rebuilding the
+    /// policy from its constructor, explicitly carrying over only what
+    /// survives turns: the configuration, the learned model `window`,
+    /// and the new `carry`. Built this way, any field added later
+    /// resets per turn by default instead of silently leaking stale
+    /// state. A refused utterance leaves the policy as it was. The
+    /// knowledge base lives in the tool context, so recorded experience
+    /// persists independently of this reset.
+    fn begin_turn(&mut self, utterance: &str) -> Result<(), RequirementError> {
+        let requirements = parse(utterance, self.carry.as_ref())?;
         *self = ExpertPolicy {
             window: self.window,
-            carry: self.carry.take(),
+            carry: requirements.last().cloned(),
+            requirements,
             ..ExpertPolicy::new(self.batch_size, self.max_repairs)
         };
+        Ok(())
     }
 
     fn next_step(&mut self, transcript: &[Message]) -> AgentStep {
@@ -407,9 +403,6 @@ impl LanguageModel for ExpertPolicy {
         }
         match self.state {
             State::Init => {
-                let request = last_user_request(transcript);
-                self.requirements = auto_format_with_context(&request, self.carry.as_ref());
-                self.carry = self.requirements.last().cloned();
                 let rendered: Vec<String> = self
                     .requirements
                     .iter()
@@ -490,15 +483,11 @@ impl LanguageModel for ExpertPolicy {
                 let failed = obs["failed"].as_array().cloned().unwrap_or_default();
                 if legal.is_empty() {
                     self.consecutive_empty_batches += 1;
-                } else {
-                    self.consecutive_empty_batches = 0;
+                    return self
+                        .handle_failures(&failed)
+                        .unwrap_or_else(|| self.continue_after_batch());
                 }
-                if legal.is_empty() {
-                    if let Some(step) = self.handle_failures(&failed) {
-                        return step;
-                    }
-                    return self.continue_after_batch();
-                }
+                self.consecutive_empty_batches = 0;
                 // Save the clean patterns first; deal with failures next step.
                 self.pending_failures = failed;
                 self.state = State::AwaitSave;
@@ -525,23 +514,12 @@ impl LanguageModel for ExpertPolicy {
                         return step;
                     }
                 }
-                if let Some(step) = self.next_repair_or_continue() {
-                    return step;
-                }
-                self.continue_after_batch()
+                self.next_repair_or_continue()
+                    .unwrap_or_else(|| self.continue_after_batch())
             }
-            State::AwaitModify => {
-                if let Some(step) = self.next_repair_or_continue() {
-                    return step;
-                }
-                self.continue_after_batch()
-            }
-            State::AwaitDrop => {
-                if let Some(step) = self.next_repair_or_continue() {
-                    return step;
-                }
-                self.continue_after_batch()
-            }
+            State::AwaitModify | State::AwaitDrop => self
+                .next_repair_or_continue()
+                .unwrap_or_else(|| self.continue_after_batch()),
             State::AwaitExperience => {
                 self.notes.push(format!(
                     "sub-task {}: {}/{} patterns",

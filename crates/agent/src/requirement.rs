@@ -10,6 +10,7 @@
 
 use cp_dataset::Style;
 use cp_extend::ExtensionMethod;
+use cp_layout::squish::{fits_one_request, MAX_REQUEST_CELLS};
 use serde::{Deserialize, Serialize};
 
 /// Why a natural-language request could not be turned into a usable
@@ -81,7 +82,11 @@ impl Requirement {
     }
 }
 
-/// Parses a natural-language request into requirement lists.
+/// [`parse`] of a first turn: `parse(request, None)`.
+///
+/// # Errors
+///
+/// As [`parse`].
 ///
 /// # Example
 ///
@@ -92,23 +97,24 @@ impl Requirement {
 ///      in total. The physical size fixed as 1.5um * 1.5um. The topology \
 ///      size should be chosen from 200*200 and 500*500. They should be in \
 ///      style of 'Layer-10001'.",
-/// );
+/// )
+/// .expect("the Figure 4 request parses");
 /// assert_eq!(reqs.len(), 2);
 /// assert_eq!(reqs[0].count, 50_000);
 /// assert_eq!(reqs[0].topology_size, (200, 200));
 /// assert_eq!(reqs[1].topology_size, (500, 500));
 /// assert_eq!(reqs[0].physical_size_nm, (1500, 1500));
 /// ```
-#[must_use]
-pub fn auto_format(request: &str) -> Vec<Requirement> {
-    auto_format_with_context(request, None)
+pub fn auto_format(request: &str) -> Result<Vec<Requirement>, RequirementError> {
+    parse(request, None)
 }
 
-/// [`auto_format`] for a *follow-up* turn in a multi-turn session.
+/// Parses one user turn into requirement lists, one per sub-task.
 ///
-/// Fields the utterance does not mention inherit from `context` — the
-/// previous turn's requirement — instead of the global defaults, so a
-/// short refinement operates on the previous turn's results:
+/// A first turn (`context = None`) fills what it does not mention from
+/// the global defaults. A follow-up fills it from `context` — the
+/// previous turn's last requirement — so a short refinement operates on
+/// the previous turn's results:
 ///
 /// * "now make them denser" keeps the size, count and frame but shifts
 ///   the style to the dense layer;
@@ -117,13 +123,22 @@ pub fn auto_format(request: &str) -> Vec<Requirement> {
 /// * an unqualified "2 more patterns" keeps size, style and frame and
 ///   only replaces the count.
 ///
-/// With `context = None` this is exactly [`auto_format`].
-#[must_use]
-pub(crate) fn auto_format_with_context(
-    request: &str,
+/// # Errors
+///
+/// Refuses, on every turn alike, an empty utterance, a sub-task
+/// topology larger than one request may ask for
+/// ([`fits_one_request`]), and a total that splits to zero patterns
+/// for some sub-task.
+pub fn parse(
+    utterance: &str,
     context: Option<&Requirement>,
-) -> Vec<Requirement> {
-    let tokens = tokenize(request);
+) -> Result<Vec<Requirement>, RequirementError> {
+    if utterance.trim().is_empty() {
+        return Err(RequirementError::new(
+            "the request is empty; describe the pattern library to generate",
+        ));
+    }
+    let tokens = tokenize(utterance);
     let sizes = find_sizes(&tokens);
     let topo_sizes: Vec<(usize, usize)> = sizes
         .iter()
@@ -137,7 +152,7 @@ pub(crate) fn auto_format_with_context(
         .collect();
     let styles = find_styles(&tokens);
     let (count, per_each) = find_count(&tokens);
-    let method = find_method(request).or_else(|| context.and_then(|c| c.extension_method));
+    let method = find_method(utterance).or_else(|| context.and_then(|c| c.extension_method));
     let drop_mentioned = tokens
         .iter()
         .any(|t| matches!(t, Token::Word(w) if w.starts_with("drop")));
@@ -148,18 +163,29 @@ pub(crate) fn auto_format_with_context(
     let time_limit =
         find_time_limit(&tokens).or_else(|| context.and_then(|c| c.time_limit.clone()));
 
-    let topo_sizes = if topo_sizes.is_empty() {
-        match context {
-            Some(c) => {
-                let (r, cols) = c.topology_size;
-                let factor = find_scale_factor(&tokens).unwrap_or(1);
-                vec![(r * factor, cols * factor)]
-            }
-            None => vec![(128, 128)],
-        }
-    } else {
-        topo_sizes
+    let too_large = |(rows, cols)| {
+        RequirementError::new(format!(
+            "topology size {rows}x{cols} exceeds the {MAX_REQUEST_CELLS} cells one request \
+             may ask for"
+        ))
     };
+    let topo_sizes = match (topo_sizes.is_empty(), context) {
+        (false, _) => topo_sizes,
+        (true, Some(c)) => {
+            let (rows, cols) = c.topology_size;
+            let factor = find_scale_factor(&tokens).unwrap_or(1);
+            // A product that overflows scales a size already too large.
+            let scaled = rows.checked_mul(factor).zip(cols.checked_mul(factor));
+            vec![scaled.ok_or_else(|| too_large(c.topology_size))?]
+        }
+        (true, None) => vec![(128, 128)],
+    };
+    if let Some(&size) = topo_sizes
+        .iter()
+        .find(|&&(r, c)| !fits_one_request(r, c, 1))
+    {
+        return Err(too_large(size));
+    }
     let styles = if styles.is_empty() {
         match (find_density_shift(&tokens), context) {
             (Some(style), _) => vec![style],
@@ -188,46 +214,27 @@ pub(crate) fn auto_format_with_context(
 
     let mut out = Vec::with_capacity(n_subtasks);
     for style in &styles {
-        for (i, topo) in topo_sizes.iter().enumerate() {
-            let extra = usize::from(out.is_empty() && remainder > 0) * remainder;
-            let _ = i;
+        for &topology_size in &topo_sizes {
+            let count = per_task + if out.is_empty() { remainder } else { 0 };
+            if count == 0 {
+                return Err(RequirementError::new(format!(
+                    "the requested total splits to zero patterns for the {}x{} sub-task; \
+                     raise the count or drop a topology size",
+                    topology_size.0, topology_size.1,
+                )));
+            }
             out.push(Requirement {
-                topology_size: *topo,
+                topology_size,
                 physical_size_nm: physical0,
                 style: *style,
-                count: per_task + extra,
+                count,
                 extension_method: method,
                 drop_allowed,
                 time_limit: time_limit.clone(),
             });
         }
     }
-    out
-}
-
-/// Fallible requirement parsing: like [`auto_format`] but rejects
-/// requests that cannot produce a meaningful plan instead of silently
-/// falling back to defaults.
-///
-/// # Errors
-///
-/// Returns a [`RequirementError`] when the request is empty or when the
-/// requested total splits to zero patterns for some sub-task.
-pub fn try_auto_format(request: &str) -> Result<Vec<Requirement>, RequirementError> {
-    if request.trim().is_empty() {
-        return Err(RequirementError::new(
-            "the request is empty; describe the pattern library to generate",
-        ));
-    }
-    let requirements = auto_format(request);
-    if let Some(bad) = requirements.iter().find(|r| r.count == 0) {
-        return Err(RequirementError::new(format!(
-            "the requested total splits to zero patterns for the {}x{} sub-task; \
-             raise the count or drop a topology size",
-            bad.topology_size.0, bad.topology_size.1,
-        )));
-    }
-    Ok(requirements)
+    Ok(out)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -333,16 +340,13 @@ fn scalar(value: f64, unit: Unit) -> i64 {
 
 fn find_sizes(tokens: &[Token]) -> Vec<SizePair> {
     let mut out = Vec::new();
-    let mut last_keyword: Option<&str> = None;
+    // Whether "physical" is the last of "physical" / "topology" seen.
+    let mut after_physical = false;
     let mut i = 0;
     while i < tokens.len() {
         if let Token::Word(w) = &tokens[i] {
             if w == "physical" || w == "topology" {
-                last_keyword = Some(if w == "physical" {
-                    "physical"
-                } else {
-                    "topology"
-                });
+                after_physical = w == "physical";
             }
         }
         if let (
@@ -352,7 +356,7 @@ fn find_sizes(tokens: &[Token]) -> Vec<SizePair> {
         ) = (tokens.get(i), tokens.get(i + 1), tokens.get(i + 2))
         {
             let has_physical_unit = to_nm(*a, *ua).is_some() || to_nm(*b, *ub).is_some();
-            let physical = has_physical_unit || last_keyword == Some("physical");
+            let physical = has_physical_unit || after_physical;
             let (a, b) = if physical {
                 (
                     to_nm(*a, *ua).unwrap_or_else(|| scalar(*a, *ua)),
@@ -531,7 +535,7 @@ mod tests {
 
     #[test]
     fn figure4_request_factorizes_into_two_subtasks() {
-        let reqs = auto_format(FIGURE4);
+        let reqs = auto_format(FIGURE4).expect("parses");
         assert_eq!(reqs.len(), 2);
         assert_eq!(reqs[0].topology_size, (200, 200));
         assert_eq!(reqs[1].topology_size, (500, 500));
@@ -546,7 +550,7 @@ mod tests {
 
     #[test]
     fn render_matches_paper_template() {
-        let reqs = auto_format(FIGURE4);
+        let reqs = auto_format(FIGURE4).expect("parses");
         let text = reqs[0].render(1);
         assert!(text.contains("# Requirement - subtask 1"));
         assert!(text.contains("Topology Size: [200, 200]"));
@@ -561,7 +565,8 @@ mod tests {
         let reqs = auto_format(
             "Please create 10000 patterns for each setting, topology size chosen \
              from 256*256 and 512*512, style Layer-10003.",
-        );
+        )
+        .expect("parses");
         assert_eq!(reqs.len(), 2);
         assert!(reqs.iter().all(|r| r.count == 10_000));
         assert!(reqs.iter().all(|r| r.style == Style::Layer10003));
@@ -570,7 +575,8 @@ mod tests {
     #[test]
     fn nm_sizes_and_x_separator() {
         let reqs =
-            auto_format("Make 50 patterns of physical size 2048nm x 2048nm, topology 128x128.");
+            auto_format("Make 50 patterns of physical size 2048nm x 2048nm, topology 128x128.")
+                .expect("parses");
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].physical_size_nm, (2048, 2048));
         assert_eq!(reqs[0].topology_size, (128, 128));
@@ -582,7 +588,8 @@ mod tests {
         let reqs = auto_format(
             "Generate 400 patterns in total, topology sizes 128*128 and 256*256, \
              in styles Layer-10001 and Layer-10003.",
-        );
+        )
+        .expect("parses");
         assert_eq!(reqs.len(), 4);
         assert_eq!(reqs.iter().map(|r| r.count).sum::<usize>(), 400);
     }
@@ -592,20 +599,21 @@ mod tests {
         let reqs = auto_format(
             "Create 20 patterns at 256*256 using in-painting; do not drop failed \
              patterns, style Layer-10001.",
-        );
+        )
+        .expect("parses");
         assert_eq!(reqs[0].extension_method, Some(ExtensionMethod::InPainting));
         assert!(!reqs[0].drop_allowed);
     }
 
     #[test]
     fn time_limit_is_captured() {
-        let reqs = auto_format("Generate 100 patterns at 128*128 within 2 hours.");
+        let reqs = auto_format("Generate 100 patterns at 128*128 within 2 hours.").expect("parses");
         assert_eq!(reqs[0].time_limit.as_deref(), Some("2 hours"));
     }
 
     #[test]
     fn defaults_when_request_is_vague() {
-        let reqs = auto_format("Give me some layout patterns please.");
+        let reqs = auto_format("Give me some layout patterns please.").expect("parses");
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].topology_size, (128, 128));
         assert_eq!(reqs[0].style, Style::Layer10001);
@@ -614,30 +622,25 @@ mod tests {
 
     #[test]
     fn comma_thousands_are_parsed() {
-        let reqs = auto_format("I need 10,000 patterns, topology size 128*128, Layer-10003.");
+        let reqs = auto_format("I need 10,000 patterns, topology size 128*128, Layer-10003.")
+            .expect("parses");
         assert_eq!(reqs[0].count, 10_000);
     }
 
     #[test]
-    fn try_auto_format_rejects_empty_requests() {
-        let err = try_auto_format("   ").expect_err("empty request must fail");
+    fn parse_rejects_empty_requests() {
+        let err = parse("   ", None).expect_err("empty request must fail");
         assert!(err.to_string().contains("empty"));
         assert!(err.to_string().contains("requirement parsing failed"));
     }
 
     #[test]
-    fn try_auto_format_rejects_zero_count_subtasks() {
-        let err = try_auto_format(
+    fn parse_rejects_zero_count_subtasks() {
+        let err = auto_format(
             "Generate 1 pattern, topology size chosen from 16*16 and 32*32, style Layer-10001.",
         )
         .expect_err("1 pattern over 2 sub-tasks must fail");
         assert!(err.to_string().contains("zero patterns"));
-    }
-
-    #[test]
-    fn try_auto_format_accepts_the_figure4_request() {
-        let reqs = try_auto_format(FIGURE4).expect("valid request");
-        assert_eq!(reqs.len(), 2);
     }
 
     fn previous_turn() -> Requirement {
@@ -654,7 +657,7 @@ mod tests {
 
     #[test]
     fn followup_denser_shifts_style_and_keeps_the_rest() {
-        let reqs = auto_format_with_context("Now make them denser.", Some(&previous_turn()));
+        let reqs = parse("Now make them denser.", Some(&previous_turn())).expect("parses");
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].style, Style::Layer10001, "denser = the dense layer");
         assert_eq!(reqs[0].topology_size, (32, 32));
@@ -670,7 +673,7 @@ mod tests {
             "Extend the last ones to 3×.",
             "Triple the topology size.",
         ] {
-            let reqs = auto_format_with_context(utterance, Some(&previous_turn()));
+            let reqs = parse(utterance, Some(&previous_turn())).expect("parses");
             assert_eq!(reqs.len(), 1, "{utterance}");
             assert_eq!(reqs[0].topology_size, (96, 96), "{utterance}");
             assert_eq!(reqs[0].style, Style::Layer10003, "style carries over");
@@ -679,7 +682,7 @@ mod tests {
 
     #[test]
     fn followup_count_only_replaces_count() {
-        let reqs = auto_format_with_context("2 more patterns please.", Some(&previous_turn()));
+        let reqs = parse("2 more patterns please.", Some(&previous_turn())).expect("parses");
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].count, 2);
         assert_eq!(reqs[0].topology_size, (32, 32));
@@ -689,20 +692,21 @@ mod tests {
     fn followup_inherits_time_limit() {
         let mut prev = previous_turn();
         prev.time_limit = Some("2 hours".into());
-        let reqs = auto_format_with_context("Now make them denser.", Some(&prev));
+        let reqs = parse("Now make them denser.", Some(&prev)).expect("parses");
         assert_eq!(reqs[0].time_limit.as_deref(), Some("2 hours"));
         // An explicit limit in the utterance still wins.
-        let reqs = auto_format_with_context("1 more pattern within 5 minutes.", Some(&prev));
+        let reqs = parse("1 more pattern within 5 minutes.", Some(&prev)).expect("parses");
         assert_eq!(reqs[0].time_limit.as_deref(), Some("5 minutes"));
     }
 
     #[test]
     fn followup_explicit_fields_win_over_context() {
-        let reqs = auto_format_with_context(
+        let reqs = parse(
             "Generate 6 patterns, topology size 64*64, style Layer-10001, \
              physical size 1024nm x 1024nm.",
             Some(&previous_turn()),
-        );
+        )
+        .expect("parses");
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].topology_size, (64, 64));
         assert_eq!(reqs[0].style, Style::Layer10001);
@@ -711,12 +715,47 @@ mod tests {
     }
 
     #[test]
-    fn no_context_matches_auto_format() {
-        for request in [FIGURE4, "Give me some layout patterns please.", "denser"] {
-            assert_eq!(
-                auto_format_with_context(request, None),
-                auto_format(request)
-            );
-        }
+    fn an_overflowing_size_is_refused_and_its_follow_up_scale_does_not_wrap() {
+        let err = auto_format("Generate 1 pattern, topology size 9223372036854775807*4.")
+            .expect_err("2^65 cells is no request");
+        assert!(
+            err.to_string().contains("exceeds the 4194304 cells"),
+            "{err}"
+        );
+        // A context the parse would no longer produce (say, from a
+        // snapshot written before it refused such sizes).
+        let wide = Requirement {
+            topology_size: (9_223_372_036_854_775_807, 4),
+            ..previous_turn()
+        };
+        let err = parse("triple it", Some(&wide)).expect_err("the scale overflows");
+        assert!(
+            err.to_string()
+                .contains("size 9223372036854775807x4 exceeds"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_size_past_one_request_is_refused_by_the_parse() {
+        let err = auto_format("Generate 2 patterns, topology size 4096*4096, style Layer-10001.")
+            .expect_err("16M cells is more than one request may ask for");
+        assert_eq!(
+            err.to_string(),
+            "requirement parsing failed: topology size 4096x4096 exceeds the 4194304 cells \
+             one request may ask for"
+        );
+        assert!(auto_format("Generate 1 pattern, topology size 2048*2048.").is_ok());
+    }
+
+    #[test]
+    fn a_zero_count_follow_up_is_refused_like_a_first_turn() {
+        let first = auto_format("0 more patterns").expect_err("a first turn refuses it");
+        let follow_up =
+            parse("0 more patterns", Some(&previous_turn())).expect_err("so does a follow-up");
+        assert!(first.to_string().contains("zero patterns for the 128x128"));
+        assert!(follow_up
+            .to_string()
+            .contains("zero patterns for the 32x32"));
     }
 }

@@ -15,6 +15,7 @@
 use crate::llm::{AgentAction, LanguageModel, Message, Role};
 use crate::policy::{ExpertPolicy, PolicySnapshot};
 use crate::prompt::system_prompt;
+use crate::requirement::RequirementError;
 use crate::tools::{ContextSnapshot, ToolContext, ToolRegistry};
 use cp_diffusion::PatternSampler;
 use cp_layout::legalize::Legalizer;
@@ -181,9 +182,14 @@ impl<L: LanguageModel> AgentSession<L> {
     /// Runs one ReAct loop over `utterance`. The working library,
     /// the tool store, and the knowledge base all carry over from
     /// previous turns, so follow-ups refine earlier results.
-    pub fn turn(&mut self, utterance: &str) -> TurnReport {
+    ///
+    /// # Errors
+    ///
+    /// Returns the model's [`RequirementError`] when it refuses the
+    /// utterance; the session is then exactly as it was before the call.
+    pub fn turn(&mut self, utterance: &str) -> Result<TurnReport, RequirementError> {
+        self.llm.begin_turn(utterance)?;
         let turn_start = self.transcript.len();
-        self.llm.begin_turn();
         self.transcript.push(Message::new(Role::User, utterance));
         let mut tool_calls = 0usize;
         let mut summary = String::from("step budget exhausted before the agent finished");
@@ -222,13 +228,13 @@ impl<L: LanguageModel> AgentSession<L> {
         self.turns += 1;
         self.tool_calls += tool_calls;
         self.last_summary.clone_from(&summary);
-        TurnReport {
+        Ok(TurnReport {
             turn: self.turns,
             summary,
             transcript: self.transcript[turn_start..].to_vec(),
             tool_calls,
             library_len: self.ctx.library().len(),
-        }
+        })
     }
 
     /// Closes the session, consuming it into the final report.
@@ -250,10 +256,13 @@ impl<L: LanguageModel> AgentSession<L> {
 
     /// One-shot convenience: open → one turn → close (the classic
     /// single-request path behind `PatternRequest::Chat`).
-    #[must_use]
-    pub fn run(mut self, request: &str) -> SessionReport {
-        let _ = self.turn(request);
-        self.close()
+    ///
+    /// # Errors
+    ///
+    /// As [`AgentSession::turn`].
+    pub fn run(mut self, request: &str) -> Result<SessionReport, RequirementError> {
+        self.turn(request)?;
+        Ok(self.close())
     }
 }
 
@@ -369,7 +378,9 @@ mod tests {
                 args: serde_json::json!({"count": 1, "style": "Layer-10001"}),
             },
         }]);
-        let report = AgentSession::new(mock, ToolRegistry::standard(), test_ctx(1)).run("test");
+        let report = AgentSession::new(mock, ToolRegistry::standard(), test_ctx(1))
+            .run("test")
+            .expect("the request parses");
         assert_eq!(report.tool_calls, 1);
         assert_eq!(report.turns, 1);
         // Transcript: system, user, assistant, observation, final.
@@ -388,7 +399,9 @@ mod tests {
                 args: serde_json::json!({}),
             },
         }]);
-        let report = AgentSession::new(mock, ToolRegistry::standard(), test_ctx(2)).run("test");
+        let report = AgentSession::new(mock, ToolRegistry::standard(), test_ctx(2))
+            .run("test")
+            .expect("the request parses");
         let obs = report
             .transcript
             .iter()
@@ -401,7 +414,8 @@ mod tests {
     fn expert_policy_delivers_small_library_end_to_end() {
         let policy = ExpertPolicy::new(4, 2);
         let report = AgentSession::new(policy, ToolRegistry::standard(), test_ctx(3))
-            .run("Generate 6 patterns, topology size 16*16, physical size 2000nm x 2000nm, style Layer-10001.");
+            .run("Generate 6 patterns, topology size 16*16, physical size 2000nm x 2000nm, style Layer-10001.")
+            .expect("the request parses");
         assert_eq!(report.library.len(), 6, "summary: {}", report.summary);
         assert!(report.tool_calls >= 4);
         let rendered = report.render_transcript();
@@ -415,7 +429,8 @@ mod tests {
     fn expert_policy_extends_when_target_exceeds_window() {
         let policy = ExpertPolicy::new(2, 2);
         let report = AgentSession::new(policy, ToolRegistry::standard(), test_ctx(4))
-            .run("Generate 2 patterns, topology size 32*32, physical size 4000nm x 4000nm, style Layer-10001.");
+            .run("Generate 2 patterns, topology size 32*32, physical size 4000nm x 4000nm, style Layer-10001.")
+            .expect("the request parses");
         let rendered = report.render_transcript();
         assert!(
             rendered.contains("Action: topology_extension"),
@@ -432,10 +447,12 @@ mod tests {
     #[test]
     fn expert_policy_handles_two_subtasks() {
         let policy = ExpertPolicy::new(4, 2);
-        let report = AgentSession::new(policy, ToolRegistry::standard(), test_ctx(5)).run(
-            "Generate 4 patterns in total, topology size chosen from 16*16 and 32*32, \
+        let report = AgentSession::new(policy, ToolRegistry::standard(), test_ctx(5))
+            .run(
+                "Generate 4 patterns in total, topology size chosen from 16*16 and 32*32, \
              physical size 4000nm x 4000nm, style Layer-10001.",
-        );
+            )
+            .expect("the request parses");
         assert_eq!(report.library.len(), 4, "summary: {}", report.summary);
         let rendered = report.render_transcript();
         assert!(rendered.contains("# Requirement - subtask 2"));
@@ -448,13 +465,17 @@ mod tests {
             ToolRegistry::standard(),
             test_ctx(6),
         );
-        let first = session.turn(
-            "Generate 2 patterns, topology size 16*16, physical size 2000nm x 2000nm, \
+        let first = session
+            .turn(
+                "Generate 2 patterns, topology size 16*16, physical size 2000nm x 2000nm, \
              style Layer-10001.",
-        );
+            )
+            .expect("the request parses");
         assert_eq!(first.turn, 1);
         assert_eq!(first.library_len, 2, "summary: {}", first.summary);
-        let second = session.turn("Generate 1 more pattern.");
+        let second = session
+            .turn("Generate 1 more pattern.")
+            .expect("the request parses");
         assert_eq!(second.turn, 2);
         assert_eq!(
             second.library_len, 3,
@@ -489,13 +510,14 @@ mod tests {
             ToolRegistry::standard(),
             test_ctx(7),
         )
-        .run(request);
+        .run(request)
+        .expect("the request parses");
         let mut session = AgentSession::new(
             ExpertPolicy::new(4, 2),
             ToolRegistry::standard(),
             test_ctx(7),
         );
-        let _ = session.turn(request);
+        session.turn(request).expect("the request parses");
         let stepwise = session.close();
         assert_eq!(one_shot.summary, stepwise.summary);
         assert_eq!(one_shot.transcript, stepwise.transcript);
@@ -513,8 +535,8 @@ mod tests {
             ToolRegistry::standard(),
             test_ctx(9),
         );
-        let _ = uninterrupted.turn(request);
-        let _ = uninterrupted.turn(follow_up);
+        uninterrupted.turn(request).expect("the request parses");
+        uninterrupted.turn(follow_up).expect("the request parses");
         // Interrupted: one turn, snapshot, restore with fresh deps
         // (simulated crash), then the follow-up on the restored copy.
         let mut original = AgentSession::new(
@@ -522,7 +544,7 @@ mod tests {
             ToolRegistry::standard(),
             test_ctx(9),
         );
-        let _ = original.turn(request);
+        original.turn(request).expect("the request parses");
         let snapshot = original.snapshot();
         // The snapshot itself survives JSON (the persistence format).
         let text = serde_json::to_string(&snapshot).expect("serializes");
@@ -532,7 +554,7 @@ mod tests {
         let mut restored =
             AgentSession::restore(snapshot, ToolRegistry::standard(), sampler, legalizer)
                 .expect("restores");
-        let _ = restored.turn(follow_up);
+        restored.turn(follow_up).expect("the request parses");
         let a = uninterrupted.close();
         let b = restored.close();
         assert_eq!(a.transcript, b.transcript, "transcripts diverged");

@@ -83,8 +83,8 @@ pub use session::{
 pub use wire::{RequestEnvelope, ResponseEnvelope, WireError, WireOutcome};
 
 use cp_agent::{
-    try_auto_format, AgentSession, AgentSnapshot, ExpertPolicy, KnowledgeBase, SessionReport,
-    ToolContext, ToolRegistry,
+    AgentSession, AgentSnapshot, ExpertPolicy, KnowledgeBase, SessionReport, ToolContext,
+    ToolRegistry,
 };
 use cp_dataset::{Dataset, DatasetBuilder, Style};
 use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule};
@@ -424,23 +424,16 @@ impl ChatSession {
         self.seed
     }
 
-    /// Runs one user turn. The first turn must parse into requirement
-    /// lists (like [`ChatPattern::chat`]); follow-up turns inherit
-    /// unmentioned fields from the previous turn's requirement, so
-    /// short refinements ("now make them denser") are valid.
+    /// Runs one user turn. Follow-up turns inherit unmentioned fields
+    /// from the previous turn's requirement, so short refinements ("now
+    /// make them denser") are valid.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Requirement`] when the utterance is unusable.
+    /// Returns [`Error::Requirement`] when the utterance is unusable;
+    /// the session is then unchanged.
     pub(crate) fn turn(&mut self, utterance: &str) -> Result<TurnOutcome, Error> {
-        if self.inner.turns() == 0 {
-            try_auto_format(utterance)?;
-        } else if utterance.trim().is_empty() {
-            return Err(Error::Requirement(cp_agent::RequirementError::new(
-                "the turn utterance is empty; describe the refinement",
-            )));
-        }
-        let report = self.inner.turn(utterance);
+        let report = self.inner.turn(utterance)?;
         Ok(TurnOutcome {
             session: self.id.clone(),
             turn: report.turn,
@@ -629,10 +622,7 @@ impl ChatPattern {
     /// Returns [`Error::Requirement`] when the request cannot be parsed
     /// into requirement lists.
     pub fn chat_with_seed(&self, request: &str, seed: u64) -> Result<SessionReport, Error> {
-        // Validate the request up front so callers get a typed error
-        // instead of an agent transcript that went nowhere.
-        try_auto_format(request)?;
-        Ok(self.new_agent_session(seed).run(request))
+        Ok(self.new_agent_session(seed).run(request)?)
     }
 
     fn new_agent_session(&self, seed: u64) -> AgentSession<ExpertPolicy> {
@@ -1168,6 +1158,54 @@ mod tests {
         assert_eq!(turn.library, chat.library, "same seed, same first turn");
         assert_eq!(turn.summary, chat.summary);
         let _ = system.session_close("s").expect("closes");
+    }
+
+    #[test]
+    fn chat_refuses_a_topology_larger_than_one_request_before_any_tool_runs() {
+        let err = small_system()
+            .chat("Generate 2 patterns, topology size 4096*4096, style Layer-10001.")
+            .expect_err("16M cells is more than one request may ask for");
+        assert!(matches!(err, Error::Requirement(_)), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains("topology size 4096x4096 exceeds the 4194304 cells"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_refused_follow_up_leaves_the_session_as_it_was() {
+        let first = "Generate 2 patterns, topology size 16*16, physical size 512nm x 512nm, \
+                     style Layer-10003.";
+        let next = "1 more pattern, now denser.";
+        let text = |snapshot: SessionSnapshot| serde_json::to_string(&snapshot).expect("text");
+        let system = small_system();
+        for id in ["refused", "clean"] {
+            system.session_open(id, Some(5)).expect("opens");
+            system.session_turn(id, first).expect("first turn runs");
+        }
+        let before = text(system.session_snapshot("refused").expect("snapshot"));
+        for refused in ["0 more patterns", "   ", "Triple it, at 2048*4096."] {
+            let err = system
+                .session_turn("refused", refused)
+                .expect_err("refused on a follow-up as on a first turn");
+            assert!(matches!(err, Error::Requirement(_)), "{refused}: {err:?}");
+        }
+        let after = system.session_snapshot("refused").expect("snapshot");
+        assert_eq!(after.agent.turns, 1, "a refused turn is not a turn");
+        assert_eq!(text(after), before, "a refused turn changes nothing");
+        let resumed = system.session_turn("refused", next).expect("turn runs");
+        let clean = system.session_turn("clean", next).expect("turn runs");
+        assert_eq!(resumed.turn, 2);
+        assert_eq!(
+            (resumed.turn, resumed.summary, resumed.tool_calls),
+            (clean.turn, clean.summary, clean.tool_calls)
+        );
+        assert_eq!(
+            (resumed.library, resumed.transcript),
+            (clean.library, clean.transcript),
+            "the next turn is the one a session that never saw the refusal runs"
+        );
     }
 
     #[test]
