@@ -104,8 +104,9 @@ struct Step {
     thresholds: Box<[[u64; 2]; INDICES]>,
     /// The thresholds of one fine row, per `x_k` bit, ...
     row: [Vec<u64>; 2],
-    /// ... which are those of this coarse row of the prediction.
-    row_of: Option<usize>,
+    /// ... which are those of this coarse row of the prediction, over
+    /// these of its columns (an empty range: none yet this step).
+    row_of: (usize, Range<usize>),
 }
 
 impl Chain {
@@ -118,7 +119,7 @@ impl Chain {
                 prediction: Prediction::default(),
                 thresholds: Box::new([[0; 2]; INDICES]),
                 row: [vec![0; cols], vec![0; cols]],
-                row_of: None,
+                row_of: (0, 0..0),
             },
         }
     }
@@ -159,7 +160,7 @@ impl Chain {
             while at < end {
                 let (r, c) = (at / self.cols, at % self.cols);
                 let len = (end - at).min(self.cols - c);
-                let [off, on] = self.step.row(unit, r);
+                let [off, on] = self.step.row(unit, r, c..c + len);
                 let drawn = 8 * (at - block);
                 unit.reverse(
                     &mut self.cells[at..at + len],
@@ -192,18 +193,24 @@ impl Step {
                 *threshold_of = threshold(p_x0_one * post_one + (1.0 - p_x0_one) * post_zero);
             }
         }
-        self.row_of = None;
+        self.row_of = (0, 0..0);
     }
 
-    /// The thresholds of fine row `r`, per `x_k` bit: its coarse row's,
-    /// gathered once and widened by `unit`.
-    fn row(&mut self, unit: Compare, r: usize) -> [&[u64]; 2] {
+    /// The thresholds of fine row `r`, per `x_k` bit, at least over its
+    /// columns `cols`: its coarse row's over the coarse columns `cols`
+    /// covers, gathered once and widened by `unit`.
+    fn row(&mut self, unit: Compare, r: usize, cols: Range<usize>) -> [&[u64]; 2] {
         let p = &self.prediction;
-        let coarse = r / p.factor;
-        if self.row_of != Some(coarse) {
-            let index = &p.index[coarse * p.cols..(coarse + 1) * p.cols];
-            unit.widen(index, &self.thresholds, &mut self.row, p.factor);
-            self.row_of = Some(coarse);
+        let (coarse, f) = (r / p.factor, p.factor);
+        let span = cols.start / f..cols.end.div_ceil(f);
+        let (row, have) = &self.row_of;
+        if *row != coarse || span.start < have.start || have.end < span.end {
+            let index = &p.index[coarse * p.cols..][span.clone()];
+            let fine = span.start * f..(span.end * f).min(self.row[0].len());
+            let [off, on] = &mut self.row;
+            let rows = [&mut off[fine.clone()], &mut on[fine]];
+            unit.widen(index, &self.thresholds, rows, f);
+            self.row_of = (coarse, span);
         }
         [&self.row[0], &self.row[1]]
     }
@@ -214,7 +221,7 @@ impl Step {
 /// compiled with the model's factor as a constant and with the factor
 /// at run time.
 #[inline(always)]
-fn widen(index: &[u16], thresholds: &[[u64; 2]; INDICES], rows: &mut [Vec<u64>; 2], factor: usize) {
+fn widen(index: &[u16], thresholds: &[[u64; 2]; INDICES], rows: [&mut [u64]; 2], factor: usize) {
     let [off, on] = rows;
     match factor {
         MODEL_COARSE => widen_by(index, thresholds, (off, on), MODEL_COARSE),
@@ -227,7 +234,7 @@ fn widen(index: &[u16], thresholds: &[[u64; 2]; INDICES], rows: &mut [Vec<u64>; 
 fn widen_avx2(
     index: &[u16],
     thresholds: &[[u64; 2]; INDICES],
-    rows: &mut [Vec<u64>; 2],
+    rows: [&mut [u64]; 2],
     factor: usize,
 ) {
     widen(index, thresholds, rows, factor);
@@ -238,7 +245,7 @@ fn widen_avx2(
 fn widen_avx512(
     index: &[u16],
     thresholds: &[[u64; 2]; INDICES],
-    rows: &mut [Vec<u64>; 2],
+    rows: [&mut [u64]; 2],
     factor: usize,
 ) {
     widen(index, thresholds, rows, factor);
@@ -386,7 +393,7 @@ impl Compare {
         self,
         index: &[u16],
         thresholds: &[[u64; 2]; INDICES],
-        rows: &mut [Vec<u64>; 2],
+        rows: [&mut [u64]; 2],
         factor: usize,
     ) {
         match self {
@@ -971,6 +978,23 @@ pub(crate) mod tests {
                 let mrf = mrf_model(steps);
                 for (name, mask) in extension_masks(rows, cols) {
                     let what = format!("{unit:?} {name} {rows}x{cols}");
+                    check(&mrf, &what, &known(rows, cols), &mask);
+                }
+            }
+            // A run widens only the coarse columns it covers: runs that
+            // start and end inside a coarse cell, and the cut last one.
+            for coarse in [1, 3] {
+                let data: Vec<Topology> = (0..4)
+                    .map(|i| Topology::from_fn(16, 16, move |r, c| (r + c + i) % 5 < 2))
+                    .collect();
+                let mrf = DiffusionModel::new(
+                    NoiseSchedule::scaled_default(4),
+                    crate::MrfDenoiser::fit_coarse(&[(0, &data)], 1.0, coarse),
+                    16,
+                );
+                for (rows, cols) in SHAPES {
+                    let mask = crate::Mask::from_fn(rows, cols, |r, c| (r + c) % 7 < 3);
+                    let what = format!("{unit:?} coarse {coarse} {rows}x{cols}");
                     check(&mrf, &what, &known(rows, cols), &mask);
                 }
             }
