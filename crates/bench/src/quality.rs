@@ -25,7 +25,7 @@ use cp_layout::drc::{check_pattern, DesignRules};
 use cp_layout::geom::Axis;
 use cp_layout::legalize::Legalizer;
 use cp_layout::squish::{complexity, Complexity, SquishPattern, Topology};
-use cp_metrics::{entropy_bits, legality};
+use cp_metrics::{entropy_bits, entropy_interval, legality, wasserstein_1};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -78,6 +78,30 @@ pub struct Row {
     pub cy_std: f64,
     /// The frame the topologies are legalized into, per side.
     pub frame_nm: i64,
+    /// Distinct `(cx, cy)` classes among the legal topologies.
+    #[serde(default)]
+    pub distinct: usize,
+    /// The low end of a 90 % bootstrap interval on `diversity`
+    /// (`cp_metrics::entropy_interval`: a fixed seed, so a run repeats
+    /// it exactly).
+    #[serde(default)]
+    pub diversity_lo: f64,
+    /// The high end of that interval.
+    #[serde(default)]
+    pub diversity_hi: f64,
+    /// Every legal topology is a class of its own: `diversity` is
+    /// log₂ `legal`, the most that many samples can show, so the row
+    /// cannot tell more diverse from as diverse.
+    #[serde(default)]
+    pub at_ceiling: bool,
+    /// Wasserstein-1 distance from this row's `cx` values to those of the
+    /// Real Patterns row of the same style and size (`0` on that row;
+    /// `null` where either has no topology).
+    #[serde(default)]
+    pub w1_cx: Option<f64>,
+    /// The same for `cy`.
+    #[serde(default)]
+    pub w1_cy: Option<f64>,
     /// The largest minimal legal width among the `samples` topologies:
     /// above `frame_nm`, that topology cannot legalize. `null` where
     /// nothing is legalized into the frame (real patterns, assemblies
@@ -118,6 +142,43 @@ pub struct Ordering {
     pub right: f64,
     /// Whether the relation in the name holds between the two.
     pub holds: bool,
+    /// Whether it holds beyond the noise of the samples: diversities are
+    /// compared by their bootstrap intervals, and an ordering whose
+    /// intervals overlap is [`Resolution::Unresolved`].
+    #[serde(default)]
+    pub resolution: Resolution,
+}
+
+/// What an [`Ordering`]'s numbers can say about its relation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Resolution {
+    /// It holds with the whole interval of each side.
+    Holds,
+    /// It fails with the whole interval of each side.
+    Fails,
+    /// The intervals overlap: more samples could tip it either way.
+    Unresolved,
+}
+
+impl Default for Resolution {
+    fn default() -> Resolution {
+        Resolution::Unresolved
+    }
+}
+
+impl Resolution {
+    /// `left ≥ right` (`>` when `strict`) between two intervals, each
+    /// `(lo, hi)`; a point is an interval of one value.
+    fn of(left: (f64, f64), right: (f64, f64), strict: bool) -> Resolution {
+        let above = |a: f64, b: f64| if strict { a > b } else { a >= b };
+        if above(left.0, right.1) {
+            Resolution::Holds
+        } else if !above(left.1, right.0) {
+            Resolution::Fails
+        } else {
+            Resolution::Unresolved
+        }
+    }
 }
 
 /// Everything one run measures, and the content of [`FILE`].
@@ -140,6 +201,9 @@ struct Block {
     section: &'static str,
     size: usize,
     frame_nm: i64,
+    /// The Real Patterns complexities of this block, by style name: what
+    /// a row's `w1_cx` / `w1_cy` are measured against.
+    real: Vec<(&'static str, Vec<Complexity>)>,
 }
 
 impl Block {
@@ -160,6 +224,12 @@ impl Block {
         }
         let (cx_mean, cx_std) = mean_and_std(complexities.iter().map(|c| f64::from(c.cx)));
         let (cy_mean, cy_std) = mean_and_std(complexities.iter().map(|c| f64::from(c.cy)));
+        let (diversity_lo, diversity_hi) = entropy_interval(&complexities);
+        let real = self.real.iter().find(|(name, _)| *name == style);
+        let w1 = |axis: fn(&Complexity) -> u32| {
+            let values = |of: &[Complexity]| of.iter().map(axis).collect::<Vec<u32>>();
+            real.and_then(|(_, real)| wasserstein_1(&values(&complexities), &values(real)))
+        };
         Row {
             section: self.section.to_owned(),
             method: method.to_owned(),
@@ -170,6 +240,12 @@ impl Block {
             legality,
             // One class is `-1 · log2 1`, a negative zero: store `0`.
             diversity: entropy_bits(&histogram) + 0.0,
+            distinct: histogram.len(),
+            diversity_lo,
+            diversity_hi,
+            at_ceiling: !complexities.is_empty() && histogram.len() == complexities.len(),
+            w1_cx: w1(|c| c.cx),
+            w1_cy: w1(|c| c.cy),
             cx_mean,
             cx_std,
             cy_mean,
@@ -248,9 +324,15 @@ fn per_style(libraries: &[Vec<Topology>; 2]) -> [(&'static str, Vec<&Topology>);
     ]
 }
 
-/// Real patterns: raw topologies, never legalized.
-fn reference_rows(block: &Block, libraries: &[Vec<Topology>; 2]) -> Vec<Row> {
-    let rows = per_style(libraries).into_iter();
+/// Real patterns: raw topologies, never legalized. Their complexities
+/// become the block's reference for every row's `w1_cx` / `w1_cy`.
+fn reference_rows(block: &mut Block, libraries: &[Vec<Topology>; 2]) -> Vec<Row> {
+    let styles = per_style(libraries);
+    block.real = styles
+        .iter()
+        .map(|(style, all)| (*style, all.iter().copied().map(complexity).collect()))
+        .collect();
+    let rows = styles.into_iter();
     rows.map(|(style, all)| block.row(REAL, style, all.len(), None, None, all.iter().copied()))
         .collect()
 }
@@ -297,12 +379,13 @@ fn fixed_block(
     train: &[Vec<Topology>; 2],
     diffpattern: &[DiffPattern; 2],
 ) -> Vec<Row> {
-    let block = Block {
+    let mut block = Block {
         section: "fixed",
         size: cfg.window,
         frame_nm: cfg.frame_nm(cfg.window),
+        real: Vec::new(),
     };
-    let mut rows = reference_rows(&block, train);
+    let mut rows = reference_rows(&mut block, train);
 
     // One generator feeds the four baselines in turn. The first three
     // are trained on Layer-10001 only, like the paper's.
@@ -352,10 +435,11 @@ fn free_block(
     scale: usize,
 ) -> Vec<Row> {
     let size = cfg.window * scale;
-    let block = Block {
+    let mut block = Block {
         section: "free",
         size,
         frame_nm: cfg.frame_nm(size),
+        real: Vec::new(),
     };
     // Fewer samples at the biggest sizes: extension cost is quadratic
     // in scale.
@@ -379,7 +463,7 @@ fn free_block(
         reference(STYLES[0], cfg.seed + 20),
         reference(STYLES[1], cfg.seed + 21),
     ];
-    let mut rows = reference_rows(&block, &references);
+    let mut rows = reference_rows(&mut block, &references);
 
     // DiffPattern w/ Concatenation: stitch already-legalized tiles.
     // Seam geometry is frozen — no legalization can repair a stitched
@@ -500,14 +584,24 @@ fn orderings(rows: &[Row], window: usize) -> Vec<Ordering> {
         })
     };
     let mut orderings = Vec::new();
-    let mut claim = |name: String, left: f64, right: f64, holds: bool| {
+    // `left ≥ right` (`>` when strict), by the points and by the
+    // intervals.
+    let mut claim = |name: String, left: (f64, (f64, f64)), right: (f64, (f64, f64)), strict| {
+        let holds = if strict {
+            left.0 > right.0
+        } else {
+            left.0 >= right.0
+        };
         orderings.push(Ordering {
             name,
-            left,
-            right,
+            left: left.0,
+            right: right.0,
             holds,
+            resolution: Resolution::of(left.1, right.1, strict),
         });
     };
+    let point = |value: f64| (value, (value, value));
+    let diversity = |row: &Row| (row.diversity, (row.diversity_lo, row.diversity_hi));
     for style in STYLES.map(Style::name) {
         let Some(ours) = find("fixed", window, CHATPATTERN, style) else {
             continue;
@@ -527,12 +621,11 @@ fn orderings(rows: &[Row], window: usize) -> Vec<Ordering> {
                 "fixed legality: ChatPattern >= {} ({style})",
                 baseline.method
             );
-            claim(name, left, right, left >= right);
+            claim(name, point(left), point(right), false);
         }
         if let Some(baseline) = find("fixed", window, DIFFPATTERN, style) {
-            let (left, right) = (ours.diversity, baseline.diversity);
             let name = format!("fixed diversity: ChatPattern >= DiffPattern ({style})");
-            claim(name, left, right, left >= right);
+            claim(name, diversity(ours), diversity(baseline), false);
         }
     }
     for scale in [2usize, 4, 8] {
@@ -541,11 +634,17 @@ fn orderings(rows: &[Row], window: usize) -> Vec<Ordering> {
                 let Some(ours) = find("free", window * scale, &method, style) else {
                     continue;
                 };
+                // Every sample legal, as a count: the ratio is a float.
                 let name = format!("free {scale}x legality: {method} = 100% ({style})");
-                let legal = ours.legal == ours.samples;
-                claim(name, ours.legality.unwrap_or(0.0), 1.0, legal);
+                let all = point(if ours.legal == ours.samples { 1.0 } else { 0.0 });
+                claim(
+                    name,
+                    (ours.legality.unwrap_or(0.0), all.1),
+                    point(1.0),
+                    false,
+                );
                 let name = format!("free {scale}x diversity: {method} > 0 ({style})");
-                claim(name, ours.diversity, 0.0, ours.diversity > 0.0);
+                claim(name, diversity(ours), point(0.0), true);
             }
         }
     }
@@ -637,9 +736,11 @@ impl Quality {
         ))
     }
 
-    /// Names of the orderings that fail in this run.
+    /// Names of the orderings that fail in this run beyond the noise of
+    /// their samples ([`Resolution::Fails`]).
     fn failing(&self) -> impl Iterator<Item = &str> {
-        let failing = self.orderings.iter().filter(|ordering| !ordering.holds);
+        let failing =
+            (self.orderings.iter()).filter(|ordering| ordering.resolution == Resolution::Fails);
         failing.map(|ordering| ordering.name.as_str())
     }
 
@@ -722,12 +823,15 @@ impl Quality {
 
         lines.push("\n--- orderings ---".to_owned());
         for ordering in &self.orderings {
+            let resolution = match ordering.resolution {
+                Resolution::Holds => "holds",
+                Resolution::Fails => "FAILS",
+                Resolution::Unresolved if ordering.holds => "open (holds)",
+                Resolution::Unresolved => "open (fails)",
+            };
             lines.push(format!(
-                "{:<5} {} ({:.3} against {:.3})",
-                if ordering.holds { "holds" } else { "FAILS" },
-                ordering.name,
-                ordering.left,
-                ordering.right,
+                "{resolution:<12} {} ({:.3} against {:.3})",
+                ordering.name, ordering.left, ordering.right,
             ));
         }
         lines.join("\n").trim_start().to_owned() + "\n"
@@ -744,6 +848,7 @@ mod tests {
             section: "fixed",
             size: 64,
             frame_nm: 1024,
+            real: Vec::new(),
         };
         let library = ["1...\n....", "1.1.\n...."].map(Topology::from_ascii);
         let (style, extents) = (STYLES[0].name(), Some((968, 1001)));
@@ -753,7 +858,14 @@ mod tests {
             (row.cx_mean, row.cx_std, row.cy_mean, row.cy_std),
             (3.0, 1.0, 2.0, 0.0)
         );
-        Row { diversity, ..row }
+        assert_eq!((row.distinct, row.at_ceiling), (2, true));
+        // Intervals a fifth of a bit wide about the given diversity.
+        Row {
+            diversity,
+            diversity_lo: diversity - 0.1,
+            diversity_hi: diversity + 0.1,
+            ..row
+        }
     }
 
     /// A two-row file: ChatPattern below DiffPattern, and known to be.
@@ -765,6 +877,9 @@ mod tests {
         let legality = "fixed legality: ChatPattern >= DiffPattern (Layer-10001)";
         assert_eq!(names, [legality, diversity]);
         assert!(orderings[0].holds && !orderings[1].holds);
+        let resolutions = orderings.iter().map(|o| o.resolution);
+        let resolutions: Vec<Resolution> = resolutions.collect();
+        assert_eq!(resolutions, [Resolution::Holds, Resolution::Fails]);
         Quality {
             header: BenchConfig::default(),
             rows,
@@ -788,6 +903,53 @@ mod tests {
         let mut run = recorded();
         run.rows[1].cx_mean += 1e-7;
         assert_eq!(run.check(&file), [""; 0]);
+    }
+
+    #[test]
+    fn overlapping_intervals_leave_an_ordering_unresolved_and_out_of_known_red() {
+        let mut rows = vec![row(DIFFPATTERN, 3.6), row(CHATPATTERN, 3.545)];
+        let orderings = orderings(&rows, 64);
+        assert!(!orderings[1].holds);
+        assert_eq!(orderings[1].resolution, Resolution::Unresolved);
+        // A diversity of zero is "> 0" only when its interval says so.
+        let open = Resolution::of((0.0, 0.4), (0.0, 0.0), true);
+        assert_eq!(open, Resolution::Unresolved);
+        let zero = Resolution::of((0.0, 0.0), (0.0, 0.0), true);
+        assert_eq!(zero, Resolution::Fails);
+        rows[1].diversity_lo = 3.75;
+        assert_eq!(super::orderings(&rows, 64)[1].resolution, Resolution::Holds);
+        let mut file = recorded();
+        file.orderings[1].resolution = Resolution::Unresolved;
+        file.known_red.clear();
+        assert_eq!(file.failing().count(), 0);
+    }
+
+    #[test]
+    fn a_real_row_is_its_own_reference_and_others_are_measured_against_it() {
+        let mut block = Block {
+            section: "fixed",
+            size: 64,
+            frame_nm: 1024,
+            real: Vec::new(),
+        };
+        let real = ["1...\n....", "1.1.\n...."]
+            .map(Topology::from_ascii)
+            .to_vec();
+        let rows = reference_rows(&mut block, &[real, Vec::new()]);
+        assert_eq!((rows[0].w1_cx, rows[0].w1_cy), (Some(0.0), Some(0.0)));
+        assert_eq!(rows[1].w1_cx, None, "no real topology of that style");
+        // cx 2 and 4 real; 4 and 4 generated: half the mass moves 2.
+        let wider = [Topology::from_ascii("1.1.\n....")];
+        let row = block.row(
+            CHATPATTERN,
+            STYLES[0].name(),
+            2,
+            None,
+            None,
+            wider.iter().chain(&wider),
+        );
+        assert_eq!((row.w1_cx, row.w1_cy), (Some(1.0), Some(0.0)));
+        assert_eq!((row.distinct, row.at_ceiling), (1, false));
     }
 
     #[test]
@@ -882,6 +1044,6 @@ mod tests {
         let line = line.expect("ChatPattern row printed");
         assert!(line.contains("100.00%   0.000"), "{line}");
         assert!(!tables.contains("-0.000"), "{tables}");
-        assert!(tables.contains("FAILS fixed diversity: ChatPattern >= DiffPattern"));
+        assert!(tables.contains("FAILS        fixed diversity: ChatPattern >= DiffPattern"));
     }
 }

@@ -33,6 +33,6 @@ pub mod diversity;
 pub mod legality;
 pub mod stats;
 
-pub use diversity::{diversity, entropy_bits};
+pub use diversity::{diversity, entropy_bits, entropy_interval, wasserstein_1};
 pub use legality::{legality, LegalityReport};
 pub use stats::LibraryStats;
