@@ -356,7 +356,9 @@ fn find_sizes(tokens: &[Token]) -> Vec<SizePair> {
         ) = (tokens.get(i), tokens.get(i + 1), tokens.get(i + 2))
         {
             let has_physical_unit = to_nm(*a, *ua).is_some() || to_nm(*b, *ub).is_some();
-            let physical = has_physical_unit || after_physical;
+            // "64*64 cells" counts cells, whatever came before it.
+            let cells = matches!(tokens.get(i + 3), Some(Token::Word(w)) if w.starts_with("cell"));
+            let physical = has_physical_unit || after_physical && !cells;
             let (a, b) = if physical {
                 (
                     to_nm(*a, *ua).unwrap_or_else(|| scalar(*a, *ua)),
@@ -378,26 +380,38 @@ fn find_sizes(tokens: &[Token]) -> Vec<SizePair> {
 
 fn find_styles(tokens: &[Token]) -> Vec<Style> {
     let mut styles = Vec::new();
-    for t in tokens {
-        if let Token::Word(w) = t {
-            if let Some(style) = Style::from_name(w) {
-                if w.contains("layer") && !styles.contains(&style) {
-                    styles.push(style);
-                }
-            }
+    for (i, t) in tokens.iter().enumerate() {
+        let style = match t {
+            Token::Word(w) if w.contains("layer") => Style::from_name(w),
+            // "layer 10003", the digits a token of their own.
+            Token::Number {
+                value,
+                unit: Unit::None,
+            } if layer_number(tokens, i) => Style::from_name(&format!("layer-{value}")),
+            _ => None,
+        };
+        if let Some(style) = style.filter(|style| !styles.contains(style)) {
+            styles.push(style);
         }
     }
     styles
 }
 
+/// Whether the number at `i` follows the word "layer" (a style name
+/// written with a space, never a count).
+fn layer_number(tokens: &[Token], i: usize) -> bool {
+    i > 0 && matches!(&tokens[i - 1], Token::Word(w) if w == "layer")
+}
+
 fn find_count(tokens: &[Token]) -> (Option<usize>, bool) {
     // A count is a unitless/k/m number followed within three tokens by
-    // "pattern(s)" and not part of a size pair.
+    // "pattern(s)", or directly by "more", and not part of a size pair
+    // or a style name.
     for (i, t) in tokens.iter().enumerate() {
         let Token::Number { value, unit } = t else {
             continue;
         };
-        if matches!(unit, Unit::Um | Unit::Nm) {
+        if matches!(unit, Unit::Um | Unit::Nm) || layer_number(tokens, i) {
             continue;
         }
         if matches!(tokens.get(i + 1), Some(Token::Star))
@@ -409,7 +423,8 @@ fn find_count(tokens: &[Token]) -> (Option<usize>, bool) {
         let mentions_patterns = window.iter().any(|t| {
             matches!(t, Token::Word(w) if w.starts_with("pattern") || w == "layouts" || w == "samples")
         });
-        if mentions_patterns {
+        let more = matches!(tokens.get(i + 1), Some(Token::Word(w)) if w == "more");
+        if mentions_patterns || more {
             let per_each = tokens[(i + 1)..(i + 8).min(tokens.len())]
                 .iter()
                 .any(|t| matches!(t, Token::Word(w) if w == "each" || w == "every"));
@@ -513,8 +528,11 @@ fn find_drop_allowed(tokens: &[Token]) -> bool {
 fn find_time_limit(tokens: &[Token]) -> Option<String> {
     for (i, t) in tokens.iter().enumerate() {
         if matches!(t, Token::Word(w) if w == "within" || w == "limit") {
-            if let Some(Token::Number { value, unit: _ }) = tokens.get(i + 1) {
-                if let Some(Token::Word(u)) = tokens.get(i + 2) {
+            // "a time limit of 30 minutes": one "of" may come between.
+            let at =
+                i + 1 + usize::from(matches!(tokens.get(i + 1), Some(Token::Word(w)) if w == "of"));
+            if let Some(Token::Number { value, unit: _ }) = tokens.get(at) {
+                if let Some(Token::Word(u)) = tokens.get(at + 1) {
                     if u.starts_with("hour") || u.starts_with("minute") || u.starts_with("second") {
                         return Some(format!("{value} {u}"));
                     }
