@@ -9,7 +9,8 @@
 use crate::Generator;
 use cp_diffusion::{DiffusionModel, MrfDenoiser, NoiseSchedule};
 use cp_layout::squish::Topology;
-use rand::RngCore;
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// An unconditional diffusion generator for one style.
 #[derive(Debug, Clone)]
@@ -38,16 +39,17 @@ impl Generator for DiffPattern {
         "DiffPattern"
     }
 
-    fn generate(&self, rows: usize, cols: usize, mut rng: &mut dyn RngCore) -> Topology {
-        self.model.sample(rows, cols, None, &mut rng)
+    /// A sample seeded by one `u64` of `rng`: the model's chain seeks
+    /// in its own stream.
+    fn generate(&self, rows: usize, cols: usize, rng: &mut dyn RngCore) -> Topology {
+        let mut stream = ChaCha8Rng::seed_from_u64(rng.next_u64());
+        self.model.sample(rows, cols, None, &mut stream)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn striped() -> Vec<Topology> {
         // 4-wide features at 25% density: comfortably above the denoiser's

@@ -150,20 +150,15 @@ pub struct Ordering {
 }
 
 /// What an [`Ordering`]'s numbers can say about its relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Resolution {
     /// It holds with the whole interval of each side.
     Holds,
     /// It fails with the whole interval of each side.
     Fails,
     /// The intervals overlap: more samples could tip it either way.
+    #[default]
     Unresolved,
-}
-
-impl Default for Resolution {
-    fn default() -> Resolution {
-        Resolution::Unresolved
-    }
 }
 
 impl Resolution {

@@ -13,7 +13,9 @@
 //!   CPU U-Net and tensor crate once carried beside it, reached by none
 //!   of them, end at commit `a19dcb9` (`crates/diffusion/src/unet.rs`);
 //! * [`DiffusionModel`] — the conditional reverse process of Eqs. (9)
-//!   and (11), ancestral sampling from uniform noise;
+//!   and (11), ancestral sampling from uniform noise, on a reduced grid
+//!   of the style's own scan lines ([`ScanLines`]) written back over
+//!   the cells asked for;
 //! * [`modification`] — RePaint-style masked modification (Eq. 12):
 //!   known pixels are forward-noised from the given topology, unknown
 //!   pixels come from the model, every step;
@@ -38,6 +40,7 @@
 //! ```
 
 pub mod denoiser;
+mod grid;
 pub mod mask;
 pub mod model;
 pub mod modification;
@@ -46,6 +49,7 @@ pub mod sampler;
 pub mod schedule;
 
 pub use denoiser::Denoiser;
+pub use grid::{Runs, ScanLines};
 pub use mask::Mask;
 pub use model::DiffusionModel;
 pub use mrf::MrfDenoiser;

@@ -3,15 +3,18 @@
 use std::ops::Range;
 
 use crate::denoiser::{Prediction, INDICES};
-use crate::mrf::MODEL_COARSE;
+use crate::grid::{Grid, Runs};
 use crate::{Denoiser, NoiseSchedule};
 use cp_layout::squish::Topology;
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 
 /// A discrete diffusion model: schedule + denoiser + native window size.
 ///
 /// `sample` runs the full `K`-step ancestral reverse process from uniform
-/// noise, one step of Eq. (9) at a time.
+/// noise, one step of Eq. (9) at a time, on a reduced grid of the
+/// style's scan lines, and writes each reduced cell back over the fine
+/// cells it stands for.
 #[derive(Debug, Clone)]
 pub struct DiffusionModel<D> {
     schedule: NoiseSchedule,
@@ -38,7 +41,6 @@ impl<D: Denoiser> DiffusionModel<D> {
     }
 
     /// The denoiser back-end.
-    #[cfg(test)]
     pub(crate) fn denoiser(&self) -> &D {
         &self.denoiser
     }
@@ -65,24 +67,46 @@ impl<D: Denoiser> DiffusionModel<D> {
         post
     }
 
-    /// Full ancestral sampling (Eq. 11): start from the uniform stationary
-    /// distribution and run all `K` reverse steps.
+    /// Full ancestral sampling (Eq. 11) of a `rows × cols` topology:
+    /// draw the run lengths of each axis from the style's scan lines
+    /// (the reduced grid), start from the uniform stationary distribution
+    /// on that grid, run all `K` reverse steps, and write each reduced
+    /// cell over its block.
+    ///
+    /// The generator ends where [`call_words`] says for the shape and
+    /// `1 + 2K` words a cell — a word of noise and `K` 64-bit draws, as
+    /// if every fine cell were sampled — whatever grid was drawn: the
+    /// chain draws what its grid needs and seeks to that end, which is
+    /// why this takes the generator by name.
     #[must_use]
     pub fn sample(
         &self,
         rows: usize,
         cols: usize,
         condition: Option<u32>,
-        rng: &mut impl Rng,
+        rng: &mut ChaCha8Rng,
     ) -> Topology {
-        let mut chain = Chain::new(rows, cols);
+        let steps = self.schedule.len();
+        let end = rng.get_word_pos() + call_words((rows, cols), 1 + 2 * steps);
+        let grid = Grid::drawn(self.denoiser.scan_lines(condition), rows, cols, rng);
+        let mut chain = Chain::new(grid.rows(), grid.cols());
         initial_noise(&mut chain.cells, rng);
-        for k in (1..=self.schedule.len()).rev() {
-            chain.predict(self, k, condition);
-            chain.reverse(0..rows * cols, rng);
+        for k in (1..=steps).rev() {
+            chain.predict(self, grid.runs(), k, condition);
+            chain.reverse(0..chain.cells.len(), rng);
         }
-        chain.into_topology()
+        rng.set_word_pos(end);
+        Topology::from_bytes(rows, cols, grid.expand(&chain.cells))
     }
+}
+
+/// Where a model call on a `rows × cols` window leaves the generator,
+/// in 32-bit words from where it found it: one word a fine line for
+/// drawing runs, and `per_cell` words a fine cell for the chain. The
+/// shape alone decides it, so every window's place in the stream is
+/// known before any window runs.
+pub(crate) fn call_words((rows, cols): (usize, usize), per_cell: usize) -> u128 {
+    (rows + cols) as u128 + (rows * cols) as u128 * per_cell as u128
 }
 
 /// The buffers of one reverse chain, made once and reused by every
@@ -102,11 +126,8 @@ struct Step {
     /// [`threshold`] of `P(x_{k-1} = 1)` per `[prediction entry][x_k
     /// bit]`, for the entries the prediction holds.
     thresholds: Box<[[u64; 2]; INDICES]>,
-    /// The thresholds of one fine row, per `x_k` bit, ...
+    /// The thresholds of a run of one row's cells, per `x_k` bit.
     row: [Vec<u64>; 2],
-    /// ... which are those of this coarse row of the prediction, over
-    /// these of its columns (an empty range: none yet this step).
-    row_of: (usize, Range<usize>),
 }
 
 impl Chain {
@@ -119,7 +140,6 @@ impl Chain {
                 prediction: Prediction::default(),
                 thresholds: Box::new([[0; 2]; INDICES]),
                 row: [vec![0; cols], vec![0; cols]],
-                row_of: (0, 0..0),
             },
         }
     }
@@ -132,16 +152,17 @@ impl Chain {
     pub(crate) fn predict<D: Denoiser>(
         &mut self,
         model: &DiffusionModel<D>,
+        runs: Runs<'_>,
         k: usize,
         condition: Option<u32>,
     ) {
-        let shape = (self.rows, self.cols);
+        debug_assert_eq!(runs.shape(), (self.rows, self.cols));
         let steps = model.schedule.len();
         let step = &mut self.step;
         let p = &mut step.prediction;
         model
             .denoiser
-            .predict_x0(&self.cells, shape, k, steps, condition, p);
+            .predict_x0(&self.cells, runs, k, steps, condition, p);
         step.thresholds(&model.posterior_table(k));
     }
 
@@ -155,16 +176,16 @@ impl Chain {
         while block < run.end {
             let end = run.end.min(block + DRAW_BLOCK);
             rng.fill_bytes(&mut draws[..8 * (end - block)]);
-            // A row's cells at a time: they share a row of thresholds.
+            // A row's cells at a time: their thresholds are gathered
+            // into two rows, `off` and `on`.
             let mut at = block;
             while at < end {
-                let (r, c) = (at / self.cols, at % self.cols);
-                let len = (end - at).min(self.cols - c);
-                let [off, on] = self.step.row(unit, r, c..c + len);
+                let len = (end - at).min(self.cols - at % self.cols);
+                let [off, on] = self.step.row(at..at + len);
                 let drawn = 8 * (at - block);
                 unit.reverse(
                     &mut self.cells[at..at + len],
-                    (&off[c..c + len], &on[c..c + len]),
+                    (off, on),
                     &draws[drawn..drawn + 8 * len],
                 );
                 at += len;
@@ -173,7 +194,8 @@ impl Chain {
         }
     }
 
-    /// `x_k` as a topology: the chain's result once `k` reaches 0.
+    /// `x_k` as a topology.
+    #[cfg(test)]
     pub(crate) fn into_topology(self) -> Topology {
         Topology::from_bytes(self.rows, self.cols, self.cells)
     }
@@ -193,84 +215,18 @@ impl Step {
                 *threshold_of = threshold(p_x0_one * post_one + (1.0 - p_x0_one) * post_zero);
             }
         }
-        self.row_of = (0, 0..0);
     }
 
-    /// The thresholds of fine row `r`, per `x_k` bit, at least over its
-    /// columns `cols`: its coarse row's over the coarse columns `cols`
-    /// covers, gathered once and widened by `unit`.
-    fn row(&mut self, unit: Compare, r: usize, cols: Range<usize>) -> [&[u64]; 2] {
-        let p = &self.prediction;
-        let (coarse, f) = (r / p.factor, p.factor);
-        let span = cols.start / f..cols.end.div_ceil(f);
-        let (row, have) = &self.row_of;
-        if *row != coarse || span.start < have.start || have.end < span.end {
-            let index = &p.index[coarse * p.cols..][span.clone()];
-            let fine = span.start * f..(span.end * f).min(self.row[0].len());
-            let [off, on] = &mut self.row;
-            let rows = [&mut off[fine.clone()], &mut on[fine]];
-            unit.widen(index, &self.thresholds, rows, f);
-            self.row_of = (coarse, span);
+    /// The thresholds of the cells `cells` (within one row), per `x_k`
+    /// bit: each cell's entry's, gathered.
+    fn row(&mut self, cells: Range<usize>) -> [&[u64]; 2] {
+        let len = cells.len();
+        let index = &self.prediction.index[cells];
+        let [off, on] = &mut self.row;
+        for ((off, on), &entry) in off.iter_mut().zip(on.iter_mut()).zip(index) {
+            [*off, *on] = self.thresholds[usize::from(entry) % INDICES];
         }
-        [&self.row[0], &self.row[1]]
-    }
-}
-
-/// Each of `index`'s entries' thresholds written `factor` times into
-/// the fine rows (the last block cut at the right edge). One body,
-/// compiled with the model's factor as a constant and with the factor
-/// at run time.
-#[inline(always)]
-fn widen(index: &[u16], thresholds: &[[u64; 2]; INDICES], rows: [&mut [u64]; 2], factor: usize) {
-    let [off, on] = rows;
-    match factor {
-        MODEL_COARSE => widen_by(index, thresholds, (off, on), MODEL_COARSE),
-        factor => widen_by(index, thresholds, (off, on), factor),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn widen_avx2(
-    index: &[u16],
-    thresholds: &[[u64; 2]; INDICES],
-    rows: [&mut [u64]; 2],
-    factor: usize,
-) {
-    widen(index, thresholds, rows, factor);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-fn widen_avx512(
-    index: &[u16],
-    thresholds: &[[u64; 2]; INDICES],
-    rows: [&mut [u64]; 2],
-    factor: usize,
-) {
-    widen(index, thresholds, rows, factor);
-}
-
-/// The body of [`widen`].
-#[inline(always)]
-fn widen_by(
-    index: &[u16],
-    thresholds: &[[u64; 2]; INDICES],
-    (off, on): (&mut [u64], &mut [u64]),
-    factor: usize,
-) {
-    let mut off = off.chunks_exact_mut(factor);
-    let mut on = on.chunks_exact_mut(factor);
-    for ((off, on), &entry) in (&mut off).zip(&mut on).zip(index) {
-        let [t_off, t_on] = thresholds[usize::from(entry) % INDICES];
-        for (off, on) in off.iter_mut().zip(on) {
-            (*off, *on) = (t_off, t_on);
-        }
-    }
-    if let Some(&last) = index.last() {
-        let [t_off, t_on] = thresholds[usize::from(last) % INDICES];
-        off.into_remainder().fill(t_off);
-        on.into_remainder().fill(t_on);
+        [&self.row[0][..len], &self.row[1][..len]]
     }
 }
 
@@ -317,9 +273,8 @@ pub(crate) fn threshold(p: f64) -> u64 {
 }
 
 /// One instantiation of the sampler's vector loops — the draw compares
-/// ([`forward_compare`], [`reverse_compare`]), the widening of a row of
-/// thresholds ([`widen`]) and the sweeps' row passes (`mrf.rs`'s
-/// `sweep_rows`): the build's baseline, or the same bodies compiled
+/// ([`forward_compare`], [`reverse_compare`]) and the sweeps' row passes
+/// (`mrf.rs`'s `sweep_rows`): the build's baseline, or the same bodies compiled
 /// once more under AVX2 or under AVX-512. Holding a wide unit
 /// is proof that the CPU has every feature its instantiation is
 /// compiled for: [`Compare::supported`] is the only place that makes
@@ -385,26 +340,6 @@ impl Compare {
             // the callee enables.
             #[cfg(target_arch = "x86_64")]
             Compare::Avx512 => unsafe { forward_compare_avx512(x0, flip, draws, noised) },
-        }
-    }
-
-    /// [`widen`] as this unit compiles it.
-    fn widen(
-        self,
-        index: &[u16],
-        thresholds: &[[u64; 2]; INDICES],
-        rows: [&mut [u64]; 2],
-        factor: usize,
-    ) {
-        match self {
-            Compare::Baseline => widen(index, thresholds, rows, factor),
-            // SAFETY: as in `forward`, the unit is proof of the
-            // features the callee enables.
-            #[cfg(target_arch = "x86_64")]
-            Compare::Avx2 => unsafe { widen_avx2(index, thresholds, rows, factor) },
-            // SAFETY: as in `forward`.
-            #[cfg(target_arch = "x86_64")]
-            Compare::Avx512 => unsafe { widen_avx512(index, thresholds, rows, factor) },
         }
     }
 
@@ -540,15 +475,20 @@ pub(crate) mod tests {
         units
     }
 
-    /// The per-cell loops the flat passes replaced, verbatim: one
-    /// `rng.gen()` per cell inside `Topology::from_fn`. The sampler
-    /// must produce the same topologies and leave the generator at the
-    /// same position.
+    /// The per-cell loops the flat passes replaced, verbatim — one
+    /// `rng.gen()` per cell inside `Topology::from_fn` — run on the
+    /// reduced grid a call draws, then written back over the window and
+    /// seeked to the call's end as the sampler does. The sampler must
+    /// produce the same topologies and leave the generator at the same
+    /// position.
     mod reference {
         use crate::denoiser::test_support::predict_fine;
+        use crate::grid::{Grid, Runs};
+        use crate::model::call_words;
         use crate::{Denoiser, DiffusionModel, Mask};
         use cp_layout::squish::Topology;
         use rand::Rng;
+        use rand_chacha::ChaCha8Rng;
 
         pub(crate) fn forward_noised<D: Denoiser>(
             model: &DiffusionModel<D>,
@@ -570,11 +510,13 @@ pub(crate) mod tests {
         pub(crate) fn reverse_step<D: Denoiser>(
             model: &DiffusionModel<D>,
             x_k: &Topology,
+            runs: Runs<'_>,
             k: usize,
             condition: Option<u32>,
             rng: &mut impl Rng,
         ) -> Topology {
-            let p0 = predict_fine(model.denoiser(), x_k, k, model.schedule().len(), condition);
+            let steps = model.schedule().len();
+            let p0 = predict_fine(model.denoiser(), x_k, runs, k, steps, condition);
             let post = model.posterior_table(k);
             let cols = x_k.cols();
             Topology::from_fn(x_k.rows(), cols, |r, c| {
@@ -591,13 +533,17 @@ pub(crate) mod tests {
             rows: usize,
             cols: usize,
             condition: Option<u32>,
-            rng: &mut impl Rng,
+            rng: &mut ChaCha8Rng,
         ) -> Topology {
-            let mut x = Topology::from_fn(rows, cols, |_, _| rng.gen::<bool>());
-            for k in (1..=model.schedule().len()).rev() {
-                x = reverse_step(model, &x, k, condition, rng);
+            let steps = model.schedule().len();
+            let end = rng.get_word_pos() + call_words((rows, cols), 1 + 2 * steps);
+            let grid = Grid::drawn(model.denoiser().scan_lines(condition), rows, cols, rng);
+            let mut x = Topology::from_fn(grid.rows(), grid.cols(), |_, _| rng.gen::<bool>());
+            for k in (1..=steps).rev() {
+                x = reverse_step(model, &x, grid.runs(), k, condition, rng);
             }
-            x
+            rng.set_word_pos(end);
+            Topology::from_bytes(rows, cols, grid.expand(x.as_bytes()))
         }
 
         pub(crate) fn modify<D: Denoiser>(
@@ -606,17 +552,25 @@ pub(crate) mod tests {
             mask: &Mask,
             condition: Option<u32>,
             resample_rounds: usize,
-            rng: &mut impl Rng,
+            rng: &mut ChaCha8Rng,
         ) -> Topology {
-            let (rows, cols) = known.shape();
+            let (fine_rows, fine_cols) = known.shape();
             let steps = model.schedule().len();
-            let mut result = known.clone();
+            let per_cell = resample_rounds * (1 + 4 * steps);
+            let end = rng.get_word_pos() + call_words((fine_rows, fine_cols), per_cell);
+            let lines = model.denoiser().scan_lines(condition);
+            let grid = Grid::fitted(lines, known, mask, rng);
+            let fine_mask = mask.as_topology().as_bytes();
+            let (reduced_known, reduced_mask) = grid.reduce(known.as_bytes(), fine_mask);
+            let (rows, cols) = (grid.rows(), grid.cols());
+            let mask = Mask::from_fn(rows, cols, |r, c| reduced_mask[r * cols + c] != 0);
+            let mut result = Topology::from_bytes(rows, cols, reduced_known);
             for _ in 0..resample_rounds {
                 // Start from fully-noised state.
                 let mut x = Topology::from_fn(rows, cols, |_, _| rng.gen::<bool>());
                 for k in (1..=steps).rev() {
                     // Model proposal for everything...
-                    let unknown = reverse_step(model, &x, k, condition, rng);
+                    let unknown = reverse_step(model, &x, grid.runs(), k, condition, rng);
                     // ...and ground-truth forward noise for the kept region.
                     let known_noised = forward_noised(model, &result, k - 1, rng);
                     x = Topology::from_fn(rows, cols, |r, c| {
@@ -629,7 +583,15 @@ pub(crate) mod tests {
                 }
                 result = x;
             }
-            result
+            rng.set_word_pos(end);
+            let cells = grid.expand(result.as_bytes());
+            Topology::from_fn(fine_rows, fine_cols, |r, c| {
+                if fine_mask[r * fine_cols + c] != 0 {
+                    known.get(r, c)
+                } else {
+                    cells[r * fine_cols + c] != 0
+                }
+            })
         }
     }
 
@@ -669,11 +631,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The generator as `PatternSampler::generate` hands it on.
-    fn erased(rng: &mut ChaCha8Rng) -> &mut dyn rand::RngCore {
-        rng
-    }
-
     /// The draw `rng.gen::<f64>()` makes of a word, which the integer
     /// compare stands for.
     fn unit_draw(word: u64) -> f64 {
@@ -687,7 +644,7 @@ pub(crate) mod tests {
         let mut chain = Chain::new(1, cells.len());
         chain.cells.copy_from_slice(cells);
         let p = &mut chain.step.prediction;
-        (p.factor, p.cols) = (1, cells.len());
+        p.cols = cells.len();
         p.present.clear();
         for &p0 in p0 {
             let entry = match p
@@ -894,12 +851,12 @@ pub(crate) mod tests {
             for (rows, cols) in SHAPES {
                 assert_same_draws(
                     &format!("{unit:?} constant sample {rows}x{cols}"),
-                    |rng| constant.sample(rows, cols, None, &mut erased(rng)),
+                    |rng| constant.sample(rows, cols, None, rng),
                     |rng| reference::sample(&constant, rows, cols, None, rng),
                 );
                 assert_same_draws(
                     &format!("{unit:?} mrf sample {rows}x{cols}"),
-                    |rng| mrf.sample(rows, cols, Some(0), &mut erased(rng)),
+                    |rng| mrf.sample(rows, cols, Some(0), rng),
                     |rng| reference::sample(&mrf, rows, cols, Some(0), rng),
                 );
             }
@@ -981,24 +938,36 @@ pub(crate) mod tests {
                     check(&mrf, &what, &known(rows, cols), &mask);
                 }
             }
-            // A run widens only the coarse columns it covers: runs that
-            // start and end inside a coarse cell, and the cut last one.
-            for coarse in [1, 3] {
-                let data: Vec<Topology> = (0..4)
-                    .map(|i| Topology::from_fn(16, 16, move |r, c| (r + c + i) % 5 < 2))
-                    .collect();
-                let mrf = DiffusionModel::new(
-                    NoiseSchedule::scaled_default(4),
-                    crate::MrfDenoiser::fit_coarse(&[(0, &data)], 1.0, coarse),
-                    16,
-                );
-                for (rows, cols) in SHAPES {
-                    let mask = crate::Mask::from_fn(rows, cols, |r, c| (r + c) % 7 < 3);
-                    let what = format!("{unit:?} coarse {coarse} {rows}x{cols}");
-                    check(&mrf, &what, &known(rows, cols), &mask);
-                }
-            }
         });
+    }
+
+    #[test]
+    fn calls_that_draw_different_grids_end_at_the_same_word() {
+        let mrf = mrf_model(4);
+        let lines = mrf.denoiser().scan_lines(Some(0));
+        let (rows, cols) = (40, 56);
+        let known = mrf.sample(rows, cols, Some(0), &mut ChaCha8Rng::seed_from_u64(1));
+        let mask = crate::Mask::from_fn(rows, cols, |_, c| c < cols / 2);
+        let grids = [3, 4].map(|seed| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            (
+                Grid::drawn(lines, rows, cols, &mut rng.clone()),
+                Grid::fitted(lines, &known, &mask, &mut rng),
+            )
+        });
+        assert_ne!(grids[0].0, grids[1].0, "the seeds draw different grids");
+        assert_ne!(grids[0].1, grids[1].1, "and different modify grids");
+        for seed in [3, 4] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let _ = mrf.sample(rows, cols, Some(0), &mut rng);
+            assert_eq!(rng.get_word_pos(), call_words((rows, cols), 1 + 2 * 4));
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let _ = mrf.modify(&known, &mask, Some(0), 2, &mut rng);
+            assert_eq!(
+                rng.get_word_pos(),
+                call_words((rows, cols), 2 * (1 + 4 * 4))
+            );
+        }
     }
 
     #[test]
@@ -1044,7 +1013,7 @@ pub(crate) mod tests {
             4,
         );
         let mut chain = Chain::new(4, 6);
-        chain.predict(&model, 4, None);
+        chain.predict(&model, Runs::new(&[1; 4], &[1; 6]), 4, None);
         chain.reverse(0..24, &mut rng());
         assert_eq!(chain.into_topology().shape(), (4, 6));
     }

@@ -9,10 +9,16 @@
 //!
 //! combined as `T_{k-1} = M ⊙ T^known_{k-1} + (1 − M) ⊙ T^unknown_{k-1}`.
 //! Because `b̄_0 = 0`, the final step reproduces the kept pixels exactly.
+//!
+//! The chain runs on the reduced grid the mask and the kept content
+//! draw (`Grid::fitted`): a reduced cell is kept when half its block is,
+//! and stands for the majority of its kept cells. The kept cells of the
+//! result are written back from `known`, bit for bit.
 
 use std::ops::Range;
 
-use crate::model::{forward_cells, initial_noise, threshold, Chain};
+use crate::grid::Grid;
+use crate::model::{call_words, forward_cells, initial_noise, threshold, Chain};
 use crate::{Denoiser, DiffusionModel, Mask};
 use cp_layout::squish::Topology;
 use rand_chacha::ChaCha8Rng;
@@ -25,13 +31,15 @@ impl<D: Denoiser> DiffusionModel<D> {
     /// re-noising the previous result, which improves boundary harmony at
     /// linear cost; 1 is the plain single-pass variant.
     ///
-    /// The stream has a draw for every cell from both sources, every
-    /// step — the `n` reverse-process draws, then the `n` forward-noise
-    /// draws, `n` words of initial noise before the first step: `n +
-    /// 4·K·n` words a round for `n` cells whatever the mask, so where a
-    /// call leaves the generator depends on the window's shape alone.
-    /// Each cell uses one of its two draws; the generator is moved past
-    /// the other, which is why this takes the generator by name.
+    /// On the reduced grid, the stream has a draw for every cell from
+    /// both sources, every step — the `n` reverse-process draws, then the
+    /// `n` forward-noise draws, `n` words of initial noise before the
+    /// first step: `n + 4·K·n` words a round for `n` reduced cells. Each
+    /// cell uses one of its two draws; the generator is moved past the
+    /// other. The call then seeks to where [`call_words`] puts the end of
+    /// the window's shape at `resample_rounds · (1 + 4K)` words a fine
+    /// cell, so where it leaves the generator depends on the shape
+    /// alone. Both are why this takes the generator by name.
     ///
     /// # Panics
     ///
@@ -49,16 +57,19 @@ impl<D: Denoiser> DiffusionModel<D> {
         assert_eq!(mask.shape(), known.shape(), "mask/pattern shape mismatch");
         assert!(resample_rounds >= 1, "at least one resample round");
         let (rows, cols) = known.shape();
-        let n = known.len();
         let steps = self.schedule().len();
+        let per_cell = resample_rounds * (1 + 4 * steps);
+        let end = rng.get_word_pos() + call_words((rows, cols), per_cell);
+        let grid = Grid::fitted(self.denoiser().scan_lines(condition), known, mask, rng);
+        let (reduced_known, reduced_mask) =
+            grid.reduce(known.as_bytes(), mask.as_topology().as_bytes());
+        let n = reduced_known.len();
         // The runs of cells the mask treats alike, in the order a step
         // reads their draws: the reverse-process draws of every
         // regenerated run, then the forward-noise draws of every kept
         // run (the sort is stable, so each kind stays in cell order).
         let mut start = 0;
-        let mut reads: Vec<(Range<usize>, bool)> = mask
-            .as_topology()
-            .as_bytes()
+        let mut reads: Vec<(Range<usize>, bool)> = reduced_mask
             .chunk_by(|a, b| a == b)
             .map(|run| {
                 let cells = start..start + run.len();
@@ -67,14 +78,14 @@ impl<D: Denoiser> DiffusionModel<D> {
             })
             .collect();
         reads.sort_by_key(|&(_, kept)| kept);
-        let mut result = known.as_bytes().to_vec();
-        let mut chain = Chain::new(rows, cols);
+        let mut result = reduced_known;
+        let mut chain = Chain::new(grid.rows(), grid.cols());
         for _ in 0..resample_rounds {
             // Start from fully-noised state.
             initial_noise(&mut chain.cells, rng);
             let first_step = rng.get_word_pos();
             for (step, k) in (1..=steps).rev().enumerate() {
-                chain.predict(self, k, condition);
+                chain.predict(self, grid.runs(), k, condition);
                 let flip = threshold(self.schedule().flip_bar(k - 1));
                 for (run, kept) in &reads {
                     let (run, kept) = (run.clone(), *kept);
@@ -95,7 +106,18 @@ impl<D: Denoiser> DiffusionModel<D> {
             // what this swaps in.
             std::mem::swap(&mut result, &mut chain.cells);
         }
-        Topology::from_bytes(rows, cols, result)
+        rng.set_word_pos(end);
+        let mut cells = grid.expand(&result);
+        for ((cell, &bit), &kept) in cells
+            .iter_mut()
+            .zip(known.as_bytes())
+            .zip(mask.as_topology().as_bytes())
+        {
+            if kept != 0 {
+                *cell = bit;
+            }
+        }
+        Topology::from_bytes(rows, cols, cells)
     }
 }
 
@@ -167,6 +189,42 @@ mod tests {
             for c in 0..8 {
                 if mask.keeps(r, c) {
                     assert_eq!(out.get(r, c), known.get(r, c));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkerboard_kept_ring_comes_back_bit_exact_on_a_bounded_grid() {
+        use crate::grid::Grid;
+        use crate::MrfDenoiser;
+        // A style of few lines: blocks of 8 × 8 on a 32 × 32 window.
+        let data: Vec<Topology> = (0..4)
+            .map(|i| Topology::from_fn(32, 32, move |r, c| (r / 8 + c / 8 + i) % 2 == 0))
+            .collect();
+        let model = DiffusionModel::new(
+            NoiseSchedule::scaled_default(6),
+            MrfDenoiser::fit(&[(0, &data)], 1.0),
+            32,
+        );
+        // Every line of the kept ring changes from the next.
+        let known = Topology::from_fn(32, 32, |r, c| (r + c) % 2 == 0);
+        let mask = Mask::keep_outside(32, 32, Region::new(6, 6, 26, 26));
+        let lines = model.denoiser().scan_lines(Some(0));
+        for seed in 0..4 {
+            let grid = Grid::fitted(lines, &known, &mask, &mut ChaCha8Rng::seed_from_u64(seed));
+            assert!(grid.rows() <= lines.bound(0, 32) && grid.cols() <= lines.bound(1, 32));
+            assert!(grid.rows() < 32 && grid.cols() < 32, "the grid is reduced");
+            let out = model.modify(
+                &known,
+                &mask,
+                Some(0),
+                1,
+                &mut ChaCha8Rng::seed_from_u64(seed),
+            );
+            for (r, c) in Region::new(0, 0, 32, 32).cells() {
+                if mask.keeps(r, c) {
+                    assert_eq!(out.get(r, c), known.get(r, c), "kept cell ({r},{c})");
                 }
             }
         }

@@ -4,21 +4,14 @@
 //! for every input (see the equivalence tests in `mrf.rs`).
 
 use super::{GridContext, MrfDenoiser};
+use crate::grid::Runs;
 use cp_layout::squish::Topology;
 
-/// Thresholds beliefs and enforces the minimum-feature structure of
-/// Manhattan layout data: single-cell gaps inside runs are filled,
-/// single-cell runs removed (first along rows, then along columns), and
-/// connected fragments below six cells are dropped — the minimum-area
-/// analogue. This is what keeps the scan-line complexity and fragment
-/// count of samples in the legalizable range, mirroring what the paper's
-/// U-Net learns from DRC-clean training data.
-pub(super) fn regularize_min_feature(
-    beliefs: &[f64],
-    rows: usize,
-    cols: usize,
-    target_density: f64,
-) -> Vec<bool> {
+/// Thresholds beliefs at the top-k quantile and drops connected
+/// fragments covering fewer than `MIN_COMPONENT_AREA` fine cells (cell
+/// `(r, c)` covers `runs.area(r, c)`) — the minimum-area analogue on the
+/// reduced grid.
+pub(super) fn regularize(beliefs: &[f64], runs: Runs<'_>, target_density: f64) -> Vec<bool> {
     // Quantile threshold: the binary map starts at exactly the training
     // density, so thresholding artefacts cannot inflate or deflate it.
     // Exactly the top-k cells are kept (ties broken by index) — a plain
@@ -31,67 +24,14 @@ pub(super) fn regularize_min_feature(
     for &i in order.iter().take(keep.min(beliefs.len())) {
         bits[i] = true;
     }
-    // Iterate the fill/remove passes to a (bounded) fixpoint so collinear
-    // fragments consolidate into long runs instead of oscillating.
-    for _ in 0..3 {
-        let before = bits.clone();
-        regularize_once(&mut bits, rows, cols);
-        if bits == before {
-            break;
-        }
-    }
-    drop_small_components(&mut bits, rows, cols, 6);
+    drop_small_components(&mut bits, runs, super::MIN_COMPONENT_AREA);
     bits
 }
 
-fn regularize_once(bits: &mut [bool], rows: usize, cols: usize) {
-    for pass in 0..2 {
-        let horizontal = pass == 0;
-        let (outer, inner) = if horizontal {
-            (rows, cols)
-        } else {
-            (cols, rows)
-        };
-        for o in 0..outer {
-            let idx = |i: usize| {
-                if horizontal {
-                    o * cols + i
-                } else {
-                    i * cols + o
-                }
-            };
-            // Fill single-cell gaps (1 0 1 → 1 1 1).
-            for i in 1..inner.saturating_sub(1) {
-                if !bits[idx(i)] && bits[idx(i - 1)] && bits[idx(i + 1)] {
-                    bits[idx(i)] = true;
-                }
-            }
-            // Remove single-cell runs (0 1 0 → 0 0 0) unless the cell
-            // continues a perpendicular run (part of a thin wire the
-            // perpendicular pass is responsible for).
-            for i in 0..inner {
-                let prev = i > 0 && bits[idx(i - 1)];
-                let next = i + 1 < inner && bits[idx(i + 1)];
-                if !bits[idx(i)] || prev || next {
-                    continue;
-                }
-                let (r, c) = if horizontal { (o, i) } else { (i, o) };
-                let perpendicular_run = if horizontal {
-                    (r > 0 && bits[(r - 1) * cols + c])
-                        || (r + 1 < rows && bits[(r + 1) * cols + c])
-                } else {
-                    (c > 0 && bits[r * cols + c - 1]) || (c + 1 < cols && bits[r * cols + c + 1])
-                };
-                if !perpendicular_run {
-                    bits[idx(i)] = false;
-                }
-            }
-        }
-    }
-}
-
-/// Clears 4-connected components with fewer than `min_cells` cells.
-fn drop_small_components(bits: &mut [bool], rows: usize, cols: usize, min_cells: usize) {
+/// Clears 4-connected components covering fewer than `min_area` fine
+/// cells.
+fn drop_small_components(bits: &mut [bool], runs: Runs<'_>, min_area: usize) {
+    let (rows, cols) = runs.shape();
     let mut labels = vec![usize::MAX; bits.len()];
     let mut component = 0usize;
     let mut stack = Vec::new();
@@ -125,7 +65,8 @@ fn drop_small_components(bits: &mut [bool], rows: usize, cols: usize, min_cells:
                 visit(i + 1);
             }
         }
-        if members.len() < min_cells {
+        let area: usize = members.iter().map(|&i| runs.area(i / cols, i % cols)).sum();
+        if area < min_area {
             for &i in &members {
                 bits[i] = false;
             }
@@ -161,7 +102,12 @@ fn context_of_beliefs(beliefs: &[f64], rows: usize, cols: usize, r: usize, c: us
 
 /// The mean-field sweeps at the table's own grid resolution, then
 /// [`finish_grid`].
-fn predict_grid_with(mrf: &MrfDenoiser, x_k: &Topology, gc: &GridContext<'_>) -> Vec<f32> {
+fn predict_grid_with(
+    mrf: &MrfDenoiser,
+    x_k: &Topology,
+    runs: Runs<'_>,
+    gc: &GridContext<'_>,
+) -> Vec<f32> {
     let (rows, cols) = x_k.shape();
     // Initial beliefs: channel posterior under a flat prior.
     let mut beliefs: Vec<f64> = x_k
@@ -183,11 +129,11 @@ fn predict_grid_with(mrf: &MrfDenoiser, x_k: &Topology, gc: &GridContext<'_>) ->
             }
         }
     }
-    finish_grid(beliefs, rows, cols, gc)
+    finish_grid(beliefs, runs, gc)
 }
 
 /// Calibration + regularization tail of a grid prediction.
-fn finish_grid(mut beliefs: Vec<f64>, rows: usize, cols: usize, gc: &GridContext<'_>) -> Vec<f32> {
+fn finish_grid(mut beliefs: Vec<f64>, runs: Runs<'_>, gc: &GridContext<'_>) -> Vec<f32> {
     // Marginal calibration: mean-field on dense tables can run away
     // toward saturation; shift the belief odds so the mean prediction
     // matches the style's training density (a denoiser trained to
@@ -202,13 +148,12 @@ fn finish_grid(mut beliefs: Vec<f64>, rows: usize, cols: usize, gc: &GridContext
             *b = odds / (1.0 + odds);
         }
     }
-    // Feature-size regularization over the final third of the chain:
-    // Manhattan layout data has no single-cell features, and a
-    // denoiser trained on it predicts clean minimum-width-respecting
-    // shapes near the end of the chain. Earlier steps keep the raw
+    // Regularization over the final third of the chain: the top-k
+    // map without its smallest fragments, the shapes a denoiser trained
+    // on layout data predicts near the end of the chain. Earlier steps keep the raw
     // beliefs — blending the regularized map into mid-chain feedback
     // ratchets density upward, so the weight stays zero there.
-    let binary = regularize_min_feature(&beliefs, rows, cols, target);
+    let binary = regularize(&beliefs, runs, target);
     let w = gc.w;
     beliefs
         .iter()
@@ -224,45 +169,11 @@ fn finish_grid(mut beliefs: Vec<f64>, rows: usize, cols: usize, gc: &GridContext
 pub(super) fn predict_x0(
     mrf: &MrfDenoiser,
     x_k: &Topology,
+    runs: Runs<'_>,
     k: usize,
     total_steps: usize,
     condition: Option<u32>,
 ) -> Vec<f32> {
     let gc = &mrf.grid_context(k, total_steps, condition, &mut None);
-    if mrf.coarse <= 1 {
-        return predict_grid_with(mrf, x_k, gc);
-    }
-    // Coarse path: majority-downsample the noisy input, predict on
-    // the table's grid, replicate probabilities back up.
-    let (rows, cols) = x_k.shape();
-    let down = downsample_majority(x_k, mrf.coarse);
-    let coarse_p = predict_grid_with(mrf, &down, gc);
-    let ccols = down.cols();
-    (0..rows * cols)
-        .map(|i| {
-            let (r, c) = (i / cols, i % cols);
-            coarse_p
-                [(r / mrf.coarse).min(down.rows() - 1) * ccols + (c / mrf.coarse).min(ccols - 1)]
-        })
-        .collect()
-}
-
-/// Majority vote over `factor × factor` blocks (ties round up to drawn).
-pub(super) fn downsample_majority(t: &Topology, factor: usize) -> Topology {
-    if factor <= 1 {
-        return t.clone();
-    }
-    let rows = t.rows().div_ceil(factor).max(1);
-    let cols = t.cols().div_ceil(factor).max(1);
-    Topology::from_fn(rows, cols, |r, c| {
-        let mut ones = 0usize;
-        let mut total = 0usize;
-        for rr in r * factor..((r + 1) * factor).min(t.rows()) {
-            for cc in c * factor..((c + 1) * factor).min(t.cols()) {
-                ones += usize::from(t.get(rr, cc));
-                total += 1;
-            }
-        }
-        2 * ones >= total.max(1) && ones > 0
-    })
+    predict_grid_with(mrf, x_k, runs, gc)
 }

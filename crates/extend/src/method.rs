@@ -135,10 +135,12 @@ mod tests {
 
     #[test]
     fn a_model_call_advances_the_stream_by_what_its_window_shape_says() {
-        // `n` words of initial noise, then per step `n` 64-bit draws
-        // for `generate` and `2n` for `modify` — whatever the mask keeps.
-        // So every window's place in the stream is known before any
-        // window runs (what scheduling them, ROADMAP 1(c), stands on).
+        // A word a fine line for drawing runs, then per fine cell a word
+        // of initial noise and, per step, one 64-bit draw for `generate`
+        // and two for `modify` — whatever grid the call draws and the
+        // mask keeps: the chain seeks to that end. So every window's
+        // place in the stream is known before any window runs (what
+        // scheduling them stands on).
         let model = striped_model();
         for method in [ExtensionMethod::OutPainting, ExtensionMethod::InPainting] {
             let counting = Counting::new(&model);
@@ -150,7 +152,9 @@ mod tests {
             let calls = counting.calls();
             for call in &calls {
                 let draws_per_cell = if call.modify { 2 } else { 1 };
-                let expected = call.cells + 2 * draws_per_cell * STEPS * call.cells;
+                let (rows, cols) = call.shape;
+                let cells = rows * cols;
+                let expected = rows + cols + cells + 2 * draws_per_cell * STEPS * cells;
                 assert_eq!(call.words, expected as u128, "{method}: {call:?}");
             }
             assert!(calls.iter().any(|call| call.modify), "{method}");

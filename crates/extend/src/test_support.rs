@@ -25,8 +25,8 @@ pub(crate) fn striped_model() -> DiffusionModel<MrfDenoiser> {
 pub struct Call {
     /// `modify` (else `generate`).
     pub modify: bool,
-    /// Cells of the window handed to the model.
-    pub cells: usize,
+    /// Shape of the window handed to the model.
+    pub shape: (usize, usize),
     /// 32-bit words the call advanced the generator by.
     pub words: u128,
 }
@@ -59,7 +59,7 @@ impl<'a, S: PatternSampler> Counting<'a, S> {
         let out = call(rng);
         self.calls.lock().expect("no call panicked").push(Call {
             modify,
-            cells: out.len(),
+            shape: out.shape(),
             words: rng.get_word_pos() - before,
         });
         out

@@ -2171,11 +2171,12 @@ fn a_snapshot_with_a_working_store_rests_packed_and_restores_equal() {
     assert_eq!(snapshot.agent.context.library.len(), 3);
 
     let mut working = system
-        .generate(Style::Layer10001, 16, 11, 2, 12)
+        .generate(Style::Layer10001, 16, 11, 1, 12)
         .expect("generates");
-    let cramped = working.remove(0);
+    // Every line of it a feature edge: 11 columns of features and gaps.
+    let cramped = Topology::from_fn(16, 11, |r, c| (r + c) % 2 == 0);
     let Err(Error::Legalize(failure)) = system.legalize(&cramped, 40, 40, 1) else {
-        panic!("16 columns do not fit 40 nm");
+        panic!("11 columns do not fit 40 nm");
     };
     let roomy = working.remove(0);
     let legal = system.legalize(&roomy, 2048, 2048, 1).expect("legalizes");
