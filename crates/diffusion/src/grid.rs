@@ -246,9 +246,34 @@ impl Grid {
         rng: &mut ChaCha8Rng,
     ) -> Grid {
         let (rows, cols) = known.shape();
-        let cell = |r: usize, c: usize| (mask.keeps(r, c), mask.keeps(r, c) && known.get(r, c));
-        let row_starts = axis_starts(lines, 0, (rows, cols), cell, rng);
-        let col_starts = axis_starts(lines, 1, (cols, rows), |i, j| cell(j, i), rng);
+        // Per cell: KEPT, and SET where a kept cell is drawn.
+        let keep = mask.as_topology().as_bytes();
+        let cells: Vec<u8> = (keep.iter().zip(known.as_bytes()))
+            .map(|(&kept, &bit)| u8::from(kept != 0) * (KEPT | (u8::from(bit != 0) * SET)))
+            .collect();
+        // Per line of each axis, as a row pass computes them: whether the
+        // mask changes from the line before, whether anything does, and
+        // whether the line has a cell to regenerate.
+        let mut row_lines = vec![Line::default(); rows];
+        let mut col_lines = vec![Line::default(); cols];
+        for (r, row) in cells.chunks_exact(cols).enumerate() {
+            row_lines[r].regenerated = row.iter().any(|&cell| cell & KEPT == 0);
+            if r > 0 {
+                let above = &cells[(r - 1) * cols..r * cols];
+                row_lines[r].changes = row != above;
+                row_lines[r].mask_changes =
+                    (row.iter().zip(above)).any(|(a, b)| (a ^ b) & KEPT != 0);
+            }
+            for (c, col) in col_lines.iter_mut().enumerate() {
+                col.regenerated |= row[c] & KEPT == 0;
+                if c > 0 {
+                    col.changes |= row[c] != row[c - 1];
+                    col.mask_changes |= (row[c] ^ row[c - 1]) & KEPT != 0;
+                }
+            }
+        }
+        let row_starts = axis_starts(lines, 0, &row_lines, rng);
+        let col_starts = axis_starts(lines, 1, &col_lines, rng);
         Grid::new(&row_starts, &col_starts)
     }
 
@@ -306,42 +331,37 @@ impl Grid {
     }
 }
 
-/// The run starts of one axis of [`Grid::fitted`]: `len` lines of
-/// `across` cells each, `cell(i, j)` giving cell `j` of line `i` as
-/// `(kept, kept and drawn)`.
-fn axis_starts(
-    lines: &ScanLines,
-    axis: usize,
-    (len, across): (usize, usize),
-    cell: impl Fn(usize, usize) -> (bool, bool),
-    rng: &mut ChaCha8Rng,
-) -> Vec<bool> {
+/// A [`Grid::fitted`] cell's bit: the mask keeps it.
+const KEPT: u8 = 1;
+/// A [`Grid::fitted`] cell's bit: the mask keeps it and it is drawn.
+const SET: u8 = 2;
+
+/// What [`Grid::fitted`] reads of one line of an axis.
+#[derive(Debug, Clone, Copy, Default)]
+struct Line {
+    /// The mask differs from the line before.
+    mask_changes: bool,
+    /// The mask or the kept content differs from the line before.
+    changes: bool,
+    /// The line has a cell the mask regenerates.
+    regenerated: bool,
+}
+
+/// The run starts of one axis of [`Grid::fitted`], from its lines.
+fn axis_starts(lines: &ScanLines, axis: usize, of: &[Line], rng: &mut ChaCha8Rng) -> Vec<bool> {
     const DRAWN: u8 = 1;
     const CONTENT: u8 = 2;
     const MASK: u8 = 3;
+    let len = of.len();
     // Per line, why a run starts there (0: it does not).
-    let mut starts = vec![0u8; len];
-    let mut regenerated = vec![false; len];
-    for i in 0..len {
-        regenerated[i] = (0..across).any(|j| !cell(i, j).0);
-        if i == 0 {
-            starts[i] = MASK;
-            continue;
-        }
-        let (mut mask, mut content) = (false, false);
-        for j in 0..across {
-            let (now, was) = (cell(i, j), cell(i - 1, j));
-            mask |= now.0 != was.0;
-            content |= now.1 != was.1;
-        }
-        starts[i] = if mask {
-            MASK
-        } else if content {
-            CONTENT
-        } else {
-            0
-        };
-    }
+    let mut starts: Vec<u8> = (of.iter().enumerate())
+        .map(|(i, line)| match line {
+            _ if i == 0 || line.mask_changes => MASK,
+            Line { changes: true, .. } => CONTENT,
+            _ => 0,
+        })
+        .collect();
+    let regenerated: Vec<bool> = of.iter().map(|line| line.regenerated).collect();
     // Runs drawn inside every span of lines with cells to regenerate.
     let mut drawn = vec![false; len];
     let mut i = 0;
