@@ -73,11 +73,11 @@ impl<D: Denoiser> DiffusionModel<D> {
     /// on that grid, run all `K` reverse steps, and write each reduced
     /// cell over its block.
     ///
-    /// The generator ends where [`call_words`] says for the shape and
-    /// `1 + 2K` words a cell — a word of noise and `K` 64-bit draws, as
-    /// if every fine cell were sampled — whatever grid was drawn: the
-    /// chain draws what its grid needs and seeks to that end, which is
-    /// why this takes the generator by name.
+    /// The generator ends `rows + cols + n·(1 + 2K)` words on for `n`
+    /// cells — a word a line for the runs, then a word of noise and `K`
+    /// 64-bit draws a cell, as if every fine cell were sampled —
+    /// whatever grid was drawn: the chain draws what its grid needs and
+    /// seeks to that end, which is why this takes the generator by name.
     #[must_use]
     pub fn sample(
         &self,

@@ -36,9 +36,9 @@ impl<D: Denoiser> DiffusionModel<D> {
     /// `n` forward-noise draws, `n` words of initial noise before the
     /// first step: `n + 4·K·n` words a round for `n` reduced cells. Each
     /// cell uses one of its two draws; the generator is moved past the
-    /// other. The call then seeks to where [`call_words`] puts the end of
-    /// the window's shape at `resample_rounds · (1 + 4K)` words a fine
-    /// cell, so where it leaves the generator depends on the shape
+    /// other. The call then seeks to `rows + cols` words plus
+    /// `resample_rounds · (1 + 4K)` words a fine cell on from where it
+    /// started, so where it leaves the generator depends on the shape
     /// alone. Both are why this takes the generator by name.
     ///
     /// # Panics

@@ -61,7 +61,7 @@ const RESAMPLES: usize = 400;
 const RESAMPLE_SEED: u64 = 0x0005_EED0_F0E8;
 
 /// A 90 % bootstrap interval on [`entropy_bits`] of `samples`' histogram:
-/// the 5th and 95th percentiles of the entropy of [`RESAMPLES`]
+/// the 5th and 95th percentiles of the entropy of 400
 /// resamples with replacement, drawn from a fixed seed. `(0, 0)` of no
 /// samples.
 ///
