@@ -109,6 +109,22 @@ pub struct Row {
     pub extent_x_nm: Option<i64>,
     /// The same along y.
     pub extent_y_nm: Option<i64>,
+    /// Mean share of drawn cells in a measured topology (for DiffPattern
+    /// w/ Concatenation, in the minimal form of a clean assembly).
+    #[serde(default)]
+    pub density: f64,
+    /// Wasserstein-1 distance from this row's per-topology densities to
+    /// those of the Real Patterns row of the same style and size, both in
+    /// thousandths (`null` where either has no topology).
+    #[serde(default)]
+    pub w1_density: Option<f64>,
+    /// Mean number of value changes along a row of a measured topology:
+    /// the cells that differ from the cell before them.
+    #[serde(default)]
+    pub row_changes: f64,
+    /// The same along a column.
+    #[serde(default)]
+    pub col_changes: f64,
 }
 
 /// One agent task: what was asked for and what it took.
@@ -196,9 +212,10 @@ struct Block {
     section: &'static str,
     size: usize,
     frame_nm: i64,
-    /// The Real Patterns complexities of this block, by style name: what
-    /// a row's `w1_cx` / `w1_cy` are measured against.
-    real: Vec<(&'static str, Vec<Complexity>)>,
+    /// The Real Patterns complexities and densities (in thousandths) of
+    /// this block, by style name: what a row's `w1_cx` / `w1_cy` /
+    /// `w1_density` are measured against.
+    real: Vec<(&'static str, Vec<Complexity>, Vec<u32>)>,
 }
 
 impl Block {
@@ -212,7 +229,10 @@ impl Block {
         extents: Option<(i64, i64)>,
         measured: impl Iterator<Item = &'a Topology>,
     ) -> Row {
-        let complexities: Vec<Complexity> = measured.map(complexity).collect();
+        let measured: Vec<&Topology> = measured.collect();
+        let complexities: Vec<Complexity> = measured.iter().copied().map(complexity).collect();
+        let densities = permille_densities(&measured);
+        let changes: Vec<(f64, f64)> = measured.iter().copied().map(value_changes).collect();
         let mut histogram = HashMap::new();
         for c in &complexities {
             *histogram.entry(*c).or_insert(0usize) += 1;
@@ -220,10 +240,10 @@ impl Block {
         let (cx_mean, cx_std) = mean_and_std(complexities.iter().map(|c| f64::from(c.cx)));
         let (cy_mean, cy_std) = mean_and_std(complexities.iter().map(|c| f64::from(c.cy)));
         let (diversity_lo, diversity_hi) = entropy_interval(&complexities);
-        let real = self.real.iter().find(|(name, _)| *name == style);
+        let real = self.real.iter().find(|(name, ..)| *name == style);
         let w1 = |axis: fn(&Complexity) -> u32| {
             let values = |of: &[Complexity]| of.iter().map(axis).collect::<Vec<u32>>();
-            real.and_then(|(_, real)| wasserstein_1(&values(&complexities), &values(real)))
+            real.and_then(|(_, real, _)| wasserstein_1(&values(&complexities), &values(real)))
         };
         Row {
             section: self.section.to_owned(),
@@ -248,7 +268,24 @@ impl Block {
             frame_nm: self.frame_nm,
             extent_x_nm: extents.map(|(x, _)| x),
             extent_y_nm: extents.map(|(_, y)| y),
+            density: mean_and_std(measured.iter().map(|t| t.density())).0,
+            w1_density: real.and_then(|(_, _, real)| wasserstein_1(&densities, real)),
+            row_changes: mean_and_std(changes.iter().map(|c| c.0)).0,
+            col_changes: mean_and_std(changes.iter().map(|c| c.1)).0,
         }
+    }
+
+    /// The largest minimal legal width and height among `library`.
+    fn extents(library: &[&Topology], rules: &DesignRules) -> (i64, i64) {
+        let legalizer = Legalizer::new(*rules);
+        let extent = |axis| {
+            let minimal = |t: &&Topology| {
+                let solved = legalizer.solve_axis(t, axis, i64::MAX / 4);
+                solved.map_or(0, |solution| solution.total)
+            };
+            library.iter().map(minimal).max().unwrap_or(0)
+        };
+        (extent(Axis::X), extent(Axis::Y))
     }
 
     /// A generated library exactly as Table 1 evaluates one: a single
@@ -264,20 +301,12 @@ impl Block {
     ) -> Row {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let report = legality(library.iter().copied(), self.frame_nm, rules, &mut rng);
-        let legalizer = Legalizer::new(*rules);
-        let extent = |axis| {
-            let minimal = |t: &&Topology| {
-                let solved = legalizer.solve_axis(t, axis, i64::MAX / 4);
-                solved.map_or(0, |solution| solution.total)
-            };
-            library.iter().map(minimal).max().unwrap_or(0)
-        };
         self.row(
             method,
             style,
             report.total(),
             Some(report.ratio()),
-            Some((extent(Axis::X), extent(Axis::Y))),
+            Some(Block::extents(library, rules)),
             report.legal_topologies(),
         )
     }
@@ -308,6 +337,26 @@ fn mean_and_std(values: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
     (mean, variance.sqrt())
 }
 
+/// Each topology's share of drawn cells, in whole thousandths.
+fn permille_densities(topologies: &[&Topology]) -> Vec<u32> {
+    let permille = |t: &&Topology| (t.density() * 1000.0).round() as u32;
+    topologies.iter().map(permille).collect()
+}
+
+/// How often a row of `topology` changes value, on average, and how often
+/// a column does.
+fn value_changes(topology: &Topology) -> (f64, f64) {
+    let (rows, cols) = (topology.rows(), topology.cols());
+    let changes = |lines: usize, cells: usize, at: &dyn Fn(usize, usize) -> bool| {
+        let line = |l: usize| (1..cells).filter(|&i| at(l, i) != at(l, i - 1)).count();
+        (0..lines).map(line).sum::<usize>() as f64 / lines.max(1) as f64
+    };
+    (
+        changes(rows, cols, &|r, c| topology.get(r, c)),
+        changes(cols, rows, &|c, r| topology.get(r, c)),
+    )
+}
+
 /// The libraries of the two styles and of both pooled, each under the
 /// name its row carries.
 fn per_style(libraries: &[Vec<Topology>; 2]) -> [(&'static str, Vec<&Topology>); 3] {
@@ -319,17 +368,28 @@ fn per_style(libraries: &[Vec<Topology>; 2]) -> [(&'static str, Vec<&Topology>);
     ]
 }
 
-/// Real patterns: raw topologies, never legalized. Their complexities
-/// become the block's reference for every row's `w1_cx` / `w1_cy`.
-fn reference_rows(block: &mut Block, libraries: &[Vec<Topology>; 2]) -> Vec<Row> {
+/// Real patterns: raw topologies, never legalized, but with the minimal
+/// extents they would legalize to. Their complexities and densities
+/// become the block's reference for every row's `w1_cx` / `w1_cy` /
+/// `w1_density`.
+fn reference_rows(
+    block: &mut Block,
+    libraries: &[Vec<Topology>; 2],
+    rules: &DesignRules,
+) -> Vec<Row> {
     let styles = per_style(libraries);
     block.real = styles
         .iter()
-        .map(|(style, all)| (*style, all.iter().copied().map(complexity).collect()))
+        .map(|(style, all)| {
+            let complexities = all.iter().copied().map(complexity).collect();
+            (*style, complexities, permille_densities(all))
+        })
         .collect();
-    let rows = styles.into_iter();
-    rows.map(|(style, all)| block.row(REAL, style, all.len(), None, None, all.iter().copied()))
-        .collect()
+    let rows = styles.into_iter().map(|(style, all)| {
+        let extents = Some(Block::extents(&all, rules));
+        block.row(REAL, style, all.len(), None, extents, all.iter().copied())
+    });
+    rows.collect()
 }
 
 /// Runs every experiment at `cfg`'s scale.
@@ -380,7 +440,7 @@ fn fixed_block(
         frame_nm: cfg.frame_nm(cfg.window),
         real: Vec::new(),
     };
-    let mut rows = reference_rows(&mut block, train);
+    let mut rows = reference_rows(&mut block, train, rules);
 
     // One generator feeds the four baselines in turn. The first three
     // are trained on Layer-10001 only, like the paper's.
@@ -458,7 +518,7 @@ fn free_block(
         reference(STYLES[0], cfg.seed + 20),
         reference(STYLES[1], cfg.seed + 21),
     ];
-    let mut rows = reference_rows(&mut block, &references);
+    let mut rows = reference_rows(&mut block, &references, rules);
 
     // DiffPattern w/ Concatenation: stitch already-legalized tiles.
     // Seam geometry is frozen — no legalization can repair a stitched
@@ -854,6 +914,8 @@ mod tests {
             (3.0, 1.0, 2.0, 0.0)
         );
         assert_eq!((row.distinct, row.at_ceiling), (2, true));
+        assert_eq!((row.density, row.w1_density), (0.1875, None));
+        assert_eq!((row.row_changes, row.col_changes), (1.0, 0.375));
         // Intervals a fifth of a bit wide about the given diversity.
         Row {
             diversity,
@@ -930,8 +992,11 @@ mod tests {
         let real = ["1...\n....", "1.1.\n...."]
             .map(Topology::from_ascii)
             .to_vec();
-        let rows = reference_rows(&mut block, &[real, Vec::new()]);
+        let rules = DesignRules::default();
+        let rows = reference_rows(&mut block, &[real, Vec::new()], &rules);
         assert_eq!((rows[0].w1_cx, rows[0].w1_cy), (Some(0.0), Some(0.0)));
+        assert_eq!(rows[0].w1_density, Some(0.0));
+        assert!(rows[0].extent_x_nm.is_some_and(|x| x > 0), "{:?}", rows[0]);
         assert_eq!(rows[1].w1_cx, None, "no real topology of that style");
         // cx 2 and 4 real; 4 and 4 generated: half the mass moves 2.
         let wider = [Topology::from_ascii("1.1.\n....")];
@@ -944,6 +1009,8 @@ mod tests {
             wider.iter().chain(&wider),
         );
         assert_eq!((row.w1_cx, row.w1_cy), (Some(1.0), Some(0.0)));
+        // Densities 125 and 250 real, 250 and 250 generated: half moves 125.
+        assert_eq!(row.w1_density, Some(62.5));
         assert_eq!((row.distinct, row.at_ceiling), (1, false));
     }
 
