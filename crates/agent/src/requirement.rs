@@ -125,7 +125,8 @@ pub fn auto_format(request: &str) -> Result<Vec<Requirement>, RequirementError> 
 ///
 /// # Errors
 ///
-/// Refuses, on every turn alike, an empty utterance, a sub-task
+/// Refuses, on every turn alike, an empty utterance, a size with a zero
+/// side, a style other than Layer-10001 and Layer-10003, a sub-task
 /// topology larger than one request may ask for
 /// ([`fits_one_request`]), and a total that splits to zero patterns
 /// for some sub-task.
@@ -139,7 +140,7 @@ pub fn parse(
         ));
     }
     let tokens = tokenize(utterance);
-    let sizes = find_sizes(&tokens);
+    let sizes = find_sizes(&tokens)?;
     let topo_sizes: Vec<(usize, usize)> = sizes
         .iter()
         .filter(|s| !s.physical)
@@ -150,7 +151,7 @@ pub fn parse(
         .filter(|s| s.physical)
         .map(|s| (s.a, s.b))
         .collect();
-    let styles = find_styles(&tokens);
+    let styles = find_styles(&tokens)?;
     let (count, per_each) = find_count(&tokens);
     let method = find_method(utterance).or_else(|| context.and_then(|c| c.extension_method));
     let drop_mentioned = tokens
@@ -338,7 +339,7 @@ fn scalar(value: f64, unit: Unit) -> i64 {
     }
 }
 
-fn find_sizes(tokens: &[Token]) -> Vec<SizePair> {
+fn find_sizes(tokens: &[Token]) -> Result<Vec<SizePair>, RequirementError> {
     let mut out = Vec::new();
     // Whether "physical" is the last of "physical" / "topology" seen.
     let mut after_physical = false;
@@ -367,34 +368,49 @@ fn find_sizes(tokens: &[Token]) -> Vec<SizePair> {
             } else {
                 (scalar(*a, *ua), scalar(*b, *ub))
             };
-            if a > 0 && b > 0 {
-                out.push(SizePair { a, b, physical });
+            if a <= 0 || b <= 0 {
+                let size = if physical {
+                    format!("physical size {a}nm x {b}nm")
+                } else {
+                    format!("topology size {a}x{b}")
+                };
+                return Err(RequirementError::new(format!("{size} has a zero side")));
             }
+            out.push(SizePair { a, b, physical });
             i += 3;
             continue;
         }
         i += 1;
     }
-    out
+    Ok(out)
 }
 
-fn find_styles(tokens: &[Token]) -> Vec<Style> {
+fn find_styles(tokens: &[Token]) -> Result<Vec<Style>, RequirementError> {
     let mut styles = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        let style = match t {
-            Token::Word(w) if w.contains("layer") => Style::from_name(w),
+        let name = match t {
+            Token::Word(w) if w.contains("layer") => w.clone(),
             // "layer 10003", the digits a token of their own.
             Token::Number {
                 value,
                 unit: Unit::None,
-            } if layer_number(tokens, i) => Style::from_name(&format!("layer-{value}")),
-            _ => None,
+            } if layer_number(tokens, i) => format!("layer-{value}"),
+            _ => continue,
         };
-        if let Some(style) = style.filter(|style| !styles.contains(style)) {
-            styles.push(style);
+        let digits: String = name.chars().filter(char::is_ascii_digit).collect();
+        match Style::from_name(&name) {
+            Some(style) if !styles.contains(&style) => styles.push(style),
+            Some(_) => {}
+            // A style's name with a number no style has.
+            None if name.starts_with("layer") && !digits.is_empty() => {
+                return Err(RequirementError::new(format!(
+                    "unknown style Layer-{digits}; the styles are Layer-10001 and Layer-10003"
+                )));
+            }
+            None => {}
         }
     }
-    styles
+    Ok(styles)
 }
 
 /// Whether the number at `i` follows the word "layer" (a style name
