@@ -15,7 +15,7 @@
 //!   it calls is [`text_route`], which reads off the text the little
 //!   that placement depends on and, on every request as this build
 //!   writes it, agrees with the typed side: [`request_key`] and the
-//!   request's session id;
+//!   request's session id. Its protocol state is a [`Fleet`];
 //! * [`JsonDirPersist`](crate::JsonDirPersist), which fans a session
 //!   directory out over `--persist-shards` subdirectories by
 //!   [`route_hash`] of the session id.
@@ -30,6 +30,7 @@
 
 use crate::PatternRequest;
 use serde::{Deserialize, Deserializer};
+use std::collections::{HashMap, VecDeque};
 
 /// Stable routing hash (FNV-1a, 64-bit) for a request key or session
 /// id. Identical inputs always map to the same value, on every
@@ -182,6 +183,274 @@ pub fn text_route(request: &str) -> TextRoute {
         Ok(RequestHead::Stats) => TextRoute::Stats,
         Ok(RequestHead::Chat(ChatHead { seed: None })) | Err(_) => TextRoute::Free,
         Ok(_) => TextRoute::Keyed(route_hash(request)),
+    }
+}
+
+/// A router's protocol state, and no socket, thread or clock: told what
+/// happened (a client's session line, the answer to one, a drain, the
+/// end of a move), it answers with the [`Action`]s to carry out. `L` is
+/// a client line as the caller forwards it, `R` whoever asked for a
+/// drain; neither is read here.
+///
+/// New work goes to the *live* workers: all but the drained ones, never
+/// none. A session id has an entry while it has a pin, a line in flight
+/// or lines waiting, and at most one line at its worker: the others wait
+/// in arrival order, and the answer to one sends the next. A drain puts
+/// a move at the head of each queue pinned to the drained worker, so the
+/// move takes the session once its line in flight is answered.
+pub struct Fleet<L, R> {
+    workers: usize,
+    live: Vec<usize>,
+    free: u64,
+    sessions: HashMap<String, Entry<L>>,
+    drain: Option<Drain<R>>,
+}
+
+/// `hash` is the id's [`route_hash`]; a `None` waiting is a drain's move.
+struct Entry<L> {
+    hash: u64,
+    pin: Option<usize>,
+    in_flight: Option<Flight>,
+    waiting: VecDeque<Option<(L, SessionRole)>>,
+}
+
+/// A client line, with the answer (`Ok` is `true`) that lifts the pin,
+/// or a move to `target`.
+enum Flight {
+    Line { lift_on: Option<bool> },
+    Move { target: usize },
+}
+
+/// The running drain: its moves not yet ended, and so far how many
+/// moved or the first that failed.
+struct Drain<R> {
+    worker: usize,
+    left: usize,
+    outcome: Result<usize, String>,
+    reply: R,
+}
+
+/// What a [`Fleet`] asks its caller to do.
+pub enum Action<L, R> {
+    /// Send `line` to `worker`; a session line's answer goes to
+    /// [`Fleet::answered`].
+    Forward { worker: usize, line: L },
+    /// Snapshot `session` on `source`, restore it on `target`, and tell
+    /// [`Fleet::moved`] how that went; then close the source copy.
+    Move {
+        session: String,
+        source: usize,
+        target: usize,
+    },
+    /// Answer the drain's requester: it is over, with how many sessions
+    /// moved or the first move that failed, or it is refused.
+    Drained(R, Result<usize, String>),
+}
+
+impl<L, R> Fleet<L, R> {
+    /// `workers` live workers (at least one), no sessions.
+    #[must_use]
+    pub fn new(workers: usize) -> Fleet<L, R> {
+        assert!(workers > 0, "a fleet has a worker");
+        Fleet {
+            workers,
+            live: (0..workers).collect(),
+            free: 0,
+            sessions: HashMap::new(),
+            drain: None,
+        }
+    }
+
+    /// Where a client's line goes: a keyed line by its hash, a session's
+    /// line (now, or queued behind what the session has in flight) by the
+    /// session's entry, and any other round-robin.
+    pub fn route(&mut self, route: TextRoute, line: L) -> Option<Action<L, R>> {
+        let (session, role) = match route {
+            TextRoute::Session { id, role } => (id, role),
+            TextRoute::Keyed(hash) => return Some(self.forward(hash, line)),
+            TextRoute::Stats | TextRoute::Free => {
+                self.free += 1;
+                return Some(self.forward(self.free - 1, line));
+            }
+        };
+        let hash = route_hash(&session);
+        let entry = self.sessions.entry(session).or_insert_with(|| Entry {
+            hash,
+            pin: None,
+            in_flight: None,
+            waiting: VecDeque::new(),
+        });
+        if entry.in_flight.is_some() {
+            entry.waiting.push_back(Some((line, role)));
+            return None;
+        }
+        Some(send(&self.live, entry, line, role))
+    }
+
+    /// A worker answered `session`'s line: a close that succeeded, and a
+    /// create that made the pin and failed, lift the pin. Then the
+    /// session's next line or move goes.
+    pub fn answered(&mut self, session: &str, ok: bool) -> Vec<Action<L, R>> {
+        if let Some(entry) = self.sessions.get_mut(session) {
+            if let Some(Flight::Line { lift_on }) = entry.in_flight {
+                entry.in_flight = None;
+                entry.pin = entry.pin.filter(|_| lift_on != Some(ok));
+            }
+        }
+        self.advance(session, Vec::new())
+    }
+
+    /// Takes `worker` out of the live workers and moves each session
+    /// pinned to it, in its turn, to the live worker its id hashes to;
+    /// refused for no such worker, while a drain runs, or for the last.
+    pub fn drain(&mut self, worker: usize, reply: R) -> Vec<Action<L, R>> {
+        let refusal = match &self.drain {
+            _ if worker >= self.workers => Some(format!("no worker {worker}")),
+            Some(other) => Some(format!(
+                "worker {} is still draining (one drain at a time)",
+                other.worker
+            )),
+            None if self.live == [worker] => Some("cannot drain the last live worker".to_owned()),
+            None => None,
+        };
+        if let Some(message) = refusal {
+            return vec![Action::Drained(reply, Err(message))];
+        }
+        self.live.retain(|live| *live != worker);
+        let (mut actions, mut left) = (Vec::new(), 0);
+        for (session, entry) in &mut self.sessions {
+            if entry.pin == Some(worker) {
+                left += 1;
+                match entry.in_flight {
+                    Some(_) => entry.waiting.push_front(None),
+                    None => actions.push(start_move(&self.live, session, entry, worker)),
+                }
+            }
+        }
+        self.drain = Some(Drain {
+            worker,
+            left,
+            outcome: Ok(0),
+            reply,
+        });
+        end_move(&mut self.drain, None, &mut actions);
+        actions
+    }
+
+    /// `session`'s move ended: `Ok(true)` restored on the target, which
+    /// it is pinned to now; `Ok(false)` the source no longer had it;
+    /// `Err` kept it where it was. Then its lines go on.
+    pub fn moved(&mut self, session: &str, outcome: Result<bool, String>) -> Vec<Action<L, R>> {
+        let mut actions = Vec::new();
+        if let Some(entry) = self.sessions.get_mut(session) {
+            if let Some(Flight::Move { target }) = entry.in_flight {
+                entry.in_flight = None;
+                match outcome {
+                    Ok(true) => entry.pin = Some(target),
+                    Ok(false) => entry.pin = None,
+                    Err(_) => {}
+                }
+                end_move(&mut self.drain, Some(outcome), &mut actions);
+            }
+        }
+        self.advance(session, actions)
+    }
+
+    fn forward(&self, hash: u64, line: L) -> Action<L, R> {
+        let worker = hashed(&self.live, hash);
+        Action::Forward { worker, line }
+    }
+
+    /// Whether `worker` takes new work (it has not been drained).
+    #[must_use]
+    pub fn is_live(&self, worker: usize) -> bool {
+        self.live.contains(&worker)
+    }
+
+    /// Every pinned session, with the worker it is pinned to.
+    pub fn pins(&self) -> impl Iterator<Item = (&str, usize)> + '_ {
+        let pins = self.sessions.iter();
+        pins.filter_map(|(id, entry)| Some((id.as_str(), entry.pin?)))
+    }
+
+    /// With nothing in flight, sends `session`'s next line or starts its
+    /// move (ending one with nothing left to move); an entry left with no
+    /// pin and nothing to send goes.
+    fn advance(&mut self, session: &str, mut actions: Vec<Action<L, R>>) -> Vec<Action<L, R>> {
+        let Some(entry) = self.sessions.get_mut(session) else {
+            return actions;
+        };
+        while entry.in_flight.is_none() {
+            match entry.waiting.pop_front() {
+                Some(Some((line, role))) => actions.push(send(&self.live, entry, line, role)),
+                Some(None) => match (&self.drain, entry.pin) {
+                    (Some(drain), Some(pin)) if drain.worker == pin => {
+                        actions.push(start_move(&self.live, session, entry, pin));
+                    }
+                    _ => end_move(&mut self.drain, Some(Ok(false)), &mut actions),
+                },
+                None if entry.pin.is_none() => {
+                    self.sessions.remove(session);
+                    break;
+                }
+                None => break,
+            }
+        }
+        actions
+    }
+}
+
+fn hashed(live: &[usize], hash: u64) -> usize {
+    live[(hash % live.len() as u64) as usize]
+}
+
+/// Sends a session's line to its pin, else where its id hashes; a line
+/// that creates the session pins it there.
+fn send<L, R>(live: &[usize], entry: &mut Entry<L>, line: L, role: SessionRole) -> Action<L, R> {
+    let worker = entry.pin.unwrap_or_else(|| hashed(live, entry.hash));
+    let lift_on = match role {
+        SessionRole::Closes => Some(true),
+        SessionRole::Creates if entry.pin.is_none() => Some(false),
+        SessionRole::Creates | SessionRole::Uses => None,
+    };
+    if lift_on == Some(false) {
+        entry.pin = Some(worker);
+    }
+    entry.in_flight = Some(Flight::Line { lift_on });
+    Action::Forward { worker, line }
+}
+
+fn start_move<L, R>(live: &[usize], id: &str, entry: &mut Entry<L>, source: usize) -> Action<L, R> {
+    let (session, target) = (id.to_owned(), hashed(live, entry.hash));
+    entry.in_flight = Some(Flight::Move { target });
+    Action::Move {
+        session,
+        source,
+        target,
+    }
+}
+
+/// Counts a move's outcome (`None`: none) into the running drain, and
+/// answers the drain once it has no move left.
+fn end_move<L, R>(
+    drain: &mut Option<Drain<R>>,
+    outcome: Option<Result<bool, String>>,
+    actions: &mut Vec<Action<L, R>>,
+) {
+    let Some(running) = drain.as_mut() else {
+        return;
+    };
+    if let Some(outcome) = outcome {
+        running.left -= 1;
+        match (&mut running.outcome, outcome) {
+            (Ok(moved), Ok(one)) => *moved += usize::from(one),
+            (Ok(_), Err(message)) => running.outcome = Err(message),
+            (Err(_), _) => {}
+        }
+    }
+    if running.left == 0 {
+        let Drain { reply, outcome, .. } = drain.take().expect("a drain runs");
+        actions.push(Action::Drained(reply, outcome));
     }
 }
 

@@ -1,69 +1,35 @@
 //! `chatpattern-router` — the multi-process shard front-end.
 //!
 //! Serves NDJSON wire-protocol connections from `cp_net`'s event loop
-//! (what `chatpattern-serve --listen` runs: same line cap, half-close
-//! and slow-reader rules) and fans every request out, over one TCP
-//! link a worker, across a fleet of `chatpattern-serve --listen`
-//! workers — spawned as children, or attached by address — sharding by
-//! request-key / session-id hash (`chatpattern_core::routing` is the
-//! single source of truth; a serve process is one queue, so this is the
-//! only shard layer there is), so cache-hot keys and every turn of one
-//! session stay worker-local. A `Stats` request is answered with the
-//! *fleet* view: one
-//! [`EngineStats`] merged across all workers — including the
-//! per-(tenant, lane) QoS rows, summed fleet-wide.
+//! (serve's: same line cap, half-close and slow-reader rules) and
+//! forwards each request, over one TCP link a worker, to one of a fleet
+//! of `chatpattern-serve --listen` workers — spawned as children, or
+//! attached by address. Where each line goes, and when, is
+//! `chatpattern_core::routing::Fleet`'s to say: key hash for a
+//! cacheable request, the session's pin or id hash for a session's
+//! (one line of a session at its worker at a time), round-robin for the
+//! rest. This file does the I/O. A `Stats` request is answered with one
+//! [`EngineStats`] merged across all workers.
 //!
-//! The data plane is textual: of a client's line the router reads the
-//! envelope (`id`, `tenant`) and, off the request's text, the little its
-//! placement depends on (`routing::text_route`); the request goes to its
-//! worker as the bytes the client sent, under a router-internal id, and
-//! the worker's outcome goes back to the client as the bytes the worker
-//! sent, under the client's id. The worker is the one validator: a
-//! request it cannot decode comes back as its `InvalidRequest`. Only
-//! what the router itself asks a worker (`Stats` fan-in, the snapshot /
-//! restore / close of a move) is built and read as typed values.
+//! The data plane is textual: the router reads the envelope (`id`,
+//! `tenant`) and, off the request's text, what placement depends on
+//! (`routing::text_route`); the worker gets the bytes the client sent,
+//! and the client the bytes the worker sent. The worker is the one
+//! validator, and the tenant reaches its QoS gate as given.
 //!
-//! The envelope's `tenant` field is forwarded as given, so each
-//! worker's QoS gate (configured like everything else about a spawned
-//! worker, `--serve-arg --tenant-quota --serve-arg SPEC`, and checked
-//! by the worker: a value it refuses stops the router's start-up) sees
-//! the same tenant identity the client presented to the router, and
-//! an over-quota tenant gets the same typed `Overloaded` +
-//! `retry_after_ms` answer it would get from a single serve process.
-//!
-//! The headline capability is **live session moves**: draining a
-//! worker issues `SessionSnapshot` on the source, `SessionRestore` on
-//! the target, re-routes the session id and closes the source copy —
-//! mid-conversation, with the continued turns byte-identical to a
-//! never-moved session (PR 5's snapshot determinism guarantee). A
-//! `Drain` is the one way a session moves, and one drain runs at a
-//! time: every session a mover moves was claimed on the event loop,
-//! while no other mover existed.
-//! Worker death is survived the same way sessions survive a serve
-//! restart: the child is respawned over its per-worker
-//! `--session-dir`, and spilled sessions rehydrate on their next
-//! turn.
-//!
-//! Router-only *control* lines share the connection with wire
-//! envelopes (`{"id":…,"control":…}` instead of `"request"`; see
-//! `docs/ROUTER.md`):
-//!
-//! ```text
-//! {"id":1,"control":"Fleet"}                 per-worker + merged stats
-//! {"id":2,"control":{"Drain":{"worker":0}}}  move its sessions, stop routing to it
-//! {"id":3,"control":"Shutdown"}              answer what is owed, kill spawned workers, exit
-//! ```
+//! A `Drain` moves a worker's sessions live — snapshot, restore, re-pin,
+//! close the source copy — each once its line in flight is answered. A
+//! dead worker is respawned over its per-worker `--session-dir`, where
+//! spilled sessions wait. Control lines are in `docs/ROUTER.md`.
 //!
 //! Threads, whatever the number of clients: main (parked until
 //! `Shutdown`), the event loop, a reader per connected worker, a stderr
-//! drain per spawned child, and a mover (`Drain`) or reviver (a link
-//! that is down) while one runs. The
-//! loop thread never waits: a line that cannot go on at once is parked
-//! — on its session while that moves, on its worker's link while that
-//! is down — and forwarded in arrival order by the thread that ends the
-//! wait.
+//! drain per spawned child, and a reviver per link that is down. The
+//! loop thread never waits: a line that cannot go on at once waits — in
+//! its session's queue, on its worker's link while that is down — and
+//! is sent in arrival order by the thread that ends the wait.
 
-use chatpattern_core::routing::{route_hash, text_route, SessionRole, TextRoute};
+use chatpattern_core::routing::{text_route, Action, Fleet, TextRoute};
 use chatpattern_core::wire::{decode_request_line, ResponseEnvelope, WireError};
 use chatpattern_core::{
     EngineStats, Error, PatternRequest, PatternResponse, ResponsePayload, SessionCloseParams,
@@ -80,9 +46,9 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 const USAGE: &str = "\
 chatpattern-router: shard a chatpattern-serve fleet behind one address
@@ -283,11 +249,12 @@ struct SpawnSpec {
 /// link or router lock held.
 enum Pending {
     /// A client request, owed to its connection until this answers it
-    /// under its original id, and the session pin the answer may lift.
+    /// under its original id, and the session whose next line the
+    /// answer lets go.
     Client {
         id: Value,
         sink: Arc<LineSink>,
-        unpin: Option<Unpin>,
+        session: Option<String>,
     },
     /// A router-internal call (stats fan-in, snapshot/restore during a
     /// move), the one kind of reply the router decodes: runs once, on
@@ -297,26 +264,18 @@ enum Pending {
 
 impl Pending {
     /// Hands the outcome a worker answered with to the requester.
-    fn deliver(self, router: &Router, outcome: Box<RawValue>) {
+    fn deliver(self, router: &Arc<Router>, outcome: Box<RawValue>) {
         match self {
-            Pending::Client { id, sink, unpin } => {
-                // The one client reply that is read: does it lift a pin?
-                if let Some(Unpin {
-                    session,
-                    worker,
-                    on_ok,
-                }) = unpin
-                {
-                    let answer = serde_json::from_str::<WireOutcome>(outcome.get());
-                    if answer.is_ok_and(|answer| matches!(answer, WireOutcome::Ok(_)) == on_ok) {
-                        let mut sessions = router.sessions.lock().expect("session lock");
-                        if sessions.get(&session) == Some(&worker) {
-                            sessions.remove(&session);
-                        }
-                    }
-                }
+            Pending::Client { id, sink, session } => {
+                // Workers and `fail` write outcomes compactly: the tag
+                // is the text's first key.
+                let ok = outcome.get().starts_with(r#"{"Ok""#);
                 let reply = ReplyFrame { id, outcome };
                 sink.send(&serde_json::to_string(&reply).expect("replies serialize"));
+                if let Some(session) = session {
+                    let actions = router.fleet().answered(&session, ok);
+                    run(router, actions);
+                }
             }
             Pending::Internal(done) => {
                 done(serde_json::from_str(outcome.get()).unwrap_or_else(|e| {
@@ -328,29 +287,17 @@ impl Pending {
     }
 
     /// Answers the requester with `error` in place of a worker's reply.
-    fn fail(self, router: &Router, error: &Error) {
+    fn fail(self, router: &Arc<Router>, error: &Error) {
         let outcome = WireOutcome::Err(WireError::from(error));
         self.deliver(router, to_raw_value(&outcome).expect("outcomes serialize"));
     }
 }
 
-/// A session pin a worker's answer lifts while it still names `worker`:
-/// on `Ok` (`on_ok`) the pin of a `SessionClose`, on `Err` the pin a
-/// `SessionOpen` / `SessionRestore` made when it was routed.
-struct Unpin {
-    session: String,
-    worker: usize,
-    on_ok: bool,
-}
+/// A request for a worker: tenant, text as sent, and who hears back.
+type Outbound = (Option<String>, Box<RawValue>, Pending);
 
-/// A client's request on its way to a worker: its text as sent, and
-/// where that text says it belongs.
-struct Outbound {
-    tenant: Option<String>,
-    request: Box<RawValue>,
-    route: TextRoute,
-    entry: Pending,
-}
+/// Who asked for a drain: the control line's id, connection and worker.
+type Requester = (Value, Arc<LineSink>, usize);
 
 /// A line as framed for a worker's socket, under its router-internal id.
 type Framed = (u64, String, Pending);
@@ -367,12 +314,6 @@ struct WorkerProc {
 /// that `pending` maps back to its requester, so the link dying fails
 /// exactly what was in flight on it.
 #[derive(Default)]
-struct Link {
-    wire: Mutex<Wire>,
-    pending: Mutex<HashMap<u64, Pending>>,
-}
-
-#[derive(Default)]
 struct Wire {
     /// Write half while connected (the reader thread has the other).
     stream: Option<TcpStream>,
@@ -382,6 +323,7 @@ struct Wire {
     /// `Some` while a reviver thread is bringing the link back up: the
     /// lines that arrived for the worker meanwhile, in arrival order.
     parked: Option<Vec<Framed>>,
+    pending: HashMap<u64, Pending>,
 }
 
 struct Worker {
@@ -391,96 +333,44 @@ struct Worker {
     /// from the child's announcement line each (re)spawn.
     attach_addr: Option<String>,
     proc: Mutex<Option<WorkerProc>>,
-    link: Link,
-    draining: AtomicBool,
+    wire: Mutex<Wire>,
 }
 
 // ----------------------------------------------------------------- router
 
 struct Router {
     workers: Vec<Worker>,
-    /// session id → worker index currently hosting it.
-    sessions: Mutex<HashMap<String, usize>>,
-    /// Sessions mid-move, each with the lines that arrived for it
-    /// meanwhile: they are forwarded, in arrival order, once the move
-    /// completes, so a turn can never slip in between snapshot and
-    /// restore (which would fork the session's history). Entries are
-    /// inserted only by `start_drain`, on the event loop.
-    moving: Mutex<HashMap<String, Vec<Outbound>>>,
-    /// The worker whose drain's mover is running, if one is: the mark
-    /// that keeps drains one at a time.
-    drain: Mutex<Option<usize>>,
+    fleet: Mutex<Fleet<Outbound, Requester>>,
     next_internal: AtomicU64,
-    round_robin: AtomicU64,
     connect: ClientConfig,
 }
 
-/// How long a mover waits for one worker's answer.
-const INTERNAL_CALL_TIMEOUT: Duration = Duration::from_secs(300);
-
 impl Router {
-    /// Non-draining worker indices — the routing domain.
-    fn live_workers(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .filter(|w| !w.draining.load(Ordering::Relaxed))
-            .map(|w| w.index)
-            .collect()
-    }
-
-    /// Picks the worker for a request: pinned session placement
-    /// first, then key/session hash over the live workers, then
-    /// round-robin; and whether placing it made a new pin.
-    fn place(&self, route: &TextRoute) -> Result<(usize, bool), Error> {
-        let live = self.live_workers();
-        if live.is_empty() {
-            return Err(Error::internal("no live workers to route to"));
-        }
-        let hash = match route {
-            TextRoute::Session { id, role } => {
-                let mut sessions = self.sessions.lock().expect("session lock");
-                if let Some(worker) = sessions.get(id) {
-                    return Ok((*worker, false));
-                }
-                let worker = live[(route_hash(id) % live.len() as u64) as usize];
-                // Only requests that create the session pin it; a turn on
-                // an unknown id is the worker's SessionNotFound to report.
-                let pins = *role == SessionRole::Creates;
-                if pins {
-                    sessions.insert(id.clone(), worker);
-                }
-                return Ok((worker, pins));
-            }
-            TextRoute::Keyed(hash) => *hash,
-            TextRoute::Stats | TextRoute::Free => self.round_robin.fetch_add(1, Ordering::Relaxed),
-        };
-        Ok((live[(hash % live.len() as u64) as usize], false))
+    /// The protocol state, held only to call it: `run` does the rest.
+    fn fleet(&self) -> MutexGuard<'_, Fleet<Outbound, Requester>> {
+        self.fleet.lock().expect("fleet lock")
     }
 }
 
-/// Places one line and forwards it; with nowhere to go it is answered
-/// with the reason under its own id. A close lifts its session's pin
-/// when it succeeds, and an open or restore that made a pin lifts it
-/// when the worker refuses, so a pin names only a session a worker
-/// accepted (or a move placed).
-fn route(router: &Arc<Router>, mut line: Outbound) {
-    let (worker, pinned) = match router.place(&line.route) {
-        Ok(placed) => placed,
-        Err(error) => return line.entry.fail(router, &error),
-    };
-    if let (TextRoute::Session { id, role }, Pending::Client { unpin, .. }) =
-        (&line.route, &mut line.entry)
-    {
-        let on_ok = *role == SessionRole::Closes;
-        if on_ok || pinned {
-            *unpin = Some(Unpin {
-                session: id.clone(),
-                worker,
-                on_ok,
-            });
+/// Carries out what the fleet asked for.
+fn run(router: &Arc<Router>, actions: impl IntoIterator<Item = Action<Outbound, Requester>>) {
+    for action in actions {
+        match action {
+            Action::Forward { worker, line } => forward(router, worker, line),
+            Action::Move {
+                session,
+                source,
+                target,
+            } => move_session(Arc::clone(router), session, source, target),
+            Action::Drained((id, sink, worker), outcome) => {
+                let outcome = outcome.map_or_else(
+                    |message| ControlOutcome::Error { message },
+                    |moved| ControlOutcome::Drained { worker, moved },
+                );
+                sink.send(&control_line(id, outcome));
+            }
         }
     }
-    forward(router, worker, line.tenant, line.request, line.entry);
 }
 
 /// Ensures the worker *process* is alive (spawning or respawning as
@@ -516,9 +406,8 @@ fn ensure_worker_process(router: &Router, index: usize) -> Result<String, String
 }
 
 /// (Re)spawns the worker's process as needed, dials it with backoff,
-/// installs the connection as the link's stream and starts its reader.
-/// For `main` and reviver threads, never the event loop: it spawns,
-/// connects and sleeps, and takes the wire lock only once it has.
+/// installs the link's stream and starts its reader: for `main` and
+/// revivers, never the event loop, as it spawns, connects and sleeps.
 fn connect_worker(router: &Arc<Router>, index: usize) -> Result<(), String> {
     let addr = ensure_worker_process(router, index)?;
     let conn = connect_with_backoff(addr.as_str(), &router.connect)
@@ -526,7 +415,7 @@ fn connect_worker(router: &Arc<Router>, index: usize) -> Result<(), String> {
     let read_half = conn
         .try_clone()
         .map_err(|e| format!("worker {index}: clone failed: {e}"))?;
-    let mut wire = router.workers[index].link.wire.lock().expect("wire lock");
+    let mut wire = router.workers[index].wire.lock().expect("wire lock");
     wire.generation += 1;
     wire.stream = Some(conn);
     let generation = wire.generation;
@@ -578,11 +467,11 @@ fn spawn_worker(spec: &SpawnSpec, index: usize) -> Result<(String, Option<Child>
 }
 
 /// The link's reader: hands each response line to whoever is waiting
-/// on it — a push into a client's bounded outbound queue or an internal
-/// callback, so no requester can hold it up; when the connection ends,
-/// takes the link down and fails what was in flight on it.
+/// on it — a push into a client's bounded outbound queue (and the send
+/// of its session's next line) or an internal callback; when the
+/// connection ends, takes the link down and fails what was in flight.
 fn read_worker(router: &Arc<Router>, index: usize, generation: u64, stream: TcpStream) {
-    let link = &router.workers[index].link;
+    let link = &router.workers[index].wire;
     let mut reader = BufReader::new(stream);
     // One buffer for every line: it grows to the longest reply once.
     let mut line = String::new();
@@ -598,11 +487,8 @@ fn read_worker(router: &Arc<Router>, index: usize, generation: u64, stream: TcpS
             eprintln!("chatpattern-router: worker {index} sent an unparsable line");
             continue;
         };
-        let Some(internal) = reply.id.as_u64() else {
-            continue;
-        };
-        let entry = link.pending.lock().expect("pending lock").remove(&internal);
-        if let Some(entry) = entry {
+        let pending = |id| link.lock().expect("wire lock").pending.remove(&id);
+        if let Some(entry) = reply.id.as_u64().and_then(pending) {
             entry.deliver(router, reply.outcome);
         }
     }
@@ -613,30 +499,29 @@ fn read_worker(router: &Arc<Router>, index: usize, generation: u64, stream: TcpS
     // for the fresh connection. The worker process is *not* killed
     // here; `try_wait` in `ensure_worker_process` detects real death.
     let orphans = {
-        let mut wire = link.wire.lock().expect("wire lock");
+        let mut wire = link.lock().expect("wire lock");
         if wire.generation != generation {
             return;
         }
-        take_down(link, &mut wire)
+        take_down(&mut wire)
     };
     fail_all(router, orphans, &format!("worker {index} connection lost"));
 }
 
 /// Marks the link down under its wire lock and returns what was in
 /// flight on it, for the caller to fail once it has let go of the lock.
-fn take_down(link: &Link, wire: &mut Wire) -> Vec<Pending> {
+fn take_down(wire: &mut Wire) -> Vec<Pending> {
     if let Some(stream) = wire.stream.take() {
         // Wakes the reader this strands; the generation tells it to
         // stand down.
         let _ = stream.shutdown(Shutdown::Both);
     }
     wire.generation += 1;
-    let mut pending = link.pending.lock().expect("pending lock");
-    pending.drain().map(|(_, entry)| entry).collect()
+    wire.pending.drain().map(|(_, entry)| entry).collect()
 }
 
 /// Answers every entry with `reason` as a typed `Internal` error.
-fn fail_all(router: &Router, entries: Vec<Pending>, reason: &str) {
+fn fail_all(router: &Arc<Router>, entries: Vec<Pending>, reason: &str) {
     if entries.is_empty() {
         return;
     }
@@ -648,25 +533,19 @@ fn fail_all(router: &Router, entries: Vec<Pending>, reason: &str) {
     }
 }
 
-/// Registers `entry`, then writes its line, so the reader never sees a
-/// reply before the entry it is for. A failed write gives the entry
-/// back: nothing answers a line that was not sent whole, and a teardown
-/// needs the wire lock the caller holds.
-fn send(
-    link: &Link,
-    stream: &mut TcpStream,
-    internal: u64,
-    framed: &str,
-    entry: Pending,
-) -> Result<(), Pending> {
-    let mut pending = link.pending.lock().expect("pending lock");
-    pending.insert(internal, entry);
-    drop(pending);
+/// Registers `entry`, then writes its line, both under the wire lock
+/// the reader takes to look the entry up, so it never sees a reply
+/// before the entry it is for. A failed write — or no stream — gives
+/// the entry back: nothing answers a line that was not sent whole.
+fn send(wire: &mut Wire, internal: u64, framed: &str, entry: Pending) -> Result<(), Pending> {
+    let Some(stream) = wire.stream.as_mut() else {
+        return Err(entry);
+    };
+    wire.pending.insert(internal, entry);
     if stream.write_all(framed.as_bytes()).is_ok() {
         return Ok(());
     }
-    let mut pending = link.pending.lock().expect("pending lock");
-    pending.remove(&internal).map_or(Ok(()), Err)
+    wire.pending.remove(&internal).map_or(Ok(()), Err)
 }
 
 /// Forwards one request line to a worker over its link, behind every
@@ -675,13 +554,7 @@ fn send(
 /// same loop and never stops reading. Anything slower is handed over —
 /// a line for a link that is down is parked on it, behind a reviver
 /// thread, and a failed write takes the link down and does the same.
-fn forward(
-    router: &Arc<Router>,
-    index: usize,
-    tenant: Option<String>,
-    request: Box<RawValue>,
-    mut entry: Pending,
-) {
+fn forward(router: &Arc<Router>, index: usize, (tenant, request, mut entry): Outbound) {
     let internal = router.next_internal.fetch_add(1, Ordering::Relaxed);
     let frame = WorkerFrame {
         id: internal,
@@ -702,22 +575,18 @@ fn forward(
     }
     framed.push('\n');
 
-    let link = &router.workers[index].link;
-    let mut wire = link.wire.lock().expect("wire lock");
+    let mut wire = router.workers[index].wire.lock().expect("wire lock");
     if let Some(parked) = wire.parked.as_mut() {
         parked.push((internal, framed, entry));
         return;
     }
-    let mut orphans = Vec::new();
-    if let Some(stream) = wire.stream.as_mut() {
-        match send(link, stream, internal, &framed, entry) {
-            Ok(()) => return,
-            Err(unsent) => {
-                entry = unsent;
-                orphans = take_down(link, &mut wire);
-            }
+    let orphans = match send(&mut wire, internal, &framed, entry) {
+        Ok(()) => return,
+        Err(unsent) => {
+            entry = unsent;
+            take_down(&mut wire)
         }
-    }
+    };
     wire.parked = Some(vec![(internal, framed, entry)]);
     drop(wire);
     let reviver = Arc::clone(router);
@@ -733,54 +602,36 @@ fn revive(router: &Arc<Router>, index: usize) {
     if let Err(message) = connect_worker(router, index) {
         eprintln!("chatpattern-router: {message}");
     }
-    let link = &router.workers[index].link;
-    let mut wire = link.wire.lock().expect("wire lock");
+    let mut wire = router.workers[index].wire.lock().expect("wire lock");
     let mut parked = wire.parked.take().unwrap_or_default().into_iter();
     let mut unsent = Vec::new();
-    if let Some(stream) = wire.stream.as_mut() {
-        for (internal, framed, entry) in parked.by_ref() {
-            if let Err(entry) = send(link, stream, internal, &framed, entry) {
-                unsent.push(entry);
-                break;
-            }
+    for (internal, framed, entry) in parked.by_ref() {
+        if let Err(entry) = send(&mut wire, internal, &framed, entry) {
+            unsent.push(entry);
+            break;
         }
     }
     unsent.extend(parked.map(|(_, _, entry)| entry));
     if !unsent.is_empty() {
-        unsent.extend(take_down(link, &mut wire));
+        unsent.extend(take_down(&mut wire));
     }
     drop(wire);
     fail_all(router, unsent, &format!("worker {index} unavailable"));
 }
 
-/// A synchronous router-internal request to one worker, for the mover
-/// thread. Internal calls run as the default tenant: fleet plumbing
-/// (stats polls, a move's snapshot) must never be throttled by a client
-/// quota.
-fn call_worker(
+/// A router-internal request to one worker, whose answer `done` gets on
+/// the thread that has it. Internal calls run as the default tenant:
+/// fleet plumbing (stats polls, a move's snapshot) must never be
+/// throttled by a client quota.
+fn ask(
     router: &Arc<Router>,
     index: usize,
     request: &PatternRequest,
-) -> Result<WireOutcome, String> {
-    let (answer, answered) = mpsc::channel();
-    // The caller may have timed out and gone when the answer comes.
-    let entry = Pending::Internal(Box::new(move |outcome| drop(answer.send(outcome))));
+    done: impl FnOnce(WireOutcome) + Send + 'static,
+) {
     let request = to_raw_value(request).expect("requests serialize");
-    forward(router, index, None, request, entry);
-    answered
-        .recv_timeout(INTERNAL_CALL_TIMEOUT)
-        .map_err(|_| format!("worker {index}: internal call timed out"))
-}
-
-/// The `Stats` a worker answered with, if that is what it did.
-fn stats_of(outcome: WireOutcome) -> Option<EngineStats> {
-    match outcome {
-        WireOutcome::Ok(response) => match response.payload {
-            ResponsePayload::Stats(stats) => Some(stats),
-            _ => None,
-        },
-        WireOutcome::Err(_) => None,
-    }
+    let entry = Pending::Internal(Box::new(done));
+    forward(router, index, (None, request, entry));
 }
 
 /// Asks every worker for its `Stats` at once and hands `done` one entry
@@ -789,24 +640,23 @@ fn stats_of(outcome: WireOutcome) -> Option<EngineStats> {
 /// its link up holds this as it holds a client request routed to it.
 fn fleet_stats(router: &Arc<Router>, done: impl FnOnce(Vec<Option<EngineStats>>) + Send + 'static) {
     let count = router.workers.len();
-    let unanswered: Vec<Option<EngineStats>> = (0..count).map(|_| None).collect();
-    let gather = Arc::new(Mutex::new((unanswered, count, Some(done))));
-    let stats = to_raw_value(&PatternRequest::Stats).expect("requests serialize");
+    let gather = Arc::new(Mutex::new((vec![None; count], count, Some(done))));
     for index in 0..count {
         let gather = Arc::clone(&gather);
-        let entry = Pending::Internal(Box::new(move |outcome| {
-            let last = {
-                let mut gather = gather.lock().expect("gather lock");
-                let (per_worker, outstanding, done) = &mut *gather;
-                per_worker[index] = stats_of(outcome);
-                *outstanding -= 1;
-                (*outstanding == 0).then(|| (std::mem::take(per_worker), done.take()))
-            };
+        ask(router, index, &PatternRequest::Stats, move |outcome| {
+            let mut gather = gather.lock().expect("gather lock");
+            if let WireOutcome::Ok(response) = outcome {
+                if let ResponsePayload::Stats(stats) = response.payload {
+                    gather.0[index] = Some(stats);
+                }
+            }
+            gather.1 -= 1;
+            let last = (gather.1 == 0).then(|| (std::mem::take(&mut gather.0), gather.2.take()));
+            drop(gather);
             if let Some((per_worker, Some(done))) = last {
                 done(per_worker);
             }
-        }));
-        forward(router, index, None, stats.clone(), entry);
+        });
     }
 }
 
@@ -821,153 +671,56 @@ fn merged(per_worker: &[Option<EngineStats>]) -> EngineStats {
 
 // ---------------------------------------------------------- session moves
 
-/// Moves one session from `source` to `target`: snapshot → restore →
-/// re-route → close the source copy. Its one caller, a drain's mover,
-/// has claimed the session in `moving` and `release`s it afterwards.
-/// `Ok(false)` is a session the source no longer has: nothing to move.
-fn move_session(
-    router: &Arc<Router>,
-    sid: &str,
-    source: usize,
-    target: usize,
-) -> Result<bool, String> {
-    let snapshot = call_worker(
-        router,
-        source,
-        &PatternRequest::SessionSnapshot(SessionSnapshotParams {
-            session: sid.to_owned(),
-        }),
-    )?;
-    let snapshot = match snapshot {
-        WireOutcome::Ok(response) => match response.payload {
-            ResponsePayload::SessionSnapshot(snapshot) => snapshot,
-            other => return Err(format!("snapshot of {sid} returned {other:?}")),
-        },
-        WireOutcome::Err(error) if error.kind == "SessionNotFound" => {
+/// Runs a move the fleet started — snapshot on `source`, restore on
+/// `target`, re-pin, close the source copy — each step sent by the
+/// thread that has the last one's answer, so nothing waits.
+fn move_session(router: Arc<Router>, sid: String, source: usize, target: usize) {
+    let session = sid.clone();
+    let snapshot = PatternRequest::SessionSnapshot(SessionSnapshotParams { session });
+    ask(&Arc::clone(&router), source, &snapshot, move |answer| {
+        let snapshot = match answer {
+            WireOutcome::Ok(PatternResponse {
+                payload: ResponsePayload::SessionSnapshot(snapshot),
+                ..
+            }) => snapshot,
             // Expired (or closed concurrently): nothing to move.
-            router.sessions.lock().expect("session lock").remove(sid);
-            return Ok(false);
-        }
-        WireOutcome::Err(error) => {
-            return Err(format!("snapshot of {sid} failed: {}", error.message))
-        }
-    };
-
-    let restored = call_worker(
-        router,
-        target,
-        &PatternRequest::SessionRestore(SessionRestoreParams { snapshot }),
-    )?;
-    if let WireOutcome::Err(error) = restored {
-        return Err(format!(
-            "restore of {sid} on worker {target} failed: {}",
-            error.message
-        ));
-    }
-    router
-        .sessions
-        .lock()
-        .expect("session lock")
-        .insert(sid.to_owned(), target);
-    // Free the source copy; the session's one true home is now the
-    // target, so the close outcome is deliberately discarded.
-    let _ = call_worker(
-        router,
-        source,
-        &PatternRequest::SessionClose(SessionCloseParams {
-            session: sid.to_owned(),
-        }),
-    );
-    Ok(true)
-}
-
-/// Ends a session's move, successful or not: forwards the lines parked
-/// on it to wherever it lives now, in arrival order. Its `moving` entry
-/// goes only once it is seen empty under the lock, so a line arriving
-/// during the flush queues behind the parked ones, never ahead.
-fn release(router: &Arc<Router>, sid: &str) {
-    loop {
-        let batch = {
-            let mut moving = router.moving.lock().expect("moving lock");
-            match moving.get_mut(sid) {
-                Some(parked) if !parked.is_empty() => std::mem::take(parked),
-                _ => {
-                    moving.remove(sid);
-                    return;
-                }
+            WireOutcome::Err(error) if error.kind == "SessionNotFound" => {
+                return moved(&router, &sid, Ok(false));
+            }
+            other => {
+                return moved(
+                    &router,
+                    &sid,
+                    Err(format!("snapshot of {sid} failed: {other:?}")),
+                )
             }
         };
-        for line in batch {
-            route(router, line);
-        }
-    }
+        let restore = PatternRequest::SessionRestore(SessionRestoreParams { snapshot });
+        ask(&Arc::clone(&router), target, &restore, move |answer| {
+            if let WireOutcome::Err(error) = answer {
+                let message = format!(
+                    "restore of {sid} on worker {target} failed: {}",
+                    error.message
+                );
+                return moved(&router, &sid, Err(message));
+            }
+            moved(&router, &sid, Ok(true));
+            eprintln!("chatpattern-router: moved session {sid} {source} -> {target}");
+            // The target is the session's one home now: the close's
+            // outcome is deliberately discarded.
+            let close = PatternRequest::SessionClose(SessionCloseParams { session: sid });
+            ask(&router, source, &close, drop);
+        });
+    });
 }
 
-/// The first half of a drain, on the event loop: refuses while another
-/// drain's mover runs, else marks the worker out of the routing domain
-/// and claims its sessions, so every line the loop reads after the
-/// `Drain` line already finds them moving. Claims are made only here
-/// and one drain runs at a time, so none of them is in `moving` yet.
-fn start_drain(router: &Router, index: usize) -> Result<Vec<String>, String> {
-    if index >= router.workers.len() {
-        return Err(format!("no worker {index}"));
+/// Tells the fleet how `sid`'s move went, and sends what that lets go.
+fn moved(router: &Arc<Router>, sid: &str, outcome: Result<bool, String>) {
+    if let Err(message) = &outcome {
+        eprintln!("chatpattern-router: drain of {sid} failed: {message}");
     }
-    let mut running = router.drain.lock().expect("drain lock");
-    if let Some(other) = *running {
-        return Err(format!(
-            "worker {other} is still draining (one drain at a time)"
-        ));
-    }
-    let draining = &router.workers[index].draining;
-    draining.store(true, Ordering::Relaxed);
-    if router.live_workers().is_empty() {
-        draining.store(false, Ordering::Relaxed);
-        return Err("cannot drain the last live worker".to_owned());
-    }
-    let resident: Vec<String> = {
-        let sessions = router.sessions.lock().expect("session lock");
-        sessions
-            .iter()
-            .filter(|(_, w)| **w == index)
-            .map(|(sid, _)| sid.clone())
-            .collect()
-    };
-    let mut moving = router.moving.lock().expect("moving lock");
-    for sid in &resident {
-        let claimed = moving.insert(sid.clone(), Vec::new());
-        debug_assert!(claimed.is_none(), "session {sid} was already moving");
-    }
-    *running = Some(index);
-    Ok(resident)
-}
-
-/// The second half, on the drain's mover thread: moves each claimed
-/// session to the live worker its id hashes onto, then clears the drain
-/// mark and returns how many moved. The live workers stay as they are
-/// meanwhile — only a drain changes them — and include one at least, or
-/// `start_drain` would have refused. The mark goes before the caller
-/// answers, so a client that has heard `Drained` can drain again at once.
-fn finish_drain(router: &Arc<Router>, index: usize, claimed: &[String]) -> Result<usize, String> {
-    let targets = router.live_workers();
-    let mut moved = 0;
-    let mut first_error = None;
-    for sid in claimed {
-        let target = targets[(route_hash(sid) % targets.len() as u64) as usize];
-        match move_session(router, sid, index, target) {
-            Ok(true) => {
-                moved += 1;
-                eprintln!("chatpattern-router: moved session {sid} {index} -> {target}");
-            }
-            Ok(false) => {}
-            Err(message) => {
-                eprintln!("chatpattern-router: drain of {sid} failed: {message}");
-                first_error.get_or_insert(message);
-            }
-        }
-        release(router, sid);
-    }
-    *router.drain.lock().expect("drain lock") = None;
-    first_error.map_or(Ok(moved), Err)
+    let actions = router.fleet().moved(sid, outcome);
+    run(router, actions);
 }
 
 // -------------------------------------------------------- client frontend
@@ -988,20 +741,21 @@ fn control_line(id: Value, control: ControlOutcome) -> String {
 /// the stats it just answered with, plus the merged fleet stats.
 fn fleet_view(router: &Router, per_worker: Vec<Option<EngineStats>>) -> FleetView {
     let fleet = merged(&per_worker);
-    let sessions = router.sessions.lock().expect("session lock");
+    let placement = router.fleet();
     let workers = router
         .workers
         .iter()
         .zip(per_worker)
         .map(|(worker, stats)| {
             let proc = worker.proc.lock().expect("proc lock");
-            let wire = worker.link.wire.lock().expect("wire lock");
+            let wire = worker.wire.lock().expect("wire lock");
+            let pins = placement.pins().filter(|(_, pin)| *pin == worker.index);
             WorkerView {
                 index: worker.index,
                 addr: proc.as_ref().map(|p| p.addr.clone()),
                 pid: proc.as_ref().and_then(|p| p.child.as_ref().map(Child::id)),
-                draining: worker.draining.load(Ordering::Relaxed),
-                sessions: sessions.values().filter(|w| **w == worker.index).count(),
+                draining: !placement.is_live(worker.index),
+                sessions: pins.count(),
                 links: usize::from(wire.stream.is_some()),
                 stats,
             }
@@ -1012,11 +766,10 @@ fn fleet_view(router: &Router, per_worker: Vec<Option<EngineStats>>) -> FleetVie
 
 impl RouterHandler {
     /// A control line. `Fleet` is the stats fan-in with a wider reply,
-    /// `Drain` claims on the loop and moves on a thread of its own —
-    /// or, while another drain's mover runs, is refused here — and
-    /// `Shutdown` is answered here and carried out by `main`.
-    fn on_control(&self, envelope: ControlEnvelope, sink: &Arc<LineSink>) {
-        let ControlEnvelope { id, control } = envelope;
+    /// `Drain` is the fleet's to start (or refuse) and answer once its
+    /// last move has ended, and `Shutdown` is answered here and carried
+    /// out by `main`.
+    fn on_control(&self, ControlEnvelope { id, control }: ControlEnvelope, sink: &Arc<LineSink>) {
         let router = Arc::clone(&self.router);
         let sink = Arc::clone(sink);
         match control {
@@ -1024,20 +777,10 @@ impl RouterHandler {
                 let view = fleet_view(&router, per_worker);
                 sink.send(&control_line(id, ControlOutcome::Fleet(Box::new(view))));
             }),
-            RouterControl::Drain { worker } => match start_drain(&router, worker) {
-                Ok(claimed) => {
-                    std::thread::spawn(move || {
-                        let outcome = match finish_drain(&router, worker, &claimed) {
-                            Ok(moved) => ControlOutcome::Drained { worker, moved },
-                            Err(message) => ControlOutcome::Error { message },
-                        };
-                        sink.send(&control_line(id, outcome));
-                    });
-                }
-                Err(message) => {
-                    sink.send(&control_line(id, ControlOutcome::Error { message }));
-                }
-            },
+            RouterControl::Drain { worker } => {
+                let actions = router.fleet().drain(worker, (id, sink, worker));
+                run(&router, actions);
+            }
             RouterControl::Shutdown => {
                 sink.send(&control_line(id, ControlOutcome::ShuttingDown));
                 // `main` stops the loop once every connection has been
@@ -1050,12 +793,10 @@ impl RouterHandler {
 
 impl ConnectionHandler for RouterHandler {
     /// One client line, on the event loop's one thread — so nothing in
-    /// here waits: no connect, no child process, no sleep, no receive,
-    /// and no lock that another thread holds across one of those. Each
-    /// line gets one `send`: at once (a line that does not decode, a
-    /// refused drain, `Shutdown`), or later by the thread that has the
-    /// answer (forwarded, parked, a fan-in, a drain) — the loop keeps
-    /// a client that half-closed, and a `Shutdown`, waiting until then.
+    /// here waits: no connect, child process, sleep or receive, and no
+    /// lock held across one. Each line gets one `send`: at once, or
+    /// later by the thread that has the answer — the loop keeps a client
+    /// that half-closed, and a `Shutdown`, waiting until then.
     fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
         let frame = match serde_json::from_str::<ClientFrame>(line) {
             Ok(frame) if !frame.id.is_null() => frame,
@@ -1092,23 +833,17 @@ impl ConnectionHandler for RouterHandler {
                 sink.send(&ResponseEnvelope::ok(id, response).to_line());
             });
         }
-        let line = Outbound {
-            tenant: frame.tenant,
-            request: frame.request,
-            route: placement,
-            entry: Pending::Client {
-                id,
-                sink,
-                unpin: None,
-            },
+        let session = match &placement {
+            TextRoute::Session { id, .. } => Some(id.clone()),
+            _ => None,
         };
-        if let TextRoute::Session { id, .. } = &line.route {
-            let mut moving = self.router.moving.lock().expect("moving lock");
-            if let Some(parked) = moving.get_mut(id) {
-                return parked.push(line);
-            }
-        }
-        route(&self.router, line);
+        let line = (frame.tenant, frame.request);
+        let entry = Pending::Client { id, sink, session };
+        let action = self
+            .router
+            .fleet()
+            .route(placement, (line.0, line.1, entry));
+        run(&self.router, action);
     }
 }
 
@@ -1128,8 +863,7 @@ fn main() -> ExitCode {
         spawn,
         attach_addr,
         proc: Mutex::new(None),
-        link: Link::default(),
-        draining: AtomicBool::new(false),
+        wire: Mutex::default(),
     };
     let workers: Vec<Worker> = if options.attach.is_empty() {
         let bin = options.serve_bin.clone().unwrap_or_else(|| {
@@ -1161,12 +895,9 @@ fn main() -> ExitCode {
     };
 
     let router = Arc::new(Router {
+        fleet: Mutex::new(Fleet::new(workers.len())),
         workers,
-        sessions: Mutex::new(HashMap::new()),
-        moving: Mutex::new(HashMap::new()),
-        drain: Mutex::new(None),
         next_internal: AtomicU64::new(1),
-        round_robin: AtomicU64::new(0),
         connect: ClientConfig {
             // Worker reads block until the worker answers or dies —
             // a read timeout would misread a long diffusion job as a

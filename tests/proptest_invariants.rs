@@ -18,6 +18,7 @@ use chatpattern::{
     ChatParams, ChatPattern, EngineConfig, Error, EvaluateParams, GenerateParams, LegalizeParams,
     MemoryPersist, PatternEngine, PatternRequest, PatternService, SessionConfig, SessionStore,
 };
+use chatpattern_core::routing::{Action, Fleet, SessionRole, TextRoute};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -2215,4 +2216,403 @@ fn a_snapshot_with_a_working_store_rests_packed_and_restores_equal() {
     let read: chatpattern::SessionSnapshot = serde_json::from_str(&text).expect("parses");
     system.session_restore(read).expect("restores");
     assert_eq!(system.session_snapshot("store").expect("exports"), snapshot);
+}
+
+// ---------------------------------------------------------------------
+// The router's fleet protocol (`routing::Fleet`) in lockstep with
+// simulated workers
+// ---------------------------------------------------------------------
+
+const FLEET_WORKERS: u8 = 3;
+const FLEET_SESSIONS: u8 = 3;
+
+/// One step of a fleet workload: a client's session line, a drain (of a
+/// worker that may not exist), a link failing what it has in flight, or
+/// a worker running one of the lines in flight (the `u8` picks which, as
+/// several engine threads would).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FleetOp {
+    Open(u8),
+    Turn(u8),
+    Close(u8),
+    Snapshot(u8),
+    Restore(u8),
+    Drain(u8),
+    Fail(u8),
+    Run(u8),
+}
+
+/// What a client asks of a session; a turn appends its token.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum FleetRequest {
+    Open,
+    Turn(usize),
+    Close,
+    Snapshot,
+    Restore(Vec<usize>),
+}
+
+/// A client line as the fleet forwards it.
+#[derive(Debug)]
+struct FleetLine {
+    id: usize,
+    session: u8,
+    request: FleetRequest,
+}
+
+/// What a worker has in flight: a client's line, or a step of a move.
+enum FleetJob {
+    Client(FleetLine),
+    Snapshot {
+        session: u8,
+        target: usize,
+    },
+    Restore {
+        session: u8,
+        source: usize,
+        history: Vec<usize>,
+    },
+    Close(u8),
+}
+
+/// How a client line was answered: run by a worker (with a snapshot's
+/// history), or failed with its link unrun.
+#[derive(Debug, Clone)]
+enum FleetAnswer {
+    Ran(bool, Option<Vec<usize>>),
+    Lost,
+}
+
+/// The fleet under test, its simulated workers (sessions as the tokens
+/// of their turns, and the jobs in flight to each) and what the clients
+/// saw, in arrival order.
+struct FleetModel {
+    fleet: Fleet<FleetLine, usize>,
+    held: Vec<BTreeMap<u8, Vec<usize>>>,
+    in_flight: Vec<Vec<FleetJob>>,
+    lines: Vec<(u8, FleetRequest, Option<FleetAnswer>)>,
+    snapshots: BTreeMap<u8, Vec<usize>>,
+    live: Vec<u8>,
+    draining: Option<(u8, usize)>,
+}
+
+fn fleet_session(session: u8) -> String {
+    format!("s{session}")
+}
+
+impl FleetModel {
+    fn apply(&mut self, actions: Vec<Action<FleetLine, usize>>) -> Result<(), String> {
+        for action in actions {
+            match action {
+                Action::Forward { worker, line } => {
+                    self.in_flight[worker].push(FleetJob::Client(line));
+                }
+                Action::Move {
+                    session,
+                    source,
+                    target,
+                } => {
+                    if self.draining.map(|(worker, _)| usize::from(worker)) != Some(source) {
+                        return Err(format!("{session} moves off {source} outside its drain"));
+                    }
+                    if !self.live.contains(&(target as u8)) {
+                        return Err(format!("{session} moves onto drained worker {target}"));
+                    }
+                    let session = session[1..].parse().expect("a model session");
+                    self.in_flight[source].push(FleetJob::Snapshot { session, target });
+                }
+                Action::Drained(reply, _) => {
+                    if self.draining.map(|(_, step)| step) != Some(reply) {
+                        return Err(format!("drain (op {reply}) answered out of turn"));
+                    }
+                    self.draining = None;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn answer(&mut self, line: &FleetLine, answer: FleetAnswer) -> Result<(), String> {
+        let slot = &mut self.lines[line.id].2;
+        if slot.is_some() {
+            return Err(format!("line {} answered twice", line.id));
+        }
+        let ok = matches!(answer, FleetAnswer::Ran(true, _));
+        if let FleetAnswer::Ran(true, Some(history)) = &answer {
+            self.snapshots.insert(line.session, history.clone());
+        }
+        *slot = Some(answer);
+        let actions = self.fleet.answered(&fleet_session(line.session), ok);
+        self.apply(actions)
+    }
+
+    fn moved(&mut self, session: u8, outcome: Result<bool, String>) -> Result<(), String> {
+        let actions = self.fleet.moved(&fleet_session(session), outcome);
+        self.apply(actions)
+    }
+
+    /// Worker `worker` runs its `index`th job in flight.
+    fn run(&mut self, worker: usize, index: usize) -> Result<(), String> {
+        let held = &mut self.held[worker];
+        match self.in_flight[worker].remove(index) {
+            FleetJob::Client(line) => {
+                let session = line.session;
+                let ran = match (&line.request, held.get_mut(&session)) {
+                    (FleetRequest::Open, None) => held.insert(session, Vec::new()).is_none(),
+                    (FleetRequest::Restore(from), None) => {
+                        held.insert(session, from.clone()).is_none()
+                    }
+                    (FleetRequest::Turn(token), Some(turns)) => {
+                        turns.push(*token);
+                        true
+                    }
+                    (FleetRequest::Close, Some(_)) => held.remove(&session).is_some(),
+                    (FleetRequest::Snapshot, Some(turns)) => {
+                        let answer = FleetAnswer::Ran(true, Some(turns.clone()));
+                        return self.answer(&line, answer);
+                    }
+                    _ => false,
+                };
+                self.answer(&line, FleetAnswer::Ran(ran, None))
+            }
+            FleetJob::Snapshot { session, target } => match held.get(&session) {
+                Some(history) => {
+                    let (source, history) = (worker, history.clone());
+                    self.in_flight[target].push(FleetJob::Restore {
+                        session,
+                        source,
+                        history,
+                    });
+                    Ok(())
+                }
+                None => self.moved(session, Ok(false)),
+            },
+            FleetJob::Restore {
+                session,
+                source,
+                history,
+            } => {
+                if held.contains_key(&session) {
+                    return self.moved(session, Err(format!("s{session} is on {worker}")));
+                }
+                held.insert(session, history);
+                self.moved(session, Ok(true))?;
+                self.in_flight[source].push(FleetJob::Close(session));
+                Ok(())
+            }
+            FleetJob::Close(session) => {
+                held.remove(&session);
+                Ok(())
+            }
+        }
+    }
+
+    /// The link to `worker` fails: what it had in flight is answered
+    /// with an error, unrun.
+    fn fail(&mut self, worker: usize) -> Result<(), String> {
+        for job in std::mem::take(&mut self.in_flight[worker]) {
+            match job {
+                FleetJob::Client(line) => self.answer(&line, FleetAnswer::Lost)?,
+                FleetJob::Snapshot { session, .. } | FleetJob::Restore { session, .. } => {
+                    self.moved(session, Err("link lost".to_owned()))?;
+                }
+                FleetJob::Close(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    fn step(&mut self, op: FleetOp, step: usize) -> Result<(), String> {
+        let (session, request, role) = match op {
+            FleetOp::Open(s) => (s, FleetRequest::Open, SessionRole::Creates),
+            FleetOp::Turn(s) => (s, FleetRequest::Turn(step), SessionRole::Uses),
+            FleetOp::Close(s) => (s, FleetRequest::Close, SessionRole::Closes),
+            FleetOp::Snapshot(s) => (s, FleetRequest::Snapshot, SessionRole::Uses),
+            FleetOp::Restore(s) => {
+                let history = self.snapshots.get(&s).cloned().unwrap_or_default();
+                (s, FleetRequest::Restore(history), SessionRole::Creates)
+            }
+            FleetOp::Drain(worker) => {
+                let refused =
+                    worker >= FLEET_WORKERS || self.draining.is_some() || self.live == [worker];
+                let actions = self.fleet.drain(usize::from(worker), step);
+                if refused {
+                    return match actions.as_slice() {
+                        [Action::Drained(reply, Err(_))] if *reply == step => Ok(()),
+                        _ => Err(format!("drain of {worker} was not refused")),
+                    };
+                }
+                self.live.retain(|live| *live != worker);
+                self.draining = Some((worker, step));
+                return self.apply(actions);
+            }
+            FleetOp::Fail(worker) => return self.fail(usize::from(worker % FLEET_WORKERS)),
+            FleetOp::Run(pick) => {
+                let jobs: Vec<(usize, usize)> = (0..self.in_flight.len())
+                    .flat_map(|worker| (0..self.in_flight[worker].len()).map(move |i| (worker, i)))
+                    .collect();
+                return match jobs.get(usize::from(pick) % jobs.len().max(1)) {
+                    Some(&(worker, index)) => self.run(worker, index),
+                    None => Ok(()),
+                };
+            }
+        };
+        let id = self.lines.len();
+        self.lines.push((session, request.clone(), None));
+        let route = TextRoute::Session {
+            id: fleet_session(session),
+            role,
+        };
+        let line = FleetLine {
+            id,
+            session,
+            request,
+        };
+        let action = self.fleet.route(route, line);
+        self.apply(action.into_iter().collect())
+    }
+}
+
+fn arb_fleet_ops(rng: &mut ChaCha8Rng) -> Vec<FleetOp> {
+    let len = rng.gen_range(1..48usize);
+    (0..len)
+        .map(|_| {
+            let session = rng.gen_range(0..FLEET_SESSIONS);
+            match rng.gen_range(0..100u32) {
+                0..=11 => FleetOp::Open(session),
+                12..=37 => FleetOp::Turn(session),
+                38..=44 => FleetOp::Close(session),
+                45..=50 => FleetOp::Snapshot(session),
+                51..=55 => FleetOp::Restore(session),
+                56..=63 => FleetOp::Drain(rng.gen_range(0..=FLEET_WORKERS)),
+                64..=67 => FleetOp::Fail(rng.gen_range(0..FLEET_WORKERS)),
+                _ => FleetOp::Run(rng.gen_range(0..=u8::MAX)),
+            }
+        })
+        .collect()
+}
+
+/// Shrink candidates: drop one op, or make a `Run` pick an earlier job.
+fn shrink_fleet_ops(ops: &[FleetOp]) -> Vec<Vec<FleetOp>> {
+    let mut out: Vec<Vec<FleetOp>> = (0..ops.len())
+        .map(|skip| {
+            let kept = ops.iter().enumerate().filter(|(i, _)| *i != skip);
+            kept.map(|(_, op)| *op).collect()
+        })
+        .collect();
+    for (i, op) in ops.iter().enumerate() {
+        if let FleetOp::Run(pick) = *op {
+            for earlier in [0, pick / 2, pick.saturating_sub(1)] {
+                if earlier < pick {
+                    let mut shrunk = ops.to_vec();
+                    shrunk[i] = FleetOp::Run(earlier);
+                    out.push(shrunk);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Replays `ops`, then lets every worker run what it has in flight, and
+/// checks: each client line answered exactly once; drains one at a time,
+/// each answered; every answer the one its session's lines in arrival
+/// order give (a snapshot's history included); and every pin naming a
+/// worker that holds its session with exactly those turns.
+fn check_fleet_ops(ops: &[FleetOp]) -> Result<(), String> {
+    let workers = usize::from(FLEET_WORKERS);
+    let mut model = FleetModel {
+        fleet: Fleet::new(workers),
+        held: vec![BTreeMap::new(); workers],
+        in_flight: (0..workers).map(|_| Vec::new()).collect(),
+        lines: Vec::new(),
+        snapshots: BTreeMap::new(),
+        live: (0..FLEET_WORKERS).collect(),
+        draining: None,
+    };
+    for (step, op) in ops.iter().enumerate() {
+        model
+            .step(*op, step)
+            .map_err(|e| format!("op {step} ({op:?}): {e}"))?;
+    }
+    while let Some(worker) = model.in_flight.iter().position(|jobs| !jobs.is_empty()) {
+        model.run(worker, 0).map_err(|e| format!("settling: {e}"))?;
+    }
+    if let Some((worker, step)) = model.draining {
+        return Err(format!(
+            "the drain of {worker} (op {step}) was never answered"
+        ));
+    }
+
+    let pins: BTreeMap<String, usize> = model
+        .fleet
+        .pins()
+        .map(|(id, worker)| (id.to_owned(), worker))
+        .collect();
+    for session in 0..FLEET_SESSIONS {
+        // The session as its lines, run one at a time in arrival order,
+        // leave it: `None` while it does not exist.
+        let mut expected: Option<Vec<usize>> = None;
+        let lines = model.lines.iter().enumerate();
+        for (id, (_, request, answer)) in lines.filter(|(_, line)| line.0 == session) {
+            let (ok, history) = match answer {
+                None => return Err(format!("line {id} was never answered")),
+                Some(FleetAnswer::Lost) => continue,
+                Some(FleetAnswer::Ran(ok, history)) => (*ok, history),
+            };
+            let live = expected.is_some();
+            let should = match request {
+                FleetRequest::Open | FleetRequest::Restore(_) => !live,
+                FleetRequest::Turn(_) | FleetRequest::Close | FleetRequest::Snapshot => live,
+            };
+            if ok != should {
+                return Err(format!(
+                    "line {id} ({request:?}) on s{session} answered ok={ok}, but its lines in \
+                     arrival order leave it {expected:?}"
+                ));
+            }
+            match request {
+                _ if !ok => {}
+                FleetRequest::Open => expected = Some(Vec::new()),
+                FleetRequest::Restore(from) => expected = Some(from.clone()),
+                FleetRequest::Turn(token) => expected.as_mut().expect("live").push(*token),
+                FleetRequest::Close => expected = None,
+                FleetRequest::Snapshot if *history != expected => {
+                    return Err(format!(
+                        "snapshot {id} of s{session} saw {history:?}, arrival order gives \
+                         {expected:?}"
+                    ));
+                }
+                FleetRequest::Snapshot => {}
+            }
+        }
+        let pin = pins.get(&fleet_session(session)).copied();
+        let hosted = pin.and_then(|worker| model.held[worker].get(&session));
+        match (&expected, pin) {
+            (None, None) => {}
+            (Some(turns), Some(_)) if hosted == Some(turns) => {}
+            _ => {
+                return Err(format!(
+                    "s{session}: its lines give {expected:?}, but it is pinned to {pin:?}, \
+                     which holds {hosted:?}"
+                ))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The router's protocol in lockstep with simulated workers that run
+/// what they have in flight in a seeded random order, as several engine
+/// threads do — with drains, moves and failing links among the lines.
+#[test]
+fn the_fleet_protocol_keeps_each_sessions_lines_in_arrival_order() {
+    shrink::check(
+        "the_fleet_protocol_keeps_each_sessions_lines_in_arrival_order",
+        512,
+        46_000,
+        arb_fleet_ops,
+        |ops| shrink_fleet_ops(ops),
+        |ops| check_fleet_ops(ops),
+    );
 }

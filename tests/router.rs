@@ -1132,25 +1132,23 @@ fn idle_clients_cost_no_thread_and_keep_nobody_out() {
     fleet.shutdown();
 }
 
-/// One client's lines reach a worker's socket in the order the client
-/// sent them — and a session's worker takes them one at a time here
-/// (`--workers 1`) — so a conversation pipelined without waiting for
-/// any reply, with a drain of its host thrown in after the first turn,
-/// runs as if each line had waited for the last: whichever lines the
-/// move catches are parked on the session and follow it in order.
+/// The router sends a session's worker one line of it at a time, the
+/// next once the last is answered, at any number of engine threads — so
+/// a conversation pipelined without waiting for any reply, with a drain
+/// of its host thrown in after the first turn, runs as if each line had
+/// waited for the last: the move waits for the turn in flight, and the
+/// lines behind it follow the session in order.
 ///
 /// Drains run one at a time. Right behind the first comes a drain of
-/// the worker the session moves onto, read while the first drain's
-/// snapshot waits behind `turn-0` on the host's one engine thread: it
-/// is refused, naming the drain that runs, so the session cannot end up
-/// pinned to a worker drained under it. Once the first drain has
-/// answered, the same drain goes through.
+/// the worker the session moves onto, read while the first drain's move
+/// waits for `turn-0`'s answer: it is refused, naming the drain that
+/// runs, so the session cannot end up pinned to a worker drained under
+/// it. Once the first drain has answered, the same drain goes through.
 #[test]
 fn pipelined_turns_keep_their_order_across_a_live_move() {
     const SID: &str = "piped";
     const SEED: u64 = 80;
-    let one_engine_thread = ["--serve-arg", "--workers", "--serve-arg", "1"];
-    let mut fleet = RouterFleet::spawn(3, &one_engine_thread);
+    let mut fleet = RouterFleet::spawn(3, &[]);
     let hash = chatpattern_core::routing::route_hash(SID);
     let host = hash % 3;
     // Where the move restores the session: its hash over the two
