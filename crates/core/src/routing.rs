@@ -31,6 +31,7 @@
 use crate::PatternRequest;
 use serde::{Deserialize, Deserializer};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Stable routing hash (FNV-1a, 64-bit) for a request key or session
 /// id. Identical inputs always map to the same value, on every
@@ -84,7 +85,7 @@ pub enum TextRoute {
     /// live ([`route_hash`] of the id, until a move says otherwise).
     Session {
         /// The session's id.
-        id: String,
+        id: Arc<str>,
         /// What the request does to the session's existence.
         role: SessionRole,
     },
@@ -170,7 +171,7 @@ impl Deserialize for Unread {
 #[must_use]
 pub fn text_route(request: &str) -> TextRoute {
     let session = |head: SessionHead, role| TextRoute::Session {
-        id: head.session,
+        id: head.session.into(),
         role,
     };
     match serde_json::from_str::<RequestHead>(request) {
@@ -186,23 +187,41 @@ pub fn text_route(request: &str) -> TextRoute {
     }
 }
 
+/// The tag of a worker's outcome, the one thing of a reply the router
+/// reads.
+#[derive(Deserialize)]
+enum OutcomeHead {
+    Ok(Unread),
+    Err(Unread),
+}
+
+/// Whether the text of a reply's `outcome` is an `Ok`, read as any JSON
+/// is: the spacing is the writer's. A text that is no outcome is not.
+#[must_use]
+pub fn outcome_is_ok(outcome: &str) -> bool {
+    matches!(serde_json::from_str(outcome), Ok(OutcomeHead::Ok(_)))
+}
+
 /// A router's protocol state, and no socket, thread or clock: told what
 /// happened (a client's session line, the answer to one, a drain, the
-/// end of a move), it answers with the [`Action`]s to carry out. `L` is
-/// a client line as the caller forwards it, `R` whoever asked for a
-/// drain; neither is read here.
+/// end of a move, a drain's deadline), it answers with the [`Action`]s
+/// to carry out. `L` is a client line as the caller forwards it, `R`
+/// whoever asked for a drain; neither is read here.
 ///
 /// New work goes to the *live* workers: all but the drained ones, never
 /// none. A session id has an entry while it has a pin, a line in flight
 /// or lines waiting, and at most one line at its worker: the others wait
-/// in arrival order, and the answer to one sends the next. A drain puts
-/// a move at the head of each queue pinned to the drained worker, so the
-/// move takes the session once its line in flight is answered.
+/// in arrival order, at most `depth` of them, and the answer to one
+/// sends the next. A drain puts a move at the head of each queue pinned
+/// to the drained worker, so the move takes the session once its line
+/// in flight is answered.
 pub struct Fleet<L, R> {
     workers: usize,
+    depth: usize,
     live: Vec<usize>,
     free: u64,
-    sessions: HashMap<String, Entry<L>>,
+    sessions: HashMap<Arc<str>, Entry<L>>,
+    drains: u64,
     drain: Option<Drain<R>>,
 }
 
@@ -215,15 +234,16 @@ struct Entry<L> {
 }
 
 /// A client line, with the answer (`Ok` is `true`) that lifts the pin,
-/// or a move to `target`.
+/// or a move to `target` for the drain numbered `drain`.
 enum Flight {
     Line { lift_on: Option<bool> },
-    Move { target: usize },
+    Move { target: usize, drain: u64 },
 }
 
-/// The running drain: its moves not yet ended, and so far how many
-/// moved or the first that failed.
+/// The running drain: its number, its moves not yet ended, and so far
+/// how many moved or the first that failed.
 struct Drain<R> {
+    id: u64,
     worker: usize,
     left: usize,
     outcome: Result<usize, String>,
@@ -235,35 +255,46 @@ pub enum Action<L, R> {
     /// Send `line` to `worker`; a session line's answer goes to
     /// [`Fleet::answered`].
     Forward { worker: usize, line: L },
+    /// Answer `line` with a typed `Overloaded`, unsent: its session
+    /// already has the fleet's `depth` lines waiting.
+    Overloaded(L),
     /// Snapshot `session` on `source`, restore it on `target`, and tell
     /// [`Fleet::moved`] how that went; then close the source copy.
     Move {
-        session: String,
+        session: Arc<str>,
         source: usize,
         target: usize,
     },
-    /// Answer the drain's requester: it is over, with how many sessions
-    /// moved or the first move that failed, or it is refused.
-    Drained(R, Result<usize, String>),
+    /// Call [`Fleet::expire`] with this drain's number once the drain
+    /// has run as long as the caller lets one run.
+    Deadline(u64),
+    /// Answer the drain's requester: it is over, with the drained worker
+    /// and how many sessions moved, or the first move that failed, or it
+    /// is refused or timed out.
+    Drained(R, Result<(usize, usize), String>),
 }
 
 impl<L, R> Fleet<L, R> {
-    /// `workers` live workers (at least one), no sessions.
+    /// `workers` live workers (at least one), no sessions, and at most
+    /// `depth` lines waiting a session.
     #[must_use]
-    pub fn new(workers: usize) -> Fleet<L, R> {
+    pub fn new(workers: usize, depth: usize) -> Fleet<L, R> {
         assert!(workers > 0, "a fleet has a worker");
         Fleet {
             workers,
+            depth,
             live: (0..workers).collect(),
             free: 0,
             sessions: HashMap::new(),
+            drains: 0,
             drain: None,
         }
     }
 
     /// Where a client's line goes: a keyed line by its hash, a session's
-    /// line (now, or queued behind what the session has in flight) by the
-    /// session's entry, and any other round-robin.
+    /// line (now, or queued behind what the session has in flight, or
+    /// refused past `depth` queued) by the session's entry, and any
+    /// other round-robin.
     pub fn route(&mut self, route: TextRoute, line: L) -> Option<Action<L, R>> {
         let (session, role) = match route {
             TextRoute::Session { id, role } => (id, role),
@@ -280,11 +311,16 @@ impl<L, R> Fleet<L, R> {
             in_flight: None,
             waiting: VecDeque::new(),
         });
-        if entry.in_flight.is_some() {
-            entry.waiting.push_back(Some((line, role)));
-            return None;
+        // A queued move, if any, heads the queue, and is not a line.
+        let moves = usize::from(matches!(entry.waiting.front(), Some(None)));
+        match entry.in_flight {
+            None => Some(send(&self.live, entry, line, role)),
+            Some(_) if entry.waiting.len() - moves >= self.depth => Some(Action::Overloaded(line)),
+            Some(_) => {
+                entry.waiting.push_back(Some((line, role)));
+                None
+            }
         }
-        Some(send(&self.live, entry, line, role))
     }
 
     /// A worker answered `session`'s line: a close that succeeded, and a
@@ -301,8 +337,10 @@ impl<L, R> Fleet<L, R> {
     }
 
     /// Takes `worker` out of the live workers and moves each session
-    /// pinned to it, in its turn, to the live worker its id hashes to;
+    /// pinned (or being moved) to it, in its turn, to the live worker its
+    /// id hashes to;
     /// refused for no such worker, while a drain runs, or for the last.
+    /// A drain that does not end at once asks for its [`Action::Deadline`].
     pub fn drain(&mut self, worker: usize, reply: R) -> Vec<Action<L, R>> {
         let refusal = match &self.drain {
             _ if worker >= self.workers => Some(format!("no worker {worker}")),
@@ -317,24 +355,48 @@ impl<L, R> Fleet<L, R> {
             return vec![Action::Drained(reply, Err(message))];
         }
         self.live.retain(|live| *live != worker);
-        let (mut actions, mut left) = (Vec::new(), 0);
+        self.drains += 1;
+        let (mut actions, mut left, id) = (Vec::new(), 0, self.drains);
         for (session, entry) in &mut self.sessions {
-            if entry.pin == Some(worker) {
+            // A timed-out drain's move onto `worker` may still land there.
+            let landing =
+                matches!(entry.in_flight, Some(Flight::Move { target, .. }) if target == worker);
+            if entry.pin == Some(worker) || landing {
                 left += 1;
                 match entry.in_flight {
                     Some(_) => entry.waiting.push_front(None),
-                    None => actions.push(start_move(&self.live, session, entry, worker)),
+                    None => actions.push(start_move(&self.live, session, entry, worker, id)),
                 }
             }
         }
         self.drain = Some(Drain {
+            id,
             worker,
             left,
             outcome: Ok(0),
             reply,
         });
         end_move(&mut self.drain, None, &mut actions);
+        if self.drain.is_some() {
+            actions.push(Action::Deadline(id));
+        }
         actions
+    }
+
+    /// Drain `drain`'s time is up: if it still runs, it is answered with
+    /// an error and its queued moves are dropped, so the next drain can
+    /// start. A move under way goes on, and re-pins its session if it
+    /// restores it, but no longer counts toward a drain.
+    pub fn expire(&mut self, drain: u64) -> Vec<Action<L, R>> {
+        let Some(running) = self.drain.take_if(|running| running.id == drain) else {
+            return Vec::new();
+        };
+        for entry in self.sessions.values_mut() {
+            entry.waiting.retain(Option::is_some);
+        }
+        let (worker, left) = (running.worker, running.left);
+        let message = format!("drain of worker {worker} timed out with {left} session(s) unmoved");
+        vec![Action::Drained(running.reply, Err(message))]
     }
 
     /// `session`'s move ended: `Ok(true)` restored on the target, which
@@ -343,14 +405,20 @@ impl<L, R> Fleet<L, R> {
     pub fn moved(&mut self, session: &str, outcome: Result<bool, String>) -> Vec<Action<L, R>> {
         let mut actions = Vec::new();
         if let Some(entry) = self.sessions.get_mut(session) {
-            if let Some(Flight::Move { target }) = entry.in_flight {
+            if let Some(Flight::Move { target, drain }) = entry.in_flight {
                 entry.in_flight = None;
                 match outcome {
                     Ok(true) => entry.pin = Some(target),
                     Ok(false) => entry.pin = None,
                     Err(_) => {}
                 }
-                end_move(&mut self.drain, Some(outcome), &mut actions);
+                if self
+                    .drain
+                    .as_ref()
+                    .is_some_and(|running| running.id == drain)
+                {
+                    end_move(&mut self.drain, Some(outcome), &mut actions);
+                }
             }
         }
         self.advance(session, actions)
@@ -370,12 +438,13 @@ impl<L, R> Fleet<L, R> {
     /// Every pinned session, with the worker it is pinned to.
     pub fn pins(&self) -> impl Iterator<Item = (&str, usize)> + '_ {
         let pins = self.sessions.iter();
-        pins.filter_map(|(id, entry)| Some((id.as_str(), entry.pin?)))
+        pins.filter_map(|(id, entry)| Some((&**id, entry.pin?)))
     }
 
     /// With nothing in flight, sends `session`'s next line or starts its
-    /// move (ending one with nothing left to move); an entry left with no
-    /// pin and nothing to send goes.
+    /// move (ending one with nothing left to move: a queued move is the
+    /// running drain's); an entry left with no pin and nothing to send
+    /// goes.
     fn advance(&mut self, session: &str, mut actions: Vec<Action<L, R>>) -> Vec<Action<L, R>> {
         let Some(entry) = self.sessions.get_mut(session) else {
             return actions;
@@ -385,7 +454,7 @@ impl<L, R> Fleet<L, R> {
                 Some(Some((line, role))) => actions.push(send(&self.live, entry, line, role)),
                 Some(None) => match (&self.drain, entry.pin) {
                     (Some(drain), Some(pin)) if drain.worker == pin => {
-                        actions.push(start_move(&self.live, session, entry, pin));
+                        actions.push(start_move(&self.live, session, entry, pin, drain.id));
                     }
                     _ => end_move(&mut self.drain, Some(Ok(false)), &mut actions),
                 },
@@ -420,9 +489,15 @@ fn send<L, R>(live: &[usize], entry: &mut Entry<L>, line: L, role: SessionRole) 
     Action::Forward { worker, line }
 }
 
-fn start_move<L, R>(live: &[usize], id: &str, entry: &mut Entry<L>, source: usize) -> Action<L, R> {
-    let (session, target) = (id.to_owned(), hashed(live, entry.hash));
-    entry.in_flight = Some(Flight::Move { target });
+fn start_move<L, R>(
+    live: &[usize],
+    id: &str,
+    entry: &mut Entry<L>,
+    source: usize,
+    drain: u64,
+) -> Action<L, R> {
+    let (session, target) = (Arc::from(id), hashed(live, entry.hash));
+    entry.in_flight = Some(Flight::Move { target, drain });
     Action::Move {
         session,
         source,
@@ -449,8 +524,9 @@ fn end_move<L, R>(
         }
     }
     if running.left == 0 {
-        let Drain { reply, outcome, .. } = drain.take().expect("a drain runs");
-        actions.push(Action::Drained(reply, outcome));
+        let done = drain.take().expect("a drain runs");
+        let outcome = done.outcome.map(|moved| (done.worker, moved));
+        actions.push(Action::Drained(done.reply, outcome));
     }
 }
 
@@ -535,7 +611,7 @@ mod tests {
         assert_eq!(
             text_route(&text),
             TextRoute::Session {
-                id: "det".to_owned(),
+                id: "det".into(),
                 role: SessionRole::Uses,
             }
         );
@@ -572,7 +648,7 @@ mod tests {
         };
         assert_eq!(request_key(request), None, "a session request is unkeyed");
         TextRoute::Session {
-            id: id.clone(),
+            id: id.as_str().into(),
             role,
         }
     }
@@ -683,13 +759,78 @@ mod tests {
         assert_eq!(variants.len(), 12, "one of each variant");
     }
 
+    /// An outcome is `Ok` by its tag, however the worker spaced it.
+    #[test]
+    fn an_outcome_is_ok_by_its_tag_whatever_its_spacing() {
+        for ok in [
+            r#"{"Ok":{"payload":"Stats","timing":{}}}"#,
+            r#" { "Ok" : { } } "#,
+            "{\n\t\"Ok\":null}",
+        ] {
+            assert!(outcome_is_ok(ok), "{ok}");
+        }
+        for not_ok in [
+            r#"{"Err":{"kind":"SessionNotFound","message":"Ok"}}"#,
+            r#" { "Err" : { } } "#,
+            r#"{"Ok":{},"Err":{}}"#,
+            r#""Ok""#,
+            r#"{"Ok""#,
+            "",
+        ] {
+            assert!(!outcome_is_ok(not_ok), "{not_ok}");
+        }
+    }
+
+    /// A drain after a timed-out one takes the session that the first
+    /// one's late move brings onto its worker, once the move lands.
+    #[test]
+    fn a_late_move_onto_a_drained_worker_moves_on() {
+        let mut fleet: Fleet<u8, u8> = Fleet::new(3, 4);
+        let route = |role| TextRoute::Session {
+            id: "late".into(),
+            role,
+        };
+        let Some(Action::Forward { worker: host, .. }) =
+            fleet.route(route(SessionRole::Creates), 0)
+        else {
+            panic!("the open goes out");
+        };
+        assert!(fleet.answered("late", true).is_empty());
+        let [Action::Move { target, .. }, Action::Deadline(first)] = &fleet.drain(host, 1)[..]
+        else {
+            panic!("the drain moves the session");
+        };
+        let (target, first) = (*target, *first);
+        let expired = fleet.expire(first);
+        assert!(matches!(&expired[..], [Action::Drained(1, Err(_))]));
+        let [Action::Deadline(second)] = fleet.drain(target, 2)[..] else {
+            panic!("the second drain waits for the move under way");
+        };
+        assert_ne!(first, second);
+        let [Action::Move {
+            source,
+            target: last,
+            ..
+        }] = fleet.moved("late", Ok(true))[..]
+        else {
+            panic!("the landed session moves on");
+        };
+        assert_eq!(source, target);
+        assert!(last != host && last != target);
+        let [Action::Drained(2, Ok((drained, 1)))] = fleet.moved("late", Ok(true))[..] else {
+            panic!("the second drain ends with its move");
+        };
+        assert_eq!(drained, target);
+        assert_eq!(fleet.pins().collect::<Vec<_>>(), [("late", last)]);
+    }
+
     /// What the text reader does with text no build of this program
     /// writes: a key order, spacing or escape of the client's own is
     /// read through, an unreadable text is anybody's to refuse.
     #[test]
     fn the_text_route_reads_through_spellings_and_gives_up_on_what_is_no_request() {
         let turn = TextRoute::Session {
-            id: "det".to_owned(),
+            id: "det".into(),
             role: SessionRole::Uses,
         };
         for text in [

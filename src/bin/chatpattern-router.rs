@@ -29,11 +29,11 @@
 //! its session's queue, on its worker's link while that is down — and
 //! is sent in arrival order by the thread that ends the wait.
 
-use chatpattern_core::routing::{text_route, Action, Fleet, TextRoute};
+use chatpattern_core::routing::{outcome_is_ok, text_route, Action, Fleet, TextRoute};
 use chatpattern_core::wire::{decode_request_line, ResponseEnvelope, WireError};
 use chatpattern_core::{
-    EngineStats, Error, PatternRequest, PatternResponse, ResponsePayload, SessionCloseParams,
-    SessionRestoreParams, SessionSnapshotParams, Timing, WireOutcome,
+    EngineConfig, EngineStats, Error, PatternRequest, PatternResponse, ResponsePayload,
+    SessionCloseParams, SessionRestoreParams, SessionSnapshotParams, Timing, WireOutcome,
 };
 use cp_net::{
     connect_with_backoff, ClientConfig, ConnectionHandler, EventLoopConfig, EventLoopServer,
@@ -48,7 +48,7 @@ use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 chatpattern-router: shard a chatpattern-serve fleet behind one address
@@ -84,6 +84,9 @@ Options:
   --max-connections N    concurrently served client connections, at
                          least 1 (default 4096); excess connects wait
                          in the OS backlog
+  --drain-timeout SECS   how long a Drain may run, at least 1 (default
+                         300); then it answers with an error and the
+                         next Drain may start
   --help                 this text";
 
 struct Options {
@@ -94,6 +97,7 @@ struct Options {
     serve_args: Vec<String>,
     session_dir: Option<String>,
     max_connections: usize,
+    drain_timeout: u64,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -105,6 +109,7 @@ fn parse_args() -> Result<Options, String> {
         serve_args: Vec::new(),
         session_dir: None,
         max_connections: DEFAULT_EVENT_LOOP_CONNECTIONS,
+        drain_timeout: 300,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -130,6 +135,7 @@ fn parse_args() -> Result<Options, String> {
             "--serve-arg" => options.serve_args.push(value.clone()),
             "--session-dir" => options.session_dir = Some(value.clone()),
             "--max-connections" => options.max_connections = positive("--max-connections")?,
+            "--drain-timeout" => options.drain_timeout = positive("--drain-timeout")? as u64,
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
@@ -254,7 +260,7 @@ enum Pending {
     Client {
         id: Value,
         sink: Arc<LineSink>,
-        session: Option<String>,
+        session: Option<Arc<str>>,
     },
     /// A router-internal call (stats fan-in, snapshot/restore during a
     /// move), the one kind of reply the router decodes: runs once, on
@@ -267,9 +273,7 @@ impl Pending {
     fn deliver(self, router: &Arc<Router>, outcome: Box<RawValue>) {
         match self {
             Pending::Client { id, sink, session } => {
-                // Workers and `fail` write outcomes compactly: the tag
-                // is the text's first key.
-                let ok = outcome.get().starts_with(r#"{"Ok""#);
+                let ok = session.is_some() && outcome_is_ok(outcome.get());
                 let reply = ReplyFrame { id, outcome };
                 sink.send(&serde_json::to_string(&reply).expect("replies serialize"));
                 if let Some(session) = session {
@@ -296,8 +300,8 @@ impl Pending {
 /// A request for a worker: tenant, text as sent, and who hears back.
 type Outbound = (Option<String>, Box<RawValue>, Pending);
 
-/// Who asked for a drain: the control line's id, connection and worker.
-type Requester = (Value, Arc<LineSink>, usize);
+/// Who asked for a drain: the control line's id and connection.
+type Requester = (Value, Arc<LineSink>);
 
 /// A line as framed for a worker's socket, under its router-internal id.
 type Framed = (u64, String, Pending);
@@ -343,6 +347,7 @@ struct Router {
     fleet: Mutex<Fleet<Outbound, Requester>>,
     next_internal: AtomicU64,
     connect: ClientConfig,
+    drain_timeout: Duration,
 }
 
 impl Router {
@@ -362,10 +367,31 @@ fn run(router: &Arc<Router>, actions: impl IntoIterator<Item = Action<Outbound, 
                 source,
                 target,
             } => move_session(Arc::clone(router), session, source, target),
-            Action::Drained((id, sink, worker), outcome) => {
+            Action::Overloaded((_, _, mut entry)) => {
+                // Answered here, not by its session's worker: no answer
+                // of its may send the session's next line.
+                if let Pending::Client { session, .. } = &mut entry {
+                    *session = None;
+                }
+                let refusal = WireOutcome::Err(WireError {
+                    kind: "Overloaded".to_owned(),
+                    message: "the router's queue for this session is full".to_owned(),
+                    retry_after_ms: Some(chatpattern_core::qos::DEFAULT_RETRY_AFTER_MS),
+                });
+                entry.deliver(router, to_raw_value(&refusal).expect("outcomes serialize"));
+            }
+            Action::Deadline(drain) => {
+                let router = Arc::clone(router);
+                std::thread::spawn(move || {
+                    std::thread::sleep(router.drain_timeout);
+                    let actions = router.fleet().expire(drain);
+                    run(&router, actions);
+                });
+            }
+            Action::Drained((id, sink), outcome) => {
                 let outcome = outcome.map_or_else(
                     |message| ControlOutcome::Error { message },
-                    |moved| ControlOutcome::Drained { worker, moved },
+                    |(worker, moved)| ControlOutcome::Drained { worker, moved },
                 );
                 sink.send(&control_line(id, outcome));
             }
@@ -674,8 +700,8 @@ fn merged(per_worker: &[Option<EngineStats>]) -> EngineStats {
 /// Runs a move the fleet started — snapshot on `source`, restore on
 /// `target`, re-pin, close the source copy — each step sent by the
 /// thread that has the last one's answer, so nothing waits.
-fn move_session(router: Arc<Router>, sid: String, source: usize, target: usize) {
-    let session = sid.clone();
+fn move_session(router: Arc<Router>, sid: Arc<str>, source: usize, target: usize) {
+    let session = sid.to_string();
     let snapshot = PatternRequest::SessionSnapshot(SessionSnapshotParams { session });
     ask(&Arc::clone(&router), source, &snapshot, move |answer| {
         let snapshot = match answer {
@@ -708,7 +734,8 @@ fn move_session(router: Arc<Router>, sid: String, source: usize, target: usize) 
             eprintln!("chatpattern-router: moved session {sid} {source} -> {target}");
             // The target is the session's one home now: the close's
             // outcome is deliberately discarded.
-            let close = PatternRequest::SessionClose(SessionCloseParams { session: sid });
+            let session = sid.to_string();
+            let close = PatternRequest::SessionClose(SessionCloseParams { session });
             ask(&router, source, &close, drop);
         });
     });
@@ -778,7 +805,7 @@ impl RouterHandler {
                 sink.send(&control_line(id, ControlOutcome::Fleet(Box::new(view))));
             }),
             RouterControl::Drain { worker } => {
-                let actions = router.fleet().drain(worker, (id, sink, worker));
+                let actions = router.fleet().drain(worker, (id, sink));
                 run(&router, actions);
             }
             RouterControl::Shutdown => {
@@ -834,7 +861,7 @@ impl ConnectionHandler for RouterHandler {
             });
         }
         let session = match &placement {
-            TextRoute::Session { id, .. } => Some(id.clone()),
+            TextRoute::Session { id, .. } => Some(Arc::clone(id)),
             _ => None,
         };
         let line = (frame.tenant, frame.request);
@@ -895,7 +922,11 @@ fn main() -> ExitCode {
     };
 
     let router = Arc::new(Router {
-        fleet: Mutex::new(Fleet::new(workers.len())),
+        // A session's queue holds what a worker's queue holds by default.
+        fleet: Mutex::new(Fleet::new(
+            workers.len(),
+            EngineConfig::default().queue_depth,
+        )),
         workers,
         next_internal: AtomicU64::new(1),
         connect: ClientConfig {
@@ -905,6 +936,7 @@ fn main() -> ExitCode {
             read_timeout: None,
             ..ClientConfig::default()
         },
+        drain_timeout: Duration::from_secs(options.drain_timeout),
     });
 
     // Bring the whole fleet up before accepting clients, so the first

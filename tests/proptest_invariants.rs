@@ -2225,9 +2225,12 @@ fn a_snapshot_with_a_working_store_rests_packed_and_restores_equal() {
 
 const FLEET_WORKERS: u8 = 3;
 const FLEET_SESSIONS: u8 = 3;
+/// Lines a session may have waiting before the next is refused.
+const FLEET_DEPTH: usize = 3;
 
 /// One step of a fleet workload: a client's session line, a drain (of a
-/// worker that may not exist), a link failing what it has in flight, or
+/// worker that may not exist), a drain's deadline (the `u8` picks which
+/// of those asked for so far), a link failing what it has in flight, or
 /// a worker running one of the lines in flight (the `u8` picks which, as
 /// several engine threads would).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -2238,6 +2241,7 @@ enum FleetOp {
     Snapshot(u8),
     Restore(u8),
     Drain(u8),
+    Expire(u8),
     Fail(u8),
     Run(u8),
 }
@@ -2260,27 +2264,31 @@ struct FleetLine {
     request: FleetRequest,
 }
 
-/// What a worker has in flight: a client's line, or a step of a move.
+/// What a worker has in flight: a client's line, or a step of a move
+/// (with the op that started its drain).
 enum FleetJob {
     Client(FleetLine),
     Snapshot {
         session: u8,
         target: usize,
+        drain: usize,
     },
     Restore {
         session: u8,
         source: usize,
         history: Vec<usize>,
+        drain: usize,
     },
     Close(u8),
 }
 
 /// How a client line was answered: run by a worker (with a snapshot's
-/// history), or failed with its link unrun.
+/// history), failed with its link unrun, or refused unsent.
 #[derive(Debug, Clone)]
 enum FleetAnswer {
     Ran(bool, Option<Vec<usize>>),
     Lost,
+    Refused,
 }
 
 /// The fleet under test, its simulated workers (sessions as the tokens
@@ -2294,6 +2302,9 @@ struct FleetModel {
     snapshots: BTreeMap<u8, Vec<usize>>,
     live: Vec<u8>,
     draining: Option<(u8, usize)>,
+    deadlines: Vec<u64>,
+    /// Sessions each drain (by its op) restored on their targets.
+    restored: BTreeMap<usize, usize>,
 }
 
 fn fleet_session(session: u8) -> String {
@@ -2319,11 +2330,44 @@ impl FleetModel {
                         return Err(format!("{session} moves onto drained worker {target}"));
                     }
                     let session = session[1..].parse().expect("a model session");
-                    self.in_flight[source].push(FleetJob::Snapshot { session, target });
+                    let drain = self.draining.expect("a drain runs").1;
+                    self.in_flight[source].push(FleetJob::Snapshot {
+                        session,
+                        target,
+                        drain,
+                    });
                 }
-                Action::Drained(reply, _) => {
-                    if self.draining.map(|(_, step)| step) != Some(reply) {
+                Action::Overloaded(line) => {
+                    let session = line.session;
+                    let open = self
+                        .lines
+                        .iter()
+                        .filter(|l| l.0 == session && l.2.is_none());
+                    // The refused line itself is one of them.
+                    if open.count() <= FLEET_DEPTH {
+                        return Err(format!("line {} refused with room to wait", line.id));
+                    }
+                    self.answer(&line, FleetAnswer::Refused)?;
+                }
+                Action::Deadline(drain) => self.deadlines.push(drain),
+                Action::Drained(reply, outcome) => {
+                    let Some((worker, step)) = self.draining.filter(|(_, step)| *step == reply)
+                    else {
                         return Err(format!("drain (op {reply}) answered out of turn"));
+                    };
+                    let open = self.in_flight.iter().flatten().any(|job| {
+                        matches!(job, FleetJob::Snapshot { drain, .. }
+                            | FleetJob::Restore { drain, .. } if *drain == step)
+                    });
+                    let moved = self.restored.get(&step).copied().unwrap_or(0);
+                    match outcome {
+                        _ if open => {
+                            return Err(format!("drain (op {step}) ended before its moves"))
+                        }
+                        Ok(done) if done != (usize::from(worker), moved) => {
+                            return Err(format!("drain (op {step}) says {done:?}, moved {moved}"))
+                        }
+                        _ => {}
                     }
                     self.draining = None;
                 }
@@ -2341,7 +2385,11 @@ impl FleetModel {
         if let FleetAnswer::Ran(true, Some(history)) = &answer {
             self.snapshots.insert(line.session, history.clone());
         }
+        let refused = matches!(answer, FleetAnswer::Refused);
         *slot = Some(answer);
+        if refused {
+            return Ok(());
+        }
         let actions = self.fleet.answered(&fleet_session(line.session), ok);
         self.apply(actions)
     }
@@ -2375,13 +2423,18 @@ impl FleetModel {
                 };
                 self.answer(&line, FleetAnswer::Ran(ran, None))
             }
-            FleetJob::Snapshot { session, target } => match held.get(&session) {
+            FleetJob::Snapshot {
+                session,
+                target,
+                drain,
+            } => match held.get(&session) {
                 Some(history) => {
                     let (source, history) = (worker, history.clone());
                     self.in_flight[target].push(FleetJob::Restore {
                         session,
                         source,
                         history,
+                        drain,
                     });
                     Ok(())
                 }
@@ -2391,11 +2444,13 @@ impl FleetModel {
                 session,
                 source,
                 history,
+                drain,
             } => {
                 if held.contains_key(&session) {
                     return self.moved(session, Err(format!("s{session} is on {worker}")));
                 }
                 held.insert(session, history);
+                *self.restored.entry(drain).or_default() += 1;
                 self.moved(session, Ok(true))?;
                 self.in_flight[source].push(FleetJob::Close(session));
                 Ok(())
@@ -2446,6 +2501,28 @@ impl FleetModel {
                 self.draining = Some((worker, step));
                 return self.apply(actions);
             }
+            FleetOp::Expire(pick) => {
+                let Some(&drain) = self
+                    .deadlines
+                    .get(usize::from(pick) % self.deadlines.len().max(1))
+                else {
+                    return Ok(());
+                };
+                let running = self
+                    .draining
+                    .filter(|_| self.deadlines.last() == Some(&drain));
+                let actions = self.fleet.expire(drain);
+                return match (running, actions.as_slice()) {
+                    (None, []) => Ok(()),
+                    (Some((_, step)), [Action::Drained(reply, Err(_))]) if *reply == step => {
+                        self.draining = None;
+                        Ok(())
+                    }
+                    _ => Err(format!(
+                        "the deadline of drain {drain} was answered wrongly"
+                    )),
+                };
+            }
             FleetOp::Fail(worker) => return self.fail(usize::from(worker % FLEET_WORKERS)),
             FleetOp::Run(pick) => {
                 let jobs: Vec<(usize, usize)> = (0..self.in_flight.len())
@@ -2460,7 +2537,7 @@ impl FleetModel {
         let id = self.lines.len();
         self.lines.push((session, request.clone(), None));
         let route = TextRoute::Session {
-            id: fleet_session(session),
+            id: fleet_session(session).into(),
             role,
         };
         let line = FleetLine {
@@ -2469,6 +2546,14 @@ impl FleetModel {
             request,
         };
         let action = self.fleet.route(route, line);
+        let open = self
+            .lines
+            .iter()
+            .filter(|l| l.0 == session && l.2.is_none());
+        // Past one in flight and `FLEET_DEPTH` waiting, a line is refused.
+        if action.is_none() && open.count() > FLEET_DEPTH + 1 {
+            return Err(format!("line {id} queued past the depth"));
+        }
         self.apply(action.into_iter().collect())
     }
 }
@@ -2485,7 +2570,8 @@ fn arb_fleet_ops(rng: &mut ChaCha8Rng) -> Vec<FleetOp> {
                 45..=50 => FleetOp::Snapshot(session),
                 51..=55 => FleetOp::Restore(session),
                 56..=63 => FleetOp::Drain(rng.gen_range(0..=FLEET_WORKERS)),
-                64..=67 => FleetOp::Fail(rng.gen_range(0..FLEET_WORKERS)),
+                64..=66 => FleetOp::Expire(rng.gen_range(0..=u8::MAX)),
+                67..=70 => FleetOp::Fail(rng.gen_range(0..FLEET_WORKERS)),
                 _ => FleetOp::Run(rng.gen_range(0..=u8::MAX)),
             }
         })
@@ -2515,20 +2601,25 @@ fn shrink_fleet_ops(ops: &[FleetOp]) -> Vec<Vec<FleetOp>> {
 }
 
 /// Replays `ops`, then lets every worker run what it has in flight, and
-/// checks: each client line answered exactly once; drains one at a time,
-/// each answered; every answer the one its session's lines in arrival
-/// order give (a snapshot's history included); and every pin naming a
-/// worker that holds its session with exactly those turns.
+/// checks: each client line answered exactly once; a line refused only,
+/// and always, past the depth of its session's queue; drains one at a
+/// time, each answered — an expired one at once, any other once its
+/// moves have ended, with the worker and how many it restored; every
+/// answer the one its session's lines in arrival order give (a
+/// snapshot's history included); and every pin naming a worker that
+/// holds its session with exactly those turns.
 fn check_fleet_ops(ops: &[FleetOp]) -> Result<(), String> {
     let workers = usize::from(FLEET_WORKERS);
     let mut model = FleetModel {
-        fleet: Fleet::new(workers),
+        fleet: Fleet::new(workers, FLEET_DEPTH),
         held: vec![BTreeMap::new(); workers],
         in_flight: (0..workers).map(|_| Vec::new()).collect(),
         lines: Vec::new(),
         snapshots: BTreeMap::new(),
         live: (0..FLEET_WORKERS).collect(),
         draining: None,
+        deadlines: Vec::new(),
+        restored: BTreeMap::new(),
     };
     for (step, op) in ops.iter().enumerate() {
         model
@@ -2557,7 +2648,7 @@ fn check_fleet_ops(ops: &[FleetOp]) -> Result<(), String> {
         for (id, (_, request, answer)) in lines.filter(|(_, line)| line.0 == session) {
             let (ok, history) = match answer {
                 None => return Err(format!("line {id} was never answered")),
-                Some(FleetAnswer::Lost) => continue,
+                Some(FleetAnswer::Lost | FleetAnswer::Refused) => continue,
                 Some(FleetAnswer::Ran(ok, history)) => (*ok, history),
             };
             let live = expected.is_some();

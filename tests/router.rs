@@ -59,7 +59,7 @@ use cp_extend::ExtensionMethod;
 use cp_net::{ClientConfig, NdjsonClient, DEFAULT_MAX_LINE_BYTES};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -1303,6 +1303,161 @@ fn a_dead_attached_worker_fails_its_own_lines_and_delays_no_others() {
     fleet.shutdown();
     alive.kill().expect("attached workers outlive their router");
     alive.wait().expect("worker reaped");
+}
+
+/// A stand-in worker on an address of its own: for each line a router
+/// sends it, `answer` is called with the line's arrival number on its
+/// connection and its `request`, and the outcome text it returns is
+/// sent back under the line's id — or nothing, for `None`.
+fn fake_worker<F>(answer: F) -> String
+where
+    F: Fn(usize, &serde_json::Value) -> Option<String> + Send + Sync + 'static,
+{
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("bound").to_string();
+    let answer = std::sync::Arc::new(answer);
+    std::thread::spawn(move || {
+        for stream in listener.incoming().map_while(Result::ok) {
+            let answer = std::sync::Arc::clone(&answer);
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().expect("clones");
+                let lines = BufReader::new(stream).lines().map_while(Result::ok);
+                for (arrival, line) in lines.enumerate() {
+                    let frame: serde_json::Value = serde_json::from_str(&line).expect("a frame");
+                    let id = frame["id"].as_u64().expect("an internal id");
+                    if let Some(outcome) = answer(arrival, &frame["request"]) {
+                        let reply = format!("{{\"id\":{id},\"outcome\":{outcome}}}\n");
+                        writer.write_all(reply.as_bytes()).expect("reply written");
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A drain waits for a move's snapshot no longer than `--drain-timeout`:
+/// a worker that takes a session and then never answers again costs the
+/// drain an error, not the router every later drain. The open is
+/// answered `Ok` with spacing of the worker's own, which is an `Ok`
+/// all the same: the session stays pinned, so the drain has it to move.
+#[test]
+fn a_drain_stuck_on_a_worker_that_never_answers_times_out_and_frees_the_next() {
+    const SID: &str = "stuck";
+    let hangs = || {
+        fake_worker(|_, request| {
+            request
+                .get("SessionOpen")
+                .map(|_| r#" { "Ok" : { } } "#.to_owned())
+        })
+    };
+    let attach: Vec<String> = (0..3)
+        .flat_map(|_| ["--worker".to_owned(), hangs()])
+        .chain(["--drain-timeout", "1"].map(String::from))
+        .collect();
+    let mut fleet = RouterFleet::start(&attach);
+    let open = SessionOpenParams {
+        session: SID.to_owned(),
+        seed: None,
+    };
+    let line = request_line("open", PatternRequest::SessionOpen(open));
+    fleet.client.send_line(line.trim_end()).expect("sent");
+    let reply = fleet.client.recv_line().expect("reads").expect("answered");
+    assert_eq!(reply, r#"{"id":"open","outcome":{ "Ok" : { } }}"#);
+    let host = chatpattern_core::routing::route_hash(SID) % 3;
+    let drain = |worker: u64| {
+        format!("{{\"id\":\"d{worker}\",\"control\":{{\"Drain\":{{\"worker\":{worker}}}}}}}")
+    };
+
+    let started = Instant::now();
+    let timed_out = fleet.control(&drain(host));
+    let waited = started.elapsed();
+    let message = timed_out["control"]["Error"]["message"].as_str();
+    let message = message.unwrap_or_else(|| panic!("the drain did not fail: {timed_out}"));
+    assert!(
+        message.contains("timed out with 1 session(s) unmoved"),
+        "{message}"
+    );
+    assert!(
+        waited >= Duration::from_secs(1),
+        "answered after {waited:?}"
+    );
+
+    let next = (host + 1) % 3;
+    let drained = fleet.control(&drain(next));
+    assert_eq!(
+        drained["control"]["Drained"]["worker"].as_u64(),
+        Some(next),
+        "the next drain runs: {drained}"
+    );
+    fleet.shutdown();
+}
+
+/// A session has one line at its worker and queues the rest in the
+/// router, as many as a worker's queue holds (256) and no more: past
+/// that, a line is refused with a typed `Overloaded` under its own id,
+/// at once, and what was queued still reaches the worker, and its
+/// client, in the order it was sent.
+#[test]
+fn a_pipelined_burst_past_a_sessions_queue_is_refused_and_the_rest_keeps_its_order() {
+    const QUEUED: usize = 256;
+    const REFUSED: usize = 4;
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let released = std::sync::Mutex::new(released);
+    // Holds its first line until the refusals are in, then echoes each
+    // line's arrival number with the utterance it carried.
+    let addr = fake_worker(move |arrival, request| {
+        if arrival == 0 {
+            released.lock().expect("lock").recv().expect("released");
+        }
+        let utterance = request["SessionTurn"]["utterance"]
+            .as_str()
+            .expect("a turn");
+        Some(format!(
+            "{{\"Ok\":{{\"arrival\":{arrival},\"utterance\":\"{utterance}\"}}}}"
+        ))
+    });
+    let fleet = RouterFleet::start(&["--worker".to_owned(), addr]);
+    let turns = 1 + QUEUED + REFUSED;
+    let batch: String = (0..turns)
+        .map(|index| {
+            let turn = SessionTurnParams {
+                session: "burst".to_owned(),
+                utterance: format!("u{index}"),
+            };
+            request_line(&format!("t{index}"), PatternRequest::SessionTurn(turn))
+        })
+        .collect();
+    let mut stream = TcpStream::connect(&fleet.addr).expect("connects");
+    stream.write_all(batch.as_bytes()).expect("burst written");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout set");
+    let mut replies = BufReader::new(stream).lines();
+    let mut next = || replies.next().expect("a reply").expect("reads");
+
+    for index in turns - REFUSED..turns {
+        let line = next();
+        let reply: ResponseEnvelope = serde_json::from_str(&line).expect("an envelope");
+        assert_eq!(
+            reply.id.as_str(),
+            Some(format!("t{index}").as_str()),
+            "{reply:?}"
+        );
+        let WireOutcome::Err(error) = reply.outcome else {
+            panic!("t{index} was not refused");
+        };
+        assert_eq!(error.kind, "Overloaded", "{error:?}");
+        assert!(error.retry_after_ms.is_some_and(|ms| ms > 0), "{error:?}");
+    }
+    release.send(()).expect("the worker waits");
+    for index in 0..turns - REFUSED {
+        let echo = format!(
+            "{{\"id\":\"t{index}\",\"outcome\":{{\"Ok\":{{\"arrival\":{index},\"utterance\":\"u{index}\"}}}}}}"
+        );
+        assert_eq!(next(), echo, "out of order, or not its own");
+    }
+    fleet.shutdown();
 }
 
 // ------------------------------------------------- quotas through a fleet
