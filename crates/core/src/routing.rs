@@ -338,9 +338,9 @@ impl<L, R> Fleet<L, R> {
 
     /// Takes `worker` out of the live workers and moves each session
     /// pinned (or being moved) to it, in its turn, to the live worker its
-    /// id hashes to;
-    /// refused for no such worker, while a drain runs, or for the last.
-    /// A drain that does not end at once asks for its [`Action::Deadline`].
+    /// id hashes to; refused for no such worker, while a drain runs, or
+    /// for the last. A drain that does not end at once asks for its
+    /// [`Action::Deadline`].
     pub fn drain(&mut self, worker: usize, reply: R) -> Vec<Action<L, R>> {
         let refusal = match &self.drain {
             _ if worker >= self.workers => Some(format!("no worker {worker}")),
