@@ -42,6 +42,7 @@ use cp_dataset::Style;
 use cp_diffusion::Mask;
 use cp_extend::ExtensionMethod;
 use cp_layout::squish::{Region, SquishPattern, Topology};
+use cp_layout::stage::{self, Stage, STAGES};
 use cp_metrics::LibraryStats;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -328,7 +329,21 @@ pub struct Timing {
     /// Whether the payload came from an identical in-flight execution
     /// this request attached to instead of executing itself.
     pub coalesced: bool,
+    /// Microseconds per [`Stage`], indexed as [`Stage::ALL`] has them:
+    /// where `micros` went. A `Generate`, `Extend`, `Modify` or
+    /// `Legalize` reply's stages sum to its `micros` within
+    /// [`STAGE_TOLERANCE_MICROS`]; every other kind records admission
+    /// and queue wait only (its execution is not on the list of
+    /// stages). All zero from a peer that does not send them.
+    #[serde(default)]
+    pub stages: [u64; STAGES],
 }
+
+/// How far a staged reply's `stages` may fall short of its `micros`:
+/// the engine's own bookkeeping around a request's execution (the
+/// panic guard, the instants before and after) and the rounding to
+/// whole microseconds, which no stage is charged with.
+pub const STAGE_TOLERANCE_MICROS: u64 = 20;
 
 impl Timing {
     /// Timing of a direct, unqueued execution.
@@ -340,6 +355,7 @@ impl Timing {
             exec_micros,
             cached: false,
             coalesced: false,
+            stages: [0; STAGES],
         }
     }
 
@@ -352,6 +368,7 @@ impl Timing {
             exec_micros,
             cached: false,
             coalesced: false,
+            stages: [0; STAGES],
         }
     }
 
@@ -364,6 +381,7 @@ impl Timing {
             exec_micros,
             cached: true,
             coalesced: false,
+            stages: stage_only(Stage::Admit, exec_micros),
         }
     }
 
@@ -379,8 +397,39 @@ impl Timing {
             exec_micros,
             cached: false,
             coalesced: true,
+            stages: [0; STAGES],
         }
     }
+
+    /// This timing with its execution's stages `exec` — the executed
+    /// request's own record, scaled down to `exec_micros` for a
+    /// coalesced waiter that saw only part of it — and its queue wait
+    /// split into `admit_micros` of admission and the wait in the
+    /// queue.
+    #[must_use]
+    pub(crate) fn staged(mut self, admit_micros: u64, exec: &[u64; STAGES]) -> Timing {
+        let recorded: u64 = exec.iter().sum();
+        self.stages = if recorded > self.exec_micros {
+            exec.map(|micros| {
+                let share =
+                    u128::from(micros) * u128::from(self.exec_micros) / u128::from(recorded);
+                u64::try_from(share).unwrap_or(u64::MAX)
+            })
+        } else {
+            *exec
+        };
+        let admit = admit_micros.min(self.queue_micros);
+        self.stages[Stage::Admit as usize] = admit;
+        self.stages[Stage::Queue as usize] = self.queue_micros - admit;
+        self
+    }
+}
+
+/// Every stage zero but `stage`.
+fn stage_only(stage: Stage, micros: u64) -> [u64; STAGES] {
+    let mut stages = [0; STAGES];
+    stages[stage as usize] = micros;
+    stages
 }
 
 /// Per-variant response payload.
@@ -464,7 +513,37 @@ impl<S: PatternService + ?Sized> PatternService for std::sync::Arc<S> {
 impl PatternService for ChatPattern {
     fn execute(&self, request: PatternRequest) -> Result<PatternResponse, Error> {
         let started = Instant::now();
-        let payload = match request {
+        // Only these kinds are made of stages end to end.
+        if matches!(
+            request,
+            PatternRequest::Generate(_)
+                | PatternRequest::Extend(_)
+                | PatternRequest::Modify(_)
+                | PatternRequest::Legalize(_)
+        ) {
+            stage::start();
+        }
+        let payload = self.respond(request);
+        let stages = stage::finish();
+        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        Ok(PatternResponse {
+            payload: payload?,
+            timing: Timing {
+                stages,
+                ..Timing::direct(micros)
+            },
+        })
+    }
+
+    fn session_stats(&self) -> SessionStats {
+        ChatPattern::session_stats(self)
+    }
+}
+
+impl ChatPattern {
+    /// The payload `execute` answers `request` with.
+    fn respond(&self, request: PatternRequest) -> Result<ResponsePayload, Error> {
+        Ok(match request {
             PatternRequest::Chat(params) => {
                 let report = match params.seed {
                     Some(seed) => self.chat_with_seed(&params.request, seed)?,
@@ -550,17 +629,7 @@ impl PatternService for ChatPattern {
             PatternRequest::Stats => {
                 ResponsePayload::Stats(EngineStats::from_sessions(self.session_stats()))
             }
-        };
-        Ok(PatternResponse {
-            payload,
-            timing: Timing::direct(
-                u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            ),
         })
-    }
-
-    fn session_stats(&self) -> SessionStats {
-        ChatPattern::session_stats(self)
     }
 }
 
@@ -867,5 +936,123 @@ mod tests {
             }))
             .expect_err("out-of-bounds region must fail");
         assert!(matches!(err, Error::InvalidRequest { .. }));
+    }
+
+    /// The stages of `timing` that belong to `group`'s names, summed.
+    fn sum_of(timing: &Timing, names: &[&str]) -> u64 {
+        Stage::ALL
+            .iter()
+            .filter(|stage| names.contains(&stage.name()))
+            .map(|&stage| timing.stages[stage as usize])
+            .sum()
+    }
+
+    #[test]
+    fn a_staged_replys_stages_sum_to_its_micros() {
+        const DENOISE: [&str; 6] = [
+            "grid",
+            "noise",
+            "predict_x0",
+            "thresholds",
+            "draws",
+            "write_back",
+        ];
+        const LEGALIZE: [&str; 6] = [
+            "bounds",
+            "sweep",
+            "labels",
+            "area_repair",
+            "slack",
+            "squish_encode",
+        ];
+        let engine = crate::PatternEngine::new(small_system());
+        let seed = Topology::from_fn(16, 16, |r, c| (r / 4 + c / 4) % 2 == 0);
+        let requests = [
+            (
+                PatternRequest::Generate(GenerateParams {
+                    style: Style::Layer10003,
+                    rows: 16,
+                    cols: 16,
+                    count: 3,
+                    seed: 2,
+                }),
+                &DENOISE[..],
+            ),
+            (
+                PatternRequest::Extend(ExtendParams {
+                    seed_topology: seed.clone(),
+                    rows: 32,
+                    cols: 32,
+                    method: ExtensionMethod::OutPainting,
+                    style: Style::Layer10001,
+                    seed: 3,
+                }),
+                &["extend_windows", "draws", "predict_x0"][..],
+            ),
+            (
+                PatternRequest::Modify(ModifyParams {
+                    known: seed.clone(),
+                    region: Region::new(0, 8, 16, 16),
+                    style: Style::Layer10001,
+                    seed: 4,
+                }),
+                &DENOISE[..],
+            ),
+            (
+                PatternRequest::Legalize(LegalizeParams {
+                    topology: seed,
+                    width_nm: 2048,
+                    height_nm: 2048,
+                    seed: 5,
+                }),
+                &LEGALIZE[..],
+            ),
+        ];
+        for (request, entered) in requests {
+            let what = format!("{request:?}").chars().take(40).collect::<String>();
+            let timing = engine
+                .submit_blocking(request)
+                .wait()
+                .expect("served")
+                .timing;
+            let sum: u64 = timing.stages.iter().sum();
+            assert!(
+                sum <= timing.micros && timing.micros - sum <= STAGE_TOLERANCE_MICROS,
+                "{what}: stages {:?} sum to {sum} of {} µs",
+                timing.stages,
+                timing.micros
+            );
+            assert_eq!(
+                sum_of(&timing, &["admit", "queue"]),
+                timing.queue_micros,
+                "{what}"
+            );
+            for name in entered {
+                assert!(sum_of(&timing, &[name]) > 0, "{what}: no time in {name}");
+            }
+            // A generation never reaches the legalizer, nor a
+            // legalization the sampler.
+            let elsewhere = if entered == LEGALIZE {
+                &DENOISE
+            } else {
+                &LEGALIZE
+            };
+            assert_eq!(sum_of(&timing, elsewhere), 0, "{what}");
+        }
+        // A kind that is not made of stages records admission and its
+        // queue wait, nothing of its execution.
+        let timing = engine
+            .submit_blocking(PatternRequest::Chat(ChatParams {
+                request: "Generate 2 patterns, topology size 16*16, style Layer-10003.".into(),
+                seed: Some(1),
+            }))
+            .wait()
+            .expect("served")
+            .timing;
+        assert_eq!(
+            timing.stages.iter().sum::<u64>(),
+            timing.queue_micros,
+            "{timing:?}"
+        );
     }
 }

@@ -61,15 +61,20 @@ pub(crate) struct JobShared {
     /// When this submitter handed the request in (per-handle, so a
     /// coalesced waiter's queue time starts at its own submission).
     pub(crate) submitted_at: Instant,
+    /// When its admission ended: the gate, the key and the broker's
+    /// look-up lie between the two.
+    pub(crate) admitted_at: Instant,
 }
 
 impl JobShared {
-    /// A job still waiting for its result.
-    pub(crate) fn pending() -> Arc<JobShared> {
+    /// A job still waiting for its result, submitted at `submitted_at`
+    /// and admitted now.
+    pub(crate) fn pending(submitted_at: Instant) -> Arc<JobShared> {
         Arc::new(JobShared {
             state: Mutex::new(JobState::Pending(None)),
             done: Condvar::new(),
-            submitted_at: Instant::now(),
+            submitted_at,
+            admitted_at: Instant::now(),
         })
     }
 
@@ -79,6 +84,7 @@ impl JobShared {
             state: Mutex::new(JobState::Done(Some(Box::new(result)))),
             done: Condvar::new(),
             submitted_at: Instant::now(),
+            admitted_at: Instant::now(),
         })
     }
 
@@ -323,17 +329,19 @@ impl ResultBroker {
     /// Callers must only pass dispatchers that cannot block and cannot
     /// re-enter the broker (a bounded-queue try-push qualifies; running
     /// the task there would not — it would deadlock in
-    /// [`ResultBroker::complete`]).
+    /// [`ResultBroker::complete`]). `submitted_at` is when the submitter
+    /// handed the request in.
     pub(crate) fn admit(
         &self,
         key: Option<Key>,
         tenant: &str,
         class: AdmitClass,
         request: PatternRequest,
+        submitted_at: Instant,
         dispatch: Option<Dispatch<'_>>,
     ) -> Admission {
         let lead = |key| {
-            let job = JobShared::pending();
+            let job = JobShared::pending(submitted_at);
             let task = ExecTask::new(key, tenant, class, request, Arc::clone(&job));
             match dispatch.map_or(Ok(()), |dispatch| dispatch(Arc::clone(&task))) {
                 Ok(()) => Admission::Lead { task, job },
@@ -349,7 +357,7 @@ impl ResultBroker {
             return Admission::CacheHit(payload);
         }
         if let Some(task) = state.inflight.get(&key) {
-            let job = JobShared::pending();
+            let job = JobShared::pending(submitted_at);
             task.attach(Arc::clone(&job));
             return Admission::Coalesced(job);
         }
@@ -431,7 +439,14 @@ mod tests {
 
     /// Submits the request keyed `key`, hashed as the engine hashes it.
     fn admit(broker: &ResultBroker, key: &str) -> Admission {
-        broker.admit(Some(broker.key(key.into())), T, C, request(1), None)
+        broker.admit(
+            Some(broker.key(key.into())),
+            T,
+            C,
+            request(1),
+            Instant::now(),
+            None,
+        )
     }
 
     fn payload() -> ResponsePayload {
@@ -460,8 +475,8 @@ mod tests {
     #[test]
     fn unkeyed_requests_never_share_a_task() {
         let broker = ResultBroker::new(8);
-        let first = broker.admit(None, T, C, request(1), None);
-        let second = broker.admit(None, T, C, request(1), None);
+        let first = broker.admit(None, T, C, request(1), Instant::now(), None);
+        let second = broker.admit(None, T, C, request(1), Instant::now(), None);
         assert!(matches!(first, Admission::Lead { .. }));
         assert!(matches!(second, Admission::Lead { .. }));
         assert_eq!(broker.inflight_len(), 0, "unkeyed tasks are unregistered");
@@ -473,7 +488,7 @@ mod tests {
         let full: Dispatch<'_> = &|_| Err(Error::QueueFull { depth: 1 });
         for key in [Some(broker.key("k".into())), None] {
             assert!(matches!(
-                broker.admit(key, T, C, request(1), Some(full)),
+                broker.admit(key, T, C, request(1), Instant::now(), Some(full)),
                 Admission::Rejected(Error::QueueFull { depth: 1 })
             ));
         }
@@ -486,29 +501,37 @@ mod tests {
     fn texts_that_share_a_hash_neither_coalesce_nor_hit() {
         let broker = ResultBroker::new(8);
         let (a, b) = (Key::with_hash(7, "a"), Key::with_hash(7, "b"));
-        let Admission::Lead { task, .. } = broker.admit(Some(a.clone()), T, C, request(1), None)
+        let Admission::Lead { task, .. } =
+            broker.admit(Some(a.clone()), T, C, request(1), Instant::now(), None)
         else {
             panic!("first submission leads");
         };
         let Admission::Lead { task: other, .. } =
-            broker.admit(Some(b.clone()), T, C, request(2), None)
+            broker.admit(Some(b.clone()), T, C, request(2), Instant::now(), None)
         else {
             panic!("another text under the same hash coalesced");
         };
         assert_eq!(broker.inflight_len(), 2);
         assert_eq!(broker.complete(&task, Some(Arc::new(payload()))).len(), 1);
         assert!(matches!(
-            broker.admit(Some(b), T, C, request(2), None),
+            broker.admit(Some(b), T, C, request(2), Instant::now(), None),
             Admission::Coalesced(_)
         ));
         assert_eq!(broker.complete(&other, None).len(), 2);
         // `a` is cached, `b` failed: only `a` hits.
         assert!(matches!(
-            broker.admit(Some(Key::with_hash(7, "b")), T, C, request(2), None),
+            broker.admit(
+                Some(Key::with_hash(7, "b")),
+                T,
+                C,
+                request(2),
+                Instant::now(),
+                None
+            ),
             Admission::Lead { .. }
         ));
         assert!(matches!(
-            broker.admit(Some(a), T, C, request(1), None),
+            broker.admit(Some(a), T, C, request(1), Instant::now(), None),
             Admission::CacheHit(_)
         ));
     }

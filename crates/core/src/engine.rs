@@ -422,6 +422,7 @@ impl<S: PatternService> EngineCore<S> {
             let total = elapsed_micros(job.submitted_at);
             let exec_share = exec_micros.min(total);
             let queue_micros = total - exec_share;
+            let admit_micros = micros_between(job.submitted_at, job.admitted_at);
             let shared = match &result {
                 Ok(response) => {
                     let timing = if coalesced {
@@ -429,6 +430,7 @@ impl<S: PatternService> EngineCore<S> {
                     } else {
                         Timing::queued(queue_micros, exec_share)
                     };
+                    let timing = timing.staged(admit_micros, &response.timing.stages);
                     Ok(PatternResponse {
                         payload: response.payload.clone(),
                         timing,
@@ -449,7 +451,11 @@ impl<S: PatternService> EngineCore<S> {
 }
 
 fn elapsed_micros(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+    micros_between(since, Instant::now())
+}
+
+fn micros_between(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Best-effort rendering of a caught panic payload.
@@ -616,6 +622,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         request: PatternRequest,
         block: bool,
     ) -> Result<JobHandle, Error> {
+        let submitted_at = Instant::now();
         // Stats is answered inline from the live counters — it never
         // queues behind real work (a stats poll during a drain must
         // not wait for a diffusion job) and is exempt from the
@@ -657,7 +664,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         match self
             .core
             .broker
-            .admit(key, tenant, class, request, in_admission)
+            .admit(key, tenant, class, request, submitted_at, in_admission)
         {
             Admission::CacheHit(payload) => {
                 stats.add(&stats.submitted);

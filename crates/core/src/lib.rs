@@ -70,8 +70,10 @@ pub use api::{
     ChatOutcome, ChatParams, EvaluateParams, ExtendParams, GenerateParams, LegalizeParams,
     ModifyParams, PatternRequest, PatternResponse, PatternService, ResponsePayload,
     SessionCloseParams, SessionInfo, SessionOpenParams, SessionRestoreParams,
-    SessionSnapshotParams, SessionTurnParams, Timing, TurnOutcome,
+    SessionSnapshotParams, SessionTurnParams, Timing, TurnOutcome, STAGE_TOLERANCE_MICROS,
 };
+/// The stages a reply's `timing.stages` are indexed by.
+pub use cp_layout::stage::{Stage, STAGES};
 /// The QoS vocabulary (lanes, quotas, fair queue, tenant stats),
 /// re-exported so engine embedders need no direct `cp_qos` dependency.
 pub use cp_qos as qos;

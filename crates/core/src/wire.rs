@@ -75,8 +75,9 @@ impl From<&Error> for WireError {
 /// The served-or-failed half of a [`ResponseEnvelope`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WireOutcome {
-    /// The request was served.
-    Ok(PatternResponse),
+    /// The request was served (boxed: a response with its timing's
+    /// stages is five times a refusal's size).
+    Ok(Box<PatternResponse>),
     /// The request failed; the payload says why.
     Err(WireError),
 }
@@ -96,7 +97,7 @@ impl ResponseEnvelope {
     pub fn ok(id: Value, response: PatternResponse) -> ResponseEnvelope {
         ResponseEnvelope {
             id,
-            outcome: WireOutcome::Ok(response),
+            outcome: WireOutcome::Ok(Box::new(response)),
         }
     }
 

@@ -6,6 +6,7 @@ use crate::denoiser::{Prediction, INDICES};
 use crate::grid::{Grid, Runs};
 use crate::{Denoiser, NoiseSchedule};
 use cp_layout::squish::Topology;
+use cp_layout::stage::{self, Stage};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -86,16 +87,20 @@ impl<D: Denoiser> DiffusionModel<D> {
         condition: Option<u32>,
         rng: &mut ChaCha8Rng,
     ) -> Topology {
+        let _scope = stage::scope(Stage::Grid);
         let steps = self.schedule.len();
         let end = rng.get_word_pos() + call_words((rows, cols), 1 + 2 * steps);
         let grid = Grid::drawn(self.denoiser.scan_lines(condition), rows, cols, rng);
         let mut chain = Chain::new(grid.rows(), grid.cols());
+        stage::enter(Stage::Noise);
         initial_noise(&mut chain.cells, rng);
         for k in (1..=steps).rev() {
             chain.predict(self, grid.runs(), k, condition);
+            stage::enter(Stage::Draws);
             chain.reverse(0..chain.cells.len(), rng);
         }
         rng.set_word_pos(end);
+        stage::enter(Stage::WriteBack);
         Topology::from_bytes(rows, cols, grid.expand(&chain.cells))
     }
 }
@@ -160,9 +165,11 @@ impl Chain {
         let steps = model.schedule.len();
         let step = &mut self.step;
         let p = &mut step.prediction;
+        stage::enter(Stage::PredictX0);
         model
             .denoiser
             .predict_x0(&self.cells, runs, k, steps, condition, p);
+        stage::enter(Stage::Thresholds);
         step.thresholds(&model.posterior_table(k));
     }
 

@@ -21,6 +21,7 @@ use crate::grid::Grid;
 use crate::model::{call_words, forward_cells, initial_noise, threshold, Chain};
 use crate::{Denoiser, DiffusionModel, Mask};
 use cp_layout::squish::Topology;
+use cp_layout::stage::{self, Stage};
 use rand_chacha::ChaCha8Rng;
 
 impl<D: Denoiser> DiffusionModel<D> {
@@ -56,6 +57,7 @@ impl<D: Denoiser> DiffusionModel<D> {
     ) -> Topology {
         assert_eq!(mask.shape(), known.shape(), "mask/pattern shape mismatch");
         assert!(resample_rounds >= 1, "at least one resample round");
+        let _scope = stage::scope(Stage::Grid);
         let (rows, cols) = known.shape();
         let steps = self.schedule().len();
         let per_cell = resample_rounds * (1 + 4 * steps);
@@ -82,10 +84,12 @@ impl<D: Denoiser> DiffusionModel<D> {
         let mut chain = Chain::new(grid.rows(), grid.cols());
         for _ in 0..resample_rounds {
             // Start from fully-noised state.
+            stage::enter(Stage::Noise);
             initial_noise(&mut chain.cells, rng);
             let first_step = rng.get_word_pos();
             for (step, k) in (1..=steps).rev().enumerate() {
                 chain.predict(self, grid.runs(), k, condition);
+                stage::enter(Stage::Draws);
                 let flip = threshold(self.schedule().flip_bar(k - 1));
                 for (run, kept) in &reads {
                     let (run, kept) = (run.clone(), *kept);
@@ -107,6 +111,7 @@ impl<D: Denoiser> DiffusionModel<D> {
             std::mem::swap(&mut result, &mut chain.cells);
         }
         rng.set_word_pos(end);
+        stage::enter(Stage::WriteBack);
         let mut cells = grid.expand(&result);
         for ((cell, &bit), &kept) in cells
             .iter_mut()

@@ -3,6 +3,7 @@
 use crate::{in_paint, out_paint};
 use cp_diffusion::PatternSampler;
 use cp_layout::squish::Topology;
+use cp_layout::stage::{self, Stage};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -70,6 +71,7 @@ pub fn extend<S: PatternSampler + ?Sized>(
     condition: Option<u32>,
     rng: &mut ChaCha8Rng,
 ) -> Topology {
+    let _scope = stage::scope(Stage::ExtendWindows);
     if seed.shape() == (rows, cols) {
         return seed.clone();
     }

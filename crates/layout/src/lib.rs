@@ -7,16 +7,19 @@
 //!   regions, normalization and complexity;
 //! * [`drc`] — the design rules and the DRC engine;
 //! * [`legalize`] — the explainable legalizer, which assigns Δx/Δy to a
-//!   topology or names the region that cannot fit.
+//!   topology or names the region that cannot fit;
+//! * [`stage`] — the stages a request's time is charged to, and the
+//!   per-thread clock that charges it.
 
 pub mod drc;
 pub mod geom;
 pub mod legalize;
 pub mod squish;
+pub mod stage;
 
-// The four modules above re-export what they hold from these, which sit
-// at the crate root so that each keeps the module path it had when the
-// four were separate crates.
+// `drc`, `geom`, `legalize` and `squish` re-export what they hold from
+// these, which sit at the crate root so that each keeps the module path
+// it had when the four were separate crates.
 mod check;
 mod complexity;
 mod component;

@@ -4,6 +4,7 @@ use crate::drc::DesignRules;
 use crate::geom::{label_components, line_edges, Axis, CellRun, ComponentLabels};
 use crate::legalize::{FailureKind, LegalizeFailure};
 use crate::squish::{Region, SquishPattern, Topology};
+use crate::stage::{self, Stage};
 use rand::Rng;
 
 /// Most area-repair passes one call makes. A pass only ever adds slack,
@@ -68,6 +69,7 @@ impl Legalizer {
         height: i64,
         rng: &mut impl Rng,
     ) -> Result<SquishPattern, LegalizeFailure> {
+        let _scope = stage::scope(Stage::Bounds);
         let x = self.solve_axis(topology, Axis::X, width)?;
         let y = self.solve_axis(topology, Axis::Y, height)?;
         // Reserve area-repair budget from the slack first (minting shares
@@ -86,6 +88,7 @@ impl Legalizer {
             &mut slack_x,
             &mut slack_y,
         )?;
+        stage::enter(Stage::Slack);
         for (share, extra) in
             dx_share
                 .iter_mut()
@@ -112,6 +115,7 @@ impl Legalizer {
             .zip(&dy_share)
             .map(|(m, s)| m + s)
             .collect();
+        stage::enter(Stage::SquishEncode);
         Ok(SquishPattern::new(topology.clone(), dx, dy))
     }
 
@@ -127,7 +131,9 @@ impl Legalizer {
         axis: Axis,
         target: i64,
     ) -> Result<AxisSolution, LegalizeFailure> {
+        stage::enter(Stage::Bounds);
         let bounds = self.collect_bounds(topology, axis);
+        stage::enter(Stage::Sweep);
         let n = match axis {
             Axis::X => topology.cols(),
             Axis::Y => topology.rows(),
@@ -274,7 +280,9 @@ impl Legalizer {
         slack_x: &mut i64,
         slack_y: &mut i64,
     ) -> Result<(), LegalizeFailure> {
+        stage::enter(Stage::Labels);
         let labels = label_components(topology.rows(), topology.cols(), topology.as_bytes());
+        stage::enter(Stage::AreaRepair);
         if labels.count() == 0 {
             return Ok(());
         }

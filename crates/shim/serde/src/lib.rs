@@ -432,6 +432,24 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
+impl<T: Deserialize + Default + Copy, const N: usize> Deserialize for [T; N] {
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<[T; N], Error> {
+        let wrong = || Error::custom(format!("expected {N}-element array"));
+        d.seq_begin()?;
+        let mut items = [T::default(); N];
+        for item in &mut items {
+            if !d.seq_next()? {
+                return Err(wrong());
+            }
+            *item = T::deserialize(d)?;
+        }
+        if d.seq_next()? {
+            return Err(wrong());
+        }
+        Ok(items)
+    }
+}
+
 /// Steps to the next element of a fixed-length array, or reports that
 /// the array is not `arity` long when `more` says otherwise.
 fn tuple_step<D: Deserializer>(d: &mut D, more: bool, arity: &str) -> Result<(), Error> {

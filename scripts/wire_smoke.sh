@@ -6,7 +6,8 @@
 # Legalize answers as its `bits` twin does, a malformed topology is
 # a typed refusal, and the Stats request reads the connection
 # counters: the one client peaked the gauge at 1, and a second
-# connection sees the first one's close counted clean, (c) a
+# connection sees the first one's close counted clean, a Generate
+# reply's timing stages sum to its micros, (c) a
 # burst of duplicate requests performs exactly one backend execution
 # while still answering every id, (d) an interactive session
 # round-trips (open, turns, close, typed error on the closed id),
@@ -138,6 +139,16 @@ REPLY=""
 echo "$OUT" | jq -es '
     all(.[]; (.id != null) and ((.outcome | has("Ok")) or (.outcome | has("Err"))))
 ' > /dev/null || fail "malformed response line"
+# A Generate reply says where its micros went: `timing.stages`, one
+# number a stage in the order of docs/WIRE_PROTOCOL.md, summing to
+# `micros` within STAGE_TOLERANCE_MICROS (chatpattern_core, 20 µs), its
+# prediction (index 4, `predict_x0`) among them.
+echo "$OUT" | jq -es '
+    [.[] | select(.id == "r8") | .outcome.Ok.timing]
+    | length == 1 and all(.[];
+        (.stages | length) == 15 and .stages[4] > 0
+        and ((.micros - (.stages | add)) as $gap | $gap >= 0 and $gap <= 20))
+' > /dev/null || fail "a Generate reply's timing.stages do not sum to its micros: $(echo "$OUT" | grep '"r8"' | jq -c .outcome.Ok.timing)"
 
 # (b) response ids are exactly the request ids (order-insensitive:
 # out-of-order completion is allowed by the protocol).

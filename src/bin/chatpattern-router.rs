@@ -704,13 +704,14 @@ fn move_session(router: Arc<Router>, sid: Arc<str>, source: usize, target: usize
     let session = sid.to_string();
     let snapshot = PatternRequest::SessionSnapshot(SessionSnapshotParams { session });
     ask(&Arc::clone(&router), source, &snapshot, move |answer| {
+        let answer = match answer {
+            WireOutcome::Ok(response) => Ok(response.payload),
+            WireOutcome::Err(error) => Err(error),
+        };
         let snapshot = match answer {
-            WireOutcome::Ok(PatternResponse {
-                payload: ResponsePayload::SessionSnapshot(snapshot),
-                ..
-            }) => snapshot,
+            Ok(ResponsePayload::SessionSnapshot(snapshot)) => snapshot,
             // Expired (or closed concurrently): nothing to move.
-            WireOutcome::Err(error) if error.kind == "SessionNotFound" => {
+            Err(error) if error.kind == "SessionNotFound" => {
                 return moved(&router, &sid, Ok(false));
             }
             other => {

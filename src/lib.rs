@@ -63,7 +63,7 @@ pub use cp_baselines as baselines;
 pub use cp_dataset as dataset;
 pub use cp_diffusion as diffusion;
 pub use cp_extend as extend;
-pub use cp_layout::{drc, geom, legalize, squish};
+pub use cp_layout::{drc, geom, legalize, squish, stage};
 pub use cp_metrics as metrics;
 pub use cp_net as net;
 
@@ -75,4 +75,5 @@ pub use chatpattern_core::{
     SessionConfig, SessionInfo, SessionOpenParams, SessionPersist, SessionRestoreParams,
     SessionSnapshot, SessionSnapshotParams, SessionStats, SessionStore, SessionTurnParams, Timing,
     TurnOutcome, WireError, WireOutcome, MAX_REQUEST_CELLS, SESSION_SNAPSHOT_FORMAT,
+    STAGE_TOLERANCE_MICROS,
 };

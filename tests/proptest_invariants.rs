@@ -1734,6 +1734,7 @@ fn arb_wire_case(rng: &mut ChaCha8Rng) -> WireCase {
             exec_micros: small(rng),
             cached: rng.gen(),
             coalesced: rng.gen(),
+            stages: std::array::from_fn(|_| small(rng)),
         },
         topology: arb_topology(rng),
         text: arb_text(rng),
@@ -1955,10 +1956,10 @@ fn check_wire_case(
     }
     let ok = ResponseEnvelope {
         id: case.id.clone(),
-        outcome: WireOutcome::Ok(PatternResponse {
+        outcome: WireOutcome::Ok(Box::new(PatternResponse {
             payload,
             timing: case.timing,
-        }),
+        })),
     };
     codec_round_trips(&ok)?;
     codec_round_trips(&ResponseEnvelope {
