@@ -2,6 +2,7 @@
 
 use crate::grid::{Runs, ScanLines};
 use crate::mrf::Scratch;
+use crate::NoiseSchedule;
 
 /// Entries of a step's [`Prediction`] table: a regularized-map bit over
 /// the MRF's 512 cell keys.
@@ -49,18 +50,21 @@ impl Default for Prediction {
 /// [`MrfDenoiser`](crate::MrfDenoiser) is the implementation the system
 /// runs; the test fake is the other.
 pub trait Denoiser {
-    /// Predicts `P(x₀ = 1)` for the row-major 0/1 cells of `x_k` at
-    /// diffusion step `k`, into `out`. `x_k` is a reduced grid whose
-    /// cells stand for the blocks `runs` gives.
-    ///
-    /// `total_steps` is the schedule length `K`, so implementations can
-    /// normalize `k` into a time embedding.
+    /// Takes the schedule of the model the denoiser is built into: what
+    /// depends only on the condition, the step and the schedule is made
+    /// here, once a model
+    /// ([`DiffusionModel::new`](crate::DiffusionModel::new) calls this).
+    fn prepare(&mut self, schedule: &NoiseSchedule);
+
+    /// Predicts `P(x₀ = 1)` for the row-major 0/1 cells of `x_k` at step
+    /// `k` (1 to `K`) of the schedule [`Denoiser::prepare`] took, into
+    /// `out`. `x_k` is a reduced grid whose cells stand for the blocks
+    /// `runs` gives.
     fn predict_x0(
         &self,
         x_k: &[u8],
         runs: Runs<'_>,
         k: usize,
-        total_steps: usize,
         condition: Option<u32>,
         out: &mut Prediction,
     );
@@ -83,12 +87,13 @@ pub(crate) mod test_support {
     }
 
     impl Denoiser for ConstantDenoiser {
+        fn prepare(&mut self, _schedule: &NoiseSchedule) {}
+
         fn predict_x0(
             &self,
             _x_k: &[u8],
             runs: Runs<'_>,
             _k: usize,
-            _total_steps: usize,
             _condition: Option<u32>,
             out: &mut Prediction,
         ) {
@@ -113,13 +118,12 @@ pub(crate) mod test_support {
         x_k: &Topology,
         runs: Runs<'_>,
         k: usize,
-        total_steps: usize,
         condition: Option<u32>,
     ) -> Vec<f32> {
         let mut p = Prediction::default();
         let (rows, cols) = x_k.shape();
         assert_eq!(runs.shape(), (rows, cols));
-        denoiser.predict_x0(x_k.as_bytes(), runs, k, total_steps, condition, &mut p);
+        denoiser.predict_x0(x_k.as_bytes(), runs, k, condition, &mut p);
         assert_eq!((p.index.len(), p.cols), (rows * cols, cols));
         p.index
             .iter()

@@ -25,9 +25,11 @@ pub struct DiffusionModel<D> {
 
 impl<D: Denoiser> DiffusionModel<D> {
     /// Assembles a model. `native_size` is the window size `L` the
-    /// denoiser was trained at.
+    /// denoiser was trained at; the denoiser is prepared for `schedule`
+    /// ([`Denoiser::prepare`]).
     #[must_use]
-    pub fn new(schedule: NoiseSchedule, denoiser: D, native_size: usize) -> DiffusionModel<D> {
+    pub fn new(schedule: NoiseSchedule, mut denoiser: D, native_size: usize) -> DiffusionModel<D> {
+        denoiser.prepare(&schedule);
         DiffusionModel {
             schedule,
             denoiser,
@@ -162,13 +164,12 @@ impl Chain {
         condition: Option<u32>,
     ) {
         debug_assert_eq!(runs.shape(), (self.rows, self.cols));
-        let steps = model.schedule.len();
         let step = &mut self.step;
         let p = &mut step.prediction;
         stage::enter(Stage::PredictX0);
         model
             .denoiser
-            .predict_x0(&self.cells, runs, k, steps, condition, p);
+            .predict_x0(&self.cells, runs, k, condition, p);
         stage::enter(Stage::Thresholds);
         step.thresholds(&model.posterior_table(k));
     }
@@ -522,8 +523,7 @@ pub(crate) mod tests {
             condition: Option<u32>,
             rng: &mut impl Rng,
         ) -> Topology {
-            let steps = model.schedule().len();
-            let p0 = predict_fine(model.denoiser(), x_k, runs, k, steps, condition);
+            let p0 = predict_fine(model.denoiser(), x_k, runs, k, condition);
             let post = model.posterior_table(k);
             let cols = x_k.cols();
             Topology::from_fn(x_k.rows(), cols, |r, c| {

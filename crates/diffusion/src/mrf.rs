@@ -43,6 +43,11 @@ pub struct MrfDenoiser {
     lines: Vec<ScanLines>,
     /// Pooled scan-line statistics.
     pooled_lines: ScanLines,
+    /// The constants of a prediction per step of the model's schedule
+    /// and condition slot, `steps[(k - 1) * slots + slot]`: the slots
+    /// are the conditions in `condition_ids`' order, then the pooled
+    /// one. Empty until [`Denoiser::prepare`].
+    steps: Vec<StepTable>,
 }
 
 impl MrfDenoiser {
@@ -147,6 +152,7 @@ impl MrfDenoiser {
             sweeps: 3,
             lines: Vec::new(),
             pooled_lines: crate::grid::ONE_LINE_RUNS.clone(),
+            steps: Vec::new(),
         }
     }
 
@@ -208,11 +214,12 @@ fn context_of(t: &Topology, r: usize, c: usize) -> usize {
     ctx
 }
 
-/// Per-(step, condition) constants of one [`MrfDenoiser`] prediction.
+/// Per-(step, condition) constants of one [`MrfDenoiser`] prediction,
+/// read from the model's schedule.
 ///
-/// The noise schedule and the channel likelihoods depend only on
-/// `(k, total_steps)` and the observed bit — never on the cell — so
-/// they are computed once per prediction, outside the sweeps.
+/// The channel likelihoods depend only on `(k, K)` and the observed bit
+/// — never on the cell — and the rest only on the condition and the
+/// step, so a [`StepTable`] is made from them once a model.
 struct GridContext<'a> {
     /// The fitted `P(x₀=1 | ctx)` table for the condition.
     table: &'a [f64; CONTEXTS],
@@ -227,24 +234,15 @@ struct GridContext<'a> {
 }
 
 impl MrfDenoiser {
-    /// Builds the per-step constants for a prediction at step `k` of a
-    /// `total_steps` chain under `condition`. `schedule` keeps the
-    /// schedule it reads from one step of a chain to the next.
+    /// The constants of a prediction at step `k` of `schedule` under
+    /// `condition` (`k` is held to `1..=K`).
     fn grid_context(
         &self,
+        schedule: &NoiseSchedule,
         k: usize,
-        total_steps: usize,
         condition: Option<u32>,
-        schedule: &mut Option<NoiseSchedule>,
     ) -> GridContext<'_> {
-        // Channel likelihoods from the schedule position: reconstruct the
-        // cumulative flip probability for step k of a K-step default
-        // schedule (the schedule endpoints are fixed project-wide).
-        let steps = total_steps.max(1);
-        if schedule.as_ref().is_none_or(|s| s.len() != steps) {
-            *schedule = Some(NoiseSchedule::scaled_default(steps));
-        }
-        let schedule = schedule.as_ref().expect("built above");
+        let steps = schedule.len();
         let k = k.min(steps);
         let mut like = [[0.0f64; 2]; 2];
         let mut init = [0.0f64; 2];
@@ -255,7 +253,7 @@ impl MrfDenoiser {
             init[index] = like_one / (like_one + like_zero);
         }
         let target = self.marginal(condition).clamp(1e-4, 1.0 - 1e-4);
-        let total = total_steps.max(1) as f64;
+        let total = steps as f64;
         let w = (1.0 - 3.0 * (k as f64 - 1.0) / total).clamp(0.0, 1.0);
         GridContext {
             table: self.table(condition),
@@ -265,6 +263,88 @@ impl MrfDenoiser {
             w,
         }
     }
+
+    /// The [`StepTable`] of step `k` under `condition`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no model has prepared this denoiser.
+    fn step_table(&self, k: usize, condition: Option<u32>) -> &StepTable {
+        let slots = self.condition_ids.len() + 1;
+        let steps = self.steps.len() / slots;
+        assert!(steps > 0, "a DiffusionModel prepares its denoiser");
+        let slot = self.index_of(condition).unwrap_or(slots - 1);
+        &self.steps[(k.clamp(1, steps) - 1) * slots + slot]
+    }
+}
+
+/// What a prediction at one step under one condition reads besides its
+/// cells, made once a model ([`Denoiser::prepare`]): about 9 KiB.
+#[derive(Clone)]
+struct StepTable {
+    /// The mean-field belief of each cell key: local fitted prior ×
+    /// channel likelihood.
+    beliefs: [f64; KEYS],
+    /// The sweeps' `(a, p)` per cell index, from `beliefs`.
+    sets: SetTable,
+    /// Each belief's odds `c / (1 − c)`, `c` the belief held to `[1e-9,
+    /// 1 − 1e-9]`: what the calibration multiplies ([`calibrated`]).
+    odds: [f64; KEYS],
+    /// The keys by belief, highest first.
+    order: [u16; KEYS],
+    /// The sweeps' initial map bit per observed bit: the channel
+    /// posterior under a flat prior above one half.
+    initial: [u8; 2],
+    /// Calibration target: the style's training marginal density.
+    target: f64,
+    /// Regularization blend weight for this step.
+    w: f64,
+}
+
+impl StepTable {
+    fn new(gc: &GridContext<'_>) -> StepTable {
+        let beliefs: [f64; KEYS] = std::array::from_fn(|key| {
+            let bit = key >> 8;
+            let prior = gc.table[key & (CONTEXTS - 1)].clamp(1e-6, 1.0 - 1e-6);
+            let numerator = prior * gc.like[bit][1];
+            let denominator = numerator + (1.0 - prior) * gc.like[bit][0];
+            numerator / denominator
+        });
+        let mut order: [u16; KEYS] = std::array::from_fn(|key| key as u16);
+        order.sort_by(|&a, &b| {
+            let (a, b) = (usize::from(a), usize::from(b));
+            beliefs[b].partial_cmp(&beliefs[a]).expect("finite beliefs")
+        });
+        StepTable {
+            sets: SetTable::new(&beliefs),
+            odds: beliefs.map(|b| {
+                let clamped = b.clamp(1e-9, 1.0 - 1e-9);
+                clamped / (1.0 - clamped)
+            }),
+            order,
+            initial: gc.init.map(|init| u8::from(init > 0.5)),
+            target: gc.target,
+            w: gc.w,
+            beliefs,
+        }
+    }
+}
+
+impl std::fmt::Debug for StepTable {
+    /// The scalars only: the tables are 1 538 numbers.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StepTable")
+            .field("target", &self.target)
+            .field("w", &self.w)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A belief after the calibration's odds shift by `ratio`, from its
+/// [`StepTable::odds`].
+fn calibrated(odds: f64, ratio: f64) -> f64 {
+    let odds = odds * ratio;
+    odds / (1.0 + odds)
 }
 
 /// Number of distinct cell keys: the observed bit (bit 8) over the
@@ -393,10 +473,8 @@ fn drop_small_components(grid: &mut BitGrid, runs: Runs<'_>) {
 
 /// The buffers a prediction is made in, kept by its [`Prediction`] from
 /// one step of a chain to the next.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Scratch {
-    /// The schedule the channel likelihoods are read from.
-    schedule: Option<NoiseSchedule>,
     /// The sweeps' "belief > 0.5" map, zero-padded all round.
     map: Vec<u8>,
     /// One row's cell indices for the sweeps' look-up, padded to whole
@@ -404,6 +482,20 @@ pub(crate) struct Scratch {
     indices: Vec<u8>,
     /// The regularized map.
     grid: BitGrid,
+    /// The calibrated beliefs of the keys present (the others are
+    /// stale).
+    calibrated: [f64; KEYS],
+}
+
+impl Default for Scratch {
+    fn default() -> Scratch {
+        Scratch {
+            map: Vec::new(),
+            indices: Vec::new(),
+            grid: BitGrid::default(),
+            calibrated: [0.0; KEYS],
+        }
+    }
 }
 
 /// The bit of a [`Prediction`] index that says the cell is drawn in the
@@ -416,33 +508,30 @@ impl MrfDenoiser {
     /// the regularized map over its key) into the step's table.
     ///
     /// The per-cell mean-field update is `belief = f(observed bit,
-    /// context)`, so the 512 possible beliefs are computed once and the
-    /// sweeps, the calibration mean, the top-k quantile, the
-    /// regularization and the final blend run on small integers; every
-    /// float that reaches the output is produced by the same expression
-    /// on the same operands, in the same order where order matters (the
-    /// calibration sum), as a cell-by-cell evaluation would.
-    fn predict_grid(
-        &self,
-        cells: &[u8],
-        runs: Runs<'_>,
-        gc: &GridContext<'_>,
-        (map, indices, grid): (&mut Vec<u8>, &mut Vec<u8>, &mut BitGrid),
-        out: &mut Prediction,
-    ) {
+    /// context)`, so the 512 possible beliefs are the step's
+    /// [`StepTable`], and the sweeps, the calibration mean, the top-k
+    /// quantile, the regularization and the final blend run on small
+    /// integers; every float that reaches the output is produced by the
+    /// same expression on the same operands, in the same order where
+    /// order matters (the calibration sum), as a cell-by-cell evaluation
+    /// would. Past the sweeps only the keys present are worked on: they
+    /// are the only entries the step's thresholds read.
+    fn predict_grid(&self, cells: &[u8], runs: Runs<'_>, step: &StepTable, out: &mut Prediction) {
         let (rows, cols) = runs.shape();
-        // Mean-field update per key: local fitted prior × channel
-        // likelihood.
-        let mut beliefs = [0.0f64; KEYS];
-        for (key, belief) in beliefs.iter_mut().enumerate() {
-            let bit = key >> 8;
-            let prior = gc.table[key & (CONTEXTS - 1)].clamp(1e-6, 1.0 - 1e-6);
-            let numerator = prior * gc.like[bit][1];
-            let denominator = numerator + (1.0 - prior) * gc.like[bit][0];
-            *belief = numerator / denominator;
-        }
-        let keys = &mut out.index;
-        self.sweep(cells, (rows, cols), gc, &beliefs, (map, indices), keys);
+        let Prediction {
+            cols: out_cols,
+            index: keys,
+            present,
+            table,
+            scratch:
+                Scratch {
+                    map,
+                    indices,
+                    grid,
+                    calibrated: calibrated_beliefs,
+                },
+        } = out;
+        self.sweep(cells, (rows, cols), step, (map, indices), keys);
         // Marginal calibration: mean-field on dense tables can run away
         // toward saturation; shift the belief odds so the mean prediction
         // matches the style's training density (a denoiser trained to
@@ -454,19 +543,31 @@ impl MrfDenoiser {
         let mut sum = 0.0f64;
         for (i, &key) in keys.iter().enumerate() {
             tallies[i % 4][usize::from(key) % KEYS] += 1;
-            sum += beliefs[usize::from(key) % KEYS];
+            sum += step.beliefs[usize::from(key) % KEYS];
         }
         let counts: [usize; KEYS] = std::array::from_fn(|key| tallies.iter().map(|t| t[key]).sum());
-        let target = gc.target;
-        let mean = sum / keys.len() as f64;
-        if mean > 1e-6 && mean < 1.0 - 1e-6 {
-            let ratio = (target / (1.0 - target)) / (mean / (1.0 - mean));
-            for b in &mut beliefs {
-                let clamped = b.clamp(1e-9, 1.0 - 1e-9);
-                let odds = clamped / (1.0 - clamped) * ratio;
-                *b = odds / (1.0 + odds);
-            }
+        // The keys present, in key order: every key is written, and the
+        // next one written over it unless it was counted.
+        present.clear();
+        present.resize(KEYS, 0);
+        let mut len = 0;
+        for (key, &count) in counts.iter().enumerate() {
+            present[len] = key as u16;
+            len += usize::from(count > 0);
         }
+        present.truncate(len);
+        let target = step.target;
+        let mean = sum / keys.len() as f64;
+        let beliefs = if mean > 1e-6 && mean < 1.0 - 1e-6 {
+            let ratio = (target / (1.0 - target)) / (mean / (1.0 - mean));
+            for &key in present.iter() {
+                let key = usize::from(key) % KEYS;
+                calibrated_beliefs[key] = calibrated(step.odds[key], ratio);
+            }
+            &*calibrated_beliefs
+        } else {
+            &step.beliefs
+        };
         // Regularization over the final third of the chain: the top-k
         // map without its smallest fragments, the shapes a denoiser trained
         // on layout data predicts near the end of the chain. Earlier steps keep the raw
@@ -474,9 +575,17 @@ impl MrfDenoiser {
         // ratchets density upward, so the weight stays zero there.
         // (With the weight at zero neither blend target changes a
         // belief, so the map is not computed and no index has the bit.)
-        let w = gc.w;
+        let w = step.w;
         if w > 0.0 {
-            top_cells(keys, rows, cols, &counts, &beliefs, target, grid);
+            top_cells(
+                keys,
+                (rows, cols),
+                &counts,
+                beliefs,
+                &step.order,
+                target,
+                grid,
+            );
             drop_small_components(grid, runs);
             for (r, keys) in keys.chunks_exact_mut(cols).enumerate() {
                 for (keys, &bits) in keys.chunks_mut(64).zip(grid.row(r + 1)) {
@@ -486,19 +595,19 @@ impl MrfDenoiser {
                 }
             }
         }
-        for (target, table) in [0.0, 1.0].into_iter().zip(out.table.chunks_exact_mut(KEYS)) {
-            for (out, &b) in table.iter_mut().zip(&beliefs) {
-                *out = (b * (1.0 - w) + target * w) as f32;
+        for &key in present.iter() {
+            let (key, b) = (usize::from(key) % KEYS, beliefs[usize::from(key) % KEYS]);
+            for (target, at) in [(0.0, key), (1.0, KEYS + key)] {
+                table[at] = (b * (1.0 - w) + target * w) as f32;
             }
         }
-        out.present.clear();
-        for key in (0..KEYS as u16).filter(|&key| counts[usize::from(key)] > 0) {
-            out.present.push(key);
-            if w > 0.0 {
-                out.present.push(key | REGULARIZED);
+        if w > 0.0 {
+            for at in 0..len {
+                let key = present[at];
+                present.push(key | REGULARIZED);
             }
         }
-        out.cols = cols;
+        *out_cols = cols;
     }
 
     /// The Gauss-Seidel mean-field sweeps, on the "belief > 0.5" map
@@ -519,12 +628,11 @@ impl MrfDenoiser {
         &self,
         cells: &[u8],
         (rows, cols): (usize, usize),
-        gc: &GridContext<'_>,
-        beliefs: &[f64; KEYS],
+        step: &StepTable,
         (map, indices): (&mut Vec<u8>, &mut Vec<u8>),
         keys: &mut Vec<u16>,
     ) {
-        let table = SetTable::new(beliefs);
+        let table = &step.sets;
         // The map, zero-padded by one cell all round and to whole words
         // on the right: out-of-bounds neighbours read as 0 (patterns sit
         // in empty surroundings), and a row pass writes whole words.
@@ -533,7 +641,7 @@ impl MrfDenoiser {
         let padded = 64 * words + 2;
         map.clear();
         map.resize((rows + 2) * padded, 0);
-        let [off, on] = gc.init.map(|init| u8::from(init > 0.5));
+        let [off, on] = step.initial;
         for (row, cells) in map
             .chunks_exact_mut(padded)
             .skip(1)
@@ -557,7 +665,7 @@ impl MrfDenoiser {
             // `avx512f` is, which includes AVX2.
             #[cfg(target_arch = "x86_64")]
             Compare::Avx2 | Compare::Avx512 => unsafe {
-                sweep_rows_avx2(sweeps, cells, cols, map, indices, keys, &table);
+                sweep_rows_avx2(sweeps, cells, cols, map, indices, keys, table);
             },
         }
     }
@@ -639,6 +747,7 @@ const OBSERVED: u8 = LEFT as u8;
 /// [`MrfDenoiser::sweep`]): as a byte an index, `a` in bit 0 and `p` in
 /// bit 1, for the scalar look-up, and as two 256-bit sets, `[a, p]`,
 /// for the vector one.
+#[derive(Clone)]
 struct SetTable {
     bytes: [u8; CONTEXTS],
     sets: [[u8; CONTEXTS / 8]; 2],
@@ -805,12 +914,18 @@ fn shifts(padded_row: &[u8], cols: usize) -> [&[u8]; 3] {
 /// all cells would have it. (Keys of one value form one group, so the
 /// order of the keys within it does not matter.) The map is written
 /// into `grid`.
+///
+/// The keys are ranked by walking `order`, the step's keys by
+/// uncalibrated belief, highest first. The calibration's odds shift is
+/// monotone, but its rounding can make two neighbours tie or swap, so
+/// an insertion pass restores the exact descending order of `beliefs`:
+/// each key moves past the few it swapped with, not through a sort.
 fn top_cells(
     keys: &[u16],
-    rows: usize,
-    cols: usize,
+    (rows, cols): (usize, usize),
     counts: &[usize; KEYS],
     beliefs: &[f64; KEYS],
+    order: &[u16; KEYS],
     target_density: f64,
     grid: &mut BitGrid,
 ) {
@@ -818,14 +933,25 @@ fn top_cells(
     const BOUNDARY: u8 = 1;
     const KEEP: u8 = 2;
     let mut left = (((keys.len() as f64) * target_density).round() as usize).min(keys.len());
+    // The keys present, in `order`: every key is written, and the next
+    // one written over it unless it was counted.
     let mut ranked = [0usize; KEYS];
     let mut present = 0;
-    for key in (0..KEYS).filter(|&key| counts[key] > 0) {
+    for &key in order {
+        let key = usize::from(key) % KEYS;
         ranked[present] = key;
-        present += 1;
+        present += usize::from(counts[key] > 0);
     }
     let ranked = &mut ranked[..present];
-    ranked.sort_unstable_by(|&a, &b| beliefs[b].partial_cmp(&beliefs[a]).expect("finite beliefs"));
+    for at in 1..ranked.len() {
+        let key = ranked[at];
+        let mut to = at;
+        while to > 0 && beliefs[ranked[to - 1]] < beliefs[key] {
+            ranked[to] = ranked[to - 1];
+            to -= 1;
+        }
+        ranked[to] = key;
+    }
     let mut class = [DROP; KEYS];
     for tied in ranked.chunk_by(|&a, &b| beliefs[a] == beliefs[b]) {
         let cells: usize = tied.iter().map(|&key| counts[key]).sum();
@@ -856,27 +982,31 @@ fn top_cells(
 }
 
 impl Denoiser for MrfDenoiser {
+    /// Makes the [`StepTable`] of every step of `schedule` under every
+    /// condition and the pooled one: 3 × 24 tables (≈ 0.66 MiB) for two
+    /// styles at 24 steps.
+    fn prepare(&mut self, schedule: &NoiseSchedule) {
+        let slots: Vec<Option<u32>> = self
+            .condition_ids
+            .iter()
+            .map(|&cond| Some(cond))
+            .chain([None])
+            .collect();
+        self.steps = (1..=schedule.len())
+            .flat_map(|k| slots.iter().map(move |&cond| (k, cond)))
+            .map(|(k, cond)| StepTable::new(&self.grid_context(schedule, k, cond)))
+            .collect();
+    }
+
     fn predict_x0(
         &self,
         x_k: &[u8],
         runs: Runs<'_>,
         k: usize,
-        total_steps: usize,
         condition: Option<u32>,
         out: &mut Prediction,
     ) {
-        // Out of `out` while `out` is written (taking leaves empty
-        // buffers behind, which allocates nothing).
-        let mut scratch = std::mem::take(&mut out.scratch);
-        let Scratch {
-            schedule,
-            map,
-            indices,
-            grid,
-        } = &mut scratch;
-        let gc = &self.grid_context(k, total_steps, condition, schedule);
-        self.predict_grid(x_k, runs, gc, (map, indices, grid), out);
-        out.scratch = scratch;
+        self.predict_grid(x_k, runs, self.step_table(k, condition), out);
     }
 
     fn scan_lines(&self, condition: Option<u32>) -> &ScanLines {
@@ -942,7 +1072,7 @@ mod tests {
         let noisy = Topology::from_bytes(clean.rows(), clean.cols(), cells);
         let ones = [1; 32];
         let runs = Runs::new(&ones, &ones);
-        let p0 = predict_fine(model.denoiser(), &noisy, runs, 2, 10, Some(0));
+        let p0 = predict_fine(model.denoiser(), &noisy, runs, 2, Some(0));
         let mut correct = 0usize;
         for (i, &p) in p0.iter().enumerate() {
             let predicted = p > 0.5;
@@ -1040,23 +1170,33 @@ mod tests {
         ]
     }
 
+    /// `mrf` prepared for `schedule`, as a model built on it has it.
+    fn prepared(mrf: &MrfDenoiser, schedule: &NoiseSchedule) -> MrfDenoiser {
+        let mut mrf = mrf.clone();
+        mrf.prepare(schedule);
+        mrf
+    }
+
+    /// Asserts that `mrf`, prepared for `schedule`, predicts what the
+    /// reference computes from `schedule`, bit for bit.
     fn assert_same_bits(
         mrf: &MrfDenoiser,
+        schedule: &NoiseSchedule,
         x: &Topology,
         k: usize,
-        steps: usize,
         cond: Option<u32>,
     ) {
         let [rows, cols] = varied_runs(x);
         let runs = Runs::new(&rows, &cols);
-        let got = predict_fine(mrf, x, runs, k, steps, cond);
-        let want = reference::predict_x0(mrf, x, runs, k, steps, cond);
+        let got = predict_fine(mrf, x, runs, k, cond);
+        let want = reference::predict_x0(mrf, schedule, x, runs, k, cond);
         assert_eq!(got.len(), want.len());
         if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
             panic!(
-                "{:?} sweeps {} k {k}/{steps} {cond:?}: cell {i} is {} not {}",
+                "{:?} sweeps {} k {k}/{} {cond:?}: cell {i} is {} not {}",
                 x.shape(),
                 mrf.sweeps,
+                schedule.len(),
                 got[i],
                 want[i]
             );
@@ -1076,19 +1216,21 @@ mod tests {
             (16, 16),
             (13, 22),
         ];
-        {
-            for sweeps in [1, 3] {
-                let mrf = two_style_denoiser(sweeps);
-                for (rows, cols) in shapes {
-                    for x in inputs(rows, cols, &mut rng) {
-                        for steps in [1, 8, 24] {
-                            for k in 1..=steps {
-                                // Known style, unknown style (pooled
-                                // table, pooled marginal), no style.
-                                for cond in [Some((k % 2) as u32), Some(9), None] {
-                                    assert_same_bits(&mrf, &x, k, steps, cond);
-                                }
-                            }
+        for sweeps in [1, 3] {
+            let mrf = two_style_denoiser(sweeps);
+            let grids: Vec<Topology> = shapes
+                .iter()
+                .flat_map(|&(rows, cols)| inputs(rows, cols, &mut rng))
+                .collect();
+            for steps in [1, 8, 24] {
+                let schedule = NoiseSchedule::scaled_default(steps);
+                let mrf = prepared(&mrf, &schedule);
+                for x in &grids {
+                    for k in 1..=steps {
+                        // Known style, unknown style (pooled table, pooled
+                        // marginal), no style.
+                        for cond in [Some((k % 2) as u32), Some(9), None] {
+                            assert_same_bits(&mrf, &schedule, x, k, cond);
                         }
                     }
                 }
@@ -1109,13 +1251,17 @@ mod tests {
             (64, 64),
             (65, 128),
         ];
+        let schedules = [1, 8, 24].map(NoiseSchedule::scaled_default);
         for sweeps in [3, 1] {
             let mrf = two_style_denoiser(sweeps);
+            let prepared = schedules
+                .each_ref()
+                .map(|schedule| prepared(&mrf, schedule));
             for (rows, cols) in shapes {
                 for (i, x) in inputs(rows, cols, &mut rng).iter().enumerate() {
-                    for (k, steps) in [(1, 1), (1, 8), (5, 8), (2, 24), (9, 24), (24, 24)] {
+                    for (k, steps) in [(1, 0), (1, 1), (5, 1), (2, 2), (9, 2), (24, 2)] {
                         let cond = [Some(0), Some(1), Some(9), None][(i + k) % 4];
-                        assert_same_bits(&mrf, x, k, steps, cond);
+                        assert_same_bits(&prepared[steps], &schedules[steps], x, k, cond);
                     }
                 }
             }
@@ -1125,15 +1271,40 @@ mod tests {
         // at the model's sweeps, on both sides of a 24-step chain's
         // blend-weight boundary (the weight is positive up to k = 8, so 8
         // regularizes and 9 does not).
-        let mrf = two_style_denoiser(3);
+        let mrf = prepared(&two_style_denoiser(3), &schedules[2]);
         for (rows, cols) in [(25, 91), (24, 24)] {
             for (i, x) in inputs(rows, cols, &mut rng).iter().enumerate() {
                 for k in [1, 8, 9, 24] {
                     let cond = [Some(0), Some(1), Some(9), None][(i + k) % 4];
-                    assert_same_bits(&mrf, x, k, 24, cond);
+                    assert_same_bits(&mrf, &schedules[2], x, k, cond);
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_model_on_its_own_schedule_denoises_against_its_own_likelihoods() {
+        // Endpoints other than the default 0.01 and 0.5, so the channel
+        // likelihoods of no step are the default schedule's.
+        let schedule = NoiseSchedule::linear(10, 0.04, 0.3);
+        let model = DiffusionModel::new(schedule.clone(), two_style_denoiser(3), 16);
+        let mrf = model.denoiser();
+        let default = NoiseSchedule::scaled_default(10);
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let mut differs = false;
+        for (i, x) in inputs(13, 22, &mut rng).iter().enumerate() {
+            for k in 1..=10 {
+                let cond = [Some(0), Some(1), None][(i + k) % 3];
+                assert_same_bits(mrf, model.schedule(), x, k, cond);
+                let [rows, cols] = varied_runs(x);
+                let runs = Runs::new(&rows, &cols);
+                differs |= reference::predict_x0(mrf, &schedule, x, runs, k, cond)
+                    != reference::predict_x0(mrf, &default, x, runs, k, cond);
+            }
+        }
+        // The default schedule's likelihoods would have predicted
+        // otherwise, so the match above is the model's own schedule.
+        assert!(differs);
     }
 
     #[test]
@@ -1149,14 +1320,32 @@ mod tests {
             (31, 65),
             (40, 130),
         ] {
-            for distinct in [1usize, 2, 3, 40] {
+            // 0 distinct values: a run of neighbours an ulp apart.
+            for distinct in [0usize, 1, 2, 3, 40] {
                 for density in [0.0, 0.07, 0.3, 0.5, 0.93, 1.0] {
                     // A belief table with few distinct values, so ranks
-                    // are shared and the boundary rank is split by index.
+                    // are shared and the boundary rank is split by index,
+                    // each with neighbours a few ulps above it.
                     let mut beliefs = [0.0f64; KEYS];
-                    for b in &mut beliefs {
-                        *b = rng.gen_range(0..distinct) as f64 / distinct as f64;
+                    for (key, b) in beliefs.iter_mut().enumerate() {
+                        let (value, ulps) = match distinct {
+                            0 => (0.1, key % 64),
+                            _ => (
+                                rng.gen_range(0..distinct) as f64 / distinct as f64,
+                                rng.gen_range(0..4),
+                            ),
+                        };
+                        *b = (0..ulps).fold(value, |b, _| b.next_up());
                     }
+                    // The step's rank order: the keys shuffled, then by
+                    // belief, highest first, ties left shuffled.
+                    let mut order: [u16; KEYS] = std::array::from_fn(|key| key as u16);
+                    for at in (1..KEYS).rev() {
+                        order.swap(at, rng.gen_range(0..=at));
+                    }
+                    order.sort_by(|&a, &b| {
+                        beliefs[usize::from(b)].total_cmp(&beliefs[usize::from(a)])
+                    });
                     let keys: Vec<u16> = (0..rows * cols)
                         .map(|_| rng.gen_range(0..KEYS as u16))
                         .collect();
@@ -1164,8 +1353,6 @@ mod tests {
                     for &key in &keys {
                         counts[usize::from(key)] += 1;
                     }
-                    let mut grid = BitGrid::default();
-                    top_cells(&keys, rows, cols, &counts, &beliefs, density, &mut grid);
                     // Unit runs on even sizes, varied ones on odd.
                     let unit = [vec![1; rows], vec![1; cols]];
                     let varied = varied_runs(&Topology::filled(rows, cols, false));
@@ -1175,16 +1362,38 @@ mod tests {
                         &varied
                     };
                     let runs = Runs::new(run_rows, run_cols);
-                    drop_small_components(&mut grid, runs);
-                    let per_cell: Vec<f64> =
-                        keys.iter().map(|&k| beliefs[usize::from(k)]).collect();
-                    let want = reference::regularize(&per_cell, runs, density);
-                    for (i, &bit) in want.iter().enumerate() {
-                        assert_eq!(
-                            grid.get(i / cols + 1, i % cols),
-                            bit,
-                            "{rows}x{cols}, {distinct} values, density {density}: cell {i}"
+                    // Uncalibrated, and shifted by odds ratios under which
+                    // the rounding ties and swaps neighbours.
+                    for ratio in [None, Some(0.5), Some(0.7), Some(1.7), Some(2.0)] {
+                        let values = match ratio {
+                            None => beliefs,
+                            Some(ratio) => beliefs.map(|b| {
+                                let clamped = b.clamp(1e-9, 1.0 - 1e-9);
+                                calibrated(clamped / (1.0 - clamped), ratio)
+                            }),
+                        };
+                        let mut grid = BitGrid::default();
+                        top_cells(
+                            &keys,
+                            (rows, cols),
+                            &counts,
+                            &values,
+                            &order,
+                            density,
+                            &mut grid,
                         );
+                        drop_small_components(&mut grid, runs);
+                        let per_cell: Vec<f64> =
+                            keys.iter().map(|&k| values[usize::from(k)]).collect();
+                        let want = reference::regularize(&per_cell, runs, density);
+                        for (i, &bit) in want.iter().enumerate() {
+                            assert_eq!(
+                                grid.get(i / cols + 1, i % cols),
+                                bit,
+                                "{rows}x{cols}, {distinct} values, density {density}, \
+                                 ratio {ratio:?}: cell {i}"
+                            );
+                        }
                     }
                 }
             }

@@ -5,6 +5,7 @@
 
 use super::{GridContext, MrfDenoiser};
 use crate::grid::Runs;
+use crate::NoiseSchedule;
 use cp_layout::squish::Topology;
 
 /// Thresholds beliefs at the top-k quantile and drops connected
@@ -165,15 +166,16 @@ fn finish_grid(mut beliefs: Vec<f64>, runs: Runs<'_>, gc: &GridContext<'_>) -> V
         .collect()
 }
 
-/// The whole of the old `MrfDenoiser::predict_x0`.
+/// The whole of the old `MrfDenoiser::predict_x0`, at step `k` of
+/// `schedule`.
 pub(super) fn predict_x0(
     mrf: &MrfDenoiser,
+    schedule: &NoiseSchedule,
     x_k: &Topology,
     runs: Runs<'_>,
     k: usize,
-    total_steps: usize,
     condition: Option<u32>,
 ) -> Vec<f32> {
-    let gc = &mrf.grid_context(k, total_steps, condition, &mut None);
+    let gc = &mrf.grid_context(schedule, k, condition);
     predict_grid_with(mrf, x_k, runs, gc)
 }
