@@ -305,9 +305,10 @@ pub struct TurnOutcome {
 /// Direct [`PatternService::execute`] calls spend no time queued, so
 /// `queue_micros` is zero and `micros == exec_micros`. Requests routed
 /// through a [`PatternEngine`](crate::PatternEngine) record how long
-/// the job sat in the submission queue before a worker picked it up;
-/// cache hits additionally set `cached` and report only the (tiny)
-/// lookup cost as `exec_micros`; requests that attached to an
+/// the job took from the `submit` call until a worker picked it up —
+/// admission, then the wait in the queue; cache hits additionally set
+/// `cached` and report only their admission (the key and the lookup)
+/// as `exec_micros`; requests that attached to an
 /// identical in-flight execution set `coalesced`. Every handle's
 /// `micros` is its own submission-to-completion latency — a coalesced
 /// waiter that attached mid-execution reports zero queue wait and

@@ -650,7 +650,6 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
             return Err(Error::overloaded(rejection.retry_after_ms));
         }
         let key = crate::routing::request_key(&request).map(|text| self.core.broker.key(text));
-        let lookup = Instant::now();
         // Non-blocking submits dispatch *inside* admission: a try-push
         // into a bounded queue never blocks and never re-enters the
         // broker, and doing it there means a QueueFull rejection can
@@ -678,7 +677,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
                 Ok(JobHandle::done(Ok(PatternResponse {
                     // Deep clone outside the broker lock.
                     payload: ResponsePayload::clone(&payload),
-                    timing: Timing::cache_hit(elapsed_micros(lookup)),
+                    timing: Timing::cache_hit(elapsed_micros(submitted_at)),
                 })))
             }
             Admission::Coalesced(job) => {
