@@ -310,8 +310,9 @@ impl StepTable {
             let denominator = numerator + (1.0 - prior) * gc.like[bit][0];
             numerator / denominator
         });
+        // Keys of one belief may come in any order: they form one rank.
         let mut order: [u16; KEYS] = std::array::from_fn(|key| key as u16);
-        order.sort_by(|&a, &b| {
+        order.sort_unstable_by(|&a, &b| {
             let (a, b) = (usize::from(a), usize::from(b));
             beliefs[b].partial_cmp(&beliefs[a]).expect("finite beliefs")
         });
@@ -992,10 +993,13 @@ impl Denoiser for MrfDenoiser {
             .map(|&cond| Some(cond))
             .chain([None])
             .collect();
-        self.steps = (1..=schedule.len())
-            .flat_map(|k| slots.iter().map(move |&cond| (k, cond)))
-            .map(|(k, cond)| StepTable::new(&self.grid_context(schedule, k, cond)))
-            .collect();
+        let mut steps = Vec::with_capacity(schedule.len() * slots.len());
+        for k in 1..=schedule.len() {
+            for &cond in &slots {
+                steps.push(StepTable::new(&self.grid_context(schedule, k, cond)));
+            }
+        }
+        self.steps = steps;
     }
 
     fn predict_x0(
