@@ -373,16 +373,18 @@ impl Timing {
         }
     }
 
-    /// Timing of a cache hit (no queue wait, lookup cost only).
+    /// Timing of a cache hit (no queue wait, admission only).
     #[must_use]
     pub(crate) fn cache_hit(exec_micros: u64) -> Timing {
+        let mut stages = [0; STAGES];
+        stages[Stage::Admit as usize] = exec_micros;
         Timing {
             micros: exec_micros,
             queue_micros: 0,
             exec_micros,
             cached: true,
             coalesced: false,
-            stages: stage_only(Stage::Admit, exec_micros),
+            stages,
         }
     }
 
@@ -424,13 +426,6 @@ impl Timing {
         self.stages[Stage::Queue as usize] = self.queue_micros - admit;
         self
     }
-}
-
-/// Every stage zero but `stage`.
-fn stage_only(stage: Stage, micros: u64) -> [u64; STAGES] {
-    let mut stages = [0; STAGES];
-    stages[stage as usize] = micros;
-    stages
 }
 
 /// Per-variant response payload.
@@ -939,7 +934,7 @@ mod tests {
         assert!(matches!(err, Error::InvalidRequest { .. }));
     }
 
-    /// The stages of `timing` that belong to `group`'s names, summed.
+    /// The stages of `timing` named in `names`, summed.
     fn sum_of(timing: &Timing, names: &[&str]) -> u64 {
         Stage::ALL
             .iter()

@@ -80,11 +80,12 @@ impl JobShared {
 
     /// A job born finished (cache hits, `Stats`).
     pub(crate) fn finished(result: Result<PatternResponse, Error>) -> Arc<JobShared> {
+        let now = Instant::now();
         Arc::new(JobShared {
             state: Mutex::new(JobState::Done(Some(Box::new(result)))),
             done: Condvar::new(),
-            submitted_at: Instant::now(),
-            admitted_at: Instant::now(),
+            submitted_at: now,
+            admitted_at: now,
         })
     }
 

@@ -597,15 +597,15 @@ impl MrfDenoiser {
             }
         }
         for &key in present.iter() {
-            let (key, b) = (usize::from(key) % KEYS, beliefs[usize::from(key) % KEYS]);
+            let key = usize::from(key) % KEYS;
             for (target, at) in [(0.0, key), (1.0, KEYS + key)] {
-                table[at] = (b * (1.0 - w) + target * w) as f32;
+                table[at] = (beliefs[key] * (1.0 - w) + target * w) as f32;
             }
         }
         if w > 0.0 {
-            for at in 0..len {
-                let key = present[at];
-                present.push(key | REGULARIZED);
+            present.extend_from_within(..);
+            for key in &mut present[len..] {
+                *key |= REGULARIZED;
             }
         }
         *out_cols = cols;
