@@ -983,7 +983,7 @@ fn top_cells(
 }
 
 impl Denoiser for MrfDenoiser {
-    /// Makes the [`StepTable`] of every step of `schedule` under every
+    /// Makes the `StepTable` of every step of `schedule` under every
     /// condition and the pooled one: 3 × 24 tables (≈ 0.66 MiB) for two
     /// styles at 24 steps.
     fn prepare(&mut self, schedule: &NoiseSchedule) {

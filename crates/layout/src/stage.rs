@@ -152,7 +152,8 @@ fn boundary(stage: Stage) -> Option<Stage> {
     })
 }
 
-/// Enters `stage` (see [`boundary`]).
+/// Enters `stage`: the time since the last boundary goes to the stage
+/// open until now (to `stage` if none was), and `stage` opens.
 pub fn enter(stage: Stage) {
     boundary(stage);
 }
