@@ -934,32 +934,31 @@ mod tests {
         assert!(matches!(err, Error::InvalidRequest { .. }));
     }
 
-    /// The stages of `timing` named in `names`, summed.
-    fn sum_of(timing: &Timing, names: &[&str]) -> u64 {
-        Stage::ALL
+    /// The stages of `timing` in `stages`, summed.
+    fn sum_of(timing: &Timing, stages: &[Stage]) -> u64 {
+        stages
             .iter()
-            .filter(|stage| names.contains(&stage.name()))
             .map(|&stage| timing.stages[stage as usize])
             .sum()
     }
 
     #[test]
     fn a_staged_replys_stages_sum_to_its_micros() {
-        const DENOISE: [&str; 6] = [
-            "grid",
-            "noise",
-            "predict_x0",
-            "thresholds",
-            "draws",
-            "write_back",
+        const DENOISE: [Stage; 6] = [
+            Stage::Grid,
+            Stage::Noise,
+            Stage::PredictX0,
+            Stage::Thresholds,
+            Stage::Draws,
+            Stage::WriteBack,
         ];
-        const LEGALIZE: [&str; 6] = [
-            "bounds",
-            "sweep",
-            "labels",
-            "area_repair",
-            "slack",
-            "squish_encode",
+        const LEGALIZE: [Stage; 6] = [
+            Stage::Bounds,
+            Stage::Sweep,
+            Stage::Labels,
+            Stage::AreaRepair,
+            Stage::Slack,
+            Stage::SquishEncode,
         ];
         let engine = crate::PatternEngine::new(small_system());
         let seed = Topology::from_fn(16, 16, |r, c| (r / 4 + c / 4) % 2 == 0);
@@ -983,7 +982,7 @@ mod tests {
                     style: Style::Layer10001,
                     seed: 3,
                 }),
-                &["extend_windows", "draws", "predict_x0"][..],
+                &[Stage::ExtendWindows, Stage::Draws, Stage::PredictX0][..],
             ),
             (
                 PatternRequest::Modify(ModifyParams {
@@ -1019,12 +1018,15 @@ mod tests {
                 timing.micros
             );
             assert_eq!(
-                sum_of(&timing, &["admit", "queue"]),
+                sum_of(&timing, &[Stage::Admit, Stage::Queue]),
                 timing.queue_micros,
                 "{what}"
             );
-            for name in entered {
-                assert!(sum_of(&timing, &[name]) > 0, "{what}: no time in {name}");
+            for &stage in entered {
+                assert!(
+                    sum_of(&timing, &[stage]) > 0,
+                    "{what}: no time in {stage:?}"
+                );
             }
             // A generation never reaches the legalizer, nor a
             // legalization the sampler.
