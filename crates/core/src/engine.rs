@@ -120,8 +120,7 @@ pub struct EngineStats {
     /// zero for services without session support).
     pub sessions_open: u64,
     /// Sessions destroyed: expired or evicted by the stores' one exit
-    /// with no persist layer attached, lost to a panicking turn, or
-    /// evicted mid-turn because every session was mid-turn.
+    /// with no persist layer attached, or lost to a panicking turn.
     pub sessions_evicted: u64,
     /// Sessions spilled to the persist layer on capacity eviction or
     /// TTL expiry (instead of being destroyed).

@@ -11,8 +11,9 @@
 //!   more than `capacity` sessions. Every store operation first retires
 //!   the sessions idle past their TTL; an open that still finds the
 //!   store full evicts the least-recently-used *idle* session (expiry
-//!   waits for a running turn to end, and eviction destroys a session
-//!   mid-turn only when every session is mid-turn). Both edges take a
+//!   and eviction both wait for a running turn to end: when every
+//!   session is mid-turn, the open waits for the least recently used
+//!   one). Both edges take a
 //!   session out of memory by one protocol (`SessionStore::spill`): the
 //!   victim stays in the map, frozen by its slot lock, until it has
 //!   left. Without a persist layer it is destroyed: a later turn on it
@@ -109,8 +110,7 @@ pub struct SessionStats {
     /// Sessions currently open (a gauge, not a counter).
     pub open: u64,
     /// Sessions destroyed: expired or evicted by the one exit with no
-    /// persist layer to spill to, lost to a panicking turn, or evicted
-    /// mid-turn because every session was mid-turn.
+    /// persist layer to spill to, or lost to a panicking turn.
     pub evicted: u64,
     /// Sessions spilled to the persist layer, on capacity eviction or
     /// TTL expiry.
@@ -803,8 +803,10 @@ impl<T> SessionStore<T> {
     /// Brings the store below capacity so one insertion fits: the
     /// least-recently-used *idle* session leaves by the one exit
     /// ([`SessionStore::spill`]; a session mid-turn is skipped — its
-    /// slot cannot be drained without blocking). Only when every
-    /// session is mid-turn is the LRU victim destroyed in place.
+    /// slot cannot be drained without blocking). When every session is
+    /// mid-turn (or reserved by a rehydration), this waits for the LRU
+    /// one's slot and goes round again: a session never leaves while
+    /// another thread holds it, so its persist calls never overlap.
     ///
     /// # Errors
     ///
@@ -828,17 +830,19 @@ impl<T> SessionStore<T> {
                 self.spill(state, &id)?;
                 continue;
             }
-            // Every session is mid-turn: destroy the one idle the
+            // Every session is mid-turn: wait for the one idle the
             // longest (by logical clock, so the choice is
-            // deterministic); its running turn finishes on the slot it
-            // holds.
+            // deterministic). A poisoned slot is never idle again; it
+            // is destroyed as an access would.
             let (victim, slot) = state
                 .iter()
                 .min_by_key(|(_, entry)| entry.touched)
                 .map(|(id, entry)| (id.clone(), Arc::clone(&entry.slot)))
                 .expect("a non-empty map has a minimum");
             drop(state);
-            self.discard(&victim, &slot);
+            if slot.value.lock().is_err() {
+                self.discard(&victim, &slot);
+            }
         }
     }
 
@@ -1114,8 +1118,7 @@ impl<T> SessionStore<T> {
     }
 
     /// Flags `slot` evicted and unlinks `id` if it still points at it,
-    /// counted in `evicted`: the poisoned-lock recovery path, and
-    /// capacity eviction when every session is mid-turn.
+    /// counted in `evicted`: the poisoned-lock recovery path.
     fn discard(&self, id: &str, slot: &Arc<Slot<T>>) {
         slot.evicted.store(true, Ordering::Release);
         if unlink(&mut self.lock(), id, slot) {
@@ -1277,9 +1280,9 @@ mod tests {
         while !in_turn.load(Ordering::SeqCst) {
             thread::yield_now();
         }
-        // Capacity 1: this evicts "a" while its turn is running.
+        // Capacity 1: this open waits for "a"'s turn, then evicts it.
         store.open("b", Vec::new).expect("opens, evicting a");
-        // The running turn completes cleanly — it owned the slot.
+        // The running turn completed cleanly — it owned the slot.
         assert_eq!(long_turn.join().expect("no panic").expect("turn ran"), 1);
         // The next turn on the evicted id is a typed error.
         match store.turn("a", |_| Ok(())) {
@@ -2253,5 +2256,78 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 1, "evicted value dropped");
         drop(store.close("b").expect("closes"));
         assert_eq!(drops.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_directory_store_keeps_every_turn_under_concurrent_traffic_on_shared_ids() {
+        const IDS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+        let dir = scratch_dir("concurrent");
+        let ttl = Duration::from_secs(3600);
+        // Two of six sessions fit: nearly every turn spills one and
+        // rehydrates another, on four threads that share every id.
+        let store = Arc::new(
+            SessionStore::with_persist(
+                SessionConfig { capacity: 2, ttl },
+                json_persist(&dir, ttl, 4),
+            )
+            .with_spill_ahead_turns(Some(1)),
+        );
+        for id in IDS {
+            store.open(id, Vec::new).expect("opens");
+        }
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let store = Arc::clone(&store);
+                thread::spawn(move || {
+                    let mut ran = [0u64; IDS.len()];
+                    for i in 0..75u64 {
+                        let k = ((t * 7 + i * 5) % 6) as usize;
+                        match store.turn(IDS[k], |v| {
+                            v.push(t);
+                            Ok(())
+                        }) {
+                            Ok(()) => ran[k] += 1,
+                            // The bounded re-resolve gave up: the turn
+                            // never ran.
+                            Err(Error::SessionNotFound { message, .. })
+                                if message.contains("evicted") => {}
+                            Err(error) => panic!("turn on {} failed: {error:?}", IDS[k]),
+                        }
+                    }
+                    ran
+                })
+            })
+            .collect();
+        let mut ran = [0u64; IDS.len()];
+        for thread in threads {
+            for (total, n) in ran.iter_mut().zip(thread.join().expect("no panic")) {
+                *total += n;
+            }
+        }
+        let stats = store.stats();
+        assert_eq!(stats.evicted, 0, "nothing was destroyed: {stats:?}");
+        for (id, ran) in IDS.iter().zip(ran) {
+            let value = store.close(id).expect("closes");
+            assert_eq!(
+                value.len() as u64,
+                ran,
+                "{id} kept every turn it ran: {stats:?}"
+            );
+        }
+        let mut litter = Vec::new();
+        for shard in std::fs::read_dir(&dir).expect("dir lists") {
+            for file in std::fs::read_dir(shard.expect("entry").path()).expect("shard lists") {
+                let name = file
+                    .expect("entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned();
+                if name.ends_with(".tmp") || name.ends_with(".corrupt") {
+                    litter.push(name);
+                }
+            }
+        }
+        assert!(litter.is_empty(), "left behind: {litter:?}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }
