@@ -388,22 +388,6 @@ impl Timing {
         }
     }
 
-    /// Timing of a coalesced waiter: it waited `queue_micros` from its
-    /// own submission, then overlapped the shared execution for
-    /// `exec_micros` (the engine caps this at the handle's real
-    /// elapsed time).
-    #[must_use]
-    pub(crate) fn coalesced(queue_micros: u64, exec_micros: u64) -> Timing {
-        Timing {
-            micros: queue_micros.saturating_add(exec_micros),
-            queue_micros,
-            exec_micros,
-            cached: false,
-            coalesced: true,
-            stages: [0; STAGES],
-        }
-    }
-
     /// This timing with its execution's stages `exec` — the executed
     /// request's own record, scaled down to `exec_micros` for a
     /// coalesced waiter that saw only part of it — and its queue wait
@@ -873,13 +857,8 @@ mod tests {
         assert!(hit.cached);
         assert!(!hit.coalesced);
         assert_eq!(hit.micros, 2);
-        let shared = Timing::coalesced(5, 40);
-        assert!(shared.coalesced);
-        assert!(!shared.cached);
-        assert_eq!(shared.micros, 45);
         // Saturating, not wrapping, on absurd inputs.
         assert_eq!(Timing::queued(u64::MAX, 1).micros, u64::MAX);
-        assert_eq!(Timing::coalesced(u64::MAX, 1).micros, u64::MAX);
     }
 
     #[test]

@@ -92,9 +92,9 @@ impl EngineConfig {
 
 /// Counters describing engine activity since construction.
 ///
-/// Serializable: a [`PatternRequest::Stats`] request returns this
-/// struct over the wire, and the `chatpattern-router` merges one per
-/// worker into a fleet view with [`EngineStats::merge`].
+/// Serializable: a [`Stats`](crate::PatternRequest::Stats) request
+/// returns this struct over the wire, and the `chatpattern-router`
+/// merges one per worker into a fleet view with [`EngineStats::merge`].
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Jobs accepted by `submit`/`submit_blocking` (cache hits and
@@ -106,7 +106,7 @@ pub struct EngineStats {
     /// Jobs whose result was an error.
     pub failed: u64,
     /// Jobs still queued when the engine was dropped, failed with
-    /// [`Error::Cancelled`].
+    /// [`Cancelled`](crate::Error::Cancelled).
     pub cancelled: u64,
     /// Requests served straight from the result cache.
     pub cache_hits: u64,
@@ -210,8 +210,8 @@ impl EngineStats {
 }
 
 /// Transport-connection telemetry: live/peak gauges plus disconnect
-/// reasons, kept engine-side so a [`PatternRequest::Stats`] request
-/// (and the router's fleet fan-in) reports them like any other
+/// reasons, kept engine-side so a [`Stats`](crate::PatternRequest::Stats)
+/// request (and the router's fleet fan-in) reports them like any other
 /// counter. Servers call [`ConnCounters::connected`] /
 /// `disconnected_*`; the engine folds the numbers into
 /// [`EngineStats`].
@@ -254,17 +254,17 @@ impl ConnCounters {
 
 #[derive(Default)]
 pub(crate) struct AtomicStats {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    coalesced: AtomicU64,
+    pub(super) submitted: AtomicU64,
+    pub(super) completed: AtomicU64,
+    pub(super) failed: AtomicU64,
+    pub(super) cancelled: AtomicU64,
+    pub(super) cache_hits: AtomicU64,
+    pub(super) cache_misses: AtomicU64,
+    pub(super) coalesced: AtomicU64,
 }
 
 impl AtomicStats {
-    fn snapshot(
+    pub(super) fn snapshot(
         &self,
         queue_depths: Vec<usize>,
         sessions: crate::session::SessionStats,
@@ -278,19 +278,13 @@ impl AtomicStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            sessions_open: sessions.open,
-            sessions_evicted: sessions.evicted,
-            sessions_spilled: sessions.spilled,
-            sessions_restored: sessions.restored,
-            sessions_spilled_ahead: sessions.spilled_ahead,
-            turns: sessions.turns,
             queue_depths,
             tenants,
-            ..EngineStats::default()
+            ..EngineStats::from_sessions(sessions)
         }
     }
 
-    fn add(&self, counter: &AtomicU64) {
+    pub(super) fn add(&self, counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -424,10 +418,9 @@ impl<S: PatternService> EngineCore<S> {
             let admit_micros = micros_between(job.submitted_at, job.admitted_at);
             let shared = match &result {
                 Ok(response) => {
-                    let timing = if coalesced {
-                        Timing::coalesced(queue_micros, exec_share)
-                    } else {
-                        Timing::queued(queue_micros, exec_share)
+                    let timing = Timing {
+                        coalesced,
+                        ..Timing::queued(queue_micros, exec_share)
                     };
                     let timing = timing.staged(admit_micros, &response.timing.stages);
                     Ok(PatternResponse {
@@ -755,7 +748,7 @@ mod tests {
             thread::sleep(self.delay);
             match request {
                 PatternRequest::Generate(p) if p.rows == 0 => {
-                    Err(Error::invalid_request("zero rows"))
+                    Err(Error::invalid_request("no rows to generate"))
                 }
                 _ => Ok(PatternResponse {
                     payload: ResponsePayload::Generate(Vec::new()),
@@ -1450,7 +1443,7 @@ mod tests {
             match &request {
                 PatternRequest::Generate(p) if p.seed == HOLD => self.0.execute(request),
                 PatternRequest::Generate(p) if p.rows == 0 => {
-                    Err(Error::invalid_request("zero rows"))
+                    Err(Error::invalid_request("no rows to generate"))
                 }
                 _ => Ok(PatternResponse {
                     payload: ResponsePayload::Generate(Vec::new()),

@@ -219,9 +219,8 @@ impl ChatPatternBuilder {
 
     /// Fans the session directory out over `shards` subdirectories
     /// (`chatpattern-serve --persist-shards`, default 1 = flat
-    /// layout), each with its own lock, so a 10k-session store neither
-    /// serializes every spill on one directory lock nor makes restart
-    /// scans quadratic. Files spilled by an earlier unsharded run are
+    /// layout), so no one directory listing holds a 10k-session
+    /// store's files. Files spilled by an earlier unsharded run are
     /// still found in the directory root. A directory keeps the shard
     /// count it was created with: [`ChatPatternBuilder::build`] refuses
     /// one whose `shard-k` subdirectories were made with another count.
@@ -393,14 +392,16 @@ fn check_cells(rows: usize, cols: usize, count: usize) -> Result<(), Error> {
 
 /// One live multi-turn chat dialog: a resumable
 /// [`AgentSession`] plus its identity. Normally managed by the
-/// system's [`SessionStore`] via [`ChatPattern::session_open`] /
-/// [`ChatPattern::session_turn`] / [`ChatPattern::session_close`];
+/// system's [session store](crate::SessionStore) via
+/// [`session_open`](crate::ChatPattern::session_open) /
+/// [`session_turn`](crate::ChatPattern::session_turn) /
+/// [`session_close`](crate::ChatPattern::session_close);
 /// exposed so in-process callers (tests, examples, embedders) can
 /// drive a session directly.
 pub struct ChatSession {
-    id: String,
-    seed: u64,
-    inner: AgentSession<ExpertPolicy>,
+    pub(crate) id: String,
+    pub(crate) seed: u64,
+    pub(crate) inner: AgentSession<ExpertPolicy>,
 }
 
 impl std::fmt::Debug for ChatSession {
@@ -477,8 +478,8 @@ impl ChatSession {
     /// Rebuilds a session from a [`SessionSnapshot`] plus freshly
     /// injected dependencies (the trained sampler and the legalizer —
     /// snapshots carry state, not models). In-process callers restore
-    /// through [`ChatPattern::session_restore`], which injects the
-    /// system's own back-end.
+    /// through [`session_restore`](crate::ChatPattern::session_restore),
+    /// which injects the system's own back-end.
     ///
     /// # Errors
     ///
@@ -536,7 +537,7 @@ pub const SESSION_SNAPSHOT_FORMAT_MIN: u32 = 1;
 /// turns: identity (id + resolved seed) plus the agent's transcript,
 /// policy carry-over, working store, library, knowledge and RNG
 /// position. JSON round-trippable — this is both the spill file of
-/// [`JsonDirPersist`] and the wire payload of
+/// a [session directory](crate::JsonDirPersist) and the wire payload of
 /// `PatternRequest::{SessionSnapshot, SessionRestore}` (cross-process
 /// handoff; see `docs/SESSIONS.md`), byte for byte the same text.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

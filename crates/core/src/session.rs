@@ -17,8 +17,9 @@
 //!   session out of memory by one protocol (`SessionStore::spill`): the
 //!   victim stays in the map, frozen by its slot lock, until it has
 //!   left. Without a persist layer it is destroyed: a later turn on it
-//!   reports a typed [`Error::SessionNotFound`], never a panic, and
-//!   reopening the id starts a brand-new session.
+//!   reports a typed [`SessionNotFound`](crate::Error::SessionNotFound)
+//!   error, never a panic, and reopening the id starts a brand-new
+//!   session.
 //! * **Durability (spill/rehydrate).** With a [`SessionPersist`] layer
 //!   attached ([`SessionStore::with_persist`]) the same exit *spills*
 //!   the victim instead, and a later turn / snapshot / close on the
@@ -28,8 +29,9 @@
 //!   out over shard subdirectories, and so survives a process restart;
 //!   [`MemoryPersist`] is the in-process stand-in tests use. A failed
 //!   write leaves the victim live — capacity eviction surfaces the
-//!   typed [`Error::SessionPersist`], expiry retries at the next purge
-//!   — never a panic, never a silent drop.
+//!   typed [`SessionPersist`](crate::Error::SessionPersist) error,
+//!   expiry retries at the next purge — never a panic, never a silent
+//!   drop.
 //! * **Spill-ahead (zero-loss durability).** With a turn trigger
 //!   (`SessionStore::with_spill_ahead_turns`) the store also
 //!   snapshots *warm* sessions, synchronously after every N-th turn, so
@@ -126,8 +128,9 @@ pub struct SessionStats {
     pub spilled_ahead: u64,
 }
 
-/// The session durability layer a [`SessionStore`] spills to on
-/// capacity eviction and rehydrates from on the next access.
+/// The session durability layer a [store](crate::session::SessionStore)
+/// spills to on capacity eviction and rehydrates from on the next
+/// access.
 ///
 /// The store calls the I/O-heavy operations ([`SessionPersist::spill`],
 /// [`SessionPersist::take`]) with its map lock *released* — the
@@ -242,12 +245,12 @@ impl<T: Send> SessionPersist<T> for MemoryPersist<T> {
 }
 
 /// Filename suffix of every spilled-session file.
-const SPILL_SUFFIX: &str = ".session.json";
+pub(super) const SPILL_SUFFIX: &str = ".session.json";
 
 /// Escapes a session id into a filesystem-safe filename stem:
 /// alphanumerics, `_` and `-` pass through, every other byte becomes
 /// `%XX`, so distinct ids never share a file.
-fn encode_id(id: &str) -> String {
+pub(super) fn encode_id(id: &str) -> String {
     let mut out = String::with_capacity(id.len());
     for byte in id.bytes() {
         match byte {
@@ -265,7 +268,7 @@ fn encode_id(id: &str) -> String {
 /// less `.session.corrupt`, the longest name [`JsonDirPersist`] gives
 /// a file. Held by every store, with a directory or without, so a
 /// session the router moves is accepted on whichever worker it lands.
-const MAX_ENCODED_SESSION_ID_BYTES: usize = 239;
+pub(super) const MAX_ENCODED_SESSION_ID_BYTES: usize = 239;
 
 /// Filename suffix of the temp file a spill write stages through
 /// (`foo.session.json` is written as `foo.session.tmp`, then renamed).
@@ -281,15 +284,21 @@ const SPILL_TMP_SUFFIX: &str = ".session.tmp";
 ///
 /// With `shards > 1` (`JsonDirPersist::sharded`) the files fan out
 /// over `shard-N/` subdirectories keyed by the stable routing hash of
-/// the id, each shard guarded by its own lock — a 10k-session
-/// directory neither serializes every spill on one directory nor
-/// forces a restart to scan one giant listing. Rehydration stays lazy:
+/// the id, so a restart over a 10k-session directory never scans one
+/// giant listing. Rehydration stays lazy:
 /// nothing is read until an id is actually touched. A sharded layer
 /// still finds files spilled by an earlier unsharded run in the
 /// directory root, so turning sharding on over an existing directory
 /// loses nothing. The other way round is refused: a directory keeps
 /// the shard count it was created with, since a session filed under
 /// `shard-(hash % N)` cannot be found under another `N`.
+///
+/// The layer holds no lock: calls for one id must not overlap, since
+/// each is several filesystem steps on that id's file. A
+/// [store](crate::session::SessionStore) never overlaps them: it makes
+/// every call for an id from the one thread that holds that id's slot,
+/// or under its map lock while the id is absent. Calls for distinct
+/// ids may run at once.
 ///
 /// The layer is generic: `encode`/`decode` close over whatever
 /// dependencies reconstruction needs (for `ChatSession`, the trained
@@ -298,16 +307,10 @@ const SPILL_TMP_SUFFIX: &str = ".session.tmp";
 pub struct JsonDirPersist<T> {
     dir: PathBuf,
     ttl: Duration,
-    shards: Vec<Shard>,
+    /// The spill subdirectories (the one `dir` when unsharded).
+    shards: Vec<PathBuf>,
     encode: PersistEncode<T>,
     decode: PersistDecode<T>,
-}
-
-/// One spill subdirectory and the lock serializing multi-step
-/// filesystem operations inside it.
-struct Shard {
-    dir: PathBuf,
-    lock: Mutex<()>,
 }
 
 /// Serializer of a [`JsonDirPersist`]: renders a session value as the
@@ -399,10 +402,7 @@ impl<T> JsonDirPersist<T> {
                 ))
             })?;
             Self::sweep_stale_tmp(&shard_dir);
-            built.push(Shard {
-                dir: shard_dir,
-                lock: Mutex::new(()),
-            });
+            built.push(shard_dir);
         }
         // A sharded layer over a previously flat directory: the root
         // may hold legacy spills (and legacy tmp litter).
@@ -454,16 +454,15 @@ impl<T> JsonDirPersist<T> {
         }
     }
 
-    /// The shard owning `id`, by the same stable hash the router uses
-    /// to pin sessions to workers.
-    fn shard(&self, id: &str) -> &Shard {
+    /// The shard directory owning `id`, by the same stable hash the
+    /// router uses to pin sessions to workers.
+    fn shard(&self, id: &str) -> &Path {
         let index = (crate::routing::route_hash(id) % self.shards.len() as u64) as usize;
         &self.shards[index]
     }
 
     fn path(&self, id: &str) -> PathBuf {
         self.shard(id)
-            .dir
             .join(format!("{}{SPILL_SUFFIX}", encode_id(id)))
     }
 
@@ -485,12 +484,11 @@ impl<T> JsonDirPersist<T> {
     }
 
     /// Encodes `value` and lands it at `id`'s spill path via the
-    /// temp-file + rename protocol, under the owning shard's lock.
+    /// temp-file + rename protocol.
     fn write(&self, id: &str, value: &T) -> Result<(), Error> {
         let text = (self.encode)(value)?;
         let path = self.path(id);
         let tmp = path.with_extension("tmp");
-        let _guard = self.shard(id).lock.lock().expect("session shard lock");
         std::fs::write(&tmp, text.as_bytes())
             .and_then(|()| std::fs::rename(&tmp, &path))
             .map_err(|error| {
@@ -504,7 +502,7 @@ impl<T> JsonDirPersist<T> {
 
     /// Resolves the live on-disk location of `id`, preferring the
     /// sharded path and falling back to the legacy flat path. Expired
-    /// files are unlinked on sight. Call with the shard lock held.
+    /// files are unlinked on sight.
     fn live_path(&self, id: &str) -> Option<PathBuf> {
         for path in std::iter::once(self.path(id)).chain(self.legacy_path(id)) {
             if !path.exists() {
@@ -529,8 +527,6 @@ impl<T: Send> SessionPersist<T> for JsonDirPersist<T> {
     }
 
     fn take(&self, id: &str) -> Result<Option<T>, Error> {
-        let shard = self.shard(id);
-        let _guard = shard.lock.lock().expect("session shard lock");
         let Some(path) = self.live_path(id) else {
             return Ok(None);
         };
@@ -557,8 +553,6 @@ impl<T: Send> SessionPersist<T> for JsonDirPersist<T> {
     }
 
     fn contains(&self, id: &str) -> bool {
-        let shard = self.shard(id);
-        let _guard = shard.lock.lock().expect("session shard lock");
         self.live_path(id).is_some()
     }
 
@@ -568,8 +562,6 @@ impl<T: Send> SessionPersist<T> for JsonDirPersist<T> {
     }
 
     fn forget(&self, id: &str) {
-        let shard = self.shard(id);
-        let _guard = shard.lock.lock().expect("session shard lock");
         let _ = std::fs::remove_file(self.path(id));
         if let Some(legacy) = self.legacy_path(id) {
             let _ = std::fs::remove_file(legacy);
@@ -616,7 +608,7 @@ type Sessions<T> = HashMap<String, Entry<T>>;
 
 /// Bounded map from session ids to live session values with TTL + LRU
 /// eviction, per-session locking, and optional spill-on-evict
-/// durability. See the [module docs](self).
+/// durability. See the [module docs](crate::session).
 pub struct SessionStore<T> {
     config: SessionConfig,
     /// Spill-ahead turn trigger: snapshot a session after every N-th
@@ -695,6 +687,16 @@ impl<T> SessionStore<T> {
 
     fn lock(&self) -> MutexGuard<'_, Sessions<T>> {
         self.state.lock().expect("session store lock")
+    }
+
+    /// References to `id`'s slot: the map's, plus one for every thread
+    /// that holds it — a spiller, or a turn waiting on its lock.
+    #[cfg(test)]
+    pub(super) fn slot_refs(&self, id: &str) -> usize {
+        let state = self.lock();
+        state
+            .get(id)
+            .map_or(0, |entry| Arc::strong_count(&entry.slot))
     }
 
     /// Whether no session is open.
@@ -1632,20 +1634,7 @@ mod tests {
         ));
         let ttl = Duration::from_secs(3600);
         let persist = |dir: &std::path::Path| -> Arc<dyn SessionPersist<Vec<u64>>> {
-            Arc::new(
-                JsonDirPersist::new(
-                    dir,
-                    ttl,
-                    |v: &Vec<u64>| {
-                        serde_json::to_string(v).map_err(|e| Error::session_persist(e.to_string()))
-                    },
-                    |text| {
-                        serde_json::from_str(text)
-                            .map_err(|e| Error::session_persist(e.to_string()))
-                    },
-                )
-                .expect("dir created"),
-            )
+            Arc::new(JsonDirPersist::new(dir, ttl, encode, decode).expect("dir created"))
         };
         {
             let layer = persist(&dir);
@@ -1682,19 +1671,8 @@ mod tests {
                 .as_nanos()
         ));
         let ttl = Duration::from_secs(3600);
-        let persist: Arc<dyn SessionPersist<Vec<u64>>> = Arc::new(
-            JsonDirPersist::new(
-                &dir,
-                ttl,
-                |v: &Vec<u64>| {
-                    serde_json::to_string(v).map_err(|e| Error::session_persist(e.to_string()))
-                },
-                |text| {
-                    serde_json::from_str(text).map_err(|e| Error::session_persist(e.to_string()))
-                },
-            )
-            .expect("dir created"),
-        );
+        let persist: Arc<dyn SessionPersist<Vec<u64>>> =
+            Arc::new(JsonDirPersist::new(&dir, ttl, encode, decode).expect("dir created"));
         // A spill file that cannot decode (wrong shape / old format).
         std::fs::write(dir.join("bad.session.json"), "{not json").expect("written");
         let store: SessionStore<Vec<u64>> =
@@ -1784,15 +1762,6 @@ mod tests {
         assert_eq!(value, vec![1]);
     }
 
-    /// References to `id`'s slot: the map's, plus one for every thread
-    /// that holds it — a spiller, or a turn waiting on its lock.
-    fn slot_refs(store: &SessionStore<Vec<u64>>, id: &str) -> usize {
-        let state = store.lock();
-        state
-            .get(id)
-            .map_or(0, |entry| Arc::strong_count(&entry.slot))
-    }
-
     #[test]
     fn an_expired_session_stays_resolvable_while_its_spill_is_written() {
         // Store TTL a few ms, persist TTL long: "x" expires, and the
@@ -1822,7 +1791,7 @@ mod tests {
         // beside the map's reference and the spiller's.
         let store2 = Arc::clone(&store);
         let turner = thread::spawn(move || store2.turn("x", |v| Ok(v.clone())));
-        while slot_refs(&store, "x") < 3 && !turner.is_finished() {
+        while store.slot_refs("x") < 3 && !turner.is_finished() {
             thread::yield_now();
         }
         let reopened = store.open("x", Vec::new);
@@ -1895,7 +1864,7 @@ mod tests {
         // The map and the gated turn hold the slot until the close
         // reaches it: then the close holds a third reference while it
         // waits (a close that unlinked before waiting leaves none).
-        while slot_refs(&store, "a") == 2 {
+        while store.slot_refs("a") == 2 {
             thread::yield_now();
         }
         let reopened = store.open("a", Vec::new);
@@ -1923,7 +1892,7 @@ mod tests {
         // "a" expires while its turn holds it; the open purges.
         thread::sleep(Duration::from_millis(10));
         store.open("b", Vec::new).expect("opens");
-        let a_refs = slot_refs(&store, "a");
+        let a_refs = store.slot_refs("a");
         let evicted_mid_turn = store.stats().evicted;
         drop(release);
         assert_eq!(a_turn.join().expect("no panic").expect("turn ran"), 1);
@@ -1980,21 +1949,17 @@ mod tests {
         dir
     }
 
+    /// The spill text of a test value.
+    fn encode<T: serde::Serialize>(value: &T) -> Result<String, Error> {
+        serde_json::to_string(value).map_err(|e| Error::session_persist(e.to_string()))
+    }
+
+    fn decode(text: &str) -> Result<Vec<u64>, Error> {
+        serde_json::from_str(text).map_err(|e| Error::session_persist(e.to_string()))
+    }
+
     fn json_persist(dir: &Path, ttl: Duration, shards: usize) -> Arc<JsonDirPersist<Vec<u64>>> {
-        Arc::new(
-            JsonDirPersist::sharded(
-                dir,
-                ttl,
-                shards,
-                |v: &Vec<u64>| {
-                    serde_json::to_string(v).map_err(|e| Error::session_persist(e.to_string()))
-                },
-                |text| {
-                    serde_json::from_str(text).map_err(|e| Error::session_persist(e.to_string()))
-                },
-            )
-            .expect("dir created"),
-        )
+        Arc::new(JsonDirPersist::sharded(dir, ttl, shards, encode, decode).expect("dir created"))
     }
 
     #[test]

@@ -31,24 +31,18 @@
 //! abort the stream.
 
 use chatpattern_core::qos::QosConfig;
-use chatpattern_core::{ChatPattern, EngineConfig, PatternEngine};
+use chatpattern_core::{ChatPattern, ChatPatternBuilder, EngineConfig, PatternEngine};
 use cp_net::{EngineHandler, EventLoopConfig, EventLoopServer};
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
-/// Everything the command line can configure.
+/// Everything the command line can configure. The model and session
+/// flags go straight to the builder, which holds their defaults.
 struct Options {
     engine: EngineConfig,
     qos: QosConfig,
-    window: usize,
-    diffusion_steps: usize,
-    training_patterns: usize,
-    seed: u64,
-    max_sessions: usize,
-    session_ttl_secs: u64,
-    session_dir: Option<String>,
-    spill_ahead_turns: Option<u64>,
-    persist_shards: usize,
+    system: ChatPatternBuilder,
     listen: String,
     max_connections: usize,
 }
@@ -58,17 +52,7 @@ impl Default for Options {
         Options {
             engine: EngineConfig::default(),
             qos: QosConfig::default(),
-            // The builder's defaults, restated so `--help` can print
-            // them without constructing a builder.
-            window: 64,
-            diffusion_steps: 12,
-            training_patterns: 64,
-            seed: 0,
-            max_sessions: 64,
-            session_ttl_secs: 900,
-            session_dir: None,
-            spill_ahead_turns: None,
-            persist_shards: 1,
+            system: ChatPattern::builder(),
             listen: String::new(),
             max_connections: cp_net::DEFAULT_EVENT_LOOP_CONNECTIONS,
         }
@@ -129,12 +113,13 @@ Options:
                          1, so a crash loses at most the in-flight turn
                          (default: off)
   --persist-shards N     fan the --session-dir store out over N
-                         shard-{i} subdirectories with per-shard
-                         locking; spilled sessions rehydrate lazily on
-                         first touch, so restarting over a huge
-                         directory does not stall startup (default 1 =
-                         flat layout; flat files from earlier runs are
-                         still found and migrated on touch). A directory
+                         shard-{i} subdirectories, so no one directory
+                         listing holds every file; spilled sessions
+                         rehydrate lazily on first touch, so restarting
+                         over a huge directory does not stall startup
+                         (default 1 = flat layout; flat files from
+                         earlier runs are still found and migrated on
+                         touch). A directory
                          keeps the shard count it was created with:
                          serve refuses to start over shard-{i}
                          subdirectories made with another N
@@ -176,21 +161,31 @@ fn parse_args() -> Result<Options, String> {
                     .apply_quota_flag(&text()?)
                     .map_err(|e| format!("--tenant-quota: {e}"))?;
             }
-            "--max-sessions" => options.max_sessions = positive("--max-sessions")?,
+            "--max-sessions" => {
+                options.system = options.system.max_sessions(positive("--max-sessions")?);
+            }
             "--session-ttl-secs" => {
-                options.session_ttl_secs = positive("--session-ttl-secs")? as u64;
+                let ttl = Duration::from_secs(positive("--session-ttl-secs")? as u64);
+                options.system = options.system.session_ttl(ttl);
             }
-            "--session-dir" => options.session_dir = Some(text()?),
+            "--session-dir" => options.system = options.system.session_dir(text()?),
             "--spill-ahead-turns" => {
-                options.spill_ahead_turns = Some(positive("--spill-ahead-turns")? as u64);
+                let turns = positive("--spill-ahead-turns")? as u64;
+                options.system = options.system.spill_ahead_turns(turns);
             }
-            "--persist-shards" => options.persist_shards = positive("--persist-shards")?,
-            "--window" => options.window = number("--window")?,
-            "--diffusion-steps" => options.diffusion_steps = positive("--diffusion-steps")?,
+            "--persist-shards" => {
+                options.system = options.system.persist_shards(positive("--persist-shards")?);
+            }
+            "--window" => options.system = options.system.window(number("--window")?),
+            "--diffusion-steps" => {
+                let steps = positive("--diffusion-steps")?;
+                options.system = options.system.diffusion_steps(steps);
+            }
             "--training-patterns" => {
-                options.training_patterns = positive("--training-patterns")?;
+                let count = positive("--training-patterns")?;
+                options.system = options.system.training_patterns(count);
             }
-            "--seed" => options.seed = number("--seed")? as u64,
+            "--seed" => options.system = options.system.seed(number("--seed")? as u64),
             "--listen" => options.listen = text()?,
             "--max-connections" => options.max_connections = positive("--max-connections")?,
             other => return Err(format!("unknown flag {other} (try --help)")),
@@ -210,23 +205,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut builder = ChatPattern::builder()
-        .window(options.window)
-        .diffusion_steps(options.diffusion_steps)
-        .training_patterns(options.training_patterns)
-        .seed(options.seed)
-        .max_sessions(options.max_sessions)
-        .session_ttl(std::time::Duration::from_secs(options.session_ttl_secs));
-    if let Some(dir) = &options.session_dir {
-        builder = builder.session_dir(dir);
-    }
-    if let Some(turns) = options.spill_ahead_turns {
-        builder = builder.spill_ahead_turns(turns);
-    }
-    if options.persist_shards != 1 {
-        builder = builder.persist_shards(options.persist_shards);
-    }
-    let system = match builder.build() {
+    let system = match options.system.build() {
         Ok(system) => system,
         Err(error) => {
             eprintln!("chatpattern-serve: {error}");
