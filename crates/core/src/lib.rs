@@ -59,11 +59,13 @@
 pub mod api;
 mod backend;
 mod broker;
+mod builder;
 mod cache;
 pub mod engine;
 pub mod error;
 pub mod routing;
 pub mod session;
+mod snapshot;
 pub mod wire;
 
 pub use api::{
@@ -72,6 +74,7 @@ pub use api::{
     SessionCloseParams, SessionInfo, SessionOpenParams, SessionRestoreParams,
     SessionSnapshotParams, SessionTurnParams, Timing, TurnOutcome, STAGE_TOLERANCE_MICROS,
 };
+pub use builder::ChatPatternBuilder;
 /// The stages a reply's `timing.stages` are indexed by.
 pub use cp_layout::stage::{Stage, STAGES};
 /// The QoS vocabulary (lanes, quotas, fair queue, tenant stats),
@@ -82,14 +85,16 @@ pub use error::Error;
 pub use session::{
     JsonDirPersist, MemoryPersist, SessionConfig, SessionPersist, SessionStats, SessionStore,
 };
+pub use snapshot::{
+    ChatSession, SessionSnapshot, SESSION_SNAPSHOT_FORMAT, SESSION_SNAPSHOT_FORMAT_MIN,
+};
 pub use wire::{RequestEnvelope, ResponseEnvelope, WireError, WireOutcome};
 
 use cp_agent::{
-    AgentSession, AgentSnapshot, ExpertPolicy, KnowledgeBase, SessionReport, ToolContext,
-    ToolRegistry,
+    AgentSession, ExpertPolicy, KnowledgeBase, SessionReport, ToolContext, ToolRegistry,
 };
-use cp_dataset::{Dataset, DatasetBuilder, Style};
-use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule};
+use cp_dataset::{Dataset, Style};
+use cp_diffusion::{DiffusionModel, Mask, MrfDenoiser};
 use cp_extend::ExtensionMethod;
 use cp_layout::drc::DesignRules;
 use cp_layout::legalize::Legalizer;
@@ -98,280 +103,7 @@ use cp_layout::squish::{fits_one_request, SquishPattern, Topology};
 use cp_metrics::LibraryStats;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Builder for a [`ChatPattern`] system.
-///
-/// Defaults are a CPU-scale configuration, one a laptop fits and
-/// samples in seconds: 64-cell window (paper: 128), 16 nm mean grid
-/// pitch, 12 diffusion steps (paper: 1000 — β endpoints preserved), 64
-/// training patterns per style.
-///
-/// Setters record values verbatim; [`ChatPatternBuilder::build`]
-/// validates the whole configuration and reports [`Error::Config`]
-/// instead of clamping or panicking.
-#[derive(Debug, Clone)]
-pub struct ChatPatternBuilder {
-    window: usize,
-    diffusion_steps: usize,
-    training_patterns: usize,
-    seed: u64,
-    sessions: SessionConfig,
-    session_dir: Option<PathBuf>,
-    spill_ahead_turns: Option<u64>,
-    persist_shards: usize,
-}
-
-impl Default for ChatPatternBuilder {
-    fn default() -> ChatPatternBuilder {
-        ChatPatternBuilder {
-            window: 64,
-            diffusion_steps: 12,
-            training_patterns: 64,
-            seed: 0,
-            sessions: SessionConfig::default(),
-            session_dir: None,
-            spill_ahead_turns: None,
-            persist_shards: 1,
-        }
-    }
-}
-
-/// Smallest window the denoiser can be trained at.
-const MIN_WINDOW: usize = 4;
-
-impl ChatPatternBuilder {
-    /// Native model window size `L` (training resolution).
-    #[must_use]
-    pub fn window(mut self, window: usize) -> ChatPatternBuilder {
-        self.window = window;
-        self
-    }
-
-    /// Diffusion chain length `K`.
-    #[must_use]
-    pub fn diffusion_steps(mut self, steps: usize) -> ChatPatternBuilder {
-        self.diffusion_steps = steps;
-        self
-    }
-
-    /// Training patterns per style.
-    #[must_use]
-    pub fn training_patterns(mut self, count: usize) -> ChatPatternBuilder {
-        self.training_patterns = count;
-        self
-    }
-
-    /// Master RNG seed (training data and sessions are reproducible).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> ChatPatternBuilder {
-        self.seed = seed;
-        self
-    }
-
-    /// Maximum simultaneously open chat sessions (default 64). Opening
-    /// one more evicts the least-recently-used session.
-    #[must_use]
-    pub fn max_sessions(mut self, max_sessions: usize) -> ChatPatternBuilder {
-        self.sessions.capacity = max_sessions;
-        self
-    }
-
-    /// Idle lifetime of a chat session (default 15 minutes). Sessions
-    /// untouched for longer expire lazily on the next session
-    /// operation. The same TTL bounds *spilled* sessions in the
-    /// durability layer. Zero is refused by `build`.
-    #[must_use]
-    pub fn session_ttl(mut self, ttl: Duration) -> ChatPatternBuilder {
-        self.sessions.ttl = ttl;
-        self
-    }
-
-    /// Spills evicted and expired sessions to one JSON file per session
-    /// under `dir` (`chatpattern-serve --session-dir`) instead of
-    /// destroying them: an over-capacity store keeps serving turns on
-    /// *every* opened session (an access rehydrates transparently)
-    /// until the TTL really runs out, and spilled sessions survive a
-    /// process restart — a new system built over the same directory
-    /// (and an equivalent model configuration) rehydrates them on first
-    /// touch.
-    #[must_use]
-    pub fn session_dir(mut self, dir: impl Into<PathBuf>) -> ChatPatternBuilder {
-        self.session_dir = Some(dir.into());
-        self
-    }
-
-    /// Spill-ahead turn trigger (`chatpattern-serve
-    /// --spill-ahead-turns`): with [`ChatPatternBuilder::session_dir`],
-    /// every N-th turn on a session also writes its snapshot to disk
-    /// while the session stays warm, so a crash loses at most the
-    /// in-flight turn. The write runs on the turn's own thread holding
-    /// only that session's lock — turns on other sessions never block.
-    /// Zero is refused by `build`.
-    #[must_use]
-    pub fn spill_ahead_turns(mut self, every_turns: u64) -> ChatPatternBuilder {
-        self.spill_ahead_turns = Some(every_turns);
-        self
-    }
-
-    /// Fans the session directory out over `shards` subdirectories
-    /// (`chatpattern-serve --persist-shards`, default 1 = flat
-    /// layout), so no one directory listing holds a 10k-session
-    /// store's files. Files spilled by an earlier unsharded run are
-    /// still found in the directory root. A directory keeps the shard
-    /// count it was created with: [`ChatPatternBuilder::build`] refuses
-    /// one whose `shard-k` subdirectories were made with another count.
-    #[must_use]
-    pub fn persist_shards(mut self, shards: usize) -> ChatPatternBuilder {
-        self.persist_shards = shards;
-        self
-    }
-
-    /// Checks the configuration without building.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] describing the first invalid setting.
-    pub(crate) fn validate(&self) -> Result<(), Error> {
-        if self.window < MIN_WINDOW {
-            return Err(Error::config(format!(
-                "window must be at least {MIN_WINDOW} cells (got {})",
-                self.window
-            )));
-        }
-        if self.diffusion_steps == 0 {
-            return Err(Error::config("diffusion_steps must be at least 1 (got 0)"));
-        }
-        if self.training_patterns == 0 {
-            return Err(Error::config(
-                "training_patterns must be at least 1 (got 0)",
-            ));
-        }
-        self.sessions.validate()?;
-        if self.persist_shards == 0 {
-            return Err(Error::config(
-                "persist_shards must be at least 1 (got 0); 1 keeps the flat layout",
-            ));
-        }
-        if self.spill_ahead_turns == Some(0) {
-            return Err(Error::config(
-                "spill_ahead_turns must be at least 1 (got 0)",
-            ));
-        }
-        let has_dir = self.session_dir.is_some();
-        if self.spill_ahead_turns.is_some() && !has_dir {
-            return Err(Error::config(
-                "spill-ahead needs a session directory to write to; configure session_dir \
-                 (serve: --session-dir) alongside spill_ahead_turns",
-            ));
-        }
-        if self.persist_shards > 1 && !has_dir {
-            return Err(Error::config(
-                "persist_shards only applies to a session directory; configure session_dir \
-                 (serve: --session-dir) alongside it",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Builds the system: generates the synthetic training datasets,
-    /// fits the conditional denoiser, and assembles the agent plumbing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] when the configuration is invalid (bad
-    /// window or step counts); this replaces the panics of
-    /// earlier revisions.
-    pub fn build(self) -> Result<ChatPattern, Error> {
-        self.validate()?;
-        // 16 nm mean grid pitch, like the paper's 2048 nm / 128 cells.
-        let patch_nm = (self.window as i64) * 16;
-        let datasets: Vec<Dataset> = Style::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &style)| {
-                DatasetBuilder::new(style)
-                    .patch_nm(patch_nm)
-                    .topology_size(self.window)
-                    .count(self.training_patterns)
-                    .seed(self.seed.wrapping_add(i as u64))
-                    .build()
-            })
-            .collect();
-        let topo_store: Vec<(u32, Vec<Topology>)> = datasets
-            .iter()
-            .map(|d| {
-                (
-                    d.style().id(),
-                    d.patterns().iter().map(|p| p.topology().clone()).collect(),
-                )
-            })
-            .collect();
-        let fit_refs: Vec<(u32, &[Topology])> = topo_store
-            .iter()
-            .map(|(id, v)| (*id, v.as_slice()))
-            .collect();
-        let denoiser = MrfDenoiser::fit(&fit_refs, 1.0);
-        let model = DiffusionModel::new(
-            NoiseSchedule::scaled_default(self.diffusion_steps),
-            denoiser,
-            self.window,
-        );
-        let model = Arc::new(model);
-        let rules = DesignRules::reference();
-        let legalizer = Legalizer::new(rules);
-        let sessions = match self.session_dir {
-            None => SessionStore::new(self.sessions),
-            Some(dir) => {
-                // A spill file is the session's `SessionSnapshot`, the
-                // same bytes a wire export returns. The decode closure
-                // re-injects the trained sampler and the legalizer — the
-                // snapshot carries only session state, so a restart with
-                // an equivalent model configuration rehydrates it.
-                let decode_model = Arc::clone(&model);
-                let decode_legalizer = legalizer.clone();
-                SessionStore::with_persist(
-                    self.sessions,
-                    Arc::new(JsonDirPersist::sharded(
-                        dir,
-                        self.sessions.ttl,
-                        self.persist_shards,
-                        |session: &ChatSession| {
-                            serde_json::to_string(&session.snapshot())
-                                .map_err(|e| Error::session_persist(e.to_string()))
-                        },
-                        move |text| {
-                            let snapshot: SessionSnapshot =
-                                serde_json::from_str(text).map_err(|e| {
-                                    Error::session_persist(format!(
-                                        "corrupt spilled session file: {e}"
-                                    ))
-                                })?;
-                            ChatSession::restore(
-                                snapshot,
-                                Box::new(Arc::clone(&decode_model)),
-                                decode_legalizer.clone(),
-                            )
-                        },
-                    )?),
-                )
-                .with_spill_ahead_turns(self.spill_ahead_turns)
-            }
-        };
-        Ok(ChatPattern {
-            model,
-            legalizer,
-            rules,
-            datasets,
-            patch_nm,
-            seed: self.seed,
-            sessions,
-        })
-    }
-}
 
 /// Refuses `count` topologies of `rows × cols` that are empty or
 /// together exceed [`MAX_REQUEST_CELLS`].
@@ -388,168 +120,6 @@ fn check_cells(rows: usize, cols: usize, count: usize) -> Result<(), Error> {
         )));
     }
     Ok(())
-}
-
-/// One live multi-turn chat dialog: a resumable
-/// [`AgentSession`] plus its identity. Normally managed by the
-/// system's [session store](crate::SessionStore) via
-/// [`session_open`](crate::ChatPattern::session_open) /
-/// [`session_turn`](crate::ChatPattern::session_turn) /
-/// [`session_close`](crate::ChatPattern::session_close);
-/// exposed so in-process callers (tests, examples, embedders) can
-/// drive a session directly.
-pub struct ChatSession {
-    pub(crate) id: String,
-    pub(crate) seed: u64,
-    pub(crate) inner: AgentSession<ExpertPolicy>,
-}
-
-impl std::fmt::Debug for ChatSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChatSession")
-            .field("id", &self.id)
-            .field("seed", &self.seed)
-            .field("turns", &self.inner.turns())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ChatSession {
-    /// The session id.
-    #[must_use]
-    pub(crate) fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// The resolved session seed.
-    #[must_use]
-    pub(crate) fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Runs one user turn. Follow-up turns inherit unmentioned fields
-    /// from the previous turn's requirement, so short refinements ("now
-    /// make them denser") are valid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Requirement`] when the utterance is unusable;
-    /// the session is then unchanged.
-    pub(crate) fn turn(&mut self, utterance: &str) -> Result<TurnOutcome, Error> {
-        let report = self.inner.turn(utterance)?;
-        Ok(TurnOutcome {
-            session: self.id.clone(),
-            turn: report.turn,
-            summary: report.summary,
-            tool_calls: report.tool_calls,
-            library: self.inner.library().to_vec(),
-            transcript: report.transcript,
-        })
-    }
-
-    /// Consumes the session into its final outcome (full transcript,
-    /// cumulative library, last summary).
-    #[must_use]
-    pub(crate) fn into_outcome(self) -> ChatOutcome {
-        let report = self.inner.close();
-        ChatOutcome {
-            summary: report.summary,
-            tool_calls: report.tool_calls,
-            library: report.library,
-            transcript: report.transcript,
-        }
-    }
-
-    /// Exports the session's complete between-turns state as a
-    /// serializable [`SessionSnapshot`]. Non-destructive: the session
-    /// keeps running, and follow-up turns on a
-    /// [`ChatSession::restore`]d copy are byte-identical to turns on
-    /// the original.
-    #[must_use]
-    pub(crate) fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            format: SESSION_SNAPSHOT_FORMAT,
-            session: self.id.clone(),
-            seed: self.seed,
-            agent: self.inner.snapshot(),
-        }
-    }
-
-    /// Rebuilds a session from a [`SessionSnapshot`] plus freshly
-    /// injected dependencies (the trained sampler and the legalizer —
-    /// snapshots carry state, not models). In-process callers restore
-    /// through [`session_restore`](crate::ChatPattern::session_restore),
-    /// which injects the system's own back-end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SessionPersist`] for an unknown snapshot
-    /// format or corrupt state, and [`Error::InvalidRequest`] for an
-    /// empty session id.
-    pub(crate) fn restore(
-        snapshot: SessionSnapshot,
-        sampler: Box<dyn cp_diffusion::PatternSampler>,
-        legalizer: Legalizer,
-    ) -> Result<ChatSession, Error> {
-        if snapshot.format < SESSION_SNAPSHOT_FORMAT_MIN
-            || snapshot.format > SESSION_SNAPSHOT_FORMAT
-        {
-            return Err(Error::session_persist(format!(
-                "unknown session snapshot format {} (this build reads formats \
-                 {SESSION_SNAPSHOT_FORMAT_MIN}..={SESSION_SNAPSHOT_FORMAT})",
-                snapshot.format
-            )));
-        }
-        if snapshot.session.is_empty() {
-            return Err(Error::invalid_request(
-                "session snapshot carries an empty session id",
-            ));
-        }
-        let inner =
-            AgentSession::restore(snapshot.agent, ToolRegistry::standard(), sampler, legalizer)?;
-        Ok(ChatSession {
-            id: snapshot.session,
-            seed: snapshot.seed,
-            inner,
-        })
-    }
-}
-
-/// Version tag of the serialized session snapshot layout. Bump it when
-/// [`SessionSnapshot`] (or anything nested in it) changes shape;
-/// `ChatSession::restore` rejects snapshots from unknown formats
-/// with a typed error instead of misreading them. Format 2 added an
-/// optional `compaction` record of trimmed transcript messages, which
-/// this build reads and ignores (nothing trims a transcript any more);
-/// format 3 writes every topology in the store and the library packed,
-/// one bit a cell ([`cp_layout::squish::Packed`]), where formats 1 and 2
-/// spelled each cell as a number. Format-1 and format-2 snapshots still restore unchanged
-/// ([`SESSION_SNAPSHOT_FORMAT_MIN`]): the topology reader takes both
-/// forms. Nothing writes format 2 any more, and a build that stops at
-/// format 2 refuses a format-3 snapshot by its number rather than
-/// tripping over `packed`.
-pub const SESSION_SNAPSHOT_FORMAT: u32 = 3;
-
-/// Oldest snapshot format `ChatSession::restore` still reads.
-pub const SESSION_SNAPSHOT_FORMAT_MIN: u32 = 1;
-
-/// The complete serializable state of one [`ChatSession`] between
-/// turns: identity (id + resolved seed) plus the agent's transcript,
-/// policy carry-over, working store, library, knowledge and RNG
-/// position. JSON round-trippable — this is both the spill file of
-/// a [session directory](crate::JsonDirPersist) and the wire payload of
-/// `PatternRequest::{SessionSnapshot, SessionRestore}` (cross-process
-/// handoff; see `docs/SESSIONS.md`), byte for byte the same text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionSnapshot {
-    /// Snapshot layout version ([`SESSION_SNAPSHOT_FORMAT`]).
-    pub format: u32,
-    /// The session id.
-    pub session: String,
-    /// The session seed resolved at open.
-    pub seed: u64,
-    /// The agent's between-turns state.
-    pub agent: AgentSnapshot,
 }
 
 /// The assembled ChatPattern system.
@@ -884,6 +454,7 @@ impl ChatPattern {
 mod tests {
     use super::*;
     use cp_layout::squish::Region;
+    use std::time::Duration;
 
     fn small_system() -> ChatPattern {
         ChatPattern::builder()
