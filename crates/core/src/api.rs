@@ -350,26 +350,18 @@ impl Timing {
     /// Timing of a direct, unqueued execution.
     #[must_use]
     pub fn direct(exec_micros: u64) -> Timing {
-        Timing {
-            micros: exec_micros,
-            queue_micros: 0,
-            exec_micros,
-            cached: false,
-            coalesced: false,
-            stages: [0; STAGES],
-        }
+        Timing::queued(0, exec_micros)
     }
 
     /// Timing of an engine-executed job: queue wait plus execution.
+    /// Every other timing is this one with flags or stages set.
     #[must_use]
     pub(crate) fn queued(queue_micros: u64, exec_micros: u64) -> Timing {
         Timing {
             micros: queue_micros.saturating_add(exec_micros),
             queue_micros,
             exec_micros,
-            cached: false,
-            coalesced: false,
-            stages: [0; STAGES],
+            ..Timing::default()
         }
     }
 
@@ -379,12 +371,9 @@ impl Timing {
         let mut stages = [0; STAGES];
         stages[Stage::Admit as usize] = exec_micros;
         Timing {
-            micros: exec_micros,
-            queue_micros: 0,
-            exec_micros,
             cached: true,
-            coalesced: false,
             stages,
+            ..Timing::queued(0, exec_micros)
         }
     }
 

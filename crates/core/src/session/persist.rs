@@ -171,12 +171,9 @@ const SPILL_TMP_SUFFIX: &str = ".session.tmp";
 /// the shard count it was created with, since a session filed under
 /// `shard-(hash % N)` cannot be found under another `N`.
 ///
-/// The layer holds no lock: calls for one id must not overlap, since
-/// each is several filesystem steps on that id's file. A
-/// [store](crate::session::SessionStore) never overlaps them: it makes
-/// every call for an id from the one thread that holds that id's slot,
-/// or under its map lock while the id is absent. Calls for distinct
-/// ids may run at once.
+/// The layer holds no lock, so calls for one id must not overlap: a
+/// [store](crate::session::SessionStore) makes each from the thread
+/// that holds the id's slot. Calls for distinct ids may run at once.
 ///
 /// The layer is generic: `encode`/`decode` close over whatever
 /// dependencies reconstruction needs (for `ChatSession`, the trained

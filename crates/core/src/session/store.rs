@@ -192,8 +192,7 @@ impl<T> SessionStore<T> {
         self.state.lock().expect("session store lock")
     }
 
-    /// References to `id`'s slot: the map's, plus one for every thread
-    /// that holds it — a spiller, or a turn waiting on its lock.
+    /// References to `id`'s slot: the map's, and each thread's on it.
     #[cfg(test)]
     pub(super) fn slot_refs(&self, id: &str) -> usize {
         let state = self.lock();

@@ -47,18 +47,6 @@ struct Options {
     max_connections: usize,
 }
 
-impl Default for Options {
-    fn default() -> Options {
-        Options {
-            engine: EngineConfig::default(),
-            qos: QosConfig::default(),
-            system: ChatPattern::builder(),
-            listen: String::new(),
-            max_connections: cp_net::DEFAULT_EVENT_LOOP_CONNECTIONS,
-        }
-    }
-}
-
 const USAGE: &str = "\
 chatpattern-serve: JSON-lines PatternRequest server over TCP
 
@@ -130,7 +118,13 @@ Options:
   --help                 this text";
 
 fn parse_args() -> Result<Options, String> {
-    let mut options = Options::default();
+    let mut options = Options {
+        engine: EngineConfig::default(),
+        qos: QosConfig::default(),
+        system: ChatPattern::builder(),
+        listen: String::new(),
+        max_connections: cp_net::DEFAULT_EVENT_LOOP_CONNECTIONS,
+    };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--help" || flag == "-h" {
