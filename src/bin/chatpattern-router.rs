@@ -291,9 +291,18 @@ impl Pending {
     }
 
     /// Answers the requester with `error` in place of a worker's reply.
-    fn fail(self, router: &Arc<Router>, error: &Error) {
-        let outcome = WireOutcome::Err(WireError::from(error));
+    fn fail(self, router: &Arc<Router>, error: WireError) {
+        let outcome = WireOutcome::Err(error);
         self.deliver(router, to_raw_value(&outcome).expect("outcomes serialize"));
+    }
+}
+
+/// The router's own typed refusal of a line it will not send.
+fn overloaded(message: &str) -> WireError {
+    WireError {
+        kind: "Overloaded".to_owned(),
+        message: message.to_owned(),
+        retry_after_ms: Some(chatpattern_core::qos::DEFAULT_RETRY_AFTER_MS),
     }
 }
 
@@ -325,7 +334,8 @@ struct Wire {
     /// tell it no longer owns the link.
     generation: u64,
     /// `Some` while a reviver thread is bringing the link back up: the
-    /// lines that arrived for the worker meanwhile, in arrival order.
+    /// lines that arrived for the worker meanwhile, in arrival order,
+    /// at most `Router::depth` of them.
     parked: Option<Vec<Framed>>,
     pending: HashMap<u64, Pending>,
 }
@@ -345,6 +355,9 @@ struct Worker {
 struct Router {
     workers: Vec<Worker>,
     fleet: Mutex<Fleet<Outbound, Requester>>,
+    /// How many lines a session's queue, or a link that is down, holds:
+    /// what a worker's queue holds by default.
+    depth: usize,
     next_internal: AtomicU64,
     connect: ClientConfig,
     drain_timeout: Duration,
@@ -373,12 +386,8 @@ fn run(router: &Arc<Router>, actions: impl IntoIterator<Item = Action<Outbound, 
                 if let Pending::Client { session, .. } = &mut entry {
                     *session = None;
                 }
-                let refusal = WireOutcome::Err(WireError {
-                    kind: "Overloaded".to_owned(),
-                    message: "the router's queue for this session is full".to_owned(),
-                    retry_after_ms: Some(chatpattern_core::qos::DEFAULT_RETRY_AFTER_MS),
-                });
-                entry.deliver(router, to_raw_value(&refusal).expect("outcomes serialize"));
+                let full = overloaded("the router's queue for this session is full");
+                entry.fail(router, full);
             }
             Action::Deadline(drain) => {
                 let router = Arc::clone(router);
@@ -555,7 +564,7 @@ fn fail_all(router: &Arc<Router>, entries: Vec<Pending>, reason: &str) {
     eprintln!("chatpattern-router: {reason}, failing {lost} request(s)");
     let error = Error::internal(reason.to_owned());
     for entry in entries {
-        entry.fail(router, &error);
+        entry.fail(router, WireError::from(&error));
     }
 }
 
@@ -580,6 +589,8 @@ fn send(wire: &mut Wire, internal: u64, framed: &str, entry: Pending) -> Result<
 /// same loop and never stops reading. Anything slower is handed over —
 /// a line for a link that is down is parked on it, behind a reviver
 /// thread, and a failed write takes the link down and does the same.
+/// Past `Router::depth` parked lines, a line is refused at once, and
+/// answered as a worker's error would be: its session's next line goes.
 fn forward(router: &Arc<Router>, index: usize, (tenant, request, mut entry): Outbound) {
     let internal = router.next_internal.fetch_add(1, Ordering::Relaxed);
     let frame = WorkerFrame {
@@ -597,14 +608,19 @@ fn forward(router: &Arc<Router>, index: usize, (tenant, request, mut entry): Out
              ({} bytes)",
             framed.len()
         ));
-        return entry.fail(router, &error);
+        return entry.fail(router, WireError::from(&error));
     }
     framed.push('\n');
 
     let mut wire = router.workers[index].wire.lock().expect("wire lock");
     if let Some(parked) = wire.parked.as_mut() {
-        parked.push((internal, framed, entry));
-        return;
+        if parked.len() < router.depth {
+            parked.push((internal, framed, entry));
+            return;
+        }
+        drop(wire);
+        let message = format!("worker {index} is down with {} lines waiting", router.depth);
+        return entry.fail(router, overloaded(&message));
     }
     let orphans = match send(&mut wire, internal, &framed, entry) {
         Ok(()) => return,
@@ -922,12 +938,10 @@ fn main() -> ExitCode {
             .collect()
     };
 
+    let depth = EngineConfig::default().queue_depth;
     let router = Arc::new(Router {
-        // A session's queue holds what a worker's queue holds by default.
-        fleet: Mutex::new(Fleet::new(
-            workers.len(),
-            EngineConfig::default().queue_depth,
-        )),
+        fleet: Mutex::new(Fleet::new(workers.len(), depth)),
+        depth,
         workers,
         next_internal: AtomicU64::new(1),
         connect: ClientConfig {

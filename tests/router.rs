@@ -1305,6 +1305,84 @@ fn a_dead_attached_worker_fails_its_own_lines_and_delays_no_others() {
     alive.wait().expect("worker reaped");
 }
 
+/// While a worker's link is down, the lines sent to it wait on the link
+/// for its reviver, as many as a worker's queue holds (256) and no
+/// more: past that, a line is refused with a typed `Overloaded` under
+/// its own id, at once and unsent, and answered as a worker's error
+/// would be, so a refused session turn lets its session's next line go
+/// (refused too, here). The lines that waited get the reviver's error.
+#[test]
+fn a_dead_attached_workers_waiting_lines_are_bounded_and_each_is_answered_once() {
+    const WAITING: usize = 256;
+    let serve = || {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_chatpattern-serve"));
+        command.args(["--listen", "127.0.0.1:0"]).args(SERVE_ARGS);
+        spawn_listening(&mut command, "chatpattern-serve")
+    };
+    let (mut alive, alive_addr) = serve();
+    let (mut dead, dead_addr) = serve();
+    let attach = ["--worker", &alive_addr, "--worker", &dead_addr].map(String::from);
+    let mut fleet = RouterFleet::start(&attach);
+    dead.kill().expect("SIGKILL delivered");
+    dead.wait().expect("worker reaped");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let view = fleet.control(r#"{"id":"fleet","control":"Fleet"}"#);
+        if view["control"]["Fleet"]["workers"][1]["links"].as_u64() == Some(0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the dead link stays up: {view:?}"
+        );
+    }
+
+    let for_dead = generate_keyed_to(1, 2);
+    let session = (0..64)
+        .map(|n| format!("s{n}"))
+        .find(|id| chatpattern_core::routing::route_hash(id) % 2 == 1)
+        .expect("64 ids reach every worker");
+    let turn = |utterance: &str| {
+        PatternRequest::SessionTurn(SessionTurnParams {
+            session: session.clone(),
+            utterance: utterance.to_owned(),
+        })
+    };
+    let mut burst: String = (0..=WAITING)
+        .map(|index| request_line(&format!("g{index}"), for_dead.clone()))
+        .collect();
+    burst += &request_line("t0", turn("first"));
+    burst += &request_line("t1", turn("second"));
+    let mut stream = TcpStream::connect(&fleet.addr).expect("connects");
+    stream.write_all(burst.as_bytes()).expect("burst written");
+    stream.shutdown(Shutdown::Write).expect("half-closed");
+
+    let replies = replies_until_eof(stream);
+    let mut ids: Vec<&str> = replies.iter().map(|(id, _)| id.as_str()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), replies.len(), "an id was answered twice");
+    assert_eq!(replies.len(), WAITING + 3, "a line went unanswered");
+    for (id, line) in &replies {
+        let reply: ResponseEnvelope = serde_json::from_str(line).expect("an envelope");
+        let WireOutcome::Err(error) = reply.outcome else {
+            panic!("nobody can have served {id}: {line}");
+        };
+        let refused = ["t0", "t1", &format!("g{WAITING}")].contains(&id.as_str());
+        if refused {
+            assert_eq!(error.kind, "Overloaded", "{id}: {error:?}");
+            assert!(error.retry_after_ms.is_some_and(|ms| ms > 0), "{error:?}");
+        } else {
+            assert_eq!(error.kind, "Internal", "{id}: {error:?}");
+            assert!(error.message.contains("unavailable"), "{id}: {error:?}");
+        }
+    }
+
+    fleet.shutdown();
+    alive.kill().expect("attached workers outlive their router");
+    alive.wait().expect("worker reaped");
+}
+
 /// A stand-in worker on an address of its own: for each line a router
 /// sends it, `answer` is called with the line's arrival number on its
 /// connection and its `request`, and the outcome text it returns is
