@@ -17,6 +17,20 @@
 //! Both backends are level-triggered: a fd keeps reporting ready until the
 //! condition is drained, so the loop never needs to worry about missed
 //! edges after a short read.
+//!
+//! Why both stay. A copy of the loop run on `poll(2)` on Linux was probed
+//! with 3 000 `Stats` round trips on one connection to a window-16 serve
+//! holding N idle connections (median / p95 µs):
+//!
+//! | idle connections | epoll | `poll(2)` |
+//! |---|---|---|
+//! | 1 000 | 35 / 84 | 470 / 4 153 |
+//! | 4 000 | 60 / 123 | 2 921 / 6 385 |
+//!
+//! With no idle connections the two did not resolve (33–76 µs each), nor
+//! did four alternating 20 s pairs on each TCP benchmark workload. So epoll
+//! is justified by traffic no workload has, and `poll(2)` is the only path
+//! off Linux: neither is dropped without a many-idle-connections workload.
 
 use std::collections::HashMap;
 use std::io;
