@@ -11,15 +11,14 @@
 //!   more than `capacity` sessions. Every store operation first retires
 //!   the sessions idle past their TTL; an open that still finds the
 //!   store full evicts the least-recently-used *idle* session (expiry
-//!   and eviction both wait for a running turn to end: when every
-//!   session is mid-turn, the open waits for the least recently used
-//!   one). Both edges take a
-//!   session out of memory by one protocol (`SessionStore::spill`): the
-//!   victim stays in the map, frozen by its slot lock, until it has
-//!   left. Without a persist layer it is destroyed: a later turn on it
-//!   reports a typed [`SessionNotFound`](crate::Error::SessionNotFound)
-//!   error, never a panic, and reopening the id starts a brand-new
-//!   session.
+//!   leaves a session mid-turn to the next purge, and an open that
+//!   finds every session mid-turn waits for the least recently used
+//!   one). Both edges take a session out of memory by one protocol
+//!   (`SessionStore::spill`): the victim stays in the map, frozen by
+//!   its slot lock, until it has left. Without a persist layer it is
+//!   destroyed: a later turn on it reports a typed
+//!   [`SessionNotFound`](crate::Error::SessionNotFound) error, never a
+//!   panic, and reopening the id starts a brand-new session.
 //! * **Durability (spill/rehydrate).** With a [`SessionPersist`] layer
 //!   attached ([`SessionStore::with_persist`]) the same exit *spills*
 //!   the victim instead, and a later turn / snapshot / close on the

@@ -173,7 +173,8 @@ const SPILL_TMP_SUFFIX: &str = ".session.tmp";
 ///
 /// The layer holds no lock, so calls for one id must not overlap: a
 /// [store](crate::session::SessionStore) makes each from the thread
-/// that holds the id's slot. Calls for distinct ids may run at once.
+/// that holds the id's slot, or under its map lock while the id is
+/// absent. Calls for distinct ids may run at once.
 ///
 /// The layer is generic: `encode`/`decode` close over whatever
 /// dependencies reconstruction needs (for `ChatSession`, the trained
