@@ -1,39 +1,43 @@
-//! The result broker: one LRU result cache plus an in-flight request
-//! coalescer, in front of the execution backend.
+//! The result broker: one map from request key to the key's execution
+//! or its cached result, in front of the execution backend.
 //!
 //! The broker sits between [`PatternEngine`](crate::PatternEngine)
 //! submission and the [`Backend`](crate::backend::Backend) that
 //! actually runs jobs. Every keyed request (anything except
 //! `Chat { seed: None }`, see [`request_key`](crate::routing::request_key))
-//! is admitted through [`ResultBroker::admit`], which resolves it one
-//! of three ways:
+//! is admitted through [`ResultBroker::admit`], which looks its key up
+//! once and resolves it one of three ways:
 //!
 //! 1. **Cache hit** — a completed identical request left its payload in
-//!    the LRU cache; the submitter gets it immediately.
+//!    the key's entry; the submitter gets it immediately.
 //! 2. **Coalesced** — an identical request is already queued or
 //!    executing; the submitter attaches to that [`ExecTask`] as a
 //!    waiter and will receive a clone of the same payload when the one
 //!    shared execution finishes.
-//! 3. **Lead** — nothing identical is in flight; a fresh [`ExecTask`]
-//!    is dispatched to a backend and registered.
+//! 3. **Lead** — the key has no entry; a fresh [`ExecTask`] is
+//!    dispatched to a backend and becomes the key's running entry.
 //!
 //! A task ends one of two ways: a worker runs it and fans the result
 //! out to every subscriber ([`ResultBroker::complete`]), or the engine
 //! is dropped with it still queued and every subscriber hears
 //! [`Error::Cancelled`] ([`ResultBroker::reject`]).
 //!
-//! Completion is atomic with respect to admission: the cache insert
-//! and the in-flight deregistration happen under one lock, so a
+//! A key's entry is running or cached, never both, and completion
+//! turns the one into the other in place under the lock, so a
 //! concurrent identical submit either coalesces onto the live task or
-//! hits the cache — it can never slip between the two and re-execute.
+//! hits the cache — it can never find neither and re-execute. Cached
+//! entries are evicted least recently used first, by the order of an
+//! ordered map of their last uses; capacity 0 caches nothing, and
+//! coalescing still runs.
 //!
 //! A key is hashed once a submit, before that lock ([`Key`]); under
-//! it, both maps compare hashes, and the text where two match.
+//! it, the map compares hashes, and the text where two match.
 
-use crate::cache::{Key, KeyMap, LruCache};
+use crate::cache::{Key, KeyMap};
 use crate::{Error, PatternRequest, PatternResponse, ResponsePayload};
 use cp_qos::AdmitClass;
 use std::collections::hash_map::RandomState;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -166,8 +170,8 @@ struct TaskState {
 /// is the unit the [`Backend`](crate::backend::Backend) queues and
 /// runs.
 pub(crate) struct ExecTask {
-    /// Shared with the broker's in-flight map and, once the result is
-    /// cached, with the cache: one allocation of the serialized request.
+    /// Shared with the broker's entry for it: one allocation of the
+    /// serialized request.
     key: Option<Key>,
     tenant: String,
     /// The leading request's class: its lane, and whether admission
@@ -283,18 +287,35 @@ pub(crate) enum Admission {
     Rejected(Error),
 }
 
+/// A key's one state: its execution is queued or running, or its
+/// payload is cached. A key is never both.
+enum Entry {
+    /// Identical submits attach to this execution.
+    Running(Arc<ExecTask>),
+    /// A completed payload (behind `Arc`, so a hit or an insert is a
+    /// pointer clone under the lock; the deep clone happens at the call
+    /// sites, outside it), last used at `tick`.
+    Cached {
+        payload: Arc<ResponsePayload>,
+        tick: u64,
+    },
+}
+
 struct BrokerState {
-    /// Payloads behind `Arc` so cache hits and inserts are pointer
-    /// clones under the lock; the deep clone happens at the call
-    /// sites, outside the critical section.
-    cache: LruCache<Arc<ResponsePayload>>,
-    /// Request key → the single in-flight execution for that key.
-    inflight: KeyMap<Arc<ExecTask>>,
+    /// Request key → its execution or its cached payload.
+    entries: KeyMap<Entry>,
+    /// The cached keys by last use, least recent first: the eviction
+    /// order.
+    recency: BTreeMap<u64, Key>,
+    /// The last use handed out.
+    tick: u64,
 }
 
 /// The shared result layer: cache + coalescer under one lock.
 pub(crate) struct ResultBroker {
     state: Mutex<BrokerState>,
+    /// Cached entries at most; 0 caches nothing.
+    capacity: usize,
     /// Hashes every key, outside the lock; keyed per process.
     hasher: RandomState,
 }
@@ -303,9 +324,11 @@ impl ResultBroker {
     pub(crate) fn new(cache_capacity: usize) -> ResultBroker {
         ResultBroker {
             state: Mutex::new(BrokerState {
-                cache: LruCache::new(cache_capacity),
-                inflight: KeyMap::default(),
+                entries: KeyMap::default(),
+                recency: BTreeMap::new(),
+                tick: 0,
             }),
+            capacity: cache_capacity,
             hasher: RandomState::new(),
         }
     }
@@ -354,62 +377,91 @@ impl ResultBroker {
             return lead(None);
         };
         let mut state = self.state.lock().expect("broker lock");
-        if let Some(payload) = state.cache.get(&key) {
-            return Admission::CacheHit(payload);
-        }
-        if let Some(task) = state.inflight.get(&key) {
-            let job = JobShared::pending(submitted_at);
-            task.attach(Arc::clone(&job));
-            return Admission::Coalesced(job);
+        let state = &mut *state;
+        match state.entries.get_mut(&key) {
+            Some(Entry::Cached { payload, tick }) => {
+                let cached = state
+                    .recency
+                    .remove(&*tick)
+                    .expect("a cached key has a use");
+                state.tick += 1;
+                *tick = state.tick;
+                state.recency.insert(*tick, cached);
+                return Admission::CacheHit(Arc::clone(payload));
+            }
+            Some(Entry::Running(task)) => {
+                let job = JobShared::pending(submitted_at);
+                task.attach(Arc::clone(&job));
+                return Admission::Coalesced(job);
+            }
+            None => {}
         }
         let admission = lead(Some(key.clone()));
         if let Admission::Lead { task, .. } = &admission {
             // Safe even though a worker may already be running the
             // task: completion also needs the broker lock, so the
-            // entry lands in `inflight` before `complete` can look.
-            state.inflight.insert(key, Arc::clone(task));
+            // entry is there before `complete` can look.
+            state.entries.insert(key, Entry::Running(Arc::clone(task)));
         }
         admission
     }
 
-    /// Completes an executed task: caches a successful payload,
-    /// deregisters the key, and returns every subscriber to notify —
-    /// all atomically, so a concurrent identical submit sees either
-    /// the in-flight task or the cached payload, never neither.
+    /// Completes an executed task and returns every subscriber to
+    /// notify. A successful payload turns the key's running entry into
+    /// a cached one, evicting the least recently used cached key when
+    /// the cache is full; an error, or a cache of capacity 0, removes
+    /// the entry. A concurrent identical submit sees the task or the
+    /// payload, never neither.
     pub(crate) fn complete(
         &self,
         task: &Arc<ExecTask>,
         ok_payload: Option<Arc<ResponsePayload>>,
     ) -> Vec<Subscriber> {
         let mut state = self.state.lock().expect("broker lock");
-        if let (Some(key), Some(payload)) = (&task.key, ok_payload) {
-            state.cache.insert(key.clone(), payload);
+        let state = &mut *state;
+        if let Some(key) = &task.key {
+            let running = match ok_payload.filter(|_| self.capacity > 0) {
+                Some(payload) => {
+                    if state.recency.len() == self.capacity {
+                        let (_, oldest) = state.recency.pop_first().expect("a full cache");
+                        state.entries.remove(&oldest);
+                    }
+                    state.tick += 1;
+                    state.recency.insert(state.tick, key.clone());
+                    let cached = Entry::Cached {
+                        payload,
+                        tick: state.tick,
+                    };
+                    state
+                        .entries
+                        .get_mut(key)
+                        .map(|entry| std::mem::replace(entry, cached))
+                }
+                None => state.entries.remove(key),
+            };
+            debug_assert!(
+                matches!(running, Some(Entry::Running(current)) if Arc::ptr_eq(&current, task))
+            );
         }
-        Self::unregister(&mut state, task);
         task.take_subscribers()
     }
 
     /// Retires a task that will never run (still queued when the
-    /// engine is dropped): deregisters it and returns everyone
+    /// engine is dropped): removes its entry and returns everyone
     /// attached, for the caller to fail.
     pub(crate) fn reject(&self, task: &Arc<ExecTask>) -> Vec<Subscriber> {
-        Self::unregister(&mut self.state.lock().expect("broker lock"), task);
-        task.take_subscribers()
+        self.complete(task, None)
     }
 
-    /// Removes a keyed task's key → task binding. Nothing replaces it
-    /// while the task lives: an identical submit coalesces instead.
-    fn unregister(state: &mut BrokerState, task: &Arc<ExecTask>) {
-        if let Some(key) = &task.key {
-            let registered = state.inflight.remove(key);
-            debug_assert!(registered.is_some_and(|current| Arc::ptr_eq(&current, task)));
-        }
-    }
-
-    /// Number of keys with a live in-flight execution.
+    /// Number of keys with a live execution.
     #[cfg(test)]
     pub(crate) fn inflight_len(&self) -> usize {
-        self.state.lock().expect("broker lock").inflight.len()
+        let state = self.state.lock().expect("broker lock");
+        state
+            .entries
+            .values()
+            .filter(|entry| matches!(entry, Entry::Running(_)))
+            .count()
     }
 }
 
@@ -547,5 +599,182 @@ mod tests {
         let subscribers = broker.reject(&task);
         assert_eq!(subscribers.len(), 2);
         assert_eq!(broker.inflight_len(), 0);
+    }
+
+    /// Leads `key` and completes it with a payload.
+    fn cached(broker: &ResultBroker, key: &str) {
+        let Admission::Lead { task, .. } = admit(broker, key) else {
+            panic!("{key} leads");
+        };
+        broker.complete(&task, Some(Arc::new(payload())));
+    }
+
+    /// The number of keys in the broker's one map.
+    fn entries(broker: &ResultBroker) -> usize {
+        broker.state.lock().expect("broker lock").entries.len()
+    }
+
+    #[test]
+    fn evicts_least_recently_used() {
+        let broker = ResultBroker::new(2);
+        cached(&broker, "a");
+        cached(&broker, "b");
+        // A hit refreshes "a": "b" is now the least recently used.
+        assert!(matches!(admit(&broker, "a"), Admission::CacheHit(_)));
+        cached(&broker, "c");
+        assert_eq!(entries(&broker), 2);
+        assert!(
+            matches!(admit(&broker, "b"), Admission::Lead { .. }),
+            "the least recently used key was evicted"
+        );
+        assert!(matches!(admit(&broker, "a"), Admission::CacheHit(_)));
+        assert!(matches!(admit(&broker, "c"), Admission::CacheHit(_)));
+    }
+
+    #[test]
+    fn zero_capacity_caches_nothing_and_still_coalesces() {
+        let broker = ResultBroker::new(0);
+        let Admission::Lead { task, .. } = admit(&broker, "a") else {
+            panic!("leads");
+        };
+        assert!(matches!(admit(&broker, "a"), Admission::Coalesced(_)));
+        assert_eq!(broker.complete(&task, Some(Arc::new(payload()))).len(), 2);
+        assert_eq!(entries(&broker), 0);
+        assert!(matches!(admit(&broker, "a"), Admission::Lead { .. }));
+    }
+
+    #[test]
+    fn single_entry_cache_churns_correctly() {
+        let broker = ResultBroker::new(1);
+        for i in 0..100 {
+            cached(&broker, &format!("k{i}"));
+            assert_eq!(entries(&broker), 1);
+            assert!(matches!(
+                admit(&broker, &format!("k{i}")),
+                Admission::CacheHit(_)
+            ));
+            if i > 0 {
+                let Admission::Lead { task, .. } = admit(&broker, &format!("k{}", i - 1)) else {
+                    panic!("k{} was evicted", i - 1);
+                };
+                broker.complete(&task, None);
+            }
+        }
+    }
+
+    #[test]
+    fn the_broker_holds_a_key_at_most_twice_and_eviction_frees_it() {
+        let text = "a rather long serialized request";
+        let broker = ResultBroker::new(1);
+        let key = broker.key(text.into());
+        let watch = Arc::downgrade(key.text());
+        let Admission::Lead { task, .. } =
+            broker.admit(Some(key), T, C, request(1), Instant::now(), None)
+        else {
+            panic!("leads");
+        };
+        assert_eq!(watch.strong_count(), 2, "running: the map's and the task's");
+        broker.complete(&task, Some(Arc::new(payload())));
+        drop(task);
+        assert_eq!(watch.strong_count(), 2, "cached: the map's and its use's");
+        // A hit keeps the stored key; the offered duplicate goes.
+        assert!(matches!(admit(&broker, text), Admission::CacheHit(_)));
+        assert_eq!(watch.strong_count(), 2);
+        // Eviction releases both: the key is freed.
+        cached(&broker, "b");
+        assert_eq!(watch.strong_count(), 0, "evicted key still allocated");
+    }
+
+    /// Seeded admit, complete (ok and err) and reject sequences over a
+    /// key space twice `capacity` (plus two), keyed by `key` from a
+    /// key's number, against a model in which a key is absent, running
+    /// (with its task and its subscriber count) or cached (with its
+    /// payload, least recently used first), checking the broker's map
+    /// and eviction order after every step.
+    fn matches_the_model(capacity: usize, key: impl Fn(&ResultBroker, u64) -> Key) {
+        const OPS: u64 = 10_000;
+        let broker = ResultBroker::new(capacity);
+        let mut running: Vec<(Key, Arc<ExecTask>, usize)> = Vec::new();
+        let mut cached: Vec<(Key, Arc<ResponsePayload>)> = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for op in 0..OPS {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let draw = state >> 33;
+            if op % 2 == 0 || running.is_empty() {
+                let key = key(&broker, draw % (2 * capacity as u64 + 2));
+                let admission =
+                    broker.admit(Some(key.clone()), T, C, request(1), Instant::now(), None);
+                if let Some(at) = cached.iter().position(|(k, _)| *k == key) {
+                    let hit = cached.remove(at);
+                    let Admission::CacheHit(payload) = admission else {
+                        panic!("op {op}: a cached key missed");
+                    };
+                    assert!(Arc::ptr_eq(&payload, &hit.1), "op {op}: another payload");
+                    cached.push(hit);
+                } else if let Some(live) = running.iter_mut().find(|(k, ..)| *k == key) {
+                    assert!(matches!(admission, Admission::Coalesced(_)), "op {op}");
+                    live.2 += 1;
+                } else {
+                    let Admission::Lead { task, .. } = admission else {
+                        panic!("op {op}: an absent key did not lead");
+                    };
+                    running.push((key, task, 1));
+                }
+            } else {
+                let at = (draw % running.len() as u64) as usize;
+                let (key, task, subscribers) = running.swap_remove(at);
+                let done = match (draw >> 8) % 4 {
+                    0 => broker.reject(&task),
+                    1 => broker.complete(&task, None),
+                    _ => {
+                        let payload = Arc::new(payload());
+                        if capacity > 0 {
+                            if cached.len() == capacity {
+                                cached.remove(0);
+                            }
+                            cached.push((key, Arc::clone(&payload)));
+                        }
+                        broker.complete(&task, Some(payload))
+                    }
+                };
+                assert_eq!(done.len(), subscribers, "op {op}");
+            }
+            let state = broker.state.lock().expect("broker lock");
+            assert_eq!(state.entries.len(), running.len() + cached.len(), "op {op}");
+            assert!(
+                state.recency.values().eq(cached.iter().map(|(k, _)| k)),
+                "op {op}: another eviction order"
+            );
+            for (k, task, _) in &running {
+                assert!(
+                    matches!(&state.entries[k], Entry::Running(t) if Arc::ptr_eq(t, task)),
+                    "op {op}"
+                );
+            }
+            for (k, payload) in &cached {
+                assert!(
+                    matches!(&state.entries[k], Entry::Cached { payload: p, .. } if Arc::ptr_eq(p, payload)),
+                    "op {op}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_broker_matches_the_model_at_every_capacity() {
+        for capacity in [0, 1, 3, 128] {
+            matches_the_model(capacity, |broker, n| broker.key(format!("k{n}")));
+        }
+    }
+
+    /// The same, with every key sharing its hash with one other: half
+    /// the look-ups meet the other text under their hash first.
+    #[test]
+    fn colliding_keys_match_the_model_at_every_capacity() {
+        for capacity in [0, 1, 3, 128] {
+            matches_the_model(capacity, |_, n| Key::with_hash(n / 2, &format!("k{n}")));
+        }
     }
 }
