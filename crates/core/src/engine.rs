@@ -23,7 +23,7 @@
 //! is still queued or executing **coalesce** — they attach as waiters
 //! to the single in-flight execution and all receive the same payload,
 //! counted in [`EngineStats::coalesced`] and flagged in
-//! `Timing::coalesced`. `Chat` with `seed: null` bypasses both, same
+//! `Timing.coalesced`. `Chat` with `seed: null` bypasses both, same
 //! as the long-standing cache-bypass rule. [`Timing`] distinguishes
 //! queue wait from execution time for every job.
 //!
@@ -176,8 +176,8 @@ impl<S: PatternService> EngineCore<S> {
 
     /// Executes one task the backend scheduled and fans the result out
     /// to its subscribers (the leader plus any coalesced waiters):
-    /// cache insert, session and QoS bookkeeping, broker completion,
-    /// per-subscriber timing and stats.
+    /// session and QoS bookkeeping, broker completion (which caches a
+    /// payload), per-subscriber timing and stats.
     fn run_task(&self, task: &Arc<ExecTask>) {
         let class = task.class();
         let request = task.claim();
@@ -192,7 +192,6 @@ impl<S: PatternService> EngineCore<S> {
             self.service.execute(request)
         }))
         .unwrap_or_else(|panic| Err(Error::internal(panic_message(panic.as_ref()))));
-        let exec_micros = elapsed_micros(started);
         // The cache copy is deep-cloned here, outside the broker lock;
         // `complete` only moves the Arc under it.
         let cache_copy = match (&result, task.is_keyed()) {
@@ -207,22 +206,26 @@ impl<S: PatternService> EngineCore<S> {
         if (class.opens_session && result.is_err()) || (closes_session && result.is_ok()) {
             self.gate.release_session(task.tenant());
         }
-        let leader_queue_micros = elapsed_micros(task.submitted_at()).saturating_sub(exec_micros);
-        self.gate
-            .complete(task.tenant(), class.lane, leader_queue_micros);
+        self.gate.complete(
+            task.tenant(),
+            class.lane,
+            micros_between(task.submitted_at(), started),
+        );
         let subscribers = self.broker.complete(task, cache_copy);
         for (job, coalesced) in subscribers {
-            // Each handle's timing runs from its own submission:
-            // `micros` is the handle's real submission-to-completion
-            // latency, so a waiter that attached mid-execution reports
-            // zero queue wait and only the slice of the shared
-            // execution it actually overlapped with.
-            let total = elapsed_micros(job.submitted_at);
-            let exec_share = exec_micros.min(total);
-            let queue_micros = total - exec_share;
-            let admit_micros = micros_between(job.submitted_at, job.admitted_at);
             let shared = match &result {
                 Ok(response) => {
+                    // Each handle's timing runs from its own
+                    // submission: `micros` is the handle's real
+                    // submission-to-completion latency, so a waiter
+                    // that attached mid-execution reports zero queue
+                    // wait and only the slice of the shared execution
+                    // it actually overlapped with. The execution's time
+                    // is the one its reply carries, not timed again.
+                    let total = elapsed_micros(job.submitted_at);
+                    let exec_share = response.timing.micros.min(total);
+                    let queue_micros = total - exec_share;
+                    let admit_micros = micros_between(job.submitted_at, job.admitted_at);
                     let timing = Timing {
                         coalesced,
                         ..Timing::queued(queue_micros, exec_share)

@@ -389,6 +389,66 @@ fn on_done_reaches_every_coalesced_waiter_with_its_own_timing() {
     assert_eq!(engine.stats().coalesced, 2);
 }
 
+/// A [`GatedService`] whose reply records the time it spent at the
+/// gate as a staged kind does, spread unevenly over three stages.
+struct StagedService(GatedService);
+
+impl PatternService for StagedService {
+    fn execute(&self, request: PatternRequest) -> Result<PatternResponse, Error> {
+        let started = Instant::now();
+        let response = self.0.execute(request)?;
+        let micros = elapsed_micros(started);
+        let mut stages = [0; crate::STAGES];
+        stages[crate::Stage::Grid as usize] = micros / 3;
+        stages[crate::Stage::Noise as usize] = micros / 7;
+        stages[crate::Stage::Draws as usize] = micros - micros / 3 - micros / 7;
+        Ok(PatternResponse {
+            timing: Timing {
+                stages,
+                ..Timing::direct(micros)
+            },
+            ..response
+        })
+    }
+}
+
+#[test]
+fn a_coalesced_waiters_stages_sum_to_its_micros() {
+    let open = Arc::new((Mutex::new(false), Condvar::new()));
+    let engine = PatternEngine::with_config(
+        StagedService(GatedService {
+            open: Arc::clone(&open),
+            started: (Mutex::new(0), Condvar::new()),
+        }),
+        EngineConfig {
+            workers: 1,
+            queue_depth: 8,
+            cache_capacity: 0,
+        },
+    )
+    .expect("valid config");
+    let leader = engine.submit(generate(1)).expect("submits");
+    engine.core.service.0.await_started(1);
+    // The waiter attaches well into the execution: its share of it is
+    // scaled down.
+    thread::sleep(Duration::from_millis(50));
+    let waiter = engine.submit(generate(1)).expect("submits");
+    thread::sleep(Duration::from_millis(20));
+    *open.0.lock().expect("gate lock") = true;
+    open.1.notify_all();
+    let leader = leader.wait().expect("completes").timing;
+    let waiter = waiter.wait().expect("completes").timing;
+    assert!(waiter.coalesced && !leader.coalesced);
+    assert!(waiter.exec_micros < leader.exec_micros, "{waiter:?}");
+    for timing in [leader, waiter] {
+        assert_eq!(
+            timing.stages.iter().sum::<u64>(),
+            timing.micros,
+            "{timing:?}"
+        );
+    }
+}
+
 #[test]
 fn on_done_of_a_job_queued_at_engine_drop_reports_cancelled() {
     let here = thread::current().name().map(str::to_owned);

@@ -72,7 +72,7 @@ pub use api::{
     ChatOutcome, ChatParams, EvaluateParams, ExtendParams, GenerateParams, LegalizeParams,
     ModifyParams, PatternRequest, PatternResponse, PatternService, ResponsePayload,
     SessionCloseParams, SessionInfo, SessionOpenParams, SessionRestoreParams,
-    SessionSnapshotParams, SessionTurnParams, Timing, TurnOutcome, STAGE_TOLERANCE_MICROS,
+    SessionSnapshotParams, SessionTurnParams, Timing, TurnOutcome,
 };
 pub use builder::ChatPatternBuilder;
 /// The stages a reply's `timing.stages` are indexed by.

@@ -141,13 +141,12 @@ echo "$OUT" | jq -es '
 ' > /dev/null || fail "malformed response line"
 # A Generate reply says where its micros went: `timing.stages`, one
 # number a stage in the order of docs/WIRE_PROTOCOL.md, summing to
-# `micros` within STAGE_TOLERANCE_MICROS (chatpattern_core, 20 µs), its
-# prediction (index 4, `predict_x0`) among them.
+# `micros` exactly, its prediction (index 4, `predict_x0`) among them.
 echo "$OUT" | jq -es '
     [.[] | select(.id == "r8") | .outcome.Ok.timing]
     | length == 1 and all(.[];
         (.stages | length) == 15 and .stages[4] > 0
-        and ((.micros - (.stages | add)) as $gap | $gap >= 0 and $gap <= 20))
+        and (.stages | add) == .micros)
 ' > /dev/null || fail "a Generate reply's timing.stages do not sum to its micros: $(echo "$OUT" | grep '"r8"' | jq -c .outcome.Ok.timing)"
 
 # (b) response ids are exactly the request ids (order-insensitive:

@@ -75,5 +75,4 @@ pub use chatpattern_core::{
     SessionConfig, SessionInfo, SessionOpenParams, SessionPersist, SessionRestoreParams,
     SessionSnapshot, SessionSnapshotParams, SessionStats, SessionStore, SessionTurnParams, Timing,
     TurnOutcome, WireError, WireOutcome, MAX_REQUEST_CELLS, SESSION_SNAPSHOT_FORMAT,
-    STAGE_TOLERANCE_MICROS,
 };
