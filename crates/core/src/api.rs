@@ -217,8 +217,7 @@ impl PatternRequest {
     /// mid-conversation), one-shot generation work is standard, and
     /// evaluation sweeps are batch (`Stats` is classified interactive
     /// but never queued — the engine answers it inline). Its cost: chat
-    /// turns consume a turn token, and session open/restore reserves
-    /// an open-session slot.
+    /// turns consume a turn token.
     #[must_use]
     pub(crate) fn admit_class(&self) -> cp_qos::AdmitClass {
         let lane = match self {
@@ -240,10 +239,6 @@ impl PatternRequest {
             consumes_turn: matches!(
                 self,
                 PatternRequest::Chat(_) | PatternRequest::SessionTurn(_)
-            ),
-            opens_session: matches!(
-                self,
-                PatternRequest::SessionOpen(_) | PatternRequest::SessionRestore(_)
             ),
         }
     }
@@ -310,13 +305,16 @@ pub struct TurnOutcome {
 /// `cached` and report only their admission (the key and the lookup)
 /// as `exec_micros`; requests that attached to an
 /// identical in-flight execution set `coalesced`. Every handle's
-/// `micros` is its own submission-to-completion latency — a coalesced
+/// `micros` runs from its own submission to the end of the execution
+/// (the engine reads the clock once, as the service returns; the
+/// cache copy and fan-out after it are in no stage) — a coalesced
 /// waiter that attached mid-execution reports zero queue wait and
 /// only the slice of the shared execution it actually overlapped
-/// with, never more than it really waited.
+/// with, never more than it really waited, and one that attached
+/// between the execution's end and its fan-out reports 0 µs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Timing {
-    /// Total microseconds from submission to completion
+    /// Total microseconds from submission to the end of the execution
     /// (`queue_micros + exec_micros`).
     pub micros: u64,
     /// Microseconds the job waited in the engine queue (zero for

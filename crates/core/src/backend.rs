@@ -9,9 +9,9 @@
 //! job (`chatpattern-router`, one serve process a shard).
 //!
 //! Workers dequeue **weighted-fair**, not FIFO: every task carries the
-//! tenant and the [`cp_qos::AdmitClass`] the engine's one
-//! [`cp_qos::QosGate`] admitted its leading request under, and the
-//! queue is a [`cp_qos::FairQueue`] over that class's lane — lanes
+//! tenant and the lane the engine's one [`cp_qos::QosGate`] admitted
+//! its leading request under, and the queue is a
+//! [`cp_qos::FairQueue`] over those lanes — lanes
 //! share by [`cp_qos::LaneWeights`] credits and tenants round-robin
 //! within a lane, so one flooding tenant cannot starve everyone else's
 //! queued work. The queue counts nothing: what a tenant was admitted,
@@ -102,7 +102,7 @@ impl Backend {
         let queued = Arc::clone(&task);
         state
             .tasks
-            .push(task.class().lane, task.tenant(), queued)
+            .push(task.lane(), task.tenant(), queued)
             .map_err(|_| ())
             .expect("room was checked under the queue lock");
         drop(state);

@@ -35,7 +35,7 @@
 
 use crate::cache::{Key, KeyMap};
 use crate::{Error, PatternRequest, PatternResponse, ResponsePayload};
-use cp_qos::AdmitClass;
+use cp_qos::Lane;
 use std::collections::hash_map::RandomState;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -165,8 +165,8 @@ struct TaskState {
     subscribers: Vec<Subscriber>,
 }
 
-/// One shared execution: a request, the tenant and admission class it
-/// was admitted under, and every submitter waiting on the result. This
+/// One shared execution: a request, the tenant and lane it was
+/// admitted under, and every submitter waiting on the result. This
 /// is the unit the [`Backend`](crate::backend::Backend) queues and
 /// runs.
 pub(crate) struct ExecTask {
@@ -174,11 +174,9 @@ pub(crate) struct ExecTask {
     /// serialized request.
     key: Option<Key>,
     tenant: String,
-    /// The leading request's class: its lane, and whether admission
-    /// reserved a session slot (kept here so a task drained at the
-    /// engine's drop can roll the reservation back without access to
-    /// the request).
-    class: AdmitClass,
+    /// The leading request's lane: where the task queues, and where
+    /// its completion is counted.
+    lane: Lane,
     /// When the leader was submitted: its queue wait is the tenant's.
     submitted_at: Instant,
     state: Mutex<TaskState>,
@@ -198,14 +196,14 @@ impl ExecTask {
     fn new(
         key: Option<Key>,
         tenant: &str,
-        class: AdmitClass,
+        lane: Lane,
         request: PatternRequest,
         leader: Arc<JobShared>,
     ) -> Arc<ExecTask> {
         Arc::new(ExecTask {
             key,
             tenant: tenant.to_owned(),
-            class,
+            lane,
             submitted_at: leader.submitted_at,
             state: Mutex::new(TaskState {
                 request: Some(request),
@@ -220,9 +218,9 @@ impl ExecTask {
         &self.tenant
     }
 
-    /// How the leading request was admitted.
-    pub(crate) fn class(&self) -> AdmitClass {
-        self.class
+    /// The lane the leading request was admitted under.
+    pub(crate) fn lane(&self) -> Lane {
+        self.lane
     }
 
     /// When the leading request was submitted.
@@ -359,14 +357,14 @@ impl ResultBroker {
         &self,
         key: Option<Key>,
         tenant: &str,
-        class: AdmitClass,
+        lane: Lane,
         request: PatternRequest,
         submitted_at: Instant,
         dispatch: Option<Dispatch<'_>>,
     ) -> Admission {
         let lead = |key| {
             let job = JobShared::pending(submitted_at);
-            let task = ExecTask::new(key, tenant, class, request, Arc::clone(&job));
+            let task = ExecTask::new(key, tenant, lane, request, Arc::clone(&job));
             match dispatch.map_or(Ok(()), |dispatch| dispatch(Arc::clone(&task))) {
                 Ok(()) => Admission::Lead { task, job },
                 Err(error) => Admission::Rejected(error),
@@ -471,14 +469,10 @@ mod tests {
     use crate::GenerateParams;
     use cp_dataset::Style;
 
-    /// Tenant and class for admissions whose QoS fields are
+    /// Tenant and lane for admissions whose QoS fields are
     /// irrelevant to the property under test.
     const T: &str = "test-tenant";
-    const C: AdmitClass = AdmitClass {
-        lane: cp_qos::Lane::Standard,
-        consumes_turn: false,
-        opens_session: false,
-    };
+    const L: Lane = Lane::Standard;
 
     fn request(seed: u64) -> PatternRequest {
         PatternRequest::Generate(GenerateParams {
@@ -495,7 +489,7 @@ mod tests {
         broker.admit(
             Some(broker.key(key.into())),
             T,
-            C,
+            L,
             request(1),
             Instant::now(),
             None,
@@ -528,8 +522,8 @@ mod tests {
     #[test]
     fn unkeyed_requests_never_share_a_task() {
         let broker = ResultBroker::new(8);
-        let first = broker.admit(None, T, C, request(1), Instant::now(), None);
-        let second = broker.admit(None, T, C, request(1), Instant::now(), None);
+        let first = broker.admit(None, T, L, request(1), Instant::now(), None);
+        let second = broker.admit(None, T, L, request(1), Instant::now(), None);
         assert!(matches!(first, Admission::Lead { .. }));
         assert!(matches!(second, Admission::Lead { .. }));
         assert_eq!(broker.inflight_len(), 0, "unkeyed tasks are unregistered");
@@ -541,7 +535,7 @@ mod tests {
         let full: Dispatch<'_> = &|_| Err(Error::QueueFull { depth: 1 });
         for key in [Some(broker.key("k".into())), None] {
             assert!(matches!(
-                broker.admit(key, T, C, request(1), Instant::now(), Some(full)),
+                broker.admit(key, T, L, request(1), Instant::now(), Some(full)),
                 Admission::Rejected(Error::QueueFull { depth: 1 })
             ));
         }
@@ -555,19 +549,19 @@ mod tests {
         let broker = ResultBroker::new(8);
         let (a, b) = (Key::with_hash(7, "a"), Key::with_hash(7, "b"));
         let Admission::Lead { task, .. } =
-            broker.admit(Some(a.clone()), T, C, request(1), Instant::now(), None)
+            broker.admit(Some(a.clone()), T, L, request(1), Instant::now(), None)
         else {
             panic!("first submission leads");
         };
         let Admission::Lead { task: other, .. } =
-            broker.admit(Some(b.clone()), T, C, request(2), Instant::now(), None)
+            broker.admit(Some(b.clone()), T, L, request(2), Instant::now(), None)
         else {
             panic!("another text under the same hash coalesced");
         };
         assert_eq!(broker.inflight_len(), 2);
         assert_eq!(broker.complete(&task, Some(Arc::new(payload()))).len(), 1);
         assert!(matches!(
-            broker.admit(Some(b), T, C, request(2), Instant::now(), None),
+            broker.admit(Some(b), T, L, request(2), Instant::now(), None),
             Admission::Coalesced(_)
         ));
         assert_eq!(broker.complete(&other, None).len(), 2);
@@ -576,7 +570,7 @@ mod tests {
             broker.admit(
                 Some(Key::with_hash(7, "b")),
                 T,
-                C,
+                L,
                 request(2),
                 Instant::now(),
                 None
@@ -584,7 +578,7 @@ mod tests {
             Admission::Lead { .. }
         ));
         assert!(matches!(
-            broker.admit(Some(a), T, C, request(1), Instant::now(), None),
+            broker.admit(Some(a), T, L, request(1), Instant::now(), None),
             Admission::CacheHit(_)
         ));
     }
@@ -669,7 +663,7 @@ mod tests {
         let key = broker.key(text.into());
         let watch = Arc::downgrade(key.text());
         let Admission::Lead { task, .. } =
-            broker.admit(Some(key), T, C, request(1), Instant::now(), None)
+            broker.admit(Some(key), T, L, request(1), Instant::now(), None)
         else {
             panic!("leads");
         };
@@ -705,7 +699,7 @@ mod tests {
             if op % 2 == 0 || running.is_empty() {
                 let key = key(&broker, draw % (2 * capacity as u64 + 2));
                 let admission =
-                    broker.admit(Some(key.clone()), T, C, request(1), Instant::now(), None);
+                    broker.admit(Some(key.clone()), T, L, request(1), Instant::now(), None);
                 if let Some(at) = cached.iter().position(|(k, _)| *k == key) {
                     let hit = cached.remove(at);
                     let Admission::CacheHit(payload) = admission else {

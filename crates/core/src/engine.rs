@@ -42,7 +42,7 @@ pub use stats::{ConnCounters, EngineStats};
 use crate::backend::{Backend, TaskFn};
 use crate::broker::{Admission, Dispatch, ExecTask, JobShared, ResultBroker};
 use crate::{Error, PatternRequest, PatternResponse, PatternService, ResponsePayload, Timing};
-use cp_qos::{AdmitClass, QosConfig, QosGate};
+use cp_qos::{QosConfig, QosGate};
 use stats::AtomicStats;
 use std::sync::Arc;
 use std::time::Instant;
@@ -164,24 +164,12 @@ struct EngineCore<S> {
 }
 
 impl<S: PatternService> EngineCore<S> {
-    /// Returns the grants of an admitted request that was not served —
-    /// a coalesced waiter, a refused dispatch, a task that never ran:
-    /// its in-flight slot, and the session slot its class reserved.
-    fn withdraw(&self, tenant: &str, class: AdmitClass) {
-        if class.opens_session {
-            self.gate.release_session(tenant);
-        }
-        self.gate.release(tenant);
-    }
-
     /// Executes one task the backend scheduled and fans the result out
-    /// to its subscribers (the leader plus any coalesced waiters):
-    /// session and QoS bookkeeping, broker completion (which caches a
-    /// payload), per-subscriber timing and stats.
+    /// to its subscribers (the leader plus any coalesced waiters): QoS
+    /// completion, broker completion (which caches a payload),
+    /// per-subscriber timing and stats.
     fn run_task(&self, task: &Arc<ExecTask>) {
-        let class = task.class();
         let request = task.claim();
-        let closes_session = matches!(request, crate::PatternRequest::SessionClose(_));
         let started = Instant::now();
         // A panicking service must not poison the broker: without the
         // catch, `complete` would never run, the key would stay
@@ -192,23 +180,22 @@ impl<S: PatternService> EngineCore<S> {
             self.service.execute(request)
         }))
         .unwrap_or_else(|panic| Err(Error::internal(panic_message(panic.as_ref()))));
+        // Every subscriber's total ends here: the cache copy, the gate
+        // and the broker below are bookkeeping, not anyone's queue
+        // wait.
+        let finished = Instant::now();
         // The cache copy is deep-cloned here, outside the broker lock;
         // `complete` only moves the Arc under it.
         let cache_copy = match (&result, task.is_keyed()) {
             (Ok(response), true) => Some(Arc::new(response.payload.clone())),
             _ => None,
         };
-        // Session-slot bookkeeping: a failed open/restore never made a
-        // session, a successful close retires one. The in-flight slot
-        // goes back, with the leader's completion and queue wait,
-        // before any subscriber hears — a client that retries on its
-        // reply finds the slot free.
-        if (class.opens_session && result.is_err()) || (closes_session && result.is_ok()) {
-            self.gate.release_session(task.tenant());
-        }
+        // The in-flight slot goes back, with the leader's completion and
+        // queue wait, before any subscriber hears — a client that
+        // retries on its reply finds the slot free.
         self.gate.complete(
             task.tenant(),
-            class.lane,
+            task.lane(),
             micros_between(task.submitted_at(), started),
         );
         let subscribers = self.broker.complete(task, cache_copy);
@@ -216,13 +203,13 @@ impl<S: PatternService> EngineCore<S> {
             let shared = match &result {
                 Ok(response) => {
                     // Each handle's timing runs from its own
-                    // submission: `micros` is the handle's real
-                    // submission-to-completion latency, so a waiter
+                    // submission to the execution's end, so a waiter
                     // that attached mid-execution reports zero queue
                     // wait and only the slice of the shared execution
-                    // it actually overlapped with. The execution's time
+                    // it actually overlapped with (one that attached
+                    // after the end reports 0 µs). The execution's time
                     // is the one its reply carries, not timed again.
-                    let total = elapsed_micros(job.submitted_at);
+                    let total = micros_between(job.submitted_at, finished);
                     let exec_share = response.timing.micros.min(total);
                     let queue_micros = total - exec_share;
                     let admit_micros = micros_between(job.submitted_at, job.admitted_at);
@@ -440,11 +427,11 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         // QoS admission happens before the broker sees the request: a
         // tenant over quota is refused with a typed retry-after hint
         // and costs the system nothing. The gate counts the admission
-        // or refusal as it decides. On success the in-flight slot (plus
-        // any session reservation) is held until the task leaves the
-        // system — returned below for cache hits, coalesced waiters and
-        // dispatch rejections, by `run_task` for executed tasks, and by
-        // `Drop` for drained ones.
+        // or refusal as it decides. On success the in-flight slot is
+        // held until the task leaves the system — returned below for
+        // cache hits, coalesced waiters and dispatch rejections, by
+        // `run_task` for executed tasks, and by `Drop` for drained
+        // ones.
         let class = request.admit_class();
         if let Err(rejection) = self.core.gate.try_admit(tenant, class) {
             return Err(Error::overloaded(rejection.retry_after_ms));
@@ -463,7 +450,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         match self
             .core
             .broker
-            .admit(key, tenant, class, request, submitted_at, in_admission)
+            .admit(key, tenant, class.lane, request, submitted_at, in_admission)
         {
             Admission::CacheHit(payload) => {
                 stats.add(&stats.submitted);
@@ -471,8 +458,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
                 stats.add(&stats.completed);
                 // The request never reaches the executor: the slot
                 // frees immediately and the hit counts as a completed
-                // request with zero queue wait. (A hit is keyed, and
-                // no session request is, so it reserved no session.)
+                // request with zero queue wait.
                 self.core.gate.complete(tenant, class.lane, 0);
                 Ok(JobHandle::done(Ok(PatternResponse {
                     // Deep clone outside the broker lock.
@@ -485,11 +471,11 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
                 stats.add(&stats.coalesced);
                 // The leader's slot covers the execution; a waiter
                 // holds nothing while it waits.
-                self.core.withdraw(tenant, class);
+                self.core.gate.release(tenant);
                 Ok(JobHandle { shared: job })
             }
             Admission::Rejected(error) => {
-                self.core.withdraw(tenant, class);
+                self.core.gate.release(tenant);
                 Err(error)
             }
             Admission::Lead { task, job } => {
@@ -509,11 +495,11 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
 impl<S: PatternService + Send + Sync + 'static> Drop for PatternEngine<S> {
     fn drop(&mut self) {
         // Anything still queued will never run: fail its subscribers
-        // and release the QoS grants its leader holds — before waiting
+        // and return the in-flight slot its leader holds — before waiting
         // for the jobs still running, so no queued job's fate hangs on
         // how long those take.
         for task in self.backend.stop() {
-            self.core.withdraw(task.tenant(), task.class());
+            self.core.gate.release(task.tenant());
             for (job, _) in self.core.broker.reject(&task) {
                 job.finish(Err(Error::Cancelled), || {
                     self.core.stats.add(&self.core.stats.cancelled);

@@ -449,6 +449,66 @@ fn a_coalesced_waiters_stages_sum_to_its_micros() {
     }
 }
 
+/// Answers with a 1 MiB topology — big enough that the cache copy's
+/// deep clone takes measurable time — and records when `execute`
+/// began.
+struct BulkyService {
+    began: Mutex<Option<Instant>>,
+}
+
+impl PatternService for BulkyService {
+    fn execute(&self, _request: PatternRequest) -> Result<PatternResponse, Error> {
+        let began = Instant::now();
+        *self.began.lock().expect("began lock") = Some(began);
+        // Filled to the last byte before the clock is read again: the
+        // optimiser may not defer the fill past the read.
+        let payload = std::hint::black_box(ResponsePayload::Generate(vec![
+            cp_layout::squish::Topology::filled(1024, 1024, true),
+        ]));
+        Ok(PatternResponse {
+            payload,
+            timing: Timing::direct(elapsed_micros(began)),
+        })
+    }
+}
+
+/// `admit` and `queue` end where the execution begins: the cache copy
+/// and the fan-out after it are nobody's queue wait. The allowance is
+/// the service's own return and the engine's clock read after it, 2–9
+/// µs on an unoptimised build; the two copies of the 1 MiB payload
+/// that `queue` must not hold take 0.6–1.5 ms on either build.
+#[test]
+fn the_queue_stage_holds_only_the_queue() {
+    let engine = PatternEngine::with_config(
+        BulkyService {
+            began: Mutex::new(None),
+        },
+        EngineConfig {
+            workers: 1,
+            queue_depth: 8,
+            cache_capacity: 8,
+        },
+    )
+    .expect("valid config");
+    // A first run faults the code in, so the one measured runs warm.
+    engine.execute(generate(1)).expect("completes");
+    let before = Instant::now();
+    let timing = engine
+        .submit(generate(2))
+        .expect("submits")
+        .wait()
+        .expect("completes")
+        .timing;
+    let began = engine.core.service.began.lock().expect("began lock");
+    let span = micros_between(before, began.expect("executed"));
+    let waited =
+        timing.stages[crate::Stage::Admit as usize] + timing.stages[crate::Stage::Queue as usize];
+    assert!(
+        waited <= span + 50,
+        "admit + queue {waited} µs, submit to execution {span} µs: {timing:?}"
+    );
+}
+
 #[test]
 fn on_done_of_a_job_queued_at_engine_drop_reports_cancelled() {
     let here = thread::current().name().map(str::to_owned);
@@ -667,46 +727,59 @@ fn qos_blocking_submit_surfaces_overloaded_as_failed_handle() {
     first.wait().expect("completes");
 }
 
+/// Every way a session leaves the store — a close, TTL expiry, and
+/// capacity eviction with no persist layer — hands its tenant's
+/// in-flight slot back: the next open is admitted, and the gate holds
+/// nothing for the tenant between requests.
 #[test]
-fn qos_session_cap_holds_until_close() {
+fn every_session_exit_leaves_its_tenant_admissible() {
+    let system = crate::ChatPattern::builder()
+        .window(16)
+        .training_patterns(8)
+        .diffusion_steps(6)
+        .max_sessions(1)
+        .session_ttl(Duration::from_millis(200))
+        .build()
+        .expect("valid configuration");
+    let mut qos = QosConfig::new();
+    qos.apply_quota_flag("t:inflight=1").expect("spec");
+    let engine = PatternEngine::with_qos(
+        system,
+        EngineConfig {
+            workers: 1,
+            queue_depth: 8,
+            cache_capacity: 0,
+        },
+        qos,
+    )
+    .expect("valid config");
+    let run = |step: &str, request: PatternRequest| {
+        engine
+            .submit_as(Some("t"), request)
+            .unwrap_or_else(|error| panic!("{step}: refused {error:?}"))
+            .wait()
+            .unwrap_or_else(|error| panic!("{step}: failed {error:?}"));
+        assert_eq!(engine.core.gate.inflight("t"), 0, "{step}");
+    };
     let open = |id: &str| {
         PatternRequest::SessionOpen(crate::SessionOpenParams {
             session: id.into(),
             seed: Some(1),
         })
     };
-    let engine = qos_engine(
-        Duration::ZERO,
-        "t",
-        cp_qos::TenantQuota {
-            max_sessions: 1,
-            ..cp_qos::TenantQuota::default()
-        },
-    );
-    engine
-        .submit_as(Some("t"), open("a"))
-        .expect("first session admits")
-        .wait()
-        .expect("opens");
-    let err = engine.submit_as(Some("t"), open("b"));
-    assert!(matches!(err, Err(Error::Overloaded { .. })));
-    // SlowService treats SessionClose like any request and
-    // succeeds, which must release the reservation.
-    engine
-        .submit_as(
-            Some("t"),
-            PatternRequest::SessionClose(crate::SessionCloseParams {
-                session: "a".into(),
-            }),
-        )
-        .expect("close admits")
-        .wait()
-        .expect("closes");
-    engine
-        .submit_as(Some("t"), open("b"))
-        .expect("slot freed by the close")
-        .wait()
-        .expect("opens");
+    run("open a", open("a"));
+    let close = PatternRequest::SessionClose(crate::SessionCloseParams {
+        session: "a".into(),
+    });
+    run("close a", close);
+    run("open b after a closed", open("b"));
+    thread::sleep(Duration::from_millis(400));
+    run("open c after b expired", open("c"));
+    run("open d, evicting c", open("d"));
+    run("open e after c was evicted", open("e"));
+    let sessions = engine.stats();
+    assert_eq!(sessions.sessions_open, 1, "{sessions:?}");
+    assert_eq!(sessions.sessions_evicted, 3, "b, c and d: {sessions:?}");
 }
 
 #[test]
@@ -910,11 +983,11 @@ fn every_accounting_path_counts_once_and_returns_every_grant() {
         ])
     );
     assert_eq!(
-        engine.core.gate.gauges("alice"),
-        (2, 1),
+        engine.core.gate.inflight("alice"),
+        2,
         "the held leader and the queued open"
     );
-    assert_eq!(engine.core.gate.gauges("bob"), (0, 0));
+    assert_eq!(engine.core.gate.inflight("bob"), 0);
 
     // Drop with the open still queued: it is cancelled, then the
     // held leader is let finish for its subscribers.
@@ -933,6 +1006,6 @@ fn every_accounting_path_counts_once_and_returns_every_grant() {
     leader.wait().expect("the held leader completes");
     assert!(waiter.wait().expect("its waiter hears").timing.coalesced);
     for tenant in ["alice", "bob"] {
-        assert_eq!(core.gate.gauges(tenant), (0, 0), "{tenant} holds no grant");
+        assert_eq!(core.gate.inflight(tenant), 0, "{tenant} holds no grant");
     }
 }

@@ -60,10 +60,10 @@ pub enum Error {
         /// The configured queue depth that was exhausted.
         depth: usize,
     },
-    /// The tenant's QoS quota (concurrent jobs, open sessions or turn
-    /// budget) refused the request before it was enqueued. The hint
-    /// says how long to back off; it travels on the wire as the
-    /// `Overloaded` error kind with a `retry_after_ms` field.
+    /// The tenant's QoS quota (concurrent jobs or turn budget) refused
+    /// the request before it was enqueued. The hint says how long to
+    /// back off; it travels on the wire as the `Overloaded` error kind
+    /// with a `retry_after_ms` field.
     Overloaded {
         /// Milliseconds the client should wait before retrying.
         retry_after_ms: u64,

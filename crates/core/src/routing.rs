@@ -1,9 +1,10 @@
 //! Request routing — the single source of truth for "which worker
 //! does this request belong to".
 //!
-//! Two consumers are left, and neither is the engine (a
-//! [`PatternEngine`](crate::PatternEngine) is one queue; it hashes
-//! nothing):
+//! A [`PatternEngine`](crate::PatternEngine) is one queue and places
+//! nothing: it calls [`request_key`] only to key its result broker,
+//! which hashes that text with its own hasher, not [`route_hash`].
+//! Two consumers place work by this module:
 //!
 //! * the multi-process `chatpattern-router` binary, which shards client
 //!   requests across a fleet of `chatpattern-serve` workers: keyed

@@ -12,7 +12,7 @@
 //! * [`LaneWeights`] — how many dequeues each lane gets per
 //!   weighted-fair cycle;
 //! * [`TenantQuota`] / [`QosConfig`] — per-tenant admission limits:
-//!   concurrent jobs, open sessions and a token-bucket turn budget
+//!   concurrent jobs and a token-bucket turn budget
 //!   (`--tenant-quota`);
 //! * [`QosGate`] — the one per-tenant table: `try_admit` either
 //!   reserves capacity or answers with a [`Rejection`] carrying
@@ -42,9 +42,8 @@ use std::time::Instant;
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Retry hint handed out when a quota rejection has no natural
-/// deadline (concurrent-job and open-session caps free up whenever
-/// some in-flight work finishes; turn budgets compute an exact
-/// refill time instead).
+/// deadline (the concurrent-job cap frees up whenever some in-flight
+/// work finishes; turn budgets compute an exact refill time instead).
 pub const DEFAULT_RETRY_AFTER_MS: u64 = 100;
 
 // ------------------------------------------------------------------ lanes
@@ -147,8 +146,6 @@ pub struct TenantQuota {
     /// Maximum concurrently executing/queued jobs (leaders only;
     /// cache hits and coalesced followers do not occupy a slot).
     pub max_inflight: u64,
-    /// Maximum concurrently open sessions.
-    pub max_sessions: u64,
     /// Sustained chat/session-turn rate (token bucket refill, per
     /// second).
     pub turns_per_sec: f64,
@@ -169,9 +166,8 @@ impl TenantQuota {
     }
 
     /// Parses a quota spec: comma-separated `name=value` pairs with
-    /// names `inflight`, `sessions`, `tps` (turns per second) and
-    /// `burst`, e.g. `"inflight=4,sessions=8,tps=2,burst=4"`. Omitted
-    /// fields stay unlimited.
+    /// names `inflight`, `tps` (turns per second) and `burst`, e.g.
+    /// `"inflight=4,tps=2,burst=4"`. Omitted fields stay unlimited.
     pub(crate) fn parse(spec: &str) -> Result<TenantQuota, String> {
         let mut quota = TenantQuota::default();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -184,11 +180,6 @@ impl TenantQuota {
                         format!("inflight needs an unsigned integer, got {value:?}")
                     })?;
                 }
-                "sessions" => {
-                    quota.max_sessions = value.trim().parse::<u64>().map_err(|_| {
-                        format!("sessions needs an unsigned integer, got {value:?}")
-                    })?;
-                }
                 "tps" => {
                     quota.turns_per_sec = parse_rate("tps", value.trim())?;
                 }
@@ -197,7 +188,7 @@ impl TenantQuota {
                 }
                 other => {
                     return Err(format!(
-                        "unknown quota field {other:?} (expected inflight, sessions, tps or burst)"
+                        "unknown quota field {other:?} (expected inflight, tps or burst)"
                     ))
                 }
             }
@@ -269,8 +260,6 @@ impl QosConfig {
 pub enum RejectReason {
     /// The tenant's concurrent-job quota is exhausted.
     Inflight,
-    /// The tenant's open-session cap is reached.
-    Sessions,
     /// The tenant's turn budget (token bucket) is empty.
     TurnBudget,
 }
@@ -293,8 +282,6 @@ pub struct AdmitClass {
     pub lane: Lane,
     /// Consumes one token from the tenant's turn budget (chat turns).
     pub consumes_turn: bool,
-    /// Reserves one open-session slot (session open/restore).
-    pub opens_session: bool,
 }
 
 struct TokenBucket {
@@ -332,7 +319,6 @@ struct LaneCounters {
 /// One tenant's entry: its quota state and its per-lane counters.
 struct TenantState {
     inflight: u64,
-    sessions: u64,
     bucket: TokenBucket,
     /// In [`LANES`] order.
     lanes: [LaneCounters; LANE_COUNT],
@@ -342,7 +328,6 @@ impl TenantState {
     fn new(quota: &TenantQuota) -> TenantState {
         TenantState {
             inflight: 0,
-            sessions: 0,
             bucket: TokenBucket {
                 tokens: quota.burst(),
                 last_refill: Instant::now(),
@@ -359,12 +344,6 @@ impl TenantState {
                 reason: RejectReason::Inflight,
             });
         }
-        if class.opens_session && quota.max_sessions > 0 && self.sessions >= quota.max_sessions {
-            return Err(Rejection {
-                retry_after_ms: DEFAULT_RETRY_AFTER_MS,
-                reason: RejectReason::Sessions,
-            });
-        }
         if class.consumes_turn && quota.turns_per_sec > 0.0 {
             if let Err(retry_after_ms) = self.bucket.try_take(Instant::now(), quota) {
                 return Err(Rejection {
@@ -374,22 +353,17 @@ impl TenantState {
             }
         }
         self.inflight += 1;
-        if class.opens_session {
-            self.sessions += 1;
-        }
         Ok(())
     }
 }
 
 /// The admission gate and the per-tenant accounting, in one table:
-/// each tenant's in-flight count, open-session reservations, turn
-/// token bucket and per-lane counters, behind one mutex.
+/// each tenant's in-flight count, turn token bucket and per-lane
+/// counters, behind one mutex.
 ///
 /// Call [`QosGate::try_admit`] before handing a request to the
-/// executor; on success the in-flight slot (and, for session-opening
-/// requests, a session reservation) is held until the matching
-/// [`QosGate::complete`] or [`QosGate::release`] /
-/// [`QosGate::release_session`].
+/// executor; on success the in-flight slot is held until the matching
+/// [`QosGate::complete`] or [`QosGate::release`].
 pub struct QosGate {
     config: QosConfig,
     tenants: std::sync::Mutex<HashMap<String, TenantState>>,
@@ -410,10 +384,9 @@ impl QosGate {
     }
 
     /// Admits or refuses one request for `tenant`, and counts which in
-    /// `class.lane`. On success one in-flight slot is reserved (plus a
-    /// session slot when `class.opens_session`); the caller must pair
-    /// it with [`QosGate::complete`] or [`QosGate::release`] once the
-    /// request leaves the system.
+    /// `class.lane`. On success one in-flight slot is reserved; the
+    /// caller must pair it with [`QosGate::complete`] or
+    /// [`QosGate::release`] once the request leaves the system.
     pub fn try_admit(&self, tenant: &str, class: AdmitClass) -> Result<(), Rejection> {
         let quota = self.config.quota_for(tenant);
         let mut tenants = self.lock();
@@ -450,21 +423,10 @@ impl QosGate {
         }
     }
 
-    /// Returns a session reservation: call when a session-opening
-    /// request fails (or is abandoned), and when a session closes.
-    pub fn release_session(&self, tenant: &str) {
-        if let Some(state) = self.lock().get_mut(tenant) {
-            state.sessions = state.sessions.saturating_sub(1);
-        }
-    }
-
-    /// Current (inflight, sessions) gauges of a tenant, for tests and
-    /// diagnostics.
+    /// The in-flight slots a tenant holds, for tests and diagnostics.
     #[must_use]
-    pub fn gauges(&self, tenant: &str) -> (u64, u64) {
-        self.lock()
-            .get(tenant)
-            .map_or((0, 0), |s| (s.inflight, s.sessions))
+    pub fn inflight(&self, tenant: &str) -> u64 {
+        self.lock().get(tenant).map_or(0, |s| s.inflight)
     }
 
     /// The accounting rows behind `EngineStats::tenants`: one for each
@@ -708,13 +670,13 @@ mod tests {
 
     #[test]
     fn quota_parse_round_trips_fields() {
-        let quota = TenantQuota::parse("inflight=4, sessions=8, tps=2.5, burst=5").expect("parses");
+        let quota = TenantQuota::parse("inflight=4, tps=2.5, burst=5").expect("parses");
         assert_eq!(quota.max_inflight, 4);
-        assert_eq!(quota.max_sessions, 8);
         assert!((quota.turns_per_sec - 2.5).abs() < 1e-9);
         assert!((quota.burst() - 5.0).abs() < 1e-9);
         assert!(TenantQuota::parse("inflight=x").is_err());
         assert!(TenantQuota::parse("widgets=1").is_err());
+        assert!(TenantQuota::parse("sessions=1").is_err());
         assert_eq!(
             TenantQuota::parse("").expect("empty = unlimited"),
             TenantQuota::default()
@@ -748,25 +710,6 @@ mod tests {
         gate.try_admit("t2", class).expect("other tenant admits");
         gate.release("t1");
         gate.try_admit("t1", class).expect("slot freed");
-    }
-
-    #[test]
-    fn gate_enforces_session_cap_and_release() {
-        let mut config = QosConfig::new();
-        config.apply_quota_flag("sessions=1").expect("spec");
-        let gate = QosGate::new(config);
-        let opens = AdmitClass {
-            opens_session: true,
-            ..AdmitClass::default()
-        };
-        gate.try_admit("t", opens).expect("first session");
-        let rejection = gate.try_admit("t", opens).expect_err("cap reached");
-        assert_eq!(rejection.reason, RejectReason::Sessions);
-        // Plain requests still pass — only the session slot is gone.
-        gate.try_admit("t", AdmitClass::default())
-            .expect("plain ok");
-        gate.release_session("t");
-        gate.try_admit("t", opens).expect("slot returned");
     }
 
     #[test]
@@ -914,7 +857,7 @@ mod tests {
                 ("zeta", "interactive", 1, 0, 0, 0),
             ]
         );
-        assert_eq!(gate.gauges("alpha"), (1, 0));
+        assert_eq!(gate.inflight("alpha"), 1);
 
         let merged = merge_rows(&[&rows, &rows]);
         assert_eq!(merged.len(), 3);

@@ -75,8 +75,8 @@ Options:
   --cache-capacity N     LRU result-cache entries, 0 disables (default 128)
   --tenant-quota SPEC    per-tenant admission limits; SPEC is
                          comma-separated name=value with names
-                         inflight, sessions, tps, burst (0/omitted =
-                         unlimited), e.g. inflight=4,sessions=8,tps=2.
+                         inflight, tps, burst (0/omitted = unlimited),
+                         e.g. inflight=4,tps=2.
                          Prefix TENANT: to limit one tenant, bare SPEC
                          sets the default quota; repeatable. Over-quota
                          requests answer an Overloaded error envelope

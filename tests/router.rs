@@ -831,6 +831,11 @@ fn a_forwarded_serve_flag_is_validated_by_serve_before_the_router_listens() {
     for (flag, value, complaint) in [
         ("--tenant-quota", "bogus=1", "--tenant-quota:"),
         (
+            "--tenant-quota",
+            "sessions=1",
+            "--tenant-quota: unknown quota field \"sessions\"",
+        ),
+        (
             "--lane-weights",
             "4,2,1",
             "unknown flag --lane-weights (try --help)",
