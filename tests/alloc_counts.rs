@@ -1,20 +1,29 @@
-//! Exact allocation counts of the sampler's hot calls, pinned.
+//! Exact allocation counts of the sampler's hot calls and of the wire
+//! path a served line takes, pinned.
 //!
 //! A counting global allocator over `System` counts, per thread, every
 //! allocation and reallocation and the bytes each asked for. The pins
 //! are exact on any host: they do not depend on how fast it is or on
-//! what else runs, only on the code. A warmed direct-API call is
-//! counted, so one-time costs (CPU feature detection, thread-locals)
-//! stay out of the figures.
+//! what else runs, only on the code. A warmed call is counted, so
+//! one-time costs (CPU feature detection, thread-locals, a map's first
+//! row) stay out of the figures.
 //!
 //! A change that moves a pin says so in CHANGES.md, with the old and the
 //! new count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use chatpattern::core::wire::decode_request_line;
 use chatpattern::diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule};
+use chatpattern::net::{ConnectionHandler, EventLoopConfig, EventLoopServer, LineSink};
 use chatpattern::squish::{Region, Topology};
+use chatpattern::{ChatPattern, EngineConfig, PatternEngine, ResponseEnvelope};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -66,6 +75,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
     let after = COUNTS.with(Cell::get);
     ((after.0 - before.0, after.1 - before.1), out)
 }
+
+/// A cache-hit `Generate` line (16 x 16), and a `Stats` line, served:
+/// the decoded envelope, the request key, the payload's copy, the
+/// callback's box and the reply's text.
+const HIT_PIN: (u64, u64) = (19, 3_271);
+const STATS_PIN: (u64, u64) = (17, 3_184);
+/// A 33 673-byte reply handed to an idle connection whose peer reads:
+/// its framed copy and the loop's dirty list.
+const SEND_PIN: (u64, u64) = (2, 33_706);
 
 /// The window the product runs: 128 × 128 cells.
 const WINDOW: usize = 128;
@@ -120,4 +138,122 @@ fn a_half_window_modify_allocates_what_is_pinned() {
     let (counts, modified) = counted(|| model.modify(&known, &mask, Some(0), 1, &mut rng));
     assert_eq!(modified.shape(), known.shape());
     assert_eq!(counts, (29, 56_504), "(allocations, bytes)");
+}
+
+/// `(allocations, bytes)` of one line served by `engine` as the wire
+/// handler serves it — decode, submit, the result's callback and the
+/// reply's text — and the reply. Counted on this thread, which is where
+/// a cache hit and a `Stats` are answered.
+fn served(engine: &PatternEngine<ChatPattern>, line: &str) -> ((u64, u64), String) {
+    let reply = Arc::new(Mutex::new(String::new()));
+    let written = Arc::clone(&reply);
+    let (counts, ()) = counted(|| {
+        let envelope = decode_request_line(line).expect("a valid line");
+        let id = envelope.id;
+        let handle = engine
+            .submit_as(envelope.tenant.as_deref(), envelope.request)
+            .expect("admitted");
+        handle.on_done(move |result| {
+            let envelope = match result {
+                Ok(response) => ResponseEnvelope::ok(id, response),
+                Err(error) => ResponseEnvelope::error(id, &error),
+            };
+            *written.lock().expect("reply lock") = envelope.to_line();
+        });
+    });
+    let reply = std::mem::take(&mut *reply.lock().expect("reply lock"));
+    (counts, reply)
+}
+
+fn small_engine() -> PatternEngine<ChatPattern> {
+    let system = ChatPattern::builder()
+        .window(16)
+        .training_patterns(8)
+        .diffusion_steps(6)
+        .seed(3)
+        .build()
+        .expect("valid configuration");
+    PatternEngine::with_config(system, EngineConfig::default()).expect("engine starts")
+}
+
+#[test]
+fn a_cache_hit_and_a_stats_line_allocate_what_is_pinned() {
+    let engine = small_engine();
+    let generate = r#"{"id":"g","request":{"Generate":{"cols":16,"count":1,"rows":16,"seed":9,"style":"Layer10003"}}}"#;
+    let stats = r#"{"id":"s","request":"Stats"}"#;
+    // The first Generate runs on a worker; wait for it to be cached.
+    let request = decode_request_line(generate).expect("a valid line").request;
+    engine
+        .submit(request)
+        .expect("admitted")
+        .wait()
+        .expect("runs");
+    // Warm both paths once, then count the second of each.
+    for line in [generate, stats] {
+        let (_, reply) = served(&engine, line);
+        assert!(reply.contains(r#""Ok""#), "{reply:.200}");
+    }
+    let (hit, reply) = served(&engine, generate);
+    assert!(reply.contains(r#""Ok""#), "{reply:.200}");
+    let (stats, reply) = served(&engine, stats);
+    assert!(reply.contains(r#""Stats""#), "{reply:.200}");
+    assert_eq!(
+        (hit, stats),
+        (HIT_PIN, STATS_PIN),
+        "((allocations, bytes) of a cache hit, of a Stats)"
+    );
+}
+
+/// Hands each line's sink to the test, which answers it.
+struct HandOut(Sender<Arc<LineSink>>);
+
+impl ConnectionHandler for HandOut {
+    fn on_line(&self, _line: &str, sink: &Arc<LineSink>) {
+        self.0.send(Arc::clone(sink)).expect("the test listens");
+    }
+}
+
+#[test]
+fn a_reply_sent_to_a_reading_connection_allocates_what_is_pinned() {
+    const PATIENCE: Duration = Duration::from_secs(60);
+    let (handed, sinks) = channel();
+    let handle = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default())
+        .expect("binds")
+        .spawn(Arc::new(HandOut(handed)))
+        .expect("loop starts");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connects");
+    let (heard, replies) = channel();
+    let reader = BufReader::new(stream.try_clone().expect("clones"));
+    let reading = std::thread::spawn(move || {
+        for line in reader.lines() {
+            let _ = heard.send(line.expect("reads"));
+        }
+    });
+    // A reply the size of a 128 x 128 Generate's.
+    let reply = format!("{{\"id\":1,\"pad\":\"{}\"}}", "x".repeat(33_673 - 17));
+    assert_eq!(reply.len(), 33_673);
+    stream.write_all(b"warm\ncounted\n").expect("writes");
+    let warm = sinks.recv_timeout(PATIENCE).expect("a line is handed out");
+    let sink = sinks.recv_timeout(PATIENCE).expect("a line is handed out");
+    assert!(warm.send(&reply));
+    assert_eq!(
+        replies.recv_timeout(PATIENCE).expect("the reply arrives"),
+        reply
+    );
+    let (counts, sent) = counted(|| sink.send(&reply));
+    assert!(sent);
+    assert_eq!(
+        replies.recv_timeout(PATIENCE).expect("the reply arrives"),
+        reply
+    );
+    assert_eq!(
+        counts, SEND_PIN,
+        "(allocations, bytes) on the sending thread"
+    );
+    drop((warm, sink));
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-closes");
+    reading.join().expect("the reader ends at EOF");
+    handle.shutdown();
 }
