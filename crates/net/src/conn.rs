@@ -1,11 +1,12 @@
 //! Per-connection state for the event loop: incremental NDJSON framing
-//! over a non-blocking socket, and the bounded outbound queue
-//! ([`LineSink`]) that lets engine workers hand replies to the loop
-//! without ever blocking on a slow peer.
+//! over a non-blocking socket, and the connection's outbound side
+//! ([`LineSink`]), through which whichever thread has a reply writes it
+//! to the socket itself, with a bounded queue for what the socket would
+//! not take — never blocking on a slow peer.
 
 use crate::poller::Interest;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -80,8 +81,12 @@ impl LineFramer {
                         if self.buf.last() == Some(&b'\r') {
                             self.buf.pop();
                         }
-                        let line = std::mem::take(&mut self.buf);
-                        out.push(Framed::Line(String::from_utf8_lossy(&line).into_owned()));
+                        // The buffer is the line: copied again only
+                        // to replace invalid bytes with U+FFFD.
+                        let line = String::from_utf8(std::mem::take(&mut self.buf)).unwrap_or_else(
+                            |invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned(),
+                        );
+                        out.push(Framed::Line(line));
                     }
                     rest = &rest[pos + 1..];
                 }
@@ -103,6 +108,11 @@ impl LineFramer {
 }
 
 struct Outbound {
+    /// The connection's socket, written only under this lock; dropped
+    /// by [`LineSink::close`], so a closed connection's socket closes
+    /// with its slot even while a job still holds the sink.
+    stream: Option<Arc<TcpStream>>,
+    /// What the socket would not take yet, in order.
     chunks: VecDeque<Vec<u8>>,
     /// Bytes of `chunks.front()` already written to the socket.
     head: usize,
@@ -110,21 +120,28 @@ struct Outbound {
     bytes: usize,
     /// Lines handed to the handler and not yet answered.
     owed: usize,
-    /// Cleared when the loop tears the connection down; later pushes
-    /// are dropped.
-    open: bool,
-    /// Set when a push overflows the high-water mark; the loop kills
-    /// the connection on its next pass.
+    /// Set once the loop waits for this connection's owed count (the
+    /// peer's EOF, or a stop): from then on every send notifies it.
+    watched: bool,
+    /// Set when a send would queue past the high-water mark; the loop
+    /// kills the connection on its next pass.
     killed: bool,
+    /// Set when a write failed (a reset peer); the loop closes the
+    /// connection on its next pass.
+    broken: bool,
 }
 
 /// The outbound side of one event-loop connection, shared between the
 /// loop thread and whichever threads answer the connection's lines.
-/// Repliers push whole lines; the loop drains the queue into the
-/// non-blocking socket. Pushing never blocks: past `high_water`
-/// buffered bytes the queue flips to `killed` and the peer is
-/// disconnected — bounded back-pressure instead of unbounded memory
-/// for a stalled reader.
+/// A reply is written straight to the non-blocking socket by the thread
+/// that sends it — an engine worker, the loop thread on a cache hit, a
+/// router link's reader — while nothing is queued; what the socket
+/// would not take is queued, and the loop writes it out as the socket
+/// drains. One lock covers the socket's writes and the queue, so lines
+/// never interleave. Sending never blocks: past `high_water` queued
+/// bytes the connection flips to `killed` and the peer is disconnected
+/// — bounded back-pressure instead of unbounded memory for a stalled
+/// reader.
 ///
 /// The event loop counts a line as owed when it hands it to the
 /// handler, and the line's one [`LineSink::send`] settles it: that
@@ -134,61 +151,85 @@ pub struct LineSink {
     inner: Mutex<Outbound>,
     high_water: usize,
     /// Called (outside the lock) whenever the loop must look at this
-    /// queue again: new data, or a kill.
+    /// connection again: bytes queued, a kill, a failed write, or any
+    /// reply once the connection is watched.
     notify: Box<dyn Fn() + Send + Sync>,
 }
 
 impl LineSink {
     pub(crate) fn new(
+        stream: Arc<TcpStream>,
         high_water: usize,
         notify: impl Fn() + Send + Sync + 'static,
     ) -> Arc<LineSink> {
         Arc::new(LineSink {
             inner: Mutex::new(Outbound {
+                stream: Some(stream),
                 chunks: VecDeque::new(),
                 head: 0,
                 bytes: 0,
                 owed: 0,
-                open: true,
+                watched: false,
                 killed: false,
+                broken: false,
             }),
             high_water: high_water.max(1),
             notify: Box::new(notify),
         })
     }
 
-    /// Queues the one reply to a line the event loop handed out
-    /// (appending `\n`), settling that line in the push's critical
-    /// section even when the connection is gone. Returns `false` once
-    /// the connection is gone — closed, or killed by this push or an
-    /// earlier one — so callers can stop producing output for it.
+    /// Sends the one reply to a line the event loop handed out
+    /// (appending `\n`): written to the socket at once while nothing is
+    /// queued, queued for the loop as far as the socket would not take
+    /// it. The line is settled in the same critical section even when
+    /// the connection is gone. Returns `false` once the connection is
+    /// gone — closed, killed by this send or an earlier one, or its
+    /// peer reset — so callers can stop producing output for it.
     ///
     /// Every line gets exactly one `send`: a second answer to one line
     /// is a handler bug, caught by a `debug_assert!` (the count stays
     /// at zero in a release build rather than wrapping).
     pub fn send(&self, line: &str) -> bool {
-        let mut framed = Vec::with_capacity(line.len() + 1);
-        framed.extend_from_slice(line.as_bytes());
-        framed.push(b'\n');
         let mut inner = self.lock();
         // Whoever sees the lower count (the event loop, woken by this
-        // push) also sees the line in the queue.
+        // send when it watches) also sees the line written or queued.
         let settled = inner.owed.checked_sub(1);
         inner.owed = settled.unwrap_or(0);
-        let live = inner.open && !inner.killed;
-        let fits = live && inner.bytes + framed.len() <= self.high_water;
-        if fits {
-            inner.bytes += framed.len();
-            inner.chunks.push_back(framed);
-        } else if live {
-            inner.killed = true;
-        }
+        let line = line.as_bytes();
+        let written = match inner.stream.as_deref() {
+            Some(_) if inner.killed || inner.broken => None,
+            Some(_) if !inner.chunks.is_empty() => Some(Ok(0)),
+            Some(stream) => Some(write_line(stream, line)),
+            None => None,
+        };
+        // `(sent, notify)`: a connection already gone is the loop's no
+        // longer; a written line concerns it only while it watches.
+        let (sent, notify) = match written {
+            None => (false, false),
+            Some(Ok(written)) if written > line.len() => (true, inner.watched),
+            Some(Ok(written)) if inner.bytes + line.len() + 1 - written <= self.high_water => {
+                let mut rest = Vec::with_capacity(line.len() + 1 - written);
+                rest.extend_from_slice(&line[written..]);
+                rest.push(b'\n');
+                inner.bytes += rest.len();
+                inner.chunks.push_back(rest);
+                (true, true)
+            }
+            Some(Ok(_)) => {
+                inner.killed = true;
+                (false, true)
+            }
+            Some(Err(_)) => {
+                inner.broken = true;
+                (false, true)
+            }
+        };
         drop(inner);
         debug_assert!(settled.is_some(), "a reply sent for a line owed none");
-        if live {
+        if notify {
             (self.notify)();
         }
-        fits
+        sent
     }
 
     /// Records one line handed to the handler, to be settled by its
@@ -197,30 +238,87 @@ impl LineSink {
         self.lock().owed += 1;
     }
 
-    /// Lines handed out and not yet answered. Counted under the
-    /// queue's lock, so a reply no longer counted here is in the queue.
-    pub(crate) fn owed(&self) -> usize {
-        self.lock().owed
+    /// Marks the connection watched — every later [`LineSink::send`]
+    /// notifies the loop — and returns the lines handed out and not yet
+    /// answered. Both under the lock, so a reply no longer counted here
+    /// is written or queued, and one still counted will wake the loop.
+    pub(crate) fn watch(&self) -> usize {
+        let mut inner = self.lock();
+        inner.watched = true;
+        inner.owed
     }
 
     fn lock(&self) -> MutexGuard<'_, Outbound> {
         self.inner.lock().expect("outbound lock")
     }
 
-    /// Loop-side teardown: silences all future pushes.
+    /// Loop-side teardown: silences all future sends and lets go of the
+    /// socket.
     pub(crate) fn close(&self) {
         let mut inner = self.lock();
-        inner.open = false;
+        inner.stream = None;
         inner.chunks.clear();
         inner.bytes = 0;
         inner.head = 0;
     }
 
-    /// True once a push overflowed the high-water mark.
-    #[must_use]
-    pub(crate) fn is_killed(&self) -> bool {
-        self.lock().killed
+    /// Writes as much queued output as the socket will take without
+    /// blocking.
+    pub(crate) fn flush(&self) -> FlushOutcome {
+        let mut guard = self.lock();
+        let Outbound {
+            stream,
+            chunks,
+            head,
+            bytes,
+            killed,
+            broken,
+            ..
+        } = &mut *guard;
+        if *killed {
+            return FlushOutcome::Killed;
+        }
+        let Some(stream) = stream.as_deref().filter(|_| !*broken) else {
+            return FlushOutcome::Closed;
+        };
+        while let Some(front) = chunks.front() {
+            match (&*stream).write(&front[*head..]) {
+                Ok(0) => return FlushOutcome::Closed,
+                Ok(n) => {
+                    *head += n;
+                    *bytes -= n;
+                    if *head == front.len() {
+                        chunks.pop_front();
+                        *head = 0;
+                    }
+                }
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
+                    return FlushOutcome::Pending;
+                }
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return FlushOutcome::Closed,
+            }
+        }
+        FlushOutcome::Idle
     }
+}
+
+/// Writes `line` and its `\n` — one vectored write, more only after a
+/// short one — until done or the socket would block; returns the bytes
+/// written, `line.len() + 1` when all of it went.
+fn write_line(mut stream: &TcpStream, line: &[u8]) -> io::Result<usize> {
+    let mut written = 0;
+    while written <= line.len() {
+        let parts = [IoSlice::new(&line[written..]), IoSlice::new(b"\n")];
+        match stream.write_vectored(&parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
+    Ok(written)
 }
 
 /// What a readiness-driven read pass concluded.
@@ -241,16 +339,18 @@ pub(crate) enum FlushOutcome {
     Idle,
     /// Socket would block with bytes still queued; keep write interest.
     Pending,
-    /// The queue overflowed its high-water mark; kill the connection.
+    /// A send would have queued past the high-water mark; kill the
+    /// connection.
     Killed,
     /// Peer closed under us.
     Closed,
 }
 
 /// One live event-loop connection: the non-blocking socket plus its
-/// read-side [`LineFramer`] and write-side [`LineSink`].
+/// read-side [`LineFramer`] and write-side [`LineSink`], which holds
+/// the socket too.
 pub(crate) struct NonblockingConn {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     framer: LineFramer,
     sink: Arc<LineSink>,
     /// The interest set currently registered with the poller.
@@ -268,10 +368,11 @@ impl NonblockingConn {
     ) -> io::Result<NonblockingConn> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
+        let stream = Arc::new(stream);
         Ok(NonblockingConn {
+            sink: LineSink::new(Arc::clone(&stream), high_water, notify),
             stream,
             framer: LineFramer::new(max_line),
-            sink: LineSink::new(high_water, notify),
             interest: Interest::READ,
         })
     }
@@ -291,7 +392,7 @@ impl NonblockingConn {
     /// fails ([`ReadOutcome::Closed`]).
     pub(crate) fn read_ready(&mut self, scratch: &mut [u8], out: &mut Vec<Framed>) -> ReadOutcome {
         loop {
-            match self.stream.read(scratch) {
+            match (&*self.stream).read(scratch) {
                 Ok(0) => return ReadOutcome::Eof,
                 Ok(n) => self.framer.push(&scratch[..n], out),
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return ReadOutcome::Open,
@@ -300,42 +401,12 @@ impl NonblockingConn {
             }
         }
     }
-
-    /// Writes as much queued output as the socket will take without
-    /// blocking.
-    pub(crate) fn flush_ready(&mut self) -> FlushOutcome {
-        let mut inner = self.sink.lock();
-        if inner.killed {
-            return FlushOutcome::Killed;
-        }
-        loop {
-            let Some(front) = inner.chunks.front() else {
-                return FlushOutcome::Idle;
-            };
-            let head = inner.head;
-            match self.stream.write(&front[head..]) {
-                Ok(0) => return FlushOutcome::Closed,
-                Ok(n) => {
-                    inner.head += n;
-                    inner.bytes -= n;
-                    if inner.head == inner.chunks.front().map_or(0, Vec::len) {
-                        inner.chunks.pop_front();
-                        inner.head = 0;
-                    }
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    return FlushOutcome::Pending;
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return FlushOutcome::Closed,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn lines(framer: &mut LineFramer, chunks: &[&[u8]]) -> Vec<Framed> {
         let mut out = Vec::new();
@@ -427,47 +498,137 @@ mod tests {
         );
     }
 
-    /// A queue with `lines` lines handed out, as the event loop
-    /// leaves it before the handler answers.
+    #[test]
+    fn invalid_utf8_frames_to_replacement_characters() {
+        let mut framer = LineFramer::new(64);
+        // A character split across reads is whole once its line is.
+        let out = lines(
+            &mut framer,
+            &[b"{\"id\":\"\xff\xfe\"}\n", b"caf\xc3", b"\xa9\n"],
+        );
+        assert_eq!(
+            out,
+            vec![
+                Framed::Line("{\"id\":\"\u{fffd}\u{fffd}\"}".into()),
+                Framed::Line("caf\u{e9}".into()),
+            ]
+        );
+    }
+
+    /// A connected pair over loopback: the server's end, non-blocking
+    /// as the loop holds it, and the peer's.
+    fn pair() -> (Arc<TcpStream>, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let peer = TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
+        let (ours, _) = listener.accept().expect("accepts");
+        ours.set_nonblocking(true).expect("non-blocking");
+        (Arc::new(ours), peer)
+    }
+
+    /// A sink with `lines` lines handed out, as the event loop leaves it
+    /// before the handler answers, and its peer — one that has stopped
+    /// reading with the socket full, if `stalled`.
     fn owing(
         high_water: usize,
         lines: usize,
+        stalled: bool,
         notify: impl Fn() + Send + Sync + 'static,
-    ) -> Arc<LineSink> {
-        let queue = LineSink::new(high_water, notify);
+    ) -> (Arc<LineSink>, TcpStream) {
+        let (ours, peer) = pair();
+        if stalled {
+            loop {
+                match (&*ours).write(&[0; 64 * 1024]) {
+                    Ok(_) => {}
+                    Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(err) => panic!("filling the socket: {err}"),
+                }
+            }
+        }
+        let queue = LineSink::new(ours, high_water, notify);
         for _ in 0..lines {
             queue.owe();
         }
-        queue
+        (queue, peer)
+    }
+
+    fn counter() -> (Arc<AtomicUsize>, impl Fn() + Send + Sync + 'static) {
+        let notified = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&notified);
+        (notified, move || {
+            count.fetch_add(1, Ordering::SeqCst);
+        })
+    }
+
+    /// A reply the socket takes is written by the sender and concerns
+    /// the loop only once it watches the connection.
+    #[test]
+    fn a_reply_the_socket_takes_is_written_at_once_and_wakes_the_loop_only_when_watched() {
+        let (notified, notify) = counter();
+        let (queue, peer) = owing(1024, 2, false, notify);
+        assert!(queue.send("first"));
+        assert_eq!(notified.load(Ordering::SeqCst), 0, "nothing queued");
+        assert_eq!(queue.watch(), 1);
+        assert!(queue.send("second"));
+        assert_eq!(notified.load(Ordering::SeqCst), 1, "watched");
+        assert_eq!(queue.flush(), FlushOutcome::Idle);
+        let mut reader = io::BufReader::new(peer);
+        for expected in ["first\n", "second\n"] {
+            let mut line = String::new();
+            io::BufRead::read_line(&mut reader, &mut line).expect("reads");
+            assert_eq!(line, expected);
+        }
+    }
+
+    /// Only what the socket would not take is queued, and the loop's
+    /// flush writes it out after what went at once.
+    #[test]
+    fn what_the_socket_would_not_take_is_queued_and_flushed_in_order() {
+        let (notified, notify) = counter();
+        let (queue, peer) = owing(8 << 20, 1, false, notify);
+        let line = "x".repeat(4 << 20);
+        assert!(queue.send(&line));
+        let queued = queue.lock().bytes;
+        assert!(queued > 0 && queued <= line.len(), "{queued} bytes queued");
+        assert_eq!(notified.load(Ordering::SeqCst), 1, "the loop flushes");
+        let reading = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            Read::read_to_end(&mut &peer, &mut got).expect("reads to EOF");
+            got
+        });
+        // A blocking flush waits for the peer instead of for a poller.
+        let stream = Arc::clone(queue.lock().stream.as_ref().expect("open"));
+        stream.set_nonblocking(false).expect("blocking");
+        assert_eq!(queue.flush(), FlushOutcome::Idle);
+        stream.shutdown(std::net::Shutdown::Write).expect("closes");
+        let got = reading.join().expect("the reader ends");
+        assert_eq!(got.len(), line.len() + 1);
+        assert!(got.ends_with(b"x\n") && got.iter().filter(|b| **b == b'x').count() == line.len());
     }
 
     #[test]
     fn outbound_queue_kills_past_high_water_and_notifies() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let notified = Arc::new(AtomicUsize::new(0));
-        let n2 = Arc::clone(&notified);
-        let queue = owing(10, 3, move || {
-            n2.fetch_add(1, Ordering::SeqCst);
-        });
+        let (notified, notify) = counter();
+        let (queue, _peer) = owing(10, 3, true, notify);
         assert!(queue.send("1234"));
         assert_eq!(notified.load(Ordering::SeqCst), 1);
-        assert!(!queue.is_killed());
+        assert_eq!(queue.flush(), FlushOutcome::Pending);
         // 5 + 6 > 10: overflow kills the queue (and notifies the loop).
         assert!(!queue.send("67890"));
-        assert!(queue.is_killed());
+        assert_eq!(queue.flush(), FlushOutcome::Killed);
         assert_eq!(notified.load(Ordering::SeqCst), 2);
         // Later sends fail fast without flipping state back.
         assert!(!queue.send("x"));
-        assert!(queue.is_killed());
-        assert_eq!(queue.owed(), 0);
+        assert_eq!(queue.flush(), FlushOutcome::Killed);
+        assert_eq!(queue.watch(), 0);
     }
 
     #[test]
-    fn closed_queue_silences_writers() {
-        let queue = owing(1024, 1, || {});
+    fn closed_queue_silences_writers_and_lets_go_of_the_socket() {
+        let (queue, _peer) = owing(1024, 1, false, || {});
         queue.close();
+        assert!(queue.lock().stream.is_none());
         assert!(!queue.send("late reply"));
-        assert!(!queue.is_killed());
+        assert_eq!(queue.flush(), FlushOutcome::Closed);
     }
 
     /// A reply owed to a connection that is gone is still a reply
@@ -476,17 +637,17 @@ mod tests {
     #[test]
     fn a_send_to_a_closed_or_killed_queue_fails_and_settles_what_it_owed() {
         for kill in [false, true] {
-            let queue = owing(8, 2 + usize::from(kill), || {});
+            let (queue, _peer) = owing(8, 2 + usize::from(kill), kill, || {});
             assert!(queue.send("ok"));
-            assert_eq!(queue.owed(), 1 + usize::from(kill));
+            assert_eq!(queue.watch(), 1 + usize::from(kill));
             if kill {
                 assert!(!queue.send("past the mark"));
-                assert!(queue.is_killed());
+                assert_eq!(queue.flush(), FlushOutcome::Killed);
             } else {
                 queue.close();
             }
             assert!(!queue.send("late"));
-            assert_eq!(queue.owed(), 0, "kill: {kill}");
+            assert_eq!(queue.watch(), 0, "kill: {kill}");
         }
     }
 
@@ -497,10 +658,10 @@ mod tests {
     #[test]
     fn a_second_answer_to_one_line_is_caught_and_never_wraps_the_count() {
         use std::panic::AssertUnwindSafe;
-        let queue = owing(1024, 1, || {});
+        let (queue, _peer) = owing(1024, 1, false, || {});
         assert!(queue.send("first"));
         let second = std::panic::catch_unwind(AssertUnwindSafe(|| queue.send("second")));
         assert_eq!(second.is_err(), cfg!(debug_assertions), "{second:?}");
-        assert_eq!(queue.owed(), 0);
+        assert_eq!(queue.watch(), 0);
     }
 }

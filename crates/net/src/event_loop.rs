@@ -256,9 +256,7 @@ impl<H: ConnectionHandler> LoopState<H> {
             // settled — while it ran has lost its wake byte by now, and
             // one raised after this line still finds its byte in the
             // pipe.
-            if self.shared.stop.load(Ordering::SeqCst)
-                && self.conns.values().all(|slot| slot.conn.sink().owed() == 0)
-            {
+            if self.shared.stop.load(Ordering::SeqCst) && self.all_answered() {
                 // Every owed reply is queued by now: flush what the
                 // last pass has not seen yet, with the usual kill/close
                 // accounting.
@@ -304,12 +302,20 @@ impl<H: ConnectionHandler> LoopState<H> {
         // Teardown: give every non-killed queue one final write pass
         // — bounded: each stops at WouldBlock rather than waiting for
         // a slow reader — then silence the queues.
-        for slot in self.conns.values_mut() {
-            if !slot.conn.sink().is_killed() {
-                let _ = slot.conn.flush_ready();
-            }
+        for slot in self.conns.values() {
+            let _ = slot.conn.sink().flush();
             slot.conn.sink().close();
         }
+    }
+
+    /// Whether no live connection is owed a reply. Marks each one
+    /// watched first, so every reply still owed wakes the loop.
+    fn all_answered(&self) -> bool {
+        let mut answered = true;
+        for slot in self.conns.values() {
+            answered &= slot.conn.sink().watch() == 0;
+        }
+        answered
     }
 
     fn flush_dirty(&mut self) {
@@ -449,11 +455,13 @@ impl<H: ConnectionHandler> LoopState<H> {
         let Some(slot) = self.conns.get_mut(&token) else {
             return;
         };
-        // Asked before the flush: a reply the sink no longer counts is
-        // in the queue by now, so if the flush then leaves the queue
-        // empty, that reply has been written.
-        let answered = slot.read_closed && slot.conn.sink().owed() == 0;
-        let outcome = slot.conn.flush_ready();
+        // Asked before the flush, and after the peer's EOF only: a
+        // reply the sink no longer counts is written or queued by now,
+        // so if the flush then leaves the queue empty, it has been
+        // written; one still counted wakes the loop, which watches the
+        // connection from here on.
+        let answered = slot.read_closed && slot.conn.sink().watch() == 0;
+        let outcome = slot.conn.sink().flush();
         match outcome {
             FlushOutcome::Idle if answered => self.close(token, CloseReason::Clean),
             FlushOutcome::Idle | FlushOutcome::Pending => {
@@ -528,27 +536,64 @@ mod tests {
         handle.shutdown();
     }
 
-    /// Answers `now` at once and hands every other line's sink to the
-    /// test, which answers it when it likes — a job still running.
-    struct Parker(Sender<Arc<LineSink>>);
+    /// Answers `now` at once, holds the loop thread inside `hold` —
+    /// on purpose: it tells the test it is there, then blocks until the
+    /// test releases it, and answers `held` — and hands every other
+    /// line's sink to the test, which answers it when it likes: a job
+    /// still running.
+    struct Parker {
+        parked: Sender<Arc<LineSink>>,
+        entered: Sender<()>,
+        release: Mutex<Receiver<()>>,
+    }
 
     impl ConnectionHandler for Parker {
         fn on_line(&self, line: &str, sink: &Arc<LineSink>) {
-            if line == "now" {
-                sink.send("now");
-            } else {
-                self.0.send(Arc::clone(sink)).expect("test listens");
+            match line {
+                "now" => {
+                    sink.send("now");
+                }
+                "hold" => {
+                    self.entered.send(()).expect("test listens");
+                    let release = self.release.lock().expect("release lock");
+                    release.recv().expect("the test releases the loop");
+                    sink.send("held");
+                }
+                _ => self.parked.send(Arc::clone(sink)).expect("test listens"),
             }
         }
     }
 
-    fn spawn_parker() -> (EventLoopHandle, Receiver<Arc<LineSink>>) {
+    /// The test's side of [`Parker`]: the parked sinks, and the loop
+    /// thread held inside a `hold` line.
+    struct Parked {
+        jobs: Receiver<Arc<LineSink>>,
+        entered: Receiver<()>,
+        release: Sender<()>,
+    }
+
+    fn spawn_parker_on(server: EventLoopServer) -> (EventLoopHandle, Parked) {
         let (parked, jobs) = channel();
-        let handle = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default())
-            .expect("binds")
-            .spawn(Arc::new(Parker(parked)))
-            .expect("loop starts");
-        (handle, jobs)
+        let (entered, has_entered) = channel();
+        let (release, released) = channel();
+        let parker = Parker {
+            parked,
+            entered,
+            release: Mutex::new(released),
+        };
+        let handle = server.spawn(Arc::new(parker)).expect("loop starts");
+        let parked = Parked {
+            jobs,
+            entered: has_entered,
+            release,
+        };
+        (handle, parked)
+    }
+
+    fn spawn_parker() -> (EventLoopHandle, Receiver<Arc<LineSink>>) {
+        let server = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default());
+        let (handle, parked) = spawn_parker_on(server.expect("binds"));
+        (handle, parked.jobs)
     }
 
     /// Runs `shutdown` on a thread of its own; the receiver hears when
@@ -562,7 +607,214 @@ mod tests {
         has_returned
     }
 
+    /// Reads `stream`'s lines on a thread of its own: the receiver
+    /// hears each, and disconnects at the end of the stream.
+    fn lines_of(stream: &TcpStream) -> Receiver<String> {
+        let reader = BufReader::new(stream.try_clone().expect("clones"));
+        let (heard, lines) = channel();
+        std::thread::spawn(move || {
+            for line in reader.lines() {
+                let Ok(line) = line else { return };
+                let _ = heard.send(line);
+            }
+        });
+        lines
+    }
+
+    /// Whether `lines` ended (the peer's EOF, or a reset) with no
+    /// further line.
+    fn ended(lines: &Receiver<String>) -> bool {
+        matches!(
+            lines.recv_timeout(PATIENCE),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
+        )
+    }
+
+    /// One `now` round trip on a connection of its own: the loop has
+    /// handled what it saw before this line.
+    fn round_trip(addr: SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream.write_all(b"now\n").expect("writes");
+        let mut reply = [0u8; 4];
+        stream.read_exact(&mut reply).expect("the reply arrives");
+        assert_eq!(&reply, b"now\n");
+        stream
+    }
+
     const PATIENCE: Duration = Duration::from_secs(60);
+
+    /// The reply goes out from the thread that has it: it does not wait
+    /// for the loop thread, held inside another connection's line here.
+    #[test]
+    fn a_reply_reaches_its_peer_while_the_loop_is_held_in_another_line() {
+        let server = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default());
+        let (handle, parked) = spawn_parker_on(server.expect("binds"));
+        let mut waiting = TcpStream::connect(handle.local_addr()).expect("connects");
+        waiting.write_all(b"job\n").expect("writes");
+        let job = parked
+            .jobs
+            .recv_timeout(PATIENCE)
+            .expect("the line is handed out");
+        let replies = lines_of(&waiting);
+        let mut holding = TcpStream::connect(handle.local_addr()).expect("connects");
+        holding.write_all(b"hold\n").expect("writes");
+        parked
+            .entered
+            .recv_timeout(PATIENCE)
+            .expect("the loop takes the line");
+
+        assert!(job.send("done"));
+        let reply = replies.recv_timeout(PATIENCE);
+        parked.release.send(()).expect("the loop is held");
+        assert_eq!(
+            reply.as_deref(),
+            Ok("done"),
+            "the reply, with the loop held"
+        );
+        let held = lines_of(&holding);
+        assert_eq!(held.recv_timeout(PATIENCE).as_deref(), Ok("held"));
+        drop((waiting, holding));
+        handle.shutdown();
+    }
+
+    /// A half-closed peer is owed its last reply, which the replier
+    /// writes itself; the loop, watching the connection since the EOF,
+    /// then closes it.
+    #[test]
+    fn a_half_closed_peer_gets_its_last_reply_written_directly_then_eof() {
+        let (handle, jobs) = spawn_parker();
+        let mut stream = TcpStream::connect(handle.local_addr()).expect("connects");
+        stream.write_all(b"job\n").expect("writes");
+        let job = jobs.recv_timeout(PATIENCE).expect("the line is handed out");
+        let replies = lines_of(&stream);
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-closes");
+        // Most likely the loop has seen the EOF by now; the reply must
+        // arrive, and then the EOF, either way.
+        drop(round_trip(handle.local_addr()));
+        assert!(job.send("done"));
+        assert_eq!(replies.recv_timeout(PATIENCE).as_deref(), Ok("done"));
+        assert!(ended(&replies), "the close follows the last reply");
+        handle.shutdown();
+    }
+
+    /// A shutdown waits for the reply it is owed, and a reply written
+    /// straight to the socket ends that wait.
+    #[test]
+    fn shutdown_returns_after_a_last_reply_written_directly() {
+        let (handle, jobs) = spawn_parker();
+        let addr = handle.local_addr();
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream.write_all(b"job\n").expect("writes");
+        let job = jobs.recv_timeout(PATIENCE).expect("the line is handed out");
+        let replies = lines_of(&stream);
+        let has_returned = shut_down(handle);
+        // The loop serves on while it is owed a reply.
+        drop(round_trip(addr));
+        assert!(job.send("done"));
+        has_returned
+            .recv_timeout(PATIENCE)
+            .expect("shutdown returns once the reply is written");
+        assert_eq!(replies.recv_timeout(PATIENCE).as_deref(), Ok("done"));
+        assert!(ended(&replies), "the close follows the last reply");
+    }
+
+    /// A service that is never asked: the reset test reads the loop's
+    /// connection counters through an engine's `Stats`.
+    struct Unasked;
+
+    impl chatpattern_core::PatternService for Unasked {
+        fn execute(
+            &self,
+            _: chatpattern_core::PatternRequest,
+        ) -> Result<chatpattern_core::PatternResponse, Error> {
+            Err(Error::internal("not asked"))
+        }
+    }
+
+    /// A reply written to a peer that reset fails, and the connection
+    /// leaves as a clean disconnect. The loop thread is held inside
+    /// another line meanwhile, so the write meets the reset before the
+    /// loop can read it.
+    #[test]
+    fn a_direct_write_to_a_reset_peer_fails_and_the_connection_leaves_clean() {
+        let engine = chatpattern_core::PatternEngine::new(Unasked);
+        let server = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default())
+            .expect("binds")
+            .conn_counters(engine.conn_counters());
+        let (handle, parked) = spawn_parker_on(server);
+        let mut reset = TcpStream::connect(handle.local_addr()).expect("connects");
+        reset.write_all(b"job\nnow\n").expect("writes");
+        let job = parked
+            .jobs
+            .recv_timeout(PATIENCE)
+            .expect("the line is handed out");
+        let mut peek = [0u8; 4];
+        reset.peek(&mut peek).expect("the `now` reply arrives");
+        let mut holding = TcpStream::connect(handle.local_addr()).expect("connects");
+        holding.write_all(b"hold\n").expect("writes");
+        parked
+            .entered
+            .recv_timeout(PATIENCE)
+            .expect("the loop takes the line");
+        // Closing with the `now` reply unread resets the connection.
+        drop(reset);
+
+        let sent = job.send("too late");
+        parked.release.send(()).expect("the loop is held");
+        assert!(!sent, "a write to a reset peer fails");
+        let held = lines_of(&holding);
+        assert_eq!(held.recv_timeout(PATIENCE).as_deref(), Ok("held"));
+        // The failed write told the loop, which closed the connection
+        // before it read this line.
+        holding.write_all(b"now\n").expect("writes");
+        assert_eq!(held.recv_timeout(PATIENCE).as_deref(), Ok("now"));
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.disconnects_clean, stats.disconnects_backpressure),
+            (1, 0)
+        );
+        drop(holding);
+        handle.shutdown();
+    }
+
+    /// The loop's close of a connection closes its socket, though a job
+    /// still holds the connection's sink: the sink lets go of it.
+    #[test]
+    fn a_closed_connections_socket_closes_while_a_job_holds_its_sink() {
+        let config = EventLoopConfig {
+            outbound_high_water: 1,
+            ..EventLoopConfig::default()
+        };
+        let server = EventLoopServer::bind("127.0.0.1:0", config).expect("binds");
+        let (handle, parked) = spawn_parker_on(server);
+        let mut stream = TcpStream::connect(handle.local_addr()).expect("connects");
+        stream.write_all(b"kill\njob\n").expect("writes");
+        let kill = parked
+            .jobs
+            .recv_timeout(PATIENCE)
+            .expect("the line is handed out");
+        let job = parked
+            .jobs
+            .recv_timeout(PATIENCE)
+            .expect("the line is handed out");
+        // The peer is not reading: more than the socket takes is left
+        // queued, past the mark, and the loop kills the connection.
+        assert!(!kill.send(&"x".repeat(4 << 20)));
+        let mut read = Vec::new();
+        let (done, has_read) = channel();
+        let mut reader = stream.try_clone().expect("clones");
+        std::thread::spawn(move || {
+            let _ = reader.read_to_end(&mut read);
+            let _ = done.send(());
+        });
+        has_read
+            .recv_timeout(PATIENCE)
+            .expect("the socket closes while the job holds its sink");
+        assert!(!job.send("late"));
+        handle.shutdown();
+    }
 
     #[test]
     fn shutdown_waits_for_a_reply_produced_after_it_began() {
