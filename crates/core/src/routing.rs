@@ -188,19 +188,43 @@ pub fn text_route(request: &str) -> TextRoute {
     }
 }
 
-/// The tag of a worker's outcome, the one thing of a reply the router
-/// reads.
+/// The tag of a worker's outcome and an error's kind, the one thing of
+/// a reply the router reads.
 #[derive(Deserialize)]
 enum OutcomeHead {
     Ok(Unread),
-    Err(Unread),
+    Err(ErrorHead),
 }
 
-/// Whether the text of a reply's `outcome` is an `Ok`, read as any JSON
-/// is: the spacing is the writer's. A text that is no outcome is not.
+#[derive(Deserialize)]
+struct ErrorHead {
+    kind: Option<String>,
+}
+
+/// What a worker's answer to a session's line says of the session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// An `Ok` outcome.
+    Ok,
+    /// An error of kind `SessionNotFound`: the worker does not hold the
+    /// session (it expired or was evicted there, or never was).
+    SessionNotFound,
+    /// Any other error — a lost link's and the router's own refusals
+    /// included — or a text that is no outcome.
+    Failed,
+}
+
+/// What the text of a reply's `outcome` answers, read as any JSON is:
+/// the spacing is the writer's.
 #[must_use]
-pub fn outcome_is_ok(outcome: &str) -> bool {
-    matches!(serde_json::from_str(outcome), Ok(OutcomeHead::Ok(_)))
+pub fn answer_of(outcome: &str) -> Answer {
+    match serde_json::from_str(outcome) {
+        Ok(OutcomeHead::Ok(_)) => Answer::Ok,
+        Ok(OutcomeHead::Err(ErrorHead { kind: Some(kind) })) if kind == "SessionNotFound" => {
+            Answer::SessionNotFound
+        }
+        _ => Answer::Failed,
+    }
 }
 
 /// A router's protocol state, and no socket, thread or clock: told what
@@ -234,10 +258,10 @@ struct Entry<L> {
     waiting: VecDeque<Option<(L, SessionRole)>>,
 }
 
-/// A client line, with the answer (`Ok` is `true`) that lifts the pin,
+/// A client line of `role`, which made the session's pin if `pinned`,
 /// or a move to `target` for the drain numbered `drain`.
 enum Flight {
-    Line { lift_on: Option<bool> },
+    Line { role: SessionRole, pinned: bool },
     Move { target: usize, drain: u64 },
 }
 
@@ -324,14 +348,23 @@ impl<L, R> Fleet<L, R> {
         }
     }
 
-    /// A worker answered `session`'s line: a close that succeeded, and a
-    /// create that made the pin and failed, lift the pin. Then the
-    /// session's next line or move goes.
-    pub fn answered(&mut self, session: &str, ok: bool) -> Vec<Action<L, R>> {
+    /// A worker answered `session`'s line. The pin goes with a create
+    /// that made it and failed, and with a use or close answered
+    /// `SessionNotFound` or a close that succeeded: the worker holds no
+    /// such session (one that expired or was evicted there is found so).
+    /// Then the session's next line or move goes.
+    pub fn answered(&mut self, session: &str, answer: Answer) -> Vec<Action<L, R>> {
         if let Some(entry) = self.sessions.get_mut(session) {
-            if let Some(Flight::Line { lift_on }) = entry.in_flight {
+            if let Some(Flight::Line { role, pinned }) = entry.in_flight {
                 entry.in_flight = None;
-                entry.pin = entry.pin.filter(|_| lift_on != Some(ok));
+                let lifts = match role {
+                    SessionRole::Creates => pinned && answer != Answer::Ok,
+                    SessionRole::Uses => answer == Answer::SessionNotFound,
+                    SessionRole::Closes => answer != Answer::Failed,
+                };
+                if lifts {
+                    entry.pin = None;
+                }
             }
         }
         self.advance(session, Vec::new())
@@ -478,15 +511,11 @@ fn hashed(live: &[usize], hash: u64) -> usize {
 /// that creates the session pins it there.
 fn send<L, R>(live: &[usize], entry: &mut Entry<L>, line: L, role: SessionRole) -> Action<L, R> {
     let worker = entry.pin.unwrap_or_else(|| hashed(live, entry.hash));
-    let lift_on = match role {
-        SessionRole::Closes => Some(true),
-        SessionRole::Creates if entry.pin.is_none() => Some(false),
-        SessionRole::Creates | SessionRole::Uses => None,
-    };
-    if lift_on == Some(false) {
+    let pinned = role == SessionRole::Creates && entry.pin.is_none();
+    if pinned {
         entry.pin = Some(worker);
     }
-    entry.in_flight = Some(Flight::Line { lift_on });
+    entry.in_flight = Some(Flight::Line { role, pinned });
     Action::Forward { worker, line }
 }
 
@@ -760,26 +789,66 @@ mod tests {
         assert_eq!(variants.len(), 12, "one of each variant");
     }
 
-    /// An outcome is `Ok` by its tag, however the worker spaced it.
+    /// An outcome is read by its tag and an error's kind, however the
+    /// worker spaced it.
     #[test]
-    fn an_outcome_is_ok_by_its_tag_whatever_its_spacing() {
+    fn an_outcome_is_read_by_its_tag_and_kind_whatever_its_spacing() {
         for ok in [
             r#"{"Ok":{"payload":"Stats","timing":{}}}"#,
             r#" { "Ok" : { } } "#,
             "{\n\t\"Ok\":null}",
         ] {
-            assert!(outcome_is_ok(ok), "{ok}");
+            assert_eq!(answer_of(ok), Answer::Ok, "{ok}");
         }
-        for not_ok in [
+        for not_found in [
             r#"{"Err":{"kind":"SessionNotFound","message":"Ok"}}"#,
+            r#" { "Err" : { "message" : "x" , "kind" : "Session\u004eotFound" } } "#,
+        ] {
+            assert_eq!(answer_of(not_found), Answer::SessionNotFound, "{not_found}");
+        }
+        for failed in [
+            r#"{"Err":{"kind":"Overloaded","message":"SessionNotFound"}}"#,
             r#" { "Err" : { } } "#,
             r#"{"Ok":{},"Err":{}}"#,
             r#""Ok""#,
             r#"{"Ok""#,
             "",
         ] {
-            assert!(!outcome_is_ok(not_ok), "{not_ok}");
+            assert_eq!(answer_of(failed), Answer::Failed, "{failed}");
         }
+    }
+
+    /// A session that expired on its worker, or was evicted there, loses
+    /// its pin with the first use or close its worker answers
+    /// `SessionNotFound`, so the fleet's entries do not outgrow the
+    /// sessions its workers hold.
+    #[test]
+    fn a_pin_goes_once_its_worker_answers_that_the_session_is_gone() {
+        let mut fleet: Fleet<u8, u8> = Fleet::new(1, 4);
+        let route = |id: &str, role| TextRoute::Session {
+            id: id.into(),
+            role,
+        };
+        // One worker: `s1` and `s2` open, expire there, and `s3` opens.
+        for id in ["s1", "s2", "s3"] {
+            let sent = fleet.route(route(id, SessionRole::Creates), 0);
+            assert!(matches!(sent, Some(Action::Forward { worker: 0, .. })));
+            assert!(fleet.answered(id, Answer::Ok).is_empty());
+        }
+        assert_eq!(fleet.pins().count(), 3);
+        // A turn on `s1` and a close of `s2` find them gone.
+        let turn = fleet.route(route("s1", SessionRole::Uses), 1);
+        assert!(matches!(turn, Some(Action::Forward { worker: 0, .. })));
+        assert!(fleet.answered("s1", Answer::SessionNotFound).is_empty());
+        let close = fleet.route(route("s2", SessionRole::Closes), 2);
+        assert!(matches!(close, Some(Action::Forward { worker: 0, .. })));
+        assert!(fleet.answered("s2", Answer::SessionNotFound).is_empty());
+        assert_eq!(fleet.pins().collect::<Vec<_>>(), [("s3", 0)]);
+        // Any other failure leaves the pin: the session may be there.
+        let turn = fleet.route(route("s3", SessionRole::Uses), 3);
+        assert!(turn.is_some());
+        assert!(fleet.answered("s3", Answer::Failed).is_empty());
+        assert_eq!(fleet.pins().collect::<Vec<_>>(), [("s3", 0)]);
     }
 
     /// A drain after a timed-out one takes the session that the first
@@ -796,7 +865,7 @@ mod tests {
         else {
             panic!("the open goes out");
         };
-        assert!(fleet.answered("late", true).is_empty());
+        assert!(fleet.answered("late", Answer::Ok).is_empty());
         let [Action::Move { target, .. }, Action::Deadline(first)] = &fleet.drain(host, 1)[..]
         else {
             panic!("the drain moves the session");

@@ -29,7 +29,7 @@
 //! its session's queue, on its worker's link while that is down — and
 //! is sent in arrival order by the thread that ends the wait.
 
-use chatpattern_core::routing::{outcome_is_ok, text_route, Action, Fleet, TextRoute};
+use chatpattern_core::routing::{answer_of, text_route, Action, Fleet, TextRoute};
 use chatpattern_core::wire::{decode_request_line, ResponseEnvelope, WireError};
 use chatpattern_core::{
     EngineConfig, EngineStats, Error, PatternRequest, PatternResponse, ResponsePayload,
@@ -273,11 +273,11 @@ impl Pending {
     fn deliver(self, router: &Arc<Router>, outcome: Box<RawValue>) {
         match self {
             Pending::Client { id, sink, session } => {
-                let ok = session.is_some() && outcome_is_ok(outcome.get());
+                let answer = session.as_ref().map(|_| answer_of(outcome.get()));
                 let reply = ReplyFrame { id, outcome };
                 sink.send(&serde_json::to_string(&reply).expect("replies serialize"));
-                if let Some(session) = session {
-                    let actions = router.fleet().answered(&session, ok);
+                if let Some((session, answer)) = session.zip(answer) {
+                    let actions = router.fleet().answered(&session, answer);
                     run(router, actions);
                 }
             }

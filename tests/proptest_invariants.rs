@@ -18,7 +18,7 @@ use chatpattern::{
     ChatParams, ChatPattern, EngineConfig, Error, EvaluateParams, GenerateParams, LegalizeParams,
     MemoryPersist, PatternEngine, PatternRequest, PatternService, SessionConfig, SessionStore,
 };
-use chatpattern_core::routing::{Action, Fleet, SessionRole, TextRoute};
+use chatpattern_core::routing::{Action, Answer, Fleet, SessionRole, TextRoute};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -2231,9 +2231,10 @@ const FLEET_DEPTH: usize = 3;
 
 /// One step of a fleet workload: a client's session line, a drain (of a
 /// worker that may not exist), a drain's deadline (the `u8` picks which
-/// of those asked for so far), a link failing what it has in flight, or
-/// a worker running one of the lines in flight (the `u8` picks which, as
-/// several engine threads would).
+/// of those asked for so far), a link failing what it has in flight, a
+/// worker running one of the lines in flight (the `u8` picks which, as
+/// several engine threads would), or a session lapsing on its worker
+/// (TTL expiry, or eviction with no persist layer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FleetOp {
     Open(u8),
@@ -2245,9 +2246,12 @@ enum FleetOp {
     Expire(u8),
     Fail(u8),
     Run(u8),
+    Lapse(u8),
 }
 
-/// What a client asks of a session; a turn appends its token.
+/// What a client asks of a session; a turn appends its token. `Lapse`
+/// is no client's: it records, among the session's lines, where the
+/// session lapsed on its worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum FleetRequest {
     Open,
@@ -2255,6 +2259,7 @@ enum FleetRequest {
     Close,
     Snapshot,
     Restore(Vec<usize>),
+    Lapse,
 }
 
 /// A client line as the fleet forwards it.
@@ -2287,7 +2292,7 @@ enum FleetJob {
 /// history), failed with its link unrun, or refused unsent.
 #[derive(Debug, Clone)]
 enum FleetAnswer {
-    Ran(bool, Option<Vec<usize>>),
+    Ran(Answer, Option<Vec<usize>>),
     Lost,
     Refused,
 }
@@ -2382,16 +2387,20 @@ impl FleetModel {
         if slot.is_some() {
             return Err(format!("line {} answered twice", line.id));
         }
-        let ok = matches!(answer, FleetAnswer::Ran(true, _));
-        if let FleetAnswer::Ran(true, Some(history)) = &answer {
+        if let FleetAnswer::Ran(Answer::Ok, Some(history)) = &answer {
             self.snapshots.insert(line.session, history.clone());
         }
+        let answered = match answer {
+            FleetAnswer::Ran(answered, _) => answered,
+            FleetAnswer::Lost => Answer::Failed,
+            FleetAnswer::Refused => Answer::Failed,
+        };
         let refused = matches!(answer, FleetAnswer::Refused);
         *slot = Some(answer);
         if refused {
             return Ok(());
         }
-        let actions = self.fleet.answered(&fleet_session(line.session), ok);
+        let actions = self.fleet.answered(&fleet_session(line.session), answered);
         self.apply(actions)
     }
 
@@ -2407,20 +2416,29 @@ impl FleetModel {
             FleetJob::Client(line) => {
                 let session = line.session;
                 let ran = match (&line.request, held.get_mut(&session)) {
-                    (FleetRequest::Open, None) => held.insert(session, Vec::new()).is_none(),
+                    (FleetRequest::Open, None) => {
+                        held.insert(session, Vec::new());
+                        Answer::Ok
+                    }
                     (FleetRequest::Restore(from), None) => {
-                        held.insert(session, from.clone()).is_none()
+                        held.insert(session, from.clone());
+                        Answer::Ok
                     }
                     (FleetRequest::Turn(token), Some(turns)) => {
                         turns.push(*token);
-                        true
+                        Answer::Ok
                     }
-                    (FleetRequest::Close, Some(_)) => held.remove(&session).is_some(),
+                    (FleetRequest::Close, Some(_)) => {
+                        held.remove(&session);
+                        Answer::Ok
+                    }
                     (FleetRequest::Snapshot, Some(turns)) => {
-                        let answer = FleetAnswer::Ran(true, Some(turns.clone()));
+                        let answer = FleetAnswer::Ran(Answer::Ok, Some(turns.clone()));
                         return self.answer(&line, answer);
                     }
-                    _ => false,
+                    // Already open.
+                    (FleetRequest::Open | FleetRequest::Restore(_), Some(_)) => Answer::Failed,
+                    _ => Answer::SessionNotFound,
                 };
                 self.answer(&line, FleetAnswer::Ran(ran, None))
             }
@@ -2461,6 +2479,30 @@ impl FleetModel {
                 Ok(())
             }
         }
+    }
+
+    /// `session` lapses on the workers that hold it, as a store lets go
+    /// of a session no thread holds: only while none of its lines is
+    /// unanswered and no move of it runs. It takes its place among the
+    /// session's lines; the fleet hears of it only from the next answer.
+    fn lapse(&mut self, session: u8) -> Result<(), String> {
+        let unanswered = self.lines.iter().any(|l| l.0 == session && l.2.is_none());
+        let moving = self.in_flight.iter().flatten().any(|job| {
+            matches!(job, FleetJob::Snapshot { session: s, .. }
+                | FleetJob::Restore { session: s, .. } if *s == session)
+        });
+        if unanswered || moving {
+            return Ok(());
+        }
+        let mut held = false;
+        for worker in &mut self.held {
+            held |= worker.remove(&session).is_some();
+        }
+        if held {
+            let lapsed = Some(FleetAnswer::Ran(Answer::Ok, None));
+            self.lines.push((session, FleetRequest::Lapse, lapsed));
+        }
+        Ok(())
     }
 
     /// The link to `worker` fails: what it had in flight is answered
@@ -2525,6 +2567,7 @@ impl FleetModel {
                 };
             }
             FleetOp::Fail(worker) => return self.fail(usize::from(worker % FLEET_WORKERS)),
+            FleetOp::Lapse(s) => return self.lapse(s),
             FleetOp::Run(pick) => {
                 let jobs: Vec<(usize, usize)> = (0..self.in_flight.len())
                     .flat_map(|worker| (0..self.in_flight[worker].len()).map(move |i| (worker, i)))
@@ -2573,6 +2616,7 @@ fn arb_fleet_ops(rng: &mut ChaCha8Rng) -> Vec<FleetOp> {
                 56..=63 => FleetOp::Drain(rng.gen_range(0..=FLEET_WORKERS)),
                 64..=66 => FleetOp::Expire(rng.gen_range(0..=u8::MAX)),
                 67..=70 => FleetOp::Fail(rng.gen_range(0..FLEET_WORKERS)),
+                71..=75 => FleetOp::Lapse(session),
                 _ => FleetOp::Run(rng.gen_range(0..=u8::MAX)),
             }
         })
@@ -2643,20 +2687,26 @@ fn check_fleet_ops(ops: &[FleetOp]) -> Result<(), String> {
         .collect();
     for session in 0..FLEET_SESSIONS {
         // The session as its lines, run one at a time in arrival order,
-        // leave it: `None` while it does not exist.
+        // leave it: `None` while it does not exist. `lapsed` while no
+        // worker has answered one of its lines since it lapsed.
         let mut expected: Option<Vec<usize>> = None;
+        let mut lapsed = false;
         let lines = model.lines.iter().enumerate();
         for (id, (_, request, answer)) in lines.filter(|(_, line)| line.0 == session) {
             let (ok, history) = match answer {
                 None => return Err(format!("line {id} was never answered")),
                 Some(FleetAnswer::Lost | FleetAnswer::Refused) => continue,
-                Some(FleetAnswer::Ran(ok, history)) => (*ok, history),
+                Some(FleetAnswer::Ran(answer, history)) => (*answer == Answer::Ok, history),
             };
             let live = expected.is_some();
             let should = match request {
                 FleetRequest::Open | FleetRequest::Restore(_) => !live,
-                FleetRequest::Turn(_) | FleetRequest::Close | FleetRequest::Snapshot => live,
+                FleetRequest::Turn(_)
+                | FleetRequest::Close
+                | FleetRequest::Snapshot
+                | FleetRequest::Lapse => live,
             };
+            lapsed = *request == FleetRequest::Lapse;
             if ok != should {
                 return Err(format!(
                     "line {id} ({request:?}) on s{session} answered ok={ok}, but its lines in \
@@ -2668,7 +2718,7 @@ fn check_fleet_ops(ops: &[FleetOp]) -> Result<(), String> {
                 FleetRequest::Open => expected = Some(Vec::new()),
                 FleetRequest::Restore(from) => expected = Some(from.clone()),
                 FleetRequest::Turn(token) => expected.as_mut().expect("live").push(*token),
-                FleetRequest::Close => expected = None,
+                FleetRequest::Close | FleetRequest::Lapse => expected = None,
                 FleetRequest::Snapshot if *history != expected => {
                     return Err(format!(
                         "snapshot {id} of s{session} saw {history:?}, arrival order gives \
@@ -2682,6 +2732,8 @@ fn check_fleet_ops(ops: &[FleetOp]) -> Result<(), String> {
         let hosted = pin.and_then(|worker| model.held[worker].get(&session));
         match (&expected, pin) {
             (None, None) => {}
+            // The fleet cannot know of a lapse no answer has told it of.
+            (None, Some(_)) if lapsed => {}
             (Some(turns), Some(_)) if hosted == Some(turns) => {}
             _ => {
                 return Err(format!(
@@ -2696,7 +2748,8 @@ fn check_fleet_ops(ops: &[FleetOp]) -> Result<(), String> {
 
 /// The router's protocol in lockstep with simulated workers that run
 /// what they have in flight in a seeded random order, as several engine
-/// threads do — with drains, moves and failing links among the lines.
+/// threads do — with drains, moves, failing links and sessions lapsing
+/// on their workers among the lines.
 #[test]
 fn the_fleet_protocol_keeps_each_sessions_lines_in_arrival_order() {
     shrink::check(
