@@ -13,12 +13,14 @@
 //!   engine's non-blocking `submit` path, so the loop never waits on
 //!   inference; for `chatpattern-router`'s handler it is a write to a
 //!   worker's link, or a list to park the line on;
-//! * **replies** are pushed — by the engine worker that finished the
-//!   job, or by the router's reader of the worker that answered — into
-//!   a per-connection [`LineSink`](crate::LineSink) and the loop is
-//!   poked through a [`WakePipe`]; the loop writes them out as sockets
-//!   accept bytes. The loop never blocks on a slow
-//!   client: past the configured high-water mark the client is
+//! * **replies** are written to the socket by the thread that has
+//!   them — the engine worker that finished the job, the loop thread on
+//!   a cache hit, or the router's reader of the worker that answered —
+//!   through the connection's [`LineSink`](crate::LineSink), while
+//!   nothing is queued there; what the socket would not take is queued,
+//!   the loop is poked through a [`WakePipe`] and writes it out as the
+//!   socket accepts bytes. Nobody blocks on a slow client: past the
+//!   configured high-water mark of queued bytes the client is
 //!   disconnected (a *backpressure kill*, reported separately from
 //!   clean closes in the engine's connection counters);
 //! * the loop keeps the **one count of owed replies**: a line handed
@@ -30,7 +32,11 @@
 //!   clean. A reset, a write error or a kill closes at once;
 //! * a **shutdown** follows the same rule for every live connection: the
 //!   loop serves on until none is owed a reply, then gives each one
-//!   last write pass and closes it.
+//!   last write pass and closes it;
+//! * a connection the loop waits on — after its peer's EOF, or once a
+//!   stop is raised — is marked *watched*, under its sink's lock, before
+//!   the loop reads its owed count: every later reply then pokes the
+//!   loop, written directly or not.
 
 use crate::conn::{FlushOutcome, Framed, NonblockingConn, ReadOutcome};
 use crate::conn::{DEFAULT_MAX_LINE_BYTES, DEFAULT_OUTBOUND_HIGH_WATER};

@@ -42,8 +42,9 @@ pub trait ConnectionHandler: Send + Sync + 'static {
 /// immediately with an error envelope carrying `retry_after_ms`
 /// instead of stalling the reader — one flooding connection cannot
 /// freeze every other connection's submissions. The hand-over to a
-/// connection is a push into its bounded outbound queue and never
-/// waits for the peer.
+/// connection is a non-blocking write to its socket, with what the
+/// socket would not take left in a bounded queue, and never waits for
+/// the peer.
 pub struct EngineHandler<S: PatternService + Send + Sync + 'static> {
     engine: Arc<PatternEngine<S>>,
 }

@@ -10,11 +10,12 @@
 //! * one server, the readiness-driven [`EventLoopServer`] (epoll on
 //!   Linux via direct `extern "C"` declarations, portable `poll(2)`
 //!   fallback): thousands of mostly-idle connections on one loop
-//!   thread, incremental NDJSON framing, bounded
-//!   per-connection outbound queues (slow readers are disconnected
-//!   past a high-water mark instead of buffered without bound), and
-//!   the one count of owed replies: the loop counts each line it hands
-//!   to the handler until its reply is queued, so a peer's half-close
+//!   thread, incremental NDJSON framing, replies written by the thread
+//!   that has them with bounded per-connection queues for what a socket
+//!   would not take (slow readers are disconnected past a high-water
+//!   mark instead of buffered without bound), and the one count of
+//!   owed replies: the loop counts each line it hands to the handler
+//!   until its reply is written or queued, so a peer's half-close
 //!   ("no more requests") and [`EventLoopHandle::shutdown`] alike wait
 //!   until every live connection has been answered what it is owed;
 //! * one contract for what happens to a line, [`ConnectionHandler`]
@@ -23,7 +24,7 @@
 //!   [`PatternEngine`](chatpattern_core::PatternEngine) into it: the
 //!   engine worker that finishes a job hands the reply to the
 //!   connection itself;
-//! * [`LineSink`], a connection's outbound queue, which handlers answer
+//! * [`LineSink`], a connection's outbound side, which handlers answer
 //!   through with [`LineSink::send`] — a reply to a peer that is gone
 //!   is dropped, not an error;
 //! * the blocking [`NdjsonClient`], and the dial-with-backoff under it
