@@ -792,7 +792,7 @@ mod tests {
     /// An outcome is read by its tag and an error's kind, however the
     /// worker spaced it.
     #[test]
-    fn an_outcome_is_read_by_its_tag_and_kind_whatever_its_spacing() {
+    fn an_outcome_is_ok_by_its_tag_whatever_its_spacing() {
         for ok in [
             r#"{"Ok":{"payload":"Stats","timing":{}}}"#,
             r#" { "Ok" : { } } "#,

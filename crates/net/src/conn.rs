@@ -623,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn closed_queue_silences_writers_and_lets_go_of_the_socket() {
+    fn closed_queue_silences_writers() {
         let (queue, _peer) = owing(1024, 1, false, || {});
         queue.close();
         assert!(queue.lock().stream.is_none());
