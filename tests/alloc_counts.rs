@@ -1,5 +1,6 @@
 //! Exact allocation counts of the sampler's hot calls and of the wire
-//! path a served line takes, pinned.
+//! path a served line takes, and the model calls of a free-size
+//! extension, pinned.
 //!
 //! A counting global allocator over `System` counts, per thread, every
 //! allocation and reallocation and the bytes each asked for. The pins
@@ -15,15 +16,21 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use chatpattern::core::wire::decode_request_line;
-use chatpattern::diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule};
+use chatpattern::dataset::Style;
+use chatpattern::diffusion::{DiffusionModel, Mask, MrfDenoiser, NoiseSchedule, PatternSampler};
+use chatpattern::extend::{extend, ExtensionMethod};
 use chatpattern::net::{ConnectionHandler, EventLoopConfig, EventLoopServer, LineSink};
 use chatpattern::squish::{Region, Topology};
-use chatpattern::{ChatPattern, EngineConfig, PatternEngine, ResponseEnvelope};
+use chatpattern::{
+    ChatPattern, EngineConfig, GenerateParams, LegalizeParams, PatternEngine, PatternRequest,
+    PatternService, RequestEnvelope, ResponseEnvelope,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -81,6 +88,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
 /// callback's box and the reply's text.
 const HIT_PIN: (u64, u64) = (19, 3_271);
 const STATS_PIN: (u64, u64) = (17, 3_184);
+/// A 128 x 128 `Legalize` line that misses the cache, decoded and
+/// submitted: the decoded envelope, the request key, the task and the
+/// handle; the execution runs on a worker.
+const MISS_PIN: (u64, u64) = (26, 164_599);
+/// A fixed-size `Generate` (one 16 x 16 topology) executed by the
+/// service on the calling thread.
+const GENERATE_PIN: (u64, u64) = (17, 19_308);
 /// A 33 673-byte reply handed to an idle connection whose peer reads:
 /// written to the socket by the sending thread, so nothing (it was
 /// (2, 33 706) while the loop wrote every reply: a framed copy and the
@@ -203,6 +217,159 @@ fn a_cache_hit_and_a_stats_line_allocate_what_is_pinned() {
         (hit, stats),
         (HIT_PIN, STATS_PIN),
         "((allocations, bytes) of a cache hit, of a Stats)"
+    );
+}
+
+/// `(allocations, bytes)` of `line` decoded and submitted to `engine`,
+/// counted on this thread, and its handle.
+fn submitted(
+    engine: &PatternEngine<ChatPattern>,
+    line: &str,
+) -> ((u64, u64), chatpattern::JobHandle) {
+    counted(|| {
+        let envelope = decode_request_line(line).expect("a valid line");
+        engine
+            .submit_as(envelope.tenant.as_deref(), envelope.request)
+            .expect("admitted")
+    })
+}
+
+/// A `Legalize` line of a `WINDOW` x `WINDOW` topology, as the product
+/// writes it (cells as `bits`).
+fn legalize_line(seed: u64) -> String {
+    let topology = Topology::from_fn(WINDOW, WINDOW, |r, c| (r / 8 + c / 4) % 3 == 0);
+    let envelope = RequestEnvelope {
+        id: serde_json::to_value(&"l"),
+        tenant: None,
+        request: PatternRequest::Legalize(LegalizeParams {
+            topology,
+            width_nm: 16_384,
+            height_nm: 16_384,
+            seed,
+        }),
+    };
+    serde_json::to_string(&envelope).expect("serializes")
+}
+
+#[test]
+fn a_keyed_miss_allocates_what_is_pinned_on_the_submitting_thread() {
+    let engine = small_engine();
+    // Each seed is another key, so every line misses; the first warms
+    // the queue, the gate's tenant row and the broker's map.
+    let (first, second) = (legalize_line(1), legalize_line(2));
+    assert_eq!(first.len(), second.len());
+    let (_, warm) = submitted(&engine, &first);
+    let _ = warm.wait();
+    let (miss, handle) = submitted(&engine, &second);
+    let _ = handle.wait();
+    assert_eq!(
+        (second.len(), miss),
+        (32_905, MISS_PIN),
+        "(line bytes, (allocations, bytes) of a keyed miss)"
+    );
+}
+
+#[test]
+fn a_fixed_size_generate_allocates_what_is_pinned() {
+    let system = ChatPattern::builder()
+        .window(16)
+        .training_patterns(8)
+        .diffusion_steps(6)
+        .seed(3)
+        .build()
+        .expect("valid configuration");
+    let generate = || {
+        system.execute(PatternRequest::Generate(GenerateParams {
+            style: Style::Layer10003,
+            rows: 16,
+            cols: 16,
+            count: 1,
+            seed: 9,
+        }))
+    };
+    generate().expect("generates");
+    let (counts, response) = counted(generate);
+    response.expect("generates");
+    assert_eq!(counts, GENERATE_PIN, "(allocations, bytes)");
+}
+
+/// A sampler that passes every call on to a `steps`-step model and
+/// counts the calls (windows) by kind.
+struct CountingSampler<'a, S> {
+    inner: &'a S,
+    steps: u64,
+    generate: AtomicU64,
+    modify: AtomicU64,
+}
+
+impl<S: PatternSampler> CountingSampler<'_, S> {
+    /// `(generate calls, modify calls, reverse steps)` so far: every
+    /// call runs all of the model's steps once (`modify` resamples one
+    /// round).
+    fn counts(&self) -> (u64, u64, u64) {
+        let (generate, modify) = (
+            self.generate.load(Ordering::Relaxed),
+            self.modify.load(Ordering::Relaxed),
+        );
+        (generate, modify, (generate + modify) * self.steps)
+    }
+}
+
+impl<S: PatternSampler> PatternSampler for CountingSampler<'_, S> {
+    fn window(&self) -> usize {
+        self.inner.window()
+    }
+
+    fn generate(
+        &self,
+        rows: usize,
+        cols: usize,
+        condition: Option<u32>,
+        rng: &mut ChaCha8Rng,
+    ) -> Topology {
+        self.generate.fetch_add(1, Ordering::Relaxed);
+        self.inner.generate(rows, cols, condition, rng)
+    }
+
+    fn modify(
+        &self,
+        known: &Topology,
+        mask: &Mask,
+        condition: Option<u32>,
+        rng: &mut ChaCha8Rng,
+    ) -> Topology {
+        self.modify.fetch_add(1, Ordering::Relaxed);
+        self.inner.modify(known, mask, condition, rng)
+    }
+}
+
+#[test]
+fn a_four_times_extend_makes_the_model_calls_pinned() {
+    // The product's window and step count; a 4x extension's window
+    // count does not depend on the window (`cp_extend::cost`).
+    const STEPS: usize = 24;
+    let model = model(STEPS);
+    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    let seed = model.sample(WINDOW, WINDOW, Some(0), &mut rng);
+    let side = 4 * WINDOW;
+    let got = [ExtensionMethod::OutPainting, ExtensionMethod::InPainting].map(|method| {
+        let sampler = CountingSampler {
+            inner: &model,
+            steps: STEPS as u64,
+            generate: AtomicU64::new(0),
+            modify: AtomicU64::new(0),
+        };
+        let grown = extend(&sampler, &seed, side, side, method, Some(0), &mut rng);
+        assert_eq!(grown.shape(), (side, side));
+        (method, sampler.counts())
+    });
+    assert_eq!(
+        got,
+        [
+            (ExtensionMethod::OutPainting, (0, 48, 1_152)),
+            (ExtensionMethod::InPainting, (15, 33, 1_152)),
+        ],
+        "(method, (generate calls, modify calls, reverse steps))"
     );
 }
 
