@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Parameters of a natural-language agent session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ChatParams {
     /// The free-form request text.
     pub request: String,
@@ -57,7 +57,7 @@ pub struct ChatParams {
 }
 
 /// Parameters of direct conditional generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GenerateParams {
     /// Style condition.
     pub style: Style,
@@ -72,7 +72,7 @@ pub struct GenerateParams {
 }
 
 /// Parameters of free-size extension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ExtendParams {
     /// The topology to grow.
     pub seed_topology: Topology,
@@ -90,7 +90,7 @@ pub struct ExtendParams {
 
 /// Parameters of RePaint-style modification. The rectangular `region`
 /// is regenerated; everything outside stays bit-exact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ModifyParams {
     /// The topology to repair.
     pub known: Topology,
@@ -103,7 +103,7 @@ pub struct ModifyParams {
 }
 
 /// Parameters of legalization into a physical frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LegalizeParams {
     /// The topology to legalize.
     pub topology: Topology,
@@ -116,7 +116,7 @@ pub struct LegalizeParams {
 }
 
 /// Parameters of library evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct EvaluateParams {
     /// The topology library to score.
     pub topologies: Vec<Topology>,

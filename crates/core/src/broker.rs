@@ -4,9 +4,10 @@
 //! The broker sits between [`PatternEngine`](crate::PatternEngine)
 //! submission and the [`Backend`](crate::backend::Backend) that
 //! actually runs jobs. Every keyed request (anything except
-//! `Chat { seed: None }`, see [`request_key`](crate::routing::request_key))
-//! is admitted through [`ResultBroker::admit`], which looks its key up
-//! once and resolves it one of three ways:
+//! `Chat { seed: None }`, the session requests and `Stats`, see
+//! [`is_keyed`](crate::routing::is_keyed)) is admitted through
+//! [`ResultBroker::admit`], which looks its key up once and resolves it
+//! one of three ways:
 //!
 //! 1. **Cache hit** — a completed identical request left its payload in
 //!    the key's entry; the submitter gets it immediately.
@@ -31,7 +32,7 @@
 //! coalescing still runs.
 //!
 //! A key is hashed once a submit, before that lock ([`Key`]); under
-//! it, the map compares hashes, and the text where two match.
+//! it, the map compares hashes, and the requests where two match.
 
 use crate::cache::{Key, KeyMap};
 use crate::{Error, PatternRequest, PatternResponse, ResponsePayload};
@@ -160,7 +161,8 @@ type Subscriber = (Arc<JobShared>, bool);
 pub(crate) type Dispatch<'a> = &'a dyn Fn(Arc<ExecTask>) -> Result<(), Error>;
 
 struct TaskState {
-    /// Taken by the worker that runs the task.
+    /// An unkeyed task's request, taken by the worker that runs it (a
+    /// keyed task's is its key's).
     request: Option<PatternRequest>,
     subscribers: Vec<Subscriber>,
 }
@@ -171,7 +173,7 @@ struct TaskState {
 /// runs.
 pub(crate) struct ExecTask {
     /// Shared with the broker's entry for it: one allocation of the
-    /// serialized request.
+    /// request.
     key: Option<Key>,
     tenant: String,
     /// The leading request's lane: where the task queues, and where
@@ -193,20 +195,18 @@ impl std::fmt::Debug for ExecTask {
 }
 
 impl ExecTask {
-    fn new(
-        key: Option<Key>,
-        tenant: &str,
-        lane: Lane,
-        request: PatternRequest,
-        leader: Arc<JobShared>,
-    ) -> Arc<ExecTask> {
+    fn new(work: Work, tenant: &str, lane: Lane, leader: Arc<JobShared>) -> Arc<ExecTask> {
+        let (key, request) = match work {
+            Work::Keyed(key) => (Some(key), None),
+            Work::Private(request) => (None, Some(request)),
+        };
         Arc::new(ExecTask {
             key,
             tenant: tenant.to_owned(),
             lane,
             submitted_at: leader.submitted_at,
             state: Mutex::new(TaskState {
-                request: Some(request),
+                request,
                 subscribers: vec![(leader, false)],
             }),
         })
@@ -228,15 +228,20 @@ impl ExecTask {
         self.submitted_at
     }
 
-    /// Takes the request out for execution. A task leaves the queue
-    /// once, so it is claimed once.
+    /// The request to execute: a copy of a keyed task's, whose key
+    /// the broker's entry shares, or an unkeyed task's own. A task
+    /// leaves the queue once, so it is claimed once.
     pub(crate) fn claim(&self) -> PatternRequest {
-        self.state
-            .lock()
-            .expect("task lock")
-            .request
-            .take()
-            .expect("a task is claimed once")
+        match &self.key {
+            Some(key) => PatternRequest::clone(key.request()),
+            None => self
+                .state
+                .lock()
+                .expect("task lock")
+                .request
+                .take()
+                .expect("a task is claimed once"),
+        }
     }
 
     /// Adds a coalesced waiter. Caller must hold the broker lock (this
@@ -259,6 +264,15 @@ impl ExecTask {
     pub(crate) fn is_keyed(&self) -> bool {
         self.key.is_some()
     }
+}
+
+/// What a submission asks the broker for: a keyed request, cached and
+/// coalesced under its key, or an unkeyed one, executed privately.
+pub(crate) enum Work {
+    /// A keyed request ([`is_keyed`](crate::routing::is_keyed)).
+    Keyed(Key),
+    /// Any other request.
+    Private(PatternRequest),
 }
 
 /// How [`ResultBroker::admit`] resolved a submission. The broker
@@ -331,17 +345,19 @@ impl ResultBroker {
         }
     }
 
-    /// The key of a request whose [`request_key`](crate::routing::request_key)
-    /// is `text`: hashed here, once, so [`admit`](Self::admit) hashes
-    /// nothing under the lock.
-    pub(crate) fn key(&self, text: String) -> Key {
-        Key::new(&self.hasher, text)
+    /// What `request` asks for: a keyed request is hashed here, once,
+    /// so [`admit`](Self::admit) hashes nothing under the lock.
+    pub(crate) fn work(&self, request: PatternRequest) -> Work {
+        if crate::routing::is_keyed(&request) {
+            Work::Keyed(Key::new(&self.hasher, request))
+        } else {
+            Work::Private(request)
+        }
     }
 
-    /// Resolves one submission. Unkeyed requests (`key == None`)
+    /// Resolves one submission. Unkeyed requests ([`Work::Private`])
     /// always lead a private task — they bypass the cache *and* the
-    /// coalescer, the same exemption `Chat { seed: null }` already has
-    /// from caching.
+    /// coalescer.
     ///
     /// When `dispatch` is `Some`, it is invoked for a fresh lead task
     /// *inside the admission critical section*, keyed or not; on
@@ -355,24 +371,24 @@ impl ResultBroker {
     /// handed the request in.
     pub(crate) fn admit(
         &self,
-        key: Option<Key>,
+        work: Work,
         tenant: &str,
         lane: Lane,
-        request: PatternRequest,
         submitted_at: Instant,
         dispatch: Option<Dispatch<'_>>,
     ) -> Admission {
-        let lead = |key| {
+        let lead = |work| {
             let job = JobShared::pending(submitted_at);
-            let task = ExecTask::new(key, tenant, lane, request, Arc::clone(&job));
+            let task = ExecTask::new(work, tenant, lane, Arc::clone(&job));
             match dispatch.map_or(Ok(()), |dispatch| dispatch(Arc::clone(&task))) {
                 Ok(()) => Admission::Lead { task, job },
                 Err(error) => Admission::Rejected(error),
             }
         };
-        let Some(key) = key else {
+        let key = match work {
+            Work::Keyed(key) => key,
             // Nothing coalesces onto a private task: no lock to take.
-            return lead(None);
+            private @ Work::Private(_) => return lead(private),
         };
         let mut state = self.state.lock().expect("broker lock");
         let state = &mut *state;
@@ -394,7 +410,7 @@ impl ResultBroker {
             }
             None => {}
         }
-        let admission = lead(Some(key.clone()));
+        let admission = lead(Work::Keyed(key.clone()));
         if let Admission::Lead { task, .. } = &admission {
             // Safe even though a worker may already be running the
             // task: completion also needs the broker lock, so the
@@ -484,16 +500,15 @@ mod tests {
         })
     }
 
-    /// Submits the request keyed `key`, hashed as the engine hashes it.
-    fn admit(broker: &ResultBroker, key: &str) -> Admission {
-        broker.admit(
-            Some(broker.key(key.into())),
-            T,
-            L,
-            request(1),
-            Instant::now(),
-            None,
-        )
+    /// Submits `request(seed)`, keyed as the engine keys it.
+    fn admit(broker: &ResultBroker, seed: u64) -> Admission {
+        broker.admit(broker.work(request(seed)), T, L, Instant::now(), None)
+    }
+
+    /// Submits `request(seed)` under a key whose hash is `hash`.
+    fn admit_hashed(broker: &ResultBroker, hash: u64, seed: u64) -> Admission {
+        let key = Key::with_hash(hash, request(seed));
+        broker.admit(Work::Keyed(key), T, L, Instant::now(), None)
     }
 
     fn payload() -> ResponsePayload {
@@ -503,10 +518,10 @@ mod tests {
     #[test]
     fn identical_submissions_coalesce_onto_one_task() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } = admit(&broker, "k") else {
+        let Admission::Lead { task, .. } = admit(&broker, 1) else {
             panic!("first submission leads");
         };
-        let Admission::Coalesced(waiter) = admit(&broker, "k") else {
+        let Admission::Coalesced(waiter) = admit(&broker, 1) else {
             panic!("second identical submission coalesces");
         };
         // Completion delivers to both, caches the payload, clears the key.
@@ -516,14 +531,15 @@ mod tests {
         assert!(subscribers[1].1, "waiter is coalesced");
         assert!(Arc::ptr_eq(&subscribers[1].0, &waiter));
         assert_eq!(broker.inflight_len(), 0);
-        assert!(matches!(admit(&broker, "k"), Admission::CacheHit(_)));
+        assert!(matches!(admit(&broker, 1), Admission::CacheHit(_)));
     }
 
     #[test]
     fn unkeyed_requests_never_share_a_task() {
         let broker = ResultBroker::new(8);
-        let first = broker.admit(None, T, L, request(1), Instant::now(), None);
-        let second = broker.admit(None, T, L, request(1), Instant::now(), None);
+        let private = || Work::Private(request(1));
+        let first = broker.admit(private(), T, L, Instant::now(), None);
+        let second = broker.admit(private(), T, L, Instant::now(), None);
         assert!(matches!(first, Admission::Lead { .. }));
         assert!(matches!(second, Admission::Lead { .. }));
         assert_eq!(broker.inflight_len(), 0, "unkeyed tasks are unregistered");
@@ -533,52 +549,40 @@ mod tests {
     fn a_refused_dispatch_registers_nothing() {
         let broker = ResultBroker::new(8);
         let full: Dispatch<'_> = &|_| Err(Error::QueueFull { depth: 1 });
-        for key in [Some(broker.key("k".into())), None] {
+        for work in [broker.work(request(1)), Work::Private(request(1))] {
             assert!(matches!(
-                broker.admit(key, T, L, request(1), Instant::now(), Some(full)),
+                broker.admit(work, T, L, Instant::now(), Some(full)),
                 Admission::Rejected(Error::QueueFull { depth: 1 })
             ));
         }
         assert_eq!(broker.inflight_len(), 0);
         // Nothing to coalesce onto: the next identical submit leads.
-        assert!(matches!(admit(&broker, "k"), Admission::Lead { .. }));
+        assert!(matches!(admit(&broker, 1), Admission::Lead { .. }));
     }
 
     #[test]
     fn texts_that_share_a_hash_neither_coalesce_nor_hit() {
         let broker = ResultBroker::new(8);
-        let (a, b) = (Key::with_hash(7, "a"), Key::with_hash(7, "b"));
-        let Admission::Lead { task, .. } =
-            broker.admit(Some(a.clone()), T, L, request(1), Instant::now(), None)
-        else {
+        let Admission::Lead { task, .. } = admit_hashed(&broker, 7, 1) else {
             panic!("first submission leads");
         };
-        let Admission::Lead { task: other, .. } =
-            broker.admit(Some(b.clone()), T, L, request(2), Instant::now(), None)
-        else {
-            panic!("another text under the same hash coalesced");
+        let Admission::Lead { task: other, .. } = admit_hashed(&broker, 7, 2) else {
+            panic!("another request under the same hash coalesced");
         };
         assert_eq!(broker.inflight_len(), 2);
         assert_eq!(broker.complete(&task, Some(Arc::new(payload()))).len(), 1);
         assert!(matches!(
-            broker.admit(Some(b), T, L, request(2), Instant::now(), None),
+            admit_hashed(&broker, 7, 2),
             Admission::Coalesced(_)
         ));
         assert_eq!(broker.complete(&other, None).len(), 2);
-        // `a` is cached, `b` failed: only `a` hits.
+        // Seed 1 is cached, seed 2 failed: only seed 1 hits.
         assert!(matches!(
-            broker.admit(
-                Some(Key::with_hash(7, "b")),
-                T,
-                L,
-                request(2),
-                Instant::now(),
-                None
-            ),
+            admit_hashed(&broker, 7, 2),
             Admission::Lead { .. }
         ));
         assert!(matches!(
-            broker.admit(Some(a), T, L, request(1), Instant::now(), None),
+            admit_hashed(&broker, 7, 1),
             Admission::CacheHit(_)
         ));
     }
@@ -586,19 +590,19 @@ mod tests {
     #[test]
     fn reject_returns_every_attached_subscriber() {
         let broker = ResultBroker::new(8);
-        let Admission::Lead { task, .. } = admit(&broker, "k") else {
+        let Admission::Lead { task, .. } = admit(&broker, 1) else {
             panic!("leads");
         };
-        let _ = admit(&broker, "k");
+        let _ = admit(&broker, 1);
         let subscribers = broker.reject(&task);
         assert_eq!(subscribers.len(), 2);
         assert_eq!(broker.inflight_len(), 0);
     }
 
-    /// Leads `key` and completes it with a payload.
-    fn cached(broker: &ResultBroker, key: &str) {
-        let Admission::Lead { task, .. } = admit(broker, key) else {
-            panic!("{key} leads");
+    /// Leads `request(seed)` and completes it with a payload.
+    fn cached(broker: &ResultBroker, seed: u64) {
+        let Admission::Lead { task, .. } = admit(broker, seed) else {
+            panic!("seed {seed} leads");
         };
         broker.complete(&task, Some(Arc::new(payload())));
     }
@@ -611,45 +615,42 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let broker = ResultBroker::new(2);
-        cached(&broker, "a");
-        cached(&broker, "b");
+        cached(&broker, 1);
+        cached(&broker, 2);
         // A hit refreshes "a": "b" is now the least recently used.
-        assert!(matches!(admit(&broker, "a"), Admission::CacheHit(_)));
-        cached(&broker, "c");
+        assert!(matches!(admit(&broker, 1), Admission::CacheHit(_)));
+        cached(&broker, 3);
         assert_eq!(entries(&broker), 2);
         assert!(
-            matches!(admit(&broker, "b"), Admission::Lead { .. }),
+            matches!(admit(&broker, 2), Admission::Lead { .. }),
             "the least recently used key was evicted"
         );
-        assert!(matches!(admit(&broker, "a"), Admission::CacheHit(_)));
-        assert!(matches!(admit(&broker, "c"), Admission::CacheHit(_)));
+        assert!(matches!(admit(&broker, 1), Admission::CacheHit(_)));
+        assert!(matches!(admit(&broker, 3), Admission::CacheHit(_)));
     }
 
     #[test]
     fn zero_capacity_caches_nothing_and_still_coalesces() {
         let broker = ResultBroker::new(0);
-        let Admission::Lead { task, .. } = admit(&broker, "a") else {
+        let Admission::Lead { task, .. } = admit(&broker, 1) else {
             panic!("leads");
         };
-        assert!(matches!(admit(&broker, "a"), Admission::Coalesced(_)));
+        assert!(matches!(admit(&broker, 1), Admission::Coalesced(_)));
         assert_eq!(broker.complete(&task, Some(Arc::new(payload()))).len(), 2);
         assert_eq!(entries(&broker), 0);
-        assert!(matches!(admit(&broker, "a"), Admission::Lead { .. }));
+        assert!(matches!(admit(&broker, 1), Admission::Lead { .. }));
     }
 
     #[test]
     fn single_entry_cache_churns_correctly() {
         let broker = ResultBroker::new(1);
         for i in 0..100 {
-            cached(&broker, &format!("k{i}"));
+            cached(&broker, i);
             assert_eq!(entries(&broker), 1);
-            assert!(matches!(
-                admit(&broker, &format!("k{i}")),
-                Admission::CacheHit(_)
-            ));
+            assert!(matches!(admit(&broker, i), Admission::CacheHit(_)));
             if i > 0 {
-                let Admission::Lead { task, .. } = admit(&broker, &format!("k{}", i - 1)) else {
-                    panic!("k{} was evicted", i - 1);
+                let Admission::Lead { task, .. } = admit(&broker, i - 1) else {
+                    panic!("seed {} was evicted", i - 1);
                 };
                 broker.complete(&task, None);
             }
@@ -658,12 +659,13 @@ mod tests {
 
     #[test]
     fn the_broker_holds_a_key_at_most_twice_and_eviction_frees_it() {
-        let text = "a rather long serialized request";
         let broker = ResultBroker::new(1);
-        let key = broker.key(text.into());
-        let watch = Arc::downgrade(key.text());
+        let Work::Keyed(key) = broker.work(request(1)) else {
+            panic!("a Generate is keyed");
+        };
+        let watch = Arc::downgrade(key.request());
         let Admission::Lead { task, .. } =
-            broker.admit(Some(key), T, L, request(1), Instant::now(), None)
+            broker.admit(Work::Keyed(key), T, L, Instant::now(), None)
         else {
             panic!("leads");
         };
@@ -672,10 +674,10 @@ mod tests {
         drop(task);
         assert_eq!(watch.strong_count(), 2, "cached: the map's and its use's");
         // A hit keeps the stored key; the offered duplicate goes.
-        assert!(matches!(admit(&broker, text), Admission::CacheHit(_)));
+        assert!(matches!(admit(&broker, 1), Admission::CacheHit(_)));
         assert_eq!(watch.strong_count(), 2);
         // Eviction releases both: the key is freed.
-        cached(&broker, "b");
+        cached(&broker, 2);
         assert_eq!(watch.strong_count(), 0, "evicted key still allocated");
     }
 
@@ -698,8 +700,7 @@ mod tests {
             let draw = state >> 33;
             if op % 2 == 0 || running.is_empty() {
                 let key = key(&broker, draw % (2 * capacity as u64 + 2));
-                let admission =
-                    broker.admit(Some(key.clone()), T, L, request(1), Instant::now(), None);
+                let admission = broker.admit(Work::Keyed(key.clone()), T, L, Instant::now(), None);
                 if let Some(at) = cached.iter().position(|(k, _)| *k == key) {
                     let hit = cached.remove(at);
                     let Admission::CacheHit(payload) = admission else {
@@ -759,7 +760,10 @@ mod tests {
     #[test]
     fn the_broker_matches_the_model_at_every_capacity() {
         for capacity in [0, 1, 3, 128] {
-            matches_the_model(capacity, |broker, n| broker.key(format!("k{n}")));
+            matches_the_model(capacity, |broker, n| match broker.work(request(n)) {
+                Work::Keyed(key) => key,
+                Work::Private(_) => unreachable!("a Generate is keyed"),
+            });
         }
     }
 
@@ -768,7 +772,7 @@ mod tests {
     #[test]
     fn colliding_keys_match_the_model_at_every_capacity() {
         for capacity in [0, 1, 3, 128] {
-            matches_the_model(capacity, |_, n| Key::with_hash(n / 2, &format!("k{n}")));
+            matches_the_model(capacity, |_, n| Key::with_hash(n / 2, request(n)));
         }
     }
 }

@@ -436,7 +436,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         if let Err(rejection) = self.core.gate.try_admit(tenant, class) {
             return Err(Error::overloaded(rejection.retry_after_ms));
         }
-        let key = crate::routing::request_key(&request).map(|text| self.core.broker.key(text));
+        let work = self.core.broker.work(request);
         // Non-blocking submits dispatch *inside* admission: a try-push
         // into a bounded queue never blocks and never re-enters the
         // broker, and doing it there means a QueueFull rejection can
@@ -450,7 +450,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         match self
             .core
             .broker
-            .admit(key, tenant, class.lane, request, submitted_at, in_admission)
+            .admit(work, tenant, class.lane, submitted_at, in_admission)
         {
             Admission::CacheHit(payload) => {
                 stats.add(&stats.submitted);

@@ -602,12 +602,12 @@ fn service_panic_becomes_internal_error_and_frees_the_key() {
 
 #[test]
 fn cache_key_skips_unseeded_chat_and_sessions() {
-    use crate::routing::request_key;
-    assert!(request_key(&PatternRequest::Chat(ChatParams {
+    use crate::broker::{ResultBroker, Work};
+    use crate::routing::is_keyed;
+    assert!(!is_keyed(&PatternRequest::Chat(ChatParams {
         request: "x".into(),
         seed: None,
-    }))
-    .is_none());
+    })));
     // Session requests are stateful: never keyed; the router
     // places them by their session id.
     let open = PatternRequest::SessionOpen(crate::SessionOpenParams {
@@ -622,17 +622,23 @@ fn cache_key_skips_unseeded_chat_and_sessions() {
         session: "s".into(),
     });
     for request in [&open, &turn, &close] {
-        assert!(request_key(request).is_none(), "{request:?}");
+        assert!(!is_keyed(request), "{request:?}");
     }
-    assert!(request_key(&PatternRequest::Chat(ChatParams {
+    assert!(is_keyed(&PatternRequest::Chat(ChatParams {
         request: "x".into(),
         seed: Some(1),
-    }))
-    .is_some());
-    let a = request_key(&generate(1)).expect("seeded requests have keys");
-    let b = request_key(&generate(1)).expect("seeded requests have keys");
-    assert_eq!(a, b, "identical requests share a key");
-    assert_ne!(a, request_key(&generate(2)).expect("key"));
+    })));
+    let broker = ResultBroker::new(1);
+    let key = |request| match broker.work(request) {
+        Work::Keyed(key) => key,
+        Work::Private(request) => panic!("seeded requests have keys: {request:?}"),
+    };
+    assert_eq!(
+        key(generate(1)),
+        key(generate(1)),
+        "identical requests share a key"
+    );
+    assert_ne!(key(generate(1)), key(generate(2)));
 }
 
 /// An engine over [`SlowService`] with one tenant-quota override.

@@ -2,41 +2,52 @@
 //! does this request belong to".
 //!
 //! A [`PatternEngine`](crate::PatternEngine) is one queue and places
-//! nothing: it calls [`request_key`] only to key its result broker,
-//! which hashes that text with its own hasher, not [`route_hash`].
-//! Two consumers place work by this module:
+//! nothing: it asks [`is_keyed`] only to know whether its result broker
+//! caches and coalesces a request, which it then keys by the decoded
+//! request itself ([`crate::cache`]), not by any hash here. Two
+//! consumers place work by this module:
 //!
 //! * the multi-process `chatpattern-router` binary, which shards client
 //!   requests across a fleet of `chatpattern-serve` workers: keyed
-//!   requests go by [`request_key`] hash (a repeated request finds the
-//!   worker whose cache holds its result), session requests go by
-//!   session-id hash (every turn of one session lands on the worker
-//!   that holds it), and everything else is free to spread round-robin.
-//!   The router forwards a request's text without decoding it, so what
-//!   it calls is [`text_route`], which reads off the text the little
-//!   that placement depends on and, on every request as this build
-//!   writes it, agrees with the typed side: [`request_key`] and the
-//!   request's session id. Its protocol state is a [`Fleet`];
+//!   requests go by [`key_hash`] of their text (a repeated request
+//!   finds the worker whose cache holds its result), session requests
+//!   go by [`route_hash`] of the session id (every turn of one session
+//!   lands on the worker that holds it), and everything else is free
+//!   to spread round-robin. The router forwards a request's text
+//!   without decoding it, so what it calls is [`text_route`], which
+//!   reads off the text the little that placement depends on and, on
+//!   every request as this build writes it, agrees with the typed
+//!   side: [`is_keyed`] and the request's session id. Its protocol
+//!   state is a [`Fleet`];
 //! * [`JsonDirPersist`](crate::JsonDirPersist), which fans a session
 //!   directory out over `--persist-shards` subdirectories by
 //!   [`route_hash`] of the session id.
 //!
-//! [`route_hash`] is a hand-rolled **FNV-1a 64** — deliberately *not*
-//! [`std::collections::hash_map::DefaultHasher`], whose algorithm is
-//! explicitly unspecified and may change between Rust releases. Worker
-//! and directory assignment must stay stable across builds so that a
-//! router restarted on a newer build, or a session directory written
-//! by an older one, never disagrees; the unit test below pins exact
-//! hash values to make any algorithm drift a loud test failure.
+//! Both hashes are hand-rolled and pinned by unit tests below —
+//! deliberately *not* [`std::collections::hash_map::DefaultHasher`],
+//! whose algorithm is explicitly unspecified and may change between
+//! Rust releases:
+//!
+//! * [`route_hash`] is **FNV-1a 64**, and session ids keep it: their
+//!   placement is persisted (a session directory's shards, a restarted
+//!   router finding a session in its worker's directory), so a build
+//!   that hashed them otherwise would disagree with what an older one
+//!   wrote;
+//! * [`key_hash`] reads a keyed request's text eight bytes at a time on
+//!   four independent lanes — a 33 kB `Legalize` in about a twentieth
+//!   of FNV-1a's byte-at-a-time time, on the router's one loop thread.
+//!   Keyed placement only finds a worker's in-memory cache, so a build
+//!   that changed it would at worst re-warm each cache once; it is
+//!   pinned all the same, so that it never changes by accident.
 
 use crate::PatternRequest;
 use serde::{Deserialize, Deserializer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Stable routing hash (FNV-1a, 64-bit) for a request key or session
-/// id. Identical inputs always map to the same value, on every
-/// platform and every compiler release.
+/// Stable routing hash (FNV-1a, 64-bit) of a session id. Identical
+/// inputs always map to the same value, on every platform and every
+/// compiler release.
 #[must_use]
 pub fn route_hash(input: &str) -> u64 {
     const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -49,33 +60,76 @@ pub fn route_hash(input: &str) -> u64 {
     hash
 }
 
-/// Cache/coalescing key of a request: its serialized wire form, or
-/// `None` when the request must execute privately every time:
+/// Stable placement hash of a keyed request's text: little-endian
+/// 8-byte words, 32 bytes a block over four independent lanes (the
+/// last block padded with zeros), one multiply a word; then the length
+/// and the lanes folded into one word and a 64-bit finalising mix.
+/// Identical inputs always map to the same value, on every platform
+/// and every compiler release.
+#[must_use]
+pub fn key_hash(text: &str) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    fn absorb(lanes: &mut [u64; 4], block: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            *lane = (*lane ^ word).wrapping_mul(P1).rotate_left(31);
+        }
+    }
+    let bytes = text.as_bytes();
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        absorb(&mut lanes, block);
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0; 32];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &last);
+    }
+    let mut hash = (bytes.len() as u64).wrapping_mul(P1);
+    for lane in lanes {
+        hash = (hash ^ lane.wrapping_mul(P2))
+            .rotate_left(27)
+            .wrapping_mul(P1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    hash ^ (hash >> 33)
+}
+
+/// Whether a request is keyed: cached and coalesced by an engine's
+/// result broker, and placed by [`key_hash`] of its text in a fleet.
+/// These are not, and execute privately every time:
 ///
 /// * `Chat` without an explicit seed resolves to the system's master
 ///   seed at execution time, so its outcome is not a pure function of
 ///   the request value;
 /// * session requests (`SessionOpen` / `SessionTurn` / `SessionClose`
 ///   / `SessionSnapshot` / `SessionRestore`) *mutate* session state —
-///   two textually identical turns are different operations (the
-///   second operates on the first's results), so replaying a cached
-///   payload or attaching to an in-flight twin would silently drop a
-///   turn;
+///   two identical turns are different operations (the second operates
+///   on the first's results), so replaying a cached payload or
+///   attaching to an in-flight twin would silently drop a turn;
 /// * `Stats` reads live counters — caching a snapshot would serve
 ///   stale numbers forever.
-///
-/// Such requests bypass both the cache and the coalescer.
 #[must_use]
-pub fn request_key(request: &PatternRequest) -> Option<String> {
+pub fn is_keyed(request: &PatternRequest) -> bool {
     match request {
-        PatternRequest::Chat(params) if params.seed.is_none() => None,
+        PatternRequest::Chat(params) => params.seed.is_some(),
+        PatternRequest::Generate(_)
+        | PatternRequest::Extend(_)
+        | PatternRequest::Modify(_)
+        | PatternRequest::Legalize(_)
+        | PatternRequest::Evaluate(_) => true,
         PatternRequest::SessionOpen(_)
         | PatternRequest::SessionTurn(_)
         | PatternRequest::SessionClose(_)
         | PatternRequest::SessionSnapshot(_)
         | PatternRequest::SessionRestore(_)
-        | PatternRequest::Stats => None,
-        _ => serde_json::to_string(request).ok(),
+        | PatternRequest::Stats => false,
     }
 }
 
@@ -90,8 +144,8 @@ pub enum TextRoute {
         /// What the request does to the session's existence.
         role: SessionRole,
     },
-    /// A cacheable request, with the [`route_hash`] of its text: a
-    /// repeat of the same bytes finds the worker whose cache has them.
+    /// A cacheable request, with the [`key_hash`] of its text: a repeat
+    /// of the same bytes finds the worker whose cache has them.
     Keyed(u64),
     /// `Stats`, which a fleet answers as a whole.
     Stats,
@@ -159,12 +213,12 @@ impl Deserialize for Unread {
 /// Where a request still in its wire text (the value of an envelope's
 /// `request`) belongs, without decoding it: key hash first (cache
 /// affinity), then session-id hash (session affinity), then anywhere.
-/// A keyed request goes by the hash of the text **as sent**: for text
-/// as this build writes it — compact, keys sorted, cells as `bits` —
-/// that is the [`route_hash`] of its [`request_key`]; another spelling
-/// of the same request (reordered keys, inner whitespace, a `packed`
-/// topology) is another text and may land on another worker, whose
-/// cache still knows it for the same request.
+/// A keyed request goes by the [`key_hash`] of the text **as sent**:
+/// for text as this build writes it — compact, keys sorted, cells as
+/// `bits` — that is the hash of `serde_json::to_string` of the typed
+/// request; another spelling of the same request (reordered keys,
+/// inner whitespace, a `packed` topology) is another text and may land
+/// on another worker, whose cache still knows it for the same request.
 ///
 /// A text that cannot be read this far is one no worker can decode
 /// either; it is [`TextRoute::Free`], and whichever worker gets it
@@ -184,7 +238,7 @@ pub fn text_route(request: &str) -> TextRoute {
         Ok(RequestHead::SessionClose(head)) => session(head, SessionRole::Closes),
         Ok(RequestHead::Stats) => TextRoute::Stats,
         Ok(RequestHead::Chat(ChatHead { seed: None })) | Err(_) => TextRoute::Free,
-        Ok(_) => TextRoute::Keyed(route_hash(request)),
+        Ok(_) => TextRoute::Keyed(key_hash(request)),
     }
 }
 
@@ -565,6 +619,9 @@ mod tests {
     use super::*;
     use crate::{ChatParams, SessionTurnParams};
 
+    /// The [`key_hash`] of the canonical text of a fixed `Generate`.
+    const KEY_HASH_GENERATE: u64 = 0x0e1d_88a3_2cc3_db38;
+
     /// The load-bearing test: these values are the published contract
     /// between the router and any persisted routing state. If this test fails, the hash algorithm changed — do NOT
     /// update the constants; fix the hash.
@@ -577,10 +634,62 @@ mod tests {
         assert_eq!(route_hash("chatpattern"), 0x6605_c78e_e5c8_7533);
     }
 
-    /// The key is the request's wire text, and both the result cache
-    /// and the fleet's shard placement hang off it: the exact bytes —
-    /// sorted keys, no whitespace, cells as bare digits — are pinned
-    /// here together with the hash they route by.
+    /// The load-bearing test of keyed placement: these values are what
+    /// a repeated request's worker is found by. If this test fails, the
+    /// hash changed — every worker's cache would re-warm once; do not
+    /// update the constants unless that is what is meant.
+    #[test]
+    fn key_hash_is_pinned() {
+        assert_eq!(key_hash(""), 0xcf14_fc7e_d343_3645);
+        assert_eq!(key_hash("a"), 0xef21_1ee6_9b7d_c01e);
+        let short = r#"{"Generate":{"cols":8}}"#;
+        assert!(short.len() < 32);
+        assert_eq!(key_hash(short), 0xe9da_52c8_db32_5f72);
+        let block = "0123456789abcdef0123456789abcdef";
+        assert_eq!(block.len(), 32);
+        assert_eq!(key_hash(block), 0x40b3_463d_2ad6_7639);
+        // A zero byte is a byte: padding does not hide it.
+        assert_ne!(key_hash("a"), key_hash("a\0"));
+        let line = serde_json::to_string(&PatternRequest::Legalize(crate::LegalizeParams {
+            topology: cp_layout::squish::Topology::from_fn(128, 128, |r, c| (r * 7 + c) % 3 == 0),
+            width_nm: 2048,
+            height_nm: 2048,
+            seed: 9,
+        }))
+        .expect("serializes");
+        assert_eq!(
+            (line.len(), key_hash(&line)),
+            (32_868, 0x7723_fffd_8a74_5c65)
+        );
+    }
+
+    /// Keyed texts of a fleet differ in a few digits (a seed, a
+    /// cell): each worker still gets its share of them.
+    #[test]
+    fn key_hash_spreads_near_identical_texts_over_workers() {
+        const TEXTS: u64 = 1_200;
+        for workers in [2, 3, 4, 5] {
+            let mut shares = vec![0u64; workers as usize];
+            for seed in 0..TEXTS {
+                let text = format!(
+                    r#"{{"Generate":{{"cols":128,"count":1,"rows":128,"seed":{seed},"style":"Layer10001"}}}}"#
+                );
+                shares[(key_hash(&text) % workers) as usize] += 1;
+            }
+            // Four standard deviations of a fair draw either way.
+            let fair = TEXTS / workers;
+            let slack = 4 * ((fair as f64) * (1.0 - 1.0 / workers as f64)).sqrt() as u64;
+            assert!(
+                shares.iter().all(|share| share.abs_diff(fair) <= slack),
+                "{workers} workers: {shares:?}"
+            );
+        }
+    }
+
+    /// What the engine keys and what the fleet places a keyed request
+    /// by: the request is keyed, and its canonical text — sorted keys,
+    /// no whitespace, cells as bare digits — and that text's hash are
+    /// pinned here.
     #[test]
     fn request_key_of_a_fixed_request_is_pinned() {
         let generate = PatternRequest::Generate(crate::GenerateParams {
@@ -590,12 +699,14 @@ mod tests {
             count: 1,
             seed: 7,
         });
-        let key = request_key(&generate).expect("keyed");
+        assert!(is_keyed(&generate));
+        let key = serde_json::to_string(&generate).expect("serializes");
         assert_eq!(
             key,
             r#"{"Generate":{"cols":8,"count":1,"rows":8,"seed":7,"style":"Layer10001"}}"#
         );
-        assert_eq!(route_hash(&key), 0xc832_c584_f3ec_767c);
+        assert_eq!(key_hash(&key), KEY_HASH_GENERATE);
+        assert_eq!(text_route(&key), TextRoute::Keyed(KEY_HASH_GENERATE));
 
         let legalize = PatternRequest::Legalize(crate::LegalizeParams {
             topology: cp_layout::squish::Topology::from_fn(2, 3, |r, c| (r + c) % 2 == 0),
@@ -603,12 +714,13 @@ mod tests {
             height_nm: -512,
             seed: u64::MAX,
         });
-        let key = request_key(&legalize).expect("keyed");
+        assert!(is_keyed(&legalize));
+        let key = serde_json::to_string(&legalize).expect("serializes");
         assert_eq!(
             key,
             r#"{"Legalize":{"height_nm":-512,"seed":18446744073709551615,"topology":{"bits":[1,0,1,0,1,0],"cols":3,"rows":2},"width_nm":256}}"#
         );
-        assert_eq!(route_hash(&key), 0x1c5a_6a60_2155_533a);
+        assert_eq!(key_hash(&key), 0xc814_76ac_6e4d_1086);
     }
 
     #[test]
@@ -629,14 +741,15 @@ mod tests {
             request: "two patterns".into(),
             seed: Some(1),
         });
-        let key = request_key(&keyed).expect("seeded chat has a key");
-        assert_eq!(text_route(&key), TextRoute::Keyed(route_hash(&key)));
+        assert!(is_keyed(&keyed), "a seeded chat is keyed");
+        let text = serde_json::to_string(&keyed).expect("serializes");
+        assert_eq!(text_route(&text), TextRoute::Keyed(key_hash(&text)));
 
         let session = PatternRequest::SessionTurn(SessionTurnParams {
             session: "det".into(),
             utterance: "denser".into(),
         });
-        assert_eq!(request_key(&session), None);
+        assert!(!is_keyed(&session));
         let text = serde_json::to_string(&session).expect("serializes");
         assert_eq!(
             text_route(&text),
@@ -655,8 +768,9 @@ mod tests {
     }
 
     /// Which route the text reader must find for a request, taken from
-    /// the typed side: `request_key`, the session id field, and the
-    /// variant for what those do not say.
+    /// the typed side: [`is_keyed`] and the [`key_hash`] of the text
+    /// this build writes, the session id field, and the variant for
+    /// what those do not say.
     fn typed_route(request: &PatternRequest) -> TextRoute {
         let (id, role) = match request {
             PatternRequest::SessionOpen(p) => (&p.session, SessionRole::Creates),
@@ -672,11 +786,15 @@ mod tests {
             | PatternRequest::Modify(_)
             | PatternRequest::Legalize(_)
             | PatternRequest::Evaluate(_) => {
-                return request_key(request)
-                    .map_or(TextRoute::Free, |key| TextRoute::Keyed(route_hash(&key)))
+                return if is_keyed(request) {
+                    let text = serde_json::to_string(request).expect("serializes");
+                    TextRoute::Keyed(key_hash(&text))
+                } else {
+                    TextRoute::Free
+                }
             }
         };
-        assert_eq!(request_key(request), None, "a session request is unkeyed");
+        assert!(!is_keyed(request), "a session request is unkeyed");
         TextRoute::Session {
             id: id.as_str().into(),
             role,
@@ -780,10 +898,6 @@ mod tests {
             let text = serde_json::to_string(request).expect("serializes");
             let route = text_route(&text);
             assert_eq!(route, typed_route(request), "{text:.120}");
-            if let TextRoute::Keyed(hash) = route {
-                let key = request_key(request).expect("keyed");
-                assert_eq!((hash, text.as_str()), (route_hash(&key), key.as_str()));
-            }
             variants.insert(std::mem::discriminant(request));
         }
         assert_eq!(variants.len(), 12, "one of each variant");
@@ -920,17 +1034,12 @@ mod tests {
         let compact = r#"{"Generate":{"cols":8,"count":1,"rows":8,"seed":7,"style":"Layer10001"}}"#;
         let reordered =
             r#"{"Generate":{"seed":7,"cols":8,"count":1,"rows":8,"style":"Layer10001"}}"#;
-        assert_eq!(text_route(compact), TextRoute::Keyed(0xc832_c584_f3ec_767c));
-        assert_eq!(
-            text_route(reordered),
-            TextRoute::Keyed(route_hash(reordered))
-        );
+        assert_eq!(text_route(compact), TextRoute::Keyed(KEY_HASH_GENERATE));
+        assert_eq!(text_route(reordered), TextRoute::Keyed(key_hash(reordered)));
+        assert_ne!(key_hash(compact), key_hash(reordered));
         // The parameters are the worker's to check, not the route's.
         let ill_typed = r#"{"Legalize":5}"#;
-        assert_eq!(
-            text_route(ill_typed),
-            TextRoute::Keyed(route_hash(ill_typed))
-        );
+        assert_eq!(text_route(ill_typed), TextRoute::Keyed(key_hash(ill_typed)));
         for unreadable in [
             r#"{"Nonsense":{}}"#,
             r#""Generate""#,

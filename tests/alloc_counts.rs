@@ -84,14 +84,17 @@ fn counted<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
 }
 
 /// A cache-hit `Generate` line (16 x 16), and a `Stats` line, served:
-/// the decoded envelope, the request key, the payload's copy, the
-/// callback's box and the reply's text.
-const HIT_PIN: (u64, u64) = (19, 3_271);
+/// the decoded envelope, the request key (the request moved behind an
+/// `Arc`; it was (19, 3 271) while a key was the request's text), the
+/// payload's copy, the callback's box and the reply's text.
+const HIT_PIN: (u64, u64) = (14, 3_031);
 const STATS_PIN: (u64, u64) = (17, 3_184);
 /// A 128 x 128 `Legalize` line that misses the cache, decoded and
-/// submitted: the decoded envelope, the request key, the task and the
-/// handle; the execution runs on a worker.
-const MISS_PIN: (u64, u64) = (26, 164_599);
+/// submitted: the decoded envelope, the request key (the request moved
+/// behind an `Arc`; it was (26, 164 599) while a key was the request's
+/// text, written out and copied), the task and the handle; the
+/// execution runs on a worker.
+const MISS_PIN: (u64, u64) = (20, 33_206);
 /// A fixed-size `Generate` (one 16 x 16 topology) executed by the
 /// service on the calling thread.
 const GENERATE_PIN: (u64, u64) = (17, 19_308);

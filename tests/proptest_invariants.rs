@@ -2093,16 +2093,17 @@ fn check_topology_texts(topology: &Topology) -> Result<(), String> {
         return Err(format!("{packed_text} reads as {read:?}"));
     }
 
-    let mut keys = Vec::new();
+    // The engine keys a request by its value: one value, one key.
+    let mut requests = Vec::new();
     for text in [&packed_text, &bits_text] {
         let line = format!(
             r#"{{"id":1,"request":{{"Legalize":{{"topology":{text},"width_nm":2048,"height_nm":2048,"seed":5}}}}}}"#
         );
         let envelope = decode_request_line(&line).map_err(|(_, e)| e.to_string())?;
-        keys.push(chatpattern::core::routing::request_key(&envelope.request));
+        requests.push(envelope.request);
     }
-    if keys[0].is_none() || keys[0] != keys[1] {
-        return Err(format!("one request, two keys: {keys:?}"));
+    if !chatpattern::core::routing::is_keyed(&requests[0]) || requests[0] != requests[1] {
+        return Err("the packed and the bits text are two keys".into());
     }
     Ok(())
 }

@@ -952,8 +952,11 @@ fn generate_keyed_to(worker: u64, workers: u64) -> PatternRequest {
     (0..64)
         .map(|seed| generate(1, seed))
         .find(|request| {
-            let key = chatpattern_core::routing::request_key(request).expect("a Generate is keyed");
-            chatpattern_core::routing::route_hash(&key) % workers == worker
+            let text = serde_json::to_string(request).expect("serializes");
+            match chatpattern_core::routing::text_route(&text) {
+                chatpattern_core::routing::TextRoute::Keyed(hash) => hash % workers == worker,
+                route => panic!("a Generate is keyed, not {route:?}"),
+            }
         })
         .expect("64 keys reach every worker")
 }
