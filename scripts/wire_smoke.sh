@@ -20,7 +20,8 @@
 # refused (its fleet view agrees with the workers' own session
 # counts), survives draining its host worker
 # (a live session move), answers an ill-typed and a packed line once each
-# under their ids, and aggregates fleet stats, and (h) a tenant that
+# under their ids, sends a repeated keyed line to the worker that
+# cached it, and aggregates fleet stats, and (h) a tenant that
 # floods past its --tenant-quota collects typed Overloaded envelopes
 # with a retry_after_ms hint while a calm tenant on the same server
 # still completes, with the rejection counted in the per-tenant stats
@@ -346,6 +347,24 @@ exchange '{"id":"f-t1","request":{"SessionTurn":{"session":"fleet-smoke","uttera
 echo "$REPLY" | jq -e '.outcome.Ok.payload.SessionTurn.turn == 1' > /dev/null \
     || fail "fleet first turn did not report turn 1"
 
+# A repeated keyed line finds the worker that cached it: the router
+# places it by the hash of its text, so one Legalize sent twice in
+# sequence costs the fleet exactly one cache miss and the second answer
+# is a hit. (Before the drain below, while both workers take new work.)
+serve_stats
+MISSES_BEFORE=$(stat cache_misses)
+HITS_BEFORE=$(stat cache_hits)
+REPEAT='{"id":"f-again","request":{"Legalize":{"topology":{"rows":4,"cols":4,"bits":[1,1,0,0,1,1,0,0,0,0,1,1,0,0,1,1]},"width_nm":2048,"height_nm":2048,"seed":11}}}'
+exchange "$REPEAT"
+echo "$REPLY" | jq -e '.outcome.Ok.payload | has("Legalize")' > /dev/null \
+    || fail "the keyed Legalize errored"
+exchange "$REPEAT"
+serve_stats
+MISSES=$(( $(stat cache_misses) - MISSES_BEFORE ))
+HITS=$(( $(stat cache_hits) - HITS_BEFORE ))
+[ "$MISSES" -eq 1 ] && [ "$HITS" -ge 1 ] \
+    || fail "one keyed line sent twice through the fleet cost $MISSES misses and $HITS hits (want 1 miss, at least 1 hit)"
+
 # A refused open leaves no pin behind: every worker's `sessions` in the
 # fleet view is what the worker itself counts open.
 LONG_ID=$(head -c 240 /dev/zero | tr '\0' x)
@@ -403,7 +422,7 @@ wait "$ROUTER_PID" || fail "router exited non-zero"
 ROUTER_PID=""
 REPLY=""
 
-echo "wire smoke OK: router fleet (pin, no pin for a refused open, drain, live migration, refusal and packed line pass through, aggregated stats, shutdown)"
+echo "wire smoke OK: router fleet (pin, no pin for a refused open, drain, live migration, refusal and packed line pass through, a repeated keyed line hits its worker's cache, aggregated stats, shutdown)"
 
 # (h) QoS overload burst: tenant "flood" has an in-flight quota of 1.
 # A pipelined burst holds the quota with one slow request, so the
