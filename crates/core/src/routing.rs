@@ -4,7 +4,7 @@
 //! A [`PatternEngine`](crate::PatternEngine) is one queue and places
 //! nothing: it asks [`is_keyed`] only to know whether its result broker
 //! caches and coalesces a request, which it then keys by the decoded
-//! request itself ([`crate::cache`]), not by any hash here. Two
+//! request itself (`cache::Key`), not by any hash here. Two
 //! consumers place work by this module:
 //!
 //! * the multi-process `chatpattern-router` binary, which shards client
